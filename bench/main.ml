@@ -120,7 +120,7 @@ let table1_rows () =
         | Metrics.Compiled_code -> 20000
         | Metrics.Native_code -> 200000
         | Metrics.Rt_event_driven -> 300
-        | Metrics.Gate_netlist -> 60)
+        | Metrics.Gate_netlist -> 1000)
   in
   let rs = rs_design () in
   let rs_row =

@@ -11,7 +11,7 @@
     - [Native_code] — the regenerated simulator compiled to machine
       code and dynlinked (the paper's "simulator is regenerated" path),
     - [Rt_event_driven] — the delta-cycle RTL kernel ("VHDL (RT)"),
-    - [Gate_netlist] — the synthesized netlist under the event-driven
+    - [Gate_netlist] — the synthesized netlist under the levelized
       gate simulator ("VHDL/Verilog (netlist)"). *)
 
 type engine =

@@ -22,7 +22,7 @@ type severity = Warning | Error | Fatal
 (** Machine-readable failure classes, spanning all engines. *)
 type code =
   | Deadlock  (** scheduler: no component can make progress *)
-  | Did_not_settle  (** gate-level: event queue did not quiesce *)
+  | Did_not_settle  (** gate-level: the settle budget ran out (oscillation) *)
   | Delta_overflow  (** RT kernel: delta-cycle budget exhausted *)
   | Overflow  (** fixed-point overflow (resize/create) *)
   | Invalid_state  (** FSM driven into an unencoded state *)

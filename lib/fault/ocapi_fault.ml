@@ -41,28 +41,32 @@ let sample_list rng k l =
     Array.to_list (Array.sub arr 0 k)
   end
 
+(* Parallel-pattern single-fault propagation: the faults run in
+   batches of up to [Netlist.Sim.lanes], one fault per lane, each batch
+   replaying the vectors once until every lane is detected.  A lane's
+   first differing (cycle, output), in output declaration order, is
+   recorded exactly as a lone run of its fault records it. *)
 let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     ?progress nl ~vectors =
-  let out_names = List.map fst (Netlist.outputs_list nl) in
+  let out_names = Array.of_list (List.map fst (Netlist.outputs_list nl)) in
   let n_cycles = Array.length vectors in
   let replay_cycle sim c =
     List.iter (fun (name, v) -> Netlist.Sim.set_input sim name v) vectors.(c);
     Netlist.Sim.settle sim
   in
+  let ports sim = Array.map (Netlist.Sim.output_port sim) out_names in
   (* Fault-free reference: every output word of every cycle.  Computed
      once on the coordinating domain's own simulator and shared
      read-only with the workers. *)
-  let golden = Array.make (max 1 n_cycles) [] in
   let sim0 = Netlist.Sim.create ?settle_budget nl in
-  Netlist.Sim.reset sim0;
-  for c = 0 to n_cycles - 1 do
-    replay_cycle sim0 c;
-    golden.(c) <-
-      List.map
-        (fun o -> (o, Netlist.Sim.get_output sim0 ~signed:false o))
-        out_names;
-    Netlist.Sim.clock sim0
-  done;
+  let ports0 = ports sim0 in
+  let golden =
+    Array.init n_cycles (fun c ->
+        replay_cycle sim0 c;
+        let outs = Array.map (Netlist.Sim.read sim0 ~signed:false) ports0 in
+        Netlist.Sim.clock sim0;
+        outs)
+  in
   let universe = Netlist.fault_universe nl in
   let collapsed = Netlist.collapse_faults nl universe in
   let simulated =
@@ -72,57 +76,87 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     | _ -> collapsed
   in
   let faults = Array.of_list simulated in
-  (* One fault, replayed on a given worker's simulator.  Everything the
-     body touches beyond [sim] is read-only ([nl], [vectors], [golden]),
-     so per-worker simulators are the whole isolation story. *)
-  let simulate_one sim f =
-    let outcome =
-      try
-        Netlist.Sim.reset sim;
-        Netlist.Sim.inject sim f;
-        let result = ref Sa_undetected in
-        (try
-           for c = 0 to n_cycles - 1 do
-             replay_cycle sim c;
-             List.iter
-               (fun (o, gold) ->
-                 if
-                   !result = Sa_undetected
-                   && Netlist.Sim.get_output sim ~signed:false o <> gold
-                 then result := Sa_detected { at_cycle = c; at_output = o })
-               golden.(c);
-             if !result <> Sa_undetected then raise Exit;
-             Netlist.Sim.clock sim
-           done
-         with Exit -> ());
-        !result
-      with e -> (
-        match Flow.classify_exn ~engine:"gates" e with
-        | Some d -> Sa_diagnosed d
-        | None -> raise e)
-    in
-    Netlist.Sim.clear_fault sim;
-    if Ocapi_obs.enabled () then
-      Ocapi_obs.count
-        (match outcome with
-        | Sa_detected _ -> "fault.stuck.detected"
-        | Sa_undetected -> "fault.stuck.undetected"
-        | Sa_diagnosed _ -> "fault.stuck.diagnosed");
-    outcome
+  let n_faults = Array.length faults in
+  (* Lanes share one evaluation schedule.  On a combinational cycle the
+     state a settle reaches can depend on that schedule, so a netlist
+     with cycles runs one fault per batch. *)
+  let batch =
+    if snd (Netlist.combinational_depth nl) > 0 then 1 else Netlist.Sim.lanes
   in
-  let outcomes =
+  (* Faults [first, first + k) on lanes [0, k) of a worker's simulator.
+     Everything the body touches beyond [sim] is read-only ([nl],
+     [vectors], [golden]), so per-worker simulators are the whole
+     isolation story. *)
+  let run_batch (sim, ports) first k =
+    let outcomes = Array.make k Sa_undetected in
+    let live = ref (if k >= Netlist.Sim.lanes then -1 else (1 lsl k) - 1) in
+    (try
+       Netlist.Sim.clear_fault sim;
+       Netlist.Sim.reset sim;
+       for l = 0 to k - 1 do
+         Netlist.Sim.inject sim ~lane:l faults.(first + l)
+       done;
+       let c = ref 0 in
+       while !live <> 0 && !c < n_cycles do
+         replay_cycle sim !c;
+         Array.iteri
+           (fun j port ->
+             let d = Netlist.Sim.output_diff sim port golden.(!c).(j) land !live in
+             if d <> 0 then begin
+               for l = 0 to k - 1 do
+                 if d land (1 lsl l) <> 0 then
+                   outcomes.(l) <- Sa_detected { at_cycle = !c; at_output = out_names.(j) }
+               done;
+               live := !live land lnot d
+             end)
+           ports;
+         if !live <> 0 then Netlist.Sim.clock sim;
+         incr c
+       done
+     with e -> (
+       (* An acyclic settle evaluates each element at most once, so a
+          batch of several faults stops on a diagnostic only when the
+          budget is below the element count: the first settle after
+          [reset] then stops every lone run the same way. *)
+       match Flow.classify_exn ~engine:"gates" e with
+       | None -> raise e
+       | Some d ->
+         for l = 0 to k - 1 do
+           if !live land (1 lsl l) <> 0 then outcomes.(l) <- Sa_diagnosed d
+         done));
+    outcomes
+  in
+  let n_batches = (n_faults + batch - 1) / batch in
+  let batches =
     Ocapi_parallel.map_tasks ~domains
       ~make_state:(fun k ->
-        if k = 0 && domains <= 1 then sim0
-        else Netlist.Sim.create ?settle_budget nl)
-      ~tasks:(Array.length faults)
-      ~f:(fun sim i ->
-        (match progress with Some f -> f i | None -> ());
-        simulate_one sim faults.(i))
+        if k = 0 && domains <= 1 then (sim0, ports0)
+        else
+          let sim = Netlist.Sim.create ?settle_budget nl in
+          (sim, ports sim))
+      ~tasks:n_batches
+      ~f:(fun state b ->
+        let first = b * batch in
+        let k = min batch (n_faults - first) in
+        (match progress with
+        | Some f -> for i = first to first + k - 1 do f i done
+        | None -> ());
+        let outcomes = run_batch state first k in
+        if Ocapi_obs.enabled () then
+          Array.iter
+            (fun o ->
+              Ocapi_obs.count
+                (match o with
+                | Sa_detected _ -> "fault.stuck.detected"
+                | Sa_undetected -> "fault.stuck.undetected"
+                | Sa_diagnosed _ -> "fault.stuck.diagnosed"))
+            outcomes;
+        outcomes)
       ()
   in
+  let outcomes = Array.concat (Array.to_list batches) in
   let records =
-    List.init (Array.length faults) (fun i ->
+    List.init n_faults (fun i ->
         let f = faults.(i) in
         { sr_label = Netlist.fault_label nl f; sr_fault = f;
           sr_outcome = outcomes.(i) })
@@ -134,18 +168,18 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
   let diagnosed =
     n_of (fun r -> match r.sr_outcome with Sa_diagnosed _ -> true | _ -> false)
   in
-  let n_sim = List.length records in
   {
     st_design = Netlist.name nl;
     st_universe = List.length universe;
     st_collapsed = List.length collapsed;
-    st_simulated = n_sim;
+    st_simulated = n_faults;
     st_detected = detected;
-    st_undetected = n_sim - detected - diagnosed;
+    st_undetected = n_faults - detected - diagnosed;
     st_diagnosed = diagnosed;
     st_vectors = n_cycles;
     st_coverage =
-      (if n_sim = 0 then 0.0 else float_of_int detected /. float_of_int n_sim);
+      (if n_faults = 0 then 0.0
+       else float_of_int detected /. float_of_int n_faults);
     st_records = records;
   }
 
@@ -156,7 +190,7 @@ let record_vectors sys ~cycles =
   Cycle_system.run sys cycles;
   let input_hist = Cycle_system.input_history sys in
   Cycle_system.reset sys;
-  let vectors = Array.make (max 1 cycles) [] in
+  let vectors = Array.make (max 0 cycles) [] in
   List.iter
     (fun (c, name, v) ->
       if c < cycles then vectors.(c) <- (name, Fixed.mantissa v) :: vectors.(c))

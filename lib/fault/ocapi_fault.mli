@@ -5,9 +5,10 @@
     - {b Stuck-at fault simulation} (gate level): enumerate the classic
       pin fault universe of the synthesized netlist
       ({!Netlist.fault_universe}), collapse equivalent faults, and
-      serially simulate each survivor against recorded test-bench
-      stimuli, comparing every output word of every cycle against the
-      fault-free run.  The result is a {e fault-coverage} figure for the
+      simulate the survivors against recorded test-bench stimuli, 63
+      at a time (parallel-pattern single-fault propagation over the
+      lanes of {!Netlist.Sim}), comparing every output word of every
+      cycle against the fault-free run.  The result is a {e fault-coverage} figure for the
       test bench — the quality metric of the generated-test-bench flow
       of fig 8.
 
@@ -59,16 +60,27 @@ type stuck_report = {
     [vectors.(c)] lists the [(input bus, mantissa)] stimuli of cycle
     [c].  [max_faults] caps the campaign to a deterministic
     [seed]-driven sample of the collapsed fault list; [settle_budget]
-    is passed to {!Netlist.Sim.create} (the per-fault oscillation
-    watchdog).  [domains] (default [1] = the serial path) simulates the
-    fault list on an {!Ocapi_parallel} pool, one gate-level simulator
-    per worker over the shared read-only netlist; the report is
-    bit-identical to the serial run for any [domains].
+    is passed to {!Netlist.Sim.create} (the oscillation watchdog).
 
-    [progress] is called with the fault index before each fault is
-    simulated (on the worker domain running it); it may raise — e.g. an
-    [Ocapi_error] with code [Timeout] — to abandon the campaign
-    cooperatively, the deadline/cancellation hook of batch jobs. *)
+    The faults run in batches of up to {!Netlist.Sim.lanes} (63), one
+    fault per lane (parallel-pattern single-fault propagation).  A
+    batch replays the vectors once, until every lane is detected, and
+    each lane's first differing (cycle, output) is recorded as a lone
+    run of its fault would record it.  A netlist with combinational
+    cycles runs one fault per batch, so an oscillating fault is
+    diagnosed on its own.
+
+    [domains] (default [1] = the serial path) simulates the batches on
+    an {!Ocapi_parallel} pool, one gate-level simulator per worker over
+    the shared read-only netlist; the report is bit-identical to the
+    serial run for any [domains].
+
+    [progress] is called with the index of each fault of a batch before
+    the batch runs (on the worker domain running it); it may raise —
+    e.g. an [Ocapi_error] with code [Timeout] — to abandon the campaign
+    cooperatively, the deadline/cancellation hook of batch jobs.
+    Cancellation thus takes effect between batches of at most 63
+    faults. *)
 val stuck_at_netlist :
   ?max_faults:int ->
   ?seed:int ->
@@ -115,7 +127,7 @@ type stuck_compare = {
     ([lower-to-gate] then [optimize-gates]) and runs
     {!stuck_at_netlist} on both gate-level designs with the shared
     vectors.  All options are forwarded to both campaigns; [progress]
-    (fault index) fires for each campaign in turn. *)
+    (fault index, batch by batch) fires for each campaign in turn. *)
 val stuck_at_optimized :
   ?max_faults:int ->
   ?seed:int ->

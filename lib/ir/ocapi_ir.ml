@@ -304,71 +304,72 @@ module Gate_engine = struct
     let fmt_of = probe_formats sys in
     let out_names = List.map fst (Netlist.outputs_list nl) in
     let in_names = List.map fst (Netlist.inputs_list nl) in
-    (* Probes present in the netlist, with format and valid wire. *)
+    (* Buses are resolved here, once: a step neither builds bus names
+       nor looks buses or history refs up. *)
+    let output_port name =
+      if List.mem name out_names then Some (Netlist.Sim.output_port sim name)
+      else None
+    in
+    (* Probes with their format, output bus (if present in the netlist),
+       valid wire and history. *)
     let probe_rows =
       List.map
         (fun p ->
-          let present = List.mem p out_names in
-          let valid =
-            if List.mem ("__valid__" ^ p) out_names then
-              Some ("__valid__" ^ p)
-            else None
-          in
-          (p, fmt_of p, present, valid))
+          let fmt = fmt_of p in
+          ( p, fmt, fmt.Fixed.signedness = Fixed.Signed, output_port p,
+            output_port ("__valid__" ^ p), ref [] ))
         (Cycle_system.probes sys)
     in
     let input_rows =
       List.filter_map
         (fun (iname, _fmt, stim) ->
           if List.mem iname in_names then
-            Some (iname, stim, List.mem ("__stimvalid__" ^ iname) in_names)
+            let valid = "__stimvalid__" ^ iname in
+            Some
+              ( stim,
+                Netlist.Sim.input_port sim iname,
+                if List.mem valid in_names then
+                  Some (Netlist.Sim.input_port sim valid)
+                else None )
           else None)
         (Cycle_system.primary_inputs sys)
     in
     let cycle = ref 0 in
-    let hist = Hashtbl.create 8 in
-    List.iter (fun (p, _, _, _) -> Hashtbl.replace hist p (ref [])) probe_rows;
-    let push p tok =
-      let r = Hashtbl.find hist p in
-      r := tok :: !r
-    in
     let step () =
       List.iter
-        (fun (iname, stim, has_valid) ->
-          match stim !cycle with
-          | Some v ->
-            Netlist.Sim.set_input sim iname (Fixed.mantissa v);
-            if has_valid then
-              Netlist.Sim.set_input sim ("__stimvalid__" ^ iname) 1L
-          | None ->
-            if has_valid then
-              Netlist.Sim.set_input sim ("__stimvalid__" ^ iname) 0L)
+        (fun (stim, port, valid) ->
+          let tok = stim !cycle in
+          (match tok with
+          | Some v -> Netlist.Sim.drive sim port (Fixed.mantissa v)
+          | None -> ());
+          match valid with
+          | Some vp ->
+            Netlist.Sim.drive sim vp (if Option.is_some tok then 1L else 0L)
+          | None -> ())
         input_rows;
       Netlist.Sim.settle sim;
       List.iter
-        (fun (p, fmt, present, valid) ->
-          if present then begin
+        (fun (_, fmt, signed, port, valid, hist) ->
+          match port with
+          | None -> ()
+          | Some port ->
             let live =
               match valid with
-              | Some vname ->
-                Netlist.Sim.get_output sim ~signed:false vname = 1L
+              | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1L
               | None -> true
             in
-            if live then begin
-              let signed = fmt.Fixed.signedness = Fixed.Signed in
-              let m = Netlist.Sim.get_output sim ~signed p in
-              push p (!cycle, Fixed.create fmt m)
-            end
-          end)
+            if live then
+              hist :=
+                (!cycle, Fixed.create fmt (Netlist.Sim.read sim ~signed port))
+                :: !hist)
         probe_rows;
       Netlist.Sim.clock sim;
       incr cycle
     in
     let reset () =
       Netlist.Sim.reset sim;
-      Netlist.Sim.clear_fault sim;
       cycle := 0;
-      Hashtbl.iter (fun _ r -> r := []) hist
+      List.iter (fun (_, _, _, _, _, hist) -> hist := []) probe_rows
     in
     let bit_of encoding s b =
       match encoding with
@@ -392,9 +393,7 @@ module Gate_engine = struct
       ses_reset = reset;
       ses_histories =
         (fun () ->
-          List.map
-            (fun (p, _, _, _) -> (p, List.rev !(Hashtbl.find hist p)))
-            probe_rows);
+          List.map (fun (p, _, _, _, _, hist) -> (p, List.rev !hist)) probe_rows);
       ses_register_count = Array.length smap.Synthesize.sm_regs;
       ses_register_info =
         (fun i ->

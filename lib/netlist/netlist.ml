@@ -213,49 +213,137 @@ let counts t =
 
 let net_count t = t.n_nets
 
-(* Longest acyclic combinational chain (Kahn levelization).  Element =
-   gate, ROM read or RAM read; DFF outputs and primary inputs are depth
-   0 sources; elements left with nonzero in-degree sit on cycles. *)
-let combinational_depth t =
-  let elems =
-    List.rev_map (fun g -> (Array.to_list g.g_inputs, [ g.g_out ])) t.gates
-    @ List.map (fun r -> (Array.to_list r.r_addr, Array.to_list r.r_out)) t.roms
-    @ List.map (fun m -> (Array.to_list m.m_addr, Array.to_list m.m_out)) t.rams
-    |> Array.of_list
+let gates_in_order t = Array.of_list (List.rev t.gates)
+
+(* --- levelization ------------------------------------------------------- *)
+
+(* The combinational elements of a netlist: gates in creation order
+   (the {!fold_gates} order), then the ROM reads, then the RAM reads.
+   An element reads its gate inputs or its macro's address bus; a RAM's
+   write port only matters at the clock edge. *)
+type graph = {
+  gr_gates : gate array;
+  gr_roms : rom_rec array;
+  gr_rams : ram_rec array;
+  gr_fan_start : int array;  (* net -> first entry in [gr_fan]; n_nets + 1 *)
+  gr_fan : int array;  (* the elements reading each net, one entry per pin *)
+  gr_order : int array;  (* every element once, sources first *)
+  gr_level : int array;  (* element -> level: 0 for sources, else
+                            1 + the deepest element it reads from *)
+  gr_acyclic : int;  (* [gr_order] prefix reached before a cycle was cut *)
+}
+
+let n_elements gr =
+  Array.length gr.gr_gates + Array.length gr.gr_roms + Array.length gr.gr_rams
+
+let element_inputs gr e =
+  let ng = Array.length gr.gr_gates and nr = Array.length gr.gr_roms in
+  if e < ng then gr.gr_gates.(e).g_inputs
+  else if e < ng + nr then gr.gr_roms.(e - ng).r_addr
+  else gr.gr_rams.(e - ng - nr).m_addr
+
+(* Kahn levelization over flat arrays.  DFF outputs, primary inputs and
+   undriven nets are sources.  When the ready queue runs dry before
+   every element is ordered, the rest sit on (or behind) combinational
+   cycles: the lowest-numbered one left is taken as ready anyway, which
+   cuts its cycle, and the sweep goes on.  Every element thus gets a
+   level, and an edge into a lower or equal level marks a cycle. *)
+let levelize t =
+  let gates = gates_in_order t in
+  let roms = Array.of_list (List.rev t.roms) in
+  let rams = Array.of_list (List.rev t.rams) in
+  let n_nets = max 1 t.n_nets in
+  let check n =
+    if n < 0 || n >= t.n_nets then
+      error "netlist %s: net %d out of range" t.nl_name n
   in
-  let n = Array.length elems in
-  let producer = Hashtbl.create 256 in
-  Array.iteri
-    (fun i (_, outs) -> List.iter (fun o -> Hashtbl.replace producer o i) outs)
-    elems;
-  let succs = Array.make n [] and indeg = Array.make n 0 in
-  Array.iteri
-    (fun i (ins, _) ->
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt producer net with
-          | Some j ->
-            succs.(j) <- i :: succs.(j);
-            indeg.(i) <- indeg.(i) + 1
-          | None -> () (* dff q, primary input or undriven: a source *))
-        ins)
-    elems;
-  let depth = Array.make n 1 in
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let visited = ref 0 and best = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    incr visited;
-    if depth.(i) > !best then best := depth.(i);
-    List.iter
-      (fun j ->
-        if depth.(i) + 1 > depth.(j) then depth.(j) <- depth.(i) + 1;
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
+  let ng = Array.length gates and nr = Array.length roms in
+  let n = ng + nr + Array.length rams in
+  let gr0 =
+    { gr_gates = gates; gr_roms = roms; gr_rams = rams; gr_fan_start = [||];
+      gr_fan = [||]; gr_order = [||]; gr_level = [||]; gr_acyclic = 0 }
+  in
+  (* The simulator indexes its net arrays unchecked: every net an
+     element, flip-flop or RAM write port names must exist. *)
+  List.iter (fun d -> check d.d_d; check d.d_q) t.dffs;
+  Array.iter (fun m -> Array.iter check m.m_wdata; check m.m_we) rams;
+  let produced = Bytes.make n_nets '\000' in
+  let produce o = check o; Bytes.set produced o '\001' in
+  Array.iter (fun g -> produce g.g_out) gates;
+  Array.iter (fun r -> Array.iter produce r.r_out) roms;
+  Array.iter (fun m -> Array.iter produce m.m_out) rams;
+  (* Net -> reader fanout in compressed rows, and each element's count
+     of inputs driven by another element. *)
+  let fan_start = Array.make (n_nets + 1) 0 in
+  let indeg = Array.make (max 1 n) 0 in
+  for e = 0 to n - 1 do
+    Array.iter
+      (fun i ->
+        check i;
+        fan_start.(i + 1) <- fan_start.(i + 1) + 1;
+        if Bytes.get produced i <> '\000' then indeg.(e) <- indeg.(e) + 1)
+      (element_inputs gr0 e)
   done;
-  (!best, n - !visited)
+  for i = 1 to n_nets do
+    fan_start.(i) <- fan_start.(i) + fan_start.(i - 1)
+  done;
+  let fan = Array.make (max 1 fan_start.(n_nets)) 0 in
+  let fill = Array.sub fan_start 0 n_nets in
+  for e = 0 to n - 1 do
+    Array.iter
+      (fun i ->
+        fan.(fill.(i)) <- e;
+        fill.(i) <- fill.(i) + 1)
+      (element_inputs gr0 e)
+  done;
+  let order = Array.make (max 1 n) 0 and level = Array.make (max 1 n) 0 in
+  let seen = Bytes.make (max 1 n) '\000' in
+  let tail = ref 0 in
+  let push e =
+    Bytes.set seen e '\001';
+    order.(!tail) <- e;
+    incr tail
+  in
+  for e = 0 to n - 1 do
+    if indeg.(e) = 0 then push e
+  done;
+  let release o lv =
+    for j = fan_start.(o) to fan_start.(o + 1) - 1 do
+      let r = fan.(j) in
+      if Bytes.get seen r = '\000' then begin
+        if level.(r) < lv then level.(r) <- lv;
+        indeg.(r) <- indeg.(r) - 1;
+        if indeg.(r) = 0 then push r
+      end
+    done
+  in
+  let head = ref 0 and acyclic = ref (-1) and next_cut = ref 0 in
+  while !head < n do
+    if !head = !tail then begin
+      (* Stuck on a cycle: cut it at the lowest-numbered element left. *)
+      if !acyclic < 0 then acyclic := !head;
+      while Bytes.get seen !next_cut <> '\000' do incr next_cut done;
+      push !next_cut
+    end;
+    let e = order.(!head) in
+    incr head;
+    let lv = level.(e) + 1 in
+    if e < ng then release gates.(e).g_out lv
+    else if e < ng + nr then Array.iter (fun o -> release o lv) roms.(e - ng).r_out
+    else Array.iter (fun o -> release o lv) rams.(e - ng - nr).m_out
+  done;
+  { gr0 with gr_fan_start = fan_start; gr_fan = fan; gr_order = order;
+    gr_level = level; gr_acyclic = (if !acyclic < 0 then n else !acyclic) }
+
+(* Longest acyclic combinational chain between registers / primary
+   ports, and the number of elements that sit on (or behind) cycles. *)
+let combinational_depth t =
+  let gr = levelize t in
+  let depth = ref 0 in
+  for i = 0 to gr.gr_acyclic - 1 do
+    depth := max !depth (gr.gr_level.(gr.gr_order.(i)) + 1)
+  done;
+  (!depth, n_elements gr - gr.gr_acyclic)
 
 let fold_gates t ~init ~f =
   List.fold_left
@@ -296,13 +384,15 @@ let label_in_buses buses n =
         idx 0)
     None buses
 
-let net_label t n =
-  match label_in_buses t.inputs n with
+let bus_net_label ~inputs ~outputs n =
+  match label_in_buses inputs n with
   | Some s -> s
   | None -> (
-    match label_in_buses t.outputs n with
+    match label_in_buses outputs n with
     | Some s -> s
     | None -> Printf.sprintf "n%d" n)
+
+let net_label t n = bus_net_label ~inputs:t.inputs ~outputs:t.outputs n
 
 (* Canonical structural hash.  Net indices are creation-order integers
    and every element list is rebuilt in creation order, so two builder
@@ -371,8 +461,6 @@ let digest t =
 
 type fault_site = Stem of net | Branch of { br_gate : int; br_pin : int }
 type fault = { f_site : fault_site; f_stuck : bool }
-
-let gates_in_order t = Array.of_list (List.rev t.gates)
 
 let fault_label t f =
   let v = if f.f_stuck then 1 else 0 in
@@ -461,309 +549,578 @@ let collapse_faults t faults =
           | _ -> true))
     faults
 
+type netlist = t
+
 module Sim = struct
   exception Did_not_settle of Ocapi_error.t
 
-  type elem = Gate of gate | Rom_elem of rom_rec | Ram_elem of int * ram_rec
+  (* Every net holds one [int] word; bit [l] is lane [l].  The plain
+     simulator keeps all lanes equal (a bit is 0 or -1), so lane 0 is
+     the circuit; fault simulation runs one faulty circuit per lane. *)
+  let lanes = 63
+
+  let all_lanes = -1
+
+  (* Element kinds: the gate kinds in declaration order (0 = Buf ..
+     9 = Const1), then [k_memory] for a ROM/RAM read; a gate with an
+     active branch fault is recoded [k_faulty + slot]. *)
+  let kind_code = function
+    | Buf -> 0
+    | Not -> 1
+    | And -> 2
+    | Or -> 3
+    | Xor -> 4
+    | Nand -> 5
+    | Nor -> 6
+    | Mux2 -> 7
+    | Const0 -> 8
+    | Const1 -> 9
+
+  let k_memory = 10
+  let k_faulty = 11
+
+  let apply k a b c =
+    match k with
+    | 0 -> a
+    | 1 -> lnot a
+    | 2 -> a land b
+    | 3 -> a lor b
+    | 4 -> a lxor b
+    | 5 -> lnot (a land b)
+    | 6 -> lnot (a lor b)
+    | 7 -> a land b lor (lnot a land c)
+    | 8 -> 0
+    | _ -> all_lanes
+
+  (* A ROM or RAM macro, bit-sliced: bit [b] of word [w] is the lane
+     word [bits.(w * width + b)], so each lane has its own contents.
+     Its read port is an element; a RAM also writes at the clock edge. *)
+  type memory = {
+    words : int;
+    width : int;
+    bits : int array;
+    addr : net array;
+    rdata : net array;
+    wdata : net array;  (* empty for a ROM *)
+    we : net;  (* -1 for a ROM *)
+    scratch : int array;  (* lane-by-lane read buffer, one per bit *)
+    read : int;  (* the element of the read port *)
+  }
 
   type t = {
-    nl : (string * net array) list * (string * net array) list;  (* in, out *)
-    values : bool array;
-    elems : elem array;
-    fanout : int list array;  (* net -> element indices *)
-    dffs : dff_rec array;
-    ram_state : int64 array array;  (* per ram, word values *)
-    ram_index : ram_rec array;
-    queue : int Queue.t;
-    queued : bool array;
     name : string;
+    inputs : (string * net array) array;
+    outputs : (string * net array) array;
+    v : int array;  (* net -> lane word *)
+    keep : int array;  (* net -> lanes not stuck (stem faults) *)
+    force : int array;  (* net -> lanes stuck at 1 *)
+    pokeable : Bytes.t;  (* net -> DFF q-net or primary-input bit *)
+    (* Elements, numbered in level order.  A gate reads [in0]..[in2]
+       (net 0 when unused); a memory read keeps its index in
+       [memories] in [in0]. *)
+    kind : int array;
+    in0 : int array;
+    in1 : int array;
+    in2 : int array;
+    out : int array;
+    level : int array;
+    gate_elem : int array;  (* {!fold_gates} index -> element *)
+    fan_start : int array;  (* net -> readers, compressed rows *)
+    fan : int array;
+    memories : memory array;
+    rams : memory array;
+    dff_d : int array;
+    dff_q : int array;
+    dff_init : int array;
+    dff_next : int array;
+    (* The dirty set: one stack per level, kept in the level's own
+       slice [lstart.(l), lstart.(l + 1)) of [stack]; the levels
+       [lo]..[hi] may hold entries. *)
+    queued : Bytes.t;
+    stack : int array;
+    lstart : int array;
+    lcount : int array;
+    mutable lo : int;
+    mutable hi : int;
+    (* Per branch-faulted gate, a slot with its real kind and a
+       keep/force mask per pin. *)
+    slot_elem : int array;
+    slot_kind : int array;
+    slot_keep : int array;
+    slot_force : int array;
+    mutable n_slots : int;
     settle_budget : int;
     mutable n_evaluations : int;
     mutable n_events : int;
     mutable n_clocks : int;
-    (* Active stuck-at fault, if any: a forced net (stem fault) ignores
-       all writes; a faulty gate pin (branch fault) reads a constant. *)
-    mutable forced_net : net;  (* -1 = none *)
-    mutable forced_value : bool;
-    mutable fault_elem : int;  (* -1 = none *)
-    mutable fault_pin : int;
-    mutable fault_pin_value : bool;
   }
 
-  let bus_value values ~signed bus =
+  let bit_word m i =
+    if Int64.logand (Int64.shift_right_logical m i) 1L = 0L then 0 else all_lanes
+
+  let bus_value v ~signed bus =
     let w = Array.length bus in
     let m = ref 0L in
     for i = 0 to w - 1 do
-      if values.(bus.(i)) then m := Int64.logor !m (Int64.shift_left 1L i)
+      if v.(bus.(i)) land 1 <> 0 then m := Int64.logor !m (Int64.shift_left 1L i)
     done;
-    if signed && w > 0 && values.(bus.(w - 1)) then
+    if signed && w > 0 && v.(bus.(w - 1)) land 1 <> 0 then
       Int64.sub !m (Int64.shift_left 1L w)
     else !m
 
-  let create ?settle_budget (nl : (* netlist *) _) =
-    let nl_record : (* the outer type *) _ = nl in
-    let values = Array.make (max 1 nl_record.n_nets) false in
-    let rams = Array.of_list (List.rev nl_record.rams) in
-    let elems =
-      Array.of_list
-        (List.rev_map (fun g -> Gate g) nl_record.gates
-        @ List.map (fun r -> Rom_elem r) (List.rev nl_record.roms)
-        @ List.mapi (fun i r -> Ram_elem (i, r)) (Array.to_list rams))
-    in
-    let fanout = Array.make (max 1 nl_record.n_nets) [] in
+  (* Mark every element dirty, as after power-up. *)
+  let mark_all t =
+    let n = Array.length t.kind in
+    for e = 0 to n - 1 do
+      t.stack.(e) <- e
+    done;
+    Bytes.fill t.queued 0 n '\001';
+    let n_levels = Array.length t.lcount in
+    for l = 0 to n_levels - 1 do
+      t.lcount.(l) <- t.lstart.(l + 1) - t.lstart.(l)
+    done;
+    t.lo <- 0;
+    t.hi <- n_levels - 1
+
+  let create ?settle_budget (nl : netlist) =
+    let gr = levelize nl in
+    let gates = gr.gr_gates in
+    let ng = Array.length gates in
+    let n = n_elements gr in
+    let n_nets = max 1 nl.n_nets in
+    (* Renumber the elements by level: a counting sort, stable in the
+       levelization order. *)
+    let n_levels = Array.fold_left (fun m l -> max m (l + 1)) 0 gr.gr_level in
+    let n_levels = if n = 0 then 0 else n_levels in
+    let lstart = Array.make (n_levels + 1) 0 in
+    for e = 0 to n - 1 do
+      let l = gr.gr_level.(e) in
+      lstart.(l + 1) <- lstart.(l + 1) + 1
+    done;
+    for l = 1 to n_levels do
+      lstart.(l) <- lstart.(l) + lstart.(l - 1)
+    done;
+    let fill = Array.sub lstart 0 n_levels in
+    let renum = Array.make (max 1 n) 0 in
+    for i = 0 to n - 1 do
+      let e = gr.gr_order.(i) in
+      let l = gr.gr_level.(e) in
+      renum.(e) <- fill.(l);
+      fill.(l) <- fill.(l) + 1
+    done;
+    let m = max 1 n in
+    let kind = Array.make m 0 and in0 = Array.make m 0 and in1 = Array.make m 0 in
+    let in2 = Array.make m 0 and out = Array.make m 0 and level = Array.make m 0 in
     Array.iteri
-      (fun ei e ->
-        let ins =
-          match e with
-          | Gate g -> Array.to_list g.g_inputs
-          | Rom_elem r -> Array.to_list r.r_addr
-          | Ram_elem (_, r) -> Array.to_list r.m_addr
-          (* wdata/we only matter at the clock edge *)
-        in
-        List.iter (fun n -> fanout.(n) <- ei :: fanout.(n)) ins)
-      elems;
+      (fun gi g ->
+        let e = renum.(gi) in
+        kind.(e) <- kind_code g.g_kind;
+        let ins = g.g_inputs in
+        let k = Array.length ins in
+        if k > 0 then in0.(e) <- ins.(0);
+        if k > 1 then in1.(e) <- ins.(1);
+        if k > 2 then in2.(e) <- ins.(2);
+        out.(e) <- g.g_out;
+        level.(e) <- gr.gr_level.(gi))
+      gates;
+    (* Memory [i] (ROMs, then RAMs) reads as element [renum.(ng + i)]. *)
+    let memory i ~words ~width ~addr ~rdata ~wdata ~we =
+      { words; width; bits = Array.make (max 1 (words * width)) 0; addr; rdata;
+        wdata; we; scratch = Array.make width 0; read = renum.(ng + i) }
+    in
+    let roms =
+      Array.mapi
+        (fun i r ->
+          let words = Array.length r.r_contents in
+          let mem =
+            memory i ~words ~width:r.r_width ~addr:r.r_addr ~rdata:r.r_out
+              ~wdata:[||] ~we:(-1)
+          in
+          Array.iteri
+            (fun w c ->
+              for b = 0 to r.r_width - 1 do
+                mem.bits.((w * r.r_width) + b) <- bit_word c b
+              done)
+            r.r_contents;
+          mem)
+        gr.gr_roms
+    in
+    let rams =
+      Array.mapi
+        (fun i r ->
+          memory (Array.length roms + i) ~words:r.m_words ~width:r.m_width
+            ~addr:r.m_addr ~rdata:r.m_out ~wdata:r.m_wdata ~we:r.m_we)
+        gr.gr_rams
+    in
+    let memories = Array.append roms rams in
+    Array.iteri
+      (fun i mem ->
+        kind.(mem.read) <- k_memory;
+        in0.(mem.read) <- i;
+        level.(mem.read) <- gr.gr_level.(ng + i))
+      memories;
+    let fan = gr.gr_fan in
+    for j = 0 to gr.gr_fan_start.(n_nets) - 1 do
+      fan.(j) <- renum.(fan.(j))
+    done;
+    let dffs = Array.of_list (List.rev nl.dffs) in
+    let pokeable = Bytes.make n_nets '\000' in
+    List.iter
+      (fun (_, bus) -> Array.iter (fun n -> Bytes.set pokeable n '\001') bus)
+      nl.inputs;
+    Array.iter (fun d -> Bytes.set pokeable d.d_q '\001') dffs;
     let t =
       {
-        nl = (nl_record.inputs, nl_record.outputs);
-        values;
-        elems;
-        fanout;
-        dffs = Array.of_list (List.rev nl_record.dffs);
-        ram_state = Array.map (fun r -> Array.make r.m_words 0L) rams;
-        ram_index = rams;
-        queue = Queue.create ();
-        queued = Array.make (max 1 (Array.length elems)) false;
-        name = nl_record.nl_name;
+        name = nl.nl_name;
+        inputs = Array.of_list (List.rev nl.inputs);
+        outputs = Array.of_list (List.rev nl.outputs);
+        v = Array.make n_nets 0;
+        keep = Array.make n_nets all_lanes;
+        force = Array.make n_nets 0;
+        pokeable;
+        kind;
+        in0;
+        in1;
+        in2;
+        out;
+        level;
+        gate_elem = Array.sub renum 0 ng;
+        fan_start = gr.gr_fan_start;
+        fan;
+        memories;
+        rams;
+        dff_d = Array.map (fun d -> d.d_d) dffs;
+        dff_q = Array.map (fun d -> d.d_q) dffs;
+        dff_init = Array.map (fun d -> if d.d_init then all_lanes else 0) dffs;
+        dff_next = Array.make (Array.length dffs) 0;
+        queued = Bytes.make m '\000';
+        stack = Array.make m 0;
+        lstart;
+        lcount = Array.make n_levels 0;
+        lo = 0;
+        hi = -1;
+        slot_elem = Array.make lanes 0;
+        slot_kind = Array.make lanes 0;
+        slot_keep = Array.make (3 * lanes) all_lanes;
+        slot_force = Array.make (3 * lanes) 0;
+        n_slots = 0;
         settle_budget =
-          (match settle_budget with
-          | Some b -> b
-          | None -> 1000 * max 64 (Array.length elems));
+          (match settle_budget with Some b -> b | None -> 1000 * max 64 n);
         n_evaluations = 0;
         n_events = 0;
         n_clocks = 0;
-        forced_net = -1;
-        forced_value = false;
-        fault_elem = -1;
-        fault_pin = 0;
-        fault_pin_value = false;
       }
     in
-    (* Initialize DFF outputs and evaluate everything once. *)
-    Array.iter (fun d -> values.(d.d_q) <- d.d_init) t.dffs;
-    Array.iteri
-      (fun i _ ->
-        t.queued.(i) <- true;
-        Queue.add i t.queue)
-      elems;
+    Array.iteri (fun i q -> t.v.(q) <- t.dff_init.(i)) t.dff_q;
+    mark_all t;
     t
 
-  let set_net t n v =
-    if n <> t.forced_net && t.values.(n) <> v then begin
-      t.values.(n) <- v;
-      t.n_events <- t.n_events + 1;
-      List.iter
-        (fun ei ->
-          if not t.queued.(ei) then begin
-            t.queued.(ei) <- true;
-            Queue.add ei t.queue
-          end)
-        t.fanout.(n)
+  let[@inline] mark t e =
+    if Bytes.unsafe_get t.queued e = '\000' then begin
+      Bytes.unsafe_set t.queued e '\001';
+      let l = Array.unsafe_get t.level e in
+      let c = Array.unsafe_get t.lcount l in
+      Array.unsafe_set t.stack (Array.unsafe_get t.lstart l + c) e;
+      Array.unsafe_set t.lcount l (c + 1);
+      if l < t.lo then t.lo <- l;
+      if l > t.hi then t.hi <- l
     end
 
-  let gate_value g v =
-    match g.g_kind with
-    | Buf -> v 0
-    | Not -> not (v 0)
-    | And -> v 0 && v 1
-    | Or -> v 0 || v 1
-    | Xor -> v 0 <> v 1
-    | Nand -> not (v 0 && v 1)
-    | Nor -> not (v 0 || v 1)
-    | Mux2 -> if v 0 then v 1 else v 2
-    | Const0 -> false
-    | Const1 -> true
+  (* Write a lane word to a net through its stem-fault masks; a change
+     marks the net's readers.  Net and element indices were checked
+     when [create] built the arrays. *)
+  let[@inline] write t o w =
+    let w =
+      w land Array.unsafe_get t.keep o lor Array.unsafe_get t.force o
+    in
+    if w <> Array.unsafe_get t.v o then begin
+      Array.unsafe_set t.v o w;
+      t.n_events <- t.n_events + 1;
+      for j = Array.unsafe_get t.fan_start o
+          to Array.unsafe_get t.fan_start (o + 1) - 1 do
+        mark t (Array.unsafe_get t.fan j)
+      done
+    end
 
-  let eval_gate t g =
-    let v i = t.values.(g.g_inputs.(i)) in
-    set_net t g.g_out (gate_value g v)
-
-  let drive_bus t bus m =
-    Array.iteri
-      (fun i n ->
-        set_net t n (Int64.logand (Int64.shift_right_logical m i) 1L = 1L))
-      bus
-
-  let eval_elem t ei =
-    t.n_evaluations <- t.n_evaluations + 1;
-    match t.elems.(ei) with
-    | Gate g ->
-      if ei = t.fault_elem then
-        let v i =
-          if i = t.fault_pin then t.fault_pin_value
-          else t.values.(g.g_inputs.(i))
-        in
-        set_net t g.g_out (gate_value g v)
-      else eval_gate t g
-    | Rom_elem r ->
-      let addr = Int64.to_int (bus_value t.values ~signed:false r.r_addr) in
-      let word = r.r_contents.(addr mod Array.length r.r_contents) in
-      drive_bus t r.r_out word
-    | Ram_elem (ri, r) ->
-      let addr = Int64.to_int (bus_value t.values ~signed:false r.m_addr) in
-      let word = t.ram_state.(ri).(addr mod r.m_words) in
-      drive_bus t r.m_out word
-
-  let settle t =
-    let obs = Ocapi_obs.enabled () in
-    let evals0 = t.n_evaluations and events0 = t.n_events in
-    let t_settle = Ocapi_obs.span_begin () in
-    let budget = ref t.settle_budget in
-    while not (Queue.is_empty t.queue) do
-      decr budget;
-      if !budget < 0 then begin
-        (* Report the nets still in motion: the output nets of every
-           element left on the event queue. *)
-        let ins, outs = t.nl in
-        let label n =
-          match label_in_buses ins n with
-          | Some s -> s
-          | None -> (
-            match label_in_buses outs n with
-            | Some s -> s
-            | None -> Printf.sprintf "n%d" n)
-        in
-        let toggling =
-          Queue.fold
-            (fun acc ei ->
-              match t.elems.(ei) with
-              | Gate g -> g.g_out :: acc
-              | Rom_elem r -> Array.to_list r.r_out @ acc
-              | Ram_elem (_, r) -> Array.to_list r.m_out @ acc)
-            [] t.queue
-          |> List.sort_uniq compare
-        in
-        let shown = List.filteri (fun i _ -> i < 12) toggling in
-        raise
-          (Did_not_settle
-             (Ocapi_error.make Ocapi_error.Did_not_settle ~engine:"gates"
-                ~construct:t.name ~cycle:t.n_clocks
-                ~nets:(List.map label shown)
-                (Printf.sprintf
-                   "netlist %s oscillates: %d nets still toggling after \
-                    %d evaluations"
-                   t.name (List.length toggling) t.settle_budget)))
-      end;
-      let ei = Queue.pop t.queue in
-      t.queued.(ei) <- false;
-      eval_elem t ei
+  (* The address on a bus when every lane agrees on it, else -1. *)
+  let common_address v addr =
+    let a = ref 0 and mixed = ref false in
+    for i = 0 to Array.length addr - 1 do
+      let w = v.(addr.(i)) in
+      if w = all_lanes then a := !a lor (1 lsl i) else if w <> 0 then mixed := true
     done;
-    if obs then begin
+    if !mixed then -1 else !a
+
+  let lane_address v addr l =
+    let a = ref 0 in
+    for i = 0 to Array.length addr - 1 do
+      if (v.(addr.(i)) lsr l) land 1 <> 0 then a := !a lor (1 lsl i)
+    done;
+    !a
+
+  let row mem a = (a mod mem.words) * mem.width
+
+  (* A memory read: one word access when all lanes share the address,
+     else lane by lane. *)
+  let eval_memory t mem =
+    let a = common_address t.v mem.addr in
+    if a >= 0 then begin
+      let base = row mem a in
+      for b = 0 to mem.width - 1 do
+        write t mem.rdata.(b) mem.bits.(base + b)
+      done
+    end
+    else begin
+      let acc = mem.scratch in
+      Array.fill acc 0 mem.width 0;
+      for l = 0 to lanes - 1 do
+        let base = row mem (lane_address t.v mem.addr l) in
+        for b = 0 to mem.width - 1 do
+          acc.(b) <- acc.(b) lor (mem.bits.(base + b) land (1 lsl l))
+        done
+      done;
+      for b = 0 to mem.width - 1 do
+        write t mem.rdata.(b) acc.(b)
+      done
+    end
+
+  let[@inline] pin v ins e = Array.unsafe_get v (Array.unsafe_get ins e)
+
+  (* A gate with a branch fault reads each pin through its slot's masks. *)
+  let masked_pin t s p ins e =
+    pin t.v ins e land t.slot_keep.((3 * s) + p) lor t.slot_force.((3 * s) + p)
+
+  (* [apply] again, loading each pin only when the kind reads it. *)
+  let eval t e =
+    let v = t.v in
+    let k = Array.unsafe_get t.kind e in
+    if k < k_memory then
+      let a = pin v t.in0 e in
+      write t (Array.unsafe_get t.out e)
+        (match k with
+        | 0 -> a
+        | 1 -> lnot a
+        | 2 -> a land pin v t.in1 e
+        | 3 -> a lor pin v t.in1 e
+        | 4 -> a lxor pin v t.in1 e
+        | 5 -> lnot (a land pin v t.in1 e)
+        | 6 -> lnot (a lor pin v t.in1 e)
+        | 7 -> a land pin v t.in1 e lor (lnot a land pin v t.in2 e)
+        | 8 -> 0
+        | _ -> all_lanes)
+    else if k = k_memory then eval_memory t t.memories.(t.in0.(e))
+    else
+      let s = k - k_faulty in
+      write t t.out.(e)
+        (apply t.slot_kind.(s) (masked_pin t s 0 t.in0 e)
+           (masked_pin t s 1 t.in1 e) (masked_pin t s 2 t.in2 e))
+
+  (* The budget ran out: report the nets still in motion, the outputs
+     of every element left in the dirty set. *)
+  let did_not_settle t =
+    let toggling = ref [] in
+    for l = t.lo to t.hi do
+      for j = t.lstart.(l) to t.lstart.(l) + t.lcount.(l) - 1 do
+        let e = t.stack.(j) in
+        if t.kind.(e) = k_memory then
+          Array.iter
+            (fun n -> toggling := n :: !toggling)
+            t.memories.(t.in0.(e)).rdata
+        else toggling := t.out.(e) :: !toggling
+      done
+    done;
+    let toggling = List.sort_uniq compare !toggling in
+    let shown = List.filteri (fun i _ -> i < 12) toggling in
+    let label =
+      bus_net_label ~inputs:(Array.to_list t.inputs)
+        ~outputs:(Array.to_list t.outputs)
+    in
+    raise
+      (Did_not_settle
+         (Ocapi_error.make Ocapi_error.Did_not_settle ~engine:"gates"
+            ~construct:t.name ~cycle:t.n_clocks
+            ~nets:(List.map label shown)
+            (Printf.sprintf
+               "netlist %s oscillates: %d nets still toggling after %d \
+                evaluations"
+               t.name (List.length toggling) t.settle_budget)))
+
+  (* Evaluate the dirty elements level by level, lowest first.  In an
+     acyclic netlist an evaluation only marks higher levels, so each
+     element runs at most once; on a combinational cycle a mark at or
+     below the current level rewinds the cursor ([mark] lowers [lo]),
+     and the budget bounds the evaluations. *)
+  let settle t =
+    let evals = ref 0 and events0 = t.n_events in
+    let t_settle = Ocapi_obs.span_begin () in
+    while t.lo <= t.hi do
+      let l = t.lo in
+      let c = Array.unsafe_get t.lcount l in
+      if c = 0 then t.lo <- l + 1
+      else begin
+        if !evals >= t.settle_budget then begin
+          t.n_evaluations <- t.n_evaluations + !evals;
+          did_not_settle t
+        end;
+        incr evals;
+        let e = Array.unsafe_get t.stack (Array.unsafe_get t.lstart l + c - 1) in
+        Array.unsafe_set t.lcount l (c - 1);
+        Bytes.unsafe_set t.queued e '\000';
+        eval t e
+      end
+    done;
+    t.lo <- max_int;
+    t.hi <- -1;
+    t.n_evaluations <- t.n_evaluations + !evals;
+    if Ocapi_obs.enabled () then begin
       Ocapi_obs.count "gates.settles";
-      Ocapi_obs.count ~n:(t.n_evaluations - evals0) "gates.evaluations";
+      Ocapi_obs.count ~n:!evals "gates.evaluations";
       Ocapi_obs.count ~n:(t.n_events - events0) "gates.events";
-      Ocapi_obs.observe "gates.evals_per_settle"
-        (float_of_int (t.n_evaluations - evals0));
+      Ocapi_obs.observe "gates.evals_per_settle" (float_of_int !evals);
       Ocapi_obs.span_end ~cat:"gates" "gates.settle" t_settle
     end
 
-  let set_input t name m =
-    let ins, _ = t.nl in
-    match List.assoc_opt name ins with
-    | Some bus -> drive_bus t bus m
-    | None -> raise (Netlist_error (Printf.sprintf "no input bus %s" name))
+  type input_port = int
+  type output_port = int
 
-  let get_output t ~signed name =
-    let _, outs = t.nl in
-    match List.assoc_opt name outs with
-    | Some bus -> bus_value t.values ~signed bus
-    | None -> raise (Netlist_error (Printf.sprintf "no output bus %s" name))
+  let find_port kind ports name =
+    let rec go i =
+      if i >= Array.length ports then
+        raise (Netlist_error (Printf.sprintf "no %s bus %s" kind name))
+      else if fst ports.(i) = name then i
+      else go (i + 1)
+    in
+    go 0
+
+  let input_port t name = find_port "input" t.inputs name
+  let output_port t name = find_port "output" t.outputs name
+
+  let drive t p m =
+    let bus = snd t.inputs.(p) in
+    for i = 0 to Array.length bus - 1 do
+      write t bus.(i) (bit_word m i)
+    done
+
+  let read t ~signed p = bus_value t.v ~signed (snd t.outputs.(p))
+
+  let output_diff t p m =
+    let bus = snd t.outputs.(p) in
+    let d = ref 0 in
+    for i = 0 to Array.length bus - 1 do
+      d := !d lor (t.v.(bus.(i)) lxor bit_word m i)
+    done;
+    !d
+
+  let set_input t name m = drive t (input_port t name) m
+  let get_output t ~signed name = read t ~signed (output_port t name)
+
+  (* A RAM write at the edge, from the pre-edge address and data: one
+     word access when the writing lanes share the address, else lane by
+     lane. *)
+  let write_ram t mem =
+    let v = t.v in
+    let we = v.(mem.we) in
+    if we <> 0 then begin
+      let data b = if b < Array.length mem.wdata then v.(mem.wdata.(b)) else 0 in
+      let store base lanes =
+        for b = 0 to mem.width - 1 do
+          let old = mem.bits.(base + b) in
+          mem.bits.(base + b) <- old land lnot lanes lor (data b land lanes)
+        done
+      in
+      let a = common_address v mem.addr in
+      if a >= 0 then store (row mem a) we
+      else
+        for l = 0 to lanes - 1 do
+          if we land (1 lsl l) <> 0 then
+            store (row mem (lane_address v mem.addr l)) (1 lsl l)
+        done;
+      mark t mem.read
+    end
 
   let clock t =
     t.n_clocks <- t.n_clocks + 1;
     if Ocapi_obs.enabled () then Ocapi_obs.count "gates.clocks";
-    (* Sample all DFF inputs first, then update, so the edge is atomic. *)
-    let sampled = Array.map (fun d -> t.values.(d.d_d)) t.dffs in
-    (* RAM writes use the pre-edge address/data. *)
-    Array.iteri
-      (fun ri r ->
-        if t.values.(r.m_we) then begin
-          let addr = Int64.to_int (bus_value t.values ~signed:false r.m_addr) in
-          let data = bus_value t.values ~signed:false r.m_wdata in
-          t.ram_state.(ri).(addr mod r.m_words) <- data
-        end)
-      t.ram_index;
-    Array.iteri (fun i d -> set_net t d.d_q sampled.(i)) t.dffs;
-    (* Memory contents changed: re-evaluate RAM reads. *)
-    Array.iteri
-      (fun ri _ ->
-        let ei =
-          (* RAM elements sit at the tail of the element array. *)
-          Array.length t.elems - Array.length t.ram_index + ri
-        in
-        if not t.queued.(ei) then begin
-          t.queued.(ei) <- true;
-          Queue.add ei t.queue
-        end)
-      t.ram_index;
+    (* Sample every DFF input first, then update, so the edge is atomic. *)
+    let v = t.v in
+    for i = 0 to Array.length t.dff_d - 1 do
+      t.dff_next.(i) <- v.(t.dff_d.(i))
+    done;
+    for r = 0 to Array.length t.rams - 1 do
+      write_ram t t.rams.(r)
+    done;
+    for i = 0 to Array.length t.dff_q - 1 do
+      write t t.dff_q.(i) t.dff_next.(i)
+    done;
     settle t
 
   let reset t =
-    Array.fill t.values 0 (Array.length t.values) false;
-    Array.iter (fun st -> Array.fill st 0 (Array.length st) 0L) t.ram_state;
-    Array.iter (fun d -> t.values.(d.d_q) <- d.d_init) t.dffs;
-    Queue.clear t.queue;
-    Array.fill t.queued 0 (Array.length t.queued) false;
+    (* Every net low, but in its stuck-at-1 lanes. *)
+    Array.blit t.force 0 t.v 0 (Array.length t.v);
+    Array.iter (fun mem -> Array.fill mem.bits 0 (Array.length mem.bits) 0) t.rams;
     Array.iteri
-      (fun i _ ->
-        t.queued.(i) <- true;
-        Queue.add i t.queue)
-      t.elems;
+      (fun i q -> t.v.(q) <- t.dff_init.(i) land t.keep.(q) lor t.force.(q))
+      t.dff_q;
+    mark_all t;
     t.n_evaluations <- 0;
     t.n_events <- 0;
     t.n_clocks <- 0
 
-  (* Activate a stuck-at fault.  A stem fault pins a net: its value is
-     forced now and every later write is ignored.  A branch fault makes
-     one gate read a constant on one input pin.  Inject after {!reset};
-     {!clear_fault} before the next reset restores the healthy circuit. *)
-  let inject t (f : fault) =
+  (* Activate a stuck-at fault on one lane.  A stem fault pins the net
+     in that lane: its value is forced now and every later write is
+     masked.  A branch fault recodes the gate as faulty, so it reads
+     that pin through the slot's masks. *)
+  let inject t ~lane (f : fault) =
+    if lane < 0 || lane >= lanes then
+      invalid_arg (Printf.sprintf "Netlist.Sim.inject: lane %d" lane);
+    let bit = 1 lsl lane in
+    let stick keep force i =
+      keep.(i) <- keep.(i) land lnot bit;
+      force.(i) <- (if f.f_stuck then force.(i) lor bit else force.(i) land lnot bit)
+    in
     match f.f_site with
     | Stem n ->
-      t.forced_net <- n;
-      t.forced_value <- f.f_stuck;
-      if t.values.(n) <> f.f_stuck then begin
-        t.values.(n) <- f.f_stuck;
-        t.n_events <- t.n_events + 1;
-        List.iter
-          (fun ei ->
-            if not t.queued.(ei) then begin
-              t.queued.(ei) <- true;
-              Queue.add ei t.queue
-            end)
-          t.fanout.(n)
-      end
+      if n < 0 || n >= Array.length t.v then
+        raise (Netlist_error (Printf.sprintf "inject: no net %d" n));
+      stick t.keep t.force n;
+      write t n t.v.(n)
     | Branch { br_gate; br_pin } ->
-      t.fault_elem <- br_gate;
-      t.fault_pin <- br_pin;
-      t.fault_pin_value <- f.f_stuck;
-      if not t.queued.(br_gate) then begin
-        t.queued.(br_gate) <- true;
-        Queue.add br_gate t.queue
-      end
+      if br_gate < 0 || br_gate >= Array.length t.gate_elem || br_pin < 0 || br_pin > 2
+      then
+        raise
+          (Netlist_error (Printf.sprintf "inject: no gate pin g%d.in%d" br_gate br_pin));
+      let e = t.gate_elem.(br_gate) in
+      if t.kind.(e) < k_faulty then begin
+        if t.n_slots = lanes then
+          invalid_arg "Netlist.Sim.inject: branch faults on more than 63 gates";
+        let s = t.n_slots in
+        t.n_slots <- s + 1;
+        t.slot_elem.(s) <- e;
+        t.slot_kind.(s) <- t.kind.(e);
+        t.kind.(e) <- k_faulty + s
+      end;
+      stick t.slot_keep t.slot_force ((3 * (t.kind.(e) - k_faulty)) + br_pin);
+      mark t e
 
   let clear_fault t =
-    t.forced_net <- -1;
-    t.fault_elem <- -1
+    Array.fill t.keep 0 (Array.length t.keep) all_lanes;
+    Array.fill t.force 0 (Array.length t.force) 0;
+    for s = 0 to t.n_slots - 1 do
+      t.kind.(t.slot_elem.(s)) <- t.slot_kind.(s)
+    done;
+    Array.fill t.slot_keep 0 (3 * t.n_slots) all_lanes;
+    Array.fill t.slot_force 0 (3 * t.n_slots) 0;
+    t.n_slots <- 0
 
-  (* Direct net access for the gate cycle engine's poke surface: a DFF
-     q-net write models a transient bit flip (the register re-samples at
-     the next edge), a read decodes FSM state bits.  Writes respect an
-     active stem fault and propagate through the event queue at the next
-     settle. *)
-  let net_value t n = t.values.(n)
-  let poke_net t n v = set_net t n v
+  let net_value t n = t.v.(n) land 1 <> 0
 
-  type stats = { evaluations : int; events : int }
-
-  let stats t = { evaluations = t.n_evaluations; events = t.n_events }
+  let poke_net t n b =
+    if n < 0 || n >= Array.length t.v || Bytes.get t.pokeable n = '\000' then
+      raise
+        (Netlist_error
+           (Printf.sprintf
+              "poke_net: net %d of %s is neither a flip-flop output nor a \
+               primary input"
+              n t.name));
+    write t n (if b then all_lanes else 0)
 end

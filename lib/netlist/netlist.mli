@@ -1,4 +1,4 @@
-(** Gate-level netlists and their event-driven simulation.
+(** Gate-level netlists and their levelized, bit-parallel simulation.
 
     The synthesis strategy of the paper (section 6, fig 8) produces a
     gate-level netlist per component, which is then linked into a system
@@ -6,8 +6,9 @@
     the netlist substrate: gate primitives, two macro cells (ROM and
     RAM, as the DECT chip's "7 RAM cells" are macros, not gates), a
     builder API working in single-bit nets grouped into named buses, and
-    an event-driven gate simulator — the "VHDL/Verilog (netlist)"
-    comparator rows of Table 1.
+    a cycle-based gate simulator ({!Sim}) — the "VHDL/Verilog (netlist)"
+    comparator rows of Table 1 — whose 63 lanes per net also carry the
+    parallel stuck-at fault simulation.
 
     Wires carry booleans; buses are [int array]s of net indices, LSB
     first.  Multi-bit numbers on buses are two's-complement mantissas,
@@ -118,9 +119,12 @@ val net_count : t -> int
 (** [combinational_depth t] is [(depth, cyclic)]: the longest acyclic
     chain of combinational elements (gates and macro-cell read paths)
     between registers / primary ports, and the number of elements that
-    sit on combinational cycles and were excluded (operator-sharing
-    selection networks create such {e false} cycles; they are gated off
-    at run time but defeat a static longest-path count). *)
+    sit on (or behind) combinational cycles and were excluded
+    (operator-sharing selection networks can create such {e false}
+    cycles; they are gated off at run time but defeat a static
+    longest-path count).  It is the levelization {!Sim.create} runs.
+    @raise Netlist_error if an element names a net the netlist never
+    created. *)
 val combinational_depth : t -> int * int
 
 (** {1 Introspection} (used by the Verilog printer) *)
@@ -184,49 +188,106 @@ val fault_label : t -> fault -> string
 
 module Sim : sig
   type netlist := t
+
+  (** A simulator over one netlist.  [create] levelizes the gates and
+      the ROM/RAM read ports topologically into flat arrays, with a
+      compressed net-to-reader fanout.  {!settle} evaluates only the
+      dirty elements, those whose inputs changed, in level order, so in
+      an acyclic netlist each runs at most once per settle; nothing is
+      allocated per evaluation.
+
+      Every net holds a 63-lane word.  The plain interface keeps the
+      lanes equal and reads lane 0; {!inject} makes lanes differ, one
+      faulty circuit per lane, for parallel-pattern fault simulation. *)
   type t
 
-  (** The event queue did not quiesce within the settle budget.  The
-      diagnostic lists (a sample of) the still-toggling nets, the
+  (** The settle budget ran out: a combinational cycle oscillates.  The
+      diagnostic lists (a sample of) the nets still toggling, the
       budget, and the clock cycle. *)
   exception Did_not_settle of Ocapi_error.t
 
   (** [create ?settle_budget nl] — [settle_budget] bounds the element
       evaluations of one {!settle} call (default
-      [1000 * max 64 n_elements]). *)
+      [1000 * max 64 n_elements]).  An acyclic netlist never needs more
+      than one evaluation per element; on a combinational cycle, a mark
+      at or below the level being evaluated rewinds the sweep to it,
+      and the budget turns an oscillation into {!Did_not_settle}.
+      @raise Netlist_error if an element names a net the netlist never
+      created. *)
   val create : ?settle_budget:int -> netlist -> t
 
   (** [set_input sim name mantissa] drives an input bus with the low
-      bits of a two's-complement mantissa. *)
+      bits of a two's-complement mantissa, on every lane.
+      @raise Netlist_error on an unknown bus. *)
   val set_input : t -> string -> int64 -> unit
 
-  (** Propagate until stable (event-driven).  Bounded; raises
+  (** Evaluate the dirty elements until stable.  Bounded; raises
       {!Did_not_settle} on oscillation. *)
   val settle : t -> unit
 
-  (** Read an output bus as a two's-complement mantissa ([signed]
-      controls sign extension of the top bit). *)
+  (** Read an output bus (lane 0) as a two's-complement mantissa
+      ([signed] controls sign extension of the top bit).
+      @raise Netlist_error on an unknown bus. *)
   val get_output : t -> signed:bool -> string -> int64
 
-  (** Clock edge: latch all DFFs and apply RAM writes. *)
+  (** {2 Resolved ports}
+
+      {!set_input} and {!get_output} look their bus up by name; a
+      per-cycle loop resolves its buses once instead. *)
+
+  type input_port
+  type output_port
+
+  (** @raise Netlist_error on an unknown bus. *)
+  val input_port : t -> string -> input_port
+
+  (** @raise Netlist_error on an unknown bus. *)
+  val output_port : t -> string -> output_port
+
+  (** [drive sim p m] = [set_input] on a resolved port. *)
+  val drive : t -> input_port -> int64 -> unit
+
+  (** [read sim ~signed p] = [get_output] on a resolved port. *)
+  val read : t -> signed:bool -> output_port -> int64
+
+  (** Clock edge: latch all DFFs and apply RAM writes (from the pre-edge
+      values), then {!settle}. *)
   val clock : t -> unit
 
-  (** [cycle sim inputs] = set all inputs, settle, returns unit; callers
-      sample outputs and then call {!clock}. *)
-
+  (** Back to power-up: nets low, RAMs cleared, DFFs at their initial
+      values, every element dirty.  Active faults stay in force. *)
   val reset : t -> unit
 
   (** {2 Fault injection}
 
-      Serial stuck-at simulation: per fault, [reset]; [inject]; replay
-      the test-bench vectors; [clear_fault].  A stem fault forces its
-      net and masks all writes to it; a branch fault makes one gate pin
-      read a constant.  At most one fault of each kind is active; the
-      fault survives {!reset} (inject after reset to re-apply a stem's
-      forced value). *)
+      Parallel-pattern single-fault propagation: lane [l] simulates the
+      netlist with the faults injected on lane [l] (usually one).  A
+      stem fault forces its net in that lane and masks every later
+      write to it; a branch fault makes one gate pin read a constant in
+      that lane.  Lanes share the evaluation schedule but never each
+      other's values: gates work bitwise, and a ROM/RAM read (or RAM
+      write) goes lane by lane when the lanes' addresses differ.  Each
+      lane has its own RAM contents. *)
 
-  val inject : t -> fault -> unit
+  (** Lanes per net: 63. *)
+  val lanes : int
+
+  (** [inject sim ~lane f] activates [f] on [lane], after {!reset} (a
+      stem's forced value applies at once and survives later resets).
+      @raise Invalid_argument if [lane] is outside [\[0, lanes)], or if
+      more than [lanes] gates would carry branch faults at once.
+      @raise Netlist_error if the fault names no net or gate pin. *)
+  val inject : t -> lane:int -> fault -> unit
+
+  (** Deactivate every fault.  Values a fault forced linger until they
+      are next written: {!reset} afterwards to restore the healthy
+      circuit. *)
   val clear_fault : t -> unit
+
+  (** [output_diff sim p m] — the lanes (bit [l] for lane [l]) in which
+      output bus [p] differs from the mantissa [m]: the per-cycle
+      comparison of a fault batch against the fault-free run. *)
+  val output_diff : t -> output_port -> int64 -> int
 
   (** {2 Net access}
 
@@ -234,13 +295,15 @@ module Sim : sig
       q-net between two clocks models a transient bit flip (the
       register re-samples from [d] at the next edge), a read of the
       controller's state bits decodes FSM state.  Writes respect an
-      active stem fault and propagate through the event queue at the
-      next {!settle}. *)
+      active stem fault and reach the net's readers at the next
+      {!settle}. *)
 
+  (** Lane 0 of a net. *)
   val net_value : t -> net -> bool
+
+  (** Set a net on every lane.
+      @raise Netlist_error unless the net is a DFF q-net or a
+      primary-input bit: the next settle would overwrite a poke on a
+      gate-driven net. *)
   val poke_net : t -> net -> bool -> unit
-
-  type stats = { evaluations : int; events : int }
-
-  val stats : t -> stats
 end

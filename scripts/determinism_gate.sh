@@ -90,6 +90,17 @@ check_cmp "stuck-at report (dect, 80 faults)" "$work/sa-1.json" "$work/sa-2.json
 check_cmp "stuck-at --optimized report (hcor, 60 faults)" \
   "$work/sa-opt-1.json" "$work/sa-opt-2.json"
 
+# 2c. The accumulator CPU's full collapsed fault list: 2801 faults in
+#     45 batches of up to 63 faults, one per lane, with per-lane RAM
+#     contents.  Batches are the parallel tasks, so the split over
+#     worker domains must not change a single per-fault outcome.
+"$OCAPI" fault --design cpu --campaign stuck-at --cycles 64 --seed 1 \
+  --json >"$work/sa-cpu-1.json"
+"$OCAPI" fault --design cpu --campaign stuck-at --cycles 64 --seed 1 \
+  --domains 2 --json >"$work/sa-cpu-2.json"
+check_cmp "stuck-at report (cpu, all 2801 faults)" \
+  "$work/sa-cpu-1.json" "$work/sa-cpu-2.json"
+
 # 3. Batch artifact tree and canonical event log: the example manifest
 #    (simulate + seu + stuck-at + engine-sweep, with a duplicate)
 #    through the job queue.  Artifact bytes and filenames must match

@@ -144,6 +144,119 @@ let test_oscillation_diagnosed () =
     "diagnostic carries Did_not_settle" true
     (List.exists is_did_not_settle r.Ocapi_fault.st_records)
 
+(* --- PPSFP exactness ------------------------------------------------------------ *)
+
+let rs_design () =
+  (Rs_codec.create
+     ~data_stimulus:(Rs_codec.data_stimulus ())
+     ~err_stimulus:(Rs_codec.err_stimulus ()) ())
+    .Rs_codec.system
+
+let cpu_design () =
+  (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
+
+(* One line per record, "<label> d <cycle> <output>", "<label> u" or
+   "<label> x <code>", hashed: the whole per-fault outcome table. *)
+let outcome_digest (r : Ocapi_fault.stuck_report) =
+  let line (x : Ocapi_fault.stuck_record) =
+    match x.sr_outcome with
+    | Ocapi_fault.Sa_detected { at_cycle; at_output } ->
+      Printf.sprintf "%s d %d %s\n" x.sr_label at_cycle at_output
+    | Sa_undetected -> x.sr_label ^ " u\n"
+    | Sa_diagnosed d ->
+      Printf.sprintf "%s x %s\n" x.sr_label (Ocapi_error.code_label d.Ocapi_error.e_code)
+  in
+  Digest.to_hex (Digest.string (String.concat "" (List.map line r.st_records)))
+
+let check_digest name ~faults ~detected md5 (r : Ocapi_fault.stuck_report) =
+  Alcotest.(check int) (name ^ " faults") faults r.st_simulated;
+  Alcotest.(check int) (name ^ " detected") detected r.st_detected;
+  Alcotest.(check string) (name ^ " per-fault outcomes") md5 (outcome_digest r)
+
+(* The per-fault outcomes of the fault-at-a-time campaign these batches
+   replaced, pinned: 63-lane batches must reproduce every one. *)
+let test_digests_rs_cpu () =
+  check_digest "rs" ~faults:2210 ~detected:1699 "7ca44fc8e534059080aed9a61dd04f25"
+    (Ocapi_fault.stuck_at_system ~seed:1 (rs_design ()) ~cycles:45);
+  check_digest "cpu" ~faults:2801 ~detected:1425 "433d13904a1f0dbc2b31a32eafda5493"
+    (Ocapi_fault.stuck_at_system ~macro_of_kernel:Ram_cell.macro_of_kernel ~seed:1
+       (cpu_design ()) ~cycles:64)
+
+let test_digests_dect_hcor () =
+  check_digest "dect" ~faults:80 ~detected:17 "59bcd908a382245a99274de27f4f59ae"
+    (Ocapi_fault.stuck_at_system ~macro_of_kernel:Dect_transceiver.macro_of_kernel
+       ~max_faults:80 ~seed:1 (dect_design ()) ~cycles:64);
+  let c = Ocapi_fault.stuck_at_optimized ~max_faults:200 ~seed:1 (hcor_design ()) ~cycles:24 in
+  check_digest "hcor pre" ~faults:200 ~detected:109 "8bac454a63138b00971ff20c0fb3a54e"
+    c.sc_pre;
+  check_digest "hcor post" ~faults:200 ~detected:142 "6cc2d71658b83084bf592cc4c8be828d"
+    c.sc_post
+
+(* Batching assumes acyclic netlists (a cyclic one runs a fault per
+   batch): the gallery's have no combinational cycle, under the
+   stuck-at campaigns' synthesis options and the gate engine's. *)
+let test_gallery_acyclic () =
+  let designs =
+    [
+      ("hcor", hcor_design, fun _ -> None);
+      ("dect", dect_design, Dect_transceiver.macro_of_kernel);
+      ("rs", rs_design, fun _ -> None);
+      ("cpu", cpu_design, Ram_cell.macro_of_kernel);
+    ]
+  in
+  List.iter
+    (fun (name, build, macro_of_kernel) ->
+      List.iter
+        (fun (what, options, macro_of_kernel) ->
+          let nl, _ = Synthesize.synthesize ~options ~macro_of_kernel (build ()) in
+          let _, cyclic = Netlist.combinational_depth nl in
+          Alcotest.(check int) (Printf.sprintf "%s, %s: cyclic elements" name what) 0 cyclic)
+        [
+          ("stuck-at", Synthesize.default_options, macro_of_kernel);
+          ("stuck-at optimized", Synthesize.default_options, Ocapi_ir.macro_of_model);
+          ( "gate engine",
+            { Synthesize.default_options with Synthesize.emit_probe_valids = true },
+            Ocapi_ir.macro_of_model );
+        ])
+    designs
+
+(* Zero test-bench cycles replay nothing: no vectors, no detection. *)
+let test_stuck_at_zero_cycles () =
+  let r = Ocapi_fault.stuck_at_system ~max_faults:40 ~seed:1 (rs_design ()) ~cycles:0 in
+  Alcotest.(check int) "no vectors" 0 r.Ocapi_fault.st_vectors;
+  Alcotest.(check int) "no detections" 0 r.Ocapi_fault.st_detected;
+  Alcotest.(check int) "all undetected" r.Ocapi_fault.st_simulated
+    r.Ocapi_fault.st_undetected
+
+(* A fault's outcome alone on a one-fault simulator: its first
+   differing (cycle, output) against the fault-free run. *)
+let lone_outcome nl vectors f =
+  let golden = Test_netlist.sim_outputs nl vectors in
+  let faulty = Test_netlist.sim_outputs ~faults:[ f ] nl vectors in
+  let names = List.map fst (Netlist.outputs_list nl) in
+  let rec first c =
+    if c >= Array.length vectors then Ocapi_fault.Sa_undetected
+    else
+      match
+        List.find_opt
+          (fun (_, g, w) -> g <> w)
+          (List.map2 (fun n (g, w) -> (n, g, w)) names
+             (List.combine golden.(c) faulty.(c)))
+      with
+      | Some (at_output, _, _) -> Ocapi_fault.Sa_detected { at_cycle = c; at_output }
+      | None -> first (c + 1)
+  in
+  first 0
+
+let prop_batch_outcomes =
+  QCheck.Test.make ~name:"batched stuck-at outcomes = lone runs (random networks)"
+    ~count:30 QCheck.int (fun seed ->
+      let nl, vectors = Test_netlist.random_network seed in
+      let r = Ocapi_fault.stuck_at_netlist nl ~vectors in
+      List.for_all
+        (fun (x : Ocapi_fault.stuck_record) -> x.sr_outcome = lone_outcome nl vectors x.sr_fault)
+        r.Ocapi_fault.st_records)
+
 (* --- SEU campaigns ---------------------------------------------------------- *)
 
 let test_seu_deterministic () =
@@ -225,6 +338,13 @@ let suite =
     Alcotest.test_case "stuck-at HCOR sample" `Quick test_stuck_at_hcor;
     Alcotest.test_case "oscillating fault diagnosed, not fatal" `Quick
       test_oscillation_diagnosed;
+    Alcotest.test_case "stuck-at outcomes pinned: rs, cpu" `Quick
+      test_digests_rs_cpu;
+    Alcotest.test_case "stuck-at outcomes pinned: dect, hcor pre/post" `Quick
+      test_digests_dect_hcor;
+    Alcotest.test_case "gallery netlists are acyclic" `Quick test_gallery_acyclic;
+    Alcotest.test_case "stuck-at with zero cycles" `Quick test_stuck_at_zero_cycles;
+    QCheck_alcotest.to_alcotest prop_batch_outcomes;
     Alcotest.test_case "SEU campaign deterministic" `Quick
       test_seu_deterministic;
     Alcotest.test_case "SEU targets engine-independent" `Quick

@@ -212,3 +212,226 @@ let test_combinational_depth () =
   Alcotest.(check int) "cycle detected" 2 cyclic2
 
 let suite = suite @ [ Alcotest.test_case "combinational depth" `Quick test_combinational_depth ]
+
+(* --- the poke surface ------------------------------------------------------- *)
+
+(* Pokes reach flip-flop outputs and primary inputs only: a levelized
+   settle would overwrite a poke on a gate-driven net. *)
+let test_poke_net_restricted () =
+  let nl = Netlist.create "poke" in
+  let a = Netlist.input_bus nl "a" 1 in
+  let g = Netlist.gate nl Netlist.Not [ a.(0) ] in
+  let q = Netlist.dff nl g in
+  Netlist.output_bus nl "q" [| q |];
+  Netlist.output_bus nl "g" [| g |];
+  let sim = Netlist.Sim.create nl in
+  Netlist.Sim.settle sim;
+  Netlist.Sim.poke_net sim q true;
+  Netlist.Sim.settle sim;
+  Alcotest.(check int64) "q poked" 1L (Netlist.Sim.get_output sim ~signed:false "q");
+  Netlist.Sim.poke_net sim a.(0) true;
+  Netlist.Sim.settle sim;
+  Alcotest.(check int64) "input poked" 0L (Netlist.Sim.get_output sim ~signed:false "g");
+  match Netlist.Sim.poke_net sim g true with
+  | exception Netlist.Netlist_error _ -> ()
+  | () -> Alcotest.fail "poke on a gate-driven net accepted"
+
+(* --- the levelized kernel against a naive evaluator -------------------------- *)
+
+(* A random acyclic network shaped like the netopt equivalence
+   property's: gates and flip-flops over a growing pool of nets, plus
+   one ROM and one RAM macro reading nets of the pool. *)
+let random_network seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let nl = Netlist.create "rand" in
+  let a = Netlist.input_bus nl "a" 4 in
+  let pool =
+    ref
+      (Netlist.gate nl Netlist.Const0 [] :: Netlist.gate nl Netlist.Const1 []
+      :: Array.to_list a)
+  in
+  let pick () = List.nth !pool (int (List.length !pool)) in
+  let add n = pool := n :: !pool in
+  let rom_at = int 25 and ram_at = int 25 in
+  for i = 0 to 24 do
+    if i = rom_at then
+      Array.iter add
+        (Netlist.rom nl ~name:"r" ~width:3
+           ~contents:(Array.init 5 (fun _ -> Int64.of_int (int 8)))
+           [| pick (); pick (); pick () |]);
+    if i = ram_at then
+      Array.iter add
+        (Netlist.ram nl ~name:"m" ~words:4 ~width:2 ~addr:[| pick (); pick () |]
+           ~wdata:[| pick (); pick () |] ~we:(pick ()));
+    add
+      (match int 8 with
+      | 0 -> Netlist.gate nl Netlist.Not [ pick () ]
+      | 1 -> Netlist.gate nl Netlist.And [ pick (); pick () ]
+      | 2 -> Netlist.gate nl Netlist.Or [ pick (); pick () ]
+      | 3 -> Netlist.gate nl Netlist.Xor [ pick (); pick () ]
+      | 4 -> Netlist.gate nl Netlist.Nand [ pick (); pick () ]
+      | 5 -> Netlist.gate nl Netlist.Nor [ pick (); pick () ]
+      | 6 -> Netlist.gate nl Netlist.Mux2 [ pick (); pick (); pick () ]
+      | _ -> Netlist.dff nl ~init:(Random.State.bool rng) (pick ()))
+  done;
+  Netlist.output_bus nl "o" (Array.init 4 (fun _ -> pick ()));
+  Netlist.output_bus nl "p" (Array.init 2 (fun _ -> pick ()));
+  let vectors = Array.init 12 (fun _ -> [ ("a", Int64.of_int (int 16)) ]) in
+  (nl, vectors)
+
+let bits_of bus value =
+  let m = ref 0L in
+  Array.iteri (fun i n -> if value n then m := Int64.logor !m (Int64.shift_left 1L i)) bus;
+  !m
+
+(* Every net recomputed from its driver on demand, afresh each cycle:
+   no levels, no dirty set, no lanes.  Returns the unsigned output
+   words of each cycle, in output declaration order. *)
+let naive_outputs nl vectors =
+  let n = Netlist.net_count nl in
+  let drivers = Array.make n (fun _ -> false) in
+  let state = Hashtbl.create 16 in
+  let dffs = Netlist.fold_dffs nl ~init:[] ~f:(fun acc init ~d ~q -> (init, d, q) :: acc) in
+  List.iter (fun (init, _, q) -> Hashtbl.replace state q init) dffs;
+  let rams =
+    List.map
+      (fun (_, words, _, addr, wdata, we, rdata) -> (Array.make words 0L, addr, wdata, we, rdata))
+      (Netlist.rams_list nl)
+  in
+  let inputs = Hashtbl.create 8 in
+  let memo = Array.make n None in
+  let rec value net =
+    match memo.(net) with
+    | Some b -> b
+    | None ->
+      let b =
+        if Hashtbl.mem state net then Hashtbl.find state net
+        else if Hashtbl.mem inputs net then Hashtbl.find inputs net
+        else drivers.(net) value
+      in
+      memo.(net) <- Some b;
+      b
+  in
+  Netlist.fold_gates nl ~init:() ~f:(fun () kind ins out ->
+      drivers.(out) <-
+        (fun v ->
+          let x i = v ins.(i) in
+          match kind with
+          | Netlist.Buf -> x 0
+          | Not -> not (x 0)
+          | And -> x 0 && x 1
+          | Or -> x 0 || x 1
+          | Xor -> x 0 <> x 1
+          | Nand -> not (x 0 && x 1)
+          | Nor -> not (x 0 || x 1)
+          | Mux2 -> if x 0 then x 1 else x 2
+          | Const0 -> false
+          | Const1 -> true));
+  let word_bit w b = Int64.logand (Int64.shift_right_logical w b) 1L = 1L in
+  List.iter
+    (fun (_, _, contents, addr, out) ->
+      Array.iteri
+        (fun b o ->
+          drivers.(o) <-
+            (fun v ->
+              let a = Int64.to_int (bits_of addr v) in
+              word_bit contents.(a mod Array.length contents) b))
+        out)
+    (Netlist.roms_list nl);
+  List.iter
+    (fun (mem, addr, _, _, rdata) ->
+      Array.iteri
+        (fun b o ->
+          drivers.(o) <-
+            (fun v ->
+              let a = Int64.to_int (bits_of addr v) in
+              word_bit mem.(a mod Array.length mem) b))
+        rdata)
+    rams;
+  Array.map
+    (fun vec ->
+      List.iter
+        (fun (name, m) ->
+          Array.iteri
+            (fun i net -> Hashtbl.replace inputs net (word_bit m i))
+            (Netlist.find_input nl name))
+        vec;
+      Array.fill memo 0 n None;
+      let outs = List.map (fun (_, bus) -> bits_of bus value) (Netlist.outputs_list nl) in
+      let next = List.map (fun (_, d, q) -> (q, value d)) dffs in
+      List.iter
+        (fun (mem, addr, wdata, we, _) ->
+          if value we then
+            mem.(Int64.to_int (bits_of addr value) mod Array.length mem) <- bits_of wdata value)
+        rams;
+      List.iter (fun (q, b) -> Hashtbl.replace state q b) next;
+      outs)
+    vectors
+
+let sim_outputs ?(faults = []) nl vectors =
+  let sim = Netlist.Sim.create nl in
+  List.iteri (fun lane f -> Netlist.Sim.inject sim ~lane f) faults;
+  Array.map
+    (fun vec ->
+      List.iter (fun (name, m) -> Netlist.Sim.set_input sim name m) vec;
+      Netlist.Sim.settle sim;
+      let outs =
+        List.map
+          (fun (name, _) -> Netlist.Sim.get_output sim ~signed:false name)
+          (Netlist.outputs_list nl)
+      in
+      Netlist.Sim.clock sim;
+      outs)
+    vectors
+
+let prop_kernel_matches_naive =
+  QCheck.Test.make ~name:"levelized kernel = naive evaluator (random networks)"
+    ~count:60 QCheck.int (fun seed ->
+      let nl, vectors = random_network seed in
+      sim_outputs nl vectors = naive_outputs nl vectors)
+
+(* In a batch of k faults, one per lane, lane l's outputs equal those
+   of its fault alone on every cycle, detected or not. *)
+let prop_lanes_independent =
+  QCheck.Test.make ~name:"fault lanes = lone faulty runs (random networks)"
+    ~count:30 QCheck.int (fun seed ->
+      let nl, vectors = random_network seed in
+      let universe = Array.of_list (Netlist.fault_universe nl) in
+      let rng = Random.State.make [| seed; 1 |] in
+      let k = 1 + Random.State.int rng Netlist.Sim.lanes in
+      let faults =
+        List.init k (fun _ -> universe.(Random.State.int rng (Array.length universe)))
+      in
+      let batch = Netlist.Sim.create nl in
+      List.iteri (fun lane f -> Netlist.Sim.inject batch ~lane f) faults;
+      let ports =
+        List.map (fun (name, _) -> Netlist.Sim.output_port batch name) (Netlist.outputs_list nl)
+      in
+      let lone = List.map (fun f -> sim_outputs ~faults:[ f ] nl vectors) faults in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun c vec ->
+             List.iter (fun (name, m) -> Netlist.Sim.set_input batch name m) vec;
+             Netlist.Sim.settle batch;
+             let ok =
+               List.for_all Fun.id
+                 (List.mapi
+                    (fun lane run ->
+                      List.for_all2
+                        (fun port word ->
+                          Netlist.Sim.output_diff batch port word land (1 lsl lane) = 0)
+                        ports run.(c))
+                    lone)
+             in
+             Netlist.Sim.clock batch;
+             ok)
+           vectors))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "poke_net restricted to q-nets and inputs" `Quick
+        test_poke_net_restricted;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_naive; prop_lanes_independent ]
