@@ -2,68 +2,106 @@ exception Unsupported = Compiled_types.Unsupported
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
-(* --- mantissa-level operator builders, specialized at compile time ----- *)
+(* --- the value store ------------------------------------------------------ *)
 
-let shl x k = if k = 0 then x else Int64.shift_left x k
+(* Every slot is an unboxed int64 at byte offset [8 * slot] of one
+   [Bytes] image.  Applied directly, these bounds-checked primitives keep
+   the values unboxed in native code; [Bytes.get_int64_ne] is a function
+   behind the standard library's interface and boxes what it returns. *)
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let wrap_fn (f : Fixed.format) =
+let off slot = slot lsl 3
+
+(* --- mantissa-level operators --------------------------------------------- *)
+
+(* Each operator's constants are resolved at compile time into plain
+   data that the statements capture; the helpers below are inlined into
+   the statements, so a statement calls no int64 -> int64 closure. *)
+
+(* Two's-complement wrap into a format: the low [width] bits, less
+   [w_modulus] when the sign bit [w_sign] is set (0L when unsigned). *)
+type wrap = { w_mask : int64; w_sign : int64; w_modulus : int64 }
+
+let wrap_of (f : Fixed.format) =
   let w = f.Fixed.width in
-  let mask = Int64.sub (Int64.shift_left 1L w) 1L in
-  match f.Fixed.signedness with
-  | Fixed.Unsigned -> fun m -> Int64.logand m mask
-  | Fixed.Signed ->
-    let sign_bit = Int64.shift_left 1L (w - 1) in
-    let modulus = Int64.shift_left 1L w in
-    fun m ->
-      let low = Int64.logand m mask in
-      if Int64.logand low sign_bit <> 0L then Int64.sub low modulus else low
+  {
+    w_mask = Int64.sub (Int64.shift_left 1L w) 1L;
+    w_sign =
+      (match f.Fixed.signedness with
+      | Fixed.Unsigned -> 0L
+      | Fixed.Signed -> Int64.shift_left 1L (w - 1));
+    w_modulus = Int64.shift_left 1L w;
+  }
 
-let sat_fn (f : Fixed.format) =
-  let lo = Fixed.min_mantissa f and hi = Fixed.max_mantissa f in
-  fun m -> if m < lo then lo else if m > hi then hi else m
+let[@inline] wrap w m =
+  let low = Int64.logand m w.w_mask in
+  if Int64.logand low w.w_sign <> 0L then Int64.sub low w.w_modulus else low
 
-let round_fn (mode : Fixed.rounding) k =
-  if k = 0 then fun m -> m
-  else if k > 62 then fun m -> if m >= 0L then 0L else -1L
-  else
-    match mode with
-    | Fixed.Truncate -> fun m -> Int64.shift_right m k
-    | Fixed.Round_nearest ->
-      let half = Int64.shift_left 1L (k - 1) in
-      fun m -> Int64.shift_right (Int64.add m half) k
-    | Fixed.Round_even ->
-      let half = Int64.shift_left 1L (k - 1) in
-      fun m ->
-        let floor = Int64.shift_right m k in
-        let rem = Int64.sub m (Int64.shift_left floor k) in
-        if rem > half then Int64.add floor 1L
-        else if rem < half then floor
-        else if Int64.logand floor 1L = 1L then Int64.add floor 1L
-        else floor
+let[@inline] saturate ~lo ~hi (m : int64) =
+  if m < lo then lo else if m > hi then hi else m
 
-(* [on_overflow] builds the exception for the pathological huge-shift
-   path, letting callers attach component/cycle context; the default
-   matches the interpreted engine's [Fixed.resize]. *)
-let resize_fn ?on_overflow ~round ~overflow (src : Fixed.format)
+(* Arithmetic right shift by [k] (0 < k <= 63) rounding as [mode];
+   [half] is 2^(k-1). *)
+let[@inline] round mode ~k ~half m =
+  match mode with
+  | Fixed.Truncate -> Int64.shift_right m k
+  | Fixed.Round_nearest -> Int64.shift_right (Int64.add m half) k
+  | Fixed.Round_even ->
+    let floor = Int64.shift_right m k in
+    let rem = Int64.sub m (Int64.shift_left floor k) in
+    if rem > half then Int64.add floor 1L
+    else if rem < half then floor
+    else if Int64.logand floor 1L = 1L then Int64.add floor 1L
+    else floor
+
+(* A resize between two formats, as [Fixed.resize]: [rz_shift > 0]
+   drops that many fraction bits with rounding, otherwise the mantissa
+   shifts left by [- rz_shift]; the result then wraps or saturates into
+   the destination.  A left shift beyond 62 bits ([rz_huge]) is exact
+   only for zero; any other value raises [rz_overflow ()]. *)
+type resize = {
+  rz_shift : int;
+  rz_round : Fixed.rounding;
+  rz_half : int64;
+  rz_huge : bool;
+  rz_saturate : bool;
+  rz_lo : int64;
+  rz_hi : int64;
+  rz_wrap : wrap;
+  rz_overflow : unit -> exn;
+}
+
+let resize_of ~overflow_exn ~round ~overflow (src : Fixed.format)
     (dst : Fixed.format) =
   let k = src.Fixed.frac - dst.Fixed.frac in
-  let ovf =
-    match overflow with
-    | Fixed.Wrap -> wrap_fn dst
-    | Fixed.Saturate -> sat_fn dst
+  (* Dropping more than 62 bits leaves the sign under every rounding. *)
+  let k, round = if k > 62 then (63, Fixed.Truncate) else (k, round) in
+  {
+    rz_shift = k;
+    rz_round = round;
+    rz_half = (if k > 0 then Int64.shift_left 1L (k - 1) else 0L);
+    rz_huge = -k > 62;
+    rz_saturate =
+      (match overflow with Fixed.Saturate -> true | Fixed.Wrap -> false);
+    rz_lo = Fixed.min_mantissa dst;
+    rz_hi = Fixed.max_mantissa dst;
+    rz_wrap = wrap_of dst;
+    rz_overflow = overflow_exn;
+  }
+
+let[@inline] resize r m =
+  let m =
+    if r.rz_shift > 0 then round r.rz_round ~k:r.rz_shift ~half:r.rz_half m
+    else if r.rz_huge then if m = 0L then 0L else raise (r.rz_overflow ())
+    else Int64.shift_left m (-r.rz_shift)
   in
-  if k > 0 then
-    let rnd = round_fn round k in
-    fun m -> ovf (rnd m)
-  else if -k > 62 then
-    let exn =
-      match on_overflow with
-      | Some f -> f
-      | None ->
-        fun () -> Fixed.Overflow "compiled resize: shift too large"
-    in
-    fun m -> if m = 0L then 0L else raise (exn ())
-  else fun m -> ovf (shl m (-k))
+  if r.rz_saturate then saturate ~lo:r.rz_lo ~hi:r.rz_hi m else wrap r.rz_wrap m
+
+(* [Fixed.to_int] of a mantissa carried in a format of fraction [frac]. *)
+let[@inline] to_int ~frac m =
+  if frac <= 0 then Int64.to_int (Int64.shift_left m (-frac))
+  else Int64.to_int (Int64.div m (Int64.shift_left 1L (min frac 62)))
 
 (* Alignment shifts for a binary operation whose common fraction is the
    max of the operand fractions. *)
@@ -80,8 +118,9 @@ type alloc = {
   net_stamp : (string, int) Hashtbl.t;  (* net name -> stamp index *)
   reg_cur : (int, int) Hashtbl.t;  (* Signal.Reg.id -> slot *)
   reg_next : (int, int) Hashtbl.t;
-  reg_init : (int, int64 * int) Hashtbl.t;  (* Reg.id -> (init, cur slot) *)
   node_slot : (int, int) Hashtbl.t;  (* Signal node id -> slot *)
+  mutable power_on : (int * int64) list;
+      (* slot -> value at reset: register inits and constants *)
   sink_net : (string * string, string) Hashtbl.t;  (* (comp, in port) -> net *)
   driver_net : (string * string, string) Hashtbl.t;  (* (comp, out port) *)
 }
@@ -91,13 +130,23 @@ let fresh a =
   a.next_slot <- s + 1;
   s
 
-let slot_of_node a n =
-  match Hashtbl.find_opt a.node_slot (Signal.id n) with
-  | Some s -> s
-  | None ->
-    let s = fresh a in
-    Hashtbl.replace a.node_slot (Signal.id n) s;
-    s
+(* Register reads and shifts (which only move the binary point) alias
+   their source slot; every other node owns one.  A constant's slot is
+   written once, into the power-on image. *)
+let rec slot_of_node a n =
+  match Signal.op n with
+  | Signal.Reg_read r -> Hashtbl.find a.reg_cur (Signal.Reg.id r)
+  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> slot_of_node a x
+  | op -> (
+    match Hashtbl.find_opt a.node_slot (Signal.id n) with
+    | Some s -> s
+    | None ->
+      let s = fresh a in
+      Hashtbl.replace a.node_slot (Signal.id n) s;
+      (match op with
+      | Signal.Const v -> a.power_on <- (s, Fixed.mantissa v) :: a.power_on
+      | _ -> ());
+      s)
 
 (* Net formats: primary inputs and untimed ports declare theirs; timed
    outputs take the format of the producing expression, which must agree
@@ -183,215 +232,145 @@ let classify_nodes roots =
 
 (* --- statement compilation ---------------------------------------------- *)
 
-(* Compile the statement computing node [n] into [values].(slot n).
-   [cycle_ref] is read lazily so overflow diagnostics carry the cycle of
-   the failing step, not of compilation. *)
-let node_statement a (values : int64 array) (cycle_ref : int ref) comp_name n =
-  let dst = slot_of_node a n in
-  let s x = slot_of_node a x in
+(* The statement computing node [n] into its slot of [v], or [None] for
+   the nodes that need none (constants, register reads, shifts; see
+   {!slot_of_node}).  [cycle_ref] is read lazily so overflow diagnostics
+   carry the cycle of the failing step, not of compilation. *)
+let node_statement a v (cycle_ref : int ref) comp_name n =
+  let s x = off (slot_of_node a x) in
+  let dst = s n in
   let nf = Signal.fmt n in
-  let overflow_diag dst_fmt () =
+  let overflow_exn () =
     Ocapi_error.Error
       (Ocapi_error.make Ocapi_error.Overflow ~engine:"compiled"
          ~construct:comp_name ~cycle:!cycle_ref
          (Printf.sprintf "resize to %s: shift too large for nonzero value"
-            (Fixed.format_to_string dst_fmt)))
+            (Fixed.format_to_string nf)))
+  in
+  let resize_to ~round ~overflow x =
+    resize_of ~overflow_exn ~round ~overflow (Signal.fmt x) nf
   in
   match Signal.op n with
-  | Signal.Const v ->
-    let m = Fixed.mantissa v in
-    fun () -> values.(dst) <- m
+  | Signal.Const _ | Signal.Reg_read _
+  | Signal.Shift_left _ | Signal.Shift_right _ -> None
   | Signal.Input_read i -> begin
     match Hashtbl.find_opt a.sink_net (comp_name, Signal.Input.name i) with
     | Some net ->
-      let src = Hashtbl.find a.net_slot net in
-      fun () -> values.(dst) <- values.(src)
+      let src = off (Hashtbl.find a.net_slot net) in
+      Some (fun () -> set v dst (get v src))
     | None ->
       unsupported "compiled: input %s.%s is not connected to any net"
         comp_name (Signal.Input.name i)
   end
-  | Signal.Reg_read r ->
-    let src = Hashtbl.find a.reg_cur (Signal.Reg.id r) in
-    fun () -> values.(dst) <- values.(src)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s x and sy = s y in
-    fun () -> values.(dst) <- Int64.add (shl values.(sx) ka) (shl values.(sy) kb)
+    Some
+      (fun () ->
+        set v dst
+          (Int64.add (Int64.shift_left (get v sx) ka)
+             (Int64.shift_left (get v sy) kb)))
   | Signal.Sub (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s x and sy = s y in
-    fun () -> values.(dst) <- Int64.sub (shl values.(sx) ka) (shl values.(sy) kb)
+    Some
+      (fun () ->
+        set v dst
+          (Int64.sub (Int64.shift_left (get v sx) ka)
+             (Int64.shift_left (get v sy) kb)))
   | Signal.Mul (x, y) ->
     let sx = s x and sy = s y in
-    fun () -> values.(dst) <- Int64.mul values.(sx) values.(sy)
+    Some (fun () -> set v dst (Int64.mul (get v sx) (get v sy)))
   | Signal.Neg x ->
     let sx = s x in
-    fun () -> values.(dst) <- Int64.neg values.(sx)
+    Some (fun () -> set v dst (Int64.neg (get v sx)))
   | Signal.Abs x ->
     let sx = s x in
-    fun () -> values.(dst) <- Int64.abs values.(sx)
+    Some (fun () -> set v dst (Int64.abs (get v sx)))
   | Signal.And (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- wrap (Int64.logand (shl values.(sx) ka) (shl values.(sy) kb))
+    let w = wrap_of nf and sx = s x and sy = s y in
+    Some
+      (fun () ->
+        set v dst
+          (wrap w
+             (Int64.logand (Int64.shift_left (get v sx) ka)
+                (Int64.shift_left (get v sy) kb))))
   | Signal.Or (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- wrap (Int64.logor (shl values.(sx) ka) (shl values.(sy) kb))
+    let w = wrap_of nf and sx = s x and sy = s y in
+    Some
+      (fun () ->
+        set v dst
+          (wrap w
+             (Int64.logor (Int64.shift_left (get v sx) ka)
+                (Int64.shift_left (get v sy) kb))))
   | Signal.Xor (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- wrap (Int64.logxor (shl values.(sx) ka) (shl values.(sy) kb))
+    let w = wrap_of nf and sx = s x and sy = s y in
+    Some
+      (fun () ->
+        set v dst
+          (wrap w
+             (Int64.logxor (Int64.shift_left (get v sx) ka)
+                (Int64.shift_left (get v sy) kb))))
   | Signal.Not x ->
-    let wrap = wrap_fn nf in
-    let sx = s x in
-    fun () -> values.(dst) <- wrap (Int64.lognot values.(sx))
+    let w = wrap_of nf and sx = s x in
+    Some (fun () -> set v dst (wrap w (Int64.lognot (get v sx))))
   | Signal.Eq (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <-
-        (if Int64.equal (shl values.(sx) ka) (shl values.(sy) kb) then 1L else 0L)
+    Some
+      (fun () ->
+        set v dst
+          (if
+             Int64.equal
+               (Int64.shift_left (get v sx) ka)
+               (Int64.shift_left (get v sy) kb)
+           then 1L
+           else 0L))
   | Signal.Lt (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- (if shl values.(sx) ka < shl values.(sy) kb then 1L else 0L)
+    Some
+      (fun () ->
+        set v dst
+          (if Int64.shift_left (get v sx) ka < Int64.shift_left (get v sy) kb
+           then 1L
+           else 0L))
   | Signal.Le (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- (if shl values.(sx) ka <= shl values.(sy) kb then 1L else 0L)
+    Some
+      (fun () ->
+        set v dst
+          (if Int64.shift_left (get v sx) ka <= Int64.shift_left (get v sy) kb
+           then 1L
+           else 0L))
   | Signal.Mux (sel, x, y) ->
-    let on_overflow = overflow_diag nf in
-    let rx =
-      resize_fn ~on_overflow ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt x) nf
-    in
-    let ry =
-      resize_fn ~on_overflow ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt y) nf
-    in
+    let rx = resize_to ~round:Fixed.Truncate ~overflow:Fixed.Wrap x in
+    let ry = resize_to ~round:Fixed.Truncate ~overflow:Fixed.Wrap y in
     let ss = s sel and sx = s x and sy = s y in
-    fun () ->
-      values.(dst) <- (if values.(ss) <> 0L then rx values.(sx) else ry values.(sy))
+    Some
+      (fun () ->
+        set v dst
+          (if get v ss <> 0L then resize rx (get v sx)
+           else resize ry (get v sy)))
   | Signal.Resize (round, overflow, x) ->
-    let rz = resize_fn ~on_overflow:(overflow_diag nf) ~round ~overflow
-        (Signal.fmt x) nf
-    in
-    let sx = s x in
-    fun () -> values.(dst) <- rz values.(sx)
+    let rz = resize_to ~round ~overflow x and sx = s x in
+    Some (fun () -> set v dst (resize rz (get v sx)))
   | Signal.Rom_read (r, idx) ->
     let len = Signal.Rom.size r in
     let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
-    let frac = (Signal.fmt idx).Fixed.frac in
-    let si = s idx in
-    if frac <= 0 then
-      fun () ->
-        let i = Int64.to_int (shl values.(si) (-frac)) in
-        values.(dst) <- contents.(i mod len)
-    else
-      let div = Int64.shift_left 1L (min frac 62) in
-      fun () ->
-        let i = Int64.to_int (Int64.div values.(si) div) in
-        values.(dst) <- contents.(i mod len)
-  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) ->
-    let sx = s x in
-    fun () -> values.(dst) <- values.(sx)
-
-(* Compile a pure (register/constant-only) expression to a value closure;
-   used for FSM guards, which may not read SFG inputs. *)
-let rec compile_pure a (values : int64 array) e : unit -> int64 =
-  let nf = Signal.fmt e in
-  match Signal.op e with
-  | Signal.Const v ->
-    let m = Fixed.mantissa v in
-    fun () -> m
-  | Signal.Input_read i -> unsupported "guard reads input %s" (Signal.Input.name i)
-  | Signal.Reg_read r ->
-    let src = Hashtbl.find a.reg_cur (Signal.Reg.id r) in
-    fun () -> values.(src)
-  | Signal.Add (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> Int64.add (shl (fx ()) ka) (shl (fy ()) kb)
-  | Signal.Sub (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> Int64.sub (shl (fx ()) ka) (shl (fy ()) kb)
-  | Signal.Mul (x, y) ->
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> Int64.mul (fx ()) (fy ())
-  | Signal.Neg x ->
-    let fx = compile_pure a values x in
-    fun () -> Int64.neg (fx ())
-  | Signal.Abs x ->
-    let fx = compile_pure a values x in
-    fun () -> Int64.abs (fx ())
-  | Signal.And (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> wrap (Int64.logand (shl (fx ()) ka) (shl (fy ()) kb))
-  | Signal.Or (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> wrap (Int64.logor (shl (fx ()) ka) (shl (fy ()) kb))
-  | Signal.Xor (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> wrap (Int64.logxor (shl (fx ()) ka) (shl (fy ()) kb))
-  | Signal.Not x ->
-    let wrap = wrap_fn nf in
-    let fx = compile_pure a values x in
-    fun () -> wrap (Int64.lognot (fx ()))
-  | Signal.Eq (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> if Int64.equal (shl (fx ()) ka) (shl (fy ()) kb) then 1L else 0L
-  | Signal.Lt (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> if shl (fx ()) ka < shl (fy ()) kb then 1L else 0L
-  | Signal.Le (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> if shl (fx ()) ka <= shl (fy ()) kb then 1L else 0L
-  | Signal.Mux (sel, x, y) ->
-    let fs = compile_pure a values sel in
-    let rx = resize_fn ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt x) nf in
-    let ry = resize_fn ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt y) nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
-    fun () -> if fs () <> 0L then rx (fx ()) else ry (fy ())
-  | Signal.Resize (round, overflow, x) ->
-    let rz = resize_fn ~round ~overflow (Signal.fmt x) nf in
-    let fx = compile_pure a values x in
-    fun () -> rz (fx ())
-  | Signal.Rom_read (r, idx) ->
-    let len = Signal.Rom.size r in
-    let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
-    let frac = (Signal.fmt idx).Fixed.frac in
-    let fi = compile_pure a values idx in
-    if frac <= 0 then fun () -> contents.(Int64.to_int (shl (fi ()) (-frac)) mod len)
-    else
-      let div = Int64.shift_left 1L (min frac 62) in
-      fun () -> contents.(Int64.to_int (Int64.div (fi ()) div) mod len)
-  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> compile_pure a values x
+    let frac = (Signal.fmt idx).Fixed.frac and si = s idx in
+    Some (fun () -> set v dst contents.(to_int ~frac (get v si) mod len))
 
 (* --- compiled program structures ---------------------------------------- *)
 
 type transition_code = {
   tc_block_a : (unit -> unit) array;
   tc_block_b : (unit -> unit) array;
-  tc_commit : (unit -> unit) array;
+  tc_commit : int array;  (* (current, next) register offset pairs *)
   tc_goto : int;
 }
 
@@ -401,19 +380,41 @@ type comp_code = {
   mutable cc_state : int;
   mutable cc_selected : int;  (* transition index, -1 = none *)
   cc_state_transitions : int array array;  (* per state, priority order *)
-  cc_guards : (unit -> bool) array;  (* per transition *)
+  cc_guard_code : (unit -> unit) array array;  (* per transition *)
+  cc_guard : int array;  (* per transition: offset of the guard's value *)
   cc_transitions : transition_code array;
 }
 
 type kernel_code = {
   kc_kernel : Dataflow.Kernel.t;
-  kc_inputs : (string * int * Fixed.format) list;  (* port, slot, fmt *)
-  kc_outputs : (string * int * int) list;  (* port, slot, stamp *)
+  kc_inputs : (string * int * Fixed.format) list;  (* port, offset, fmt *)
+  kc_outputs : (string * int * int) list;  (* port, offset, stamp *)
 }
+
+(* An untimed kernel carrying a [Ram_model] fires inline against the
+   session's RAM image instead of through its closures, which the model
+   guarantees implement exactly this.  Word [i] sits at byte offset
+   [rm_base + 8 * i] of the image; the word after the last holds the
+   staged write value. *)
+type ram_code = {
+  rm_words : int;
+  rm_base : int;
+  rm_addr : int;  (* input offsets in the value store *)
+  rm_addr_frac : int;
+  rm_we : int;
+  rm_wdata : int;
+  rm_write : resize;  (* wdata into the data format: truncate, wrap *)
+  rm_rdata : int;  (* output offset, -1 when unconnected *)
+  rm_rdata_stamp : int;
+  mutable rm_staged : int;  (* word address of the staged write, -1 = none *)
+}
+
+(* A unit of the B-phase schedule. *)
+type b_unit = Comp of comp_code | Ram of ram_code | Kernel of kernel_code
 
 type probe_code = {
   pc_name : string;
-  pc_slot : int;
+  pc_slot : int;  (* byte offset *)
   pc_stamp : int;
   pc_fmt : Fixed.format;
   mutable pc_history : (int * Fixed.t) list;  (* reversed *)
@@ -421,7 +422,7 @@ type probe_code = {
 
 type stim_code = {
   st_fn : int -> Fixed.t option;
-  st_slot : int;
+  st_slot : int;  (* byte offset *)
   st_stamp : int;
 }
 
@@ -429,24 +430,26 @@ type stim_code = {
    engine): one record per net whose carried format is known. *)
 type trace_rec = {
   trc_name : string;
-  trc_slot : int;
+  trc_slot : int;  (* byte offset *)
   trc_stamp : int;
   trc_fmt : Fixed.format;
   mutable trc_hist : (int * Fixed.t) list;  (* reversed *)
 }
 
 type t = {
-  values : int64 array;
+  values : Bytes.t;
+  power_on : Bytes.t;  (* [values] after reset *)
+  rams : Bytes.t;  (* every inlined RAM's words, zero after reset *)
   stamps : int array;
   cycle_ref : int ref;  (* captured by output-store statements *)
   mutable cycle : int;
   comps : comp_code array;
-  b_schedule : (int, kernel_code) Either.t array;
+  b_schedule : b_unit array;
   stims : stim_code array;
   probes : probe_code array;
-  reg_inits : (int64 * int) array;
-  (* Register exposure for fault injection: (name, format, cur slot) in
-     [Cycle_system.all_regs] order — the same indexing every engine uses. *)
+  (* Register exposure for fault injection: (name, format, offset of the
+     current value) in [Cycle_system.all_regs] order — the same indexing
+     every engine uses. *)
   regs : (string * Fixed.format * int) array;
   n_statements : int;
   mutable tracing : bool;
@@ -479,6 +482,49 @@ let op_kind_name n =
   | Signal.Shift_left _ -> "shift_left"
   | Signal.Shift_right _ -> "shift_right"
 
+(* The inline form of a kernel whose model is a RAM with all three
+   inputs connected, taking [words + 1] words of the RAM image from
+   [ram_words]; [None] leaves the kernel on the closure path. *)
+let ram_code (k : Dataflow.Kernel.t) ~ram_words ~cycle_ref inputs outputs =
+  match k.Dataflow.Kernel.k_model with
+  | None -> None
+  | Some
+      (Dataflow.Kernel.Ram_model
+         { words; data_fmt; addr_port; wdata_port; we_port; rdata_port }) -> (
+    let input p = List.find_opt (fun (q, _, _) -> String.equal q p) inputs in
+    match (input addr_port, input wdata_port, input we_port) with
+    | Some (_, addr, addr_fmt), Some (_, wdata, wdata_fmt), Some (_, we, _) ->
+      let base = !ram_words in
+      ram_words := base + words + 1;
+      let rdata, rdata_stamp =
+        match List.find_opt (fun (p, _, _) -> String.equal p rdata_port) outputs with
+        | Some (_, o, stamp) -> (o, stamp)
+        | None -> (-1, -1)
+      in
+      let overflow_exn () =
+        Ocapi_error.Error
+          (Ocapi_error.make Ocapi_error.Overflow ~engine:"compiled"
+             ~construct:k.Dataflow.Kernel.k_name ~cycle:!cycle_ref
+             (Printf.sprintf "ram write resize to %s: shift too large"
+                (Fixed.format_to_string data_fmt)))
+      in
+      Some
+        {
+          rm_words = words;
+          rm_base = off base;
+          rm_addr = addr;
+          rm_addr_frac = addr_fmt.Fixed.frac;
+          rm_we = we;
+          rm_wdata = wdata;
+          rm_write =
+            resize_of ~overflow_exn ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+              wdata_fmt data_fmt;
+          rm_rdata = rdata;
+          rm_rdata_stamp = rdata_stamp;
+          rm_staged = -1;
+        }
+    | _ -> None)
+
 let compile sys =
   let t_compile = Ocapi_obs.span_begin () in
   let a =
@@ -489,8 +535,8 @@ let compile sys =
       net_stamp = Hashtbl.create 64;
       reg_cur = Hashtbl.create 64;
       reg_next = Hashtbl.create 64;
-      reg_init = Hashtbl.create 64;
       node_slot = Hashtbl.create 1024;
+      power_on = [];
       sink_net = Hashtbl.create 64;
       driver_net = Hashtbl.create 64;
     }
@@ -511,13 +557,13 @@ let compile sys =
       let cur = fresh a and nxt = fresh a in
       Hashtbl.replace a.reg_cur id cur;
       Hashtbl.replace a.reg_next id nxt;
-      Hashtbl.replace a.reg_init id (Fixed.mantissa (Signal.Reg.init r), cur))
+      a.power_on <- (cur, Fixed.mantissa (Signal.Reg.init r)) :: a.power_on)
     (Cycle_system.all_regs sys);
   compute_net_formats a sys;
   let all_timed = Cycle_system.timed_components sys in
-  (* Pre-allocate node slots so the values array can be sized; when
-     telemetry is on, also tally the static operator mix (each unique
-     expression node once). *)
+  (* Pre-allocate node slots, guards included, so the store can be
+     sized; when telemetry is on, also tally the static operator mix of
+     the SFGs (each unique expression node once). *)
   let op_seen = Hashtbl.create 256 in
   List.iter
     (fun (_, fsm) ->
@@ -537,17 +583,16 @@ let compile sys =
                         Ocapi_obs.count ("compiled.ops." ^ op_kind_name n)
                       end))
                 (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
+            tr.Fsm.t_actions;
+          Signal.fold_dag (Fsm.guard_expr tr.Fsm.t_guard) ~init:() ~f:(fun () n ->
+              ignore (slot_of_node a n)))
         (Fsm.transitions fsm))
     all_timed;
-  let values = Array.make (max 1 a.next_slot) 0L in
+  let power_on = Bytes.make (off (max 1 a.next_slot)) '\000' in
+  List.iter (fun (slot, m) -> set power_on (off slot) m) a.power_on;
+  let values = Bytes.copy power_on in
   let stamps = Array.make (max 1 (List.length nets)) (-1) in
   let cycle_ref = ref 0 in
-  let reg_inits =
-    Hashtbl.fold (fun _ pair acc -> pair :: acc) a.reg_init []
-    |> Array.of_list
-  in
-  Array.iter (fun (init, cur) -> values.(cur) <- init) reg_inits;
   let n_statements = ref 0 in
   let b_written_nets : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let b_read_by_comp : (string, (string, unit) Hashtbl.t) Hashtbl.t =
@@ -564,6 +609,8 @@ let compile sys =
     in
     Hashtbl.replace tbl net ()
   in
+  (* [statement_count] counts every node, elided ones included, plus one
+     statement per output and per register assignment. *)
   let compile_transition cname tr =
     let roots =
       List.concat_map
@@ -574,14 +621,15 @@ let compile sys =
     let is_b = classify_nodes roots in
     let emitted = Hashtbl.create 128 in
     let block_a = ref [] and block_b = ref [] and commit = ref [] in
+    let push in_b stmt =
+      if in_b then block_b := stmt :: !block_b else block_a := stmt :: !block_a
+    in
     let emit_node n =
       Signal.fold_dag n ~init:() ~f:(fun () x ->
           if not (Hashtbl.mem emitted (Signal.id x)) then begin
             Hashtbl.add emitted (Signal.id x) ();
-            let stmt = node_statement a values cycle_ref cname x in
             incr n_statements;
-            if is_b x then block_b := stmt :: !block_b
-            else block_a := stmt :: !block_a;
+            Option.iter (push (is_b x)) (node_statement a values cycle_ref cname x);
             match Signal.op x with
             | Signal.Input_read i -> begin
               match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
@@ -604,31 +652,25 @@ let compile sys =
             match Hashtbl.find_opt a.driver_net (cname, port) with
             | None -> () (* unconnected output: value falls on the floor *)
             | Some net ->
-              let dst = Hashtbl.find a.net_slot net in
+              let dst = off (Hashtbl.find a.net_slot net) in
               let stamp = Hashtbl.find a.net_stamp net in
-              let src = slot_of_node a e in
-              let stmt () =
-                values.(dst) <- values.(src);
-                stamps.(stamp) <- !cycle_ref
-              in
+              let src = off (slot_of_node a e) in
               incr n_statements;
-              if is_b e then begin
-                block_b := stmt :: !block_b;
-                Hashtbl.replace b_written_nets net cname
-              end
-              else block_a := stmt :: !block_a)
+              push (is_b e) (fun () ->
+                  set values dst (get values src);
+                  stamps.(stamp) <- !cycle_ref);
+              if is_b e then Hashtbl.replace b_written_nets net cname)
           (Sfg.outputs sfg);
         List.iter
           (fun (reg, e) ->
             emit_node e;
-            let nxt = Hashtbl.find a.reg_next (Signal.Reg.id reg) in
-            let cur = Hashtbl.find a.reg_cur (Signal.Reg.id reg) in
-            let src = slot_of_node a e in
-            let stmt () = values.(nxt) <- values.(src) in
+            let nxt = off (Hashtbl.find a.reg_next (Signal.Reg.id reg)) in
+            let cur = off (Hashtbl.find a.reg_cur (Signal.Reg.id reg)) in
+            let src = off (slot_of_node a e) in
             incr n_statements;
-            if is_b e then block_b := stmt :: !block_b
-            else block_a := stmt :: !block_a;
-            commit := (fun () -> values.(cur) <- values.(nxt)) :: !commit)
+            push (is_b e) (fun () -> set values nxt (get values src));
+            (* Reversed below into a (cur, nxt) pair. *)
+            commit := nxt :: cur :: !commit)
           (Sfg.assigns sfg))
       tr.Fsm.t_actions;
     {
@@ -638,17 +680,27 @@ let compile sys =
       tc_goto = Fsm.state_index tr.Fsm.t_goto;
     }
   in
+  (* A guard compiles like any expression: its statements run before it
+     is tested, leaving its value in the guard's slot.  Guards read only
+     registers and constants, so they sit outside the statement count. *)
+  let compile_guard cname tr =
+    let g = Fsm.guard_expr tr.Fsm.t_guard in
+    (match Signal.input_deps g with
+    | i :: _ -> unsupported "guard reads input %s" (Signal.Input.name i)
+    | [] -> ());
+    let code =
+      Signal.fold_dag g ~init:[] ~f:(fun acc n ->
+          match node_statement a values cycle_ref cname n with
+          | Some stmt -> stmt :: acc
+          | None -> acc)
+    in
+    (Array.of_list (List.rev code), off (slot_of_node a g))
+  in
   let comps =
     List.map
       (fun (cname, fsm) ->
         let transitions = Array.of_list (Fsm.transitions fsm) in
-        let guards =
-          Array.map
-            (fun tr ->
-              let f = compile_pure a values (Fsm.guard_expr tr.Fsm.t_guard) in
-              fun () -> f () <> 0L)
-            transitions
-        in
+        let guards = Array.map (compile_guard cname) transitions in
         let tcs = Array.map (compile_transition cname) transitions in
         let n_states = List.length (Fsm.states fsm) in
         let by_state = Array.make n_states [] in
@@ -664,12 +716,14 @@ let compile sys =
           cc_selected = -1;
           cc_state_transitions =
             Array.map (fun l -> Array.of_list (List.rev l)) by_state;
-          cc_guards = guards;
+          cc_guard_code = Array.map fst guards;
+          cc_guard = Array.map snd guards;
           cc_transitions = tcs;
         })
       all_timed
     |> Array.of_list
   in
+  let ram_words = ref 0 in
   let kernels =
     List.map
       (fun (cname, k) ->
@@ -683,7 +737,7 @@ let compile sys =
                   | Some f -> f
                   | None -> Dataflow.Kernel.port_format k port
                 in
-                (port, Hashtbl.find a.net_slot net, fmt)
+                (port, off (Hashtbl.find a.net_slot net), fmt)
               | None ->
                 unsupported "compiled: kernel %s input %s unconnected" cname port)
             k.Dataflow.Kernel.k_inputs
@@ -694,18 +748,26 @@ let compile sys =
               match Hashtbl.find_opt a.driver_net (cname, port) with
               | Some net ->
                 Hashtbl.replace b_written_nets net cname;
-                Some (port, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net)
+                Some
+                  ( port,
+                    off (Hashtbl.find a.net_slot net),
+                    Hashtbl.find a.net_stamp net )
               | None -> None)
             k.Dataflow.Kernel.k_outputs
         in
-        (cname, { kc_kernel = k; kc_inputs = inputs; kc_outputs = outputs }))
+        let code =
+          match ram_code k ~ram_words ~cycle_ref inputs outputs with
+          | Some r -> Ram r
+          | None -> Kernel { kc_kernel = k; kc_inputs = inputs; kc_outputs = outputs }
+        in
+        (cname, k, code))
       (Cycle_system.untimed_components sys)
   in
   (* B-phase schedule: topological order, edges writer(net) -> reader. *)
   let unit_names =
     Array.append
       (Array.map (fun c -> c.cc_name) comps)
-      (Array.of_list (List.map fst kernels))
+      (Array.of_list (List.map (fun (cname, _, _) -> cname) kernels))
   in
   let n_units = Array.length unit_names in
   let index_of_name = Hashtbl.create 16 in
@@ -719,15 +781,12 @@ let compile sys =
         | None -> ())
     unit_names;
   List.iteri
-    (fun j (cname, kc) ->
+    (fun j (cname, k, _) ->
       let i = Array.length comps + j in
       reads.(i) <-
         List.map
-          (fun (port, _, _) ->
-            match Hashtbl.find_opt a.sink_net (cname, port) with
-            | Some net -> net
-            | None -> assert false)
-          kc.kc_inputs)
+          (fun (port, _) -> Hashtbl.find a.sink_net (cname, port))
+          k.Dataflow.Kernel.k_inputs)
     kernels;
   let succs = Array.make n_units [] in
   let indeg = Array.make n_units 0 in
@@ -768,12 +827,12 @@ let compile sys =
        interpreted scheduler"
       (String.concat ", " stuck)
   end;
-  let kernel_arr = Array.of_list (List.map snd kernels) in
+  let kernel_arr = Array.of_list (List.map (fun (_, _, code) -> code) kernels) in
   let b_schedule =
     List.rev !order
     |> List.map (fun i ->
-           if i < Array.length comps then Either.Left i
-           else Either.Right kernel_arr.(i - Array.length comps))
+           if i < Array.length comps then Comp comps.(i)
+           else kernel_arr.(i - Array.length comps))
     |> Array.of_list
   in
   let stims =
@@ -785,7 +844,7 @@ let compile sys =
           Some
             {
               st_fn = stim;
-              st_slot = Hashtbl.find a.net_slot net;
+              st_slot = off (Hashtbl.find a.net_slot net);
               st_stamp = Hashtbl.find a.net_stamp net;
             })
       (Cycle_system.primary_inputs sys)
@@ -806,7 +865,7 @@ let compile sys =
           Some
             {
               pc_name = pname;
-              pc_slot = Hashtbl.find a.net_slot net;
+              pc_slot = off (Hashtbl.find a.net_slot net);
               pc_stamp = Hashtbl.find a.net_stamp net;
               pc_fmt = fmt;
               pc_history = [];
@@ -822,7 +881,7 @@ let compile sys =
           Some
             {
               trc_name = net_name;
-              trc_slot = Hashtbl.find a.net_slot net_name;
+              trc_slot = off (Hashtbl.find a.net_slot net_name);
               trc_stamp = Hashtbl.find a.net_stamp net_name;
               trc_fmt = fmt;
               trc_hist = [];
@@ -836,12 +895,14 @@ let compile sys =
     |> List.map (fun r ->
            ( Signal.Reg.name r,
              Signal.Reg.fmt r,
-             Hashtbl.find a.reg_cur (Signal.Reg.id r) ))
+             off (Hashtbl.find a.reg_cur (Signal.Reg.id r)) ))
     |> Array.of_list
   in
   let t =
     {
       values;
+      power_on;
+      rams = Bytes.make (off !ram_words) '\000';
       stamps;
       cycle_ref;
       cycle = 0;
@@ -849,7 +910,6 @@ let compile sys =
       b_schedule;
       stims;
       probes;
-      reg_inits;
       regs = regs_exposed;
       n_statements = !n_statements;
       tracing = false;
@@ -871,92 +931,128 @@ let compile sys =
 
 (* --- execution ------------------------------------------------------------ *)
 
+let run_block (code : (unit -> unit) array) =
+  for i = 0 to Array.length code - 1 do
+    code.(i) ()
+  done
+
+(* Select the first transition of the current state whose guard holds,
+   in priority order, running each guard's statements just before its
+   test. *)
+let select v c =
+  c.cc_selected <- -1;
+  let candidates = c.cc_state_transitions.(c.cc_state) in
+  let i = ref 0 in
+  while c.cc_selected < 0 && !i < Array.length candidates do
+    let ti = candidates.(!i) in
+    run_block c.cc_guard_code.(ti);
+    if get v c.cc_guard.(ti) <> 0L then c.cc_selected <- ti;
+    incr i
+  done
+
+(* The firing of [Ram_model], as in [Ram_cell.kernel]: produce the
+   pre-write word at the wrapped address and stage the resized write
+   when the enable is true. *)
+let fire_ram t r =
+  if Ocapi_obs.enabled () then Ocapi_obs.count "compiled.kernel_firings";
+  let v = t.values in
+  let addr = to_int ~frac:r.rm_addr_frac (get v r.rm_addr) mod r.rm_words in
+  let addr = if addr < 0 then addr + r.rm_words else addr in
+  let word = get t.rams (r.rm_base + off addr) in
+  if get v r.rm_we <> 0L then begin
+    set t.rams (r.rm_base + off r.rm_words) (resize r.rm_write (get v r.rm_wdata));
+    r.rm_staged <- addr
+  end
+  else r.rm_staged <- -1;
+  if r.rm_rdata >= 0 then begin
+    set v r.rm_rdata word;
+    t.stamps.(r.rm_rdata_stamp) <- t.cycle
+  end
+
+let commit_ram t r =
+  if r.rm_staged >= 0 then begin
+    set t.rams (r.rm_base + off r.rm_staged) (get t.rams (r.rm_base + off r.rm_words));
+    r.rm_staged <- -1
+  end
+
+let fire_kernel t kc =
+  let k = kc.kc_kernel in
+  if k.Dataflow.Kernel.k_ready () then begin
+    if Ocapi_obs.enabled () then Ocapi_obs.count "compiled.kernel_firings";
+    let consumed =
+      List.map
+        (fun (port, slot, fmt) -> (port, [ Fixed.create fmt (get t.values slot) ]))
+        kc.kc_inputs
+    in
+    let produced = k.Dataflow.Kernel.k_behavior consumed in
+    List.iter
+      (fun (port, slot, stamp) ->
+        match List.assoc_opt port produced with
+        | Some [ x ] ->
+          set t.values slot (Fixed.mantissa x);
+          t.stamps.(stamp) <- t.cycle
+        | Some _ | None -> ())
+      kc.kc_outputs
+  end
+
 let step t =
   let t_step = Ocapi_obs.span_begin () in
-  t.cycle_ref := t.cycle;
-  Array.iter
-    (fun st ->
-      match st.st_fn t.cycle with
-      | Some v ->
-        t.values.(st.st_slot) <- Fixed.mantissa v;
-        t.stamps.(st.st_stamp) <- t.cycle
-      | None -> ())
-    t.stims;
-  Array.iter
-    (fun c ->
-      c.cc_selected <- -1;
-      let candidates = c.cc_state_transitions.(c.cc_state) in
-      try
-        Array.iter
-          (fun ti ->
-            if c.cc_guards.(ti) () then begin
-              c.cc_selected <- ti;
-              raise Exit
-            end)
-          candidates
-      with Exit -> ())
-    t.comps;
-  Array.iter
-    (fun c ->
-      if c.cc_selected >= 0 then
-        Array.iter (fun s -> s ()) c.cc_transitions.(c.cc_selected).tc_block_a)
-    t.comps;
-  Array.iter
-    (fun unit_ ->
-      match unit_ with
-      | Either.Left i ->
-        let c = t.comps.(i) in
-        if c.cc_selected >= 0 then
-          Array.iter (fun s -> s ()) c.cc_transitions.(c.cc_selected).tc_block_b
-      | Either.Right kc ->
-        if kc.kc_kernel.Dataflow.Kernel.k_ready () then begin
-          if Ocapi_obs.enabled () then Ocapi_obs.count "compiled.kernel_firings";
-          let consumed =
-            List.map
-              (fun (port, slot, fmt) ->
-                (port, [ Fixed.create fmt t.values.(slot) ]))
-              kc.kc_inputs
-          in
-          let produced = kc.kc_kernel.Dataflow.Kernel.k_behavior consumed in
-          List.iter
-            (fun (port, slot, stamp) ->
-              match List.assoc_opt port produced with
-              | Some [ v ] ->
-                t.values.(slot) <- Fixed.mantissa v;
-                t.stamps.(stamp) <- t.cycle
-              | Some _ | None -> ())
-            kc.kc_outputs
-        end)
-    t.b_schedule;
-  Array.iter
-    (fun unit_ ->
-      match unit_ with
-      | Either.Left _ -> ()
-      | Either.Right kc ->
-        if kc.kc_kernel.Dataflow.Kernel.k_ready () then
-          kc.kc_kernel.Dataflow.Kernel.k_commit ())
-    t.b_schedule;
+  let v = t.values and cycle = t.cycle in
+  t.cycle_ref := cycle;
+  for i = 0 to Array.length t.stims - 1 do
+    let st = t.stims.(i) in
+    match st.st_fn cycle with
+    | Some x ->
+      set v st.st_slot (Fixed.mantissa x);
+      t.stamps.(st.st_stamp) <- cycle
+    | None -> ()
+  done;
+  for i = 0 to Array.length t.comps - 1 do
+    select v t.comps.(i)
+  done;
+  for i = 0 to Array.length t.comps - 1 do
+    let c = t.comps.(i) in
+    if c.cc_selected >= 0 then run_block c.cc_transitions.(c.cc_selected).tc_block_a
+  done;
+  for i = 0 to Array.length t.b_schedule - 1 do
+    match t.b_schedule.(i) with
+    | Comp c ->
+      if c.cc_selected >= 0 then run_block c.cc_transitions.(c.cc_selected).tc_block_b
+    | Ram r -> fire_ram t r
+    | Kernel kc -> fire_kernel t kc
+  done;
+  for i = 0 to Array.length t.b_schedule - 1 do
+    match t.b_schedule.(i) with
+    | Comp _ -> ()
+    | Ram r -> commit_ram t r
+    | Kernel kc ->
+      let k = kc.kc_kernel in
+      if k.Dataflow.Kernel.k_ready () then k.Dataflow.Kernel.k_commit ()
+  done;
   Array.iter
     (fun p ->
-      if t.stamps.(p.pc_stamp) = t.cycle then
+      if t.stamps.(p.pc_stamp) = cycle then
         p.pc_history <-
-          (t.cycle, Fixed.create p.pc_fmt t.values.(p.pc_slot)) :: p.pc_history)
+          (cycle, Fixed.create p.pc_fmt (get v p.pc_slot)) :: p.pc_history)
     t.probes;
   if t.tracing then
     Array.iter
       (fun r ->
-        if t.stamps.(r.trc_stamp) = t.cycle then
+        if t.stamps.(r.trc_stamp) = cycle then
           r.trc_hist <-
-            (t.cycle, Fixed.create r.trc_fmt t.values.(r.trc_slot)) :: r.trc_hist)
+            (cycle, Fixed.create r.trc_fmt (get v r.trc_slot)) :: r.trc_hist)
       t.trace_recs;
-  Array.iter
-    (fun c ->
-      if c.cc_selected >= 0 then begin
-        let tc = c.cc_transitions.(c.cc_selected) in
-        Array.iter (fun s -> s ()) tc.tc_commit;
-        c.cc_state <- tc.tc_goto
-      end)
-    t.comps;
+  for i = 0 to Array.length t.comps - 1 do
+    let c = t.comps.(i) in
+    if c.cc_selected >= 0 then begin
+      let tc = c.cc_transitions.(c.cc_selected) in
+      let pairs = tc.tc_commit in
+      for j = 0 to (Array.length pairs / 2) - 1 do
+        set v pairs.(2 * j) (get v pairs.((2 * j) + 1))
+      done;
+      c.cc_state <- tc.tc_goto
+    end
+  done;
   if Ocapi_obs.enabled () then begin
     Ocapi_obs.count "compiled.steps";
     let a = ref 0 and b = ref 0 and commits = ref 0 and fired = ref 0 in
@@ -967,7 +1063,7 @@ let step t =
           incr fired;
           a := !a + Array.length tc.tc_block_a;
           b := !b + Array.length tc.tc_block_b;
-          commits := !commits + Array.length tc.tc_commit
+          commits := !commits + (Array.length tc.tc_commit / 2)
         end)
       t.comps;
     Ocapi_obs.count ~n:!fired "compiled.transitions_fired";
@@ -975,7 +1071,7 @@ let step t =
     Ocapi_obs.count ~n:!b "compiled.stmts.block_b";
     Ocapi_obs.count ~n:!commits "compiled.stmts.commit"
   end;
-  t.cycle <- t.cycle + 1;
+  t.cycle <- cycle + 1;
   Ocapi_obs.span_end ~cat:"compiled" "compiled.step" t_step
 
 let run t n =
@@ -993,8 +1089,9 @@ let output_history t name =
 let reset t =
   t.cycle <- 0;
   t.cycle_ref := 0;
+  Bytes.blit t.power_on 0 t.values 0 (Bytes.length t.power_on);
+  Bytes.fill t.rams 0 (Bytes.length t.rams) '\000';
   Array.fill t.stamps 0 (Array.length t.stamps) (-1);
-  Array.iter (fun (init, cur) -> t.values.(cur) <- init) t.reg_inits;
   Array.iter
     (fun c ->
       c.cc_state <- c.cc_initial;
@@ -1003,10 +1100,10 @@ let reset t =
   Array.iter (fun p -> p.pc_history <- []) t.probes;
   Array.iter (fun r -> r.trc_hist <- []) t.trace_recs;
   Array.iter
-    (fun unit_ ->
-      match unit_ with
-      | Either.Left _ -> ()
-      | Either.Right kc -> kc.kc_kernel.Dataflow.Kernel.k_reset ())
+    (function
+      | Comp _ -> ()
+      | Ram r -> r.rm_staged <- -1
+      | Kernel kc -> kc.kc_kernel.Dataflow.Kernel.k_reset ())
     t.b_schedule
 
 let trace_all t = t.tracing <- true
@@ -1015,7 +1112,7 @@ let traced_histories t =
   Array.to_list t.trace_recs
   |> List.map (fun r -> (r.trc_name, r.trc_fmt, List.rev r.trc_hist))
 
-let slot_count t = Array.length t.values
+let slot_count t = Bytes.length t.values / 8
 let statement_count t = t.n_statements
 
 (* --- fault-injection access ---------------------------------------------- *)
@@ -1032,8 +1129,8 @@ let flip_register_bit t i ~bit =
     invalid_arg
       (Printf.sprintf "flip_register_bit: bit %d outside %s for register %s"
          bit (Fixed.format_to_string f) name);
-  let flipped = Int64.logxor t.values.(slot) (Int64.shift_left 1L bit) in
-  t.values.(slot) <- wrap_fn f flipped
+  let flipped = Int64.logxor (get t.values slot) (Int64.shift_left 1L bit) in
+  set t.values slot (wrap (wrap_of f) flipped)
 
 let component_count t = Array.length t.comps
 

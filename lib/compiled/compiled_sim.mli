@@ -6,19 +6,33 @@
     code simulator" from the same data structure (section 5, fig 7).
     This module is that code generator: it {e flattens} a system into
 
-    - one [int64] slot per net, register (current and next) and
-      expression node,
+    - one value store: a [Bytes] image holding every slot as an unboxed
+      [int64] — one slot per net, register (current and next) and
+      expression node.  Register reads and shifts (which only move the
+      binary point) alias their source slot instead of copying it, and
+      constants are written once into the power-on image that
+      {!reset} copies back;
     - straight-line statement arrays per FSM transition, split into a
       {b block A} (outputs depending only on registers/constants — the
       static image of the token-production phase) and a {b block B}
       (input-dependent outputs),
+    - per transition, the statements computing its guard, compiled like
+      any other expression,
     - a static component-level schedule of the B blocks derived from the
       net dependency graph (the static image of the evaluation phase),
     - a commit list per transition (the register-update phase).
 
     All formats, alignment shifts, masks and saturation bounds are
-    resolved at compile time; a simulation step is a sweep of closure
-    arrays with no allocation on the hot path.
+    resolved at compile time.  A simulation step sweeps the statement
+    arrays in plain loops; a statement reads and writes the store
+    through unboxed primitives and calls no further closure, so the
+    sweep allocates nothing.  Untimed kernels that carry a
+    [Dataflow.Kernel.Ram_model] fire inline against a per-session
+    [int64] RAM image, which {!reset} zeroes; other kernels are called
+    through their closures, boxing their tokens as [Fixed.t].  What a
+    step still allocates is the stimulus tokens, one [Fixed.t] per
+    recorded probe token, those kernel tokens and a few closures of the
+    step itself.
 
     Systems whose worst-case (union over transitions) combinational
     net graph is cyclic at component granularity cannot be statically
@@ -53,7 +67,10 @@ val current_cycle : t -> int
     probe name. *)
 val output_history : t -> string -> (int * Fixed.t) list
 
-(** Reset cycle counter, registers, FSM states and histories. *)
+(** Reset the cycle counter, every slot (registers, nets and nodes) to
+    its power-on value, FSM states, inlined RAM images, the other
+    kernels (through their [k_reset]) and histories, so a reset program
+    runs exactly as a freshly compiled one. *)
 val reset : t -> unit
 
 (** {1 Net tracing (waveform dumping)} *)
@@ -101,7 +118,10 @@ val set_component_state : t -> int -> int -> unit
 (** Number of value slots in the flattened program (a size metric). *)
 val slot_count : t -> int
 
-(** Number of compiled statements across all blocks (a size metric). *)
+(** Number of compiled statements across all blocks, guards excluded (a
+    size metric, Table 1's static size).  Nodes that need no statement
+    at run time — constants, register reads, shifts — still count one
+    each. *)
 val statement_count : t -> int
 
 (** [emit_ocaml system ~cycles] returns standalone OCaml source for a

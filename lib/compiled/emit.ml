@@ -24,7 +24,7 @@ let unsupported fmt =
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
    host. *)
-let emitter_version = 2
+let emitter_version = 3
 
 let sanitize name =
   String.map
@@ -1332,6 +1332,9 @@ let emit_plugin sys =
   pf "let reset () =\n";
   pf "  cycle := 0;\n";
   pf "  Array.fill stamp 0 %d (-1);\n" (max 1 (List.length nets));
+  (* Power-on values: every slot zero but the register inits (constants
+     are emitted inline), as in a freshly loaded plugin. *)
+  pf "  Array.fill v 0 %d %s;\n" (max 1 a.next_slot) (zero mode);
   List.iter
     (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
     !(a.reg_init);

@@ -23,10 +23,12 @@ module Kernel : sig
       kernels whose semantics fit a closed form.  A kernel carrying a
       model {e guarantees} that its closures ([k_ready], [k_behavior],
       [k_commit], [k_reset]) implement exactly the model's semantics
-      with the default always-true firing rule; code-generating back
-      ends (the native engine's emitter) may then bypass the closures
-      entirely and inline the model, keeping results bit-identical
-      while avoiding the per-firing boxing of the closure interface. *)
+      with the default always-true firing rule.  Back ends may then
+      bypass the closures entirely and inline the model, keeping
+      results bit-identical while avoiding the per-firing boxing of the
+      closure interface: the native engine's emitter and the compiled
+      engine fire it against their own RAM store, and the gate lowering
+      maps it to a RAM macro. *)
   type model =
     | Ram_model of {
         words : int;

@@ -2,7 +2,9 @@
 # CI determinism gate: campaign reports and batch artifact trees must
 # be bit-identical between a serial run and a --domains 2 run.  This
 # guards the core claim of the parallel runner and the batch service —
-# extra worker domains change wall time, never results.
+# extra worker domains change wall time, never results.  Section 4 holds
+# the engines to the same standard: a seeded SEU campaign classifies
+# every run identically on each of them.
 #
 # Usage: scripts/determinism_gate.sh   (after `dune build`)
 set -euo pipefail
@@ -121,6 +123,33 @@ else
   diff -r "$work/art-1" "$work/art-2" | head -10 >&2 || true
   fail=1
 fi
+
+# 4. Cross-engine SEU agreement: one seeded campaign must classify every
+#    run identically on every engine — the same outcome, target, cycle
+#    and error code per run.  This guards each engine's register and
+#    state pokes and its reset between runs.  The engine names and the
+#    engines' own wording of an error message are removed before the
+#    byte compare.
+seu_across_engines() { # design
+  local design=$1 ref=interp
+  for engine in interp compiled native rtl gate; do
+    "$OCAPI" fault --design "$design" --campaign seu --runs 200 --seed 2 \
+      --engine "$engine" --json |
+      sed -e 's/"engine":"[^"]*",\{0,1\}//g' \
+        -e 's/"message":"\([^"\\]\|\\.\)*"//g' >"$work/xseu-$design-$engine.json"
+    if [ "$engine" != "$ref" ]; then
+      if cmp -s "$work/xseu-$design-$ref.json" "$work/xseu-$design-$engine.json"; then
+        echo "ok   seu report ($design, 200 runs): $engine = $ref"
+      else
+        echo "FAIL seu report ($design, 200 runs): $engine and $ref differ" >&2
+        fail=1
+      fi
+    fi
+  done
+}
+for design in rs cpu dect; do
+  seu_across_engines "$design"
+done
 
 if [ "$fail" -eq 0 ]; then
   echo "determinism gate: PASS"

@@ -210,6 +210,273 @@ let test_emitted_simulator_end_to_end () =
   Alcotest.(check (list string)) "emitted output matches" expected
     (List.sort compare lines)
 
+(* --- sessions: reset, allocation, RAM kernels and guards ------------------ *)
+
+(* [f] drives one session of [engine] on [sys], made after a system
+   reset so every engine starts from power-on. *)
+let with_session engine sys f =
+  Cycle_system.reset sys;
+  let module E = (val Ocapi_engine.get engine) in
+  let ses = E.make sys in
+  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () -> f ses)
+
+let steps ses n =
+  for _ = 1 to n do
+    ses.Ocapi_engine.ses_step ()
+  done
+
+(* y = x + acc and acc <- x + 1, with a stimulus that holds its net
+   (returns None) for cycles 0-2: after a reset the held input must read
+   the power-on zero again, not the previous run's last token. *)
+let held_input_system () =
+  let acc = Signal.Reg.create clk "held_acc" s8 in
+  let sfg =
+    Sfg.build "held_step" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: reg_q acc));
+        Sfg.Builder.assign_resized b acc Signal.(x +: consti s8 1))
+  in
+  let fsm = Fsm.create "held_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let sys = Cycle_system.create "held_input" in
+  let c = Cycle_system.add_timed sys "held" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun cyc ->
+        if cyc < 3 then None else Some (Fixed.of_int s8 cyc))
+  in
+  let p = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
+  sys
+
+let test_reset_matches_fresh () =
+  let sys = held_input_system () in
+  let ys h = List.map (fun (_, v) -> Fixed.to_int v) (List.assoc "y_out" h) in
+  List.iter
+    (fun engine ->
+      with_session engine sys (fun ses ->
+          steps ses 8;
+          let fresh = ses.Ocapi_engine.ses_histories () in
+          ses.Ocapi_engine.ses_reset ();
+          steps ses 8;
+          let again = ses.Ocapi_engine.ses_histories () in
+          Alcotest.(check (list int))
+            (engine ^ " fresh") [ 0; 1; 1; 4; 8; 10; 12; 14 ] (ys fresh);
+          Alcotest.(check bool)
+            (engine ^ " reset = fresh") true (histories_equal fresh again)))
+    [ "compiled"; "native"; "rtl"; "gate" ]
+
+(* Minor words one compiled step allocates on a chain of [links]
+   add/resize/mux links.  The stimulus hands out preallocated tokens, so
+   what remains is per-step overhead independent of the chain. *)
+let chain_words_per_step links =
+  let tokens =
+    Array.init 1000 (fun c -> Some (Fixed.of_int s8 ((c * 37 mod 200) - 100)))
+  in
+  let sfg =
+    Sfg.build (Printf.sprintf "chain%d_step" links) (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        let sel = Signal.(x <: consti s8 0) in
+        let rec link i e =
+          if i = links then e
+          else
+            link (i + 1)
+              (Signal.mux2 sel (Signal.resize s8 Signal.(e +: consti s8 i)) e)
+        in
+        Sfg.Builder.output b "y" (link 0 x))
+  in
+  let fsm = Fsm.create (Printf.sprintf "chain%d_ctl" links) in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let sys = Cycle_system.create (Printf.sprintf "chain%d" links) in
+  let c = Cycle_system.add_timed sys "chain" fsm in
+  let stim = Cycle_system.add_input sys "x_in" s8 (fun cyc -> tokens.(cyc mod 1000)) in
+  let p = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
+  with_session "compiled" sys (fun ses ->
+      steps ses 10;
+      let before = Gc.minor_words () in
+      steps ses 1000;
+      (Gc.minor_words () -. before) /. 1000.)
+
+(* Executing statements allocates nothing: eight times the statements,
+   the same allocation per step.  Bytecode boxes every int64, so the
+   guard only holds for native code. *)
+let test_statement_sweep_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let w8 = chain_words_per_step 8 and w64 = chain_words_per_step 64 in
+  if Float.abs (w64 -. w8) >= 1.0 then
+    Alcotest.failf "minor words per step: %.1f with 8 links, %.1f with 64" w8 w64
+
+(* A controller driving a RAM cell, which carries a model and so fires
+   inline on the compiled engine, whose read word returns through an
+   SFG-built kernel without a model (the closure path). *)
+let ram_loop_system () =
+  let u3 = Fixed.unsigned ~width:3 ~frac:0 in
+  let ptr = Signal.Reg.create clk "ramloop_ptr" u3 in
+  let acc = Signal.Reg.create clk "ramloop_acc" s8 in
+  let ctl =
+    Sfg.build "ramloop_step" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        let m = Sfg.Builder.input b "m" s8 in
+        (* The RAM commands read registers only, so the interpreted
+           scheduler produces them before the RAM fires. *)
+        Sfg.Builder.output b "addr" (Signal.reg_q ptr);
+        Sfg.Builder.output b "wdata" (Signal.reg_q acc);
+        Sfg.Builder.output b "we" Signal.(reg_q acc <: consti s8 0);
+        Sfg.Builder.output b "y"
+          (Signal.resize ~overflow:Fixed.Saturate s8 Signal.(m +: x));
+        Sfg.Builder.assign_resized b ptr Signal.(reg_q ptr +: consti u3 3);
+        Sfg.Builder.assign_resized b acc Signal.(x -: m))
+  in
+  let fsm = Fsm.create "ramloop_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ ctl |-> s0);
+  let scale =
+    Sfg_kernel.kernel_of_sfg
+      (Sfg.build "ramloop_scale" (fun b ->
+           let r = Sfg.Builder.input b "r" s8 in
+           Sfg.Builder.output b "m"
+             (Signal.resize ~overflow:Fixed.Saturate s8
+                Signal.((r *: consti s8 3) +: consti s8 1))))
+  in
+  let rng = Random.State.make [| 0x5a17 |] in
+  let xs = Array.init 64 (fun _ -> Fixed.of_int s8 (Random.State.int rng 200 - 100)) in
+  let sys = Cycle_system.create "ramloop" in
+  let c = Cycle_system.add_timed sys "ctl" fsm in
+  let ram =
+    Cycle_system.add_untimed sys
+      (Ram_cell.kernel ~name:"ramloop_ram" ~words:8 ~data_fmt:s8 ~addr_fmt:u3)
+  in
+  let k = Cycle_system.add_untimed sys scale in
+  let stim = Cycle_system.add_input sys "x_in" s8 (fun cyc -> Some xs.(cyc mod 64)) in
+  let p_y = Cycle_system.add_output sys "y_out" in
+  let p_r = Cycle_system.add_output sys "rdata_out" in
+  List.iter
+    (fun port -> ignore (Cycle_system.connect sys (c, port) [ (ram, port) ]))
+    [ "addr"; "wdata"; "we" ];
+  ignore (Cycle_system.connect sys (ram, "rdata") [ (k, "r"); (p_r, "in") ]);
+  ignore (Cycle_system.connect sys (k, "m") [ (c, "m") ]);
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p_y, "in") ]);
+  sys
+
+let test_ram_and_closure_kernels () =
+  let sys = ram_loop_system () in
+  let run engine drive =
+    with_session engine sys (fun ses ->
+        drive ses;
+        ses.Ocapi_engine.ses_histories ())
+  in
+  let poke ses =
+    let acc =
+      List.find
+        (fun i -> fst (ses.Ocapi_engine.ses_register_info i) = "ramloop_acc")
+        (List.init ses.Ocapi_engine.ses_register_count Fun.id)
+    in
+    steps ses 100;
+    ses.Ocapi_engine.ses_poke_register_bit acc ~bit:6;
+    steps ses 100
+  in
+  let fresh = run "interp" (fun ses -> steps ses 200) in
+  let poked = run "interp" poke in
+  Alcotest.(check bool) "the poke changes the run" false (histories_equal fresh poked);
+  List.iter
+    (fun engine ->
+      let check case expected drive =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s" engine case)
+          true
+          (histories_equal expected (run engine drive))
+      in
+      check "fresh" fresh (fun ses -> steps ses 200);
+      check "after reset" fresh (fun ses ->
+          steps ses 137;
+          ses.Ocapi_engine.ses_reset ();
+          steps ses 200);
+      check "after a register poke" poked poke)
+    [ "compiled"; "rtl" ]
+
+(* Guards compile like SFG expressions, even when their nodes appear in
+   no SFG: a counter's comparisons pick among three transitions, and
+   each transition's SFG outputs its own mark. *)
+let test_guards_select_transitions () =
+  let u4 = Fixed.unsigned ~width:4 ~frac:0 and u3 = Fixed.unsigned ~width:3 ~frac:0 in
+  let cnt = Signal.Reg.create clk "guarded_cnt" u4 in
+  let mark name v =
+    Sfg.build name (fun b ->
+        Sfg.Builder.output b "y" (Signal.consti s8 v);
+        Sfg.Builder.assign_resized b cnt Signal.(reg_q cnt +: consti u4 1))
+  in
+  let fsm = Fsm.create "guarded_ctl" in
+  let a = Fsm.initial fsm "a" and b = Fsm.state fsm "b" in
+  Fsm.(a |-- cnd Signal.(reg_q cnt ==: consti u4 5) |+ mark "guarded_hit" 100 |-> b);
+  Fsm.(
+    a
+    |-- cnd Signal.(resize u3 (reg_q cnt) <: consti u3 2)
+    |+ mark "guarded_low" 1 |-> a);
+  Fsm.(a |-- always |+ mark "guarded_idle" 0 |-> a);
+  Fsm.(b |-- always |+ mark "guarded_back" (-1) |-> a);
+  let sys = Cycle_system.create "guarded" in
+  let c = Cycle_system.add_timed sys "guarded" fsm in
+  let p = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
+  let interp = Flow.simulate sys ~cycles:40 in
+  let compiled = Flow.simulate ~engine:"compiled" sys ~cycles:40 in
+  Alcotest.(check bool) "compiled = interp" true (histories_equal interp compiled);
+  let marks = List.map (fun (_, v) -> Fixed.to_int v) (List.assoc "y_out" compiled) in
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Printf.sprintf "mark %d fired" m) true (List.mem m marks))
+    [ 100; 1; 0; -1 ]
+
+(* [Fsm.cnd] refuses a guard that reads an input at construction; one
+   forged past it ([When e] is represented like [Some e]) must still be
+   refused by the compiler. *)
+let test_input_guard_rejected () =
+  let forged_guard (e : Signal.t) : Fsm.guard = Obj.magic (Some e) in
+  let xi = Signal.Input.create "x" s8 in
+  let sfg =
+    Sfg.build "forged_step" (fun b ->
+        Sfg.Builder.output b "y" (Sfg.Builder.input_port b xi))
+  in
+  let fsm = Fsm.create "forged_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.add_transition fsm ~from:s0
+    ~guard:(forged_guard Signal.(input xi ==: consti s8 0))
+    ~actions:[ sfg ] ~goto:s0;
+  let sys = Cycle_system.create "forged" in
+  let c = Cycle_system.add_timed sys "forged" fsm in
+  let stim = Cycle_system.add_input sys "x_in" s8 (fun _ -> Some (Fixed.zero s8)) in
+  let p = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
+  match Compiled_sim.compile sys with
+  | exception Compiled_sim.Unsupported _ -> ()
+  | _ -> Alcotest.fail "input-reading guard accepted"
+
+(* Table 1's static-size column: statements per gallery design, the
+   elided ones (constants, register reads, shifts) included. *)
+let test_statement_counts () =
+  List.iter
+    (fun (name, sys, expected) ->
+      Alcotest.(check int) name expected
+        (Compiled_sim.statement_count (Compiled_sim.compile sys)))
+    [
+      ("hcor", Test_fault.hcor_design (), 708);
+      ("dect", Test_fault.dect_design (), 2392);
+      ( "rs",
+        (Rs_codec.create ~data_stimulus:(Rs_codec.data_stimulus ())
+           ~err_stimulus:(Rs_codec.err_stimulus ()) ())
+          .Rs_codec.system,
+        173 );
+      ( "cpu",
+        (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system,
+        89 );
+    ]
+
 let suite =
   [
     Alcotest.test_case "compiled == interpreted (5 seeds)" `Quick
@@ -220,6 +487,17 @@ let suite =
     Alcotest.test_case "compiled rejects component cycles" `Quick
       test_compiled_rejects_component_cycle;
     Alcotest.test_case "rtl stats and size" `Quick test_rtl_stats_and_size;
+    Alcotest.test_case "reset = fresh session (held input)" `Quick
+      test_reset_matches_fresh;
+    Alcotest.test_case "compiled statement sweep allocates nothing" `Quick
+      test_statement_sweep_allocates_nothing;
+    Alcotest.test_case "compiled RAM and closure kernels" `Quick
+      test_ram_and_closure_kernels;
+    Alcotest.test_case "compiled guards select transitions" `Quick
+      test_guards_select_transitions;
+    Alcotest.test_case "compiled rejects input-reading guards" `Quick
+      test_input_guard_rejected;
+    Alcotest.test_case "compiled statement counts" `Quick test_statement_counts;
     Alcotest.test_case "emitted simulator end-to-end" `Slow
       test_emitted_simulator_end_to_end;
   ]
