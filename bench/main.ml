@@ -24,11 +24,11 @@
    cache  Flow.Cache cold-vs-warm runs per registry engine, with a
        bit-identity check; written machine-readably to BENCH_cache.json
    cache-stats  print the hit/miss counters recorded in BENCH_cache.json
-   batch  Ocapi_batch job-queue throughput, queue-latency percentiles and
-       dedup hit rate over a mixed duplicated manifest; written
-       machine-readably to BENCH_batch.json (`make bench-batch`)
-   service  Ocapi_service campaign throughput with and without seeded
-       chaos kills, journal-replay recovery cost, and a byte-identity
+   batch  job-runner throughput on domain workers, queue-latency
+       percentiles and dedup hit rate over a mixed duplicated manifest;
+       written machine-readably to BENCH_batch.json (`make bench-batch`)
+   service  job-runner throughput on process workers with and without
+       seeded chaos kills, journal-replay recovery cost, and a byte-identity
        check of the chaos artifact tree against the clean one; written
        machine-readably to BENCH_service.json (`make bench-service`)
    smoke  the CI smoke stage: every BENCH_*.json writer at a size that
@@ -839,69 +839,30 @@ let cache_bench () =
    submitted twice, so half the submissions should coalesce.  [seeds]
    scales the SEU sweep; the smoke stage shrinks everything. *)
 let batch_requests ~seeds ~seu_runs =
-  let open Ocapi_batch in
+  let seu seed =
+    Printf.sprintf
+      {|{"kind": "seu", "design": "hcor", "engine": "compiled", "runs": %d, "cycles": 32, "seed": %d}|}
+      seu_runs seed
+  in
+  let simulate engine =
+    Printf.sprintf
+      {|{"kind": "simulate", "design": "hcor", "engine": %S, "cycles": 200, "priority": "high"}|}
+      engine
+  in
   let base =
-    List.concat
-      [
-        List.concat_map
-          (fun seed ->
-            [
-              {
-                rq_job =
-                  Seu
-                    {
-                      seu_design = "hcor";
-                      seu_engine = "compiled";
-                      seu_runs;
-                      seu_cycles = 32;
-                      seu_seed = seed;
-                    };
-                rq_priority = Normal;
-                rq_timeout = None;
-                rq_label = None;
-              };
-            ])
-          (List.init seeds (fun i -> i + 1));
-        List.map
-          (fun engine ->
-            {
-              rq_job =
-                Simulate
-                  {
-                    sim_design = "hcor";
-                    sim_engine = engine;
-                    sim_cycles = 200;
-                    sim_seed = 1;
-                  };
-              rq_priority = High;
-              rq_timeout = None;
-              rq_label = None;
-            })
-          [ "interp"; "compiled"; "rtl" ];
-        [
-          {
-            rq_job =
-              Stuck_at
-                {
-                  sa_design = "hcor";
-                  sa_cycles = 24;
-                  sa_seed = 1;
-                  sa_max_faults = Some 60;
-                };
-            rq_priority = Low;
-            rq_timeout = None;
-            rq_label = None;
-          };
-          {
-            rq_job = Engine_sweep { sw_design = "hcor"; sw_cycles = 120 };
-            rq_priority = Normal;
-            rq_timeout = None;
-            rq_label = None;
-          };
-        ];
+    List.init seeds (fun i -> seu (i + 1))
+    @ List.map simulate [ "interp"; "compiled"; "rtl" ]
+    @ [
+        {|{"kind": "stuck-at", "design": "hcor", "cycles": 24, "max_faults": 60, "priority": "low"}|};
+        {|{"kind": "engine-sweep", "design": "hcor", "cycles": 120}|};
       ]
   in
-  base @ base
+  List.map
+    (fun line ->
+      match Ocapi_obs.Json.of_string line with
+      | Ok j -> j
+      | Error e -> failwith e)
+    (base @ base)
 
 let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
   Printf.printf
@@ -912,44 +873,43 @@ let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
   let requests = batch_requests ~seeds ~seu_runs in
   let jobs = List.length requests in
   let t0 = Unix.gettimeofday () in
-  let stats, telemetry =
+  let s, telemetry =
     Ocapi_obs.run_with_telemetry ~label:"batch" (fun () ->
-        let t =
-          Ocapi_batch.create ~domains ~artifact_dir:"_generated/batch-bench" ()
-        in
-        let handles = List.map (Ocapi_batch.submit_request t) requests in
-        List.iter
-          (fun h ->
-            match Ocapi_batch.await t h with
-            | Ocapi_batch.Completed _ -> ()
-            | Ocapi_batch.Failed d ->
-              Printf.printf "  FAILED %s: %s\n" (Ocapi_batch.label_of h)
-                (Ocapi_error.to_string d)
-            | Ocapi_batch.Cancelled ->
-              Printf.printf "  CANCELLED %s\n" (Ocapi_batch.label_of h))
-          handles;
-        Ocapi_batch.shutdown t;
-        Ocapi_batch.stats t)
+        Ocapi_service.serve
+          {
+            Ocapi_service.default_config with
+            cf_workers = domains;
+            cf_worker_kind = Ocapi_service.Domains;
+            cf_artifact_dir = "_generated/batch-bench";
+            cf_retries = 1;
+            cf_on_line =
+              Some
+                (fun line ->
+                  if String.length line >= 6 && String.sub line 0 6 = "failed" then
+                    Printf.printf "  %s\n" line);
+          }
+          ~requests)
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let throughput = float_of_int jobs /. seconds in
-  (* Queue-latency percentiles out of the merged worker telemetry. *)
+  (* Queue-latency percentiles out of the runner's queue-wait histogram. *)
   let p50, p95 =
-    match List.assoc_opt "batch.queue.wait_us" telemetry.Ocapi_obs.rp_metrics with
+    match List.assoc_opt "service.queue.wait_us" telemetry.Ocapi_obs.rp_metrics with
     | Some (Ocapi_obs.Histogram_v hs) ->
       (Ocapi_obs.hist_quantile hs 0.5, Ocapi_obs.hist_quantile hs 0.95)
     | _ -> (Float.nan, Float.nan)
   in
+  (* Every admitted job of this manifest runs once and ends completed or
+     failed; each completion wrote exactly one artifact. *)
+  let executed = s.Ocapi_service.sm_completed + s.sm_failed in
+  let hit_rate = float_of_int s.sm_deduped /. float_of_int (max 1 s.sm_submitted) in
   Printf.printf
     "%d jobs in %.2fs -> %.1f jobs/s; queue wait p50 %.0f us, p95 %.0f us\n"
     jobs seconds throughput p50 p95;
   Printf.printf
     "dedup: %d submitted, %d executed, %d coalesced (%.0f%% hit rate), %d \
      artifacts\n"
-    stats.Ocapi_batch.bs_submitted stats.Ocapi_batch.bs_executed
-    stats.Ocapi_batch.bs_deduped
-    (100.0 *. stats.Ocapi_batch.bs_dedup_hit_rate)
-    stats.Ocapi_batch.bs_artifacts_written;
+    s.sm_submitted executed s.sm_deduped (100.0 *. hit_rate) s.sm_completed;
   let json =
     Ocapi_obs.Json.(
       Obj
@@ -963,14 +923,14 @@ let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
           ( "dedup",
             Obj
               [
-                ("submitted", Int stats.Ocapi_batch.bs_submitted);
-                ("executed", Int stats.Ocapi_batch.bs_executed);
-                ("deduped", Int stats.Ocapi_batch.bs_deduped);
-                ("hit_rate", Float stats.Ocapi_batch.bs_dedup_hit_rate);
+                ("submitted", Int s.sm_submitted);
+                ("executed", Int executed);
+                ("deduped", Int s.sm_deduped);
+                ("hit_rate", Float hit_rate);
               ] );
-          ("completed", Int stats.Ocapi_batch.bs_completed);
-          ("failed", Int stats.Ocapi_batch.bs_failed);
-          ("artifacts_written", Int stats.Ocapi_batch.bs_artifacts_written);
+          ("completed", Int s.sm_completed);
+          ("failed", Int s.sm_failed);
+          ("artifacts_written", Int s.sm_completed);
         ])
   in
   let oc = open_out "BENCH_batch.json" in
@@ -983,9 +943,9 @@ let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
     ~engine:"batch" ~unit_:"jobs/s" throughput;
   print_newline ()
 
-(* ---- service: the resilient campaign service ------------------------------ *)
+(* ---- service: the job runner on process workers --------------------------- *)
 
-(* Throughput of the process-isolated campaign service, with and
+(* Throughput of the job runner on isolated worker processes, with and
    without chaos injection, plus the cost of a journal replay.  The
    server spawns `ocapi worker` subprocesses, so the CLI executable is
    located relative to this bench binary inside _build; when it is not
@@ -1040,9 +1000,9 @@ let service_bench ?(jobs = 8) ?(workers = 2) ?(seu_runs = 60) () =
         {
           Ocapi_service.default_config with
           cf_workers = workers;
-          cf_state_dir = state;
           cf_artifact_dir = artifacts;
-          cf_worker_cmd = [ cli; "worker" ];
+          cf_worker_kind =
+            Ocapi_service.Processes { cmd = [ cli; "worker" ]; state_dir = state };
           cf_retries = 4;
           cf_backoff_base = 0.05;
           cf_backoff_cap = 0.5;

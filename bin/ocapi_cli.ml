@@ -474,9 +474,20 @@ let fault_cmd =
       $ seed_arg $ max_faults_arg $ fault_engine_arg $ domains_arg
       $ optimized_arg $ json_arg)
 
-(* batch *)
+(* batch / serve / worker: the job runner.
 
-(* The reference designs, registered once into the batch registry so
+   Both commands run a JSONL manifest through Ocapi_service: one
+   admission path (validation, dedup, priority queue), one event
+   vocabulary, one summary and one exit code.  `ocapi batch` runs the
+   jobs on in-process domains, without a journal.  `ocapi serve`
+   supervises one `ocapi worker` process per job attempt and journals
+   every transition to state-dir/journal.jsonl before it takes effect,
+   so a killed server restarted with the same command line resumes
+   where it died: completed jobs dedup against the journal, in-flight
+   jobs re-run, and the artifact tree converges to the undisturbed
+   run's bytes. *)
+
+(* The reference designs, registered once into the job registry so
    manifest jobs can name them.  The builders re-run [build_design]:
    deterministic, so every execution (and its dedup fingerprint)
    hashes alike. *)
@@ -493,170 +504,123 @@ let register_batch_designs () =
       | Error _ -> ())
     [ "hcor"; "dect"; "rs"; "cpu" ]
 
-let manifest_arg =
-  let doc = "JSONL job manifest: one job object per line (see ocapi batch --help)." in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "manifest"; "m" ] ~docv:"FILE" ~doc)
-
-let artifacts_arg =
-  let doc = "Directory for the per-job JSON artifacts (written asynchronously)." in
-  Arg.(
-    value
-    & opt string "_generated/batch"
-    & info [ "artifacts" ] ~docv:"DIR" ~doc)
+let artifacts_arg default =
+  let doc = "Directory for the per-job JSON artifacts." in
+  Arg.(value & opt string default & info [ "artifacts" ] ~docv:"DIR" ~doc)
 
 let quiet_arg =
   Arg.(
     value & flag
-    & info [ "quiet"; "q" ] ~doc:"Suppress the streaming per-job event lines.")
+    & info [ "quiet"; "q" ] ~doc:"Suppress the streaming per-job lines.")
 
 let events_out_arg =
   let doc =
     "Write the structured event log (job and run lifecycle, one JSON object \
      per line, correlation ids matching the trace spans) to $(docv).  The \
-     file is canonical: byte-identical for any --domains value."
+     file is canonical: byte-identical for any worker count."
   in
   Arg.(value & opt (some string) None & info [ "events-out" ] ~docv:"FILE" ~doc)
 
+(* Read the manifest, run it, print the summary.  Exit codes: 0 all
+   jobs completed or deduped; 1 a line failed or was rejected; 4 a
+   signal drained the runner with jobs left; 130 a second signal
+   aborted it. *)
+let run_manifest ~cmd ~json ~quiet ~events_out manifest cfg =
+  register_batch_designs ();
+  match Option.fold ~none:(Ok []) ~some:Ocapi_batch.read_manifest manifest with
+  | Error e ->
+    Printf.eprintf "manifest %s: %s\n" (Option.value manifest ~default:"") e;
+    1
+  | Ok requests ->
+    if events_out <> None then begin
+      Ocapi_obs.Events.clear ();
+      Ocapi_obs.Events.set_enabled true
+    end;
+    let on_line line =
+      print_string line;
+      print_newline ()
+    in
+    let s =
+      Ocapi_service.serve
+        {
+          cfg with
+          Ocapi_service.cf_on_line = (if quiet then None else Some on_line);
+        }
+        ~requests
+    in
+    Option.iter
+      (fun path ->
+        Ocapi_obs.Events.write ~canonical:true ~path ();
+        Ocapi_obs.Events.set_enabled false)
+      events_out;
+    if json then
+      print_endline
+        (Ocapi_obs.Json.to_string
+           (Ocapi_obs.Json.Obj
+              [
+                ("submitted", Ocapi_obs.Json.Int s.Ocapi_service.sm_submitted);
+                ("deduped", Ocapi_obs.Json.Int s.sm_deduped);
+                ("recovered", Ocapi_obs.Json.Int s.sm_recovered);
+                ("completed", Ocapi_obs.Json.Int s.sm_completed);
+                ("failed", Ocapi_obs.Json.Int s.sm_failed);
+                ("poisoned", Ocapi_obs.Json.Int s.sm_poisoned);
+                ("rejected", Ocapi_obs.Json.Int s.sm_rejected);
+                ("crashes", Ocapi_obs.Json.Int s.sm_crashes);
+                ("retries", Ocapi_obs.Json.Int s.sm_retries);
+                ("chaos_kills", Ocapi_obs.Json.Int s.sm_chaos_kills);
+                ("drained", Ocapi_obs.Json.Bool s.sm_drained);
+                ("aborted", Ocapi_obs.Json.Bool s.sm_aborted);
+              ]))
+    else
+      Printf.printf
+        "%s: %d submitted, %d deduped, %d recovered, %d completed, %d failed \
+         (%d poisoned), %d rejected, %d crashes, %d retries, %d chaos kills \
+         (%.2fs)\n"
+        cmd s.Ocapi_service.sm_submitted s.sm_deduped s.sm_recovered
+        s.sm_completed s.sm_failed s.sm_poisoned s.sm_rejected s.sm_crashes
+        s.sm_retries s.sm_chaos_kills s.sm_seconds;
+    if s.sm_aborted then 130
+    else if s.sm_drained then 4
+    else if s.sm_failed > 0 || s.sm_rejected > 0 then 1
+    else 0
+
 let batch_cmd =
+  let manifest_arg =
+    let doc = "JSONL job manifest: one job object per line." in
+    Arg.(
+      required & opt (some string) None & info [ "manifest"; "m" ] ~docv:"FILE" ~doc)
+  in
   let run manifest domains artifacts cache telemetry quiet events_out =
-    register_batch_designs ();
-    if cache then Flow.Cache.enable ~dir:"_generated/cache" ();
-    match Ocapi_batch.read_manifest manifest with
-    | Error e ->
-      Printf.eprintf "manifest %s: %s\n" manifest e;
-      1
-    | Ok [] ->
-      Printf.eprintf "manifest %s: no jobs\n" manifest;
-      1
-    | Ok requests ->
-      let print_mutex = Mutex.create () in
-      let say fmt =
-        Printf.ksprintf
-          (fun line ->
-            Mutex.protect print_mutex (fun () ->
-                print_string line;
-                print_newline ();
-                flush stdout))
-          fmt
-      in
-      (* Events stream from worker domains as the queue drains. *)
-      let on_event =
-        if quiet then None
-        else
-          Some
-            (function
-            | Ocapi_batch.Ev_submitted { ev_label; ev_corr; ev_dedup } ->
-              say "[queued ] %s %s%s" ev_corr ev_label
-                (if ev_dedup then " (dedup)" else "")
-            | Ocapi_batch.Ev_started { ev_label; ev_corr } ->
-              say "[running] %s %s" ev_corr ev_label
-            | Ocapi_batch.Ev_finished { ev_label; ev_corr; ev_outcome } ->
-              say "[%s] %s %s"
-                (match ev_outcome with
-                | Ocapi_batch.Completed _ -> "done   "
-                | Ocapi_batch.Failed _ -> "failed "
-                | Ocapi_batch.Cancelled -> "cancel ")
-                ev_corr ev_label)
-      in
-      let go () =
-        if events_out <> None then begin
-          Ocapi_obs.Events.clear ();
-          Ocapi_obs.Events.set_enabled true
-        end;
-        let t = Ocapi_batch.create ~domains ~artifact_dir:artifacts ?on_event () in
-        let handles = List.map (Ocapi_batch.submit_request t) requests in
-        (* A signal drains instead of killing: cancel what has not run,
-           let running jobs stop at their next progress check, and keep
-           the artifact writer alive until its queue is flushed — a
-           Ctrl-C must never leave a torn artifact tree. *)
-        let interrupted = Atomic.make false in
-        let on_signal _ = Atomic.set interrupted true in
-        let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
-        let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
-        let unresolved () =
-          List.exists
-            (fun h ->
-              match Ocapi_batch.status t h with
-              | Ocapi_batch.Done _ -> false
-              | Ocapi_batch.Queued | Ocapi_batch.Running -> true)
-            handles
-        in
-        while unresolved () && not (Atomic.get interrupted) do
-          Thread.delay 0.02
-        done;
-        if Atomic.get interrupted then begin
-          say "interrupted: cancelling queued jobs, draining artifact writer";
-          List.iter (fun h -> ignore (Ocapi_batch.cancel t h)) handles
-        end;
-        let failures = ref 0 in
-        List.iter
-          (fun h ->
-            match Ocapi_batch.await t h with
-            | Ocapi_batch.Completed { oc_seconds; oc_queue_seconds; oc_dedup; _ }
-              ->
-              say "%-9s %s  %.2fs (queued %.2fs)%s%s" "completed"
-                (Ocapi_batch.label_of h) oc_seconds oc_queue_seconds
-                (if oc_dedup then "  dedup: true" else "")
-                (match Ocapi_batch.artifact_path t h with
-                | Some p -> "  -> " ^ p
-                | None -> "")
-            | Ocapi_batch.Failed d ->
-              incr failures;
-              say "%-9s %s  %s" "failed" (Ocapi_batch.label_of h)
-                (Ocapi_error.to_string d)
-            | Ocapi_batch.Cancelled ->
-              say "%-9s %s" "cancelled" (Ocapi_batch.label_of h))
-          handles;
-        Ocapi_batch.shutdown t;
-        Sys.set_signal Sys.sigint prev_int;
-        Sys.set_signal Sys.sigterm prev_term;
-        let s = Ocapi_batch.stats t in
-        say
-          "batch: %d submitted, %d executed, %d deduped (%.0f%% hit rate), %d \
-           completed, %d failed, %d cancelled, %d artifacts"
-          s.Ocapi_batch.bs_submitted s.Ocapi_batch.bs_executed
-          s.Ocapi_batch.bs_deduped
-          (100.0 *. s.Ocapi_batch.bs_dedup_hit_rate)
-          s.Ocapi_batch.bs_completed s.Ocapi_batch.bs_failed
-          s.Ocapi_batch.bs_cancelled s.Ocapi_batch.bs_artifacts_written;
-        (match events_out with
-        | Some path ->
-          Ocapi_obs.Events.write ~canonical:true ~path ();
-          Ocapi_obs.Events.set_enabled false;
-          say "wrote %s" path
-        | None -> ());
-        if Atomic.get interrupted then 130 else if !failures = 0 then 0 else 1
-      in
-      if telemetry then begin
-        let code, report = Ocapi_obs.run_with_telemetry ~label:"batch" go in
-        Format.printf "%a@." Ocapi_obs.pp_report report;
-        code
-      end
-      else go ()
+    let cfg =
+      {
+        Ocapi_service.default_config with
+        cf_workers = domains;
+        cf_worker_kind = Ocapi_service.Domains;
+        cf_artifact_dir = artifacts;
+        cf_retries = 1;
+        cf_cache_dir = (if cache then Some "_generated/cache" else None);
+      }
+    in
+    let go () =
+      run_manifest ~cmd:"batch" ~json:false ~quiet ~events_out (Some manifest) cfg
+    in
+    if telemetry then begin
+      let code, report = Ocapi_obs.run_with_telemetry ~label:"batch" go in
+      Format.printf "%a@." Ocapi_obs.pp_report report;
+      code
+    end
+    else go ()
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run a JSONL manifest of simulate / SEU / stuck-at / engine-sweep \
-          jobs on a bounded worker pool, deduplicating identical jobs and \
-          writing per-job JSON artifacts asynchronously.  Artifacts are \
-          bit-identical for any --domains value.")
+         "Run a JSONL manifest of simulate / SEU / stuck-at / engine-sweep / \
+          fuzz jobs on in-process worker domains, deduplicating identical \
+          jobs and writing per-job JSON artifacts.  Artifacts are \
+          bit-identical for any --domains value and to `ocapi serve`'s.")
     Term.(
-      const run $ manifest_arg $ domains_arg $ artifacts_arg $ cache_arg
-      $ telemetry_arg $ quiet_arg $ events_out_arg)
-
-(* serve / worker: the resilient campaign service.
-
-   `ocapi serve` supervises one worker *process* per job attempt (the
-   batch command's domains share one address space; a crashing engine
-   there takes the campaign down).  Every transition is journaled to
-   state-dir/journal.jsonl before it takes effect, so a killed server
-   restarted with the same command line resumes exactly where it died:
-   completed jobs dedup against the journal, in-flight jobs re-run,
-   and the artifact tree converges to the undisturbed run's bytes. *)
+      const run $ manifest_arg $ domains_arg $ artifacts_arg "_generated/batch"
+      $ cache_arg $ telemetry_arg $ quiet_arg $ events_out_arg)
 
 let worker_cmd =
   let request_arg =
@@ -681,29 +645,13 @@ let worker_cmd =
   in
   let run request artifact timeout heartbeat_every cache_dir =
     register_batch_designs ();
-    match Ocapi_obs.Json.of_string request with
-    | Error e ->
-      (* Keep the stdout protocol even for a malformed invocation, so
-         the supervisor records a structured failure, not a crash. *)
-      print_string
-        ("fail "
-        ^ Ocapi_obs.Json.to_string
-            (Ocapi_obs.Json.Obj
-               [
-                 ("code", Ocapi_obs.Json.String "unsupported");
-                 ("message", Ocapi_obs.Json.String ("malformed --request: " ^ e));
-               ])
-        ^ "\n");
-      flush stdout;
-      Ocapi_service.exit_failed
-    | Ok request ->
-      Ocapi_service.worker_main ?timeout ~heartbeat_every ?cache_dir ~request
-        ~artifact ()
+    Ocapi_service.worker_main ?timeout ~heartbeat_every ?cache_dir ~request
+      ~artifact ()
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run one batch job in this process for a supervising `ocapi serve` \
+         "Run one job in this process for a supervising `ocapi serve` \
           (heartbeats on stdout, artifact written atomically).  Not usually \
           invoked by hand.")
     Term.(
@@ -728,13 +676,6 @@ let serve_cmd =
       value
       & opt string "_generated/service"
       & info [ "state-dir" ] ~docv:"DIR" ~doc)
-  in
-  let service_artifacts_arg =
-    let doc = "Directory for the per-job JSON artifacts." in
-    Arg.(
-      value
-      & opt string "_generated/service/artifacts"
-      & info [ "artifacts" ] ~docv:"DIR" ~doc)
   in
   let retries_arg =
     let doc = "Attempt budget per job before it is poisoned (retries-exhausted)." in
@@ -789,92 +730,33 @@ let serve_cmd =
   let run manifest workers state_dir artifacts retries backoff_base backoff_cap
       backoff_seed job_timeout heartbeat_timeout max_queue cache chaos_prob
       chaos_seed chaos_delay die_after quiet events_out json =
-    register_batch_designs ();
-    let requests =
-      match manifest with
-      | None -> Ok []
-      | Some path -> Ocapi_service.read_manifest path
-    in
-    match requests with
-    | Error e ->
-      Printf.eprintf "manifest: %s\n" e;
-      1
-    | Ok requests ->
-      if events_out <> None then begin
-        Ocapi_obs.Events.clear ();
-        Ocapi_obs.Events.set_enabled true
-      end;
-      let cfg =
-        {
-          Ocapi_service.default_config with
-          cf_workers = workers;
-          cf_state_dir = state_dir;
-          cf_artifact_dir = artifacts;
-          cf_worker_cmd = [ Sys.executable_name; "worker" ];
-          cf_retries = retries;
-          cf_backoff_base = backoff_base;
-          cf_backoff_cap = backoff_cap;
-          cf_backoff_seed = backoff_seed;
-          cf_job_timeout = job_timeout;
-          cf_heartbeat_timeout = heartbeat_timeout;
-          cf_max_queue = max_queue;
-          cf_cache_dir = (if cache then Some "_generated/cache" else None);
-          cf_chaos =
-            (if chaos_prob > 0.0 then
-               Some
-                 {
-                   Ocapi_service.ch_seed = chaos_seed;
-                   ch_kill_prob = chaos_prob;
-                   ch_kill_delay = chaos_delay;
-                 }
-             else None);
-          cf_die_after = die_after;
-          cf_on_line =
-            (if quiet then None
-             else
-               Some
-                 (fun line ->
-                   print_string line;
-                   print_newline ();
-                   flush stdout));
-        }
-      in
-      let s = Ocapi_service.serve cfg ~requests in
-      (match events_out with
-      | Some path ->
-        Ocapi_obs.Events.write ~canonical:true ~path ();
-        Ocapi_obs.Events.set_enabled false
-      | None -> ());
-      if json then
-        print_endline
-          (Ocapi_obs.Json.to_string
-             (Ocapi_obs.Json.Obj
-                [
-                  ("submitted", Ocapi_obs.Json.Int s.Ocapi_service.sm_submitted);
-                  ("deduped", Ocapi_obs.Json.Int s.sm_deduped);
-                  ("recovered", Ocapi_obs.Json.Int s.sm_recovered);
-                  ("completed", Ocapi_obs.Json.Int s.sm_completed);
-                  ("failed", Ocapi_obs.Json.Int s.sm_failed);
-                  ("poisoned", Ocapi_obs.Json.Int s.sm_poisoned);
-                  ("rejected", Ocapi_obs.Json.Int s.sm_rejected);
-                  ("crashes", Ocapi_obs.Json.Int s.sm_crashes);
-                  ("retries", Ocapi_obs.Json.Int s.sm_retries);
-                  ("chaos_kills", Ocapi_obs.Json.Int s.sm_chaos_kills);
-                  ("drained", Ocapi_obs.Json.Bool s.sm_drained);
-                  ("aborted", Ocapi_obs.Json.Bool s.sm_aborted);
-                ]))
-      else
-        Printf.printf
-          "serve: %d submitted, %d deduped, %d recovered, %d completed, %d \
-           failed (%d poisoned), %d rejected, %d crashes, %d retries, %d \
-           chaos kills (%.2fs)\n"
-          s.Ocapi_service.sm_submitted s.sm_deduped s.sm_recovered
-          s.sm_completed s.sm_failed s.sm_poisoned s.sm_rejected s.sm_crashes
-          s.sm_retries s.sm_chaos_kills s.sm_seconds;
-      if s.sm_aborted then 130
-      else if s.sm_drained then 4
-      else if s.sm_failed > 0 || s.sm_rejected > 0 then 1
-      else 0
+    run_manifest ~cmd:"serve" ~json ~quiet ~events_out manifest
+      {
+        Ocapi_service.default_config with
+        cf_workers = workers;
+        cf_worker_kind =
+          Ocapi_service.Processes
+            { cmd = [ Sys.executable_name; "worker" ]; state_dir };
+        cf_artifact_dir = artifacts;
+        cf_retries = retries;
+        cf_backoff_base = backoff_base;
+        cf_backoff_cap = backoff_cap;
+        cf_backoff_seed = backoff_seed;
+        cf_job_timeout = job_timeout;
+        cf_heartbeat_timeout = heartbeat_timeout;
+        cf_max_queue = max_queue;
+        cf_cache_dir = (if cache then Some "_generated/cache" else None);
+        cf_chaos =
+          (if chaos_prob > 0.0 then
+             Some
+               {
+                 Ocapi_service.ch_seed = chaos_seed;
+                 ch_kill_prob = chaos_prob;
+                 ch_kill_delay = chaos_delay;
+               }
+           else None);
+        cf_die_after = die_after;
+      }
   in
   Cmd.v
     (Cmd.info "serve"
@@ -885,10 +767,11 @@ let serve_cmd =
           tree converges to the bytes of an undisturbed run.")
     Term.(
       const run $ manifest_opt_arg $ workers_arg $ state_dir_arg
-      $ service_artifacts_arg $ retries_arg $ backoff_base_arg $ backoff_cap_arg
-      $ backoff_seed_arg $ job_timeout_arg $ heartbeat_timeout_arg
-      $ max_queue_arg $ cache_arg $ chaos_prob_arg $ chaos_seed_arg
-      $ chaos_delay_arg $ die_after_arg $ quiet_arg $ events_out_arg $ json_arg)
+      $ artifacts_arg "_generated/service/artifacts" $ retries_arg
+      $ backoff_base_arg $ backoff_cap_arg $ backoff_seed_arg $ job_timeout_arg
+      $ heartbeat_timeout_arg $ max_queue_arg $ cache_arg $ chaos_prob_arg
+      $ chaos_seed_arg $ chaos_delay_arg $ die_after_arg $ quiet_arg
+      $ events_out_arg $ json_arg)
 
 (* report *)
 

@@ -1,18 +1,10 @@
-(* The batch campaign service: a priority job queue over a persistent
-   [Ocapi_parallel.Service] domain pool, with job dedup through
-   [Flow.Cache] digests and an async artifact writer thread.
+(* The job vocabulary: design registry, jobs and requests, the manifest
+   reader and parser, and job preparation.  The runner that executes
+   prepared jobs is [Ocapi_service]. *)
 
-   Concurrency map:
-   - one service mutex guards the queues, the in-flight and completed
-     tables, handle/exec state and the counters; [bt_work] wakes
-     workers, [bt_done] wakes awaiters;
-   - worker domains run [pull] and the job bodies; jobs touch only the
-     system built for their own execution, so no design state crosses
-     domains;
-   - the writer is a systhread of the creating domain with its own
-     mutex/condition; workers hand it (path, bytes) pairs and never
-     block on the disk;
-   - event callbacks fire outside every lock. *)
+module Json = Ocapi_obs.Json
+
+let ( let* ) = Result.bind
 
 (* --- design registry ------------------------------------------------------ *)
 
@@ -75,449 +67,216 @@ type job =
       fu_deep : bool;
       fu_shrink : bool;
     }
-  | Custom of {
-      cu_tag : string;
-      cu_body : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-    }
 
-type outcome =
-  | Completed of {
-      oc_json : Ocapi_obs.Json.t;
-      oc_seconds : float;
-      oc_queue_seconds : float;
-      oc_dedup : bool;
-    }
-  | Failed of Ocapi_error.t
-  | Cancelled
-
-type status = Queued | Running | Done of outcome
-
-type event =
-  | Ev_submitted of { ev_label : string; ev_corr : string; ev_dedup : bool }
-  | Ev_started of { ev_label : string; ev_corr : string }
-  | Ev_finished of { ev_label : string; ev_corr : string; ev_outcome : outcome }
+type request = {
+  rq_job : job;
+  rq_priority : priority;
+  rq_timeout : float option;
+  rq_label : string option;
+}
 
 (* The correlation id is a short digest of the dedup key: deterministic
-   for a given job (identical across serial and parallel runs, and
-   across processes), shared by every event of one execution, and passed
-   to [Flow.simulate ~corr] so the run's trace span carries it too. *)
+   for a given job (identical across worker kinds and processes), shared
+   by every event of one execution, and passed to [Flow.simulate ~corr]
+   so the run's trace span carries it too. *)
 let corr_of_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
 
-(* --- the async artifact writer -------------------------------------------- *)
+(* --- JSON fields ---------------------------------------------------------- *)
 
-(* A plain systhread: workers enqueue (path, bytes) and move on; the
-   writer owns all file I/O.  Files land atomically (temp + rename) so
-   a concurrent reader — the CI determinism gate diffing artifact
-   trees — never sees a half-written report.  [wr_busy] covers the
-   window between pop and rename, so [flush] really means "on disk". *)
-type writer = {
-  wr_mutex : Mutex.t;
-  wr_cond : Condition.t;
-  wr_queue : (string * string) Queue.t;
-  mutable wr_busy : bool;
-  mutable wr_stop : bool;
-  mutable wr_written : int;
-  mutable wr_thread : Thread.t option;
-}
+module Field = struct
+  type 'a t = { what : string; get : Json.t -> 'a option }
 
-let writer_loop w () =
-  let rec loop () =
-    Mutex.lock w.wr_mutex;
-    while Queue.is_empty w.wr_queue && not w.wr_stop do
-      Condition.wait w.wr_cond w.wr_mutex
-    done;
-    if Queue.is_empty w.wr_queue then Mutex.unlock w.wr_mutex
-    else begin
-      let path, data = Queue.pop w.wr_queue in
-      w.wr_busy <- true;
-      Mutex.unlock w.wr_mutex;
-      (try
-         let tmp = path ^ ".tmp" in
-         let oc = open_out_bin tmp in
-         Fun.protect
-           ~finally:(fun () -> close_out_noerr oc)
-           (fun () -> output_string oc data);
-         Sys.rename tmp path
-       with Sys_error _ -> ());
-      Mutex.lock w.wr_mutex;
-      w.wr_busy <- false;
-      w.wr_written <- w.wr_written + 1;
-      Condition.broadcast w.wr_cond;
-      Mutex.unlock w.wr_mutex;
-      loop ()
-    end
-  in
-  loop ()
+  let string =
+    { what = "a string"; get = (function Json.String s -> Some s | _ -> None) }
 
-let writer_start () =
-  let w =
+  let int =
+    { what = "an integer"; get = (function Json.Int n -> Some n | _ -> None) }
+
+  let bool =
+    { what = "a boolean"; get = (function Json.Bool b -> Some b | _ -> None) }
+
+  let number =
     {
-      wr_mutex = Mutex.create ();
-      wr_cond = Condition.create ();
-      wr_queue = Queue.create ();
-      wr_busy = false;
-      wr_stop = false;
-      wr_written = 0;
-      wr_thread = None;
-    }
-  in
-  w.wr_thread <- Some (Thread.create (writer_loop w) ());
-  w
-
-let writer_push w path data =
-  Mutex.protect w.wr_mutex (fun () ->
-      Queue.push (path, data) w.wr_queue;
-      Condition.broadcast w.wr_cond)
-
-let writer_flush w =
-  Mutex.protect w.wr_mutex (fun () ->
-      while not (Queue.is_empty w.wr_queue) || w.wr_busy do
-        Condition.wait w.wr_cond w.wr_mutex
-      done)
-
-let writer_stop w =
-  Mutex.protect w.wr_mutex (fun () ->
-      w.wr_stop <- true;
-      Condition.broadcast w.wr_cond);
-  match w.wr_thread with
-  | Some th ->
-    Thread.join th;
-    w.wr_thread <- None
-  | None -> ()
-
-(* --- service state -------------------------------------------------------- *)
-
-type exec = {
-  ex_key : string;
-  ex_label : string;
-  ex_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-  ex_priority : priority;
-  ex_submitted : float;
-  ex_artifact : string option;
-  mutable ex_status : status;
-  mutable ex_handles : handle list;
-  mutable ex_queue_seconds : float;
-}
-
-and handle = {
-  h_label : string;
-  h_dedup : bool;
-  h_deadline : float option;
-  mutable h_cancelled : bool;
-  h_kind : h_kind;
-}
-
-and h_kind = Attached of exec | Snapshot of outcome
-
-type stats = {
-  bs_submitted : int;
-  bs_deduped : int;
-  bs_executed : int;
-  bs_completed : int;
-  bs_failed : int;
-  bs_timed_out : int;
-  bs_cancelled : int;
-  bs_artifacts_written : int;
-  bs_dedup_hit_rate : float;
-}
-
-type t = {
-  bt_mutex : Mutex.t;
-  bt_work : Condition.t;
-  bt_done : Condition.t;
-  bt_queues : exec Queue.t array;  (* indexed High = 0, Normal = 1, Low = 2 *)
-  bt_inflight : (string, exec) Hashtbl.t;
-  bt_completed : (string, outcome) Hashtbl.t;
-  bt_artifact_dir : string option;
-  bt_writer : writer option;
-  bt_on_event : (event -> unit) option;
-  mutable bt_pool : Ocapi_parallel.Service.t option;
-  mutable bt_shutdown : bool;
-  mutable bt_submitted : int;
-  mutable bt_deduped : int;
-  mutable bt_executed : int;
-  mutable bt_completed_n : int;
-  mutable bt_failed : int;
-  mutable bt_timed_out : int;
-  mutable bt_cancelled : int;
-}
-
-let queue_index = function High -> 0 | Normal -> 1 | Low -> 2
-let locked t f = Mutex.protect t.bt_mutex f
-
-(* Mirror a lifecycle event into the structured event log (a no-op
-   while [Ocapi_obs.Events] is disabled). *)
-let event_to_log ev =
-  let label l = ("label", Ocapi_obs.Json.String l) in
-  match ev with
-  | Ev_submitted { ev_label; ev_corr; ev_dedup } ->
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:[ label ev_label ]
-      (if ev_dedup then "job_deduped" else "job_submitted")
-  | Ev_started { ev_label; ev_corr } ->
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:[ label ev_label ]
-      "job_started"
-  | Ev_finished { ev_label; ev_corr; ev_outcome } ->
-    let kind, extra =
-      match ev_outcome with
-      | Completed _ -> ("job_completed", [])
-      | Failed d ->
-        ( "job_failed",
-          [
-            ( "code",
-              Ocapi_obs.Json.String (Ocapi_error.code_label d.Ocapi_error.e_code)
-            );
-          ] )
-      | Cancelled -> ("job_cancelled", [])
-    in
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:(label ev_label :: extra) kind
-
-let fire t events =
-  let events = List.rev events in
-  if Ocapi_obs.Events.enabled () then List.iter event_to_log events;
-  match t.bt_on_event with
-  | None -> ()
-  | Some f -> List.iter f events
-
-let queued_depth t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.bt_queues
-
-let live_interest exec =
-  List.exists (fun h -> not h.h_cancelled) exec.ex_handles
-
-(* The execution's effective deadline: the tightest among its live
-   handles (a deduplicated submission may well be the impatient one). *)
-let tightest_deadline exec =
-  List.fold_left
-    (fun acc h ->
-      if h.h_cancelled then acc
-      else
-        match acc, h.h_deadline with
-        | None, d | d, None -> d
-        | Some a, Some b -> Some (Float.min a b))
-    None exec.ex_handles
-
-(* Resolve an execution.  Runs with the service lock held; returns the
-   finish event for the caller to fire outside the lock.  Only
-   [Completed] outcomes enter the completed (dedup) table and the
-   artifact queue — failed, timed-out and cancelled jobs stay
-   resubmittable. *)
-let finish_exec t exec outcome =
-  exec.ex_status <- Done outcome;
-  Hashtbl.remove t.bt_inflight exec.ex_key;
-  (match outcome with
-  | Completed c ->
-    t.bt_completed_n <- t.bt_completed_n + 1;
-    Hashtbl.replace t.bt_completed exec.ex_key (Completed { c with oc_dedup = true; oc_queue_seconds = 0.0 });
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.completed";
-    (match t.bt_writer, exec.ex_artifact with
-    | Some w, Some path ->
-      writer_push w path (Ocapi_obs.Json.to_string c.oc_json ^ "\n")
-    | _ -> ())
-  | Failed d ->
-    t.bt_failed <- t.bt_failed + 1;
-    if d.Ocapi_error.e_code = Ocapi_error.Timeout then begin
-      t.bt_timed_out <- t.bt_timed_out + 1;
-      if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.timeout"
-    end;
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.failed"
-  | Cancelled ->
-    t.bt_cancelled <- t.bt_cancelled + 1;
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.cancelled");
-  Condition.broadcast t.bt_done;
-  Ev_finished
-    {
-      ev_label = exec.ex_label;
-      ev_corr = corr_of_key exec.ex_key;
-      ev_outcome = outcome;
+      what = "a number";
+      get =
+        (function
+        | Json.Int n -> Some (float_of_int n)
+        | Json.Float f -> Some f
+        | _ -> None);
     }
 
-let timeout_error label =
-  Ocapi_error.make Ocapi_error.Timeout ~engine:"batch"
-    (Printf.sprintf "job %s exceeded its wall-clock deadline" label)
+  let opt name c j =
+    match Json.member name j with
+    | None -> Ok None
+    | Some v -> (
+      match c.get v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "field %S must be %s" name c.what))
 
-(* --- worker side ---------------------------------------------------------- *)
+  let req name c j =
+    let* v = opt name c j in
+    Option.to_result v ~none:(Printf.sprintf "missing required field %S" name)
+end
 
-(* The cooperative stop hook, threaded into the engine stepping loops
-   as their [?progress] callback.  A raised [Ocapi_error] abandons the
-   job between cycles/runs; the worker classifies it below. *)
-let progress_check t exec () =
-  let verdict =
-    locked t (fun () ->
-        if not (live_interest exec) then `Cancelled
-        else
-          match tightest_deadline exec with
-          | Some d when Unix.gettimeofday () > d -> `Timeout
-          | _ -> `Go)
-  in
-  match verdict with
-  | `Go -> ()
-  | `Timeout -> raise (Ocapi_error.Error (timeout_error exec.ex_label))
-  | `Cancelled ->
-    Ocapi_error.fail Ocapi_error.Cancelled ~engine:"batch"
-      "job %s cancelled while running" exec.ex_label
+(* --- manifests ------------------------------------------------------------ *)
 
-let run_exec t exec =
-  fire t
-    [ Ev_started { ev_label = exec.ex_label; ev_corr = corr_of_key exec.ex_key } ];
-  let started = Unix.gettimeofday () in
-  let result =
-    match exec.ex_run ~progress:(progress_check t exec) with
-    | json ->
-      Completed
-        {
-          oc_json = json;
-          oc_seconds = Unix.gettimeofday () -. started;
-          oc_queue_seconds = exec.ex_queue_seconds;
-          oc_dedup = false;
-        }
-    | exception Ocapi_error.Error d
-      when d.Ocapi_error.e_code = Ocapi_error.Cancelled ->
-      Cancelled
-    | exception Ocapi_error.Error d -> Failed d
-    | exception e -> (
-      match Flow.classify_exn ~engine:"batch" e with
-      | Some d -> Failed d
-      | None ->
-        Failed
-          (Ocapi_error.make Ocapi_error.Internal ~engine:"batch"
-             ~severity:Ocapi_error.Error
-             (Printf.sprintf "job %s raised: %s" exec.ex_label
-                (Printexc.to_string e))))
-  in
-  let ev = locked t (fun () -> finish_exec t exec result) in
-  fire t [ ev ]
-
-(* Queue waits span microseconds (idle worker) to seconds (saturated
-   campaign); the default power-of-two telemetry buckets (1 .. 2^20)
-   lump everything above a millisecond into a handful of cells, which
-   wrecks the interpolated p50/p95.  A 1-2-5 decade ladder from 1 µs to
-   10^8 µs keeps the quantile estimate honest across the whole range. *)
-let queue_wait_buckets =
-  [|
-    1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 2e4; 5e4;
-    1e5; 2e5; 5e5; 1e6; 2e6; 5e6; 1e7; 2e7; 5e7; 1e8;
-  |]
-
-(* Pop the next runnable execution in priority order, resolving dead
-   ones (cancelled or expired while queued) inline.  Lock held. *)
-let rec dequeue_ready t events =
-  let rec pop i =
-    if i >= Array.length t.bt_queues then None
-    else if Queue.is_empty t.bt_queues.(i) then pop (i + 1)
-    else Some (Queue.pop t.bt_queues.(i))
-  in
-  match pop 0 with
-  | None -> None
-  | Some exec ->
-    if not (live_interest exec) then begin
-      events := finish_exec t exec Cancelled :: !events;
-      dequeue_ready t events
-    end
-    else begin
-      let now = Unix.gettimeofday () in
-      match tightest_deadline exec with
-      | Some d when now > d ->
-        events :=
-          finish_exec t exec (Failed (timeout_error exec.ex_label)) :: !events;
-        dequeue_ready t events
-      | _ ->
-        exec.ex_status <- Running;
-        exec.ex_queue_seconds <- now -. exec.ex_submitted;
-        t.bt_executed <- t.bt_executed + 1;
-        if Ocapi_obs.enabled () then begin
-          Ocapi_obs.set_gauge "batch.queue.depth" (float_of_int (queued_depth t));
-          Ocapi_obs.observe ~buckets:queue_wait_buckets "batch.queue.wait_us"
-            (exec.ex_queue_seconds *. 1e6)
-        end;
-        Some exec
-    end
-
-let pull t () =
-  let events = ref [] in
-  let next =
-    locked t (fun () ->
-        let rec wait () =
-          match dequeue_ready t events with
-          | Some exec -> Some exec
-          | None ->
-            if t.bt_shutdown && queued_depth t = 0 then None
-            else begin
-              Condition.wait t.bt_work t.bt_mutex;
-              wait ()
-            end
+let read_manifest path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let rec go lineno acc =
+          match input_line ic with
+          | exception End_of_file -> Ok (List.rev acc)
+          | line -> (
+            let trimmed = String.trim line in
+            if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc
+            else
+              match Json.of_string trimmed with
+              | Ok j -> go (lineno + 1) (j :: acc)
+              | Error e ->
+                Error (Printf.sprintf "line %d: invalid JSON: %s" lineno e))
         in
-        wait ())
-  in
-  fire t !events;
-  Option.map (fun exec () -> run_exec t exec) next
+        go 1 [])
 
-(* --- lifecycle ------------------------------------------------------------ *)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let create ?(domains = 1) ?artifact_dir ?on_event () =
-  if domains < 1 then invalid_arg "Ocapi_batch.create: domains < 1";
-  Option.iter mkdir_p artifact_dir;
-  let t =
+let request_of_json json =
+  let open Field in
+  let count =
     {
-      bt_mutex = Mutex.create ();
-      bt_work = Condition.create ();
-      bt_done = Condition.create ();
-      bt_queues = Array.init 3 (fun _ -> Queue.create ());
-      bt_inflight = Hashtbl.create 32;
-      bt_completed = Hashtbl.create 32;
-      bt_artifact_dir = artifact_dir;
-      bt_writer = Option.map (fun _ -> writer_start ()) artifact_dir;
-      bt_on_event = on_event;
-      bt_pool = None;
-      bt_shutdown = false;
-      bt_submitted = 0;
-      bt_deduped = 0;
-      bt_executed = 0;
-      bt_completed_n = 0;
-      bt_failed = 0;
-      bt_timed_out = 0;
-      bt_cancelled = 0;
+      what = "a positive integer";
+      get = (function Json.Int n when n > 0 -> Some n | _ -> None);
     }
   in
-  t.bt_pool <- Some (Ocapi_parallel.Service.start ~domains ~pull:(pull t) ());
-  t
-
-let flush t = Option.iter writer_flush t.bt_writer
-
-let shutdown t =
-  locked t (fun () ->
-      t.bt_shutdown <- true;
-      Condition.broadcast t.bt_work);
-  (match t.bt_pool with
-  | Some pool -> Ocapi_parallel.Service.join pool
-  | None -> ());
-  Option.iter writer_stop t.bt_writer
-
-(* --- job preparation ------------------------------------------------------ *)
-
-let require_pos what n =
-  if n <= 0 then
-    invalid_arg (Printf.sprintf "Ocapi_batch.submit: %s must be > 0" what)
-
-(* A prepared job: its dedup key (a [Flow.Cache.key_of] fingerprint
-   with the job kind and parameters folded into the engine component),
-   a display label, an artifact slug, and the closure a worker runs.
-   The design is built here, in the submitting domain, and owned by
-   the execution from then on. *)
-let prepare ~label job =
-  let slugify s =
-    String.map (fun c -> if c = ':' || c = '/' || c = ' ' then '-' else c) s
+  let seconds =
+    {
+      what = "a positive number";
+      get =
+        (fun j ->
+          Option.bind (number.get j) (fun s -> if s > 0. then Some s else None));
+    }
   in
+  let strings =
+    {
+      what = "a list of strings";
+      get =
+        (function
+        | Json.List items ->
+          List.fold_right
+            (fun item acc ->
+              match (item, acc) with
+              | Json.String s, Some l -> Some (s :: l)
+              | _ -> None)
+            items (Some [])
+        | _ -> None);
+    }
+  in
+  let priority =
+    {
+      what = {|"high", "normal" or "low"|};
+      get =
+        (function
+        | Json.String "high" -> Some High
+        | Json.String "normal" -> Some Normal
+        | Json.String "low" -> Some Low
+        | _ -> None);
+    }
+  in
+  let* kind = req "kind" string json in
+  let* design = opt "design" string json in
+  let* engine = opt "engine" string json in
+  let* cycles = opt "cycles" count json in
+  let* runs = opt "runs" count json in
+  let* seed = opt "seed" int json in
+  let* fuzz_count = opt "count" count json in
+  let* engines = opt "engines" strings json in
+  let* deep = opt "deep" bool json in
+  let* shrink = opt "shrink" bool json in
+  let* max_faults = opt "max_faults" count json in
+  let* timeout = opt "timeout" seconds json in
+  let* label = opt "label" string json in
+  let* prio = opt "priority" priority json in
+  (* [design] is required by every design-bound kind, but a fuzz
+     campaign generates its own designs. *)
+  let design () =
+    Option.to_result design ~none:{|missing required field "design"|}
+  in
+  let seed = Option.value seed ~default:1 in
+  let cycles ~default = Option.value cycles ~default in
+  let* job =
+    match kind with
+    | "simulate" ->
+      let* sim_design = design () in
+      Ok
+        (Simulate
+           {
+             sim_design;
+             sim_engine = Option.value engine ~default:"interp";
+             sim_cycles = cycles ~default:200;
+             sim_seed = seed;
+           })
+    | "seu" ->
+      let* seu_design = design () in
+      Ok
+        (Seu
+           {
+             seu_design;
+             seu_engine = Option.value engine ~default:"compiled";
+             seu_runs = Option.value runs ~default:1000;
+             seu_cycles = cycles ~default:64;
+             seu_seed = seed;
+           })
+    | "stuck-at" | "stuck_at" ->
+      let* sa_design = design () in
+      Ok
+        (Stuck_at
+           {
+             sa_design;
+             sa_cycles = cycles ~default:64;
+             sa_seed = seed;
+             sa_max_faults = max_faults;
+           })
+    | "engine-sweep" | "sweep" ->
+      let* sw_design = design () in
+      Ok (Engine_sweep { sw_design; sw_cycles = cycles ~default:200 })
+    | "fuzz" ->
+      Ok
+        (Fuzz
+           {
+             fu_seed = seed;
+             fu_count = Option.value fuzz_count ~default:25;
+             fu_engines = engines;
+             fu_deep = Option.value deep ~default:false;
+             fu_shrink = Option.value shrink ~default:true;
+           })
+    | other -> Error (Printf.sprintf "unknown job kind %S" other)
+  in
+  Ok
+    {
+      rq_job = job;
+      rq_priority = Option.value prio ~default:Normal;
+      rq_timeout = timeout;
+      rq_label = label;
+    }
+
+(* --- preparation ---------------------------------------------------------- *)
+
+type prepared = {
+  pr_key : string;
+  pr_corr : string;
+  pr_label : string;
+  pr_artifact_file : string;
+  pr_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
+}
+
+(* The dedup key is a [Flow.Cache.key_of] fingerprint with the job kind
+   and parameters folded into the engine component.  The design is built
+   here and owned by the prepared closure from then on. *)
+let prepare_request r =
   let key, default_label, run =
-    match job with
+    match r.rq_job with
     | Simulate { sim_design; sim_engine; sim_cycles; sim_seed } ->
-      require_pos "cycles" sim_cycles;
       let d = find_design sim_design in
       let engine = Ocapi_engine.name_of (Ocapi_engine.get sim_engine) in
       let sys = d.ds_build () in
@@ -534,8 +293,6 @@ let prepare ~label job =
             sys ~cycles:sim_cycles
           |> Flow.simulate_result_json ~engine ~cycles:sim_cycles )
     | Seu { seu_design; seu_engine; seu_runs; seu_cycles; seu_seed } ->
-      require_pos "cycles" seu_cycles;
-      require_pos "runs" seu_runs;
       let d = find_design seu_design in
       let engine = Ocapi_engine.name_of (Ocapi_engine.get seu_engine) in
       let sys = d.ds_build () in
@@ -550,7 +307,6 @@ let prepare ~label job =
             sys ~cycles:seu_cycles
           |> Ocapi_fault.seu_report_json )
     | Stuck_at { sa_design; sa_cycles; sa_seed; sa_max_faults } ->
-      require_pos "cycles" sa_cycles;
       let d = find_design sa_design in
       let sys = d.ds_build () in
       ( Flow.Cache.key_of
@@ -568,7 +324,6 @@ let prepare ~label job =
             sys ~cycles:sa_cycles
           |> Ocapi_fault.stuck_report_json )
     | Engine_sweep { sw_design; sw_cycles } ->
-      require_pos "cycles" sw_cycles;
       let d = find_design sw_design in
       let sys = d.ds_build () in
       ( Flow.Cache.key_of
@@ -581,11 +336,10 @@ let prepare ~label job =
             ~cycles:sw_cycles
           |> Flow.mismatches_json ~cycles:sw_cycles )
     | Fuzz { fu_seed; fu_count; fu_engines; fu_deep; fu_shrink } ->
-      require_pos "count" fu_count;
       (* No single design to fingerprint: the campaign's identity is its
          parameters (the generator is pure in them), so the dedup key is
-         a literal string, Custom-style.  Engines are resolved here so a
-         bad roster fails at submit, not on a worker. *)
+         a literal string.  Engines are resolved here so a bad roster
+         fails at admission, not on a worker. *)
       let engines =
         match fu_engines with
         | None -> Ocapi_diff.default_engines ()
@@ -602,382 +356,17 @@ let prepare ~label job =
             ~progress:(fun _ -> progress ())
             ~seed:fu_seed ~count:fu_count ()
           |> Ocapi_diff.report_json )
-    | Custom { cu_tag; cu_body } ->
-      ("batch-custom|" ^ cu_tag, "custom:" ^ cu_tag, cu_body)
   in
-  let label = match label with Some l -> l | None -> default_label in
-  ( key,
-    label,
-    Printf.sprintf "%s-%s.json" (slugify label)
-      (String.sub (Digest.to_hex (Digest.string key)) 0 8),
-    run )
-
-(* --- submission ----------------------------------------------------------- *)
-
-let submit ?(priority = Normal) ?timeout ?label t job =
-  (match timeout with
-  | Some s when s <= 0.0 ->
-    invalid_arg "Ocapi_batch.submit: timeout must be > 0"
-  | _ -> ());
-  (* Build and fingerprint outside the lock: design construction is
-     pure of service state, and a slow build must not stall workers. *)
-  let key, label, artifact_file, run = prepare ~label job in
-  let now = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> now +. s) timeout in
-  let handle, event =
-    locked t (fun () ->
-        if t.bt_shutdown then
-          invalid_arg "Ocapi_batch.submit: the service is shut down";
-        t.bt_submitted <- t.bt_submitted + 1;
-        if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.submitted";
-        match Hashtbl.find_opt t.bt_completed key with
-        | Some outcome ->
-          t.bt_deduped <- t.bt_deduped + 1;
-          if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.dedup";
-          ( {
-              h_label = label;
-              h_dedup = true;
-              h_deadline = deadline;
-              h_cancelled = false;
-              h_kind = Snapshot outcome;
-            },
-            Ev_submitted
-              { ev_label = label; ev_corr = corr_of_key key; ev_dedup = true }
-          )
-        | None -> (
-          match Hashtbl.find_opt t.bt_inflight key with
-          | Some exec ->
-            t.bt_deduped <- t.bt_deduped + 1;
-            if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.dedup";
-            let h =
-              {
-                h_label = label;
-                h_dedup = true;
-                h_deadline = deadline;
-                h_cancelled = false;
-                h_kind = Attached exec;
-              }
-            in
-            exec.ex_handles <- h :: exec.ex_handles;
-            ( h,
-              Ev_submitted
-                { ev_label = label; ev_corr = corr_of_key key; ev_dedup = true }
-            )
-          | None ->
-            let exec =
-              {
-                ex_key = key;
-                ex_label = label;
-                ex_run = run;
-                ex_priority = priority;
-                ex_submitted = now;
-                ex_artifact =
-                  Option.map
-                    (fun dir -> Filename.concat dir artifact_file)
-                    t.bt_artifact_dir;
-                ex_status = Queued;
-                ex_handles = [];
-                ex_queue_seconds = 0.0;
-              }
-            in
-            let h =
-              {
-                h_label = label;
-                h_dedup = false;
-                h_deadline = deadline;
-                h_cancelled = false;
-                h_kind = Attached exec;
-              }
-            in
-            exec.ex_handles <- [ h ];
-            Hashtbl.replace t.bt_inflight key exec;
-            Queue.push exec t.bt_queues.(queue_index priority);
-            if Ocapi_obs.enabled () then
-              Ocapi_obs.set_gauge "batch.queue.depth"
-                (float_of_int (queued_depth t));
-            Condition.signal t.bt_work;
-            ( h,
-              Ev_submitted
-                {
-                  ev_label = label;
-                  ev_corr = corr_of_key key;
-                  ev_dedup = false;
-                } )))
+  let label = Option.value r.rq_label ~default:default_label in
+  let slug =
+    String.map (fun c -> if c = ':' || c = '/' || c = ' ' then '-' else c) label
   in
-  fire t [ event ];
-  handle
-
-(* --- handle queries ------------------------------------------------------- *)
-
-let label_of h = h.h_label
-
-(* The outcome as seen through one handle: a cancelled handle resolves
-   [Cancelled] even when the shared execution went on for others, and
-   a deduplicated handle sees the [oc_dedup] flag set. *)
-let handle_view h outcome =
-  if h.h_cancelled then Cancelled
-  else
-    match outcome with
-    | Completed c when h.h_dedup && not c.oc_dedup ->
-      Completed { c with oc_dedup = true }
-    | o -> o
-
-let status t h =
-  locked t (fun () ->
-      match h.h_kind with
-      | Snapshot o -> Done (handle_view h o)
-      | Attached exec -> (
-        if h.h_cancelled then
-          match exec.ex_status with
-          | Done _ | Queued -> Done Cancelled
-          | Running -> Running  (* still winding down for other handles *)
-        else
-          match exec.ex_status with
-          | Done o -> Done (handle_view h o)
-          | (Queued | Running) as s -> s))
-
-let await t h =
-  locked t (fun () ->
-      match h.h_kind with
-      | Snapshot o -> handle_view h o
-      | Attached exec ->
-        if h.h_cancelled then Cancelled
-        else begin
-          while
-            (match exec.ex_status with Done _ -> false | _ -> true)
-            && not h.h_cancelled
-          do
-            Condition.wait t.bt_done t.bt_mutex
-          done;
-          if h.h_cancelled then Cancelled
-          else
-            match exec.ex_status with
-            | Done o -> handle_view h o
-            | Queued | Running -> assert false
-        end)
-
-let cancel t h =
-  let cancelled =
-    locked t (fun () ->
-        if h.h_cancelled then false
-        else
-          match h.h_kind with
-          | Snapshot _ -> false
-          | Attached exec -> (
-            match exec.ex_status with
-            | Done _ -> false
-            | Queued | Running ->
-              h.h_cancelled <- true;
-              (* A queued execution nobody wants any more resolves
-                 right here; a running one is stopped by its next
-                 [progress] check.  Dead queue entries are skipped
-                 lazily at dequeue. *)
-              Condition.broadcast t.bt_done;
-              true))
-  in
-  if cancelled then
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.handle.cancelled";
-  cancelled
-
-let artifact_path t h =
-  locked t (fun () ->
-      match h.h_kind with
-      | Snapshot _ -> None
-      | Attached exec -> exec.ex_artifact)
-
-let stats t =
-  locked t (fun () ->
-      {
-        bs_submitted = t.bt_submitted;
-        bs_deduped = t.bt_deduped;
-        bs_executed = t.bt_executed;
-        bs_completed = t.bt_completed_n;
-        bs_failed = t.bt_failed;
-        bs_timed_out = t.bt_timed_out;
-        bs_cancelled = t.bt_cancelled;
-        bs_artifacts_written =
-          (match t.bt_writer with Some w -> w.wr_written | None -> 0);
-        bs_dedup_hit_rate =
-          (if t.bt_submitted = 0 then 0.0
-           else float_of_int t.bt_deduped /. float_of_int t.bt_submitted);
-      })
-
-(* --- manifests ------------------------------------------------------------ *)
-
-type request = {
-  rq_job : job;
-  rq_priority : priority;
-  rq_timeout : float option;
-  rq_label : string option;
-}
-
-let request_of_json json =
-  let open Ocapi_obs.Json in
-  let str field =
-    match member field json with
-    | Some (String s) -> Ok (Some s)
-    | Some _ -> Error (Printf.sprintf "field %S must be a string" field)
-    | None -> Ok None
-  in
-  let int_field field =
-    match member field json with
-    | Some (Int n) -> Ok (Some n)
-    | Some _ -> Error (Printf.sprintf "field %S must be an integer" field)
-    | None -> Ok None
-  in
-  let num_field field =
-    match member field json with
-    | Some (Int n) -> Ok (Some (float_of_int n))
-    | Some (Float f) -> Ok (Some f)
-    | Some _ -> Error (Printf.sprintf "field %S must be a number" field)
-    | None -> Ok None
-  in
-  let ( let* ) = Result.bind in
-  let require field = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing required field %S" field)
-  in
-  let bool_field field =
-    match member field json with
-    | Some (Bool b) -> Ok (Some b)
-    | Some _ -> Error (Printf.sprintf "field %S must be a boolean" field)
-    | None -> Ok None
-  in
-  let str_list field =
-    match member field json with
-    | Some (List items) ->
-      let rec go acc = function
-        | [] -> Ok (Some (List.rev acc))
-        | String s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S must be a list of strings" field)
-      in
-      go [] items
-    | Some _ -> Error (Printf.sprintf "field %S must be a list of strings" field)
-    | None -> Ok None
-  in
-  let* kind = str "kind" in
-  let* kind = require "kind" kind in
-  (* [design] is required by every design-bound kind, but a fuzz
-     campaign generates its own designs. *)
-  let* design_opt = str "design" in
-  let design = require "design" design_opt in
-  let* engine = str "engine" in
-  let* cycles = int_field "cycles" in
-  let* runs = int_field "runs" in
-  let* seed = int_field "seed" in
-  let* count = int_field "count" in
-  let* engines = str_list "engines" in
-  let* deep = bool_field "deep" in
-  let* shrink = bool_field "shrink" in
-  let* max_faults = int_field "max_faults" in
-  let* timeout = num_field "timeout" in
-  let* label = str "label" in
-  let* priority_s = str "priority" in
-  let* priority =
-    match priority_s with
-    | None | Some "normal" -> Ok Normal
-    | Some "high" -> Ok High
-    | Some "low" -> Ok Low
-    | Some other -> Error (Printf.sprintf "unknown priority %S" other)
-  in
-  let seed = Option.value seed ~default:1 in
-  let* job =
-    match kind with
-    | "simulate" ->
-      let* design = design in
-      Ok
-        (Simulate
-           {
-             sim_design = design;
-             sim_engine = Option.value engine ~default:"interp";
-             sim_cycles = Option.value cycles ~default:200;
-             sim_seed = seed;
-           })
-    | "seu" ->
-      let* design = design in
-      Ok
-        (Seu
-           {
-             seu_design = design;
-             seu_engine = Option.value engine ~default:"compiled";
-             seu_runs = Option.value runs ~default:1000;
-             seu_cycles = Option.value cycles ~default:64;
-             seu_seed = seed;
-           })
-    | "stuck-at" | "stuck_at" ->
-      let* design = design in
-      Ok
-        (Stuck_at
-           {
-             sa_design = design;
-             sa_cycles = Option.value cycles ~default:64;
-             sa_seed = seed;
-             sa_max_faults = max_faults;
-           })
-    | "engine-sweep" | "sweep" ->
-      let* design = design in
-      Ok
-        (Engine_sweep
-           { sw_design = design; sw_cycles = Option.value cycles ~default:200 })
-    | "fuzz" ->
-      Ok
-        (Fuzz
-           {
-             fu_seed = seed;
-             fu_count = Option.value count ~default:25;
-             fu_engines = engines;
-             fu_deep = Option.value deep ~default:false;
-             fu_shrink = Option.value shrink ~default:true;
-           })
-    | other -> Error (Printf.sprintf "unknown job kind %S" other)
-  in
-  Ok { rq_job = job; rq_priority = priority; rq_timeout = timeout; rq_label = label }
-
-let request_of_line line =
-  match Ocapi_obs.Json.of_string line with
-  | Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
-  | Ok json -> request_of_json json
-
-let read_manifest path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line ->
-            let trimmed = String.trim line in
-            if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc
-            else (
-              match request_of_line trimmed with
-              | Ok r -> go (lineno + 1) (r :: acc)
-              | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-        in
-        go 1 [])
-
-let submit_request t r =
-  submit ~priority:r.rq_priority ?timeout:r.rq_timeout ?label:r.rq_label t
-    r.rq_job
-
-(* --- preparation for external executors ----------------------------------- *)
-
-type prepared = {
-  pr_key : string;
-  pr_corr : string;
-  pr_label : string;
-  pr_artifact_file : string;
-  pr_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-}
-
-let prepare_request r =
-  let key, label, artifact_file, run = prepare ~label:r.rq_label r.rq_job in
   {
     pr_key = key;
     pr_corr = corr_of_key key;
     pr_label = label;
-    pr_artifact_file = artifact_file;
+    pr_artifact_file =
+      Printf.sprintf "%s-%s.json" slug
+        (String.sub (Digest.to_hex (Digest.string key)) 0 8);
     pr_run = run;
   }

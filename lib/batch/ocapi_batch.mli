@@ -1,47 +1,35 @@
-(** A batch campaign service: many simulation and fault-campaign
-    requests, one bounded worker pool, async artifact writing.
+(** The job vocabulary of the job runner.
 
-    The interactive flow runs one request at a time; a verification
-    campaign over a design is dozens to thousands of them — simulate
-    this configuration, sweep the engines, run the SEU and stuck-at
-    campaigns — and production use wants them {e queued}, not typed.
-    This service is that queue made first-class:
+    A verification campaign over a design is dozens to thousands of
+    requests — simulate this configuration, sweep the engines, run the
+    SEU and stuck-at campaigns — written one JSON object per line in a
+    manifest.  This module is everything about a job that does not
+    depend on {e how} it runs:
 
-    - {b Jobs are data} ({!job}): a simulate request, an SEU or
-      stuck-at campaign, an engine-disagreement sweep, or a custom
-      thunk, referencing designs by registry name ({!register_design}).
-    - {b Scheduling} is priority classes ({!priority}) with strict
-      FIFO order inside each class, served by a bounded
-      {!Ocapi_parallel.Service} domain pool ([domains] at {!create}).
-    - {b Deduplication}: every job is fingerprinted through
-      {!Flow.Cache.key_of} (design digest, stimuli, parameters, seed).
-      A submission whose key matches an in-flight or completed job
-      attaches to that execution instead of running again — N
-      identical submissions cost one execution, and every attached
-      handle resolves with the shared result (flagged [oc_dedup]).
-    - {b Timeouts and cancellation} are cooperative: the running job's
-      [progress] hook (threaded down to the engine stepping loop)
-      raises a structured {!Ocapi_error.t} with code [Timeout] or
-      [Cancelled]; queued jobs cancel or time out without running at
-      all.  Nothing hangs and nothing is killed mid-effect.
-    - {b Artifacts} (the canonical JSON report of each completed
-      execution) are handed to a dedicated writer thread and written
-      asynchronously; {!flush} and {!shutdown} block until the files
-      are on disk.
+    - the {b design registry} ({!register_design}): jobs name designs,
+      the registry maps names to deterministic builders;
+    - the {b jobs} ({!job}) and {b requests} ({!request}): a job plus
+      its priority class, timeout and label;
+    - the {b manifest reader} ({!read_manifest}) and the {b parser}
+      ({!request_of_json}), which validates every field;
+    - {b preparation} ({!prepare_request}): the design is built and
+      fingerprinted through {!Flow.Cache.key_of}, giving the dedup key,
+      the correlation id, the artifact file name and the closure that
+      executes the job.
 
-    Determinism: an artifact contains only the job's canonical report —
-    the same bytes the CLI's [--json] renderings print — never wall
-    times or scheduling accidents, so a manifest run with [domains=8]
-    writes bit-identical artifacts to a serial run.  Timing lives in
-    the per-handle {!outcome} and in telemetry ([batch.queue.wait_us],
-    [batch.queue.depth], [batch.job.*] counters) only. *)
+    The one runner, [Ocapi_service], admits requests through these
+    functions and executes the prepared closures on its workers:
+    in-process domains for [ocapi batch], supervised [ocapi worker]
+    processes for [ocapi serve].  An artifact contains only the job's
+    canonical report — the same bytes the CLI's [--json] renderings
+    print — so it is identical whichever kind of worker, and however
+    many of them, ran the job. *)
 
 (** {1 Design registry}
 
-    Jobs name designs; the registry maps names to builders.  A builder
-    must be deterministic — the job key fingerprints the system it
-    returns, and dedup across submissions relies on two builds hashing
-    alike. *)
+    A builder must be deterministic — the job key fingerprints the
+    system it returns, and dedup across submissions relies on two
+    builds hashing alike. *)
 
 val register_design :
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
@@ -88,138 +76,17 @@ type job =
           other kinds it references no registered design — the campaign
           generates its own — so its dedup key is its parameter tuple
           and its artifact is the canonical fuzz report. *)
-  | Custom of {
-      cu_tag : string;
-          (** dedup key: identical tags coalesce to one execution *)
-      cu_body : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-          (** runs on a worker domain; must call [progress] at
-              reasonable intervals — it raises to signal timeout or
-              cancellation *)
-    }
 
-(** How a handle resolved.  [oc_json] is the canonical report (see the
-    determinism note above); [oc_dedup] is set on every handle that was
-    served by another submission's execution; [oc_queue_seconds] is
-    submit-to-start wait ([0.] when served from the completed table);
-    [oc_seconds] the execution wall time. *)
-type outcome =
-  | Completed of {
-      oc_json : Ocapi_obs.Json.t;
-      oc_seconds : float;
-      oc_queue_seconds : float;
-      oc_dedup : bool;
-    }
-  | Failed of Ocapi_error.t
-      (** includes timeouts: [e_code = Timeout], raised cooperatively *)
-  | Cancelled
-
-type status = Queued | Running | Done of outcome
-
-(** {1 The service} *)
-
-type t
-type handle
-
-(** Lifecycle events.  [ev_corr] is the job's correlation id — a short
-    digest of its dedup key, so it is identical for deduplicated
-    submissions of the same work, stable across serial and parallel
-    runs, and matches the [corr] on the {!Ocapi_obs.Events} lines and
-    the [Flow.simulate] trace span of the execution. *)
-type event =
-  | Ev_submitted of { ev_label : string; ev_corr : string; ev_dedup : bool }
-  | Ev_started of { ev_label : string; ev_corr : string }
-  | Ev_finished of { ev_label : string; ev_corr : string; ev_outcome : outcome }
-
-(** Histogram buckets used for the [batch.queue.wait_us] metric: a
-    1-2-5 decade ladder from 1 µs to 10{^8} µs.  Exposed so callers
-    deriving quantiles (the batch bench) can reuse them instead of the
-    far coarser {!Ocapi_obs.observe} defaults. *)
-val queue_wait_buckets : float array
-
-(** [create ()] starts the worker pool (and, with [artifact_dir], the
-    async writer thread; the directory is created if missing).
-    [on_event] observes the job lifecycle — it is called from worker
-    domains, outside the service lock, and must be thread-safe.
-    @raise Invalid_argument on [domains < 1]. *)
-val create :
-  ?domains:int ->
-  ?artifact_dir:string ->
-  ?on_event:(event -> unit) ->
-  unit ->
-  t
-
-(** [submit t job] enqueues [job] (default priority [Normal]) and
-    returns its handle.  [timeout] is a wall-clock budget in seconds,
-    measured from submission; when it expires the job fails with code
-    [Timeout] whether still queued or already running.  [label] names
-    the job in events and artifacts (default: derived from the job).
-
-    The job's design is built and fingerprinted in the calling domain;
-    on a key match with in-flight or completed work the submission
-    attaches to it instead of enqueuing (see the module preamble).
-
-    @raise Ocapi_error.Error with code [Unsupported] on an unknown
-    design or engine name.
-    @raise Invalid_argument after {!shutdown}, or on a non-positive
-    [cycles]/[runs] parameter or non-positive [timeout]. *)
-val submit :
-  ?priority:priority -> ?timeout:float -> ?label:string -> t -> job -> handle
-
-(** [await t h] blocks until [h] resolves.  Total: every execution
-    ends in an outcome (worker exceptions are classified through
-    {!Flow.classify_exn} into [Failed]). *)
-val await : t -> handle -> outcome
-
-val status : t -> handle -> status
-
-(** [cancel t h] withdraws this handle's interest; [false] if [h] was
-    already cancelled or resolved.  The underlying execution is
-    cancelled only when no other live handle shares it: a queued
-    execution resolves [Cancelled] without running, a running one is
-    asked to stop at its next [progress] call.  Other handles attached
-    to the same execution are unaffected. *)
-val cancel : t -> handle -> bool
-
-val label_of : handle -> string
-
-(** The artifact file this handle's execution writes on completion
-    ([None] without an [artifact_dir] or for a completed-table hit).
-    The file exists only after the outcome is [Completed] and a
-    {!flush} (or {!shutdown}). *)
-val artifact_path : t -> handle -> string option
-
-(** Block until every artifact handed to the writer so far is on
-    disk. *)
-val flush : t -> unit
-
-(** Drain: wait for all queued and running jobs, stop the workers,
-    merge their telemetry, flush and stop the writer.  Idempotent.
-    Further {!submit}s raise; {!await}/{!status} keep answering.
-    @raise Ocapi_parallel.Worker_error if a worker died outside a job
-    body (a service bug, not a job failure). *)
-val shutdown : t -> unit
-
-(** {1 Statistics} *)
-
-type stats = {
-  bs_submitted : int;  (** submissions, including deduplicated ones *)
-  bs_deduped : int;
-      (** submissions served by an in-flight or completed execution *)
-  bs_executed : int;  (** executions actually run on a worker *)
-  bs_completed : int;  (** executions resolved [Completed] *)
-  bs_failed : int;  (** executions resolved [Failed] (incl. timeouts) *)
-  bs_timed_out : int;  (** subset of [bs_failed] with code [Timeout] *)
-  bs_cancelled : int;  (** executions resolved [Cancelled] *)
-  bs_artifacts_written : int;
-  bs_dedup_hit_rate : float;  (** [bs_deduped / bs_submitted]; [0.] empty *)
+type request = {
+  rq_job : job;
+  rq_priority : priority;
+  rq_timeout : float option;  (** wall-clock budget in seconds, > 0 *)
+  rq_label : string option;
 }
-
-val stats : t -> stats
 
 (** {1 Manifests}
 
-    The CLI's batch mode reads jobs from a JSONL manifest: one JSON
-    object per line, e.g.
+    One JSON object per line, e.g.
 
     {v
 {"kind": "seu", "design": "hcor", "engine": "compiled",
@@ -234,51 +101,67 @@ val stats : t -> stats
     and [label] are optional with the same defaults as the CLI.  A
     ["fuzz"] job additionally takes [count] (default 25), [engines] (a
     JSON list of engine names), [deep] and [shrink] (booleans).
-    [Custom] jobs carry closures and have no manifest form. *)
+    Unknown fields are ignored here and kept in the raw object: the
+    runner reads ["chaos"] from it. *)
 
-type request = {
-  rq_job : job;
-  rq_priority : priority;
-  rq_timeout : float option;
-  rq_label : string option;
-}
+(** [read_manifest path] reads a JSONL manifest into its raw values,
+    skipping blank lines and [#] comments.  The values are kept raw so
+    that the journal can store them verbatim; {!request_of_json}
+    validates each one at admission.  [Error] carries the 1-based line
+    number of a line that is not JSON. *)
+val read_manifest : string -> (Ocapi_obs.Json.t list, string) result
 
-(** One manifest line to a request; [Error] carries a message naming
-    the offending field.  Design and engine names are resolved at
-    {!submit}, not here. *)
+(** One manifest object to a request.  Validates every field: its JSON
+    type, the job kind and priority class, a positive [cycles], [runs],
+    [count], [max_faults] and [timeout].  [Error] carries a message
+    naming the offending field.  Design and engine names are resolved
+    by {!prepare_request}. *)
 val request_of_json : Ocapi_obs.Json.t -> (request, string) result
 
-val request_of_line : string -> (request, string) result
-
-(** [read_manifest path] parses a JSONL file, skipping blank lines and
-    [#] comments.  [Error] messages carry the 1-based line number. *)
-val read_manifest : string -> (request list, string) result
-
-val submit_request : t -> request -> handle
-
-(** {1 Preparation for external executors}
-
-    The campaign service ([Ocapi_service]) runs jobs in {e worker
-    processes} rather than on this module's domain pool, but shares the
-    job vocabulary: the same manifests, the same dedup fingerprints,
-    the same canonical artifact bytes.  [prepare_request] is that
-    shared front half of {!submit}: it resolves the design and engine,
-    builds and fingerprints the system (so the caller owns it from then
-    on), and returns the job's identity plus the closure that executes
-    it. *)
+(** {1 Preparation} *)
 
 type prepared = {
   pr_key : string;  (** the {!Flow.Cache.key_of} dedup fingerprint *)
-  pr_corr : string;  (** correlation id: short digest of [pr_key] *)
+  pr_corr : string;  (** correlation id: {!corr_of_key} [pr_key] *)
   pr_label : string;  (** display label (the request's, or derived) *)
-  pr_artifact_file : string;
-      (** artifact {e file name} (label slug + key digest), identical
-          to the one {!submit} would write under its [artifact_dir] *)
+  pr_artifact_file : string;  (** artifact file name: label slug + key digest *)
   pr_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-      (** executes the job; [progress] is the cooperative stop hook *)
+      (** executes the job and returns its canonical report; [progress]
+          is the cooperative stop hook, threaded down to the engine
+          stepping loops — it raises to abandon the job *)
 }
 
-(** @raise Ocapi_error.Error with code [Unsupported] on an unknown
-    design or engine name; [Invalid_argument] on non-positive
-    parameters (the same validation as {!submit}). *)
+(** [prepare_request r] resolves the design and engine, builds and
+    fingerprints the system (the caller owns it from then on: run
+    [pr_run] on one domain at a time) and returns the job's identity
+    plus the closure that executes it.  Call it from the domain that
+    builds designs: construction touches process-wide gensyms.
+    @raise Ocapi_error.Error with code [Unsupported] on an unknown
+    design or engine name. *)
 val prepare_request : request -> prepared
+
+(** The correlation id of a dedup key: a 12-hex-digit digest prefix,
+    identical across runs, worker kinds and processes.  Job events,
+    the journal and the [Flow.simulate] trace span of the execution
+    join on it. *)
+val corr_of_key : string -> string
+
+(** {1 JSON fields}
+
+    Typed reads of one field of a JSON object, shared by the manifest
+    parser and the runner's journal parser. *)
+module Field : sig
+  type 'a t
+
+  val string : string t
+  val int : int t
+  val bool : bool t
+  val number : float t  (** an integer or a float *)
+
+  (** [opt name conv j]: [Ok None] when [j] has no field [name],
+      [Error] naming the field when its value has the wrong type. *)
+  val opt : string -> 'a t -> Ocapi_obs.Json.t -> ('a option, string) result
+
+  (** As {!opt}, with a missing field an [Error] too. *)
+  val req : string -> 'a t -> Ocapi_obs.Json.t -> ('a, string) result
+end

@@ -313,7 +313,7 @@ module Cache = struct
   (* --- in-flight coalescing.  The first caller of a key computes
      while identical concurrent callers block on [inflight_cond]; when
      the computation lands in the cache the waiters are served from it.
-     This is the hook the batch service's duplicate-job coalescing and
+     This is the hook the job runner's duplicate-job coalescing and
      the parallel sweeps lean on: N identical requests cost one
      execution. *)
   let inflight : (string, unit) Hashtbl.t = Hashtbl.create 8
@@ -589,7 +589,7 @@ let pp_mismatch ppf m =
     m.mm_detail
 
 (* Canonical machine-readable rendering of a simulation result.  The
-   CLI's [simulate --json] and the batch service's simulate artifacts
+   CLI's [simulate --json] and the job runner's simulate artifacts
    both print exactly this (plus a trailing newline), which is what
    makes "batch output bit-identical to one-shot CLI output" a
    byte-level comparison. *)

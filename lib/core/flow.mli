@@ -81,7 +81,7 @@ val simulate :
 (** [simulate_result_json ~engine ~cycles histories] is the canonical
     machine-readable rendering of a {!simulate} result: probe name to
     [[cycle, value]] token lists.  [ocapi simulate --json] and the
-    batch service's simulate artifacts print exactly this. *)
+    job runner's simulate artifacts print exactly this. *)
 val simulate_result_json :
   engine:string ->
   cycles:int ->
@@ -106,7 +106,7 @@ val simulate_result_json :
     telemetry is enabled.
 
     The cache is also the {b coalescing and dedup substrate} of the
-    batch service: {!Cache.key_of} is the digest-based fingerprint
+    job runner: {!Cache.key_of} is the digest-based fingerprint
     batch jobs dedup through, {!Cache.coalesced} merges identical
     in-flight computations across domains, and {!Cache.Store} lets
     other layers (the SEU campaign report cache of [Ocapi_fault])
@@ -147,7 +147,7 @@ module Cache : sig
       structural digest, stimulus fingerprint over [cycles], the
       engine/options string, seed and cycle count.  Exposed so other
       layers key their own memoization and dedup on the same identity —
-      the batch service fingerprints whole jobs with it by folding the
+      the job runner fingerprints whole jobs with it by folding the
       job parameters into [engine]. *)
   val key_of :
     engine:string -> seed:int -> Cycle_system.t -> cycles:int -> string
@@ -269,7 +269,7 @@ val mismatch_json : mismatch -> Ocapi_obs.Json.t
 (** [mismatches_json ~cycles ms] is the canonical machine-readable
     rendering of an {!engine_disagreements} sweep: the engine roster,
     an [agree] verdict, and the mismatch list.  The CLI's
-    engine-sweep [--json] output and the batch service's engine-sweep
+    engine-sweep [--json] output and the job runner's engine-sweep
     artifacts print exactly this. *)
 val mismatches_json : cycles:int -> mismatch list -> Ocapi_obs.Json.t
 

@@ -32,8 +32,6 @@ type capabilities = {
   cap_max_deltas : bool;
   cap_shares_registers : bool;
   cap_static_size : bool;
-  cap_register_pokes : bool;
-  cap_state_pokes : bool;
 }
 
 module type ENGINE = sig
@@ -100,8 +98,6 @@ module Interp_engine = struct
       cap_max_deltas = false;
       cap_shares_registers = true;
       cap_static_size = false;
-      cap_register_pokes = true;
-      cap_state_pokes = true;
     }
 
   let make ?(options = default_options) sys =
@@ -172,8 +168,6 @@ module Compiled_engine = struct
       cap_max_deltas = false;
       cap_shares_registers = false;
       cap_static_size = true;
-      cap_register_pokes = true;
-      cap_state_pokes = true;
     }
 
   let make ?options:_ sys =
@@ -224,8 +218,6 @@ module Rtl_engine = struct
       cap_max_deltas = true;
       cap_shares_registers = true;
       cap_static_size = false;
-      cap_register_pokes = true;
-      cap_state_pokes = true;
     }
 
   let make ?(options = default_options) sys =

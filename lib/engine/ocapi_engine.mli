@@ -97,13 +97,6 @@ type capabilities = {
       (** the session aliases the system's register objects — run only
           one such session per system at a time *)
   cap_static_size : bool;  (** sessions carry [ses_static_size] *)
-  cap_register_pokes : bool;
-      (** [ses_poke_register_bit] works; SEU campaigns schedule
-          register-bit targets only on engines that say so *)
-  cap_state_pokes : bool;
-      (** [ses_component_state] / [ses_force_component_state] work;
-          SEU campaigns schedule FSM-state targets only on engines
-          that say so *)
 }
 
 (** {1:interface The engine interface} *)

@@ -28,9 +28,9 @@ type code =
   | Invalid_state  (** FSM driven into an unencoded state *)
   | Watchdog  (** a configured cycle/settle budget was exceeded *)
   | Timeout
-      (** a request exceeded its wall-clock deadline (batch jobs with
-          a [~timeout]; the computation was abandoned cooperatively) *)
-  | Cancelled  (** a queued or running request was cancelled *)
+      (** a request exceeded its wall-clock deadline (runner jobs with
+          a [timeout]; the computation was abandoned cooperatively) *)
+  | Cancelled  (** a running job was stopped by an aborting job runner *)
   | Worker_crashed
       (** a worker {e process} died mid-job — killed by a signal
           (segfault, OOM kill, chaos injection) or reaped past its

@@ -633,8 +633,6 @@ module Native_engine : Ocapi_engine.ENGINE = struct
       cap_max_deltas = false;
       cap_shares_registers = false;
       cap_static_size = true;
-      cap_register_pokes = true;
-      cap_state_pokes = true;
     }
 
   let make ?options:_ sys =

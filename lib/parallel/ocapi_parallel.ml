@@ -97,64 +97,3 @@ let map_tasks ?(domains = 1) ?chunk ~make_state ~tasks ~f () =
       extract out
     end
   end
-
-(* --- persistent service pool ----------------------------------------------
-
-   [map_tasks] is one batch: a fixed task count, spawn, drain, join.  A
-   serving-shaped system (the batch job queue) instead needs domains
-   that stay up and pull work as it arrives.  The pool stays dumb on
-   purpose: it owns no queue of its own — workers call the caller's
-   [pull], which blocks until work exists or the service is shutting
-   down — so scheduling policy (priorities, coalescing, cancellation)
-   lives entirely in the caller. *)
-module Service = struct
-  type t = {
-    sv_handles : unit Domain.t array;
-    sv_failures : (exn * string) option array;
-    sv_telemetry : Ocapi_obs.domain_export option array;
-    mutable sv_joined : bool;
-  }
-
-  let start ?(domains = 1) ~pull () =
-    if domains < 1 then invalid_arg "Ocapi_parallel.Service.start: domains < 1";
-    let failures = Array.make domains None in
-    let telemetry = Array.make domains None in
-    let worker k () =
-      (try
-         let rec loop () =
-           match pull () with
-           | Some thunk ->
-             thunk ();
-             loop ()
-           | None -> ()
-         in
-         loop ()
-       with e -> failures.(k) <- Some (e, Printexc.get_backtrace ()));
-      if Ocapi_obs.enabled () then
-        telemetry.(k) <- Some (Ocapi_obs.export_domain ())
-    in
-    {
-      sv_handles = Array.init domains (fun k -> Domain.spawn (worker k));
-      sv_failures = failures;
-      sv_telemetry = telemetry;
-      sv_joined = false;
-    }
-
-  let domains t = Array.length t.sv_handles
-
-  let join t =
-    if not t.sv_joined then begin
-      t.sv_joined <- true;
-      Array.iter Domain.join t.sv_handles;
-      Array.iter
-        (function Some ex -> Ocapi_obs.absorb_domain ex | None -> ())
-        t.sv_telemetry;
-      Array.iteri
-        (fun k fail ->
-          match fail with
-          | Some (we_exn, we_backtrace) ->
-            raise (Worker_error { we_worker = k; we_exn; we_backtrace })
-          | None -> ())
-        t.sv_failures
-    end
-end

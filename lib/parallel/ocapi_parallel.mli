@@ -75,38 +75,3 @@ val map_tasks :
   f:('w -> int -> 'a) ->
   unit ->
   'a array
-
-(** {1 Persistent service pool}
-
-    {!map_tasks} runs one finite batch; a serving-shaped consumer (the
-    [Ocapi_batch] job queue) needs a pool of domains that stay up and
-    pull work as it arrives.  {!Service} is that pool, kept free of
-    policy: workers repeatedly call the caller-supplied [pull], which
-    is expected to {e block} until it can return the next piece of work
-    — or [None], which tells the calling worker to drain out and exit.
-    Scheduling (priorities, FIFO order, coalescing, cancellation) is
-    entirely the caller's business, inside [pull].
-
-    [pull] and the thunks it returns execute on worker domains: they
-    must only touch state that is itself domain-safe (the batch service
-    guards its queue with one mutex).  Telemetry recorded by workers
-    while {!Ocapi_obs.enabled} is merged into the joining domain at
-    {!Service.join}, exactly as {!map_tasks} does at its joins. *)
-module Service : sig
-  type t
-
-  (** [start ~domains ~pull ()] spawns [domains] worker domains, each
-      looping [pull () -> thunk; thunk ()] until [pull] returns [None].
-      @raise Invalid_argument on [domains < 1]. *)
-  val start : ?domains:int -> pull:(unit -> (unit -> unit) option) -> unit -> t
-
-  val domains : t -> int
-
-  (** Wait for every worker to exit (each must have received [None]
-      from [pull], so arrange shutdown before joining), then absorb
-      worker telemetry.  Idempotent.
-      @raise Worker_error if a thunk or [pull] let an exception escape
-      on some worker (lowest worker index wins); remaining telemetry is
-      still merged first. *)
-  val join : t -> unit
-end

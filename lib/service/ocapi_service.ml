@@ -1,12 +1,12 @@
-(* Resilient campaign service: a supervising server, one worker process
-   per job attempt, a write-ahead JSONL journal, and retry with seeded
-   exponential backoff.  See ocapi_service.mli for the architecture. *)
+(* The job runner: one admission path, one priority queue, one
+   supervising loop and two kinds of worker — in-process domains
+   ([ocapi batch]) or supervised [ocapi worker] processes with a
+   write-ahead journal, retries and heartbeats ([ocapi serve]).  See
+   ocapi_service.mli for the architecture. *)
 
 module Json = Ocapi_obs.Json
 
 let ( let* ) = Result.bind
-
-(* --- small helpers -------------------------------------------------------- *)
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
@@ -14,40 +14,6 @@ let rec mkdir_p path =
     mkdir_p (Filename.dirname path);
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(* Same correlation-id derivation as Ocapi_batch: short digest of the
-   dedup key, so service, batch and trace spans join on one id. *)
-let corr_of_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let sfield name j =
-  let* v = field name j in
-  match v with
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let ifield name j =
-  let* v = field name j in
-  match v with
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let ffield name j =
-  let* v = field name j in
-  match v with
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let bfield name j =
-  let* v = field name j in
-  match v with
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected a boolean" name)
 
 (* --- retry backoff -------------------------------------------------------- *)
 
@@ -141,42 +107,47 @@ let entry_json = function
       ]
 
 let entry_of_json j =
-  let* ev = sfield "ev" j in
+  let open Ocapi_batch.Field in
+  let str name = req name string j and int_ name = req name int j in
+  let* ev = str "ev" in
   match ev with
   | "submitted" ->
-    let* js_corr = sfield "corr" j in
-    let* js_key = sfield "key" j in
-    let* js_label = sfield "label" j in
-    let* js_artifact = sfield "artifact" j in
-    let* js_dedup = bfield "dedup" j in
-    let* js_request = field "request" j in
+    let* js_corr = str "corr" in
+    let* js_key = str "key" in
+    let* js_label = str "label" in
+    let* js_artifact = str "artifact" in
+    let* js_dedup = req "dedup" bool j in
+    let* js_request =
+      Option.to_result (Json.member "request" j)
+        ~none:{|missing required field "request"|}
+    in
     Ok (J_submitted { js_corr; js_key; js_label; js_artifact; js_request; js_dedup })
   | "started" ->
-    let* jt_corr = sfield "corr" j in
-    let* jt_attempt = ifield "attempt" j in
+    let* jt_corr = str "corr" in
+    let* jt_attempt = int_ "attempt" in
     Ok (J_started { jt_corr; jt_attempt })
   | "crashed" ->
-    let* jc_corr = sfield "corr" j in
-    let* jc_attempt = ifield "attempt" j in
-    let* jc_reason = sfield "reason" j in
+    let* jc_corr = str "corr" in
+    let* jc_attempt = int_ "attempt" in
+    let* jc_reason = str "reason" in
     Ok (J_crashed { jc_corr; jc_attempt; jc_reason })
   | "retried" ->
-    let* jr_corr = sfield "corr" j in
-    let* jr_attempt = ifield "attempt" j in
-    let* jr_backoff = ffield "backoff" j in
+    let* jr_corr = str "corr" in
+    let* jr_attempt = int_ "attempt" in
+    let* jr_backoff = req "backoff" number j in
     Ok (J_retried { jr_corr; jr_attempt; jr_backoff })
   | "completed" ->
-    let* jd_corr = sfield "corr" j in
-    let* jd_artifact = sfield "artifact" j in
+    let* jd_corr = str "corr" in
+    let* jd_artifact = str "artifact" in
     Ok (J_completed { jd_corr; jd_artifact })
   | "failed" ->
-    let* jf_corr = sfield "corr" j in
-    let* jf_code = sfield "code" j in
-    let* jf_message = sfield "message" j in
+    let* jf_corr = str "corr" in
+    let* jf_code = str "code" in
+    let* jf_message = str "message" in
     Ok (J_failed { jf_corr; jf_code; jf_message })
   | "rejected" ->
-    let* jx_corr = sfield "corr" j in
-    let* jx_label = sfield "label" j in
+    let* jx_corr = str "corr" in
+    let* jx_label = str "label" in
     Ok (J_rejected { jx_corr; jx_label })
   | other -> Error ("unknown event: " ^ other)
 
@@ -316,11 +287,14 @@ let replay entries =
 
 type chaos = { ch_seed : int; ch_kill_prob : float; ch_kill_delay : float }
 
+type worker_kind =
+  | Domains
+  | Processes of { cmd : string list; state_dir : string }
+
 type config = {
   cf_workers : int;
-  cf_state_dir : string;
+  cf_worker_kind : worker_kind;
   cf_artifact_dir : string;
-  cf_worker_cmd : string list;
   cf_retries : int;
   cf_backoff_base : float;
   cf_backoff_cap : float;
@@ -338,9 +312,13 @@ type config = {
 let default_config =
   {
     cf_workers = 2;
-    cf_state_dir = Filename.concat "_generated" "service";
+    cf_worker_kind =
+      Processes
+        {
+          cmd = [ Sys.executable_name; "worker" ];
+          state_dir = Filename.concat "_generated" "service";
+        };
     cf_artifact_dir = Filename.concat (Filename.concat "_generated" "service") "artifacts";
-    cf_worker_cmd = [ Sys.executable_name; "worker" ];
     cf_retries = 3;
     cf_backoff_base = 0.5;
     cf_backoff_cap = 30.;
@@ -371,32 +349,88 @@ type summary = {
   sm_seconds : float;
 }
 
-(* --- manifests ------------------------------------------------------------ *)
-
-let read_manifest path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go i acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line ->
-            let t = String.trim line in
-            if t = "" || t.[0] = '#' then go (i + 1) acc
-            else begin
-              match Json.of_string t with
-              | Ok j -> go (i + 1) (j :: acc)
-              | Error msg -> Error (Printf.sprintf "%s:%d: %s" path i msg)
-            end
-        in
-        go 1 [])
-
-(* --- worker side ---------------------------------------------------------- *)
+(* --- the worker body, shared by both worker kinds ------------------------- *)
 
 let exit_failed = 20
+
+let error_of_exn = function
+  | Ocapi_error.Error e -> e
+  | exn -> (
+    match Flow.classify_exn ~engine:"service" exn with
+    | Some e -> e
+    | None -> Ocapi_error.make Internal ~engine:"service" (Printexc.to_string exn))
+
+let fail_line (err : Ocapi_error.t) =
+  "fail "
+  ^ Json.to_string
+      (Json.Obj
+         [
+           ("code", Json.String (Ocapi_error.code_label err.e_code));
+           ("message", Json.String err.e_message);
+         ])
+
+(* Atomic publication: the artifact appears all-or-nothing, so a kill
+   between write and rename leaves no torn file and the supervisor
+   treats an existing artifact as proof of completion.  The temp name is
+   unique per process and domain; a failed write removes it and fails
+   the job. *)
+let write_artifact path data =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Domain.self () :> int)
+  in
+  let fail msg =
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Ocapi_error.fail Internal ~engine:"service" "cannot write artifact %s: %s"
+      path msg
+  in
+  match
+    mkdir_p (Filename.dirname path);
+    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+
+(* Run a prepared job under the cooperative stop hook (a deadline, and
+   [stop] for an aborting supervisor), publish its report, then [emit]
+   one [done] or [fail {...}] line — [done] only after the rename.
+   Returns whether the job completed. *)
+let run_job ~emit ~deadline ~stop ~artifact run =
+  let progress () =
+    if Atomic.get stop then
+      Ocapi_error.fail Cancelled ~engine:"service"
+        "job cancelled: the runner is aborting";
+    match deadline with
+    | Some d when Unix.gettimeofday () > d ->
+      Ocapi_error.fail Timeout ~engine:"service"
+        "job exceeded its wall-clock budget"
+    | _ -> ()
+  in
+  match write_artifact artifact (Json.to_string (run ~progress) ^ "\n") with
+  | () ->
+    emit "done";
+    true
+  | exception e ->
+    emit (fail_line (error_of_exn e));
+    false
+
+let chaos_of raw =
+  match Json.member "chaos" raw with Some (Json.String c) -> Some c | _ -> None
+
+(* Validate and prepare one raw manifest object: the one admission check
+   every job passes, whichever worker runs it. *)
+let prepare_raw raw =
+  let* req =
+    Result.map_error
+      (Ocapi_error.make Unsupported ~engine:"service")
+      (Ocapi_batch.request_of_json raw)
+  in
+  match Ocapi_batch.prepare_request req with
+  | prep -> Ok (req, prep)
+  | exception e -> Error (error_of_exn e)
+
+(* --- the worker process --------------------------------------------------- *)
 
 (* The worker's stdout is the supervision channel; the heartbeat thread
    and the main thread both write lines, so serialize them. *)
@@ -409,108 +443,58 @@ let out_line s =
   flush stdout;
   Mutex.unlock out_mutex
 
-let fail_line (err : Ocapi_error.t) =
-  out_line
-    ("fail "
-    ^ Json.to_string
-        (Json.Obj
-           [
-             ("code", Json.String (Ocapi_error.code_label err.e_code));
-             ("message", Json.String err.e_message);
-           ]))
-
 let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
     () =
-  let chaos =
-    match Json.member "chaos" request with
-    | Some (Json.String s) -> Some s
-    | _ -> None
+  let failed err =
+    out_line (fail_line err);
+    exit_failed
   in
-  if chaos = Some "hang" then begin
+  match Json.of_string request with
+  | Error e ->
+    failed
+      (Ocapi_error.make Unsupported ~engine:"service" ("malformed --request: " ^ e))
+  | Ok raw when chaos_of raw = Some "hang" ->
     (* A silently wedged worker: no heartbeats, no exit.  Exercises the
-       server's heartbeat-timeout kill(9) backstop. *)
-    let rec hang () : int =
+       supervisor's heartbeat-timeout kill(9) backstop. *)
+    let rec hang () =
       Unix.sleepf 3600.;
       hang ()
     in
     hang ()
-  end
-  else begin
-    (match cache_dir with
-    | Some dir -> Flow.Cache.enable ~dir ()
-    | None -> ());
-    match Ocapi_batch.request_of_json request with
-    | Error msg ->
-      fail_line (Ocapi_error.make Unsupported ~engine:"service" msg);
-      exit_failed
-    | Ok req ->
-      let stop_hb = Atomic.make false in
-      let hb =
-        Thread.create
-          (fun () ->
-            while not (Atomic.get stop_hb) do
-              out_line "hb";
-              Thread.delay heartbeat_every
-            done)
-          ()
+  | Ok raw -> (
+    Option.iter (fun dir -> Flow.Cache.enable ~dir ()) cache_dir;
+    match prepare_raw raw with
+    | Error err -> failed err
+    | Ok (req, prep) ->
+      if chaos_of raw = Some "crash" then
+        (* Self-destruct after the job is prepared: the supervisor sees a
+           SIGKILLed worker, never a written artifact. *)
+        Unix.kill (Unix.getpid ()) Sys.sigkill;
+      (* The heartbeat thread sleeps in [select] on a wake-up pipe, so
+         the body returns as soon as its last line is written instead of
+         waiting out the heartbeat period. *)
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      let rec beat () =
+        out_line "hb";
+        match Unix.select [ wake_r ] [] [] heartbeat_every with
+        | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> beat ()
+        | _ -> ()
       in
-      let finish code =
-        Atomic.set stop_hb true;
-        Thread.join hb;
-        code
+      let hb = Thread.create beat () in
+      let deadline =
+        match (req.rq_timeout, timeout) with
+        | Some t, _ | None, Some t -> Some (Unix.gettimeofday () +. t)
+        | None, None -> None
       in
-      let result =
-        try
-          let prep = Ocapi_batch.prepare_request req in
-          if chaos = Some "crash" then
-            (* Self-destruct after the job has started: the supervisor
-               sees a SIGKILLed worker, never a written artifact. *)
-            Unix.kill (Unix.getpid ()) Sys.sigkill;
-          let deadline =
-            match (req.rq_timeout, timeout) with
-            | Some t, _ | None, Some t -> Some (Unix.gettimeofday () +. t)
-            | None, None -> None
-          in
-          let progress () =
-            match deadline with
-            | Some d when Unix.gettimeofday () > d ->
-              raise
-                (Ocapi_error.Error
-                   (Ocapi_error.make Timeout ~engine:"service"
-                      "job exceeded its wall-clock budget"))
-            | _ -> ()
-          in
-          let json = prep.pr_run ~progress in
-          (* Atomic publication: the artifact appears all-or-nothing, so
-             a kill between write and rename leaves no torn file and the
-             server treats an existing artifact as proof of completion. *)
-          let tmp = Printf.sprintf "%s.%d.tmp" artifact (Unix.getpid ()) in
-          mkdir_p (Filename.dirname artifact);
-          let oc = open_out_bin tmp in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc (Json.to_string json);
-              output_char oc '\n');
-          Sys.rename tmp artifact;
-          Ok ()
-        with
-        | Ocapi_error.Error e -> Error e
-        | e -> (
-          match Flow.classify_exn ~engine:"service" e with
-          | Some err -> Error err
-          | None ->
-            Error
-              (Ocapi_error.make Internal ~engine:"service" (Printexc.to_string e)))
+      let ok =
+        run_job ~emit:out_line ~deadline ~stop:(Atomic.make false) ~artifact
+          prep.pr_run
       in
-      (match result with
-      | Ok () ->
-        out_line "done";
-        finish 0
-      | Error err ->
-        fail_line err;
-        finish exit_failed)
-  end
+      ignore (Unix.write_substring wake_w "x" 0 1);
+      Thread.join hb;
+      Unix.close wake_r;
+      Unix.close wake_w;
+      if ok then 0 else exit_failed)
 
 (* --- the supervisor ------------------------------------------------------- *)
 
@@ -520,18 +504,25 @@ type qjob = {
   q_label : string;
   q_artifact : string;
   q_request : Json.t;
+  q_prepared : Ocapi_batch.prepared option;
+      (* domain workers: the job prepared at admission *)
   q_prio : int;
+  q_timeout : float option;
   q_seq : int;
   mutable q_crashes : int;
   mutable q_ready_at : float;
+  mutable q_enqueued : float;
 }
 
+type worker = Pid of int | Dom of Ocapi_obs.domain_export option Domain.t
+
 type slot = {
-  s_pid : int;
+  s_worker : worker;
   s_fd : Unix.file_descr;
   s_job : qjob;
   s_attempt : int;
-  s_deadline : float option;
+  s_launched : float;
+  s_deadline : float option;  (* process workers' kill(9) backstop *)
   s_chaos_at : float option;
   s_buf : Buffer.t;
   mutable s_last_hb : float;
@@ -568,49 +559,67 @@ let parse_fail_line line =
     (get "code" "internal", get "message" "")
   | Error _ -> ("internal", "malformed failure report: " ^ payload)
 
-let request_timeout j =
-  match Json.member "timeout" j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let request_prio j =
-  match Json.member "priority" j with
-  | Some (Json.String "high") -> 0
-  | Some (Json.String "low") -> 2
-  | _ -> 1
-
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
+
+let rank = function Ocapi_batch.High -> 0 | Normal -> 1 | Low -> 2
+
+(* Queue waits span microseconds (idle worker) to seconds (saturated
+   campaign); the default power-of-two telemetry buckets lump everything
+   above a millisecond into a handful of cells, which wrecks the
+   interpolated p50/p95. *)
+let queue_wait_buckets =
+  [|
+    1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 2e4; 5e4;
+    1e5; 2e5; 5e5; 1e6; 2e6; 5e6; 1e7; 2e7; 5e7; 1e8;
+  |]
+
+(* A domain worker's report line, written whole to its pipe. *)
+let write_line fd s =
+  let line = s ^ "\n" in
+  let rec go off =
+    if off < String.length line then
+      match Unix.write_substring fd line off (String.length line - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
 
 let serve cf ~requests =
   if cf.cf_workers < 1 then invalid_arg "Ocapi_service.serve: workers < 1";
   if cf.cf_retries < 1 then invalid_arg "Ocapi_service.serve: retries < 1";
   if cf.cf_max_queue < 1 then invalid_arg "Ocapi_service.serve: max_queue < 1";
-  mkdir_p cf.cf_state_dir;
   mkdir_p cf.cf_artifact_dir;
+  (match (cf.cf_worker_kind, cf.cf_cache_dir) with
+  | Domains, Some dir -> Flow.Cache.enable ~dir ()
+  | _ -> ());
   let t0 = Unix.gettimeofday () in
   let say fmt =
     Printf.ksprintf
       (fun s -> match cf.cf_on_line with Some f -> f s | None -> ())
       fmt
   in
-  let journal_path = Filename.concat cf.cf_state_dir "journal.jsonl" in
-  let recovered_state =
-    match journal_load journal_path with
-    | Ok entries -> replay entries
-    | Error msg ->
-      Ocapi_error.fail Internal ~engine:"service" "unreadable journal: %s" msg
+  let recovered_state, jr =
+    match cf.cf_worker_kind with
+    | Domains -> (replay [], None)
+    | Processes { state_dir; _ } -> (
+      mkdir_p state_dir;
+      let path = Filename.concat state_dir "journal.jsonl" in
+      match journal_load path with
+      | Ok entries -> (replay entries, Some (journal_open path))
+      | Error msg ->
+        Ocapi_error.fail Internal ~engine:"service" "unreadable journal: %s" msg)
   in
-  let jr = journal_open journal_path in
+  let log e = Option.iter (fun jr -> journal_append jr e) jr in
+  let artifact_path file = Filename.concat cf.cf_artifact_dir file in
   (* The completed store doubles as the dedup source across restarts —
      but only entries whose artifact survived on disk count; a deleted
      artifact means the work must be redone. *)
   let completed_tbl = Hashtbl.create 64 in
   List.iter
     (fun (key, artifact) ->
-      if Sys.file_exists (Filename.concat cf.cf_artifact_dir artifact) then
+      if Sys.file_exists (artifact_path artifact) then
         Hashtbl.replace completed_tbl key artifact)
     recovered_state.rv_completed;
   let active_keys = Hashtbl.create 64 in
@@ -625,131 +634,132 @@ let serve cf ~requests =
   and sm_crashes = ref 0
   and sm_retries = ref 0
   and sm_chaos_kills = ref 0 in
-  let event ?corr kind fields = Ocapi_obs.Events.emit ?corr ~fields kind in
-  let enqueue job =
-    Hashtbl.replace active_keys job.q_key ();
+  let event ~corr ~label kind fields =
+    Ocapi_obs.Events.emit ~corr ~fields:(("label", Json.String label) :: fields) kind
+  in
+  let requeue job =
+    job.q_enqueued <- Unix.gettimeofday ();
     pending := !pending @ [ job ]
   in
+  let enqueue ~corr ~key ~label ~artifact ~request ~prepared ~prio ~timeout
+      ~crashes =
+    incr seq;
+    Hashtbl.replace active_keys key ();
+    requeue
+      {
+        q_corr = corr;
+        q_key = key;
+        q_label = label;
+        q_artifact = artifact;
+        q_request = request;
+        q_prepared = prepared;
+        q_prio = prio;
+        q_timeout = timeout;
+        q_seq = !seq;
+        q_crashes = crashes;
+        q_ready_at = 0.;
+        q_enqueued = 0.;
+      }
+  in
+  let fail_job ~corr ~label ~code message =
+    log (J_failed { jf_corr = corr; jf_code = code; jf_message = message });
+    incr sm_failed;
+    Ocapi_obs.count "service.job.failed";
+    event ~corr ~label "job_failed" [ ("code", Json.String code) ];
+    say "failed [%s] %s: %s: %s" corr label code message
+  in
   (* Requeue journaled jobs that never reached a terminal state: a
-     restarted server resumes exactly where the dead one stopped. *)
+     restarted supervisor resumes exactly where the dead one stopped. *)
   List.iter
     (fun p ->
-      incr seq;
-      enqueue
-        {
-          q_corr = p.p_corr;
-          q_key = p.p_key;
-          q_label = p.p_label;
-          q_artifact = p.p_artifact;
-          q_request = p.p_request;
-          q_prio = request_prio p.p_request;
-          q_seq = !seq;
-          q_crashes = p.p_attempts;
-          q_ready_at = 0.;
-        })
+      let prio, timeout =
+        match Ocapi_batch.request_of_json p.p_request with
+        | Ok r -> (rank r.rq_priority, r.rq_timeout)
+        | Error _ -> (rank Normal, None)
+      in
+      enqueue ~corr:p.p_corr ~key:p.p_key ~label:p.p_label ~artifact:p.p_artifact
+        ~request:p.p_request ~prepared:None ~prio ~timeout ~crashes:p.p_attempts)
     recovered_state.rv_pending;
   let sm_recovered = List.length recovered_state.rv_pending in
   if sm_recovered > 0 then say "recovered %d pending job(s) from the journal" sm_recovered;
-  (* Admission: journal first, then enqueue — write-ahead. *)
-  let submit raw =
+  (* Admission: validate and prepare, then journal, then enqueue —
+     write-ahead.  An invalid or unrunnable line fails alone. *)
+  let admit raw =
     incr sm_submitted;
-    let raw_corr () = corr_of_key ("raw|" ^ Json.to_string raw) in
-    match Ocapi_batch.request_of_json raw with
-    | Error msg ->
-      let corr = raw_corr () in
-      journal_append jr (J_rejected { jx_corr = corr; jx_label = msg });
-      incr sm_rejected;
-      event ~corr "job_rejected" [ ("reason", Json.String msg) ];
-      say "rejected: %s" msg
-    | Ok req -> (
-      match
-        try Ok (Ocapi_batch.prepare_request req) with
-        | Ocapi_error.Error e -> Error e
-        | Invalid_argument m ->
-          Error (Ocapi_error.make Unsupported ~engine:"service" m)
-      with
-      | Error e ->
-        let corr = raw_corr () in
-        journal_append jr
-          (J_failed
+    Ocapi_obs.count "service.job.submitted";
+    let chaos = chaos_of raw in
+    let validated =
+      if chaos <> None && cf.cf_worker_kind = Domains then
+        Error
+          (Ocapi_error.make Unsupported ~engine:"service"
+             "chaos failpoints need process workers (ocapi serve)")
+      else prepare_raw raw
+    in
+    match validated with
+    | Error err ->
+      let label =
+        match Json.member "label" raw with
+        | Some (Json.String l) -> l
+        | _ -> Json.to_string raw
+      in
+      fail_job
+        ~corr:(Ocapi_batch.corr_of_key ("raw|" ^ Json.to_string raw))
+        ~label ~code:(Ocapi_error.code_label err.e_code) err.e_message
+    | Ok (req, prep) ->
+      (* A "chaos"-marked request is a different job from its plain
+         twin: fold the marker into the key so they never dedup into
+         each other. *)
+      let key, corr, artifact =
+        match chaos with
+        | Some c ->
+          let key = prep.pr_key ^ "|chaos=" ^ c in
+          (key, Ocapi_batch.corr_of_key key, "chaos-" ^ prep.pr_artifact_file)
+        | None -> (prep.pr_key, prep.pr_corr, prep.pr_artifact_file)
+      in
+      let label = prep.pr_label in
+      let submitted dedup =
+        log
+          (J_submitted
              {
-               jf_corr = corr;
-               jf_code = Ocapi_error.code_label e.e_code;
-               jf_message = e.e_message;
-             });
-        incr sm_failed;
-        event ~corr "job_failed"
-          [ ("code", Json.String (Ocapi_error.code_label e.e_code)) ];
-        say "failed (not runnable): %s" e.e_message
-      | Ok prep ->
-        (* A "chaos"-marked request is a different job from its plain
-           twin: fold the marker into the key so they never dedup into
-           each other. *)
-        let key, corr, artifact =
-          match Json.member "chaos" raw with
-          | Some (Json.String c) ->
-            let key = prep.pr_key ^ "|chaos=" ^ c in
-            (key, corr_of_key key, "chaos-" ^ prep.pr_artifact_file)
-          | _ -> (prep.pr_key, prep.pr_corr, prep.pr_artifact_file)
-        in
-        let submitted dedup =
-          journal_append jr
-            (J_submitted
-               {
-                 js_corr = corr;
-                 js_key = key;
-                 js_label = prep.pr_label;
-                 js_artifact = artifact;
-                 js_request = raw;
-                 js_dedup = dedup;
-               })
-        in
-        if
-          Hashtbl.mem completed_tbl key
-          && Sys.file_exists
-               (Filename.concat cf.cf_artifact_dir (Hashtbl.find completed_tbl key))
-        then begin
-          submitted true;
-          incr sm_deduped;
-          event ~corr "job_deduped" [ ("label", Json.String prep.pr_label) ];
-          say "dedup (journal): %s" prep.pr_label
-        end
-        else if Hashtbl.mem active_keys key then begin
-          submitted true;
-          incr sm_deduped;
-          event ~corr "job_deduped" [ ("label", Json.String prep.pr_label) ];
-          say "dedup (queued): %s" prep.pr_label
-        end
-        else if List.length !pending >= cf.cf_max_queue then begin
-          journal_append jr (J_rejected { jx_corr = corr; jx_label = prep.pr_label });
-          incr sm_rejected;
-          Ocapi_obs.count "service.job.rejected";
-          event ~corr "job_rejected"
-            [
-              ("label", Json.String prep.pr_label);
-              ("reason", Json.String (Ocapi_error.code_label Overloaded));
-            ];
-          say "rejected (overloaded): %s" prep.pr_label
-        end
-        else begin
-          submitted false;
-          incr seq;
-          enqueue
-            {
-              q_corr = corr;
-              q_key = key;
-              q_label = prep.pr_label;
-              q_artifact = artifact;
-              q_request = raw;
-              q_prio = request_prio raw;
-              q_seq = !seq;
-              q_crashes = 0;
-              q_ready_at = 0.;
-            };
-          event ~corr "job_submitted" [ ("label", Json.String prep.pr_label) ]
-        end)
+               js_corr = corr;
+               js_key = key;
+               js_label = label;
+               js_artifact = artifact;
+               js_request = raw;
+               js_dedup = dedup;
+             })
+      in
+      let deduped what =
+        submitted true;
+        incr sm_deduped;
+        Ocapi_obs.count "service.job.deduped";
+        event ~corr ~label "job_deduped" [];
+        say "dedup [%s] %s (%s)" corr label what
+      in
+      if
+        match Hashtbl.find_opt completed_tbl key with
+        | Some file -> Sys.file_exists (artifact_path file)
+        | None -> false
+      then deduped "completed"
+      else if Hashtbl.mem active_keys key then deduped "queued"
+      else if List.length !pending >= cf.cf_max_queue then begin
+        log (J_rejected { jx_corr = corr; jx_label = label });
+        incr sm_rejected;
+        Ocapi_obs.count "service.job.rejected";
+        event ~corr ~label "job_rejected"
+          [ ("reason", Json.String (Ocapi_error.code_label Overloaded)) ];
+        say "rejected [%s] %s (overloaded)" corr label
+      end
+      else begin
+        submitted false;
+        enqueue ~corr ~key ~label ~artifact ~request:raw
+          ~prepared:(if cf.cf_worker_kind = Domains then Some prep else None)
+          ~prio:(rank req.rq_priority) ~timeout:req.rq_timeout ~crashes:0;
+        event ~corr ~label "job_submitted" [];
+        say "queued [%s] %s" corr label
+      end
   in
-  List.iter submit requests;
+  List.iter admit requests;
   (* Supervision proper. *)
   let drain = Atomic.make false and abort = Atomic.make false in
   let on_signal _ =
@@ -760,9 +770,7 @@ let serve cf ~requests =
   let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
   let slots : slot option array = Array.make cf.cf_workers None in
   let chaos_rng =
-    match cf.cf_chaos with
-    | Some c -> Some (Random.State.make [| c.ch_seed |])
-    | None -> None
+    Option.map (fun c -> Random.State.make [| c.ch_seed |]) cf.cf_chaos
   in
   let completed_count = ref 0 in
   let take_ready now =
@@ -774,62 +782,79 @@ let serve cf ~requests =
           | Some b when (b.q_prio, b.q_seq) <= (j.q_prio, j.q_seq) -> ()
           | _ -> best := Some j)
       !pending;
-    match !best with
-    | Some j ->
-      pending := List.filter (fun x -> x != j) !pending;
-      Some j
-    | None -> None
+    Option.iter (fun j -> pending := List.filter (fun x -> x != j) !pending) !best;
+    !best
   in
   let launch job =
     let attempt = job.q_crashes + 1 in
-    journal_append jr (J_started { jt_corr = job.q_corr; jt_attempt = attempt });
-    event ~corr:job.q_corr "job_started"
-      [ ("label", Json.String job.q_label); ("attempt", Json.Int attempt) ];
-    let artifact_path = Filename.concat cf.cf_artifact_dir job.q_artifact in
-    let argv =
-      cf.cf_worker_cmd
-      @ [ "--request"; Json.to_string job.q_request; "--artifact"; artifact_path ]
-      @ (match cf.cf_job_timeout with
-        | Some t -> [ "--timeout"; Printf.sprintf "%g" t ]
-        | None -> [])
-      @
-      match cf.cf_cache_dir with
-      | Some d -> [ "--cache-dir"; d ]
-      | None -> []
-    in
-    let prog = List.hd cf.cf_worker_cmd in
-    let r, w = Unix.pipe () in
-    Unix.set_nonblock r;
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    let pid = Unix.create_process prog (Array.of_list argv) devnull w Unix.stderr in
-    Unix.close w;
-    Unix.close devnull;
+    log (J_started { jt_corr = job.q_corr; jt_attempt = attempt });
+    event ~corr:job.q_corr ~label:job.q_label "job_started"
+      [ ("attempt", Json.Int attempt) ];
     let now = Unix.gettimeofday () in
-    let deadline =
-      match
-        match request_timeout job.q_request with
-        | Some t -> Some t
-        | None -> cf.cf_job_timeout
-      with
-      | Some t -> Some (now +. t +. cf.cf_kill_grace)
-      | None -> None
+    Ocapi_obs.observe ~buckets:queue_wait_buckets "service.queue.wait_us"
+      ((now -. job.q_enqueued) *. 1e6);
+    let artifact = artifact_path job.q_artifact in
+    let timeout =
+      match job.q_timeout with Some t -> Some t | None -> cf.cf_job_timeout
     in
-    let chaos_at =
-      match (chaos_rng, cf.cf_chaos) with
-      | Some rng, Some c when attempt = 1 ->
-        (* Chaos kills target first attempts only: a retried job is
-           left alone, so every chaos run still converges. *)
-        if Random.State.float rng 1.0 < c.ch_kill_prob then
-          Some (now +. Random.State.float rng c.ch_kill_delay)
-        else None
-      | _ -> None
+    let r, w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock r;
+    let worker, deadline, chaos_at =
+      match cf.cf_worker_kind with
+      | Domains ->
+        (* Without a journal nothing is recovered: every domain job was
+           prepared at admission. *)
+        let run = (Option.get job.q_prepared).pr_run in
+        let deadline = Option.map (fun t -> now +. t) timeout in
+        let body () =
+          Fun.protect
+            ~finally:(fun () -> Unix.close w)
+            (fun () ->
+              ignore
+                (run_job ~emit:(write_line w) ~deadline ~stop:abort ~artifact run));
+          if Ocapi_obs.enabled () then Some (Ocapi_obs.export_domain ()) else None
+        in
+        (Dom (Domain.spawn body), None, None)
+      | Processes { cmd; _ } ->
+        let argv =
+          cmd
+          @ [ "--request"; Json.to_string job.q_request; "--artifact"; artifact ]
+          @ (match cf.cf_job_timeout with
+            | Some t -> [ "--timeout"; Printf.sprintf "%g" t ]
+            | None -> [])
+          @
+          match cf.cf_cache_dir with
+          | Some d -> [ "--cache-dir"; d ]
+          | None -> []
+        in
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+        let pid =
+          Unix.create_process (List.hd cmd) (Array.of_list argv) devnull w
+            Unix.stderr
+        in
+        Unix.close w;
+        Unix.close devnull;
+        let chaos_at =
+          match (chaos_rng, cf.cf_chaos) with
+          | Some rng, Some c when attempt = 1 ->
+            (* Chaos kills target first attempts only: a retried job is
+               left alone, so every chaos run still converges. *)
+            if Random.State.float rng 1.0 < c.ch_kill_prob then
+              Some (now +. Random.State.float rng c.ch_kill_delay)
+            else None
+          | _ -> None
+        in
+        ( Pid pid,
+          Option.map (fun t -> now +. t +. cf.cf_kill_grace) timeout,
+          chaos_at )
     in
     say "start [%s] %s (attempt %d/%d)" job.q_corr job.q_label attempt cf.cf_retries;
     {
-      s_pid = pid;
+      s_worker = worker;
       s_fd = r;
       s_job = job;
       s_attempt = attempt;
+      s_launched = now;
       s_deadline = deadline;
       s_chaos_at = chaos_at;
       s_buf = Buffer.create 64;
@@ -869,25 +894,43 @@ let serve cf ~requests =
     in
     consume (String.split_on_char '\n' (Buffer.contents sl.s_buf))
   in
-  let kill_slot sl reason =
-    (try Unix.kill sl.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  let kill_slot sl pid reason =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     sl.s_killed <- Some reason
+  in
+  (* A domain worker has exited once its pipe reached end of file; its
+     report lines stand in for a process's exit status. *)
+  let join_domain d =
+    Option.iter Ocapi_obs.absorb_domain (Domain.join d)
+  in
+  let reap sl =
+    match sl.s_worker with
+    | Pid pid -> (
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> None
+      | _, status -> Some status
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Some (Unix.WEXITED 255))
+    | Dom d when sl.s_eof -> (
+      match join_domain d with
+      | () -> Some (Unix.WEXITED (if sl.s_done then 0 else exit_failed))
+      | exception _ -> Some (Unix.WEXITED 255))
+    | Dom _ -> None
   in
   let classify sl status =
     let job = sl.s_job in
-    let artifact_path = Filename.concat cf.cf_artifact_dir job.q_artifact in
     (* "done" is printed only after the atomic rename, so the pair
        (done seen, artifact exists) is proof of completion even when
        our own chaos kill raced the worker's exit. *)
-    if sl.s_done && Sys.file_exists artifact_path then begin
-      journal_append jr
-        (J_completed { jd_corr = job.q_corr; jd_artifact = job.q_artifact });
+    if sl.s_done && Sys.file_exists (artifact_path job.q_artifact) then begin
+      log (J_completed { jd_corr = job.q_corr; jd_artifact = job.q_artifact });
       Hashtbl.replace completed_tbl job.q_key job.q_artifact;
       Hashtbl.remove active_keys job.q_key;
       incr sm_completed;
       Ocapi_obs.count "service.job.completed";
-      event ~corr:job.q_corr "job_completed" [ ("label", Json.String job.q_label) ];
-      say "done [%s] %s" job.q_corr job.q_label;
+      event ~corr:job.q_corr ~label:job.q_label "job_completed" [];
+      say "done [%s] %s -> %s (%.2fs)" job.q_corr job.q_label job.q_artifact
+        (Unix.gettimeofday () -. sl.s_launched);
       incr completed_count;
       match cf.cf_die_after with
       | Some n when !completed_count >= n ->
@@ -901,14 +944,8 @@ let serve cf ~requests =
       | Unix.WEXITED c, Some (code, message), None when c = exit_failed ->
         (* A structured failure is the job's verdict, not the worker's:
            terminal, no retry. *)
-        journal_append jr
-          (J_failed { jf_corr = job.q_corr; jf_code = code; jf_message = message });
         Hashtbl.remove active_keys job.q_key;
-        incr sm_failed;
-        Ocapi_obs.count "service.job.failed";
-        event ~corr:job.q_corr "job_failed"
-          [ ("label", Json.String job.q_label); ("code", Json.String code) ];
-        say "failed [%s] %s: %s: %s" job.q_corr job.q_label code message
+        fail_job ~corr:job.q_corr ~label:job.q_label ~code message
       | status, _, killed ->
         let reason =
           match killed with Some r -> r | None -> status_string status
@@ -922,44 +959,30 @@ let serve cf ~requests =
         end;
         incr sm_crashes;
         Ocapi_obs.count "service.worker.crashed";
-        journal_append jr
+        log
           (J_crashed
              { jc_corr = job.q_corr; jc_attempt = sl.s_attempt; jc_reason = reason });
-        event ~corr:job.q_corr "worker_crashed"
-          [
-            ("label", Json.String job.q_label);
-            ("attempt", Json.Int sl.s_attempt);
-            ("reason", Json.String reason);
-          ];
+        event ~corr:job.q_corr ~label:job.q_label "worker_crashed"
+          [ ("attempt", Json.Int sl.s_attempt); ("reason", Json.String reason) ];
         say "crash [%s] %s (attempt %d: %s)" job.q_corr job.q_label sl.s_attempt
           reason;
         job.q_crashes <- sl.s_attempt;
         if sl.s_attempt >= cf.cf_retries then begin
           (* Poisoned: this job has killed every worker sent at it. *)
-          let code = Ocapi_error.code_label Retries_exhausted in
-          journal_append jr
-            (J_failed
-               {
-                 jf_corr = job.q_corr;
-                 jf_code = code;
-                 jf_message =
-                   Printf.sprintf "poisoned after %d crashed attempts (last: %s)"
-                     sl.s_attempt reason;
-               });
           Hashtbl.remove active_keys job.q_key;
-          incr sm_failed;
           incr sm_poisoned;
           Ocapi_obs.count "service.job.poisoned";
-          event ~corr:job.q_corr "job_failed"
-            [ ("label", Json.String job.q_label); ("code", Json.String code) ];
-          say "poisoned [%s] %s" job.q_corr job.q_label
+          fail_job ~corr:job.q_corr ~label:job.q_label
+            ~code:(Ocapi_error.code_label Retries_exhausted)
+            (Printf.sprintf "poisoned after %d crashed attempts (last: %s)"
+               sl.s_attempt reason)
         end
         else begin
           let backoff =
             backoff_delay ~base:cf.cf_backoff_base ~cap:cf.cf_backoff_cap
               ~seed:cf.cf_backoff_seed ~corr:job.q_corr ~attempt:sl.s_attempt
           in
-          journal_append jr
+          log
             (J_retried
                {
                  jr_corr = job.q_corr;
@@ -968,16 +991,15 @@ let serve cf ~requests =
                });
           incr sm_retries;
           Ocapi_obs.count "service.job.retried";
-          event ~corr:job.q_corr "job_retried"
+          event ~corr:job.q_corr ~label:job.q_label "job_retried"
             [
-              ("label", Json.String job.q_label);
               ("attempt", Json.Int (sl.s_attempt + 1));
               ("backoff", Json.Float backoff);
             ];
           say "retry [%s] %s in %.2fs (attempt %d/%d)" job.q_corr job.q_label
             backoff (sl.s_attempt + 1) cf.cf_retries;
           job.q_ready_at <- Unix.gettimeofday () +. backoff;
-          pending := !pending @ [ job ]
+          requeue job
         end
     end
   in
@@ -989,25 +1011,19 @@ let serve cf ~requests =
     ~finally:(fun () ->
       Sys.set_signal Sys.sigterm prev_term;
       Sys.set_signal Sys.sigint prev_int;
-      journal_close jr)
+      Option.iter journal_close jr)
     (fun () ->
       while not !finished do
         (* 1. Fill free slots with ready work (unless draining). *)
         if not (Atomic.get drain) then begin
           let now = Unix.gettimeofday () in
-          let continue = ref true in
-          while !continue do
-            let free = ref None in
-            Array.iteri
-              (fun i s -> if !free = None && s = None then free := Some i)
-              slots;
-            match !free with
-            | None -> continue := false
-            | Some i -> (
-              match take_ready now with
-              | Some job -> slots.(i) <- Some (launch job)
-              | None -> continue := false)
-          done
+          Array.iteri
+            (fun i s ->
+              if s = None then
+                Option.iter
+                  (fun job -> slots.(i) <- Some (launch job))
+                  (take_ready now))
+            slots
         end;
         (* 2. Wait for worker output (or just pass time). *)
         let fds =
@@ -1034,22 +1050,22 @@ let serve cf ~requests =
             | Some sl when List.memq sl.s_fd readable -> read_slot sl
             | _ -> ())
           slots;
-        (* 3. Kill policies: chaos schedule, deadline backstop, silent
-           (heartbeat-less) workers. *)
+        (* 3. Kill policies for process workers: chaos schedule,
+           deadline backstop, silent (heartbeat-less) workers. *)
         let now = Unix.gettimeofday () in
         Array.iter
           (function
-            | Some sl when sl.s_killed = None ->
+            | Some ({ s_worker = Pid pid; s_killed = None; _ } as sl) ->
               (match sl.s_chaos_at with
-              | Some t when now >= t -> kill_slot sl "chaos"
+              | Some t when now >= t -> kill_slot sl pid "chaos"
               | _ -> ());
               if sl.s_killed = None then begin
                 match sl.s_deadline with
-                | Some d when now >= d -> kill_slot sl "deadline"
+                | Some d when now >= d -> kill_slot sl pid "deadline"
                 | _ -> ()
               end;
               if sl.s_killed = None && now -. sl.s_last_hb > cf.cf_heartbeat_timeout
-              then kill_slot sl "heartbeat"
+              then kill_slot sl pid "heartbeat"
             | _ -> ())
           slots;
         (* 4. Reap and classify exits. *)
@@ -1057,46 +1073,45 @@ let serve cf ~requests =
           (fun i osl ->
             match osl with
             | None -> ()
-            | Some sl -> (
-              match Unix.waitpid [ Unix.WNOHANG ] sl.s_pid with
-              | 0, _ -> ()
-              | _, status ->
-                read_slot sl;
-                Unix.close sl.s_fd;
-                slots.(i) <- None;
-                classify sl status
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                read_slot sl;
-                Unix.close sl.s_fd;
-                slots.(i) <- None;
-                classify sl (Unix.WEXITED 255)))
+            | Some sl ->
+              Option.iter
+                (fun status ->
+                  read_slot sl;
+                  Unix.close sl.s_fd;
+                  slots.(i) <- None;
+                  classify sl status)
+                (reap sl))
           slots;
-        (* 5. Shutdown decisions. *)
+        (* 5. Shutdown decisions.  An abort SIGKILLs process workers;
+           domain workers see [abort] at their next progress check. *)
         if Atomic.get abort then begin
+          let left =
+            List.length !pending
+            + Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots
+          in
           Array.iteri
             (fun i osl ->
               match osl with
               | None -> ()
               | Some sl ->
-                (try Unix.kill sl.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] sl.s_pid)
-                 with Unix.Unix_error _ -> ());
+                (match sl.s_worker with
+                | Pid pid -> (
+                  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+                  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+                | Dom d -> ( try join_domain d with _ -> ()));
                 Unix.close sl.s_fd;
                 slots.(i) <- None)
             slots;
           aborted := true;
           finished := true;
-          say "aborted: %d job(s) left journaled for the next run"
-            (List.length !pending)
+          say "aborted: %d job(s) left unfinished" left
         end
         else if not (running ()) then begin
           if Atomic.get drain then begin
             drained := !pending <> [];
             finished := true;
             if !drained then
-              say "drained: %d job(s) left journaled for the next run"
-                (List.length !pending)
+              say "drained: %d job(s) left unfinished" (List.length !pending)
           end
           else if !pending = [] then finished := true
         end

@@ -1,47 +1,53 @@
-(** The resilient campaign service: supervised worker {e processes},
-    retry with seeded exponential backoff, and a crash-recoverable
-    write-ahead job journal.
+(** The job runner: one admission path, one queue, one supervising loop
+    and two kinds of worker.  [ocapi batch] and [ocapi serve] are this
+    module with different {!config}s.
 
-    [Ocapi_batch] runs a campaign on worker {e domains} of one process:
-    fast, deterministic — and fragile.  A segfaulting engine, an
-    OOM-killed worker, a hung job or a Ctrl-C loses the whole campaign
-    and its queue state.  This module is the resilience layer above it,
-    sharing the batch vocabulary (the same JSONL manifests, the same
-    {!Flow.Cache.key_of} dedup fingerprints via
-    {!Ocapi_batch.prepare_request}, the same canonical artifact bytes)
-    but farming execution out to independent OS-level worker processes
-    (the EDAptix model) under one supervising server:
+    - {b Admission} is shared.  Each raw manifest object goes through
+      {!Ocapi_batch.request_of_json}, which validates every field, and
+      {!Ocapi_batch.prepare_request}, which resolves the design and
+      engine and fingerprints the job through {!Flow.Cache.key_of}.  A
+      line that fails either step is a structured failure of that line
+      alone; the rest of the manifest runs.  Identical keys dedup
+      against queued work and, with a journal, against completed work.
+      The queue orders by priority class, FIFO inside a class, and is
+      bounded: submissions beyond {!config.cf_max_queue} are rejected
+      with code [Overloaded].
+    - {b The worker body} is shared.  Both kinds run the job with a
+      cooperative stop hook (timeout, abort), write the canonical
+      artifact atomically (temp name unique per process and domain,
+      then rename) and report one [done] or [fail {...}] line on a
+      pipe.  A failed artifact write fails the job.  Exceptions are
+      classified once, through {!Flow.classify_exn}.
+    - {b Domain workers} ([ocapi batch]) run the job prepared at
+      admission on an in-process domain: no fork, no re-build.  A
+      domain cannot be killed, so timeouts and aborts are cooperative
+      only, and manifest lines carrying ["chaos"] fail at admission.
+    - {b Process workers} ([ocapi serve]) are [ocapi worker]
+      subprocesses, one per job attempt, re-preparing the job from its
+      raw request.  A worker that crashes, is killed, or stops
+      heartbeating takes down only its own job: the supervisor sees the
+      death via [waitpid] and the heartbeat pipe and requeues the job
+      after {!backoff_delay}, up to {!config.cf_retries} attempts; a job
+      that kills every worker sent at it is {e poisoned}: [Failed] with
+      code [Retries_exhausted].  A seeded chaos schedule ({!chaos}) and
+      per-job [{"chaos": "crash"|"hang"}] fields exercise these paths.
+    - {b The journal} (process workers only): every submission and
+      transition is appended to [state_dir/journal.jsonl] {e before} it
+      takes effect, and {!replay} rebuilds the completed-job dedup store
+      and the pending set on restart, so a killed supervisor loses no
+      queue state and finished work is never re-executed.
+    - {b Signals}: SIGTERM/SIGINT drain (finish running jobs, launch
+      nothing new); a second signal aborts (process workers are
+      SIGKILLed, domain workers are stopped at their next progress
+      check).  With process workers both are safe: the journal
+      replays.
 
-    - {b Process isolation}: the server ([ocapi serve]) spawns
-      [ocapi worker] subprocesses, one job per process.  A worker that
-      crashes, is killed, or stops heartbeating takes down only its own
-      job; the server observes the death via [waitpid] and the
-      heartbeat pipe and requeues the job.
-    - {b Retry with backoff}: each job has a bounded attempt budget
-      ({!config.cf_retries}).  A crashed attempt is requeued after
-      {!backoff_delay} — exponential in the attempt number with
-      deterministic seeded jitter — and a job that kills every worker
-      sent at it is {e poisoned}: resolved [Failed] with code
-      [Retries_exhausted] instead of wedging the queue.
-    - {b Write-ahead journal}: every submission and state transition is
-      appended to [state_dir/journal.jsonl] {e before} it takes effect.
-      On restart {!replay} rebuilds the completed-job dedup store and
-      the pending set, so a server crash (or kill -9) loses no queue
-      state and finished work is never re-executed — across restarts
-      and across client populations sharing one state directory.
-    - {b Graceful degradation}: SIGTERM/SIGINT enter drain mode (finish
-      running jobs, launch nothing new, journal everything, exit); a
-      second signal aborts hard — which is safe, because the journal
-      replays.  The pending queue is bounded ({!config.cf_max_queue});
-      submissions beyond it are rejected with code [Overloaded].
-    - {b Chaos mode}: a seeded kill schedule ({!chaos}) SIGKILLs
-      first-attempt workers at random, and per-job [{"chaos":
-      "crash"|"hang"}] manifest fields make a worker self-destruct or
-      hang silently.  Because artifacts are canonical bytes written
-      atomically by the worker that finishes the job, a chaos run
-      (worker kills, server kill, restart) converges to an artifact
-      tree byte-identical to an undisturbed serial run — the property
-      [scripts/crash_recovery_gate.sh] checks in CI. *)
+    Because artifacts are canonical bytes written atomically by the
+    worker that finishes the job, the artifact tree of a manifest is
+    the same under either worker kind, any worker count, and a chaos
+    run with a supervisor kill and restart —
+    [scripts/determinism_gate.sh] and [scripts/crash_recovery_gate.sh]
+    check this in CI. *)
 
 (** {1 Retry backoff} *)
 
@@ -135,8 +141,7 @@ type recovered = {
           resubmissions of these keys dedup instead of re-executing *)
   rv_failed : (string * string) list;
       (** (dedup key, error code) terminal failures; {e not} a dedup
-          source — a failed job stays resubmittable, as in the batch
-          service *)
+          source — a failed job stays resubmittable *)
   rv_pending : pending list;  (** in original submission order *)
 }
 
@@ -148,54 +153,62 @@ val replay : entry list -> recovered
 (** {1 Configuration} *)
 
 (** Seeded chaos injection: when configured, each {e first} attempt of
-    a job is, with probability [ch_kill_prob], scheduled to be
-    SIGKILLed between 0 and [ch_kill_delay] seconds after launch.
-    Retried attempts are never chaos-killed, so every job still
-    converges — chaos exercises the recovery machinery, not the retry
-    budget. *)
+    a job on a process worker is, with probability [ch_kill_prob],
+    scheduled to be SIGKILLed between 0 and [ch_kill_delay] seconds
+    after launch.  Retried attempts are never chaos-killed, so every
+    job still converges — chaos exercises the recovery machinery, not
+    the retry budget. *)
 type chaos = { ch_seed : int; ch_kill_prob : float; ch_kill_delay : float }
 
+type worker_kind =
+  | Domains  (** run the jobs prepared at admission on in-process domains *)
+  | Processes of {
+      cmd : string list;
+          (** argv prefix of a worker process; the supervisor appends
+              [--request JSON --artifact PATH] (and [--timeout],
+              [--cache-dir]) *)
+      state_dir : string;  (** home of the write-ahead journal *)
+    }
+
 type config = {
-  cf_workers : int;  (** concurrent worker processes *)
-  cf_state_dir : string;  (** journal (and any service state) home *)
+  cf_workers : int;  (** concurrent workers *)
+  cf_worker_kind : worker_kind;
   cf_artifact_dir : string;
-  cf_worker_cmd : string list;
-      (** argv prefix of a worker; the server appends
-          [--request JSON --artifact PATH] (and [--timeout],
-          [--cache-dir]).  Default: [[Sys.executable_name; "worker"]] —
-          the CLI re-invoking itself. *)
   cf_retries : int;  (** attempt budget per job (>= 1) *)
   cf_backoff_base : float;
   cf_backoff_cap : float;
   cf_backoff_seed : int;
   cf_job_timeout : float option;
-      (** default cooperative per-job timeout (seconds), applied when a
-          request carries none; enforced inside the worker *)
+      (** default cooperative per-job timeout (seconds) from launch,
+          applied when a request carries none *)
   cf_kill_grace : float;
-      (** wall-clock slack beyond the cooperative timeout before the
-          server's kill(9) backstop fires on a worker that ignored it *)
+      (** process workers: wall-clock slack beyond the cooperative
+          timeout before the kill(9) backstop fires *)
   cf_heartbeat_timeout : float;
-      (** kill(9) a worker silent for this long (its heartbeat thread
-          prints once a second, so this bounds detection of a truly
-          wedged process) *)
+      (** process workers: kill(9) a worker silent for this long (its
+          heartbeat thread prints once a second) *)
   cf_max_queue : int;  (** pending-queue bound; beyond it: [Overloaded] *)
   cf_cache_dir : string option;
-      (** when set, workers enable {!Flow.Cache} on this directory *)
+      (** when set, jobs run with {!Flow.Cache} enabled on this
+          directory *)
   cf_chaos : chaos option;
   cf_die_after : int option;
-      (** crash-testing failpoint: SIGKILL {e the server itself} after
-          this many journaled completions *)
-  cf_on_line : (string -> unit) option;  (** streaming progress lines *)
+      (** crash-testing failpoint: SIGKILL {e the supervisor itself}
+          after this many journaled completions *)
+  cf_on_line : (string -> unit) option;
+      (** streaming progress lines, called from the supervising
+          domain *)
 }
 
-(** Defaults: 2 workers, [_generated/service] state,
-    [_generated/service/artifacts] artifacts, CLI-re-invoking worker
-    command, 3 attempts, 0.5 s base / 30 s cap backoff (seed 1), no
-    cooperative timeout, 5 s kill grace, 30 s heartbeat timeout, queue
-    bound 1024, no cache, no chaos, no failpoint, silent. *)
+(** The [ocapi serve] defaults: 2 process workers re-invoking the CLI
+    ([[Sys.executable_name; "worker"]]), journal in
+    [_generated/service], artifacts in [_generated/service/artifacts],
+    3 attempts, 0.5 s base / 30 s cap backoff (seed 1), no cooperative
+    timeout, 5 s kill grace, 30 s heartbeat timeout, queue bound 1024,
+    no cache, no chaos, no failpoint, silent. *)
 val default_config : config
 
-(** {1 Serving} *)
+(** {1 Running} *)
 
 type summary = {
   sm_submitted : int;  (** manifest submissions (not replayed jobs) *)
@@ -204,66 +217,68 @@ type summary = {
           already-queued execution *)
   sm_recovered : int;  (** pending jobs requeued by journal replay *)
   sm_completed : int;
-  sm_failed : int;  (** terminal failures, including poisoned jobs *)
+  sm_failed : int;
+      (** terminal failures: invalid or unrunnable requests, job
+          failures, poisoned jobs *)
   sm_poisoned : int;  (** subset of [sm_failed] with [Retries_exhausted] *)
   sm_rejected : int;  (** [Overloaded] backpressure rejections *)
   sm_crashes : int;  (** worker deaths observed (incl. chaos/backstop) *)
   sm_retries : int;  (** requeues after crashes *)
   sm_chaos_kills : int;
-  sm_drained : bool;  (** a signal drained the service with work left *)
+  sm_drained : bool;  (** a signal drained the runner with work left *)
   sm_aborted : bool;  (** a second signal aborted it mid-flight *)
   sm_seconds : float;
 }
 
-(** [serve config ~requests] runs the service until the queue drains
-    (or a signal drains/aborts it): replays the journal, admits
-    [requests] (raw manifest objects — unknown fields such as ["chaos"]
-    ride along into the journal and the worker), supervises up to
-    [cf_workers] worker processes, and returns the summary.  Installs
-    SIGTERM/SIGINT handlers for the duration.  Lifecycle events
-    ([job_submitted], [job_started], [worker_crashed], [job_retried],
-    [job_completed], [job_failed], [job_rejected], [job_deduped]) are
-    emitted into {!Ocapi_obs.Events} when that log is enabled, joined
-    on the same correlation ids as the batch service and the trace
-    spans. *)
+(** [serve config ~requests] runs until the queue drains (or a signal
+    drains/aborts it): replays the journal, admits [requests] (raw
+    manifest objects — unknown fields such as ["chaos"] ride along into
+    the journal and the worker), supervises up to [cf_workers] workers,
+    and returns the summary.  Installs SIGTERM/SIGINT handlers for the
+    duration.  Lifecycle events ([job_submitted], [job_deduped],
+    [job_rejected], [job_started], [worker_crashed], [job_retried],
+    [job_completed], [job_failed]) are emitted into
+    {!Ocapi_obs.Events} when that log is enabled, joined on the
+    correlation ids of the trace spans.  Telemetry: the
+    [service.queue.wait_us] histogram (launch minus enqueue time, on
+    {!queue_wait_buckets}) and [service.*] counters; domain workers'
+    telemetry is merged into the caller's.
+    @raise Invalid_argument on [cf_workers], [cf_retries] or
+    [cf_max_queue] below 1. *)
 val serve : config -> requests:Ocapi_obs.Json.t list -> summary
 
-(** {1 The worker side} *)
+(** Histogram buckets of [service.queue.wait_us]: a 1-2-5 decade ladder
+    from 1 µs to 10{^8} µs, so interpolated quantiles stay honest from
+    an idle worker's microseconds to a saturated campaign's seconds. *)
+val queue_wait_buckets : float array
+
+(** {1 The worker process} *)
 
 (** Exit code of a worker that ran its job and produced a {e
     structured} failure (printed as a [fail {...}] line on stdout);
     exit 0 means the artifact was written.  Anything else — a signal, a
     segfault, an OOM kill, a nonzero exit without the [fail] protocol —
-    is a worker crash, retried by the server. *)
+    is a worker crash, retried by the supervisor. *)
 val exit_failed : int
 
 (** [worker_main ~request ~artifact ()] is the body of [ocapi worker]:
-    parse the manifest object, build and run the job
+    parse the one-line JSON [request], prepare the job
     ({!Ocapi_batch.prepare_request}), heartbeat on stdout ([hb] lines,
     every [heartbeat_every] seconds from a dedicated thread, so even a
-    compute-bound job stays observable), enforce the cooperative
-    [timeout] through the progress hook, and write the canonical
-    artifact bytes atomically (tmp + rename) to [artifact].  Returns
-    the process exit code (0, {!exit_failed}).
+    compute-bound job stays observable), and run the shared worker
+    body with the cooperative [timeout] (the request's own wins).
+    Returns the process exit code (0 or {!exit_failed}) as soon as the
+    [done] or [fail] line is written.
 
     Chaos failpoints, read from the request's ["chaos"] field:
-    ["crash"] SIGKILLs the process after the job starts (never writes
-    the artifact); ["hang"] sleeps forever without heartbeats, so the
-    server's backstop must kill it. *)
+    ["crash"] SIGKILLs the process after the job is prepared (never
+    writes the artifact); ["hang"] sleeps forever without heartbeats,
+    so the supervisor's backstop must kill it. *)
 val worker_main :
   ?timeout:float ->
   ?heartbeat_every:float ->
   ?cache_dir:string ->
-  request:Ocapi_obs.Json.t ->
+  request:string ->
   artifact:string ->
   unit ->
   int
-
-(** {1 Manifests} *)
-
-(** [read_manifest path] parses a JSONL manifest into raw objects,
-    skipping blank lines and [#] comments ([Error] carries the 1-based
-    line number).  Unlike {!Ocapi_batch.read_manifest} the objects are
-    kept raw: the journal stores them verbatim and service-only fields
-    (["chaos"]) survive the round trip. *)
-val read_manifest : string -> (Ocapi_obs.Json.t list, string) result

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI determinism gate: campaign reports and batch artifact trees must
-# be bit-identical between a serial run and a --domains 2 run.  This
-# guards the core claim of the parallel runner and the batch service —
-# extra worker domains change wall time, never results.  Section 4 holds
+# be bit-identical between a serial run and a --domains 2 run, and the
+# job runner must write the same tree on process workers (`ocapi serve`)
+# as on domain workers (`ocapi batch`).  This guards the core claim of
+# the parallel runner and the job runner — extra workers, or another
+# kind of worker, change wall time, never results.  Section 4 holds
 # the engines to the same standard: a seeded SEU campaign classifies
 # every run identically on each of them.
 #
@@ -121,6 +123,18 @@ if diff -r "$work/art-1" "$work/art-2" >/dev/null; then
 else
   echo "FAIL batch artifacts: serial and --domains 2 trees differ" >&2
   diff -r "$work/art-1" "$work/art-2" | head -10 >&2 || true
+  fail=1
+fi
+# 3b. One runner, one artifact tree: the same manifest on process
+#     workers (`ocapi serve`, fresh state dir) must write the batch tree.
+"$OCAPI" serve --manifest examples/jobs.jsonl --workers 2 \
+  --state-dir "$work/serve-state" --artifacts "$work/art-serve" \
+  --quiet >/dev/null
+if diff -r "$work/art-1" "$work/art-serve" >/dev/null; then
+  echo "ok   serve artifacts = batch artifacts ($(ls "$work/art-serve" | wc -l) files)"
+else
+  echo "FAIL serve artifacts: serve --workers 2 and batch trees differ" >&2
+  diff -r "$work/art-1" "$work/art-serve" | head -10 >&2 || true
   fail=1
 fi
 

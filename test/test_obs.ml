@@ -442,7 +442,7 @@ let test_json_float_bytes () =
     "3.141592653589793"
     (to_string (Float Float.pi))
 
-(* hist_quantile over the batch service's purpose-built 1-2-5 decade
+(* hist_quantile over the job runner's purpose-built 1-2-5 decade
    queue-wait buckets: the estimate must be monotone in q, including
    observations below the first bound and beyond the last. *)
 let test_quantile_monotone_queue_buckets () =
@@ -450,7 +450,7 @@ let test_quantile_monotone_queue_buckets () =
   Ocapi_obs.enable ();
   List.iter
     (fun v ->
-      Ocapi_obs.observe ~buckets:Ocapi_batch.queue_wait_buckets "tq.wait" v)
+      Ocapi_obs.observe ~buckets:Ocapi_service.queue_wait_buckets "tq.wait" v)
     [ 0.5; 3.0; 7.0; 40.0; 150.0; 900.0; 4_000.0; 75_000.0; 2.0e6; 3.0e8 ];
   let hs =
     match List.assoc_opt "tq.wait" (Ocapi_obs.snapshot ()) with

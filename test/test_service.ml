@@ -1,10 +1,11 @@
-(* Tests for the resilient campaign service: deterministic seeded
-   backoff, journal round-trip and torn-line tolerance, replay
-   semantics, and the process supervisor itself — driven by tiny shell
-   stub workers so crashes, poison jobs and silent hangs are cheap and
-   deterministic.  Also the disk-cache robustness satellites: corrupted
-   and truncated entries must degrade to counted misses, and an
-   unwritable cache directory must not break in-memory operation. *)
+(* Tests for the job runner with process workers — what `ocapi serve`
+   runs: deterministic seeded backoff, journal round-trip and torn-line
+   tolerance, replay semantics, the worker process body, and the
+   supervisor itself — driven by tiny shell stub workers so crashes,
+   poison jobs and silent hangs are cheap and deterministic.  Also the
+   disk-cache robustness satellites: corrupted and truncated entries
+   must degrade to counted misses, and an unwritable cache directory
+   must not break in-memory operation. *)
 
 module Json = Ocapi_obs.Json
 
@@ -68,9 +69,9 @@ let config ~name ~script =
     {
       Ocapi_service.default_config with
       cf_workers = 2;
-      cf_state_dir = state;
       cf_artifact_dir = artifacts;
-      cf_worker_cmd = stub script;
+      cf_worker_kind =
+        Ocapi_service.Processes { cmd = stub script; state_dir = state };
       cf_retries = 3;
       cf_backoff_base = 0.05;
       cf_backoff_cap = 0.2;
@@ -422,6 +423,52 @@ let test_serve_recovery_exactly_once () =
       Alcotest.(check int) "and runs nothing" 0 s2.sm_completed;
       Alcotest.(check int) "still exactly one execution" 1 (runs ()))
 
+let test_serve_invalid_line () =
+  Lazy.force ensure_design;
+  let state, artifacts, cfg = config ~name:"invalid" ~script:write_artifact in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf state;
+      rm_rf artifacts)
+    (fun () ->
+      let bad = json_of {|{"kind": "simulate", "design": "ts-svc", "cycles": 0}|} in
+      let s = serve_quiet cfg ~requests:[ bad; sim_request 1 ] in
+      Alcotest.(check int) "the bad line failed" 1 s.Ocapi_service.sm_failed;
+      Alcotest.(check int) "the good line ran" 1 s.sm_completed;
+      match
+        Ocapi_service.journal_load (Filename.concat state "journal.jsonl")
+      with
+      | Error m -> Alcotest.failf "journal: %s" m
+      | Ok entries ->
+        Alcotest.(check bool) "the failure is journaled" true
+          (List.exists
+             (function
+               | Ocapi_service.J_failed { jf_code = "unsupported"; _ } -> true
+               | _ -> false)
+             entries))
+
+(* The worker body returns as soon as its [done] line is written, not
+   after the heartbeat thread's next wake-up. *)
+let test_worker_prompt_exit () =
+  Lazy.force ensure_design;
+  let dir = tmp_dir "worker-exit" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let artifact = Filename.concat dir "job.json" in
+      let t0 = Unix.gettimeofday () in
+      let code =
+        Ocapi_service.worker_main ~heartbeat_every:5.0
+          ~request:(Json.to_string (sim_request 1))
+          ~artifact ()
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "artifact written" true (Sys.file_exists artifact);
+      Alcotest.(check bool)
+        (Printf.sprintf "returned in %.2fs, under 1s" dt)
+        true (dt < 1.0))
+
 (* --- disk-cache robustness ------------------------------------------------ *)
 
 let s8 = Fixed.signed ~width:8 ~frac:0
@@ -531,6 +578,10 @@ let suite =
       test_serve_overload;
     Alcotest.test_case "serve: crash recovery exactly once" `Quick
       test_serve_recovery_exactly_once;
+    Alcotest.test_case "serve: invalid line is a journaled failure" `Quick
+      test_serve_invalid_line;
+    Alcotest.test_case "worker returns after its last line" `Quick
+      test_worker_prompt_exit;
     Alcotest.test_case "cache: corrupted and truncated entries" `Quick
       test_cache_corrupted_entry;
     Alcotest.test_case "cache: unwritable directory" `Quick
