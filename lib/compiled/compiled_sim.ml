@@ -1,4 +1,4 @@
-exception Unsupported = Compiled_types.Unsupported
+exception Unsupported of string
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
@@ -109,18 +109,88 @@ let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
   let frac = max fa.Fixed.frac fb.Fixed.frac in
   (frac - fa.Fixed.frac, frac - fb.Fixed.frac)
 
-(* --- slot allocation ---------------------------------------------------- *)
+let flip_bit ~name (f : Fixed.format) ~bit m =
+  if bit < 0 || bit >= f.Fixed.width then
+    invalid_arg
+      (Printf.sprintf "flip_register_bit: bit %d outside %s for register %s"
+         bit (Fixed.format_to_string f) name);
+  wrap (wrap_of f) (Int64.logxor m (Int64.shift_left 1L bit))
+
+(* --- the lowered program --------------------------------------------------- *)
+
+type stmt =
+  | Compute of { node : Signal.t; dst : int; args : int array }
+  | Output of { dst : int; src : int; stamp : int }
+  | Assign of { dst : int; src : int }
+
+type transition = {
+  tr_guard : stmt array;
+  tr_guard_slot : int;
+  tr_block_a : stmt array;
+  tr_block_b : stmt array;
+  tr_commit : (int * int) array;
+  tr_goto : int;
+}
+
+type component = {
+  co_name : string;
+  co_initial : int;
+  co_by_state : int array array;
+  co_transitions : transition array;
+}
+
+type ram = {
+  ram_name : string;
+  ram_words : int;
+  ram_data_fmt : Fixed.format;
+  ram_addr : int;
+  ram_addr_fmt : Fixed.format;
+  ram_wdata : int;
+  ram_wdata_fmt : Fixed.format;
+  ram_we : int;
+  ram_rdata : (int * int) option;
+}
+
+type kernel = {
+  hk_name : string;
+  hk_inputs : (string * int * Fixed.format) list;
+  hk_outputs : (string * int * int) list;
+}
+
+type b_unit = Component of int | Inline_ram of int | Host_kernel of int
+
+type register = {
+  reg_name : string;
+  reg_fmt : Fixed.format;
+  reg_cur : int;
+  reg_init : int64;
+}
+
+type program = {
+  pg_slots : int;
+  pg_consts : (int * int64) list;
+  pg_regs : register array;
+  pg_nets : (string * Fixed.format option) array;
+  pg_comps : component array;
+  pg_rams : ram array;
+  pg_kernels : kernel array;
+  pg_schedule : b_unit array;
+  pg_stims : (string * int * int) array;
+  pg_probes : (string * int * int * Fixed.format) array;
+  pg_statements : int;
+}
+
+(* --- lowering: slot allocation ----------------------------------------------- *)
 
 type alloc = {
   mutable next_slot : int;
   net_slot : (string, int) Hashtbl.t;  (* net name -> slot *)
   net_fmt : (string, Fixed.format) Hashtbl.t;
   net_stamp : (string, int) Hashtbl.t;  (* net name -> stamp index *)
-  reg_cur : (int, int) Hashtbl.t;  (* Signal.Reg.id -> slot *)
-  reg_next : (int, int) Hashtbl.t;
+  reg_cur_of : (int, int) Hashtbl.t;  (* Signal.Reg.id -> slot *)
+  reg_next_of : (int, int) Hashtbl.t;
   node_slot : (int, int) Hashtbl.t;  (* Signal node id -> slot *)
-  mutable power_on : (int * int64) list;
-      (* slot -> value at reset: register inits and constants *)
+  mutable consts : (int * int64) list;  (* constant slots, power-on values *)
   sink_net : (string * string, string) Hashtbl.t;  (* (comp, in port) -> net *)
   driver_net : (string * string, string) Hashtbl.t;  (* (comp, out port) *)
 }
@@ -135,7 +205,7 @@ let fresh a =
    written once, into the power-on image. *)
 let rec slot_of_node a n =
   match Signal.op n with
-  | Signal.Reg_read r -> Hashtbl.find a.reg_cur (Signal.Reg.id r)
+  | Signal.Reg_read r -> Hashtbl.find a.reg_cur_of (Signal.Reg.id r)
   | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> slot_of_node a x
   | op -> (
     match Hashtbl.find_opt a.node_slot (Signal.id n) with
@@ -144,7 +214,7 @@ let rec slot_of_node a n =
       let s = fresh a in
       Hashtbl.replace a.node_slot (Signal.id n) s;
       (match op with
-      | Signal.Const v -> a.power_on <- (s, Fixed.mantissa v) :: a.power_on
+      | Signal.Const v -> a.consts <- (s, Fixed.mantissa v) :: a.consts
       | _ -> ());
       s)
 
@@ -230,16 +300,447 @@ let classify_nodes roots =
     | Some b -> b
     | None -> false
 
-(* --- statement compilation ---------------------------------------------- *)
+(* Telemetry label for the static operator mix of a flattened program. *)
+let op_kind_name n =
+  match Signal.op n with
+  | Signal.Const _ -> "const"
+  | Signal.Input_read _ -> "input_read"
+  | Signal.Reg_read _ -> "reg_read"
+  | Signal.Add _ -> "add"
+  | Signal.Sub _ -> "sub"
+  | Signal.Mul _ -> "mul"
+  | Signal.Neg _ -> "neg"
+  | Signal.Abs _ -> "abs"
+  | Signal.And _ -> "and"
+  | Signal.Or _ -> "or"
+  | Signal.Xor _ -> "xor"
+  | Signal.Not _ -> "not"
+  | Signal.Eq _ -> "eq"
+  | Signal.Lt _ -> "lt"
+  | Signal.Le _ -> "le"
+  | Signal.Mux _ -> "mux"
+  | Signal.Resize _ -> "resize"
+  | Signal.Rom_read _ -> "rom_read"
+  | Signal.Shift_left _ -> "shift_left"
+  | Signal.Shift_right _ -> "shift_right"
 
-(* The statement computing node [n] into its slot of [v], or [None] for
-   the nodes that need none (constants, register reads, shifts; see
-   {!slot_of_node}).  [cycle_ref] is read lazily so overflow diagnostics
-   carry the cycle of the failing step, not of compilation. *)
-let node_statement a v (cycle_ref : int ref) comp_name n =
-  let s x = off (slot_of_node a x) in
-  let dst = s n in
-  let nf = Signal.fmt n in
+(* --- lowering ------------------------------------------------------------- *)
+
+let lower sys =
+  let a =
+    {
+      next_slot = 0;
+      net_slot = Hashtbl.create 64;
+      net_fmt = Hashtbl.create 64;
+      net_stamp = Hashtbl.create 64;
+      reg_cur_of = Hashtbl.create 64;
+      reg_next_of = Hashtbl.create 64;
+      node_slot = Hashtbl.create 1024;
+      consts = [];
+      sink_net = Hashtbl.create 64;
+      driver_net = Hashtbl.create 64;
+    }
+  in
+  let nets = Cycle_system.nets sys in
+  List.iteri
+    (fun i (net_name, (dc, dp), sinks) ->
+      Hashtbl.replace a.net_slot net_name (fresh a);
+      Hashtbl.replace a.net_stamp net_name i;
+      Hashtbl.replace a.driver_net (dc, dp) net_name;
+      List.iter
+        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
+        sinks)
+    nets;
+  List.iter
+    (fun r ->
+      let id = Signal.Reg.id r in
+      let cur = fresh a and nxt = fresh a in
+      Hashtbl.replace a.reg_cur_of id cur;
+      Hashtbl.replace a.reg_next_of id nxt)
+    (Cycle_system.all_regs sys);
+  compute_net_formats a sys;
+  let all_timed = Cycle_system.timed_components sys in
+  (* Pre-allocate node slots, guards included, so the store can be
+     sized; when telemetry is on, also tally the static operator mix of
+     the SFGs (each unique expression node once). *)
+  let op_seen = Hashtbl.create 256 in
+  List.iter
+    (fun (_, fsm) ->
+      List.iter
+        (fun tr ->
+          List.iter
+            (fun sfg ->
+              List.iter
+                (fun root ->
+                  Signal.fold_dag root ~init:() ~f:(fun () n ->
+                      ignore (slot_of_node a n);
+                      if
+                        Ocapi_obs.enabled ()
+                        && not (Hashtbl.mem op_seen (Signal.id n))
+                      then begin
+                        Hashtbl.add op_seen (Signal.id n) ();
+                        Ocapi_obs.count ("compiled.ops." ^ op_kind_name n)
+                      end))
+                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
+            tr.Fsm.t_actions;
+          Signal.fold_dag (Fsm.guard_expr tr.Fsm.t_guard) ~init:() ~f:(fun () n ->
+              ignore (slot_of_node a n)))
+        (Fsm.transitions fsm))
+    all_timed;
+  let n_statements = ref 0 in
+  let b_written_nets : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let b_read_by_comp : (string, (string, unit) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let note_b_read comp net =
+    let tbl =
+      match Hashtbl.find_opt b_read_by_comp comp with
+      | Some t -> t
+      | None ->
+        let t = Hashtbl.create 8 in
+        Hashtbl.replace b_read_by_comp comp t;
+        t
+    in
+    Hashtbl.replace tbl net ()
+  in
+  (* The statement computing node [n] into its slot, or [None] for the
+     nodes that need none (constants, register reads, shifts; see
+     {!slot_of_node}).  [args] are the operand slots in operator order;
+     an input read's one operand is the slot of the net it reads. *)
+  let node_stmt cname n =
+    let compute args =
+      Some (Compute { node = n; dst = slot_of_node a n; args = Array.of_list args })
+    in
+    let operands xs = compute (List.map (slot_of_node a) xs) in
+    match Signal.op n with
+    | Signal.Const _ | Signal.Reg_read _
+    | Signal.Shift_left _ | Signal.Shift_right _ -> None
+    | Signal.Input_read i -> begin
+      match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
+      | Some net -> compute [ Hashtbl.find a.net_slot net ]
+      | None ->
+        unsupported "compiled: input %s.%s is not connected to any net" cname
+          (Signal.Input.name i)
+    end
+    | Signal.Neg x | Signal.Abs x | Signal.Not x
+    | Signal.Resize (_, _, x)
+    | Signal.Rom_read (_, x) -> operands [ x ]
+    | Signal.Add (x, y) | Signal.Sub (x, y) | Signal.Mul (x, y)
+    | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y)
+    | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
+      operands [ x; y ]
+    | Signal.Mux (s, x, y) -> operands [ s; x; y ]
+  in
+  (* [pg_statements] counts every node, elided ones included, plus one
+     statement per output and per register assignment. *)
+  let lower_transition cname tr (guard, guard_slot) =
+    let roots =
+      List.concat_map
+        (fun sfg ->
+          List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg))
+        tr.Fsm.t_actions
+    in
+    let is_b = classify_nodes roots in
+    let emitted = Hashtbl.create 128 in
+    let block_a = ref [] and block_b = ref [] and commit = ref [] in
+    let push in_b stmt =
+      if in_b then block_b := stmt :: !block_b else block_a := stmt :: !block_a
+    in
+    let emit_node n =
+      Signal.fold_dag n ~init:() ~f:(fun () x ->
+          if not (Hashtbl.mem emitted (Signal.id x)) then begin
+            Hashtbl.add emitted (Signal.id x) ();
+            incr n_statements;
+            Option.iter (push (is_b x)) (node_stmt cname x);
+            match Signal.op x with
+            | Signal.Input_read i -> begin
+              match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
+              | Some net -> note_b_read cname net
+              | None -> ()
+            end
+            | Signal.Const _ | Signal.Reg_read _ | Signal.Add _ | Signal.Sub _
+            | Signal.Mul _ | Signal.Neg _ | Signal.Abs _ | Signal.And _
+            | Signal.Or _ | Signal.Xor _ | Signal.Not _ | Signal.Eq _
+            | Signal.Lt _ | Signal.Le _ | Signal.Mux _ | Signal.Resize _
+            | Signal.Rom_read _ | Signal.Shift_left _ | Signal.Shift_right _ ->
+              ()
+          end)
+    in
+    List.iter
+      (fun sfg ->
+        List.iter
+          (fun (port, e) ->
+            emit_node e;
+            match Hashtbl.find_opt a.driver_net (cname, port) with
+            | None -> () (* unconnected output: value falls on the floor *)
+            | Some net ->
+              incr n_statements;
+              push (is_b e)
+                (Output
+                   {
+                     dst = Hashtbl.find a.net_slot net;
+                     src = slot_of_node a e;
+                     stamp = Hashtbl.find a.net_stamp net;
+                   });
+              if is_b e then Hashtbl.replace b_written_nets net cname)
+          (Sfg.outputs sfg);
+        List.iter
+          (fun (reg, e) ->
+            emit_node e;
+            let nxt = Hashtbl.find a.reg_next_of (Signal.Reg.id reg) in
+            let cur = Hashtbl.find a.reg_cur_of (Signal.Reg.id reg) in
+            incr n_statements;
+            push (is_b e) (Assign { dst = nxt; src = slot_of_node a e });
+            commit := (cur, nxt) :: !commit)
+          (Sfg.assigns sfg))
+      tr.Fsm.t_actions;
+    {
+      tr_guard = guard;
+      tr_guard_slot = guard_slot;
+      tr_block_a = Array.of_list (List.rev !block_a);
+      tr_block_b = Array.of_list (List.rev !block_b);
+      tr_commit = Array.of_list (List.rev !commit);
+      tr_goto = Fsm.state_index tr.Fsm.t_goto;
+    }
+  in
+  (* A guard lowers like any expression: its statements run before it
+     is tested, leaving its value in the guard's slot.  Guards read only
+     registers and constants, so they sit outside the statement count. *)
+  let lower_guard cname tr =
+    let g = Fsm.guard_expr tr.Fsm.t_guard in
+    (match Signal.input_deps g with
+    | i :: _ -> unsupported "guard reads input %s" (Signal.Input.name i)
+    | [] -> ());
+    let code =
+      Signal.fold_dag g ~init:[] ~f:(fun acc n ->
+          match node_stmt cname n with Some s -> s :: acc | None -> acc)
+    in
+    (Array.of_list (List.rev code), slot_of_node a g)
+  in
+  let comps =
+    List.map
+      (fun (cname, fsm) ->
+        let transitions = Array.of_list (Fsm.transitions fsm) in
+        let guards = Array.map (lower_guard cname) transitions in
+        let trs = Array.map2 (lower_transition cname) transitions guards in
+        let by_state = Array.make (List.length (Fsm.states fsm)) [] in
+        Array.iteri
+          (fun i tr ->
+            let s = Fsm.state_index tr.Fsm.t_from in
+            by_state.(s) <- i :: by_state.(s))
+          transitions;
+        {
+          co_name = cname;
+          co_initial = Fsm.state_index (Fsm.initial_state fsm);
+          co_by_state = Array.map (fun l -> Array.of_list (List.rev l)) by_state;
+          co_transitions = trs;
+        })
+      all_timed
+    |> Array.of_list
+  in
+  (* Untimed kernels: one whose model is a RAM with all three inputs
+     connected is inlined; the rest stay host kernels called through
+     their closures. *)
+  let rams = ref [] and host = ref [] in
+  let kernel_units =
+    List.map
+      (fun (cname, k) ->
+        let inputs =
+          List.map
+            (fun (port, _) ->
+              match Hashtbl.find_opt a.sink_net (cname, port) with
+              | Some net ->
+                let fmt =
+                  match Hashtbl.find_opt a.net_fmt net with
+                  | Some f -> f
+                  | None -> Dataflow.Kernel.port_format k port
+                in
+                (port, Hashtbl.find a.net_slot net, fmt)
+              | None ->
+                unsupported "compiled: kernel %s input %s unconnected" cname port)
+            k.Dataflow.Kernel.k_inputs
+        in
+        let outputs =
+          List.filter_map
+            (fun (port, _) ->
+              match Hashtbl.find_opt a.driver_net (cname, port) with
+              | Some net ->
+                Hashtbl.replace b_written_nets net cname;
+                Some (port, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net)
+              | None -> None)
+            k.Dataflow.Kernel.k_outputs
+        in
+        let input p = List.find_opt (fun (q, _, _) -> String.equal q p) inputs in
+        let as_host () =
+          host := { hk_name = cname; hk_inputs = inputs; hk_outputs = outputs } :: !host;
+          Host_kernel (List.length !host - 1)
+        in
+        match k.Dataflow.Kernel.k_model with
+        | None -> as_host ()
+        | Some
+            (Dataflow.Kernel.Ram_model
+               { words; data_fmt; addr_port; wdata_port; we_port; rdata_port }) -> (
+          match (input addr_port, input wdata_port, input we_port) with
+          | Some (_, addr, addr_fmt), Some (_, wdata, wdata_fmt), Some (_, we, _) ->
+            rams :=
+              {
+                ram_name = cname;
+                ram_words = words;
+                ram_data_fmt = data_fmt;
+                ram_addr = addr;
+                ram_addr_fmt = addr_fmt;
+                ram_wdata = wdata;
+                ram_wdata_fmt = wdata_fmt;
+                ram_we = we;
+                ram_rdata =
+                  List.find_map
+                    (fun (p, slot, stamp) ->
+                      if String.equal p rdata_port then Some (slot, stamp) else None)
+                    outputs;
+              }
+              :: !rams;
+            Inline_ram (List.length !rams - 1)
+          | _ -> as_host ()))
+      (Cycle_system.untimed_components sys)
+    |> Array.of_list
+  in
+  (* B-phase schedule: topological order, edges writer(net) -> reader. *)
+  let unit_names =
+    Array.append
+      (Array.map (fun c -> c.co_name) comps)
+      (Array.of_list (List.map fst (Cycle_system.untimed_components sys)))
+  in
+  let n_comps = Array.length comps in
+  let n_units = Array.length unit_names in
+  let index_of_name = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace index_of_name n i) unit_names;
+  let reads = Array.make n_units [] in
+  Array.iteri
+    (fun i name ->
+      if i < n_comps then
+        match Hashtbl.find_opt b_read_by_comp name with
+        | Some tbl -> reads.(i) <- Hashtbl.fold (fun net () acc -> net :: acc) tbl []
+        | None -> ())
+    unit_names;
+  List.iteri
+    (fun j (cname, k) ->
+      reads.(n_comps + j) <-
+        List.map
+          (fun (port, _) -> Hashtbl.find a.sink_net (cname, port))
+          k.Dataflow.Kernel.k_inputs)
+    (Cycle_system.untimed_components sys);
+  let succs = Array.make n_units [] in
+  let indeg = Array.make n_units 0 in
+  Array.iteri
+    (fun i nets_read ->
+      List.iter
+        (fun net ->
+          match Hashtbl.find_opt b_written_nets net with
+          | Some writer ->
+            let w = Hashtbl.find index_of_name writer in
+            if w <> i then begin
+              succs.(w) <- i :: succs.(w);
+              indeg.(i) <- indeg.(i) + 1
+            end
+          | None -> ())
+        nets_read)
+    reads;
+  let order = ref [] in
+  let queue = Queue.create () in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  let visited = ref 0 in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    order := i :: !order;
+    incr visited;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then Queue.add j queue)
+      succs.(i)
+  done;
+  if !visited <> n_units then begin
+    let stuck =
+      Array.to_list unit_names |> List.filteri (fun i _ -> indeg.(i) > 0)
+    in
+    unsupported
+      "compiled: combinational component cycle involving %s; use the \
+       interpreted scheduler"
+      (String.concat ", " stuck)
+  end;
+  let schedule =
+    List.rev_map
+      (fun i -> if i < n_comps then Component i else kernel_units.(i - n_comps))
+      !order
+    |> Array.of_list
+  in
+  let stims =
+    List.filter_map
+      (fun (name, _fmt, _stim) ->
+        match Hashtbl.find_opt a.driver_net (name, "out") with
+        | None -> None
+        | Some net ->
+          Some (name, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
+      (Cycle_system.primary_inputs sys)
+  in
+  let probes =
+    List.filter_map
+      (fun pname ->
+        match Hashtbl.find_opt a.sink_net (pname, "in") with
+        | None -> None
+        | Some net ->
+          let fmt =
+            match Hashtbl.find_opt a.net_fmt net with
+            | Some f -> f
+            | None ->
+              unsupported "compiled: probe %s net %s has unknown format" pname net
+          in
+          Some
+            (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net, fmt))
+      (Cycle_system.probes sys)
+  in
+  let regs =
+    List.map
+      (fun r ->
+        {
+          reg_name = Signal.Reg.name r;
+          reg_fmt = Signal.Reg.fmt r;
+          reg_cur = Hashtbl.find a.reg_cur_of (Signal.Reg.id r);
+          reg_init = Fixed.mantissa (Signal.Reg.init r);
+        })
+      (Cycle_system.all_regs sys)
+  in
+  {
+    pg_slots = max 1 a.next_slot;
+    pg_consts = a.consts;
+    pg_regs = Array.of_list regs;
+    pg_nets =
+      Array.of_list
+        (List.map (fun (name, _, _) -> (name, Hashtbl.find_opt a.net_fmt name)) nets);
+    pg_comps = comps;
+    pg_rams = Array.of_list (List.rev !rams);
+    pg_kernels = Array.of_list (List.rev !host);
+    pg_schedule = schedule;
+    pg_stims = Array.of_list stims;
+    pg_probes = Array.of_list probes;
+    pg_statements = !n_statements;
+  }
+
+let stimulus sys name =
+  let _, _, fn =
+    List.find (fun (n, _, _) -> String.equal n name) (Cycle_system.primary_inputs sys)
+  in
+  fn
+
+(* --- the closure back end: one closure per statement ---------------------- *)
+
+(* The statement computing [node] into [dst] from the operand slots
+   [args].  [cycle_ref] is read lazily so overflow diagnostics carry the
+   cycle of the failing step, not of compilation. *)
+let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
+  let s i = off args.(i) in
+  let dst = off dst in
+  let nf = Signal.fmt node in
   let overflow_exn () =
     Ocapi_error.Error
       (Ocapi_error.make Ocapi_error.Overflow ~engine:"compiled"
@@ -250,122 +751,105 @@ let node_statement a v (cycle_ref : int ref) comp_name n =
   let resize_to ~round ~overflow x =
     resize_of ~overflow_exn ~round ~overflow (Signal.fmt x) nf
   in
-  match Signal.op n with
+  match Signal.op node with
   | Signal.Const _ | Signal.Reg_read _
-  | Signal.Shift_left _ | Signal.Shift_right _ -> None
-  | Signal.Input_read i -> begin
-    match Hashtbl.find_opt a.sink_net (comp_name, Signal.Input.name i) with
-    | Some net ->
-      let src = off (Hashtbl.find a.net_slot net) in
-      Some (fun () -> set v dst (get v src))
-    | None ->
-      unsupported "compiled: input %s.%s is not connected to any net"
-        comp_name (Signal.Input.name i)
-  end
+  | Signal.Shift_left _ | Signal.Shift_right _ ->
+    invalid_arg "Compiled_sim: an elided node has no statement"
+  | Signal.Input_read _ ->
+    let src = s 0 in
+    fun () -> set v dst (get v src)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (Int64.add (Int64.shift_left (get v sx) ka)
-             (Int64.shift_left (get v sy) kb)))
+    let sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (Int64.add (Int64.shift_left (get v sx) ka)
+           (Int64.shift_left (get v sy) kb))
   | Signal.Sub (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (Int64.sub (Int64.shift_left (get v sx) ka)
-             (Int64.shift_left (get v sy) kb)))
-  | Signal.Mul (x, y) ->
-    let sx = s x and sy = s y in
-    Some (fun () -> set v dst (Int64.mul (get v sx) (get v sy)))
-  | Signal.Neg x ->
-    let sx = s x in
-    Some (fun () -> set v dst (Int64.neg (get v sx)))
-  | Signal.Abs x ->
-    let sx = s x in
-    Some (fun () -> set v dst (Int64.abs (get v sx)))
+    let sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (Int64.sub (Int64.shift_left (get v sx) ka)
+           (Int64.shift_left (get v sy) kb))
+  | Signal.Mul _ ->
+    let sx = s 0 and sy = s 1 in
+    fun () -> set v dst (Int64.mul (get v sx) (get v sy))
+  | Signal.Neg _ ->
+    let sx = s 0 in
+    fun () -> set v dst (Int64.neg (get v sx))
+  | Signal.Abs _ ->
+    let sx = s 0 in
+    fun () -> set v dst (Int64.abs (get v sx))
   | Signal.And (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (wrap w
-             (Int64.logand (Int64.shift_left (get v sx) ka)
-                (Int64.shift_left (get v sy) kb))))
+    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (wrap w
+           (Int64.logand (Int64.shift_left (get v sx) ka)
+              (Int64.shift_left (get v sy) kb)))
   | Signal.Or (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (wrap w
-             (Int64.logor (Int64.shift_left (get v sx) ka)
-                (Int64.shift_left (get v sy) kb))))
+    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (wrap w
+           (Int64.logor (Int64.shift_left (get v sx) ka)
+              (Int64.shift_left (get v sy) kb)))
   | Signal.Xor (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (wrap w
-             (Int64.logxor (Int64.shift_left (get v sx) ka)
-                (Int64.shift_left (get v sy) kb))))
-  | Signal.Not x ->
-    let w = wrap_of nf and sx = s x in
-    Some (fun () -> set v dst (wrap w (Int64.lognot (get v sx))))
+    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (wrap w
+           (Int64.logxor (Int64.shift_left (get v sx) ka)
+              (Int64.shift_left (get v sy) kb)))
+  | Signal.Not _ ->
+    let w = wrap_of nf and sx = s 0 in
+    fun () -> set v dst (wrap w (Int64.lognot (get v sx)))
   | Signal.Eq (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (if
-             Int64.equal
-               (Int64.shift_left (get v sx) ka)
-               (Int64.shift_left (get v sy) kb)
-           then 1L
-           else 0L))
+    let sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (if
+           Int64.equal
+             (Int64.shift_left (get v sx) ka)
+             (Int64.shift_left (get v sy) kb)
+         then 1L
+         else 0L)
   | Signal.Lt (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (if Int64.shift_left (get v sx) ka < Int64.shift_left (get v sy) kb
-           then 1L
-           else 0L))
+    let sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (if Int64.shift_left (get v sx) ka < Int64.shift_left (get v sy) kb
+         then 1L
+         else 0L)
   | Signal.Le (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (if Int64.shift_left (get v sx) ka <= Int64.shift_left (get v sy) kb
-           then 1L
-           else 0L))
-  | Signal.Mux (sel, x, y) ->
+    let sx = s 0 and sy = s 1 in
+    fun () ->
+      set v dst
+        (if Int64.shift_left (get v sx) ka <= Int64.shift_left (get v sy) kb
+         then 1L
+         else 0L)
+  | Signal.Mux (_, x, y) ->
     let rx = resize_to ~round:Fixed.Truncate ~overflow:Fixed.Wrap x in
     let ry = resize_to ~round:Fixed.Truncate ~overflow:Fixed.Wrap y in
-    let ss = s sel and sx = s x and sy = s y in
-    Some
-      (fun () ->
-        set v dst
-          (if get v ss <> 0L then resize rx (get v sx)
-           else resize ry (get v sy)))
+    let ss = s 0 and sx = s 1 and sy = s 2 in
+    fun () ->
+      set v dst
+        (if get v ss <> 0L then resize rx (get v sx) else resize ry (get v sy))
   | Signal.Resize (round, overflow, x) ->
-    let rz = resize_to ~round ~overflow x and sx = s x in
-    Some (fun () -> set v dst (resize rz (get v sx)))
+    let rz = resize_to ~round ~overflow x and sx = s 0 in
+    fun () -> set v dst (resize rz (get v sx))
   | Signal.Rom_read (r, idx) ->
     let len = Signal.Rom.size r in
     let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
-    let frac = (Signal.fmt idx).Fixed.frac and si = s idx in
-    Some (fun () -> set v dst contents.(to_int ~frac (get v si) mod len))
-
-(* --- compiled program structures ---------------------------------------- *)
+    let frac = (Signal.fmt idx).Fixed.frac and si = s 0 in
+    fun () -> set v dst contents.(to_int ~frac (get v si) mod len)
 
 type transition_code = {
   tc_block_a : (unit -> unit) array;
@@ -410,7 +894,7 @@ type ram_code = {
 }
 
 (* A unit of the B-phase schedule. *)
-type b_unit = Comp of comp_code | Ram of ram_code | Kernel of kernel_code
+type b_code = Comp of comp_code | Ram of ram_code | Kernel of kernel_code
 
 type probe_code = {
   pc_name : string;
@@ -444,459 +928,156 @@ type t = {
   cycle_ref : int ref;  (* captured by output-store statements *)
   mutable cycle : int;
   comps : comp_code array;
-  b_schedule : b_unit array;
+  b_schedule : b_code array;
   stims : stim_code array;
   probes : probe_code array;
-  (* Register exposure for fault injection: (name, format, offset of the
-     current value) in [Cycle_system.all_regs] order — the same indexing
-     every engine uses. *)
-  regs : (string * Fixed.format * int) array;
+  (* Register exposure for fault injection, in [Cycle_system.all_regs]
+     order — the same indexing every engine uses. *)
+  regs : register array;
   n_statements : int;
   mutable tracing : bool;
   trace_recs : trace_rec array;
 }
 
-(* --- compilation --------------------------------------------------------- *)
-
-(* Telemetry label for the static operator mix of a flattened program. *)
-let op_kind_name n =
-  match Signal.op n with
-  | Signal.Const _ -> "const"
-  | Signal.Input_read _ -> "input_read"
-  | Signal.Reg_read _ -> "reg_read"
-  | Signal.Add _ -> "add"
-  | Signal.Sub _ -> "sub"
-  | Signal.Mul _ -> "mul"
-  | Signal.Neg _ -> "neg"
-  | Signal.Abs _ -> "abs"
-  | Signal.And _ -> "and"
-  | Signal.Or _ -> "or"
-  | Signal.Xor _ -> "xor"
-  | Signal.Not _ -> "not"
-  | Signal.Eq _ -> "eq"
-  | Signal.Lt _ -> "lt"
-  | Signal.Le _ -> "le"
-  | Signal.Mux _ -> "mux"
-  | Signal.Resize _ -> "resize"
-  | Signal.Rom_read _ -> "rom_read"
-  | Signal.Shift_left _ -> "shift_left"
-  | Signal.Shift_right _ -> "shift_right"
-
-(* The inline form of a kernel whose model is a RAM with all three
-   inputs connected, taking [words + 1] words of the RAM image from
-   [ram_words]; [None] leaves the kernel on the closure path. *)
-let ram_code (k : Dataflow.Kernel.t) ~ram_words ~cycle_ref inputs outputs =
-  match k.Dataflow.Kernel.k_model with
-  | None -> None
-  | Some
-      (Dataflow.Kernel.Ram_model
-         { words; data_fmt; addr_port; wdata_port; we_port; rdata_port }) -> (
-    let input p = List.find_opt (fun (q, _, _) -> String.equal q p) inputs in
-    match (input addr_port, input wdata_port, input we_port) with
-    | Some (_, addr, addr_fmt), Some (_, wdata, wdata_fmt), Some (_, we, _) ->
-      let base = !ram_words in
-      ram_words := base + words + 1;
-      let rdata, rdata_stamp =
-        match List.find_opt (fun (p, _, _) -> String.equal p rdata_port) outputs with
-        | Some (_, o, stamp) -> (o, stamp)
-        | None -> (-1, -1)
-      in
-      let overflow_exn () =
-        Ocapi_error.Error
-          (Ocapi_error.make Ocapi_error.Overflow ~engine:"compiled"
-             ~construct:k.Dataflow.Kernel.k_name ~cycle:!cycle_ref
-             (Printf.sprintf "ram write resize to %s: shift too large"
-                (Fixed.format_to_string data_fmt)))
-      in
-      Some
-        {
-          rm_words = words;
-          rm_base = off base;
-          rm_addr = addr;
-          rm_addr_frac = addr_fmt.Fixed.frac;
-          rm_we = we;
-          rm_wdata = wdata;
-          rm_write =
-            resize_of ~overflow_exn ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-              wdata_fmt data_fmt;
-          rm_rdata = rdata;
-          rm_rdata_stamp = rdata_stamp;
-          rm_staged = -1;
-        }
-    | _ -> None)
+let ram_code ~cycle_ref ~base r =
+  let overflow_exn () =
+    Ocapi_error.Error
+      (Ocapi_error.make Ocapi_error.Overflow ~engine:"compiled"
+         ~construct:r.ram_name ~cycle:!cycle_ref
+         (Printf.sprintf "ram write resize to %s: shift too large"
+            (Fixed.format_to_string r.ram_data_fmt)))
+  in
+  let rdata, rdata_stamp =
+    match r.ram_rdata with
+    | Some (slot, stamp) -> (off slot, stamp)
+    | None -> (-1, -1)
+  in
+  {
+    rm_words = r.ram_words;
+    rm_base = off base;
+    rm_addr = off r.ram_addr;
+    rm_addr_frac = r.ram_addr_fmt.Fixed.frac;
+    rm_we = off r.ram_we;
+    rm_wdata = off r.ram_wdata;
+    rm_write =
+      resize_of ~overflow_exn ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+        r.ram_wdata_fmt r.ram_data_fmt;
+    rm_rdata = rdata;
+    rm_rdata_stamp = rdata_stamp;
+    rm_staged = -1;
+  }
 
 let compile sys =
   let t_compile = Ocapi_obs.span_begin () in
-  let a =
-    {
-      next_slot = 0;
-      net_slot = Hashtbl.create 64;
-      net_fmt = Hashtbl.create 64;
-      net_stamp = Hashtbl.create 64;
-      reg_cur = Hashtbl.create 64;
-      reg_next = Hashtbl.create 64;
-      node_slot = Hashtbl.create 1024;
-      power_on = [];
-      sink_net = Hashtbl.create 64;
-      driver_net = Hashtbl.create 64;
-    }
-  in
-  let nets = Cycle_system.nets sys in
-  List.iteri
-    (fun i (net_name, (dc, dp), sinks) ->
-      Hashtbl.replace a.net_slot net_name (fresh a);
-      Hashtbl.replace a.net_stamp net_name i;
-      Hashtbl.replace a.driver_net (dc, dp) net_name;
-      List.iter
-        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
-        sinks)
-    nets;
-  List.iter
-    (fun r ->
-      let id = Signal.Reg.id r in
-      let cur = fresh a and nxt = fresh a in
-      Hashtbl.replace a.reg_cur id cur;
-      Hashtbl.replace a.reg_next id nxt;
-      a.power_on <- (cur, Fixed.mantissa (Signal.Reg.init r)) :: a.power_on)
-    (Cycle_system.all_regs sys);
-  compute_net_formats a sys;
-  let all_timed = Cycle_system.timed_components sys in
-  (* Pre-allocate node slots, guards included, so the store can be
-     sized; when telemetry is on, also tally the static operator mix of
-     the SFGs (each unique expression node once). *)
-  let op_seen = Hashtbl.create 256 in
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n);
-                      if
-                        Ocapi_obs.enabled ()
-                        && not (Hashtbl.mem op_seen (Signal.id n))
-                      then begin
-                        Hashtbl.add op_seen (Signal.id n) ();
-                        Ocapi_obs.count ("compiled.ops." ^ op_kind_name n)
-                      end))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions;
-          Signal.fold_dag (Fsm.guard_expr tr.Fsm.t_guard) ~init:() ~f:(fun () n ->
-              ignore (slot_of_node a n)))
-        (Fsm.transitions fsm))
-    all_timed;
-  let power_on = Bytes.make (off (max 1 a.next_slot)) '\000' in
-  List.iter (fun (slot, m) -> set power_on (off slot) m) a.power_on;
+  let p = lower sys in
+  let power_on = Bytes.make (off p.pg_slots) '\000' in
+  Array.iter (fun r -> set power_on (off r.reg_cur) r.reg_init) p.pg_regs;
+  List.iter (fun (slot, m) -> set power_on (off slot) m) p.pg_consts;
   let values = Bytes.copy power_on in
-  let stamps = Array.make (max 1 (List.length nets)) (-1) in
+  let stamps = Array.make (max 1 (Array.length p.pg_nets)) (-1) in
   let cycle_ref = ref 0 in
-  let n_statements = ref 0 in
-  let b_written_nets : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let b_read_by_comp : (string, (string, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let note_b_read comp net =
-    let tbl =
-      match Hashtbl.find_opt b_read_by_comp comp with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 8 in
-        Hashtbl.replace b_read_by_comp comp t;
-        t
-    in
-    Hashtbl.replace tbl net ()
-  in
-  (* [statement_count] counts every node, elided ones included, plus one
-     statement per output and per register assignment. *)
-  let compile_transition cname tr =
-    let roots =
-      List.concat_map
-        (fun sfg ->
-          List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg))
-        tr.Fsm.t_actions
-    in
-    let is_b = classify_nodes roots in
-    let emitted = Hashtbl.create 128 in
-    let block_a = ref [] and block_b = ref [] and commit = ref [] in
-    let push in_b stmt =
-      if in_b then block_b := stmt :: !block_b else block_a := stmt :: !block_a
-    in
-    let emit_node n =
-      Signal.fold_dag n ~init:() ~f:(fun () x ->
-          if not (Hashtbl.mem emitted (Signal.id x)) then begin
-            Hashtbl.add emitted (Signal.id x) ();
-            incr n_statements;
-            Option.iter (push (is_b x)) (node_statement a values cycle_ref cname x);
-            match Signal.op x with
-            | Signal.Input_read i -> begin
-              match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-              | Some net -> note_b_read cname net
-              | None -> ()
-            end
-            | Signal.Const _ | Signal.Reg_read _ | Signal.Add _ | Signal.Sub _
-            | Signal.Mul _ | Signal.Neg _ | Signal.Abs _ | Signal.And _
-            | Signal.Or _ | Signal.Xor _ | Signal.Not _ | Signal.Eq _
-            | Signal.Lt _ | Signal.Le _ | Signal.Mux _ | Signal.Resize _
-            | Signal.Rom_read _ | Signal.Shift_left _ | Signal.Shift_right _ ->
-              ()
-          end)
-    in
-    List.iter
-      (fun sfg ->
-        List.iter
-          (fun (port, e) ->
-            emit_node e;
-            match Hashtbl.find_opt a.driver_net (cname, port) with
-            | None -> () (* unconnected output: value falls on the floor *)
-            | Some net ->
-              let dst = off (Hashtbl.find a.net_slot net) in
-              let stamp = Hashtbl.find a.net_stamp net in
-              let src = off (slot_of_node a e) in
-              incr n_statements;
-              push (is_b e) (fun () ->
-                  set values dst (get values src);
-                  stamps.(stamp) <- !cycle_ref);
-              if is_b e then Hashtbl.replace b_written_nets net cname)
-          (Sfg.outputs sfg);
-        List.iter
-          (fun (reg, e) ->
-            emit_node e;
-            let nxt = off (Hashtbl.find a.reg_next (Signal.Reg.id reg)) in
-            let cur = off (Hashtbl.find a.reg_cur (Signal.Reg.id reg)) in
-            let src = off (slot_of_node a e) in
-            incr n_statements;
-            push (is_b e) (fun () -> set values nxt (get values src));
-            (* Reversed below into a (cur, nxt) pair. *)
-            commit := nxt :: cur :: !commit)
-          (Sfg.assigns sfg))
-      tr.Fsm.t_actions;
-    {
-      tc_block_a = Array.of_list (List.rev !block_a);
-      tc_block_b = Array.of_list (List.rev !block_b);
-      tc_commit = Array.of_list (List.rev !commit);
-      tc_goto = Fsm.state_index tr.Fsm.t_goto;
-    }
-  in
-  (* A guard compiles like any expression: its statements run before it
-     is tested, leaving its value in the guard's slot.  Guards read only
-     registers and constants, so they sit outside the statement count. *)
-  let compile_guard cname tr =
-    let g = Fsm.guard_expr tr.Fsm.t_guard in
-    (match Signal.input_deps g with
-    | i :: _ -> unsupported "guard reads input %s" (Signal.Input.name i)
-    | [] -> ());
-    let code =
-      Signal.fold_dag g ~init:[] ~f:(fun acc n ->
-          match node_statement a values cycle_ref cname n with
-          | Some stmt -> stmt :: acc
-          | None -> acc)
-    in
-    (Array.of_list (List.rev code), off (slot_of_node a g))
+  let closure cname = function
+    | Compute { node; dst; args } ->
+      compute_statement values cycle_ref cname node ~dst ~args
+    | Output { dst; src; stamp } ->
+      let dst = off dst and src = off src in
+      fun () ->
+        set values dst (get values src);
+        stamps.(stamp) <- !cycle_ref
+    | Assign { dst; src } ->
+      let dst = off dst and src = off src in
+      fun () -> set values dst (get values src)
   in
   let comps =
-    List.map
-      (fun (cname, fsm) ->
-        let transitions = Array.of_list (Fsm.transitions fsm) in
-        let guards = Array.map (compile_guard cname) transitions in
-        let tcs = Array.map (compile_transition cname) transitions in
-        let n_states = List.length (Fsm.states fsm) in
-        let by_state = Array.make n_states [] in
-        Array.iteri
-          (fun i tr ->
-            let s = Fsm.state_index tr.Fsm.t_from in
-            by_state.(s) <- i :: by_state.(s))
-          transitions;
+    Array.map
+      (fun c ->
+        let code stmts = Array.map (closure c.co_name) stmts in
         {
-          cc_name = cname;
-          cc_initial = Fsm.state_index (Fsm.initial_state fsm);
-          cc_state = Fsm.state_index (Fsm.initial_state fsm);
+          cc_name = c.co_name;
+          cc_initial = c.co_initial;
+          cc_state = c.co_initial;
           cc_selected = -1;
-          cc_state_transitions =
-            Array.map (fun l -> Array.of_list (List.rev l)) by_state;
-          cc_guard_code = Array.map fst guards;
-          cc_guard = Array.map snd guards;
-          cc_transitions = tcs;
+          cc_state_transitions = c.co_by_state;
+          cc_guard_code = Array.map (fun tr -> code tr.tr_guard) c.co_transitions;
+          cc_guard = Array.map (fun tr -> off tr.tr_guard_slot) c.co_transitions;
+          cc_transitions =
+            Array.map
+              (fun tr ->
+                {
+                  tc_block_a = code tr.tr_block_a;
+                  tc_block_b = code tr.tr_block_b;
+                  tc_commit =
+                    Array.to_list tr.tr_commit
+                    |> List.concat_map (fun (cur, nxt) -> [ off cur; off nxt ])
+                    |> Array.of_list;
+                  tc_goto = tr.tr_goto;
+                })
+              c.co_transitions;
         })
-      all_timed
-    |> Array.of_list
+      p.pg_comps
   in
   let ram_words = ref 0 in
+  let rams =
+    Array.map
+      (fun r ->
+        let base = !ram_words in
+        ram_words := base + r.ram_words + 1;
+        ram_code ~cycle_ref ~base r)
+      p.pg_rams
+  in
+  let untimed = Cycle_system.untimed_components sys in
   let kernels =
-    List.map
-      (fun (cname, k) ->
-        let inputs =
-          List.map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.sink_net (cname, port) with
-              | Some net ->
-                let fmt =
-                  match Hashtbl.find_opt a.net_fmt net with
-                  | Some f -> f
-                  | None -> Dataflow.Kernel.port_format k port
-                in
-                (port, off (Hashtbl.find a.net_slot net), fmt)
-              | None ->
-                unsupported "compiled: kernel %s input %s unconnected" cname port)
-            k.Dataflow.Kernel.k_inputs
-        in
-        let outputs =
-          List.filter_map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net ->
-                Hashtbl.replace b_written_nets net cname;
-                Some
-                  ( port,
-                    off (Hashtbl.find a.net_slot net),
-                    Hashtbl.find a.net_stamp net )
-              | None -> None)
-            k.Dataflow.Kernel.k_outputs
-        in
-        let code =
-          match ram_code k ~ram_words ~cycle_ref inputs outputs with
-          | Some r -> Ram r
-          | None -> Kernel { kc_kernel = k; kc_inputs = inputs; kc_outputs = outputs }
-        in
-        (cname, k, code))
-      (Cycle_system.untimed_components sys)
+    Array.map
+      (fun hk ->
+        {
+          kc_kernel = List.assoc hk.hk_name untimed;
+          kc_inputs = List.map (fun (port, s, fmt) -> (port, off s, fmt)) hk.hk_inputs;
+          kc_outputs =
+            List.map (fun (port, s, stamp) -> (port, off s, stamp)) hk.hk_outputs;
+        })
+      p.pg_kernels
   in
-  (* B-phase schedule: topological order, edges writer(net) -> reader. *)
-  let unit_names =
-    Array.append
-      (Array.map (fun c -> c.cc_name) comps)
-      (Array.of_list (List.map (fun (cname, _, _) -> cname) kernels))
-  in
-  let n_units = Array.length unit_names in
-  let index_of_name = Hashtbl.create 16 in
-  Array.iteri (fun i n -> Hashtbl.replace index_of_name n i) unit_names;
-  let reads = Array.make n_units [] in
-  Array.iteri
-    (fun i name ->
-      if i < Array.length comps then
-        match Hashtbl.find_opt b_read_by_comp name with
-        | Some tbl -> reads.(i) <- Hashtbl.fold (fun net () acc -> net :: acc) tbl []
-        | None -> ())
-    unit_names;
-  List.iteri
-    (fun j (cname, k, _) ->
-      let i = Array.length comps + j in
-      reads.(i) <-
-        List.map
-          (fun (port, _) -> Hashtbl.find a.sink_net (cname, port))
-          k.Dataflow.Kernel.k_inputs)
-    kernels;
-  let succs = Array.make n_units [] in
-  let indeg = Array.make n_units 0 in
-  Array.iteri
-    (fun i nets_read ->
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt b_written_nets net with
-          | Some writer ->
-            let w = Hashtbl.find index_of_name writer in
-            if w <> i then begin
-              succs.(w) <- i :: succs.(w);
-              indeg.(i) <- indeg.(i) + 1
-            end
-          | None -> ())
-        nets_read)
-    reads;
-  let order = ref [] in
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let visited = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order := i :: !order;
-    incr visited;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !visited <> n_units then begin
-    let stuck =
-      Array.to_list unit_names |> List.filteri (fun i _ -> indeg.(i) > 0)
-    in
-    unsupported
-      "compiled: combinational component cycle involving %s; use the \
-       interpreted scheduler"
-      (String.concat ", " stuck)
-  end;
-  let kernel_arr = Array.of_list (List.map (fun (_, _, code) -> code) kernels) in
   let b_schedule =
-    List.rev !order
-    |> List.map (fun i ->
-           if i < Array.length comps then Comp comps.(i)
-           else kernel_arr.(i - Array.length comps))
-    |> Array.of_list
+    Array.map
+      (function
+        | Component i -> Comp comps.(i)
+        | Inline_ram i -> Ram rams.(i)
+        | Host_kernel i -> Kernel kernels.(i))
+      p.pg_schedule
   in
   let stims =
-    List.filter_map
-      (fun (name, _fmt, stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          Some
-            {
-              st_fn = stim;
-              st_slot = off (Hashtbl.find a.net_slot net);
-              st_stamp = Hashtbl.find a.net_stamp net;
-            })
-      (Cycle_system.primary_inputs sys)
-    |> Array.of_list
+    Array.map
+      (fun (name, slot, stamp) ->
+        { st_fn = stimulus sys name; st_slot = off slot; st_stamp = stamp })
+      p.pg_stims
   in
   let probes =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          let fmt =
-            match Hashtbl.find_opt a.net_fmt net with
-            | Some f -> f
-            | None ->
-              unsupported "compiled: probe %s net %s has unknown format" pname net
-          in
-          Some
-            {
-              pc_name = pname;
-              pc_slot = off (Hashtbl.find a.net_slot net);
-              pc_stamp = Hashtbl.find a.net_stamp net;
-              pc_fmt = fmt;
-              pc_history = [];
-            })
-      (Cycle_system.probes sys)
-    |> Array.of_list
+    Array.map
+      (fun (name, slot, stamp, fmt) ->
+        {
+          pc_name = name;
+          pc_slot = off slot;
+          pc_stamp = stamp;
+          pc_fmt = fmt;
+          pc_history = [];
+        })
+      p.pg_probes
   in
+  (* Net i owns slot i and stamp i. *)
   let trace_recs =
-    List.filter_map
-      (fun (net_name, _, _) ->
-        match Hashtbl.find_opt a.net_fmt net_name with
-        | Some fmt ->
-          Some
-            {
-              trc_name = net_name;
-              trc_slot = off (Hashtbl.find a.net_slot net_name);
-              trc_stamp = Hashtbl.find a.net_stamp net_name;
-              trc_fmt = fmt;
-              trc_hist = [];
-            }
-        | None -> None)
-      nets
-    |> Array.of_list
-  in
-  let regs_exposed =
-    Cycle_system.all_regs sys
-    |> List.map (fun r ->
-           ( Signal.Reg.name r,
-             Signal.Reg.fmt r,
-             off (Hashtbl.find a.reg_cur (Signal.Reg.id r)) ))
-    |> Array.of_list
+    Array.to_list p.pg_nets
+    |> List.mapi (fun i (name, fmt) ->
+           Option.map
+             (fun fmt ->
+               {
+                 trc_name = name;
+                 trc_slot = off i;
+                 trc_stamp = i;
+                 trc_fmt = fmt;
+                 trc_hist = [];
+               })
+             fmt)
+    |> List.filter_map Fun.id |> Array.of_list
   in
   let t =
     {
@@ -910,21 +1091,21 @@ let compile sys =
       b_schedule;
       stims;
       probes;
-      regs = regs_exposed;
-      n_statements = !n_statements;
+      regs = p.pg_regs;
+      n_statements = p.pg_statements;
       tracing = false;
       trace_recs;
     }
   in
   if Ocapi_obs.enabled () then begin
-    Ocapi_obs.set_gauge "compiled.slots" (float_of_int a.next_slot);
-    Ocapi_obs.set_gauge "compiled.statements" (float_of_int !n_statements)
+    Ocapi_obs.set_gauge "compiled.slots" (float_of_int p.pg_slots);
+    Ocapi_obs.set_gauge "compiled.statements" (float_of_int p.pg_statements)
   end;
   Ocapi_obs.span_end ~cat:"compiled"
     ~args:
       [
-        ("slots", Ocapi_obs.Json.Int a.next_slot);
-        ("statements", Ocapi_obs.Json.Int !n_statements);
+        ("slots", Ocapi_obs.Json.Int p.pg_slots);
+        ("statements", Ocapi_obs.Json.Int p.pg_statements);
       ]
     "compiled.compile" t_compile;
   t
@@ -1120,17 +1301,13 @@ let statement_count t = t.n_statements
 let register_count t = Array.length t.regs
 
 let register_info t i =
-  let name, f, _ = t.regs.(i) in
-  (name, f)
+  let r = t.regs.(i) in
+  (r.reg_name, r.reg_fmt)
 
 let flip_register_bit t i ~bit =
-  let name, f, slot = t.regs.(i) in
-  if bit < 0 || bit >= f.Fixed.width then
-    invalid_arg
-      (Printf.sprintf "flip_register_bit: bit %d outside %s for register %s"
-         bit (Fixed.format_to_string f) name);
-  let flipped = Int64.logxor (get t.values slot) (Int64.shift_left 1L bit) in
-  set t.values slot (wrap (wrap_of f) flipped)
+  let r = t.regs.(i) in
+  let slot = off r.reg_cur in
+  set t.values slot (flip_bit ~name:r.reg_name r.reg_fmt ~bit (get t.values slot))
 
 let component_count t = Array.length t.comps
 
@@ -1142,14 +1319,6 @@ let component_state t i = t.comps.(i).cc_state
 
 let set_component_state t i s =
   let c = t.comps.(i) in
-  let n = Array.length c.cc_state_transitions in
-  if s < 0 || s >= n then
-    raise
-      (Ocapi_error.Error
-         (Ocapi_error.make Ocapi_error.Invalid_state ~engine:"compiled"
-            ~construct:c.cc_name ~cycle:t.cycle
-            (Printf.sprintf "FSM driven into unencoded state %d (%d states)"
-               s n)));
-  c.cc_state <- s
-
-let emit_ocaml sys ~cycles = Emit.emit_ocaml sys ~cycles
+  c.cc_state <-
+    Ocapi_error.check_state ~engine:"compiled" ~construct:c.cc_name
+      ~cycle:t.cycle ~states:(Array.length c.cc_state_transitions) s

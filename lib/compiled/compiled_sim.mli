@@ -4,55 +4,157 @@
     (hash tables, token lists) every cycle.  For extensive verification
     the paper regenerates "an application-specific and optimized compiled
     code simulator" from the same data structure (section 5, fig 7).
-    This module is that code generator: it {e flattens} a system into
+    This module holds that regeneration's one lowering step and its
+    first back end.
 
-    - one value store: a [Bytes] image holding every slot as an unboxed
-      [int64] — one slot per net, register (current and next) and
-      expression node.  Register reads and shifts (which only move the
-      binary point) alias their source slot instead of copying it, and
-      constants are written once into the power-on image that
-      {!reset} copies back;
-    - straight-line statement arrays per FSM transition, split into a
-      {b block A} (outputs depending only on registers/constants — the
-      static image of the token-production phase) and a {b block B}
-      (input-dependent outputs),
-    - per transition, the statements computing its guard, compiled like
-      any other expression,
-    - a static component-level schedule of the B blocks derived from the
-      net dependency graph (the static image of the evaluation phase),
-    - a commit list per transition (the register-update phase).
+    {!lower} flattens a system into a plain-data {!program}:
 
-    All formats, alignment shifts, masks and saturation bounds are
-    resolved at compile time.  A simulation step sweeps the statement
-    arrays in plain loops; a statement reads and writes the store
-    through unboxed primitives and calls no further closure, so the
-    sweep allocates nothing.  Untimed kernels that carry a
-    [Dataflow.Kernel.Ram_model] fire inline against a per-session
-    [int64] RAM image, which {!reset} zeroes; other kernels are called
-    through their closures, boxing their tokens as [Fixed.t].  What a
-    step still allocates is the stimulus tokens, one [Fixed.t] per
-    recorded probe token, those kernel tokens and a few closures of the
-    step itself.
+    - one slot layout: one slot per net, register (current and next)
+      and expression node.  Register reads and shifts (which only move
+      the binary point) alias their source slot instead of copying it,
+      and constants are written once into the power-on image;
+    - per FSM transition, the statements computing its guard and its
+      straight-line statements, split into a {b block A} (outputs
+      depending only on registers/constants — the static image of the
+      token-production phase) and a {b block B} (input-dependent
+      outputs), plus a commit list (the register-update phase);
+    - a static B-phase schedule derived from the net dependency graph
+      (the static image of the evaluation phase), whose units are the
+      components' B blocks, the untimed kernels carrying a
+      [Dataflow.Kernel.Ram_model] (inlined RAMs) and the other kernels
+      (host kernels, called through their closures);
+    - the stimulus, probe, register and component tables.
+
+    Two back ends consume the program.  {!compile}, here, builds one
+    closure per statement over a [Bytes] value store holding every slot
+    as an unboxed [int64]: a statement calls no further closure, so the
+    statement sweep allocates nothing; inlined RAMs fire against a
+    per-session [int64] RAM image, which {!reset} zeroes.  What a step
+    still allocates is the stimulus tokens, one [Fixed.t] per recorded
+    probe token, the host kernels' tokens and a few closures of the
+    step itself.  The other back end, [Emit], renders the same program
+    as OCaml source: the native engine's plugin and the standalone
+    simulator.
 
     Systems whose worst-case (union over transitions) combinational
     net graph is cyclic at component granularity cannot be statically
     scheduled and are rejected with {!Unsupported} — simulate those with
-    the interpreted three-phase scheduler.
-
-    {!emit_ocaml} additionally prints the flattened program as a
-    standalone OCaml source file (the paper's "C++ description is
-    regenerated"), embedding recorded stimuli so the emitted simulator
-    can be compiled and diffed against the in-process engines. *)
+    the interpreted three-phase scheduler. *)
 
 exception Unsupported of string
 
+(** {1 The lowered program}
+
+    Slots index the value store; net [i] of [Cycle_system.nets] owns
+    slot [i] and stamp [i] (its token-presence cell), and registers'
+    current/next slot pairs follow in [Cycle_system.all_regs] order. *)
+
+(** One straight-line statement. *)
+type stmt =
+  | Compute of { node : Signal.t; dst : int; args : int array }
+      (** slot [dst] <- [node]'s operator over the operand slots [args],
+          in operator order; an input read's one operand is the slot of
+          the net it reads.  Constants, register reads and shifts never
+          appear: their slots are aliased or pre-set. *)
+  | Output of { dst : int; src : int; stamp : int }
+      (** net slot [dst] <- slot [src], and the net's stamp <- cycle *)
+  | Assign of { dst : int; src : int }
+      (** a register's next slot [dst] <- slot [src] *)
+
+type transition = {
+  tr_guard : stmt array;  (** run before the guard is tested *)
+  tr_guard_slot : int;  (** holds the guard's value (nonzero: taken) *)
+  tr_block_a : stmt array;
+  tr_block_b : stmt array;
+  tr_commit : (int * int) array;  (** (current, next) register slots *)
+  tr_goto : int;  (** target state index *)
+}
+
+type component = {
+  co_name : string;
+  co_initial : int;
+  co_by_state : int array array;
+      (** per state index, its transitions in priority order; the
+          array's length is the state count *)
+  co_transitions : transition array;
+}
+
+(** An inlined RAM: the kernel's [Ram_model] over the slots of its
+    input nets. *)
+type ram = {
+  ram_name : string;  (** the kernel's component name *)
+  ram_words : int;
+  ram_data_fmt : Fixed.format;
+  ram_addr : int;
+  ram_addr_fmt : Fixed.format;
+  ram_wdata : int;
+  ram_wdata_fmt : Fixed.format;
+  ram_we : int;
+  ram_rdata : (int * int) option;  (** slot, stamp; [None] if unconnected *)
+}
+
+(** A host kernel: component name, [(input port, slot, format)] and
+    [(output port, slot, stamp)] bindings. *)
+type kernel = {
+  hk_name : string;
+  hk_inputs : (string * int * Fixed.format) list;
+  hk_outputs : (string * int * int) list;
+}
+
+(** A B-phase unit, indexing [pg_comps], [pg_rams] or [pg_kernels]. *)
+type b_unit = Component of int | Inline_ram of int | Host_kernel of int
+
+type register = {
+  reg_name : string;
+  reg_fmt : Fixed.format;  (** declared format *)
+  reg_cur : int;  (** current-value slot *)
+  reg_init : int64;  (** power-on mantissa *)
+}
+
+type program = {
+  pg_slots : int;  (** value-store length *)
+  pg_consts : (int * int64) list;  (** constant slots and their values *)
+  pg_regs : register array;  (** in [Cycle_system.all_regs] order *)
+  pg_nets : (string * Fixed.format option) array;
+      (** net name and carried format, when derivable *)
+  pg_comps : component array;  (** timed components, in system order *)
+  pg_rams : ram array;
+  pg_kernels : kernel array;
+      (** in [Cycle_system.untimed_components] order, filtered *)
+  pg_schedule : b_unit array;
+  pg_stims : (string * int * int) array;
+      (** connected primary input name, slot, stamp *)
+  pg_probes : (string * int * int * Fixed.format) array;
+      (** probe name, slot, stamp, carried format *)
+  pg_statements : int;
+      (** Table 1's static size: every node of every transition,
+          elided ones included, plus one per output and register
+          assignment; guards excluded *)
+}
+
+(** [lower system] flattens [system].  Requirements beyond the
+    interpreted engine: untimed kernels must declare port formats;
+    guards read no inputs; combinational component cycles are
+    rejected. *)
+val lower : Cycle_system.t -> program
+
+(** [stimulus system name] is the stimulus of [system]'s primary input
+    [name], as named by [pg_stims]. *)
+val stimulus : Cycle_system.t -> string -> int -> Fixed.t option
+
+(** [flip_bit ~name fmt ~bit m] is mantissa [m] of register [name] with
+    bit [bit] XORed in and the result wrapped into [fmt] — the SEU poke
+    of both compiled back ends.
+    @raise Invalid_argument if [bit] is outside [fmt]'s width. *)
+val flip_bit : name:string -> Fixed.format -> bit:int -> int64 -> int64
+
+(** {1 The closure back end} *)
+
 type t
 
-(** [compile system] flattens [system].  Requirements beyond the
-    interpreted engine: untimed kernels must declare port formats; every
-    primary input's stimulus should produce a token each cycle (a [None]
-    holds the previous value); combinational component cycles are
-    rejected. *)
+(** [compile system] is [lower system] built into closures.  Every
+    primary input's stimulus should produce a token each cycle (a
+    [None] holds the previous value). *)
 val compile : Cycle_system.t -> t
 
 (** One clock cycle. *)
@@ -95,9 +197,8 @@ val register_count : t -> int
 (** [register_info t i] is the register's name and declared format. *)
 val register_info : t -> int -> string * Fixed.format
 
-(** [flip_register_bit t i ~bit] XORs one bit into register [i]'s
-    current-value slot and re-wraps it into the declared format (a
-    transient SEU between two {!step}s).
+(** [flip_register_bit t i ~bit] applies {!flip_bit} to register [i]'s
+    current-value slot (a transient SEU between two {!step}s).
     @raise Invalid_argument if [bit] is outside the declared width. *)
 val flip_register_bit : t -> int -> bit:int -> unit
 
@@ -118,17 +219,6 @@ val set_component_state : t -> int -> int -> unit
 (** Number of value slots in the flattened program (a size metric). *)
 val slot_count : t -> int
 
-(** Number of compiled statements across all blocks, guards excluded (a
-    size metric, Table 1's static size).  Nodes that need no statement
-    at run time — constants, register reads, shifts — still count one
-    each. *)
+(** [pg_statements] of the program (a size metric, Table 1's static
+    size). *)
 val statement_count : t -> int
-
-(** [emit_ocaml system ~cycles] returns standalone OCaml source for a
-    simulator of [system]: stimuli for [cycles] cycles are evaluated now
-    and embedded as literals; the emitted program prints one line per
-    probe token, ["<cycle> <probe> <mantissa>"], so its output can be
-    compared against {!output_history}.  Untimed kernels cannot be
-    embedded in emitted source (their behaviour is an opaque closure);
-    systems containing any are rejected with {!Unsupported}. *)
-val emit_ocaml : Cycle_system.t -> cycles:int -> string

@@ -1,30 +1,17 @@
-(* OCaml source emission for the compiled simulator (fig 7: "a C++
-   description can be regenerated to yield an application-specific and
-   optimized compiled code simulator").  Two shapes share one renderer:
-
-   - {!emit_ocaml}: a standalone program depending only on the standard
-     library, with recorded stimuli embedded as literals; it prints one
-     line per probe token so its behaviour can be diffed against the
-     in-process engines.
-
-   - {!emit_plugin}: a library-shaped module for the native engine.  It
-     registers step/reset closures and its raw state arrays through
-     [Ocapi_native_abi] instead of defining [main]; stimuli, probes and
-     fault pokes stay on the host side of the ABI.  When the width-bound
-     analysis ({!word_mode_ok}) proves every intermediate mantissa fits
-     an unboxed 63-bit [int], the plugin is emitted over native [int]
-     words ([Word] mode); otherwise it falls back to [int64] cells
-     ([I64] mode), semantically identical to the interpreted compiled
-     engine on any width. *)
+(* OCaml source emission, the compiled simulator's second back end
+   (fig 7: "a C++ description can be regenerated to yield an
+   application-specific and optimized compiled code simulator").  It
+   renders the program [Compiled_sim.lower] produces; see emit.mli for
+   the two shapes that share the rendered body. *)
 
 let unsupported fmt =
-  Format.kasprintf (fun s -> raise (Compiled_types.Unsupported s)) fmt
+  Format.kasprintf (fun s -> raise (Compiled_sim.Unsupported s)) fmt
 
 (* Bumped whenever the emitted plugin text, the slot-layout contract or
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
    host. *)
-let emitter_version = 3
+let emitter_version = 4
 
 let sanitize name =
   String.map
@@ -34,137 +21,10 @@ let sanitize name =
       | _ -> '_')
     (String.lowercase_ascii name)
 
-(* --- allocation (textual twin of Compiled_sim's) ----------------------- *)
-
-type alloc = {
-  mutable next_slot : int;
-  net_slot : (string, int) Hashtbl.t;
-  net_fmt : (string, Fixed.format) Hashtbl.t;
-  net_stamp : (string, int) Hashtbl.t;
-  reg_cur : (int, int) Hashtbl.t;
-  reg_next : (int, int) Hashtbl.t;
-  reg_init : (int64 * int) list ref;
-  node_slot : (int, int) Hashtbl.t;
-  sink_net : (string * string, string) Hashtbl.t;
-  driver_net : (string * string, string) Hashtbl.t;
-  roms : (string * int64 array) list ref;  (* emitted name, contents *)
-  rom_names : (string, string) Hashtbl.t;  (* rom name -> emitted name *)
-}
-
-let fresh a =
-  let s = a.next_slot in
-  a.next_slot <- s + 1;
-  s
-
-let slot_of_node a n =
-  match Hashtbl.find_opt a.node_slot (Signal.id n) with
-  | Some s -> s
-  | None ->
-    let s = fresh a in
-    Hashtbl.replace a.node_slot (Signal.id n) s;
-    s
-
-let rom_var a r =
-  let name = Signal.Rom.name r in
-  match Hashtbl.find_opt a.rom_names name with
-  | Some v -> v
-  | None ->
-    let v = Printf.sprintf "rom_%s_%d" (sanitize name) (List.length !(a.roms)) in
-    let contents =
-      Array.init (Signal.Rom.size r) (fun i ->
-          Fixed.mantissa (Signal.Rom.get r i))
-    in
-    a.roms := (v, contents) :: !(a.roms);
-    Hashtbl.replace a.rom_names name v;
-    v
-
-(* Slot allocation shared by both emission shapes: nets first, in
-   [Cycle_system.nets] order (net i also owns stamp i), then a
-   current/next slot pair per register in [all_regs] order.  The native
-   host derives every stimulus/probe/poke slot from this contract alone,
-   so no layout metadata needs to ride with a cached .cmxs. *)
-let make_alloc sys =
-  let a =
-    {
-      next_slot = 0;
-      net_slot = Hashtbl.create 64;
-      net_fmt = Hashtbl.create 64;
-      net_stamp = Hashtbl.create 64;
-      reg_cur = Hashtbl.create 64;
-      reg_next = Hashtbl.create 64;
-      reg_init = ref [];
-      node_slot = Hashtbl.create 1024;
-      sink_net = Hashtbl.create 64;
-      driver_net = Hashtbl.create 64;
-      roms = ref [];
-      rom_names = Hashtbl.create 8;
-    }
-  in
-  let nets = Cycle_system.nets sys in
-  List.iteri
-    (fun i (net_name, (dc, dp), sinks) ->
-      Hashtbl.replace a.net_slot net_name (fresh a);
-      Hashtbl.replace a.net_stamp net_name i;
-      Hashtbl.replace a.driver_net (dc, dp) net_name;
-      List.iter
-        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
-        sinks)
-    nets;
-  List.iter
-    (fun r ->
-      let id = Signal.Reg.id r in
-      let cur = fresh a and nxt = fresh a in
-      Hashtbl.replace a.reg_cur id cur;
-      Hashtbl.replace a.reg_next id nxt;
-      a.reg_init := (Fixed.mantissa (Signal.Reg.init r), cur) :: !(a.reg_init))
-    (Cycle_system.all_regs sys);
-  (a, nets)
-
-(* Net formats, as in Compiled_sim: primary inputs and untimed ports
-   declare theirs; timed outputs take the producing expression's. *)
-let compute_net_formats a sys =
-  let set net fmt =
-    match Hashtbl.find_opt a.net_fmt net with
-    | None -> Hashtbl.replace a.net_fmt net fmt
-    | Some f ->
-      if not (Fixed.equal_format f fmt) then
-        unsupported "emit: net %s is driven with inconsistent formats %s and %s"
-          net
-          (Fixed.format_to_string f) (Fixed.format_to_string fmt)
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt a.driver_net (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (Cycle_system.primary_inputs sys);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt a.driver_net (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (Cycle_system.untimed_components sys);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (Cycle_system.timed_components sys)
-
 (* --- expression text ----------------------------------------------------- *)
 
-(* [I64] renders over [int64] cells (the standalone simulator and the
-   boxed plugin); [Word] renders over unboxed [int] words and is only
-   valid when {!word_mode_ok} proved the bounds. *)
+(* [I64] renders over [int64] cells; [Word] renders over unboxed [int]
+   words and is only valid when {!word_mode_ok} proved the bounds. *)
 type mode = I64 | Word
 
 let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
@@ -217,7 +77,7 @@ let round_txt mode rnd k x =
     | Fixed.Round_nearest -> Printf.sprintf "(rnd_near %d %s)" k x
     | Fixed.Round_even -> Printf.sprintf "(rnd_even %d %s)" k x
 
-let resize_txt mode ?(ctx = "guard") ~round ~overflow (src : Fixed.format)
+let resize_txt mode ~ctx ~round ~overflow (src : Fixed.format)
     (dst : Fixed.format) x =
   let k = src.Fixed.frac - dst.Fixed.frac in
   let ovf v =
@@ -227,9 +87,9 @@ let resize_txt mode ?(ctx = "guard") ~round ~overflow (src : Fixed.format)
   in
   if k > 0 then ovf (round_txt mode round k x)
   else if -k > 62 then
-    (* Same semantics as Fixed.resize / the in-process compiled engine:
-       zero passes, a nonzero mantissa raises a structured overflow
-       carrying the construct, target format and failing cycle. *)
+    (* Same semantics as Fixed.resize / the closure back end: zero
+       passes, a nonzero mantissa raises a structured overflow carrying
+       the construct, target format and failing cycle. *)
     Printf.sprintf "(if %s = %s then %s else overflow_error %S)" x (zero mode)
       (zero mode)
       (Printf.sprintf "%s: resize to %s: shift too large for nonzero value"
@@ -237,172 +97,167 @@ let resize_txt mode ?(ctx = "guard") ~round ~overflow (src : Fixed.format)
          (Fixed.format_to_string dst))
   else ovf (shl_txt mode x (-k))
 
-(* Text of the expression for node [n].  With [~comp:(Some cname)] this
-   is a statement-level node whose children are referenced through their
-   slots; with [comp = None] it is a pure guard rendered by inline
-   recursion (guards cannot read inputs). *)
-let rec expr_text mode a ?comp n =
-  let s x =
-    match comp with
-    | Some _ -> Printf.sprintf "v.(%d)" (slot_of_node a x)
-    | None -> expr_text mode a x
+(* What rendering a program's statements needs beyond the statements:
+   the mode, the constant slots (rendered as literals at their uses, so
+   the emitted code never reads or writes them) and the ROM tables
+   referenced so far, as (emitted name, contents), newest first. *)
+type ctx = {
+  mode : mode;
+  consts : (int, int64) Hashtbl.t;
+  rom_names : (string, string) Hashtbl.t;  (* ROM name -> emitted name *)
+  mutable roms : (string * int64 array) list;
+}
+
+let slot_txt cx s =
+  match Hashtbl.find_opt cx.consts s with
+  | Some m -> lit cx.mode m
+  | None -> Printf.sprintf "v.(%d)" s
+
+let rom_var cx r =
+  let name = Signal.Rom.name r in
+  match Hashtbl.find_opt cx.rom_names name with
+  | Some v -> v
+  | None ->
+    let v = Printf.sprintf "rom_%s_%d" (sanitize name) (List.length cx.roms) in
+    let contents =
+      Array.init (Signal.Rom.size r) (fun i -> Fixed.mantissa (Signal.Rom.get r i))
+    in
+    cx.roms <- (v, contents) :: cx.roms;
+    Hashtbl.replace cx.rom_names name v;
+    v
+
+(* Text of [node]'s operator applied to the operand texts [arg i], in
+   operator order; [where] names the construct in overflow messages. *)
+let compute_txt cx ~where node arg =
+  let mode = cx.mode in
+  let nf = Signal.fmt node in
+  let shifted x y =
+    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    (shl_txt mode (arg 0) ka, shl_txt mode (arg 1) kb)
   in
-  let ctx = match comp with Some c -> c | None -> "guard" in
-  let nf = Signal.fmt n in
-  match Signal.op n with
-  | Signal.Const v -> lit mode (Fixed.mantissa v)
-  | Signal.Input_read i -> begin
-    match comp with
-    | None -> unsupported "emit: guard reads input %s" (Signal.Input.name i)
-    | Some cname -> begin
-      match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-      | Some net -> Printf.sprintf "v.(%d)" (Hashtbl.find a.net_slot net)
-      | None ->
-        unsupported "emit: input %s.%s is not connected" cname
-          (Signal.Input.name i)
-    end
-  end
-  | Signal.Reg_read r ->
-    Printf.sprintf "v.(%d)" (Hashtbl.find a.reg_cur (Signal.Reg.id r))
+  match Signal.op node with
+  | Signal.Const _ | Signal.Reg_read _
+  | Signal.Shift_left _ | Signal.Shift_right _ ->
+    invalid_arg "Emit: an elided node has no statement"
+  | Signal.Input_read _ -> arg 0
   | Signal.Add (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    bin_txt mode "Int64.add" "+" (shl_txt mode (s x) ka) (shl_txt mode (s y) kb)
+    let a, b = shifted x y in
+    bin_txt mode "Int64.add" "+" a b
   | Signal.Sub (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    bin_txt mode "Int64.sub" "-" (shl_txt mode (s x) ka) (shl_txt mode (s y) kb)
-  | Signal.Mul (x, y) -> bin_txt mode "Int64.mul" "*" (s x) (s y)
-  | Signal.Neg x -> begin
+    let a, b = shifted x y in
+    bin_txt mode "Int64.sub" "-" a b
+  | Signal.Mul _ -> bin_txt mode "Int64.mul" "*" (arg 0) (arg 1)
+  | Signal.Neg _ -> begin
     match mode with
-    | I64 -> Printf.sprintf "(Int64.neg %s)" (s x)
-    | Word -> Printf.sprintf "(- %s)" (s x)
+    | I64 -> Printf.sprintf "(Int64.neg %s)" (arg 0)
+    | Word -> Printf.sprintf "(- %s)" (arg 0)
   end
-  | Signal.Abs x -> begin
+  | Signal.Abs _ -> begin
     match mode with
-    | I64 -> Printf.sprintf "(Int64.abs %s)" (s x)
-    | Word -> Printf.sprintf "(abs %s)" (s x)
+    | I64 -> Printf.sprintf "(Int64.abs %s)" (arg 0)
+    | Word -> Printf.sprintf "(abs %s)" (arg 0)
   end
   | Signal.And (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    wrap_txt nf
-      (bin_txt mode "Int64.logand" "land" (shl_txt mode (s x) ka)
-         (shl_txt mode (s y) kb))
+    let a, b = shifted x y in
+    wrap_txt nf (bin_txt mode "Int64.logand" "land" a b)
   | Signal.Or (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    wrap_txt nf
-      (bin_txt mode "Int64.logor" "lor" (shl_txt mode (s x) ka)
-         (shl_txt mode (s y) kb))
+    let a, b = shifted x y in
+    wrap_txt nf (bin_txt mode "Int64.logor" "lor" a b)
   | Signal.Xor (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    wrap_txt nf
-      (bin_txt mode "Int64.logxor" "lxor" (shl_txt mode (s x) ka)
-         (shl_txt mode (s y) kb))
-  | Signal.Not x -> begin
+    let a, b = shifted x y in
+    wrap_txt nf (bin_txt mode "Int64.logxor" "lxor" a b)
+  | Signal.Not _ -> begin
     match mode with
-    | I64 -> wrap_txt nf (Printf.sprintf "(Int64.lognot %s)" (s x))
-    | Word -> wrap_txt nf (Printf.sprintf "(lnot %s)" (s x))
+    | I64 -> wrap_txt nf (Printf.sprintf "(Int64.lognot %s)" (arg 0))
+    | Word -> wrap_txt nf (Printf.sprintf "(lnot %s)" (arg 0))
   end
   | Signal.Eq (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    Printf.sprintf "(if %s = %s then %s else %s)" (shl_txt mode (s x) ka)
-      (shl_txt mode (s y) kb) (one mode) (zero mode)
+    let a, b = shifted x y in
+    Printf.sprintf "(if %s = %s then %s else %s)" a b (one mode) (zero mode)
   | Signal.Lt (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    Printf.sprintf "(if %s < %s then %s else %s)" (shl_txt mode (s x) ka)
-      (shl_txt mode (s y) kb) (one mode) (zero mode)
+    let a, b = shifted x y in
+    Printf.sprintf "(if %s < %s then %s else %s)" a b (one mode) (zero mode)
   | Signal.Le (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    Printf.sprintf "(if %s <= %s then %s else %s)" (shl_txt mode (s x) ka)
-      (shl_txt mode (s y) kb) (one mode) (zero mode)
-  | Signal.Mux (sel, x, y) ->
+    let a, b = shifted x y in
+    Printf.sprintf "(if %s <= %s then %s else %s)" a b (one mode) (zero mode)
+  | Signal.Mux (_, x, y) ->
     let rx =
-      resize_txt mode ~ctx ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt x) nf (s x)
+      resize_txt mode ~ctx:where ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+        (Signal.fmt x) nf (arg 1)
     in
     let ry =
-      resize_txt mode ~ctx ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt y) nf (s y)
+      resize_txt mode ~ctx:where ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+        (Signal.fmt y) nf (arg 2)
     in
-    Printf.sprintf "(if %s <> %s then %s else %s)" (s sel) (zero mode) rx ry
+    Printf.sprintf "(if %s <> %s then %s else %s)" (arg 0) (zero mode) rx ry
   | Signal.Resize (round, overflow, x) ->
-    resize_txt mode ~ctx ~round ~overflow (Signal.fmt x) nf (s x)
+    resize_txt mode ~ctx:where ~round ~overflow (Signal.fmt x) nf (arg 0)
   | Signal.Rom_read (r, idx) ->
-    let var = rom_var a r in
+    let var = rom_var cx r in
     let len = Signal.Rom.size r in
     let frac = (Signal.fmt idx).Fixed.frac in
     if frac <= 0 then
       match mode with
       | I64 ->
         Printf.sprintf "%s.(Int64.to_int %s mod %d)" var
-          (shl_txt mode (s idx) (-frac))
+          (shl_txt mode (arg 0) (-frac))
           len
       | Word ->
-        Printf.sprintf "%s.(%s mod %d)" var (shl_txt mode (s idx) (-frac)) len
+        Printf.sprintf "%s.(%s mod %d)" var (shl_txt mode (arg 0) (-frac)) len
     else begin
       match mode with
       | I64 ->
         Printf.sprintf "%s.(Int64.to_int (Int64.div %s %LdL) mod %d)" var
-          (s idx)
+          (arg 0)
           (Int64.shift_left 1L (min frac 62))
           len
       | Word ->
-        Printf.sprintf "%s.((%s / (1 lsl %d)) mod %d)" var (s idx)
+        Printf.sprintf "%s.((%s / (1 lsl %d)) mod %d)" var (arg 0)
           (min frac 62) len
     end
-  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> s x
 
-let node_expr_text mode a comp_name n = expr_text mode a ~comp:comp_name n
-let pure_expr_text mode a e = expr_text mode a e
+let stmt_txt cx ~where = function
+  | Compiled_sim.Compute { node; dst; args } ->
+    Printf.sprintf "v.(%d) <- %s" dst
+      (compute_txt cx ~where node (fun i -> slot_txt cx args.(i)))
+  | Compiled_sim.Output { dst; src; stamp } ->
+    Printf.sprintf "v.(%d) <- %s; stamp.(%d) <- !cycle" dst (slot_txt cx src)
+      stamp
+  | Compiled_sim.Assign { dst; src } ->
+    Printf.sprintf "v.(%d) <- %s" dst (slot_txt cx src)
 
-(* --- classification (shared logic) --------------------------------------- *)
-
-(* NOTE: every child must be visited even when the answer is already
-   known — short-circuiting would leave siblings unclassified, and an
-   unclassified input-dependent node would default to block A and read
-   stale values. *)
-let classify_nodes roots =
-  let cls : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let rec go n =
-    match Hashtbl.find_opt cls (Signal.id n) with
-    | Some b -> b
-    | None ->
-      let b =
-        match Signal.op n with
-        | Signal.Input_read _ -> true
-        | Signal.Const _ | Signal.Reg_read _ -> false
-        | Signal.Neg x | Signal.Abs x | Signal.Not x
-        | Signal.Resize (_, _, x)
-        | Signal.Rom_read (_, x)
-        | Signal.Shift_left (x, _)
-        | Signal.Shift_right (x, _) -> go x
-        | Signal.Add (x, y) | Signal.Sub (x, y) | Signal.Mul (x, y)
-        | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y)
-        | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
-          let bx = go x in
-          let by = go y in
-          bx || by
-        | Signal.Mux (s, x, y) ->
-          let bs = go s in
-          let bx = go x in
-          let by = go y in
-          bs || bx || by
-      in
-      Hashtbl.replace cls (Signal.id n) b;
-      b
+(* A guard renders as one expression: its statements bind locals
+   instead of storing into the value store. *)
+let guard_txt cx (tr : Compiled_sim.transition) =
+  let locals = Hashtbl.create 8 in
+  let operand s =
+    if Hashtbl.mem locals s then Printf.sprintf "g%d" s else slot_txt cx s
   in
-  List.iter (fun r -> ignore (go r)) roots;
-  fun n ->
-    match Hashtbl.find_opt cls (Signal.id n) with Some b -> b | None -> false
+  let buf = Buffer.create 128 in
+  Array.iter
+    (function
+      | Compiled_sim.Compute { node; dst; args } ->
+        Printf.bprintf buf "let g%d = %s in " dst
+          (compute_txt cx ~where:"guard" node (fun i -> operand args.(i)));
+        Hashtbl.replace locals dst ()
+      | Compiled_sim.Output _ | Compiled_sim.Assign _ ->
+        invalid_arg "Emit: a guard stores into the value store")
+    tr.Compiled_sim.tr_guard;
+  Printf.sprintf "(%s%s <> %s)" (Buffer.contents buf)
+    (operand tr.Compiled_sim.tr_guard_slot)
+    (zero cx.mode)
 
 (* --- width-bound analysis (Word-mode safety) ----------------------------- *)
 
-(* A conservative static fixpoint over magnitude bounds: [bits b] means
-   every value the node can carry satisfies |v| < 2^b.  OCaml's native
-   [int] is 63 bits (62 magnitude bits + sign), so Word mode is safe iff
-   every node — including shifted operands and rounding intermediates —
-   stays within 62 magnitude bits, and every format width fed to a
-   wrap/saturate helper (which computes [1 lsl width]) is at most 61.
-   Registers hold raw (unwrapped) committed expression values, so their
-   bounds come from the same fixpoint, seeded with the initial value. *)
+(* A conservative static fixpoint over magnitude bounds per slot: [b]
+   means every value the slot can carry satisfies |v| < 2^b.  OCaml's
+   native [int] is 63 bits (62 magnitude bits + sign), so Word mode is
+   safe iff every slot — including shifted operands and rounding
+   intermediates — stays within 62 magnitude bits, and every format
+   width fed to a wrap/saturate helper (which computes [1 lsl width]) is
+   at most 61.  Registers hold raw (unwrapped) committed expression
+   values, so their bounds come from the same fixpoint, seeded with the
+   initial value. *)
 
 exception Too_wide
 
@@ -426,396 +281,126 @@ let checked b = if b > value_limit then raise Too_wide else b
 let checked_width (f : Fixed.format) =
   if f.Fixed.width > width_limit then raise Too_wide else f.Fixed.width
 
-let rec bound_expr a memo net_bits reg_bits comp n =
-  match Hashtbl.find_opt memo (Signal.id n) with
-  | Some b -> b
-  | None ->
-    let bx x = bound_expr a memo net_bits reg_bits comp x in
-    let nf = Signal.fmt n in
-    let resize_bound ~round ~overflow (src : Fixed.format)
-        (dst : Fixed.format) b =
-      let k = src.Fixed.frac - dst.Fixed.frac in
-      ignore overflow;
-      if k > 62 then 1
-      else if k > 0 then begin
-        (match round with
-        | Fixed.Truncate -> ()
-        | Fixed.Round_nearest | Fixed.Round_even ->
-          ignore (checked (max b (k - 1) + 1)));
-        checked_width dst
-      end
-      else if -k > 62 then 1
-      else begin
-        ignore (checked (b + -k));
-        checked_width dst
-      end
-    in
-    let b =
-      match Signal.op n with
-      | Signal.Const v -> bits_of_int64 (Fixed.mantissa v)
-      | Signal.Input_read i -> begin
-        match Hashtbl.find_opt a.sink_net (comp, Signal.Input.name i) with
-        | Some net -> (
-          match Hashtbl.find_opt net_bits net with Some b -> b | None -> 0)
-        | None -> 0
-      end
-      | Signal.Reg_read r -> begin
-        match Hashtbl.find_opt reg_bits (Signal.Reg.id r) with
-        | Some b -> b
-        | None -> 0
-      end
-      | Signal.Add (x, y) | Signal.Sub (x, y) ->
-        let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-        let bx' = checked (bx x + ka) and by' = checked (bx y + kb) in
-        max bx' by' + 1
-      | Signal.Mul (x, y) -> bx x + bx y
-      | Signal.Neg x | Signal.Abs x -> bx x
-      | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y) ->
-        let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-        ignore (checked (bx x + ka));
-        ignore (checked (bx y + kb));
-        checked_width nf
-      | Signal.Not x ->
-        ignore (checked (bx x + 1));
-        checked_width nf
-      | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
-        let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-        ignore (checked (bx x + ka));
-        ignore (checked (bx y + kb));
-        1
-      | Signal.Mux (sel, x, y) ->
-        ignore (bx sel);
-        let rx =
-          resize_bound ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-            (Signal.fmt x) nf (bx x)
-        in
-        let ry =
-          resize_bound ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-            (Signal.fmt y) nf (bx y)
-        in
-        max rx ry
-      | Signal.Resize (round, overflow, x) ->
-        resize_bound ~round ~overflow (Signal.fmt x) nf (bx x)
-      | Signal.Rom_read (r, idx) ->
-        let bidx = bx idx in
-        let frac = (Signal.fmt idx).Fixed.frac in
-        if frac <= 0 then ignore (checked (bidx + -frac))
-        else if frac > width_limit then raise Too_wide;
-        let m = ref 0 in
-        for i = 0 to Signal.Rom.size r - 1 do
-          m := max !m (bits_of_int64 (Fixed.mantissa (Signal.Rom.get r i)))
-        done;
-        !m
-      | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> bx x
-    in
-    let b = checked b in
-    Hashtbl.replace memo (Signal.id n) b;
-    b
+(* The bound of [node]'s value given its operands' bounds [arg i]. *)
+let bound node arg =
+  let nf = Signal.fmt node in
+  let resize_bound ~round (src : Fixed.format) (dst : Fixed.format) b =
+    let k = src.Fixed.frac - dst.Fixed.frac in
+    if k > 62 then 1
+    else if k > 0 then begin
+      (match round with
+      | Fixed.Truncate -> ()
+      | Fixed.Round_nearest | Fixed.Round_even ->
+        ignore (checked (max b (k - 1) + 1)));
+      checked_width dst
+    end
+    else if -k > 62 then 1
+    else begin
+      ignore (checked (b + -k));
+      checked_width dst
+    end
+  in
+  let check_aligned x y =
+    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    (checked (arg 0 + ka), checked (arg 1 + kb))
+  in
+  match Signal.op node with
+  | Signal.Const _ | Signal.Reg_read _
+  | Signal.Shift_left _ | Signal.Shift_right _ ->
+    invalid_arg "Emit: an elided node has no statement"
+  | Signal.Input_read _ | Signal.Neg _ | Signal.Abs _ -> arg 0
+  | Signal.Add (x, y) | Signal.Sub (x, y) ->
+    let bx, by = check_aligned x y in
+    max bx by + 1
+  | Signal.Mul _ -> arg 0 + arg 1
+  | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y) ->
+    ignore (check_aligned x y);
+    checked_width nf
+  | Signal.Not _ ->
+    ignore (checked (arg 0 + 1));
+    checked_width nf
+  | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
+    ignore (check_aligned x y);
+    1
+  | Signal.Mux (_, x, y) ->
+    max
+      (resize_bound ~round:Fixed.Truncate (Signal.fmt x) nf (arg 1))
+      (resize_bound ~round:Fixed.Truncate (Signal.fmt y) nf (arg 2))
+  | Signal.Resize (round, _, x) -> resize_bound ~round (Signal.fmt x) nf (arg 0)
+  | Signal.Rom_read (r, idx) ->
+    let frac = (Signal.fmt idx).Fixed.frac in
+    if frac <= 0 then ignore (checked (arg 0 + -frac))
+    else if frac > width_limit then raise Too_wide;
+    let m = ref 0 in
+    for i = 0 to Signal.Rom.size r - 1 do
+      m := max !m (bits_of_int64 (Fixed.mantissa (Signal.Rom.get r i)))
+    done;
+    !m
 
-(* [word_mode_ok a sys] decides whether Word-mode emission is exact for
-   [sys].  Monotone relaxation over per-net / per-register bounds; any
-   bound exceeding the 62-bit magnitude limit (or any wrap width above
-   61) rejects.  Termination: bounds only grow and are capped. *)
-let word_mode_ok a sys =
+(* [word_mode_ok p] decides whether Word-mode emission of [p] is exact:
+   monotone relaxation of the slot bounds over every statement until
+   nothing grows; any bound exceeding the 62-bit magnitude limit (or any
+   wrap width above 61) rejects.  Termination: bounds only grow and are
+   capped. *)
+let word_mode_ok (p : Compiled_sim.program) =
+  let open Compiled_sim in
   try
-    let net_bits : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    let reg_bits : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (name, (fmt : Fixed.format), _) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | Some net -> Hashtbl.replace net_bits net (checked_width fmt)
-        | None -> ())
-      (Cycle_system.primary_inputs sys);
-    List.iter
-      (fun (name, k) ->
-        List.iter
-          (fun (port, _) ->
-            match Hashtbl.find_opt a.driver_net (name, port) with
-            | Some net ->
-              Hashtbl.replace net_bits net
-                (checked_width (Dataflow.Kernel.port_format k port))
-            | None -> ())
-          k.Dataflow.Kernel.k_outputs)
-      (Cycle_system.untimed_components sys);
-    List.iter
-      (fun r ->
-        Hashtbl.replace reg_bits (Signal.Reg.id r)
-          (checked (bits_of_int64 (Fixed.mantissa (Signal.Reg.init r)))))
-      (Cycle_system.all_regs sys);
-    let relax tbl key b =
-      let old = match Hashtbl.find_opt tbl key with Some o -> o | None -> 0 in
-      if b > old then begin
-        Hashtbl.replace tbl key b;
-        true
-      end
-      else false
+    let bits = Array.make p.pg_slots 0 in
+    List.iter (fun (slot, m) -> bits.(slot) <- checked (bits_of_int64 m)) p.pg_consts;
+    Array.iter
+      (fun r -> bits.(r.reg_cur) <- checked (bits_of_int64 r.reg_init))
+      p.pg_regs;
+    (* Nets driven from outside the statements carry their format. *)
+    let seed slot =
+      Option.iter
+        (fun f -> bits.(slot) <- checked_width f)
+        (snd p.pg_nets.(slot))
     in
+    Array.iter (fun (_, slot, _) -> seed slot) p.pg_stims;
+    Array.iter
+      (fun k -> List.iter (fun (_, slot, _) -> seed slot) k.hk_outputs)
+      p.pg_kernels;
+    Array.iter (fun r -> Option.iter (fun (slot, _) -> seed slot) r.ram_rdata) p.pg_rams;
     let changed = ref true in
+    let relax slot b =
+      if b > bits.(slot) then begin
+        bits.(slot) <- b;
+        changed := true
+      end
+    in
+    let stmt = function
+      | Compute { node; dst; args } ->
+        relax dst (checked (bound node (fun i -> bits.(args.(i)))))
+      | Output { dst; src; _ } | Assign { dst; src } -> relax dst bits.(src)
+    in
     while !changed do
       changed := false;
-      List.iter
-        (fun (cname, fsm) ->
-          List.iter
+      Array.iter
+        (fun c ->
+          Array.iter
             (fun tr ->
-              let memo = Hashtbl.create 256 in
-              let bound n = bound_expr a memo net_bits reg_bits cname n in
-              ignore (bound (Fsm.guard_expr tr.Fsm.t_guard));
-              List.iter
-                (fun sfg ->
-                  List.iter
-                    (fun (port, e) ->
-                      let b = bound e in
-                      match Hashtbl.find_opt a.driver_net (cname, port) with
-                      | Some net ->
-                        if relax net_bits net b then changed := true
-                      | None -> ())
-                    (Sfg.outputs sfg);
-                  List.iter
-                    (fun (reg, e) ->
-                      let b = bound e in
-                      if relax reg_bits (Signal.Reg.id reg) b then
-                        changed := true)
-                    (Sfg.assigns sfg))
-                tr.Fsm.t_actions)
-            (Fsm.transitions fsm))
-        (Cycle_system.timed_components sys)
+              Array.iter stmt tr.tr_guard;
+              Array.iter stmt tr.tr_block_a;
+              Array.iter stmt tr.tr_block_b;
+              Array.iter (fun (cur, nxt) -> relax cur bits.(nxt)) tr.tr_commit)
+            c.co_transitions)
+        p.pg_comps
     done;
-    (* Inlined RAM models compute [Fixed.to_int] of the address and a
-       truncate/wrap resize of the write data in plugin code; both may
-       shift left, so their intermediates must obey the same magnitude
-       limit as every other node. *)
-    List.iter
-      (fun (name, k) ->
-        match k.Dataflow.Kernel.k_model with
-        | Some (Dataflow.Kernel.Ram_model { data_fmt; addr_port; wdata_port; _ })
-          ->
-          ignore (checked_width data_fmt);
-          let input_net_bits port =
-            match Hashtbl.find_opt a.sink_net (name, port) with
-            | None -> None
-            | Some net ->
-              let fmt =
-                match Hashtbl.find_opt a.net_fmt net with
-                | Some f -> f
-                | None -> Dataflow.Kernel.port_format k port
-              in
-              let b =
-                match Hashtbl.find_opt net_bits net with
-                | Some b -> b
-                | None -> 0
-              in
-              Some (fmt, b)
-          in
-          (match input_net_bits addr_port with
-          | Some (f, b) when f.Fixed.frac < 0 ->
-            ignore (checked (b + -f.Fixed.frac))
-          | _ -> ());
-          (match input_net_bits wdata_port with
-          | Some (f, b) ->
-            let shift = data_fmt.Fixed.frac - f.Fixed.frac in
-            if shift > 0 then ignore (checked (b + shift))
-          | None -> ())
-        | _ -> ())
-      (Cycle_system.untimed_components sys);
+    (* Inlined RAMs compute [Fixed.to_int] of the address and a
+       truncate/wrap resize of the write data in emitted code; both may
+       shift left, so their intermediates obey the same limit. *)
+    Array.iter
+      (fun r ->
+        ignore (checked_width r.ram_data_fmt);
+        let f = r.ram_addr_fmt.Fixed.frac in
+        if f < 0 then ignore (checked (bits.(r.ram_addr) + -f));
+        let shift = r.ram_data_fmt.Fixed.frac - r.ram_wdata_fmt.Fixed.frac in
+        if shift > 0 then ignore (checked (bits.(r.ram_wdata) + shift)))
+      p.pg_rams;
     true
   with Too_wide -> false
 
-(* --- shared per-component rendering -------------------------------------- *)
-
-type comp_text = {
-  ct_name : string;
-  ct_cid : string;  (* sanitized identifier *)
-  ct_index : int;  (* index into the FSM-state array *)
-  ct_select : string;
-  ct_block_a : string;
-  ct_block_b : string;
-  ct_commit : string;
-  ct_initial : int;
-  ct_states : int;
-}
-
-(* Renders one match arm set per component.  FSM states live in a shared
-   [states : int array] (indexed by component order) in both emission
-   shapes, so the native host can read and force them through the ABI. *)
-let build_comp_texts mode a sys ~b_written ~b_read ~n_statements =
-  let all_timed = Cycle_system.timed_components sys in
-  List.mapi
-    (fun ci (cname, fsm) ->
-      let cid = sanitize cname in
-      let transitions = Array.of_list (Fsm.transitions fsm) in
-      let block_a = Buffer.create 1024
-      and block_b = Buffer.create 1024
-      and commits = Buffer.create 256 in
-      let ba fmt = Printf.ksprintf (Buffer.add_string block_a) fmt in
-      let bb fmt = Printf.ksprintf (Buffer.add_string block_b) fmt in
-      let bc fmt = Printf.ksprintf (Buffer.add_string commits) fmt in
-      Array.iteri
-        (fun ti tr ->
-          let roots =
-            List.concat_map
-              (fun sfg ->
-                List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg))
-              tr.Fsm.t_actions
-          in
-          let is_b = classify_nodes roots in
-          let emitted = Hashtbl.create 128 in
-          let a_stmts = ref [] and b_stmts = ref [] and c_stmts = ref [] in
-          let emit_node n =
-            Signal.fold_dag n ~init:() ~f:(fun () x ->
-                if not (Hashtbl.mem emitted (Signal.id x)) then begin
-                  Hashtbl.add emitted (Signal.id x) ();
-                  let txt =
-                    Printf.sprintf "v.(%d) <- %s" (slot_of_node a x)
-                      (node_expr_text mode a cname x)
-                  in
-                  if is_b x then b_stmts := txt :: !b_stmts
-                  else a_stmts := txt :: !a_stmts;
-                  incr n_statements;
-                  match Signal.op x with
-                  | Signal.Input_read i -> begin
-                    match
-                      Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i)
-                    with
-                    | Some net -> Hashtbl.replace b_read (cname, net) ()
-                    | None -> ()
-                  end
-                  | _ -> ()
-                end)
-          in
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun (port, e) ->
-                  emit_node e;
-                  match Hashtbl.find_opt a.driver_net (cname, port) with
-                  | None -> ()
-                  | Some net ->
-                    let txt =
-                      Printf.sprintf "v.(%d) <- v.(%d); stamp.(%d) <- !cycle"
-                        (Hashtbl.find a.net_slot net)
-                        (slot_of_node a e)
-                        (Hashtbl.find a.net_stamp net)
-                    in
-                    incr n_statements;
-                    if is_b e then begin
-                      b_stmts := txt :: !b_stmts;
-                      Hashtbl.replace b_written net cname
-                    end
-                    else a_stmts := txt :: !a_stmts)
-                (Sfg.outputs sfg);
-              List.iter
-                (fun (reg, e) ->
-                  emit_node e;
-                  let nxt = Hashtbl.find a.reg_next (Signal.Reg.id reg) in
-                  let cur = Hashtbl.find a.reg_cur (Signal.Reg.id reg) in
-                  let txt =
-                    Printf.sprintf "v.(%d) <- v.(%d)" nxt (slot_of_node a e)
-                  in
-                  if is_b e then b_stmts := txt :: !b_stmts
-                  else a_stmts := txt :: !a_stmts;
-                  n_statements := !n_statements + 2;
-                  c_stmts := Printf.sprintf "v.(%d) <- v.(%d)" cur nxt :: !c_stmts)
-                (Sfg.assigns sfg))
-            tr.Fsm.t_actions;
-          let body stmts =
-            match List.rev stmts with
-            | [] -> "()"
-            | l -> String.concat ";\n      " l
-          in
-          ba "    | %d ->\n      %s\n" ti (body !a_stmts);
-          bb "    | %d ->\n      %s\n" ti (body !b_stmts);
-          bc "    | %d ->\n      %s;\n      states.(%d) <- %d\n" ti
-            (body !c_stmts) ci
-            (Fsm.state_index tr.Fsm.t_goto))
-        transitions;
-      (* Guard selection per state. *)
-      let sel = Buffer.create 512 in
-      let bs fmt = Printf.ksprintf (Buffer.add_string sel) fmt in
-      List.iter
-        (fun st ->
-          bs "    | %d ->\n" (Fsm.state_index st);
-          let trs =
-            Array.to_list transitions
-            |> List.mapi (fun i tr -> (i, tr))
-            |> List.filter (fun (_, tr) -> Fsm.state_equal tr.Fsm.t_from st)
-          in
-          let rec chain = function
-            | [] -> "(-1)"
-            | (i, tr) :: rest ->
-              let g = Fsm.guard_expr tr.Fsm.t_guard in
-              Printf.sprintf "if %s <> %s then %d else %s"
-                (pure_expr_text mode a g) (zero mode) i (chain rest)
-          in
-          bs "      %s\n" (chain trs))
-        (Fsm.states fsm);
-      {
-        ct_name = cname;
-        ct_cid = cid;
-        ct_index = ci;
-        ct_select = Buffer.contents sel;
-        ct_block_a = Buffer.contents block_a;
-        ct_block_b = Buffer.contents block_b;
-        ct_commit = Buffer.contents commits;
-        ct_initial = Fsm.state_index (Fsm.initial_state fsm);
-        ct_states = List.length (Fsm.states fsm);
-      })
-    all_timed
-
-(* Topological order of the B-phase units: timed components followed by
-   untimed kernels (as (kernel name, nets read) pairs; kernel outputs
-   were pre-seeded into [b_written]).  Returns indices into the combined
-   unit list. *)
-let schedule_b_units ~b_written ~b_read comp_texts kernel_reads =
-  let names =
-    List.map (fun ct -> ct.ct_name) comp_texts
-    @ List.map fst kernel_reads
-  in
-  let idx = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace idx n i) names;
-  let n_units = List.length names in
-  let succs = Array.make (max 1 n_units) [] in
-  let indeg = Array.make (max 1 n_units) 0 in
-  let add_edge writer reader =
-    if writer <> reader then begin
-      let w = Hashtbl.find idx writer and r = Hashtbl.find idx reader in
-      succs.(w) <- r :: succs.(w);
-      indeg.(r) <- indeg.(r) + 1
-    end
-  in
-  Hashtbl.iter
-    (fun (reader, net) () ->
-      match Hashtbl.find_opt b_written net with
-      | Some writer -> add_edge writer reader
-      | None -> ())
-    b_read;
-  List.iter
-    (fun (kname, nets_read) ->
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt b_written net with
-          | Some writer -> add_edge writer kname
-          | None -> ())
-        nets_read)
-    kernel_reads;
-  let order = ref [] and queue = Queue.create () and visited = ref 0 in
-  for i = 0 to n_units - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
-  done;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order := i :: !order;
-    incr visited;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !visited <> n_units then
-    unsupported "emit: combinational component cycle";
-  List.rev !order
-
-(* Shared text fragments: mode helpers, ROMs, register initialization. *)
+(* --- the body both shapes share ------------------------------------------- *)
 
 let emit_helpers buf mode =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -853,419 +438,208 @@ let emit_helpers buf mode =
     pf "let _ = wrap_u 1 0, wrap_s 1 0, sat 0 0 0, rnd_near 1 0, rnd_even 1 0\n";
     pf "let _ = overflow_error\n\n"
 
-let emit_roms buf mode a =
+(* [Fixed.to_int] of the address value, rendered over the mode's cells.
+   Word mode is exact because {!word_mode_ok} checked the left-shift
+   bound for negative fractions, and a positive fraction >= 62 divides
+   a sub-2^62 magnitude to zero exactly as [Int64.div] does. *)
+let ram_to_int_txt mode (r : Compiled_sim.ram) =
+  let slot = r.Compiled_sim.ram_addr in
+  let f = r.Compiled_sim.ram_addr_fmt.Fixed.frac in
+  match mode with
+  | Word ->
+    if f = 0 then Printf.sprintf "v.(%d)" slot
+    else if f < 0 then Printf.sprintf "(v.(%d) lsl %d)" slot (-f)
+    else if f > 61 then "0"
+    else Printf.sprintf "(v.(%d) / (1 lsl %d))" slot f
+  | I64 ->
+    if f = 0 then Printf.sprintf "(Int64.to_int v.(%d))" slot
+    else if f < 0 then
+      Printf.sprintf "(Int64.to_int (Int64.shift_left v.(%d) %d))" slot (-f)
+    else
+      Printf.sprintf "(Int64.to_int (Int64.div v.(%d) (Int64.shift_left 1L %d)))"
+        slot (min f 62)
+
+(* The firing of Ram_model, as in Ram_cell.kernel: produce the
+   pre-write word at the wrapped address, stage the resized write when
+   the enable is true (the commit section applies it). *)
+let ram_fire_txt mode i (r : Compiled_sim.ram) =
+  let open Compiled_sim in
+  String.concat "\n  "
+    ([
+       Printf.sprintf "(let a_ = %s mod %d in" (ram_to_int_txt mode r) r.ram_words;
+       Printf.sprintf " let a_ = if a_ < 0 then a_ + %d else a_ in" r.ram_words;
+     ]
+    @ (match r.ram_rdata with
+      | Some (slot, stamp) ->
+        [
+          Printf.sprintf " v.(%d) <- ram_%d.(a_);" slot i;
+          Printf.sprintf " stamp.(%d) <- !cycle;" stamp;
+        ]
+      | None -> [])
+    @ [
+        Printf.sprintf " if v.(%d) <> %s then begin" r.ram_we (zero mode);
+        Printf.sprintf "   ram_%d_pa := a_;" i;
+        Printf.sprintf "   ram_%d_pv := %s" i
+          (resize_txt mode ~ctx:"ram" ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+             r.ram_wdata_fmt r.ram_data_fmt
+             (Printf.sprintf "v.(%d)" r.ram_wdata));
+        " end";
+        Printf.sprintf " else ram_%d_pa := (-1));" i;
+      ])
+
+(* Per component [ci]: its selected transition [sel_ci], and the
+   functions selecting a transition, running its blocks and committing
+   it.  FSM states live in one [states] array indexed by component, so
+   the native host can read and force them through the ABI. *)
+let emit_component buf cx ci (c : Compiled_sim.component) =
+  let open Compiled_sim in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let where = c.co_name in
+  let arms name body =
+    pf "let %s_%d () =\n  (match !sel_%d with\n" name ci ci;
+    Array.iteri
+      (fun ti tr -> pf "    | %d ->\n      %s\n" ti (body tr))
+      c.co_transitions;
+    pf "    | _ -> ())\n"
+  in
+  let block stmts =
+    match Array.to_list stmts with
+    | [] -> "()"
+    | l -> String.concat ";\n      " (List.map (stmt_txt cx ~where) l)
+  in
+  pf "(* component %d: %S *)\n" ci c.co_name;
+  pf "let sel_%d = ref (-1)\n" ci;
+  pf "let select_%d () =\n  sel_%d := (match states.(%d) with\n" ci ci ci;
+  Array.iteri
+    (fun s trs ->
+      let chain =
+        Array.fold_right
+          (fun ti rest ->
+            Printf.sprintf "if %s then %d else %s"
+              (guard_txt cx c.co_transitions.(ti))
+              ti rest)
+          trs "(-1)"
+      in
+      pf "    | %d ->\n      %s\n" s chain)
+    c.co_by_state;
+  pf "    | _ -> (-1))\n";
+  arms "block_a" (fun tr -> block tr.tr_block_a);
+  arms "block_b" (fun tr -> block tr.tr_block_b);
+  arms "commit" (fun tr ->
+      String.concat ";\n      "
+        (Array.to_list
+           (Array.map
+              (fun (cur, nxt) -> Printf.sprintf "v.(%d) <- v.(%d)" cur nxt)
+              tr.tr_commit)
+        @ [ Printf.sprintf "states.(%d) <- %d" ci tr.tr_goto ]));
+  pf "\n"
+
+(* The body: value store, stamps, helpers, tables, power-on, [step] and
+   [reset].  [overflow] is the exception constructor the generated
+   overflow checks raise. *)
+let emit_body buf mode (p : Compiled_sim.program) ~overflow =
+  let open Compiled_sim in
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let cx =
+    {
+      mode;
+      consts = Hashtbl.of_seq (List.to_seq p.pg_consts);
+      rom_names = Hashtbl.create 8;
+      roms = [];
+    }
+  in
+  let components = Buffer.create 65536 in
+  Array.iteri (emit_component components cx) p.pg_comps;
+  let n_stamps = max 1 (Array.length p.pg_nets) in
+  pf "let v = Array.make %d %s\n" p.pg_slots (zero mode);
+  pf "let stamp = Array.make %d (-1)\n" n_stamps;
+  pf "let cycle = ref 0\n";
+  pf "let overflow_error what =\n";
+  pf "  raise (%s (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n" overflow;
+  emit_helpers buf mode;
   List.iter
     (fun (var, contents) ->
       pf "let %s = [|" var;
       Array.iter (fun m -> pf " %s;" (lit mode m)) contents;
       pf " |]\n")
-    (List.rev !(a.roms))
-
-let emit_reg_inits buf mode a =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "let () = (* register initial values *)\n";
-  List.iter
-    (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
-    !(a.reg_init);
+    (List.rev cx.roms);
+  (* Inlined RAM stores: backing array + single staged write (pa < 0
+     means nothing staged), mirroring Ram_cell's [pending] ref. *)
+  Array.iteri
+    (fun i r ->
+      pf "let ram_%d = Array.make %d %s\n" i r.ram_words (zero mode);
+      pf "let ram_%d_pa = ref (-1)\n" i;
+      pf "let ram_%d_pv = ref %s\n" i (zero mode);
+      pf "let commit_ram_%d () =\n" i;
+      pf "  if !ram_%d_pa >= 0 then begin\n" i;
+      pf "    ram_%d.(!ram_%d_pa) <- !ram_%d_pv;\n" i i i;
+      pf "    ram_%d_pa := (-1)\n" i;
+      pf "  end\n")
+    p.pg_rams;
+  let n_kernels = Array.length p.pg_kernels in
+  pf "let kernels : (unit -> unit) array = Array.make %d (fun () -> ())\n"
+    n_kernels;
+  pf "let kernel_commits : (unit -> unit) array = Array.make %d (fun () -> ())\n\n"
+    n_kernels;
+  pf "let power_on () =\n  Array.fill v 0 %d %s;\n" p.pg_slots (zero mode);
+  Array.iter (fun r -> pf "  v.(%d) <- %s;\n" r.reg_cur (lit mode r.reg_init)) p.pg_regs;
+  pf "  ()\n";
+  pf "let () = power_on ()\n\n";
+  pf "let states : int array = [|";
+  Array.iter (fun c -> pf " %d;" c.co_initial) p.pg_comps;
+  pf " |]\n\n";
+  Buffer.add_buffer buf components;
+  pf "let step () =\n";
+  Array.iteri (fun ci _ -> pf "  select_%d ();\n" ci) p.pg_comps;
+  Array.iteri (fun ci _ -> pf "  block_a_%d ();\n" ci) p.pg_comps;
+  Array.iter
+    (function
+      | Component ci -> pf "  block_b_%d ();\n" ci
+      | Inline_ram i -> pf "  %s\n" (ram_fire_txt mode i p.pg_rams.(i))
+      | Host_kernel j -> pf "  kernels.(%d) ();\n" j)
+    p.pg_schedule;
+  Array.iter
+    (function
+      | Component _ -> ()
+      | Inline_ram i -> pf "  commit_ram_%d ();\n" i
+      | Host_kernel j -> pf "  kernel_commits.(%d) ();\n" j)
+    p.pg_schedule;
+  Array.iteri (fun ci _ -> pf "  commit_%d ();\n" ci) p.pg_comps;
+  pf "  incr cycle\n\n";
+  pf "let reset () =\n";
+  pf "  cycle := 0;\n";
+  pf "  Array.fill stamp 0 %d (-1);\n" n_stamps;
+  pf "  power_on ();\n";
+  Array.iteri
+    (fun ci c ->
+      pf "  states.(%d) <- %d;\n" ci c.co_initial;
+      pf "  sel_%d := (-1);\n" ci)
+    p.pg_comps;
+  Array.iteri
+    (fun i r ->
+      pf "  Array.fill ram_%d 0 %d %s;\n" i r.ram_words (zero mode);
+      pf "  ram_%d_pa := (-1);\n" i)
+    p.pg_rams;
   pf "  ()\n\n"
 
-let emit_comp_funs buf comp_texts =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun ct ->
-      pf "let sel_%s = ref (-1)\n" ct.ct_cid;
-      pf "let select_%s () =\n  sel_%s := (match states.(%d) with\n%s    | _ -> (-1))\n"
-        ct.ct_cid ct.ct_cid ct.ct_index ct.ct_select;
-      pf "let block_a_%s () =\n  (match !sel_%s with\n%s    | _ -> ())\n"
-        ct.ct_cid ct.ct_cid ct.ct_block_a;
-      pf "let block_b_%s () =\n  (match !sel_%s with\n%s    | _ -> ())\n"
-        ct.ct_cid ct.ct_cid ct.ct_block_b;
-      pf "let commit_%s () =\n  (match !sel_%s with\n%s    | _ -> ())\n\n"
-        ct.ct_cid ct.ct_cid ct.ct_commit)
-    comp_texts
+let lower_with_mode sys =
+  let p = Compiled_sim.lower sys in
+  (p, if word_mode_ok p then Word else I64)
 
-let emit_states buf comp_texts =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "let states : int array = [|";
-  List.iter (fun ct -> pf " %d;" ct.ct_initial) comp_texts;
-  pf " |]\n"
+(* --- the plugin -------------------------------------------------------------- *)
 
-(* --- standalone emission --------------------------------------------------- *)
-
-let emit_ocaml sys ~cycles =
-  if Cycle_system.untimed_components sys <> [] then
-    unsupported "emit_ocaml: untimed kernels cannot be embedded in source";
-  let mode = I64 in
-  let a, nets = make_alloc sys in
-  let buf = Buffer.create 65536 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let all_timed = Cycle_system.timed_components sys in
-  (* Pre-allocate node slots. *)
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n)))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
-        (Fsm.transitions fsm))
-    all_timed;
-  (* Stimuli: evaluate now, require totality. *)
-  let stim_rows =
-    List.filter_map
-      (fun (name, _fmt, stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          let vals =
-            Array.init cycles (fun c ->
-                match stim c with
-                | Some v -> Fixed.mantissa v
-                | None ->
-                  unsupported
-                    "emit_ocaml: stimulus %s produced no token at cycle %d"
-                    name c)
-          in
-          Some (sanitize name, Hashtbl.find a.net_slot net,
-                Hashtbl.find a.net_stamp net, vals))
-      (Cycle_system.primary_inputs sys)
-  in
-  let b_written = Hashtbl.create 32 in
-  let b_read = Hashtbl.create 32 in
-  let n_statements = ref 0 in
-  let comp_texts =
-    build_comp_texts mode a sys ~b_written ~b_read ~n_statements
-  in
-  let b_order = schedule_b_units ~b_written ~b_read comp_texts [] in
-  let comp_arr = Array.of_list comp_texts in
-  (* Probes. *)
-  let probe_rows =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          Some (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
-      (Cycle_system.probes sys)
-  in
-  (* --- assemble the file --- *)
-  pf "(* Generated by ocapi-ml: compiled simulator for system %S. *)\n"
-    (Cycle_system.name sys);
-  pf "(* %d cycles of embedded stimuli; prints \"<cycle> <probe> <mantissa>\". *)\n\n"
-    cycles;
-  pf "let v = Array.make %d 0L\n" (max 1 a.next_slot);
-  pf "let stamp = Array.make %d (-1)\n" (max 1 (List.length nets));
-  pf "let cycle = ref 0\n";
-  pf "exception Overflow of string\n";
-  pf "let overflow_error what =\n";
-  pf "  raise (Overflow (Printf.sprintf \"compiled/%%s (cycle %%d)\" what !cycle))\n";
-  emit_helpers buf mode;
-  emit_roms buf mode a;
-  List.iter
-    (fun (name, slot, stampi, vals) ->
-      pf "let stim_%s = [|" name;
-      Array.iter (fun m -> pf " %LdL;" m) vals;
-      pf " |]\n";
-      pf "let stim_%s_slot = %d\nlet stim_%s_stamp = %d\n" name slot name stampi)
-    stim_rows;
-  pf "\n";
-  emit_reg_inits buf mode a;
-  emit_states buf comp_texts;
-  emit_comp_funs buf comp_texts;
-  pf "let step () =\n";
-  List.iter
-    (fun (name, _, _, _) ->
-      pf "  v.(stim_%s_slot) <- stim_%s.(!cycle); stamp.(stim_%s_stamp) <- !cycle;\n"
-        name name name)
-    stim_rows;
-  List.iter (fun ct -> pf "  select_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter (fun ct -> pf "  block_a_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter (fun i -> pf "  block_b_%s ();\n" comp_arr.(i).ct_cid) b_order;
-  List.iter
-    (fun (pname, slot, stampi) ->
-      pf "  (if stamp.(%d) = !cycle then Printf.printf \"%%d %s %%Ld\\n\" !cycle v.(%d));\n"
-        stampi pname slot)
-    probe_rows;
-  List.iter (fun ct -> pf "  commit_%s ();\n" ct.ct_cid) comp_texts;
-  pf "  incr cycle\n\n";
-  pf "let () = for _ = 1 to %d do step () done\n" cycles;
-  Buffer.contents buf
-
-(* --- plugin emission ------------------------------------------------------- *)
-
-(* Everything the native host needs to wire a loaded plugin to the
-   design: slot/stamp indices for stimuli and probes, register and FSM
-   inventories, kernel port wiring.  Derived from the same allocation
-   the plugin text was rendered from; plain data, so it can be
-   marshalled into a sidecar next to a cached .cmxs. *)
 type plugin_meta = {
   pm_version : int;
-  pm_packed : bool;  (* Word mode (true) or boxed int64 mode *)
-  pm_slots : int;
-  pm_stamp_count : int;
   pm_statements : int;
-  pm_stims : (string * int * int) list;  (* input name, slot, stamp *)
-  pm_probes : (string * int * int * Fixed.format) list;
-      (* probe name, slot, stamp, carried format *)
-  pm_regs : (string * Fixed.format * int) list;
-      (* register name, declared format, current-value slot;
-         in Cycle_system.all_regs order *)
-  pm_comps : (string * int) list;  (* timed component name, state count *)
-  pm_kernels :
-    (string
-    * (string * int * Fixed.format) list  (* input port, slot, format *)
-    * (string * int * int) list)  (* output port, slot, stamp *)
-    list;  (* in Cycle_system.untimed_components order *)
+  pm_stims : (string * int * int) array;
+  pm_probes : (string * int * int * Fixed.format) array;
+  pm_regs : Compiled_sim.register array;
+  pm_comps : (string * int) array;
+  pm_kernels : Compiled_sim.kernel array;
 }
-
-(* An untimed kernel carrying a {!Dataflow.Kernel.model} is inlined
-   into the plugin instead of crossing the host boundary: per-firing
-   token boxing through the closure interface is the dominant cycle
-   cost of RAM-heavy designs (the DECT transceiver drives seven RAM
-   cells every cycle), and the model pins down bit-exact semantics the
-   generated code can reproduce directly. *)
-type ram_info = {
-  ri_id : int;  (* per-plugin RAM ordinal, for identifier naming *)
-  ri_words : int;
-  ri_data_fmt : Fixed.format;
-  ri_addr_slot : int;
-  ri_addr_fmt : Fixed.format;
-  ri_wdata_slot : int;
-  ri_wdata_fmt : Fixed.format;
-  ri_we_slot : int;
-  ri_rdata : (int * int) option;  (* slot, stamp; None if unconnected *)
-}
-
-(* [Fixed.to_int] of the address value, rendered over the mode's cells.
-   Word mode is exact because {!word_mode_ok} checked the left-shift
-   bound for negative fractions, and a positive fraction >= 62 divides
-   a sub-2^62 magnitude to zero exactly as [Int64.div] does. *)
-let ram_to_int_txt mode ri =
-  let f = ri.ri_addr_fmt.Fixed.frac in
-  match mode with
-  | Word ->
-    if f = 0 then Printf.sprintf "v.(%d)" ri.ri_addr_slot
-    else if f < 0 then Printf.sprintf "(v.(%d) lsl %d)" ri.ri_addr_slot (-f)
-    else if f > 61 then "0"
-    else Printf.sprintf "(v.(%d) / (1 lsl %d))" ri.ri_addr_slot f
-  | I64 ->
-    if f = 0 then Printf.sprintf "(Int64.to_int v.(%d))" ri.ri_addr_slot
-    else if f < 0 then
-      Printf.sprintf "(Int64.to_int (Int64.shift_left v.(%d) %d))"
-        ri.ri_addr_slot (-f)
-    else
-      Printf.sprintf
-        "(Int64.to_int (Int64.div v.(%d) (Int64.shift_left 1L %d)))"
-        ri.ri_addr_slot (min f 62)
-
-(* The firing of Ram_model, as in Ram_cell.kernel: produce the
-   pre-write word at the wrapped address, stage the resized write when
-   the enable is true (the commit section applies it). *)
-let ram_fire_lines mode ri =
-  let i = ri.ri_id in
-  [
-    Printf.sprintf "(let a_ = %s mod %d in" (ram_to_int_txt mode ri)
-      ri.ri_words;
-    Printf.sprintf " let a_ = if a_ < 0 then a_ + %d else a_ in" ri.ri_words;
-  ]
-  @ (match ri.ri_rdata with
-    | Some (slot, stampi) ->
-      [
-        Printf.sprintf " v.(%d) <- ram_%d.(a_);" slot i;
-        Printf.sprintf " stamp.(%d) <- !cycle;" stampi;
-      ]
-    | None -> [])
-  @ [
-      Printf.sprintf " if v.(%d) <> %s then begin" ri.ri_we_slot (zero mode);
-      Printf.sprintf "   ram_%d_pa := a_;" i;
-      Printf.sprintf "   ram_%d_pv := %s" i
-        (resize_txt mode ~ctx:"ram" ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-           ri.ri_wdata_fmt ri.ri_data_fmt
-           (Printf.sprintf "v.(%d)" ri.ri_wdata_slot));
-      " end";
-      Printf.sprintf " else ram_%d_pa := (-1));" i;
-    ]
 
 let emit_plugin sys =
-  let a, nets = make_alloc sys in
-  compute_net_formats a sys;
-  let all_timed = Cycle_system.timed_components sys in
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n)))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
-        (Fsm.transitions fsm))
-    all_timed;
-  let mode = if word_mode_ok a sys then Word else I64 in
-  (* Kernel wiring, as in Compiled_sim.compile. *)
-  let kernels =
-    List.map
-      (fun (cname, k) ->
-        let inputs =
-          List.map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.sink_net (cname, port) with
-              | Some net ->
-                let fmt =
-                  match Hashtbl.find_opt a.net_fmt net with
-                  | Some f -> f
-                  | None -> Dataflow.Kernel.port_format k port
-                in
-                (port, Hashtbl.find a.net_slot net, fmt)
-              | None ->
-                unsupported "emit_plugin: kernel %s input %s unconnected" cname
-                  port)
-            k.Dataflow.Kernel.k_inputs
-        in
-        let outputs =
-          List.filter_map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net ->
-                Some
-                  (port, Hashtbl.find a.net_slot net,
-                   Hashtbl.find a.net_stamp net)
-              | None -> None)
-            k.Dataflow.Kernel.k_outputs
-        in
-        (cname, k, inputs, outputs))
-      (Cycle_system.untimed_components sys)
-  in
-  (* Partition: kernels carrying an inlinable declarative model run
-     entirely inside the plugin; the rest keep crossing the host
-     boundary through the closure arrays.  Host indices are assigned
-     over the surviving kernels only, so [pm_kernels] and the plugin's
-     closure arrays stay index-aligned. *)
-  let next_ram = ref 0 in
-  let next_host = ref 0 in
-  let kunits =
-    List.map
-      (fun (cname, k, inputs, outputs) ->
-        let host () =
-          let hj = !next_host in
-          incr next_host;
-          `Host (hj, (cname, inputs, outputs))
-        in
-        match k.Dataflow.Kernel.k_model with
-        | Some
-            (Dataflow.Kernel.Ram_model
-               { words; data_fmt; addr_port; wdata_port; we_port; rdata_port })
-          -> (
-          let inp p =
-            List.find_opt (fun (q, _, _) -> String.equal q p) inputs
-          in
-          match (inp addr_port, inp wdata_port, inp we_port) with
-          | Some (_, aslot, afmt), Some (_, wslot, wfmt), Some (_, eslot, _) ->
-            let ri =
-              {
-                ri_id = !next_ram;
-                ri_words = words;
-                ri_data_fmt = data_fmt;
-                ri_addr_slot = aslot;
-                ri_addr_fmt = afmt;
-                ri_wdata_slot = wslot;
-                ri_wdata_fmt = wfmt;
-                ri_we_slot = eslot;
-                ri_rdata =
-                  List.find_map
-                    (fun (p, slot, st) ->
-                      if String.equal p rdata_port then Some (slot, st)
-                      else None)
-                    outputs;
-              }
-            in
-            incr next_ram;
-            `Inline ri
-          | _ -> host ())
-        | _ -> host ())
-      kernels
-  in
-  let rams =
-    List.filter_map (function `Inline ri -> Some ri | `Host _ -> None) kunits
-  in
-  let host_kernels =
-    List.filter_map
-      (function `Host (_, row) -> Some row | `Inline _ -> None)
-      kunits
-  in
-  let kunit_arr = Array.of_list kunits in
-  let b_written = Hashtbl.create 32 in
-  let b_read = Hashtbl.create 32 in
-  (* Kernel outputs are always B-phase-written (inlined or not). *)
-  List.iter
-    (fun (kname, _, _, outputs) ->
-      List.iter
-        (fun (port, _, _) ->
-          match Hashtbl.find_opt a.driver_net (kname, port) with
-          | Some net -> Hashtbl.replace b_written net kname
-          | None -> ())
-        outputs)
-    kernels;
-  let n_statements = ref 0 in
-  let comp_texts =
-    build_comp_texts mode a sys ~b_written ~b_read ~n_statements
-  in
-  let kernel_reads =
-    List.map
-      (fun (kname, _, inputs, _) ->
-        ( kname,
-          List.map
-            (fun (port, _, _) -> Hashtbl.find a.sink_net (kname, port))
-            inputs ))
-      kernels
-  in
-  let b_order = schedule_b_units ~b_written ~b_read comp_texts kernel_reads in
-  let n_comps = List.length comp_texts in
-  let comp_arr = Array.of_list comp_texts in
-  let n_kernels = List.length host_kernels in
-  let stim_rows =
-    List.filter_map
-      (fun (name, _fmt, _stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          Some (name, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
-      (Cycle_system.primary_inputs sys)
-  in
-  let probe_rows =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          let fmt =
-            match Hashtbl.find_opt a.net_fmt net with
-            | Some f -> f
-            | None ->
-              unsupported "emit_plugin: probe %s net %s has unknown format"
-                pname net
-          in
-          Some
-            (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net,
-             fmt))
-      (Cycle_system.probes sys)
-  in
-  let reg_rows =
-    Cycle_system.all_regs sys
-    |> List.map (fun r ->
-           ( Signal.Reg.name r,
-             Signal.Reg.fmt r,
-             Hashtbl.find a.reg_cur (Signal.Reg.id r) ))
-  in
+  let p, mode = lower_with_mode sys in
   let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "(* Generated by ocapi-ml: native simulator plugin for system %S. *)\n"
@@ -1274,81 +648,7 @@ let emit_plugin sys =
     emitter_version
     (match mode with Word -> "unboxed int" | I64 -> "int64");
   pf "   the Ocapi_native_abi handoff record. *)\n\n";
-  (match mode with
-  | Word -> pf "let v = Array.make %d 0\n" (max 1 a.next_slot)
-  | I64 -> pf "let v = Array.make %d 0L\n" (max 1 a.next_slot));
-  pf "let stamp = Array.make %d (-1)\n" (max 1 (List.length nets));
-  pf "let cycle = ref 0\n";
-  pf "let overflow_error what =\n";
-  pf "  raise (Ocapi_native_abi.Native_overflow\n";
-  pf "           (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n";
-  emit_helpers buf mode;
-  emit_roms buf mode a;
-  (* Inlined RAM stores: backing array + single staged write (pa < 0
-     means nothing staged), mirroring Ram_cell's [pending] ref. *)
-  List.iter
-    (fun ri ->
-      pf "let ram_%d = Array.make %d %s\n" ri.ri_id ri.ri_words (zero mode);
-      pf "let ram_%d_pa = ref (-1)\n" ri.ri_id;
-      pf "let ram_%d_pv = ref %s\n" ri.ri_id (zero mode))
-    rams;
-  if rams <> [] then pf "\n";
-  List.iter
-    (fun ri ->
-      pf "let commit_ram_%d () =\n" ri.ri_id;
-      pf "  if !ram_%d_pa >= 0 then begin\n" ri.ri_id;
-      pf "    ram_%d.(!ram_%d_pa) <- !ram_%d_pv;\n" ri.ri_id ri.ri_id ri.ri_id;
-      pf "    ram_%d_pa := (-1)\n" ri.ri_id;
-      pf "  end\n\n")
-    rams;
-  pf "let kernels : (unit -> unit) array = Array.make %d (fun () -> ())\n"
-    n_kernels;
-  pf "let kernel_commits : (unit -> unit) array = Array.make %d (fun () -> ())\n\n"
-    n_kernels;
-  emit_reg_inits buf mode a;
-  emit_states buf comp_texts;
-  emit_comp_funs buf comp_texts;
-  pf "let step () =\n";
-  List.iter (fun ct -> pf "  select_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter (fun ct -> pf "  block_a_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter
-    (fun i ->
-      if i < n_comps then pf "  block_b_%s ();\n" comp_arr.(i).ct_cid
-      else
-        match kunit_arr.(i - n_comps) with
-        | `Inline ri ->
-          List.iter (fun line -> pf "  %s\n" line) (ram_fire_lines mode ri)
-        | `Host (hj, _) -> pf "  kernels.(%d) ();\n" hj)
-    b_order;
-  List.iter
-    (fun i ->
-      if i >= n_comps then
-        match kunit_arr.(i - n_comps) with
-        | `Inline ri -> pf "  commit_ram_%d ();\n" ri.ri_id
-        | `Host (hj, _) -> pf "  kernel_commits.(%d) ();\n" hj)
-    b_order;
-  List.iter (fun ct -> pf "  commit_%s ();\n" ct.ct_cid) comp_texts;
-  pf "  incr cycle\n\n";
-  pf "let reset () =\n";
-  pf "  cycle := 0;\n";
-  pf "  Array.fill stamp 0 %d (-1);\n" (max 1 (List.length nets));
-  (* Power-on values: every slot zero but the register inits (constants
-     are emitted inline), as in a freshly loaded plugin. *)
-  pf "  Array.fill v 0 %d %s;\n" (max 1 a.next_slot) (zero mode);
-  List.iter
-    (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
-    !(a.reg_init);
-  List.iter
-    (fun ct ->
-      pf "  states.(%d) <- %d;\n" ct.ct_index ct.ct_initial;
-      pf "  sel_%s := (-1);\n" ct.ct_cid)
-    comp_texts;
-  List.iter
-    (fun ri ->
-      pf "  Array.fill ram_%d 0 %d %s;\n" ri.ri_id ri.ri_words (zero mode);
-      pf "  ram_%d_pa := (-1);\n" ri.ri_id)
-    rams;
-  pf "  ()\n\n";
+  emit_body buf mode p ~overflow:"Ocapi_native_abi.Native_overflow";
   pf "let () =\n";
   pf "  Ocapi_native_abi.register\n";
   pf "    {\n";
@@ -1364,17 +664,75 @@ let emit_plugin sys =
   pf "      p_reset = reset;\n";
   pf "    }\n";
   let meta =
+    let open Compiled_sim in
     {
       pm_version = emitter_version;
-      pm_packed = (mode = Word);
-      pm_slots = max 1 a.next_slot;
-      pm_stamp_count = max 1 (List.length nets);
-      pm_statements = !n_statements;
-      pm_stims = stim_rows;
-      pm_probes = probe_rows;
-      pm_regs = reg_rows;
-      pm_comps = List.map (fun ct -> (ct.ct_name, ct.ct_states)) comp_texts;
-      pm_kernels = host_kernels;
+      pm_statements = p.pg_statements;
+      pm_stims = p.pg_stims;
+      pm_probes = p.pg_probes;
+      pm_regs = p.pg_regs;
+      pm_comps =
+        Array.map (fun c -> (c.co_name, Array.length c.co_by_state)) p.pg_comps;
+      pm_kernels = p.pg_kernels;
     }
   in
   (Buffer.contents buf, meta)
+
+(* --- the standalone simulator ------------------------------------------------ *)
+
+let emit_standalone sys ~cycles =
+  let p, mode = lower_with_mode sys in
+  let open Compiled_sim in
+  Array.iter
+    (fun k ->
+      unsupported
+        "standalone simulator: untimed kernel %s carries no model to embed"
+        k.hk_name)
+    p.pg_kernels;
+  let stims =
+    Array.map
+      (fun (name, slot, stamp) ->
+        let fn = stimulus sys name in
+        let values =
+          Array.init cycles (fun c ->
+              match fn c with
+              | Some x -> Fixed.mantissa x
+              | None ->
+                unsupported
+                  "standalone simulator: stimulus %s produced no token at \
+                   cycle %d"
+                  name c)
+        in
+        (slot, stamp, values))
+      p.pg_stims
+  in
+  let buf = Buffer.create 65536 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf "(* Generated by ocapi-ml: compiled simulator for system %S. *)\n"
+    (Cycle_system.name sys);
+  pf "(* %d cycles of embedded stimuli; prints \"<cycle> <probe> <mantissa>\". *)\n\n"
+    cycles;
+  pf "exception Overflow of string\n";
+  emit_body buf mode p ~overflow:"Overflow";
+  Array.iteri
+    (fun i (_, _, values) ->
+      pf "let stim_%d = [|" i;
+      Array.iter (fun m -> pf " %s;" (lit mode m)) values;
+      pf " |]\n")
+    stims;
+  pf "\nlet () =\n";
+  pf "  for c = 0 to %d do\n" (cycles - 1);
+  Array.iteri
+    (fun i (slot, stamp, _) ->
+      pf "    v.(%d) <- stim_%d.(c);\n    stamp.(%d) <- c;\n" slot i stamp)
+    stims;
+  pf "    step ();\n";
+  Array.iter
+    (fun (name, slot, stamp, _) ->
+      pf "    if stamp.(%d) = c then Printf.printf \"%%d %%s %s\\n\" c %S v.(%d);\n"
+        stamp
+        (match mode with Word -> "%d" | I64 -> "%Ld")
+        name slot)
+    p.pg_probes;
+  pf "  done\n";
+  Buffer.contents buf

@@ -1,28 +1,30 @@
-(** OCaml source emission for the compiled simulator (fig 7: "a C++
-    description can be regenerated to yield an application-specific and
-    optimized compiled code simulator").
+(** OCaml source emission, the second back end of the compiled
+    simulator (fig 7: "a C++ description can be regenerated to yield an
+    application-specific and optimized compiled code simulator").
 
-    Two emitted shapes share one renderer:
+    [Compiled_sim.lower] is the one lowering of a design; its closure
+    back end runs the program in-process, and this module renders the
+    same program — slot layout, guards, blocks, commits, B-phase
+    schedule with its inlined RAMs — as OCaml text.  Constants render
+    as literals at their uses; register reads and shifts read their
+    source slot, as in the closure back end.  When the width-bound
+    analysis proves every intermediate mantissa fits an unboxed 63-bit
+    [int], the text runs over native [int] words; otherwise over
+    [int64] cells, semantically identical on any width.
 
-    - {!emit_ocaml} — a standalone program depending only on the
-      standard library, with recorded stimuli embedded as literals; it
-      prints one line per probe token so its behaviour can be diffed
-      against the in-process engines (the codegen demo and the
-      end-to-end tests do exactly that).
-    - {!emit_plugin} — a library-shaped module for the native engine.
-      It registers step/reset closures and its raw state arrays
-      through [Ocapi_native_abi] instead of defining [main]; stimuli,
-      probes and fault pokes stay on the host side of the ABI.  When
-      the emitter's width-bound analysis proves every intermediate
-      mantissa fits an unboxed 63-bit [int], the plugin is emitted
-      over native [int] words; otherwise it falls back to [int64]
-      cells, semantically identical on any width.  Untimed kernels
-      carrying a [Dataflow.Kernel.model] (RAM cells) are inlined as
-      array accesses instead of crossing the host boundary.
+    One rendered body (value store, [step], [reset]) serves two shapes:
 
-    Both raise [Compiled_types.Unsupported] on designs outside the
-    emitters' scope (e.g. untimed kernels without a model in
-    {!emit_ocaml}). *)
+    - {!emit_plugin} — the body plus a registration through
+      [Ocapi_native_abi], for the native engine; stimuli, probes, fault
+      pokes and host kernels stay on the host side of the ABI.
+    - {!emit_standalone} — the body plus a small driver with the
+      stimuli embedded as literals, depending only on the standard
+      library; it prints one line per probe token so its behaviour can
+      be diffed against the in-process engines.
+
+    Both raise [Compiled_sim.Unsupported] on designs outside the
+    lowering's scope, and {!emit_standalone} also on host kernels
+    (untimed kernels carrying no model) and partial stimuli. *)
 
 val emitter_version : int
 (** Bumped whenever the emitted plugin text, the slot-layout contract
@@ -30,51 +32,34 @@ val emitter_version : int
     native engine folds it into the [.cmxs] cache key so stale
     artifacts are never paired with a newer host. *)
 
-val emit_ocaml : Cycle_system.t -> cycles:int -> string
-(** [emit_ocaml sys ~cycles] renders [sys] as a self-contained OCaml
-    program that simulates exactly [cycles] cycles and prints
-    ["probe@cycle = value"] lines for every probe token.  Primary
-    inputs are sampled over the cycle range at emission time and
-    embedded as literals, so the text depends only on the standard
-    library. *)
-
 (** What the native host needs to wire a compiled plugin into a
-    session, marshalled next to the [.cmxs] artifact: slot and stamp
-    indices for stimuli/probes/registers, FSM state counts, and the
-    port-to-slot maps of the untimed kernels left on the host side.
-    Slot indices address the plugin's value store; stamp indices its
-    token-presence array.  [pm_kernels] lists only the kernels the
-    emitter did {e not} inline, in [Cycle_system.untimed_components]
-    order filtered to those kernels. *)
+    session, marshalled next to the [.cmxs] artifact: a projection of
+    the lowered program's tables.  Slots address the plugin's value
+    store, stamps its token-presence array. *)
 type plugin_meta = {
   pm_version : int;  (** {!emitter_version} at emission time *)
-  pm_packed : bool;  (** word mode (unboxed [int]) or boxed [int64] *)
-  pm_slots : int;  (** value-store length *)
-  pm_stamp_count : int;  (** stamp-array length *)
   pm_statements : int;
-      (** generated statement count — the session's static size, the
-          Table 1 source-lines stand-in *)
-  pm_stims : (string * int * int) list;
-      (** primary input name, slot, stamp *)
-  pm_probes : (string * int * int * Fixed.format) list;
-      (** probe name, slot, stamp, carried format *)
-  pm_regs : (string * Fixed.format * int) list;
-      (** register name, declared format, current-value slot; in
-          [Cycle_system.all_regs] order — the shared SEU indexing *)
-  pm_comps : (string * int) list;
-      (** timed component name, state count; in system order *)
-  pm_kernels :
-    (string
-    * (string * int * Fixed.format) list
-    * (string * int * int) list)
-    list;
-      (** host-side kernel: component name, [(input port, slot,
-          format)] bindings, [(output port, slot, stamp)] bindings *)
+      (** [Compiled_sim.pg_statements] — the session's static size *)
+  pm_stims : (string * int * int) array;  (** [pg_stims] *)
+  pm_probes : (string * int * int * Fixed.format) array;  (** [pg_probes] *)
+  pm_regs : Compiled_sim.register array;  (** [pg_regs] *)
+  pm_comps : (string * int) array;
+      (** timed component name and state count, in system order *)
+  pm_kernels : Compiled_sim.kernel array;
+      (** [pg_kernels]: the host kernels, indexing the plugin's hook
+          arrays *)
 }
 
 val emit_plugin : Cycle_system.t -> string * plugin_meta
 (** [emit_plugin sys] renders [sys] as the source of a dynlinkable
-    plugin module plus the {!plugin_meta} describing its slot layout.
-    The module's only dependency is [Ocapi_native_abi]; on load it
-    registers an [Ocapi_native_abi.plugin] exposing its state arrays
-    and step/reset entry points. *)
+    plugin module plus its {!plugin_meta}.  The module's only
+    dependency is [Ocapi_native_abi]; on load it registers an
+    [Ocapi_native_abi.plugin] exposing its state arrays and step/reset
+    entry points. *)
+
+val emit_standalone : Cycle_system.t -> cycles:int -> string
+(** [emit_standalone sys ~cycles] renders [sys] as a self-contained
+    program simulating [cycles] cycles from power-on and printing
+    ["<cycle> <probe> <mantissa>"] for every probe token.  Primary
+    inputs are sampled over the cycle range at emission time; each
+    must produce a token every cycle. *)

@@ -680,7 +680,7 @@ let emit_testbench sys ~dir ~cycles =
 
 let emit_ocaml_simulator sys ~dir ~cycles =
   Cycle_system.reset sys;
-  let src = Compiled_sim.emit_ocaml sys ~cycles in
+  let src = Emit.emit_standalone sys ~cycles in
   write_file dir
     (Verilog.sanitize (Cycle_system.name sys) ^ "_sim.ml")
     src

@@ -139,16 +139,10 @@ module Interp_engine = struct
       ses_force_component_state =
         (fun i s ->
           let cname, fsm = comps.(i) in
-          let n = List.length (Fsm.states fsm) in
-          if s < 0 || s >= n then
-            raise
-              (Ocapi_error.Error
-                 (Ocapi_error.make Ocapi_error.Invalid_state ~engine:name
-                    ~construct:cname
-                    ~cycle:(Cycle_system.current_cycle sys)
-                    (Printf.sprintf
-                       "state index %d outside the %d encoded states" s n)))
-          else Fsm.force_state fsm s);
+          Fsm.force_state fsm
+            (Ocapi_error.check_state ~engine:name ~construct:cname
+               ~cycle:(Cycle_system.current_cycle sys)
+               ~states:(List.length (Fsm.states fsm)) s));
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sys));
       ses_static_size = None;
       ses_close = closer sys name;
@@ -156,6 +150,40 @@ module Interp_engine = struct
 end
 
 (* --- compiled closure-program engine -------------------------------------- *)
+
+let compiled_session ~engine sys =
+  Cycle_system.reset sys;
+  let prog = Compiled_sim.compile sys in
+  let probes = Cycle_system.probes sys in
+  let comp_index =
+    component_index ~engine
+      ~count:(Compiled_sim.component_count prog)
+      ~info:(Compiled_sim.component_info prog)
+      (Cycle_system.timed_components sys)
+  in
+  Cycle_system.attach_engine sys engine;
+  {
+    ses_engine = engine;
+    ses_step = (fun () -> Compiled_sim.step prog);
+    ses_cycle = (fun () -> Compiled_sim.current_cycle prog);
+    ses_reset = (fun () -> Compiled_sim.reset prog);
+    ses_histories =
+      (fun () ->
+        List.map (fun p -> (p, Compiled_sim.output_history prog p)) probes);
+    ses_register_count = Compiled_sim.register_count prog;
+    ses_register_info = Compiled_sim.register_info prog;
+    ses_poke_register_bit = Compiled_sim.flip_register_bit prog;
+    ses_component_count = Compiled_sim.component_count prog;
+    ses_component_info =
+      (fun i -> Compiled_sim.component_info prog comp_index.(i));
+    ses_component_state =
+      (fun i -> Compiled_sim.component_state prog comp_index.(i));
+    ses_force_component_state =
+      (fun i s -> Compiled_sim.set_component_state prog comp_index.(i) s);
+    ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr prog));
+    ses_static_size = Some (Compiled_sim.statement_count prog);
+    ses_close = closer sys engine;
+  }
 
 module Compiled_engine = struct
   let name = "compiled"
@@ -170,39 +198,7 @@ module Compiled_engine = struct
       cap_static_size = true;
     }
 
-  let make ?options:_ sys =
-    Cycle_system.reset sys;
-    let prog = Compiled_sim.compile sys in
-    let probes = Cycle_system.probes sys in
-    let comp_index =
-      component_index ~engine:name
-        ~count:(Compiled_sim.component_count prog)
-        ~info:(Compiled_sim.component_info prog)
-        (Cycle_system.timed_components sys)
-    in
-    Cycle_system.attach_engine sys name;
-    {
-      ses_engine = name;
-      ses_step = (fun () -> Compiled_sim.step prog);
-      ses_cycle = (fun () -> Compiled_sim.current_cycle prog);
-      ses_reset = (fun () -> Compiled_sim.reset prog);
-      ses_histories =
-        (fun () ->
-          List.map (fun p -> (p, Compiled_sim.output_history prog p)) probes);
-      ses_register_count = Compiled_sim.register_count prog;
-      ses_register_info = Compiled_sim.register_info prog;
-      ses_poke_register_bit = Compiled_sim.flip_register_bit prog;
-      ses_component_count = Compiled_sim.component_count prog;
-      ses_component_info =
-        (fun i -> Compiled_sim.component_info prog comp_index.(i));
-      ses_component_state =
-        (fun i -> Compiled_sim.component_state prog comp_index.(i));
-      ses_force_component_state =
-        (fun i s -> Compiled_sim.set_component_state prog comp_index.(i) s);
-      ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr prog));
-      ses_static_size = Some (Compiled_sim.statement_count prog);
-      ses_close = closer sys name;
-    }
+  let make ?options:_ sys = compiled_session ~engine:name sys
 end
 
 (* --- event-driven RTL engine ---------------------------------------------- *)

@@ -124,6 +124,12 @@ type t = (module ENGINE)
 val name_of : t -> string
 val display_of : t -> string
 
+(** [compiled_session ~engine sys] is the ["compiled"] engine's session
+    over [sys] — a [Compiled_sim] program, after a system reset —
+    reporting [ses_engine = engine]; the native engine serves it as its
+    toolchain-less fallback. *)
+val compiled_session : engine:string -> Cycle_system.t -> session
+
 (** {1:registry Registry}
 
     The built-in engines register themselves in paper order —

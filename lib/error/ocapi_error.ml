@@ -47,6 +47,12 @@ let fail ?severity ?construct ?cycle ?nets code ~engine fmt =
     (fun s -> raise (Error (make ?severity ?construct ?cycle ?nets code ~engine s)))
     fmt
 
+let check_state ~engine ~construct ~cycle ~states s =
+  if s < 0 || s >= states then
+    fail Invalid_state ~engine ~construct ~cycle
+      "state index %d outside the %d encoded states" s states
+  else s
+
 let code_label = function
   | Deadlock -> "deadlock"
   | Did_not_settle -> "did-not-settle"

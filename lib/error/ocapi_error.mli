@@ -95,6 +95,13 @@ val fail :
   ('a, Format.formatter, unit, 'b) format4 ->
   'a
 
+(** [check_state ~engine ~construct ~cycle ~states s] is [s] when it is
+    one of the encoded states [0 .. states - 1] of FSM [construct], and
+    otherwise raises {!Error} with code [Invalid_state]: the one
+    diagnostic of every engine's FSM-state poke and decode. *)
+val check_state :
+  engine:string -> construct:string -> cycle:int -> states:int -> int -> int
+
 val code_label : code -> string
 val severity_label : severity -> string
 

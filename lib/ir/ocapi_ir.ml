@@ -374,13 +374,9 @@ module Gate_engine = struct
       | Synthesize.Binary -> s land (1 lsl b) <> 0
       | Synthesize.One_hot -> s = b
     in
-    let invalid_state ~construct s n =
-      raise
-        (Ocapi_error.Error
-           (Ocapi_error.make Ocapi_error.Invalid_state ~engine:name ~construct
-              ~cycle:!cycle
-              (Printf.sprintf "state index %d outside the %d encoded states" s
-                 n)))
+    let check_state (f : Synthesize.fsm_map) s =
+      Ocapi_error.check_state ~engine:name ~construct:f.Synthesize.fm_name
+        ~cycle:!cycle ~states:f.Synthesize.fm_states s
     in
     Cycle_system.attach_engine sys name;
     let closed = ref false in
@@ -425,21 +421,15 @@ module Gate_engine = struct
             Array.iteri (fun b on -> if on then set := b :: !set) bits;
             match !set with
             | [ b ] -> b
-            | _ ->
-              invalid_state ~construct:f.Synthesize.fm_name (-1)
-                f.Synthesize.fm_states));
+            | _ -> check_state f (-1)));
       ses_force_component_state =
         (fun i s ->
           let f = smap.Synthesize.sm_fsms.(i) in
-          if s < 0 || s >= f.Synthesize.fm_states then
-            invalid_state ~construct:f.Synthesize.fm_name s
-              f.Synthesize.fm_states
-          else
-            Array.iteri
-              (fun b net ->
-                Netlist.Sim.poke_net sim net
-                  (bit_of f.Synthesize.fm_encoding s b))
-              f.Synthesize.fm_state_nets);
+          let s = check_state f s in
+          Array.iteri
+            (fun b net ->
+              Netlist.Sim.poke_net sim net (bit_of f.Synthesize.fm_encoding s b))
+            f.Synthesize.fm_state_nets);
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sim));
       ses_static_size = Some (Netlist.counts nl).Netlist.gate_equivalents;
       ses_close =

@@ -273,7 +273,7 @@ let read_meta path : Emit.plugin_meta option =
 (* Locate or build the (plugin, meta) pair for [sys]: disk artifact ->
    Flow.Cache store -> fresh emission + compile.  Runs under the load
    mutex.  Raises [Fall] on environmental failures (the caller degrades
-   to the interpreted program) and [Compiled_types.Unsupported] on
+   to the interpreted program) and [Compiled_sim.Unsupported] on
    design-level rejections (shared verbatim with the compiled engine). *)
 let obtain_plugin sys =
   let cmi =
@@ -358,17 +358,6 @@ let set_slot (p : Ocapi_native_abi.plugin) i v =
   | Ocapi_native_abi.Words a -> a.(i) <- Int64.to_int v
   | Ocapi_native_abi.Boxed a -> a.(i) <- v
 
-let wrap_mantissa (f : Fixed.format) m =
-  let w = f.Fixed.width in
-  let mask = Int64.sub (Int64.shift_left 1L w) 1L in
-  match f.Fixed.signedness with
-  | Fixed.Unsigned -> Int64.logand m mask
-  | Fixed.Signed ->
-    let low = Int64.logand m mask in
-    if Int64.logand low (Int64.shift_left 1L (w - 1)) <> 0L then
-      Int64.sub low (Int64.shift_left 1L w)
-    else low
-
 (* Probe histories are recorded into growable unboxed arrays and only
    materialized as [Fixed.t] lists when [ses_histories] is called: the
    obvious per-cycle [Fixed.create] + cons would cost more than the
@@ -421,14 +410,14 @@ let closer sys =
 
 let install_kernels (p : Ocapi_native_abi.plugin) (meta : Emit.plugin_meta)
     untimed =
-  List.iteri
-    (fun j (kname, inputs, outputs) ->
+  Array.iteri
+    (fun j { Compiled_sim.hk_name; hk_inputs; hk_outputs } ->
       let k =
-        match List.assoc_opt kname untimed with
+        match List.assoc_opt hk_name untimed with
         | Some k -> k
         | None ->
           Ocapi_error.fail Ocapi_error.Internal ~engine:engine_name
-            "plugin metadata names unknown kernel %s" kname
+            "plugin metadata names unknown kernel %s" hk_name
       in
       let fire () =
         if k.Dataflow.Kernel.k_ready () then begin
@@ -437,7 +426,7 @@ let install_kernels (p : Ocapi_native_abi.plugin) (meta : Emit.plugin_meta)
             List.map
               (fun (port, slot, fmt) ->
                 (port, [ Fixed.create fmt (get_slot p slot) ]))
-              inputs
+              hk_inputs
           in
           let produced = k.Dataflow.Kernel.k_behavior consumed in
           List.iter
@@ -448,7 +437,7 @@ let install_kernels (p : Ocapi_native_abi.plugin) (meta : Emit.plugin_meta)
                 p.Ocapi_native_abi.p_stamps.(stamp) <-
                   !(p.Ocapi_native_abi.p_cycle)
               | Some _ | None -> ())
-            outputs
+            hk_outputs
         end
       in
       let commit () =
@@ -465,16 +454,13 @@ let native_session sys =
   let untimed = Cycle_system.untimed_components sys in
   install_kernels p meta untimed;
   let stims =
-    meta.Emit.pm_stims
-    |> List.filter_map (fun (name, slot, stampi) ->
-           Cycle_system.primary_inputs sys
-           |> List.find_opt (fun (n, _, _) -> n = name)
-           |> Option.map (fun (_, _, fn) -> (fn, slot, stampi)))
-    |> Array.of_list
+    Array.map
+      (fun (name, slot, stampi) -> (Compiled_sim.stimulus sys name, slot, stampi))
+      meta.Emit.pm_stims
   in
   let probes =
     meta.Emit.pm_probes
-    |> List.map (fun (name, slot, stampi, fmt) ->
+    |> Array.map (fun (name, slot, stampi, fmt) ->
            {
              pr_name = name;
              pr_slot = slot;
@@ -485,7 +471,6 @@ let native_session sys =
              pr_i64s = [||];
              pr_len = 0;
            })
-    |> Array.of_list
   in
   (* Mode-specialized recorder: the [Words] path never touches a boxed
      value, keeping the per-cycle host overhead to a few array writes. *)
@@ -520,8 +505,7 @@ let native_session sys =
     | Ocapi_native_abi.Words _ -> true
     | Ocapi_native_abi.Boxed _ -> false
   in
-  let regs = Array.of_list meta.Emit.pm_regs in
-  let comps = Array.of_list meta.Emit.pm_comps in
+  let regs = meta.Emit.pm_regs and comps = meta.Emit.pm_comps in
   let step () =
     let c = !(p.Ocapi_native_abi.p_cycle) in
     Array.iter
@@ -558,69 +542,33 @@ let native_session sys =
         |> List.map (fun pr -> (pr.pr_name, probe_history ~words pr)));
     ses_register_count = Array.length regs;
     ses_register_info =
-      (fun i ->
-        let name, fmt, _ = regs.(i) in
-        (name, fmt));
+      (fun i -> (regs.(i).Compiled_sim.reg_name, regs.(i).Compiled_sim.reg_fmt));
     ses_poke_register_bit =
       (fun i ~bit ->
-        let name, fmt, slot = regs.(i) in
-        if bit < 0 || bit >= fmt.Fixed.width then
-          invalid_arg
-            (Printf.sprintf
-               "flip_register_bit: bit %d outside %s for register %s" bit
-               (Fixed.format_to_string fmt) name);
-        let flipped =
-          Int64.logxor (get_slot p slot) (Int64.shift_left 1L bit)
-        in
-        set_slot p slot (wrap_mantissa fmt flipped));
+        let { Compiled_sim.reg_name; reg_fmt; reg_cur; _ } = regs.(i) in
+        set_slot p reg_cur
+          (Compiled_sim.flip_bit ~name:reg_name reg_fmt ~bit (get_slot p reg_cur)));
     ses_component_count = Array.length comps;
     ses_component_info = (fun i -> comps.(i));
     ses_component_state = (fun i -> p.Ocapi_native_abi.p_states.(i));
     ses_force_component_state =
       (fun i s ->
         let cname, n = comps.(i) in
-        if s < 0 || s >= n then
-          raise
-            (Ocapi_error.Error
-               (Ocapi_error.make Ocapi_error.Invalid_state ~engine:engine_name
-                  ~construct:cname
-                  ~cycle:!(p.Ocapi_native_abi.p_cycle)
-                  (Printf.sprintf
-                     "FSM driven into unencoded state %d (%d states)" s n)));
-        p.Ocapi_native_abi.p_states.(i) <- s);
+        p.Ocapi_native_abi.p_states.(i) <-
+          Ocapi_error.check_state ~engine:engine_name ~construct:cname
+            ~cycle:!(p.Ocapi_native_abi.p_cycle) ~states:n s);
     ses_resident_words =
       (fun () -> Obj.reachable_words (Obj.repr (p, probes, regs, comps)));
     ses_static_size = Some meta.Emit.pm_statements;
     ses_close = closer sys;
   }
 
-(* The interpreted-compiled degradation: same session surface, same
-   [ses_engine] name (so sweep artifacts stay deterministic whether or
-   not a toolchain is present), same histories. *)
+(* The interpreted-compiled degradation: the compiled engine's session
+   under this engine's name (so sweep artifacts stay deterministic
+   whether or not a toolchain is present), same histories. *)
 let fallback_session sys =
   bump n_fallbacks "fallbacks";
-  let prog = Compiled_sim.compile sys in
-  let probes = Cycle_system.probes sys in
-  Cycle_system.attach_engine sys engine_name;
-  {
-    Ocapi_engine.ses_engine = engine_name;
-    ses_step = (fun () -> Compiled_sim.step prog);
-    ses_cycle = (fun () -> Compiled_sim.current_cycle prog);
-    ses_reset = (fun () -> Compiled_sim.reset prog);
-    ses_histories =
-      (fun () ->
-        List.map (fun p -> (p, Compiled_sim.output_history prog p)) probes);
-    ses_register_count = Compiled_sim.register_count prog;
-    ses_register_info = Compiled_sim.register_info prog;
-    ses_poke_register_bit = Compiled_sim.flip_register_bit prog;
-    ses_component_count = Compiled_sim.component_count prog;
-    ses_component_info = Compiled_sim.component_info prog;
-    ses_component_state = Compiled_sim.component_state prog;
-    ses_force_component_state = Compiled_sim.set_component_state prog;
-    ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr prog));
-    ses_static_size = Some (Compiled_sim.statement_count prog);
-    ses_close = closer sys;
-  }
+  Ocapi_engine.compiled_session ~engine:engine_name sys
 
 module Native_engine : Ocapi_engine.ENGINE = struct
   let name = engine_name

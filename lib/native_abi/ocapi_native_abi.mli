@@ -10,20 +10,23 @@
     {!clear}s the slot, loads the [.cmxs], and {!take}s the record.
 
     The record exposes the plugin's raw state — value/stamp arrays, the
-    cycle counter, FSM state words and kernel hook slots — under a fixed
-    slot-layout contract (nets first in [Cycle_system.nets] order, then
-    current/next word pairs per register in [all_regs] order).  That
-    contract is versioned by [Emit.emitter_version], which is folded
-    into the [.cmxs] cache key, so a stale plugin can never be paired
-    with a newer host.
+    cycle counter, FSM state words and kernel hook slots — in the slot
+    layout of the program [Compiled_sim.lower] produced, the same layout
+    the compiled engine runs: nets first in [Cycle_system.nets] order,
+    then current/next word pairs per register in [all_regs] order, then
+    the expression nodes.  The host finds its slots in the
+    [Emit.plugin_meta] sidecar, the program's tables.  The layout is
+    versioned by [Emit.emitter_version], which is folded into the
+    [.cmxs] cache key, so a stale plugin can never be paired with a
+    newer host.
 
     Loads happen under a single global mutex in [Ocapi_native] (engine
     sweeps create sessions from several domains at once), so the single
     shared {!slot} cell needs no locking of its own. *)
 
 (** The plugin's value store.  [Words] is the bit-packed fast path:
-    every net and register mantissa proven (by the emitter's width-bound
-    analysis) to fit an unboxed 63-bit OCaml [int].  [Boxed] is the
+    every slot's mantissa proven (by the emitter's width-bound analysis)
+    to fit an unboxed 63-bit OCaml [int].  [Boxed] is the
     fallback emission mode using [int64] cells, semantically identical
     to the interpreted compiled engine on any width. *)
 type values = Words of int array | Boxed of int64 array

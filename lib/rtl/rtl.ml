@@ -717,13 +717,10 @@ let component_state t i =
 
 let set_component_state t i state =
   let cname, s, n = t.state_sigs.(i) in
-  if state < 0 || state >= n then
-    raise
-      (Ocapi_error.Error
-         (Ocapi_error.make Ocapi_error.Invalid_state ~engine:"rtl"
-            ~construct:cname ~cycle:t.cycle_count
-            (Printf.sprintf "state index %d outside the %d encoded states"
-               state n)));
+  let state =
+    Ocapi_error.check_state ~engine:"rtl" ~construct:cname ~cycle:t.cycle_count
+      ~states:n state
+  in
   initialize t;
   settle t [ (s, Fixed.of_int (Fixed.fmt s.sg_value) state) ]
 

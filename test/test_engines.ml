@@ -167,13 +167,10 @@ let compiler_on_path () =
   Sys.command "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
   = 0
 
-let test_emitted_simulator_end_to_end () =
-  if not (compiler_on_path ()) then Alcotest.skip ();
-  let sys = rich_system 21 in
-  let cycles = 25 in
+let emitted_simulator_matches_interp sys ~cycles =
   let interp = Flow.simulate sys ~cycles in
   Cycle_system.reset sys;
-  let src = Compiled_sim.emit_ocaml sys ~cycles in
+  let src = Emit.emit_standalone sys ~cycles in
   let dir = Filename.temp_file "ocapi_test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -207,8 +204,17 @@ let test_emitted_simulator_end_to_end () =
       interp
     |> List.sort compare
   in
-  Alcotest.(check (list string)) "emitted output matches" expected
-    (List.sort compare lines)
+  Alcotest.(check (list string))
+    (Cycle_system.name sys ^ ": emitted output matches")
+    expected (List.sort compare lines)
+
+(* The accumulator CPU adds an inlined RAM to the emitted program. *)
+let test_emitted_simulator_end_to_end () =
+  if not (compiler_on_path ()) then Alcotest.skip ();
+  emitted_simulator_matches_interp (rich_system 21) ~cycles:25;
+  emitted_simulator_matches_interp
+    (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
+    ~cycles:Acc_cpu.check_cycles
 
 (* --- sessions: reset, allocation, RAM kernels and guards ------------------ *)
 
@@ -458,12 +464,28 @@ let test_input_guard_rejected () =
   | _ -> Alcotest.fail "input-reading guard accepted"
 
 (* Table 1's static-size column: statements per gallery design, the
-   elided ones (constants, register reads, shifts) included. *)
+   elided ones (constants, register reads, shifts) included.  The native
+   engine reports the same count whether it runs its plugin or, with
+   the engine disabled, its interpreted fallback. *)
 let test_statement_counts () =
+  let native_size sys =
+    with_session "native" sys (fun ses -> ses.Ocapi_engine.ses_static_size)
+  in
+  let native_disabled f =
+    let prior =
+      Option.value ~default:"" (Sys.getenv_opt "OCAPI_NATIVE_DISABLE")
+    in
+    Unix.putenv "OCAPI_NATIVE_DISABLE" "1";
+    Fun.protect ~finally:(fun () -> Unix.putenv "OCAPI_NATIVE_DISABLE" prior) f
+  in
   List.iter
     (fun (name, sys, expected) ->
       Alcotest.(check int) name expected
-        (Compiled_sim.statement_count (Compiled_sim.compile sys)))
+        (Compiled_sim.statement_count (Compiled_sim.compile sys));
+      Alcotest.(check (option int)) (name ^ " native") (Some expected)
+        (native_size sys);
+      Alcotest.(check (option int)) (name ^ " native fallback") (Some expected)
+        (native_disabled (fun () -> native_size sys)))
     [
       ("hcor", Test_fault.hcor_design (), 708);
       ("dect", Test_fault.dect_design (), 2392);

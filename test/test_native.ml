@@ -12,16 +12,20 @@ let native_ok () =
 
 (* A small accumulator design with native-test-local names, so its
    digest never collides with other suites' designs in the shared
-   artifact cache.  [width] varies the digest between tests. *)
-let accum ~width () =
+   artifact cache.  [width] varies the digest between tests; the output
+   is resized to [out_width] bits. *)
+let accum ?out_width ~width () =
   let clk = Clock.default in
   let fmt = Fixed.signed ~width ~frac:0 in
+  let out =
+    Fixed.signed ~width:(Option.value out_width ~default:width) ~frac:0
+  in
   let acc = Signal.Reg.create clk "native_acc" fmt in
   let sfg =
     Sfg.build "native_step" (fun b ->
         let x = Sfg.Builder.input b "x" fmt in
         Sfg.Builder.output b "y"
-          (Signal.resize ~overflow:Fixed.Saturate fmt
+          (Signal.resize ~overflow:Fixed.Saturate out
              Signal.(x +: reg_q acc));
         Sfg.Builder.assign_resized b acc Signal.(x -: reg_q acc))
   in
@@ -60,6 +64,18 @@ let test_equivalence_hcor () =
   in
   let h = Hcor.create ~stimulus:(Hcor.sample_stimulus samples) () in
   check_native_matches_interp h.Hcor.system ~cycles:120
+
+(* A 62-bit output cannot be wrapped or saturated over unboxed words
+   (the helpers compute [1 lsl width]), so this plugin runs over int64
+   cells. *)
+let test_equivalence_int64_cells () =
+  let sys = accum ~width:60 ~out_width:62 () in
+  let src, _ = Emit.emit_plugin sys in
+  Alcotest.(check string) "value store"
+    (Printf.sprintf "(* Emitter v%d, int64 value store; loaded via Dynlink, \
+                     driven through" Emit.emitter_version)
+    (List.nth (String.split_on_char '\n' src) 1);
+  check_native_matches_interp sys ~cycles:40
 
 let test_equivalence_dect () =
   let stimulus c =
@@ -211,6 +227,24 @@ let test_concurrent_sessions_are_private () =
             "session B unperturbed by A" true
             (ses_b.Ocapi_engine.ses_histories () = expected)))
 
+(* --- the artifact key --------------------------------------------------------- *)
+
+(* The .cmxs cache key holds the design digest and [Emit.emitter_version]
+   but not the plugin text, so a change to the lowering or its rendering
+   must bump the version or the cache keeps serving artifacts of the old
+   text.  Pinning the text of one small design to the version makes such
+   a change fail here until both are updated together.  The text depends
+   only on the design: another build in between leaves it unchanged. *)
+let test_plugin_text_pinned () =
+  let text () = fst (Emit.emit_plugin (accum ~width:8 ())) in
+  let first = text () in
+  ignore (Emit.emit_plugin (accum ~width:13 ()));
+  Alcotest.(check string) "text independent of earlier builds" first (text ());
+  Alcotest.(check (pair int string))
+    "emitter version and plugin text digest"
+    (4, "38269e3236f9f0c9f5e231518814f534")
+    (Emit.emitter_version, Digest.to_hex (Digest.string first))
+
 (* --- unavailability -------------------------------------------------------- *)
 
 let test_disabled_is_structured_and_serves_fallback () =
@@ -234,6 +268,8 @@ let suite =
   [
     Alcotest.test_case "native = interp on HCOR" `Quick test_equivalence_hcor;
     Alcotest.test_case "native = interp on DECT" `Slow test_equivalence_dect;
+    Alcotest.test_case "native = interp over int64 cells" `Quick
+      test_equivalence_int64_cells;
     Alcotest.test_case "warm cache skips the compiler" `Quick
       test_warm_cache_skips_compiler;
     Alcotest.test_case "corrupt/stale artifact: counted miss + recompile"
@@ -242,4 +278,6 @@ let suite =
       test_concurrent_sessions_are_private;
     Alcotest.test_case "disabled: structured error, fallback serves" `Quick
       test_disabled_is_structured_and_serves_fallback;
+    Alcotest.test_case "plugin text pinned to the emitter version" `Quick
+      test_plugin_text_pinned;
   ]

@@ -176,7 +176,7 @@ let test_emitted_simulator () =
   let cycles = 40 in
   let interp = Flow.simulate sys ~cycles in
   Cycle_system.reset sys;
-  let src = Compiled_sim.emit_ocaml sys ~cycles in
+  let src = Emit.emit_standalone sys ~cycles in
   let dir = Filename.temp_file "ocapi_oc" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
