@@ -130,7 +130,8 @@ fuzz: build
 
 # The CI fuzz smoke gate: harness self-test (an injected engine bug must
 # be caught and shrunk), corpus replay + 25 fresh designs on every
-# engine, and a serial vs --domains 2 byte-compare of the fuzz report.
+# engine with the --deep checks, and a serial vs --domains 2
+# byte-compare of the fuzz report.
 ci-fuzz: build
 	scripts/fuzz_gate.sh
 

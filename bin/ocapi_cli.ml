@@ -442,23 +442,27 @@ let fault_cmd =
             Printf.eprintf "unknown engine %S (try %s)\n" engine
               (String.concat ", " (Ocapi_engine.names ()));
             1
-          | Some e ->
+          | Some e -> (
             let engine = Ocapi_engine.name_of e in
-            let report, telemetry =
+            match
               Ocapi_obs.run_with_telemetry ~label:(name ^ ".seu") (fun () ->
                   Ocapi_fault.seu_campaign ~engine ~runs ~seed ~domains
                     ~replicate d.d_sys ~cycles)
-            in
-            if json then
-              print_endline
-                (Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json report))
-            else begin
-              Format.printf "%a@." Ocapi_fault.pp_seu_report report;
-              Printf.printf "campaign wall time: %.2fs (%.0f runs/s)\n"
-                telemetry.Ocapi_obs.rp_seconds
-                (float_of_int runs /. max 1e-9 telemetry.Ocapi_obs.rp_seconds)
-            end;
-            0)
+            with
+            | exception Ocapi_error.Error err ->
+              prerr_endline (Ocapi_error.to_string err);
+              1
+            | report, telemetry ->
+              if json then
+                print_endline
+                  (Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json report))
+              else begin
+                Format.printf "%a@." Ocapi_fault.pp_seu_report report;
+                Printf.printf "campaign wall time: %.2fs (%.0f runs/s)\n"
+                  telemetry.Ocapi_obs.rp_seconds
+                  (float_of_int runs /. max 1e-9 telemetry.Ocapi_obs.rp_seconds)
+              end;
+              0))
         | other ->
           Printf.eprintf "unknown campaign %S (try stuck-at or seu)\n" other;
           1)

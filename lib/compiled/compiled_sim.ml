@@ -929,6 +929,8 @@ type t = {
   mutable cycle : int;
   comps : comp_code array;
   b_schedule : b_code array;
+  ram_codes : ram_code array;  (* the inlined RAMs of [b_schedule] *)
+  host_kernels : Dataflow.Kernel.t list;  (* its other kernels *)
   stims : stim_code array;
   probes : probe_code array;
   (* Register exposure for fault injection, in [Cycle_system.all_regs]
@@ -1089,6 +1091,8 @@ let compile sys =
       cycle = 0;
       comps;
       b_schedule;
+      ram_codes = rams;
+      host_kernels = Array.to_list (Array.map (fun kc -> kc.kc_kernel) kernels);
       stims;
       probes;
       regs = p.pg_regs;
@@ -1267,6 +1271,10 @@ let output_history t name =
   | Some p -> List.rev p.pc_history
   | None -> unsupported "output_history: no probe %s" name
 
+let clear_histories t =
+  Array.iter (fun p -> p.pc_history <- []) t.probes;
+  Array.iter (fun r -> r.trc_hist <- []) t.trace_recs
+
 let reset t =
   t.cycle <- 0;
   t.cycle_ref := 0;
@@ -1278,14 +1286,62 @@ let reset t =
       c.cc_state <- c.cc_initial;
       c.cc_selected <- -1)
     t.comps;
-  Array.iter (fun p -> p.pc_history <- []) t.probes;
-  Array.iter (fun r -> r.trc_hist <- []) t.trace_recs;
+  clear_histories t;
   Array.iter
     (function
       | Comp _ -> ()
       | Ram r -> r.rm_staged <- -1
       | Kernel kc -> kc.kc_kernel.Dataflow.Kernel.k_reset ())
     t.b_schedule
+
+(* --- checkpoints ------------------------------------------------------------ *)
+
+(* A copy of what [reset] re-initializes, less histories and traces.
+   The selected transitions are left out: every step writes them before
+   reading them. *)
+type snapshot = {
+  sn_cycle : int;
+  sn_values : Bytes.t;
+  sn_rams : Bytes.t;
+  sn_stamps : int array;
+  sn_states : int array;
+  sn_staged : int array;
+  sn_kernels : Dataflow.Kernel.snapshot;
+}
+
+let snapshot t =
+  Option.map
+    (fun save ->
+      {
+        sn_cycle = t.cycle;
+        sn_values = Bytes.copy t.values;
+        sn_rams = Bytes.copy t.rams;
+        sn_stamps = Array.copy t.stamps;
+        sn_states = Array.map (fun c -> c.cc_state) t.comps;
+        sn_staged = Array.map (fun r -> r.rm_staged) t.ram_codes;
+        sn_kernels = save ();
+      })
+    (Dataflow.Kernel.snapshot_all t.host_kernels)
+
+let restore t sn =
+  t.cycle <- sn.sn_cycle;
+  t.cycle_ref := sn.sn_cycle;
+  Bytes.blit sn.sn_values 0 t.values 0 (Bytes.length t.values);
+  Bytes.blit sn.sn_rams 0 t.rams 0 (Bytes.length t.rams);
+  Array.blit sn.sn_stamps 0 t.stamps 0 (Array.length t.stamps);
+  Array.iteri (fun i c -> c.cc_state <- sn.sn_states.(i)) t.comps;
+  Array.iteri (fun i r -> r.rm_staged <- sn.sn_staged.(i)) t.ram_codes;
+  sn.sn_kernels.Dataflow.Kernel.sn_restore ();
+  clear_histories t
+
+let matches t sn =
+  t.cycle = sn.sn_cycle
+  && Array.for_all2 (fun c s -> c.cc_state = s) t.comps sn.sn_states
+  && Bytes.equal t.values sn.sn_values
+  && Bytes.equal t.rams sn.sn_rams
+  && t.stamps = sn.sn_stamps
+  && Array.for_all2 (fun r s -> r.rm_staged = s) t.ram_codes sn.sn_staged
+  && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 let trace_all t = t.tracing <- true
 

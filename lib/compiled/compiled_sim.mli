@@ -175,6 +175,30 @@ val output_history : t -> string -> (int * Fixed.t) list
     runs exactly as a freshly compiled one. *)
 val reset : t -> unit
 
+(** {1 Checkpoints}
+
+    A snapshot copies the state {!reset} re-initializes, less histories
+    and traces: the cycle, the value store, the inlined RAM images and
+    their staged writes, the stamps, the FSM states and the host
+    kernels' state (through their [k_snapshot] hooks).  The store is
+    one [Bytes] blit: 8 bytes per slot. *)
+
+type snapshot
+
+(** [None] when a host kernel carries no [k_snapshot] hook. *)
+val snapshot : t -> snapshot option
+
+(** Back to the snapshot's state and cycle, from any state (a step an
+    exception abandoned included); probe histories and net traces are
+    cleared, so they record from the snapshot's cycle on. *)
+val restore : t -> snapshot -> unit
+
+(** Does the current state equal the snapshot's? *)
+val matches : t -> snapshot -> bool
+
+(** Clear probe histories and net traces, leaving the state as it is. *)
+val clear_histories : t -> unit
+
 (** {1 Net tracing (waveform dumping)} *)
 
 (** Enable per-net value recording: after every subsequent {!step}, each

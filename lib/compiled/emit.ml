@@ -11,7 +11,7 @@ let unsupported fmt =
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
    host. *)
-let emitter_version = 4
+let emitter_version = 5
 
 let sanitize name =
   String.map
@@ -658,6 +658,15 @@ let emit_plugin sys =
   pf "      p_stamps = stamp;\n";
   pf "      p_cycle = cycle;\n";
   pf "      p_states = states;\n";
+  let ram_list f =
+    String.concat "; " (List.init (Array.length p.Compiled_sim.pg_rams) f)
+  in
+  pf "      p_rams = [| %s |];\n"
+    (ram_list (fun i ->
+         Printf.sprintf "Ocapi_native_abi.%s ram_%d"
+           (match mode with Word -> "Words" | I64 -> "Boxed")
+           i));
+  pf "      p_ram_staged = [| %s |];\n" (ram_list (Printf.sprintf "ram_%d_pa"));
   pf "      p_kernels = kernels;\n";
   pf "      p_kernel_commits = kernel_commits;\n";
   pf "      p_step = step;\n";

@@ -13,6 +13,8 @@ module Kernel = struct
         rdata_port : string;
       }
 
+  type snapshot = { sn_restore : unit -> unit; sn_matches : unit -> bool }
+
   type t = {
     k_name : string;
     k_inputs : (string * int) list;
@@ -23,18 +25,31 @@ module Kernel = struct
     k_commit : unit -> unit;
     k_behavior : (string * Fixed.t list) list -> (string * Fixed.t list) list;
     k_model : model option;
+    k_snapshot : (unit -> snapshot) option;
   }
 
   let create k_name ?(ready = fun () -> true) ?(formats = [])
-      ?(commit = fun () -> ()) ?(reset = fun () -> ()) ?model ~inputs ~outputs
-      k_behavior =
+      ?(commit = fun () -> ()) ?(reset = fun () -> ()) ?model ?snapshot ~inputs
+      ~outputs k_behavior =
     List.iter
       (fun (p, rate) ->
         if rate < 1 then error "kernel %s: port %s has rate %d < 1" k_name p rate)
       (inputs @ outputs);
     { k_name; k_inputs = inputs; k_outputs = outputs; k_ready = ready;
       k_formats = formats; k_reset = reset; k_commit = commit; k_behavior;
-      k_model = model }
+      k_model = model; k_snapshot = snapshot }
+
+  let snapshot_all ks =
+    if List.exists (fun k -> Option.is_none k.k_snapshot) ks then None
+    else
+      let hooks = List.filter_map (fun k -> k.k_snapshot) ks in
+      Some
+        (fun () ->
+          let sns = List.map (fun save -> save ()) hooks in
+          {
+            sn_restore = (fun () -> List.iter (fun sn -> sn.sn_restore ()) sns);
+            sn_matches = (fun () -> List.for_all (fun sn -> sn.sn_matches ()) sns);
+          })
 
   let port_format k port =
     match List.assoc_opt port k.k_formats with

@@ -46,6 +46,11 @@ module Kernel : sig
             and wrap-around — is staged and applied by the commit
             phase.  Reset zeroes the store. *)
 
+  (** A copy of a kernel's internal state, taken by its
+      [k_snapshot] hook: [sn_restore] puts the copy back, [sn_matches]
+      tells whether the current state equals it. *)
+  type snapshot = { sn_restore : unit -> unit; sn_matches : unit -> bool }
+
   type t = {
     k_name : string;
     k_inputs : (string * int) list;  (** port name, tokens consumed *)
@@ -71,6 +76,10 @@ module Kernel : sig
         (** consumed tokens by port -> produced tokens by port *)
     k_model : model option;
         (** declarative equivalent of the closures, when one exists *)
+    k_snapshot : (unit -> snapshot) option;
+        (** copies everything [k_reset] re-initializes.  A kernel with
+            internal state and no hook cannot be copied: an engine
+            session over it has no checkpoints. *)
   }
 
   val create :
@@ -80,10 +89,15 @@ module Kernel : sig
     ?commit:(unit -> unit) ->
     ?reset:(unit -> unit) ->
     ?model:model ->
+    ?snapshot:(unit -> snapshot) ->
     inputs:(string * int) list ->
     outputs:(string * int) list ->
     ((string * Fixed.t list) list -> (string * Fixed.t list) list) ->
     t
+
+  (** [snapshot_all ks] is one hook copying every kernel of [ks], or
+      [None] when one of them carries no hook. *)
+  val snapshot_all : t list -> (unit -> snapshot) option
 
   (** Declared format of a port. @raise Dataflow_error when absent. *)
   val port_format : t -> string -> Fixed.format

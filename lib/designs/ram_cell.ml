@@ -59,6 +59,19 @@ let kernel ~name ~words ~data_fmt ~addr_fmt =
     ~reset:(fun () ->
       pending := None;
       Array.fill store 0 words (Fixed.zero data_fmt))
+    ~snapshot:(fun () ->
+      let copy = Array.copy store and staged = !pending in
+      let same_write (a, v) (a', v') = a = a' && Fixed.equal v v' in
+      {
+        Dataflow.Kernel.sn_restore =
+          (fun () ->
+            Array.blit copy 0 store 0 words;
+            pending := staged);
+        sn_matches =
+          (fun () ->
+            Option.equal same_write !pending staged
+            && Array.for_all2 Fixed.equal store copy);
+      })
     ~inputs:[ ("addr", 1); ("wdata", 1); ("we", 1) ]
     ~outputs:[ ("rdata", 1) ]
     (fun consumed ->

@@ -624,39 +624,51 @@ let norm_seu_outcome = function
       detail
   | Ocapi_fault.Detected e -> "d:" ^ Ocapi_error.code_label e.Ocapi_error.e_code
 
+(* The checkpointed campaigns on interp and compiled against the
+   reference — every run replayed from reset on interp — on one
+   schedule: a bug in the checkpointed loop or in either engine's
+   checkpoints shows as a divergence from the reference, which two
+   checkpointed campaigns could share. *)
 let seu_cross_findings spec =
   classified_check ~check:"seu-cross" ~engine:"fault" (fun () ->
-      let signature engine =
-        let sys = Spec.build spec in
-        let r =
-          Ocapi_fault.seu_campaign ~engine ~runs:8
-            ~seed:(1 + (spec.Spec.sp_seed land 0xffff))
-            sys ~cycles:spec.Spec.sp_cycles
-        in
+      let seed = 1 + (spec.Spec.sp_seed land 0xffff)
+      and cycles = spec.Spec.sp_cycles in
+      let signature (r : Ocapi_fault.seu_report) =
         List.map
           (fun (run : Ocapi_fault.seu_run) ->
             Printf.sprintf "%d:%s:%d:%s" run.run_index run.run_label run.run_cycle
               (norm_seu_outcome run.run_outcome))
           r.Ocapi_fault.seu_records
       in
-      let a = signature "interp" and b = signature "compiled" in
-      if a = b then []
-      else
-        let detail =
-          match
-            List.find_opt (fun (x, y) -> x <> y) (List.combine a b)
-          with
-          | Some (x, y) -> Printf.sprintf "%s vs %s" x y
-          | None -> "campaign lengths differ"
-        in
-        [
-          {
-            f_check = "seu-cross";
-            f_error =
-              Ocapi_error.make Ocapi_error.Mismatch ~engine:"interp-vs-compiled"
-                (Printf.sprintf "SEU classifications diverge: %s" detail);
-          };
-        ])
+      let reference =
+        signature
+          (Ocapi_fault.seu_campaign_from_reset ~engine:"interp" ~runs:8 ~seed
+             (Spec.build spec) ~cycles)
+      in
+      List.concat_map
+        (fun engine ->
+          let b =
+            signature
+              (Ocapi_fault.seu_campaign ~engine ~runs:8 ~seed (Spec.build spec)
+                 ~cycles)
+          in
+          if reference = b then []
+          else
+            let detail =
+              match List.find_opt (fun (x, y) -> x <> y) (List.combine reference b) with
+              | Some (x, y) -> Printf.sprintf "%s vs %s" x y
+              | None -> "campaign lengths differ"
+            in
+            [
+              {
+                f_check = "seu-cross";
+                f_error =
+                  Ocapi_error.make Ocapi_error.Mismatch
+                    ~engine:("reference-vs-" ^ engine)
+                    (Printf.sprintf "SEU classifications diverge: %s" detail);
+              };
+            ])
+        [ "interp"; "compiled" ])
 
 let stuck_determinism_findings spec =
   classified_check ~check:"stuck-determinism" ~engine:"fault" (fun () ->

@@ -137,10 +137,12 @@ val default_engines : unit -> string list
       behavioral root against the [lower-to-gate] + [optimize-gates]
       netlist through {!Ocapi_ir.check_equivalence}.
     - {b seu-cross} / {b stuck-determinism} (when [deep], default
-      [false]): a small seeded SEU campaign classified on the first
-      two capable engines must agree run for run, and a sampled
-      stuck-at campaign re-run under the same seed must reproduce its
-      report byte for byte.
+      [false]): a small seeded SEU campaign, checkpointed, on the
+      interpreted and compiled engines must agree run for run with the
+      same schedule replayed from reset on the interpreted engine
+      ([Ocapi_fault.seu_campaign_from_reset]), and a sampled stuck-at
+      campaign re-run under the same seed must reproduce its report
+      byte for byte.
 
     Returns the findings, oldest check first; [[]] means the stack
     agrees on this design. *)

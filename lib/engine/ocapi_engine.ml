@@ -1,9 +1,16 @@
 (* The uniform cycle-engine interface: one session calling convention
-   over the interpreted, compiled and RTL engines, plus the registry
-   the upper layers (Flow, fault campaigns, CLI, bench) resolve
-   engines from by name. *)
+   over the five engines — interp, compiled and rtl here, native and
+   gate registered from their own libraries — plus the registry the
+   upper layers (Flow, fault campaigns, CLI, bench) resolve engines
+   from by name. *)
 
 type histories = (string * (int * Fixed.t) list) list
+
+type checkpoint = {
+  ck_cycle : int;
+  ck_restore : unit -> unit;
+  ck_matches : unit -> bool;
+}
 
 type session = {
   ses_engine : string;
@@ -20,6 +27,7 @@ type session = {
   ses_force_component_state : int -> int -> unit;
   ses_resident_words : unit -> int;
   ses_static_size : int option;
+  ses_checkpoint : unit -> checkpoint option;
   ses_close : unit -> unit;
 }
 
@@ -145,6 +153,16 @@ module Interp_engine = struct
                ~states:(List.length (Fsm.states fsm)) s));
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sys));
       ses_static_size = None;
+      ses_checkpoint =
+        (fun () ->
+          Option.map
+            (fun sn ->
+              {
+                ck_cycle = Cycle_system.current_cycle sys;
+                ck_restore = (fun () -> Cycle_system.restore sys sn);
+                ck_matches = (fun () -> Cycle_system.matches sys sn);
+              })
+            (Cycle_system.snapshot sys));
       ses_close = closer sys name;
     }
 end
@@ -182,6 +200,16 @@ let compiled_session ~engine sys =
       (fun i s -> Compiled_sim.set_component_state prog comp_index.(i) s);
     ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr prog));
     ses_static_size = Some (Compiled_sim.statement_count prog);
+    ses_checkpoint =
+      (fun () ->
+        Option.map
+          (fun sn ->
+            {
+              ck_cycle = Compiled_sim.current_cycle prog;
+              ck_restore = (fun () -> Compiled_sim.restore prog sn);
+              ck_matches = (fun () -> Compiled_sim.matches prog sn);
+            })
+          (Compiled_sim.snapshot prog));
     ses_close = closer sys engine;
   }
 
@@ -250,6 +278,16 @@ module Rtl_engine = struct
         (fun i s -> Rtl.set_component_state rtl comp_index.(i) s);
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr rtl));
       ses_static_size = None;
+      ses_checkpoint =
+        (fun () ->
+          Option.map
+            (fun sn ->
+              {
+                ck_cycle = Rtl.current_cycle rtl;
+                ck_restore = (fun () -> Rtl.restore rtl sn);
+                ck_matches = (fun () -> Rtl.matches rtl sn);
+              })
+            (Rtl.snapshot rtl));
       ses_close = closer sys name;
     }
 end

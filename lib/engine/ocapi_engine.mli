@@ -6,14 +6,16 @@
     simulator, event-driven RT simulation (sections 4–5, Table 1).
     This module is that interchangeability made first-class: one module
     type {!ENGINE}, one {!session} calling convention (stepwise
-    execution, probe histories, and the register / FSM-state poke
-    surface the SEU campaigns need), and a registry of first-class
-    modules wrapping the four implementations.
+    execution, probe histories, checkpoints, and the register /
+    FSM-state poke surface the SEU campaigns need), and a registry of
+    first-class modules wrapping the five implementations: the
+    interpreted, compiled and RTL engines defined here, the native
+    engine ([Ocapi_native]) and the gate engine over the synthesized
+    netlist ([Ocapi_ir], on [Netlist.Sim]).
 
     Everything above this layer — [Flow], [Ocapi_fault], the CLI, the
     benchmarks — selects engines by {e name} through the registry
-    instead of branching per engine.  The gate-level simulator
-    ([Netlist.Sim]) is not a cycle engine and stays outside.
+    instead of branching per engine.
 
     Overview, in reading order:
 
@@ -41,7 +43,43 @@ type histories = (string * (int * Fixed.t) list) list
     of the source system).  Sessions mark their system
     ([Cycle_system.attach_engine]) for the lifetime of the session;
     {!run} and the campaign layers use that mark to detect designs
-    handed to two consumers at once (code [Shared_state]). *)
+    handed to two consumers at once (code [Shared_state]).
+
+    A {!checkpoint} copies exactly the state [ses_reset]
+    re-initializes, less histories, traces and statistics counters —
+    [reset] defines a fresh run's state, so it also defines what a
+    checkpoint holds:
+    - interp: register values, FSM states, net tokens, kernel state and
+      the cycle;
+    - compiled: the value store, inlined RAM images and their staged
+      writes, stamps, FSM states, host-kernel state and the cycle;
+    - native: the plugin's arrays (values, stamps, FSM states, RAM
+      images, staged writes, the cycle) and host-kernel state;
+    - rtl: signal values and driven flags, the registers it shares with
+      the system, sequential-process clock latches, kernel state and
+      the cycle;
+    - gate: [Netlist.Sim]'s nets, RAM contents and dirty set, and the
+      cycle.
+
+    Untimed kernels are copied through their [k_snapshot] hooks.  A
+    session over a kernel without one cannot copy its state, and
+    [ses_checkpoint] returns [None]; campaigns then replay each run
+    from reset.  Checkpoint storage is allocated by [ses_checkpoint]
+    itself; making and stepping a session pay nothing for it. *)
+
+(** A copy of a session's state at cycle [ck_cycle]. *)
+type checkpoint = {
+  ck_cycle : int;
+  ck_restore : unit -> unit;
+      (** return the session to the copy's state and cycle, from any
+          state (one an engine exception left mid-step included); the
+          histories are cleared, so [ses_histories] then returns the
+          tokens from [ck_cycle] on *)
+  ck_matches : unit -> bool;
+      (** does the session's current state equal the copy?  From equal
+          states a session steps identically, so a run that matches the
+          fault-free run's checkpoint repeats that run from there *)
+}
 
 type session = {
   ses_engine : string;  (** registry name of the engine *)
@@ -73,6 +111,9 @@ type session = {
   ses_static_size : int option;
       (** compiled statement count, for engines with a static program
           image *)
+  ses_checkpoint : unit -> checkpoint option;
+      (** copy the current state (see {!checkpoint}); [None] when an
+          untimed kernel has no [k_snapshot] hook *)
   ses_close : unit -> unit;
       (** detach the engine mark from the system; idempotent *)
 }
@@ -134,8 +175,9 @@ val compiled_session : engine:string -> Cycle_system.t -> session
 
     The built-in engines register themselves in paper order —
     ["interp"], ["compiled"], ["rtl"] — when this module is linked;
-    the native engine (["native"], alias ["jit"]) registers fourth,
-    from the flow layer's linkage of [Ocapi_native].  {!all} preserves
+    the native engine (["native"], alias ["jit"]) registers fourth and
+    the gate engine (["gate"], alias ["netlist"]) fifth, from the flow
+    layer's linkage of [Ocapi_native] and [Ocapi_ir].  {!all} preserves
     registration order (the first engine is the baseline of
     engine-agreement sweeps). *)
 

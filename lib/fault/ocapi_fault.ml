@@ -404,17 +404,108 @@ let seu_key ~engine ~runs ~max_deltas ~seed sys ~cycles =
          ])
     ~seed sys ~cycles
 
-let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
-    ?(domains = 1) ?replicate ?progress sys ~cycles =
-  if cycles <= 0 then invalid_arg "Ocapi_fault.seu_campaign: cycles must be > 0";
-  (* Resolve the engine up front so an unknown name fails before any
-     simulation; the report records the canonical registry name even
-     when an alias was passed. *)
-  let engine = Ocapi_engine.name_of (Ocapi_engine.get engine) in
+(* --- running one faulty run ---------------------------------------------------- *)
+
+(* The fault-free run takes a checkpoint every [stride] cycles, at most
+   [max_checkpoints] per session: every cycle on windows up to 64. *)
+let max_checkpoints = 64
+
+(* A session's fault-free run: its histories and, when [checkpointed]
+   and the session can copy its state, checkpoints at cycles
+   [0, stride, 2 * stride, ...] with, per checkpoint, the histories
+   from its cycle on (tails of the lists, shared). *)
+type golden = {
+  g_histories : Ocapi_engine.histories;
+  g_stride : int;
+  g_checkpoints : Ocapi_engine.checkpoint array;
+  g_tails : Ocapi_engine.histories array;
+}
+
+let golden_run ~checkpointed ses ~cycles =
+  let stride = (cycles + max_checkpoints - 1) / max_checkpoints in
+  let checkpoints = ref [] in
+  let histories =
+    Ocapi_engine.run ses ~cycles ~progress:(fun c ->
+        if checkpointed && c mod stride = 0 then
+          Option.iter
+            (fun ck -> checkpoints := ck :: !checkpoints)
+            (ses.Ocapi_engine.ses_checkpoint ()))
+  in
+  let checkpoints = Array.of_list (List.rev !checkpoints) in
+  let tail_from t =
+    List.map
+      (fun (p, h) ->
+        let rec drop = function
+          | (c, _) :: rest when c < t -> drop rest
+          | h -> h
+        in
+        (p, drop h))
+      histories
+  in
+  {
+    g_histories = histories;
+    g_stride = stride;
+    g_checkpoints = checkpoints;
+    g_tails = Array.map (fun ck -> tail_from ck.Ocapi_engine.ck_cycle) checkpoints;
+  }
+
+(* A run from reset, with the whole histories compared: the reference
+   [checkpointed_run] must reproduce, and the run of a session that
+   cannot copy its state. *)
+let run_from_reset ses golden ~cycles ~target ~at =
+  classify_histories ~engine:ses.Ocapi_engine.ses_engine golden.g_histories
+    (Ocapi_engine.run ses ~cycles ~inject:(at, fun () -> poke_target ses target))
+
+(* Restore the last checkpoint at or before [at], step to [at], poke,
+   and step on until the window ends or, at a later checkpoint cycle
+   [t], the state equals the fault-free run's: from equal states the
+   run repeats the fault-free tokens from [t] on (and raises nothing,
+   as that run did not), so those tokens are appended instead of
+   stepped.  The cycles before the restored checkpoint carry the
+   fault-free tokens on both sides, so comparing from there gives the
+   outcome of the whole histories.  The session is left mid-run; the
+   next run's restore works from any state. *)
+let checkpointed_run ses golden ~cycles ~target ~at =
+  let j = at / golden.g_stride in
+  golden.g_checkpoints.(j).Ocapi_engine.ck_restore ();
+  let rec go c =
+    if c = cycles then None
+    else if
+      c > at
+      && c mod golden.g_stride = 0
+      && golden.g_checkpoints.(c / golden.g_stride).Ocapi_engine.ck_matches ()
+    then Some (c / golden.g_stride)
+    else begin
+      if c = at then poke_target ses target;
+      ses.Ocapi_engine.ses_step ();
+      go (c + 1)
+    end
+  in
+  let converged = go golden.g_checkpoints.(j).Ocapi_engine.ck_cycle in
+  let own = ses.Ocapi_engine.ses_histories () in
+  let faulty =
+    match converged with
+    | None -> own
+    | Some k ->
+      List.map2 (fun (p, h) (_, tail) -> (p, h @ tail)) own golden.g_tails.(k)
+  in
+  classify_histories ~engine:ses.Ocapi_engine.ses_engine golden.g_tails.(j) faulty
+
+(* --- campaigns ----------------------------------------------------------------- *)
+
+let check_campaign_size ~runs ~cycles =
+  if runs < 0 then
+    Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
+      "SEU campaign: runs must be a non-negative integer, got %d" runs;
+  if cycles <= 0 then
+    Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
+      "SEU campaign: cycles must be a positive integer, got %d" cycles
+
+let seu_campaign_with ~checkpointed ~engine ~runs ~seed ?max_deltas ~domains
+    ?replicate ?progress sys ~cycles =
   let targets = seu_targets sys in
   if Array.length targets = 0 then
     invalid_arg "Ocapi_fault.seu_campaign: design has no architectural state";
-  let campaign () =
   (* The full injection schedule is drawn up front, consuming the seeded
      stream in exactly the order the historic serial loop did (target,
      then cycle, per run).  Runs thereby become index-keyed independent
@@ -422,24 +513,22 @@ let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
      and so the merged report — are fixed by [seed] alone. *)
   let rng = Random.State.make [| seed |] in
   let schedule =
-    Array.init runs (fun _ -> (0, 0)) (* placeholder; filled in order *)
+    Array.init runs (fun _ ->
+        let ti = Random.State.int rng (Array.length targets) in
+        let at = Random.State.int rng cycles in
+        (ti, at))
   in
-  for i = 0 to runs - 1 do
-    let ti = Random.State.int rng (Array.length targets) in
-    let at = Random.State.int rng cycles in
-    schedule.(i) <- (ti, at)
-  done;
   let simulate_one (ses, golden) i =
     (match progress with Some f -> f i | None -> ());
     let ti, at = schedule.(i) in
     let target, _ = targets.(ti) in
+    let run_one =
+      if Array.length golden.g_checkpoints = 0 then run_from_reset
+      else checkpointed_run
+    in
     let outcome =
-      match
-        Ocapi_engine.run ses ~cycles
-          ~inject:(at, fun () -> poke_target ses target)
-      with
-      | faulty ->
-        classify_histories ~engine:ses.Ocapi_engine.ses_engine golden faulty
+      match run_one ses golden ~cycles ~target ~at with
+      | outcome -> outcome
       | exception e -> (
         match
           Flow.classify_exn ~engine:ses.Ocapi_engine.ses_engine ~cycle:at e
@@ -457,7 +546,7 @@ let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
   in
   (* [make_state] runs serially on the coordinating domain, so plain
      refs suffice to track replicas (for the shared-state audit) and
-     open sessions (closed after the joins below). *)
+     open sessions (reset and closed after the joins below). *)
   let replicas = ref [] in
   let sessions = ref [] in
   let make_state k =
@@ -486,13 +575,16 @@ let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
     in
     let ses = make_session ?max_deltas ~engine s in
     sessions := ses :: !sessions;
-    let golden = Ocapi_engine.run ses ~cycles in
-    (ses, golden)
+    (ses, golden_run ~checkpointed ses ~cycles)
   in
   let outcomes =
     Fun.protect
       ~finally:(fun () ->
-        List.iter (fun s -> s.Ocapi_engine.ses_close ()) !sessions)
+        List.iter
+          (fun s ->
+            s.Ocapi_engine.ses_reset ();
+            s.Ocapi_engine.ses_close ())
+          !sessions)
       (fun () ->
         Ocapi_parallel.map_tasks ~domains ~make_state ~tasks:runs
           ~f:simulate_one ())
@@ -518,12 +610,29 @@ let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
       n_of (fun r -> match r.run_outcome with Detected _ -> true | _ -> false);
     seu_records = records;
   }
+
+let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
+    ?(domains = 1) ?replicate ?progress sys ~cycles =
+  check_campaign_size ~runs ~cycles;
+  (* Resolve the engine up front so an unknown name fails before any
+     simulation; the report records the canonical registry name even
+     when an alias was passed. *)
+  let engine = Ocapi_engine.name_of (Ocapi_engine.get engine) in
+  let campaign () =
+    seu_campaign_with ~checkpointed:true ~engine ~runs ~seed ?max_deltas
+      ~domains ?replicate ?progress sys ~cycles
   in
   if not (Flow.Cache.enabled ()) then campaign ()
   else
     Seu_store.coalesced
       ~key:(seu_key ~engine ~runs ~max_deltas ~seed sys ~cycles)
       ~compute:campaign
+
+let seu_campaign_from_reset ~engine ~runs ~seed sys ~cycles =
+  check_campaign_size ~runs ~cycles;
+  let engine = Ocapi_engine.name_of (Ocapi_engine.get engine) in
+  seu_campaign_with ~checkpointed:false ~engine ~runs ~seed ~domains:1 sys
+    ~cycles
 
 (* --- reports --------------------------------------------------------------- *)
 

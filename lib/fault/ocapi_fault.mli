@@ -142,8 +142,9 @@ val stuck_at_optimized :
 
 (** {1 SEU (transient bit-flip) campaigns}
 
-    Campaigns run on any cycle engine of the {!Ocapi_engine} registry,
-    selected by name (["interp"], ["compiled"], ["rtl"], or an alias);
+    Campaigns run on any engine of the {!Ocapi_engine} registry,
+    selected by name (["interp"], ["compiled"], ["native"], ["rtl"],
+    ["gate"], or an alias);
     injection goes through the uniform session poke surface, so adding
     an engine to the registry makes it campaign-capable with no change
     here. *)
@@ -200,6 +201,18 @@ type seu_report = {
     [max_deltas] is the RTL engine's delta watchdog.  Deterministic:
     same [seed] (default 1), same report.
 
+    Runs resume from the fault-free run instead of replaying it.  Each
+    session's fault-free run takes a checkpoint
+    ([Ocapi_engine.ses_checkpoint]) every ⌈[cycles]/64⌉ cycles.  Run
+    [i] restores the last checkpoint at or before its injection cycle,
+    steps to it, flips its bit and steps on, and stops at the first
+    later checkpoint cycle whose state it matches: from equal states it
+    would repeat the fault-free tokens, and raise nothing, so it takes
+    them instead.  Outcomes, diagnostics included, are those of a run
+    from reset ({!seu_campaign_from_reset}).  A session that cannot
+    copy its state ([ses_checkpoint] returns [None]) replays every run
+    from reset.
+
     [domains] (default [1] = the serial path) distributes the runs over
     an {!Ocapi_parallel} pool.  The whole injection schedule is drawn
     up front from [seed] in the historic serial draw order and runs are
@@ -227,6 +240,8 @@ type seu_report = {
     not part of the key — parallel and serial campaigns produce the
     same report.
 
+    @raise Ocapi_error.Error with code [Unsupported] if [runs] is
+    negative or [cycles] is not positive.
     @raise Invalid_argument if [domains > 1] without [replicate], or if
     [replicate] builds a system whose fault-target universe differs
     from [sys]'s. *)
@@ -238,6 +253,20 @@ val seu_campaign :
   ?domains:int ->
   ?replicate:(unit -> Cycle_system.t) ->
   ?progress:(int -> unit) ->
+  Cycle_system.t ->
+  cycles:int ->
+  seu_report
+
+(** {!seu_campaign}'s schedule and report on [engine], with every run
+    replayed from reset and its whole histories compared against the
+    fault-free run's: the reference the checkpointed runs must
+    reproduce.  Serial, with the engine's default options, and never
+    cached; for the differential fuzzer and the tests only.
+    @raise Ocapi_error.Error as {!seu_campaign}. *)
+val seu_campaign_from_reset :
+  engine:string ->
+  runs:int ->
+  seed:int ->
   Cycle_system.t ->
   cycles:int ->
   seu_report

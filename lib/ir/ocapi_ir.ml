@@ -364,10 +364,13 @@ module Gate_engine = struct
       Netlist.Sim.clock sim;
       incr cycle
     in
+    let clear_histories () =
+      List.iter (fun (_, _, _, _, _, hist) -> hist := []) probe_rows
+    in
     let reset () =
       Netlist.Sim.reset sim;
       cycle := 0;
-      List.iter (fun (_, _, _, _, _, hist) -> hist := []) probe_rows
+      clear_histories ()
     in
     let bit_of encoding s b =
       match encoding with
@@ -432,6 +435,19 @@ module Gate_engine = struct
             f.Synthesize.fm_state_nets);
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sim));
       ses_static_size = Some (Netlist.counts nl).Netlist.gate_equivalents;
+      ses_checkpoint =
+        (fun () ->
+          let at = !cycle and sn = Netlist.Sim.snapshot sim in
+          Some
+            {
+              Ocapi_engine.ck_cycle = at;
+              ck_restore =
+                (fun () ->
+                  Netlist.Sim.restore sim sn;
+                  cycle := at;
+                  clear_histories ());
+              ck_matches = (fun () -> !cycle = at && Netlist.Sim.matches sim sn);
+            });
       ses_close =
         (fun () ->
           if not !closed then begin

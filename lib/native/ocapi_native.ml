@@ -358,6 +358,69 @@ let set_slot (p : Ocapi_native_abi.plugin) i v =
   | Ocapi_native_abi.Words a -> a.(i) <- Int64.to_int v
   | Ocapi_native_abi.Boxed a -> a.(i) <- v
 
+let copy_values = function
+  | Ocapi_native_abi.Words a -> Ocapi_native_abi.Words (Array.copy a)
+  | Ocapi_native_abi.Boxed a -> Ocapi_native_abi.Boxed (Array.copy a)
+
+let blit_values ~src ~dst =
+  match (src, dst) with
+  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b ->
+    Array.blit a 0 b 0 (Array.length a)
+  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b ->
+    Array.blit a 0 b 0 (Array.length a)
+  | _ -> invalid_arg "Ocapi_native.blit_values: store modes differ"
+
+let values_equal a b =
+  match (a, b) with
+  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b -> a = b
+  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b -> a = b
+  | _ -> false
+
+(* The plugin's state as [p_reset] re-initializes it, copied: the
+   value store, stamps, cycle, FSM states, RAM images and staged RAM
+   writes, plus the host kernels' state. *)
+type snapshot = {
+  sn_values : Ocapi_native_abi.values;
+  sn_stamps : int array;
+  sn_cycle : int;
+  sn_states : int array;
+  sn_rams : Ocapi_native_abi.values array;
+  sn_staged : int array;
+  sn_kernels : Dataflow.Kernel.snapshot;
+}
+
+let snapshot (p : Ocapi_native_abi.plugin) save =
+  let open Ocapi_native_abi in
+  {
+    sn_values = copy_values p.p_values;
+    sn_stamps = Array.copy p.p_stamps;
+    sn_cycle = !(p.p_cycle);
+    sn_states = Array.copy p.p_states;
+    sn_rams = Array.map copy_values p.p_rams;
+    sn_staged = Array.map ( ! ) p.p_ram_staged;
+    sn_kernels = save ();
+  }
+
+let restore (p : Ocapi_native_abi.plugin) sn =
+  let open Ocapi_native_abi in
+  blit_values ~src:sn.sn_values ~dst:p.p_values;
+  Array.blit sn.sn_stamps 0 p.p_stamps 0 (Array.length p.p_stamps);
+  p.p_cycle := sn.sn_cycle;
+  Array.blit sn.sn_states 0 p.p_states 0 (Array.length p.p_states);
+  Array.iteri (fun i ram -> blit_values ~src:sn.sn_rams.(i) ~dst:ram) p.p_rams;
+  Array.iteri (fun i staged -> staged := sn.sn_staged.(i)) p.p_ram_staged;
+  sn.sn_kernels.Dataflow.Kernel.sn_restore ()
+
+let matches (p : Ocapi_native_abi.plugin) sn =
+  let open Ocapi_native_abi in
+  !(p.p_cycle) = sn.sn_cycle
+  && p.p_states = sn.sn_states
+  && values_equal p.p_values sn.sn_values
+  && p.p_stamps = sn.sn_stamps
+  && Array.for_all2 values_equal p.p_rams sn.sn_rams
+  && Array.for_all2 (fun staged a -> !staged = a) p.p_ram_staged sn.sn_staged
+  && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
+
 (* Probe histories are recorded into growable unboxed arrays and only
    materialized as [Fixed.t] lists when [ses_histories] is called: the
    obvious per-cycle [Fixed.create] + cons would cost more than the
@@ -525,10 +588,17 @@ let native_session sys =
     record_probes c;
     if Ocapi_obs.enabled () then Ocapi_obs.count "native.steps"
   in
+  let clear_histories () = Array.iter (fun pr -> pr.pr_len <- 0) probes in
   let reset () =
     p.Ocapi_native_abi.p_reset ();
     List.iter (fun (_, k) -> k.Dataflow.Kernel.k_reset ()) untimed;
-    Array.iter (fun pr -> pr.pr_len <- 0) probes
+    clear_histories ()
+  in
+  let host_kernels =
+    Array.to_list
+      (Array.map
+         (fun hk -> List.assoc hk.Compiled_sim.hk_name untimed)
+         meta.Emit.pm_kernels)
   in
   Cycle_system.attach_engine sys engine_name;
   {
@@ -560,6 +630,20 @@ let native_session sys =
     ses_resident_words =
       (fun () -> Obj.reachable_words (Obj.repr (p, probes, regs, comps)));
     ses_static_size = Some meta.Emit.pm_statements;
+    ses_checkpoint =
+      (fun () ->
+        Option.map
+          (fun save ->
+            let sn = snapshot p save in
+            {
+              Ocapi_engine.ck_cycle = sn.sn_cycle;
+              ck_restore =
+                (fun () ->
+                  restore p sn;
+                  clear_histories ());
+              ck_matches = (fun () -> matches p sn);
+            })
+          (Dataflow.Kernel.snapshot_all host_kernels));
     ses_close = closer sys;
   }
 

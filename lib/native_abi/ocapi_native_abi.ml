@@ -5,6 +5,8 @@ type plugin = {
   p_stamps : int array;
   p_cycle : int ref;
   p_states : int array;
+  p_rams : values array;
+  p_ram_staged : int ref array;
   p_kernels : (unit -> unit) array;
   p_kernel_commits : (unit -> unit) array;
   p_step : unit -> unit;

@@ -10,7 +10,10 @@
     {!clear}s the slot, loads the [.cmxs], and {!take}s the record.
 
     The record exposes the plugin's raw state — value/stamp arrays, the
-    cycle counter, FSM state words and kernel hook slots — in the slot
+    cycle counter, FSM state words, inlined RAM images with their staged
+    writes, and kernel hook slots — everything the plugin's [p_reset]
+    re-initializes bar the selected-transition cells each step writes
+    before reading, so the host can checkpoint it — in the slot
     layout of the program [Compiled_sim.lower] produced, the same layout
     the compiled engine runs: nets first in [Cycle_system.nets] order,
     then current/next word pairs per register in [all_regs] order, then
@@ -40,6 +43,12 @@ type plugin = {
   p_stamps : int array;  (** last cycle each net was driven, [-1] never *)
   p_cycle : int ref;  (** current cycle, incremented by [p_step] *)
   p_states : int array;  (** FSM state per timed component, in order *)
+  p_rams : values array;
+      (** the inlined RAMs' images, in [Compiled_sim.pg_rams] order; in
+          the store's mode *)
+  p_ram_staged : int ref array;
+      (** per inlined RAM, the word address of the write staged by the
+          current step, [-1] none *)
   p_kernels : (unit -> unit) array;
       (** untimed-kernel fire hooks, one per kernel in
           [untimed_components] order; installed by the host after load

@@ -1066,6 +1066,78 @@ module Sim = struct
     t.n_events <- 0;
     t.n_clocks <- 0
 
+  (* A copy of what [reset] re-initializes, less the evaluation and
+     event counters: net words, RAM contents, the dirty set (empty
+     between two clocks, every element after [reset]) and the clock
+     count the diagnostics report.  Active faults are not state. *)
+  type snapshot = {
+    sn_v : int array;
+    sn_rams : int array array;
+    sn_lo : int;
+    sn_hi : int;
+    sn_counts : int array;  (* [lcount] of levels [sn_lo .. sn_hi] *)
+    sn_dirty : int array;  (* their [stack] entries, level by level *)
+    sn_clocks : int;
+  }
+
+  let dirty_levels t =
+    if t.lo > t.hi then [] else List.init (t.hi - t.lo + 1) (( + ) t.lo)
+
+  (* The dirty set: per level of [dirty_levels], its count, and all its
+     entries in stack order. *)
+  let dirty t =
+    let levels = dirty_levels t in
+    ( Array.of_list (List.map (fun l -> t.lcount.(l)) levels),
+      Array.concat
+        (List.map (fun l -> Array.sub t.stack t.lstart.(l) t.lcount.(l)) levels) )
+
+  let snapshot t =
+    let counts, entries = dirty t in
+    {
+      sn_v = Array.copy t.v;
+      sn_rams = Array.map (fun mem -> Array.copy mem.bits) t.rams;
+      sn_lo = t.lo;
+      sn_hi = t.hi;
+      sn_counts = counts;
+      sn_dirty = entries;
+      sn_clocks = t.n_clocks;
+    }
+
+  let restore t sn =
+    List.iter
+      (fun l ->
+        for j = t.lstart.(l) to t.lstart.(l) + t.lcount.(l) - 1 do
+          Bytes.set t.queued t.stack.(j) '\000'
+        done;
+        t.lcount.(l) <- 0)
+      (dirty_levels t);
+    t.lo <- sn.sn_lo;
+    t.hi <- sn.sn_hi;
+    let k = ref 0 in
+    List.iteri
+      (fun i l ->
+        let c = sn.sn_counts.(i) in
+        Array.blit sn.sn_dirty !k t.stack t.lstart.(l) c;
+        for j = !k to !k + c - 1 do
+          Bytes.set t.queued sn.sn_dirty.(j) '\001'
+        done;
+        t.lcount.(l) <- c;
+        k := !k + c)
+      (dirty_levels t);
+    Array.blit sn.sn_v 0 t.v 0 (Array.length t.v);
+    Array.iteri
+      (fun i mem -> Array.blit sn.sn_rams.(i) 0 mem.bits 0 (Array.length mem.bits))
+      t.rams;
+    t.n_clocks <- sn.sn_clocks
+
+  let matches t sn =
+    t.n_clocks = sn.sn_clocks
+    && t.lo = sn.sn_lo
+    && t.hi = sn.sn_hi
+    && t.v = sn.sn_v
+    && Array.for_all2 (fun mem bits -> mem.bits = bits) t.rams sn.sn_rams
+    && dirty t = (sn.sn_counts, sn.sn_dirty)
+
   (* Activate a stuck-at fault on one lane.  A stem fault pins the net
      in that lane: its value is forced now and every later write is
      masked.  A branch fault recodes the gate as faulty, so it reads

@@ -258,6 +258,25 @@ module Sim : sig
       values, every element dirty.  Active faults stay in force. *)
   val reset : t -> unit
 
+  (** {2 Checkpoints}
+
+      A snapshot copies what {!reset} re-initializes, less the
+      evaluation and event counters: every net word, the RAM contents,
+      the set of elements left to evaluate (empty between two clocks)
+      and the clock count that diagnostics report.  Active faults are
+      not part of it.  {!settle} and {!clock} do not depend on it. *)
+
+  type snapshot
+
+  val snapshot : t -> snapshot
+
+  (** Back to the snapshot's state, from any state (a settle that
+      raised {!Did_not_settle} included). *)
+  val restore : t -> snapshot -> unit
+
+  (** Does the current state equal the snapshot's? *)
+  val matches : t -> snapshot -> bool
+
   (** {2 Fault injection}
 
       Parallel-pattern single-fault propagation: lane [l] simulates the

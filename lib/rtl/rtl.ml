@@ -42,6 +42,8 @@ type t = {
   stims : (rtl_signal * (int -> Fixed.t option)) list;
   probes : probe_rec list;
   resets : (unit -> unit) list;  (* restore component-local state *)
+  latches : bool ref array;  (* per sequential process, the clock it last saw *)
+  kernels : Dataflow.Kernel.t list;
   kernel_commits : (unit -> unit) list;
   kernel_procs : process_ list;
   regs : Signal.Reg.t array;  (* Cycle_system.all_regs order *)
@@ -214,6 +216,7 @@ let of_system ?(max_deltas = 1000) sys =
   let clk = add_signal "clk" (Fixed.of_bool false) in
   let processes = ref [] in
   let resets = ref [] in
+  let latches = ref [] in
   let kernel_commits = ref [] in
   let kernel_procs = ref [] in
   let add_process p = processes := p :: !processes in
@@ -354,6 +357,7 @@ let of_system ?(max_deltas = 1000) sys =
       add_process (make_process (cname ^ "_comb") comb_sensitivity comb_exec);
       (* Sequential process: latch on the rising clock edge. *)
       let prev_clk = ref false in
+      latches := prev_clk :: !latches;
       let seq_exec () =
         let now = Fixed.is_true clk.sg_value in
         let rising = now && not !prev_clk in
@@ -457,6 +461,8 @@ let of_system ?(max_deltas = 1000) sys =
     stims;
     probes;
     resets = !resets;
+    latches = Array.of_list !latches;
+    kernels = List.map snd (Cycle_system.untimed_components sys);
     kernel_commits = !kernel_commits;
     kernel_procs = !kernel_procs;
     regs = Array.of_list (Cycle_system.all_regs sys);
@@ -637,6 +643,14 @@ let output_history t name =
   | Some pb -> List.rev pb.pb_history
   | None -> error "output_history: no probe %s" name
 
+let clear_histories t =
+  List.iter (fun pb -> pb.pb_history <- []) t.probes;
+  List.iter
+    (fun tr ->
+      tr.tr_last <- None;
+      tr.tr_hist <- [])
+    t.traces
+
 let reset t =
   t.cycle_count <- 0;
   t.initialized <- false;
@@ -651,12 +665,75 @@ let reset t =
     t.signals;
   Array.iter Signal.Reg.reset t.regs;
   List.iter (fun f -> f ()) t.resets;
-  List.iter (fun pb -> pb.pb_history <- []) t.probes;
-  List.iter
-    (fun tr ->
-      tr.tr_last <- None;
-      tr.tr_hist <- [])
-    t.traces
+  clear_histories t
+
+(* --- checkpoints ------------------------------------------------------------ *)
+
+(* A copy of what [reset] re-initializes, less histories, traces and
+   activity counters.  Signal values are immutable [Fixed.t]s, so the
+   copy shares them. *)
+type snapshot = {
+  sn_cycle : int;
+  sn_initialized : bool;
+  sn_values : Fixed.t array;  (* [t.signals] order *)
+  sn_driven : bool array;
+  sn_latches : bool array;
+  sn_regs : (Fixed.t * Fixed.t option) array;
+  sn_kernels : Dataflow.Kernel.snapshot;
+}
+
+let snapshot t =
+  Option.map
+    (fun save ->
+      let signals = Array.of_list t.signals in
+      {
+        sn_cycle = t.cycle_count;
+        sn_initialized = t.initialized;
+        sn_values = Array.map (fun s -> s.sg_value) signals;
+        sn_driven = Array.map (fun s -> s.sg_driven_this_cycle) signals;
+        sn_latches = Array.map ( ! ) t.latches;
+        sn_regs = Array.map (fun r -> (Signal.Reg.value r, Signal.Reg.next r)) t.regs;
+        sn_kernels = save ();
+      })
+    (Dataflow.Kernel.snapshot_all t.kernels)
+
+let restore t sn =
+  t.cycle_count <- sn.sn_cycle;
+  t.initialized <- sn.sn_initialized;
+  List.iteri
+    (fun i s ->
+      s.sg_value <- sn.sn_values.(i);
+      s.sg_driven_this_cycle <- sn.sn_driven.(i))
+    t.signals;
+  Array.iteri (fun i l -> l := sn.sn_latches.(i)) t.latches;
+  Array.iteri
+    (fun i r ->
+      let v, next = sn.sn_regs.(i) in
+      Signal.Reg.reset r;
+      Signal.Reg.set_value r v;
+      Option.iter (Signal.Reg.set_next r) next)
+    t.regs;
+  sn.sn_kernels.Dataflow.Kernel.sn_restore ();
+  clear_histories t
+
+let matches t sn =
+  let rec same_signals i = function
+    | [] -> true
+    | s :: rest ->
+      Fixed.equal s.sg_value sn.sn_values.(i)
+      && s.sg_driven_this_cycle = sn.sn_driven.(i)
+      && same_signals (i + 1) rest
+  in
+  t.cycle_count = sn.sn_cycle
+  && t.initialized = sn.sn_initialized
+  && Array.for_all2
+       (fun r (v, next) ->
+         Fixed.equal (Signal.Reg.value r) v
+         && Option.equal Fixed.equal (Signal.Reg.next r) next)
+       t.regs sn.sn_regs
+  && Array.for_all2 (fun l v -> !l = v) t.latches sn.sn_latches
+  && same_signals 0 t.signals
+  && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 let trace_all t =
   if t.traces = [] then

@@ -58,6 +58,31 @@ val output_history : t -> string -> (int * Fixed.t) list
 
 val reset : t -> unit
 
+(** {1 Checkpoints}
+
+    A snapshot copies the state {!reset} re-initializes, less histories,
+    traces and activity counters: the cycle, every signal's value and
+    driven flag (FSM state signals and register shadows included), the
+    clock each sequential process last saw, the registers shared with
+    the system and the untimed kernels' state (through their
+    [k_snapshot] hooks). *)
+
+type snapshot
+
+(** [None] when an untimed kernel carries no [k_snapshot] hook. *)
+val snapshot : t -> snapshot option
+
+(** Back to the snapshot's state and cycle, from any state (a cycle an
+    exception abandoned included); probe histories and traces are
+    cleared, so they record from the snapshot's cycle on. *)
+val restore : t -> snapshot -> unit
+
+(** Does the current state equal the snapshot's? *)
+val matches : t -> snapshot -> bool
+
+(** Clear probe histories and traces, leaving the state as it is. *)
+val clear_histories : t -> unit
+
 (** {1 Signal tracing (waveform dumping)} *)
 
 (** Enable per-signal value recording: each subsequent {!cycle} records,

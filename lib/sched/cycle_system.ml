@@ -554,18 +554,18 @@ let all_regs t =
            true
          end)
 
+let clear_histories t =
+  t.inputs_seen <- [];
+  t.probe_histories <- List.map (fun (id, _) -> (id, [])) t.probe_histories;
+  List.iter (fun n -> n.n_history <- []) t.s_nets
+
 let reset t =
   t.cycle_count <- 0;
   t.tokens_transferred <- 0;
   t.eval_iterations <- 0;
   t.untimed_fires <- 0;
-  t.inputs_seen <- [];
-  t.probe_histories <- List.map (fun (id, _) -> (id, [])) t.probe_histories;
-  List.iter
-    (fun n ->
-      n.n_token <- None;
-      n.n_history <- [])
-    t.s_nets;
+  clear_histories t;
+  List.iter (fun n -> n.n_token <- None) t.s_nets;
   List.iter Signal.Reg.reset (all_regs t);
   List.iter
     (fun c ->
@@ -625,6 +625,63 @@ let untimed_components t =
       | Untimed k -> Some (c.c_name, k)
       | Timed _ | Primary_input _ | Primary_output -> None)
     (List.rev t.comps)
+
+(* --- checkpoints ------------------------------------------------------------ *)
+
+type snapshot = {
+  sn_cycle : int;
+  sn_regs : (Signal.Reg.t * Fixed.t * Fixed.t option) array;
+  sn_fsms : (Fsm.t * int) array;
+  sn_tokens : (net * Fixed.t option) array;
+  sn_kernels : Dataflow.Kernel.snapshot;
+}
+
+let snapshot t =
+  let kernels = List.map snd (untimed_components t) in
+  Option.map
+    (fun save ->
+      {
+        sn_cycle = t.cycle_count;
+        sn_regs =
+          Array.of_list
+            (List.map
+               (fun r -> (r, Signal.Reg.value r, Signal.Reg.next r))
+               (all_regs t));
+        sn_fsms =
+          Array.of_list
+            (List.map
+               (fun (_, fsm) -> (fsm, Fsm.state_index (Fsm.current fsm)))
+               (timed_components t));
+        sn_tokens = Array.of_list (List.map (fun n -> (n, n.n_token)) t.s_nets);
+        sn_kernels = save ();
+      })
+    (Dataflow.Kernel.snapshot_all kernels)
+
+let restore t sn =
+  t.cycle_count <- sn.sn_cycle;
+  Array.iter
+    (fun (r, v, next) ->
+      Signal.Reg.reset r;
+      Signal.Reg.set_value r v;
+      Option.iter (Signal.Reg.set_next r) next)
+    sn.sn_regs;
+  Array.iter (fun (fsm, s) -> Fsm.force_state fsm s) sn.sn_fsms;
+  Array.iter (fun (n, tok) -> n.n_token <- tok) sn.sn_tokens;
+  sn.sn_kernels.Dataflow.Kernel.sn_restore ();
+  clear_histories t
+
+let matches t sn =
+  t.cycle_count = sn.sn_cycle
+  && Array.for_all
+       (fun (r, v, next) ->
+         Fixed.equal (Signal.Reg.value r) v
+         && Option.equal Fixed.equal (Signal.Reg.next r) next)
+       sn.sn_regs
+  && Array.for_all
+       (fun (fsm, s) -> Fsm.state_index (Fsm.current fsm) = s)
+       sn.sn_fsms
+  && Array.for_all (fun (n, tok) -> Option.equal Fixed.equal n.n_token tok) sn.sn_tokens
+  && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 let nets t =
   List.map

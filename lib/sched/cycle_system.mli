@@ -57,7 +57,10 @@ val add_untimed : t -> Dataflow.Kernel.t -> component
 
 (** [add_input t name fmt stim] adds a primary input driven by [stim]:
     at each cycle [c], [stim c] is placed on the output net (port
-    ["out"]) unless it is [None]. *)
+    ["out"]) unless it is [None].  [stim] must be a pure function of
+    the cycle index: engines call it again whenever they step a cycle
+    again (a checkpoint restored by a fault campaign, a replay), and
+    result caches fingerprint stimuli by calling them. *)
 val add_input :
   t -> string -> Fixed.format -> (int -> Fixed.t option) -> component
 
@@ -108,6 +111,30 @@ val run : ?two_phase:bool -> t -> int -> unit
 val reset : t -> unit
 
 val current_cycle : t -> int
+
+(** {1 Checkpoints}
+
+    A snapshot copies the state {!reset} re-initializes, less histories
+    and statistics: the cycle counter, every register's current and
+    staged value, every FSM's state, the tokens on the nets and the
+    untimed kernels' state (through their [k_snapshot] hooks). *)
+
+type snapshot
+
+(** [None] when an untimed kernel carries no [k_snapshot] hook. *)
+val snapshot : t -> snapshot option
+
+(** Back to the snapshot's state and cycle, from any state (a cycle an
+    exception abandoned included); histories and traced nets are
+    cleared, so they record from the snapshot's cycle on. *)
+val restore : t -> snapshot -> unit
+
+(** Does the current state equal the snapshot's? *)
+val matches : t -> snapshot -> bool
+
+(** Clear the probe, input and traced-net histories, leaving the state
+    as it is. *)
+val clear_histories : t -> unit
 
 (** {1 Observation} *)
 

@@ -374,9 +374,11 @@ let fail_line (err : Ocapi_error.t) =
    treats an existing artifact as proof of completion.  The temp name is
    unique per process and domain; a failed write removes it and fails
    the job. *)
+let temp_artifact path ~pid ~domain = Printf.sprintf "%s.%d.%d.tmp" path pid domain
+
 let write_artifact path data =
   let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Domain.self () :> int)
+    temp_artifact path ~pid:(Unix.getpid ()) ~domain:(Domain.self () :> int)
   in
   let fail msg =
     (try Sys.remove tmp with Sys_error _ -> ());
@@ -957,6 +959,13 @@ let serve cf ~requests =
           incr sm_chaos_kills;
           Ocapi_obs.count "service.chaos.kills"
         end;
+        (* A worker process killed between writing and renaming its
+           artifact leaves the temp file (its job runs on domain 0). *)
+        (match sl.s_worker with
+        | Pid pid -> (
+          try Sys.remove (temp_artifact (artifact_path job.q_artifact) ~pid ~domain:0)
+          with Sys_error _ -> ())
+        | Dom _ -> ());
         incr sm_crashes;
         Ocapi_obs.count "service.worker.crashed";
         log

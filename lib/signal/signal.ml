@@ -40,6 +40,7 @@ module Reg = struct
   let init t = t.init
   let id t = t.id
   let value t = t.value
+  let next t = t.next
   let set_value t v = t.value <- v
   let set_next t v = t.next <- Some v
 

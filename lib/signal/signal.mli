@@ -39,6 +39,9 @@ module Reg : sig
   (** Current value (the value visible through {!Signal.reg_q} reads). *)
   val value : t -> Fixed.t
 
+  (** The staged next value, if any (see {!set_next}). *)
+  val next : t -> Fixed.t option
+
   (** Force the current value (used by simulators and reset). *)
   val set_value : t -> Fixed.t -> unit
 

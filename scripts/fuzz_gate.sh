@@ -7,7 +7,9 @@
 #   2. Corpus replay + fresh sweep: every committed reproducer in
 #      corpus/fuzz_corpus.jsonl replays clean (historical bugs stay
 #      fixed) and ~25 freshly generated designs run every registered
-#      engine to agreement.
+#      engine to agreement.  The sweep runs the --deep checks too: each
+#      design's checkpointed SEU campaigns must classify every run as
+#      the same schedule replayed from reset does.
 #   3. Determinism: the serial fuzz report and the --domains 2 report
 #      must be byte-identical — the campaign is a function of its seed,
 #      never of scheduling.
@@ -45,19 +47,19 @@ fi
 # must not leak into the repo file or the second run's replay set.
 cp "$CORPUS" "$work/corpus-1.jsonl"
 cp "$CORPUS" "$work/corpus-2.jsonl"
-if "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" \
+if "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" --deep \
   --corpus "$work/corpus-1.jsonl" --json >"$work/fuzz-1.json"; then
   replays=$(grep -cv '^\s*#\|^\s*$' "$CORPUS" || true)
-  echo "ok   fuzz sweep (seed $SEED: $replays corpus replays + $COUNT fresh designs, all engines agree)"
+  echo "ok   fuzz sweep (seed $SEED: $replays corpus replays + $COUNT fresh designs, deep, all engines agree)"
 else
   echo "FAIL fuzz sweep: divergence or corpus replay failure" >&2
-  "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" \
+  "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" --deep \
     --corpus "$work/corpus-2.jsonl" 2>&1 | tail -15 >&2 || true
   fail=1
 fi
 
 if [ "$fail" -eq 0 ]; then
-  "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" --domains 2 \
+  "$OCAPI" fuzz --seed "$SEED" --count "$COUNT" --deep --domains 2 \
     --corpus "$work/corpus-2.jsonl" --json >"$work/fuzz-2.json"
   if cmp -s "$work/fuzz-1.json" "$work/fuzz-2.json"; then
     echo "ok   fuzz report determinism (serial vs --domains 2)"

@@ -226,6 +226,180 @@ let test_replicate_live_session_rejected () =
         Alcotest.(check bool)
           "session-owned replica rejected" true (shared_state_code e))
 
+(* --- session checkpoints ------------------------------------------------------ *)
+
+let cpu () = (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
+
+let dect () =
+  (Dect_transceiver.create
+     ~stimulus:(fun c ->
+       Some
+         (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
+            (sin (float_of_int c *. 0.37) /. 2.2)))
+     ())
+    .Dect_transceiver.system
+
+let step_n ses n =
+  for _ = 1 to n do
+    ses.Ocapi_engine.ses_step ()
+  done
+
+(* The histories from cycle [c] on. *)
+let from_cycle c h = List.map (fun (p, toks) -> (p, List.filter (fun (k, _) -> k >= c) toks)) h
+
+(* A state poke outside the encoded states: raises [Invalid_state]. *)
+let invalid_state_poke ses =
+  let rec first i =
+    if i >= ses.Ocapi_engine.ses_component_count then None
+    else if snd (ses.Ocapi_engine.ses_component_info i) < 65536 then Some i
+    else first (i + 1)
+  in
+  match first 0 with
+  | None -> ()
+  | Some i -> (
+    match ses.Ocapi_engine.ses_force_component_state i 65535 with
+    | () -> Alcotest.fail "an unencoded state was accepted"
+    | exception Ocapi_error.Error e ->
+      Alcotest.(check string) "poke diagnostic" "invalid-state"
+        (Ocapi_error.code_label e.Ocapi_error.e_code))
+
+(* On every engine, over a RAM in the timed/untimed loop (cpu) and many
+   components (dect): the cycle-0 checkpoint equals a reset; a later
+   checkpoint restores the fault-free run from any perturbed state; it
+   matches the fault-free state and not one with a flipped register. *)
+let test_checkpoint_contract () =
+  List.iter
+    (fun (design, build, cycles, c) ->
+      List.iter
+        (fun e ->
+          let engine = Ocapi_engine.name_of e in
+          let what fmt = Printf.ksprintf (fun s -> Printf.sprintf "%s on %s: %s" design engine s) fmt in
+          let module E = (val e) in
+          let ses = E.make (build ()) in
+          let checkpoint () =
+            match ses.Ocapi_engine.ses_checkpoint () with
+            | Some ck -> ck
+            | None -> Alcotest.fail (what "no checkpoint")
+          in
+          Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+              ses.ses_reset ();
+              let ck0 = checkpoint () in
+              step_n ses c;
+              let ck = checkpoint () in
+              Alcotest.(check int) (what "checkpoint cycle") c ck.ck_cycle;
+              Alcotest.(check bool) (what "matches the state it copied") true (ck.ck_matches ());
+              step_n ses (cycles - c);
+              let golden = ses.ses_histories () in
+              Alcotest.(check bool) (what "a later state does not match") false (ck.ck_matches ());
+              (* the cycle-0 checkpoint is a reset *)
+              ses.ses_poke_register_bit 0 ~bit:0;
+              ck0.ck_restore ();
+              Alcotest.(check int) (what "cycle after restoring cycle 0") 0 (ses.ses_cycle ());
+              step_n ses cycles;
+              Alcotest.(check bool) (what "cycle-0 restore = reset") true
+                (ses.ses_histories () = golden);
+              let tail = from_cycle c golden in
+              let resumes label perturb =
+                perturb ();
+                ck.ck_restore ();
+                Alcotest.(check int) (what "%s: cycle" label) c (ses.ses_cycle ());
+                Alcotest.(check bool) (what "%s: matches again" label) true (ck.ck_matches ());
+                step_n ses (cycles - c);
+                Alcotest.(check bool) (what "%s: fault-free histories from the checkpoint" label)
+                  true (ses.ses_histories () = tail)
+              in
+              resumes "register flip" (fun () ->
+                  ses.ses_poke_register_bit 0 ~bit:0;
+                  step_n ses 3);
+              resumes "extra steps" (fun () -> step_n ses 5);
+              resumes "invalid state poke" (fun () ->
+                  ck.ck_restore ();
+                  step_n ses 2;
+                  invalid_state_poke ses);
+              ck.ck_restore ();
+              ses.ses_poke_register_bit 0 ~bit:0;
+              Alcotest.(check bool) (what "a flipped register does not match") false
+                (ck.ck_matches ())))
+        (Ocapi_engine.all ()))
+    [ ("cpu", cpu, 40, 13); ("dect", dect, 32, 13) ]
+
+(* [tiny]'s accumulator feeding a stateful untimed kernel: a running
+   sum, staged by the behaviour and committed at the cycle's end, that
+   carries no [k_snapshot] hook. *)
+let tiny_with_counter () =
+  let acc = Signal.Reg.create clk "counted_acc" s8 in
+  let sfg =
+    Sfg.build "counted_step" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y"
+          (Signal.resize ~overflow:Fixed.Saturate s8 Signal.(x +: reg_q acc));
+        Sfg.Builder.assign_resized b acc Signal.(x -: reg_q acc))
+  in
+  let fsm = Fsm.create "counted_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let total = ref 0 and staged = ref 0 in
+  let wrap x = ((x + 128) land 255) - 128 in
+  let counter =
+    Dataflow.Kernel.create "counter"
+      ~formats:[ ("in", s8); ("out", s8) ]
+      ~reset:(fun () ->
+        total := 0;
+        staged := 0)
+      ~commit:(fun () -> total := !staged)
+      ~inputs:[ ("in", 1) ] ~outputs:[ ("out", 1) ]
+      (fun consumed ->
+        let v = Fixed.to_int (List.hd (List.assoc "in" consumed)) in
+        staged := wrap (!total + v);
+        [ ("out", [ Fixed.of_int s8 !total ]) ])
+  in
+  let sys = Cycle_system.create "counted" in
+  let t = Cycle_system.add_timed sys "t" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun c -> Some (Fixed.of_int s8 ((c mod 5) - 2)))
+  in
+  let k = Cycle_system.add_untimed sys counter in
+  let p = Cycle_system.add_output sys "sum" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (t, "x") ]);
+  ignore (Cycle_system.connect sys (t, "y") [ (k, "in") ]);
+  ignore (Cycle_system.connect sys (k, "out") [ (p, "in") ]);
+  sys
+
+(* Without the hook a session cannot copy its state: it has no
+   checkpoint, and an SEU campaign on it replays every run from reset,
+   giving the reference's report. *)
+let test_checkpoint_without_kernel_hook () =
+  List.iter
+    (fun e ->
+      let engine = Ocapi_engine.name_of e in
+      let module E = (val e) in
+      let ses = E.make (tiny_with_counter ()) in
+      Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+          ses.ses_reset ();
+          step_n ses 9;
+          Alcotest.(check bool) (engine ^ ": no checkpoint") true
+            (Option.is_none (ses.ses_checkpoint ())));
+      let runs = 40 and seed = 3 and cycles = 24 in
+      let reference =
+        Ocapi_fault.seu_campaign_from_reset ~engine ~runs ~seed (tiny_with_counter ())
+          ~cycles
+      and r = Ocapi_fault.seu_campaign ~engine ~runs ~seed (tiny_with_counter ()) ~cycles in
+      (* an [Invalid_argument] inside a run is an [Internal] detection,
+         which both sides could share *)
+      Alcotest.(check bool) (engine ^ ": no internal error") true
+        (List.for_all
+           (fun (x : Ocapi_fault.seu_run) ->
+             match x.run_outcome with
+             | Ocapi_fault.Detected { Ocapi_error.e_code = Ocapi_error.Internal; _ } -> false
+             | _ -> true)
+           r.Ocapi_fault.seu_records);
+      let json r = Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json r) in
+      Alcotest.(check string) (engine ^ ": campaign = runs from reset") (json reference)
+        (json r))
+    (* The gate engine synthesizes kernels into macros: a host kernel
+       cannot reach it. *)
+    (List.filter (fun e -> Ocapi_engine.name_of e <> "gate") (Ocapi_engine.all ()))
+
 let suite =
   [
     Alcotest.test_case "digest: built twice, equal" `Quick
@@ -252,4 +426,8 @@ let suite =
       test_replicate_returns_campaign_rejected;
     Alcotest.test_case "replicate: live session rejected" `Quick
       test_replicate_live_session_rejected;
+    Alcotest.test_case "checkpoints: restore and match on every engine" `Quick
+      test_checkpoint_contract;
+    Alcotest.test_case "checkpoints: no state hook, campaign runs from reset" `Quick
+      test_checkpoint_without_kernel_hook;
   ]

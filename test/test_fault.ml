@@ -192,6 +192,69 @@ let test_digests_dect_hcor () =
   check_digest "hcor post" ~faults:200 ~detected:142 "6cc2d71658b83084bf592cc4c8be828d"
     c.sc_post
 
+(* One line per SEU record — index, target, injection cycle and the
+   outcome with its SDC probe, cycle and detail or its error's code,
+   cycle and message — hashed.  The engine name stays out, so every
+   engine must reproduce the same digest. *)
+let seu_lines (r : Ocapi_fault.seu_report) =
+  let line (x : Ocapi_fault.seu_run) =
+    let outcome =
+      match x.run_outcome with
+      | Ocapi_fault.Masked -> "m"
+      | Sdc { probe; cycle; detail } ->
+        Printf.sprintf "s %s %s %s" probe
+          (match cycle with Some c -> string_of_int c | None -> "-")
+          detail
+      | Detected e ->
+        Printf.sprintf "d %s %s %s"
+          (Ocapi_error.code_label e.Ocapi_error.e_code)
+          (match e.Ocapi_error.e_cycle with Some c -> string_of_int c | None -> "-")
+          e.Ocapi_error.e_message
+    in
+    Printf.sprintf "%d %s %d %s\n" x.run_index x.run_label x.run_cycle outcome
+  in
+  List.map line r.seu_records
+
+let seu_digest r = Digest.to_hex (Digest.string (String.concat "" (seu_lines r)))
+
+(* The per-run SEU outcomes of the campaigns that replay every run from
+   reset, pinned per design; every SEU-capable engine must reproduce
+   them. *)
+let test_seu_digests () =
+  List.iter
+    (fun (design, build, runs, cycles, md5) ->
+      List.iter
+        (fun engine ->
+          let r = Ocapi_fault.seu_campaign ~engine ~runs ~seed:11 (build ()) ~cycles in
+          Alcotest.(check string)
+            (Printf.sprintf "%s on %s: per-run outcomes" design engine)
+            md5 (seu_digest r))
+        [ "interp"; "compiled"; "native"; "rtl"; "gate" ])
+    [
+      ("dect", dect_design, 60, 48, "1004c4d4cc5b219c13f449d6c07161bb");
+      ("rs", rs_design, 80, 45, "a0886319294f1fc5e90006c406181e65");
+      ("cpu", cpu_design, 120, 64, "2b6a8f5a234c431681035cd65d9e548b");
+    ]
+
+(* Windows over 64 cycles space the checkpoints ⌈cycles/64⌉ apart: a
+   run restores a checkpoint before its injection cycle and steps up to
+   it, and stops only at checkpoint cycles.  The records must still be
+   those of every run replayed from reset. *)
+let test_seu_long_window () =
+  List.iter
+    (fun (design, build, runs, cycles) ->
+      List.iter
+        (fun engine ->
+          let reference =
+            Ocapi_fault.seu_campaign_from_reset ~engine ~runs ~seed:5 (build ()) ~cycles
+          in
+          let r = Ocapi_fault.seu_campaign ~engine ~runs ~seed:5 (build ()) ~cycles in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s on %s, %d cycles" design engine cycles)
+            (seu_lines reference) (seu_lines r))
+        [ "interp"; "compiled" ])
+    [ ("rs", rs_design, 40, 130); ("cpu", cpu_design, 40, 130); ("cpu", cpu_design, 30, 201) ]
+
 (* Batching assumes acyclic netlists (a cyclic one runs a fault per
    batch): the gallery's have no combinational cycle, under the
    stuck-at campaigns' synthesis options and the gate engine's. *)
@@ -322,6 +385,53 @@ let test_seu_report_cached () =
       let s r = Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json r) in
       Alcotest.(check string) "warm report = cold report" (s cold) (s warm))
 
+(* Bad campaign sizes are structured [Unsupported] errors: the library
+   raises them before any simulation, and `ocapi fault` prints them and
+   exits 1, not the 125 of an uncaught exception. *)
+let test_seu_bad_sizes () =
+  let unsupported f =
+    match f () with
+    | _ -> Alcotest.fail "expected Ocapi_error.Error"
+    | exception Ocapi_error.Error e ->
+      Alcotest.(check string)
+        "code" "unsupported"
+        (Ocapi_error.code_label e.Ocapi_error.e_code)
+  in
+  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:(-3) (rs_design ()) ~cycles:8);
+  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:3 (rs_design ()) ~cycles:0);
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  List.iter
+    (fun (flag, field) ->
+      let err = Filename.temp_file "ocapi_fault_cli" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+          let pid =
+            Unix.create_process cli
+              [| cli; "fault"; "--design"; "rs"; "--campaign"; "seu"; flag |]
+              Unix.stdin out errfd
+          in
+          Unix.close out;
+          Unix.close errfd;
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool) (flag ^ ": exit 1") true (status = Unix.WEXITED 1);
+          let msg = In_channel.with_open_bin err In_channel.input_all in
+          let mentions sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool)
+            (flag ^ ": the error names the field") true
+            (mentions "unsupported" && mentions field)))
+    [ ("--runs=-3", "runs"); ("--cycles=0", "cycles") ]
+
 let suite =
   [
     Alcotest.test_case "zero-fault control: interpreted" `Quick
@@ -342,6 +452,9 @@ let suite =
       test_digests_rs_cpu;
     Alcotest.test_case "stuck-at outcomes pinned: dect, hcor pre/post" `Quick
       test_digests_dect_hcor;
+    Alcotest.test_case "SEU outcomes pinned" `Quick test_seu_digests;
+    Alcotest.test_case "SEU over 64 cycles = runs from reset" `Quick
+      test_seu_long_window;
     Alcotest.test_case "gallery netlists are acyclic" `Quick test_gallery_acyclic;
     Alcotest.test_case "stuck-at with zero cycles" `Quick test_stuck_at_zero_cycles;
     QCheck_alcotest.to_alcotest prop_batch_outcomes;
@@ -349,4 +462,6 @@ let suite =
       test_seu_deterministic;
     Alcotest.test_case "SEU targets engine-independent" `Quick
       test_seu_targets_engine_independent;
+    Alcotest.test_case "SEU bad runs/cycles: structured error, exit 1" `Quick
+      test_seu_bad_sizes;
   ]

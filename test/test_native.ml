@@ -242,7 +242,7 @@ let test_plugin_text_pinned () =
   Alcotest.(check string) "text independent of earlier builds" first (text ());
   Alcotest.(check (pair int string))
     "emitter version and plugin text digest"
-    (4, "38269e3236f9f0c9f5e231518814f534")
+    (5, "2d519cbe44552b6288ea5a5f2e4bfce8")
     (Emit.emitter_version, Digest.to_hex (Digest.string first))
 
 (* --- unavailability -------------------------------------------------------- *)
