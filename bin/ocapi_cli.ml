@@ -76,12 +76,20 @@ let cycles_arg default =
   let doc = "Number of clock cycles." in
   Arg.(value & opt int default & info [ "cycles"; "n" ] ~docv:"N" ~doc)
 
+(* A structured error from the library fails the command: printed,
+   exit 1, not the 125 of an uncaught exception. *)
+let reporting_errors f =
+  try f ()
+  with Ocapi_error.Error err ->
+    prerr_endline (Ocapi_error.to_string err);
+    1
+
 let with_design name f =
   match build_design name with
   | Error e ->
     prerr_endline e;
     1
-  | Ok d -> f d
+  | Ok d -> reporting_errors (fun () -> f d)
 
 (* check *)
 let check_cmd =
@@ -442,27 +450,23 @@ let fault_cmd =
             Printf.eprintf "unknown engine %S (try %s)\n" engine
               (String.concat ", " (Ocapi_engine.names ()));
             1
-          | Some e -> (
+          | Some e ->
             let engine = Ocapi_engine.name_of e in
-            match
+            let report, telemetry =
               Ocapi_obs.run_with_telemetry ~label:(name ^ ".seu") (fun () ->
                   Ocapi_fault.seu_campaign ~engine ~runs ~seed ~domains
                     ~replicate d.d_sys ~cycles)
-            with
-            | exception Ocapi_error.Error err ->
-              prerr_endline (Ocapi_error.to_string err);
-              1
-            | report, telemetry ->
-              if json then
-                print_endline
-                  (Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json report))
-              else begin
-                Format.printf "%a@." Ocapi_fault.pp_seu_report report;
-                Printf.printf "campaign wall time: %.2fs (%.0f runs/s)\n"
-                  telemetry.Ocapi_obs.rp_seconds
-                  (float_of_int runs /. max 1e-9 telemetry.Ocapi_obs.rp_seconds)
-              end;
-              0))
+            in
+            if json then
+              print_endline
+                (Ocapi_obs.Json.to_string (Ocapi_fault.seu_report_json report))
+            else begin
+              Format.printf "%a@." Ocapi_fault.pp_seu_report report;
+              Printf.printf "campaign wall time: %.2fs (%.0f runs/s)\n"
+                telemetry.Ocapi_obs.rp_seconds
+                (float_of_int runs /. max 1e-9 telemetry.Ocapi_obs.rp_seconds)
+            end;
+            0)
         | other ->
           Printf.eprintf "unknown campaign %S (try stuck-at or seu)\n" other;
           1)
@@ -1029,6 +1033,7 @@ let fuzz_cmd =
         Printf.eprintf "corpus: %s\n" e;
         2
       | Ok entries ->
+        reporting_errors @@ fun () ->
         let report =
           Ocapi_diff.fuzz ?engines ~deep ~shrink_failures:shrink ~size ~domains
             ~corpus:entries ~seed ~count ()

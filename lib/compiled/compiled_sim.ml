@@ -726,12 +726,6 @@ let lower sys =
     pg_statements = !n_statements;
   }
 
-let stimulus sys name =
-  let _, _, fn =
-    List.find (fun (n, _, _) -> String.equal n name) (Cycle_system.primary_inputs sys)
-  in
-  fn
-
 (* --- the closure back end: one closure per statement ---------------------- *)
 
 (* The statement computing [node] into [dst] from the operand slots
@@ -905,7 +899,7 @@ type probe_code = {
 }
 
 type stim_code = {
-  st_fn : int -> Fixed.t option;
+  st_column : Cycle_system.column;
   st_slot : int;  (* byte offset *)
   st_stamp : int;
 }
@@ -1050,7 +1044,11 @@ let compile sys =
   let stims =
     Array.map
       (fun (name, slot, stamp) ->
-        { st_fn = stimulus sys name; st_slot = off slot; st_stamp = stamp })
+        {
+          st_column = Cycle_system.input_column sys name;
+          st_slot = off slot;
+          st_stamp = stamp;
+        })
       p.pg_stims
   in
   let probes =
@@ -1186,11 +1184,11 @@ let step t =
   t.cycle_ref := cycle;
   for i = 0 to Array.length t.stims - 1 do
     let st = t.stims.(i) in
-    match st.st_fn cycle with
-    | Some x ->
-      set v st.st_slot (Fixed.mantissa x);
+    if Cycle_system.column_present st.st_column cycle then begin
+      set v st.st_slot
+        (get (Cycle_system.column_mantissas st.st_column) (off cycle));
       t.stamps.(st.st_stamp) <- cycle
-    | None -> ()
+    end
   done;
   for i = 0 to Array.length t.comps - 1 do
     select v t.comps.(i)

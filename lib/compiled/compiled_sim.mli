@@ -29,12 +29,12 @@
     closure per statement over a [Bytes] value store holding every slot
     as an unboxed [int64]: a statement calls no further closure, so the
     statement sweep allocates nothing; inlined RAMs fire against a
-    per-session [int64] RAM image, which {!reset} zeroes.  What a step
-    still allocates is the stimulus tokens, one [Fixed.t] per recorded
-    probe token, the host kernels' tokens and a few closures of the
-    step itself.  The other back end, [Emit], renders the same program
-    as OCaml source: the native engine's plugin and the standalone
-    simulator.
+    per-session [int64] RAM image, which {!reset} zeroes.  Stimuli are
+    read from the system's stimulus columns by cycle index.  What a
+    step still allocates is one [Fixed.t] per recorded probe token, the
+    host kernels' tokens and a few closures of the step itself.  The
+    other back end, [Emit], renders the same program as OCaml source:
+    the native engine's plugin and the standalone simulator.
 
     Systems whose worst-case (union over transitions) combinational
     net graph is cyclic at component granularity cannot be statically
@@ -137,10 +137,6 @@ type program = {
     guards read no inputs; combinational component cycles are
     rejected. *)
 val lower : Cycle_system.t -> program
-
-(** [stimulus system name] is the stimulus of [system]'s primary input
-    [name], as named by [pg_stims]. *)
-val stimulus : Cycle_system.t -> string -> int -> Fixed.t option
 
 (** [flip_bit ~name fmt ~bit m] is mantissa [m] of register [name] with
     bit [bit] XORed in and the result wrapped into [fmt] — the SEU poke

@@ -698,21 +698,22 @@ let emit_standalone sys ~cycles =
         "standalone simulator: untimed kernel %s carries no model to embed"
         k.hk_name)
     p.pg_kernels;
+  (* Per stimulus, its column over the window: a presence string
+     ('1' on cycles carrying a token) and the mantissas (0 elsewhere). *)
   let stims =
     Array.map
       (fun (name, slot, stamp) ->
-        let fn = stimulus sys name in
+        let col = Cycle_system.input_column sys name in
+        let present =
+          String.init cycles (fun c ->
+              if Cycle_system.column_present col c then '1' else '0')
+        in
         let values =
           Array.init cycles (fun c ->
-              match fn c with
-              | Some x -> Fixed.mantissa x
-              | None ->
-                unsupported
-                  "standalone simulator: stimulus %s produced no token at \
-                   cycle %d"
-                  name c)
+              if present.[c] = '1' then Cycle_system.column_mantissa col c
+              else 0L)
         in
-        (slot, stamp, values))
+        (slot, stamp, present, values))
       p.pg_stims
   in
   let buf = Buffer.create 65536 in
@@ -724,16 +725,19 @@ let emit_standalone sys ~cycles =
   pf "exception Overflow of string\n";
   emit_body buf mode p ~overflow:"Overflow";
   Array.iteri
-    (fun i (_, _, values) ->
+    (fun i (_, _, present, values) ->
       pf "let stim_%d = [|" i;
       Array.iter (fun m -> pf " %s;" (lit mode m)) values;
-      pf " |]\n")
+      pf " |]\n";
+      pf "let stim_%d_present = %S\n" i present)
     stims;
   pf "\nlet () =\n";
   pf "  for c = 0 to %d do\n" (cycles - 1);
   Array.iteri
-    (fun i (slot, stamp, _) ->
-      pf "    v.(%d) <- stim_%d.(c);\n    stamp.(%d) <- c;\n" slot i stamp)
+    (fun i (slot, stamp, _, _) ->
+      pf "    if stim_%d_present.[c] = '1' then begin\n" i;
+      pf "      v.(%d) <- stim_%d.(c);\n      stamp.(%d) <- c\n    end;\n" slot i
+        stamp)
     stims;
   pf "    step ();\n";
   Array.iter

@@ -24,7 +24,7 @@
 
     Both raise [Compiled_sim.Unsupported] on designs outside the
     lowering's scope, and {!emit_standalone} also on host kernels
-    (untimed kernels carrying no model) and partial stimuli. *)
+    (untimed kernels carrying no model). *)
 
 val emitter_version : int
 (** Bumped whenever the emitted plugin text, the slot-layout contract
@@ -60,6 +60,8 @@ val emit_plugin : Cycle_system.t -> string * plugin_meta
 val emit_standalone : Cycle_system.t -> cycles:int -> string
 (** [emit_standalone sys ~cycles] renders [sys] as a self-contained
     program simulating [cycles] cycles from power-on and printing
-    ["<cycle> <probe> <mantissa>"] for every probe token.  Primary
-    inputs are sampled over the cycle range at emission time; each
-    must produce a token every cycle. *)
+    ["<cycle> <probe> <mantissa>"] for every probe token.  Each primary
+    input's column is read over the cycle range at emission time and
+    embedded as its mantissas beside a presence string; a cycle without
+    a token leaves the input's net as it was, as in the in-process
+    engines. *)

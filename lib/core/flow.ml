@@ -66,9 +66,10 @@ let scoped ?telemetry ~label f =
 
    Memoizes probe histories by (design digest, stimulus fingerprint,
    engine key, seed, cycles).  The structural digest
-   ([Cycle_system.digest]) does not cover primary-input stimulus
-   closures, so the key samples every stimulus over the simulated
-   cycle range — stimuli must be pure functions of the cycle index for
+   ([Cycle_system.digest]) does not cover primary-input stimuli, so
+   the key reads every stimulus column over the simulated cycle range,
+   which the run after a miss then reads again without calling the
+   stimuli — stimuli must be pure functions of the cycle index for
    caching to be sound, which every generated test bench already
    requires.  Disabled by default; [enable ~dir] adds a Marshal-based
    on-disk store so warm runs survive the process. *)
@@ -153,13 +154,15 @@ module Cache = struct
     let digest = Cycle_system.digest sys in
     let stim_buf = Buffer.create 256 in
     List.iter
-      (fun (name, _, stim) ->
+      (fun (name, _, _) ->
+        let col = Cycle_system.input_column sys name in
         Buffer.add_string stim_buf name;
         Buffer.add_char stim_buf ':';
         for c = 0 to cycles - 1 do
-          (match stim c with
-          | Some v -> Buffer.add_string stim_buf (Int64.to_string (Fixed.mantissa v))
-          | None -> Buffer.add_char stim_buf '-');
+          if Cycle_system.column_present col c then
+            Buffer.add_string stim_buf
+              (Int64.to_string (Cycle_system.column_mantissa col c))
+          else Buffer.add_char stim_buf '-';
           Buffer.add_char stim_buf ','
         done;
         Buffer.add_char stim_buf ';')
@@ -418,6 +421,7 @@ let engine_key name ~two_phase ~max_deltas =
 
 let simulate ?telemetry ?(two_phase = false) ?(engine = "interp") ?max_deltas
     ?(seed = 0) ?progress ?corr sys ~cycles =
+  Ocapi_error.check_count ~engine:"flow" "simulate: cycles" cycles;
   let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
   scoped ?telemetry ~label:("simulate." ^ E.name) (fun () ->
       let compute () =
@@ -673,12 +677,14 @@ let emit_vhdl sys ~dir =
     (Vhdl.of_system sys)
 
 let emit_testbench sys ~dir ~cycles =
+  Ocapi_error.check_count ~engine:"flow" "test bench: cycles" cycles;
   let vectors = Testbench.record sys ~cycles in
   write_file dir
     ("tb_" ^ Verilog.sanitize (Cycle_system.name sys) ^ ".vhd")
     (Testbench.vhdl sys vectors)
 
 let emit_ocaml_simulator sys ~dir ~cycles =
+  Ocapi_error.check_count ~engine:"flow" "standalone simulator: cycles" cycles;
   Cycle_system.reset sys;
   let src = Emit.emit_standalone sys ~cycles in
   write_file dir
@@ -696,4 +702,5 @@ let synthesize_to_verilog ?telemetry ?options ?macro_of_kernel sys ~dir =
       (nl, report, path))
 
 let verify_netlist ?options ?macro_of_kernel sys ~cycles =
+  Ocapi_error.check_count ~engine:"flow" "gate-level check: cycles" cycles;
   Synthesize.verify ?options ?macro_of_kernel sys ~cycles

@@ -65,7 +65,7 @@ val check_clean : check_report -> bool
     Without [corr] the events are still emitted, uncorrelated.
 
     @raise Ocapi_error.Error with code [Unsupported] on an unknown
-    engine name. *)
+    engine name or negative [cycles]. *)
 val simulate :
   ?telemetry:Ocapi_obs.report option ref ->
   ?two_phase:bool ->
@@ -92,10 +92,11 @@ val simulate_result_json :
 
     Memoizes {!simulate} results by
     [(Cycle_system.digest, stimulus fingerprint, engine, seed, cycles)].
-    The structural digest does not cover primary-input stimulus
-    closures, so the key additionally fingerprints every stimulus
-    sampled over the simulated cycle range — stimuli must be pure
-    functions of the cycle index for caching to be sound.
+    The structural digest does not cover primary-input stimuli, so the
+    key additionally fingerprints every stimulus column
+    ({!Cycle_system.column_present}) over the simulated cycle range —
+    stimuli must be pure functions of the cycle index for caching to
+    be sound.
 
     Disabled by default.  With [enable ~dir] each stored entry is also
     marshalled to [dir] (e.g. [_generated/cache/]) and warm processes
@@ -300,10 +301,14 @@ val classify_exn : ?cycle:int -> engine:string -> exn -> Ocapi_error.t option
 (** Write the generated VHDL files into [dir]; returns the paths. *)
 val emit_vhdl : Cycle_system.t -> dir:string -> string list
 
-(** Write a self-checking VHDL test bench recorded over [cycles]. *)
+(** Write a self-checking VHDL test bench recorded over [cycles].
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles]. *)
 val emit_testbench : Cycle_system.t -> dir:string -> cycles:int -> string
 
-(** Write the standalone compiled OCaml simulator source. *)
+(** Write the standalone compiled OCaml simulator source.
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles]. *)
 val emit_ocaml_simulator : Cycle_system.t -> dir:string -> cycles:int -> string
 
 (** {1 Synthesis} *)
@@ -319,7 +324,9 @@ val synthesize_to_verilog :
   Netlist.t * Synthesize.report * string
 
 (** Gate-level verification against the reference simulation
-    (see {!Synthesize.verify}). *)
+    (see {!Synthesize.verify}).
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles]. *)
 val verify_netlist :
   ?options:Synthesize.options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->

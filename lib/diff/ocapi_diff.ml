@@ -1052,6 +1052,7 @@ type task_result = T_replay of replay | T_fresh of design_result
 
 let fuzz ?engines ?(deep = false) ?(shrink_failures = true) ?size ?(domains = 1)
     ?(corpus = []) ?progress ~seed ~count () =
+  Ocapi_error.check_count ~engine:"diff" "fuzz: count" count;
   let engines =
     match engines with Some e -> e | None -> default_engines ()
   in

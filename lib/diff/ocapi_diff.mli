@@ -226,7 +226,9 @@ type report = {
     report is bit-identical to the serial run for any value.
     [progress] is called with a task index before each design (corpus
     replays first); it may raise to abandon the campaign — the batch
-    deadline hook. *)
+    deadline hook.
+    @raise Ocapi_error.Error with code [Unsupported] on a negative
+    [count]. *)
 val fuzz :
   ?engines:string list ->
   ?deep:bool ->

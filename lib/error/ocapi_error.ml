@@ -53,6 +53,10 @@ let check_state ~engine ~construct ~cycle ~states s =
       "state index %d outside the %d encoded states" s states
   else s
 
+let check_count ~engine what n =
+  if n < 0 then
+    fail Unsupported ~engine "%s must be a non-negative integer, got %d" what n
+
 let code_label = function
   | Deadlock -> "deadlock"
   | Did_not_settle -> "did-not-settle"

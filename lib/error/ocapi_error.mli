@@ -102,6 +102,12 @@ val fail :
 val check_state :
   engine:string -> construct:string -> cycle:int -> states:int -> int -> int
 
+(** [check_count ~engine what n] returns when [n >= 0], and otherwise
+    raises {!Error} with code [Unsupported], naming [what]: the check
+    of every count argument (cycles, fault caps, design counts) at the
+    library entry points. *)
+val check_count : engine:string -> string -> int -> unit
+
 val code_label : code -> string
 val severity_label : severity -> string
 

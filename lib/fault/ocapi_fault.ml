@@ -41,6 +41,9 @@ let sample_list rng k l =
     Array.to_list (Array.sub arr 0 k)
   end
 
+let check_max_faults =
+  Option.iter (Ocapi_error.check_count ~engine:"fault" "stuck-at campaign: max_faults")
+
 (* Parallel-pattern single-fault propagation: the faults run in
    batches of up to [Netlist.Sim.lanes], one fault per lane, each batch
    replaying the vectors once until every lane is detected.  A lane's
@@ -48,6 +51,7 @@ let sample_list rng k l =
    recorded exactly as a lone run of its fault records it. *)
 let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     ?progress nl ~vectors =
+  check_max_faults max_faults;
   let out_names = Array.of_list (List.map fst (Netlist.outputs_list nl)) in
   let n_cycles = Array.length vectors in
   let replay_cycle sim c =
@@ -183,23 +187,21 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     st_records = records;
   }
 
-(* The system's own stimuli, recorded as the test-bench generator
-   does, keyed to the netlist input-bus naming. *)
-let record_vectors sys ~cycles =
-  Cycle_system.reset sys;
-  Cycle_system.run sys cycles;
-  let input_hist = Cycle_system.input_history sys in
-  Cycle_system.reset sys;
-  let vectors = Array.make (max 0 cycles) [] in
+(* The system's own stimuli, read from its columns as the test-bench
+   generator does, keyed to the netlist input-bus naming.  Checks the
+   campaign's counts first, so a bad one fails before any work. *)
+let record_vectors ?max_faults sys ~cycles =
+  Ocapi_error.check_count ~engine:"fault" "stuck-at campaign: cycles" cycles;
+  check_max_faults max_faults;
+  let vectors = Array.make cycles [] in
   List.iter
-    (fun (c, name, v) ->
-      if c < cycles then vectors.(c) <- (name, Fixed.mantissa v) :: vectors.(c))
-    input_hist;
+    (fun (c, name, v) -> vectors.(c) <- (name, Fixed.mantissa v) :: vectors.(c))
+    (Cycle_system.stimuli sys ~cycles);
   vectors
 
 let stuck_at_system ?max_faults ?seed ?settle_budget ?options ?macro_of_kernel
     ?domains ?progress sys ~cycles =
-  let vectors = record_vectors sys ~cycles in
+  let vectors = record_vectors ?max_faults sys ~cycles in
   let nl, _report = Synthesize.synthesize ?options ?macro_of_kernel sys in
   stuck_at_netlist ?max_faults ?seed ?settle_budget ?domains ?progress nl
     ~vectors
@@ -213,7 +215,7 @@ type stuck_compare = {
 
 let stuck_at_optimized ?max_faults ?seed ?settle_budget ?options
     ?macro_of_kernel ?domains ?progress sys ~cycles =
-  let vectors = record_vectors sys ~cycles in
+  let vectors = record_vectors ?max_faults sys ~cycles in
   (* Lower through the IR pass pipeline so the optimized netlist
      carries a provenance chain back to the behavioral root. *)
   let gate =
@@ -494,9 +496,7 @@ let checkpointed_run ses golden ~cycles ~target ~at =
 (* --- campaigns ----------------------------------------------------------------- *)
 
 let check_campaign_size ~runs ~cycles =
-  if runs < 0 then
-    Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
-      "SEU campaign: runs must be a non-negative integer, got %d" runs;
+  Ocapi_error.check_count ~engine:"fault" "SEU campaign: runs" runs;
   if cycles <= 0 then
     Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
       "SEU campaign: cycles must be a positive integer, got %d" cycles

@@ -80,7 +80,10 @@ type stuck_report = {
     e.g. an [Ocapi_error] with code [Timeout] — to abandon the campaign
     cooperatively, the deadline/cancellation hook of batch jobs.
     Cancellation thus takes effect between batches of at most 63
-    faults. *)
+    faults.
+
+    @raise Ocapi_error.Error with code [Unsupported] on a negative
+    [max_faults]. *)
 val stuck_at_netlist :
   ?max_faults:int ->
   ?seed:int ->
@@ -91,10 +94,13 @@ val stuck_at_netlist :
   vectors:(string * int64) list array ->
   stuck_report
 
-(** [stuck_at_system sys ~cycles] records [cycles] of the system's own
-    stimuli (as the test-bench generator does), synthesizes the system
-    to gates, and runs {!stuck_at_netlist} with the recorded vectors.
-    [domains] and [progress] are forwarded to {!stuck_at_netlist}. *)
+(** [stuck_at_system sys ~cycles] reads [cycles] of the system's own
+    stimuli from its columns (as the test-bench generator does),
+    synthesizes the system to gates, and runs {!stuck_at_netlist} with
+    them as vectors.  [domains] and [progress] are forwarded to
+    {!stuck_at_netlist}.  [cycles = 0] is a valid, empty window.
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles] or [max_faults], before any work. *)
 val stuck_at_system :
   ?max_faults:int ->
   ?seed:int ->
@@ -127,7 +133,9 @@ type stuck_compare = {
     ([lower-to-gate] then [optimize-gates]) and runs
     {!stuck_at_netlist} on both gate-level designs with the shared
     vectors.  All options are forwarded to both campaigns; [progress]
-    (fault index, batch by batch) fires for each campaign in turn. *)
+    (fault index, batch by batch) fires for each campaign in turn.
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles] or [max_faults], before any work. *)
 val stuck_at_optimized :
   ?max_faults:int ->
   ?seed:int ->

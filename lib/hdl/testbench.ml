@@ -7,7 +7,7 @@ type vectors = {
 let record sys ~cycles =
   Cycle_system.reset sys;
   Cycle_system.run sys cycles;
-  let tb_inputs = Cycle_system.input_history sys in
+  let tb_inputs = Cycle_system.stimuli sys ~cycles in
   let tb_outputs =
     List.concat_map
       (fun p ->

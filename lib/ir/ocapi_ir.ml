@@ -181,16 +181,14 @@ let gate_histories sys nl ~cycles =
   Cycle_system.reset sys;
   Cycle_system.run sys cycles;
   let expected = probe_histories sys in
-  let input_hist = Cycle_system.input_history sys in
   Cycle_system.reset sys;
   let fmt_of = probe_formats sys in
   let out_names = List.map fst (Netlist.outputs_list nl) in
   let sim = Netlist.Sim.create nl in
   let per_cycle = Array.make (max 1 cycles) [] in
   List.iter
-    (fun (c, name, v) ->
-      if c < cycles then per_cycle.(c) <- (name, v) :: per_cycle.(c))
-    input_hist;
+    (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
+    (Cycle_system.stimuli sys ~cycles);
   let acc = List.map (fun (p, _) -> (p, ref [])) expected in
   for c = 0 to cycles - 1 do
     List.iter
@@ -320,11 +318,11 @@ module Gate_engine = struct
     in
     let input_rows =
       List.filter_map
-        (fun (iname, _fmt, stim) ->
+        (fun (iname, _fmt, _) ->
           if List.mem iname in_names then
             let valid = "__stimvalid__" ^ iname in
             Some
-              ( stim,
+              ( Cycle_system.input_column sys iname,
                 Netlist.Sim.input_port sim iname,
                 if List.mem valid in_names then
                   Some (Netlist.Sim.input_port sim valid)
@@ -335,14 +333,12 @@ module Gate_engine = struct
     let cycle = ref 0 in
     let step () =
       List.iter
-        (fun (stim, port, valid) ->
-          let tok = stim !cycle in
-          (match tok with
-          | Some v -> Netlist.Sim.drive sim port (Fixed.mantissa v)
-          | None -> ());
+        (fun (col, port, valid) ->
+          let present = Cycle_system.column_present col !cycle in
+          if present then
+            Netlist.Sim.drive sim port (Cycle_system.column_mantissa col !cycle);
           match valid with
-          | Some vp ->
-            Netlist.Sim.drive sim vp (if Option.is_some tok then 1L else 0L)
+          | Some vp -> Netlist.Sim.drive sim vp (if present then 1L else 0L)
           | None -> ())
         input_rows;
       Netlist.Sim.settle sim;

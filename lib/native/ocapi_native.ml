@@ -348,6 +348,8 @@ let obtain_plugin sys =
 
 (* --- session construction ------------------------------------------------- *)
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
 let get_slot (p : Ocapi_native_abi.plugin) i =
   match p.Ocapi_native_abi.p_values with
   | Ocapi_native_abi.Words a -> Int64.of_int a.(i)
@@ -518,8 +520,34 @@ let native_session sys =
   install_kernels p meta untimed;
   let stims =
     Array.map
-      (fun (name, slot, stampi) -> (Compiled_sim.stimulus sys name, slot, stampi))
+      (fun (name, slot, stampi) ->
+        (Cycle_system.input_column sys name, slot, stampi))
       meta.Emit.pm_stims
+  in
+  (* Stimuli come from the columns by cycle index; on the [Words] path
+     the mantissa stays unboxed, so a warm step allocates nothing. *)
+  let drive_stimuli =
+    let stamps = p.Ocapi_native_abi.p_stamps in
+    match p.Ocapi_native_abi.p_values with
+    | Ocapi_native_abi.Words a ->
+      fun c ->
+        for i = 0 to Array.length stims - 1 do
+          let col, slot, stampi = stims.(i) in
+          if Cycle_system.column_present col c then begin
+            a.(slot) <-
+              Int64.to_int (get64 (Cycle_system.column_mantissas col) (c lsl 3));
+            stamps.(stampi) <- c
+          end
+        done
+    | Ocapi_native_abi.Boxed a ->
+      fun c ->
+        for i = 0 to Array.length stims - 1 do
+          let col, slot, stampi = stims.(i) in
+          if Cycle_system.column_present col c then begin
+            a.(slot) <- Cycle_system.column_mantissa col c;
+            stamps.(stampi) <- c
+          end
+        done
   in
   let probes =
     meta.Emit.pm_probes
@@ -542,26 +570,26 @@ let native_session sys =
     match p.Ocapi_native_abi.p_values with
     | Ocapi_native_abi.Words a ->
       fun c ->
-        Array.iter
-          (fun pr ->
-            if stamps.(pr.pr_stamp) = c then begin
-              ensure_capacity ~words:true pr;
-              pr.pr_cycles.(pr.pr_len) <- c;
-              pr.pr_ints.(pr.pr_len) <- a.(pr.pr_slot);
-              pr.pr_len <- pr.pr_len + 1
-            end)
-          probes
+        for i = 0 to Array.length probes - 1 do
+          let pr = probes.(i) in
+          if stamps.(pr.pr_stamp) = c then begin
+            ensure_capacity ~words:true pr;
+            pr.pr_cycles.(pr.pr_len) <- c;
+            pr.pr_ints.(pr.pr_len) <- a.(pr.pr_slot);
+            pr.pr_len <- pr.pr_len + 1
+          end
+        done
     | Ocapi_native_abi.Boxed a ->
       fun c ->
-        Array.iter
-          (fun pr ->
-            if stamps.(pr.pr_stamp) = c then begin
-              ensure_capacity ~words:false pr;
-              pr.pr_cycles.(pr.pr_len) <- c;
-              pr.pr_i64s.(pr.pr_len) <- a.(pr.pr_slot);
-              pr.pr_len <- pr.pr_len + 1
-            end)
-          probes
+        for i = 0 to Array.length probes - 1 do
+          let pr = probes.(i) in
+          if stamps.(pr.pr_stamp) = c then begin
+            ensure_capacity ~words:false pr;
+            pr.pr_cycles.(pr.pr_len) <- c;
+            pr.pr_i64s.(pr.pr_len) <- a.(pr.pr_slot);
+            pr.pr_len <- pr.pr_len + 1
+          end
+        done
   in
   let words =
     match p.Ocapi_native_abi.p_values with
@@ -571,14 +599,7 @@ let native_session sys =
   let regs = meta.Emit.pm_regs and comps = meta.Emit.pm_comps in
   let step () =
     let c = !(p.Ocapi_native_abi.p_cycle) in
-    Array.iter
-      (fun (fn, slot, stampi) ->
-        match fn c with
-        | Some v ->
-          set_slot p slot (Fixed.mantissa v);
-          p.Ocapi_native_abi.p_stamps.(stampi) <- c
-        | None -> ())
-      stims;
+    drive_stimuli c;
     (try p.Ocapi_native_abi.p_step () with
     | Ocapi_native_abi.Native_overflow msg ->
       raise

@@ -3,10 +3,25 @@ exception System_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (System_error s)) fmt
 
+(* A primary input's stimulus column: the tokens of its function,
+   evaluated at most once per cycle.  Byte [c] of [col_present] marks a
+   token at cycle [c]; its mantissa is the int64 at byte offset [8 * c]
+   of [col_mantissas], as in the compiled engine's value store.  Cycles
+   [0, col_filled) are evaluated.  The storage is allocated on the first
+   read and doubles whenever a later cycle is asked for. *)
+type column = {
+  col_name : string;
+  col_fmt : Fixed.format;
+  col_fn : int -> Fixed.t option;
+  mutable col_filled : int;
+  mutable col_present : Bytes.t;
+  mutable col_mantissas : Bytes.t;
+}
+
 type kind =
   | Timed of Fsm.t
   | Untimed of Dataflow.Kernel.t
-  | Primary_input of Fixed.format * (int -> Fixed.t option)
+  | Primary_input of column
   | Primary_output
 
 type component = { c_id : int; c_name : string; c_kind : kind }
@@ -29,7 +44,6 @@ type t = {
   mutable cycle_count : int;
   mutable probe_histories : (int * (int * Fixed.t) list) list;
       (* component id -> reversed history *)
-  mutable inputs_seen : (int * string * Fixed.t) list;  (* reversed *)
   mutable tokens_transferred : int;
   mutable eval_iterations : int;
   mutable untimed_fires : int;
@@ -44,7 +58,6 @@ let create ?(clock = Clock.default) s_name =
     s_nets = [];
     cycle_count = 0;
     probe_histories = [];
-    inputs_seen = [];
     tokens_transferred = 0;
     eval_iterations = 0;
     untimed_fires = 0;
@@ -86,7 +99,68 @@ let add_untimed t kernel =
     (kernel.Dataflow.Kernel.k_inputs @ kernel.Dataflow.Kernel.k_outputs);
   add t kernel.Dataflow.Kernel.k_name (Untimed kernel)
 
-let add_input t name fmt stim = add t name (Primary_input (fmt, stim))
+let add_input t name fmt stim =
+  add t name
+    (Primary_input
+       {
+         col_name = name;
+         col_fmt = fmt;
+         col_fn = stim;
+         col_filled = 0;
+         col_present = Bytes.empty;
+         col_mantissas = Bytes.empty;
+       })
+
+(* --- stimulus columns -------------------------------------------------- *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let grow_column col c =
+  let cap = ref (max 64 (2 * Bytes.length col.col_present)) in
+  while !cap <= c do
+    cap := 2 * !cap
+  done;
+  let present = Bytes.make !cap '\000' in
+  let mantissas = Bytes.make (8 * !cap) '\000' in
+  Bytes.blit col.col_present 0 present 0 col.col_filled;
+  Bytes.blit col.col_mantissas 0 mantissas 0 (8 * col.col_filled);
+  col.col_present <- present;
+  col.col_mantissas <- mantissas
+
+(* Evaluate the function over cycles [col_filled, c], in order.  An
+   exception leaves the cycles before it filled and [col_filled] at its
+   cycle, so the next read of that cycle calls the function again. *)
+let fill_column col c =
+  if c >= Bytes.length col.col_present then grow_column col c;
+  while col.col_filled <= c do
+    let k = col.col_filled in
+    (match col.col_fn k with
+    | None -> ()
+    | Some v ->
+      if not (Fixed.equal_format v.Fixed.fmt col.col_fmt) then
+        Ocapi_error.fail Ocapi_error.Unsupported ~engine:"sched"
+          ~construct:col.col_name ~cycle:k
+          "stimulus of input %s produced a %s token; the input is declared %s"
+          col.col_name
+          (Fixed.format_to_string v.Fixed.fmt)
+          (Fixed.format_to_string col.col_fmt);
+      Bytes.set col.col_present k '\001';
+      set64 col.col_mantissas (8 * k) v.Fixed.mantissa);
+    col.col_filled <- k + 1
+  done
+
+let column_present col c =
+  if c >= col.col_filled then fill_column col c;
+  Bytes.get col.col_present c <> '\000'
+
+let column_mantissas col = col.col_mantissas
+let column_mantissa col c = get64 col.col_mantissas (8 * c)
+
+(* The [Fixed.t option] view of a column: what the function returned. *)
+let column_token col c =
+  if column_present col c then Some (Fixed.create col.col_fmt (column_mantissa col c))
+  else None
 
 let add_output t name =
   let c = add t name Primary_output in
@@ -350,15 +424,13 @@ let drive_primary_inputs t marked =
   List.iter
     (fun c ->
       match c.c_kind with
-      | Primary_input (_, stim) -> begin
-        match stim t.cycle_count with
+      | Primary_input col -> begin
+        match net_of_driver t c "out" with
         | None -> ()
-        | Some v -> begin
-          t.inputs_seen <- (t.cycle_count, c.c_name, v) :: t.inputs_seen;
-          match net_of_driver t c "out" with
-          | Some n -> push_token t marked n v
-          | None -> ()
-        end
+        | Some n -> (
+          match column_token col t.cycle_count with
+          | Some v -> push_token t marked n v
+          | None -> ())
       end
       | Timed _ | Untimed _ | Primary_output -> ())
     (List.rev t.comps)
@@ -555,7 +627,6 @@ let all_regs t =
          end)
 
 let clear_histories t =
-  t.inputs_seen <- [];
   t.probe_histories <- List.map (fun (id, _) -> (id, [])) t.probe_histories;
   List.iter (fun n -> n.n_history <- []) t.s_nets
 
@@ -592,7 +663,6 @@ let traced_histories t =
     (fun n ->
       if n.n_traced then Some (n.n_name, List.rev n.n_history) else None)
     (nets_in_order t)
-let input_history t = List.rev t.inputs_seen
 
 let timed_components t =
   List.filter_map
@@ -602,13 +672,31 @@ let timed_components t =
       | Untimed _ | Primary_input _ | Primary_output -> None)
     (List.rev t.comps)
 
-let primary_inputs t =
+let input_columns t =
   List.filter_map
     (fun c ->
       match c.c_kind with
-      | Primary_input (fmt, stim) -> Some (c.c_name, fmt, stim)
+      | Primary_input col -> Some col
       | Timed _ | Untimed _ | Primary_output -> None)
     (List.rev t.comps)
+
+let primary_inputs t =
+  List.map
+    (fun col -> (col.col_name, col.col_fmt, column_token col))
+    (input_columns t)
+
+let input_column t name =
+  match List.find_opt (fun col -> col.col_name = name) (input_columns t) with
+  | Some col -> col
+  | None -> error "input_column: %s is not a primary input of %s" name t.s_name
+
+let stimuli t ~cycles =
+  let cols = input_columns t in
+  List.concat
+    (List.init cycles (fun c ->
+         List.filter_map
+           (fun col -> Option.map (fun v -> (c, col.col_name, v)) (column_token col c))
+           cols))
 
 let probes t =
   List.filter_map
@@ -918,7 +1006,7 @@ let digest t =
           (fun (p, f) -> pf "%s:%s," p (fmt_s f))
           (List.sort compare k.Dataflow.Kernel.k_formats);
         pf "]\n"
-      | Primary_input (f, _stim) -> pf "input %s:%s\n" c.c_name (fmt_s f)
+      | Primary_input col -> pf "input %s:%s\n" c.c_name (fmt_s col.col_fmt)
       | Primary_output -> pf "output %s\n" c.c_name)
     comps;
   List.iter

@@ -57,10 +57,27 @@ val add_untimed : t -> Dataflow.Kernel.t -> component
 
 (** [add_input t name fmt stim] adds a primary input driven by [stim]:
     at each cycle [c], [stim c] is placed on the output net (port
-    ["out"]) unless it is [None].  [stim] must be a pure function of
-    the cycle index: engines call it again whenever they step a cycle
-    again (a checkpoint restored by a fault campaign, a replay), and
-    result caches fingerprint stimuli by calling them. *)
+    ["out"]) unless it is [None].
+
+    [stim] is evaluated at most once per cycle per system, in cycle
+    order, into the input's {!column}: every engine, the result-cache
+    key and the code generators read the column, and a cycle stepped
+    again (a restored checkpoint, a reset, another engine) reads it
+    again without calling [stim].  So [stim] must be a pure function of
+    the cycle index.  The column is kept across {!reset}s for the
+    system's lifetime, at 9 bytes per cycle up to the highest cycle
+    read.
+
+    A token must carry [fmt]: one in another format raises
+    [Ocapi_error.Error] (code [Unsupported], construct [name], the
+    cycle).  An exception raised by [stim] propagates unchanged; the
+    cycles before it stay evaluated, and the next read of its cycle
+    calls [stim] again.
+
+    Columns carry no lock: a system, its columns included, is driven
+    by one domain at a time.  Parallel campaigns and engine sweeps give
+    every extra domain its own replica system, and the job runner hands
+    each job's system to one worker. *)
 val add_input :
   t -> string -> Fixed.format -> (int -> Fixed.t option) -> component
 
@@ -107,7 +124,8 @@ val cycle_two_phase : t -> unit
 val run : ?two_phase:bool -> t -> int -> unit
 
 (** Reset: cycle counter to zero, FSMs to initial states, registers to
-    init values, recorded histories cleared. *)
+    init values, recorded histories cleared.  Stimulus columns are
+    kept (see {!add_input}). *)
 val reset : t -> unit
 
 val current_cycle : t -> int
@@ -132,8 +150,8 @@ val restore : t -> snapshot -> unit
 (** Does the current state equal the snapshot's? *)
 val matches : t -> snapshot -> bool
 
-(** Clear the probe, input and traced-net histories, leaving the state
-    as it is. *)
+(** Clear the probe and traced-net histories, leaving the state as it
+    is. *)
 val clear_histories : t -> unit
 
 (** {1 Observation} *)
@@ -154,19 +172,48 @@ val trace_all : t -> unit
 (** Recorded histories of all traced nets, as (net name, history). *)
 val traced_histories : t -> (string * (int * Fixed.t) list) list
 
-(** [input_history t] — every token produced by every primary input,
-    as [(cycle, input-name, value)], oldest first (for test-bench
-    generation). *)
-val input_history : t -> (int * string * Fixed.t) list
-
 (** {1 Introspection for code generators and statistics} *)
 
 val timed_components : t -> (string * Fsm.t) list
 val untimed_components : t -> (string * Dataflow.Kernel.t) list
 
-(** Primary inputs: name, format, stimulus function. *)
+(** Primary inputs: name, format and the stimulus as read from its
+    column, a [Fixed.t option] per cycle rebuilt from the stored
+    mantissa. *)
 val primary_inputs :
   t -> (string * Fixed.format * (int -> Fixed.t option)) list
+
+(** {1 Stimulus columns}
+
+    Readers that step cycles take presence and mantissa straight from
+    a primary input's column: no token is built and no closure called
+    beyond the one evaluation per cycle. *)
+
+type column
+
+(** [input_column t name] is the column of primary input [name].
+    @raise System_error when [t] has no such primary input. *)
+val input_column : t -> string -> column
+
+(** [column_present col c] evaluates the stimulus through cycle [c]
+    if it has not been yet, and tells whether cycle [c] carries a
+    token. *)
+val column_present : column -> int -> bool
+
+(** [column_mantissa col c] is the mantissa of cycle [c]'s token, once
+    {!column_present} returned [true] for it. *)
+val column_mantissa : column -> int -> int64
+
+(** The mantissa storage, for allocation-free readers: cycle [c]'s
+    mantissa is the native-endian int64 at byte offset [8 * c].  A
+    later cycle's evaluation may replace the storage, so fetch it after
+    {!column_present}. *)
+val column_mantissas : column -> Bytes.t
+
+(** [stimuli t ~cycles] — every token of every primary input over
+    cycles [0, cycles), as [(cycle, input-name, value)], by cycle and
+    then in input order (for test benches and gate-level replays). *)
+val stimuli : t -> cycles:int -> (int * string * Fixed.t) list
 
 (** Primary output probe names. *)
 val probes : t -> string list
@@ -199,9 +246,9 @@ val all_regs : t -> Signal.Reg.t list
     another process, under any instance-counter offsets, hashes equal;
     any wordlength or topology edit hashes different.
 
-    Not covered (documented limits): primary-input {e stimulus}
-    closures and untimed kernels' behaviour closures are opaque —
-    result caches must fingerprint stimuli separately (see
+    Not covered (documented limits): primary-input {e stimuli} and
+    untimed kernels' behaviour closures are opaque — result caches
+    must fingerprint stimuli separately, from their columns (see
     [Flow.Cache]). *)
 val digest : t -> string
 

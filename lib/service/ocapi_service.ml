@@ -376,6 +376,19 @@ let fail_line (err : Ocapi_error.t) =
    the job. *)
 let temp_artifact path ~pid ~domain = Printf.sprintf "%s.%d.%d.tmp" path pid domain
 
+(* Remove the [<path>.*.tmp] siblings of an artifact: the temp files of
+   workers killed before a rename that no supervisor reaped. *)
+let remove_stale_temps path =
+  let dir = Filename.dirname path and prefix = Filename.basename path ^ "." in
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | files ->
+    Array.iter
+      (fun f ->
+        if String.starts_with ~prefix f && Filename.check_suffix f ".tmp" then
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      files
+
 let write_artifact path data =
   let tmp =
     temp_artifact path ~pid:(Unix.getpid ()) ~domain:(Domain.self () :> int)
@@ -435,18 +448,22 @@ let prepare_raw raw =
 (* --- the worker process --------------------------------------------------- *)
 
 (* The worker's stdout is the supervision channel; the heartbeat thread
-   and the main thread both write lines, so serialize them. *)
+   and the main thread both write lines, so serialize them.  Each line
+   is one unbuffered write, so a line that fails leaves nothing for a
+   later flush. *)
 let out_mutex = Mutex.create ()
 
 let out_line s =
-  Mutex.lock out_mutex;
-  print_string s;
-  print_char '\n';
-  flush stdout;
-  Mutex.unlock out_mutex
+  let line = s ^ "\n" in
+  Mutex.protect out_mutex (fun () ->
+      ignore (Unix.write_substring Unix.stdout line 0 (String.length line)))
 
 let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
     () =
+  (* Once the supervisor is gone a line raises [EPIPE] instead of
+     SIGPIPE killing the worker at any point, such as between its temp
+     artifact and the rename. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let failed err =
     out_line (fail_line err);
     exit_failed
@@ -477,10 +494,12 @@ let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
          waiting out the heartbeat period. *)
       let wake_r, wake_w = Unix.pipe ~cloexec:true () in
       let rec beat () =
-        out_line "hb";
-        match Unix.select [ wake_r ] [] [] heartbeat_every with
-        | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> beat ()
-        | _ -> ()
+        match out_line "hb" with
+        | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ()
+        | () -> (
+          match Unix.select [ wake_r ] [] [] heartbeat_every with
+          | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> beat ()
+          | _ -> ())
       in
       let hb = Thread.create beat () in
       let deadline =
@@ -488,9 +507,19 @@ let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
         | Some t, _ | None, Some t -> Some (Unix.gettimeofday () +. t)
         | None, None -> None
       in
+      (* Publish only while the supervisor lives: the heartbeat line
+         just before fails once it is gone, and the restarted
+         supervisor relaunches the job instead. *)
+      let run ~progress =
+        let report = prep.pr_run ~progress in
+        out_line "hb";
+        report
+      in
       let ok =
-        run_job ~emit:out_line ~deadline ~stop:(Atomic.make false) ~artifact
-          prep.pr_run
+        try
+          run_job ~emit:out_line ~deadline ~stop:(Atomic.make false) ~artifact
+            run
+        with Unix.Unix_error (Unix.EPIPE, _, _) -> false
       in
       ignore (Unix.write_substring wake_w "x" 0 1);
       Thread.join hb;
@@ -671,9 +700,13 @@ let serve cf ~requests =
     say "failed [%s] %s: %s: %s" corr label code message
   in
   (* Requeue journaled jobs that never reached a terminal state: a
-     restarted supervisor resumes exactly where the dead one stopped. *)
+     restarted supervisor resumes exactly where the dead one stopped.
+     A server killed between a worker's kill and its reap left that
+     worker's temp artifact behind, so each relaunched job's temps go
+     first. *)
   List.iter
     (fun p ->
+      remove_stale_temps (artifact_path p.p_artifact);
       let prio, timeout =
         match Ocapi_batch.request_of_json p.p_request with
         | Ok r -> (rank r.rq_priority, r.rq_timeout)

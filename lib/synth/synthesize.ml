@@ -863,7 +863,6 @@ let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
         (p, Cycle_system.output_history sys c))
       probe_names
   in
-  let input_hist = Cycle_system.input_history sys in
   let fmts = Cycle_system.net_formats sys in
   let sink_map = Hashtbl.create 16 in
   List.iter
@@ -891,9 +890,8 @@ let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
   (* Stimuli per cycle. *)
   let per_cycle = Array.make cycles [] in
   List.iter
-    (fun (c, name, v) ->
-      if c < cycles then per_cycle.(c) <- (name, v) :: per_cycle.(c))
-    input_hist;
+    (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
+    (Cycle_system.stimuli sys ~cycles);
   let vectors = ref 0 in
   let mismatches = ref [] in
   for c = 0 to cycles - 1 do

@@ -8,6 +8,7 @@ let () =
       ("fsm", Test_fsm.suite);
       ("dataflow", Test_dataflow.suite);
       ("sched", Test_sched.suite);
+      ("columns", Test_columns.suite);
       ("engines", Test_engines.suite);
       ("engine", Test_engine.suite);
       ("ir", Test_ir.suite);

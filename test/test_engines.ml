@@ -158,6 +158,31 @@ let test_rtl_stats_and_size () =
   Alcotest.(check bool) "processes exist" true (Rtl.process_count rtl >= 4);
   Cycle_system.reset sys
 
+(* y = x + acc and acc <- x + 1, with a stimulus that holds its net
+   (returns None) for cycles 0-2: after a reset the held input must read
+   the power-on zero again, not the previous run's last token. *)
+let held_input_system () =
+  let acc = Signal.Reg.create clk "held_acc" s8 in
+  let sfg =
+    Sfg.build "held_step" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: reg_q acc));
+        Sfg.Builder.assign_resized b acc Signal.(x +: consti s8 1))
+  in
+  let fsm = Fsm.create "held_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let sys = Cycle_system.create "held_input" in
+  let c = Cycle_system.add_timed sys "held" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun cyc ->
+        if cyc < 3 then None else Some (Fixed.of_int s8 cyc))
+  in
+  let p = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
+  sys
+
 (* The emitted standalone simulator compiles with ocamlfind/ocamlopt and
    prints exactly the probe stream of the in-process engines.  Skipped
    when no compiler is on PATH (the toolchain-less CI job runs the
@@ -167,8 +192,8 @@ let compiler_on_path () =
   Sys.command "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
   = 0
 
-let emitted_simulator_matches_interp sys ~cycles =
-  let interp = Flow.simulate sys ~cycles in
+let emitted_simulator_matches ?(engine = "interp") sys ~cycles =
+  let reference = Flow.simulate ~engine sys ~cycles in
   Cycle_system.reset sys;
   let src = Emit.emit_standalone sys ~cycles in
   let dir = Filename.temp_file "ocapi_test" "" in
@@ -194,27 +219,31 @@ let emitted_simulator_matches_interp sys ~cycles =
    with End_of_file -> ());
   ignore (Unix.close_process_in ic);
   let lines = List.rev !lines in
-  (* Build the expected line set from the interpreted histories. *)
+  (* Build the expected line set from the reference engine's histories. *)
   let expected =
     List.concat_map
       (fun (p, hist) ->
         List.map
           (fun (c, v) -> Printf.sprintf "%d %s %Ld" c p (Fixed.mantissa v))
           hist)
-      interp
+      reference
     |> List.sort compare
   in
   Alcotest.(check (list string))
     (Cycle_system.name sys ^ ": emitted output matches")
     expected (List.sort compare lines)
 
-(* The accumulator CPU adds an inlined RAM to the emitted program. *)
+(* The accumulator CPU adds an inlined RAM to the emitted program.  The
+   held-input design's stimulus skips cycles 0-2; the interpreted
+   scheduler deadlocks on a missing token, so the compiled engine's
+   histories are its reference. *)
 let test_emitted_simulator_end_to_end () =
   if not (compiler_on_path ()) then Alcotest.skip ();
-  emitted_simulator_matches_interp (rich_system 21) ~cycles:25;
-  emitted_simulator_matches_interp
+  emitted_simulator_matches (rich_system 21) ~cycles:25;
+  emitted_simulator_matches
     (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
-    ~cycles:Acc_cpu.check_cycles
+    ~cycles:Acc_cpu.check_cycles;
+  emitted_simulator_matches ~engine:"compiled" (held_input_system ()) ~cycles:8
 
 (* --- sessions: reset, allocation, RAM kernels and guards ------------------ *)
 
@@ -230,31 +259,6 @@ let steps ses n =
   for _ = 1 to n do
     ses.Ocapi_engine.ses_step ()
   done
-
-(* y = x + acc and acc <- x + 1, with a stimulus that holds its net
-   (returns None) for cycles 0-2: after a reset the held input must read
-   the power-on zero again, not the previous run's last token. *)
-let held_input_system () =
-  let acc = Signal.Reg.create clk "held_acc" s8 in
-  let sfg =
-    Sfg.build "held_step" (fun b ->
-        let x = Sfg.Builder.input b "x" s8 in
-        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: reg_q acc));
-        Sfg.Builder.assign_resized b acc Signal.(x +: consti s8 1))
-  in
-  let fsm = Fsm.create "held_ctl" in
-  let s0 = Fsm.initial fsm "s0" in
-  Fsm.(s0 |-- always |+ sfg |-> s0);
-  let sys = Cycle_system.create "held_input" in
-  let c = Cycle_system.add_timed sys "held" fsm in
-  let stim =
-    Cycle_system.add_input sys "x_in" s8 (fun cyc ->
-        if cyc < 3 then None else Some (Fixed.of_int s8 cyc))
-  in
-  let p = Cycle_system.add_output sys "y_out" in
-  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
-  ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
-  sys
 
 let test_reset_matches_fresh () =
   let sys = held_input_system () in
@@ -315,6 +319,29 @@ let test_statement_sweep_allocates_nothing () =
   let w8 = chain_words_per_step 8 and w64 = chain_words_per_step 64 in
   if Float.abs (w64 -. w8) >= 1.0 then
     Alcotest.failf "minor words per step: %.1f with 8 links, %.1f with 64" w8 w64
+
+(* With warm stimulus columns, a native step allocates nothing on rs
+   and cpu: the stimuli go from the columns into the plugin's unboxed
+   words.  Measured after one reset, so the probe arrays already have
+   their capacity. *)
+let test_native_step_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native || Ocapi_native.availability () <> Ok ()
+  then Alcotest.skip ();
+  let gauge_words =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, sys) ->
+      with_session "native" sys (fun ses ->
+          steps ses 1000;
+          ses.Ocapi_engine.ses_reset ();
+          let before = Gc.minor_words () in
+          steps ses 1000;
+          let words = Gc.minor_words () -. before -. gauge_words in
+          Alcotest.(check (float 0.0)) (name ^ ": minor words in 1000 steps")
+            0.0 words))
+    [ ("rs", Test_fault.rs_design ()); ("cpu", Test_fault.cpu_design ()) ]
 
 (* A controller driving a RAM cell, which carries a model and so fires
    inline on the compiled engine, whose read word returns through an
@@ -513,6 +540,8 @@ let suite =
       test_reset_matches_fresh;
     Alcotest.test_case "compiled statement sweep allocates nothing" `Quick
       test_statement_sweep_allocates_nothing;
+    Alcotest.test_case "native step allocates nothing (warm columns)" `Quick
+      test_native_step_allocates_nothing;
     Alcotest.test_case "compiled RAM and closure kernels" `Quick
       test_ram_and_closure_kernels;
     Alcotest.test_case "compiled guards select transitions" `Quick

@@ -173,9 +173,77 @@ let test_cache_disk_eviction () =
       Alcotest.(check bool) "disk value intact" true
         (Flow.Cache.find_histories "e1" = Some histories))
 
+(* Negative counts are structured [Unsupported] errors at the library
+   entry points, raised before any work; `ocapi` prints them and exits
+   1.  A window of 0 cycles stays valid. *)
+let test_negative_counts () =
+  let rs () = Test_fault.rs_design () in
+  let unsupported name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Ocapi_error.Error" name
+    | exception Ocapi_error.Error e ->
+      Alcotest.(check string) name "unsupported"
+        (Ocapi_error.code_label e.Ocapi_error.e_code)
+  in
+  unsupported "simulate" (fun () -> Flow.simulate (rs ()) ~cycles:(-5));
+  unsupported "standalone simulator" (fun () ->
+      Flow.emit_ocaml_simulator (rs ()) ~dir:"." ~cycles:(-3));
+  unsupported "stuck-at cycles" (fun () ->
+      Ocapi_fault.stuck_at_system (rs ()) ~cycles:(-1));
+  unsupported "stuck-at max_faults" (fun () ->
+      Ocapi_fault.stuck_at_system ~max_faults:(-2) (rs ()) ~cycles:8);
+  unsupported "optimized stuck-at cycles" (fun () ->
+      Ocapi_fault.stuck_at_optimized (rs ()) ~cycles:(-1));
+  unsupported "stuck-at netlist max_faults" (fun () ->
+      Ocapi_fault.stuck_at_netlist ~max_faults:(-1)
+        (fst (Synthesize.synthesize (rs ())))
+        ~vectors:[||]);
+  unsupported "fuzz count" (fun () -> Ocapi_diff.fuzz ~seed:1 ~count:(-1) ());
+  Alcotest.(check int) "zero cycles simulate" 0
+    (List.length
+       (List.concat_map snd (Flow.simulate (rs ()) ~cycles:0)));
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  let dir = Filename.temp_file "ocapi_negative" "" in
+  Sys.remove dir;
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "ocapi_negative" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+          let pid =
+            Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin out errfd
+          in
+          Unix.close out;
+          Unix.close errfd;
+          let _, status = Unix.waitpid [] pid in
+          let line = String.concat " " args in
+          Alcotest.(check bool) (line ^ ": exit 1") true (status = Unix.WEXITED 1);
+          Alcotest.(check bool)
+            (line ^ ": structured error") true
+            (contains (In_channel.with_open_bin err In_channel.input_all) "unsupported")))
+    [
+      [ "emit"; "--cycles=-3"; "--dir"; dir; "rs" ];
+      [ "fault"; "--campaign"; "stuck-at"; "--design"; "rs"; "--max-faults=-2" ];
+      [ "fault"; "--campaign"; "stuck-at"; "--design"; "rs"; "--cycles=-1" ];
+      [ "fuzz"; "--count=-1" ];
+      [ "simulate"; "--cycles=-5"; "rs" ];
+      [ "profile"; "--design"; "rs"; "--cycles=-4"; "--dir"; dir ];
+    ];
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
 let suite =
   [
     Alcotest.test_case "check report rendering" `Quick test_check_report_rendering;
+    Alcotest.test_case "negative counts: structured error, exit 1" `Quick
+      test_negative_counts;
     Alcotest.test_case "cache disk LRU eviction" `Quick test_cache_disk_eviction;
     Alcotest.test_case "DECT VHDL emission at scale" `Quick test_dect_vhdl_emission;
     Alcotest.test_case "DECT VCD" `Quick test_dect_vcd;

@@ -216,7 +216,7 @@ let test_net_tracing () =
   Alcotest.(check (list int)) "trace" [ 0; 1; 2 ]
     (List.map (fun (_, v) -> Fixed.to_int v) (Cycle_system.net_history sys net));
   Alcotest.(check int) "input history" 3
-    (List.length (Cycle_system.input_history sys))
+    (List.length (Cycle_system.stimuli sys ~cycles:3))
 
 let test_sfg_kernel_bridge () =
   (* An SFG with state behaves identically as a data-flow kernel. *)

@@ -423,6 +423,35 @@ let test_serve_recovery_exactly_once () =
       Alcotest.(check int) "and runs nothing" 0 s2.sm_completed;
       Alcotest.(check int) "still exactly one execution" 1 (runs ()))
 
+(* A server killed between a worker's kill and its reap leaves the
+   worker's [<artifact>.<pid>.<domain>.tmp] in the artifact tree.  The
+   restarted server sweeps it before relaunching the job, so the tree
+   equals that of a run that never crashed. *)
+let test_serve_recovery_sweeps_stale_temps () =
+  let recover name ~plant =
+    let state, artifacts, cfg = config ~name ~script:write_artifact in
+    let jr = Ocapi_service.journal_open (Filename.concat state "journal.jsonl") in
+    Ocapi_service.journal_append jr (submitted "c1" "k1");
+    Ocapi_service.journal_append jr
+      (Ocapi_service.J_started { jt_corr = "c1"; jt_attempt = 1 });
+    Ocapi_service.journal_close jr;
+    let stale = Filename.concat artifacts "c1.json.4242.0.tmp" in
+    if plant then Out_channel.with_open_bin stale (fun oc -> output_string oc "torn");
+    let s = serve_quiet cfg ~requests:[] in
+    let tree =
+      Sys.readdir artifacts |> Array.to_list |> List.sort compare
+      |> List.map (fun f ->
+             (f, In_channel.with_open_bin (Filename.concat artifacts f) In_channel.input_all))
+    in
+    rm_rf state;
+    rm_rf artifacts;
+    (s, tree)
+  in
+  let _, reference = recover "sweep-ref" ~plant:false in
+  let s, tree = recover "sweep" ~plant:true in
+  Alcotest.(check int) "the job completed" 1 s.Ocapi_service.sm_completed;
+  Alcotest.(check (list (pair string string))) "tree = reference run's" reference tree
+
 let test_serve_invalid_line () =
   Lazy.force ensure_design;
   let state, artifacts, cfg = config ~name:"invalid" ~script:write_artifact in
@@ -468,6 +497,36 @@ let test_worker_prompt_exit () =
       Alcotest.(check bool)
         (Printf.sprintf "returned in %.2fs, under 1s" dt)
         true (dt < 1.0))
+
+(* An `ocapi worker` whose supervisor is gone — its stdout pipe has no
+   reader — publishes nothing and exits with the failure code, instead
+   of dying of SIGPIPE at whatever point its next line falls, such as
+   between its temp artifact and the rename. *)
+let test_orphaned_worker_publishes_nothing () =
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  let dir = tmp_dir "orphan" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let request =
+        {|{"kind": "simulate", "design": "hcor", "engine": "compiled", "cycles": 4}|}
+      in
+      let r, w = Unix.pipe ~cloexec:true () in
+      Unix.close r;
+      let pid =
+        Unix.create_process cli
+          [| cli; "worker"; "--request"; request; "--artifact";
+             Filename.concat dir "job.json" |]
+          Unix.stdin w Unix.stderr
+      in
+      Unix.close w;
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "exits with the failure code" true
+        (status = Unix.WEXITED Ocapi_service.exit_failed);
+      Alcotest.(check (array string)) "no artifact, no temp file" [||]
+        (Sys.readdir dir))
 
 (* --- disk-cache robustness ------------------------------------------------ *)
 
@@ -578,8 +637,12 @@ let suite =
       test_serve_overload;
     Alcotest.test_case "serve: crash recovery exactly once" `Quick
       test_serve_recovery_exactly_once;
+    Alcotest.test_case "serve: recovery sweeps stale temp artifacts" `Quick
+      test_serve_recovery_sweeps_stale_temps;
     Alcotest.test_case "serve: invalid line is a journaled failure" `Quick
       test_serve_invalid_line;
+    Alcotest.test_case "orphaned worker publishes nothing" `Quick
+      test_orphaned_worker_publishes_nothing;
     Alcotest.test_case "worker returns after its last line" `Quick
       test_worker_prompt_exit;
     Alcotest.test_case "cache: corrupted and truncated entries" `Quick
