@@ -321,14 +321,14 @@ let c4 () =
   | () ->
     print_endline
       "three-phase scheduler: fig 6 cycle resolved, 100 cycles simulated"
-  | exception Cycle_system.Deadlock _ ->
+  | exception Ocapi_error.Error { e_code = Deadlock; _ } ->
     print_endline "three-phase scheduler: DEADLOCK (unexpected!)");
   Cycle_system.reset sys;
   (match Cycle_system.run ~two_phase:true sys 1 with
   | () -> print_endline "two-phase scheduler: resolved (unexpected!)"
-  | exception Cycle_system.Deadlock w ->
+  | exception Ocapi_error.Error { e_code = Deadlock; e_nets; _ } ->
     Printf.printf "two-phase scheduler: deadlock, waiting on [%s]\n"
-      (String.concat "; " w));
+      (String.concat "; " e_nets));
   (* Overhead of the extra phase on a loop-free design. *)
   let sys = hcor_design () in
   let time two_phase =

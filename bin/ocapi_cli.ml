@@ -248,10 +248,8 @@ let emit_cmd =
         in
         Printf.printf "wrote %s (%d gate-equivalents)\n" path
           rep.Synthesize.total.Netlist.gate_equivalents;
-        (match Flow.emit_ocaml_simulator d.d_sys ~dir ~cycles with
-        | path -> Printf.printf "wrote %s\n" path
-        | exception Compiled_sim.Unsupported msg ->
-          Printf.printf "(standalone simulator skipped: %s)\n" msg);
+        Printf.printf "wrote %s\n"
+          (Flow.emit_ocaml_simulator d.d_sys ~dir ~cycles);
         let dot = Filename.concat dir (name ^ "_architecture.dot") in
         let oc = open_out dot in
         output_string oc (Cycle_system.to_dot d.d_sys);

@@ -1,6 +1,5 @@
-exception Unsupported of string
-
-let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
+let unsupported ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Unsupported ~engine:"compiled" fmt
 
 (* --- the value store ------------------------------------------------------ *)
 
@@ -419,7 +418,8 @@ let lower sys =
       match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
       | Some net -> compute [ Hashtbl.find a.net_slot net ]
       | None ->
-        unsupported "compiled: input %s.%s is not connected to any net" cname
+        unsupported ~construct:cname
+          "compiled: input %s.%s is not connected to any net" cname
           (Signal.Input.name i)
     end
     | Signal.Neg x | Signal.Abs x | Signal.Not x
@@ -509,7 +509,8 @@ let lower sys =
   let lower_guard cname tr =
     let g = Fsm.guard_expr tr.Fsm.t_guard in
     (match Signal.input_deps g with
-    | i :: _ -> unsupported "guard reads input %s" (Signal.Input.name i)
+    | i :: _ ->
+      unsupported ~construct:cname "guard reads input %s" (Signal.Input.name i)
     | [] -> ());
     let code =
       Signal.fold_dag g ~init:[] ~f:(fun acc n ->
@@ -557,7 +558,8 @@ let lower sys =
                 in
                 (port, Hashtbl.find a.net_slot net, fmt)
               | None ->
-                unsupported "compiled: kernel %s input %s unconnected" cname port)
+                unsupported ~construct:cname
+                  "compiled: kernel %s input %s unconnected" cname port)
             k.Dataflow.Kernel.k_inputs
         in
         let outputs =
@@ -693,7 +695,8 @@ let lower sys =
             match Hashtbl.find_opt a.net_fmt net with
             | Some f -> f
             | None ->
-              unsupported "compiled: probe %s net %s has unknown format" pname net
+              unsupported ~construct:pname
+                "compiled: probe %s net %s has unknown format" pname net
           in
           Some
             (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net, fmt))

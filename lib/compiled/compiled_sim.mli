@@ -38,10 +38,9 @@
 
     Systems whose worst-case (union over transitions) combinational
     net graph is cyclic at component granularity cannot be statically
-    scheduled and are rejected with {!Unsupported} — simulate those with
-    the interpreted three-phase scheduler. *)
-
-exception Unsupported of string
+    scheduled and are rejected with an [Ocapi_error.Error] of code
+    [Unsupported] — simulate those with the interpreted three-phase
+    scheduler. *)
 
 (** {1 The lowered program}
 

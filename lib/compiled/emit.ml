@@ -4,9 +4,6 @@
    renders the program [Compiled_sim.lower] produces; see emit.mli for
    the two shapes that share the rendered body. *)
 
-let unsupported fmt =
-  Format.kasprintf (fun s -> raise (Compiled_sim.Unsupported s)) fmt
-
 (* Bumped whenever the emitted plugin text, the slot-layout contract or
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
@@ -694,7 +691,8 @@ let emit_standalone sys ~cycles =
   let open Compiled_sim in
   Array.iter
     (fun k ->
-      unsupported
+      Ocapi_error.fail Ocapi_error.Unsupported ~engine:"compiled"
+        ~construct:k.hk_name
         "standalone simulator: untimed kernel %s carries no model to embed"
         k.hk_name)
     p.pg_kernels;

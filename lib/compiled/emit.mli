@@ -22,9 +22,9 @@
       library; it prints one line per probe token so its behaviour can
       be diffed against the in-process engines.
 
-    Both raise [Compiled_sim.Unsupported] on designs outside the
-    lowering's scope, and {!emit_standalone} also on host kernels
-    (untimed kernels carrying no model). *)
+    Both raise [Ocapi_error.Error] with code [Unsupported] on designs
+    outside the lowering's scope, and {!emit_standalone} also on host
+    kernels (untimed kernels carrying no model). *)
 
 val emitter_version : int
 (** Bumped whenever the emitted plugin text, the slot-layout contract

@@ -643,28 +643,6 @@ let engines_agree ?domains ?replicate sys ~cycles =
     (fun m -> Format.asprintf "%a" pp_mismatch m)
     (engine_disagreements ?domains ?replicate sys ~cycles)
 
-(* --- structured diagnostics ----------------------------------------------- *)
-
-let classify_exn ?cycle ~engine exn =
-  let open Ocapi_error in
-  match exn with
-  | Error e -> Some e
-  | Netlist.Sim.Did_not_settle e | Rtl.Delta_overflow e -> Some e
-  | Cycle_system.Deadlock waiting ->
-    Some
-      (make Deadlock ~engine ?cycle ~nets:waiting
-         "no component can fire: every candidate waits on a missing token")
-  | Fixed.Overflow msg -> Some (make Overflow ~engine ?cycle msg)
-  | Compiled_sim.Unsupported msg -> Some (make Unsupported ~engine ?cycle msg)
-  | Cycle_system.System_error msg
-  | Rtl.Rtl_error msg
-  | Netlist.Netlist_error msg
-  | Fsm.Fsm_error msg
-  | Invalid_argument msg
-  | Failure msg ->
-    Some (make Internal ~engine ?cycle msg)
-  | _ -> None
-
 let write_file dir name contents =
   let path = Filename.concat dir name in
   let oc = open_out path in

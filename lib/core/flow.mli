@@ -284,18 +284,6 @@ val engines_agree :
   cycles:int ->
   string list
 
-(** {1 Structured diagnostics} *)
-
-(** [classify_exn ~engine exn] maps the exceptions the simulation
-    engines can raise — deadlock, oscillation, delta overflow, fixed
-    point overflow, invariant failures — onto a structured
-    {!Ocapi_error.t}, so campaign drivers can record a failing run as a
-    per-run diagnostic instead of aborting.  Exceptions already carrying
-    an [Ocapi_error.t] pass through unchanged (their own engine/cycle
-    fields win); [None] means the exception is foreign and should be
-    re-raised. *)
-val classify_exn : ?cycle:int -> engine:string -> exn -> Ocapi_error.t option
-
 (** {1 Code generation} *)
 
 (** Write the generated VHDL files into [dir]; returns the paths. *)

@@ -1,6 +1,5 @@
-exception Dataflow_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Dataflow_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"dataflow" fmt
 
 module Kernel = struct
   type model =
@@ -95,13 +94,15 @@ module Kernel = struct
           | None -> 0
         in
         if got <> rate then
-          error "kernel %s: port %s produced %d tokens, declared %d" k.k_name
-            port got rate)
+          error ~construct:k.k_name
+            "kernel %s: port %s produced %d tokens, declared %d" k.k_name port
+            got rate)
       k.k_outputs;
     List.iter
       (fun (port, _) ->
         if not (List.mem_assoc port k.k_outputs) then
-          error "kernel %s: produced on undeclared port %s" k.k_name port)
+          error ~construct:k.k_name "kernel %s: produced on undeclared port %s"
+            k.k_name port)
       produced
 end
 
@@ -174,14 +175,17 @@ let fireable t p =
 
 let fire t p =
   if not (fireable t p) then
-    error "fire: %s's firing rule is not satisfied" (process_name p);
+    error ~construct:(process_name p) "fire: %s's firing rule is not satisfied"
+      (process_name p);
   let consumed =
     List.map
       (fun (port, rate) ->
         let c =
           match in_channel_of t p port with
           | Some c -> c
-          | None -> error "fire: %s.%s unconnected" (process_name p) port
+          | None ->
+            error ~construct:(process_name p) "fire: %s.%s unconnected"
+              (process_name p) port
         in
         (port, List.init rate (fun _ -> Queue.pop c.c_queue)))
       p.kernel.Kernel.k_inputs

@@ -10,8 +10,6 @@
     use {e the cycle scheduler} (library [ocapi_sched]), which embeds
     the same process kernels. *)
 
-exception Dataflow_error of string
-
 (** {1 Process kernels} *)
 
 module Kernel : sig
@@ -99,7 +97,8 @@ module Kernel : sig
       [None] when one of them carries no hook. *)
   val snapshot_all : t list -> (unit -> snapshot) option
 
-  (** Declared format of a port. @raise Dataflow_error when absent. *)
+  (** Declared format of a port.
+      @raise Ocapi_error.Error with code [Internal] when absent. *)
   val port_format : t -> string -> Fixed.format
 
   (** [map1 name f] : one token in on ["in"], one out on ["out"],
@@ -132,8 +131,8 @@ val add_process : t -> Kernel.t -> process
 
 (** [connect t (p1, "out") (p2, "in")] adds a FIFO from an output port
     of [p1] to an input port of [p2].
-    @raise Dataflow_error if either port does not exist on its kernel, or
-    the input port is already driven. *)
+    @raise Ocapi_error.Error with code [Internal] if either port does
+    not exist on its kernel, or the input port is already driven. *)
 val connect :
   t -> process * string -> process * string -> channel
 
@@ -166,7 +165,8 @@ val run : ?max_firings:int -> t -> run_stats
 (** [fireable t p] — is the firing rule of [p] currently satisfied? *)
 val fireable : t -> process -> bool
 
-(** Fire a single process. @raise Dataflow_error if not fireable. *)
+(** Fire a single process.
+    @raise Ocapi_error.Error with code [Internal] if not fireable. *)
 val fire : t -> process -> unit
 
 (** {1 SDF analysis} *)

@@ -79,7 +79,8 @@ let kernel ~name ~words ~data_fmt ~addr_fmt =
         match List.assoc_opt port consumed with
         | Some [ v ] -> v
         | Some _ | None ->
-          raise (Dataflow.Dataflow_error ("ram " ^ name ^ ": bad port " ^ port))
+          Ocapi_error.fail Ocapi_error.Internal ~engine:"design" ~construct:name
+            "ram %s: bad port %s" name port
       in
       let addr = Fixed.to_int (one "addr") mod words in
       let addr = if addr < 0 then addr + words else addr in

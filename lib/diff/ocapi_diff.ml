@@ -511,21 +511,12 @@ end
 
 type finding = { f_check : string; f_error : Ocapi_error.t }
 
-let error_json (e : Ocapi_error.t) =
+let finding_json f =
   Json.Obj
     [
-      ("code", Json.String (Ocapi_error.code_label e.e_code));
-      ("severity", Json.String (Ocapi_error.severity_label e.e_severity));
-      ("engine", Json.String e.e_engine);
-      ( "construct",
-        match e.e_construct with None -> Json.Null | Some c -> Json.String c );
-      ("cycle", match e.e_cycle with None -> Json.Null | Some c -> Json.Int c);
-      ("nets", Json.List (List.map (fun n -> Json.String n) e.e_nets));
-      ("message", Json.String e.e_message);
+      ("check", Json.String f.f_check);
+      ("error", Ocapi_fault.error_json f.f_error);
     ]
-
-let finding_json f =
-  Json.Obj [ ("check", Json.String f.f_check); ("error", error_json f.f_error) ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential checks                                                *)
@@ -542,10 +533,7 @@ type run_result =
 
 let run_engine sys ~cycles name =
   try R_ok (Flow.simulate ~engine:name sys ~cycles)
-  with exn -> (
-    match Flow.classify_exn ~engine:name exn with
-    | Some e -> R_err e
-    | None -> raise exn)
+  with Ocapi_error.Error e -> R_err e
 
 let engines_findings sys ~cycles engines =
   match engines with
@@ -601,15 +589,11 @@ let includes_gate engines =
       | None -> false)
     engines
 
-let classified_check ~check ~engine body =
-  try body ()
-  with exn -> (
-    match Flow.classify_exn ~engine exn with
-    | Some e -> [ { f_check = check; f_error = e } ]
-    | None -> raise exn)
+let classified_check ~check body =
+  try body () with Ocapi_error.Error e -> [ { f_check = check; f_error = e } ]
 
 let opt_equivalence_findings spec =
-  classified_check ~check:"opt-equivalence" ~engine:"ir" (fun () ->
+  classified_check ~check:"opt-equivalence" (fun () ->
       let b = Ocapi_ir.behavioral (Spec.build spec) in
       let g = Ocapi_ir.pipeline [ Ocapi_ir.lower_to_gate; Ocapi_ir.optimize_gates ] b in
       match Ocapi_ir.check_equivalence ~cycles:spec.Spec.sp_cycles b g with
@@ -630,7 +614,7 @@ let norm_seu_outcome = function
    checkpoints shows as a divergence from the reference, which two
    checkpointed campaigns could share. *)
 let seu_cross_findings spec =
-  classified_check ~check:"seu-cross" ~engine:"fault" (fun () ->
+  classified_check ~check:"seu-cross" (fun () ->
       let seed = 1 + (spec.Spec.sp_seed land 0xffff)
       and cycles = spec.Spec.sp_cycles in
       let signature (r : Ocapi_fault.seu_report) =
@@ -671,7 +655,7 @@ let seu_cross_findings spec =
         [ "interp"; "compiled" ])
 
 let stuck_determinism_findings spec =
-  classified_check ~check:"stuck-determinism" ~engine:"fault" (fun () ->
+  classified_check ~check:"stuck-determinism" (fun () ->
       let run () =
         let sys = Spec.build spec in
         let r =

@@ -11,9 +11,14 @@
     This module is the shared currency of such failures: a diagnostic
     record carrying a machine-readable code, a severity, the engine and
     source construct it arose in, the clock cycle, and the culprit nets,
-    plus one exception ({!Error}) wrapping it.  It sits upstream of all
-    engine libraries so that [sched], [compiled], [rtl], [netlist] and
-    the flow layer can raise and classify through one type. *)
+    plus one exception ({!Error}) wrapping it.  It sits upstream of
+    every library, and {!Error} is the one exception they declare:
+    [fixed], [signal], [fsm], [dataflow], [sched], [compiled], [rtl],
+    [netlist], [synth] and the layers above raise it where a failure
+    happens, labelled with their own engine name and with the cycle and
+    construct they know.  Campaign drivers record it as a per-run
+    diagnostic.  Any other exception ([Invalid_argument] on a misused
+    API, a stray [Failure]) is a bug and propagates. *)
 
 (** How bad: [Warning] is advisory, [Error] aborted one run or request,
     [Fatal] means the engine state is unusable afterwards. *)

@@ -117,17 +117,14 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
          if !live <> 0 then Netlist.Sim.clock sim;
          incr c
        done
-     with e -> (
+     with Ocapi_error.Error d ->
        (* An acyclic settle evaluates each element at most once, so a
           batch of several faults stops on a diagnostic only when the
           budget is below the element count: the first settle after
           [reset] then stops every lone run the same way. *)
-       match Flow.classify_exn ~engine:"gates" e with
-       | None -> raise e
-       | Some d ->
-         for l = 0 to k - 1 do
-           if !live land (1 lsl l) <> 0 then outcomes.(l) <- Sa_diagnosed d
-         done));
+       for l = 0 to k - 1 do
+         if !live land (1 lsl l) <> 0 then outcomes.(l) <- Sa_diagnosed d
+       done);
     outcomes
   in
   let n_batches = (n_faults + batch - 1) / batch in
@@ -527,14 +524,8 @@ let seu_campaign_with ~checkpointed ~engine ~runs ~seed ?max_deltas ~domains
       else checkpointed_run
     in
     let outcome =
-      match run_one ses golden ~cycles ~target ~at with
-      | outcome -> outcome
-      | exception e -> (
-        match
-          Flow.classify_exn ~engine:ses.Ocapi_engine.ses_engine ~cycle:at e
-        with
-        | Some d -> Detected d
-        | None -> raise e)
+      try run_one ses golden ~cycles ~target ~at
+      with Ocapi_error.Error d -> Detected d
     in
     if Ocapi_obs.enabled () then
       Ocapi_obs.count

@@ -22,10 +22,11 @@
       structured {!Ocapi_error.t} diagnostic — deadlock, overflow,
       oscillation, invalid FSM state).
 
-    Campaigns never abort on a failing run: engine exceptions are
-    mapped through {!Flow.classify_exn} and recorded as per-run
-    diagnostics.  All randomness comes from an explicit seed; the same
-    seed reproduces the same classification table. *)
+    Engine failures never abort a campaign: an {!Ocapi_error.Error}
+    raised in a run is recorded as that run's diagnostic.  Any other
+    exception is a bug, not a detection, and propagates.  All randomness
+    comes from an explicit seed; the same seed reproduces the same
+    classification table. *)
 
 (** {1 Stuck-at fault simulation} *)
 
@@ -301,3 +302,7 @@ val stuck_report_json : stuck_report -> Ocapi_obs.Json.t
 
 val stuck_compare_json : stuck_compare -> Ocapi_obs.Json.t
 val seu_report_json : seu_report -> Ocapi_obs.Json.t
+
+(** One diagnostic as JSON: code, severity, engine, construct, cycle,
+    nets and message — the shape every report embeds. *)
+val error_json : Ocapi_error.t -> Ocapi_obs.Json.t

@@ -4,9 +4,7 @@ type format = { signedness : signedness; width : int; frac : int }
 
 let max_width = 62
 
-exception Format_error of string
-
-let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
+let format_error fmt = Ocapi_error.fail Ocapi_error.Internal ~engine:"fixed" fmt
 
 let format signedness ~width ~frac =
   if width < 1 then format_error "format: width %d < 1" width;
@@ -44,9 +42,8 @@ type t = { fmt : format; mantissa : int64 }
 type rounding = Truncate | Round_nearest | Round_even
 type overflow = Wrap | Saturate
 
-exception Overflow of string
-
-let overflow_error fmt = Format.kasprintf (fun s -> raise (Overflow s)) fmt
+let overflow_error fmt =
+  Ocapi_error.fail Ocapi_error.Overflow ~engine:"fixed" fmt
 
 let in_range f m = m >= min_mantissa f && m <= max_mantissa f
 

@@ -30,10 +30,9 @@ type format = private {
     two such values still fit an [int64]). *)
 val max_width : int
 
-exception Format_error of string
-
 (** [format signedness ~width ~frac] builds a format.
-    @raise Format_error if [width < 1] or [width > max_width]. *)
+    @raise Ocapi_error.Error with code [Internal] if [width < 1] or
+    [width > max_width]. *)
 val format : signedness -> width:int -> frac:int -> format
 
 (** [signed ~width ~frac] = [format Signed ~width ~frac]. *)
@@ -71,16 +70,14 @@ type rounding =
 (** Overflow mode used when [resize] narrows the integer part. *)
 type overflow = Wrap  (** keep low bits, two's-complement wrap *) | Saturate
 
-exception Overflow of string
-
 (** [create fmt mantissa] checks that [mantissa] is representable in [fmt].
-    @raise Overflow otherwise. *)
+    @raise Ocapi_error.Error with code [Overflow] otherwise. *)
 val create : format -> int64 -> t
 
 (** [of_float ?round ?overflow fmt x] quantizes the real [x].
     Default [round] is [Round_nearest], default [overflow] is [Saturate].
-    @raise Overflow when [overflow = Wrap] is not requested and... never:
-    with [Saturate] the value is clamped; with [Wrap] it wraps. *)
+    It never raises: with [Saturate] the value is clamped; with [Wrap]
+    it wraps. *)
 val of_float : ?round:rounding -> ?overflow:overflow -> format -> float -> t
 
 val to_float : t -> float
@@ -100,7 +97,7 @@ val of_bool : bool -> t
 val is_true : t -> bool
 
 (** [of_int fmt n] represents the integer [n] exactly.
-    @raise Overflow if it does not fit. *)
+    @raise Ocapi_error.Error with code [Overflow] if it does not fit. *)
 val of_int : format -> int -> t
 
 (** [to_int v] is the integer part of the value, truncated toward zero. *)
@@ -117,7 +114,8 @@ val to_string : t -> string
 (** {1 Full-precision arithmetic}
 
     Result formats are widened so no precision is lost.
-    @raise Format_error if the exact result would exceed {!max_width}. *)
+    @raise Ocapi_error.Error with code [Internal] if the exact result
+    would exceed {!max_width}. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -176,7 +174,8 @@ val logic_format : format -> format -> format
 val to_bits : t -> string
 
 (** [of_bits fmt s] parses an MSB-first bit string.
-    @raise Format_error if [String.length s <> fmt.width]. *)
+    @raise Ocapi_error.Error with code [Internal] if
+    [String.length s <> fmt.width]. *)
 val of_bits : format -> string -> t
 
 (** [flip_bit v i] toggles bit [i] (LSB = 0) of the two's-complement

@@ -1,6 +1,5 @@
-exception Fsm_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Fsm_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"fsm" fmt
 
 type state = { s_fsm_id : int; s_index : int; s_name : string }
 
@@ -68,14 +67,16 @@ let gor a b =
 
 let add_state t name =
   if List.exists (fun s -> s.s_name = name) t.f_states then
-    error "fsm %s: duplicate state %s" t.name name;
+    error ~construct:t.name "fsm %s: duplicate state %s" t.name name;
   let s = { s_fsm_id = t.id; s_index = List.length t.f_states; s_name = name } in
   t.f_states <- s :: t.f_states;
   s
 
 let initial t name =
   (match t.f_initial with
-  | Some s -> error "fsm %s: initial state already declared (%s)" t.name s.s_name
+  | Some s ->
+    error ~construct:t.name "fsm %s: initial state already declared (%s)"
+      t.name s.s_name
   | None -> ());
   let s = add_state t name in
   t.f_initial <- Some s;
@@ -100,7 +101,8 @@ let registry_find id =
 
 let add_transition t ~from ~guard ~actions ~goto =
   if from.s_fsm_id <> t.id || goto.s_fsm_id <> t.id then
-    error "fsm %s: transition uses a state of another machine" t.name;
+    error ~construct:t.name "fsm %s: transition uses a state of another machine"
+      t.name;
   t.f_transitions <-
     { t_from = from; t_guard = guard; t_actions = actions; t_goto = goto }
     :: t.f_transitions
@@ -127,7 +129,7 @@ let states t = List.rev t.f_states
 let initial_state t =
   match t.f_initial with
   | Some s -> s
-  | None -> error "fsm %s: no initial state" t.name
+  | None -> error ~construct:t.name "fsm %s: no initial state" t.name
 
 let state_name s = s.s_name
 let state_index s = s.s_index
@@ -178,7 +180,9 @@ let all_regs t =
 let current t =
   match t.f_current with
   | Some s -> s
-  | None -> error "fsm %s: no current state (no initial declared)" t.name
+  | None ->
+    error ~construct:t.name "fsm %s: no current state (no initial declared)"
+      t.name
 
 let guard_enabled env g =
   match g with
@@ -195,12 +199,15 @@ let advance t tr = t.f_current <- Some tr.t_goto
 let reset t =
   match t.f_initial with
   | Some s -> t.f_current <- Some s
-  | None -> error "fsm %s: cannot reset, no initial state" t.name
+  | None ->
+    error ~construct:t.name "fsm %s: cannot reset, no initial state" t.name
 
 let force_state t i =
   match List.find_opt (fun s -> s.s_index = i) t.f_states with
   | Some s -> t.f_current <- Some s
-  | None -> error "fsm %s: force_state: no state with index %d" t.name i
+  | None ->
+    error ~construct:t.name "fsm %s: force_state: no state with index %d"
+      t.name i
 
 type check_issue =
   | Unreachable_state of string

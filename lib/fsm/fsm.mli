@@ -24,8 +24,6 @@
     any token exists, so they may only read registers and constants ("the
     conditions are stored in registers inside the signal flow graphs"). *)
 
-exception Fsm_error of string
-
 type t
 type state
 
@@ -37,8 +35,9 @@ type guard
 val always : guard
 
 (** [cnd e] guards on the 1-bit, register-and-constant-only expression
-    [e]. @raise Fsm_error if [e] is wider than one bit or combinationally
-    depends on an SFG input. *)
+    [e].
+    @raise Ocapi_error.Error with code [Internal] if [e] is wider than
+    one bit or combinationally depends on an SFG input. *)
 val cnd : Signal.t -> guard
 
 (** Boolean combinators over guards. *)
@@ -59,11 +58,12 @@ val is_always : guard -> bool
 val create : string -> t
 
 (** [initial t name] declares the (unique) initial state.
-    @raise Fsm_error if an initial state was already declared. *)
+    @raise Ocapi_error.Error with code [Internal] if an initial state
+    was already declared. *)
 val initial : t -> string -> state
 
 (** [state t name] declares a further state.
-    @raise Fsm_error on duplicate names. *)
+    @raise Ocapi_error.Error with code [Internal] on duplicate names. *)
 val state : t -> string -> state
 
 (** [add_transition t ~from ~guard ~actions ~goto] appends a transition.
@@ -127,7 +127,7 @@ val reset : t -> unit
     bypassing transitions — the fault-injection access used by SEU
     campaigns on the interpreted engine (a bit flip in the encoded state
     register selects an arbitrary index).
-    @raise Fsm_error if no state has index [i]. *)
+    @raise Ocapi_error.Error with code [Internal] if no state has index [i]. *)
 val force_state : t -> int -> unit
 
 (** {1 Checks} *)

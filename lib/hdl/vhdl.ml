@@ -1,7 +1,3 @@
-exception Vhdl_error of string
-
-let _error fmt = Format.kasprintf (fun s -> raise (Vhdl_error s)) fmt
-
 let sanitize name =
   let s =
     String.map

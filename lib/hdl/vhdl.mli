@@ -17,8 +17,6 @@
     and as the code-size comparator of Table 1 ("the C++ modeling gains
     a factor of 5 in code size over RT-VHDL modeling"). *)
 
-exception Vhdl_error of string
-
 (** [of_system sys] returns [(file_name, contents)] pairs: one per
     timed component, one RAM entity if needed, and a structural
     top level named after the system. *)

@@ -273,8 +273,9 @@ let read_meta path : Emit.plugin_meta option =
 (* Locate or build the (plugin, meta) pair for [sys]: disk artifact ->
    Flow.Cache store -> fresh emission + compile.  Runs under the load
    mutex.  Raises [Fall] on environmental failures (the caller degrades
-   to the interpreted program) and [Compiled_sim.Unsupported] on
-   design-level rejections (shared verbatim with the compiled engine). *)
+   to the interpreted program) and [Ocapi_error.Error] with code
+   [Unsupported] on design-level rejections (shared verbatim with the
+   compiled engine). *)
 let obtain_plugin sys =
   let cmi =
     match cmi_dir () with

@@ -1,6 +1,5 @@
-exception Netlist_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Netlist_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"gates" fmt
 
 type net = int
 
@@ -552,8 +551,6 @@ let collapse_faults t faults =
 type netlist = t
 
 module Sim = struct
-  exception Did_not_settle of Ocapi_error.t
-
   (* Every net holds one [int] word; bit [l] is lane [l].  The plain
      simulator keeps all lanes equal (a bit is 0 or -1), so lane 0 is
      the circuit; fault simulation runs one faulty circuit per lane. *)
@@ -935,15 +932,10 @@ module Sim = struct
       bus_net_label ~inputs:(Array.to_list t.inputs)
         ~outputs:(Array.to_list t.outputs)
     in
-    raise
-      (Did_not_settle
-         (Ocapi_error.make Ocapi_error.Did_not_settle ~engine:"gates"
-            ~construct:t.name ~cycle:t.n_clocks
-            ~nets:(List.map label shown)
-            (Printf.sprintf
-               "netlist %s oscillates: %d nets still toggling after %d \
-                evaluations"
-               t.name (List.length toggling) t.settle_budget)))
+    Ocapi_error.fail Ocapi_error.Did_not_settle ~engine:"gates"
+      ~construct:t.name ~cycle:t.n_clocks ~nets:(List.map label shown)
+      "netlist %s oscillates: %d nets still toggling after %d evaluations"
+      t.name (List.length toggling) t.settle_budget
 
   (* Evaluate the dirty elements level by level, lowest first.  In an
      acyclic netlist an evaluation only marks higher levels, so each
@@ -985,8 +977,7 @@ module Sim = struct
 
   let find_port kind ports name =
     let rec go i =
-      if i >= Array.length ports then
-        raise (Netlist_error (Printf.sprintf "no %s bus %s" kind name))
+      if i >= Array.length ports then error "no %s bus %s" kind name
       else if fst ports.(i) = name then i
       else go (i + 1)
     in
@@ -1153,14 +1144,13 @@ module Sim = struct
     match f.f_site with
     | Stem n ->
       if n < 0 || n >= Array.length t.v then
-        raise (Netlist_error (Printf.sprintf "inject: no net %d" n));
+        error ~construct:t.name "inject: no net %d" n;
       stick t.keep t.force n;
       write t n t.v.(n)
     | Branch { br_gate; br_pin } ->
       if br_gate < 0 || br_gate >= Array.length t.gate_elem || br_pin < 0 || br_pin > 2
       then
-        raise
-          (Netlist_error (Printf.sprintf "inject: no gate pin g%d.in%d" br_gate br_pin));
+        error ~construct:t.name "inject: no gate pin g%d.in%d" br_gate br_pin;
       let e = t.gate_elem.(br_gate) in
       if t.kind.(e) < k_faulty then begin
         if t.n_slots = lanes then
@@ -1188,11 +1178,8 @@ module Sim = struct
 
   let poke_net t n b =
     if n < 0 || n >= Array.length t.v || Bytes.get t.pokeable n = '\000' then
-      raise
-        (Netlist_error
-           (Printf.sprintf
-              "poke_net: net %d of %s is neither a flip-flop output nor a \
-               primary input"
-              n t.name));
+      error ~construct:t.name
+        "poke_net: net %d of %s is neither a flip-flop output nor a primary \
+         input" n t.name;
     write t n (if b then all_lanes else 0)
 end

@@ -14,8 +14,6 @@
     first.  Multi-bit numbers on buses are two's-complement mantissas,
     matching [Fixed] bit semantics. *)
 
-exception Netlist_error of string
-
 type t
 type net = int
 
@@ -46,7 +44,8 @@ val gate : t -> gate_kind -> net list -> net
     net [dst] with a buffer from [src].  This is the forward-reference
     mechanism used by operator-sharing synthesis, where a unit's operand
     nets exist before their selection logic does.
-    @raise Netlist_error if [dst] already has a driver. *)
+    @raise Ocapi_error.Error with code [Internal] if [dst] already has
+    a driver. *)
 val buf_into : t -> dst:net -> net -> unit
 
 (** [dff_into t ?init ~q d] adds a D flip-flop whose output is the
@@ -123,8 +122,8 @@ val net_count : t -> int
     (operator-sharing selection networks can create such {e false}
     cycles; they are gated off at run time but defeat a static
     longest-path count).  It is the levelization {!Sim.create} runs.
-    @raise Netlist_error if an element names a net the netlist never
-    created. *)
+    @raise Ocapi_error.Error with code [Internal] if an element names a
+    net the netlist never created. *)
 val combinational_depth : t -> int * int
 
 (** {1 Introspection} (used by the Verilog printer) *)
@@ -201,33 +200,31 @@ module Sim : sig
       faulty circuit per lane, for parallel-pattern fault simulation. *)
   type t
 
-  (** The settle budget ran out: a combinational cycle oscillates.  The
-      diagnostic lists (a sample of) the nets still toggling, the
-      budget, and the clock cycle. *)
-  exception Did_not_settle of Ocapi_error.t
-
   (** [create ?settle_budget nl] — [settle_budget] bounds the element
       evaluations of one {!settle} call (default
       [1000 * max 64 n_elements]).  An acyclic netlist never needs more
       than one evaluation per element; on a combinational cycle, a mark
       at or below the level being evaluated rewinds the sweep to it,
-      and the budget turns an oscillation into {!Did_not_settle}.
-      @raise Netlist_error if an element names a net the netlist never
-      created. *)
+      and the budget turns an oscillation into an [Ocapi_error.Error]
+      with code [Did_not_settle].
+      @raise Ocapi_error.Error with code [Internal] if an element names
+      a net the netlist never created. *)
   val create : ?settle_budget:int -> netlist -> t
 
   (** [set_input sim name mantissa] drives an input bus with the low
       bits of a two's-complement mantissa, on every lane.
-      @raise Netlist_error on an unknown bus. *)
+      @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
   val set_input : t -> string -> int64 -> unit
 
-  (** Evaluate the dirty elements until stable.  Bounded; raises
-      {!Did_not_settle} on oscillation. *)
+  (** Evaluate the dirty elements until stable.  Bounded.
+      @raise Ocapi_error.Error with code [Did_not_settle] on
+      oscillation, naming (a sample of) the nets still toggling, the
+      budget and the clock cycle. *)
   val settle : t -> unit
 
   (** Read an output bus (lane 0) as a two's-complement mantissa
       ([signed] controls sign extension of the top bit).
-      @raise Netlist_error on an unknown bus. *)
+      @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
   val get_output : t -> signed:bool -> string -> int64
 
   (** {2 Resolved ports}
@@ -238,10 +235,10 @@ module Sim : sig
   type input_port
   type output_port
 
-  (** @raise Netlist_error on an unknown bus. *)
+  (** @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
   val input_port : t -> string -> input_port
 
-  (** @raise Netlist_error on an unknown bus. *)
+  (** @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
   val output_port : t -> string -> output_port
 
   (** [drive sim p m] = [set_input] on a resolved port. *)
@@ -271,7 +268,7 @@ module Sim : sig
   val snapshot : t -> snapshot
 
   (** Back to the snapshot's state, from any state (a settle that
-      raised {!Did_not_settle} included). *)
+      raised [Did_not_settle] included). *)
   val restore : t -> snapshot -> unit
 
   (** Does the current state equal the snapshot's? *)
@@ -295,7 +292,8 @@ module Sim : sig
       stem's forced value applies at once and survives later resets).
       @raise Invalid_argument if [lane] is outside [\[0, lanes)], or if
       more than [lanes] gates would carry branch faults at once.
-      @raise Netlist_error if the fault names no net or gate pin. *)
+      @raise Ocapi_error.Error with code [Internal] if the fault names
+      no net or gate pin. *)
   val inject : t -> lane:int -> fault -> unit
 
   (** Deactivate every fault.  Values a fault forced linger until they
@@ -321,8 +319,8 @@ module Sim : sig
   val net_value : t -> net -> bool
 
   (** Set a net on every lane.
-      @raise Netlist_error unless the net is a DFF q-net or a
-      primary-input bit: the next settle would overwrite a poke on a
-      gate-driven net. *)
+      @raise Ocapi_error.Error with code [Internal] unless the net is a
+      DFF q-net or a primary-input bit: the next settle would overwrite
+      a poke on a gate-driven net. *)
   val poke_net : t -> net -> bool -> unit
 end

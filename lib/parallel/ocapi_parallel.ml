@@ -1,17 +1,6 @@
 (* A fixed-size Domain.spawn pool with a chunked work queue and
    index-keyed (hence scheduling-independent) result merging. *)
 
-exception
-  Worker_error of { we_worker : int; we_exn : exn; we_backtrace : string }
-
-let () =
-  Printexc.register_printer (function
-    | Worker_error { we_worker; we_exn; _ } ->
-      Some
-        (Printf.sprintf "Ocapi_parallel.Worker_error(worker %d: %s)" we_worker
-           (Printexc.to_string we_exn))
-    | _ -> None)
-
 let available_domains () = Domain.recommended_domain_count ()
 
 let extract out =
@@ -64,7 +53,7 @@ let map_tasks ?(domains = 1) ?chunk ~make_state ~tasks ~f () =
            in
            drain ()
          with e ->
-           failure.(k) <- Some (e, Printexc.get_backtrace ()));
+           failure.(k) <- Some (e, Printexc.get_raw_backtrace ()));
         if Ocapi_obs.enabled () then
           telemetry.(k) <- Some (Ocapi_obs.export_domain ())
       in
@@ -87,12 +76,9 @@ let map_tasks ?(domains = 1) ?chunk ~make_state ~tasks ~f () =
       Array.iter
         (function Some ex -> Ocapi_obs.absorb_domain ex | None -> ())
         telemetry;
-      Array.iteri
-        (fun k fail ->
-          match fail with
-          | Some (we_exn, we_backtrace) ->
-            raise (Worker_error { we_worker = k; we_exn; we_backtrace })
-          | None -> ())
+      Array.iter
+        (function
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
         failure;
       extract out
     end

@@ -34,14 +34,6 @@
     buffer; the pool exports them at worker exit and merges them at
     join, so instrumented parallel campaigns aggregate correctly. *)
 
-(** A worker died on an exception the task body did not handle.
-    [we_worker] is the worker index, [we_exn] the original exception,
-    [we_backtrace] its raw backtrace (empty unless backtraces are on).
-    Raised in the calling domain after all workers have joined; the
-    lowest-indexed failing worker wins. *)
-exception
-  Worker_error of { we_worker : int; we_exn : exn; we_backtrace : string }
-
 (** What the runtime believes this machine can usefully run in
     parallel ({!Domain.recommended_domain_count}).  A campaign asking
     for more domains than this still works — the extra domains just
@@ -64,8 +56,11 @@ val available_domains : unit -> int
       to the call, and immutable shared structure; the result lands in
       slot [i] regardless of which worker ran it.
 
-    @raise Worker_error when a task raises; every worker still joins
-    first, and telemetry of the surviving workers is still merged.
+    When a task raises, every worker still joins first and the
+    telemetry of the surviving workers is still merged; then the
+    task's own exception is re-raised in the calling domain with its
+    backtrace, as the serial path raises it.  The lowest-indexed
+    failing worker wins.
     @raise Invalid_argument on [tasks < 0] or [chunk <= 0]. *)
 val map_tasks :
   ?domains:int ->

@@ -1,7 +1,5 @@
-exception Delta_overflow of Ocapi_error.t
-exception Rtl_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Rtl_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"rtl" fmt
 
 type rtl_signal = {
   sg_id : int;
@@ -505,14 +503,10 @@ let settle t initial_assignments =
           (List.filteri (fun i _ -> i < 12) culprits)
           @ [ Printf.sprintf "... %d more" (List.length culprits - 12) ]
       in
-      raise
-        (Delta_overflow
-           (Ocapi_error.make Ocapi_error.Delta_overflow ~engine:"rtl"
-              ~cycle:t.cycle_count ~nets:shown
-              (Printf.sprintf
-                 "no convergence after %d delta cycles: %d signals still \
-                  scheduling transactions"
-                 t.max_deltas (List.length culprits))))
+      Ocapi_error.fail Ocapi_error.Delta_overflow ~engine:"rtl"
+        ~cycle:t.cycle_count ~nets:shown
+        "no convergence after %d delta cycles: %d signals still scheduling \
+         transactions" t.max_deltas (List.length culprits)
     end;
     (* Apply transactions; collect processes woken by events. *)
     let woken = Hashtbl.create 16 in
@@ -772,8 +766,8 @@ let flip_register_bit t i ~bit =
          (Signal.Reg.name r));
   match List.assoc_opt (Signal.Reg.id r) t.reg_shadows with
   | None ->
-    error "flip_register_bit: register %s has no shadow signal"
-      (Signal.Reg.name r)
+    error ~construct:(Signal.Reg.name r)
+      "flip_register_bit: register %s has no shadow signal" (Signal.Reg.name r)
   | Some sh ->
     initialize t;
     let v = sh.sg_value in

@@ -22,14 +22,9 @@
     One simulated clock cycle = drive inputs, settle; rising edge,
     settle; falling edge, settle.  "Settle" is the delta-cycle loop; an
     unbounded delta chain (a combinational loop) raises
-    {!Delta_overflow}. *)
-
-(** The delta-cycle budget was exhausted.  The diagnostic names (a
-    sample of) the signals still scheduling transactions, the budget and
-    the clock cycle. *)
-exception Delta_overflow of Ocapi_error.t
-
-exception Rtl_error of string
+    [Ocapi_error.Error] with code [Delta_overflow], naming (a sample of)
+    the signals still scheduling transactions, the budget and the clock
+    cycle. *)
 
 type t
 

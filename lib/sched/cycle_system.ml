@@ -1,7 +1,5 @@
-exception Deadlock of string list
-exception System_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (System_error s)) fmt
+let error ?construct ?cycle fmt =
+  Ocapi_error.fail ?construct ?cycle Ocapi_error.Internal ~engine:"sched" fmt
 
 (* A primary input's stimulus column: the tokens of its function,
    evaluated at most once per cycle.  Byte [c] of [col_present] marks a
@@ -291,7 +289,8 @@ let net_of_driver t c port =
    environments of all timed sinks (matching marked-SFG inputs by name). *)
 let push_token t marked n v =
   (match n.n_token with
-  | Some _ -> error "net %s: two tokens in one cycle" n.n_name
+  | Some _ ->
+    error ~cycle:t.cycle_count "net %s: two tokens in one cycle" n.n_name
   | None -> ());
   n.n_token <- Some v;
   t.tokens_transferred <- t.tokens_transferred + 1;
@@ -354,7 +353,9 @@ let fire_untimed t marked c k fired =
         in
         match n.n_token with
         | Some v -> (port, [ v ])
-        | None -> error "untimed %s: token vanished" c.c_name)
+        | None ->
+          error ~construct:c.c_name ~cycle:t.cycle_count
+            "untimed %s: token vanished" c.c_name)
       k.Dataflow.Kernel.k_inputs
   in
   let produced = k.Dataflow.Kernel.k_behavior consumed in
@@ -366,7 +367,9 @@ let fire_untimed t marked c k fired =
       match values, net_of_driver t c port with
       | [ v ], Some n -> push_token t marked n v
       | [ _ ], None -> ()
-      | _, _ -> error "untimed %s: port %s must produce one token" c.c_name port)
+      | _, _ ->
+        error ~construct:c.c_name ~cycle:t.cycle_count
+          "untimed %s: port %s must produce one token" c.c_name port)
     produced
 
 let primary_outputs_collect t =
@@ -461,12 +464,22 @@ let untimed_list t =
       | Timed _ | Primary_input _ | Primary_output -> None)
     (List.rev t.comps)
 
-let deadlock_report marked =
-  List.filter_map
-    (fun m ->
-      if m.m_complete then None
-      else Some (Printf.sprintf "%s/%s" m.m_comp.c_name (Sfg.name m.m_sfg)))
-    marked
+(* The evaluation phase stalled if a marked SFG is still incomplete:
+   clear the nets and raise [Deadlock], naming the waiting SFGs. *)
+let check_deadlock t marked =
+  match
+    List.filter_map
+      (fun m ->
+        if m.m_complete then None
+        else Some (Printf.sprintf "%s/%s" m.m_comp.c_name (Sfg.name m.m_sfg)))
+      marked
+  with
+  | [] -> ()
+  | waiting ->
+    clear_nets t;
+    Ocapi_error.fail Ocapi_error.Deadlock ~engine:"sched" ~cycle:t.cycle_count
+      ~nets:waiting
+      "no component can fire: every candidate waits on a missing token"
 
 (* Telemetry for one scheduler cycle, shared by both disciplines.
    Deltas of the existing activity counters are pushed when enabled. *)
@@ -543,11 +556,7 @@ let cycle t =
       untimed
   done;
   Ocapi_obs.span_end ~cat:"sched" "sched.phase2.evaluate" t_p2;
-  (match deadlock_report marked with
-  | [] -> ()
-  | waiting ->
-    clear_nets t;
-    raise (Deadlock waiting));
+  check_deadlock t marked;
   (* Phase 3: register update. *)
   let t_p3 = Ocapi_obs.span_begin () in
   commit_fired_kernels t fired_untimed;
@@ -595,11 +604,7 @@ let cycle_two_phase t =
         end)
       untimed
   done;
-  (match deadlock_report marked with
-  | [] -> ()
-  | waiting ->
-    clear_nets t;
-    raise (Deadlock waiting));
+  check_deadlock t marked;
   commit_fired_kernels t fired_untimed;
   commit_and_advance t marked chosen;
   obs_cycle_done t ~tokens0 ~evals0 ~fires0 marked;

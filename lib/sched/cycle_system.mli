@@ -30,12 +30,6 @@
     production, whole-SFG firing only) is also provided, as
     {!cycle_two_phase}, for the scheduler ablation of bench C4. *)
 
-exception Deadlock of string list
-(** Raised when the evaluation phase stalls; the payload names the
-    components/SFGs still waiting on tokens. *)
-
-exception System_error of string
-
 type t
 type component
 type net
@@ -52,7 +46,7 @@ val add_timed : t -> string -> Fsm.t -> component
 
 (** [add_untimed t kernel] adds a high-level component.  All port rates
     must be 1 (one token per clock cycle at most).
-    @raise System_error otherwise. *)
+    @raise Ocapi_error.Error with code [Internal] otherwise. *)
 val add_untimed : t -> Dataflow.Kernel.t -> component
 
 (** [add_input t name fmt stim] adds a primary input driven by [stim]:
@@ -87,8 +81,8 @@ val add_output : t -> string -> component
 
 (** [connect t (src, port) sinks] creates a net driven by an output
     port, fanning out to input ports.
-    @raise System_error if the driver port does not exist, or a sink
-    port is already driven by another net. *)
+    @raise Ocapi_error.Error with code [Internal] if the driver port
+    does not exist, or a sink port is already driven by another net. *)
 val connect : t -> component * string -> (component * string) list -> net
 
 val component_name : component -> string
@@ -111,7 +105,9 @@ val check : t -> check_issue list
 (** {1 Simulation} *)
 
 (** Run one clock cycle with the three-phase scheduler.
-    @raise Deadlock on a combinational loop / missing token. *)
+    @raise Ocapi_error.Error with code [Deadlock] on a combinational
+    loop or a missing token, with the components/SFGs still waiting on
+    tokens as its nets. *)
 val cycle : t -> unit
 
 (** Run one clock cycle with the classic two-phase scheduler (ablation):
@@ -192,7 +188,8 @@ val primary_inputs :
 type column
 
 (** [input_column t name] is the column of primary input [name].
-    @raise System_error when [t] has no such primary input. *)
+    @raise Ocapi_error.Error with code [Internal] when [t] has no such primary
+    input. *)
 val input_column : t -> string -> column
 
 (** [column_present col c] evaluates the stimulus through cycle [c]
@@ -226,7 +223,8 @@ val nets : t -> (string * (string * string) * (string * string) list) list
     carries the producing expression's format, which must agree across
     all SFGs producing the port.  Static back ends (compiled simulation,
     RTL elaboration, synthesis, HDL generation) all rely on this map.
-    @raise System_error on inconsistent or undeclared formats. *)
+    @raise Ocapi_error.Error with code [Internal] on inconsistent or undeclared
+    formats. *)
 val net_formats : t -> (string, Fixed.format) Hashtbl.t
 
 (** All registers of all timed components. *)

@@ -15,10 +15,9 @@ let kernel_of_sfg sfg =
           match List.assoc_opt (Signal.Input.name i) consumed with
           | Some [ v ] -> Signal.Env.bind env i v
           | Some _ | None ->
-            raise
-              (Dataflow.Dataflow_error
-                 (Printf.sprintf "kernel %s: missing token on %s"
-                    (Sfg.name sfg) (Signal.Input.name i))))
+            Ocapi_error.fail Ocapi_error.Internal ~engine:"sched"
+              ~construct:(Sfg.name sfg) "kernel %s: missing token on %s"
+              (Sfg.name sfg) (Signal.Input.name i))
         (Sfg.inputs sfg);
       let out = Sfg.fire sfg env in
       (* One firing = one clock cycle: commit the register assigns. *)

@@ -355,10 +355,7 @@ let exit_failed = 20
 
 let error_of_exn = function
   | Ocapi_error.Error e -> e
-  | exn -> (
-    match Flow.classify_exn ~engine:"service" exn with
-    | Some e -> e
-    | None -> Ocapi_error.make Internal ~engine:"service" (Printexc.to_string exn))
+  | exn -> Ocapi_error.make Internal ~engine:"service" (Printexc.to_string exn)
 
 let fail_line (err : Ocapi_error.t) =
   "fail "

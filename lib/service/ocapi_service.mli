@@ -16,8 +16,10 @@
       cooperative stop hook (timeout, abort), write the canonical
       artifact atomically (temp name unique per process and domain,
       then rename) and report one [done] or [fail {...}] line on a
-      pipe.  A failed artifact write fails the job.  Exceptions are
-      classified once, through {!Flow.classify_exn}.
+      pipe.  A failed artifact write fails the job.  A job's
+      {!Ocapi_error.Error} is its failure; any other exception fails
+      the job with code [Internal], because every job must end in a
+      result.
     - {b Domain workers} ([ocapi batch]) run the job prepared at
       admission on an in-process domain: no fork, no re-build.  A
       domain cannot be killed, so timeouts and aborts are cooperative

@@ -1,6 +1,5 @@
-exception Sfg_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Sfg_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"sfg" fmt
 
 type t = {
   name : string;
@@ -25,7 +24,9 @@ module Builder = struct
       List.exists
         (fun i -> Signal.Input.name i = Signal.Input.name port)
         b.b_inputs
-    then error "sfg %s: duplicate input %s" b.sfg_name (Signal.Input.name port);
+    then
+      error ~construct:b.sfg_name "sfg %s: duplicate input %s" b.sfg_name
+        (Signal.Input.name port);
     b.b_inputs <- port :: b.b_inputs;
     Signal.input port
 
@@ -33,17 +34,18 @@ module Builder = struct
 
   let output b name e =
     if List.mem_assoc name b.b_outputs then
-      error "sfg %s: duplicate output %s" b.sfg_name name;
+      error ~construct:b.sfg_name "sfg %s: duplicate output %s" b.sfg_name name;
     b.b_outputs <- (name, e) :: b.b_outputs
 
   let assign b reg e =
     if List.exists (fun (r, _) -> Signal.Reg.id r = Signal.Reg.id reg) b.b_assigns
     then
-      error "sfg %s: register %s assigned twice" b.sfg_name
-        (Signal.Reg.name reg);
+      error ~construct:b.sfg_name "sfg %s: register %s assigned twice"
+        b.sfg_name (Signal.Reg.name reg);
     if not (Fixed.equal_format (Signal.fmt e) (Signal.Reg.fmt reg)) then
-      error "sfg %s: assignment to %s has format %s, register is %s"
-        b.sfg_name (Signal.Reg.name reg)
+      error ~construct:b.sfg_name
+        "sfg %s: assignment to %s has format %s, register is %s" b.sfg_name
+        (Signal.Reg.name reg)
         (Fixed.format_to_string (Signal.fmt e))
         (Fixed.format_to_string (Signal.Reg.fmt reg));
     b.b_assigns <- (reg, e) :: b.b_assigns

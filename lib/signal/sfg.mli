@@ -13,8 +13,6 @@
 
 type t
 
-exception Sfg_error of string
-
 (** {1 Construction} *)
 
 module Builder : sig
@@ -30,12 +28,14 @@ module Builder : sig
   val input_port : t -> Signal.Input.t -> Signal.t
 
   (** [output b name e] declares output [name] driven by [e].
-      @raise Sfg_error on duplicate output names. *)
+      @raise Ocapi_error.Error with code [Internal] on duplicate output
+      names. *)
   val output : t -> string -> Signal.t -> unit
 
   (** [assign b reg e] stages [reg <- e] for when this SFG fires.  The
       expression format must equal the register format exactly.
-      @raise Sfg_error otherwise, or if [reg] is already assigned here. *)
+      @raise Ocapi_error.Error with code [Internal] otherwise, or if
+      [reg] is already assigned here. *)
   val assign : t -> Signal.Reg.t -> Signal.t -> unit
 
   (** [assign_resized b reg e] inserts a default resize (truncate / wrap)
@@ -46,7 +46,8 @@ module Builder : sig
 end
 
 (** [build name f] runs [f] on a fresh builder and returns the checked
-    SFG. @raise Sfg_error if {!check} fails with an error. *)
+    SFG. @raise Ocapi_error.Error with code [Internal] if {!check} fails with an
+    error. *)
 val build : string -> (Builder.t -> unit) -> t
 
 (** An SFG with no inputs, outputs or assignments (a "nop"). *)
@@ -104,7 +105,7 @@ type firing = (string * Fixed.t) list
 
 (** [fire t env] evaluates all outputs and stages all register
     assignments.  [env] must bind every input.
-    @raise Signal.Signal_error on a missing token. *)
+    @raise Ocapi_error.Error with code [Internal] on a missing token. *)
 val fire : t -> Signal.Env.t -> firing
 
 (** [fire_partial t env ~produced] evaluates only the outputs not yet in

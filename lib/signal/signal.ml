@@ -1,6 +1,4 @@
-exception Signal_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Signal_error s)) fmt
+let error fmt = Ocapi_error.fail Ocapi_error.Internal ~engine:"signal" fmt
 
 type format = Fixed.format
 

@@ -17,8 +17,6 @@
       dependency chains; this is what the scheduler's dependency analysis
       relies on). *)
 
-exception Signal_error of string
-
 type format = Fixed.format
 
 (** {1 Registered signals} *)
@@ -151,7 +149,7 @@ val gt : t -> t -> t
 val ge : t -> t -> t
 
 (** [mux2 sel a b] is [a] when [sel] is 1 else [b]. [sel] must be 1 bit
-    wide. @raise Signal_error otherwise. *)
+    wide. @raise Ocapi_error.Error with code [Internal] otherwise. *)
 val mux2 : t -> t -> t -> t
 
 (** [resize ?round ?overflow fmt e] — defaults [Truncate]/[Wrap], the
@@ -208,7 +206,7 @@ end
 
 (** [eval env e] computes the value of [e]: inputs are read from [env],
     register reads from the registers' current values.
-    @raise Signal_error on an unbound input. *)
+    @raise Ocapi_error.Error with code [Internal] on an unbound input. *)
 val eval : Env.t -> t -> Fixed.t
 
 (** [eval_memo memo env e] is [eval] with an explicit per-firing memo

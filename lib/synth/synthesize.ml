@@ -1,6 +1,5 @@
-exception Synth_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Synth_error s)) fmt
+let error ?construct fmt =
+  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"synth" fmt
 
 type state_encoding = Binary | One_hot
 
@@ -397,7 +396,8 @@ let synthesize_component nl ~options ~cname fsm ~in_bus ~drive =
   let reg_bus r =
     match Hashtbl.find_opt reg_q (Signal.Reg.id r) with
     | Some b -> b
-    | None -> error "%s: register %s unknown" cname (Signal.Reg.name r)
+    | None ->
+      error ~construct:cname "%s: register %s unknown" cname (Signal.Reg.name r)
   in
   let transitions = Array.of_list (Fsm.transitions fsm) in
   let memo = Hashtbl.create 512 in
@@ -665,7 +665,8 @@ let synthesize_mapped ?(options = default_options)
         let get_in port =
           match in_bus_of cname port with
           | Some b -> b
-          | None -> error "RAM %s: input %s unconnected" cname port
+          | None ->
+            error ~construct:cname "RAM %s: input %s unconnected" cname port
         in
         let addr = get_in m.addr_port in
         let wdata = get_in m.wdata_port in
@@ -679,8 +680,8 @@ let synthesize_mapped ?(options = default_options)
           Array.iteri (fun i dst -> Netlist.buf_into nl ~dst rdata.(i)) bus
         | None -> ())
       | None ->
-        error "untimed kernel %s has no macro mapping; pass ~macro_of_kernel"
-          cname)
+        error ~construct:cname
+          "untimed kernel %s has no macro mapping; pass ~macro_of_kernel" cname)
     (Cycle_system.untimed_components sys);
   (* Probes become primary outputs. *)
   List.iter

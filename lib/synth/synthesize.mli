@@ -21,8 +21,6 @@
     - {b Linkage}: components, RAM macro cells (for untimed kernels),
       primary inputs and probes are wired into one system netlist. *)
 
-exception Synth_error of string
-
 type state_encoding = Binary | One_hot
 
 type options = {
@@ -99,7 +97,8 @@ type state_map = {
 
 (** [synthesize ?options ?macro_of_kernel sys] produces the linked
     system netlist and a synthesis report.  Untimed kernels require a
-    [macro_of_kernel] mapping; unknown kernels raise {!Synth_error}. *)
+    [macro_of_kernel] mapping.
+    @raise Ocapi_error.Error with code [Internal] on an unknown kernel. *)
 val synthesize :
   ?options:options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> macro_spec option) ->

@@ -25,6 +25,9 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "exception gate (one exception in lib/)"
+scripts/exception_gate.sh
+
 stage "determinism gate (serial vs --domains 2)"
 scripts/determinism_gate.sh
 

@@ -48,7 +48,7 @@ let test_fire_unsatisfied_raises () =
   let p = Dataflow.add_process g (Dataflow.Kernel.map1 "m" Fun.id) in
   (* No channel on the input at all. *)
   match Dataflow.fire g p with
-  | exception Dataflow.Dataflow_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "fired without tokens"
 
 let test_deadlock_detection () =
@@ -88,7 +88,7 @@ let test_production_validation () =
   in
   let p = Dataflow.add_process g k in
   match Dataflow.fire g p with
-  | exception Dataflow.Dataflow_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "wrong production accepted"
 
 let test_connect_validation () =
@@ -96,11 +96,11 @@ let test_connect_validation () =
   let a = Dataflow.add_process g (Dataflow.Kernel.map1 "a" Fun.id) in
   let b = Dataflow.add_process g (Dataflow.Kernel.map1 "b" Fun.id) in
   (match Dataflow.connect g (a, "nope") (b, "in") with
-  | exception Dataflow.Dataflow_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "bad src port accepted");
   ignore (Dataflow.connect g (a, "out") (b, "in"));
   match Dataflow.connect g (a, "out") (b, "in") with
-  | exception Dataflow.Dataflow_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "double-driven input accepted"
 
 (* --- SDF analysis -------------------------------------------------------- *)

@@ -432,6 +432,51 @@ let test_seu_bad_sizes () =
             (mentions "unsupported" && mentions field)))
     [ ("--runs=-3", "runs"); ("--cycles=0", "cycles") ]
 
+(* A counter feeds an untimed kernel that fails on any value outside
+   the fault-free run's 0 .. cycles - 1, so only faulty runs reach the
+   [Failure]: a bug in a run, not an engine diagnostic, and the
+   campaign propagates it instead of recording a detection. *)
+let test_seu_stray_exception_propagates () =
+  let s8 = Fixed.signed ~width:8 ~frac:0 and cycles = 12 in
+  let build () =
+    let cnt = Signal.Reg.create Clock.default "stray_cnt" s8 in
+    let sfg =
+      Sfg.build "stray_count" (fun b ->
+          Sfg.Builder.output b "q" (Signal.reg_q cnt);
+          Sfg.Builder.assign_resized b cnt Signal.(reg_q cnt +: consti s8 1))
+    in
+    let fsm = Fsm.create "stray_ctl" in
+    let s0 = Fsm.initial fsm "s0" in
+    Fsm.(s0 |-- always |+ sfg |-> s0);
+    let check =
+      Dataflow.Kernel.create "stray_check"
+        ~formats:[ ("in", s8); ("out", s8) ]
+        ~inputs:[ ("in", 1) ] ~outputs:[ ("out", 1) ]
+        (fun consumed ->
+          let v = List.hd (List.assoc "in" consumed) in
+          if Fixed.to_int v < 0 || Fixed.to_int v >= cycles then
+            failwith "stray_check: value outside the fault-free range";
+          [ ("out", [ v ]) ])
+    in
+    let sys = Cycle_system.create "stray" in
+    let c = Cycle_system.add_timed sys "counter" fsm in
+    let k = Cycle_system.add_untimed sys check in
+    let p = Cycle_system.add_output sys "y" in
+    ignore (Cycle_system.connect sys (c, "q") [ (k, "in") ]);
+    ignore (Cycle_system.connect sys (k, "out") [ (p, "in") ]);
+    sys
+  in
+  List.iter
+    (fun engine ->
+      match
+        Ocapi_fault.seu_campaign ~engine ~runs:20 ~seed:3 (build ()) ~cycles
+      with
+      | r ->
+        Alcotest.failf "%s: campaign completed with %d detections" engine
+          r.Ocapi_fault.seu_detected
+      | exception Failure _ -> ())
+    [ "interp"; "compiled" ]
+
 let suite =
   [
     Alcotest.test_case "zero-fault control: interpreted" `Quick
@@ -464,4 +509,6 @@ let suite =
       test_seu_targets_engine_independent;
     Alcotest.test_case "SEU bad runs/cycles: structured error, exit 1" `Quick
       test_seu_bad_sizes;
+    Alcotest.test_case "SEU stray Failure propagates" `Quick
+      test_seu_stray_exception_propagates;
   ]

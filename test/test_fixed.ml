@@ -11,10 +11,12 @@ let test_format_construction () =
   check_int "width" 8 f.Fixed.width;
   check_int "frac" 4 f.Fixed.frac;
   check_bool "signed" true (f.Fixed.signedness = Fixed.Signed);
-  Alcotest.check_raises "zero width" (Fixed.Format_error "format: width 0 < 1")
+  Alcotest.check_raises "zero width"
+    (Ocapi_error.Error
+       (Ocapi_error.make Internal ~engine:"fixed" "format: width 0 < 1"))
     (fun () -> ignore (Fixed.signed ~width:0 ~frac:0));
   (match Fixed.format Fixed.Signed ~width:100 ~frac:0 with
-  | exception Fixed.Format_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "width 100 accepted");
   check_bool "equal_format" true (Fixed.equal_format (s ~w:4 ~f:2) (s ~w:4 ~f:2));
   check_bool "inequal signedness" false
@@ -31,10 +33,10 @@ let test_create_bounds () =
   ignore (Fixed.create (s ~w:4 ~f:0) (-8L));
   ignore (Fixed.create (s ~w:4 ~f:0) 7L);
   (match Fixed.create (s ~w:4 ~f:0) 8L with
-  | exception Fixed.Overflow _ -> ()
+  | exception e when Raises.code Overflow e -> ()
   | _ -> Alcotest.fail "8 fits s4?");
   (match Fixed.create (u ~w:4 ~f:0) (-1L) with
-  | exception Fixed.Overflow _ -> ()
+  | exception e when Raises.code Overflow e -> ()
   | _ -> Alcotest.fail "-1 fits u4?")
 
 let test_float_roundtrip () =
@@ -218,7 +220,7 @@ let properties =
         with
         | wider ->
           Fixed.compare_value v (Fixed.resize wider v) = 0
-        | exception Fixed.Format_error _ -> true);
+        | exception e when Raises.code Internal e -> true);
     prop "to_bits/of_bits roundtrip" 500 Gen.value_arb (fun v ->
         Fixed.equal v (Fixed.of_bits (Fixed.fmt v) (Fixed.to_bits v)));
     prop "comparisons agree with float" 500 Gen.pair_arb (fun (a, b) ->

@@ -80,12 +80,12 @@ let test_implicit_hold () =
 let test_guard_validation () =
   (* Guards must be one bit wide... *)
   (match Fsm.cnd (Signal.consti (Fixed.signed ~width:4 ~frac:0) 1) with
-  | exception Fsm.Fsm_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "wide guard accepted");
   (* ...and must not read SFG inputs. *)
   let i = Signal.Input.create "pin" bit in
   match Fsm.cnd (Signal.input i) with
-  | exception Fsm.Fsm_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "input-dependent guard accepted"
 
 let test_guard_combinators () =
@@ -145,21 +145,21 @@ let test_duplicate_state_rejected () =
   let f = Fsm.create "dup" in
   ignore (Fsm.initial f "a");
   match Fsm.state f "a" with
-  | exception Fsm.Fsm_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "duplicate state accepted"
 
 let test_double_initial_rejected () =
   let f = Fsm.create "dinit" in
   ignore (Fsm.initial f "a");
   match Fsm.initial f "b" with
-  | exception Fsm.Fsm_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "second initial accepted"
 
 let test_foreign_state_rejected () =
   let f = Fsm.create "f1" and g = Fsm.create "f2" in
   let sf = Fsm.initial f "s" and sg = Fsm.initial g "s" in
   match Fsm.add_transition f ~from:sf ~guard:Fsm.always ~actions:[] ~goto:sg with
-  | exception Fsm.Fsm_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "foreign goto accepted"
 
 let suite =

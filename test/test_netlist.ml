@@ -146,7 +146,7 @@ let test_double_driver_rejected () =
   let a = Netlist.input_bus nl "a" 1 in
   let o = Netlist.gate nl Netlist.Buf [ a.(0) ] in
   match Netlist.buf_into nl ~dst:o a.(0) with
-  | exception Netlist.Netlist_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "double driver accepted"
 
 let test_oscillation_detected () =
@@ -158,7 +158,7 @@ let test_oscillation_detected () =
   Netlist.output_bus nl "o" [| inv |];
   let sim = Netlist.Sim.create nl in
   match Netlist.Sim.settle sim with
-  | exception Netlist.Sim.Did_not_settle _ -> ()
+  | exception e when Raises.code Did_not_settle e -> ()
   | () -> Alcotest.fail "oscillation not detected"
 
 let test_counts () =
@@ -233,7 +233,7 @@ let test_poke_net_restricted () =
   Netlist.Sim.settle sim;
   Alcotest.(check int64) "input poked" 0L (Netlist.Sim.get_output sim ~signed:false "g");
   match Netlist.Sim.poke_net sim g true with
-  | exception Netlist.Netlist_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | () -> Alcotest.fail "poke on a gate-driven net accepted"
 
 (* --- the levelized kernel against a naive evaluator -------------------------- *)

@@ -73,11 +73,11 @@ let test_pool_worker_error () =
       ~f:(fun () i -> if i = 17 then failwith "boom" else i)
       ()
   with
-  | _ -> Alcotest.fail "expected Worker_error"
-  | exception Ocapi_parallel.Worker_error { we_exn = Failure msg; _ } ->
-    Alcotest.(check string) "original exception preserved" "boom" msg
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+    Alcotest.(check string) "the task's own exception" "boom" msg
   | exception e ->
-    Alcotest.failf "expected Worker_error, got %s" (Printexc.to_string e)
+    Alcotest.failf "expected Failure, got %s" (Printexc.to_string e)
 
 (* --- parallel campaigns are bit-identical to serial ------------------------ *)
 
@@ -165,6 +165,24 @@ let test_engine_sweep_parallel () =
     (Flow.engines_agree ~domains:3 ~replicate:hcor_design (hcor_design ())
        ~cycles:40)
 
+(* The held-input design deadlocks the interpreted engine at cycle 0.
+   The sweep raises that diagnostic itself, serially and on a pool. *)
+let test_engine_sweep_failure () =
+  let sweep domains =
+    match
+      Flow.engine_disagreements ~domains
+        ~replicate:Test_engines.held_input_system
+        (Test_engines.held_input_system ()) ~cycles:8
+    with
+    | _ -> Alcotest.failf "held-input sweep completed at %d domains" domains
+    | exception (Ocapi_error.Error d as e) when Raises.code Deadlock e -> d
+  in
+  let serial = sweep 1 in
+  Alcotest.(check bool) "waiting list" true (serial.Ocapi_error.e_nets <> []);
+  Alcotest.(check string)
+    "2 domains = serial" (Ocapi_error.to_string serial)
+    (Ocapi_error.to_string (sweep 2))
+
 let suite =
   [
     Alcotest.test_case "pool merge identity" `Quick test_pool_identity;
@@ -183,4 +201,6 @@ let suite =
       test_parallel_telemetry_counters;
     Alcotest.test_case "engine sweep parallel" `Quick
       test_engine_sweep_parallel;
+    Alcotest.test_case "engine sweep failure: same error at 1 and 2 domains"
+      `Quick test_engine_sweep_failure;
   ]

@@ -101,7 +101,8 @@ let test_fig6_two_phase_deadlocks () =
   let sys, _, state = fig6_system () in
   Signal.Reg.reset state;
   match Cycle_system.run ~two_phase:true sys 1 with
-  | exception Cycle_system.Deadlock waiting ->
+  | exception (Ocapi_error.Error { e_nets = waiting; _ } as e)
+    when Raises.code Deadlock e ->
     Alcotest.(check bool) "names the stepper" true
       (List.exists (fun s -> s = "stepper/fig6_step") waiting)
   | () -> Alcotest.fail "two-phase scheduler resolved a circular dependency"
@@ -126,7 +127,8 @@ let test_true_combinational_loop_detected () =
   ignore (Cycle_system.connect sys (a, "y") [ (b, "x") ]);
   ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
   match Cycle_system.cycle sys with
-  | exception Cycle_system.Deadlock waiting ->
+  | exception (Ocapi_error.Error { e_nets = waiting; _ } as e)
+    when Raises.code Deadlock e ->
     Alcotest.(check int) "both waiting" 2 (List.length waiting)
   | () -> Alcotest.fail "combinational loop not detected"
 
@@ -162,10 +164,10 @@ let test_connect_validation () =
     | None -> Alcotest.fail "component lost"
   in
   (match Cycle_system.connect sys (comp, "nonexistent") [] with
-  | exception Cycle_system.System_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "bad driver port accepted");
   match Cycle_system.connect sys (comp, "sum") [ (comp, "x") ] with
-  | exception Cycle_system.System_error _ -> () (* x is already driven *)
+  | exception e when Raises.code Internal e -> () (* x is already driven *)
   | _ -> Alcotest.fail "double-driven sink accepted"
 
 let test_missing_stimulus_deadlocks () =
@@ -191,7 +193,7 @@ let test_missing_stimulus_deadlocks () =
   ignore (Cycle_system.connect sys (stim, "out") [ (comp, "x") ]);
   Cycle_system.run sys 2;
   match Cycle_system.cycle sys with
-  | exception Cycle_system.Deadlock _ -> ()
+  | exception e when Raises.code Deadlock e -> ()
   | () -> Alcotest.fail "missing token not detected"
 
 let test_net_tracing () =

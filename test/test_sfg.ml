@@ -32,14 +32,14 @@ let test_duplicate_names_rejected () =
          Sfg.Builder.output b "o" Signal.vdd;
          Sfg.Builder.output b "o" Signal.gnd)
    with
-  | exception Sfg.Sfg_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "duplicate output accepted");
   (match
      Sfg.build "dup_in" (fun b ->
          ignore (Sfg.Builder.input b "i" s8);
          ignore (Sfg.Builder.input b "i" s8))
    with
-  | exception Sfg.Sfg_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "duplicate input accepted");
   let r = Signal.Reg.create clk "t_dup" s8 in
   match
@@ -47,7 +47,7 @@ let test_duplicate_names_rejected () =
         Sfg.Builder.assign b r (Signal.consti s8 1);
         Sfg.Builder.assign b r (Signal.consti s8 2))
   with
-  | exception Sfg.Sfg_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "double assign accepted"
 
 let test_assign_format_check () =
@@ -56,7 +56,7 @@ let test_assign_format_check () =
     Sfg.build "bad_fmt" (fun b ->
         Sfg.Builder.assign b r Signal.vdd (* 1-bit into 8-bit register *))
   with
-  | exception Sfg.Sfg_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "format mismatch accepted"
 
 let test_checks () =

@@ -160,7 +160,7 @@ let test_unknown_kernel_rejected () =
   in
   ignore (Cycle_system.add_untimed sys k);
   match Synthesize.synthesize sys with
-  | exception Synthesize.Synth_error _ -> ()
+  | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "unknown kernel accepted"
 
 let test_one_hot_encoding () =
