@@ -34,35 +34,6 @@
    smoke  the CI smoke stage: every BENCH_*.json writer at a size that
        finishes in seconds (`make bench-smoke`) *)
 
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
-let dect_design () =
-  let d =
-    Dect_transceiver.create
-      ~stimulus:(fun c ->
-        Some
-          (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-             (sin (float c *. 0.37) /. 2.2)))
-      ()
-  in
-  d.Dect_transceiver.system
-
-let rs_design () =
-  (Rs_codec.create
-     ~data_stimulus:(Rs_codec.data_stimulus ())
-     ~err_stimulus:(Rs_codec.err_stimulus ()) ())
-    .Rs_codec.system
-
-let cpu_design () =
-  (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
-
 let gates ?macro_of_kernel sys =
   let _, rep = Synthesize.synthesize ?macro_of_kernel sys in
   rep.Synthesize.total.Netlist.gate_equivalents
@@ -98,7 +69,7 @@ let table1_rows () =
     in
     (design, Cycle_system.digest sys, gate_count, ms)
   in
-  let hcor = hcor_design () in
+  let hcor = Gallery.hcor () in
   let hcor_row =
     measure_design ~design:"HCOR" ~sys:hcor ~src_lines:(Hcor.source_lines ())
       ~gate_count:(gates hcor) ~macro_of_kernel:None
@@ -109,7 +80,7 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 1500
         | Metrics.Gate_netlist -> 300)
   in
-  let dect = dect_design () in
+  let dect = Gallery.dect () in
   let dect_row =
     measure_design ~design:"DECT" ~sys:dect
       ~src_lines:(Dect_transceiver.source_lines ())
@@ -122,7 +93,7 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 300
         | Metrics.Gate_netlist -> 1000)
   in
-  let rs = rs_design () in
+  let rs = Gallery.rs () in
   let rs_row =
     measure_design ~design:"RS" ~sys:rs ~src_lines:(Rs_codec.source_lines ())
       ~gate_count:(gates rs) ~macro_of_kernel:None
@@ -133,7 +104,7 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 2000
         | Metrics.Gate_netlist -> 400)
   in
-  let cpu = cpu_design () in
+  let cpu = Gallery.cpu () in
   let cpu_row =
     measure_design ~design:"CPU" ~sys:cpu
       ~src_lines:(Acc_cpu.source_lines ())
@@ -330,7 +301,7 @@ let c4 () =
     Printf.printf "two-phase scheduler: deadlock, waiting on [%s]\n"
       (String.concat "; " e_nets));
   (* Overhead of the extra phase on a loop-free design. *)
-  let sys = hcor_design () in
+  let sys = Gallery.hcor () in
   let time two_phase =
     Cycle_system.reset sys;
     let t0 = Unix.gettimeofday () in
@@ -349,7 +320,7 @@ let c4 () =
 let c5 () =
   print_endline
     "== C5: datapath synthesis with word-level operator sharing (section 6) ==";
-  let sys = dect_design () in
+  let sys = Gallery.dect () in
   let t0 = Unix.gettimeofday () in
   let _, shared =
     Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
@@ -409,12 +380,12 @@ let c5 () =
 
 let c6 () =
   print_endline "== C6: generated-test-bench verification (section 6, fig 8) ==";
-  let hcor = hcor_design () in
+  let hcor = Gallery.hcor () in
   let r = Synthesize.verify hcor ~cycles:400 in
   Printf.printf "HCOR netlist:  %5d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);
-  let dect = dect_design () in
+  let dect = Gallery.dect () in
   let r =
     Synthesize.verify ~macro_of_kernel:Dect_transceiver.macro_of_kernel dect
       ~cycles:120
@@ -516,12 +487,12 @@ let micro () =
     List.map
       (fun e ->
         let module E = (val e : Ocapi_engine.ENGINE) in
-        let ses = E.make (hcor_design ()) in
+        let ses = E.make (Gallery.hcor ()) in
         ses.Ocapi_engine.ses_reset ();
         ses)
       (Ocapi_engine.all ())
   in
-  let nl, _ = Synthesize.synthesize (hcor_design ()) in
+  let nl, _ = Synthesize.synthesize (Gallery.hcor ()) in
   let gate_sim = Netlist.Sim.create nl in
   Netlist.Sim.settle gate_sim;
   (* One Test.make per Table 1 row. *)
@@ -568,8 +539,8 @@ let micro () =
    benchmark, the CI smoke stage passes small values (see [smoke]). *)
 let fault_bench ?(sa_faults = 200) ?(seu_runs = 1000) () =
   print_endline "== fault: stuck-at coverage and SEU campaign throughput ==";
-  let hcor = hcor_design () in
-  let dect = dect_design () in
+  let hcor = Gallery.hcor () in
+  let dect = Gallery.dect () in
   let t0 = Unix.gettimeofday () in
   let cmp =
     Ocapi_fault.stuck_at_optimized ~max_faults:sa_faults ~seed:1 hcor
@@ -627,9 +598,9 @@ let fault_bench ?(sa_faults = 200) ?(seu_runs = 1000) () =
       ~engine:"compiled" ~unit_:"runs/s" rate;
     (report, seconds, rate)
   in
-  let seu_rs, rs_seconds, rs_rate = gallery_seu "rs" (rs_design ()) ~cycles:45 in
+  let seu_rs, rs_seconds, rs_rate = gallery_seu "rs" (Gallery.rs ()) ~cycles:45 in
   let seu_cpu, cpu_seconds, cpu_rate =
-    gallery_seu "cpu" (cpu_design ()) ~cycles:Acc_cpu.check_cycles
+    gallery_seu "cpu" (Gallery.cpu ()) ~cycles:Acc_cpu.check_cycles
   in
   let json =
     Ocapi_obs.Json.(
@@ -695,7 +666,7 @@ let par () =
     let t0 = Unix.gettimeofday () in
     let report =
       Ocapi_fault.seu_campaign ~engine:"compiled" ~runs ~seed ~domains
-        ~replicate:dect_design (dect_design ()) ~cycles
+        ~replicate:Gallery.dect (Gallery.dect ()) ~cycles
     in
     (report, Unix.gettimeofday () -. t0)
   in
@@ -748,7 +719,7 @@ let par () =
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_parallel.json";
-  let dect_digest = Cycle_system.digest (dect_design ()) in
+  let dect_digest = Cycle_system.digest (Gallery.dect ()) in
   List.iter
     (fun (domains, _seconds, rate, _identical) ->
       ledger ~digest:dect_digest ~domains
@@ -774,7 +745,7 @@ let cache_bench () =
   Flow.Cache.clear ();
   Flow.Cache.reset_stats ();
   let cycles = 400 in
-  let sys = hcor_design () in
+  let sys = Gallery.hcor () in
   let rows =
     List.map
       (fun e ->
@@ -867,9 +838,9 @@ let batch_requests ~seeds ~seu_runs =
 let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
   Printf.printf
     "== batch: job-queue throughput and dedup (%d worker domains) ==\n" domains;
-  Ocapi_batch.register_design ~name:"hcor" hcor_design;
+  Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
   Ocapi_batch.register_design
-    ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" dect_design;
+    ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" Gallery.dect;
   let requests = batch_requests ~seeds ~seu_runs in
   let jobs = List.length requests in
   let t0 = Unix.gettimeofday () in
@@ -960,9 +931,9 @@ let service_bench ?(jobs = 8) ?(workers = 2) ?(seu_runs = 60) () =
   if not (Sys.file_exists cli) then
     Printf.printf "service bench skipped: %s not built\n\n" cli
   else begin
-    Ocapi_batch.register_design ~name:"hcor" hcor_design;
+    Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
     Ocapi_batch.register_design
-      ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" dect_design;
+      ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" Gallery.dect;
     let requests =
       List.init jobs (fun i ->
           let line =
@@ -1110,7 +1081,7 @@ let native_bench ?(cycles = 64000) () =
     Printf.printf "native engine unavailable -- skipping (%s)\n"
       (Ocapi_error.to_string e)
   | Ok () ->
-    let sys = dect_design () in
+    let sys = Gallery.dect () in
     let digest = Cycle_system.digest sys in
     Ocapi_native.clear_disk_cache ();
     Flow.Cache.clear ();

@@ -22,51 +22,11 @@ open Cmdliner
 
 type design = { d_sys : Cycle_system.t; d_macro : Dataflow.Kernel.t -> Synthesize.macro_spec option }
 
-let build_design = function
-  | "hcor" ->
-    let bits = Dect_stimuli.burst ~seed:1 () in
-    let tx = Dect_stimuli.transmit bits in
-    let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-    let samples =
-      Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-    in
-    Ok
-      {
-        d_sys = (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system;
-        d_macro = (fun _ -> None);
-      }
-  | "dect" ->
-    let stim c =
-      Some
-        (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-           (sin (float c *. 0.37) /. 2.2))
-    in
-    Ok
-      {
-        d_sys = (Dect_transceiver.create ~stimulus:stim ()).Dect_transceiver.system;
-        d_macro = Dect_transceiver.macro_of_kernel;
-      }
-  | "rs" ->
-    Ok
-      {
-        d_sys =
-          (Rs_codec.create
-             ~data_stimulus:(Rs_codec.data_stimulus ())
-             ~err_stimulus:(Rs_codec.err_stimulus ()) ())
-            .Rs_codec.system;
-        d_macro = (fun _ -> None);
-      }
-  | "cpu" ->
-    Ok
-      {
-        d_sys =
-          (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ())
-            .Acc_cpu.system;
-        d_macro = Ram_cell.macro_of_kernel;
-      }
-  | other ->
-    Error
-      (Printf.sprintf "unknown design %S (try hcor, dect, rs or cpu)" other)
+let build_design name =
+  match Gallery.build name with
+  | Some sys -> Ok { d_sys = sys; d_macro = Gallery.macro_of_kernel name }
+  | None ->
+    Error (Printf.sprintf "unknown design %S (try hcor, dect, rs or cpu)" name)
 
 let design_arg =
   let doc = "Reference design to operate on: hcor, dect, rs or cpu." in
@@ -402,12 +362,9 @@ let fault_cmd =
       json =
     with_design name (fun d ->
         (* Each extra worker domain owns a fresh, isolated copy of the
-           design; [build_design] is deterministic, so replicas match. *)
-        let replicate () =
-          match build_design name with
-          | Ok d -> d.d_sys
-          | Error e -> failwith e
-        in
+           design; the gallery builders are deterministic, so replicas
+           match. *)
+        let replicate = List.assoc name Gallery.designs in
         match campaign with
         | "stuck-at" | "stuck_at" | "sa" when optimized ->
           let compare, telemetry =
@@ -494,21 +451,15 @@ let fault_cmd =
    run's bytes. *)
 
 (* The reference designs, registered once into the job registry so
-   manifest jobs can name them.  The builders re-run [build_design]:
+   manifest jobs can name them.  The gallery builders are
    deterministic, so every execution (and its dedup fingerprint)
    hashes alike. *)
 let register_batch_designs () =
   List.iter
-    (fun name ->
-      match build_design name with
-      | Ok d ->
-        Ocapi_batch.register_design ~macro_of_kernel:d.d_macro ~name
-          (fun () ->
-            match build_design name with
-            | Ok d -> d.d_sys
-            | Error e -> failwith e)
-      | Error _ -> ())
-    [ "hcor"; "dect"; "rs"; "cpu" ]
+    (fun (name, build) ->
+      Ocapi_batch.register_design ~macro_of_kernel:(Gallery.macro_of_kernel name)
+        ~name build)
+    Gallery.designs
 
 let artifacts_arg default =
   let doc = "Directory for the per-job JSON artifacts." in

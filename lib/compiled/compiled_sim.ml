@@ -169,7 +169,7 @@ type program = {
   pg_slots : int;
   pg_consts : (int * int64) list;
   pg_regs : register array;
-  pg_nets : (string * Fixed.format option) array;
+  pg_nets : (string * Fixed.format) array;
   pg_comps : component array;
   pg_rams : ram array;
   pg_kernels : kernel array;
@@ -181,17 +181,14 @@ type program = {
 
 (* --- lowering: slot allocation ----------------------------------------------- *)
 
+(* Net [i] of [Cycle_system.nets] owns slot [i] and stamp [i]; the
+   slots after the nets are allocated here. *)
 type alloc = {
   mutable next_slot : int;
-  net_slot : (string, int) Hashtbl.t;  (* net name -> slot *)
-  net_fmt : (string, Fixed.format) Hashtbl.t;
-  net_stamp : (string, int) Hashtbl.t;  (* net name -> stamp index *)
   reg_cur_of : (int, int) Hashtbl.t;  (* Signal.Reg.id -> slot *)
   reg_next_of : (int, int) Hashtbl.t;
   node_slot : (int, int) Hashtbl.t;  (* Signal node id -> slot *)
   mutable consts : (int * int64) list;  (* constant slots, power-on values *)
-  sink_net : (string * string, string) Hashtbl.t;  (* (comp, in port) -> net *)
-  driver_net : (string * string, string) Hashtbl.t;  (* (comp, out port) *)
 }
 
 let fresh a =
@@ -216,46 +213,6 @@ let rec slot_of_node a n =
       | Signal.Const v -> a.consts <- (s, Fixed.mantissa v) :: a.consts
       | _ -> ());
       s)
-
-(* Net formats: primary inputs and untimed ports declare theirs; timed
-   outputs take the format of the producing expression, which must agree
-   across all SFGs that produce the port. *)
-let compute_net_formats a sys =
-  let set net fmt =
-    match Hashtbl.find_opt a.net_fmt net with
-    | None -> Hashtbl.replace a.net_fmt net fmt
-    | Some f ->
-      if not (Fixed.equal_format f fmt) then
-        unsupported "net %s is driven with inconsistent formats %s and %s" net
-          (Fixed.format_to_string f) (Fixed.format_to_string fmt)
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt a.driver_net (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (Cycle_system.primary_inputs sys);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt a.driver_net (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (Cycle_system.untimed_components sys);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (Cycle_system.timed_components sys)
 
 (* --- node classification: does a node's cone read an SFG input? -------- *)
 
@@ -326,30 +283,17 @@ let op_kind_name n =
 (* --- lowering ------------------------------------------------------------- *)
 
 let lower sys =
+  let nets = Cycle_system.nets sys in
   let a =
     {
-      next_slot = 0;
-      net_slot = Hashtbl.create 64;
-      net_fmt = Hashtbl.create 64;
-      net_stamp = Hashtbl.create 64;
+      next_slot = List.length nets;
       reg_cur_of = Hashtbl.create 64;
       reg_next_of = Hashtbl.create 64;
       node_slot = Hashtbl.create 1024;
       consts = [];
-      sink_net = Hashtbl.create 64;
-      driver_net = Hashtbl.create 64;
     }
   in
-  let nets = Cycle_system.nets sys in
-  List.iteri
-    (fun i (net_name, (dc, dp), sinks) ->
-      Hashtbl.replace a.net_slot net_name (fresh a);
-      Hashtbl.replace a.net_stamp net_name i;
-      Hashtbl.replace a.driver_net (dc, dp) net_name;
-      List.iter
-        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
-        sinks)
-    nets;
+  let slot = Cycle_system.net_index in
   List.iter
     (fun r ->
       let id = Signal.Reg.id r in
@@ -357,7 +301,9 @@ let lower sys =
       Hashtbl.replace a.reg_cur_of id cur;
       Hashtbl.replace a.reg_next_of id nxt)
     (Cycle_system.all_regs sys);
-  compute_net_formats a sys;
+  let net_fmts =
+    List.map (fun n -> (Cycle_system.net_name n, Cycle_system.net_format n)) nets
+  in
   let all_timed = Cycle_system.timed_components sys in
   (* Pre-allocate node slots, guards included, so the store can be
      sized; when telemetry is on, also tally the static operator mix of
@@ -415,8 +361,8 @@ let lower sys =
     | Signal.Const _ | Signal.Reg_read _
     | Signal.Shift_left _ | Signal.Shift_right _ -> None
     | Signal.Input_read i -> begin
-      match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-      | Some net -> compute [ Hashtbl.find a.net_slot net ]
+      match Cycle_system.input_net sys cname (Signal.Input.name i) with
+      | Some net -> compute [ slot net ]
       | None ->
         unsupported ~construct:cname
           "compiled: input %s.%s is not connected to any net" cname
@@ -454,8 +400,8 @@ let lower sys =
             Option.iter (push (is_b x)) (node_stmt cname x);
             match Signal.op x with
             | Signal.Input_read i -> begin
-              match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-              | Some net -> note_b_read cname net
+              match Cycle_system.input_net sys cname (Signal.Input.name i) with
+              | Some net -> note_b_read cname (Cycle_system.net_name net)
               | None -> ()
             end
             | Signal.Const _ | Signal.Reg_read _ | Signal.Add _ | Signal.Sub _
@@ -471,18 +417,15 @@ let lower sys =
         List.iter
           (fun (port, e) ->
             emit_node e;
-            match Hashtbl.find_opt a.driver_net (cname, port) with
+            match Cycle_system.output_net sys cname port with
             | None -> () (* unconnected output: value falls on the floor *)
             | Some net ->
               incr n_statements;
               push (is_b e)
                 (Output
-                   {
-                     dst = Hashtbl.find a.net_slot net;
-                     src = slot_of_node a e;
-                     stamp = Hashtbl.find a.net_stamp net;
-                   });
-              if is_b e then Hashtbl.replace b_written_nets net cname)
+                   { dst = slot net; src = slot_of_node a e; stamp = slot net });
+              if is_b e then
+                Hashtbl.replace b_written_nets (Cycle_system.net_name net) cname)
           (Sfg.outputs sfg);
         List.iter
           (fun (reg, e) ->
@@ -549,14 +492,8 @@ let lower sys =
         let inputs =
           List.map
             (fun (port, _) ->
-              match Hashtbl.find_opt a.sink_net (cname, port) with
-              | Some net ->
-                let fmt =
-                  match Hashtbl.find_opt a.net_fmt net with
-                  | Some f -> f
-                  | None -> Dataflow.Kernel.port_format k port
-                in
-                (port, Hashtbl.find a.net_slot net, fmt)
+              match Cycle_system.input_net sys cname port with
+              | Some net -> (port, slot net, Cycle_system.net_format net)
               | None ->
                 unsupported ~construct:cname
                   "compiled: kernel %s input %s unconnected" cname port)
@@ -565,10 +502,10 @@ let lower sys =
         let outputs =
           List.filter_map
             (fun (port, _) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
+              match Cycle_system.output_net sys cname port with
               | Some net ->
-                Hashtbl.replace b_written_nets net cname;
-                Some (port, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net)
+                Hashtbl.replace b_written_nets (Cycle_system.net_name net) cname;
+                Some (port, slot net, slot net)
               | None -> None)
             k.Dataflow.Kernel.k_outputs
         in
@@ -627,8 +564,10 @@ let lower sys =
   List.iteri
     (fun j (cname, k) ->
       reads.(n_comps + j) <-
-        List.map
-          (fun (port, _) -> Hashtbl.find a.sink_net (cname, port))
+        List.filter_map
+          (fun (port, _) ->
+            Option.map Cycle_system.net_name
+              (Cycle_system.input_net sys cname port))
           k.Dataflow.Kernel.k_inputs)
     (Cycle_system.untimed_components sys);
   let succs = Array.make n_units [] in
@@ -679,27 +618,17 @@ let lower sys =
   let stims =
     List.filter_map
       (fun (name, _fmt, _stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          Some (name, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
+        Option.map
+          (fun net -> (name, slot net, slot net))
+          (Cycle_system.output_net sys name "out"))
       (Cycle_system.primary_inputs sys)
   in
   let probes =
     List.filter_map
       (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          let fmt =
-            match Hashtbl.find_opt a.net_fmt net with
-            | Some f -> f
-            | None ->
-              unsupported ~construct:pname
-                "compiled: probe %s net %s has unknown format" pname net
-          in
-          Some
-            (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net, fmt))
+        Option.map
+          (fun net -> (pname, slot net, slot net, Cycle_system.net_format net))
+          (Cycle_system.input_net sys pname "in"))
       (Cycle_system.probes sys)
   in
   let regs =
@@ -717,9 +646,7 @@ let lower sys =
     pg_slots = max 1 a.next_slot;
     pg_consts = a.consts;
     pg_regs = Array.of_list regs;
-    pg_nets =
-      Array.of_list
-        (List.map (fun (name, _, _) -> (name, Hashtbl.find_opt a.net_fmt name)) nets);
+    pg_nets = Array.of_list net_fmts;
     pg_comps = comps;
     pg_rams = Array.of_list (List.rev !rams);
     pg_kernels = Array.of_list (List.rev !host);
@@ -908,7 +835,7 @@ type stim_code = {
 }
 
 (* Optional per-net value recording (waveform dumping from the compiled
-   engine): one record per net whose carried format is known. *)
+   engine): one record per net. *)
 type trace_rec = {
   trc_name : string;
   trc_slot : int;  (* byte offset *)
@@ -1068,19 +995,16 @@ let compile sys =
   in
   (* Net i owns slot i and stamp i. *)
   let trace_recs =
-    Array.to_list p.pg_nets
-    |> List.mapi (fun i (name, fmt) ->
-           Option.map
-             (fun fmt ->
-               {
-                 trc_name = name;
-                 trc_slot = off i;
-                 trc_stamp = i;
-                 trc_fmt = fmt;
-                 trc_hist = [];
-               })
-             fmt)
-    |> List.filter_map Fun.id |> Array.of_list
+    Array.mapi
+      (fun i (name, fmt) ->
+        {
+          trc_name = name;
+          trc_slot = off i;
+          trc_stamp = i;
+          trc_fmt = fmt;
+          trc_hist = [];
+        })
+      p.pg_nets
   in
   let t =
     {

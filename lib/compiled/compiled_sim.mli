@@ -114,8 +114,8 @@ type program = {
   pg_slots : int;  (** value-store length *)
   pg_consts : (int * int64) list;  (** constant slots and their values *)
   pg_regs : register array;  (** in [Cycle_system.all_regs] order *)
-  pg_nets : (string * Fixed.format option) array;
-      (** net name and carried format, when derivable *)
+  pg_nets : (string * Fixed.format) array;
+      (** net name and carried format ([Cycle_system.net_format]) *)
   pg_comps : component array;  (** timed components, in system order *)
   pg_rams : ram array;
   pg_kernels : kernel array;
@@ -202,8 +202,8 @@ val clear_histories : t -> unit
     runs. *)
 val trace_all : t -> unit
 
-(** Recorded net histories as (net name, carried format, history);
-    nets whose format could not be derived are omitted. *)
+(** Recorded net histories as (net name, carried format, history), in
+    [Cycle_system.nets] order. *)
 val traced_histories : t -> (string * Fixed.format * (int * Fixed.t) list) list
 
 (** {1 Fault-injection access}

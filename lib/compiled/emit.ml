@@ -348,11 +348,7 @@ let word_mode_ok (p : Compiled_sim.program) =
       (fun r -> bits.(r.reg_cur) <- checked (bits_of_int64 r.reg_init))
       p.pg_regs;
     (* Nets driven from outside the statements carry their format. *)
-    let seed slot =
-      Option.iter
-        (fun f -> bits.(slot) <- checked_width f)
-        (snd p.pg_nets.(slot))
-    in
+    let seed slot = bits.(slot) <- checked_width (snd p.pg_nets.(slot)) in
     Array.iter (fun (_, slot, _) -> seed slot) p.pg_stims;
     Array.iter
       (fun k -> List.iter (fun (_, slot, _) -> seed slot) k.hk_outputs)

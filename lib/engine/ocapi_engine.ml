@@ -65,14 +65,6 @@ let closer sys name =
       Cycle_system.detach_engine sys name
     end
 
-let probe_histories sys =
-  List.filter_map
-    (fun p ->
-      match Cycle_system.find_component sys p with
-      | Some c -> Some (p, Cycle_system.output_history sys c)
-      | None -> None)
-    (Cycle_system.probes sys)
-
 (* Engines index timed components in their own elaboration order; map
    the system's order onto it once per session. *)
 let component_index ~engine ~count ~info comps =
@@ -121,7 +113,7 @@ module Interp_engine = struct
       ses_step = step;
       ses_cycle = (fun () -> Cycle_system.current_cycle sys);
       ses_reset = (fun () -> Cycle_system.reset sys);
-      ses_histories = (fun () -> probe_histories sys);
+      ses_histories = (fun () -> Cycle_system.probe_histories sys);
       ses_register_count = Array.length regs;
       ses_register_info =
         (fun i ->

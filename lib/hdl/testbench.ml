@@ -10,12 +10,8 @@ let record sys ~cycles =
   let tb_inputs = Cycle_system.stimuli sys ~cycles in
   let tb_outputs =
     List.concat_map
-      (fun p ->
-        match Cycle_system.find_component sys p with
-        | Some c ->
-          List.map (fun (cy, v) -> (cy, p, v)) (Cycle_system.output_history sys c)
-        | None -> [])
-      (Cycle_system.probes sys)
+      (fun (p, hist) -> List.map (fun (cy, v) -> (cy, p, v)) hist)
+      (Cycle_system.probe_histories sys)
     |> List.sort compare
   in
   Cycle_system.reset sys;
@@ -27,17 +23,10 @@ let vhdl sys vectors =
   let buf = Buffer.create 16384 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let top = sanitize (Cycle_system.name sys) in
-  let fmts = Cycle_system.net_formats sys in
-  let sink_map = Hashtbl.create 16 in
-  List.iter
-    (fun (net, _, sinks) ->
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_map (sc, sp) net) sinks)
-    (Cycle_system.nets sys);
-  let probe_fmt p =
-    match Hashtbl.find_opt sink_map (p, "in") with
-    | Some net -> Hashtbl.find_opt fmts net
-    | None -> None
-  in
+  (* The device under test is [Vhdl.of_system]'s top level, which
+     declares a signal per net: every net's format must derive. *)
+  List.iter (fun n -> ignore (Cycle_system.net_format n)) (Cycle_system.nets sys);
+  let probe_fmt = Cycle_system.probe_format sys in
   let is_signed (f : Fixed.format) =
     match f.Fixed.signedness with Fixed.Signed -> true | Fixed.Unsigned -> false
   in

@@ -8,8 +8,7 @@
 
     Any of the three in-process engines can produce the waveform:
     - {!Interp}: every interconnect token of the three-phase scheduler;
-    - {!Compiled}: every net carrying a token in the compiled program
-      (nets without a derivable format are omitted);
+    - {!Compiled}: every net carrying a token in the compiled program;
     - {!Rtl_engine}: every elaborated RTL signal that changed value —
       including clock, state and register shadow signals, so this dump
       is the most detailed of the three. *)

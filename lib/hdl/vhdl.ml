@@ -450,102 +450,70 @@ let ram_entity =
       "";
     ]
 
-let toplevel sys fmts =
+let toplevel sys =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let top = sanitize (Cycle_system.name sys) in
+  let net_signal n = sanitize (Cycle_system.net_name n) in
   pf "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
   pf "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic" top;
   List.iter
     (fun (name, fmt, _) -> pf ";\n    i_%s : in %s" (sanitize name) (vhdl_type fmt))
     (Cycle_system.primary_inputs sys);
-  let sink_map = Hashtbl.create 16 in
-  List.iter
-    (fun (net, _, sinks) ->
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_map (sc, sp) net) sinks)
-    (Cycle_system.nets sys);
   List.iter
     (fun p ->
-      match Hashtbl.find_opt sink_map (p, "in") with
-      | Some net -> begin
-        match Hashtbl.find_opt fmts net with
-        | Some f -> pf ";\n    o_%s : out %s" (sanitize p) (vhdl_type f)
-        | None -> ()
-      end
-      | None -> ())
+      Option.iter
+        (fun f -> pf ";\n    o_%s : out %s" (sanitize p) (vhdl_type f))
+        (Cycle_system.probe_format sys p))
     (Cycle_system.probes sys);
   pf "\n  );\nend entity %s;\n\n" top;
   pf "architecture structure of %s is\n" top;
   List.iter
-    (fun (net, _, _) ->
-      match Hashtbl.find_opt fmts net with
-      | Some f -> pf "  signal n_%s : %s;\n" (sanitize net) (vhdl_type f)
-      | None -> ())
+    (fun n ->
+      pf "  signal n_%s : %s;\n" (net_signal n)
+        (vhdl_type (Cycle_system.net_format n)))
     (Cycle_system.nets sys);
   pf "begin\n";
   (* Primary input wiring. *)
   List.iter
     (fun (name, _, _) ->
-      match
-        List.find_opt
-          (fun (_, (dc, _), _) -> dc = name)
-          (Cycle_system.nets sys)
-      with
-      | Some (net, _, _) -> pf "  n_%s <= i_%s;\n" (sanitize net) (sanitize name)
-      | None -> ())
+      Option.iter
+        (fun n -> pf "  n_%s <= i_%s;\n" (net_signal n) (sanitize name))
+        (Cycle_system.output_net sys name "out"))
     (Cycle_system.primary_inputs sys);
   (* Component instances. *)
+  let ports of_sfg fsm =
+    List.concat_map of_sfg (Fsm.all_sfgs fsm) |> List.sort_uniq String.compare
+  in
   List.iter
     (fun (cname, fsm) ->
       pf "\n  u_%s : entity work.%s\n    port map (\n      clk => clk,\n      rst => rst"
         (sanitize cname) (sanitize cname);
-      let in_ports =
-        List.concat_map
-          (fun sfg -> List.map Signal.Input.name (Sfg.inputs sfg))
-          (Fsm.all_sfgs fsm)
-        |> List.sort_uniq String.compare
-      in
       List.iter
         (fun p ->
-          match Hashtbl.find_opt sink_map (cname, p) with
-          | Some net -> pf ",\n      p_%s => n_%s" (sanitize p) (sanitize net)
-          | None -> ())
-        in_ports;
-      let out_ports =
-        List.concat_map
-          (fun sfg -> List.map fst (Sfg.outputs sfg))
-          (Fsm.all_sfgs fsm)
-        |> List.sort_uniq String.compare
-      in
+          Option.iter
+            (fun n -> pf ",\n      p_%s => n_%s" (sanitize p) (net_signal n))
+            (Cycle_system.input_net sys cname p))
+        (ports (fun sfg -> List.map Signal.Input.name (Sfg.inputs sfg)) fsm);
       List.iter
         (fun p ->
-          match
-            List.find_opt
-              (fun (_, (dc, dp), _) -> dc = cname && dp = p)
-              (Cycle_system.nets sys)
-          with
-          | Some (net, _, _) ->
-            pf ",\n      o_%s => n_%s" (sanitize p) (sanitize net)
-          | None -> ())
-        out_ports;
+          Option.iter
+            (fun n -> pf ",\n      o_%s => n_%s" (sanitize p) (net_signal n))
+            (Cycle_system.output_net sys cname p))
+        (ports (fun sfg -> List.map fst (Sfg.outputs sfg)) fsm);
       pf "\n    );\n")
     (Cycle_system.timed_components sys);
   (* Probe wiring. *)
   List.iter
     (fun p ->
-      match Hashtbl.find_opt sink_map (p, "in") with
-      | Some net -> pf "  o_%s <= n_%s;\n" (sanitize p) (sanitize net)
-      | None -> ())
+      Option.iter
+        (fun n -> pf "  o_%s <= n_%s;\n" (sanitize p) (net_signal n))
+        (Cycle_system.input_net sys p "in"))
     (Cycle_system.probes sys);
   pf "\nend architecture structure;\n";
   Buffer.contents buf
 
 let of_system sys =
-  let fmts = Cycle_system.net_formats sys in
-  let driver_index = Hashtbl.create 16 in
-  List.iter
-    (fun (net, (dc, dp), _) -> Hashtbl.replace driver_index (dc, dp) net)
-    (Cycle_system.nets sys);
   let comp_files =
     List.map
       (fun (cname, fsm) ->
@@ -555,12 +523,9 @@ let of_system sys =
             (Fsm.all_sfgs fsm)
           |> List.sort_uniq String.compare
           |> List.filter_map (fun p ->
-                 match Hashtbl.find_opt driver_index (cname, p) with
-                 | Some net -> (
-                   match Hashtbl.find_opt fmts net with
-                   | Some f -> Some (p, f)
-                   | None -> None)
-                 | None -> None)
+                 Option.map
+                   (fun n -> (p, Cycle_system.net_format n))
+                   (Cycle_system.output_net sys cname p))
         in
         (sanitize cname ^ ".vhd", component_entity cname fsm ~out_fmts))
       (Cycle_system.timed_components sys)
@@ -571,7 +536,7 @@ let of_system sys =
     else []
   in
   comp_files @ ram_files
-  @ [ (sanitize (Cycle_system.name sys) ^ "_top.vhd", toplevel sys fmts) ]
+  @ [ (sanitize (Cycle_system.name sys) ^ "_top.vhd", toplevel sys) ]
 
 let line_count files =
   List.fold_left

@@ -144,79 +144,12 @@ let find_pass name =
 
 let pass_names () = List.map (fun p -> p.pass_name) builtin_passes
 
-(* --- shared probe plumbing ------------------------------------------------- *)
-
-let probe_histories sys =
-  List.filter_map
-    (fun p ->
-      match Cycle_system.find_component sys p with
-      | Some c -> Some (p, Cycle_system.output_history sys c)
-      | None -> None)
-    (Cycle_system.probes sys)
-
-(* Probe formats: the sink net's format at (probe, "in"), which fixes
-   signedness for two's-complement readback from the netlist. *)
-let probe_formats sys =
-  let fmts = Cycle_system.net_formats sys in
-  let sink_map = Hashtbl.create 32 in
-  List.iter
-    (fun (net, _, sinks) ->
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_map (sc, sp) net) sinks)
-    (Cycle_system.nets sys);
-  fun p ->
-    match Hashtbl.find_opt sink_map (p, "in") with
-    | Some net -> (
-      match Hashtbl.find_opt fmts net with
-      | Some f -> f
-      | None -> Fixed.bit_format)
-    | None -> Fixed.bit_format
-
-(* --- cross-level equivalence ----------------------------------------------- *)
-
-(* Replay the behavioral root's recorded stimuli on a netlist and
-   sample the probes at the behavioral token cycles — the
-   generated-test-bench discipline of Synthesize.verify, producing
-   histories shaped exactly like the behavioral ones. *)
-let gate_histories sys nl ~cycles =
-  Cycle_system.reset sys;
-  Cycle_system.run sys cycles;
-  let expected = probe_histories sys in
-  Cycle_system.reset sys;
-  let fmt_of = probe_formats sys in
-  let out_names = List.map fst (Netlist.outputs_list nl) in
-  let sim = Netlist.Sim.create nl in
-  let per_cycle = Array.make (max 1 cycles) [] in
-  List.iter
-    (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
-    (Cycle_system.stimuli sys ~cycles);
-  let acc = List.map (fun (p, _) -> (p, ref [])) expected in
-  for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, v) -> Netlist.Sim.set_input sim name (Fixed.mantissa v))
-      per_cycle.(c);
-    Netlist.Sim.settle sim;
-    List.iter
-      (fun (p, hist) ->
-        match List.assoc_opt c hist with
-        | None -> ()
-        | Some _ when not (List.mem p out_names) -> ()
-        | Some _ ->
-          let fmt = fmt_of p in
-          let signed = fmt.Fixed.signedness = Fixed.Signed in
-          let m = Netlist.Sim.get_output sim ~signed p in
-          let r = List.assoc p acc in
-          r := (c, Fixed.create fmt m) :: !r)
-      expected;
-    Netlist.Sim.clock sim
-  done;
-  List.map (fun (p, r) -> (p, List.rev !r)) acc
-
 let histories_of ~cycles d =
   match d.ir_design with
   | Behavioral sys ->
     Cycle_system.reset sys;
     Cycle_system.run sys cycles;
-    let h = probe_histories sys in
+    let h = Cycle_system.probe_histories sys in
     Cycle_system.reset sys;
     h
   | Rtl r ->
@@ -230,7 +163,12 @@ let histories_of ~cycles d =
     (* The RTL elaboration aliases the system's registers. *)
     Cycle_system.reset sys;
     h
-  | Gate nl -> gate_histories d.ir_source nl ~cycles
+  | Gate nl ->
+    (* The generated-test-bench discipline: histories shaped exactly
+       like the behavioral ones. *)
+    List.map
+      (fun (p, samples) -> (p, List.map (fun (c, _, got) -> (c, got)) samples))
+      (Synthesize.replay d.ir_source nl ~cycles)
 
 let check_equivalence ?(cycles = 200) a b =
   let la = level_name a and lb = level_name b in
@@ -297,7 +235,6 @@ module Gate_engine = struct
         ~macro_of_kernel:macro_of_model sys
     in
     let sim = Netlist.Sim.create nl in
-    let fmt_of = probe_formats sys in
     let out_names = List.map fst (Netlist.outputs_list nl) in
     let in_names = List.map fst (Netlist.inputs_list nl) in
     (* Buses are resolved here, once: a step neither builds bus names
@@ -306,14 +243,19 @@ module Gate_engine = struct
       if List.mem name out_names then Some (Netlist.Sim.output_port sim name)
       else None
     in
-    (* Probes with their format, output bus (if present in the netlist),
-       valid wire and history. *)
+    (* Probes with, when connected, their format, output bus and valid
+       wire, and their history. *)
     let probe_rows =
       List.map
         (fun p ->
-          let fmt = fmt_of p in
-          ( p, fmt, fmt.Fixed.signedness = Fixed.Signed, output_port p,
-            output_port ("__valid__" ^ p), ref [] ))
+          let bus =
+            match (Cycle_system.probe_format sys p, output_port p) with
+            | Some fmt, Some port ->
+              let signed = fmt.Fixed.signedness = Fixed.Signed in
+              Some (fmt, signed, port, output_port ("__valid__" ^ p))
+            | _ -> None
+          in
+          (p, bus, ref []))
         (Cycle_system.probes sys)
     in
     let input_rows =
@@ -343,10 +285,10 @@ module Gate_engine = struct
         input_rows;
       Netlist.Sim.settle sim;
       List.iter
-        (fun (_, fmt, signed, port, valid, hist) ->
-          match port with
+        (fun (_, bus, hist) ->
+          match bus with
           | None -> ()
-          | Some port ->
+          | Some (fmt, signed, port, valid) ->
             let live =
               match valid with
               | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1L
@@ -361,7 +303,7 @@ module Gate_engine = struct
       incr cycle
     in
     let clear_histories () =
-      List.iter (fun (_, _, _, _, _, hist) -> hist := []) probe_rows
+      List.iter (fun (_, _, hist) -> hist := []) probe_rows
     in
     let reset () =
       Netlist.Sim.reset sim;
@@ -386,7 +328,7 @@ module Gate_engine = struct
       ses_reset = reset;
       ses_histories =
         (fun () ->
-          List.map (fun (p, _, _, _, _, hist) -> (p, List.rev !hist)) probe_rows);
+          List.map (fun (p, _, hist) -> (p, List.rev !hist)) probe_rows);
       ses_register_count = Array.length smap.Synthesize.sm_regs;
       ses_register_info =
         (fun i ->

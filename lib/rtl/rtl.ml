@@ -143,57 +143,19 @@ let make_process name sensitivity exec =
   { pr_id = Atomic.fetch_and_add proc_counter 1 + 1; pr_name = name;
     pr_sensitivity = sensitivity; pr_exec = exec }
 
-(* Formats of every net, reusing the conventions of the compiled engine:
-   timed outputs carry the producing expression's format. *)
-let net_formats sys =
-  let fmts = Hashtbl.create 64 in
-  let driver_index = Hashtbl.create 64 in
-  List.iter
-    (fun (net, (dc, dp), _) -> Hashtbl.replace driver_index (dc, dp) net)
-    (Cycle_system.nets sys);
-  let set net f =
-    match Hashtbl.find_opt fmts net with
-    | None -> Hashtbl.replace fmts net f
-    | Some f0 ->
-      if not (Fixed.equal_format f0 f) then
-        error "net %s driven with inconsistent formats" net
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt driver_index (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (Cycle_system.primary_inputs sys);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt driver_index (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (Cycle_system.untimed_components sys);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt driver_index (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (Cycle_system.timed_components sys);
-  (fmts, driver_index)
+(* A transition of a timed component with every signal its evaluation
+   reads or writes resolved at elaboration. *)
+type rtl_transition = {
+  rt_fsm : Fsm.transition;
+  rt_goto : Fixed.t;  (* the next-state value *)
+  rt_inputs : (Signal.Input.t * rtl_signal) list;
+  rt_outputs : (rtl_signal * Signal.t) list;  (* net signal, expression *)
+  rt_assigns : (rtl_signal * Signal.t) list;  (* next signal, expression *)
+  rt_holds : (rtl_signal * rtl_signal) list;
+      (* next and shadow signals of the registers it leaves unassigned *)
+}
 
 let of_system ?(max_deltas = 1000) sys =
-  let fmts, driver_index = net_formats sys in
-  let sink_index = Hashtbl.create 64 in
-  List.iter
-    (fun (net, _, sinks) ->
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_index (sc, sp) net) sinks)
-    (Cycle_system.nets sys);
   let signals = ref [] in
   let add_signal name init =
     let s = make_signal name init in
@@ -201,16 +163,15 @@ let of_system ?(max_deltas = 1000) sys =
     s
   in
   (* One RTL signal per net. *)
-  let net_signal = Hashtbl.create 64 in
-  List.iter
-    (fun (net, _, _) ->
-      let fmt =
-        match Hashtbl.find_opt fmts net with
-        | Some f -> f
-        | None -> Fixed.bit_format (* conservatively a bit; refined below *)
-      in
-      Hashtbl.replace net_signal net (add_signal net (Fixed.zero fmt)))
-    (Cycle_system.nets sys);
+  let net_signals =
+    Array.of_list
+      (List.map
+         (fun n ->
+           add_signal (Cycle_system.net_name n)
+             (Fixed.zero (Cycle_system.net_format n)))
+         (Cycle_system.nets sys))
+  in
+  let net_signal n = net_signals.(Cycle_system.net_index n) in
   let clk = add_signal "clk" (Fixed.of_bool false) in
   let processes = ref [] in
   let resets = ref [] in
@@ -253,104 +214,87 @@ let of_system ?(max_deltas = 1000) sys =
       state_sig_rows :=
         (cname, state_sig, List.length (Fsm.states fsm)) :: !state_sig_rows;
       (* Input nets feeding this component, by SFG input name. *)
-      let input_net port = Hashtbl.find_opt sink_index (cname, port) in
-      let all_input_nets =
+      let input_net i = Cycle_system.input_net sys cname (Signal.Input.name i) in
+      let input_nets =
         List.concat_map
-          (fun sfg ->
-            List.filter_map
-              (fun i -> input_net (Signal.Input.name i))
-              (Sfg.inputs sfg))
+          (fun sfg -> List.filter_map input_net (Sfg.inputs sfg))
           (Fsm.all_sfgs fsm)
-        |> List.sort_uniq String.compare
+        |> List.sort_uniq (fun a b ->
+               String.compare (Cycle_system.net_name a) (Cycle_system.net_name b))
       in
       let comb_sensitivity =
-        List.map (fun net -> Hashtbl.find net_signal net) all_input_nets
-        @ List.map snd shadow
-        @ [ state_sig ]
+        List.map net_signal input_nets @ List.map snd shadow @ [ state_sig ]
       in
-      let transitions = Array.of_list (Fsm.transitions fsm) in
+      (* (register, shadow) and (next, shadow) pairs, in register order. *)
+      let shadow_of r = List.assoc (Signal.Reg.id r) shadow in
+      let next_of r = List.assoc (Signal.Reg.id r) next_sig in
+      let mirrors = List.map (fun r -> (r, shadow_of r)) regs in
+      let next_shadow = List.map (fun r -> (next_of r, shadow_of r)) regs in
+      let elaborate tr =
+        let actions = tr.Fsm.t_actions in
+        let assigns =
+          List.concat_map
+            (fun sfg -> List.map (fun (r, e) -> (next_of r, e)) (Sfg.assigns sfg))
+            actions
+        in
+        {
+          rt_fsm = tr;
+          rt_goto = Fixed.of_int state_fmt (Fsm.state_index tr.Fsm.t_goto);
+          rt_inputs =
+            List.concat_map
+              (fun sfg ->
+                List.filter_map
+                  (fun i -> Option.map (fun n -> (i, net_signal n)) (input_net i))
+                  (Sfg.inputs sfg))
+              actions;
+          rt_outputs =
+            List.concat_map
+              (fun sfg ->
+                List.filter_map
+                  (fun (port, e) ->
+                    Option.map
+                      (fun n -> (net_signal n, e))
+                      (Cycle_system.output_net sys cname port))
+                  (Sfg.outputs sfg))
+              actions;
+          rt_assigns = assigns;
+          rt_holds =
+            List.filter
+              (fun (nx, _) -> not (List.exists (fun (s, _) -> s == nx) assigns))
+              next_shadow;
+        }
+      in
+      let transitions = List.map elaborate (Fsm.transitions fsm) in
       let comb_exec () =
         (* Mirror register shadows into the shared Reg objects so that
            Signal.eval sees the event-driven state. *)
-        List.iter
-          (fun r ->
-            match List.assoc_opt (Signal.Reg.id r) shadow with
-            | Some s -> Signal.Reg.set_value r s.sg_value
-            | None -> ())
-          regs;
+        List.iter (fun (r, s) -> Signal.Reg.set_value r s.sg_value) mirrors;
         let state = Fixed.to_int state_sig.sg_value in
         (* Select the transition as the FSM would. *)
         let env0 = Signal.Env.create () in
         let selected =
-          Array.to_list transitions
-          |> List.find_opt (fun tr ->
-                 Fsm.state_index tr.Fsm.t_from = state
-                 && Fixed.is_true
-                      (Signal.eval env0 (Fsm.guard_expr tr.Fsm.t_guard)))
+          List.find_opt
+            (fun rt ->
+              Fsm.state_index rt.rt_fsm.Fsm.t_from = state
+              && Fixed.is_true
+                   (Signal.eval env0 (Fsm.guard_expr rt.rt_fsm.Fsm.t_guard)))
+            transitions
         in
         match selected with
         | None ->
           (* Hold: next state and next regs keep current values. *)
           (next_state_sig, state_sig.sg_value)
-          :: List.map
-               (fun r ->
-                 let nx = List.assoc (Signal.Reg.id r) next_sig in
-                 let sh = List.assoc (Signal.Reg.id r) shadow in
-                 (nx, sh.sg_value))
-               regs
-        | Some tr ->
+          :: List.map (fun (nx, sh) -> (nx, sh.sg_value)) next_shadow
+        | Some rt ->
           let env = Signal.Env.create () in
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun i ->
-                  match input_net (Signal.Input.name i) with
-                  | Some net ->
-                    Signal.Env.bind env i
-                      (Hashtbl.find net_signal net).sg_value
-                  | None -> ())
-                (Sfg.inputs sfg))
-            tr.Fsm.t_actions;
+          List.iter (fun (i, s) -> Signal.Env.bind env i s.sg_value) rt.rt_inputs;
           let memo = Hashtbl.create 64 in
-          let outs =
-            List.concat_map
-              (fun sfg ->
-                List.filter_map
-                  (fun (port, e) ->
-                    match Hashtbl.find_opt driver_index (cname, port) with
-                    | None -> None
-                    | Some net ->
-                      Some
-                        ( Hashtbl.find net_signal net,
-                          Signal.eval_memo memo env e ))
-                  (Sfg.outputs sfg))
-              tr.Fsm.t_actions
-          in
-          let assigned =
-            List.concat_map
-              (fun sfg ->
-                List.map
-                  (fun (r, e) ->
-                    ( List.assoc (Signal.Reg.id r) next_sig,
-                      Signal.eval_memo memo env e ))
-                  (Sfg.assigns sfg))
-              tr.Fsm.t_actions
-          in
+          let eval (s, e) = (s, Signal.eval_memo memo env e) in
+          let outs = List.map eval rt.rt_outputs in
+          let assigned = List.map eval rt.rt_assigns in
           (* Unassigned registers hold their value. *)
-          let holds =
-            List.filter_map
-              (fun r ->
-                let nx = List.assoc (Signal.Reg.id r) next_sig in
-                if List.exists (fun (s, _) -> s == nx) assigned then None
-                else
-                  let sh = List.assoc (Signal.Reg.id r) shadow in
-                  Some (nx, sh.sg_value))
-              regs
-          in
-          ((next_state_sig,
-            Fixed.of_int state_fmt (Fsm.state_index tr.Fsm.t_goto))
-          :: outs)
-          @ assigned @ holds
+          let holds = List.map (fun (nx, sh) -> (nx, sh.sg_value)) rt.rt_holds in
+          ((next_state_sig, rt.rt_goto) :: outs) @ assigned @ holds
       in
       add_process (make_process (cname ^ "_comb") comb_sensitivity comb_exec);
       (* Sequential process: latch on the rising clock edge. *)
@@ -362,12 +306,7 @@ let of_system ?(max_deltas = 1000) sys =
         prev_clk := now;
         if rising then
           (state_sig, next_state_sig.sg_value)
-          :: List.map
-               (fun r ->
-                 let nx = List.assoc (Signal.Reg.id r) next_sig in
-                 let sh = List.assoc (Signal.Reg.id r) shadow in
-                 (sh, nx.sg_value))
-               regs
+          :: List.map (fun (nx, sh) -> (sh, nx.sg_value)) next_shadow
         else []
       in
       add_process (make_process (cname ^ "_seq") [ clk ] seq_exec);
@@ -380,22 +319,14 @@ let of_system ?(max_deltas = 1000) sys =
   (* Untimed kernels: combinational processes. *)
   List.iter
     (fun (cname, k) ->
-      let ins =
+      let ports port_net ports =
         List.filter_map
           (fun (port, _) ->
-            match Hashtbl.find_opt sink_index (cname, port) with
-            | Some net -> Some (port, Hashtbl.find net_signal net)
-            | None -> None)
-          k.Dataflow.Kernel.k_inputs
+            Option.map (fun n -> (port, net_signal n)) (port_net sys cname port))
+          ports
       in
-      let outs =
-        List.filter_map
-          (fun (port, _) ->
-            match Hashtbl.find_opt driver_index (cname, port) with
-            | Some net -> Some (port, Hashtbl.find net_signal net)
-            | None -> None)
-          k.Dataflow.Kernel.k_outputs
-      in
+      let ins = ports Cycle_system.input_net k.Dataflow.Kernel.k_inputs in
+      let outs = ports Cycle_system.output_net k.Dataflow.Kernel.k_outputs in
       kernel_commits := k.Dataflow.Kernel.k_commit :: !kernel_commits;
       resets := k.Dataflow.Kernel.k_reset :: !resets;
       let exec () =
@@ -419,23 +350,17 @@ let of_system ?(max_deltas = 1000) sys =
   let stims =
     List.filter_map
       (fun (name, _fmt, stim) ->
-        match Hashtbl.find_opt driver_index (name, "out") with
-        | Some net -> Some (Hashtbl.find net_signal net, stim)
-        | None -> None)
+        Option.map
+          (fun n -> (net_signal n, stim))
+          (Cycle_system.output_net sys name "out"))
       (Cycle_system.primary_inputs sys)
   in
   let probes =
     List.filter_map
       (fun pname ->
-        match Hashtbl.find_opt sink_index (pname, "in") with
-        | Some net ->
-          Some
-            {
-              pb_name = pname;
-              pb_signal = Hashtbl.find net_signal net;
-              pb_history = [];
-            }
-        | None -> None)
+        Option.map
+          (fun n -> { pb_name = pname; pb_signal = net_signal n; pb_history = [] })
+          (Cycle_system.input_net sys pname "in"))
       (Cycle_system.probes sys)
   in
   let wakeups = Hashtbl.create 256 in

@@ -22,13 +22,23 @@ type kind =
   | Primary_input of column
   | Primary_output
 
-type component = { c_id : int; c_name : string; c_kind : kind }
+(* The wiring, filed by port: [c_drives] maps each output port to the
+   net it drives, [c_reads] each input port to the net driving it.
+   [connect] fills both; every other port lookup reads them. *)
+type component = {
+  c_id : int;
+  c_name : string;
+  c_kind : kind;
+  c_drives : (string, net) Hashtbl.t;
+  c_reads : (string, net) Hashtbl.t;
+}
 
-type net = {
-  n_id : int;
+and net = {
+  n_id : int;  (* creation order *)
   n_name : string;
   n_driver : component * string;
   n_sinks : (component * string) list;
+  mutable n_format : Fixed.format option;  (* [net_format], once derived *)
   mutable n_token : Fixed.t option;
   mutable n_traced : bool;
   mutable n_history : (int * Fixed.t) list;  (* reversed *)
@@ -38,6 +48,7 @@ type t = {
   s_name : string;
   clock : Clock.t;
   mutable comps : component list;  (* reversed *)
+  by_name : (string, component) Hashtbl.t;
   mutable s_nets : net list;  (* reversed *)
   mutable cycle_count : int;
   mutable probe_histories : (int * (int * Fixed.t) list) list;
@@ -53,6 +64,7 @@ let create ?(clock = Clock.default) s_name =
     s_name;
     clock;
     comps = [];
+    by_name = Hashtbl.create 16;
     s_nets = [];
     cycle_count = 0;
     probe_histories = [];
@@ -79,10 +91,19 @@ let name t = t.s_name
 let component_name c = c.c_name
 
 let add t c_name c_kind =
-  if List.exists (fun c -> c.c_name = c_name) t.comps then
+  if Hashtbl.mem t.by_name c_name then
     error "system %s: duplicate component %s" t.s_name c_name;
-  let c = { c_id = List.length t.comps; c_name; c_kind } in
+  let c =
+    {
+      c_id = List.length t.comps;
+      c_name;
+      c_kind;
+      c_drives = Hashtbl.create 4;
+      c_reads = Hashtbl.create 4;
+    }
+  in
   t.comps <- c :: t.comps;
+  Hashtbl.replace t.by_name c_name c;
   c
 
 let add_timed t name fsm = add t name (Timed fsm)
@@ -165,7 +186,7 @@ let add_output t name =
   t.probe_histories <- (c.c_id, []) :: t.probe_histories;
   c
 
-let find_component t name = List.find_opt (fun c -> c.c_name = name) t.comps
+let find_component t name = Hashtbl.find_opt t.by_name name
 
 (* --- port inventories -------------------------------------------------- *)
 
@@ -198,18 +219,15 @@ let output_ports c =
 let connect t (src, src_port) sinks =
   if not (List.mem src_port (output_ports src)) then
     error "connect: %s has no output port %s" src.c_name src_port;
+  if Hashtbl.mem src.c_drives src_port then
+    error "connect: %s.%s already drives a net; fan out through its sinks"
+      src.c_name src_port;
   List.iter
     (fun (dst, dst_port) ->
       if not (List.mem dst_port (input_ports dst)) then
         error "connect: %s has no input port %s" dst.c_name dst_port;
-      if
-        List.exists
-          (fun n ->
-            List.exists
-              (fun (c, p) -> c.c_id = dst.c_id && p = dst_port)
-              n.n_sinks)
-          t.s_nets
-      then error "connect: %s.%s already driven" dst.c_name dst_port)
+      if Hashtbl.mem dst.c_reads dst_port then
+        error "connect: %s.%s already driven" dst.c_name dst_port)
     sinks;
   let n =
     {
@@ -217,13 +235,97 @@ let connect t (src, src_port) sinks =
       n_name = Printf.sprintf "%s.%s" src.c_name src_port;
       n_driver = (src, src_port);
       n_sinks = sinks;
+      n_format = None;
       n_token = None;
       n_traced = false;
       n_history = [];
     }
   in
+  Hashtbl.replace src.c_drives src_port n;
+  List.iter (fun (dst, dst_port) -> Hashtbl.replace dst.c_reads dst_port n) sinks;
   t.s_nets <- n :: t.s_nets;
   n
+
+(* --- wiring and net formats ------------------------------------------------ *)
+
+let nets t = List.rev t.s_nets
+let net_name n = n.n_name
+let net_index n = n.n_id
+let net_driver n = ((fst n.n_driver).c_name, snd n.n_driver)
+
+let port_net table t cname port =
+  match Hashtbl.find_opt t.by_name cname with
+  | Some c -> Hashtbl.find_opt (table c) port
+  | None -> None
+
+let output_net = port_net (fun c -> c.c_drives)
+let input_net = port_net (fun c -> c.c_reads)
+
+(* The format a net carries, from its driver: a primary input or an
+   untimed kernel declares it; a timed output carries the producing
+   expression's format, which every SFG producing the port must share.
+   Each timed sink must declare its input in that format.  [Error] is
+   the diagnostic of the first rule broken. *)
+let derive_format n =
+  let fmt_s = Fixed.format_to_string in
+  let driver, port = n.n_driver in
+  let produced =
+    match driver.c_kind with
+    | Primary_input col -> [ col.col_fmt ]
+    | Untimed k -> [ Dataflow.Kernel.port_format k port ]
+    | Timed fsm ->
+      List.concat_map
+        (fun sfg ->
+          List.filter_map
+            (fun (p, e) -> if p = port then Some (Signal.fmt e) else None)
+            (Sfg.outputs sfg))
+        (Fsm.all_sfgs fsm)
+    | Primary_output -> []
+  in
+  (* [connect] checked that the driver produces [port]. *)
+  let f = List.hd produced in
+  let declared =
+    List.concat_map
+      (fun (sink, sp) ->
+        match sink.c_kind with
+        | Timed fsm ->
+          List.concat_map
+            (fun sfg ->
+              List.filter_map
+                (fun i ->
+                  if Signal.Input.name i = sp then
+                    Some (sink, sp, Signal.Input.fmt i)
+                  else None)
+                (Sfg.inputs sfg))
+            (Fsm.all_sfgs fsm)
+        | Untimed _ | Primary_input _ | Primary_output -> [])
+      n.n_sinks
+  in
+  match
+    ( List.find_opt (fun g -> not (Fixed.equal_format f g)) produced,
+      List.find_opt (fun (_, _, g) -> not (Fixed.equal_format f g)) declared )
+  with
+  | Some g, _ ->
+    Error
+      (Printf.sprintf "net %s driven with inconsistent formats %s and %s"
+         n.n_name (fmt_s f) (fmt_s g))
+  | None, Some (sink, sp, g) ->
+    Error
+      (Printf.sprintf "net %s carries %s but input %s.%s is declared %s" n.n_name
+         (fmt_s f) sink.c_name sp (fmt_s g))
+  | None, None -> Ok f
+
+let net_format n =
+  match n.n_format with
+  | Some f -> f
+  | None -> (
+    match derive_format n with
+    | Ok f ->
+      n.n_format <- Some f;
+      f
+    | Error msg -> error "%s" msg)
+
+let probe_format t name = Option.map net_format (input_net t name "in")
 
 (* --- checks ------------------------------------------------------------ *)
 
@@ -231,6 +333,7 @@ type check_issue =
   | Unconnected_input of string * string
   | Unconnected_output of string * string
   | Unknown_port of string * string
+  | Format_conflict of string * string
 
 let pp_issue ppf = function
   | Unconnected_input (c, p) ->
@@ -238,33 +341,38 @@ let pp_issue ppf = function
   | Unconnected_output (c, p) ->
     Format.fprintf ppf "unconnected output: %s.%s drives nothing" c p
   | Unknown_port (c, p) -> Format.fprintf ppf "unknown port %s.%s" c p
+  | Format_conflict (_, msg) -> Format.fprintf ppf "format conflict: %s" msg
+
+(* A kernel port may leave its format undeclared: the interpreter moves
+   its tokens as they come, so only the static back ends need it. *)
+let format_declared n =
+  match n.n_driver with
+  | { c_kind = Untimed k; _ }, port ->
+    List.mem_assoc port k.Dataflow.Kernel.k_formats
+  | { c_kind = Timed _ | Primary_input _ | Primary_output; _ }, _ -> true
 
 let check t =
   let issues = ref [] in
-  let sink_connected c p =
-    List.exists
-      (fun n ->
-        List.exists (fun (sc, sp) -> sc.c_id = c.c_id && sp = p) n.n_sinks)
-      t.s_nets
-  in
-  let driver_connected c p =
-    List.exists
-      (fun n -> (fst n.n_driver).c_id = c.c_id && snd n.n_driver = p)
-      t.s_nets
-  in
   List.iter
     (fun c ->
       List.iter
         (fun p ->
-          if not (sink_connected c p) then
+          if not (Hashtbl.mem c.c_reads p) then
             issues := Unconnected_input (c.c_name, p) :: !issues)
         (input_ports c);
       List.iter
         (fun p ->
-          if not (driver_connected c p) then
+          if not (Hashtbl.mem c.c_drives p) then
             issues := Unconnected_output (c.c_name, p) :: !issues)
         (output_ports c))
     t.comps;
+  List.iter
+    (fun n ->
+      if format_declared n then
+        match derive_format n with
+        | Ok _ -> ()
+        | Error msg -> issues := Format_conflict (n.n_name, msg) :: !issues)
+    (nets t);
   List.rev !issues
 
 (* --- per-cycle machinery ------------------------------------------------ *)
@@ -277,13 +385,6 @@ type marked_sfg = {
   m_produced : (string, unit) Hashtbl.t;
   mutable m_complete : bool;
 }
-
-let nets_in_order t = List.rev t.s_nets
-
-let net_of_driver t c port =
-  List.find_opt
-    (fun n -> (fst n.n_driver).c_id = c.c_id && snd n.n_driver = port)
-    t.s_nets
 
 (* Deliver a token to a net: store it, trace it, and bind it into the
    environments of all timed sinks (matching marked-SFG inputs by name). *)
@@ -315,24 +416,20 @@ let deliver_outputs t marked m outputs =
   List.iter
     (fun (port, v) ->
       Hashtbl.replace m.m_produced port ();
-      match net_of_driver t m.m_comp port with
+      match Hashtbl.find_opt m.m_comp.c_drives port with
       | Some n -> push_token t marked n v
       | None -> () (* unconnected output: token falls on the floor *))
     outputs
 
 (* Untimed kernel firing inside a cycle: all input nets carry a token. *)
-let untimed_ready t c k fired =
+let untimed_ready c k fired =
   (not (Hashtbl.mem fired c.c_id))
   && k.Dataflow.Kernel.k_ready ()
   && List.for_all
        (fun (port, _) ->
-         List.exists
-           (fun n ->
-             n.n_token <> None
-             && List.exists
-                  (fun (sc, sp) -> sc.c_id = c.c_id && sp = port)
-                  n.n_sinks)
-           t.s_nets)
+         match Hashtbl.find_opt c.c_reads port with
+         | Some n -> n.n_token <> None
+         | None -> false)
        k.Dataflow.Kernel.k_inputs
 
 (* Per-component firing counters; only consulted when telemetry is on. *)
@@ -343,15 +440,7 @@ let fire_untimed t marked c k fired =
   let consumed =
     List.map
       (fun (port, _) ->
-        let n =
-          List.find
-            (fun n ->
-              List.exists
-                (fun (sc, sp) -> sc.c_id = c.c_id && sp = port)
-                n.n_sinks)
-            t.s_nets
-        in
-        match n.n_token with
+        match (Hashtbl.find c.c_reads port).n_token with
         | Some v -> (port, [ v ])
         | None ->
           error ~construct:c.c_name ~cycle:t.cycle_count
@@ -364,7 +453,7 @@ let fire_untimed t marked c k fired =
   t.untimed_fires <- t.untimed_fires + 1;
   List.iter
     (fun (port, values) ->
-      match values, net_of_driver t c port with
+      match values, Hashtbl.find_opt c.c_drives port with
       | [ v ], Some n -> push_token t marked n v
       | [ _ ], None -> ()
       | _, _ ->
@@ -390,7 +479,7 @@ let primary_outputs_collect t =
                   t.probe_histories
             | Timed _ | Untimed _ | Primary_input _ -> ())
           n.n_sinks)
-    (nets_in_order t)
+    (nets t)
 
 let clear_nets t = List.iter (fun n -> n.n_token <- None) t.s_nets
 
@@ -428,7 +517,7 @@ let drive_primary_inputs t marked =
     (fun c ->
       match c.c_kind with
       | Primary_input col -> begin
-        match net_of_driver t c "out" with
+        match Hashtbl.find_opt c.c_drives "out" with
         | None -> ()
         | Some n -> (
           match column_token col t.cycle_count with
@@ -532,7 +621,7 @@ let cycle t =
     !progress
     && (List.exists (fun m -> not m.m_complete) marked
        || List.exists
-            (fun (c, k) -> untimed_ready t c k fired_untimed)
+            (fun (c, k) -> untimed_ready c k fired_untimed)
             untimed)
   do
     t.eval_iterations <- t.eval_iterations + 1;
@@ -549,7 +638,7 @@ let cycle t =
       marked;
     List.iter
       (fun (c, k) ->
-        if untimed_ready t c k fired_untimed then begin
+        if untimed_ready c k fired_untimed then begin
           fire_untimed t marked c k fired_untimed;
           progress := true
         end)
@@ -598,7 +687,7 @@ let cycle_two_phase t =
     List.iter (fun m -> if try_fire m then progress := true) marked;
     List.iter
       (fun (c, k) ->
-        if untimed_ready t c k fired_untimed then begin
+        if untimed_ready c k fired_untimed then begin
           fire_untimed t marked c k fired_untimed;
           progress := true
         end)
@@ -658,16 +747,21 @@ let output_history t probe =
   | Some h -> List.rev h
   | None -> error "output_history: %s is not a probe" probe.c_name
 
+let probe_components t =
+  List.filter
+    (fun c ->
+      match c.c_kind with
+      | Primary_output -> true
+      | Timed _ | Untimed _ | Primary_input _ -> false)
+    (List.rev t.comps)
+
+let probe_histories t =
+  List.map (fun c -> (c.c_name, output_history t c)) (probe_components t)
+
 let trace_net _t net = net.n_traced <- true
 let net_history _t net = List.rev net.n_history
 
 let trace_all t = List.iter (fun n -> n.n_traced <- true) t.s_nets
-
-let traced_histories t =
-  List.filter_map
-    (fun n ->
-      if n.n_traced then Some (n.n_name, List.rev n.n_history) else None)
-    (nets_in_order t)
 
 let timed_components t =
   List.filter_map
@@ -703,13 +797,7 @@ let stimuli t ~cycles =
            (fun col -> Option.map (fun v -> (c, col.col_name, v)) (column_token col c))
            cols))
 
-let probes t =
-  List.filter_map
-    (fun c ->
-      match c.c_kind with
-      | Primary_output -> Some c.c_name
-      | Timed _ | Untimed _ | Primary_input _ -> None)
-    (List.rev t.comps)
+let probes t = List.map component_name (probe_components t)
 
 let untimed_components t =
   List.filter_map
@@ -776,90 +864,6 @@ let matches t sn =
   && Array.for_all (fun (n, tok) -> Option.equal Fixed.equal n.n_token tok) sn.sn_tokens
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
-let nets t =
-  List.map
-    (fun n ->
-      let d, dp = n.n_driver in
-      ( n.n_name,
-        (d.c_name, dp),
-        List.map (fun (c, p) -> (c.c_name, p)) n.n_sinks ))
-    (nets_in_order t)
-
-let net_formats t =
-  let fmts = Hashtbl.create 64 in
-  let driver_index = Hashtbl.create 64 in
-  List.iter
-    (fun (net, (dc, dp), _) -> Hashtbl.replace driver_index (dc, dp) net)
-    (nets t);
-  let set net f =
-    match Hashtbl.find_opt fmts net with
-    | None -> Hashtbl.replace fmts net f
-    | Some f0 ->
-      if not (Fixed.equal_format f0 f) then
-        error "net %s driven with inconsistent formats %s and %s" net
-          (Fixed.format_to_string f0) (Fixed.format_to_string f)
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt driver_index (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (primary_inputs t);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt driver_index (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (untimed_components t);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt driver_index (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (timed_components t);
-  (* Static back ends compile input reads with the declared input format;
-     reject nets whose carried format differs from a sink's declaration. *)
-  List.iter
-    (fun (net, _, sinks) ->
-      match Hashtbl.find_opt fmts net with
-      | None -> ()
-      | Some f ->
-        List.iter
-          (fun (sc, sp) ->
-            match find_component t sc with
-            | None -> ()
-            | Some c -> begin
-              match c.c_kind with
-              | Timed fsm ->
-                List.iter
-                  (fun sfg ->
-                    List.iter
-                      (fun i ->
-                        if
-                          Signal.Input.name i = sp
-                          && not (Fixed.equal_format (Signal.Input.fmt i) f)
-                        then
-                          error
-                            "net %s carries %s but input %s.%s is declared %s"
-                            net (Fixed.format_to_string f) sc sp
-                            (Fixed.format_to_string (Signal.Input.fmt i)))
-                      (Sfg.inputs sfg))
-                  (Fsm.all_sfgs fsm)
-              | Untimed _ | Primary_input _ | Primary_output -> ()
-            end)
-          sinks)
-    (nets t);
-  fmts
-
 let to_dot t =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -879,7 +883,7 @@ let to_dot t =
         (fun (sink, _) ->
           pf "  %S -> %S [label=%S];\n" driver.c_name sink.c_name port)
         n.n_sinks)
-    (nets_in_order t);
+    (nets t);
   pf "}\n";
   Buffer.contents buf
 

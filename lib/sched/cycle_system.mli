@@ -80,9 +80,13 @@ val add_input :
 val add_output : t -> string -> component
 
 (** [connect t (src, port) sinks] creates a net driven by an output
-    port, fanning out to input ports.
+    port, fanning out to input ports.  The net is filed under its driver
+    port and under each sink port, where {!output_net} and
+    {!input_net} find it.
     @raise Ocapi_error.Error with code [Internal] if the driver port
-    does not exist, or a sink port is already driven by another net. *)
+    does not exist or already drives a net (a port fans out through
+    one net's sinks), or a sink port does not exist or is already
+    driven by another net. *)
 val connect : t -> component * string -> (component * string) list -> net
 
 val component_name : component -> string
@@ -94,12 +98,18 @@ type check_issue =
   | Unconnected_input of string * string  (** component, port *)
   | Unconnected_output of string * string
   | Unknown_port of string * string
+  | Format_conflict of string * string
+      (** net, the diagnostic {!net_format} raises for it *)
 
 val pp_issue : Format.formatter -> check_issue -> unit
 
 (** Static interconnect audit: every SFG input port of every timed
     component (and every kernel input) should be the sink of some net —
-    the system-level "dangling input" check. *)
+    the system-level "dangling input" check — and every output port
+    should drive one; every net whose driver declares or produces a
+    format must satisfy {!net_format}'s two rules.  A net from a kernel
+    port without a declared format is legal: the interpreter moves its
+    tokens as they come. *)
 val check : t -> check_issue list
 
 (** {1 Simulation} *)
@@ -165,9 +175,6 @@ val net_history : t -> net -> (int * Fixed.t) list
 (** Start recording tokens on every net (for waveform dumping). *)
 val trace_all : t -> unit
 
-(** Recorded histories of all traced nets, as (net name, history). *)
-val traced_histories : t -> (string * (int * Fixed.t) list) list
-
 (** {1 Introspection for code generators and statistics} *)
 
 val timed_components : t -> (string * Fsm.t) list
@@ -215,17 +222,53 @@ val stimuli : t -> cycles:int -> (int * string * Fixed.t) list
 (** Primary output probe names. *)
 val probes : t -> string list
 
-(** Nets as (net-name, driver (component, port), sinks). *)
-val nets : t -> (string * (string * string) * (string * string) list) list
+(** Every probe with its recorded tokens ({!output_history}), in
+    {!probes} order. *)
+val probe_histories : t -> (string * (int * Fixed.t) list) list
 
-(** The value format carried by each net, derived from its driver:
-    primary inputs and untimed kernels declare theirs; a timed output
-    carries the producing expression's format, which must agree across
-    all SFGs producing the port.  Static back ends (compiled simulation,
-    RTL elaboration, synthesis, HDL generation) all rely on this map.
-    @raise Ocapi_error.Error with code [Internal] on inconsistent or undeclared
-    formats. *)
-val net_formats : t -> (string, Fixed.format) Hashtbl.t
+(** {1 Wiring}
+
+    The interconnect is known here only: back ends (compiled
+    simulation, RTL elaboration, synthesis, HDL and test-bench
+    generation, waveforms) ask for the net on a port and for its format
+    while they elaborate, and never rebuild a port table of their
+    own. *)
+
+(** Nets in creation order. *)
+val nets : t -> net list
+
+(** ["<driver>.<port>"]. *)
+val net_name : net -> string
+
+(** The net's position in {!nets}. *)
+val net_index : net -> int
+
+(** The driving (component name, output port). *)
+val net_driver : net -> string * string
+
+(** [output_net t comp port] — the net output port [port] of component
+    [comp] drives, if any. *)
+val output_net : t -> string -> string -> net option
+
+(** [input_net t comp port] — the net driving input port [port] of
+    component [comp], if any. *)
+val input_net : t -> string -> string -> net option
+
+(** The value format a net carries, derived from its driver on first
+    use and kept in the net: a primary input or an untimed kernel
+    declares it, and a timed output carries the producing expression's
+    format.  Two rules hold:
+    - every SFG producing a timed port produces it in one format;
+    - every timed sink declares its input in the net's format.
+    @raise Ocapi_error.Error with code [Internal] when a rule is broken
+    (["net N driven with inconsistent formats F and G"], ["net N
+    carries F but input C.P is declared G"]) or the driving kernel port
+    declares no format. *)
+val net_format : net -> Fixed.format
+
+(** [probe_format t probe] — the format of the net a probe records,
+    [None] when the probe is unconnected. *)
+val probe_format : t -> string -> Fixed.format option
 
 (** All registers of all timed components. *)
 val all_regs : t -> Signal.Reg.t list

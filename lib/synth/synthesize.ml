@@ -609,41 +609,27 @@ let synthesize_mapped ?(options = default_options)
   let t0 = Unix.gettimeofday () in
   let t_span = Ocapi_obs.span_begin () in
   let nl = Netlist.create (Cycle_system.name sys) in
-  let fmts = Cycle_system.net_formats sys in
-  let nets = Cycle_system.nets sys in
   let primary_input_names =
     List.map (fun (n, _, _) -> n) (Cycle_system.primary_inputs sys)
   in
   (* Allocate a bus per net; primary-input-driven nets become netlist
      input buses, everything else is driven by its component. *)
-  let net_bus = Hashtbl.create 64 in
-  let sink_map = Hashtbl.create 64 in
-  let driver_map = Hashtbl.create 64 in
-  List.iter
-    (fun (net, (dc, dp), sinks) ->
-      let fmt =
-        match Hashtbl.find_opt fmts net with
-        | Some f -> f
-        | None -> error "net %s has no derivable format" net
-      in
-      let width = fmt.Fixed.width in
-      let bus =
-        if List.mem dc primary_input_names then Netlist.input_bus nl dc width
-        else Array.init width (fun _ -> Netlist.new_net nl)
-      in
-      Hashtbl.replace net_bus net (bus, fmt);
-      Hashtbl.replace driver_map (dc, dp) net;
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_map (sc, sp) net) sinks)
-    nets;
+  let net_buses =
+    Array.of_list
+      (List.map
+         (fun n ->
+           let width = (Cycle_system.net_format n).Fixed.width in
+           let dc, _ = Cycle_system.net_driver n in
+           if List.mem dc primary_input_names then Netlist.input_bus nl dc width
+           else Array.init width (fun _ -> Netlist.new_net nl))
+         (Cycle_system.nets sys))
+  in
+  let bus n = net_buses.(Cycle_system.net_index n) in
   let in_bus_of cname port =
-    match Hashtbl.find_opt sink_map (cname, port) with
-    | Some net -> Some (fst (Hashtbl.find net_bus net))
-    | None -> None
+    Option.map bus (Cycle_system.input_net sys cname port)
   in
   let drive_of cname port =
-    match Hashtbl.find_opt driver_map (cname, port) with
-    | Some net -> Some (fst (Hashtbl.find net_bus net))
-    | None -> None
+    Option.map bus (Cycle_system.output_net sys cname port)
   in
   (* Timed components. *)
   let comp_results =
@@ -685,10 +671,7 @@ let synthesize_mapped ?(options = default_options)
     (Cycle_system.untimed_components sys);
   (* Probes become primary outputs. *)
   List.iter
-    (fun pname ->
-      match Hashtbl.find_opt sink_map (pname, "in") with
-      | Some net -> Netlist.output_bus nl pname (fst (Hashtbl.find net_bus net))
-      | None -> ())
+    (fun pname -> Option.iter (Netlist.output_bus nl pname) (in_bus_of pname "in"))
     (Cycle_system.probes sys);
   (* Optional probe-valid wires: a 1-bit output per probe that is high
      exactly when the behavioral engine would record a token.  A net
@@ -698,70 +681,57 @@ let synthesize_mapped ?(options = default_options)
      valids); a primary input's validity only the test bench knows, so
      it becomes a host-driven 1-bit input bus. *)
   if options.emit_probe_valids then begin
-    let driver_of_net = Hashtbl.create 64 in
-    List.iter
-      (fun (net, (dc, dp), _) -> Hashtbl.replace driver_of_net net (dc, dp))
-      nets;
-    let port_sels_of = Hashtbl.create 16 in
-    List.iter
-      (fun (cname, _, _, _, _, port_sels) ->
-        List.iter
-          (fun (port, sels) -> Hashtbl.replace port_sels_of (cname, port) sels)
-          port_sels)
-      comp_results;
-    let kernel_inputs = Hashtbl.create 16 in
-    List.iter
-      (fun (cname, k) ->
-        Hashtbl.replace kernel_inputs cname
-          (List.map fst k.Dataflow.Kernel.k_inputs))
-      (Cycle_system.untimed_components sys);
+    let port_sels_of dc dp =
+      List.find_map
+        (fun (cname, _, _, _, _, port_sels) ->
+          if cname = dc then List.assoc_opt dp port_sels else None)
+        comp_results
+    in
     let stim_valid = Hashtbl.create 8 in
     let valid_memo = Hashtbl.create 32 in
-    let rec valid_of_net net =
-      match Hashtbl.find_opt valid_memo net with
+    let rec valid_of_net n =
+      let i = Cycle_system.net_index n in
+      match Hashtbl.find_opt valid_memo i with
       | Some (Some v) -> v
       | Some None ->
         (* A combinational cycle through kernels (gated off at run
            time): break it optimistically. *)
         Netlist.gate nl Netlist.Const1 []
       | None ->
-        Hashtbl.replace valid_memo net None;
+        Hashtbl.replace valid_memo i None;
+        let dc, dp = Cycle_system.net_driver n in
         let v =
-          match Hashtbl.find_opt driver_of_net net with
-          | None -> Netlist.gate nl Netlist.Const0 []
-          | Some (dc, dp) ->
-            if List.mem dc primary_input_names then begin
-              match Hashtbl.find_opt stim_valid dc with
-              | Some n -> n
-              | None ->
-                let bus = Netlist.input_bus nl ("__stimvalid__" ^ dc) 1 in
-                Hashtbl.replace stim_valid dc bus.(0);
-                bus.(0)
-            end
-            else begin
-              match Hashtbl.find_opt port_sels_of (dc, dp) with
-              | Some sels -> Wordgen.or_tree nl sels
-              | None -> (
-                match Hashtbl.find_opt kernel_inputs dc with
-                | Some ports ->
-                  Wordgen.and_tree nl
-                    (List.filter_map
-                       (fun port ->
-                         Option.map valid_of_net
-                           (Hashtbl.find_opt sink_map (dc, port)))
-                       ports)
-                | None -> Netlist.gate nl Netlist.Const0 [])
-            end
+          if List.mem dc primary_input_names then begin
+            match Hashtbl.find_opt stim_valid dc with
+            | Some n -> n
+            | None ->
+              let bus = Netlist.input_bus nl ("__stimvalid__" ^ dc) 1 in
+              Hashtbl.replace stim_valid dc bus.(0);
+              bus.(0)
+          end
+          else begin
+            match port_sels_of dc dp with
+            | Some sels -> Wordgen.or_tree nl sels
+            | None -> (
+              match List.assoc_opt dc (Cycle_system.untimed_components sys) with
+              | Some k ->
+                Wordgen.and_tree nl
+                  (List.filter_map
+                     (fun (port, _) ->
+                       Option.map valid_of_net (Cycle_system.input_net sys dc port))
+                     k.Dataflow.Kernel.k_inputs)
+              | None -> Netlist.gate nl Netlist.Const0 [])
+          end
         in
-        Hashtbl.replace valid_memo net (Some v);
+        Hashtbl.replace valid_memo i (Some v);
         v
     in
     List.iter
       (fun pname ->
-        match Hashtbl.find_opt sink_map (pname, "in") with
-        | Some net ->
-          Netlist.output_bus nl ("__valid__" ^ pname) [| valid_of_net net |]
-        | None -> ())
+        Option.iter
+          (fun n ->
+            Netlist.output_bus nl ("__valid__" ^ pname) [| valid_of_net n |])
+          (Cycle_system.input_net sys pname "in"))
       (Cycle_system.probes sys)
   end;
   (* The structural map: datapath registers in Cycle_system.all_regs
@@ -848,70 +818,71 @@ type verify_result = {
   mismatches : (int * string * int64 * int64) list;
 }
 
-let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
-    sys ~cycles =
+(* Replay [sys]'s stimuli on [nl] and sample each probe's output bus at
+   the cycles the reference simulation recorded a token: the generated
+   test bench discipline, in process. *)
+let replay sys nl ~cycles =
   Cycle_system.reset sys;
   Cycle_system.run sys cycles;
-  let probe_names = Cycle_system.probes sys in
-  let expected =
-    List.map
-      (fun p ->
-        let c =
-          match Cycle_system.find_component sys p with
-          | Some c -> c
-          | None -> error "probe %s vanished" p
-        in
-        (p, Cycle_system.output_history sys c))
-      probe_names
-  in
-  let fmts = Cycle_system.net_formats sys in
-  let sink_map = Hashtbl.create 16 in
-  List.iter
-    (fun (net, _, sinks) ->
-      List.iter (fun (sc, sp) -> Hashtbl.replace sink_map (sc, sp) net) sinks)
-    (Cycle_system.nets sys);
-  let probe_signed =
-    List.map
-      (fun p ->
-        let fmt =
-          match Hashtbl.find_opt sink_map (p, "in") with
-          | Some net -> (
-            match Hashtbl.find_opt fmts net with
-            | Some f -> f
-            | None -> Fixed.bit_format)
-          | None -> Fixed.bit_format
-        in
-        (p, fmt.Fixed.signedness = Fixed.Signed))
-      probe_names
-  in
+  let expected = Cycle_system.probe_histories sys in
   Cycle_system.reset sys;
-  let nl, _report = synthesize ~options ?macro_of_kernel sys in
-  let nl = if optimize then fst (Netopt.run nl) else nl in
+  let outputs = List.map fst (Netlist.outputs_list nl) in
   let sim = Netlist.Sim.create nl in
-  (* Stimuli per cycle. *)
   let per_cycle = Array.make cycles [] in
   List.iter
     (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
     (Cycle_system.stimuli sys ~cycles);
-  let vectors = ref 0 in
-  let mismatches = ref [] in
+  (* Per probe the tokens still to sample, and the samples taken. *)
+  let rows =
+    List.map
+      (fun (p, hist) ->
+        let pending =
+          match Cycle_system.probe_format sys p with
+          | Some fmt when List.mem p outputs ->
+            List.map (fun (c, v) -> (c, v, fmt)) hist
+          | Some _ | None -> []
+        in
+        (p, ref pending, ref []))
+      expected
+  in
   for c = 0 to cycles - 1 do
     List.iter
       (fun (name, v) -> Netlist.Sim.set_input sim name (Fixed.mantissa v))
       per_cycle.(c);
     Netlist.Sim.settle sim;
     List.iter
-      (fun (p, hist) ->
-        match List.assoc_opt c hist with
-        | None -> ()
-        | Some v ->
-          incr vectors;
-          let signed = List.assoc p probe_signed in
-          let got = Netlist.Sim.get_output sim ~signed p in
-          if got <> Fixed.mantissa v then
-            mismatches := (c, p, Fixed.mantissa v, got) :: !mismatches)
-      expected;
+      (fun (p, pending, samples) ->
+        match !pending with
+        | (c', want, fmt) :: rest when c' = c ->
+          pending := rest;
+          let signed = fmt.Fixed.signedness = Fixed.Signed in
+          let got = Fixed.create fmt (Netlist.Sim.get_output sim ~signed p) in
+          samples := (c, want, got) :: !samples
+        | _ -> ())
+      rows;
     Netlist.Sim.clock sim
   done;
-  { vectors_checked = !vectors; mismatches = List.rev !mismatches }
+  List.map (fun (p, _, samples) -> (p, List.rev !samples)) rows
 
+let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
+    sys ~cycles =
+  Cycle_system.reset sys;
+  let nl, _report = synthesize ~options ?macro_of_kernel sys in
+  let nl = if optimize then fst (Netopt.run nl) else nl in
+  let samples = replay sys nl ~cycles in
+  let mismatches =
+    List.concat_map
+      (fun (p, s) ->
+        List.filter_map
+          (fun (c, want, got) ->
+            if Fixed.mantissa got = Fixed.mantissa want then None
+            else Some (c, p, Fixed.mantissa want, Fixed.mantissa got))
+          s)
+      samples
+  in
+  {
+    vectors_checked = List.fold_left (fun n (_, s) -> n + List.length s) 0 samples;
+    (* By cycle, then in probe order. *)
+    mismatches =
+      List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) mismatches;
+  }

@@ -117,16 +117,29 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {1 Netlist-level verification (the generated-test-bench flow)} *)
 
+(** [replay sys nl ~cycles] runs the reference (interpreted) simulation
+    for [cycles], replays its stimuli on [nl] and samples every probe's
+    output bus at the cycles the reference recorded a token: per probe,
+    in [Cycle_system.probes] order, [(cycle, reference token, netlist
+    token)], the netlist's read in the probe's format.  A probe [nl] has
+    no output for gets no samples.  The system is reset before and
+    after. *)
+val replay :
+  Cycle_system.t ->
+  Netlist.t ->
+  cycles:int ->
+  (string * (int * Fixed.t * Fixed.t) list) list
+
 type verify_result = {
   vectors_checked : int;
   mismatches : (int * string * int64 * int64) list;
       (** cycle, probe, expected mantissa, netlist mantissa *)
 }
 
-(** [verify ?options ?optimize ?macro_of_kernel sys ~cycles] runs the
-    reference (interpreted) simulation for [cycles], replays the
-    recorded stimuli on the synthesized netlist, and compares every
-    probe token — the "verification of the synthesis result" of fig 8.
+(** [verify ?options ?optimize ?macro_of_kernel sys ~cycles] {!replay}s
+    the reference simulation on the synthesized netlist and compares
+    every probe token — the "verification of the synthesis result" of
+    fig 8.
     With [optimize] (default false) the netlist is first run through
     {!Netopt.run}, so the post-optimization netlist is what is
     verified.  The system is reset before and after. *)

@@ -7,35 +7,16 @@
 
 module Json = Ocapi_obs.Json
 
-let dect_design () =
-  let d =
-    Dect_transceiver.create
-      ~stimulus:(fun c ->
-        Some
-          (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-             (sin (float_of_int c *. 0.37) /. 2.2)))
-      ()
-  in
-  d.Dect_transceiver.system
-
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
-(* "hcor" is the CLI's own design of that name, so process workers
-   (`ocapi worker`) fingerprint its jobs alike. *)
+(* "hcor" is the gallery's design, the one the CLI registers under that
+   name, so process workers (`ocapi worker`) fingerprint its jobs
+   alike. *)
 let ensure_designs =
   lazy
-    (Ocapi_batch.register_design ~name:"tb-hcor" hcor_design;
-     Ocapi_batch.register_design ~name:"hcor" hcor_design;
+    (Ocapi_batch.register_design ~name:"tb-hcor" Gallery.hcor;
+     Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
      Ocapi_batch.register_design
-       ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"tb-dect"
-       dect_design)
+       ~macro_of_kernel:(Gallery.macro_of_kernel "dect") ~name:"tb-dect"
+       Gallery.dect)
 
 let json_of fmt =
   Printf.ksprintf
@@ -284,7 +265,7 @@ let test_artifact_equals_library () =
       let expect =
         Json.to_string
           (Flow.simulate_result_json ~engine:"interp" ~cycles:40
-             (Flow.simulate ~engine:"interp" ~seed:1 (hcor_design ()) ~cycles:40))
+             (Flow.simulate ~engine:"interp" ~seed:1 (Gallery.hcor ()) ~cycles:40))
         ^ "\n"
       in
       Alcotest.(check string) "artifact = direct library call" expect

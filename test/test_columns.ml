@@ -178,10 +178,10 @@ let test_cache_key_pins () =
         (Digest.to_hex
            (Digest.string (Flow.Cache.key_of ~engine:"pin" ~seed:1 sys ~cycles:64))))
     [
-      ("hcor", Test_fault.hcor_design (), "169aafaed9dda4849196183041078ecd");
-      ("dect", Test_fault.dect_design (), "54b56fe2a40739f6b328979806509954");
-      ("rs", Test_fault.rs_design (), "9d929a7cd93cd17c2cf4327185f00437");
-      ("cpu", Test_fault.cpu_design (), "1a685cfac63cd9ca90a127ec5e59b57f");
+      ("hcor", Gallery.hcor (), "169aafaed9dda4849196183041078ecd");
+      ("dect", Gallery.dect (), "54b56fe2a40739f6b328979806509954");
+      ("rs", Gallery.rs (), "9d929a7cd93cd17c2cf4327185f00437");
+      ("cpu", Gallery.cpu (), "1a685cfac63cd9ca90a127ec5e59b57f");
     ]
 
 let suite =

@@ -341,7 +341,7 @@ let test_native_step_allocates_nothing () =
           let words = Gc.minor_words () -. before -. gauge_words in
           Alcotest.(check (float 0.0)) (name ^ ": minor words in 1000 steps")
             0.0 words))
-    [ ("rs", Test_fault.rs_design ()); ("cpu", Test_fault.cpu_design ()) ]
+    [ ("rs", Gallery.rs ()); ("cpu", Gallery.cpu ()) ]
 
 (* A controller driving a RAM cell, which carries a model and so fires
    inline on the compiled engine, whose read word returns through an
@@ -514,8 +514,8 @@ let test_statement_counts () =
       Alcotest.(check (option int)) (name ^ " native fallback") (Some expected)
         (native_disabled (fun () -> native_size sys)))
     [
-      ("hcor", Test_fault.hcor_design (), 708);
-      ("dect", Test_fault.dect_design (), 2392);
+      ("hcor", Gallery.hcor (), 708);
+      ("dect", Gallery.dect (), 2392);
       ( "rs",
         (Rs_codec.create ~data_stimulus:(Rs_codec.data_stimulus ())
            ~err_stimulus:(Rs_codec.err_stimulus ()) ())

@@ -3,26 +3,6 @@
    campaign determinism, and graceful degradation of non-settling
    faulty circuits into per-run diagnostics. *)
 
-let dect_design () =
-  let d =
-    Dect_transceiver.create
-      ~stimulus:(fun c ->
-        Some
-          (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-             (sin (float_of_int c *. 0.37) /. 2.2)))
-      ()
-  in
-  d.Dect_transceiver.system
-
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
 (* --- zero-fault controls --------------------------------------------------- *)
 
 (* The SEU harness run with no injection must be bit-identical to the
@@ -30,8 +10,8 @@ let hcor_design () =
    the simulation. *)
 let check_control engine =
   let cycles = 48 in
-  let golden = Flow.simulate ~engine (dect_design ()) ~cycles in
-  let control = Ocapi_fault.control_run ~engine (dect_design ()) ~cycles in
+  let golden = Flow.simulate ~engine (Gallery.dect ()) ~cycles in
+  let control = Ocapi_fault.control_run ~engine (Gallery.dect ()) ~cycles in
   match Flow.first_history_mismatch golden control with
   | None -> ()
   | Some (probe, cycle, detail) ->
@@ -97,7 +77,7 @@ let test_stuck_at_and_weak_stimuli () =
 
 let test_stuck_at_hcor () =
   let r =
-    Ocapi_fault.stuck_at_system ~max_faults:60 ~seed:1 (hcor_design ())
+    Ocapi_fault.stuck_at_system ~max_faults:60 ~seed:1 (Gallery.hcor ())
       ~cycles:8
   in
   Alcotest.(check int) "sample size honoured" 60 r.Ocapi_fault.st_simulated;
@@ -146,15 +126,6 @@ let test_oscillation_diagnosed () =
 
 (* --- PPSFP exactness ------------------------------------------------------------ *)
 
-let rs_design () =
-  (Rs_codec.create
-     ~data_stimulus:(Rs_codec.data_stimulus ())
-     ~err_stimulus:(Rs_codec.err_stimulus ()) ())
-    .Rs_codec.system
-
-let cpu_design () =
-  (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
-
 (* One line per record, "<label> d <cycle> <output>", "<label> u" or
    "<label> x <code>", hashed: the whole per-fault outcome table. *)
 let outcome_digest (r : Ocapi_fault.stuck_report) =
@@ -177,16 +148,16 @@ let check_digest name ~faults ~detected md5 (r : Ocapi_fault.stuck_report) =
    replaced, pinned: 63-lane batches must reproduce every one. *)
 let test_digests_rs_cpu () =
   check_digest "rs" ~faults:2210 ~detected:1699 "7ca44fc8e534059080aed9a61dd04f25"
-    (Ocapi_fault.stuck_at_system ~seed:1 (rs_design ()) ~cycles:45);
+    (Ocapi_fault.stuck_at_system ~seed:1 (Gallery.rs ()) ~cycles:45);
   check_digest "cpu" ~faults:2801 ~detected:1425 "433d13904a1f0dbc2b31a32eafda5493"
     (Ocapi_fault.stuck_at_system ~macro_of_kernel:Ram_cell.macro_of_kernel ~seed:1
-       (cpu_design ()) ~cycles:64)
+       (Gallery.cpu ()) ~cycles:64)
 
 let test_digests_dect_hcor () =
   check_digest "dect" ~faults:80 ~detected:17 "59bcd908a382245a99274de27f4f59ae"
     (Ocapi_fault.stuck_at_system ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-       ~max_faults:80 ~seed:1 (dect_design ()) ~cycles:64);
-  let c = Ocapi_fault.stuck_at_optimized ~max_faults:200 ~seed:1 (hcor_design ()) ~cycles:24 in
+       ~max_faults:80 ~seed:1 (Gallery.dect ()) ~cycles:64);
+  let c = Ocapi_fault.stuck_at_optimized ~max_faults:200 ~seed:1 (Gallery.hcor ()) ~cycles:24 in
   check_digest "hcor pre" ~faults:200 ~detected:109 "8bac454a63138b00971ff20c0fb3a54e"
     c.sc_pre;
   check_digest "hcor post" ~faults:200 ~detected:142 "6cc2d71658b83084bf592cc4c8be828d"
@@ -231,9 +202,9 @@ let test_seu_digests () =
             md5 (seu_digest r))
         [ "interp"; "compiled"; "native"; "rtl"; "gate" ])
     [
-      ("dect", dect_design, 60, 48, "1004c4d4cc5b219c13f449d6c07161bb");
-      ("rs", rs_design, 80, 45, "a0886319294f1fc5e90006c406181e65");
-      ("cpu", cpu_design, 120, 64, "2b6a8f5a234c431681035cd65d9e548b");
+      ("dect", Gallery.dect, 60, 48, "1004c4d4cc5b219c13f449d6c07161bb");
+      ("rs", Gallery.rs, 80, 45, "a0886319294f1fc5e90006c406181e65");
+      ("cpu", Gallery.cpu, 120, 64, "2b6a8f5a234c431681035cd65d9e548b");
     ]
 
 (* Windows over 64 cycles space the checkpoints ⌈cycles/64⌉ apart: a
@@ -253,22 +224,15 @@ let test_seu_long_window () =
             (Printf.sprintf "%s on %s, %d cycles" design engine cycles)
             (seu_lines reference) (seu_lines r))
         [ "interp"; "compiled" ])
-    [ ("rs", rs_design, 40, 130); ("cpu", cpu_design, 40, 130); ("cpu", cpu_design, 30, 201) ]
+    [ ("rs", Gallery.rs, 40, 130); ("cpu", Gallery.cpu, 40, 130); ("cpu", Gallery.cpu, 30, 201) ]
 
 (* Batching assumes acyclic netlists (a cyclic one runs a fault per
    batch): the gallery's have no combinational cycle, under the
    stuck-at campaigns' synthesis options and the gate engine's. *)
 let test_gallery_acyclic () =
-  let designs =
-    [
-      ("hcor", hcor_design, fun _ -> None);
-      ("dect", dect_design, Dect_transceiver.macro_of_kernel);
-      ("rs", rs_design, fun _ -> None);
-      ("cpu", cpu_design, Ram_cell.macro_of_kernel);
-    ]
-  in
   List.iter
-    (fun (name, build, macro_of_kernel) ->
+    (fun (name, build) ->
+      let macro_of_kernel = Gallery.macro_of_kernel name in
       List.iter
         (fun (what, options, macro_of_kernel) ->
           let nl, _ = Synthesize.synthesize ~options ~macro_of_kernel (build ()) in
@@ -281,11 +245,11 @@ let test_gallery_acyclic () =
             { Synthesize.default_options with Synthesize.emit_probe_valids = true },
             Ocapi_ir.macro_of_model );
         ])
-    designs
+    Gallery.designs
 
 (* Zero test-bench cycles replay nothing: no vectors, no detection. *)
 let test_stuck_at_zero_cycles () =
-  let r = Ocapi_fault.stuck_at_system ~max_faults:40 ~seed:1 (rs_design ()) ~cycles:0 in
+  let r = Ocapi_fault.stuck_at_system ~max_faults:40 ~seed:1 (Gallery.rs ()) ~cycles:0 in
   Alcotest.(check int) "no vectors" 0 r.Ocapi_fault.st_vectors;
   Alcotest.(check int) "no detections" 0 r.Ocapi_fault.st_detected;
   Alcotest.(check int) "all undetected" r.Ocapi_fault.st_simulated
@@ -325,7 +289,7 @@ let prop_batch_outcomes =
 let test_seu_deterministic () =
   let run () =
     Ocapi_fault.seu_campaign ~engine:"compiled" ~runs:120 ~seed:7
-      (dect_design ()) ~cycles:32
+      (Gallery.dect ()) ~cycles:32
   in
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "same seed, same report" true (r1 = r2);
@@ -340,7 +304,7 @@ let test_seu_deterministic () =
 let test_seu_targets_engine_independent () =
   let labels engine =
     let r =
-      Ocapi_fault.seu_campaign ~engine ~runs:25 ~seed:3 (dect_design ())
+      Ocapi_fault.seu_campaign ~engine ~runs:25 ~seed:3 (Gallery.dect ())
         ~cycles:16
     in
     List.map
@@ -369,7 +333,7 @@ let test_seu_report_cached () =
         let report =
           Ocapi_fault.seu_campaign ~engine:"compiled" ~runs:30 ~seed:5
             ~progress:(fun _ -> incr ticks)
-            (dect_design ()) ~cycles:24
+            (Gallery.dect ()) ~cycles:24
         in
         (report, !ticks)
       in
@@ -397,8 +361,8 @@ let test_seu_bad_sizes () =
         "code" "unsupported"
         (Ocapi_error.code_label e.Ocapi_error.e_code)
   in
-  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:(-3) (rs_design ()) ~cycles:8);
-  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:3 (rs_design ()) ~cycles:0);
+  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:(-3) (Gallery.rs ()) ~cycles:8);
+  unsupported (fun () -> Ocapi_fault.seu_campaign ~runs:3 (Gallery.rs ()) ~cycles:0);
   let cli =
     Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
   in

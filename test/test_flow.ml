@@ -177,7 +177,7 @@ let test_cache_disk_eviction () =
    entry points, raised before any work; `ocapi` prints them and exits
    1.  A window of 0 cycles stays valid. *)
 let test_negative_counts () =
-  let rs () = Test_fault.rs_design () in
+  let rs () = Gallery.rs () in
   let unsupported name f =
     match f () with
     | _ -> Alcotest.failf "%s: expected Ocapi_error.Error" name

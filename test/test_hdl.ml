@@ -171,3 +171,118 @@ let test_vhdl_netlist () =
   Alcotest.(check bool) "ends" true (contains v "end architecture structural;")
 
 let suite = suite @ [ Alcotest.test_case "vhdl netlist view" `Quick test_vhdl_netlist ]
+
+(* What `ocapi emit <design> --cycles 64` writes for the four gallery
+   designs — VHDL, test bench, Verilog netlist, standalone simulator,
+   architecture graph and waveform — pinned file by file by MD5. *)
+let emit_pins =
+  [
+    ( "hcor",
+      [
+        ("hcor.vcd", "37e9e87775a8996b383e08a054341405");
+        ("hcor.vhd", "c14142b6edb155b0f0ea09aa685359a7");
+        ("hcor_architecture.dot", "ed7fd00462c6c5953963a26598deaabb");
+        ("hcor_netlist.v", "3612153be758bb3a5fe7786af98846fd");
+        ("hcor_sim.ml", "7bc03563f45b0318de32643c360dfab9");
+        ("hcor_top.vhd", "ee599aa60f9f14bf397597abf12d4966");
+        ("tb_hcor.vhd", "b3615d4dfaaaef51982d09013406f62b");
+      ] );
+    ( "dect",
+      [
+        ("dect.vcd", "02ddcfad3908e192f56388802f171dee");
+        ("dect_architecture.dot", "2c0ffb7f2a972474c45a71e37384d787");
+        ("dect_netlist.v", "20bfb153d51edcf145c2494c96baf9ab");
+        ("dect_sim.ml", "1d8b567a2c4a77b75a2316150860edfa");
+        ("dect_top.vhd", "444dc1cf7ef39a9530953cf47e248dbb");
+        ("dp_adc.vhd", "2db728c3a830859a1743dc221e87c062");
+        ("dp_agc.vhd", "ea03e2604976523aed278430badcbbd7");
+        ("dp_corr.vhd", "4d0fd585d4064bf826258f23906ad201");
+        ("dp_crc.vhd", "0d08cc47cad45cc6c027ce1910a41b13");
+        ("dp_ctl.vhd", "f860e73a249a31c1feed2b2149a57d2d");
+        ("dp_dc.vhd", "2b4b4b5d4b8768e1d8b0a99e821b4cb4");
+        ("dp_deint_a.vhd", "be9693b61733842ff7e9e938a2d2f228");
+        ("dp_deint_b.vhd", "1783cf8fb15a1db598612723fb75ed97");
+        ("dp_equ.vhd", "42f13f733172cb0a5fea622413aa368f");
+        ("dp_framer.vhd", "2081fcc8c4acba306940d163da00dd66");
+        ("dp_freq.vhd", "5afbc9cd68096ca5caebd7db587d399b");
+        ("dp_gain.vhd", "e45d6a8d8a4331ee571fe5345034b3a0");
+        ("dp_mac0.vhd", "c4d06d70588e2c27e5dc59671fc9c7b8");
+        ("dp_mac1.vhd", "9577ab536cfbc7fc3796cf3230446ba3");
+        ("dp_mac2.vhd", "c1259d89c2e13a9973ce37a7f6b86bf5");
+        ("dp_mac3.vhd", "831b0069d4b8f5527dae589b71c775fb");
+        ("dp_mem.vhd", "319570967f73eeec4b90061b18d742ed");
+        ("dp_mon.vhd", "48e2592da49063a14da6de179985a058");
+        ("dp_scram.vhd", "b72c8b43921b8750de08c98e84a49004");
+        ("dp_slice.vhd", "68255b68e001623c05b2ffa53d26b6cb");
+        ("dp_sum.vhd", "153630080219f4df512e6be1ffc81d2f");
+        ("dp_timing.vhd", "a7af51a93b92e4a91d061647140d7538");
+        ("ocapi_ram.vhd", "3c24a6d2161f96041c362c0dc60b1370");
+        ("pc_ctl.vhd", "0d7c990923a7746122a0f05ea158ac68");
+        ("tb_dect.vhd", "1af63911602226fb0a6817e8f2c95bf3");
+        ("vliw_ctl.vhd", "ee5d7a74b44303425c40ec706ce4941c");
+      ] );
+    ( "rs",
+      [
+        ("dec.vhd", "9484306dc438c6ce9acc4e3d4ac63683");
+        ("enc.vhd", "1b77f9d64b9e1c8dc81d57bb62e1800c");
+        ("rs.vcd", "7d9f55d827708ad40d7c03208ba4343a");
+        ("rs_architecture.dot", "8e5387c4cfa989d1aeae2916fc9de920");
+        ("rs_netlist.v", "bdd52ad83514cd184809f56d56a5e710");
+        ("rs_sim.ml", "c7933786fbace03c0a28873d07f28c44");
+        ("rs_top.vhd", "1455e523a8878d909ff1f9fbcf67e026");
+        ("tb_rs.vhd", "51b1a3a213e0547021e708fc8a84940a");
+      ] );
+    ( "cpu",
+      [
+        ("core.vhd", "140b675d3cd87d4305a31bc01cd0cf8f");
+        ("cpu.vcd", "b0e4e71732647b6fb4595f374a592b4e");
+        ("cpu_architecture.dot", "34be6f1254236de55b7588cee1b0f23e");
+        ("cpu_netlist.v", "7e379df77de5c729b19949c6d84f4620");
+        ("cpu_sim.ml", "551af9aa02a742e95712c3c245c59619");
+        ("cpu_top.vhd", "851845613ee723c2768268a8768f05dc");
+        ("ocapi_ram.vhd", "3c24a6d2161f96041c362c0dc60b1370");
+        ("tb_cpu.vhd", "6c85884a90044fe6d183c2717f033391");
+      ] );
+  ]
+
+let test_emit_pinned () =
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  let root = Filename.temp_file "ocapi_emit_pins" "" in
+  Sys.remove root;
+  Unix.mkdir root 0o755;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      List.iter
+        (fun (design, pins) ->
+          let dir = Filename.concat root design in
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let pid =
+            Unix.create_process cli
+              [| cli; "emit"; design; "--dir"; dir; "--cycles"; "64" |]
+              Unix.stdin null null
+          in
+          Unix.close null;
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool)
+            (design ^ ": emit exits 0") true (status = Unix.WEXITED 0);
+          let written =
+            Sys.readdir dir |> Array.to_list |> List.sort String.compare
+            |> List.map (fun f ->
+                   (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+          in
+          Alcotest.(check (list (pair string string))) design pins written)
+        emit_pins)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "emit pinned: hcor, dect, rs, cpu" `Quick test_emit_pinned ]

@@ -3,26 +3,6 @@
    recording, and cross-level equivalence of the reference designs at
    every level, pre- and post-optimization. *)
 
-let dect_design () =
-  let d =
-    Dect_transceiver.create
-      ~stimulus:(fun c ->
-        Some
-          (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-             (sin (float_of_int c *. 0.37) /. 2.2)))
-      ()
-  in
-  d.Dect_transceiver.system
-
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
 let full_pipeline =
   [ Ocapi_ir.lower_to_gate; Ocapi_ir.optimize_gates ]
 
@@ -46,13 +26,13 @@ let check_deterministic build =
   Alcotest.(check string) "optimized gate digests agree" g1.Ocapi_ir.ir_digest
     g2.Ocapi_ir.ir_digest
 
-let test_determinism_hcor () = check_deterministic hcor_design
-let test_determinism_dect () = check_deterministic dect_design
+let test_determinism_hcor () = check_deterministic Gallery.hcor
+let test_determinism_dect () = check_deterministic Gallery.dect
 
 (* --- provenance ------------------------------------------------------------ *)
 
 let test_provenance_chain () =
-  let d0 = Ocapi_ir.behavioral (hcor_design ()) in
+  let d0 = Ocapi_ir.behavioral (Gallery.hcor ()) in
   Alcotest.(check (list string)) "fresh design has empty provenance" []
     (List.map (fun p -> p.Ocapi_ir.pr_pass) d0.Ocapi_ir.ir_provenance);
   let d = Ocapi_ir.pipeline full_pipeline d0 in
@@ -92,7 +72,7 @@ let test_pass_registry () =
 (* A pass applied at the wrong level is a structured error, not a
    crash. *)
 let test_wrong_level_rejected () =
-  let d = Ocapi_ir.behavioral (hcor_design ()) in
+  let d = Ocapi_ir.behavioral (Gallery.hcor ()) in
   let g = Ocapi_ir.pipeline full_pipeline d in
   match Ocapi_ir.apply Ocapi_ir.lower_to_rtl g with
   | _ -> Alcotest.fail "expected Ocapi_error.Error"
@@ -120,14 +100,14 @@ let check_all_levels build ~cycles =
   check_equiv "behavioral = optimized gate" d opt ~cycles;
   check_equiv "rtl = gate" rtl gate ~cycles
 
-let test_equivalence_hcor () = check_all_levels hcor_design ~cycles:120
-let test_equivalence_dect () = check_all_levels dect_design ~cycles:200
+let test_equivalence_hcor () = check_all_levels Gallery.hcor ~cycles:120
+let test_equivalence_dect () = check_all_levels Gallery.dect ~cycles:200
 
 (* Two different designs must NOT check equivalent, and the failure is
    a structured [Mismatch] diagnostic naming a probe. *)
 let test_mismatch_is_structured () =
-  let a = Ocapi_ir.behavioral (hcor_design ()) in
-  let b = Ocapi_ir.behavioral (dect_design ()) in
+  let a = Ocapi_ir.behavioral (Gallery.hcor ()) in
+  let b = Ocapi_ir.behavioral (Gallery.dect ()) in
   match Ocapi_ir.check_equivalence ~cycles:40 a b with
   | Ok () -> Alcotest.fail "distinct designs checked equivalent"
   | Error e ->

@@ -3,26 +3,6 @@
    parallel fault campaigns against the serial reports on multiple
    engines, and cross-domain telemetry aggregation. *)
 
-let dect_design () =
-  let d =
-    Dect_transceiver.create
-      ~stimulus:(fun c ->
-        Some
-          (Fixed.of_float ~overflow:Fixed.Saturate Dect_transceiver.sample_format
-             (sin (float_of_int c *. 0.37) /. 2.2)))
-      ()
-  in
-  d.Dect_transceiver.system
-
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
 (* --- the pool itself ------------------------------------------------------- *)
 
 (* Results land in task-index order whatever the pool size or chunk:
@@ -100,12 +80,12 @@ let check_seu_parallel engine sys_of =
         true (par = serial))
     [ 2; 4 ]
 
-let test_seu_parallel_compiled () = check_seu_parallel "compiled" dect_design
-let test_seu_parallel_interp () = check_seu_parallel "interp" hcor_design
+let test_seu_parallel_compiled () = check_seu_parallel "compiled" Gallery.dect
+let test_seu_parallel_interp () = check_seu_parallel "interp" Gallery.hcor
 
 let test_seu_parallel_needs_replicate () =
   match
-    Ocapi_fault.seu_campaign ~runs:4 ~domains:2 (dect_design ()) ~cycles:8
+    Ocapi_fault.seu_campaign ~runs:4 ~domains:2 (Gallery.dect ()) ~cycles:8
   with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
@@ -113,7 +93,7 @@ let test_seu_parallel_needs_replicate () =
 let test_stuck_at_parallel () =
   let run domains =
     Ocapi_fault.stuck_at_system ~max_faults:60 ~seed:5 ~domains
-      (hcor_design ()) ~cycles:16
+      (Gallery.hcor ()) ~cycles:16
   in
   let serial = run 1 in
   List.iter
@@ -134,7 +114,7 @@ let test_parallel_telemetry_counters () =
     Ocapi_obs.enable ();
     ignore
       (Ocapi_fault.seu_campaign ~engine:"compiled" ~runs:30 ~seed:3 ~domains
-         ~replicate:dect_design (dect_design ()) ~cycles:16);
+         ~replicate:Gallery.dect (Gallery.dect ()) ~cycles:16);
     let snap =
       List.filter_map
         (fun (name, v) ->
@@ -162,7 +142,7 @@ let test_parallel_telemetry_counters () =
 let test_engine_sweep_parallel () =
   Alcotest.(check (list string))
     "parallel sweep finds no disagreement" []
-    (Flow.engines_agree ~domains:3 ~replicate:hcor_design (hcor_design ())
+    (Flow.engines_agree ~domains:3 ~replicate:Gallery.hcor (Gallery.hcor ())
        ~cycles:40)
 
 (* The held-input design deadlocks the interpreted engine at cycle 0.

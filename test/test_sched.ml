@@ -166,9 +166,93 @@ let test_connect_validation () =
   (match Cycle_system.connect sys (comp, "nonexistent") [] with
   | exception e when Raises.code Internal e -> ()
   | _ -> Alcotest.fail "bad driver port accepted");
-  match Cycle_system.connect sys (comp, "sum") [ (comp, "x") ] with
+  (match Cycle_system.connect sys (comp, "sum") [ (comp, "x") ] with
   | exception e when Raises.code Internal e -> () (* x is already driven *)
-  | _ -> Alcotest.fail "double-driven sink accepted"
+  | _ -> Alcotest.fail "double-driven sink accepted");
+  (* A second net from one output port: fan-out belongs in the first
+     net's sink list. *)
+  let stim =
+    match Cycle_system.find_component sys "x_in" with
+    | Some c -> c
+    | None -> Alcotest.fail "input lost"
+  in
+  let tap = Cycle_system.add_output sys "x_tap" in
+  match Cycle_system.connect sys (stim, "out") [ (tap, "in") ] with
+  | exception e when Raises.code Internal e -> ()
+  | _ -> Alcotest.fail "second net from one output port accepted"
+
+(* Two designs whose net formats break a rule: (a) port [c.y] produced
+   in s8 by one SFG and in s10 by the other; (b) input net [x_in.out]
+   carrying s8 into [c.x], declared s10.  The interpreter moves the
+   tokens as they come; every static back end raises the one
+   diagnostic, and [check] lists it. *)
+let s10 = Fixed.signed ~width:10 ~frac:0
+
+let conflict_system which =
+  let sfg name ~in_fmt ~out_fmt =
+    Sfg.build name (fun b ->
+        let x = Sfg.Builder.input b "x" in_fmt in
+        Sfg.Builder.output b "y" (Signal.resize out_fmt x))
+  in
+  let fsm = Fsm.create "fc_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  (match which with
+  | `Two_producers ->
+    let s1 = Fsm.state fsm "s1" in
+    Fsm.(s0 |-- always |+ sfg "fc_narrow" ~in_fmt:s8 ~out_fmt:s8 |-> s1);
+    Fsm.(s1 |-- always |+ sfg "fc_wide" ~in_fmt:s8 ~out_fmt:s10 |-> s0)
+  | `Sink_declares_other ->
+    Fsm.(s0 |-- always |+ sfg "fc_wide_in" ~in_fmt:s10 ~out_fmt:s10 |-> s0));
+  let sys = Cycle_system.create "format_conflict" in
+  let c = Cycle_system.add_timed sys "c" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun k -> Some (Fixed.of_int s8 (k - 3)))
+  in
+  let probe = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (probe, "in") ]);
+  sys
+
+let test_format_conflicts () =
+  let f = Fixed.format_to_string in
+  List.iter
+    (fun (which, msg) ->
+      let issues =
+        List.filter_map
+          (function
+            | Cycle_system.Format_conflict (_, m) -> Some m
+            | Cycle_system.Unconnected_input _ | Unconnected_output _
+            | Unknown_port _ ->
+              None)
+          (Cycle_system.check (conflict_system which))
+      in
+      Alcotest.(check (list string)) "check lists the conflict" [ msg ] issues;
+      let raises what run =
+        match run (conflict_system which) with
+        | exception Ocapi_error.Error e ->
+          Alcotest.(check bool) (what ^ ": Internal") true
+            (e.Ocapi_error.e_code = Ocapi_error.Internal);
+          Alcotest.(check string) (what ^ ": engine") "sched" e.Ocapi_error.e_engine;
+          Alcotest.(check string) (what ^ ": message") msg e.Ocapi_error.e_message
+        | () -> Alcotest.failf "%s accepted: %s" what msg
+      in
+      List.iter
+        (fun engine ->
+          raises engine (fun sys -> ignore (Flow.simulate ~engine sys ~cycles:4)))
+        [ "compiled"; "native"; "rtl"; "gate" ];
+      raises "Vhdl.of_system" (fun sys -> ignore (Vhdl.of_system sys));
+      raises "Testbench.vhdl" (fun sys ->
+          ignore (Testbench.vhdl sys (Testbench.record sys ~cycles:4)));
+      let interp = Flow.simulate ~engine:"interp" (conflict_system which) ~cycles:4 in
+      Alcotest.(check int) "interp runs" 4 (List.length (List.assoc "y_out" interp)))
+    [
+      ( `Two_producers,
+        Printf.sprintf "net c.y driven with inconsistent formats %s and %s" (f s8)
+          (f s10) );
+      ( `Sink_declares_other,
+        Printf.sprintf "net x_in.out carries %s but input c.x is declared %s" (f s8)
+          (f s10) );
+    ]
 
 let test_missing_stimulus_deadlocks () =
   let sys, _ = accumulator_system () in
@@ -324,6 +408,7 @@ let suite =
       test_true_combinational_loop_detected;
     Alcotest.test_case "interconnect checks" `Quick test_checks;
     Alcotest.test_case "connect validation" `Quick test_connect_validation;
+    Alcotest.test_case "net format conflicts" `Quick test_format_conflicts;
     Alcotest.test_case "missing stimulus deadlocks" `Quick
       test_missing_stimulus_deadlocks;
     Alcotest.test_case "net tracing" `Quick test_net_tracing;

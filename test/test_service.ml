@@ -9,17 +9,8 @@
 
 module Json = Ocapi_obs.Json
 
-let hcor_design () =
-  let bits = Dect_stimuli.burst ~seed:1 () in
-  let tx = Dect_stimuli.transmit bits in
-  let rx = Dect_stimuli.channel ~snr_db:25.0 ~seed:1 tx in
-  let samples =
-    Dect_stimuli.quantize Hcor.sample_format (Array.map (fun x -> x /. 2.0) rx)
-  in
-  (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
-
 let ensure_design =
-  lazy (Ocapi_batch.register_design ~name:"ts-svc" hcor_design)
+  lazy (Ocapi_batch.register_design ~name:"ts-svc" Gallery.hcor)
 
 let json_of s =
   match Json.of_string s with Ok j -> j | Error e -> failwith e
