@@ -58,16 +58,17 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     List.iter (fun (name, v) -> Netlist.Sim.set_input sim name v) vectors.(c);
     Netlist.Sim.settle sim
   in
-  let ports sim = Array.map (Netlist.Sim.output_port sim) out_names in
+  (* One levelization: every worker's simulator is an instance of it. *)
+  let topology = Netlist.Sim.topology nl in
+  let ports = Array.map (Netlist.Sim.output_port topology) out_names in
   (* Fault-free reference: every output word of every cycle.  Computed
      once on the coordinating domain's own simulator and shared
      read-only with the workers. *)
-  let sim0 = Netlist.Sim.create ?settle_budget nl in
-  let ports0 = ports sim0 in
+  let sim0 = Netlist.Sim.instantiate ?settle_budget topology in
   let golden =
     Array.init n_cycles (fun c ->
         replay_cycle sim0 c;
-        let outs = Array.map (Netlist.Sim.read sim0 ~signed:false) ports0 in
+        let outs = Array.map (Netlist.Sim.read sim0 ~signed:false) ports in
         Netlist.Sim.clock sim0;
         outs)
   in
@@ -88,10 +89,10 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     if snd (Netlist.combinational_depth nl) > 0 then 1 else Netlist.Sim.lanes
   in
   (* Faults [first, first + k) on lanes [0, k) of a worker's simulator.
-     Everything the body touches beyond [sim] is read-only ([nl],
-     [vectors], [golden]), so per-worker simulators are the whole
-     isolation story. *)
-  let run_batch (sim, ports) first k =
+     Everything the body touches beyond [sim] is read-only ([nl], the
+     topology, [ports], [vectors], [golden]), so per-worker instances
+     are the whole isolation story. *)
+  let run_batch sim first k =
     let outcomes = Array.make k Sa_undetected in
     let live = ref (if k >= Netlist.Sim.lanes then -1 else (1 lsl k) - 1) in
     (try
@@ -131,10 +132,8 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
   let batches =
     Ocapi_parallel.map_tasks ~domains
       ~make_state:(fun k ->
-        if k = 0 && domains <= 1 then (sim0, ports0)
-        else
-          let sim = Netlist.Sim.create ?settle_budget nl in
-          (sim, ports sim))
+        if k = 0 && domains <= 1 then sim0
+        else Netlist.Sim.instantiate ?settle_budget topology)
       ~tasks:n_batches
       ~f:(fun state b ->
         let first = b * batch in

@@ -212,6 +212,117 @@ let check_equivalence ?(cycles = 200) a b =
 
 (* --- the gate cycle engine -------------------------------------------------- *)
 
+(* What a gate session needs of its design besides its own lane state:
+   where the registers and controllers landed, the levelized topology
+   and the buses, resolved once.  Immutable, so sessions on every
+   domain share it. *)
+type gate_artifact = {
+  ga_map : Synthesize.state_map;
+  ga_topology : Netlist.Sim.topology;
+  ga_static_size : int;
+  (* Probes in [Cycle_system.probes] order with, when connected, their
+     format, signedness, output bus and valid wire. *)
+  ga_probes :
+    (string
+    * (Fixed.format * bool * Netlist.Sim.output_port * Netlist.Sim.output_port option)
+      option)
+    list;
+  (* Primary inputs the netlist reads: name, bus, stimulus-valid bus. *)
+  ga_inputs : (string * Netlist.Sim.input_port * Netlist.Sim.input_port option) list;
+}
+
+let gate_elaborate sys =
+  let synth_options =
+    { Synthesize.default_options with Synthesize.emit_probe_valids = true }
+  in
+  let nl, _report, smap =
+    Synthesize.synthesize_mapped ~options:synth_options
+      ~macro_of_kernel:macro_of_model sys
+  in
+  let topology = Netlist.Sim.topology nl in
+  let out_names = List.map fst (Netlist.outputs_list nl) in
+  let in_names = List.map fst (Netlist.inputs_list nl) in
+  let output_port name =
+    if List.mem name out_names then Some (Netlist.Sim.output_port topology name)
+    else None
+  in
+  let input_port name =
+    if List.mem name in_names then Some (Netlist.Sim.input_port topology name)
+    else None
+  in
+  {
+    ga_map = smap;
+    ga_topology = topology;
+    ga_static_size = (Netlist.counts nl).Netlist.gate_equivalents;
+    ga_probes =
+      List.map
+        (fun p ->
+          ( p,
+            match (Cycle_system.probe_format sys p, output_port p) with
+            | Some fmt, Some port ->
+              let signed = fmt.Fixed.signedness = Fixed.Signed in
+              Some (fmt, signed, port, output_port ("__valid__" ^ p))
+            | _ -> None ))
+        (Cycle_system.probes sys);
+    ga_inputs =
+      List.filter_map
+        (fun (iname, _fmt, _) ->
+          Option.map
+            (fun port -> (iname, port, input_port ("__stimvalid__" ^ iname)))
+            (input_port iname))
+        (Cycle_system.primary_inputs sys);
+  }
+
+(* The per-process table of gate elaborations, by elaboration key, most
+   recently used first.  A miss elaborates outside the lock: two
+   domains missing on one key at once both synthesize, and the later
+   insert wins. *)
+type gate_stats = { elaborations : int; hits : int; evictions : int }
+
+let gate_capacity = 8
+let gate_lock = Mutex.create ()
+let gate_table : (string * gate_artifact) list ref = ref []
+let n_elaborations = ref 0
+let n_hits = ref 0
+let n_evictions = ref 0
+
+let gate_locked f =
+  Mutex.lock gate_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock gate_lock) f
+
+let gate_stats () =
+  gate_locked (fun () ->
+      { elaborations = !n_elaborations; hits = !n_hits; evictions = !n_evictions })
+
+let reset_gate_stats () =
+  gate_locked (fun () ->
+      n_elaborations := 0;
+      n_hits := 0;
+      n_evictions := 0)
+
+let gate_artifact sys =
+  let key = Cycle_system.elaboration_key sys in
+  let found =
+    gate_locked (fun () ->
+        match List.assoc_opt key !gate_table with
+        | Some a ->
+          incr n_hits;
+          gate_table := (key, a) :: List.remove_assoc key !gate_table;
+          Some a
+        | None -> None)
+  in
+  match found with
+  | Some a -> a
+  | None ->
+    let a = gate_elaborate sys in
+    gate_locked (fun () ->
+        incr n_elaborations;
+        let rest = List.remove_assoc key !gate_table in
+        let kept = List.filteri (fun i _ -> i < gate_capacity - 1) rest in
+        n_evictions := !n_evictions + List.length rest - List.length kept;
+        gate_table := (key, a) :: kept);
+    a
+
 module Gate_engine = struct
   let name = "gate"
   let display = "gate"
@@ -227,50 +338,16 @@ module Gate_engine = struct
 
   let make ?options:_ sys =
     Cycle_system.reset sys;
-    let synth_options =
-      { Synthesize.default_options with Synthesize.emit_probe_valids = true }
-    in
-    let nl, _report, smap =
-      Synthesize.synthesize_mapped ~options:synth_options
-        ~macro_of_kernel:macro_of_model sys
-    in
-    let sim = Netlist.Sim.create nl in
-    let out_names = List.map fst (Netlist.outputs_list nl) in
-    let in_names = List.map fst (Netlist.inputs_list nl) in
-    (* Buses are resolved here, once: a step neither builds bus names
-       nor looks buses or history refs up. *)
-    let output_port name =
-      if List.mem name out_names then Some (Netlist.Sim.output_port sim name)
-      else None
-    in
-    (* Probes with, when connected, their format, output bus and valid
-       wire, and their history. *)
-    let probe_rows =
-      List.map
-        (fun p ->
-          let bus =
-            match (Cycle_system.probe_format sys p, output_port p) with
-            | Some fmt, Some port ->
-              let signed = fmt.Fixed.signedness = Fixed.Signed in
-              Some (fmt, signed, port, output_port ("__valid__" ^ p))
-            | _ -> None
-          in
-          (p, bus, ref []))
-        (Cycle_system.probes sys)
-    in
+    let a = gate_artifact sys in
+    let smap = a.ga_map in
+    let sim = Netlist.Sim.instantiate a.ga_topology in
+    (* Buses were resolved at elaboration: a step neither builds bus
+       names nor looks buses or history refs up. *)
+    let probe_rows = List.map (fun (p, bus) -> (p, bus, ref [])) a.ga_probes in
     let input_rows =
-      List.filter_map
-        (fun (iname, _fmt, _) ->
-          if List.mem iname in_names then
-            let valid = "__stimvalid__" ^ iname in
-            Some
-              ( Cycle_system.input_column sys iname,
-                Netlist.Sim.input_port sim iname,
-                if List.mem valid in_names then
-                  Some (Netlist.Sim.input_port sim valid)
-                else None )
-          else None)
-        (Cycle_system.primary_inputs sys)
+      List.map
+        (fun (iname, port, valid) -> (Cycle_system.input_column sys iname, port, valid))
+        a.ga_inputs
     in
     let cycle = ref 0 in
     let step () =
@@ -372,7 +449,7 @@ module Gate_engine = struct
               Netlist.Sim.poke_net sim net (bit_of f.Synthesize.fm_encoding s b))
             f.Synthesize.fm_state_nets);
       ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sim));
-      ses_static_size = Some (Netlist.counts nl).Netlist.gate_equivalents;
+      ses_static_size = Some a.ga_static_size;
       ses_checkpoint =
         (fun () ->
           let at = !cycle and sn = Netlist.Sim.snapshot sim in

@@ -134,12 +134,36 @@ val check_equivalence :
 
 (** {1 The gate cycle engine}
 
-    Engine ["gate"] (alias ["netlist"]): synthesizes the system on
-    session elaboration — with probe-valid wires, so sparse probe
-    histories are reconstructed exactly — and steps [Netlist.Sim]
-    under the uniform session surface.  Register pokes flip flip-flop
-    q-nets through the synthesis {!Synthesize.state_map}; FSM state
-    pokes re-encode the controller's state register (an unencoded
-    index raises [Invalid_state], the detected-outcome path of SEU
-    campaigns).  Registered by the flow layer's linkage; idempotent. *)
+    Engine ["gate"] (alias ["netlist"]) steps [Netlist.Sim] under the
+    uniform session surface.  Elaboration synthesizes the system, with
+    probe-valid wires so sparse probe histories are reconstructed
+    exactly, levelizes the netlist into a [Netlist.Sim.topology] and
+    resolves the probe and stimulus buses.  The result depends only on
+    the design's structure, so it is kept in a per-process table keyed
+    by [Cycle_system.elaboration_key]: {!gate_capacity} entries,
+    mutex-guarded, least recently used evicted first, elaborated
+    outside the lock on a miss.  A session then only instantiates its
+    own lane state over the shared topology and binds its system's
+    stimulus columns; sessions of one design on any domain share one
+    synthesis.  Register pokes flip flip-flop q-nets through the
+    synthesis {!Synthesize.state_map}; FSM state pokes re-encode the
+    controller's state register (an unencoded index raises
+    [Invalid_state], the detected-outcome path of SEU campaigns).
+    Registered by the flow layer's linkage; idempotent. *)
 val register_gate_engine : unit -> unit
+
+(** Designs the gate engine's elaboration table holds at most. *)
+val gate_capacity : int
+
+(** Counters of the elaboration table, since start or
+    {!reset_gate_stats}.  Always on, independent of [Ocapi_obs]
+    telemetry: tests use them to prove that sessions share one
+    synthesis. *)
+type gate_stats = {
+  elaborations : int;  (** misses: synthesis plus levelization *)
+  hits : int;  (** sessions served an elaboration from the table *)
+  evictions : int;  (** entries dropped to stay within {!gate_capacity} *)
+}
+
+val gate_stats : unit -> gate_stats
+val reset_gate_stats : unit -> unit

@@ -5,7 +5,7 @@
    [ocamlfind ocamlopt -shared], loads the .cmxs with
    [Dynlink.loadfile_private], and wires the resulting raw state arrays
    into a full [Ocapi_engine.session].  Artifacts are cached on disk
-   keyed by structural digest + emitter version, so compilation is
+   keyed by elaboration key + emitter version, so compilation is
    one-time per structure; every failure path degrades to an interpreted
    [Compiled_sim] program behind the same session surface. *)
 
@@ -194,7 +194,7 @@ let cache_key sys ~cmi =
     (Digest.string
        (String.concat "|"
           [
-            Cycle_system.digest sys;
+            Cycle_system.elaboration_key sys;
             string_of_int Emit.emitter_version;
             Sys.ocaml_version;
             cmi_digest;

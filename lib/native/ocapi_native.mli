@@ -30,8 +30,8 @@
 
     Compiled artifacts ([.cmxs] plus a marshalled [Emit.plugin_meta]
     sidecar) are cached on disk keyed by
-    [md5(Cycle_system.digest | Emit.emitter_version | Sys.ocaml_version
-    | ABI cmi digest)], so warm loads skip the compiler entirely; a
+    [md5(Cycle_system.elaboration_key | Emit.emitter_version |
+    Sys.ocaml_version | ABI cmi digest)], so warm loads skip the compiler entirely; a
     second tier in [Flow.Cache]'s store is wired up by the flow layer
     via {!set_shared_store}.  Corrupt or stale artifacts are counted,
     deleted and recompiled.  Every load goes through a throwaway copy

@@ -604,6 +604,10 @@ module Sim = struct
     read : int;  (* the element of the read port *)
   }
 
+  (* A simulator instance.  Its lane state — net words, stem-fault
+     masks, element kinds, RAM contents, the dirty set, branch-fault
+     slots, counters — sits next to its topology's read-only arrays,
+     field by field, so the evaluation loop reads both alike. *)
   type t = {
     name : string;
     inputs : (string * net array) array;
@@ -652,6 +656,13 @@ module Sim = struct
     mutable n_clocks : int;
   }
 
+  (* A topology is an instance with empty lane state, never simulated:
+     what levelization derives from the netlist and no simulation
+     writes.  [instantiate] gives lane state to a copy that shares the
+     rest, so any number of instances, on any domain, share one
+     levelization. *)
+  type topology = t
+
   let bit_word m i =
     if Int64.logand (Int64.shift_right_logical m i) 1L = 0L then 0 else all_lanes
 
@@ -679,7 +690,7 @@ module Sim = struct
     t.lo <- 0;
     t.hi <- n_levels - 1
 
-  let create ?settle_budget (nl : netlist) =
+  let topology (nl : netlist) =
     let gr = levelize nl in
     let gates = gr.gr_gates in
     let ng = Array.length gates in
@@ -721,32 +732,30 @@ module Sim = struct
         level.(e) <- gr.gr_level.(gi))
       gates;
     (* Memory [i] (ROMs, then RAMs) reads as element [renum.(ng + i)]. *)
-    let memory i ~words ~width ~addr ~rdata ~wdata ~we =
-      { words; width; bits = Array.make (max 1 (words * width)) 0; addr; rdata;
-        wdata; we; scratch = Array.make width 0; read = renum.(ng + i) }
+    let memory i ~words ~width ~bits ~addr ~rdata ~wdata ~we =
+      { words; width; bits; addr; rdata; wdata; we; scratch = [||];
+        read = renum.(ng + i) }
     in
     let roms =
       Array.mapi
         (fun i r ->
           let words = Array.length r.r_contents in
-          let mem =
-            memory i ~words ~width:r.r_width ~addr:r.r_addr ~rdata:r.r_out
-              ~wdata:[||] ~we:(-1)
-          in
+          let bits = Array.make (max 1 (words * r.r_width)) 0 in
           Array.iteri
             (fun w c ->
               for b = 0 to r.r_width - 1 do
-                mem.bits.((w * r.r_width) + b) <- bit_word c b
+                bits.((w * r.r_width) + b) <- bit_word c b
               done)
             r.r_contents;
-          mem)
+          memory i ~words ~width:r.r_width ~bits ~addr:r.r_addr ~rdata:r.r_out
+            ~wdata:[||] ~we:(-1))
         gr.gr_roms
     in
     let rams =
       Array.mapi
         (fun i r ->
           memory (Array.length roms + i) ~words:r.m_words ~width:r.m_width
-            ~addr:r.m_addr ~rdata:r.m_out ~wdata:r.m_wdata ~we:r.m_we)
+            ~bits:[||] ~addr:r.m_addr ~rdata:r.m_out ~wdata:r.m_wdata ~we:r.m_we)
         gr.gr_rams
     in
     let memories = Array.append roms rams in
@@ -766,51 +775,84 @@ module Sim = struct
       (fun (_, bus) -> Array.iter (fun n -> Bytes.set pokeable n '\001') bus)
       nl.inputs;
     Array.iter (fun d -> Bytes.set pokeable d.d_q '\001') dffs;
+    {
+      name = nl.nl_name;
+      inputs = Array.of_list (List.rev nl.inputs);
+      outputs = Array.of_list (List.rev nl.outputs);
+      v = [||];
+      keep = [||];
+      force = [||];
+      pokeable;
+      kind;
+      in0;
+      in1;
+      in2;
+      out;
+      level;
+      gate_elem = Array.sub renum 0 ng;
+      fan_start = gr.gr_fan_start;
+      fan;
+      memories;
+      rams = [||];
+      dff_d = Array.map (fun d -> d.d_d) dffs;
+      dff_q = Array.map (fun d -> d.d_q) dffs;
+      dff_init = Array.map (fun d -> if d.d_init then all_lanes else 0) dffs;
+      dff_next = [||];
+      queued = Bytes.empty;
+      stack = [||];
+      lstart;
+      lcount = [||];
+      lo = 0;
+      hi = -1;
+      slot_elem = [||];
+      slot_kind = [||];
+      slot_keep = [||];
+      slot_force = [||];
+      n_slots = 0;
+      settle_budget = 1000 * max 64 n;
+      n_evaluations = 0;
+      n_events = 0;
+      n_clocks = 0;
+    }
+
+  let instantiate ?settle_budget tp =
+    let n_nets = Bytes.length tp.pokeable and m = Array.length tp.kind in
+    (* A ROM ([we] = -1) keeps its image; a RAM gets its own contents. *)
+    let memories =
+      Array.map
+        (fun mem ->
+          let bits =
+            if mem.we < 0 then mem.bits
+            else Array.make (max 1 (mem.words * mem.width)) 0
+          in
+          { mem with bits; scratch = Array.make mem.width 0 })
+        tp.memories
+    in
     let t =
       {
-        name = nl.nl_name;
-        inputs = Array.of_list (List.rev nl.inputs);
-        outputs = Array.of_list (List.rev nl.outputs);
+        tp with
         v = Array.make n_nets 0;
         keep = Array.make n_nets all_lanes;
         force = Array.make n_nets 0;
-        pokeable;
-        kind;
-        in0;
-        in1;
-        in2;
-        out;
-        level;
-        gate_elem = Array.sub renum 0 ng;
-        fan_start = gr.gr_fan_start;
-        fan;
+        kind = Array.copy tp.kind;
         memories;
-        rams;
-        dff_d = Array.map (fun d -> d.d_d) dffs;
-        dff_q = Array.map (fun d -> d.d_q) dffs;
-        dff_init = Array.map (fun d -> if d.d_init then all_lanes else 0) dffs;
-        dff_next = Array.make (Array.length dffs) 0;
+        rams = Array.of_list (List.filter (fun mem -> mem.we >= 0) (Array.to_list memories));
+        dff_next = Array.make (Array.length tp.dff_d) 0;
         queued = Bytes.make m '\000';
         stack = Array.make m 0;
-        lstart;
-        lcount = Array.make n_levels 0;
-        lo = 0;
-        hi = -1;
+        lcount = Array.make (Array.length tp.lstart - 1) 0;
         slot_elem = Array.make lanes 0;
         slot_kind = Array.make lanes 0;
         slot_keep = Array.make (3 * lanes) all_lanes;
         slot_force = Array.make (3 * lanes) 0;
-        n_slots = 0;
-        settle_budget =
-          (match settle_budget with Some b -> b | None -> 1000 * max 64 n);
-        n_evaluations = 0;
-        n_events = 0;
-        n_clocks = 0;
+        settle_budget = Option.value settle_budget ~default:tp.settle_budget;
       }
     in
     Array.iteri (fun i q -> t.v.(q) <- t.dff_init.(i)) t.dff_q;
     mark_all t;
     t
+
+  let create ?settle_budget nl = instantiate ?settle_budget (topology nl)
 
   let[@inline] mark t e =
     if Bytes.unsafe_get t.queued e = '\000' then begin
@@ -983,8 +1025,8 @@ module Sim = struct
     in
     go 0
 
-  let input_port t name = find_port "input" t.inputs name
-  let output_port t name = find_port "output" t.outputs name
+  let input_port tp name = find_port "input" tp.inputs name
+  let output_port tp name = find_port "output" tp.outputs name
 
   let drive t p m =
     let bus = snd t.inputs.(p) in

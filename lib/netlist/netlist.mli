@@ -121,7 +121,7 @@ val net_count : t -> int
     sit on (or behind) combinational cycles and were excluded
     (operator-sharing selection networks can create such {e false}
     cycles; they are gated off at run time but defeat a static
-    longest-path count).  It is the levelization {!Sim.create} runs.
+    longest-path count).  It is the levelization {!Sim.topology} runs.
     @raise Ocapi_error.Error with code [Internal] if an element names a
     net the netlist never created. *)
 val combinational_depth : t -> int * int
@@ -188,25 +188,45 @@ val fault_label : t -> fault -> string
 module Sim : sig
   type netlist := t
 
-  (** A simulator over one netlist.  [create] levelizes the gates and
-      the ROM/RAM read ports topologically into flat arrays, with a
-      compressed net-to-reader fanout.  {!settle} evaluates only the
-      dirty elements, those whose inputs changed, in level order, so in
-      an acyclic netlist each runs at most once per settle; nothing is
-      allocated per evaluation.
+  (** A simulator over one netlist, in two parts.  The {e topology}
+      ({!topology}) is what levelization derives from the netlist: the
+      gates and the ROM/RAM read ports sorted topologically into flat
+      arrays, a compressed net-to-reader fanout, the flip-flop and RAM
+      wiring and the ROM images.  It is immutable, so any number of
+      instances, on any domain, share one.  An {e instance} ({!t},
+      made by {!instantiate}) owns the lane state, which is everything
+      a simulation writes: net words, stem-fault masks, the element
+      kinds that {!inject} recodes, RAM contents, the dirty set and the
+      counters.  {!settle} evaluates only the dirty elements, those
+      whose inputs changed, in level order, so in an acyclic netlist
+      each runs at most once per settle; nothing is allocated per
+      evaluation.
 
       Every net holds a 63-lane word.  The plain interface keeps the
       lanes equal and reads lane 0; {!inject} makes lanes differ, one
       faulty circuit per lane, for parallel-pattern fault simulation. *)
   type t
 
-  (** [create ?settle_budget nl] — [settle_budget] bounds the element
+  (** The shared, immutable part of a simulator. *)
+  type topology
+
+  (** [topology nl] levelizes [nl].
+      @raise Ocapi_error.Error with code [Internal] if an element names
+      a net the netlist never created. *)
+  val topology : netlist -> topology
+
+  (** [instantiate ?settle_budget tp] — a fresh instance at power-up
+      over [tp]'s arrays.  [settle_budget] bounds the element
       evaluations of one {!settle} call (default
       [1000 * max 64 n_elements]).  An acyclic netlist never needs more
       than one evaluation per element; on a combinational cycle, a mark
       at or below the level being evaluated rewinds the sweep to it,
       and the budget turns an oscillation into an [Ocapi_error.Error]
-      with code [Did_not_settle].
+      with code [Did_not_settle]. *)
+  val instantiate : ?settle_budget:int -> topology -> t
+
+  (** [create ?settle_budget nl] = [instantiate ?settle_budget
+      (topology nl)].
       @raise Ocapi_error.Error with code [Internal] if an element names
       a net the netlist never created. *)
   val create : ?settle_budget:int -> netlist -> t
@@ -230,16 +250,17 @@ module Sim : sig
   (** {2 Resolved ports}
 
       {!set_input} and {!get_output} look their bus up by name; a
-      per-cycle loop resolves its buses once instead. *)
+      per-cycle loop resolves its buses once instead.  A port is
+      resolved on a topology and works on every instance of it. *)
 
   type input_port
   type output_port
 
   (** @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
-  val input_port : t -> string -> input_port
+  val input_port : topology -> string -> input_port
 
   (** @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
-  val output_port : t -> string -> output_port
+  val output_port : topology -> string -> output_port
 
   (** [drive sim p m] = [set_input] on a resolved port. *)
   val drive : t -> input_port -> int64 -> unit

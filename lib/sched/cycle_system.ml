@@ -895,22 +895,56 @@ let to_dot t =
    construction order of components and nets, closures).  Shared
    expression nodes are numbered in traversal order, so two builds of
    the same design — even under different instance-counter offsets —
-   produce byte-identical renderings. *)
+   produce byte-identical renderings.  Each format, value, register and
+   ROM is rendered once per digest: a ROM read by several SFGs, or a
+   register read by many nodes, repeats the memoized text. *)
 let digest t =
   let buf = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let fmt_s = Fixed.format_to_string in
+  let add = Buffer.add_string buf in
+  let adds = List.iter add in
+  let memo tbl key render =
+    match Hashtbl.find_opt tbl key with
+    | Some s -> s
+    | None ->
+      let s = render key in
+      Hashtbl.add tbl key s;
+      s
+  in
+  let formats = Hashtbl.create 16 and values = Hashtbl.create 64 in
+  let fmt_s f = memo formats f Fixed.format_to_string in
+  let value_s v = memo values v Fixed.to_string in
   let rounding_s = function
     | Fixed.Truncate -> "trunc"
     | Fixed.Round_nearest -> "nearest"
     | Fixed.Round_even -> "even"
   in
   let overflow_s = function Fixed.Wrap -> "wrap" | Fixed.Saturate -> "sat" in
+  let regs = Hashtbl.create 64 in
   let reg_s r =
-    Printf.sprintf "%s:%s=%s@%s" (Signal.Reg.name r)
-      (fmt_s (Signal.Reg.fmt r))
-      (Fixed.to_string (Signal.Reg.init r))
-      (Clock.name (Signal.Reg.clock r))
+    memo regs (Signal.Reg.id r) (fun _ ->
+        String.concat ""
+          [ Signal.Reg.name r; ":"; fmt_s (Signal.Reg.fmt r); "=";
+            value_s (Signal.Reg.init r); "@"; Clock.name (Signal.Reg.clock r) ])
+  in
+  (* ROMs by name, then by identity: the whole ["rom ...} "] prefix. *)
+  let roms = Hashtbl.create 8 in
+  let rom_s rom =
+    let same = Option.value ~default:[] (Hashtbl.find_opt roms (Signal.Rom.name rom)) in
+    match List.assq_opt rom same with
+    | Some s -> s
+    | None ->
+      let b = Buffer.create 1024 in
+      List.iter (Buffer.add_string b)
+        [ "rom "; Signal.Rom.name rom; ":"; fmt_s (Signal.Rom.fmt rom); "[";
+          string_of_int (Signal.Rom.size rom); "]{" ];
+      for i = 0 to Signal.Rom.size rom - 1 do
+        Buffer.add_string b (Int64.to_string (Fixed.mantissa (Signal.Rom.get rom i)));
+        Buffer.add_char b ','
+      done;
+      Buffer.add_string b "} ";
+      let s = Buffer.contents b in
+      Hashtbl.replace roms (Signal.Rom.name rom) ((rom, s) :: same);
+      s
   in
   (* Local DAG numbering: global node ids key the memo table but never
      reach the buffer. *)
@@ -918,82 +952,73 @@ let digest t =
   let next = ref 0 in
   let rec expr e =
     match Hashtbl.find_opt local (Signal.id e) with
-    | Some k -> pf "#%d;" k
+    | Some k -> adds [ "#"; string_of_int k; ";" ]
     | None ->
       Hashtbl.add local (Signal.id e) !next;
       incr next;
-      pf "(%s " (fmt_s (Signal.fmt e));
+      adds [ "("; fmt_s (Signal.fmt e); " " ];
       (match Signal.op e with
-      | Signal.Const v -> pf "const %s" (Fixed.to_string v)
+      | Signal.Const v -> adds [ "const "; value_s v ]
       | Signal.Input_read i ->
-        pf "in %s:%s" (Signal.Input.name i) (fmt_s (Signal.Input.fmt i))
-      | Signal.Reg_read r -> pf "reg %s" (reg_s r)
-      | Signal.Add (a, b) -> pf "add "; expr a; expr b
-      | Signal.Sub (a, b) -> pf "sub "; expr a; expr b
-      | Signal.Mul (a, b) -> pf "mul "; expr a; expr b
-      | Signal.Neg a -> pf "neg "; expr a
-      | Signal.Abs a -> pf "abs "; expr a
-      | Signal.And (a, b) -> pf "and "; expr a; expr b
-      | Signal.Or (a, b) -> pf "or "; expr a; expr b
-      | Signal.Xor (a, b) -> pf "xor "; expr a; expr b
-      | Signal.Not a -> pf "not "; expr a
-      | Signal.Eq (a, b) -> pf "eq "; expr a; expr b
-      | Signal.Lt (a, b) -> pf "lt "; expr a; expr b
-      | Signal.Le (a, b) -> pf "le "; expr a; expr b
-      | Signal.Mux (s, a, b) -> pf "mux "; expr s; expr a; expr b
+        adds [ "in "; Signal.Input.name i; ":"; fmt_s (Signal.Input.fmt i) ]
+      | Signal.Reg_read r -> adds [ "reg "; reg_s r ]
+      | Signal.Add (a, b) -> add "add "; expr a; expr b
+      | Signal.Sub (a, b) -> add "sub "; expr a; expr b
+      | Signal.Mul (a, b) -> add "mul "; expr a; expr b
+      | Signal.Neg a -> add "neg "; expr a
+      | Signal.Abs a -> add "abs "; expr a
+      | Signal.And (a, b) -> add "and "; expr a; expr b
+      | Signal.Or (a, b) -> add "or "; expr a; expr b
+      | Signal.Xor (a, b) -> add "xor "; expr a; expr b
+      | Signal.Not a -> add "not "; expr a
+      | Signal.Eq (a, b) -> add "eq "; expr a; expr b
+      | Signal.Lt (a, b) -> add "lt "; expr a; expr b
+      | Signal.Le (a, b) -> add "le "; expr a; expr b
+      | Signal.Mux (s, a, b) -> add "mux "; expr s; expr a; expr b
       | Signal.Resize (r, o, a) ->
-        pf "resize %s %s " (rounding_s r) (overflow_s o);
+        adds [ "resize "; rounding_s r; " "; overflow_s o; " " ];
         expr a
-      | Signal.Rom_read (rom, a) ->
-        pf "rom %s:%s[%d]{" (Signal.Rom.name rom)
-          (fmt_s (Signal.Rom.fmt rom))
-          (Signal.Rom.size rom);
-        for i = 0 to Signal.Rom.size rom - 1 do
-          pf "%Ld," (Fixed.mantissa (Signal.Rom.get rom i))
-        done;
-        pf "} ";
-        expr a
-      | Signal.Shift_left (a, k) -> pf "shl %d " k; expr a
-      | Signal.Shift_right (a, k) -> pf "shr %d " k; expr a);
-      pf ")"
+      | Signal.Rom_read (rom, a) -> add (rom_s rom); expr a
+      | Signal.Shift_left (a, k) -> adds [ "shl "; string_of_int k; " " ]; expr a
+      | Signal.Shift_right (a, k) -> adds [ "shr "; string_of_int k; " " ]; expr a);
+      add ")"
   in
   let sfg s =
-    pf "sfg %s ins[" (Sfg.name s);
+    adds [ "sfg "; Sfg.name s; " ins[" ];
     List.iter
-      (fun i ->
-        pf "%s:%s," (Signal.Input.name i) (fmt_s (Signal.Input.fmt i)))
+      (fun i -> adds [ Signal.Input.name i; ":"; fmt_s (Signal.Input.fmt i); "," ])
       (Sfg.inputs s);
-    pf "] outs[";
+    add "] outs[";
     List.iter
       (fun (port, e) ->
-        pf "%s=" port;
+        adds [ port; "=" ];
         expr e;
-        pf ",")
+        add ",")
       (Sfg.outputs s);
-    pf "] assigns[";
+    add "] assigns[";
     List.iter
       (fun (r, e) ->
-        pf "%s<-" (reg_s r);
+        adds [ reg_s r; "<-" ];
         expr e;
-        pf ",")
+        add ",")
       (Sfg.assigns s);
-    pf "]\n"
+    add "]\n"
   in
   let fsm f =
-    pf "fsm %s states[" (Fsm.name f);
-    List.iter (fun s -> pf "%s," (Fsm.state_name s)) (Fsm.states f);
-    pf "] initial %s\n" (Fsm.state_name (Fsm.initial_state f));
+    adds [ "fsm "; Fsm.name f; " states[" ];
+    List.iter (fun s -> adds [ Fsm.state_name s; "," ]) (Fsm.states f);
+    adds [ "] initial "; Fsm.state_name (Fsm.initial_state f); "\n" ];
     List.iter (fun s -> sfg s) (Fsm.all_sfgs f);
     List.iter
       (fun tr ->
-        pf "tr %s -[" (Fsm.state_name tr.Fsm.t_from);
+        adds [ "tr "; Fsm.state_name tr.Fsm.t_from; " -[" ];
         expr (Fsm.guard_expr tr.Fsm.t_guard);
-        pf "]-> %s {" (Fsm.state_name tr.Fsm.t_goto);
-        List.iter (fun s -> pf "%s," (Sfg.name s)) tr.Fsm.t_actions;
-        pf "}\n")
+        adds [ "]-> "; Fsm.state_name tr.Fsm.t_goto; " {" ];
+        List.iter (fun s -> adds [ Sfg.name s; "," ]) tr.Fsm.t_actions;
+        add "}\n")
       (Fsm.transitions f)
   in
-  pf "system %s clock %s\n" t.s_name (Clock.name t.clock);
+  adds [ "system "; t.s_name; " clock "; Clock.name t.clock; "\n" ];
   let comps =
     List.sort (fun a b -> String.compare a.c_name b.c_name) t.comps
   in
@@ -1001,34 +1026,65 @@ let digest t =
     (fun c ->
       match c.c_kind with
       | Timed f ->
-        pf "timed %s " c.c_name;
+        adds [ "timed "; c.c_name; " " ];
         fsm f
       | Untimed k ->
         (* Firing rule and declared formats are structural; the
            behaviour closure is opaque (documented digest limit). *)
-        pf "untimed %s ins[" c.c_name;
-        List.iter (fun (p, r) -> pf "%s*%d," p r) k.Dataflow.Kernel.k_inputs;
-        pf "] outs[";
-        List.iter (fun (p, r) -> pf "%s*%d," p r) k.Dataflow.Kernel.k_outputs;
-        pf "] formats[";
+        let rate (p, r) = adds [ p; "*"; string_of_int r; "," ] in
+        adds [ "untimed "; c.c_name; " ins[" ];
+        List.iter rate k.Dataflow.Kernel.k_inputs;
+        add "] outs[";
+        List.iter rate k.Dataflow.Kernel.k_outputs;
+        add "] formats[";
         List.iter
-          (fun (p, f) -> pf "%s:%s," p (fmt_s f))
+          (fun (p, f) -> adds [ p; ":"; fmt_s f; "," ])
           (List.sort compare k.Dataflow.Kernel.k_formats);
-        pf "]\n"
-      | Primary_input col -> pf "input %s:%s\n" c.c_name (fmt_s col.col_fmt)
-      | Primary_output -> pf "output %s\n" c.c_name)
+        add "]\n"
+      | Primary_input col -> adds [ "input "; c.c_name; ":"; fmt_s col.col_fmt; "\n" ]
+      | Primary_output -> adds [ "output "; c.c_name; "\n" ])
     comps;
   List.iter
     (fun n ->
       let d, dp = n.n_driver in
-      pf "net %s %s.%s ->" n.n_name d.c_name dp;
+      adds [ "net "; n.n_name; " "; d.c_name; "."; dp; " ->" ];
       List.iter
-        (fun (s, sp) -> pf " %s.%s" s.c_name sp)
+        (fun (s, sp) -> adds [ " "; s.c_name; "."; sp ])
         (List.sort
            (fun (a, ap) (b, bp) -> compare (a.c_name, ap) (b.c_name, bp))
            n.n_sinks);
-      pf "\n")
+      add "\n")
     (List.sort (fun a b -> String.compare a.n_name b.n_name) t.s_nets);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* What an elaboration bakes in beyond [digest]: each untimed kernel's
+   declared model, which back ends inline in place of its closures, and
+   the construction order of components, nets and sinks, which fixes
+   the order of registers, probes and netlist nets.  The digest fixes
+   the set of names, so the names in order pin the permutation. *)
+let elaboration_key t =
+  let buf = Buffer.create 1024 in
+  let add s =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf s
+  in
+  Buffer.add_string buf (digest t);
+  List.iter
+    (fun c ->
+      add c.c_name;
+      match c.c_kind with
+      | Untimed { Dataflow.Kernel.k_model = Some (Dataflow.Kernel.Ram_model m); _ } ->
+        List.iter add
+          [ "ram"; string_of_int m.words; Fixed.format_to_string m.data_fmt;
+            m.addr_port; m.wdata_port; m.we_port; m.rdata_port ]
+      | Untimed _ | Timed _ | Primary_input _ | Primary_output -> ())
+    (List.rev t.comps);
+  List.iter
+    (fun n ->
+      add "net";
+      add n.n_name;
+      List.iter (fun (s, sp) -> add s.c_name; add sp) n.n_sinks)
+    (List.rev t.s_nets);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 type stats = {

@@ -290,8 +290,21 @@ val all_regs : t -> Signal.Reg.t list
     Not covered (documented limits): primary-input {e stimuli} and
     untimed kernels' behaviour closures are opaque — result caches
     must fingerprint stimuli separately, from their columns (see
-    [Flow.Cache]). *)
+    [Flow.Cache]).  Nor are the kernels' declared models: see
+    {!elaboration_key}. *)
 val digest : t -> string
+
+(** [elaboration_key t] is a hex MD5 over {!digest} plus what an
+    elaboration bakes in and the digest leaves out:
+    - every untimed kernel's declared [Dataflow.Kernel.k_model] (kernel
+      name, words, data format, port names), which back ends inline in
+      place of the kernel's closures;
+    - the construction order of components, nets and each net's sinks,
+      which fixes the order of registers, probes and netlist nets.
+
+    Two systems with equal keys elaborate to the same native plugin
+    and the same gate netlist; those artifacts are cached by it. *)
+val elaboration_key : t -> string
 
 (** {1 Engine attachment}
 

@@ -52,15 +52,25 @@ check_cmp "seu report (dect, native engine, 300 runs)" \
   "$work/seu-native-1.json" "$work/seu-native-2.json"
 
 # 1c. The same SEU campaign on the gate (synthesized netlist) engine:
-#     flips land on physical flip-flop q-nets, and each worker domain
-#     synthesizes and simulates a private netlist instance.  Fewer runs
-#     — gate simulation is the slowest engine.
+#     flips land on physical flip-flop q-nets.  The worker domains'
+#     sessions share one synthesized, levelized topology and each owns
+#     its lane state (net words, RAM contents, the dirty set) — this
+#     guards that split.  Fewer runs — gate simulation is the slowest
+#     engine.  The accumulator CPU adds a RAM, whose contents are lane
+#     state too.
 "$OCAPI" fault --design hcor --campaign seu --runs 60 --cycles 24 --seed 1 \
   --engine gate --json >"$work/seu-gate-1.json"
 "$OCAPI" fault --design hcor --campaign seu --runs 60 --cycles 24 --seed 1 \
   --engine gate --domains 2 --json >"$work/seu-gate-2.json"
 check_cmp "seu report (hcor, gate engine, 60 runs)" \
   "$work/seu-gate-1.json" "$work/seu-gate-2.json"
+
+"$OCAPI" fault --design cpu --campaign seu --runs 200 --seed 1 \
+  --engine gate --json >"$work/seu-gate-cpu-1.json"
+"$OCAPI" fault --design cpu --campaign seu --runs 200 --seed 1 \
+  --engine gate --domains 2 --json >"$work/seu-gate-cpu-2.json"
+check_cmp "seu report (cpu, gate engine, 200 runs)" \
+  "$work/seu-gate-cpu-1.json" "$work/seu-gate-cpu-2.json"
 
 # 1d. The gallery designs ride the same check: the RS codec's SEU
 #     classification and the accumulator CPU's (whose RAM cell crosses

@@ -432,6 +432,79 @@ let test_ram_and_closure_kernels () =
       check "after a register poke" poked poke)
     [ "compiled"; "rtl" ]
 
+(* A controller and a RAM of [words] words behind a 3-bit address: with
+   fewer than 8 words the addresses wrap, so the word count shows in the
+   data read back, yet it is no part of the design's digest.  [name]
+   keeps a test's design apart from every other test's in the per-process
+   elaboration tables. *)
+let ram_words_system ?(name = "ramwords") ~words () =
+  let u3 = Fixed.unsigned ~width:3 ~frac:0 in
+  let ptr = Signal.Reg.create clk (name ^ "_ptr") u3 in
+  let acc = Signal.Reg.create clk (name ^ "_acc") s8 in
+  let step =
+    Sfg.build (name ^ "_step") (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        let r = Sfg.Builder.input b "r" s8 in
+        Sfg.Builder.output b "addr" (Signal.reg_q ptr);
+        Sfg.Builder.output b "wdata" (Signal.reg_q acc);
+        Sfg.Builder.output b "we" Signal.(reg_q acc <: consti s8 20);
+        Sfg.Builder.output b "y"
+          (Signal.resize ~overflow:Fixed.Saturate s8 Signal.(r +: x));
+        Sfg.Builder.assign_resized b ptr Signal.(reg_q ptr +: consti u3 3);
+        Sfg.Builder.assign_resized b acc Signal.(x -: reg_q acc))
+  in
+  let fsm = Fsm.create (name ^ "_ctl") in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ step |-> s0);
+  let sys = Cycle_system.create name in
+  let c = Cycle_system.add_timed sys "ctl" fsm in
+  let ram =
+    Cycle_system.add_untimed sys
+      (Ram_cell.kernel ~name:(name ^ "_ram") ~words ~data_fmt:s8 ~addr_fmt:u3)
+  in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun cyc ->
+        Some (Fixed.of_int s8 ((cyc * 37 mod 101) - 50)))
+  in
+  let p_y = Cycle_system.add_output sys "y_out" in
+  let p_r = Cycle_system.add_output sys "rdata_out" in
+  List.iter
+    (fun port -> ignore (Cycle_system.connect sys (c, port) [ (ram, port) ]))
+    [ "addr"; "wdata"; "we" ];
+  ignore (Cycle_system.connect sys (ram, "rdata") [ (c, "r"); (p_r, "in") ]);
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (p_y, "in") ]);
+  sys
+
+(* A RAM's word count is not in the digest but in the elaboration key:
+   engines that cache an elaboration (native plugins on disk, gate
+   netlists in memory) must not serve one word count's artifact to the
+   other. *)
+let test_ram_words_in_elaboration_key () =
+  let build words = ram_words_system ~words () in
+  Alcotest.(check string) "one digest"
+    (Cycle_system.digest (build 8))
+    (Cycle_system.digest (build 5));
+  Alcotest.(check bool) "two elaboration keys" false
+    (Cycle_system.elaboration_key (build 8) = Cycle_system.elaboration_key (build 5));
+  let run engine words =
+    with_session engine (build words) (fun ses ->
+        steps ses 64;
+        ses.Ocapi_engine.ses_histories ())
+  in
+  let h8 = run "interp" 8 and h5 = run "interp" 5 in
+  Alcotest.(check bool) "the word count changes the run" false (histories_equal h8 h5);
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (words, expected) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d words = interp" engine words)
+            true
+            (histories_equal expected (run engine words)))
+        [ (8, h8); (5, h5); (8, h8) ])
+    [ "native"; "gate"; "compiled"; "rtl" ]
+
 (* Guards compile like SFG expressions, even when their nodes appear in
    no SFG: a counter's comparisons pick among three transitions, and
    each transition's SFG outputs its own mark. *)
@@ -544,6 +617,8 @@ let suite =
       test_native_step_allocates_nothing;
     Alcotest.test_case "compiled RAM and closure kernels" `Quick
       test_ram_and_closure_kernels;
+    Alcotest.test_case "RAM word count in the elaboration key" `Quick
+      test_ram_words_in_elaboration_key;
     Alcotest.test_case "compiled guards select transitions" `Quick
       test_guards_select_transitions;
     Alcotest.test_case "compiled rejects input-reading guards" `Quick

@@ -403,10 +403,11 @@ let prop_lanes_independent =
       let faults =
         List.init k (fun _ -> universe.(Random.State.int rng (Array.length universe)))
       in
-      let batch = Netlist.Sim.create nl in
+      let topology = Netlist.Sim.topology nl in
+      let batch = Netlist.Sim.instantiate topology in
       List.iteri (fun lane f -> Netlist.Sim.inject batch ~lane f) faults;
       let ports =
-        List.map (fun (name, _) -> Netlist.Sim.output_port batch name) (Netlist.outputs_list nl)
+        List.map (fun (name, _) -> Netlist.Sim.output_port topology name) (Netlist.outputs_list nl)
       in
       let lone = List.map (fun f -> sim_outputs ~faults:[ f ] nl vectors) faults in
       Array.for_all Fun.id
