@@ -115,6 +115,21 @@ let flip_bit ~name (f : Fixed.format) ~bit m =
          bit (Fixed.format_to_string f) name);
   wrap (wrap_of f) (Int64.logxor m (Int64.shift_left 1L bit))
 
+let probe_trace sys probes ~slot =
+  let names = Cycle_system.probes sys in
+  let declared name =
+    Array.find_map (fun (n, _, _, fmt) -> if n = name then Some fmt else None) probes
+  in
+  let trace =
+    Cycle_system.Trace.create (List.map (fun name -> (name, declared name)) names)
+  in
+  ( trace,
+    Cycle_system.Trace.feed trace
+      (Array.map
+         (fun (name, s, stamp, _) ->
+           (Option.get (List.find_index (String.equal name) names), slot s, stamp))
+         probes) )
+
 (* --- the lowered program --------------------------------------------------- *)
 
 type stmt =
@@ -820,14 +835,6 @@ type ram_code = {
 (* A unit of the B-phase schedule. *)
 type b_code = Comp of comp_code | Ram of ram_code | Kernel of kernel_code
 
-type probe_code = {
-  pc_name : string;
-  pc_slot : int;  (* byte offset *)
-  pc_stamp : int;
-  pc_fmt : Fixed.format;
-  mutable pc_history : (int * Fixed.t) list;  (* reversed *)
-}
-
 type stim_code = {
   st_column : Cycle_system.column;
   st_slot : int;  (* byte offset *)
@@ -856,7 +863,8 @@ type t = {
   ram_codes : ram_code array;  (* the inlined RAMs of [b_schedule] *)
   host_kernels : Dataflow.Kernel.t list;  (* its other kernels *)
   stims : stim_code array;
-  probes : probe_code array;
+  trace : Cycle_system.Trace.t;  (* one column per probe of the system *)
+  probes : Cycle_system.Trace.feed;  (* the connected ones, by byte offset *)
   (* Register exposure for fault injection, in [Cycle_system.all_regs]
      order — the same indexing every engine uses. *)
   regs : register array;
@@ -981,18 +989,7 @@ let compile sys =
         })
       p.pg_stims
   in
-  let probes =
-    Array.map
-      (fun (name, slot, stamp, fmt) ->
-        {
-          pc_name = name;
-          pc_slot = off slot;
-          pc_stamp = stamp;
-          pc_fmt = fmt;
-          pc_history = [];
-        })
-      p.pg_probes
-  in
+  let trace, probes = probe_trace sys p.pg_probes ~slot:off in
   (* Net i owns slot i and stamp i. *)
   let trace_recs =
     Array.mapi
@@ -1019,6 +1016,7 @@ let compile sys =
       ram_codes = rams;
       host_kernels = Array.to_list (Array.map (fun kc -> kc.kc_kernel) kernels);
       stims;
+      trace;
       probes;
       regs = p.pg_regs;
       n_statements = p.pg_statements;
@@ -1139,12 +1137,7 @@ let step t =
       let k = kc.kc_kernel in
       if k.Dataflow.Kernel.k_ready () then k.Dataflow.Kernel.k_commit ()
   done;
-  Array.iter
-    (fun p ->
-      if t.stamps.(p.pc_stamp) = cycle then
-        p.pc_history <-
-          (cycle, Fixed.create p.pc_fmt (get v p.pc_slot)) :: p.pc_history)
-    t.probes;
+  Cycle_system.Trace.record_store t.probes ~cycle ~stamps:t.stamps v;
   if t.tracing then
     Array.iter
       (fun r ->
@@ -1191,13 +1184,20 @@ let run t n =
 
 let current_cycle t = t.cycle
 
+let trace t = t.trace
+
 let output_history t name =
-  match Array.find_opt (fun p -> p.pc_name = name) t.probes with
-  | Some p -> List.rev p.pc_history
-  | None -> unsupported "output_history: no probe %s" name
+  let rec find p =
+    if p = Cycle_system.Trace.probe_count t.trace then
+      unsupported "output_history: no probe %s" name
+    else if Cycle_system.Trace.probe_name t.trace p = name then
+      Cycle_system.Trace.history t.trace p
+    else find (p + 1)
+  in
+  find 0
 
 let clear_histories t =
-  Array.iter (fun p -> p.pc_history <- []) t.probes;
+  Cycle_system.Trace.clear t.trace;
   Array.iter (fun r -> r.trc_hist <- []) t.trace_recs
 
 let reset t =
@@ -1264,7 +1264,7 @@ let matches t sn =
   && Array.for_all2 (fun c s -> c.cc_state = s) t.comps sn.sn_states
   && Bytes.equal t.values sn.sn_values
   && Bytes.equal t.rams sn.sn_rams
-  && t.stamps = sn.sn_stamps
+  && Array_equal.ints t.stamps sn.sn_stamps
   && Array.for_all2 (fun r s -> r.rm_staged = s) t.ram_codes sn.sn_staged
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 

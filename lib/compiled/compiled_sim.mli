@@ -30,9 +30,10 @@
     as an unboxed [int64]: a statement calls no further closure, so the
     statement sweep allocates nothing; inlined RAMs fire against a
     per-session [int64] RAM image, which {!reset} zeroes.  Stimuli are
-    read from the system's stimulus columns by cycle index.  What a
-    step still allocates is one [Fixed.t] per recorded probe token, the
-    host kernels' tokens and a few closures of the step itself.  The
+    read from the system's stimulus columns by cycle index, and probe
+    tokens are copied from the store into the program's
+    {!Cycle_system.Trace}, so a step allocates nothing unless a host
+    kernel fires (its tokens) or telemetry is on.  The
     other back end, [Emit], renders the same program as OCaml source:
     the native engine's plugin and the standalone simulator.
 
@@ -143,6 +144,18 @@ val lower : Cycle_system.t -> program
     @raise Invalid_argument if [bit] is outside [fmt]'s width. *)
 val flip_bit : name:string -> Fixed.format -> bit:int -> int64 -> int64
 
+(** [probe_trace system probes ~slot] is where both back ends record
+    [probes] (a program's [pg_probes]): a trace with one column per
+    probe of [system], in [Cycle_system.probes] order, declared in the
+    carried format of the connected ones (an unconnected probe's column
+    stays empty), and the feed of [probes] into it, each probe's slot
+    mapped by [slot] to the back end's store index. *)
+val probe_trace :
+  Cycle_system.t ->
+  (string * int * int * Fixed.format) array ->
+  slot:(int -> int) ->
+  Cycle_system.Trace.t * Cycle_system.Trace.feed
+
 (** {1 The closure back end} *)
 
 type t
@@ -160,8 +173,14 @@ val run : t -> int -> unit
 
 val current_cycle : t -> int
 
-(** Probe histories, as in {!Cycle_system.output_history} but keyed by
-    probe name. *)
+(** The probe tokens {!step} records: one column per probe of the
+    system, in [Cycle_system.probes] order, each in the format of the
+    net it reads (an unconnected probe's column stays empty).  Live:
+    later steps append to it, and {!reset}, {!restore} and
+    {!clear_histories} clear it. *)
+val trace : t -> Cycle_system.Trace.t
+
+(** One probe's {!trace} column, as [(cycle, value)] pairs. *)
 val output_history : t -> string -> (int * Fixed.t) list
 
 (** Reset the cycle counter, every slot (registers, nets and nodes) to

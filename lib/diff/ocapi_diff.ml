@@ -1232,19 +1232,28 @@ let register_buggy_engine () =
 
       let make ?options sys =
         let ses = I.make ?options sys in
-        let corrupt histories =
-          List.map
-            (fun (probe, toks) ->
-              ( probe,
-                List.map
-                  (fun (c, v) -> if c >= 3 then (c, Fixed.flip_bit v 0) else (c, v))
-                  toks ))
-            histories
+        (* A copy of the interpreter's trace with bit 0 of every token
+           from cycle 3 on flipped, rebuilt on each read: callers read
+           it after stepping. *)
+        let corrupt_trace () =
+          let module T = Cycle_system.Trace in
+          let live = ses.Ocapi_engine.ses_trace () in
+          let probes = List.init (T.probe_count live) Fun.id in
+          let trace = T.create (List.map (fun p -> (T.probe_name live p, None)) probes) in
+          List.iter
+            (fun p ->
+              for k = 0 to T.length live p - 1 do
+                let c = T.cycle live p k and v = T.token live p k in
+                T.record_token trace p ~cycle:c (if c >= 3 then Fixed.flip_bit v 0 else v)
+              done)
+            probes;
+          trace
         in
         {
           ses with
           Ocapi_engine.ses_engine = buggy_name;
-          ses_histories = (fun () -> corrupt (ses.Ocapi_engine.ses_histories ()));
+          ses_histories = (fun () -> Cycle_system.Trace.to_histories (corrupt_trace ()));
+          ses_trace = corrupt_trace;
         }
     end in
     Ocapi_engine.register (module B);

@@ -18,6 +18,7 @@ type session = {
   ses_cycle : unit -> int;
   ses_reset : unit -> unit;
   ses_histories : unit -> histories;
+  ses_trace : unit -> Cycle_system.Trace.t;
   ses_register_count : int;
   ses_register_info : int -> string * Fixed.format;
   ses_poke_register_bit : int -> bit:int -> unit;
@@ -114,6 +115,7 @@ module Interp_engine = struct
       ses_cycle = (fun () -> Cycle_system.current_cycle sys);
       ses_reset = (fun () -> Cycle_system.reset sys);
       ses_histories = (fun () -> Cycle_system.probe_histories sys);
+      ses_trace = (fun () -> Cycle_system.trace sys);
       ses_register_count = Array.length regs;
       ses_register_info =
         (fun i ->
@@ -164,7 +166,6 @@ end
 let compiled_session ~engine sys =
   Cycle_system.reset sys;
   let prog = Compiled_sim.compile sys in
-  let probes = Cycle_system.probes sys in
   let comp_index =
     component_index ~engine
       ~count:(Compiled_sim.component_count prog)
@@ -178,8 +179,8 @@ let compiled_session ~engine sys =
     ses_cycle = (fun () -> Compiled_sim.current_cycle prog);
     ses_reset = (fun () -> Compiled_sim.reset prog);
     ses_histories =
-      (fun () ->
-        List.map (fun p -> (p, Compiled_sim.output_history prog p)) probes);
+      (fun () -> Cycle_system.Trace.to_histories (Compiled_sim.trace prog));
+    ses_trace = (fun () -> Compiled_sim.trace prog);
     ses_register_count = Compiled_sim.register_count prog;
     ses_register_info = Compiled_sim.register_info prog;
     ses_poke_register_bit = Compiled_sim.flip_register_bit prog;
@@ -239,7 +240,6 @@ module Rtl_engine = struct
   let make ?(options = default_options) sys =
     Cycle_system.reset sys;
     let rtl = Rtl.of_system ?max_deltas:options.opt_max_deltas sys in
-    let probes = Cycle_system.probes sys in
     let comp_index =
       component_index ~engine:name
         ~count:(Rtl.component_count rtl)
@@ -257,8 +257,8 @@ module Rtl_engine = struct
              restore both so the system is pristine between runs. *)
           Rtl.reset rtl;
           Cycle_system.reset sys);
-      ses_histories =
-        (fun () -> List.map (fun p -> (p, Rtl.output_history rtl p)) probes);
+      ses_histories = (fun () -> Cycle_system.Trace.to_histories (Rtl.trace rtl));
+      ses_trace = (fun () -> Rtl.trace rtl);
       ses_register_count = Rtl.register_count rtl;
       ses_register_info = Rtl.register_info rtl;
       ses_poke_register_bit = Rtl.flip_register_bit rtl;
@@ -314,7 +314,7 @@ let () =
 
 (* --- uniform execution ----------------------------------------------------- *)
 
-let run ?inject ?progress ses ~cycles =
+let run_with read ?inject ?progress ses ~cycles =
   ses.ses_reset ();
   (try
      for c = 0 to cycles - 1 do
@@ -327,6 +327,9 @@ let run ?inject ?progress ses ~cycles =
    with e ->
      ses.ses_reset ();
      raise e);
-  let result = ses.ses_histories () in
+  let result = read ses in
   ses.ses_reset ();
   result
+
+let run = run_with (fun ses -> ses.ses_histories ())
+let run_trace = run_with (fun ses -> Cycle_system.Trace.copy (ses.ses_trace ()))

@@ -31,7 +31,8 @@
       shared by simulation, sweeps and fault campaigns. *)
 
 (** Probe histories, as [(probe name, (cycle, token) list)] pairs —
-    the shape of [Cycle_system.output_history] across all engines. *)
+    the shape of [Cycle_system.output_history] across all engines,
+    derived from a session's trace by [Cycle_system.Trace.to_histories]. *)
 type histories = (string * (int * Fixed.t) list) list
 
 (** {1:sessions Sessions}
@@ -44,6 +45,19 @@ type histories = (string * (int * Fixed.t) list) list
     ([Cycle_system.attach_engine]) for the lifetime of the session;
     {!run} and the campaign layers use that mark to detect designs
     handed to two consumers at once (code [Shared_state]).
+
+    Every session records its probe tokens in place, into one
+    [Cycle_system.Trace.t] it owns ([ses_trace]), with one column per
+    probe of the system in [Cycle_system.probes] order:
+    - interp: the system's own trace ([Cycle_system.trace]), in each
+      token's format;
+    - compiled: copied from the value store, in the probe net's format;
+    - native: from the plugin's value array, as an [int] or an [int64];
+    - rtl: the sampled net signal's value;
+    - gate: the output bus, read when its valid wire is high.
+    A static engine's column holds one format, its net's; an
+    unconnected probe's column stays empty.  [ses_histories] is the
+    list view of the same tokens.
 
     A {!checkpoint} copies exactly the state [ses_reset]
     re-initializes, less histories, traces and statistics counters —
@@ -73,8 +87,8 @@ type checkpoint = {
   ck_restore : unit -> unit;
       (** return the session to the copy's state and cycle, from any
           state (one an engine exception left mid-step included); the
-          histories are cleared, so [ses_histories] then returns the
-          tokens from [ck_cycle] on *)
+          trace is cleared, so [ses_trace] and [ses_histories] then
+          hold the tokens from [ck_cycle] on *)
   ck_matches : unit -> bool;
       (** does the session's current state equal the copy?  From equal
           states a session steps identically, so a run that matches the
@@ -86,10 +100,16 @@ type session = {
   ses_step : unit -> unit;  (** simulate one clock cycle *)
   ses_cycle : unit -> int;  (** cycles simulated since reset *)
   ses_reset : unit -> unit;
-      (** cycle counter to zero, registers/FSMs to initial, histories
+      (** cycle counter to zero, registers/FSMs to initial, trace
           cleared — restores the underlying system where the engine
           aliases it *)
   ses_histories : unit -> histories;
+      (** [Cycle_system.Trace.to_histories (ses_trace ())]: the API
+          edge for callers that want values *)
+  ses_trace : unit -> Cycle_system.Trace.t;
+      (** the session's trace, live: later steps append to it, and
+          [ses_reset] and [ck_restore] clear it; keep a
+          [Cycle_system.Trace.copy] to freeze it *)
   ses_register_count : int;
       (** registers indexed in [Cycle_system.all_regs] order — the
           shared indexing of the SEU campaigns, identical across
@@ -214,3 +234,12 @@ val run :
   session ->
   cycles:int ->
   histories
+
+(** [run_trace] is {!run} returning a frozen copy of the session's
+    trace instead of its histories. *)
+val run_trace :
+  ?inject:int * (unit -> unit) ->
+  ?progress:(int -> unit) ->
+  session ->
+  cycles:int ->
+  Cycle_system.Trace.t

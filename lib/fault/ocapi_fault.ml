@@ -408,61 +408,122 @@ let seu_key ~engine ~runs ~max_deltas ~seed sys ~cycles =
    [max_checkpoints] per session: every cycle on windows up to 64. *)
 let max_checkpoints = 64
 
-(* A session's fault-free run: its histories and, when [checkpointed]
-   and the session can copy its state, checkpoints at cycles
-   [0, stride, 2 * stride, ...] with, per checkpoint, the histories
-   from its cycle on (tails of the lists, shared). *)
+(* A session's fault-free run: its trace, frozen, and, when
+   [checkpointed] and the session can copy its state, checkpoints at
+   cycles [0, stride, 2 * stride, ...] with, per checkpoint and probe,
+   the index of the first token at or after its cycle. *)
 type golden = {
-  g_histories : Ocapi_engine.histories;
+  g_trace : Cycle_system.Trace.t;
+  g_histories : Ocapi_engine.histories Lazy.t;  (* for runs from reset *)
   g_stride : int;
   g_checkpoints : Ocapi_engine.checkpoint array;
-  g_tails : Ocapi_engine.histories array;
+  g_starts : int array array;
 }
 
 let golden_run ~checkpointed ses ~cycles =
   let stride = (cycles + max_checkpoints - 1) / max_checkpoints in
   let checkpoints = ref [] in
-  let histories =
-    Ocapi_engine.run ses ~cycles ~progress:(fun c ->
+  let trace =
+    Ocapi_engine.run_trace ses ~cycles ~progress:(fun c ->
         if checkpointed && c mod stride = 0 then
           Option.iter
             (fun ck -> checkpoints := ck :: !checkpoints)
             (ses.Ocapi_engine.ses_checkpoint ()))
   in
   let checkpoints = Array.of_list (List.rev !checkpoints) in
-  let tail_from t =
-    List.map
-      (fun (p, h) ->
-        let rec drop = function
-          | (c, _) :: rest when c < t -> drop rest
-          | h -> h
-        in
-        (p, drop h))
-      histories
-  in
   {
-    g_histories = histories;
+    g_trace = trace;
+    g_histories = lazy (Cycle_system.Trace.to_histories trace);
     g_stride = stride;
     g_checkpoints = checkpoints;
-    g_tails = Array.map (fun ck -> tail_from ck.Ocapi_engine.ck_cycle) checkpoints;
+    g_starts =
+      Array.map
+        (fun ck ->
+          Array.init (Cycle_system.Trace.probe_count trace) (fun p ->
+              Cycle_system.Trace.index_from trace p ~cycle:ck.Ocapi_engine.ck_cycle))
+        checkpoints;
   }
 
 (* A run from reset, with the whole histories compared: the reference
    [checkpointed_run] must reproduce, and the run of a session that
    cannot copy its state. *)
 let run_from_reset ses golden ~cycles ~target ~at =
-  classify_histories ~engine:ses.Ocapi_engine.ses_engine golden.g_histories
+  classify_histories ~engine:ses.Ocapi_engine.ses_engine
+    (Lazy.force golden.g_histories)
     (Ocapi_engine.run ses ~cycles ~inject:(at, fun () -> poke_target ses target))
+
+(* [classify_histories] on columns.  The faulty run restored checkpoint
+   [j] and stepped to the end, or to checkpoint [k] where its state
+   rejoined the fault-free run's: its tokens are the session trace's
+   [own], then, when it converged, the golden trace's from [k] on, read
+   in place.  They are compared with the golden tokens from [j] on, probe
+   by probe; the first difference is classified as the lists would
+   classify it.  Both traces come from one session, so the probes are
+   the same. *)
+let classify_columns ~engine golden ~own ~j ~converged =
+  let module T = Cycle_system.Trace in
+  let g = golden.g_trace in
+  let structural p cycle detail =
+    Detected
+      (Ocapi_error.make Ocapi_error.Watchdog ~engine ~construct:(T.probe_name g p)
+         ~cycle
+         (Printf.sprintf "output stream diverged structurally: %s" detail))
+  in
+  (* Golden token [gi] against faulty token [fi] of [f], which differ. *)
+  let differ p gi f fi =
+    let c1 = T.cycle g p gi and c2 = T.cycle f p fi in
+    if c1 <> c2 then
+      structural p (min c1 c2) (Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2)
+    else
+      Sdc
+        {
+          probe = T.probe_name g p;
+          cycle = Some c1;
+          detail =
+            Printf.sprintf "%s vs %s"
+              (Fixed.to_string (T.token g p gi))
+              (Fixed.to_string (T.token f p fi));
+        }
+  in
+  let ends_early p gi = structural p (T.cycle g p gi) "faulty output stream ends early" in
+  let extra p f fi = structural p (T.cycle f p fi) "faulty run produces extra tokens" in
+  let scan p =
+    let g_len = T.length g p and own_len = T.length own p in
+    let g0 = golden.g_starts.(j).(p) in
+    let n = min (g_len - g0) own_len in
+    let d = T.mismatch g g0 own 0 ~probe:p ~len:n in
+    if d < n then Some (differ p (g0 + d) own d)
+    else if n < own_len then Some (extra p own n)
+    else
+      let gi = g0 + n in
+      match converged with
+      | None -> if gi < g_len then Some (ends_early p gi) else None
+      | Some k ->
+        (* The rest of the faulty stream is the golden one from [gk]. *)
+        let gk = golden.g_starts.(k).(p) in
+        if gi = gk then None
+        else
+          let m = g_len - max gi gk in
+          let d = T.mismatch g gi g gk ~probe:p ~len:m in
+          if d < m then Some (differ p (gi + d) g (gk + d))
+          else if gi < gk then Some (ends_early p (gi + m))
+          else Some (extra p g (gk + m))
+  in
+  let rec probes p =
+    if p = T.probe_count g then Masked
+    else match scan p with Some outcome -> outcome | None -> probes (p + 1)
+  in
+  probes 0
 
 (* Restore the last checkpoint at or before [at], step to [at], poke,
    and step on until the window ends or, at a later checkpoint cycle
    [t], the state equals the fault-free run's: from equal states the
    run repeats the fault-free tokens from [t] on (and raises nothing,
-   as that run did not), so those tokens are appended instead of
-   stepped.  The cycles before the restored checkpoint carry the
-   fault-free tokens on both sides, so comparing from there gives the
-   outcome of the whole histories.  The session is left mid-run; the
-   next run's restore works from any state. *)
+   as that run did not), so those tokens are read from the golden trace
+   instead of stepped.  The cycles before the restored checkpoint carry
+   the fault-free tokens on both sides, so comparing from there gives
+   the outcome of the whole histories.  The session is left mid-run;
+   the next run's restore works from any state. *)
 let checkpointed_run ses golden ~cycles ~target ~at =
   let j = at / golden.g_stride in
   golden.g_checkpoints.(j).Ocapi_engine.ck_restore ();
@@ -480,14 +541,8 @@ let checkpointed_run ses golden ~cycles ~target ~at =
     end
   in
   let converged = go golden.g_checkpoints.(j).Ocapi_engine.ck_cycle in
-  let own = ses.Ocapi_engine.ses_histories () in
-  let faulty =
-    match converged with
-    | None -> own
-    | Some k ->
-      List.map2 (fun (p, h) (_, tail) -> (p, h @ tail)) own golden.g_tails.(k)
-  in
-  classify_histories ~engine:ses.Ocapi_engine.ses_engine golden.g_tails.(j) faulty
+  classify_columns ~engine:ses.Ocapi_engine.ses_engine golden
+    ~own:(ses.Ocapi_engine.ses_trace ()) ~j ~converged
 
 (* --- campaigns ----------------------------------------------------------------- *)
 

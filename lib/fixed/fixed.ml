@@ -20,12 +20,15 @@ let int_format width = signed ~width ~frac:0
 let equal_format a b =
   a.signedness = b.signedness && a.width = b.width && a.frac = b.frac
 
-let pp_format ppf f =
-  Format.fprintf ppf "<%c%d.%d>"
+(* The renderings are [Printf]-based, and the printers print them: an
+   SEU report formats two values per silent data corruption, and
+   [Format] costs twice as much. *)
+let format_to_string f =
+  Printf.sprintf "<%c%d.%d>"
     (match f.signedness with Signed -> 's' | Unsigned -> 'u')
     f.width f.frac
 
-let format_to_string f = Format.asprintf "%a" pp_format f
+let pp_format ppf f = Format.pp_print_string ppf (format_to_string f)
 
 let min_mantissa f =
   match f.signedness with
@@ -154,8 +157,8 @@ let compare_value a b =
   let _, ma, mb = align a b in
   Int64.compare ma mb
 
-let pp ppf v = Format.fprintf ppf "%g%a" (to_float v) pp_format v.fmt
-let to_string v = Format.asprintf "%a" pp v
+let to_string v = Printf.sprintf "%g%s" (to_float v) (format_to_string v.fmt)
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (* Signed width needed to also hold unsigned values of format [f] once it is
    aligned to fraction [frac]. *)

@@ -153,15 +153,12 @@ let histories_of ~cycles d =
     Cycle_system.reset sys;
     h
   | Rtl r ->
-    let sys = d.ir_source in
     Rtl.reset r;
     Rtl.run r cycles;
-    let h =
-      List.map (fun p -> (p, Rtl.output_history r p)) (Cycle_system.probes sys)
-    in
+    let h = Cycle_system.Trace.to_histories (Rtl.trace r) in
     Rtl.reset r;
     (* The RTL elaboration aliases the system's registers. *)
-    Cycle_system.reset sys;
+    Cycle_system.reset d.ir_source;
     h
   | Gate nl ->
     (* The generated-test-bench discipline: histories shaped exactly
@@ -342,8 +339,21 @@ module Gate_engine = struct
     let smap = a.ga_map in
     let sim = Netlist.Sim.instantiate a.ga_topology in
     (* Buses were resolved at elaboration: a step neither builds bus
-       names nor looks buses or history refs up. *)
-    let probe_rows = List.map (fun (p, bus) -> (p, bus, ref [])) a.ga_probes in
+       names nor looks buses up.  Every probe has a trace column; an
+       unconnected one's stays empty. *)
+    let trace =
+      Cycle_system.Trace.create
+        (List.map (fun (p, bus) -> (p, Option.map (fun (fmt, _, _, _) -> fmt) bus)) a.ga_probes)
+    in
+    let probe_rows =
+      List.concat
+        (List.mapi
+           (fun i (_, bus) ->
+             match bus with
+             | Some (_, signed, port, valid) -> [ (i, signed, port, valid) ]
+             | None -> [])
+           a.ga_probes)
+    in
     let input_rows =
       List.map
         (fun (iname, port, valid) -> (Cycle_system.input_column sys iname, port, valid))
@@ -362,26 +372,20 @@ module Gate_engine = struct
         input_rows;
       Netlist.Sim.settle sim;
       List.iter
-        (fun (_, bus, hist) ->
-          match bus with
-          | None -> ()
-          | Some (fmt, signed, port, valid) ->
-            let live =
-              match valid with
-              | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1L
-              | None -> true
-            in
-            if live then
-              hist :=
-                (!cycle, Fixed.create fmt (Netlist.Sim.read sim ~signed port))
-                :: !hist)
+        (fun (column, signed, port, valid) ->
+          let live =
+            match valid with
+            | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1L
+            | None -> true
+          in
+          if live then
+            Cycle_system.Trace.record trace column ~cycle:!cycle
+              (Netlist.Sim.read sim ~signed port))
         probe_rows;
       Netlist.Sim.clock sim;
       incr cycle
     in
-    let clear_histories () =
-      List.iter (fun (_, _, hist) -> hist := []) probe_rows
-    in
+    let clear_histories () = Cycle_system.Trace.clear trace in
     let reset () =
       Netlist.Sim.reset sim;
       cycle := 0;
@@ -403,9 +407,8 @@ module Gate_engine = struct
       ses_step = step;
       ses_cycle = (fun () -> !cycle);
       ses_reset = reset;
-      ses_histories =
-        (fun () ->
-          List.map (fun (p, _, hist) -> (p, List.rev !hist)) probe_rows);
+      ses_histories = (fun () -> Cycle_system.Trace.to_histories trace);
+      ses_trace = (fun () -> trace);
       ses_register_count = Array.length smap.Synthesize.sm_regs;
       ses_register_info =
         (fun i ->

@@ -375,8 +375,8 @@ let blit_values ~src ~dst =
 
 let values_equal a b =
   match (a, b) with
-  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b -> a = b
-  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b -> a = b
+  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b -> Array_equal.ints a b
+  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b -> Array_equal.int64s a b
   | _ -> false
 
 (* The plugin's state as [p_reset] re-initializes it, copied: the
@@ -417,52 +417,12 @@ let restore (p : Ocapi_native_abi.plugin) sn =
 let matches (p : Ocapi_native_abi.plugin) sn =
   let open Ocapi_native_abi in
   !(p.p_cycle) = sn.sn_cycle
-  && p.p_states = sn.sn_states
+  && Array_equal.ints p.p_states sn.sn_states
   && values_equal p.p_values sn.sn_values
-  && p.p_stamps = sn.sn_stamps
+  && Array_equal.ints p.p_stamps sn.sn_stamps
   && Array.for_all2 values_equal p.p_rams sn.sn_rams
   && Array.for_all2 (fun staged a -> !staged = a) p.p_ram_staged sn.sn_staged
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
-
-(* Probe histories are recorded into growable unboxed arrays and only
-   materialized as [Fixed.t] lists when [ses_histories] is called: the
-   obvious per-cycle [Fixed.create] + cons would cost more than the
-   whole generated step (every [Int64] intermediate boxes), and probe
-   recording runs once per probe per cycle. *)
-type probe_rec = {
-  pr_name : string;
-  pr_slot : int;
-  pr_stamp : int;
-  pr_fmt : Fixed.format;
-  mutable pr_cycles : int array;
-  mutable pr_ints : int array;  (* mantissas, [Words] plugins *)
-  mutable pr_i64s : int64 array;  (* mantissas, [Boxed] plugins *)
-  mutable pr_len : int;
-}
-
-let ensure_capacity ~words pr =
-  if pr.pr_len = Array.length pr.pr_cycles then begin
-    let cap = max 256 (2 * pr.pr_len) in
-    let grow a zero =
-      let b = Array.make cap zero in
-      Array.blit a 0 b 0 pr.pr_len;
-      b
-    in
-    pr.pr_cycles <- grow pr.pr_cycles 0;
-    if words then pr.pr_ints <- grow pr.pr_ints 0
-    else pr.pr_i64s <- grow pr.pr_i64s 0L
-  end
-
-let probe_history ~words pr =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let m =
-        if words then Int64.of_int pr.pr_ints.(i) else pr.pr_i64s.(i)
-      in
-      go (i - 1) ((pr.pr_cycles.(i), Fixed.create pr.pr_fmt m) :: acc)
-  in
-  go (pr.pr_len - 1) []
 
 (* A close that detaches exactly once, however many times callers'
    cleanup paths run it. *)
@@ -550,52 +510,16 @@ let native_session sys =
           end
         done
   in
-  let probes =
-    meta.Emit.pm_probes
-    |> Array.map (fun (name, slot, stampi, fmt) ->
-           {
-             pr_name = name;
-             pr_slot = slot;
-             pr_stamp = stampi;
-             pr_fmt = fmt;
-             pr_cycles = [||];
-             pr_ints = [||];
-             pr_i64s = [||];
-             pr_len = 0;
-           })
-  in
+  let trace, probes = Compiled_sim.probe_trace sys meta.Emit.pm_probes ~slot:Fun.id in
   (* Mode-specialized recorder: the [Words] path never touches a boxed
-     value, keeping the per-cycle host overhead to a few array writes. *)
+     value. *)
   let record_probes =
     let stamps = p.Ocapi_native_abi.p_stamps in
     match p.Ocapi_native_abi.p_values with
     | Ocapi_native_abi.Words a ->
-      fun c ->
-        for i = 0 to Array.length probes - 1 do
-          let pr = probes.(i) in
-          if stamps.(pr.pr_stamp) = c then begin
-            ensure_capacity ~words:true pr;
-            pr.pr_cycles.(pr.pr_len) <- c;
-            pr.pr_ints.(pr.pr_len) <- a.(pr.pr_slot);
-            pr.pr_len <- pr.pr_len + 1
-          end
-        done
+      fun cycle -> Cycle_system.Trace.record_words probes ~cycle ~stamps a
     | Ocapi_native_abi.Boxed a ->
-      fun c ->
-        for i = 0 to Array.length probes - 1 do
-          let pr = probes.(i) in
-          if stamps.(pr.pr_stamp) = c then begin
-            ensure_capacity ~words:false pr;
-            pr.pr_cycles.(pr.pr_len) <- c;
-            pr.pr_i64s.(pr.pr_len) <- a.(pr.pr_slot);
-            pr.pr_len <- pr.pr_len + 1
-          end
-        done
-  in
-  let words =
-    match p.Ocapi_native_abi.p_values with
-    | Ocapi_native_abi.Words _ -> true
-    | Ocapi_native_abi.Boxed _ -> false
+      fun cycle -> Cycle_system.Trace.record_int64s probes ~cycle ~stamps a
   in
   let regs = meta.Emit.pm_regs and comps = meta.Emit.pm_comps in
   let step () =
@@ -610,7 +534,7 @@ let native_session sys =
     record_probes c;
     if Ocapi_obs.enabled () then Ocapi_obs.count "native.steps"
   in
-  let clear_histories () = Array.iter (fun pr -> pr.pr_len <- 0) probes in
+  let clear_histories () = Cycle_system.Trace.clear trace in
   let reset () =
     p.Ocapi_native_abi.p_reset ();
     List.iter (fun (_, k) -> k.Dataflow.Kernel.k_reset ()) untimed;
@@ -628,10 +552,8 @@ let native_session sys =
     ses_step = step;
     ses_cycle = (fun () -> !(p.Ocapi_native_abi.p_cycle));
     ses_reset = reset;
-    ses_histories =
-      (fun () ->
-        Array.to_list probes
-        |> List.map (fun pr -> (pr.pr_name, probe_history ~words pr)));
+    ses_histories = (fun () -> Cycle_system.Trace.to_histories trace);
+    ses_trace = (fun () -> trace);
     ses_register_count = Array.length regs;
     ses_register_info =
       (fun i -> (regs.(i).Compiled_sim.reg_name, regs.(i).Compiled_sim.reg_fmt));
@@ -650,7 +572,7 @@ let native_session sys =
           Ocapi_error.check_state ~engine:engine_name ~construct:cname
             ~cycle:!(p.Ocapi_native_abi.p_cycle) ~states:n s);
     ses_resident_words =
-      (fun () -> Obj.reachable_words (Obj.repr (p, probes, regs, comps)));
+      (fun () -> Obj.reachable_words (Obj.repr (p, trace, regs, comps)));
     ses_static_size = Some meta.Emit.pm_statements;
     ses_checkpoint =
       (fun () ->

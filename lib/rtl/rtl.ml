@@ -18,11 +18,9 @@ type process_ = {
   pr_exec : unit -> assignment list;
 }
 
-type probe_rec = {
-  pb_name : string;
-  pb_signal : rtl_signal;
-  mutable pb_history : (int * Fixed.t) list;  (* reversed *)
-}
+(* A connected probe: its column in the trace, the net signal it
+   samples. *)
+type probe_rec = { pb_column : int; pb_name : string; pb_signal : rtl_signal }
 
 (* Optional per-signal value recording (waveform dumping). *)
 type trace_rec = {
@@ -39,6 +37,7 @@ type t = {
   clk : rtl_signal;
   stims : (rtl_signal * (int -> Fixed.t option)) list;
   probes : probe_rec list;
+  trace : Cycle_system.Trace.t;  (* one column per probe of the system *)
   resets : (unit -> unit) list;  (* restore component-local state *)
   latches : bool ref array;  (* per sequential process, the clock it last saw *)
   kernels : Dataflow.Kernel.t list;
@@ -355,13 +354,24 @@ let of_system ?(max_deltas = 1000) sys =
           (Cycle_system.output_net sys name "out"))
       (Cycle_system.primary_inputs sys)
   in
-  let probes =
-    List.filter_map
-      (fun pname ->
-        Option.map
-          (fun n -> { pb_name = pname; pb_signal = net_signal n; pb_history = [] })
-          (Cycle_system.input_net sys pname "in"))
+  (* Every probe of the system has a column, declared in the format of
+     the net it reads; an unconnected probe's stays empty. *)
+  let probe_nets =
+    List.map (fun pname -> (pname, Cycle_system.input_net sys pname "in"))
       (Cycle_system.probes sys)
+  in
+  let trace =
+    Cycle_system.Trace.create
+      (List.map (fun (pname, n) -> (pname, Option.map Cycle_system.net_format n)) probe_nets)
+  in
+  let probes =
+    List.concat
+      (List.mapi
+         (fun i (pname, n) ->
+           match n with
+           | Some n -> [ { pb_column = i; pb_name = pname; pb_signal = net_signal n } ]
+           | None -> [])
+         probe_nets)
   in
   let wakeups = Hashtbl.create 256 in
   List.iter
@@ -383,6 +393,7 @@ let of_system ?(max_deltas = 1000) sys =
     clk;
     stims;
     probes;
+    trace;
     resets = !resets;
     latches = Array.of_list !latches;
     kernels = List.map snd (Cycle_system.untimed_components sys);
@@ -496,7 +507,8 @@ let cycle t =
   List.iter
     (fun pb ->
       if pb.pb_signal.sg_driven_this_cycle then
-        pb.pb_history <- (t.cycle_count, pb.pb_signal.sg_value) :: pb.pb_history)
+        Cycle_system.Trace.record_token t.trace pb.pb_column ~cycle:t.cycle_count
+          pb.pb_signal.sg_value)
     t.probes;
   (* Record traced signals whose value changed (waveform dumping). *)
   List.iter
@@ -557,13 +569,10 @@ let run t n =
 
 let current_cycle t = t.cycle_count
 
-let output_history t name =
-  match List.find_opt (fun pb -> pb.pb_name = name) t.probes with
-  | Some pb -> List.rev pb.pb_history
-  | None -> error "output_history: no probe %s" name
+let trace t = t.trace
 
 let clear_histories t =
-  List.iter (fun pb -> pb.pb_history <- []) t.probes;
+  Cycle_system.Trace.clear t.trace;
   List.iter
     (fun tr ->
       tr.tr_last <- None;

@@ -48,8 +48,12 @@ val cycle : t -> unit
 val run : t -> int -> unit
 val current_cycle : t -> int
 
-(** Probe history, keyed by the probe component's name. *)
-val output_history : t -> string -> (int * Fixed.t) list
+(** The probe tokens {!cycle} samples: one column per probe of the
+    system, in [Cycle_system.probes] order, declared in the format of
+    the net it reads (an unconnected probe's column stays empty).
+    Live: later cycles append to it, and {!reset}, {!restore} and
+    {!clear_histories} clear it. *)
+val trace : t -> Cycle_system.Trace.t
 
 val reset : t -> unit
 

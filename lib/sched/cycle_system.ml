@@ -1,6 +1,219 @@
 let error ?construct ?cycle fmt =
   Ocapi_error.fail ?construct ?cycle Ocapi_error.Internal ~engine:"sched" fmt
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* --- probe traces ---------------------------------------------------------- *)
+
+module Trace = struct
+  (* One probe's tokens, oldest first: token [k] arrived at cycle
+     [pc_cycles.(k)], its mantissa is the int64 at byte offset [8 * k] of
+     [pc_mantissas] (the stimulus columns' layout) and its format is
+     [pc_formats.(byte k of pc_format_ix)].  [pc_formats] lists the
+     formats seen, in order of first arrival; a probe with a declared
+     format starts with it at index 0.  The format bytes are allocated
+     when a token in a second format arrives: until then they would all
+     be 0, and the step loops write two columns per token, not three.
+     Storage doubles from 64 tokens and is kept by [clear]. *)
+  type column = {
+    pc_name : string;
+    mutable pc_formats : Fixed.format array;
+    mutable pc_len : int;
+    mutable pc_cycles : int array;
+    mutable pc_mantissas : Bytes.t;
+    mutable pc_format_ix : Bytes.t;
+  }
+
+  type t = column array
+
+  let column pc_name fmt =
+    {
+      pc_name;
+      pc_formats = (match fmt with Some f -> [| f |] | None -> [||]);
+      pc_len = 0;
+      pc_cycles = [||];
+      pc_mantissas = Bytes.empty;
+      pc_format_ix = Bytes.empty;
+    }
+
+  let create probes =
+    Array.of_list (List.map (fun (name, fmt) -> column name fmt) probes)
+
+  let probe_count t = Array.length t
+  let probe_name t p = t.(p).pc_name
+  let length t p = t.(p).pc_len
+
+  (* Probe [p]'s column, with token [k] recorded: the storage beyond
+     [pc_len] holds cleared tokens. *)
+  let recorded t p k =
+    let col = t.(p) in
+    if k < 0 || k >= col.pc_len then
+      error "Trace: token %d of probe %s, which holds %d" k col.pc_name col.pc_len;
+    col
+
+  let format_ix col k =
+    if Bytes.length col.pc_format_ix = 0 then 0
+    else Char.code (Bytes.get col.pc_format_ix k)
+
+  let cycle t p k = (recorded t p k).pc_cycles.(k)
+
+  let token t p k =
+    let col = recorded t p k in
+    Fixed.create col.pc_formats.(format_ix col k) (get64 col.pc_mantissas (8 * k))
+
+  let grow col =
+    let cap = max 64 (2 * col.pc_len) in
+    let cycles = Array.make cap 0 in
+    let mantissas = Bytes.make (8 * cap) '\000' in
+    Array.blit col.pc_cycles 0 cycles 0 col.pc_len;
+    Bytes.blit col.pc_mantissas 0 mantissas 0 (8 * col.pc_len);
+    col.pc_cycles <- cycles;
+    col.pc_mantissas <- mantissas;
+    if Bytes.length col.pc_format_ix > 0 then
+      col.pc_format_ix <-
+        Bytes.extend col.pc_format_ix 0 (cap - Bytes.length col.pc_format_ix)
+
+  (* Format bytes, from the first token in a second format on. *)
+  let set_format col k ix =
+    if Bytes.length col.pc_format_ix = 0 then
+      col.pc_format_ix <- Bytes.make (Array.length col.pc_cycles) '\000';
+    Bytes.set col.pc_format_ix k (Char.chr ix)
+
+  (* Append a token.  After [grow], [k] is below the capacity of the
+     cycle and mantissa columns, so the writes skip their bounds
+     checks. *)
+  let[@inline] append col cycle ix m =
+    let k = col.pc_len in
+    if k = Array.length col.pc_cycles then grow col;
+    Array.unsafe_set col.pc_cycles k cycle;
+    set64u col.pc_mantissas (8 * k) m;
+    if ix <> 0 || Bytes.length col.pc_format_ix > 0 then set_format col k ix;
+    col.pc_len <- k + 1
+
+  (* The static engines' probes carry their declared format. *)
+  let record t p ~cycle m = append t.(p) cycle 0 m
+
+  (* Probes of a value store, recorded by one call per step whose loop
+     reads the mantissas where the store keeps them, so that none is
+     boxed on its way in. *)
+  type fed = { fd_column : column; fd_slot : int; fd_stamp : int }
+  type feed = fed array
+
+  let feed t probes =
+    Array.map
+      (fun (c, fd_slot, fd_stamp) -> { fd_column = t.(c); fd_slot; fd_stamp })
+      probes
+
+  let record_words feed ~cycle ~stamps (words : int array) =
+    for i = 0 to Array.length feed - 1 do
+      let fd = feed.(i) in
+      if stamps.(fd.fd_stamp) = cycle then
+        append fd.fd_column cycle 0 (Int64.of_int words.(fd.fd_slot))
+    done
+
+  let record_int64s feed ~cycle ~stamps (cells : int64 array) =
+    for i = 0 to Array.length feed - 1 do
+      let fd = feed.(i) in
+      if stamps.(fd.fd_stamp) = cycle then append fd.fd_column cycle 0 cells.(fd.fd_slot)
+    done
+
+  let record_store feed ~cycle ~stamps store =
+    for i = 0 to Array.length feed - 1 do
+      let fd = feed.(i) in
+      if stamps.(fd.fd_stamp) = cycle then
+        append fd.fd_column cycle 0 (get64 store fd.fd_slot)
+    done
+
+  (* A token in any format: the interpreter's probes are not declared
+     one, and may carry two (a port produced in two formats, a kernel
+     port without a declared format). *)
+  let record_token t p ~cycle v =
+    let col = t.(p) in
+    let f = Fixed.fmt v in
+    let n = Array.length col.pc_formats in
+    let rec find i =
+      if i = n then begin
+        if n > 255 then
+          error ~construct:col.pc_name ~cycle "probe %s: more than 256 token formats"
+            col.pc_name;
+        col.pc_formats <- Array.append col.pc_formats [| f |];
+        n
+      end
+      else if Fixed.equal_format col.pc_formats.(i) f then i
+      else find (i + 1)
+    in
+    append col cycle (find 0) (Fixed.mantissa v)
+
+  let clear t = Array.iter (fun col -> col.pc_len <- 0) t
+
+  let copy t =
+    Array.map
+      (fun col ->
+        let n = col.pc_len in
+        {
+          col with
+          pc_cycles = Array.sub col.pc_cycles 0 n;
+          pc_mantissas = Bytes.sub col.pc_mantissas 0 (8 * n);
+          pc_format_ix =
+            (if Bytes.length col.pc_format_ix = 0 then Bytes.empty
+             else Bytes.sub col.pc_format_ix 0 n);
+        })
+      t
+
+  (* The first token of probe [p] at or after [cycle]. *)
+  let index_from t p ~cycle =
+    let col = t.(p) in
+    let rec search lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if col.pc_cycles.(mid) < cycle then search (mid + 1) hi else search lo mid
+    in
+    search 0 col.pc_len
+
+  let same_token a i b j =
+    a.pc_cycles.(i) = b.pc_cycles.(j)
+    && (get64 a.pc_mantissas (8 * i) : int64) = get64 b.pc_mantissas (8 * j)
+    &&
+    let f = a.pc_formats.(format_ix a i) and g = b.pc_formats.(format_ix b j) in
+    f == g || Fixed.equal_format f g
+
+  let mismatch a i b j ~probe ~len =
+    let ca = a.(probe) and cb = b.(probe) in
+    if i < 0 || j < 0 || len < 0 || i + len > ca.pc_len || j + len > cb.pc_len then
+      error "Trace.mismatch: tokens [%d, %d) and [%d, %d) outside probe %s" i (i + len) j
+        (j + len) ca.pc_name;
+    let k = ref 0 in
+    while !k < len && same_token ca (i + !k) cb (j + !k) do
+      incr k
+    done;
+    !k
+
+  (* Built from the newest token back; a token equal to the one after
+     it shares its value, which spares the allocation on probes that
+     hold a value. *)
+  let history t p =
+    let col = t.(p) in
+    let rec build k acc =
+      if k < 0 then acc
+      else
+        let f = col.pc_formats.(format_ix col k)
+        and m = get64 col.pc_mantissas (8 * k) in
+        let v =
+          match acc with
+          | (_, next) :: _ when next.Fixed.fmt == f && next.Fixed.mantissa = m -> next
+          | _ -> Fixed.create f m
+        in
+        build (k - 1) ((col.pc_cycles.(k), v) :: acc)
+    in
+    build (col.pc_len - 1) []
+
+  let to_histories t =
+    Array.to_list (Array.mapi (fun p col -> (col.pc_name, history t p)) t)
+end
+
 (* A primary input's stimulus column: the tokens of its function,
    evaluated at most once per cycle.  Byte [c] of [col_present] marks a
    token at cycle [c]; its mantissa is the int64 at byte offset [8 * c]
@@ -20,7 +233,7 @@ type kind =
   | Timed of Fsm.t
   | Untimed of Dataflow.Kernel.t
   | Primary_input of column
-  | Primary_output
+  | Primary_output of int  (* the probe's column in the system's trace *)
 
 (* The wiring, filed by port: [c_drives] maps each output port to the
    net it drives, [c_reads] each input port to the net driving it.
@@ -51,8 +264,7 @@ type t = {
   by_name : (string, component) Hashtbl.t;
   mutable s_nets : net list;  (* reversed *)
   mutable cycle_count : int;
-  mutable probe_histories : (int * (int * Fixed.t) list) list;
-      (* component id -> reversed history *)
+  mutable s_trace : Trace.t;  (* one column per probe, in creation order *)
   mutable tokens_transferred : int;
   mutable eval_iterations : int;
   mutable untimed_fires : int;
@@ -67,7 +279,7 @@ let create ?(clock = Clock.default) s_name =
     by_name = Hashtbl.create 16;
     s_nets = [];
     cycle_count = 0;
-    probe_histories = [];
+    s_trace = Trace.create [];
     tokens_transferred = 0;
     eval_iterations = 0;
     untimed_fires = 0;
@@ -132,9 +344,6 @@ let add_input t name fmt stim =
 
 (* --- stimulus columns -------------------------------------------------- *)
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-
 let grow_column col c =
   let cap = ref (max 64 (2 * Bytes.length col.col_present)) in
   while !cap <= c do
@@ -182,8 +391,8 @@ let column_token col c =
   else None
 
 let add_output t name =
-  let c = add t name Primary_output in
-  t.probe_histories <- (c.c_id, []) :: t.probe_histories;
+  let c = add t name (Primary_output (Trace.probe_count t.s_trace)) in
+  t.s_trace <- Array.append t.s_trace (Trace.create [ (name, None) ]);
   c
 
 let find_component t name = Hashtbl.find_opt t.by_name name
@@ -207,14 +416,14 @@ let input_ports c =
   | Timed fsm -> timed_input_ports fsm
   | Untimed k -> List.map fst k.Dataflow.Kernel.k_inputs
   | Primary_input _ -> []
-  | Primary_output -> [ "in" ]
+  | Primary_output _ -> [ "in" ]
 
 let output_ports c =
   match c.c_kind with
   | Timed fsm -> timed_output_ports fsm
   | Untimed k -> List.map fst k.Dataflow.Kernel.k_outputs
   | Primary_input _ -> [ "out" ]
-  | Primary_output -> []
+  | Primary_output _ -> []
 
 let connect t (src, src_port) sinks =
   if not (List.mem src_port (output_ports src)) then
@@ -280,7 +489,7 @@ let derive_format n =
             (fun (p, e) -> if p = port then Some (Signal.fmt e) else None)
             (Sfg.outputs sfg))
         (Fsm.all_sfgs fsm)
-    | Primary_output -> []
+    | Primary_output _ -> []
   in
   (* [connect] checked that the driver produces [port]. *)
   let f = List.hd produced in
@@ -298,7 +507,7 @@ let derive_format n =
                   else None)
                 (Sfg.inputs sfg))
             (Fsm.all_sfgs fsm)
-        | Untimed _ | Primary_input _ | Primary_output -> [])
+        | Untimed _ | Primary_input _ | Primary_output _ -> [])
       n.n_sinks
   in
   match
@@ -349,7 +558,7 @@ let format_declared n =
   match n.n_driver with
   | { c_kind = Untimed k; _ }, port ->
     List.mem_assoc port k.Dataflow.Kernel.k_formats
-  | { c_kind = Timed _ | Primary_input _ | Primary_output; _ }, _ -> true
+  | { c_kind = Timed _ | Primary_input _ | Primary_output _; _ }, _ -> true
 
 let check t =
   let issues = ref [] in
@@ -409,7 +618,7 @@ let push_token t marked n v =
                     Signal.Env.bind m.m_env i v)
                 (Sfg.inputs m.m_sfg))
           marked
-      | Untimed _ | Primary_input _ | Primary_output -> ())
+      | Untimed _ | Primary_input _ | Primary_output _ -> ())
     n.n_sinks
 
 let deliver_outputs t marked m outputs =
@@ -461,6 +670,8 @@ let fire_untimed t marked c k fired =
           "untimed %s: port %s must produce one token" c.c_name port)
     produced
 
+(* A probe reads one net, so each column takes at most one token per
+   cycle, in whatever format it arrives. *)
 let primary_outputs_collect t =
   List.iter
     (fun n ->
@@ -470,16 +681,10 @@ let primary_outputs_collect t =
         List.iter
           (fun (sink, _) ->
             match sink.c_kind with
-            | Primary_output ->
-              t.probe_histories <-
-                List.map
-                  (fun (id, h) ->
-                    if id = sink.c_id then (id, (t.cycle_count, v) :: h)
-                    else (id, h))
-                  t.probe_histories
+            | Primary_output p -> Trace.record_token t.s_trace p ~cycle:t.cycle_count v
             | Timed _ | Untimed _ | Primary_input _ -> ())
           n.n_sinks)
-    (nets t)
+    t.s_nets
 
 let clear_nets t = List.iter (fun n -> n.n_token <- None) t.s_nets
 
@@ -508,7 +713,7 @@ let select_transitions t =
                 :: !marked)
             tr.Fsm.t_actions
       end
-      | Untimed _ | Primary_input _ | Primary_output -> ())
+      | Untimed _ | Primary_input _ | Primary_output _ -> ())
     (List.rev t.comps);
   (List.rev !marked, List.rev !chosen)
 
@@ -524,7 +729,7 @@ let drive_primary_inputs t marked =
           | Some v -> push_token t marked n v
           | None -> ())
       end
-      | Timed _ | Untimed _ | Primary_output -> ())
+      | Timed _ | Untimed _ | Primary_output _ -> ())
     (List.rev t.comps)
 
 let commit_fired_kernels t fired =
@@ -533,7 +738,7 @@ let commit_fired_kernels t fired =
       match c.c_kind with
       | Untimed k ->
         if Hashtbl.mem fired c.c_id then k.Dataflow.Kernel.k_commit ()
-      | Timed _ | Primary_input _ | Primary_output -> ())
+      | Timed _ | Primary_input _ | Primary_output _ -> ())
     t.comps
 
 let commit_and_advance t marked chosen =
@@ -550,7 +755,7 @@ let untimed_list t =
     (fun c ->
       match c.c_kind with
       | Untimed k -> Some (c, k)
-      | Timed _ | Primary_input _ | Primary_output -> None)
+      | Timed _ | Primary_input _ | Primary_output _ -> None)
     (List.rev t.comps)
 
 (* The evaluation phase stalled if a marked SFG is still incomplete:
@@ -710,7 +915,7 @@ let all_regs t =
     (fun c ->
       match c.c_kind with
       | Timed fsm -> Fsm.all_regs fsm
-      | Untimed _ | Primary_input _ | Primary_output -> [])
+      | Untimed _ | Primary_input _ | Primary_output _ -> [])
     (List.rev t.comps)
   |> List.filter (fun r ->
          let id = Signal.Reg.id r in
@@ -721,7 +926,7 @@ let all_regs t =
          end)
 
 let clear_histories t =
-  t.probe_histories <- List.map (fun (id, _) -> (id, [])) t.probe_histories;
+  Trace.clear t.s_trace;
   List.iter (fun n -> n.n_history <- []) t.s_nets
 
 let reset t =
@@ -737,26 +942,27 @@ let reset t =
       match c.c_kind with
       | Timed fsm -> Fsm.reset fsm
       | Untimed k -> k.Dataflow.Kernel.k_reset ()
-      | Primary_input _ | Primary_output -> ())
+      | Primary_input _ | Primary_output _ -> ())
     t.comps
 
 let current_cycle t = t.cycle_count
 
 let output_history t probe =
-  match List.assoc_opt probe.c_id t.probe_histories with
-  | Some h -> List.rev h
-  | None -> error "output_history: %s is not a probe" probe.c_name
+  match probe.c_kind with
+  | Primary_output p -> Trace.history t.s_trace p
+  | Timed _ | Untimed _ | Primary_input _ ->
+    error "output_history: %s is not a probe" probe.c_name
 
 let probe_components t =
   List.filter
     (fun c ->
       match c.c_kind with
-      | Primary_output -> true
+      | Primary_output _ -> true
       | Timed _ | Untimed _ | Primary_input _ -> false)
     (List.rev t.comps)
 
-let probe_histories t =
-  List.map (fun c -> (c.c_name, output_history t c)) (probe_components t)
+let trace t = t.s_trace
+let probe_histories t = Trace.to_histories t.s_trace
 
 let trace_net _t net = net.n_traced <- true
 let net_history _t net = List.rev net.n_history
@@ -768,7 +974,7 @@ let timed_components t =
     (fun c ->
       match c.c_kind with
       | Timed fsm -> Some (c.c_name, fsm)
-      | Untimed _ | Primary_input _ | Primary_output -> None)
+      | Untimed _ | Primary_input _ | Primary_output _ -> None)
     (List.rev t.comps)
 
 let input_columns t =
@@ -776,7 +982,7 @@ let input_columns t =
     (fun c ->
       match c.c_kind with
       | Primary_input col -> Some col
-      | Timed _ | Untimed _ | Primary_output -> None)
+      | Timed _ | Untimed _ | Primary_output _ -> None)
     (List.rev t.comps)
 
 let primary_inputs t =
@@ -804,7 +1010,7 @@ let untimed_components t =
     (fun c ->
       match c.c_kind with
       | Untimed k -> Some (c.c_name, k)
-      | Timed _ | Primary_input _ | Primary_output -> None)
+      | Timed _ | Primary_input _ | Primary_output _ -> None)
     (List.rev t.comps)
 
 (* --- checkpoints ------------------------------------------------------------ *)
@@ -873,7 +1079,7 @@ let to_dot t =
       match c.c_kind with
       | Timed _ -> pf "  %S [shape=box];\n" c.c_name
       | Untimed _ -> pf "  %S [shape=ellipse, style=dashed];\n" c.c_name
-      | Primary_input _ | Primary_output ->
+      | Primary_input _ | Primary_output _ ->
         pf "  %S [shape=plaintext];\n" c.c_name)
     (List.rev t.comps);
   List.iter
@@ -1042,7 +1248,7 @@ let digest t =
           (List.sort compare k.Dataflow.Kernel.k_formats);
         add "]\n"
       | Primary_input col -> adds [ "input "; c.c_name; ":"; fmt_s col.col_fmt; "\n" ]
-      | Primary_output -> adds [ "output "; c.c_name; "\n" ])
+      | Primary_output _ -> adds [ "output "; c.c_name; "\n" ])
     comps;
   List.iter
     (fun n ->
@@ -1077,7 +1283,7 @@ let elaboration_key t =
         List.iter add
           [ "ram"; string_of_int m.words; Fixed.format_to_string m.data_fmt;
             m.addr_port; m.wdata_port; m.we_port; m.rdata_port ]
-      | Untimed _ | Timed _ | Primary_input _ | Primary_output -> ())
+      | Untimed _ | Timed _ | Primary_input _ | Primary_output _ -> ())
     (List.rev t.comps);
   List.iter
     (fun n ->

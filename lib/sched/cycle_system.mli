@@ -226,6 +226,118 @@ val probes : t -> string list
     {!probes} order. *)
 val probe_histories : t -> (string * (int * Fixed.t) list) list
 
+(** {1 Probe traces}
+
+    What a probe received, as columns: every engine appends its probe
+    tokens to a trace in place while it steps, and readers take cycles,
+    mantissas and formats by index.  [(int * Fixed.t) list] histories
+    are derived from a trace ({!Trace.to_histories}) at the API edge. *)
+
+module Trace : sig
+  (** Per probe, in order of arrival:
+      - a growable [int] column of cycles;
+      - an unboxed int64 mantissa column, the int64 at byte offset
+        [8 * k] of a [Bytes.t] ({!column_mantissas}' layout);
+      - each token's format, as one byte indexing the probe's list of
+        formats seen; the bytes are allocated when a second format
+        arrives, and until then every token is in the first.
+
+      A probe given a declared format starts its list with it; the
+      static engines record every token in it.  The interpreter records
+      tokens in any format: a port produced in two formats, or a kernel
+      port without a declared format, puts two formats on one probe.
+
+      A trace carries no lock: like the system it belongs to, it is
+      driven by one domain at a time. *)
+  type t
+
+  (** One probe per [(name, declared format)] pair, in order. *)
+  val create : (string * Fixed.format option) list -> t
+
+  val probe_count : t -> int
+  val probe_name : t -> int -> string
+
+  (** [length t p] — tokens recorded on probe [p]. *)
+  val length : t -> int -> int
+
+  (** [cycle t p k] — the cycle of probe [p]'s token [k].
+      @raise Ocapi_error.Error with code [Internal] unless
+      [0 <= k < length t p]. *)
+  val cycle : t -> int -> int -> int
+
+  (** [token t p k] — probe [p]'s token [k], rebuilt as a value; raises
+      as {!cycle}. *)
+  val token : t -> int -> int -> Fixed.t
+
+  (** [index_from t p ~cycle] — the first token of probe [p] at or after
+      [cycle] ([length t p] when there is none). *)
+  val index_from : t -> int -> cycle:int -> int
+
+  (** [mismatch a i b j ~probe ~len] — the first offset [k < len] at
+      which token [i + k] of [a] and token [j + k] of [b], both on
+      probe [probe], differ in cycle, format or mantissa; [len] when
+      none does.
+      @raise Ocapi_error.Error with code [Internal] when a range runs
+      outside the recorded tokens. *)
+  val mismatch : t -> int -> t -> int -> probe:int -> len:int -> int
+
+  (** {2 Recording}
+
+      The static engines record in each probe's declared format.  No
+      recorder allocates once the probe's storage has grown, which
+      [clear] keeps. *)
+
+  (** [record t p ~cycle m] appends mantissa [m] at [cycle] to probe
+      [p]. *)
+  val record : t -> int -> cycle:int -> int64 -> unit
+
+  (** Probes read from a value store: per probe, its column, the slot
+      of the net it reads, and that net's stamp — the index of the cell
+      holding the cycle the net last carried a token.  The compiled and
+      native engines record one per step, with the mantissas read where
+      their store keeps them. *)
+  type feed
+
+  (** [feed t probes] — [probes] as [(column, slot, stamp)]. *)
+  val feed : t -> (int * int * int) array -> feed
+
+  (** [record_words fd ~cycle ~stamps words] appends, at [cycle], the
+      native [int] [words.(slot)] of every probe whose stamp cell
+      [stamps.(stamp)] holds [cycle]. *)
+  val record_words : feed -> cycle:int -> stamps:int array -> int array -> unit
+
+  (** [record_words] from an [int64] array. *)
+  val record_int64s : feed -> cycle:int -> stamps:int array -> int64 array -> unit
+
+  (** [record_words] from the int64 at byte offset [slot] of a
+      [Bytes.t] (the compiled value store). *)
+  val record_store : feed -> cycle:int -> stamps:int array -> Bytes.t -> unit
+
+  (** Append a token in its own format, adding the format to the
+      probe's list on first sight.
+      @raise Ocapi_error.Error with code [Internal] on a 257th format. *)
+  val record_token : t -> int -> cycle:int -> Fixed.t -> unit
+
+  (** Drop every token, keeping the storage and the formats seen. *)
+  val clear : t -> unit
+
+  (** A frozen copy, sized to its tokens: later recording into [t]
+      leaves it unchanged. *)
+  val copy : t -> t
+
+  (** [history t p] — probe [p]'s tokens as [(cycle, value)] pairs. *)
+  val history : t -> int -> (int * Fixed.t) list
+
+  (** Every probe with its {!history}, in probe order. *)
+  val to_histories : t -> (string * (int * Fixed.t) list) list
+end
+
+(** The interpreter's trace: one probe per {!add_output}, in creation
+    order, recorded by {!cycle} and {!cycle_two_phase} and cleared by
+    {!reset}, {!restore} and {!clear_histories}.  {!output_history} and
+    {!probe_histories} read it. *)
+val trace : t -> Trace.t
+
 (** {1 Wiring}
 
     The interconnect is known here only: back ends (compiled

@@ -25,6 +25,9 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "temp-dir gate (tests remove their temp files)"
+scripts/tmpdir_gate.sh
+
 stage "exception gate (one exception in lib/)"
 scripts/exception_gate.sh
 

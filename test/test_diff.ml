@@ -173,6 +173,31 @@ let test_self_test_catches_bug () =
   Alcotest.(check int) "one reproducer per divergent design"
     r.Diff.fz_divergent (List.length repros)
 
+(* The buggy engine corrupts its trace as well as its histories, so a
+   reader of either sees bit 0 flipped from cycle 3 on. *)
+let test_buggy_trace_corrupted () =
+  let session engine =
+    let module E = (val Ocapi_engine.get engine) in
+    let ses = E.make (Gallery.rs ()) in
+    Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+        for _ = 1 to 10 do
+          ses.Ocapi_engine.ses_step ()
+        done;
+        ( ses.Ocapi_engine.ses_histories (),
+          Cycle_system.Trace.to_histories (ses.Ocapi_engine.ses_trace ()) ))
+  in
+  let clean, _ = session "interp" in
+  let histories, trace = session (Diff.register_buggy_engine ()) in
+  Alcotest.(check bool) "histories = trace" true (histories = trace);
+  let expected =
+    List.map
+      (fun (p, h) ->
+        (p, List.map (fun (c, v) -> (c, if c >= 3 then Fixed.flip_bit v 0 else v)) h))
+      clean
+  in
+  Alcotest.(check bool) "bit 0 flipped from cycle 3 on" true (trace = expected);
+  Alcotest.(check bool) "some token flipped" true (trace <> clean)
+
 (* --- shrinker invariants --------------------------------------------------- *)
 
 let failing_spec () =
@@ -240,6 +265,8 @@ let suite =
       test_corpus_replay;
     Alcotest.test_case "self-test catches the injected bug" `Quick
       test_self_test_catches_bug;
+    Alcotest.test_case "buggy engine corrupts its trace" `Quick
+      test_buggy_trace_corrupted;
     Alcotest.test_case "shrinker invariants" `Quick test_shrink_invariants;
     Alcotest.test_case "shrink keeps passing genomes" `Quick
       test_shrink_passing_identity;

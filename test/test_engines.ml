@@ -196,29 +196,29 @@ let emitted_simulator_matches ?(engine = "interp") sys ~cycles =
   let reference = Flow.simulate ~engine sys ~cycles in
   Cycle_system.reset sys;
   let src = Emit.emit_standalone sys ~cycles in
-  let dir = Filename.temp_file "ocapi_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let ml = Filename.concat dir "sim.ml" in
-  let oc = open_out ml in
-  output_string oc src;
-  close_out oc;
-  let exe = Filename.concat dir "sim.exe" in
-  let rc =
-    Sys.command
-      (Printf.sprintf "ocamlfind ocamlopt -package unix %s -o %s >/dev/null 2>&1 || ocamlopt %s -o %s >/dev/null 2>&1"
-         ml exe ml exe)
+  let lines =
+    Temp_dir.with_dir "ocapi_test" (fun dir ->
+        let ml = Filename.concat dir "sim.ml" in
+        let oc = open_out ml in
+        output_string oc src;
+        close_out oc;
+        let exe = Filename.concat dir "sim.exe" in
+        let rc =
+          Sys.command
+            (Printf.sprintf "ocamlfind ocamlopt -package unix %s -o %s >/dev/null 2>&1 || ocamlopt %s -o %s >/dev/null 2>&1"
+               ml exe ml exe)
+        in
+        if rc <> 0 then Alcotest.fail "emitted simulator failed to compile";
+        let ic = Unix.open_process_in exe in
+        let lines = ref [] in
+        (try
+           while true do
+             lines := input_line ic :: !lines
+           done
+         with End_of_file -> ());
+        ignore (Unix.close_process_in ic);
+        List.rev !lines)
   in
-  if rc <> 0 then Alcotest.fail "emitted simulator failed to compile";
-  let ic = Unix.open_process_in exe in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  ignore (Unix.close_process_in ic);
-  let lines = List.rev !lines in
   (* Build the expected line set from the reference engine's histories. *)
   let expected =
     List.concat_map
@@ -342,6 +342,62 @@ let test_native_step_allocates_nothing () =
           Alcotest.(check (float 0.0)) (name ^ ": minor words in 1000 steps")
             0.0 words))
     [ ("rs", Gallery.rs ()); ("cpu", Gallery.cpu ()) ]
+
+(* Nor does a compiled step, probes recorded: their tokens are copied
+   from the value store into the trace.  Measured after one reset, so
+   the trace already has its capacity. *)
+let test_compiled_step_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let gauge_words =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, sys) ->
+      with_session "compiled" sys (fun ses ->
+          steps ses 1000;
+          ses.Ocapi_engine.ses_reset ();
+          let before = Gc.minor_words () in
+          steps ses 1000;
+          let words = Gc.minor_words () -. before -. gauge_words in
+          Alcotest.(check (float 0.0)) (name ^ ": minor words in 1000 steps")
+            0.0 words;
+          let trace = ses.Ocapi_engine.ses_trace () in
+          Alcotest.(check int) (name ^ ": tokens on the first probe") 1000
+            (Cycle_system.Trace.length trace 0)))
+    [ ("rs", Gallery.rs ()); ("cpu", Gallery.cpu ()) ]
+
+(* Every engine's histories are its trace's, on the four gallery
+   designs; a checkpoint's restore clears the trace, which then records
+   the fault-free tokens from the checkpoint's cycle on. *)
+let test_histories_are_the_trace () =
+  List.iter
+    (fun (design, build) ->
+      List.iter
+        (fun engine ->
+          with_session engine (build ()) (fun ses ->
+              let label = Printf.sprintf "%s on %s" design engine in
+              let trace () =
+                Cycle_system.Trace.to_histories (ses.Ocapi_engine.ses_trace ())
+              in
+              steps ses 10;
+              let ck = Option.get (ses.Ocapi_engine.ses_checkpoint ()) in
+              steps ses 30;
+              let whole = ses.Ocapi_engine.ses_histories () in
+              Alcotest.(check bool) (label ^ ": histories = trace") true
+                (whole = trace ());
+              ck.Ocapi_engine.ck_restore ();
+              Alcotest.(check bool)
+                (label ^ ": restore clears the trace") true
+                (List.for_all (fun (_, h) -> h = []) (trace ()));
+              steps ses 30;
+              let from_ck =
+                List.map (fun (p, h) -> (p, List.filter (fun (c, _) -> c >= 10) h)) whole
+              in
+              Alcotest.(check bool) (label ^ ": tokens from the checkpoint on") true
+                (from_ck = trace ())))
+        [ "interp"; "compiled"; "native"; "rtl"; "gate" ])
+    Gallery.designs
 
 (* A controller driving a RAM cell, which carries a model and so fires
    inline on the compiled engine, whose read word returns through an
@@ -615,6 +671,10 @@ let suite =
       test_statement_sweep_allocates_nothing;
     Alcotest.test_case "native step allocates nothing (warm columns)" `Quick
       test_native_step_allocates_nothing;
+    Alcotest.test_case "compiled step allocates nothing (probes recorded)" `Quick
+      test_compiled_step_allocates_nothing;
+    Alcotest.test_case "histories = trace; restore clears it" `Quick
+      test_histories_are_the_trace;
     Alcotest.test_case "compiled RAM and closure kernels" `Quick
       test_ram_and_closure_kernels;
     Alcotest.test_case "RAM word count in the elaboration key" `Quick

@@ -184,6 +184,44 @@ let test_bool_bits () =
   check_i64 "one" 16L (Fixed.mantissa (Fixed.one (s ~w:8 ~f:4)));
   check_i64 "zero" 0L (Fixed.mantissa (Fixed.zero (s ~w:8 ~f:4)))
 
+(* [to_string] and [format_to_string], and the printers that print
+   them, render byte for byte the [Format] text ["%g<%c%d.%d>"] of the
+   value and its format, on signed and unsigned formats with negative,
+   zero and positive [frac], at the extreme, small and seeded random
+   mantissas. *)
+let test_strings_match_format () =
+  let rng = Random.State.make [| 17 |] in
+  let format_text (f : Fixed.format) =
+    Format.asprintf "<%c%d.%d>"
+      (match f.signedness with Fixed.Signed -> 's' | Fixed.Unsigned -> 'u')
+      f.width f.frac
+  in
+  List.iter
+    (fun (signedness, width, frac) ->
+      let f = Fixed.format signedness ~width ~frac in
+      Alcotest.(check string) "format_to_string" (format_text f) (Fixed.format_to_string f);
+      Alcotest.(check string) "pp_format" (format_text f)
+        (Format.asprintf "%a" Fixed.pp_format f);
+      let lo = Fixed.min_mantissa f and hi = Fixed.max_mantissa f in
+      let random () =
+        Int64.add lo (Random.State.int64 rng (Int64.succ (Int64.sub hi lo)))
+      in
+      List.iter
+        (fun m ->
+          if m >= lo && m <= hi then begin
+            let v = Fixed.create f m in
+            let text = Format.asprintf "%g%s" (Fixed.to_float v) (format_text f) in
+            Alcotest.(check string) (Printf.sprintf "to_string %Ld" m) text (Fixed.to_string v);
+            Alcotest.(check string) (Printf.sprintf "pp %Ld" m) text
+              (Format.asprintf "%a" Fixed.pp v)
+          end)
+        ([ lo; hi; 0L; 1L; -1L ] @ List.init 20 (fun _ -> random ())))
+    [
+      (Fixed.Signed, 8, 0); (Fixed.Signed, 12, 5); (Fixed.Signed, 6, -3);
+      (Fixed.Signed, 62, 30); (Fixed.Signed, 1, 0); (Fixed.Unsigned, 4, 0);
+      (Fixed.Unsigned, 16, 9); (Fixed.Unsigned, 10, -4); (Fixed.Unsigned, 61, 70);
+    ]
+
 (* --- properties ---------------------------------------------------------- *)
 
 let prop name count arb f = QCheck.Test.make ~name ~count arb f
@@ -256,4 +294,5 @@ let suite =
       Alcotest.test_case "resize rounding modes" `Quick test_resize_rounding_modes;
       Alcotest.test_case "bit strings" `Quick test_bits_roundtrip;
       Alcotest.test_case "bool and constants" `Quick test_bool_bits;
+      Alcotest.test_case "strings = Format rendering" `Quick test_strings_match_format;
     ]

@@ -80,21 +80,19 @@ let test_single_iteration_deadlock_none () =
 
 let test_synthesize_to_verilog_roundtrip () =
   let sys = dect () in
-  let dir = Filename.temp_file "ocapi_flow" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let nl, rep, path =
-    Flow.synthesize_to_verilog ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      sys ~dir
-  in
-  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-  Alcotest.(check bool) "tens of kgates" true
-    (rep.Synthesize.total.Netlist.gate_equivalents > 20_000);
-  (* The written file round-trips through the printer length. *)
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  close_in ic;
-  Alcotest.(check int) "written length" (String.length (Verilog.of_netlist nl)) len
+  Temp_dir.with_dir "ocapi_flow" (fun dir ->
+      let nl, rep, path =
+        Flow.synthesize_to_verilog ~macro_of_kernel:Dect_transceiver.macro_of_kernel
+          sys ~dir
+      in
+      Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+      Alcotest.(check bool) "tens of kgates" true
+        (rep.Synthesize.total.Netlist.gate_equivalents > 20_000);
+      (* The written file round-trips through the printer length. *)
+      let ic = open_in path in
+      let len = in_channel_length ic in
+      close_in ic;
+      Alcotest.(check int) "written length" (String.length (Verilog.of_netlist nl)) len)
 
 (* The LRU-by-mtime disk bound: the cache directory never exceeds
    [max_disk_bytes], the oldest untouched entries are the ones deleted,

@@ -98,18 +98,16 @@ let test_verilog_netlist () =
 
 let test_flow_emit_files () =
   let sys = small_system () in
-  let dir = Filename.temp_file "ocapi_hdl" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let paths = Flow.emit_vhdl sys ~dir in
-  Alcotest.(check int) "files written" 2 (List.length paths);
-  List.iter (fun p -> Alcotest.(check bool) p true (Sys.file_exists p)) paths;
-  let tb = Flow.emit_testbench sys ~dir ~cycles:5 in
-  Alcotest.(check bool) "tb written" true (Sys.file_exists tb);
-  let _, _, netlist_path = Flow.synthesize_to_verilog sys ~dir in
-  Alcotest.(check bool) "netlist written" true (Sys.file_exists netlist_path);
-  let sim_path = Flow.emit_ocaml_simulator sys ~dir ~cycles:5 in
-  Alcotest.(check bool) "simulator written" true (Sys.file_exists sim_path)
+  Temp_dir.with_dir "ocapi_hdl" (fun dir ->
+      let paths = Flow.emit_vhdl sys ~dir in
+      Alcotest.(check int) "files written" 2 (List.length paths);
+      List.iter (fun p -> Alcotest.(check bool) p true (Sys.file_exists p)) paths;
+      let tb = Flow.emit_testbench sys ~dir ~cycles:5 in
+      Alcotest.(check bool) "tb written" true (Sys.file_exists tb);
+      let _, _, netlist_path = Flow.synthesize_to_verilog sys ~dir in
+      Alcotest.(check bool) "netlist written" true (Sys.file_exists netlist_path);
+      let sim_path = Flow.emit_ocaml_simulator sys ~dir ~cycles:5 in
+      Alcotest.(check bool) "simulator written" true (Sys.file_exists sim_path))
 
 let suite =
   [

@@ -177,28 +177,26 @@ let test_emitted_simulator () =
   let interp = Flow.simulate sys ~cycles in
   Cycle_system.reset sys;
   let src = Emit.emit_standalone sys ~cycles in
-  let dir = Filename.temp_file "ocapi_oc" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let ml = Filename.concat dir "sim.ml" in
-  let oc = open_out ml in
-  output_string oc src;
-  close_out oc;
-  let exe = Filename.concat dir "sim.exe" in
-  let rc =
-    Sys.command
-      (Printf.sprintf "ocamlopt %s -o %s >/dev/null 2>&1 || ocamlfind ocamlopt %s -o %s >/dev/null 2>&1" ml exe ml exe)
-  in
-  if rc <> 0 then Alcotest.fail "emitted op-complete simulator failed to compile";
-  let ic = Unix.open_process_in exe in
   let count = ref 0 in
-  (try
-     while true do
-       ignore (input_line ic);
-       incr count
-     done
-   with End_of_file -> ());
-  ignore (Unix.close_process_in ic);
+  Temp_dir.with_dir "ocapi_oc" (fun dir ->
+      let ml = Filename.concat dir "sim.ml" in
+      let oc = open_out ml in
+      output_string oc src;
+      close_out oc;
+      let exe = Filename.concat dir "sim.exe" in
+      let rc =
+        Sys.command
+          (Printf.sprintf "ocamlopt %s -o %s >/dev/null 2>&1 || ocamlfind ocamlopt %s -o %s >/dev/null 2>&1" ml exe ml exe)
+      in
+      if rc <> 0 then Alcotest.fail "emitted op-complete simulator failed to compile";
+      let ic = Unix.open_process_in exe in
+      (try
+         while true do
+           ignore (input_line ic);
+           incr count
+         done
+       with End_of_file -> ());
+      ignore (Unix.close_process_in ic));
   let expected =
     List.fold_left (fun acc (_, h) -> acc + List.length h) 0 interp
   in

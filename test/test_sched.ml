@@ -254,6 +254,57 @@ let test_format_conflicts () =
           (f s10) );
     ]
 
+(* A kernel without declared formats that passes even inputs on and
+   widens odd ones to s10: its probe carries two formats. *)
+let mixed_kernel_system () =
+  let k =
+    Dataflow.Kernel.create "mix" ~inputs:[ ("in", 1) ] ~outputs:[ ("out", 1) ]
+      (fun consumed ->
+        let v = List.hd (List.assoc "in" consumed) in
+        [ ("out", [ (if Fixed.to_int v land 1 = 0 then v else Fixed.resize s10 v) ]) ])
+  in
+  let sys = Cycle_system.create "mixed_kernel" in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun c -> Some (Fixed.of_int s8 ((3 * c) - 7)))
+  in
+  let kc = Cycle_system.add_untimed sys k in
+  let probe = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (kc, "in") ]);
+  ignore (Cycle_system.connect sys (kc, "out") [ (probe, "in") ]);
+  sys
+
+(* The interpreter records every probe token in its own format.  The
+   [`Two_producers] design and [mixed_kernel_system] put s8 and s10
+   tokens on one probe; their histories, formats included, are pinned,
+   and the trace they come from holds the same tokens. *)
+let test_mixed_format_histories () =
+  let line (p, toks) =
+    List.map
+      (fun (c, v) ->
+        Printf.sprintf "%s %d %Ld %s" p c (Fixed.mantissa v)
+          (Fixed.format_to_string (Fixed.fmt v)))
+      toks
+  in
+  List.iter
+    (fun (name, sys, md5) ->
+      Cycle_system.run sys 12;
+      let h = Cycle_system.probe_histories sys in
+      let formats =
+        List.sort_uniq compare
+          (List.concat_map (fun (_, toks) -> List.map (fun (_, v) -> Fixed.fmt v) toks) h)
+      in
+      Alcotest.(check int) (name ^ ": formats on the probe") 2 (List.length formats);
+      Alcotest.(check bool)
+        (name ^ ": histories = the trace's") true
+        (h = Cycle_system.Trace.to_histories (Cycle_system.trace sys));
+      Alcotest.(check string)
+        (name ^ ": histories pinned") md5
+        (Digest.to_hex (Digest.string (String.concat "\n" (List.concat_map line h)))))
+    [
+      ("two producers", conflict_system `Two_producers, "9c477995ea197799fd59f47959d52954");
+      ("kernel without formats", mixed_kernel_system (), "7e4aede76dd03167ce6cc1fea2b16bce");
+    ]
+
 let test_missing_stimulus_deadlocks () =
   let sys, _ = accumulator_system () in
   (* A fresh system whose stimulus skips cycle 2. *)
@@ -409,6 +460,8 @@ let suite =
     Alcotest.test_case "interconnect checks" `Quick test_checks;
     Alcotest.test_case "connect validation" `Quick test_connect_validation;
     Alcotest.test_case "net format conflicts" `Quick test_format_conflicts;
+    Alcotest.test_case "mixed-format probe histories pinned" `Quick
+      test_mixed_format_histories;
     Alcotest.test_case "missing stimulus deadlocks" `Quick
       test_missing_stimulus_deadlocks;
     Alcotest.test_case "net tracing" `Quick test_net_tracing;
