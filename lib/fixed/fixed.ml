@@ -4,6 +4,12 @@ type format = { signedness : signedness; width : int; frac : int }
 
 let max_width = 62
 
+(* Format arithmetic runs on every operation the interpreter and the RTL
+   back end evaluate: [Stdlib.max] and [min] would compare through the
+   polymorphic comparison. *)
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+
 let format_error fmt = Ocapi_error.fail Ocapi_error.Internal ~engine:"fixed" fmt
 
 let format signedness ~width ~frac =

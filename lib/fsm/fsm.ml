@@ -12,6 +12,10 @@ type transition = {
   t_goto : state;
 }
 
+(* A transition with its position in [transitions] and its guard's
+   plan ([None] for [always]). *)
+type arm = { a_index : int; a_tr : transition; a_guard : Signal.Plan.t option }
+
 type t = {
   id : int;
   name : string;
@@ -19,6 +23,9 @@ type t = {
   mutable f_initial : state option;
   mutable f_transitions : transition list;  (* reversed *)
   mutable f_current : state option;
+  f_arms : arm array array option Atomic.t;
+      (* per state index, its transitions in priority order; built on the
+         first selection, dropped when a state or transition is added *)
 }
 
 (* Atomic so machine construction is safe from any domain
@@ -33,6 +40,7 @@ let create name =
     f_initial = None;
     f_transitions = [];
     f_current = None;
+    f_arms = Atomic.make None;
   }
 
 let always = Always
@@ -65,11 +73,21 @@ let gor a b =
   | Always, _ | _, Always -> Always
   | When x, When y -> When (Signal.or_ x y)
 
+(* Drops the per-state transition arrays, which the next selection
+   rebuilds.  While a machine is being built there are none, and the
+   check spares construction an atomic write per state and
+   transition. *)
+let drop_arms t =
+  match Atomic.get t.f_arms with
+  | Some _ -> Atomic.set t.f_arms None
+  | None -> ()
+
 let add_state t name =
   if List.exists (fun s -> s.s_name = name) t.f_states then
     error ~construct:t.name "fsm %s: duplicate state %s" t.name name;
   let s = { s_fsm_id = t.id; s_index = List.length t.f_states; s_name = name } in
   t.f_states <- s :: t.f_states;
+  drop_arms t;
   s
 
 let initial t name =
@@ -105,7 +123,8 @@ let add_transition t ~from ~guard ~actions ~goto =
       t.name;
   t.f_transitions <-
     { t_from = from; t_guard = guard; t_actions = actions; t_goto = goto }
-    :: t.f_transitions
+    :: t.f_transitions;
+  drop_arms t
 
 type partial_transition = {
   p_from : state;
@@ -184,15 +203,47 @@ let current t =
     error ~construct:t.name "fsm %s: no current state (no initial declared)"
       t.name
 
-let guard_enabled env g =
-  match g with
-  | Always -> true
-  | When e -> Fixed.is_true (Signal.eval env e)
+let arms t =
+  match Atomic.get t.f_arms with
+  | Some arms -> arms
+  | None ->
+    let by_state = Array.make (List.length t.f_states) [] in
+    List.iteri
+      (fun a_index tr ->
+        let a_guard =
+          match tr.t_guard with
+          | Always -> None
+          | When e -> Some (Signal.Plan.create [ e ])
+        in
+        let s = tr.t_from.s_index in
+        by_state.(s) <- { a_index; a_tr = tr; a_guard } :: by_state.(s))
+      (transitions t);
+    let arms = Array.map (fun l -> Array.of_list (List.rev l)) by_state in
+    Atomic.set t.f_arms (Some arms);
+    arms
+
+(* Guards read registers and constants only, so every guard is
+   evaluated against this environment, which nothing binds. *)
+let no_inputs = Signal.Env.create ()
+
+let guard_enabled arm =
+  match arm.a_guard with
+  | None -> true
+  | Some p -> Fixed.is_true (Signal.Plan.eval (Signal.Plan.memo p no_inputs) 0)
+
+let rec first_enabled arms k =
+  if k = Array.length arms then None
+  else if guard_enabled arms.(k) then Some arms.(k)
+  else first_enabled arms (k + 1)
+
+let select_arm t i =
+  let arms = arms t in
+  if i < 0 || i >= Array.length arms then None else first_enabled arms.(i) 0
 
 let select t =
-  let cur = current t in
-  let env = Signal.Env.create () in
-  List.find_opt (fun tr -> guard_enabled env tr.t_guard) (transitions_from t cur)
+  Option.map (fun arm -> arm.a_tr) (select_arm t (current t).s_index)
+
+let select_from t i = Option.map (fun arm -> arm.a_index) (select_arm t i)
 
 let advance t tr = t.f_current <- Some tr.t_goto
 
@@ -241,56 +292,54 @@ let guard_regs t =
 
 let check ?(samples = 100) ?(flag_overlaps = false) t =
   let issues = ref [] in
+  let arms = arms t in
   (match t.f_initial with
   | None -> issues := No_initial :: !issues
   | Some init ->
     (* Reachability over the transition graph. *)
-    let n = List.length t.f_states in
-    let reachable = Array.make n false in
-    let rec visit s =
-      if not reachable.(s.s_index) then begin
-        reachable.(s.s_index) <- true;
-        List.iter (fun tr -> visit tr.t_goto) (transitions_from t s)
+    let reachable = Array.make (Array.length arms) false in
+    let rec visit i =
+      if not reachable.(i) then begin
+        reachable.(i) <- true;
+        Array.iter (fun arm -> visit arm.a_tr.t_goto.s_index) arms.(i)
       end
     in
-    visit init;
+    visit init.s_index;
     List.iter
       (fun s ->
         if not reachable.(s.s_index) then
           issues := Unreachable_state s.s_name :: !issues)
       (states t));
-  (* Randomized determinism / completeness over guard-register space. *)
+  (* Randomized determinism / completeness over guard-register space.
+     The sampled values never outlive the check, even when a guard
+     raises on one of them. *)
   let regs = guard_regs t in
   let saved = List.map (fun r -> (r, Signal.Reg.value r)) regs in
   let rng = Random.State.make [| 0x0ca91; List.length regs |] in
-  let env = Signal.Env.create () in
   let nondet = Hashtbl.create 4 and incomplete = Hashtbl.create 4 in
-  for _ = 1 to samples do
-    List.iter
-      (fun r ->
-        let f = Signal.Reg.fmt r in
-        let lo = Fixed.min_mantissa f and hi = Fixed.max_mantissa f in
-        let range = Int64.add (Int64.sub hi lo) 1L in
-        let m = Int64.add lo (Random.State.int64 rng range) in
-        Signal.Reg.set_value r (Fixed.create f m))
-      regs;
-    List.iter
-      (fun s ->
-        let enabled =
-          List.filter
-            (fun tr -> guard_enabled env tr.t_guard)
-            (transitions_from t s)
-        in
-        match enabled with
-        | [] ->
-          if transitions_from t s <> [] then
-            Hashtbl.replace incomplete s.s_name ()
-        | [ _ ] -> ()
-        | _ :: _ :: _ ->
-          if flag_overlaps then Hashtbl.replace nondet s.s_name ())
-      (states t)
-  done;
-  List.iter (fun (r, v) -> Signal.Reg.set_value r v) saved;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (r, v) -> Signal.Reg.set_value r v) saved)
+    (fun () ->
+      for _ = 1 to samples do
+        List.iter
+          (fun r ->
+            let f = Signal.Reg.fmt r in
+            let lo = Fixed.min_mantissa f and hi = Fixed.max_mantissa f in
+            let range = Int64.add (Int64.sub hi lo) 1L in
+            let m = Int64.add lo (Random.State.int64 rng range) in
+            Signal.Reg.set_value r (Fixed.create f m))
+          regs;
+        List.iter
+          (fun s ->
+            let from = arms.(s.s_index) in
+            match List.filter guard_enabled (Array.to_list from) with
+            | [] ->
+              if Array.length from > 0 then Hashtbl.replace incomplete s.s_name ()
+            | [ _ ] -> ()
+            | _ :: _ :: _ ->
+              if flag_overlaps then Hashtbl.replace nondet s.s_name ())
+          (states t)
+      done);
   Hashtbl.iter (fun s () -> issues := Nondeterministic s :: !issues) nondet;
   Hashtbl.iter (fun s () -> issues := Incomplete s :: !issues) incomplete;
   List.rev !issues

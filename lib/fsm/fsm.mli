@@ -113,8 +113,22 @@ val current : t -> state
 (** [select t] evaluates the guards of the current state's transitions in
     priority order and returns the first enabled one, or [None] if no
     transition is enabled this cycle (the machine then implicitly holds
-    its state with no actions). *)
+    its state with no actions).
+
+    The machine keeps, per state, an array of its transitions in
+    priority order, each with its guard's {!Signal.Plan}.  The arrays
+    and plans are built on the first [select], [select_from] or
+    {!check}, never by {!add_transition}, and are dropped when a state or
+    transition is added.  Each guard is evaluated on its own memo, as
+    [Signal.eval] would evaluate it. *)
 val select : t -> transition option
+
+(** [select_from t i] is [select] for the state whose {!state_index} is
+    [i] rather than the current one, given as the chosen transition's
+    position in {!transitions}; [None] if no guard is enabled or no
+    state has index [i].  The RTL back end selects with it from its
+    state signal. *)
+val select_from : t -> int -> int option
 
 (** [advance t tr] moves to [tr.t_goto] (called in the register-update
     phase). *)
@@ -148,7 +162,8 @@ val pp_issue : Format.formatter -> check_issue -> unit
     report states where several guards are enabled simultaneously —
     harmless under the priority-ordered {!select} semantics, but worth
     knowing for machines written in the paper's explicit-complement
-    style. *)
+    style.  The guard registers get their values back when the check
+    ends, also when a guard raises on a sampled value. *)
 val check : ?samples:int -> ?flag_overlaps:bool -> t -> check_issue list
 
 val pp : Format.formatter -> t -> unit

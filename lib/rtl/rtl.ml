@@ -145,14 +145,19 @@ let make_process name sensitivity exec =
 (* A transition of a timed component with every signal its evaluation
    reads or writes resolved at elaboration. *)
 type rtl_transition = {
-  rt_fsm : Fsm.transition;
   rt_goto : Fixed.t;  (* the next-state value *)
   rt_inputs : (Signal.Input.t * rtl_signal) list;
   rt_outputs : (rtl_signal * Signal.t) list;  (* net signal, expression *)
   rt_assigns : (rtl_signal * Signal.t) list;  (* next signal, expression *)
   rt_holds : (rtl_signal * rtl_signal) list;
       (* next and shadow signals of the registers it leaves unassigned *)
+  rt_plan : Signal.Plan.t option Atomic.t;
+      (* outputs then assigns; built on the first activation taking it *)
 }
+
+(* The roots of a transition body's plan: its outputs, then its
+   assignments. *)
+let rt_roots rt = List.map snd rt.rt_outputs @ List.map snd rt.rt_assigns
 
 let of_system ?(max_deltas = 1000) sys =
   let signals = ref [] in
@@ -237,7 +242,6 @@ let of_system ?(max_deltas = 1000) sys =
             actions
         in
         {
-          rt_fsm = tr;
           rt_goto = Fixed.of_int state_fmt (Fsm.state_index tr.Fsm.t_goto);
           rt_inputs =
             List.concat_map
@@ -261,36 +265,28 @@ let of_system ?(max_deltas = 1000) sys =
             List.filter
               (fun (nx, _) -> not (List.exists (fun (s, _) -> s == nx) assigns))
               next_shadow;
+          rt_plan = Atomic.make None;
         }
       in
-      let transitions = List.map elaborate (Fsm.transitions fsm) in
+      let transitions = Array.of_list (List.map elaborate (Fsm.transitions fsm)) in
       let comb_exec () =
         (* Mirror register shadows into the shared Reg objects so that
-           Signal.eval sees the event-driven state. *)
+           the guard and transition plans see the event-driven state. *)
         List.iter (fun (r, s) -> Signal.Reg.set_value r s.sg_value) mirrors;
-        let state = Fixed.to_int state_sig.sg_value in
-        (* Select the transition as the FSM would. *)
-        let env0 = Signal.Env.create () in
-        let selected =
-          List.find_opt
-            (fun rt ->
-              Fsm.state_index rt.rt_fsm.Fsm.t_from = state
-              && Fixed.is_true
-                   (Signal.eval env0 (Fsm.guard_expr rt.rt_fsm.Fsm.t_guard)))
-            transitions
-        in
-        match selected with
+        (* Select the transition as the FSM would, from the state signal. *)
+        match Fsm.select_from fsm (Fixed.to_int state_sig.sg_value) with
         | None ->
           (* Hold: next state and next regs keep current values. *)
           (next_state_sig, state_sig.sg_value)
           :: List.map (fun (nx, sh) -> (nx, sh.sg_value)) next_shadow
-        | Some rt ->
+        | Some k ->
+          let rt = transitions.(k) in
           let env = Signal.Env.create () in
           List.iter (fun (i, s) -> Signal.Env.bind env i s.sg_value) rt.rt_inputs;
-          let memo = Hashtbl.create 64 in
-          let eval (s, e) = (s, Signal.eval_memo memo env e) in
-          let outs = List.map eval rt.rt_outputs in
-          let assigned = List.map eval rt.rt_assigns in
+          let m = Signal.Plan.memo (Signal.Plan.cached rt.rt_plan rt_roots rt) env in
+          let eval first k (s, _) = (s, Signal.Plan.eval m (first + k)) in
+          let outs = List.mapi (eval 0) rt.rt_outputs in
+          let assigned = List.mapi (eval (List.length outs)) rt.rt_assigns in
           (* Unassigned registers hold their value. *)
           let holds = List.map (fun (nx, sh) -> (nx, sh.sg_value)) rt.rt_holds in
           ((next_state_sig, rt.rt_goto) :: outs) @ assigned @ holds

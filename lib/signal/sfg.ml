@@ -6,6 +6,8 @@ type t = {
   inputs : Signal.Input.t list;
   outputs : (string * Signal.t) list;
   assigns : (Signal.Reg.t * Signal.t) list;
+  plan : Signal.Plan.t option Atomic.t;
+      (* outputs then assigns; built on the first firing *)
 }
 
 module Builder = struct
@@ -59,6 +61,7 @@ module Builder = struct
       inputs = List.rev b.b_inputs;
       outputs = List.rev b.b_outputs;
       assigns = List.rev b.b_assigns;
+      plan = Atomic.make None;
     }
 end
 
@@ -164,36 +167,38 @@ let assign_deps t =
 
 type firing = (string * Fixed.t) list
 
+let plan t = Signal.Plan.cached t.plan all_roots t
+
+(* Stages [assigns]; assignment [k] is root [first + k] of [m]'s plan. *)
+let stage_assigns m ~first assigns =
+  List.iteri
+    (fun k (reg, _) -> Signal.Reg.set_next reg (Signal.Plan.eval m (first + k)))
+    assigns
+
 let fire t env =
-  let memo = Hashtbl.create 64 in
-  let out =
-    List.map (fun (nm, e) -> (nm, Signal.eval_memo memo env e)) t.outputs
-  in
-  List.iter
-    (fun (reg, e) -> Signal.Reg.set_next reg (Signal.eval_memo memo env e))
-    t.assigns;
+  let m = Signal.Plan.memo (plan t) env in
+  let out = List.mapi (fun k (nm, _) -> (nm, Signal.Plan.eval m k)) t.outputs in
+  stage_assigns m ~first:(List.length t.outputs) t.assigns;
   out
 
 let fire_partial t env ~produced =
-  let memo = Hashtbl.create 64 in
-  let deps_ok e =
-    List.for_all (fun i -> Signal.Env.is_bound env i) (Signal.input_deps e)
+  let p = plan t in
+  let m = Signal.Plan.memo p env in
+  let rec evaluate k = function
+    | [] -> []
+    | (nm, _) :: rest ->
+      if produced nm || not (Signal.Plan.deps_bound p env k) then
+        evaluate (k + 1) rest
+      else
+        let v = Signal.Plan.eval m k in
+        (nm, v) :: evaluate (k + 1) rest
   in
-  let out =
-    List.filter_map
-      (fun (nm, e) ->
-        if produced nm then None
-        else if deps_ok e then Some (nm, Signal.eval_memo memo env e)
-        else None)
-      t.outputs
-  in
+  let out = evaluate 0 t.outputs in
   let all_inputs_bound =
     List.for_all (fun i -> Signal.Env.is_bound env i) t.inputs
   in
   if all_inputs_bound then begin
-    List.iter
-      (fun (reg, e) -> Signal.Reg.set_next reg (Signal.eval_memo memo env e))
-      t.assigns;
+    stage_assigns m ~first:(List.length t.outputs) t.assigns;
     (out, `Complete)
   end
   else (out, `Partial)

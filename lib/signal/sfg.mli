@@ -98,7 +98,15 @@ val output_deps : t -> (string * Signal.Input.t list) list
 (** Inputs needed before the register assignments can be computed. *)
 val assign_deps : t -> Signal.Input.t list
 
-(** {1 Firing} *)
+(** {1 Firing}
+
+    An SFG fires through one {!Signal.Plan} over its outputs, then its
+    register assignments, in declaration order.  The plan is built on
+    the first firing and kept by the SFG ({!Builder.finish} builds
+    nothing); each firing evaluates on a fresh memo, so a node shared by
+    several outputs or assignments is computed once per firing, in the
+    order evaluating the expressions one after another would compute
+    it. *)
 
 (** The result of firing: output token values by name. *)
 type firing = (string * Fixed.t) list
@@ -111,7 +119,8 @@ val fire : t -> Signal.Env.t -> firing
 (** [fire_partial t env ~produced] evaluates only the outputs not yet in
     [produced] whose dependencies are bound in [env]; returns them.  When
     every input is bound, it also stages the register assignments and
-    returns [`Complete]; otherwise [`Partial]. *)
+    returns [`Complete]; otherwise [`Partial].  An output's dependencies
+    are the inputs its plan root lists, found when the plan is built. *)
 val fire_partial :
   t ->
   Signal.Env.t ->

@@ -260,48 +260,134 @@ module Env = struct
   let is_bound env i = Hashtbl.mem env (Input.id i)
 end
 
-let eval_memo memo env e =
-  let rec go n =
-    match Hashtbl.find_opt memo n.id with
-    | Some v -> v
+(* --- evaluation plans ------------------------------------------------------ *)
+
+type signal = t
+
+module Plan = struct
+  type t = {
+    nodes : signal array;  (* dense numbering, children before parents *)
+    kids : int array;  (* node i's children at 3i .. 3i+2, in [children] order *)
+    roots : int array;  (* root k's node *)
+    deps : Input.t array array;  (* the inputs under root k *)
+  }
+
+  let create roots =
+    let index = Hashtbl.create 64 and rev_numbered = ref [] and count = ref 0 in
+    let rec number e =
+      match Hashtbl.find_opt index e.id with
+      | Some i -> i
+      | None ->
+        let ks = List.map number (children e) in
+        let i = !count in
+        incr count;
+        Hashtbl.add index e.id i;
+        rev_numbered := (e, ks) :: !rev_numbered;
+        i
+    in
+    let roots = Array.of_list (List.map number roots) in
+    let numbered = Array.of_list (List.rev !rev_numbered) in
+    let kids = Array.make (3 * Array.length numbered) (-1) in
+    Array.iteri
+      (fun i (_, ks) -> List.iteri (fun j k -> kids.((3 * i) + j) <- k) ks)
+      numbered;
+    let nodes = Array.map fst numbered in
+    (* Each root's inputs, one walk of its cone over the numbering
+       ([seen] holds the last root that reached a node): a hash table
+       per root, as [input_deps] builds, doubles DECT's plan build. *)
+    let seen = Array.make (Array.length nodes) (-1) in
+    let cone_inputs r =
+      let rec walk acc i =
+        if i < 0 || seen.(i) = r then acc
+        else begin
+          seen.(i) <- r;
+          let acc = match nodes.(i).op with Input_read inp -> inp :: acc | _ -> acc in
+          walk (walk (walk acc kids.(3 * i)) kids.((3 * i) + 1)) kids.((3 * i) + 2)
+        end
+      in
+      Array.of_list (walk [] roots.(r))
+    in
+    { nodes; kids; roots; deps = Array.init (Array.length roots) cone_inputs }
+
+  let size t = Array.length t.nodes
+
+  let rec all_bound env deps j =
+    j = Array.length deps
+    || (Hashtbl.mem env (Input.id deps.(j)) && all_bound env deps (j + 1))
+
+  let deps_bound t env r = all_bound env t.deps.(r) 0
+
+  let cached cell roots x =
+    match Atomic.get cell with
+    | Some t -> t
     | None ->
-      let v = compute n in
-      Hashtbl.add memo n.id v;
+      let t = create (roots x) in
+      Atomic.set cell (Some t);
+      t
+
+  type memo = { plan : t; env : Env.t; values : Fixed.t array }
+
+  (* Marks a node not yet computed in this firing: a record no
+     evaluation returns, compared physically. *)
+  let unset = Fixed.zero (Sys.opaque_identity Fixed.bit_format)
+
+  let memo plan env =
+    { plan; env; values = Array.make (Array.length plan.nodes) unset }
+
+  (* [value] follows the expression recursion node for node: operands
+     are requested in the same expression shapes, hence in the same
+     order, so the first node to raise is the one a recursive evaluation
+     of the roots, one after another, reaches first. *)
+  let rec value m i =
+    let v = m.values.(i) in
+    if v != unset then v
+    else begin
+      let v = compute m i in
+      m.values.(i) <- v;
       v
-  and compute n =
+    end
+
+  and kid m i j = value m m.plan.kids.((3 * i) + j)
+
+  and compute m i =
+    let n = m.plan.nodes.(i) in
     match n.op with
     | Const v -> v
-    | Input_read i -> begin
-      match Env.find env i with
-      | Some v -> v
-      | None -> error "eval: input %s has no token" (Input.name i)
+    | Input_read inp -> begin
+      match Hashtbl.find m.env (Input.id inp) with
+      | v -> v
+      | exception Not_found -> error "eval: input %s has no token" (Input.name inp)
     end
     | Reg_read r -> Reg.value r
-    | Add (a, b) -> Fixed.add (go a) (go b)
-    | Sub (a, b) -> Fixed.sub (go a) (go b)
-    | Mul (a, b) -> Fixed.mul (go a) (go b)
-    | Neg a -> Fixed.neg (go a)
-    | Abs a -> Fixed.abs (go a)
-    | And (a, b) -> Fixed.logand (go a) (go b)
-    | Or (a, b) -> Fixed.logor (go a) (go b)
-    | Xor (a, b) -> Fixed.logxor (go a) (go b)
-    | Not a -> Fixed.lognot (go a)
-    | Eq (a, b) -> Fixed.eq (go a) (go b)
-    | Lt (a, b) -> Fixed.lt (go a) (go b)
-    | Le (a, b) -> Fixed.le (go a) (go b)
-    | Mux (s, a, b) ->
+    | Add _ -> Fixed.add (kid m i 0) (kid m i 1)
+    | Sub _ -> Fixed.sub (kid m i 0) (kid m i 1)
+    | Mul _ -> Fixed.mul (kid m i 0) (kid m i 1)
+    | Neg _ -> Fixed.neg (kid m i 0)
+    | Abs _ -> Fixed.abs (kid m i 0)
+    | And _ -> Fixed.logand (kid m i 0) (kid m i 1)
+    | Or _ -> Fixed.logor (kid m i 0) (kid m i 1)
+    | Xor _ -> Fixed.logxor (kid m i 0) (kid m i 1)
+    | Not _ -> Fixed.lognot (kid m i 0)
+    | Eq _ -> Fixed.eq (kid m i 0) (kid m i 1)
+    | Lt _ -> Fixed.lt (kid m i 0) (kid m i 1)
+    | Le _ -> Fixed.le (kid m i 0) (kid m i 1)
+    | Mux _ ->
       (* Both branches are evaluated: hardware muxes have no short
          circuit, and resizing to the mux format must be consistent. *)
-      let sv = go s and av = go a and bv = go b in
+      let sv = kid m i 0 and av = kid m i 1 and bv = kid m i 2 in
       let v = if Fixed.is_true sv then av else bv in
       Fixed.resize ~round:Fixed.Truncate ~overflow:Fixed.Wrap n.fmt v
-    | Resize (round, overflow, a) -> Fixed.resize ~round ~overflow n.fmt (go a)
-    | Rom_read (r, idx) ->
-      let i = Fixed.to_int (go idx) in
-      Rom.get r i
-    | Shift_left (a, k) -> Fixed.resize n.fmt (Fixed.shift_left (go a) k)
-    | Shift_right (a, k) -> Fixed.resize n.fmt (Fixed.shift_right (go a) k)
-  in
-  go e
+    | Resize (round, overflow, _) ->
+      Fixed.resize ~round ~overflow n.fmt (kid m i 0)
+    | Rom_read (r, _) ->
+      let k = Fixed.to_int (kid m i 0) in
+      Rom.get r k
+    | Shift_left (_, k) -> Fixed.resize n.fmt (Fixed.shift_left (kid m i 0) k)
+    | Shift_right (_, k) -> Fixed.resize n.fmt (Fixed.shift_right (kid m i 0) k)
 
-let eval env e = eval_memo (Hashtbl.create 64) env e
+  let eval m r = value m m.plan.roots.(r)
+end
+
+let eval env e =
+  let p = Plan.create [ e ] in
+  Plan.eval (Plan.memo p env) 0

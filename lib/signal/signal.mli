@@ -205,11 +205,64 @@ module Env : sig
 end
 
 (** [eval env e] computes the value of [e]: inputs are read from [env],
-    register reads from the registers' current values.
+    register reads from the registers' current values.  It builds a
+    one-root {!Plan} and evaluates it; code that evaluates the same
+    expression every cycle keeps the plan instead.
     @raise Ocapi_error.Error with code [Internal] on an unbound input. *)
 val eval : Env.t -> t -> Fixed.t
 
-(** [eval_memo memo env e] is [eval] with an explicit per-firing memo
-    table ([memo] maps node ids to values), so shared nodes are computed
-    once across several output evaluations of the same firing. *)
-val eval_memo : (int, Fixed.t) Hashtbl.t -> Env.t -> t -> Fixed.t
+(** {1 Evaluation plans}
+
+    A plan is the DAG under a list of roots, numbered densely once: each
+    node holds its children's numbers, and each root lists the inputs its
+    value depends on ({!input_deps}).  Nothing of it changes from cycle
+    to cycle, so the simulators build a plan once and then only evaluate:
+    an {!Sfg} keeps one over its outputs then its register assignments,
+    an {!Fsm} one per guard, the RTL back end one per transition body.
+    Their owners build them on first evaluation (never when a design is
+    constructed or a session made) and keep them in an [Atomic.t]: two
+    domains racing to build one build the same immutable value.
+
+    Evaluation order: {!eval} on a {!memo} computes a root's cone in the
+    order of the recursive expression walk it replaces.  Each operator
+    requests its operands through the same application as that walk, so
+    in the order OCaml evaluates the application's arguments, and a mux
+    requests its select, then its two branches.  Nodes that earlier
+    roots of the same memo computed are reused.  Evaluating roots [r1],
+    [r2], ... of one memo therefore gives the values, or raises the first
+    error, that evaluating the expressions one after another with one
+    shared table of computed nodes gives. *)
+module Plan : sig
+  type signal := t
+  type t
+
+  (** [create roots] numbers the DAG under [roots]; root [k] is the
+      [k]th of the list. *)
+  val create : signal list -> t
+
+  (** Number of distinct nodes. *)
+  val size : t -> int
+
+  (** [deps_bound t env k]: does [env] bind every input root [k]'s value
+      depends on? *)
+  val deps_bound : t -> Env.t -> int -> bool
+
+  (** [cached cell roots x] is the plan in [cell]; on first use it is
+      built over [roots x] and stored there. *)
+  val cached : t option Atomic.t -> ('a -> signal list) -> 'a -> t
+
+  (** One firing's evaluation state: the plan, the environment inputs
+      are read from, and the values computed so far. *)
+  type memo
+
+  (** [memo t env] starts a firing: nothing is computed yet.  Register
+      reads see the registers' values when a node is first computed. *)
+  val memo : t -> Env.t -> memo
+
+  (** [eval m k] is the value of root [k], computing what of its cone
+      this firing has not computed yet.
+      @raise Ocapi_error.Error with code [Internal] on an unbound input,
+      and whatever the operators raise ([Overflow] for a resize that
+      shifts a nonzero mantissa by more than 62 bits). *)
+  val eval : memo -> int -> Fixed.t
+end

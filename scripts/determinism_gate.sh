@@ -87,6 +87,26 @@ check_cmp "seu report (rs, 300 runs)" "$work/seu-rs-1.json" "$work/seu-rs-2.json
   --domains 2 --json >"$work/seu-cpu-2.json"
 check_cmp "seu report (cpu, 300 runs)" "$work/seu-cpu-1.json" "$work/seu-cpu-2.json"
 
+# 1e. The interpreter and the RTL back end evaluate through plans that
+#     each SFG and FSM builds on first use and keeps.  Every replica
+#     domain builds its own design, so no plan may cross domains: their
+#     reports must be domain-count-invariant as well.
+for engine in interp rtl; do
+  "$OCAPI" fault --design rs --campaign seu --runs 300 --cycles 45 --seed 1 \
+    --engine "$engine" --json >"$work/seu-rs-$engine-1.json"
+  "$OCAPI" fault --design rs --campaign seu --runs 300 --cycles 45 --seed 1 \
+    --engine "$engine" --domains 2 --json >"$work/seu-rs-$engine-2.json"
+  check_cmp "seu report (rs, $engine engine, 300 runs)" \
+    "$work/seu-rs-$engine-1.json" "$work/seu-rs-$engine-2.json"
+done
+
+"$OCAPI" fault --design hcor --campaign seu --runs 300 --seed 1 \
+  --engine interp --json >"$work/seu-hcor-interp-1.json"
+"$OCAPI" fault --design hcor --campaign seu --runs 300 --seed 1 \
+  --engine interp --domains 2 --json >"$work/seu-hcor-interp-2.json"
+check_cmp "seu report (hcor, interp engine, 300 runs)" \
+  "$work/seu-hcor-interp-1.json" "$work/seu-hcor-interp-2.json"
+
 # 2. Stuck-at campaign report: a seeded 80-fault sample of the DECT
 #    gate-level netlist.
 "$OCAPI" fault --design dect --campaign stuck-at --cycles 24 \

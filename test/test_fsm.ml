@@ -141,6 +141,47 @@ let test_checks () =
   Alcotest.(check bool) "no initial" true
     (List.exists (function Fsm.No_initial -> true | _ -> false) (Fsm.check k))
 
+(* The completeness check samples the guard registers; a guard that
+   raises on a sample must not leave the sample behind.  This guard
+   shifts a nonzero mantissa 70 bits, past what a resize can take. *)
+let test_check_restores_registers () =
+  let r = Signal.Reg.create clk "chk_shift" (Fixed.signed ~width:8 ~frac:0) in
+  let f = Fsm.create "shift_guard" in
+  let s0 = Fsm.initial f "s0" in
+  Fsm.(
+    s0
+    |-- cnd
+          (Signal.resize bit (Signal.shift_left (Signal.reg_q r) 70))
+    |+ Sfg.nop "n" |-> s0);
+  (match Fsm.check f with
+  | exception e when Raises.code Overflow e -> ()
+  | _ -> Alcotest.fail "the guard did not raise");
+  Alcotest.(check int) "register restored" 0 (Fixed.to_int (Signal.Reg.value r))
+
+(* Selection keeps per-state transition arrays; adding a state or a
+   transition after a selection must show in the next one. *)
+let test_selection_sees_additions () =
+  let c = Signal.Reg.create clk "sel_c" bit in
+  let f = Fsm.create "grow" in
+  let s0 = Fsm.initial f "s0" in
+  Fsm.(s0 |-- cnd (Signal.reg_q c) |+ Sfg.nop "a" |-> s0);
+  Alcotest.(check bool) "nothing enabled" true (Fsm.select f = None);
+  Fsm.(s0 |-- always |+ Sfg.nop "b" |-> s0);
+  (match Fsm.select f with
+  | Some tr ->
+    Alcotest.(check (list string)) "later transition" [ "b" ] (action_names tr)
+  | None -> Alcotest.fail "added transition not selected");
+  let s1 = Fsm.state f "s1" in
+  Fsm.(s1 |-- always |+ Sfg.nop "c" |-> s0);
+  Fsm.force_state f (Fsm.state_index s1);
+  (match Fsm.select f with
+  | Some tr ->
+    Alcotest.(check (list string)) "added state" [ "c" ] (action_names tr)
+  | None -> Alcotest.fail "added state has no transition");
+  Alcotest.(check (option int)) "select_from by index" (Some 2)
+    (Fsm.select_from f (Fsm.state_index s1));
+  Alcotest.(check (option int)) "select_from out of range" None (Fsm.select_from f 5)
+
 let test_duplicate_state_rejected () =
   let f = Fsm.create "dup" in
   ignore (Fsm.initial f "a");
@@ -171,6 +212,10 @@ let suite =
     Alcotest.test_case "guard validation" `Quick test_guard_validation;
     Alcotest.test_case "guard combinators" `Quick test_guard_combinators;
     Alcotest.test_case "checks" `Quick test_checks;
+    Alcotest.test_case "check restores guard registers" `Quick
+      test_check_restores_registers;
+    Alcotest.test_case "selection sees added states and transitions" `Quick
+      test_selection_sees_additions;
     Alcotest.test_case "duplicate state" `Quick test_duplicate_state_rejected;
     Alcotest.test_case "double initial" `Quick test_double_initial_rejected;
     Alcotest.test_case "foreign state" `Quick test_foreign_state_rejected;

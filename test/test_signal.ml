@@ -133,16 +133,253 @@ let test_dag_analysis () =
     (List.length (Signal.input_deps reg_only))
 
 let test_memo_consistency () =
-  (* eval_memo over a shared DAG gives the same result as plain eval *)
+  (* A plan over a shared DAG gives each root the value plain eval gives,
+     whichever root of the memo is evaluated first. *)
   let i = Signal.Input.create "x" s84 in
   let x = Signal.input i in
   let sq = Signal.(x *: x) in
   let e = Signal.(resize s84 (sq +: sq)) in
   let env = Signal.Env.create () in
   Signal.Env.bind env i (fx s84 1.25);
-  let memo = Hashtbl.create 8 in
-  Alcotest.(check bool) "memo = plain" true
-    (Fixed.equal (Signal.eval_memo memo env e) (Signal.eval env e))
+  let plan = Signal.Plan.create [ e; sq ] in
+  Alcotest.(check int) "shared nodes numbered once" 4 (Signal.Plan.size plan);
+  List.iter
+    (fun order ->
+      let m = Signal.Plan.memo plan env in
+      List.iter
+        (fun k ->
+          let root = if k = 0 then e else sq in
+          Alcotest.(check bool) "plan = plain" true
+            (Fixed.equal (Signal.Plan.eval m k) (Signal.eval env root)))
+        order)
+    [ [ 0; 1 ]; [ 1; 0 ] ]
+
+(* --- plans against the recursive evaluator ------------------------------- *)
+
+(* The evaluator plans replaced: the expression recursion, with one
+   table of computed nodes shared by a firing's roots. *)
+let recursive_eval memo env e =
+  let rec go n =
+    match Hashtbl.find_opt memo (Signal.id n) with
+    | Some v -> v
+    | None ->
+      let v = compute n in
+      Hashtbl.add memo (Signal.id n) v;
+      v
+  and compute n =
+    match Signal.op n with
+    | Signal.Const v -> v
+    | Signal.Input_read i -> begin
+      match Signal.Env.find env i with
+      | Some v -> v
+      | None ->
+        Ocapi_error.fail Ocapi_error.Internal ~engine:"signal"
+          "eval: input %s has no token" (Signal.Input.name i)
+    end
+    | Signal.Reg_read r -> Signal.Reg.value r
+    | Signal.Add (a, b) -> Fixed.add (go a) (go b)
+    | Signal.Sub (a, b) -> Fixed.sub (go a) (go b)
+    | Signal.Mul (a, b) -> Fixed.mul (go a) (go b)
+    | Signal.Neg a -> Fixed.neg (go a)
+    | Signal.Abs a -> Fixed.abs (go a)
+    | Signal.And (a, b) -> Fixed.logand (go a) (go b)
+    | Signal.Or (a, b) -> Fixed.logor (go a) (go b)
+    | Signal.Xor (a, b) -> Fixed.logxor (go a) (go b)
+    | Signal.Not a -> Fixed.lognot (go a)
+    | Signal.Eq (a, b) -> Fixed.eq (go a) (go b)
+    | Signal.Lt (a, b) -> Fixed.lt (go a) (go b)
+    | Signal.Le (a, b) -> Fixed.le (go a) (go b)
+    | Signal.Mux (s, a, b) ->
+      let sv = go s and av = go a and bv = go b in
+      let v = if Fixed.is_true sv then av else bv in
+      Fixed.resize ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt n) v
+    | Signal.Resize (round, overflow, a) ->
+      Fixed.resize ~round ~overflow (Signal.fmt n) (go a)
+    | Signal.Rom_read (r, idx) -> Signal.Rom.get r (Fixed.to_int (go idx))
+    | Signal.Shift_left (a, k) ->
+      Fixed.resize (Signal.fmt n) (Fixed.shift_left (go a) k)
+    | Signal.Shift_right (a, k) ->
+      Fixed.resize (Signal.fmt n) (Fixed.shift_right (go a) k)
+  in
+  go e
+
+(* The value, or the first library error's code and message. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Ocapi_error.Error d ->
+    Error (d.Ocapi_error.e_code, d.Ocapi_error.e_message)
+
+let same_outcome same a b =
+  match a, b with
+  | Ok x, Ok y -> same x y
+  | Error x, Error y -> x = y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let same_values = List.equal Fixed.equal
+
+let dag_fmt = Fixed.signed ~width:6 ~frac:2
+
+type dag = {
+  d_inputs : Signal.Input.t array;
+  d_regs : Signal.Reg.t array;
+  d_pool : Signal.t array;  (* every node built, newest first *)
+  d_roots : Signal.t list;
+  d_rand : Random.State.t;
+}
+
+(* A random DAG over three inputs and two registers: base expressions
+   from [Gen.expr_gen], then nodes whose operands are drawn from all
+   built so far, so subterms are shared.  Some nodes read one of two
+   inputs no environment binds; some shift their operand 70 bits and
+   resize it back, which raises on a nonzero operand.  The registers
+   hold random values. *)
+let random_dag seed =
+  let rand = Random.State.make [| seed; 0x91a7 |] in
+  let inputs =
+    Array.init 3 (fun i -> Signal.Input.create (Printf.sprintf "x%d" i) dag_fmt)
+  in
+  let ghosts =
+    Array.init 2 (fun i -> Signal.Input.create (Printf.sprintf "ghost%d" i) dag_fmt)
+  in
+  let regs =
+    Array.init 2 (fun i ->
+        Signal.Reg.create clk (Printf.sprintf "dag%d_r%d" seed i) dag_fmt)
+  in
+  let value () = QCheck.Gen.generate1 ~rand (Gen.value_of_format_gen dag_fmt) in
+  Array.iter (fun r -> Signal.Reg.set_value r (value ())) regs;
+  let pool =
+    ref (List.init (1 + Random.State.int rand 3) (fun _ ->
+             QCheck.Gen.generate1 ~rand (Gen.expr_gen ~inputs ~regs 3)))
+  in
+  let pick () = List.nth !pool (Random.State.int rand (List.length !pool)) in
+  for _ = 1 to Random.State.int rand 14 do
+    let a = pick () in
+    let b = pick () in
+    let node () =
+      match Random.State.int rand 10 with
+      | 0 -> Signal.add a b
+      | 1 -> Signal.sub a b
+      | 2 -> Signal.xor_ a b
+      | 3 -> Signal.mux2 (Signal.lt a b) a b
+      | 4 -> Signal.resize dag_fmt (Signal.mul a b)
+      | 5 -> Signal.resize dag_fmt a
+      | 6 -> Signal.neg a
+      | 7 -> Signal.and_ a (Signal.input ghosts.(Random.State.int rand 2))
+      | _ -> Signal.resize (Signal.fmt a) (Signal.shift_left a 70)
+    in
+    (* A node whose format would pass [Fixed.max_width] is not built. *)
+    match node () with
+    | n -> pool := n :: !pool
+    | exception e when Raises.code Internal e -> ()
+  done;
+  let roots = List.init (1 + Random.State.int rand 4) (fun _ -> pick ()) in
+  { d_inputs = inputs; d_regs = regs; d_pool = Array.of_list !pool; d_roots = roots;
+    d_rand = rand }
+
+(* Binds each of [d]'s inputs with probability [p]. *)
+let random_env ?(p = 1.0) d =
+  let env = Signal.Env.create () in
+  Array.iter
+    (fun i ->
+      if Random.State.float d.d_rand 1.0 < p then
+        Signal.Env.bind env i
+          (QCheck.Gen.generate1 ~rand:d.d_rand (Gen.value_of_format_gen dag_fmt)))
+    d.d_inputs;
+  env
+
+let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000)
+
+(* A plan evaluates any sequence of its roots, one memo per firing, as
+   the recursion with a shared table does: the same values, or the same
+   first error. *)
+let plan_property =
+  QCheck.Test.make ~name:"plan = recursive evaluation (random DAGs)" ~count:400
+    seed_arb (fun seed ->
+      let d = random_dag seed in
+      let env = random_env d in
+      let roots = Array.of_list d.d_roots in
+      let order =
+        List.init (1 + Random.State.int d.d_rand 5) (fun _ ->
+            Random.State.int d.d_rand (Array.length roots))
+      in
+      let memo = Hashtbl.create 64 in
+      let expected =
+        outcome (fun () -> List.map (fun k -> recursive_eval memo env roots.(k)) order)
+      in
+      let m = Signal.Plan.memo (Signal.Plan.create d.d_roots) env in
+      let got = outcome (fun () -> List.map (Signal.Plan.eval m) order) in
+      same_outcome same_values expected got)
+
+(* [Sfg.fire_partial] as it was before plans, on the recursive evaluator. *)
+let recursive_fire_partial sfg env ~produced =
+  let memo = Hashtbl.create 64 in
+  let deps_ok e =
+    List.for_all (fun i -> Signal.Env.is_bound env i) (Signal.input_deps e)
+  in
+  let out =
+    List.filter_map
+      (fun (nm, e) ->
+        if produced nm then None
+        else if deps_ok e then Some (nm, recursive_eval memo env e)
+        else None)
+      (Sfg.outputs sfg)
+  in
+  if List.for_all (fun i -> Signal.Env.is_bound env i) (Sfg.inputs sfg) then begin
+    List.iter
+      (fun (reg, e) -> Signal.Reg.set_next reg (recursive_eval memo env e))
+      (Sfg.assigns sfg);
+    (out, `Complete)
+  end
+  else (out, `Partial)
+
+(* [fire_partial] on random partial environments and produced sets:
+   the same outputs, status and staged registers, or the same first
+   error. *)
+let fire_partial_property =
+  QCheck.Test.make ~name:"fire_partial = recursive evaluation (random partial envs)"
+    ~count:400 seed_arb (fun seed ->
+      let d = random_dag seed in
+      let pick () = d.d_pool.(Random.State.int d.d_rand (Array.length d.d_pool)) in
+      let sfg =
+        Sfg.build (Printf.sprintf "dag%d" seed) (fun b ->
+            Array.iter (fun i -> ignore (Sfg.Builder.input_port b i)) d.d_inputs;
+            List.iteri
+              (fun k e -> Sfg.Builder.output b (Printf.sprintf "o%d" k) e)
+              d.d_roots;
+            Array.iter
+              (fun r ->
+                if Random.State.bool d.d_rand then
+                  Sfg.Builder.assign_resized b r (pick ()))
+              d.d_regs)
+      in
+      let env = random_env ~p:0.6 d in
+      let produced =
+        List.filter_map
+          (fun (nm, _) -> if Random.State.bool d.d_rand then Some nm else None)
+          (Sfg.outputs sfg)
+      in
+      let values = Array.map Signal.Reg.value d.d_regs in
+      let run fire =
+        Array.iteri
+          (fun i r ->
+            Signal.Reg.reset r;
+            Signal.Reg.set_value r values.(i))
+          d.d_regs;
+        let produced nm = List.mem nm produced in
+        let result = outcome (fun () -> fire sfg env ~produced) in
+        (result, Array.map Signal.Reg.next d.d_regs)
+      in
+      let expected, staged_expected = run recursive_fire_partial in
+      let got, staged = run Sfg.fire_partial in
+      let same_firing (out, status) (out', status') =
+        status = status'
+        && List.equal
+             (fun (n, v) (n', v') -> n = n' && Fixed.equal v v')
+             out out'
+      in
+      same_outcome same_firing expected got
+      && Array.for_all2 (Option.equal Fixed.equal) staged_expected staged)
 
 let suite =
   [
@@ -158,4 +395,6 @@ let suite =
     Alcotest.test_case "shift nodes" `Quick test_shift_nodes;
     Alcotest.test_case "dag analysis" `Quick test_dag_analysis;
     Alcotest.test_case "memo consistency" `Quick test_memo_consistency;
+    QCheck_alcotest.to_alcotest plan_property;
+    QCheck_alcotest.to_alcotest fire_partial_property;
   ]
