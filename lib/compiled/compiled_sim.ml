@@ -901,9 +901,8 @@ let ram_code ~cycle_ref ~base r =
     rm_staged = -1;
   }
 
-let compile sys =
+let instantiate p sys =
   let t_compile = Ocapi_obs.span_begin () in
-  let p = lower sys in
   let power_on = Bytes.make (off p.pg_slots) '\000' in
   Array.iter (fun r -> set power_on (off r.reg_cur) r.reg_init) p.pg_regs;
   List.iter (fun (slot, m) -> set power_on (off slot) m) p.pg_consts;
@@ -1036,6 +1035,8 @@ let compile sys =
       ]
     "compiled.compile" t_compile;
   t
+
+let compile sys = instantiate (lower sys) sys
 
 (* --- execution ------------------------------------------------------------ *)
 

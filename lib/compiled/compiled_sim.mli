@@ -25,7 +25,7 @@
       (host kernels, called through their closures);
     - the stimulus, probe, register and component tables.
 
-    Two back ends consume the program.  {!compile}, here, builds one
+    Two back ends consume the program.  {!instantiate}, here, builds one
     closure per statement over a [Bytes] value store holding every slot
     as an unboxed [int64]: a statement calls no further closure, so the
     statement sweep allocates nothing; inlined RAMs fire against a
@@ -160,9 +160,15 @@ val probe_trace :
 
 type t
 
-(** [compile system] is [lower system] built into closures.  Every
-    primary input's stimulus should produce a token each cycle (a
-    [None] holds the previous value). *)
+(** [instantiate program system] builds [program], which it only reads,
+    into closures over a fresh value store reading [system]'s stimulus
+    columns and kernels: one lowering serves every system with its
+    [Cycle_system.elaboration_key].  Every primary input's stimulus
+    should produce a token each cycle (a [None] holds the previous
+    value). *)
+val instantiate : program -> Cycle_system.t -> t
+
+(** [compile system] is [instantiate (lower system) system]. *)
 val compile : Cycle_system.t -> t
 
 (** One clock cycle. *)

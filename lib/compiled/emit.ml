@@ -8,7 +8,7 @@
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
    host. *)
-let emitter_version = 5
+let emitter_version = 6
 
 let sanitize name =
   String.map
@@ -527,10 +527,13 @@ let emit_component buf cx ci (c : Compiled_sim.component) =
         @ [ Printf.sprintf "states.(%d) <- %d" ci tr.tr_goto ]));
   pf "\n"
 
+type shape = Plugin | Standalone
+
 (* The body: value store, stamps, helpers, tables, power-on, [step] and
-   [reset].  [overflow] is the exception constructor the generated
-   overflow checks raise. *)
-let emit_body buf mode (p : Compiled_sim.program) ~overflow =
+   [reset].  A plugin's body follows its ROM tables as the body of a
+   generative functor [Make], each application of which is one
+   simulator instance. *)
+let emit_body buf mode (p : Compiled_sim.program) shape =
   let open Compiled_sim in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let cx =
@@ -544,18 +547,26 @@ let emit_body buf mode (p : Compiled_sim.program) ~overflow =
   let components = Buffer.create 65536 in
   Array.iteri (emit_component components cx) p.pg_comps;
   let n_stamps = max 1 (Array.length p.pg_nets) in
+  let roms () =
+    List.iter
+      (fun (var, contents) ->
+        pf "let %s = [|" var;
+        Array.iter (fun m -> pf " %s;" (lit mode m)) contents;
+        pf " |]\n")
+      (List.rev cx.roms)
+  in
+  if shape = Plugin then begin
+    roms ();
+    pf "\nmodule Make () = struct\n"
+  end;
   pf "let v = Array.make %d %s\n" p.pg_slots (zero mode);
   pf "let stamp = Array.make %d (-1)\n" n_stamps;
   pf "let cycle = ref 0\n";
   pf "let overflow_error what =\n";
-  pf "  raise (%s (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n" overflow;
+  pf "  raise (%s (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n"
+    (match shape with Plugin -> "Ocapi_native_abi.Native_overflow" | Standalone -> "Overflow");
   emit_helpers buf mode;
-  List.iter
-    (fun (var, contents) ->
-      pf "let %s = [|" var;
-      Array.iter (fun m -> pf " %s;" (lit mode m)) contents;
-      pf " |]\n")
-    (List.rev cx.roms);
+  if shape = Standalone then roms ();
   (* Inlined RAM stores: backing array + single staged write (pa < 0
      means nothing staged), mirroring Ram_cell's [pending] ref. *)
   Array.iteri
@@ -613,7 +624,8 @@ let emit_body buf mode (p : Compiled_sim.program) ~overflow =
       pf "  Array.fill ram_%d 0 %d %s;\n" i r.ram_words (zero mode);
       pf "  ram_%d_pa := (-1);\n" i)
     p.pg_rams;
-  pf "  ()\n\n"
+  pf "  ()\n\n";
+  if shape = Plugin then pf "end\n\n"
 
 let lower_with_mode sys =
   let p = Compiled_sim.lower sys in
@@ -621,64 +633,38 @@ let lower_with_mode sys =
 
 (* --- the plugin -------------------------------------------------------------- *)
 
-type plugin_meta = {
-  pm_version : int;
-  pm_statements : int;
-  pm_stims : (string * int * int) array;
-  pm_probes : (string * int * int * Fixed.format) array;
-  pm_regs : Compiled_sim.register array;
-  pm_comps : (string * int) array;
-  pm_kernels : Compiled_sim.kernel array;
-}
-
 let emit_plugin sys =
   let p, mode = lower_with_mode sys in
   let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let store = match mode with Word -> "Words" | I64 -> "Boxed" in
   pf "(* Generated by ocapi-ml: native simulator plugin for system %S. *)\n"
     (Cycle_system.name sys);
   pf "(* Emitter v%d, %s value store; loaded via Dynlink, driven through\n"
     emitter_version
     (match mode with Word -> "unboxed int" | I64 -> "int64");
-  pf "   the Ocapi_native_abi handoff record. *)\n\n";
-  emit_body buf mode p ~overflow:"Ocapi_native_abi.Native_overflow";
-  pf "let () =\n";
-  pf "  Ocapi_native_abi.register\n";
-  pf "    {\n";
-  (match mode with
-  | Word -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Words v;\n"
-  | I64 -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Boxed v;\n");
-  pf "      p_stamps = stamp;\n";
-  pf "      p_cycle = cycle;\n";
-  pf "      p_states = states;\n";
-  let ram_list f =
+  pf "   instances of the factory it registers with Ocapi_native_abi. *)\n\n";
+  emit_body buf mode p Plugin;
+  let rams f =
     String.concat "; " (List.init (Array.length p.Compiled_sim.pg_rams) f)
   in
-  pf "      p_rams = [| %s |];\n"
-    (ram_list (fun i ->
-         Printf.sprintf "Ocapi_native_abi.%s ram_%d"
-           (match mode with Word -> "Words" | I64 -> "Boxed")
-           i));
-  pf "      p_ram_staged = [| %s |];\n" (ram_list (Printf.sprintf "ram_%d_pa"));
-  pf "      p_kernels = kernels;\n";
-  pf "      p_kernel_commits = kernel_commits;\n";
-  pf "      p_step = step;\n";
-  pf "      p_reset = reset;\n";
-  pf "    }\n";
-  let meta =
-    let open Compiled_sim in
-    {
-      pm_version = emitter_version;
-      pm_statements = p.pg_statements;
-      pm_stims = p.pg_stims;
-      pm_probes = p.pg_probes;
-      pm_regs = p.pg_regs;
-      pm_comps =
-        Array.map (fun c -> (c.co_name, Array.length c.co_by_state)) p.pg_comps;
-      pm_kernels = p.pg_kernels;
-    }
-  in
-  (Buffer.contents buf, meta)
+  pf "let create () =\n";
+  pf "  let module I = Make () in\n";
+  pf "  {\n";
+  pf "    Ocapi_native_abi.p_values = Ocapi_native_abi.%s I.v;\n" store;
+  pf "    p_stamps = I.stamp;\n";
+  pf "    p_cycle = I.cycle;\n";
+  pf "    p_states = I.states;\n";
+  pf "    p_rams = [| %s |];\n"
+    (rams (Printf.sprintf "Ocapi_native_abi.%s I.ram_%d" store));
+  pf "    p_ram_staged = [| %s |];\n" (rams (Printf.sprintf "I.ram_%d_pa"));
+  pf "    p_kernels = I.kernels;\n";
+  pf "    p_kernel_commits = I.kernel_commits;\n";
+  pf "    p_step = I.step;\n";
+  pf "    p_reset = I.reset;\n";
+  pf "  }\n\n";
+  pf "let () = Ocapi_native_abi.register create\n";
+  Buffer.contents buf
 
 (* --- the standalone simulator ------------------------------------------------ *)
 
@@ -717,7 +703,7 @@ let emit_standalone sys ~cycles =
   pf "(* %d cycles of embedded stimuli; prints \"<cycle> <probe> <mantissa>\". *)\n\n"
     cycles;
   pf "exception Overflow of string\n";
-  emit_body buf mode p ~overflow:"Overflow";
+  emit_body buf mode p Standalone;
   Array.iteri
     (fun i (_, _, present, values) ->
       pf "let stim_%d = [|" i;

@@ -14,9 +14,10 @@
 
     One rendered body (value store, [step], [reset]) serves two shapes:
 
-    - {!emit_plugin} — the body plus a registration through
-      [Ocapi_native_abi], for the native engine; stimuli, probes, fault
-      pokes and host kernels stay on the host side of the ABI.
+    - {!emit_plugin} — the body as a functor, plus a factory
+      registered through [Ocapi_native_abi], for the native engine;
+      stimuli, probes, fault pokes and host kernels stay on the host
+      side of the ABI.
     - {!emit_standalone} — the body plus a small driver with the
       stimuli embedded as literals, depending only on the standard
       library; it prints one line per probe token so its behaviour can
@@ -32,30 +33,15 @@ val emitter_version : int
     native engine folds it into the [.cmxs] cache key so stale
     artifacts are never paired with a newer host. *)
 
-(** What the native host needs to wire a compiled plugin into a
-    session, marshalled next to the [.cmxs] artifact: a projection of
-    the lowered program's tables.  Slots address the plugin's value
-    store, stamps its token-presence array. *)
-type plugin_meta = {
-  pm_version : int;  (** {!emitter_version} at emission time *)
-  pm_statements : int;
-      (** [Compiled_sim.pg_statements] — the session's static size *)
-  pm_stims : (string * int * int) array;  (** [pg_stims] *)
-  pm_probes : (string * int * int * Fixed.format) array;  (** [pg_probes] *)
-  pm_regs : Compiled_sim.register array;  (** [pg_regs] *)
-  pm_comps : (string * int) array;
-      (** timed component name and state count, in system order *)
-  pm_kernels : Compiled_sim.kernel array;
-      (** [pg_kernels]: the host kernels, indexing the plugin's hook
-          arrays *)
-}
-
-val emit_plugin : Cycle_system.t -> string * plugin_meta
+val emit_plugin : Cycle_system.t -> string
 (** [emit_plugin sys] renders [sys] as the source of a dynlinkable
-    plugin module plus its {!plugin_meta}.  The module's only
-    dependency is [Ocapi_native_abi]; on load it registers an
-    [Ocapi_native_abi.plugin] exposing its state arrays and step/reset
-    entry points. *)
+    plugin module, whose only dependency is [Ocapi_native_abi].  The
+    body is a generative functor, and on load the module registers a
+    factory that applies it: each call allocates a fresh simulator
+    instance (value store, stamps, FSM states, RAM images, kernel hook
+    slots) and returns its [Ocapi_native_abi.plugin] record.  Its slot
+    layout is [Compiled_sim.lower]'s, so the host takes the session's
+    tables from that program. *)
 
 val emit_standalone : Cycle_system.t -> cycles:int -> string
 (** [emit_standalone sys ~cycles] renders [sys] as a self-contained

@@ -383,24 +383,13 @@ module Cache = struct
           clear_hooks := (fun () -> Hashtbl.reset tbl) :: !clear_hooks)
 
     let find k = find_in ~namespace:V.namespace tbl k
-    let probe k = probe_in ~namespace:V.namespace tbl k
     let add k v = store_in ~namespace:V.namespace tbl k v
 
     let coalesced ~key ~compute =
-      coalesced ~key ~lookup:find ~probe ~compute ~store:add
+      coalesced ~key ~lookup:find ~probe:(probe_in ~namespace:V.namespace tbl)
+        ~compute ~store:add
   end
 end
-
-(* Native-engine plugin artifacts ([.cmxs] bytes plus the marshalled
-   metadata sidecar) ride the cache's lifecycle as a second tier behind
-   the engine's own artifact directory.  Lookups go through the
-   stat-free [probe] so the history hit/miss counters stay exactly what
-   they are without a native toolchain in the picture. *)
-module Cmxs_store = Cache.Store (struct
-  type t = string * string
-
-  let namespace = "cmxs"
-end)
 
 (* The flow layer is the first common dependency of every entry point
    (CLI, batch, tests), so registering the native engine here makes
@@ -408,8 +397,7 @@ end)
    naming [Ocapi_native]. *)
 let () =
   Ocapi_native.register_engine ();
-  Ocapi_ir.register_gate_engine ();
-  Ocapi_native.set_shared_store ~find:Cmxs_store.probe ~store:Cmxs_store.add
+  Ocapi_ir.register_gate_engine ()
 
 (* One cache key per distinct behaviour: scheduling discipline and the
    RTL delta budget change what a run can produce, so they fold into

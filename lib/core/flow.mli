@@ -189,13 +189,6 @@ module Cache : sig
     val namespace : string
   end) : sig
     val find : string -> V.t option
-
-    (** Statistics-free {!find}: consults memory then disk without
-        touching the shared hit/miss counters.  For lookups whose
-        outcome must not perturb {!Cache.stats} (e.g. the native
-        engine's artifact tier, which also has its own disk cache). *)
-    val probe : string -> V.t option
-
     val add : string -> V.t -> unit
     val coalesced : key:string -> compute:(unit -> V.t) -> V.t
   end

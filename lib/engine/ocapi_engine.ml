@@ -145,7 +145,7 @@ module Interp_engine = struct
             (Ocapi_error.check_state ~engine:name ~construct:cname
                ~cycle:(Cycle_system.current_cycle sys)
                ~states:(List.length (Fsm.states fsm)) s));
-      ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sys));
+      ses_resident_words = (fun () -> Cycle_system.resident_words sys sys);
       ses_static_size = None;
       ses_checkpoint =
         (fun () ->
@@ -163,9 +163,19 @@ end
 
 (* --- compiled closure-program engine -------------------------------------- *)
 
+(* Lowered programs by elaboration key, shared by the compiled and
+   native engines. *)
+let programs : Compiled_sim.program Artifact_table.t = Artifact_table.create ()
+
+let lowered ~key sys =
+  Artifact_table.find_or_add programs key (fun () -> Compiled_sim.lower sys)
+
+let program_stats () = Artifact_table.stats programs
+
 let compiled_session ~engine sys =
   Cycle_system.reset sys;
-  let prog = Compiled_sim.compile sys in
+  let key = Cycle_system.elaboration_key sys in
+  let prog = Compiled_sim.instantiate (lowered ~key sys) sys in
   let comp_index =
     component_index ~engine
       ~count:(Compiled_sim.component_count prog)
@@ -191,7 +201,7 @@ let compiled_session ~engine sys =
       (fun i -> Compiled_sim.component_state prog comp_index.(i));
     ses_force_component_state =
       (fun i s -> Compiled_sim.set_component_state prog comp_index.(i) s);
-    ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr prog));
+    ses_resident_words = (fun () -> Cycle_system.resident_words sys prog);
     ses_static_size = Some (Compiled_sim.statement_count prog);
     ses_checkpoint =
       (fun () ->
@@ -268,7 +278,7 @@ module Rtl_engine = struct
         (fun i -> Rtl.component_state rtl comp_index.(i));
       ses_force_component_state =
         (fun i s -> Rtl.set_component_state rtl comp_index.(i) s);
-      ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr rtl));
+      ses_resident_words = (fun () -> Cycle_system.resident_words sys rtl);
       ses_static_size = None;
       ses_checkpoint =
         (fun () ->

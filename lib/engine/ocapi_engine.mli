@@ -126,8 +126,8 @@ type session = {
           raises [Ocapi_error.Error] with code [Invalid_state] — the
           detected-outcome path of SEU campaigns *)
   ses_resident_words : unit -> int;
-      (** reachable heap words of the engine's root state (Table 1's
-          memory column) *)
+      (** [Cycle_system.resident_words] of the engine's root state
+          (Table 1's memory column) *)
   ses_static_size : int option;
       (** compiled statement count, for engines with a static program
           image *)
@@ -185,10 +185,24 @@ type t = (module ENGINE)
 val name_of : t -> string
 val display_of : t -> string
 
+(** [closer sys engine] is a [ses_close] that detaches [engine]'s mark
+    from [sys] once, however many times it is called. *)
+val closer : Cycle_system.t -> string -> unit -> unit
+
+(** [lowered ~key sys] is [Compiled_sim.lower sys], kept in a
+    per-process {!Artifact_table} by [key], which must be
+    [Cycle_system.elaboration_key sys]: the compiled and native engines'
+    sessions of one design share one lowering.  A design the lowering
+    rejects raises each time. *)
+val lowered : key:string -> Cycle_system.t -> Compiled_sim.program
+
+(** Counters of the {!lowered} table. *)
+val program_stats : unit -> Artifact_table.stats
+
 (** [compiled_session ~engine sys] is the ["compiled"] engine's session
-    over [sys] — a [Compiled_sim] program, after a system reset —
-    reporting [ses_engine = engine]; the native engine serves it as its
-    toolchain-less fallback. *)
+    over [sys] — an instance of its {!lowered} program, after a system
+    reset — reporting [ses_engine = engine]; the native engine serves it
+    as its toolchain-less fallback. *)
 val compiled_session : engine:string -> Cycle_system.t -> session
 
 (** {1:registry Registry}

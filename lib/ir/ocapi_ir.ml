@@ -270,55 +270,21 @@ let gate_elaborate sys =
         (Cycle_system.primary_inputs sys);
   }
 
-(* The per-process table of gate elaborations, by elaboration key, most
-   recently used first.  A miss elaborates outside the lock: two
-   domains missing on one key at once both synthesize, and the later
-   insert wins. *)
-type gate_stats = { elaborations : int; hits : int; evictions : int }
+(* The gate engine's table of elaborations, by elaboration key. *)
+type gate_stats = Artifact_table.stats = {
+  elaborations : int;
+  hits : int;
+  evictions : int;
+}
 
-let gate_capacity = 8
-let gate_lock = Mutex.create ()
-let gate_table : (string * gate_artifact) list ref = ref []
-let n_elaborations = ref 0
-let n_hits = ref 0
-let n_evictions = ref 0
-
-let gate_locked f =
-  Mutex.lock gate_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock gate_lock) f
-
-let gate_stats () =
-  gate_locked (fun () ->
-      { elaborations = !n_elaborations; hits = !n_hits; evictions = !n_evictions })
-
-let reset_gate_stats () =
-  gate_locked (fun () ->
-      n_elaborations := 0;
-      n_hits := 0;
-      n_evictions := 0)
+let gate_capacity = Artifact_table.capacity
+let gate_table : gate_artifact Artifact_table.t = Artifact_table.create ()
+let gate_stats () = Artifact_table.stats gate_table
+let reset_gate_stats () = Artifact_table.reset_stats gate_table
 
 let gate_artifact sys =
-  let key = Cycle_system.elaboration_key sys in
-  let found =
-    gate_locked (fun () ->
-        match List.assoc_opt key !gate_table with
-        | Some a ->
-          incr n_hits;
-          gate_table := (key, a) :: List.remove_assoc key !gate_table;
-          Some a
-        | None -> None)
-  in
-  match found with
-  | Some a -> a
-  | None ->
-    let a = gate_elaborate sys in
-    gate_locked (fun () ->
-        incr n_elaborations;
-        let rest = List.remove_assoc key !gate_table in
-        let kept = List.filteri (fun i _ -> i < gate_capacity - 1) rest in
-        n_evictions := !n_evictions + List.length rest - List.length kept;
-        gate_table := (key, a) :: kept);
-    a
+  Artifact_table.find_or_add gate_table (Cycle_system.elaboration_key sys) (fun () ->
+      gate_elaborate sys)
 
 module Gate_engine = struct
   let name = "gate"
@@ -401,7 +367,6 @@ module Gate_engine = struct
         ~cycle:!cycle ~states:f.Synthesize.fm_states s
     in
     Cycle_system.attach_engine sys name;
-    let closed = ref false in
     {
       Ocapi_engine.ses_engine = name;
       ses_step = step;
@@ -451,7 +416,7 @@ module Gate_engine = struct
             (fun b net ->
               Netlist.Sim.poke_net sim net (bit_of f.Synthesize.fm_encoding s b))
             f.Synthesize.fm_state_nets);
-      ses_resident_words = (fun () -> Obj.reachable_words (Obj.repr sim));
+      ses_resident_words = (fun () -> Cycle_system.resident_words sys sim);
       ses_static_size = Some a.ga_static_size;
       ses_checkpoint =
         (fun () ->
@@ -466,12 +431,7 @@ module Gate_engine = struct
                   clear_histories ());
               ck_matches = (fun () -> !cycle = at && Netlist.Sim.matches sim sn);
             });
-      ses_close =
-        (fun () ->
-          if not !closed then begin
-            closed := true;
-            Cycle_system.detach_engine sys name
-          end);
+      ses_close = Ocapi_engine.closer sys name;
     }
 end
 

@@ -139,10 +139,8 @@ val check_equivalence :
     probe-valid wires so sparse probe histories are reconstructed
     exactly, levelizes the netlist into a [Netlist.Sim.topology] and
     resolves the probe and stimulus buses.  The result depends only on
-    the design's structure, so it is kept in a per-process table keyed
-    by [Cycle_system.elaboration_key]: {!gate_capacity} entries,
-    mutex-guarded, least recently used evicted first, elaborated
-    outside the lock on a miss.  A session then only instantiates its
+    the design's structure, so it is kept in an {!Artifact_table} keyed
+    by [Cycle_system.elaboration_key].  A session then only instantiates its
     own lane state over the shared topology and binds its system's
     stimulus columns; sessions of one design on any domain share one
     synthesis.  Register pokes flip flip-flop q-nets through the
@@ -159,10 +157,10 @@ val gate_capacity : int
     {!reset_gate_stats}.  Always on, independent of [Ocapi_obs]
     telemetry: tests use them to prove that sessions share one
     synthesis. *)
-type gate_stats = {
-  elaborations : int;  (** misses: synthesis plus levelization *)
-  hits : int;  (** sessions served an elaboration from the table *)
-  evictions : int;  (** entries dropped to stay within {!gate_capacity} *)
+type gate_stats = Artifact_table.stats = {
+  elaborations : int;
+  hits : int;
+  evictions : int;
 }
 
 val gate_stats : unit -> gate_stats

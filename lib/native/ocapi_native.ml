@@ -3,11 +3,12 @@
    module over unboxed int words (or int64 cells when the width analysis
    rejects packing); this host compiles it out-of-process with
    [ocamlfind ocamlopt -shared], loads the .cmxs with
-   [Dynlink.loadfile_private], and wires the resulting raw state arrays
-   into a full [Ocapi_engine.session].  Artifacts are cached on disk
-   keyed by elaboration key + emitter version, so compilation is
-   one-time per structure; every failure path degrades to an interpreted
-   [Compiled_sim] program behind the same session surface. *)
+   [Dynlink.loadfile_private] once per process, and wires an instance
+   of the plugin's factory into a full [Ocapi_engine.session] per
+   session.  Artifacts are cached on disk keyed by elaboration key +
+   emitter version, so compilation is one-time per structure; every
+   failure path degrades to an interpreted [Compiled_sim] program behind
+   the same session surface. *)
 
 let engine_name = "native"
 
@@ -23,6 +24,7 @@ type stats = {
   corrupt_misses : int;
   fallbacks : int;
   loads : int;
+  reuses : int;
 }
 
 let n_compiles = ref 0
@@ -30,6 +32,7 @@ let n_cache_hits = ref 0
 let n_corrupt = ref 0
 let n_fallbacks = ref 0
 let n_loads = ref 0
+let n_reuses = ref 0
 
 let stats () =
   {
@@ -38,14 +41,12 @@ let stats () =
     corrupt_misses = !n_corrupt;
     fallbacks = !n_fallbacks;
     loads = !n_loads;
+    reuses = !n_reuses;
   }
 
 let reset_stats () =
-  n_compiles := 0;
-  n_cache_hits := 0;
-  n_corrupt := 0;
-  n_fallbacks := 0;
-  n_loads := 0
+  List.iter (fun n -> n := 0)
+    [ n_compiles; n_cache_hits; n_corrupt; n_fallbacks; n_loads; n_reuses ]
 
 let bump counter obs_name =
   incr counter;
@@ -109,7 +110,9 @@ let cmi_dir () =
       (fun acc r -> match acc with Some _ -> acc | None -> walk r 0)
       None roots
 
-let availability () =
+(* The ABI interface's directory, when a session would take a native
+   rung. *)
+let native_cmi () =
   if disabled () then
     Error (diag "native engine disabled by OCAPI_NATIVE_DISABLE")
   else if not Dynlink.is_native then
@@ -124,8 +127,10 @@ let availability () =
           (diag
              "plugin ABI interface (ocapi_native_abi.cmi) not found; set \
               OCAPI_NATIVE_CMI_DIR")
-      | Some _ -> Ok ()
+      | Some d -> Ok d
     end
+
+let availability () = Result.map ignore (native_cmi ())
 
 (* --- artifact cache ------------------------------------------------------- *)
 
@@ -145,8 +150,16 @@ let rec mkdir_p d =
     (try Sys.mkdir d 0o755 with Sys_error _ -> ())
   end
 
+(* Loaded plugin factories, by artifact path: the cache directory and
+   the cache key.  A path is dynlinked once while its entry is in the
+   table; an evicted one is dynlinked again, which maps nothing new
+   (the loader knows the file) and registers its factory again. *)
+let factories : (unit -> Ocapi_native_abi.plugin) Artifact_table.t =
+  Artifact_table.create ()
+
 let clear_disk_cache () =
   let dir = cache_dir () in
+  Artifact_table.remove_if factories (fun path -> Filename.dirname path = dir);
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.iter
       (fun f ->
@@ -154,38 +167,7 @@ let clear_disk_cache () =
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
 
-(* Optional second tier: Flow.Cache's store, installed by the flow
-   layer so `--cache` runs keep .cmxs bytes next to history entries. *)
-let shared_find : (string -> (string * string) option) ref =
-  ref (fun _ -> None)
-
-let shared_store : (string -> string * string -> unit) ref =
-  ref (fun _ _ -> ())
-
-let set_shared_store ~find ~store =
-  shared_find := find;
-  shared_store := store
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic-enough writes (tmp + rename) so a concurrent process never
-   loads a torn .cmxs. *)
-let write_file path contents =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Hashtbl.hash path)
-      (Hashtbl.hash contents)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
-let cache_key sys ~cmi =
+let cache_key ~elaboration ~cmi =
   let cmi_digest =
     try Digest.to_hex (Digest.file (Filename.concat cmi abi_cmi))
     with Sys_error _ -> "no-cmi"
@@ -194,7 +176,7 @@ let cache_key sys ~cmi =
     (Digest.string
        (String.concat "|"
           [
-            Cycle_system.elaboration_key sys;
+            elaboration;
             string_of_int Emit.emitter_version;
             Sys.ocaml_version;
             cmi_digest;
@@ -230,7 +212,7 @@ let compile_cmxs ~cmi ~src ~out =
   in
   let rc = Sys.command cmd in
   if rc <> 0 then begin
-    let detail = try read_file log with _ -> "" in
+    let detail = try In_channel.with_open_bin log In_channel.input_all with _ -> "" in
     let detail =
       if String.length detail > 400 then String.sub detail 0 400 else detail
     in
@@ -238,114 +220,103 @@ let compile_cmxs ~cmi ~src ~out =
       (Fall (diag (Printf.sprintf "plugin compile failed (rc %d): %s" rc detail)))
   end
 
-exception Bad_plugin
-
-(* Every load dynlinks a throwaway copy of the artifact under a unique
-   pathname.  dlopen dedupes by pathname: loading the cached [.cmxs]
-   path a second time would re-run the module initializer over the
-   already-mapped object, rebinding the module globals out from under
-   every live session built from the same digest (engine sweeps and
-   parallel fault campaigns do exactly this).  A fresh inode per load
-   makes each plugin instance genuinely private; the copy is unlinked
-   immediately after loading (the mapping keeps the inode alive). *)
-let load_plugin path =
+(* Dynlink [path] and take the factory it registers, if its instances
+   have the shape of [pg]'s store; a plugin of another design under
+   this key would not. *)
+let load path (pg : Compiled_sim.program) =
   Ocapi_native_abi.clear ();
-  let priv = Filename.temp_file "ocapi_plugin_load" ".cmxs" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove priv with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin priv in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (read_file path));
-      Dynlink.loadfile_private priv;
+  let fits (p : Ocapi_native_abi.plugin) =
+    (match p.p_values with Words a -> Array.length a | Boxed a -> Array.length a)
+    = pg.pg_slots
+    && Array.length p.p_states = Array.length pg.pg_comps
+    && Array.length p.p_rams = Array.length pg.pg_rams
+    && Array.length p.p_kernels = Array.length pg.pg_kernels
+  in
+  let create =
+    try
+      Dynlink.loadfile_private path;
       match Ocapi_native_abi.take () with
-      | Some p -> p
-      | None -> raise Bad_plugin)
+      | Some create when fits (create ()) -> Some create
+      | Some _ | None -> None
+    with _ -> None
+  in
+  if Option.is_some create then bump n_loads "loads";
+  create
 
-let read_meta path : Emit.plugin_meta option =
-  match
-    (try Some (Marshal.from_string (read_file path) 0) with _ -> None)
-  with
-  | Some m when m.Emit.pm_version = Emit.emitter_version -> Some m
-  | _ -> None
+(* Never reset: the loader serves a path it mapped before by name. *)
+let compiles_begun = ref 0
 
-(* Locate or build the (plugin, meta) pair for [sys]: disk artifact ->
-   Flow.Cache store -> fresh emission + compile.  Runs under the load
-   mutex.  Raises [Fall] on environmental failures (the caller degrades
-   to the interpreted program) and [Ocapi_error.Error] with code
-   [Unsupported] on design-level rejections (shared verbatim with the
-   compiled engine). *)
-let obtain_plugin sys =
-  let cmi =
-    match cmi_dir () with
-    | Some d -> d
-    | None -> raise (Fall (diag "plugin ABI interface not found"))
+(* Emit and compile [sys]'s plugin under a name of its own (pid and
+   counter), load it from there, and only then rename it to [path]: a
+   cached artifact is never written in place, no two compiles share a
+   file, and the loader keeps the file it mapped under any name. *)
+let compile ~cmi ~path sys pg =
+  incr compiles_begun;
+  let stem =
+    Printf.sprintf "%s_%d_%d" (Filename.remove_extension path) (Unix.getpid ())
+      !compiles_begun
   in
-  let dir = cache_dir () in
-  mkdir_p dir;
-  let key = cache_key sys ~cmi in
-  let base = Filename.concat dir ("ocapi_plugin_" ^ key) in
-  let cmxs = base ^ ".cmxs" and metaf = base ^ ".meta" in
-  let drop_corrupt () =
-    bump n_corrupt "corrupt_misses";
-    (try Sys.remove cmxs with Sys_error _ -> ());
-    (try Sys.remove metaf with Sys_error _ -> ())
-  in
-  let try_load ~count_hit () =
-    match read_meta metaf with
-    | None -> None
-    | Some meta -> (
-      try
-        let p = load_plugin cmxs in
-        bump n_loads "loads";
-        if count_hit then bump n_cache_hits "cache_hits";
-        Some (p, meta)
-      with _ -> None)
-  in
-  let from_disk =
-    if Sys.file_exists cmxs && Sys.file_exists metaf then begin
-      match try_load ~count_hit:true () with
-      | Some r -> Some r
+  let src = stem ^ ".ml" and out = stem ^ ".cmxs" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun ext -> try Sys.remove (stem ^ ext) with Sys_error _ -> ())
+        [ ".ml"; ".cmi"; ".cmx"; ".o"; ".cmxs"; ".cmxs.log" ])
+    (fun () ->
+      let t_compile = Ocapi_obs.span_begin () in
+      Out_channel.with_open_bin src (fun oc ->
+          output_string oc (Emit.emit_plugin sys));
+      compile_cmxs ~cmi ~src ~out;
+      bump n_compiles "compiles";
+      Ocapi_obs.span_end ~cat:"native"
+        ~args:[ ("path", Ocapi_obs.Json.String path) ]
+        "native.compile" t_compile;
+      match load out pg with
+      | Some create ->
+        (try Sys.rename out path with Sys_error _ -> ());
+        create
+      | None -> raise (Fall (diag "freshly compiled plugin failed to load")))
+
+(* The factory of the artifact at [path]: loaded from the disk cache,
+   else compiled.  Runs under the load mutex.  A cached file that does
+   not load, registers nothing or does not fit is a counted miss,
+   deleted and recompiled.  Raises [Fall] on environmental failures
+   (the caller degrades to the interpreted program). *)
+let obtain ~cmi ~path sys pg =
+  let cached =
+    if not (Sys.file_exists path) then None
+    else
+      match load path pg with
+      | Some create ->
+        bump n_cache_hits "cache_hits";
+        Some create
       | None ->
-        drop_corrupt ();
+        bump n_corrupt "corrupt_misses";
+        (try Sys.remove path with Sys_error _ -> ());
         None
-    end
-    else None
   in
-  let from_store =
-    match from_disk with
-    | Some r -> Some r
-    | None -> begin
-      match !shared_find key with
-      | None -> None
-      | Some (cmxs_bytes, meta_bytes) -> (
-        write_file cmxs cmxs_bytes;
-        write_file metaf meta_bytes;
-        match try_load ~count_hit:true () with
-        | Some r -> Some r
-        | None ->
-          drop_corrupt ();
-          None)
-    end
+  match cached with Some create -> create | None -> compile ~cmi ~path sys pg
+
+(* The factory for [sys]'s artifact, dynlinked by the first session of
+   its path in this process and reused by the others. *)
+let factory ~cmi sys pg ~elaboration =
+  let dir = cache_dir () in
+  let path =
+    Filename.concat dir ("ocapi_plugin_" ^ cache_key ~elaboration ~cmi ^ ".cmxs")
   in
-  match from_store with
-  | Some r -> r
-  | None ->
-    let t_compile = Ocapi_obs.span_begin () in
-    let src, meta = Emit.emit_plugin sys in
-    write_file (base ^ ".ml") src;
-    compile_cmxs ~cmi ~src:(base ^ ".ml") ~out:cmxs;
-    write_file metaf (Marshal.to_string (meta : Emit.plugin_meta) []);
-    bump n_compiles "compiles";
-    Ocapi_obs.span_end ~cat:"native"
-      ~args:[ ("key", Ocapi_obs.Json.String key) ]
-      "native.compile" t_compile;
-    (try !shared_store key (read_file cmxs, read_file metaf)
-     with _ -> ());
-    (match try_load ~count_hit:false () with
-    | Some r -> r
-    | None -> raise (Fall (diag "freshly compiled plugin failed to load")))
+  let reused = ref true in
+  let create =
+    Artifact_table.find_or_add factories path (fun () ->
+        Mutex.protect load_mutex (fun () ->
+            match Artifact_table.peek factories path with
+            | Some create -> create
+            | None ->
+              reused := false;
+              mkdir_p dir;
+              obtain ~cmi ~path sys pg))
+  in
+  if !reused then bump n_reuses "reuses";
+  create
 
 (* --- session construction ------------------------------------------------- *)
 
@@ -424,26 +395,17 @@ let matches (p : Ocapi_native_abi.plugin) sn =
   && Array.for_all2 (fun staged a -> !staged = a) p.p_ram_staged sn.sn_staged
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
-(* A close that detaches exactly once, however many times callers'
-   cleanup paths run it. *)
-let closer sys =
-  let closed = ref false in
-  fun () ->
-    if not !closed then begin
-      closed := true;
-      Cycle_system.detach_engine sys engine_name
-    end
-
-let install_kernels (p : Ocapi_native_abi.plugin) (meta : Emit.plugin_meta)
+(* Hook [pg]'s host kernels into [p]; they are returned in order. *)
+let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
     untimed =
-  Array.iteri
+  Array.mapi
     (fun j { Compiled_sim.hk_name; hk_inputs; hk_outputs } ->
       let k =
         match List.assoc_opt hk_name untimed with
         | Some k -> k
         | None ->
           Ocapi_error.fail Ocapi_error.Internal ~engine:engine_name
-            "plugin metadata names unknown kernel %s" hk_name
+            "lowered program names unknown kernel %s" hk_name
       in
       let fire () =
         if k.Dataflow.Kernel.k_ready () then begin
@@ -470,20 +432,21 @@ let install_kernels (p : Ocapi_native_abi.plugin) (meta : Emit.plugin_meta)
         if k.Dataflow.Kernel.k_ready () then k.Dataflow.Kernel.k_commit ()
       in
       p.Ocapi_native_abi.p_kernels.(j) <- fire;
-      p.Ocapi_native_abi.p_kernel_commits.(j) <- commit)
-    meta.Emit.pm_kernels
+      p.Ocapi_native_abi.p_kernel_commits.(j) <- commit;
+      k)
+    pg.pg_kernels
 
-let native_session sys =
-  let p, meta =
-    Mutex.protect load_mutex (fun () -> obtain_plugin sys)
-  in
+let native_session ~cmi sys =
+  let elaboration = Cycle_system.elaboration_key sys in
+  let pg = Ocapi_engine.lowered ~key:elaboration sys in
+  let p = factory ~cmi sys pg ~elaboration () in
   let untimed = Cycle_system.untimed_components sys in
-  install_kernels p meta untimed;
+  let host_kernels = Array.to_list (install_kernels p pg untimed) in
   let stims =
     Array.map
       (fun (name, slot, stampi) ->
         (Cycle_system.input_column sys name, slot, stampi))
-      meta.Emit.pm_stims
+      pg.pg_stims
   in
   (* Stimuli come from the columns by cycle index; on the [Words] path
      the mantissa stays unboxed, so a warm step allocates nothing. *)
@@ -510,7 +473,7 @@ let native_session sys =
           end
         done
   in
-  let trace, probes = Compiled_sim.probe_trace sys meta.Emit.pm_probes ~slot:Fun.id in
+  let trace, probes = Compiled_sim.probe_trace sys pg.pg_probes ~slot:Fun.id in
   (* Mode-specialized recorder: the [Words] path never touches a boxed
      value. *)
   let record_probes =
@@ -521,7 +484,10 @@ let native_session sys =
     | Ocapi_native_abi.Boxed a ->
       fun cycle -> Cycle_system.Trace.record_int64s probes ~cycle ~stamps a
   in
-  let regs = meta.Emit.pm_regs and comps = meta.Emit.pm_comps in
+  let regs = pg.pg_regs
+  and comps =
+    Array.map (fun c -> (c.Compiled_sim.co_name, Array.length c.co_by_state)) pg.pg_comps
+  in
   let step () =
     let c = !(p.Ocapi_native_abi.p_cycle) in
     drive_stimuli c;
@@ -539,12 +505,6 @@ let native_session sys =
     p.Ocapi_native_abi.p_reset ();
     List.iter (fun (_, k) -> k.Dataflow.Kernel.k_reset ()) untimed;
     clear_histories ()
-  in
-  let host_kernels =
-    Array.to_list
-      (Array.map
-         (fun hk -> List.assoc hk.Compiled_sim.hk_name untimed)
-         meta.Emit.pm_kernels)
   in
   Cycle_system.attach_engine sys engine_name;
   {
@@ -572,8 +532,8 @@ let native_session sys =
           Ocapi_error.check_state ~engine:engine_name ~construct:cname
             ~cycle:!(p.Ocapi_native_abi.p_cycle) ~states:n s);
     ses_resident_words =
-      (fun () -> Obj.reachable_words (Obj.repr (p, trace, regs, comps)));
-    ses_static_size = Some meta.Emit.pm_statements;
+      (fun () -> Cycle_system.resident_words sys (p, trace, regs, comps));
+    ses_static_size = Some pg.pg_statements;
     ses_checkpoint =
       (fun () ->
         Option.map
@@ -588,7 +548,7 @@ let native_session sys =
               ck_matches = (fun () -> matches p sn);
             })
           (Dataflow.Kernel.snapshot_all host_kernels));
-    ses_close = closer sys;
+    ses_close = Ocapi_engine.closer sys engine_name;
   }
 
 (* The interpreted-compiled degradation: the compiled engine's session
@@ -613,11 +573,11 @@ module Native_engine : Ocapi_engine.ENGINE = struct
 
   let make ?options:_ sys =
     Cycle_system.reset sys;
-    match availability () with
+    match native_cmi () with
     | Error _ -> fallback_session sys
-    | Ok () -> (
-      try native_session sys
-      with Fall _ | Bad_plugin -> fallback_session sys)
+    | Ok cmi -> (
+      try native_session ~cmi sys
+      with Fall _ -> fallback_session sys)
 end
 
 let registered = ref false

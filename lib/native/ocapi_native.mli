@@ -6,7 +6,8 @@
     through [Emit.emit_plugin], compiles the emitted module
     out-of-process with [ocamlfind ocamlopt -shared], loads the
     resulting [.cmxs] with [Dynlink.loadfile_private], and drives the
-    plugin's raw state arrays through the common session surface —
+    raw state arrays of one plugin instance per session through the
+    common session surface —
     stimuli, probe histories, register bit pokes, FSM state forcing,
     untimed kernels and telemetry all behave exactly as on the other
     engines.
@@ -28,19 +29,24 @@
       [ses_engine = "native"], so sweep artifacts stay byte-identical
       whether or not a toolchain is present.
 
-    Compiled artifacts ([.cmxs] plus a marshalled [Emit.plugin_meta]
-    sidecar) are cached on disk keyed by
+    Compiled artifacts are [.cmxs] files in one disk cache, keyed by
     [md5(Cycle_system.elaboration_key | Emit.emitter_version |
-    Sys.ocaml_version | ABI cmi digest)], so warm loads skip the compiler entirely; a
-    second tier in [Flow.Cache]'s store is wired up by the flow layer
-    via {!set_shared_store}.  Corrupt or stale artifacts are counted,
-    deleted and recompiled.  Every load goes through a throwaway copy
-    of the artifact under a unique path: the dynamic loader dedupes
-    shared objects by pathname, so re-loading a cached [.cmxs] in
-    place would hand concurrent sessions of the same design one shared
-    mapping and let a later load re-initialise the module under an
-    earlier session.  The copy guarantees each session owns a private
-    plugin instance.
+    Sys.ocaml_version | ABI cmi digest)], so warm processes skip the
+    compiler entirely.  A process dynlinks each artifact path (cache
+    directory plus key) once, keeps the factory the plugin registers in
+    an {!Artifact_table} (a path evicted from it is dynlinked again on
+    its next session), and calls it once per session: every session
+    is a private instance with its own value store, stamps, FSM states,
+    RAM images and kernel hooks, and a later session of the design
+    writes no file and maps nothing.  The session's tables (stimuli,
+    probes, registers, components, kernels, static size) come from the
+    lowered program the compiled engine shares ([Ocapi_engine.lowered]).
+    A cached file that fails to load, registers no factory, or whose
+    instances disagree in shape with that program (store length, FSM,
+    RAM and kernel counts) is counted, deleted and recompiled.  A
+    compile writes under a name of its own (pid and counter), loads
+    from there and renames the file into place, so no cached artifact
+    is ever rewritten in place.
 
     Environment variables: [OCAPI_NATIVE_DISABLE] (any value but
     [""]/[0] forces the fallback rung), [OCAPI_NATIVE_CACHE_DIR]
@@ -74,27 +80,20 @@ type stats = {
   compiles : int;  (** out-of-process [ocamlopt] invocations *)
   cache_hits : int;  (** plugin loads served from a cached [.cmxs] *)
   corrupt_misses : int;
-      (** cached artifacts that failed to unmarshal, load, or register
-          — counted, deleted, then recompiled *)
+      (** cached artifacts that failed to load, register a factory, or
+          fit the lowered program — counted, deleted, then recompiled *)
   fallbacks : int;  (** sessions that degraded to the interpreted rung *)
   loads : int;  (** successful [Dynlink] loads (fresh or cached) *)
+  reuses : int;  (** sessions served by a factory already loaded *)
 }
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
-(** {1 Cache wiring} *)
+(** {1 The artifact cache} *)
 
-(** Install the second-tier artifact store (the flow layer passes
-    [Flow.Cache]-backed hooks).  [find key] returns
-    [(cmxs_bytes, meta_bytes)]; [store key (cmxs_bytes, meta_bytes)]
-    persists a freshly compiled pair. *)
-val set_shared_store :
-  find:(string -> (string * string) option) ->
-  store:(string -> string * string -> unit) ->
-  unit
-
-(** Delete all plugin artifacts in the disk cache directory (used by
+(** Delete all plugin artifacts in the disk cache directory and forget
+    the factories loaded from it, so the next session compiles (used by
     benchmarks to measure cold-compile cost deterministically). *)
 val clear_disk_cache : unit -> unit
 

@@ -15,11 +15,11 @@ type plugin = {
 
 exception Native_overflow of string
 
-let slot : plugin option ref = ref None
-let register p = slot := Some p
+let slot : (unit -> plugin) option ref = ref None
+let register create = slot := Some create
 let clear () = slot := None
 
 let take () =
-  let p = !slot in
+  let create = !slot in
   slot := None;
-  p
+  create

@@ -2,30 +2,31 @@
 
     The native engine compiles the source produced by [Emit.emit_plugin]
     with [ocamlfind ocamlopt -shared] and loads the resulting [.cmxs]
-    with [Dynlink.loadfile_private].  A privately loaded module cannot
-    export values through the normal module system, so the handoff runs
-    through this tiny, dependency-free library, linked into the host and
-    visible (via its [.cmi]) to the out-of-process compile: the plugin's
-    toplevel builds a {!plugin} record and calls {!register}; the host
-    {!clear}s the slot, loads the [.cmxs], and {!take}s the record.
+    with [Dynlink.loadfile_private], once per artifact per process.  A
+    privately loaded module cannot export values through the normal
+    module system, so the handoff runs through this tiny,
+    dependency-free library, linked into the host and visible (via its
+    [.cmi]) to the out-of-process compile: the plugin's toplevel calls
+    {!register} with its factory; the host {!clear}s the slot, loads the
+    [.cmxs], {!take}s the factory and keeps it, calling it once per
+    session for a fresh, private simulator instance.
 
-    The record exposes the plugin's raw state — value/stamp arrays, the
-    cycle counter, FSM state words, inlined RAM images with their staged
-    writes, and kernel hook slots — everything the plugin's [p_reset]
-    re-initializes bar the selected-transition cells each step writes
-    before reading, so the host can checkpoint it — in the slot
-    layout of the program [Compiled_sim.lower] produced, the same layout
-    the compiled engine runs: nets first in [Cycle_system.nets] order,
-    then current/next word pairs per register in [all_regs] order, then
-    the expression nodes.  The host finds its slots in the
-    [Emit.plugin_meta] sidecar, the program's tables.  The layout is
-    versioned by [Emit.emitter_version], which is folded into the
-    [.cmxs] cache key, so a stale plugin can never be paired with a
-    newer host.
+    The record exposes an instance's raw state — value/stamp arrays,
+    the cycle counter, FSM state words, inlined RAM images with their
+    staged writes, and kernel hook slots — everything the instance's
+    [p_reset] re-initializes bar the selected-transition cells each
+    step writes before reading, so the host can checkpoint it — in the
+    slot layout of the program [Compiled_sim.lower] produced, the same
+    layout the compiled engine runs: nets first in [Cycle_system.nets]
+    order, then current/next word pairs per register in [all_regs]
+    order, then the expression nodes.  The host finds its slots in
+    that program's tables.  The layout is versioned by
+    [Emit.emitter_version], which is folded into the [.cmxs] cache key,
+    so a stale plugin can never be paired with a newer host.
 
     Loads happen under a single global mutex in [Ocapi_native] (engine
-    sweeps create sessions from several domains at once), so the single
-    shared {!slot} cell needs no locking of its own. *)
+    sweeps create sessions from several domains at once), so the
+    handoff slot needs no locking of its own. *)
 
 (** The plugin's value store.  [Words] is the bit-packed fast path:
     every slot's mantissa proven (by the emitter's width-bound analysis)
@@ -34,7 +35,7 @@
     to the interpreted compiled engine on any width. *)
 type values = Words of int array | Boxed of int64 array
 
-(** Everything the host needs to drive one loaded simulator instance.
+(** Everything the host needs to drive one simulator instance.
     Arrays are the plugin's own working state, mutated in place by
     [p_step] — the host writes stimuli into [p_values]/[p_stamps]
     before each step and reads probes after it. *)
@@ -65,14 +66,14 @@ type plugin = {
     diagnostic); the host converts it back to [Ocapi_error.Error]. *)
 exception Native_overflow of string
 
-(** Called by the plugin's toplevel to publish its {!plugin} record. *)
-val register : plugin -> unit
+(** Called by the plugin's toplevel to publish its instance factory. *)
+val register : (unit -> plugin) -> unit
 
 (** Empty the handoff slot before a load, so a plugin that fails to
     register is detected as corrupt rather than yielding a stale
-    record. *)
+    factory. *)
 val clear : unit -> unit
 
-(** Claim the record published by the most recent load, emptying the
+(** Claim the factory published by the most recent load, emptying the
     slot; [None] if the loaded module never called {!register}. *)
-val take : unit -> plugin option
+val take : unit -> (unit -> plugin) option

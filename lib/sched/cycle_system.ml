@@ -990,6 +990,13 @@ let primary_inputs t =
     (fun col -> (col.col_name, col.col_fmt, column_token col))
     (input_columns t)
 
+(* The pair block is 3 words: its header and two fields. *)
+let resident_words t root =
+  let cols = input_columns t in
+  Obj.reachable_words (Obj.repr (root, cols))
+  - Obj.reachable_words (Obj.repr cols)
+  - 3
+
 let input_column t name =
   match List.find_opt (fun col -> col.col_name = name) (input_columns t) with
   | Some col -> col

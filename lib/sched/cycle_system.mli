@@ -199,6 +199,11 @@ type column
     input. *)
 val input_column : t -> string -> column
 
+(** [resident_words t root] is the heap words, headers included,
+    reachable from [root] (a session's state) but not from [t]'s
+    stimulus columns, which grow with every session's cycles. *)
+val resident_words : t -> 'a -> int
+
 (** [column_present col c] evaluates the stimulus through cycle [c]
     if it has not been yet, and tells whether cycle [c] carries a
     token. *)

@@ -42,7 +42,8 @@ check_cmp "seu report (dect, 300 runs)" "$work/seu-1.json" "$work/seu-2.json"
 # 1b. The same SEU campaign on the native (dynlinked) engine: the
 #     regenerated simulator must classify every run identically whether
 #     sessions are built serially or from two worker domains at once
-#     (each session dynlinks a private plugin instance — this guards
+#     (the process loads the plugin once, and each session instantiates
+#     it: a private value store, FSM states and RAM images — this guards
 #     that isolation).
 "$OCAPI" fault --design dect --campaign seu --runs 300 --seed 1 \
   --engine native --json >"$work/seu-native-1.json"
@@ -106,6 +107,16 @@ done
   --engine interp --domains 2 --json >"$work/seu-hcor-interp-2.json"
 check_cmp "seu report (hcor, interp engine, 300 runs)" \
   "$work/seu-hcor-interp-1.json" "$work/seu-hcor-interp-2.json"
+
+# 1f. A native SEU campaign on the accumulator CPU, whose RAM the plugin
+#     inlines: the RAM image is instance state, so two worker domains'
+#     instances of the one loaded plugin must not share it.
+"$OCAPI" fault --design cpu --campaign seu --runs 300 --seed 1 \
+  --engine native --json >"$work/seu-cpu-native-1.json"
+"$OCAPI" fault --design cpu --campaign seu --runs 300 --seed 1 \
+  --engine native --domains 2 --json >"$work/seu-cpu-native-2.json"
+check_cmp "seu report (cpu, native engine, 300 runs)" \
+  "$work/seu-cpu-native-1.json" "$work/seu-cpu-native-2.json"
 
 # 2. Stuck-at campaign report: a seeded 80-fault sample of the DECT
 #    gate-level netlist.

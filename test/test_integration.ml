@@ -57,6 +57,20 @@ let test_metrics_all_engines () =
   Alcotest.(check bool) "capture smaller than RT VHDL" true
     (lines Metrics.Rt_event_driven > 2 * 140)
 
+(* Table 1's process column counts an engine's own state: the cycles a
+   long compiled run evaluated into the shared stimulus columns leave
+   the RT and interpreted rows as they were.  (The interpreter records
+   into the system's trace, which keeps the capacity of its longest
+   run: the first pair of rows sets it.) *)
+let test_process_bytes_exclude_columns () =
+  let sys = hcor () in
+  let bytes engine = (Metrics.measure sys engine ~cycles:50).Metrics.m_process_bytes in
+  let rows () = (bytes Metrics.Rt_event_driven, bytes Metrics.Interpreted_objects) in
+  ignore (rows ());
+  let before = rows () in
+  ignore (Metrics.measure sys Metrics.Compiled_code ~cycles:200_000);
+  Alcotest.(check (pair int int)) "RT and interp process bytes" before (rows ())
+
 let test_metrics_table_rendering () =
   let sys = hcor () in
   let m = Metrics.measure ~ocaml_source_lines:100 sys Metrics.Interpreted_objects ~cycles:50 in
@@ -83,6 +97,8 @@ let suite =
     Alcotest.test_case "flow check clean on HCOR" `Quick test_flow_check_clean;
     Alcotest.test_case "engines agree on HCOR" `Quick test_engines_agree_on_hcor;
     Alcotest.test_case "metrics across all engines" `Slow test_metrics_all_engines;
+    Alcotest.test_case "process bytes exclude stimulus columns" `Quick
+      test_process_bytes_exclude_columns;
     Alcotest.test_case "metrics table rendering" `Quick test_metrics_table_rendering;
     Alcotest.test_case "source line counter" `Quick test_source_line_counter;
   ]

@@ -1,11 +1,12 @@
 (* Tests for the native (dynlinked) engine: probe-history equivalence
    with the interpreted engine on the HCOR and DECT designs, the
-   artifact cache (warm loads skip the compiler, corrupt or stale
-   [.cmxs] artifacts are counted misses followed by a recompile), and
-   the structured [Native_unavailable] degradation when the toolchain
-   is missing or the engine is disabled.  Every test also passes on a
-   toolchain-less host, where the engine serves its interpreted
-   fallback behind the same session surface. *)
+   artifact cache (warm loads skip the compiler, corrupt or misfitting
+   [.cmxs] artifacts are counted misses followed by a recompile), one
+   load per artifact per process with a private instance per session,
+   and the structured [Native_unavailable] degradation when the
+   toolchain is missing or the engine is disabled.  Every test also
+   passes on a toolchain-less host, where the engine serves its
+   interpreted fallback behind the same session surface. *)
 
 let native_ok () =
   match Ocapi_native.availability () with Ok () -> true | Error _ -> false
@@ -70,7 +71,7 @@ let test_equivalence_hcor () =
    cells. *)
 let test_equivalence_int64_cells () =
   let sys = accum ~width:60 ~out_width:62 () in
-  let src, _ = Emit.emit_plugin sys in
+  let src = Emit.emit_plugin sys in
   Alcotest.(check string) "value store"
     (Printf.sprintf "(* Emitter v%d, int64 value store; loaded via Dynlink, \
                      driven through" Emit.emitter_version)
@@ -89,31 +90,57 @@ let test_equivalence_dect () =
 (* --- the artifact cache ---------------------------------------------------- *)
 
 let uniq = ref 0
+let made = ref []
 
-(* Point OCAPI_NATIVE_CACHE_DIR at a fresh directory and zero the
-   counters, so compile/hit counts observe exactly this test's
-   sessions.  Restores the default directory afterwards (putenv cannot
-   unset, but the empty string selects the default). *)
-let with_fresh_native_cache f =
+(* A directory name under the temp directory that no test used yet,
+   removed by the enclosing [with_fresh_native_cache]. *)
+let fresh_dir () =
   incr uniq;
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ocapi_native_test_%d_%d" (Unix.getpid ()) !uniq)
   in
+  made := dir :: !made;
+  dir
+
+(* Point OCAPI_NATIVE_CACHE_DIR at a fresh directory and zero the
+   counters, so compile/hit counts observe exactly this test's
+   sessions.  Restores the default directory afterwards (putenv cannot
+   unset, but the empty string selects the default). *)
+let with_fresh_native_cache f =
+  let dir = fresh_dir () in
   Unix.putenv "OCAPI_NATIVE_CACHE_DIR" dir;
   Ocapi_native.reset_stats ();
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "OCAPI_NATIVE_CACHE_DIR" "";
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f ->
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      end)
+      List.iter (fun d -> if Sys.file_exists d then Temp_dir.remove d) !made;
+      made := [])
     (fun () -> f dir)
+
+let artifacts dir =
+  List.filter (fun f -> Filename.check_suffix f ".cmxs") (Array.to_list (Sys.readdir dir))
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+(* Make a fresh directory holding [files] (name, bytes) the cache: a
+   directory this process never loaded from, so its sessions load from
+   disk as a new process would. *)
+let cache_of files =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  List.iter
+    (fun (name, bytes) ->
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          output_string oc bytes))
+    files;
+  Unix.putenv "OCAPI_NATIVE_CACHE_DIR" dir;
+  dir
+
+(* [cache_of] [dir]'s artifacts. *)
+let copy_cache dir =
+  cache_of (List.map (fun f -> (f, read (Filename.concat dir f))) (artifacts dir))
 
 (* One full session on the native engine: reset, step [cycles], return
    the histories. *)
@@ -140,23 +167,28 @@ let test_warm_cache_skips_compiler () =
   let sys = accum ~width:9 () in
   if not (native_ok ()) then check_fallback_serves sys
   else
-    with_fresh_native_cache (fun _dir ->
+    with_fresh_native_cache (fun dir ->
         let cold = run_session sys ~cycles:12 in
         let s1 = Ocapi_native.stats () in
         Alcotest.(check int) "cold run compiles once" 1 s1.Ocapi_native.compiles;
         Alcotest.(check int)
           "cold run is not a cache hit" 0 s1.Ocapi_native.cache_hits;
-        let warm = run_session sys ~cycles:12 in
+        let again = run_session sys ~cycles:12 in
         let s2 = Ocapi_native.stats () in
+        Alcotest.(check (pair int int))
+          "a second session reuses the loaded factory" (1, 1)
+          (s2.Ocapi_native.reuses, s2.Ocapi_native.loads);
+        ignore (copy_cache dir);
+        let warm = run_session sys ~cycles:12 in
+        let s3 = Ocapi_native.stats () in
         Alcotest.(check int)
-          "warm run invokes no compiler" 1 s2.Ocapi_native.compiles;
+          "warm run invokes no compiler" 1 s3.Ocapi_native.compiles;
         Alcotest.(check int)
-          "warm run is a counted cache hit" 1 s2.Ocapi_native.cache_hits;
-        Alcotest.(check bool) "warm histories identical" true (cold = warm))
+          "warm run is a counted cache hit" 1 s3.Ocapi_native.cache_hits;
+        Alcotest.(check bool) "warm histories identical" true
+          (cold = again && cold = warm))
 
-(* Replace a cached artifact with garbage bytes.  Safe to do in place:
-   the engine never dynlinks the cache file itself, only a throwaway
-   per-load copy, so no live mapping is backed by this inode. *)
+(* Replace a cached artifact with garbage bytes, under a new inode. *)
 let overwrite path bytes =
   (try Sys.remove path with Sys_error _ -> ());
   let oc = open_out_bin path in
@@ -176,10 +208,12 @@ let test_corrupt_artifact_recompiles () =
   else
     with_fresh_native_cache (fun dir ->
         let cold = run_session sys ~cycles:12 in
-        (* Corrupt the shared object: the Dynlink failure must be a
-           counted miss, dropped from the cache and recompiled — not a
-           crash, not a fallback. *)
-        garble dir ".cmxs" "this is not a shared object";
+        (* Corrupt the shared object in a directory this process never
+           loaded from: the Dynlink failure must be a counted miss,
+           dropped from the cache and recompiled — not a crash, not a
+           fallback. *)
+        let copy = copy_cache dir in
+        garble copy ".cmxs" "this is not a shared object";
         let again = run_session sys ~cycles:12 in
         let s = Ocapi_native.stats () in
         Alcotest.(check bool)
@@ -188,23 +222,30 @@ let test_corrupt_artifact_recompiles () =
         Alcotest.(check int) "recompiled" 2 s.Ocapi_native.compiles;
         Alcotest.(check int) "no fallback taken" 0 s.Ocapi_native.fallbacks;
         Alcotest.(check bool) "recompiled run bit-identical" true (cold = again);
-        (* A stale/garbled meta (undecodable, or a stale emitter
-           version) must take the same counted-miss path. *)
-        garble dir ".meta" "stale metadata";
+        (* Another design's artifact under this key loads, but its store
+           does not fit this design's lowered program: the same
+           counted-miss path. *)
+        ignore
+          (run_session
+             (Test_engines.ram_words_system ~name:"native_other" ~words:4 ())
+             ~cycles:4);
+        let mine = List.hd (artifacts dir) in
+        let theirs = List.find (fun f -> f <> mine) (artifacts copy) in
+        ignore (cache_of [ (mine, read (Filename.concat copy theirs)) ]);
         let third = run_session sys ~cycles:12 in
         let s = Ocapi_native.stats () in
         Alcotest.(check bool)
-          "stale meta is a counted miss" true
+          "misfitting artifact is a counted miss" true
           (s.Ocapi_native.corrupt_misses >= 2);
-        Alcotest.(check int) "recompiled again" 3 s.Ocapi_native.compiles;
+        Alcotest.(check int) "recompiled again" 4 s.Ocapi_native.compiles;
+        Alcotest.(check int) "still no fallback" 0 s.Ocapi_native.fallbacks;
         Alcotest.(check bool) "third run bit-identical" true (cold = third))
 
 (* Two live sessions built from the same digest must be genuinely
-   private instances.  Each load dynlinks a throwaway copy of the
-   artifact precisely because dlopen dedupes by pathname: reloading the
-   cached path in place would re-run the module initializer over the
-   shared mapping and rebind the first session's state out from under
-   it (this is the engine-sweep / parallel-campaign shape). *)
+   private instances.  The artifact is dynlinked once, and each session
+   is its own application of the plugin's functor, so stepping one
+   cannot touch the other's store (this is the engine-sweep /
+   parallel-campaign shape). *)
 let test_concurrent_sessions_are_private () =
   let sys_a = accum ~width:12 () in
   let sys_b = accum ~width:12 () in
@@ -227,6 +268,114 @@ let test_concurrent_sessions_are_private () =
             "session B unperturbed by A" true
             (ses_b.Ocapi_engine.ses_histories () = expected)))
 
+(* --- one load, an instance per session ------------------------------------- *)
+
+let listing dir = if Sys.file_exists dir then Array.to_list (Sys.readdir dir) else []
+
+(* Only a path's first session dynlinks: 64 sessions over three builds
+   of one design, made one after another and overlapping, load once,
+   and after the first session no file appears in the temp directory or
+   in the cache directory. *)
+let test_one_load_per_artifact () =
+  let builds = Array.init 3 (fun _ -> accum ~width:15 ()) in
+  if not (native_ok ()) then check_fallback_serves builds.(0)
+  else
+    with_fresh_native_cache (fun dir ->
+        let expected = Flow.simulate ~engine:"interp" (accum ~width:15 ()) ~cycles:8 in
+        let check_run h = Alcotest.(check bool) "native = interp" true (h = expected) in
+        check_run (run_session builds.(0) ~cycles:8);
+        let tmp = Filename.get_temp_dir_name () in
+        let before = (listing tmp, listing dir) in
+        for i = 1 to 31 do
+          check_run (run_session builds.(i mod 3) ~cycles:8)
+        done;
+        let module E = (val Ocapi_engine.get "native") in
+        let open_ = List.init 32 (fun i -> E.make builds.(i mod 3)) in
+        Fun.protect
+          ~finally:(fun () -> List.iter (fun ses -> ses.Ocapi_engine.ses_close ()) open_)
+          (fun () ->
+            List.iter (fun ses -> ses.Ocapi_engine.ses_reset ()) open_;
+            for _ = 1 to 8 do
+              List.iter (fun ses -> ses.Ocapi_engine.ses_step ()) open_
+            done;
+            List.iter (fun ses -> check_run (ses.Ocapi_engine.ses_histories ())) open_);
+        let s = Ocapi_native.stats () in
+        Alcotest.(check (list int)) "loads, compiles, reuses" [ 1; 1; 63 ]
+          [ s.Ocapi_native.loads; s.Ocapi_native.compiles; s.Ocapi_native.reuses ];
+        let fresh (t0, d0) =
+          List.filter (fun f -> not (List.mem f t0)) (listing tmp)
+          @ List.filter (fun f -> not (List.mem f d0)) (listing dir)
+        in
+        Alcotest.(check (list string)) "no file written after the first session" []
+          (fresh before))
+
+(* A factory evicted from the table is loaded again from its artifact
+   — a file this process compiled, mapped and renamed — and still
+   simulates the design. *)
+let test_evicted_factory_loads_again () =
+  let build i = accum ~width:(20 + i) () in
+  if not (native_ok ()) then check_fallback_serves (build 0)
+  else
+    with_fresh_native_cache (fun _dir ->
+        for i = 0 to Artifact_table.capacity do
+          ignore (run_session (build i) ~cycles:4)
+        done;
+        let again = run_session (build 0) ~cycles:24 in
+        let s = Ocapi_native.stats () in
+        Alcotest.(check (list int)) "compiles, loads, cache hits"
+          [ Artifact_table.capacity + 1; Artifact_table.capacity + 2; 1 ]
+          [ s.Ocapi_native.compiles; s.Ocapi_native.loads; s.Ocapi_native.cache_hits ];
+        Alcotest.(check bool) "native = interp" true
+          (again = Flow.simulate ~engine:"interp" (build 0) ~cycles:24))
+
+(* A session's instance is all it keeps: 200 rs sessions made and
+   closed leave the live heap within a fixed bound of where 10 left
+   it. *)
+let test_sessions_leave_no_heap () =
+  let sys = Gallery.rs () in
+  let module E = (val Ocapi_engine.get "native") in
+  let session () =
+    let ses = E.make sys in
+    ses.Ocapi_engine.ses_step ();
+    ses.Ocapi_engine.ses_close ()
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 10 do session () done;
+  let after_10 = live () in
+  for _ = 1 to 190 do session () done;
+  let grown = live () - after_10 in
+  if grown > 5_000 then
+    Alcotest.failf "190 more sessions grew the live heap by %d words" grown
+
+(* RAM images are instance state: a native SEU campaign on the
+   accumulator CPU, whose RAM the plugin inlines, classifies every run
+   on two domains as it does serially. *)
+let test_seu_two_domains_cpu () =
+  let campaign ?replicate domains =
+    Ocapi_fault.seu_campaign ~engine:"native" ~runs:60 ~seed:5 ~domains ?replicate
+      (Gallery.cpu ()) ~cycles:48
+  in
+  Alcotest.(check (list string)) "2 domains = serial"
+    (Test_fault.seu_lines (campaign 1))
+    (Test_fault.seu_lines (campaign ~replicate:Gallery.cpu 2))
+
+(* The compiled and native engines lower a design once between them. *)
+let test_engines_share_lowering () =
+  let sys = accum ~width:16 () in
+  let before = Ocapi_engine.program_stats () in
+  List.iter
+    (fun engine ->
+      let module E = (val Ocapi_engine.get engine) in
+      (E.make sys).Ocapi_engine.ses_close ())
+    [ "compiled"; "native"; "compiled" ];
+  let s = Ocapi_engine.program_stats () in
+  Alcotest.(check (pair int int)) "one lowering, two reuses" (1, 2)
+    ( s.Artifact_table.elaborations - before.Artifact_table.elaborations,
+      s.Artifact_table.hits - before.Artifact_table.hits )
+
 (* --- the artifact key --------------------------------------------------------- *)
 
 (* The .cmxs cache key holds the design digest and [Emit.emitter_version]
@@ -236,13 +385,13 @@ let test_concurrent_sessions_are_private () =
    a change fail here until both are updated together.  The text depends
    only on the design: another build in between leaves it unchanged. *)
 let test_plugin_text_pinned () =
-  let text () = fst (Emit.emit_plugin (accum ~width:8 ())) in
+  let text () = Emit.emit_plugin (accum ~width:8 ()) in
   let first = text () in
   ignore (Emit.emit_plugin (accum ~width:13 ()));
   Alcotest.(check string) "text independent of earlier builds" first (text ());
   Alcotest.(check (pair int string))
     "emitter version and plugin text digest"
-    (5, "2d519cbe44552b6288ea5a5f2e4bfce8")
+    (6, "098264cc648c1b4453e1ed6d0e6d204b")
     (Emit.emitter_version, Digest.to_hex (Digest.string first))
 
 (* --- unavailability -------------------------------------------------------- *)
@@ -276,6 +425,16 @@ let suite =
       `Quick test_corrupt_artifact_recompiles;
     Alcotest.test_case "concurrent sessions are private instances" `Quick
       test_concurrent_sessions_are_private;
+    Alcotest.test_case "one load per artifact per process" `Quick
+      test_one_load_per_artifact;
+    Alcotest.test_case "an evicted factory loads again" `Quick
+      test_evicted_factory_loads_again;
+    Alcotest.test_case "sessions leave no heap behind" `Quick
+      test_sessions_leave_no_heap;
+    Alcotest.test_case "cpu SEU campaign: 2 domains = serial" `Quick
+      test_seu_two_domains_cpu;
+    Alcotest.test_case "compiled and native share one lowering" `Quick
+      test_engines_share_lowering;
     Alcotest.test_case "disabled: structured error, fallback serves" `Quick
       test_disabled_is_structured_and_serves_fallback;
     Alcotest.test_case "plugin text pinned to the emitter version" `Quick
