@@ -627,14 +627,12 @@ let emit_body buf mode (p : Compiled_sim.program) shape =
   pf "  ()\n\n";
   if shape = Plugin then pf "end\n\n"
 
-let lower_with_mode sys =
-  let p = Compiled_sim.lower sys in
-  (p, if word_mode_ok p then Word else I64)
+let mode_of p = if word_mode_ok p then Word else I64
 
 (* --- the plugin -------------------------------------------------------------- *)
 
-let emit_plugin sys =
-  let p, mode = lower_with_mode sys in
+let emit_plugin sys p =
+  let mode = mode_of p in
   let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let store = match mode with Word -> "Words" | I64 -> "Boxed" in
@@ -669,7 +667,8 @@ let emit_plugin sys =
 (* --- the standalone simulator ------------------------------------------------ *)
 
 let emit_standalone sys ~cycles =
-  let p, mode = lower_with_mode sys in
+  let p = Compiled_sim.lower sys in
+  let mode = mode_of p in
   let open Compiled_sim in
   Array.iter
     (fun k ->

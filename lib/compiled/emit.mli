@@ -33,15 +33,15 @@ val emitter_version : int
     native engine folds it into the [.cmxs] cache key so stale
     artifacts are never paired with a newer host. *)
 
-val emit_plugin : Cycle_system.t -> string
-(** [emit_plugin sys] renders [sys] as the source of a dynlinkable
-    plugin module, whose only dependency is [Ocapi_native_abi].  The
-    body is a generative functor, and on load the module registers a
-    factory that applies it: each call allocates a fresh simulator
-    instance (value store, stamps, FSM states, RAM images, kernel hook
-    slots) and returns its [Ocapi_native_abi.plugin] record.  Its slot
-    layout is [Compiled_sim.lower]'s, so the host takes the session's
-    tables from that program. *)
+val emit_plugin : Cycle_system.t -> Compiled_sim.program -> string
+(** [emit_plugin sys p] renders [p], [Compiled_sim.lower sys], as the
+    source of a dynlinkable plugin module, whose only dependency is
+    [Ocapi_native_abi].  The body is a generative functor, and on load
+    the module registers a factory that applies it: each call
+    allocates a fresh simulator instance (value store, stamps, FSM
+    states, RAM images, kernel hook slots) and returns its
+    [Ocapi_native_abi.plugin] record.  Its slot layout is [p]'s, so the
+    host takes the session's tables from that program. *)
 
 val emit_standalone : Cycle_system.t -> cycles:int -> string
 (** [emit_standalone sys ~cycles] renders [sys] as a self-contained

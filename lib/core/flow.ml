@@ -52,16 +52,6 @@ let pp_check_report ppf r =
     Format.fprintf ppf "@]"
   end
 
-(* Run [f] plainly, or — when a [telemetry] cell is supplied — under a
-   fresh enabled telemetry scope, leaving the report in the cell. *)
-let scoped ?telemetry ~label f =
-  match telemetry with
-  | None -> f ()
-  | Some cell ->
-    let result, report = Ocapi_obs.run_with_telemetry ~label f in
-    cell := Some report;
-    result
-
 (* --- keyed result cache ----------------------------------------------------
 
    Memoizes probe histories by (design digest, stimulus fingerprint,
@@ -80,7 +70,6 @@ module Cache = struct
     entries : int;
     disk_hits : int;
     disk_writes : int;
-    disk_evictions : int;
   }
 
   let lock = Mutex.create ()
@@ -89,14 +78,10 @@ module Cache = struct
 
   (* None = disabled; Some dir = enabled, with an optional disk store. *)
   let state : string option option ref = ref None
-
-  (* Disk-store byte cap; [None] = unbounded (the historical default). *)
-  let disk_cap : int option ref = ref None
   let hits = ref 0
   let misses = ref 0
   let disk_hits = ref 0
   let disk_writes = ref 0
-  let disk_evictions = ref 0
 
   (* Auxiliary [Store]s register a reset hook here so [clear] empties
      them along with the history table.  Guarded by [lock]. *)
@@ -113,15 +98,9 @@ module Cache = struct
       try Sys.mkdir dir 0o755 with Sys_error _ -> ()
     end
 
-  let enable ?dir ?max_disk_bytes () =
-    (match max_disk_bytes with
-    | Some b when b < 0 ->
-      invalid_arg "Flow.Cache.enable: max_disk_bytes < 0"
-    | _ -> ());
+  let enable ?dir () =
     (match dir with Some d -> mkdir_p d | None -> ());
-    locked (fun () ->
-        state := Some dir;
-        disk_cap := max_disk_bytes)
+    locked (fun () -> state := Some dir)
 
   let disable () = locked (fun () -> state := None)
   let enabled () = !state <> None
@@ -139,7 +118,6 @@ module Cache = struct
           entries = Hashtbl.length table;
           disk_hits = !disk_hits;
           disk_writes = !disk_writes;
-          disk_evictions = !disk_evictions;
         })
 
   let reset_stats () =
@@ -147,8 +125,7 @@ module Cache = struct
         hits := 0;
         misses := 0;
         disk_hits := 0;
-        disk_writes := 0;
-        disk_evictions := 0)
+        disk_writes := 0)
 
   let key_of ~engine ~seed sys ~cycles =
     let digest = Cycle_system.digest sys in
@@ -177,65 +154,19 @@ module Cache = struct
     Filename.concat dir
       ("v1-" ^ namespace ^ "-" ^ Digest.to_hex (Digest.string k) ^ ".cache")
 
-  (* LRU-by-mtime size bound on the disk store: after every write, if
-     the [.cache] files of [dir] exceed the byte cap, the least
-     recently used (oldest mtime — reads touch the file) are deleted
-     until the store fits.  Runs with [lock] held. *)
-  let sweep_disk dir cap =
-    match
-      Array.to_list (Sys.readdir dir)
-      |> List.filter (fun f -> Filename.check_suffix f ".cache")
-      |> List.filter_map (fun f ->
-             let path = Filename.concat dir f in
-             try
-               let st = Unix.stat path in
-               Some (path, st.Unix.st_mtime, st.Unix.st_size)
-             with Unix.Unix_error _ | Sys_error _ -> None)
-    with
-    | entries ->
-      let total =
-        List.fold_left (fun acc (_, _, size) -> acc + size) 0 entries
-      in
-      if total > cap then begin
-        let oldest_first =
-          List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) entries
-        in
-        let excess = ref (total - cap) in
-        List.iter
-          (fun (path, _, size) ->
-            if !excess > 0 then begin
-              (try
-                 Sys.remove path;
-                 excess := !excess - size;
-                 incr disk_evictions;
-                 Ocapi_obs.count "flow.cache.disk_eviction"
-               with Sys_error _ -> ())
-            end)
-          oldest_first
-      end
-    | exception Sys_error _ -> ()
-
   (* Disk entries carry their full key so an MD5 filename collision
-     degrades to a miss, never a wrong result.  A hit touches the file
-     so the LRU sweep sees it as recently used. *)
+     degrades to a miss, never a wrong result. *)
   let disk_read ~namespace (type v) dir k : v option =
     let path = disk_path ~namespace dir k in
     if not (Sys.file_exists path) then None
     else
       try
         let ic = open_in_bin path in
-        let result =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              let stored_key, value =
-                (Marshal.from_channel ic : string * v)
-              in
-              if stored_key = k then Some value else None)
-        in
-        if result <> None then
-          (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-        result
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let stored_key, value = (Marshal.from_channel ic : string * v) in
+            if stored_key = k then Some value else None)
       with _ -> None
 
   (* Writes are atomic (tmp + rename, the same idiom as the batch
@@ -255,9 +186,7 @@ module Cache = struct
         (fun () -> Marshal.to_channel oc (k, v) []);
       Sys.rename tmp path
     with
-    | () ->
-      (match !disk_cap with Some cap -> sweep_disk dir cap | None -> ());
-      true
+    | () -> true
     | exception _ ->
       (try Sys.remove tmp with _ -> ());
       false
@@ -399,54 +328,38 @@ let () =
   Ocapi_native.register_engine ();
   Ocapi_ir.register_gate_engine ()
 
-(* One cache key per distinct behaviour: scheduling discipline and the
-   RTL delta budget change what a run can produce, so they fold into
-   the engine component of the key. *)
-let engine_key name ~two_phase ~max_deltas =
-  name
-  ^ (if two_phase then "+two-phase" else "")
-  ^ match max_deltas with Some n -> "+md" ^ string_of_int n | None -> ""
-
-let simulate ?telemetry ?(two_phase = false) ?(engine = "interp") ?max_deltas
-    ?(seed = 0) ?progress ?corr sys ~cycles =
+let simulate ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
   Ocapi_error.check_count ~engine:"flow" "simulate: cycles" cycles;
   let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
-  scoped ?telemetry ~label:("simulate." ^ E.name) (fun () ->
-      let compute () =
-        let options =
-          { Ocapi_engine.opt_two_phase = two_phase;
-            opt_max_deltas = max_deltas }
-        in
-        let ses = E.make ~options sys in
-        Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
-            Ocapi_engine.run ?progress ses ~cycles)
-      in
-      let run () =
-        if not (Cache.enabled ()) then compute ()
-        else
-          let key =
-            Cache.key_of ~engine:(engine_key E.name ~two_phase ~max_deltas)
-              ~seed sys ~cycles
-          in
-          Cache.coalesced_histories ~key ~compute
-      in
-      (* The correlation id lands both in the event log and in the span
-         args, so a Perfetto trace and the event log join per job. *)
-      let ev_fields =
-        [ ("engine", Ocapi_obs.Json.String E.name);
-          ("cycles", Ocapi_obs.Json.Int cycles) ]
-      in
-      let span_args =
-        match corr with
-        | None -> ev_fields
-        | Some c -> ("corr", Ocapi_obs.Json.String c) :: ev_fields
-      in
-      Ocapi_obs.Events.emit ?corr ~fields:ev_fields "run_started";
-      let result =
-        Ocapi_obs.with_span ~cat:"flow" ~args:span_args "flow.simulate" run
-      in
-      Ocapi_obs.Events.emit ?corr ~fields:ev_fields "run_finished";
-      result)
+  let compute () =
+    let ses = E.make sys in
+    Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+        Ocapi_engine.run ?progress ses ~cycles)
+  in
+  let run () =
+    if not (Cache.enabled ()) then compute ()
+    else
+      Cache.coalesced_histories
+        ~key:(Cache.key_of ~engine:E.name ~seed sys ~cycles)
+        ~compute
+  in
+  (* The correlation id lands both in the event log and in the span
+     args, so a Perfetto trace and the event log join per job. *)
+  let ev_fields =
+    [ ("engine", Ocapi_obs.Json.String E.name);
+      ("cycles", Ocapi_obs.Json.Int cycles) ]
+  in
+  let span_args =
+    match corr with
+    | None -> ev_fields
+    | Some c -> ("corr", Ocapi_obs.Json.String c) :: ev_fields
+  in
+  Ocapi_obs.Events.emit ?corr ~fields:ev_fields "run_started";
+  let result =
+    Ocapi_obs.with_span ~cat:"flow" ~args:span_args "flow.simulate" run
+  in
+  Ocapi_obs.Events.emit ?corr ~fields:ev_fields "run_finished";
+  result
 
 type mismatch = {
   mm_pair : string;
@@ -657,15 +570,14 @@ let emit_ocaml_simulator sys ~dir ~cycles =
     (Verilog.sanitize (Cycle_system.name sys) ^ "_sim.ml")
     src
 
-let synthesize_to_verilog ?telemetry ?options ?macro_of_kernel sys ~dir =
-  scoped ?telemetry ~label:"synthesize" (fun () ->
-      let nl, report = Synthesize.synthesize ?options ?macro_of_kernel sys in
-      let path =
-        write_file dir
-          (Verilog.sanitize (Cycle_system.name sys) ^ "_netlist.v")
-          (Verilog.of_netlist nl)
-      in
-      (nl, report, path))
+let synthesize_to_verilog ?options ?macro_of_kernel sys ~dir =
+  let nl, report = Synthesize.synthesize ?options ?macro_of_kernel sys in
+  let path =
+    write_file dir
+      (Verilog.sanitize (Cycle_system.name sys) ^ "_netlist.v")
+      (Verilog.of_netlist nl)
+  in
+  (nl, report, path)
 
 let verify_netlist ?options ?macro_of_kernel sys ~cycles =
   Ocapi_error.check_count ~engine:"flow" "gate-level check: cycles" cycles;

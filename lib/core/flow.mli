@@ -33,19 +33,14 @@ val check_clean : check_report -> bool
 
 (** {1 Simulation}
 
-    Every simulation (and synthesis) entry point takes an optional
-    [?telemetry] cell.  When supplied, the run executes under a fresh
-    enabled {!Ocapi_obs} scope — counters reset, engines instrumented —
-    and the cell receives the {!Ocapi_obs.report} (metrics snapshot,
-    wall time, trace-event count).  Without it the run pays only the
-    disabled-telemetry cost (one flag check per cycle). *)
+    To measure a run, wrap it in {!Ocapi_obs.run_with_telemetry}: the
+    engines instrument themselves while telemetry is enabled, and pay
+    one flag check per cycle while it is not. *)
 
 (** [simulate ?engine sys ~cycles] simulates on the named engine
     (resolved from the {!Ocapi_engine} registry; default ["interp"])
     and returns the probe histories by probe name.  Resets the system
-    first and leaves it reset.  [two_phase] selects the classic
-    two-phase scheduler (interpreted engine only); [max_deltas] is the
-    RTL engine's delta budget; [seed] only keys the result {!Cache}
+    first and leaves it reset.  [seed] only keys the result {!Cache}
     (plain simulation is deterministic).
 
     When the {!Cache} is enabled, the run is served from it on a key
@@ -67,10 +62,7 @@ val check_clean : check_report -> bool
     @raise Ocapi_error.Error with code [Unsupported] on an unknown
     engine name or negative [cycles]. *)
 val simulate :
-  ?telemetry:Ocapi_obs.report option ref ->
-  ?two_phase:bool ->
   ?engine:string ->
-  ?max_deltas:int ->
   ?seed:int ->
   ?progress:(int -> unit) ->
   ?corr:string ->
@@ -119,20 +111,14 @@ module Cache : sig
     entries : int;  (** in-memory entries right now *)
     disk_hits : int;  (** subset of [hits] read from disk *)
     disk_writes : int;
-    disk_evictions : int;  (** files deleted by the LRU size sweep *)
   }
 
-  (** [enable ?dir ?max_disk_bytes ()] turns the cache on; [dir] adds
-      the on-disk store (created if missing).  Disk entries are written
-      atomically (tmp + rename) and any write or read failure —
-      including a corrupted or truncated entry — degrades to a miss,
-      never an exception.  [max_disk_bytes] bounds
-      the disk store: after every write, if the [.cache] files of
-      [dir] exceed the cap, the least-recently-used entries (oldest
-      mtime; disk hits touch their file) are deleted until it fits.
-      Omitted = unbounded, the historical behaviour.
-      @raise Invalid_argument on a negative cap. *)
-  val enable : ?dir:string -> ?max_disk_bytes:int -> unit -> unit
+  (** [enable ?dir ()] turns the cache on; [dir] adds the on-disk
+      store (created if missing, never swept: delete the directory to
+      reclaim it).  Disk entries are written atomically (tmp + rename)
+      and any write or read failure — including a corrupted or
+      truncated entry — degrades to a miss, never an exception. *)
+  val enable : ?dir:string -> unit -> unit
 
   val disable : unit -> unit
   val enabled : unit -> bool
@@ -146,7 +132,7 @@ module Cache : sig
 
   (** [key_of ~engine ~seed sys ~cycles] is the cache key of a run:
       structural digest, stimulus fingerprint over [cycles], the
-      engine/options string, seed and cycle count.  Exposed so other
+      engine string, seed and cycle count.  Exposed so other
       layers key their own memoization and dedup on the same identity —
       the job runner fingerprints whole jobs with it by folding the
       job parameters into [engine]. *)
@@ -297,7 +283,6 @@ val emit_ocaml_simulator : Cycle_system.t -> dir:string -> cycles:int -> string
 (** Synthesize and write the structural Verilog netlist; returns the
     netlist, the synthesis report and the file path. *)
 val synthesize_to_verilog :
-  ?telemetry:Ocapi_obs.report option ref ->
   ?options:Synthesize.options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   Cycle_system.t ->

@@ -61,11 +61,15 @@ let measure ?(ocaml_source_lines = 0) ?macro_of_kernel sys engine ~cycles =
         ses.ses_reset ();
         for _ = 1 to min 16 cycles do ses.ses_step () done (* warm-up *);
         ses.ses_reset ();
-        let resident = ses.ses_resident_words () * (Sys.word_size / 8) in
         let s =
           timed (fun () ->
               for _ = 1 to cycles do ses.ses_step () done)
         in
+        (* Read after the run, from reset: what the run built (the
+           interpreter's evaluation plans, first built when a transition
+           first fires) counts, the values it left do not. *)
+        ses.ses_reset ();
+        let resident = ses.ses_resident_words () * (Sys.word_size / 8) in
         let lines =
           match engine with
           | Interpreted_objects -> ocaml_source_lines

@@ -29,7 +29,9 @@ type measurement = {
   m_cycles : int;
   m_seconds : float;
   m_cycles_per_second : float;
-  m_process_bytes : int;  (** live-heap growth retained by the engine *)
+  m_process_bytes : int;
+      (** the session's heap, read from reset after the run, less the
+          stimulus columns and its probe trace *)
   m_source_lines : int;  (** description size for this representation *)
 }
 

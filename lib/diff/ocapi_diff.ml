@@ -1228,10 +1228,9 @@ let register_buggy_engine () =
       let name = buggy_name
       let display = "buggy"
       let aliases = []
-      let capabilities = I.capabilities
 
-      let make ?options sys =
-        let ses = I.make ?options sys in
+      let make sys =
+        let ses = I.make sys in
         (* A copy of the interpreter's trace with bit 0 of every token
            from cycle 3 on flipped, rebuilt on each read: callers read
            it after stepping. *)

@@ -16,10 +16,6 @@ let create () = { lock = Mutex.create (); entries = []; stats = zero }
 let locked t f = Mutex.protect t.lock f
 let stats t = locked t (fun () -> t.stats)
 let reset_stats t = locked t (fun () -> t.stats <- zero)
-let peek t key = locked t (fun () -> List.assoc_opt key t.entries)
-
-let remove_if t drop =
-  locked t (fun () -> t.entries <- List.filter (fun (k, _) -> not (drop k)) t.entries)
 
 let find_or_add t key build =
   let found =

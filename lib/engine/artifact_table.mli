@@ -1,7 +1,7 @@
 (** A per-process table of immutable artifacts — the gate engine's
-    netlists, lowered programs, loaded native plugins — so that every
-    session of a design, on any domain, is served the same one.  At
-    most {!capacity} entries, least recently used evicted first;
+    netlists and the lowered programs — so that every session of a
+    design, on any domain, is served the same one.  At most
+    {!capacity} entries, least recently used evicted first;
     mutex-guarded, and a miss builds outside the lock, so two domains
     missing on one key at once both build and the later insert wins. *)
 
@@ -16,13 +16,6 @@ val create : unit -> 'a t
     and inserted on a miss.  An exception from [build] propagates and
     inserts nothing. *)
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
-
-(** [peek t key] is [key]'s artifact if present, leaving the
-    statistics and the recency order as they are. *)
-val peek : 'a t -> string -> 'a option
-
-(** [remove_if t drop] forgets the entries whose key satisfies [drop]. *)
-val remove_if : 'a t -> (string -> bool) -> unit
 
 (** Counters of one table, since its creation or {!reset_stats}. *)
 type stats = {

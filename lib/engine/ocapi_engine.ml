@@ -32,23 +32,11 @@ type session = {
   ses_close : unit -> unit;
 }
 
-type options = { opt_two_phase : bool; opt_max_deltas : int option }
-
-let default_options = { opt_two_phase = false; opt_max_deltas = None }
-
-type capabilities = {
-  cap_two_phase : bool;
-  cap_max_deltas : bool;
-  cap_shares_registers : bool;
-  cap_static_size : bool;
-}
-
 module type ENGINE = sig
   val name : string
   val display : string
   val aliases : string list
-  val capabilities : capabilities
-  val make : ?options:options -> Cycle_system.t -> session
+  val make : Cycle_system.t -> session
 end
 
 type t = (module ENGINE)
@@ -66,26 +54,6 @@ let closer sys name =
       Cycle_system.detach_engine sys name
     end
 
-(* Engines index timed components in their own elaboration order; map
-   the system's order onto it once per session. *)
-let component_index ~engine ~count ~info comps =
-  Array.of_list
-    (List.map
-       (fun (cname, _) ->
-         let rec find i =
-           if i >= count then
-             raise
-               (Ocapi_error.Error
-                  (Ocapi_error.make Ocapi_error.Internal ~engine
-                     ~construct:cname
-                     (Printf.sprintf "component missing from %s"
-                        (if engine = "rtl" then "elaboration" else "program"))))
-           else if fst (info i) = cname then i
-           else find (i + 1)
-         in
-         find 0)
-       comps)
-
 (* --- interpreted three-phase engine -------------------------------------- *)
 
 module Interp_engine = struct
@@ -93,25 +61,13 @@ module Interp_engine = struct
   let display = "interpreted"
   let aliases = [ "interpreted" ]
 
-  let capabilities =
-    {
-      cap_two_phase = true;
-      cap_max_deltas = false;
-      cap_shares_registers = true;
-      cap_static_size = false;
-    }
-
-  let make ?(options = default_options) sys =
+  let make sys =
     let regs = Array.of_list (Cycle_system.all_regs sys) in
     let comps = Array.of_list (Cycle_system.timed_components sys) in
-    let step =
-      if options.opt_two_phase then fun () -> Cycle_system.cycle_two_phase sys
-      else fun () -> Cycle_system.cycle sys
-    in
     Cycle_system.attach_engine sys name;
     {
       ses_engine = name;
-      ses_step = step;
+      ses_step = (fun () -> Cycle_system.cycle sys);
       ses_cycle = (fun () -> Cycle_system.current_cycle sys);
       ses_reset = (fun () -> Cycle_system.reset sys);
       ses_histories = (fun () -> Cycle_system.probe_histories sys);
@@ -145,7 +101,9 @@ module Interp_engine = struct
             (Ocapi_error.check_state ~engine:name ~construct:cname
                ~cycle:(Cycle_system.current_cycle sys)
                ~states:(List.length (Fsm.states fsm)) s));
-      ses_resident_words = (fun () -> Cycle_system.resident_words sys sys);
+      ses_resident_words =
+        (fun () ->
+          Cycle_system.resident_words sys ~trace:(Cycle_system.trace sys) sys);
       ses_static_size = None;
       ses_checkpoint =
         (fun () ->
@@ -176,12 +134,6 @@ let compiled_session ~engine sys =
   Cycle_system.reset sys;
   let key = Cycle_system.elaboration_key sys in
   let prog = Compiled_sim.instantiate (lowered ~key sys) sys in
-  let comp_index =
-    component_index ~engine
-      ~count:(Compiled_sim.component_count prog)
-      ~info:(Compiled_sim.component_info prog)
-      (Cycle_system.timed_components sys)
-  in
   Cycle_system.attach_engine sys engine;
   {
     ses_engine = engine;
@@ -195,13 +147,12 @@ let compiled_session ~engine sys =
     ses_register_info = Compiled_sim.register_info prog;
     ses_poke_register_bit = Compiled_sim.flip_register_bit prog;
     ses_component_count = Compiled_sim.component_count prog;
-    ses_component_info =
-      (fun i -> Compiled_sim.component_info prog comp_index.(i));
-    ses_component_state =
-      (fun i -> Compiled_sim.component_state prog comp_index.(i));
-    ses_force_component_state =
-      (fun i s -> Compiled_sim.set_component_state prog comp_index.(i) s);
-    ses_resident_words = (fun () -> Cycle_system.resident_words sys prog);
+    ses_component_info = Compiled_sim.component_info prog;
+    ses_component_state = Compiled_sim.component_state prog;
+    ses_force_component_state = Compiled_sim.set_component_state prog;
+    ses_resident_words =
+      (fun () ->
+        Cycle_system.resident_words sys ~trace:(Compiled_sim.trace prog) prog);
     ses_static_size = Some (Compiled_sim.statement_count prog);
     ses_checkpoint =
       (fun () ->
@@ -221,15 +172,7 @@ module Compiled_engine = struct
   let display = "compiled"
   let aliases = []
 
-  let capabilities =
-    {
-      cap_two_phase = false;
-      cap_max_deltas = false;
-      cap_shares_registers = false;
-      cap_static_size = true;
-    }
-
-  let make ?options:_ sys = compiled_session ~engine:name sys
+  let make sys = compiled_session ~engine:name sys
 end
 
 (* --- event-driven RTL engine ---------------------------------------------- *)
@@ -239,23 +182,9 @@ module Rtl_engine = struct
   let display = "rtl"
   let aliases = [ "rtl-sim"; "rt" ]
 
-  let capabilities =
-    {
-      cap_two_phase = false;
-      cap_max_deltas = true;
-      cap_shares_registers = true;
-      cap_static_size = false;
-    }
-
-  let make ?(options = default_options) sys =
+  let make sys =
     Cycle_system.reset sys;
-    let rtl = Rtl.of_system ?max_deltas:options.opt_max_deltas sys in
-    let comp_index =
-      component_index ~engine:name
-        ~count:(Rtl.component_count rtl)
-        ~info:(Rtl.component_info rtl)
-        (Cycle_system.timed_components sys)
-    in
+    let rtl = Rtl.of_system sys in
     Cycle_system.attach_engine sys name;
     {
       ses_engine = name;
@@ -273,12 +202,11 @@ module Rtl_engine = struct
       ses_register_info = Rtl.register_info rtl;
       ses_poke_register_bit = Rtl.flip_register_bit rtl;
       ses_component_count = Rtl.component_count rtl;
-      ses_component_info = (fun i -> Rtl.component_info rtl comp_index.(i));
-      ses_component_state =
-        (fun i -> Rtl.component_state rtl comp_index.(i));
-      ses_force_component_state =
-        (fun i s -> Rtl.set_component_state rtl comp_index.(i) s);
-      ses_resident_words = (fun () -> Cycle_system.resident_words sys rtl);
+      ses_component_info = Rtl.component_info rtl;
+      ses_component_state = Rtl.component_state rtl;
+      ses_force_component_state = Rtl.set_component_state rtl;
+      ses_resident_words =
+        (fun () -> Cycle_system.resident_words sys ~trace:(Rtl.trace rtl) rtl);
       ses_static_size = None;
       ses_checkpoint =
         (fun () ->

@@ -21,8 +21,6 @@
 
     - {!section:sessions} — the {!session} record every engine's
       [make] returns: the whole per-engine surface in one place.
-    - {!section:options} — per-engine elaboration {!options} and the
-      {!capabilities} record that says which engine honours what.
     - {!section:interface} — the {!ENGINE} module type an
       implementation provides.
     - {!section:registry} — name/alias lookup ({!find}, {!get}) and
@@ -126,8 +124,8 @@ type session = {
           raises [Ocapi_error.Error] with code [Invalid_state] — the
           detected-outcome path of SEU campaigns *)
   ses_resident_words : unit -> int;
-      (** [Cycle_system.resident_words] of the engine's root state
-          (Table 1's memory column) *)
+      (** [Cycle_system.resident_words] of the engine's root state,
+          less its trace (Table 1's memory column) *)
   ses_static_size : int option;
       (** compiled statement count, for engines with a static program
           image *)
@@ -136,28 +134,6 @@ type session = {
           untimed kernel has no [k_snapshot] hook *)
   ses_close : unit -> unit;
       (** detach the engine mark from the system; idempotent *)
-}
-
-(** {1:options Engine options and capabilities} *)
-
-type options = {
-  opt_two_phase : bool;
-      (** interpreted engine: classic two-phase scheduling (bench C4
-          ablation) instead of three-phase *)
-  opt_max_deltas : int option;
-      (** RTL engine: delta-cycle budget per settle *)
-}
-
-val default_options : options
-(** three-phase, engine-default delta budget *)
-
-type capabilities = {
-  cap_two_phase : bool;  (** honours [opt_two_phase] *)
-  cap_max_deltas : bool;  (** honours [opt_max_deltas] *)
-  cap_shares_registers : bool;
-      (** the session aliases the system's register objects — run only
-          one such session per system at a time *)
-  cap_static_size : bool;  (** sessions carry [ses_static_size] *)
 }
 
 (** {1:interface The engine interface} *)
@@ -173,9 +149,7 @@ module type ENGINE = sig
   (** extra names {!find} accepts *)
   val aliases : string list
 
-  val capabilities : capabilities
-
-  val make : ?options:options -> Cycle_system.t -> session
+  val make : Cycle_system.t -> session
   (** Elaborate a session.  Resets the system first where elaboration
       requires a pristine state (compiled, RTL). *)
 end

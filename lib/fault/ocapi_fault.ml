@@ -49,8 +49,8 @@ let check_max_faults =
    replaying the vectors once until every lane is detected.  A lane's
    first differing (cycle, output), in output declaration order, is
    recorded exactly as a lone run of its fault records it. *)
-let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
-    ?progress nl ~vectors =
+let stuck_at_netlist ?max_faults ?(seed = 1) ?(domains = 1) ?progress nl
+    ~vectors =
   check_max_faults max_faults;
   let out_names = Array.of_list (List.map fst (Netlist.outputs_list nl)) in
   let n_cycles = Array.length vectors in
@@ -64,7 +64,7 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
   (* Fault-free reference: every output word of every cycle.  Computed
      once on the coordinating domain's own simulator and shared
      read-only with the workers. *)
-  let sim0 = Netlist.Sim.instantiate ?settle_budget topology in
+  let sim0 = Netlist.Sim.instantiate topology in
   let golden =
     Array.init n_cycles (fun c ->
         replay_cycle sim0 c;
@@ -133,7 +133,7 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?settle_budget ?(domains = 1)
     Ocapi_parallel.map_tasks ~domains
       ~make_state:(fun k ->
         if k = 0 && domains <= 1 then sim0
-        else Netlist.Sim.instantiate ?settle_budget topology)
+        else Netlist.Sim.instantiate topology)
       ~tasks:n_batches
       ~f:(fun state b ->
         let first = b * batch in
@@ -195,12 +195,11 @@ let record_vectors ?max_faults sys ~cycles =
     (Cycle_system.stimuli sys ~cycles);
   vectors
 
-let stuck_at_system ?max_faults ?seed ?settle_budget ?options ?macro_of_kernel
-    ?domains ?progress sys ~cycles =
+let stuck_at_system ?max_faults ?seed ?options ?macro_of_kernel ?domains
+    ?progress sys ~cycles =
   let vectors = record_vectors ?max_faults sys ~cycles in
   let nl, _report = Synthesize.synthesize ?options ?macro_of_kernel sys in
-  stuck_at_netlist ?max_faults ?seed ?settle_budget ?domains ?progress nl
-    ~vectors
+  stuck_at_netlist ?max_faults ?seed ?domains ?progress nl ~vectors
 
 type stuck_compare = {
   sc_design : string;
@@ -209,8 +208,8 @@ type stuck_compare = {
   sc_provenance : Ocapi_ir.pass_record list;
 }
 
-let stuck_at_optimized ?max_faults ?seed ?settle_budget ?options
-    ?macro_of_kernel ?domains ?progress sys ~cycles =
+let stuck_at_optimized ?max_faults ?seed ?options ?macro_of_kernel ?domains
+    ?progress sys ~cycles =
   let vectors = record_vectors ?max_faults sys ~cycles in
   (* Lower through the IR pass pipeline so the optimized netlist
      carries a provenance chain back to the behavioral root. *)
@@ -226,8 +225,7 @@ let stuck_at_optimized ?max_faults ?seed ?settle_budget ?options
     | None -> assert false (* both designs are at the gate level *)
   in
   let campaign nl =
-    stuck_at_netlist ?max_faults ?seed ?settle_budget ?domains ?progress nl
-      ~vectors
+    stuck_at_netlist ?max_faults ?seed ?domains ?progress nl ~vectors
   in
   let pre = campaign (netlist_of gate) in
   let post = campaign (netlist_of opt) in
@@ -281,11 +279,9 @@ let state_bits n = if n <= 1 then 0 else state_register_width
    per campaign as an [Ocapi_engine.session] and reused run after run;
    the uniform poke surface of the session replaces the per-engine
    harness dispatch. *)
-let make_session ?max_deltas ~engine sys =
+let make_session ~engine sys =
   let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
-  E.make
-    ~options:{ Ocapi_engine.default_options with opt_max_deltas = max_deltas }
-    sys
+  E.make sys
 
 let poke_target ses = function
   | Reg_bit { t_reg; t_bit } ->
@@ -296,8 +292,8 @@ let poke_target ses = function
     in
     ses.Ocapi_engine.ses_force_component_state t_comp s'
 
-let control_run ?max_deltas ~engine sys ~cycles =
-  let ses = make_session ?max_deltas ~engine sys in
+let control_run ~engine sys ~cycles =
+  let ses = make_session ~engine sys in
   Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
       Ocapi_engine.run ses ~cycles)
 
@@ -388,18 +384,9 @@ module Seu_store = Flow.Cache.Store (struct
   let namespace = "seu"
 end)
 
-let seu_key ~engine ~runs ~max_deltas ~seed sys ~cycles =
+let seu_key ~engine ~runs ~seed sys ~cycles =
   Flow.Cache.key_of
-    ~engine:
-      (String.concat "+"
-         [
-           "seu";
-           engine;
-           "runs" ^ string_of_int runs;
-           (match max_deltas with
-           | Some n -> "md" ^ string_of_int n
-           | None -> "md-");
-         ])
+    ~engine:(String.concat "+" [ "seu"; engine; "runs" ^ string_of_int runs ])
     ~seed sys ~cycles
 
 (* --- running one faulty run ---------------------------------------------------- *)
@@ -552,8 +539,8 @@ let check_campaign_size ~runs ~cycles =
     Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
       "SEU campaign: cycles must be a positive integer, got %d" cycles
 
-let seu_campaign_with ~checkpointed ~engine ~runs ~seed ?max_deltas ~domains
-    ?replicate ?progress sys ~cycles =
+let seu_campaign_with ~checkpointed ~engine ~runs ~seed ~domains ?replicate
+    ?progress sys ~cycles =
   let targets = seu_targets sys in
   if Array.length targets = 0 then
     invalid_arg "Ocapi_fault.seu_campaign: design has no architectural state";
@@ -618,7 +605,7 @@ let seu_campaign_with ~checkpointed ~engine ~runs ~seed ?max_deltas ~domains
         s
       end
     in
-    let ses = make_session ?max_deltas ~engine s in
+    let ses = make_session ~engine s in
     sessions := ses :: !sessions;
     (ses, golden_run ~checkpointed ses ~cycles)
   in
@@ -656,7 +643,7 @@ let seu_campaign_with ~checkpointed ~engine ~runs ~seed ?max_deltas ~domains
     seu_records = records;
   }
 
-let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
+let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1)
     ?(domains = 1) ?replicate ?progress sys ~cycles =
   check_campaign_size ~runs ~cycles;
   (* Resolve the engine up front so an unknown name fails before any
@@ -664,13 +651,13 @@ let seu_campaign ?(engine = "compiled") ?(runs = 1000) ?(seed = 1) ?max_deltas
      when an alias was passed. *)
   let engine = Ocapi_engine.name_of (Ocapi_engine.get engine) in
   let campaign () =
-    seu_campaign_with ~checkpointed:true ~engine ~runs ~seed ?max_deltas
-      ~domains ?replicate ?progress sys ~cycles
+    seu_campaign_with ~checkpointed:true ~engine ~runs ~seed ~domains
+      ?replicate ?progress sys ~cycles
   in
   if not (Flow.Cache.enabled ()) then campaign ()
   else
     Seu_store.coalesced
-      ~key:(seu_key ~engine ~runs ~max_deltas ~seed sys ~cycles)
+      ~key:(seu_key ~engine ~runs ~seed sys ~cycles)
       ~compute:campaign
 
 let seu_campaign_from_reset ~engine ~runs ~seed sys ~cycles =

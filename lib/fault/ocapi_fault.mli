@@ -60,8 +60,9 @@ type stuck_report = {
 (** [stuck_at_netlist nl ~vectors] runs a stuck-at campaign on [nl].
     [vectors.(c)] lists the [(input bus, mantissa)] stimuli of cycle
     [c].  [max_faults] caps the campaign to a deterministic
-    [seed]-driven sample of the collapsed fault list; [settle_budget]
-    is passed to {!Netlist.Sim.create} (the oscillation watchdog).
+    [seed]-driven sample of the collapsed fault list.  A fault that
+    makes the netlist oscillate is recorded as a [Did_not_settle]
+    diagnostic ({!Netlist.Sim.instantiate}'s watchdog).
 
     The faults run in batches of up to {!Netlist.Sim.lanes} (63), one
     fault per lane (parallel-pattern single-fault propagation).  A
@@ -88,7 +89,6 @@ type stuck_report = {
 val stuck_at_netlist :
   ?max_faults:int ->
   ?seed:int ->
-  ?settle_budget:int ->
   ?domains:int ->
   ?progress:(int -> unit) ->
   Netlist.t ->
@@ -105,7 +105,6 @@ val stuck_at_netlist :
 val stuck_at_system :
   ?max_faults:int ->
   ?seed:int ->
-  ?settle_budget:int ->
   ?options:Synthesize.options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   ?domains:int ->
@@ -140,7 +139,6 @@ type stuck_compare = {
 val stuck_at_optimized :
   ?max_faults:int ->
   ?seed:int ->
-  ?settle_budget:int ->
   ?options:Synthesize.options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   ?domains:int ->
@@ -207,8 +205,7 @@ type seu_report = {
     registry name even when an alias was passed).  Run [i] flips one
     seeded-random state bit at one seeded-random cycle; outcomes are
     classified against the fault-free run of the same engine.
-    [max_deltas] is the RTL engine's delta watchdog.  Deterministic:
-    same [seed] (default 1), same report.
+    Deterministic: same [seed] (default 1), same report.
 
     Runs resume from the fault-free run instead of replaying it.  Each
     session's fault-free run takes a checkpoint
@@ -242,7 +239,7 @@ type seu_report = {
 
     When the {!Flow.Cache} is enabled, the whole report is memoized
     under a key derived with {!Flow.Cache.key_of} from the design
-    digest, stimuli, engine, [runs], [max_deltas], [seed] and [cycles]:
+    digest, stimuli, engine, [runs], [seed] and [cycles]:
     a repeated campaign is served from memory or disk bit-identically,
     identical campaigns in flight on other domains coalesce to one
     execution, and [progress] is not called on a hit.  [domains] is
@@ -258,7 +255,6 @@ val seu_campaign :
   ?engine:string ->
   ?runs:int ->
   ?seed:int ->
-  ?max_deltas:int ->
   ?domains:int ->
   ?replicate:(unit -> Cycle_system.t) ->
   ?progress:(int -> unit) ->
@@ -269,8 +265,7 @@ val seu_campaign :
 (** {!seu_campaign}'s schedule and report on [engine], with every run
     replayed from reset and its whole histories compared against the
     fault-free run's: the reference the checkpointed runs must
-    reproduce.  Serial, with the engine's default options, and never
-    cached; for the differential fuzzer and the tests only.
+    reproduce.  Serial and never cached; for the differential fuzzer and the tests only.
     @raise Ocapi_error.Error as {!seu_campaign}. *)
 val seu_campaign_from_reset :
   engine:string ->
@@ -285,7 +280,6 @@ val seu_campaign_from_reset :
     test suite).  [engine] is a registry name, as for
     {!seu_campaign}. *)
 val control_run :
-  ?max_deltas:int ->
   engine:string ->
   Cycle_system.t ->
   cycles:int ->

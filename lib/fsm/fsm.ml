@@ -290,7 +290,10 @@ let guard_regs t =
            true
          end)
 
-let check ?(samples = 100) ?(flag_overlaps = false) t =
+(* Guard-register valuations the completeness check samples. *)
+let check_samples = 100
+
+let check ?(flag_overlaps = false) t =
   let issues = ref [] in
   let arms = arms t in
   (match t.f_initial with
@@ -320,7 +323,7 @@ let check ?(samples = 100) ?(flag_overlaps = false) t =
   Fun.protect
     ~finally:(fun () -> List.iter (fun (r, v) -> Signal.Reg.set_value r v) saved)
     (fun () ->
-      for _ = 1 to samples do
+      for _ = 1 to check_samples do
         List.iter
           (fun r ->
             let f = Signal.Reg.fmt r in

@@ -154,17 +154,16 @@ type check_issue =
 
 val pp_issue : Format.formatter -> check_issue -> unit
 
-(** [check ?samples ?flag_overlaps t] performs structural checks and a
-    randomized completeness check: for [samples] (default 100) random
-    valuations of the registers read by the guards, verify some
-    transition is enabled per state (the implicit hold is legal but
-    usually unintended).  With [flag_overlaps] (default false), also
+(** [check ?flag_overlaps t] performs structural checks and a
+    randomized completeness check: for 100 random valuations of the
+    registers read by the guards, verify some transition is enabled
+    per state (the implicit hold is legal but usually unintended).  With [flag_overlaps] (default false), also
     report states where several guards are enabled simultaneously —
     harmless under the priority-ordered {!select} semantics, but worth
     knowing for machines written in the paper's explicit-complement
     style.  The guard registers get their values back when the check
     ends, also when a guard raises on a sampled value. *)
-val check : ?samples:int -> ?flag_overlaps:bool -> t -> check_issue list
+val check : ?flag_overlaps:bool -> t -> check_issue list
 
 val pp : Format.formatter -> t -> unit
 

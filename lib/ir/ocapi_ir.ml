@@ -291,15 +291,7 @@ module Gate_engine = struct
   let display = "gate"
   let aliases = [ "netlist" ]
 
-  let capabilities =
-    {
-      Ocapi_engine.cap_two_phase = false;
-      cap_max_deltas = false;
-      cap_shares_registers = false;
-      cap_static_size = true;
-    }
-
-  let make ?options:_ sys =
+  let make sys =
     Cycle_system.reset sys;
     let a = gate_artifact sys in
     let smap = a.ga_map in
@@ -416,7 +408,7 @@ module Gate_engine = struct
             (fun b net ->
               Netlist.Sim.poke_net sim net (bit_of f.Synthesize.fm_encoding s b))
             f.Synthesize.fm_state_nets);
-      ses_resident_words = (fun () -> Cycle_system.resident_words sys sim);
+      ses_resident_words = (fun () -> Cycle_system.resident_words sys ~trace sim);
       ses_static_size = Some a.ga_static_size;
       ses_checkpoint =
         (fun () ->

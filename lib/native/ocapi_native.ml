@@ -150,16 +150,25 @@ let rec mkdir_p d =
     (try Sys.mkdir d 0o755 with Sys_error _ -> ())
   end
 
+(* Plugin loads hand off through one global slot in [Ocapi_native_abi],
+   and engine sweeps create sessions from several domains at once, so
+   the whole locate-compile-load path, and [factories], are serialized
+   by this mutex. *)
+let load_mutex = Mutex.create ()
+
 (* Loaded plugin factories, by artifact path: the cache directory and
-   the cache key.  A path is dynlinked once while its entry is in the
-   table; an evicted one is dynlinked again, which maps nothing new
-   (the loader knows the file) and registers its factory again. *)
-let factories : (unit -> Ocapi_native_abi.plugin) Artifact_table.t =
-  Artifact_table.create ()
+   the cache key.  Dynlinked code is never unmapped, so a factory, once
+   loaded, stays: forgetting it would save one closure and cost a
+   second load of the same file. *)
+let factories : (string, unit -> Ocapi_native_abi.plugin) Hashtbl.t =
+  Hashtbl.create 8
 
 let clear_disk_cache () =
   let dir = cache_dir () in
-  Artifact_table.remove_if factories (fun path -> Filename.dirname path = dir);
+  Mutex.protect load_mutex (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun path create -> if Filename.dirname path = dir then None else Some create)
+        factories);
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.iter
       (fun f ->
@@ -183,11 +192,6 @@ let cache_key ~elaboration ~cmi =
           ]))
 
 (* --- out-of-process compilation and loading ------------------------------- *)
-
-(* Plugin loads hand off through one global slot in [Ocapi_native_abi],
-   and engine sweeps create sessions from several domains at once, so
-   the whole locate-compile-load path is serialized. *)
-let load_mutex = Mutex.create ()
 
 exception Fall of Ocapi_error.t
 
@@ -265,7 +269,7 @@ let compile ~cmi ~path sys pg =
     (fun () ->
       let t_compile = Ocapi_obs.span_begin () in
       Out_channel.with_open_bin src (fun oc ->
-          output_string oc (Emit.emit_plugin sys));
+          output_string oc (Emit.emit_plugin sys pg));
       compile_cmxs ~cmi ~src ~out;
       bump n_compiles "compiles";
       Ocapi_obs.span_end ~cat:"native"
@@ -304,18 +308,17 @@ let factory ~cmi sys pg ~elaboration =
   let path =
     Filename.concat dir ("ocapi_plugin_" ^ cache_key ~elaboration ~cmi ^ ".cmxs")
   in
-  let reused = ref true in
-  let create =
-    Artifact_table.find_or_add factories path (fun () ->
-        Mutex.protect load_mutex (fun () ->
-            match Artifact_table.peek factories path with
-            | Some create -> create
-            | None ->
-              reused := false;
-              mkdir_p dir;
-              obtain ~cmi ~path sys pg))
+  let reused, create =
+    Mutex.protect load_mutex (fun () ->
+        match Hashtbl.find_opt factories path with
+        | Some create -> (true, create)
+        | None ->
+          mkdir_p dir;
+          let create = obtain ~cmi ~path sys pg in
+          Hashtbl.replace factories path create;
+          (false, create))
   in
-  if !reused then bump n_reuses "reuses";
+  if reused then bump n_reuses "reuses";
   create
 
 (* --- session construction ------------------------------------------------- *)
@@ -532,7 +535,7 @@ let native_session ~cmi sys =
           Ocapi_error.check_state ~engine:engine_name ~construct:cname
             ~cycle:!(p.Ocapi_native_abi.p_cycle) ~states:n s);
     ses_resident_words =
-      (fun () -> Cycle_system.resident_words sys (p, trace, regs, comps));
+      (fun () -> Cycle_system.resident_words sys ~trace (p, regs, comps));
     ses_static_size = Some pg.pg_statements;
     ses_checkpoint =
       (fun () ->
@@ -563,15 +566,7 @@ module Native_engine : Ocapi_engine.ENGINE = struct
   let display = "native"
   let aliases = [ "jit" ]
 
-  let capabilities =
-    {
-      Ocapi_engine.cap_two_phase = false;
-      cap_max_deltas = false;
-      cap_shares_registers = false;
-      cap_static_size = true;
-    }
-
-  let make ?options:_ sys =
+  let make sys =
     Cycle_system.reset sys;
     match native_cmi () with
     | Error _ -> fallback_session sys

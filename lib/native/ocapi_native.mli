@@ -33,12 +33,12 @@
     [md5(Cycle_system.elaboration_key | Emit.emitter_version |
     Sys.ocaml_version | ABI cmi digest)], so warm processes skip the
     compiler entirely.  A process dynlinks each artifact path (cache
-    directory plus key) once, keeps the factory the plugin registers in
-    an {!Artifact_table} (a path evicted from it is dynlinked again on
-    its next session), and calls it once per session: every session
-    is a private instance with its own value store, stamps, FSM states,
-    RAM images and kernel hooks, and a later session of the design
-    writes no file and maps nothing.  The session's tables (stimuli,
+    directory plus key) once, keeps the factory the plugin registers for
+    the rest of the process (dynlinked code is never unmapped), and
+    calls it once per session: every session is a private instance
+    with its own value store, stamps, FSM states, RAM images and kernel
+    hooks, and a later session of the design writes no file and maps
+    nothing.  The session's tables (stimuli,
     probes, registers, components, kernels, static size) come from the
     lowered program the compiled engine shares ([Ocapi_engine.lowered]).
     A cached file that fails to load, registers no factory, or whose

@@ -815,7 +815,7 @@ module Sim = struct
       n_clocks = 0;
     }
 
-  let instantiate ?settle_budget tp =
+  let instantiate tp =
     let n_nets = Bytes.length tp.pokeable and m = Array.length tp.kind in
     (* A ROM ([we] = -1) keeps its image; a RAM gets its own contents. *)
     let memories =
@@ -845,14 +845,13 @@ module Sim = struct
         slot_kind = Array.make lanes 0;
         slot_keep = Array.make (3 * lanes) all_lanes;
         slot_force = Array.make (3 * lanes) 0;
-        settle_budget = Option.value settle_budget ~default:tp.settle_budget;
       }
     in
     Array.iteri (fun i q -> t.v.(q) <- t.dff_init.(i)) t.dff_q;
     mark_all t;
     t
 
-  let create ?settle_budget nl = instantiate ?settle_budget (topology nl)
+  let create nl = instantiate (topology nl)
 
   let[@inline] mark t e =
     if Bytes.unsafe_get t.queued e = '\000' then begin

@@ -215,21 +215,19 @@ module Sim : sig
       a net the netlist never created. *)
   val topology : netlist -> topology
 
-  (** [instantiate ?settle_budget tp] — a fresh instance at power-up
-      over [tp]'s arrays.  [settle_budget] bounds the element
-      evaluations of one {!settle} call (default
-      [1000 * max 64 n_elements]).  An acyclic netlist never needs more
-      than one evaluation per element; on a combinational cycle, a mark
-      at or below the level being evaluated rewinds the sweep to it,
-      and the budget turns an oscillation into an [Ocapi_error.Error]
-      with code [Did_not_settle]. *)
-  val instantiate : ?settle_budget:int -> topology -> t
+  (** [instantiate tp] — a fresh instance at power-up over [tp]'s
+      arrays.  One {!settle} call evaluates at most
+      [1000 * max 64 n_elements] elements.  An acyclic netlist never
+      needs more than one evaluation per element; on a combinational
+      cycle, a mark at or below the level being evaluated rewinds the
+      sweep to it, and the budget turns an oscillation into an
+      [Ocapi_error.Error] with code [Did_not_settle]. *)
+  val instantiate : topology -> t
 
-  (** [create ?settle_budget nl] = [instantiate ?settle_budget
-      (topology nl)].
+  (** [create nl] = [instantiate (topology nl)].
       @raise Ocapi_error.Error with code [Internal] if an element names
       a net the netlist never created. *)
-  val create : ?settle_budget:int -> netlist -> t
+  val create : netlist -> t
 
   (** [set_input sim name mantissa] drives an input bus with the low
       bits of a two's-complement mantissa, on every lane.

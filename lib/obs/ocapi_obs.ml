@@ -516,16 +516,11 @@ let epoch_us = Atomic.make 0.
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
-(* Forward-declared: sampling state lives below but must restart with
-   the trace so a fresh trace begins at phase 0 for every span name. *)
-let reset_sampling_counts = ref (fun () -> ())
-
 let clear_trace () =
   let tb = trace_buf () in
   tb.tb_events <- [];
   tb.tb_count <- 0;
   tb.tb_dropped <- 0;
-  !reset_sampling_counts ();
   Atomic.set epoch_us (now_us ())
 
 let push ev =
@@ -538,58 +533,8 @@ let push ev =
 
 let span_begin () = if Atomic.get on then now_us () else Float.nan
 
-(* --- span sampling.  Long campaigns emit millions of identical
-   high-frequency spans; [set_span_sampling n] keeps one span in [n]
-   {e per span name} so rare spans (one "simulate" wrapping 10^6
-   "cycle"s) are never starved out by frequent ones.  Occurrence
-   counting is domain-local, like the buffers it protects; the factor
-   itself is process-wide and deliberately survives [reset] so a
-   campaign configured once stays sampled across runs. *)
-
-let span_sampling = Atomic.make 1
-
-let set_span_sampling n =
-  if n < 1 then
-    invalid_arg "Ocapi_obs.set_span_sampling: factor must be >= 1";
-  Atomic.set span_sampling n
-
-let span_sampling_factor () = Atomic.get span_sampling
-
-let span_counts_key : (string, int ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let sampled_out = ref 0
-
-(* true when this occurrence of [name] should be kept. *)
-let sample_keep name =
-  let n = Atomic.get span_sampling in
-  if n <= 1 then true
-  else begin
-    let counts = Domain.DLS.get span_counts_key in
-    let c =
-      match Hashtbl.find_opt counts name with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.replace counts name c;
-        c
-    in
-    let keep = !c mod n = 0 in
-    incr c;
-    if not keep then incr sampled_out;
-    keep
-  end
-
-let sampled_out_spans () = !sampled_out
-
-let () =
-  reset_sampling_counts :=
-    fun () ->
-      Hashtbl.reset (Domain.DLS.get span_counts_key);
-      sampled_out := 0
-
 let span_end ?(cat = "ocapi") ?(args = []) name t0 =
-  if Atomic.get on && not (Float.is_nan t0) && sample_keep name then
+  if Atomic.get on && not (Float.is_nan t0) then
     push
       {
         ev_name = name;
@@ -1249,8 +1194,9 @@ module Ledger = struct
 
   (* One self-contained page: no scripts, no external assets, inline
      CSS only — it must open from a CI artifact zip with file://. *)
-  let html_page ?(title = "ocapi perf report") ?(events = []) ?(window = 5)
-      ?(tolerance = 0.2) ?(hard_tolerance = 0.5) entries =
+  let html_page ?(events = []) ?(window = 5) ?(tolerance = 0.2)
+      ?(hard_tolerance = 0.5) entries =
+    let title = "ocapi perf report" in
     let b = Buffer.create 8192 in
     let add = Buffer.add_string b in
     let series = series_of entries in

@@ -145,26 +145,6 @@ val event_count : unit -> int
 val dropped_events : unit -> int
 val clear_trace : unit -> unit
 
-(** {2 Span sampling}
-
-    [set_span_sampling n] keeps one complete-span event in [n], counted
-    {e per span name} — so a long campaign's millions of per-cycle spans
-    are thinned without ever dropping its few enclosing campaign-level
-    spans.  [n = 1] (the default) records everything.  The factor is
-    process-wide and intentionally {e not} cleared by {!reset}: a
-    campaign configures it once.  Per-name occurrence counters restart
-    at {!clear_trace}, so every fresh trace begins at sampling phase 0
-    (first occurrence of each name is always kept).
-    @raise Invalid_argument if [n < 1]. *)
-val set_span_sampling : int -> unit
-
-val span_sampling_factor : unit -> int
-
-(** Spans suppressed by sampling (this domain, since the last
-    {!clear_trace}) — distinct from {!dropped_events}, which counts
-    buffer-capacity drops. *)
-val sampled_out_spans : unit -> int
-
 (** The trace as a Chrome trace-event JSON object
     ([{"traceEvents": [...], ...}]) — open it in Perfetto or
     [chrome://tracing]. *)
@@ -389,7 +369,6 @@ module Ledger : sig
       external assets): per-series trend table with sparklines, recent
       history, and an optional event-log section. *)
   val html_page :
-    ?title:string ->
     ?events:Json.t list ->
     ?window:int ->
     ?tolerance:float ->

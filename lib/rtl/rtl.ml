@@ -54,7 +54,6 @@ type t = {
   mutable n_transactions : int;
   mutable n_deltas : int;
   mutable n_activations : int;
-  max_deltas : int;
 }
 
 (* Canonical structural hash.  Signal/process ids are global gensyms
@@ -159,7 +158,7 @@ type rtl_transition = {
    assignments. *)
 let rt_roots rt = List.map snd rt.rt_outputs @ List.map snd rt.rt_assigns
 
-let of_system ?(max_deltas = 1000) sys =
+let of_system sys =
   let signals = ref [] in
   let add_signal name init =
     let s = make_signal name init in
@@ -405,10 +404,12 @@ let of_system ?(max_deltas = 1000) sys =
     n_transactions = 0;
     n_deltas = 0;
     n_activations = 0;
-    max_deltas;
   }
 
 (* --- the event-driven kernel ---------------------------------------------- *)
+
+(* Delta cycles one settle may take before a loop is declared. *)
+let max_deltas = 1000
 
 (* Apply assignments, wake sensitive processes of changed signals, loop. *)
 let settle t initial_assignments =
@@ -422,7 +423,7 @@ let settle t initial_assignments =
       (* pending transactions = the event queue of this delta *)
       Ocapi_obs.max_gauge "rtl.queue_high_water"
         (float_of_int (List.length !pending));
-    if !deltas > t.max_deltas then begin
+    if !deltas > max_deltas then begin
       (* Name the signals still being scheduled — the combinational loop
          (or ping-ponging process pair) runs through them. *)
       let culprits =
@@ -438,7 +439,7 @@ let settle t initial_assignments =
       Ocapi_error.fail Ocapi_error.Delta_overflow ~engine:"rtl"
         ~cycle:t.cycle_count ~nets:shown
         "no convergence after %d delta cycles: %d signals still scheduling \
-         transactions" t.max_deltas (List.length culprits)
+         transactions" max_deltas (List.length culprits)
     end;
     (* Apply transactions; collect processes woken by events. *)
     let woken = Hashtbl.create 16 in

@@ -30,9 +30,9 @@ type t
 
 (** Elaborate a system for event-driven simulation.  The RTL engine
     shares the register objects of the source system: run only one
-    engine at a time and call {!reset} before a run.  [max_deltas]
-    bounds the delta-cycle loop of one settle (default 1000). *)
-val of_system : ?max_deltas:int -> Cycle_system.t -> t
+    engine at a time and call {!reset} before a run.  One settle takes
+    at most 1000 delta cycles. *)
+val of_system : Cycle_system.t -> t
 
 (** Canonical structural hash (hex MD5) of the elaboration: signal
     names, initial values and formats in elaboration order, process

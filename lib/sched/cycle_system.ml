@@ -259,7 +259,6 @@ and net = {
 
 type t = {
   s_name : string;
-  clock : Clock.t;
   mutable comps : component list;  (* reversed *)
   by_name : (string, component) Hashtbl.t;
   mutable s_nets : net list;  (* reversed *)
@@ -271,10 +270,9 @@ type t = {
   mutable s_attached : string list;  (* engine names of open sessions *)
 }
 
-let create ?(clock = Clock.default) s_name =
+let create s_name =
   {
     s_name;
-    clock;
     comps = [];
     by_name = Hashtbl.create 16;
     s_nets = [];
@@ -991,10 +989,10 @@ let primary_inputs t =
     (input_columns t)
 
 (* The pair block is 3 words: its header and two fields. *)
-let resident_words t root =
-  let cols = input_columns t in
-  Obj.reachable_words (Obj.repr (root, cols))
-  - Obj.reachable_words (Obj.repr cols)
+let resident_words t ~trace root =
+  let excluded = (input_columns t, trace) in
+  Obj.reachable_words (Obj.repr (root, excluded))
+  - Obj.reachable_words (Obj.repr excluded)
   - 3
 
 let input_column t name =
@@ -1231,7 +1229,7 @@ let digest t =
         add "}\n")
       (Fsm.transitions f)
   in
-  adds [ "system "; t.s_name; " clock "; Clock.name t.clock; "\n" ];
+  adds [ "system "; t.s_name; " clock "; Clock.name Clock.default; "\n" ];
   let comps =
     List.sort (fun a b -> String.compare a.c_name b.c_name) t.comps
   in

@@ -36,7 +36,7 @@ type net
 
 (** {1 Building} *)
 
-val create : ?clock:Clock.t -> string -> t
+val create : string -> t
 val name : t -> string
 
 (** [add_timed t name fsm] adds a clock-cycle-true component.  Its input
@@ -199,11 +199,6 @@ type column
     input. *)
 val input_column : t -> string -> column
 
-(** [resident_words t root] is the heap words, headers included,
-    reachable from [root] (a session's state) but not from [t]'s
-    stimulus columns, which grow with every session's cycles. *)
-val resident_words : t -> 'a -> int
-
 (** [column_present col c] evaluates the stimulus through cycle [c]
     if it has not been yet, and tells whether cycle [c] carries a
     token. *)
@@ -342,6 +337,13 @@ end
     {!reset}, {!restore} and {!clear_histories}.  {!output_history} and
     {!probe_histories} read it. *)
 val trace : t -> Trace.t
+
+(** [resident_words t ~trace root] is the heap words, headers
+    included, reachable from [root] (a session's state) but neither
+    from [t]'s stimulus columns nor from [trace] (the session's probe
+    trace): both grow with the cycles run, and the columns and the
+    system's own trace outlive the session. *)
+val resident_words : t -> trace:Trace.t -> 'a -> int
 
 (** {1 Wiring}
 

@@ -107,7 +107,7 @@ let test_oscillation_diagnosed () =
   Netlist.buf_into nl ~dst:b a;
   Netlist.output_bus nl "q" [| a |];
   let vectors = [| [ ("en", 0L) ] |] in
-  let r = Ocapi_fault.stuck_at_netlist ~settle_budget:200 nl ~vectors in
+  let r = Ocapi_fault.stuck_at_netlist nl ~vectors in
   Alcotest.(check bool)
     "oscillating fault diagnosed" true
     (r.Ocapi_fault.st_diagnosed > 0);

@@ -94,83 +94,6 @@ let test_synthesize_to_verilog_roundtrip () =
       close_in ic;
       Alcotest.(check int) "written length" (String.length (Verilog.of_netlist nl)) len)
 
-(* The LRU-by-mtime disk bound: the cache directory never exceeds
-   [max_disk_bytes], the oldest untouched entries are the ones deleted,
-   and a read refreshes an entry's recency. *)
-let test_cache_disk_eviction () =
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ocapi-flow-cache-%s-%d" name (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (try Sys.readdir dir with Sys_error _ -> [||]);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  let histories =
-    [ ("probe", List.init 64 (fun i -> (i, Fixed.of_int s8 (i mod 7)))) ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Flow.Cache.disable ();
-      Flow.Cache.clear ();
-      Flow.Cache.reset_stats ();
-      rm_rf (tmp "size");
-      rm_rf (tmp "lru"))
-    (fun () ->
-      (* Phase 1: measure one entry's on-disk footprint. *)
-      Flow.Cache.enable ~dir:(tmp "size") ();
-      Flow.Cache.store_histories "probe-entry" histories;
-      let entry_bytes =
-        Array.fold_left
-          (fun acc f ->
-            acc + (Unix.stat (Filename.concat (tmp "size") f)).Unix.st_size)
-          0
-          (Sys.readdir (tmp "size"))
-      in
-      Alcotest.(check bool) "entry has a real footprint" true (entry_bytes > 0);
-      Flow.Cache.disable ();
-      Flow.Cache.clear ();
-      Flow.Cache.reset_stats ();
-      (* Phase 2: cap at ~3.5 entries, store e1..e3, touch e1, store e4:
-         the sweep must evict exactly the least recently used (e2). *)
-      Flow.Cache.enable ~dir:(tmp "lru") ~max_disk_bytes:(entry_bytes * 7 / 2)
-        ();
-      Flow.Cache.store_histories "e1" histories;
-      Unix.sleepf 0.05;
-      Flow.Cache.store_histories "e2" histories;
-      Unix.sleepf 0.05;
-      Flow.Cache.store_histories "e3" histories;
-      Unix.sleepf 0.05;
-      (* Recency is refreshed by *disk* hits; drop the in-memory table
-         first so the e1 lookup reads (and touches) its file. *)
-      Flow.Cache.clear ();
-      ignore (Flow.Cache.find_histories "e1");
-      Unix.sleepf 0.05;
-      Flow.Cache.store_histories "e4" histories;
-      let s = Flow.Cache.stats () in
-      Alcotest.(check int) "one eviction" 1 s.Flow.Cache.disk_evictions;
-      let disk_bytes =
-        Array.fold_left
-          (fun acc f ->
-            acc + (Unix.stat (Filename.concat (tmp "lru") f)).Unix.st_size)
-          0
-          (Sys.readdir (tmp "lru"))
-      in
-      Alcotest.(check bool) "directory within the cap" true
-        (disk_bytes <= entry_bytes * 7 / 2);
-      (* Drop the in-memory table so lookups answer from disk alone. *)
-      Flow.Cache.clear ();
-      let present k = Flow.Cache.find_histories k <> None in
-      Alcotest.(check bool) "touched e1 survived" true (present "e1");
-      Alcotest.(check bool) "LRU e2 evicted" false (present "e2");
-      Alcotest.(check bool) "e3 survived" true (present "e3");
-      Alcotest.(check bool) "fresh e4 survived" true (present "e4");
-      (* What survived still round-trips. *)
-      Alcotest.(check bool) "disk value intact" true
-        (Flow.Cache.find_histories "e1" = Some histories))
-
 (* Negative counts are structured [Unsupported] errors at the library
    entry points, raised before any work; `ocapi` prints them and exits
    1.  A window of 0 cycles stays valid. *)
@@ -242,7 +165,6 @@ let suite =
     Alcotest.test_case "check report rendering" `Quick test_check_report_rendering;
     Alcotest.test_case "negative counts: structured error, exit 1" `Quick
       test_negative_counts;
-    Alcotest.test_case "cache disk LRU eviction" `Quick test_cache_disk_eviction;
     Alcotest.test_case "DECT VHDL emission at scale" `Quick test_dect_vhdl_emission;
     Alcotest.test_case "DECT VCD" `Quick test_dect_vcd;
     Alcotest.test_case "token-free SDF loop schedule" `Quick

@@ -233,32 +233,6 @@ let test_trace_json () =
   Alcotest.(check int) "cleared" 0 (Ocapi_obs.event_count ());
   Ocapi_obs.reset ()
 
-(* 1-in-N span sampling: per name, the first span is kept, the next
-   N-1 are dropped (and counted), independently of other names. *)
-let test_span_sampling () =
-  Ocapi_obs.reset ();
-  Ocapi_obs.enable ();
-  Ocapi_obs.set_span_sampling 4;
-  Alcotest.(check int) "factor readable" 4 (Ocapi_obs.span_sampling_factor ());
-  for _ = 1 to 10 do
-    Ocapi_obs.with_span "sampled.a" (fun () -> ())
-  done;
-  Ocapi_obs.with_span "sampled.b" (fun () -> ());
-  (* a: spans 1, 5 and 9 kept; b: its own counter, first span kept *)
-  Alcotest.(check int) "kept 1-in-4 per name" 4 (Ocapi_obs.event_count ());
-  Alcotest.(check int) "dropped spans counted" 7
-    (Ocapi_obs.sampled_out_spans ());
-  Ocapi_obs.clear_trace ();
-  (* clear_trace restarts the per-name counters *)
-  Ocapi_obs.with_span "sampled.a" (fun () -> ());
-  Alcotest.(check int) "counters restart after clear" 1
-    (Ocapi_obs.event_count ());
-  (match Ocapi_obs.set_span_sampling 0 with
-  | () -> Alcotest.fail "factor 0 accepted"
-  | exception Invalid_argument _ -> ());
-  Ocapi_obs.set_span_sampling 1;
-  Ocapi_obs.reset ()
-
 let test_disabled_spans_are_free () =
   Ocapi_obs.reset ();
   let t0 = Ocapi_obs.span_begin () in
@@ -276,22 +250,19 @@ let test_instrumented_equals_plain () =
   let plain_i = Flow.simulate sys ~cycles in
   let plain_c = Flow.simulate ~engine:"compiled" sys ~cycles in
   let plain_r = Flow.simulate ~engine:"rtl" sys ~cycles in
-  let cell = ref None in
-  let tele_i = Flow.simulate ~telemetry:cell sys ~cycles in
-  (match !cell with
-  | Some rp ->
-    (match List.assoc_opt "sched.cycles" rp.Ocapi_obs.rp_metrics with
-    | Some (Ocapi_obs.Counter_v n) -> Alcotest.(check int) "cycles" cycles n
-    | _ -> Alcotest.fail "sched.cycles missing")
-  | None -> Alcotest.fail "no interp report");
-  let tele_c = Flow.simulate ~engine:"compiled" ~telemetry:cell sys ~cycles in
-  (match !cell with
-  | Some rp ->
-    (match List.assoc_opt "compiled.steps" rp.Ocapi_obs.rp_metrics with
-    | Some (Ocapi_obs.Counter_v n) -> Alcotest.(check int) "steps" cycles n
-    | _ -> Alcotest.fail "compiled.steps missing")
-  | None -> Alcotest.fail "no compiled report");
-  let tele_r = Flow.simulate ~engine:"rtl" ~telemetry:cell sys ~cycles in
+  let instrumented engine =
+    Ocapi_obs.run_with_telemetry ~label:("simulate." ^ engine) (fun () ->
+        Flow.simulate ~engine sys ~cycles)
+  in
+  let tele_i, rp = instrumented "interp" in
+  (match List.assoc_opt "sched.cycles" rp.Ocapi_obs.rp_metrics with
+  | Some (Ocapi_obs.Counter_v n) -> Alcotest.(check int) "cycles" cycles n
+  | _ -> Alcotest.fail "sched.cycles missing");
+  let tele_c, rp = instrumented "compiled" in
+  (match List.assoc_opt "compiled.steps" rp.Ocapi_obs.rp_metrics with
+  | Some (Ocapi_obs.Counter_v n) -> Alcotest.(check int) "steps" cycles n
+  | _ -> Alcotest.fail "compiled.steps missing");
+  let tele_r, _ = instrumented "rtl" in
   histories_equal (Flow.first_history_mismatch plain_i tele_i = None);
   histories_equal (Flow.first_history_mismatch plain_c tele_c = None);
   histories_equal (Flow.first_history_mismatch plain_r tele_r = None);
@@ -529,7 +500,6 @@ let suite =
     Alcotest.test_case "hist_quantile estimation" `Quick test_hist_quantile;
     Alcotest.test_case "histogram buckets" `Quick test_histogram;
     Alcotest.test_case "trace JSON well-formed" `Quick test_trace_json;
-    Alcotest.test_case "span sampling 1-in-N" `Quick test_span_sampling;
     Alcotest.test_case "disabled path records nothing" `Quick
       test_disabled_spans_are_free;
     Alcotest.test_case "instrumented run equals plain run" `Quick

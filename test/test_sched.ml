@@ -109,7 +109,9 @@ let test_fig6_two_phase_deadlocks () =
 
 let test_true_combinational_loop_detected () =
   (* Two timed components whose outputs combinationally depend on each
-     other's: a real loop that must be declared a deadlock. *)
+     other's, a.y = b.y + 1 and b.y = a.y + 1, with a probe on a.y: a
+     real loop, which every engine refuses with its own structured
+     error at its own fixed budget. *)
   let mk name =
     let sfg =
       Sfg.build (name ^ "_sfg") (fun b ->
@@ -121,16 +123,53 @@ let test_true_combinational_loop_detected () =
     Fsm.(s0 |-- always |+ sfg |-> s0);
     fsm
   in
-  let sys = Cycle_system.create "comb_loop" in
-  let a = Cycle_system.add_timed sys "a" (mk "a") in
-  let b = Cycle_system.add_timed sys "b" (mk "b") in
-  ignore (Cycle_system.connect sys (a, "y") [ (b, "x") ]);
-  ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
-  match Cycle_system.cycle sys with
-  | exception (Ocapi_error.Error { e_nets = waiting; _ } as e)
-    when Raises.code Deadlock e ->
-    Alcotest.(check int) "both waiting" 2 (List.length waiting)
-  | () -> Alcotest.fail "combinational loop not detected"
+  let loop () =
+    let sys = Cycle_system.create "comb_loop" in
+    let a = Cycle_system.add_timed sys "a" (mk "a") in
+    let b = Cycle_system.add_timed sys "b" (mk "b") in
+    let probe = Cycle_system.add_output sys "a_y" in
+    ignore (Cycle_system.connect sys (a, "y") [ (b, "x"); (probe, "in") ]);
+    ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
+    sys
+  in
+  let outcome engine =
+    let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+    match
+      let ses = E.make (loop ()) in
+      Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+          Ocapi_engine.run ses ~cycles:1)
+    with
+    | _ -> Alcotest.failf "%s: combinational loop not detected" engine
+    | exception Ocapi_error.Error d -> d
+  in
+  let engines = [ "interp"; "compiled"; "rtl"; "native"; "gate" ] in
+  Alcotest.(check (list string)) "the five registry engines" engines
+    (List.filteri (fun i _ -> i < 5) (Ocapi_engine.names ()));
+  let d = List.map (fun e -> (e, outcome e)) engines in
+  Alcotest.(check (list (pair string string))) "codes"
+    [ ("interp", "deadlock"); ("compiled", "unsupported");
+      ("rtl", "delta-overflow"); ("native", "unsupported");
+      ("gate", "did-not-settle") ]
+    (List.map (fun (e, d) -> (e, Ocapi_error.code_label d.Ocapi_error.e_code)) d);
+  let nets e = (List.assoc e d).Ocapi_error.e_nets in
+  let message e = (List.assoc e d).Ocapi_error.e_message in
+  Alcotest.(check (list string)) "interp: both waiting" [ "a/a_sfg"; "b/b_sfg" ]
+    (nets "interp");
+  Alcotest.(check string) "compiled: the cycle"
+    "compiled: combinational component cycle involving a, b; use the \
+     interpreted scheduler"
+    (message "compiled");
+  Alcotest.(check (list string)) "rtl: culprits"
+    [ "a.state_next"; "a.y"; "b.state_next"; "b.y" ]
+    (nets "rtl");
+  Alcotest.(check string) "rtl: the delta budget"
+    "no convergence after 1000 delta cycles: 4 signals still scheduling \
+     transactions"
+    (message "rtl");
+  Alcotest.(check string) "gate: the settle budget"
+    "netlist comb_loop oscillates: 103 nets still toggling after 178000 \
+     evaluations"
+    (message "gate")
 
 let test_checks () =
   let sys, _ = accumulator_system () in
