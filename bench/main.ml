@@ -58,21 +58,20 @@ let ledger_note () =
 (* ---- T1: Table 1 ---------------------------------------------------------- *)
 
 let table1_rows () =
-  let measure_design ~design ~sys ~src_lines ~gate_count ~macro_of_kernel
-      ~cycles_of =
+  let measure_design ~design ~build ~src_lines ~macro_of_kernel ~cycles_of =
     let ms =
       List.map
         (fun engine ->
-          Metrics.measure ~ocaml_source_lines:src_lines ?macro_of_kernel sys
+          Metrics.measure ~ocaml_source_lines:src_lines ?macro_of_kernel build
             engine ~cycles:(cycles_of engine))
         Metrics.all_engines
     in
-    (design, Cycle_system.digest sys, gate_count, ms)
+    let sys = build () in
+    (design, Cycle_system.digest sys, gates ?macro_of_kernel sys, ms)
   in
-  let hcor = Gallery.hcor () in
   let hcor_row =
-    measure_design ~design:"HCOR" ~sys:hcor ~src_lines:(Hcor.source_lines ())
-      ~gate_count:(gates hcor) ~macro_of_kernel:None
+    measure_design ~design:"HCOR" ~build:Gallery.hcor ~src_lines:(Hcor.source_lines ())
+      ~macro_of_kernel:None
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000
         | Metrics.Compiled_code -> 40000
@@ -80,11 +79,9 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 1500
         | Metrics.Gate_netlist -> 300)
   in
-  let dect = Gallery.dect () in
   let dect_row =
-    measure_design ~design:"DECT" ~sys:dect
+    measure_design ~design:"DECT" ~build:Gallery.dect
       ~src_lines:(Dect_transceiver.source_lines ())
-      ~gate_count:(gates ~macro_of_kernel:Dect_transceiver.macro_of_kernel dect)
       ~macro_of_kernel:(Some Dect_transceiver.macro_of_kernel)
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 1000
@@ -93,10 +90,9 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 300
         | Metrics.Gate_netlist -> 1000)
   in
-  let rs = Gallery.rs () in
   let rs_row =
-    measure_design ~design:"RS" ~sys:rs ~src_lines:(Rs_codec.source_lines ())
-      ~gate_count:(gates rs) ~macro_of_kernel:None
+    measure_design ~design:"RS" ~build:Gallery.rs ~src_lines:(Rs_codec.source_lines ())
+      ~macro_of_kernel:None
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000
         | Metrics.Compiled_code -> 40000
@@ -104,11 +100,9 @@ let table1_rows () =
         | Metrics.Rt_event_driven -> 2000
         | Metrics.Gate_netlist -> 400)
   in
-  let cpu = Gallery.cpu () in
   let cpu_row =
-    measure_design ~design:"CPU" ~sys:cpu
+    measure_design ~design:"CPU" ~build:Gallery.cpu
       ~src_lines:(Acc_cpu.source_lines ())
-      ~gate_count:(gates ~macro_of_kernel:Ram_cell.macro_of_kernel cpu)
       ~macro_of_kernel:(Some Ram_cell.macro_of_kernel)
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000

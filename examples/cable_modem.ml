@@ -98,7 +98,8 @@ let () =
   ignore (Cycle_system.connect sys (c_shi, "y") [ (p_i, "in") ]);
   ignore (Cycle_system.connect sys (c_shq, "y") [ (p_q, "in") ]);
   Format.printf "checks: %a@." Flow.pp_check_report (Flow.check sys);
-  (match Flow.engines_agree sys ~cycles:200 with
+  let disagreements = Flow.engines_agree sys ~cycles:200 in
+  (match disagreements with
   | [] -> print_endline "all engines agree over 200 cycles"
   | l -> List.iter print_endline l);
   let hist = Flow.simulate sys ~cycles:24 in
@@ -114,4 +115,5 @@ let () =
   let r = Flow.verify_netlist sys ~cycles:80 in
   Printf.printf "netlist verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
-    (List.length r.Synthesize.mismatches)
+    (List.length r.Synthesize.mismatches);
+  if disagreements <> [] || r.Synthesize.mismatches <> [] then exit 1

@@ -125,4 +125,5 @@ let () =
   in
   Printf.printf "netlist vs reference: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
-    (List.length r.Synthesize.mismatches)
+    (List.length r.Synthesize.mismatches);
+  if r.Synthesize.mismatches <> [] then exit 1

@@ -55,4 +55,5 @@ let () =
   let r = Flow.verify_netlist sys ~cycles:150 in
   Printf.printf "netlist vs reference: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
-    (List.length r.Synthesize.mismatches)
+    (List.length r.Synthesize.mismatches);
+  if r.Synthesize.mismatches <> [] then exit 1

@@ -144,7 +144,8 @@ let () =
     !peak_err
     (float !sum_err /. float (size * size));
   (* -- the battery ----------------------------------------------------- *)
-  (match Flow.engines_agree sys ~cycles:200 with
+  let disagreements = Flow.engines_agree sys ~cycles:200 in
+  (match disagreements with
   | [] -> print_endline "all engines agree"
   | l -> List.iter print_endline l);
   let r = Flow.verify_netlist sys ~cycles:200 in
@@ -154,4 +155,5 @@ let () =
   let nl, rep = Synthesize.synthesize sys in
   let _, opt = Netopt.run nl in
   Printf.printf "gates: %d raw, %d after optimization\n"
-    rep.Synthesize.total.Netlist.gate_equivalents opt.Netopt.equivalents_after
+    rep.Synthesize.total.Netlist.gate_equivalents opt.Netopt.equivalents_after;
+  if disagreements <> [] || r.Synthesize.mismatches <> [] then exit 1

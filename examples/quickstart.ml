@@ -60,7 +60,8 @@ let () =
   let report = Flow.check sys in
   Format.printf "checks: %a@." Flow.pp_check_report report;
   (* 5. Simulate: interpreted, compiled, event-driven RT — identical. *)
-  (match Flow.engines_agree sys ~cycles:30 with
+  let disagreements = Flow.engines_agree sys ~cycles:30 in
+  (match disagreements with
   | [] -> print_endline "interpreted == compiled == event-driven RT over 30 cycles"
   | l -> List.iter (fun d -> Printf.printf "DISAGREEMENT: %s\n" d) l);
   let histories = Flow.simulate sys ~cycles:30 in
@@ -76,4 +77,5 @@ let () =
   let r = Flow.verify_netlist sys ~cycles:30 in
   Printf.printf "gate-level verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
-    (List.length r.Synthesize.mismatches)
+    (List.length r.Synthesize.mismatches);
+  if disagreements <> [] || r.Synthesize.mismatches <> [] then exit 1

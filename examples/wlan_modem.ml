@@ -139,7 +139,8 @@ let () =
   Printf.printf "DSSS loopback: %d bits decoded, %d compared, %d errors\n"
     (List.length decoded) !compared !errors;
   (* -- battery ----------------------------------------------------------- *)
-  (match Flow.engines_agree sys ~cycles:150 with
+  let disagreements = Flow.engines_agree sys ~cycles:150 in
+  (match disagreements with
   | [] -> print_endline "all engines agree"
   | l -> List.iter print_endline l);
   let r = Flow.verify_netlist sys ~cycles:150 in
@@ -153,4 +154,5 @@ let () =
   (* A waveform for the curious. *)
   if not (Sys.file_exists "_generated") then Unix.mkdir "_generated" 0o755;
   Vcd.write sys ~cycles:120 ~path:"_generated/wlan_modem.vcd";
-  print_endline "wrote _generated/wlan_modem.vcd"
+  print_endline "wrote _generated/wlan_modem.vcd";
+  if disagreements <> [] || r.Synthesize.mismatches <> [] then exit 1

@@ -841,16 +841,6 @@ type stim_code = {
   st_stamp : int;
 }
 
-(* Optional per-net value recording (waveform dumping from the compiled
-   engine): one record per net. *)
-type trace_rec = {
-  trc_name : string;
-  trc_slot : int;  (* byte offset *)
-  trc_stamp : int;
-  trc_fmt : Fixed.format;
-  mutable trc_hist : (int * Fixed.t) list;  (* reversed *)
-}
-
 type t = {
   values : Bytes.t;
   power_on : Bytes.t;  (* [values] after reset *)
@@ -869,8 +859,6 @@ type t = {
      order — the same indexing every engine uses. *)
   regs : register array;
   n_statements : int;
-  mutable tracing : bool;
-  trace_recs : trace_rec array;
 }
 
 let ram_code ~cycle_ref ~base r =
@@ -989,19 +977,6 @@ let instantiate p sys =
       p.pg_stims
   in
   let trace, probes = probe_trace sys p.pg_probes ~slot:off in
-  (* Net i owns slot i and stamp i. *)
-  let trace_recs =
-    Array.mapi
-      (fun i (name, fmt) ->
-        {
-          trc_name = name;
-          trc_slot = off i;
-          trc_stamp = i;
-          trc_fmt = fmt;
-          trc_hist = [];
-        })
-      p.pg_nets
-  in
   let t =
     {
       values;
@@ -1019,8 +994,6 @@ let instantiate p sys =
       probes;
       regs = p.pg_regs;
       n_statements = p.pg_statements;
-      tracing = false;
-      trace_recs;
     }
   in
   if Ocapi_obs.enabled () then begin
@@ -1035,8 +1008,6 @@ let instantiate p sys =
       ]
     "compiled.compile" t_compile;
   t
-
-let compile sys = instantiate (lower sys) sys
 
 (* --- execution ------------------------------------------------------------ *)
 
@@ -1139,13 +1110,6 @@ let step t =
       if k.Dataflow.Kernel.k_ready () then k.Dataflow.Kernel.k_commit ()
   done;
   Cycle_system.Trace.record_store t.probes ~cycle ~stamps:t.stamps v;
-  if t.tracing then
-    Array.iter
-      (fun r ->
-        if t.stamps.(r.trc_stamp) = cycle then
-          r.trc_hist <-
-            (cycle, Fixed.create r.trc_fmt (get v r.trc_slot)) :: r.trc_hist)
-      t.trace_recs;
   for i = 0 to Array.length t.comps - 1 do
     let c = t.comps.(i) in
     if c.cc_selected >= 0 then begin
@@ -1178,28 +1142,11 @@ let step t =
   t.cycle <- cycle + 1;
   Ocapi_obs.span_end ~cat:"compiled" "compiled.step" t_step
 
-let run t n =
-  for _ = 1 to n do
-    step t
-  done
-
 let current_cycle t = t.cycle
 
 let trace t = t.trace
 
-let output_history t name =
-  let rec find p =
-    if p = Cycle_system.Trace.probe_count t.trace then
-      unsupported "output_history: no probe %s" name
-    else if Cycle_system.Trace.probe_name t.trace p = name then
-      Cycle_system.Trace.history t.trace p
-    else find (p + 1)
-  in
-  find 0
-
-let clear_histories t =
-  Cycle_system.Trace.clear t.trace;
-  Array.iter (fun r -> r.trc_hist <- []) t.trace_recs
+let clear_histories t = Cycle_system.Trace.clear t.trace
 
 let reset t =
   t.cycle <- 0;
@@ -1269,13 +1216,6 @@ let matches t sn =
   && Array.for_all2 (fun r s -> r.rm_staged = s) t.ram_codes sn.sn_staged
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
-let trace_all t = t.tracing <- true
-
-let traced_histories t =
-  Array.to_list t.trace_recs
-  |> List.map (fun r -> (r.trc_name, r.trc_fmt, List.rev r.trc_hist))
-
-let slot_count t = Bytes.length t.values / 8
 let statement_count t = t.n_statements
 
 (* --- fault-injection access ---------------------------------------------- *)

@@ -168,14 +168,8 @@ type t
     value). *)
 val instantiate : program -> Cycle_system.t -> t
 
-(** [compile system] is [instantiate (lower system) system]. *)
-val compile : Cycle_system.t -> t
-
 (** One clock cycle. *)
 val step : t -> unit
-
-(** [run t n] simulates [n] cycles. *)
-val run : t -> int -> unit
 
 val current_cycle : t -> int
 
@@ -185,9 +179,6 @@ val current_cycle : t -> int
     later steps append to it, and {!reset}, {!restore} and
     {!clear_histories} clear it. *)
 val trace : t -> Cycle_system.Trace.t
-
-(** One probe's {!trace} column, as [(cycle, value)] pairs. *)
-val output_history : t -> string -> (int * Fixed.t) list
 
 (** Reset the cycle counter, every slot (registers, nets and nodes) to
     its power-on value, FSM states, inlined RAM images, the other
@@ -209,27 +200,15 @@ type snapshot
 val snapshot : t -> snapshot option
 
 (** Back to the snapshot's state and cycle, from any state (a step an
-    exception abandoned included); probe histories and net traces are
-    cleared, so they record from the snapshot's cycle on. *)
+    exception abandoned included); the probe trace is cleared, so it
+    records from the snapshot's cycle on. *)
 val restore : t -> snapshot -> unit
 
 (** Does the current state equal the snapshot's? *)
 val matches : t -> snapshot -> bool
 
-(** Clear probe histories and net traces, leaving the state as it is. *)
+(** Clear the probe trace, leaving the state as it is. *)
 val clear_histories : t -> unit
-
-(** {1 Net tracing (waveform dumping)} *)
-
-(** Enable per-net value recording: after every subsequent {!step}, each
-    net that carried a token that cycle is appended to its history.
-    Costs one sweep of the net array per cycle; leave off for timed
-    runs. *)
-val trace_all : t -> unit
-
-(** Recorded net histories as (net name, carried format, history), in
-    [Cycle_system.nets] order. *)
-val traced_histories : t -> (string * Fixed.format * (int * Fixed.t) list) list
 
 (** {1 Fault-injection access}
 
@@ -259,9 +238,6 @@ val component_state : t -> int -> int
     encoded state — the detected-outcome path of SEU campaigns on state
     registers. *)
 val set_component_state : t -> int -> int -> unit
-
-(** Number of value slots in the flattened program (a size metric). *)
-val slot_count : t -> int
 
 (** [pg_statements] of the program (a size metric, Table 1's static
     size). *)

@@ -405,85 +405,26 @@ let first_history_mismatch a b =
   in
   scan a b
 
-(* The [~replicate] contract: each worker domain must own an isolated
-   copy of the design, because engine sessions cache compiled and
-   elaborated state inside (or aliasing) the system.  A factory that
-   hands back the campaign system, the same system twice, or a system
-   some live session still owns would silently share mutable engine
-   state across domains — detect all three and refuse. *)
-let check_replica ~context ~campaign ~seen replica =
-  let refuse msg =
-    raise
-      (Ocapi_error.Error
-         (Ocapi_error.make Ocapi_error.Shared_state ~engine:"flow"
-            ~construct:(Cycle_system.name replica)
-            (context ^ ": " ^ msg)))
-  in
-  if replica == campaign then
-    refuse
-      "~replicate returned the campaign system itself; worker domains \
-       would share mutable engine state";
-  if List.memq replica seen then
-    refuse
-      "~replicate returned the same system twice; each worker domain \
-       needs its own copy";
-  match Cycle_system.attached_engines replica with
-  | [] -> ()
-  | attached ->
-    refuse
-      (Printf.sprintf
-         "~replicate returned a system with live engine sessions (%s); \
-          close them (or build a fresh system) before handing it to a \
-          worker"
-         (String.concat ", " attached))
-
-let engine_disagreements ?(domains = 1) ?replicate ?progress sys ~cycles =
-  (* One task per registered engine; each worker domain owns an
-     isolated copy of the system, so the runs can proceed concurrently.
-     Results are keyed by engine index — the sweep is deterministic for
-     any [domains]. *)
-  let engines = Array.of_list (Ocapi_engine.all ()) in
-  let n = Array.length engines in
-  let seen = ref [] in
-  let make_state k =
-    if k = 0 then sys
-    else
-      match replicate with
-      | Some f ->
-        let s = f () in
-        check_replica ~context:"Flow.engine_disagreements" ~campaign:sys
-          ~seen:!seen s;
-        seen := s :: !seen;
-        s
-      | None ->
-        invalid_arg
-          "Flow.engine_disagreements: a ~replicate design factory is \
-           required when domains > 1 (each worker domain owns an isolated \
-           copy of the system)"
-  in
-  let histories =
-    Ocapi_parallel.map_tasks ~domains:(min domains n) ~chunk:1 ~make_state
-      ~tasks:n
-      ~f:(fun s i ->
-        simulate ~engine:(Ocapi_engine.name_of engines.(i)) ?progress s ~cycles)
-      ()
-  in
-  let baseline_display = Ocapi_engine.display_of engines.(0) in
-  let pairs =
-    List.init (n - 1) (fun j ->
-        ( baseline_display ^ "-vs-" ^ Ocapi_engine.display_of engines.(j + 1),
-          histories.(0),
-          histories.(j + 1) ))
-  in
-  List.filter_map
-    (fun (pair, a, b) ->
-      match first_history_mismatch a b with
-      | None -> None
-      | Some (probe, cycle, detail) ->
-        Some
-          { mm_pair = pair; mm_probe = probe; mm_cycle = cycle;
-            mm_detail = detail })
-    pairs
+let engine_disagreements ?progress sys ~cycles =
+  match Ocapi_engine.all () with
+  | [] -> []
+  | baseline :: others ->
+    let run e = simulate ~engine:(Ocapi_engine.name_of e) ?progress sys ~cycles in
+    let reference = run baseline in
+    List.filter_map
+      (fun e ->
+        match first_history_mismatch reference (run e) with
+        | None -> None
+        | Some (probe, cycle, detail) ->
+          Some
+            {
+              mm_pair =
+                Ocapi_engine.display_of baseline ^ "-vs-" ^ Ocapi_engine.display_of e;
+              mm_probe = probe;
+              mm_cycle = cycle;
+              mm_detail = detail;
+            })
+      others
 
 let pp_mismatch ppf m =
   Format.fprintf ppf "%s: first mismatch at probe %s%s: %s" m.mm_pair
@@ -539,10 +480,10 @@ let mismatches_json ~cycles ms =
       ("mismatches", List (List.map mismatch_json ms));
     ]
 
-let engines_agree ?domains ?replicate sys ~cycles =
+let engines_agree sys ~cycles =
   List.map
     (fun m -> Format.asprintf "%a" pp_mismatch m)
-    (engine_disagreements ?domains ?replicate sys ~cycles)
+    (engine_disagreements sys ~cycles)
 
 let write_file dir name contents =
   let path = Filename.concat dir name in

@@ -200,42 +200,17 @@ val first_history_mismatch :
   (string * (int * Fixed.t) list) list ->
   (string * int option * string) option
 
-(** [check_replica ~context ~campaign ~seen replica] enforces the
-    [~replicate] contract shared by every parallel campaign: [replica]
-    must not be [campaign] itself, must not appear in [seen] (systems
-    already handed to other workers), and must have no live engine
-    sessions ([Cycle_system.attached_engines]).
-    @raise Ocapi_error.Error with code [Shared_state] otherwise. *)
-val check_replica :
-  context:string ->
-  campaign:Cycle_system.t ->
-  seen:Cycle_system.t list ->
-  Cycle_system.t ->
-  unit
-
 (** [engine_disagreements sys ~cycles] runs every engine of the
     {!Ocapi_engine} registry and reports each pair (first registered
     engine vs each other) that disagrees, with its first mismatch
-    (empty = all equivalent).  With the built-in registry the pairs are
-    ["interpreted-vs-compiled"] and ["interpreted-vs-rtl"].
-
-    [domains] (default [1] = the serial path) runs the engines on an
-    {!Ocapi_parallel} pool, one task per engine.  Worker 0 reuses
-    [sys]; each further worker needs an isolated copy of the design
-    built by [replicate] (engines cache compiled state inside the
-    system).  The sweep result is identical for any [domains].
+    (empty = all equivalent): ["interpreted-vs-compiled"],
+    ["interpreted-vs-rtl"] and so on.  The engines run one after the
+    other on [sys], in registry order.
 
     [progress] is forwarded to each engine's {!simulate} (so it is
-    called per simulated cycle, on the worker domain running that
-    engine); it may raise to abandon the sweep cooperatively.
-
-    @raise Invalid_argument if [domains > 1] without [replicate].
-    @raise Ocapi_error.Error with code [Shared_state] if [replicate]
-    hands a worker a shared or session-owned system
-    (see {!check_replica}). *)
+    called per simulated cycle); it may raise to abandon the sweep
+    cooperatively. *)
 val engine_disagreements :
-  ?domains:int ->
-  ?replicate:(unit -> Cycle_system.t) ->
   ?progress:(int -> unit) ->
   Cycle_system.t ->
   cycles:int ->
@@ -257,8 +232,6 @@ val mismatches_json : cycles:int -> mismatch list -> Ocapi_obs.Json.t
     one diagnostic line per disagreeing pair, naming the first
     disagreeing probe and cycle (empty = all equivalent). *)
 val engines_agree :
-  ?domains:int ->
-  ?replicate:(unit -> Cycle_system.t) ->
   Cycle_system.t ->
   cycles:int ->
   string list

@@ -35,15 +35,17 @@ type measurement = {
   m_source_lines : int;  (** description size for this representation *)
 }
 
-(** [measure ?ocaml_source_lines ?macro_of_kernel sys engine ~cycles]
-    builds the engine, runs [cycles] cycles (after a short warm-up) and
-    reports.  [ocaml_source_lines] is the size of the OCaml capture, used
-    for the two C++-column rows; the RT row reports generated-VHDL lines
-    and the netlist row generated-Verilog lines. *)
+(** [measure ?ocaml_source_lines ?macro_of_kernel build engine ~cycles]
+    builds the design with [build] and the engine over it, runs
+    [cycles] cycles (after a short warm-up) and reports.  Every call
+    measures a fresh build, so a row does not depend on the rows
+    measured before it.  [ocaml_source_lines] is the size of the OCaml
+    capture, used for the two C++-column rows; the RT row reports
+    generated-VHDL lines and the netlist row generated-Verilog lines. *)
 val measure :
   ?ocaml_source_lines:int ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
-  Cycle_system.t ->
+  (unit -> Cycle_system.t) ->
   engine ->
   cycles:int ->
   measurement

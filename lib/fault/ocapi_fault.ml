@@ -539,6 +539,35 @@ let check_campaign_size ~runs ~cycles =
     Ocapi_error.fail Ocapi_error.Unsupported ~engine:"fault"
       "SEU campaign: cycles must be a positive integer, got %d" cycles
 
+(* The [~replicate] contract: each worker domain must own an isolated
+   copy of the design, because engine sessions cache compiled and
+   elaborated state inside (or aliasing) the system.  A factory that
+   hands back the campaign system, the same system twice, or a system
+   some live session still owns would silently share mutable engine
+   state across domains — detect all three and refuse. *)
+let check_replica ~campaign ~seen replica =
+  let refuse msg =
+    Ocapi_error.fail Ocapi_error.Shared_state ~engine:"fault"
+      ~construct:(Cycle_system.name replica) "Ocapi_fault.seu_campaign: %s" msg
+  in
+  if replica == campaign then
+    refuse
+      "~replicate returned the campaign system itself; worker domains \
+       would share mutable engine state";
+  if List.memq replica seen then
+    refuse
+      "~replicate returned the same system twice; each worker domain \
+       needs its own copy";
+  match Cycle_system.attached_engines replica with
+  | [] -> ()
+  | attached ->
+    refuse
+      (Printf.sprintf
+         "~replicate returned a system with live engine sessions (%s); \
+          close them (or build a fresh system) before handing it to a \
+          worker"
+         (String.concat ", " attached))
+
 let seu_campaign_with ~checkpointed ~engine ~runs ~seed ~domains ?replicate
     ?progress sys ~cycles =
   let targets = seu_targets sys in
@@ -595,8 +624,7 @@ let seu_campaign_with ~checkpointed ~engine ~runs ~seed ~domains ?replicate
                isolated copy of the system)"
         in
         let s = replicate () in
-        Flow.check_replica ~context:"Ocapi_fault.seu_campaign" ~campaign:sys
-          ~seen:!replicas s;
+        check_replica ~campaign:sys ~seen:!replicas s;
         replicas := s :: !replicas;
         if Array.length (seu_targets s) <> Array.length targets then
           invalid_arg

@@ -231,7 +231,7 @@ type seu_report = {
     @raise Ocapi_error.Error with code [Unsupported] on an unknown
     engine name, and with code [Shared_state] if [replicate] hands a
     worker the campaign system itself, the same system twice, or a
-    system with live engine sessions ({!Flow.check_replica}).
+    system with live engine sessions.
     [progress] is called with the run index before each run (on the
     worker domain simulating it); it may raise — e.g. an [Ocapi_error]
     with code [Timeout] — to abandon the campaign cooperatively, the

@@ -1,7 +1,4 @@
-type payload =
-  | Behavioral of Cycle_system.t
-  | Rtl of Rtl.t
-  | Gate of Netlist.t
+type payload = Behavioral of Cycle_system.t | Gate of Netlist.t
 
 type pass_record = {
   pr_pass : string;
@@ -20,14 +17,10 @@ type pass = { pass_name : string; pass_body : t -> payload }
 
 let digest_of = function
   | Behavioral sys -> Cycle_system.digest sys
-  | Rtl r -> Rtl.digest r
   | Gate nl -> Netlist.digest nl
 
 let level_name d =
-  match d.ir_design with
-  | Behavioral _ -> "behavioral"
-  | Rtl _ -> "rtl"
-  | Gate _ -> "gate"
+  match d.ir_design with Behavioral _ -> "behavioral" | Gate _ -> "gate"
 
 let behavioral sys =
   {
@@ -37,14 +30,8 @@ let behavioral sys =
     ir_provenance = [];
   }
 
-let to_system d =
-  match d.ir_design with Behavioral s -> Some s | Rtl _ | Gate _ -> None
-
-let to_rtl d =
-  match d.ir_design with Rtl r -> Some r | Behavioral _ | Gate _ -> None
-
 let to_netlist d =
-  match d.ir_design with Gate nl -> Some nl | Behavioral _ | Rtl _ -> None
+  match d.ir_design with Gate nl -> Some nl | Behavioral _ -> None
 
 let wrong_level pass d ~expected =
   raise
@@ -96,33 +83,17 @@ let macro_of_model (k : Dataflow.Kernel.t) =
 
 (* --- built-in passes ------------------------------------------------------- *)
 
-let lower_to_rtl =
-  {
-    pass_name = "lower-to-rtl";
-    pass_body =
-      (fun d ->
-        match d.ir_design with
-        | Behavioral sys ->
-          Cycle_system.reset sys;
-          Rtl (Rtl.of_system sys)
-        | Rtl _ | Gate _ -> wrong_level "lower-to-rtl" d ~expected:"behavioral");
-  }
-
 let lower_to_gate_with ?options ?(macro_of_kernel = macro_of_model) () =
   {
     pass_name = "lower-to-gate";
     pass_body =
       (fun d ->
         match d.ir_design with
-        | Behavioral _ | Rtl _ ->
-          (* Synthesis reads captured structure only, so lowering an
-             RTL-level design goes through the retained behavioral
-             root — deterministic, hence digest-stable. *)
-          let sys = d.ir_source in
+        | Behavioral sys ->
           Cycle_system.reset sys;
           let nl, _report = Synthesize.synthesize ?options ~macro_of_kernel sys in
           Gate nl
-        | Gate _ -> wrong_level "lower-to-gate" d ~expected:"behavioral or rtl");
+        | Gate _ -> wrong_level "lower-to-gate" d ~expected:"behavioral");
   }
 
 let lower_to_gate = lower_to_gate_with ()
@@ -134,15 +105,8 @@ let optimize_gates =
       (fun d ->
         match d.ir_design with
         | Gate nl -> Gate (fst (Netopt.run nl))
-        | Behavioral _ | Rtl _ -> wrong_level "optimize-gates" d ~expected:"gate");
+        | Behavioral _ -> wrong_level "optimize-gates" d ~expected:"gate");
   }
-
-let builtin_passes = [ lower_to_rtl; lower_to_gate; optimize_gates ]
-
-let find_pass name =
-  List.find_opt (fun p -> p.pass_name = name) builtin_passes
-
-let pass_names () = List.map (fun p -> p.pass_name) builtin_passes
 
 let histories_of ~cycles d =
   match d.ir_design with
@@ -151,14 +115,6 @@ let histories_of ~cycles d =
     Cycle_system.run sys cycles;
     let h = Cycle_system.probe_histories sys in
     Cycle_system.reset sys;
-    h
-  | Rtl r ->
-    Rtl.reset r;
-    Rtl.run r cycles;
-    let h = Cycle_system.Trace.to_histories (Rtl.trace r) in
-    Rtl.reset r;
-    (* The RTL elaboration aliases the system's registers. *)
-    Cycle_system.reset d.ir_source;
     h
   | Gate nl ->
     (* The generated-test-bench discipline: histories shaped exactly

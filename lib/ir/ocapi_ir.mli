@@ -1,20 +1,19 @@
 (** The multi-level design IR and its lowering passes.
 
-    The paper's environment spans three representation levels — the
-    behavioral SFG/FSM system of sections 2–4, the clocked RTL
-    processes of section 5, and the synthesized gate netlists of
-    section 6.  Historically this repo bridged them with ad hoc calls
-    ([Synthesize.synthesize], [Rtl.of_system], [Netopt.run]); in the
-    spirit of LLHD's multi-level IR this module makes the levels
-    explicit: one typed container ({!t}) holding a design at exactly
-    one {!payload} level, lowered by named, composable {!pass}es, with
-    each application recorded in a {e provenance chain} of
-    (pass name, input digest, output digest) triples.
+    The paper's environment spans the behavioral SFG/FSM system of
+    sections 2–4 and the synthesized gate netlists of section 6 (the
+    clocked RTL processes of section 5 are a simulation engine, the
+    registry's ["rtl"], not a level here).  In the spirit of LLHD's
+    multi-level IR this module makes the levels explicit: one typed
+    container ({!t}) holding a design at exactly one {!payload} level,
+    lowered by named, composable {!pass}es, with each application
+    recorded in a {e provenance chain} of (pass name, input digest,
+    output digest) triples.
 
-    Every level has a canonical structural digest
-    ([Cycle_system.digest] / [Rtl.digest] / [Netlist.digest]), so a
-    lowered design carries a verifiable derivation: replaying the
-    chain's passes over the root digest must reproduce each link.
+    Both levels have a canonical structural digest
+    ([Cycle_system.digest] / [Netlist.digest]), so a lowered design
+    carries a verifiable derivation: replaying the chain's passes over
+    the root digest must reproduce each link.
 
     The gate level also becomes a first-class cycle engine here:
     {!register_gate_engine} puts [Netlist.Sim] behind the uniform
@@ -28,7 +27,6 @@
     container and pass discipline, not a fourth representation. *)
 type payload =
   | Behavioral of Cycle_system.t  (** SFG/FSM system, cycle-scheduled *)
-  | Rtl of Rtl.t  (** event-driven two-process RTL elaboration *)
   | Gate of Netlist.t  (** synthesized gate netlist *)
 
 (** One provenance link: which pass ran, over what, producing what. *)
@@ -60,15 +58,13 @@ type pass = { pass_name : string; pass_body : t -> payload }
 (** Wrap a behavioral system as an IR design (empty provenance). *)
 val behavioral : Cycle_system.t -> t
 
-(** ["behavioral"], ["rtl"] or ["gate"]. *)
+(** ["behavioral"] or ["gate"]. *)
 val level_name : t -> string
 
 (** Canonical digest of a payload ([Cycle_system.digest] /
-    [Rtl.digest] / [Netlist.digest]). *)
+    [Netlist.digest]). *)
 val digest_of : payload -> string
 
-val to_system : t -> Cycle_system.t option
-val to_rtl : t -> Rtl.t option
 val to_netlist : t -> Netlist.t option
 
 (** {1 The pass manager} *)
@@ -80,24 +76,11 @@ val apply : pass -> t -> t
 (** [pipeline passes design] folds {!apply} left to right. *)
 val pipeline : pass list -> t -> t
 
-(** The built-in passes, by registry name:
-    ["lower-to-rtl"], ["lower-to-gate"], ["optimize-gates"]. *)
-val find_pass : string -> pass option
-
-val pass_names : unit -> string list
-
 (** {1 The built-in passes} *)
 
-(** Behavioral -> Rtl ([Rtl.of_system]).  The elaboration shares the
-    source system's register objects (the RTL engine's documented
-    aliasing); the system is reset first. *)
-val lower_to_rtl : pass
-
-(** Behavioral or Rtl -> Gate ([Synthesize.synthesize] over the
-    behavioral root — synthesis is deterministic, so lowering from an
-    RTL-level design goes through the retained source).  Untimed
-    kernels are mapped through {!macro_of_model}, i.e. their declared
-    [Dataflow.Kernel.k_model]. *)
+(** Behavioral -> Gate (["lower-to-gate"], [Synthesize.synthesize]).
+    Untimed kernels are mapped through {!macro_of_model}, i.e. their
+    declared [Dataflow.Kernel.k_model]. *)
 val lower_to_gate : pass
 
 (** [lower_to_gate_with ?options ?macro_of_kernel ()] — the
@@ -109,8 +92,9 @@ val lower_to_gate_with :
   unit ->
   pass
 
-(** Gate -> Gate ([Netopt.run]): constant propagation, structural
-    hashing, dead-logic elimination to fixpoint. *)
+(** Gate -> Gate (["optimize-gates"], [Netopt.run]): constant
+    propagation, structural hashing, dead-logic elimination to
+    fixpoint. *)
 val optimize_gates : pass
 
 (** Map an untimed kernel to a synthesis macro through its declarative

@@ -151,7 +151,7 @@ val net_label : t -> net -> string
     macro cells and named buses, in creation order.  The netlist's name
     is excluded: two identically-built circuits digest equally whatever
     they are called.  This is the gate level's entry in the cross-level
-    digest scheme ([Cycle_system.digest] / [Rtl.digest] / here), and
+    digest scheme ([Cycle_system.digest] / here), and
     what gate-level [Flow.Cache] keys and pass provenance records are
     made of. *)
 val digest : t -> string

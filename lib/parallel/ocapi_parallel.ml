@@ -14,21 +14,14 @@ let serial_run ~make_state ~tasks ~f =
   done;
   extract out
 
-let map_tasks ?(domains = 1) ?chunk ~make_state ~tasks ~f () =
+let map_tasks ?(domains = 1) ~make_state ~tasks ~f () =
   if tasks < 0 then invalid_arg "Ocapi_parallel.map_tasks: tasks < 0";
-  (match chunk with
-  | Some c when c <= 0 -> invalid_arg "Ocapi_parallel.map_tasks: chunk <= 0"
-  | _ -> ());
   if tasks = 0 then [||]
   else begin
     let domains = max 1 (min domains tasks) in
     if domains = 1 then serial_run ~make_state ~tasks ~f
     else begin
-      let chunk =
-        match chunk with
-        | Some c -> c
-        | None -> max 1 (tasks / (domains * 8))
-      in
+      let chunk = max 1 (tasks / (domains * 8)) in
       (* Worker states are built serially in this domain (construction
          touches process-wide gensyms/registries) and handed over. *)
       let states = Array.make domains None in

@@ -18,9 +18,9 @@
       RAM-cell instances), so they stay single-domain; workers receive
       ownership of their state and must be the only domain touching it.
     - {b Chunked work queue.}  Workers pull half-open index ranges
-      [\[start, start+chunk)] from one atomic counter until the queue
-      is empty — cheap dynamic load balancing with no per-task
-      synchronization.
+      [\[start, start+chunk)], [chunk = max 1 (tasks / (domains * 8))],
+      from one atomic counter until the queue is empty — cheap dynamic
+      load balancing with no per-task synchronization.
     - {b Deterministic merge.}  Worker [k] writes result [i] into slot
       [i] of the output; after joining, worker telemetry is absorbed in
       worker order ({!Ocapi_obs.absorb_domain}), so merged counters
@@ -46,9 +46,6 @@ val available_domains : unit -> int
 
     - [domains] (default [1]): pool size, clamped to [\[1, tasks\]].
       [1] runs serially in the calling domain — no spawn, no merge.
-    - [chunk] (default [max 1 (tasks / (domains * 8))]): tasks per
-      queue pull.  Larger chunks amortize the atomic fetch; smaller
-      chunks balance uneven task costs.
     - [make_state k]: build worker [k]'s isolated state (a fresh
       simulator, a replicated system...).  Called serially in the
       calling domain before any spawn; see the module preamble.
@@ -61,10 +58,9 @@ val available_domains : unit -> int
     task's own exception is re-raised in the calling domain with its
     backtrace, as the serial path raises it.  The lowest-indexed
     failing worker wins.
-    @raise Invalid_argument on [tasks < 0] or [chunk <= 0]. *)
+    @raise Invalid_argument on [tasks < 0]. *)
 val map_tasks :
   ?domains:int ->
-  ?chunk:int ->
   make_state:(int -> 'w) ->
   tasks:int ->
   f:('w -> int -> 'a) ->

@@ -13,21 +13,13 @@ type assignment = rtl_signal * Fixed.t
 
 type process_ = {
   pr_id : int;
-  pr_name : string;
   pr_sensitivity : rtl_signal list;
   pr_exec : unit -> assignment list;
 }
 
 (* A connected probe: its column in the trace, the net signal it
    samples. *)
-type probe_rec = { pb_column : int; pb_name : string; pb_signal : rtl_signal }
-
-(* Optional per-signal value recording (waveform dumping). *)
-type trace_rec = {
-  tr_signal : rtl_signal;
-  mutable tr_last : Fixed.t option;  (* last recorded value *)
-  mutable tr_hist : (int * Fixed.t) list;  (* reversed *)
-}
+type probe_rec = { pb_column : int; pb_signal : rtl_signal }
 
 type t = {
   mutable signals : rtl_signal list;  (* reversed *)
@@ -47,7 +39,6 @@ type t = {
   reg_shadows : (int * rtl_signal) list;  (* Reg.id -> shadow signal *)
   (* Per timed component: name, state signal, number of encoded states. *)
   state_sigs : (string * rtl_signal * int) array;
-  mutable traces : trace_rec list;  (* [] unless trace_all was called *)
   mutable cycle_count : int;
   mutable initialized : bool;
   mutable n_events : int;
@@ -55,70 +46,6 @@ type t = {
   mutable n_deltas : int;
   mutable n_activations : int;
 }
-
-(* Canonical structural hash.  Signal/process ids are global gensyms
-   (two elaborations of the same system get different ids), so the
-   digest is built from names, elaboration order, formats and initial
-   values only — everything that determines behaviour and nothing that
-   varies between identical elaborations. *)
-let digest t =
-  let b = Buffer.create 4096 in
-  let fmt_of (f : Fixed.format) =
-    Buffer.add_string b
-      (Printf.sprintf "%c%d.%d"
-         (match f.Fixed.signedness with Fixed.Signed -> 's' | Fixed.Unsigned -> 'u')
-         f.Fixed.width f.Fixed.frac)
-  in
-  let value v =
-    fmt_of (Fixed.fmt v);
-    Buffer.add_char b '=';
-    Buffer.add_string b (Int64.to_string (Fixed.mantissa v))
-  in
-  Buffer.add_string b "signals:";
-  List.iter
-    (fun s ->
-      Buffer.add_string b s.sg_name;
-      Buffer.add_char b ':';
-      value s.sg_initial;
-      Buffer.add_char b ';')
-    (List.rev t.signals);
-  Buffer.add_string b "|processes:";
-  List.iter
-    (fun p ->
-      Buffer.add_string b p.pr_name;
-      Buffer.add_char b '<';
-      List.iter
-        (fun s -> Buffer.add_string b s.sg_name; Buffer.add_char b ',')
-        p.pr_sensitivity;
-      Buffer.add_char b '>')
-    (List.rev t.processes);
-  Buffer.add_string b "|probes:";
-  List.iter
-    (fun p ->
-      Buffer.add_string b p.pb_name;
-      Buffer.add_char b '~';
-      Buffer.add_string b p.pb_signal.sg_name;
-      Buffer.add_char b ';')
-    t.probes;
-  Buffer.add_string b "|regs:";
-  Array.iter
-    (fun r ->
-      Buffer.add_string b (Signal.Reg.name r);
-      Buffer.add_char b ':';
-      value (Signal.Reg.init r);
-      Buffer.add_char b ';')
-    t.regs;
-  Buffer.add_string b "|states:";
-  Array.iter
-    (fun (name, s, n) ->
-      Buffer.add_string b name;
-      Buffer.add_char b ':';
-      Buffer.add_string b s.sg_name;
-      Buffer.add_char b '/';
-      Buffer.add_string b (string_of_int n);
-      Buffer.add_char b ';')
-    t.state_sigs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* --- construction -------------------------------------------------------- *)
 
@@ -137,9 +64,9 @@ let make_signal name init =
 
 let proc_counter = Atomic.make 0
 
-let make_process name sensitivity exec =
-  { pr_id = Atomic.fetch_and_add proc_counter 1 + 1; pr_name = name;
-    pr_sensitivity = sensitivity; pr_exec = exec }
+let make_process sensitivity exec =
+  { pr_id = Atomic.fetch_and_add proc_counter 1 + 1; pr_sensitivity = sensitivity;
+    pr_exec = exec }
 
 (* A transition of a timed component with every signal its evaluation
    reads or writes resolved at elaboration. *)
@@ -290,7 +217,7 @@ let of_system sys =
           let holds = List.map (fun (nx, sh) -> (nx, sh.sg_value)) rt.rt_holds in
           ((next_state_sig, rt.rt_goto) :: outs) @ assigned @ holds
       in
-      add_process (make_process (cname ^ "_comb") comb_sensitivity comb_exec);
+      add_process (make_process comb_sensitivity comb_exec);
       (* Sequential process: latch on the rising clock edge. *)
       let prev_clk = ref false in
       latches := prev_clk :: !latches;
@@ -303,7 +230,7 @@ let of_system sys =
           :: List.map (fun (nx, sh) -> (sh, nx.sg_value)) next_shadow
         else []
       in
-      add_process (make_process (cname ^ "_seq") [ clk ] seq_exec);
+      add_process (make_process [ clk ] seq_exec);
       resets :=
         (fun () ->
           prev_clk := false;
@@ -336,7 +263,7 @@ let of_system sys =
         end
         else []
       in
-      let p = make_process (cname ^ "_comb") (List.map snd ins) exec in
+      let p = make_process (List.map snd ins) exec in
       kernel_procs := p :: !kernel_procs;
       add_process p)
     (Cycle_system.untimed_components sys);
@@ -362,9 +289,9 @@ let of_system sys =
   let probes =
     List.concat
       (List.mapi
-         (fun i (pname, n) ->
+         (fun i (_, n) ->
            match n with
-           | Some n -> [ { pb_column = i; pb_name = pname; pb_signal = net_signal n } ]
+           | Some n -> [ { pb_column = i; pb_signal = net_signal n } ]
            | None -> [])
          probe_nets)
   in
@@ -397,7 +324,6 @@ let of_system sys =
     regs = Array.of_list (Cycle_system.all_regs sys);
     reg_shadows = !all_shadows;
     state_sigs = Array.of_list (List.rev !state_sig_rows);
-    traces = [];
     cycle_count = 0;
     initialized = false;
     n_events = 0;
@@ -507,20 +433,6 @@ let cycle t =
         Cycle_system.Trace.record_token t.trace pb.pb_column ~cycle:t.cycle_count
           pb.pb_signal.sg_value)
     t.probes;
-  (* Record traced signals whose value changed (waveform dumping). *)
-  List.iter
-    (fun tr ->
-      let v = tr.tr_signal.sg_value in
-      let changed =
-        match tr.tr_last with
-        | None -> true
-        | Some prev -> not (Fixed.equal prev v)
-      in
-      if changed then begin
-        tr.tr_last <- Some v;
-        tr.tr_hist <- (t.cycle_count, v) :: tr.tr_hist
-      end)
-    t.traces;
   (* Kernel state commits are synchronous: like a register latch they
      apply the staging settled from this cycle's pre-edge signal values.
      Committing before the clock event re-runs any process keeps the
@@ -559,22 +471,11 @@ let cycle t =
   end;
   t.cycle_count <- t.cycle_count + 1
 
-let run t n =
-  for _ = 1 to n do
-    cycle t
-  done
-
 let current_cycle t = t.cycle_count
 
 let trace t = t.trace
 
-let clear_histories t =
-  Cycle_system.Trace.clear t.trace;
-  List.iter
-    (fun tr ->
-      tr.tr_last <- None;
-      tr.tr_hist <- [])
-    t.traces
+let clear_histories t = Cycle_system.Trace.clear t.trace
 
 let reset t =
   t.cycle_count <- 0;
@@ -594,7 +495,7 @@ let reset t =
 
 (* --- checkpoints ------------------------------------------------------------ *)
 
-(* A copy of what [reset] re-initializes, less histories, traces and
+(* A copy of what [reset] re-initializes, less the probe trace and the
    activity counters.  Signal values are immutable [Fixed.t]s, so the
    copy shares them. *)
 type snapshot = {
@@ -660,24 +561,6 @@ let matches t sn =
   && same_signals 0 t.signals
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
-let trace_all t =
-  if t.traces = [] then
-    t.traces <-
-      List.rev_map
-        (fun s -> { tr_signal = s; tr_last = None; tr_hist = [] })
-        t.signals
-
-let traced_histories t =
-  List.map
-    (fun tr ->
-      ( tr.tr_signal.sg_name,
-        (Fixed.fmt tr.tr_signal.sg_value).Fixed.width,
-        List.rev tr.tr_hist ))
-    t.traces
-
-let signal_count t = List.length t.signals
-let process_count t = List.length t.processes
-
 (* --- fault-injection access ----------------------------------------------- *)
 
 let register_count t = Array.length t.regs
@@ -725,20 +608,3 @@ let set_component_state t i state =
   in
   initialize t;
   settle t [ (s, Fixed.of_int (Fixed.fmt s.sg_value) state) ]
-
-type stats = {
-  cycles : int;
-  events : int;
-  transactions : int;
-  deltas : int;
-  activations : int;
-}
-
-let stats t =
-  {
-    cycles = t.cycle_count;
-    events = t.n_events;
-    transactions = t.n_transactions;
-    deltas = t.n_deltas;
-    activations = t.n_activations;
-  }

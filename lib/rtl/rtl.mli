@@ -34,18 +34,14 @@ type t
     at most 1000 delta cycles. *)
 val of_system : Cycle_system.t -> t
 
-(** Canonical structural hash (hex MD5) of the elaboration: signal
-    names, initial values and formats in elaboration order, process
-    names and sensitivity lists, probes, registers and FSM state
-    signals.  Gensym'd signal/process ids are excluded, so two
-    elaborations of the same system digest equally — the RTL level's
-    entry in the cross-level digest scheme. *)
-val digest : t -> string
-
-(** Simulate one clock cycle (input drive + both clock edges). *)
+(** Simulate one clock cycle (input drive + both clock edges).  With
+    [Ocapi_obs] telemetry on, each cycle adds its activity to the
+    counters [rtl.events_fired] (signal value changes),
+    [rtl.events_scheduled] (signal assignments, changed or not) and
+    [rtl.activations] (process executions), and observes its delta
+    cycles in the histogram [rtl.deltas_per_cycle]. *)
 val cycle : t -> unit
 
-val run : t -> int -> unit
 val current_cycle : t -> int
 
 (** The probe tokens {!cycle} samples: one column per probe of the
@@ -59,8 +55,8 @@ val reset : t -> unit
 
 (** {1 Checkpoints}
 
-    A snapshot copies the state {!reset} re-initializes, less histories,
-    traces and activity counters: the cycle, every signal's value and
+    A snapshot copies the state {!reset} re-initializes, less the probe
+    trace and the activity counters: the cycle, every signal's value and
     driven flag (FSM state signals and register shadows included), the
     clock each sequential process last saw, the registers shared with
     the system and the untimed kernels' state (through their
@@ -72,33 +68,15 @@ type snapshot
 val snapshot : t -> snapshot option
 
 (** Back to the snapshot's state and cycle, from any state (a cycle an
-    exception abandoned included); probe histories and traces are
-    cleared, so they record from the snapshot's cycle on. *)
+    exception abandoned included); the probe trace is cleared, so it
+    records from the snapshot's cycle on. *)
 val restore : t -> snapshot -> unit
 
 (** Does the current state equal the snapshot's? *)
 val matches : t -> snapshot -> bool
 
-(** Clear probe histories and traces, leaving the state as it is. *)
+(** Clear the probe trace, leaving the state as it is. *)
 val clear_histories : t -> unit
-
-(** {1 Signal tracing (waveform dumping)} *)
-
-(** Enable per-signal value recording: each subsequent {!cycle} records,
-    at the probe-sampling point, every signal whose value changed since
-    it was last recorded.  Costs one sweep of the signal list per cycle;
-    leave off for timed runs. *)
-val trace_all : t -> unit
-
-(** Recorded signal histories as (signal name, bit width, history);
-    each history entry is the cycle at which the signal took a new
-    value. *)
-val traced_histories : t -> (string * int * (int * Fixed.t) list) list
-
-(** {1 Size and activity metrics} *)
-
-val signal_count : t -> int
-val process_count : t -> int
 
 (** {1 Fault-injection access}
 
@@ -130,13 +108,3 @@ val component_state : t -> int -> int
     encoded state — the detected-outcome path of SEU campaigns on state
     registers. *)
 val set_component_state : t -> int -> int -> unit
-
-type stats = {
-  cycles : int;
-  events : int;  (** signal value changes *)
-  transactions : int;  (** signal assignments, changed or not *)
-  deltas : int;  (** delta cycles executed *)
-  activations : int;  (** process executions *)
-}
-
-val stats : t -> stats

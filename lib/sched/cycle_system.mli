@@ -69,9 +69,9 @@ val add_untimed : t -> Dataflow.Kernel.t -> component
     calls [stim] again.
 
     Columns carry no lock: a system, its columns included, is driven
-    by one domain at a time.  Parallel campaigns and engine sweeps give
-    every extra domain its own replica system, and the job runner hands
-    each job's system to one worker. *)
+    by one domain at a time.  Parallel campaigns give every extra
+    domain its own replica system, and the job runner hands each job's
+    system to one worker. *)
 val add_input :
   t -> string -> Fixed.format -> (int -> Fixed.t option) -> component
 

@@ -25,6 +25,12 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "examples (exit 1 on an engine or netlist mismatch)"
+for exe in _build/default/examples/*.exe; do
+  echo "== $exe"
+  "$exe"
+done
+
 stage "temp-dir gate (tests remove their temp files)"
 scripts/tmpdir_gate.sh
 

@@ -376,12 +376,10 @@ let test_dect_golden_under_compiled () =
   (* The compiled engine reproduces the golden equalizer stream too. *)
   let d, samples, symbols, cycles = dect_setup ~symbols:20 ~seed:9 () in
   let sys = d.Dect_transceiver.system in
-  Cycle_system.reset sys;
-  let prog = Compiled_sim.compile sys in
-  Compiled_sim.run prog cycles;
+  let histories = Flow.simulate ~engine:"compiled" sys ~cycles in
   let golden = Dect_transceiver.golden_reference samples ~symbols in
   let ll = Dect_transceiver.loop_length in
-  let soft = Compiled_sim.output_history prog "soft_out" in
+  let soft = List.assoc "soft_out" histories in
   for n = 0 to symbols - 3 do
     match List.assoc_opt ((ll * (n + 1)) + 4) soft with
     | Some v ->

@@ -202,7 +202,7 @@ let shared_state_code = function
 let test_replicate_returns_campaign_rejected () =
   let sys = tiny () in
   match
-    Flow.engine_disagreements ~domains:2 ~replicate:(fun () -> sys) sys
+    Ocapi_fault.seu_campaign ~runs:4 ~domains:2 ~replicate:(fun () -> sys) sys
       ~cycles:8
   with
   | _ -> Alcotest.fail "expected Shared_state error"

@@ -105,22 +105,36 @@ let test_engines_agree_helper () =
   Alcotest.(check (list string)) "no disagreement" []
     (Flow.engines_agree sys ~cycles:40)
 
-let test_compiled_reset () =
-  let sys = rich_system 77 in
+(* [f] drives one session of [engine] on [sys], made after a system
+   reset so every engine starts from power-on. *)
+let with_session engine sys f =
   Cycle_system.reset sys;
-  let prog = Compiled_sim.compile sys in
-  Compiled_sim.run prog 30;
-  let first = Compiled_sim.output_history prog "y_out" in
-  Compiled_sim.reset prog;
-  Compiled_sim.run prog 30;
-  let second = Compiled_sim.output_history prog "y_out" in
-  Alcotest.(check bool) "reset reproduces" true
-    (List.for_all2
-       (fun (c1, v1) (c2, v2) -> c1 = c2 && Fixed.equal v1 v2)
-       first second);
-  Alcotest.(check bool) "has slots" true (Compiled_sim.slot_count prog > 10);
-  Alcotest.(check bool) "has statements" true
-    (Compiled_sim.statement_count prog > 10)
+  let module E = (val Ocapi_engine.get engine) in
+  let ses = E.make sys in
+  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () -> f ses)
+
+let steps ses n =
+  for _ = 1 to n do
+    ses.Ocapi_engine.ses_step ()
+  done
+
+let test_compiled_reset () =
+  with_session "compiled" (rich_system 77) (fun ses ->
+      steps ses 30;
+      let first = ses.Ocapi_engine.ses_histories () in
+      ses.Ocapi_engine.ses_reset ();
+      steps ses 30;
+      Alcotest.(check bool) "reset reproduces" true
+        (histories_equal first (ses.Ocapi_engine.ses_histories ()));
+      Alcotest.(check bool) "has statements" true
+        (Option.value ~default:0 ses.Ocapi_engine.ses_static_size > 10))
+
+(* The compiled engine lowers at session set-up, so [make] is where a
+   design it cannot schedule statically is refused. *)
+let compiled_refuses sys what =
+  match with_session "compiled" sys ignore with
+  | exception e when Raises.code Unsupported e -> ()
+  | () -> Alcotest.failf "%s accepted" what
 
 let test_compiled_rejects_component_cycle () =
   (* Combinational component cycle at the static schedule's granularity. *)
@@ -140,23 +154,27 @@ let test_compiled_rejects_component_cycle () =
   let b = Cycle_system.add_timed sys "cb" (mk "cb") in
   ignore (Cycle_system.connect sys (a, "y") [ (b, "x") ]);
   ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
-  match Compiled_sim.compile sys with
-  | exception e when Raises.code Unsupported e -> ()
-  | _ -> Alcotest.fail "component cycle accepted"
+  compiled_refuses sys "component cycle"
 
-let test_rtl_stats_and_size () =
-  let sys = rich_system 13 in
-  Cycle_system.reset sys;
-  let rtl = Rtl.of_system sys in
-  Rtl.reset rtl;
-  Rtl.run rtl 20;
-  let st = Rtl.stats rtl in
-  Alcotest.(check bool) "deltas happened" true (st.Rtl.deltas > 20);
-  Alcotest.(check bool) "events happened" true (st.Rtl.events > 20);
-  Alcotest.(check bool) "activations happened" true (st.Rtl.activations > 20);
-  Alcotest.(check bool) "signals exist" true (Rtl.signal_count rtl > 5);
-  Alcotest.(check bool) "processes exist" true (Rtl.process_count rtl >= 4);
-  Cycle_system.reset sys
+(* The RT kernel's activity reaches telemetry: events, process
+   activations and delta cycles, counted per clock cycle. *)
+let test_rtl_activity_counters () =
+  let _, report =
+    Ocapi_obs.run_with_telemetry ~label:"rtl" (fun () ->
+        with_session "rtl" (rich_system 13) (fun ses -> steps ses 20))
+  in
+  let metric name = List.assoc_opt name report.Ocapi_obs.rp_metrics in
+  let counter name =
+    match metric name with Some (Ocapi_obs.Counter_v n) -> n | _ -> 0
+  in
+  Alcotest.(check int) "cycles counted" 20 (counter "rtl.cycles");
+  Alcotest.(check bool) "events happened" true (counter "rtl.events_fired" > 20);
+  Alcotest.(check bool) "activations happened" true (counter "rtl.activations" > 20);
+  match metric "rtl.deltas_per_cycle" with
+  | Some (Ocapi_obs.Histogram_v h) ->
+    Alcotest.(check int) "one observation per cycle" 20 h.Ocapi_obs.hs_count;
+    Alcotest.(check bool) "deltas happened" true (h.Ocapi_obs.hs_sum > 20.)
+  | _ -> Alcotest.fail "no rtl.deltas_per_cycle histogram"
 
 (* y = x + acc and acc <- x + 1, with a stimulus that holds its net
    (returns None) for cycles 0-2: after a reset the held input must read
@@ -182,6 +200,14 @@ let held_input_system () =
   ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
   ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
   sys
+
+(* The held input deadlocks the interpreted engine at cycle 0, and the
+   engine sweep raises that diagnostic itself. *)
+let test_engine_sweep_failure () =
+  match Flow.engine_disagreements (held_input_system ()) ~cycles:8 with
+  | _ -> Alcotest.fail "held-input sweep completed"
+  | exception (Ocapi_error.Error d as e) when Raises.code Deadlock e ->
+    Alcotest.(check bool) "waiting list" true (d.Ocapi_error.e_nets <> [])
 
 (* The emitted standalone simulator compiles with ocamlfind/ocamlopt and
    prints exactly the probe stream of the in-process engines.  Skipped
@@ -246,19 +272,6 @@ let test_emitted_simulator_end_to_end () =
   emitted_simulator_matches ~engine:"compiled" (held_input_system ()) ~cycles:8
 
 (* --- sessions: reset, allocation, RAM kernels and guards ------------------ *)
-
-(* [f] drives one session of [engine] on [sys], made after a system
-   reset so every engine starts from power-on. *)
-let with_session engine sys f =
-  Cycle_system.reset sys;
-  let module E = (val Ocapi_engine.get engine) in
-  let ses = E.make sys in
-  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () -> f ses)
-
-let steps ses n =
-  for _ = 1 to n do
-    ses.Ocapi_engine.ses_step ()
-  done
 
 let test_reset_matches_fresh () =
   let sys = held_input_system () in
@@ -639,18 +652,14 @@ let test_input_guard_rejected () =
   let p = Cycle_system.add_output sys "y_out" in
   ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
   ignore (Cycle_system.connect sys (c, "y") [ (p, "in") ]);
-  match Compiled_sim.compile sys with
-  | exception e when Raises.code Unsupported e -> ()
-  | _ -> Alcotest.fail "input-reading guard accepted"
+  compiled_refuses sys "input-reading guard"
 
 (* Table 1's static-size column: statements per gallery design, the
    elided ones (constants, register reads, shifts) included.  The native
    engine reports the same count whether it runs its plugin or, with
    the engine disabled, its interpreted fallback. *)
 let test_statement_counts () =
-  let native_size sys =
-    with_session "native" sys (fun ses -> ses.Ocapi_engine.ses_static_size)
-  in
+  let size engine sys = with_session engine sys (fun ses -> ses.Ocapi_engine.ses_static_size) in
   let native_disabled f =
     let prior =
       Option.value ~default:"" (Sys.getenv_opt "OCAPI_NATIVE_DISABLE")
@@ -660,12 +669,11 @@ let test_statement_counts () =
   in
   List.iter
     (fun (name, sys, expected) ->
-      Alcotest.(check int) name expected
-        (Compiled_sim.statement_count (Compiled_sim.compile sys));
+      Alcotest.(check (option int)) name (Some expected) (size "compiled" sys);
       Alcotest.(check (option int)) (name ^ " native") (Some expected)
-        (native_size sys);
+        (size "native" sys);
       Alcotest.(check (option int)) (name ^ " native fallback") (Some expected)
-        (native_disabled (fun () -> native_size sys)))
+        (native_disabled (fun () -> size "native" sys)))
     [
       ("hcor", Gallery.hcor (), 708);
       ("dect", Gallery.dect (), 2392);
@@ -688,7 +696,10 @@ let suite =
     Alcotest.test_case "compiled reset reproduces" `Quick test_compiled_reset;
     Alcotest.test_case "compiled rejects component cycles" `Quick
       test_compiled_rejects_component_cycle;
-    Alcotest.test_case "rtl stats and size" `Quick test_rtl_stats_and_size;
+    Alcotest.test_case "rtl activity reaches telemetry" `Quick
+      test_rtl_activity_counters;
+    Alcotest.test_case "engine sweep raises a deadlock" `Quick
+      test_engine_sweep_failure;
     Alcotest.test_case "reset = fresh session (held input)" `Quick
       test_reset_matches_fresh;
     Alcotest.test_case "compiled statement sweep allocates nothing" `Quick

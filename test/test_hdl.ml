@@ -152,10 +152,25 @@ let test_fsm_dot () =
   Alcotest.(check bool) "edge with action" true (contains dot "sfg1");
   Alcotest.(check bool) "guard label" true (contains dot "dot_eof")
 
+(* The interpreter's waveforms of the gallery designs, pinned by MD5. *)
+let test_vcd_gallery_pinned () =
+  List.iter
+    (fun (name, build, cycles, md5) ->
+      Alcotest.(check string) name md5
+        (Digest.to_hex (Digest.string (Vcd.record (build ()) ~cycles))))
+    [
+      ("hcor", Gallery.hcor, 60, "b1f2b93c19dd0c88ad296486b7111bcb");
+      ("dect", Gallery.dect, 120, "8ea0d6b1db8c32663247022ebbfbcaab");
+      ("rs", Gallery.rs, 60, "338ebadad94b67f5e7546676e0454e16");
+      ("cpu", Gallery.cpu, 60, "bce80469a4e730a93b0ae2945dd81054");
+    ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "vcd dump" `Quick test_vcd;
+      Alcotest.test_case "vcd of the gallery designs, pinned" `Quick
+        test_vcd_gallery_pinned;
       Alcotest.test_case "fsm dot export" `Quick test_fsm_dot;
     ]
 

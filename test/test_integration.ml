@@ -22,11 +22,10 @@ let test_engines_agree_on_hcor () =
   Alcotest.(check (list string)) "agree" [] (Flow.engines_agree sys ~cycles:120)
 
 let test_metrics_all_engines () =
-  let sys = hcor () in
   let cycles = 150 in
   let ms =
     List.map
-      (fun e -> Metrics.measure ~ocaml_source_lines:140 sys e ~cycles)
+      (fun e -> Metrics.measure ~ocaml_source_lines:140 hcor e ~cycles)
       Metrics.all_engines
   in
   List.iter
@@ -58,32 +57,35 @@ let test_metrics_all_engines () =
     (lines Metrics.Rt_event_driven > 2 * 140)
 
 (* Table 1's process column counts an engine's own state, neither the
-   stimulus columns nor the probe trace.  A longer interpreted run,
-   whose tokens the system's trace keeps the capacity for, leaves the
-   interpreted row as it was; so do, for the RT and interpreted rows,
-   the cycles a long compiled run evaluated into the shared stimulus
-   columns.  (Both rows also reach what the design memoizes for every
-   engine, the interpreter's evaluation plans and the RT elaboration's
-   net formats, so the pair is read after one row of each.) *)
+   stimulus columns nor the probe trace, which grow with the run: a
+   long row reads as a short one.  (The RT row's short run is the one
+   by which every transition has fired and built its plan.) *)
 let test_process_bytes_exclude_columns () =
-  let sys = hcor () in
-  let bytes engine = (Metrics.measure sys engine ~cycles:50).Metrics.m_process_bytes in
-  let interp = bytes Metrics.Interpreted_objects in
-  ignore (Metrics.measure sys Metrics.Interpreted_objects ~cycles:5_000);
-  Alcotest.(check int) "interp after a longer interp run" interp
-    (bytes Metrics.Interpreted_objects);
-  let rows () =
-    let rt = bytes Metrics.Rt_event_driven in
-    (rt, bytes Metrics.Interpreted_objects)
-  in
-  let before = rows () in
-  ignore (Metrics.measure sys Metrics.Compiled_code ~cycles:200_000);
-  Alcotest.(check (pair int int)) "RT and interp after a long compiled run" before
-    (rows ())
+  let bytes engine ~cycles = (Metrics.measure hcor engine ~cycles).Metrics.m_process_bytes in
+  List.iter
+    (fun (engine, short, long) ->
+      Alcotest.(check int) (Metrics.engine_label engine) (bytes engine ~cycles:short)
+        (bytes engine ~cycles:long))
+    [
+      (Metrics.Interpreted_objects, 50, 5_000);
+      (Metrics.Compiled_code, 50, 20_000);
+      (Metrics.Rt_event_driven, 1_000, 2_000);
+    ]
+
+(* Each row is measured on its own build of the design, so a row does
+   not count what the rows before it built: every row reads the same
+   measured first or after all the others. *)
+let test_process_bytes_independent_of_order () =
+  let bytes engine = (Metrics.measure hcor engine ~cycles:50).Metrics.m_process_bytes in
+  List.iter
+    (fun engine ->
+      let first = bytes engine in
+      List.iter (fun other -> if other <> engine then ignore (bytes other)) Metrics.all_engines;
+      Alcotest.(check int) (Metrics.engine_label engine) first (bytes engine))
+    Metrics.all_engines
 
 let test_metrics_table_rendering () =
-  let sys = hcor () in
-  let m = Metrics.measure ~ocaml_source_lines:100 sys Metrics.Interpreted_objects ~cycles:50 in
+  let m = Metrics.measure ~ocaml_source_lines:100 hcor Metrics.Interpreted_objects ~cycles:50 in
   let text = Format.asprintf "%a" (fun ppf -> Metrics.pp_table ppf ~design:"HCOR" ~gates:7000) [ m ] in
   let contains needle =
     let nh = String.length text and nn = String.length needle in
@@ -109,6 +111,8 @@ let suite =
     Alcotest.test_case "metrics across all engines" `Slow test_metrics_all_engines;
     Alcotest.test_case "process bytes exclude stimulus columns" `Quick
       test_process_bytes_exclude_columns;
+    Alcotest.test_case "process bytes independent of row order" `Quick
+      test_process_bytes_independent_of_order;
     Alcotest.test_case "metrics table rendering" `Quick test_metrics_table_rendering;
     Alcotest.test_case "source line counter" `Quick test_source_line_counter;
   ]

@@ -1,19 +1,19 @@
 (* Tests for the domain pool and the parallel campaign paths: the pool
-   itself (identity merge, chunking, worker failure), bit-identity of
+   itself (identity merge, per-worker states, worker failure), bit-identity of
    parallel fault campaigns against the serial reports on multiple
    engines, and cross-domain telemetry aggregation. *)
 
 (* --- the pool itself ------------------------------------------------------- *)
 
-(* Results land in task-index order whatever the pool size or chunk:
-   the merged array must equal the serial map exactly. *)
+(* Results land in task-index order whatever the pool size: the merged
+   array must equal the serial map exactly. *)
 let test_pool_identity () =
   let tasks = 97 in
   let expect = Array.init tasks (fun i -> (i * i) mod 31) in
   List.iter
-    (fun (domains, chunk) ->
+    (fun domains ->
       let got =
-        Ocapi_parallel.map_tasks ~domains ?chunk
+        Ocapi_parallel.map_tasks ~domains
           ~make_state:(fun _k -> ())
           ~tasks
           ~f:(fun () i -> (i * i) mod 31)
@@ -22,7 +22,7 @@ let test_pool_identity () =
       Alcotest.(check (array int))
         (Printf.sprintf "domains %d" domains)
         expect got)
-    [ (1, None); (2, None); (4, None); (4, Some 1); (3, Some 100) ]
+    [ 1; 2; 3; 4 ]
 
 let test_pool_states_are_per_worker () =
   (* Each worker only ever sees the state built for its index, so
@@ -137,32 +137,6 @@ let test_parallel_telemetry_counters () =
     (List.fold_left (fun a (_, n) -> a + n) 0 serial);
   Alcotest.(check (list (pair string int))) "merged = serial" serial par
 
-(* --- parallel engine cross-verification ------------------------------------ *)
-
-let test_engine_sweep_parallel () =
-  Alcotest.(check (list string))
-    "parallel sweep finds no disagreement" []
-    (Flow.engines_agree ~domains:3 ~replicate:Gallery.hcor (Gallery.hcor ())
-       ~cycles:40)
-
-(* The held-input design deadlocks the interpreted engine at cycle 0.
-   The sweep raises that diagnostic itself, serially and on a pool. *)
-let test_engine_sweep_failure () =
-  let sweep domains =
-    match
-      Flow.engine_disagreements ~domains
-        ~replicate:Test_engines.held_input_system
-        (Test_engines.held_input_system ()) ~cycles:8
-    with
-    | _ -> Alcotest.failf "held-input sweep completed at %d domains" domains
-    | exception (Ocapi_error.Error d as e) when Raises.code Deadlock e -> d
-  in
-  let serial = sweep 1 in
-  Alcotest.(check bool) "waiting list" true (serial.Ocapi_error.e_nets <> []);
-  Alcotest.(check string)
-    "2 domains = serial" (Ocapi_error.to_string serial)
-    (Ocapi_error.to_string (sweep 2))
-
 let suite =
   [
     Alcotest.test_case "pool merge identity" `Quick test_pool_identity;
@@ -179,8 +153,4 @@ let suite =
       test_stuck_at_parallel;
     Alcotest.test_case "parallel telemetry merge" `Quick
       test_parallel_telemetry_counters;
-    Alcotest.test_case "engine sweep parallel" `Quick
-      test_engine_sweep_parallel;
-    Alcotest.test_case "engine sweep failure: same error at 1 and 2 domains"
-      `Quick test_engine_sweep_failure;
   ]
