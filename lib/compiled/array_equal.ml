@@ -7,13 +7,3 @@ let ints (a : int array) b =
     incr i
   done;
   !i = n
-
-let int64s (a : int64 array) b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let i = ref 0 in
-  while !i < n && a.(!i) = b.(!i) do
-    incr i
-  done;
-  !i = n

@@ -8,7 +8,7 @@
    the [Ocapi_native_abi] record shape changes incompatibly; folded into
    the .cmxs cache key so stale artifacts are never paired with a newer
    host. *)
-let emitter_version = 6
+let emitter_version = 7
 
 let sanitize name =
   String.map
@@ -632,29 +632,30 @@ let mode_of p = if word_mode_ok p then Word else I64
 (* --- the plugin -------------------------------------------------------------- *)
 
 let emit_plugin sys p =
-  let mode = mode_of p in
+  if not (word_mode_ok p) then
+    Ocapi_error.fail Ocapi_error.Unsupported ~engine:"native"
+      ~construct:(Cycle_system.name sys)
+      "plugin: a mantissa of system %s may not fit an unboxed int"
+      (Cycle_system.name sys);
   let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let store = match mode with Word -> "Words" | I64 -> "Boxed" in
   pf "(* Generated by ocapi-ml: native simulator plugin for system %S. *)\n"
     (Cycle_system.name sys);
-  pf "(* Emitter v%d, %s value store; loaded via Dynlink, driven through\n"
-    emitter_version
-    (match mode with Word -> "unboxed int" | I64 -> "int64");
+  pf "(* Emitter v%d, unboxed int value store; loaded via Dynlink, driven through\n"
+    emitter_version;
   pf "   instances of the factory it registers with Ocapi_native_abi. *)\n\n";
-  emit_body buf mode p Plugin;
+  emit_body buf Word p Plugin;
   let rams f =
     String.concat "; " (List.init (Array.length p.Compiled_sim.pg_rams) f)
   in
   pf "let create () =\n";
   pf "  let module I = Make () in\n";
   pf "  {\n";
-  pf "    Ocapi_native_abi.p_values = Ocapi_native_abi.%s I.v;\n" store;
+  pf "    Ocapi_native_abi.p_values = I.v;\n";
   pf "    p_stamps = I.stamp;\n";
   pf "    p_cycle = I.cycle;\n";
   pf "    p_states = I.states;\n";
-  pf "    p_rams = [| %s |];\n"
-    (rams (Printf.sprintf "Ocapi_native_abi.%s I.ram_%d" store));
+  pf "    p_rams = [| %s |];\n" (rams (Printf.sprintf "I.ram_%d"));
   pf "    p_ram_staged = [| %s |];\n" (rams (Printf.sprintf "I.ram_%d_pa"));
   pf "    p_kernels = I.kernels;\n";
   pf "    p_kernel_commits = I.kernel_commits;\n";

@@ -8,9 +8,11 @@
     schedule with its inlined RAMs — as OCaml text.  Constants render
     as literals at their uses; register reads and shifts read their
     source slot, as in the closure back end.  When the width-bound
-    analysis proves every intermediate mantissa fits an unboxed 63-bit
-    [int], the text runs over native [int] words; otherwise over
-    [int64] cells, semantically identical on any width.
+    analysis ({!word_mode_ok}) proves every intermediate mantissa fits
+    an unboxed 63-bit [int], the text runs over native [int] words;
+    otherwise over [int64] cells, semantically identical on any width.
+    Plugins take only the first form; the standalone simulator takes
+    either.
 
     One rendered body (value store, [step], [reset]) serves two shapes:
 
@@ -33,10 +35,18 @@ val emitter_version : int
     native engine folds it into the [.cmxs] cache key so stale
     artifacts are never paired with a newer host. *)
 
+val word_mode_ok : Compiled_sim.program -> bool
+(** [word_mode_ok p] — does the width-bound analysis prove that every
+    mantissa [p] computes, shifted and rounding intermediates included,
+    fits an unboxed [int]?  A conservative fixpoint over per-slot
+    magnitude bounds. *)
+
 val emit_plugin : Cycle_system.t -> Compiled_sim.program -> string
 (** [emit_plugin sys p] renders [p], [Compiled_sim.lower sys], as the
-    source of a dynlinkable plugin module, whose only dependency is
-    [Ocapi_native_abi].  The body is a generative functor, and on load
+    source of a dynlinkable plugin module over unboxed [int] words,
+    whose only dependency is [Ocapi_native_abi]; it raises
+    [Ocapi_error.Error] with code [Unsupported] unless
+    [word_mode_ok p].  The body is a generative functor, and on load
     the module registers a factory that applies it: each call
     allocates a fresh simulator instance (value store, stamps, FSM
     states, RAM images, kernel hook slots) and returns its

@@ -54,7 +54,7 @@ let pp_check_report ppf r =
 
 (* --- keyed result cache ----------------------------------------------------
 
-   Memoizes probe histories by (design digest, stimulus fingerprint,
+   Memoizes frozen probe traces by (design digest, stimulus fingerprint,
    engine key, seed, cycles).  The structural digest
    ([Cycle_system.digest]) does not cover primary-input stimuli, so
    the key reads every stimulus column over the simulated cycle range,
@@ -73,8 +73,6 @@ module Cache = struct
   }
 
   let lock = Mutex.create ()
-  let table : (string, (string * (int * Fixed.t) list) list) Hashtbl.t =
-    Hashtbl.create 64
 
   (* None = disabled; Some dir = enabled, with an optional disk store. *)
   let state : string option option ref = ref None
@@ -83,8 +81,8 @@ module Cache = struct
   let disk_hits = ref 0
   let disk_writes = ref 0
 
-  (* Auxiliary [Store]s register a reset hook here so [clear] empties
-     them along with the history table.  Guarded by [lock]. *)
+  (* Every [Store] registers a reset hook here so [clear] empties it.
+     Guarded by [lock]. *)
   let clear_hooks : (unit -> unit) list ref = ref []
 
   let locked f =
@@ -105,20 +103,7 @@ module Cache = struct
   let disable () = locked (fun () -> state := None)
   let enabled () = !state <> None
 
-  let clear () =
-    locked (fun () ->
-        Hashtbl.reset table;
-        List.iter (fun f -> f ()) !clear_hooks)
-
-  let stats () =
-    locked (fun () ->
-        {
-          hits = !hits;
-          misses = !misses;
-          entries = Hashtbl.length table;
-          disk_hits = !disk_hits;
-          disk_writes = !disk_writes;
-        })
+  let clear () = locked (fun () -> List.iter (fun f -> f ()) !clear_hooks)
 
   let reset_stats () =
     locked (fun () ->
@@ -191,10 +176,9 @@ module Cache = struct
       (try Sys.remove tmp with _ -> ());
       false
 
-  (* The shared lookup/store shape of the history table and every
-     auxiliary [Store]: memory first, then the namespaced disk entry,
-     counting into the shared hit/miss statistics.  Runs under
-     [lock]. *)
+  (* The shared lookup/store shape of every [Store]: memory first, then
+     the namespaced disk entry, counting into the shared hit/miss
+     statistics.  Runs under [lock]. *)
   let find_in ~namespace tbl k =
     locked (fun () ->
         match !state with
@@ -239,14 +223,10 @@ module Cache = struct
             (fun d -> if disk_write ~namespace d k v then incr disk_writes)
             dir)
 
-  let find_histories k = find_in ~namespace:"hist" table k
-  let store_histories k v = store_in ~namespace:"hist" table k v
-
   (* --- in-flight coalescing.  The first caller of a key computes
      while identical concurrent callers block on [inflight_cond]; when
-     the computation lands in the cache the waiters are served from it.
-     This is the hook the job runner's duplicate-job coalescing and
-     the parallel sweeps lean on: N identical requests cost one
+     the computation lands in the cache the waiters are served from it,
+     so identical runs in flight on several domains cost one
      execution. *)
   let inflight : (string, unit) Hashtbl.t = Hashtbl.create 8
   let inflight_cond = Condition.create ()
@@ -290,15 +270,10 @@ module Cache = struct
     in
     go ()
 
-  let coalesced_histories ~key ~compute =
-    coalesced ~key ~lookup:find_histories
-      ~probe:(probe_in ~namespace:"hist" table)
-      ~compute ~store:store_histories
-
-  (* A typed auxiliary store sharing the cache's lifecycle (enable /
-     disable / clear / stats) and disk directory.  One application per
-     value type; [namespace] keys the disk entries, so it must be
-     unique per type or disk reads would unmarshal at the wrong type. *)
+  (* A typed store sharing the cache's lifecycle (enable / disable /
+     clear / stats) and disk directory.  One application per value
+     type; [namespace] keys the disk entries, so it must be unique per
+     type or disk reads would unmarshal at the wrong type. *)
   module Store (V : sig
     type t
 
@@ -318,6 +293,25 @@ module Cache = struct
       coalesced ~key ~lookup:find ~probe:(probe_in ~namespace:V.namespace tbl)
         ~compute ~store:add
   end
+
+  (* [simulate]'s results.  The namespace is not the ["hist"] of the
+     list entries older builds wrote, so no such entry is ever read
+     back as a trace. *)
+  module Traces = Store (struct
+    type t = Cycle_system.Trace.t
+
+    let namespace = "trace"
+  end)
+
+  let stats () =
+    locked (fun () ->
+        {
+          hits = !hits;
+          misses = !misses;
+          entries = Hashtbl.length Traces.tbl;
+          disk_hits = !disk_hits;
+          disk_writes = !disk_writes;
+        })
 end
 
 (* The flow layer is the first common dependency of every entry point
@@ -328,7 +322,9 @@ let () =
   Ocapi_native.register_engine ();
   Ocapi_ir.register_gate_engine ()
 
-let simulate ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
+(* [simulate] short of its list conversion: the run's frozen trace,
+   from the cache or the engine. *)
+let simulate_trace ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
   Ocapi_error.check_count ~engine:"flow" "simulate: cycles" cycles;
   let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
   let compute () =
@@ -339,7 +335,7 @@ let simulate ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
   let run () =
     if not (Cache.enabled ()) then compute ()
     else
-      Cache.coalesced_histories
+      Cache.Traces.coalesced
         ~key:(Cache.key_of ~engine:E.name ~seed sys ~cycles)
         ~compute
   in
@@ -361,6 +357,10 @@ let simulate ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
   Ocapi_obs.Events.emit ?corr ~fields:ev_fields "run_finished";
   result
 
+let simulate ?engine ?seed ?progress ?corr sys ~cycles =
+  Cycle_system.Trace.to_histories
+    (simulate_trace ?engine ?seed ?progress ?corr sys ~cycles)
+
 type mismatch = {
   mm_pair : string;
   mm_probe : string;
@@ -368,52 +368,60 @@ type mismatch = {
   mm_detail : string;
 }
 
-let first_history_mismatch a b =
-  let rec scan_hist probe h1 h2 =
-    match h1, h2 with
-    | [], [] -> None
-    | (c1, v1) :: t1, (c2, v2) :: t2 ->
-      if c1 <> c2 then
-        Some
-          ( probe,
-            Some (min c1 c2),
-            Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2 )
-      else if not (Fixed.equal v1 v2) then
-        Some
-          ( probe,
-            Some c1,
-            Printf.sprintf "%s vs %s" (Fixed.to_string v1)
-              (Fixed.to_string v2) )
-      else scan_hist probe t1 t2
-    | (c, _) :: _, [] ->
-      Some (probe, Some c, "second history ends early")
-    | [], (c, _) :: _ ->
-      Some (probe, Some c, "first history ends early")
+(* The first difference of two traces, probe by probe, as [(probe,
+   cycle, detail)]. *)
+let first_mismatch a b =
+  let module T = Cycle_system.Trace in
+  let na = T.probe_count a and nb = T.probe_count b in
+  let rec scan p =
+    if p = na || p = nb then
+      if na = nb then None
+      else if p < na then
+        Some (T.probe_name a p, None, "probe missing from second engine")
+      else Some (T.probe_name b p, None, "probe missing from first engine")
+    else
+      let probe = T.probe_name a p and other = T.probe_name b p in
+      if probe <> other then
+        Some (probe, None, Printf.sprintf "probe order differs (vs %s)" other)
+      else
+        let at t k detail = Some (probe, Some (T.cycle t p k), detail) in
+        match T.mismatch ~formats:true (a, p, 0) (b, p, 0) with
+        | None -> scan (p + 1)
+        | Some (T.Cycle k) ->
+          let c1 = T.cycle a p k and c2 = T.cycle b p k in
+          at (if c1 < c2 then a else b) k
+            (Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2)
+        | Some (T.Value k) ->
+          at a k
+            (Printf.sprintf "%s vs %s"
+               (Fixed.to_string (T.token a p k))
+               (Fixed.to_string (T.token b p k)))
+        | Some (T.Length k) ->
+          if k < T.length a p then at a k "second history ends early"
+          else at b k "first history ends early"
   in
-  let rec scan a b =
-    match a, b with
-    | [], [] -> None
-    | (p1, h1) :: t1, (p2, h2) :: t2 ->
-      if p1 <> p2 then
-        Some (p1, None, Printf.sprintf "probe order differs (vs %s)" p2)
-      else (
-        match scan_hist p1 h1 h2 with
-        | Some m -> Some m
-        | None -> scan t1 t2)
-    | (p, _) :: _, [] -> Some (p, None, "probe missing from second engine")
-    | [], (p, _) :: _ -> Some (p, None, "probe missing from first engine")
-  in
-  scan a b
+  scan 0
+
+(* The trace holding [histories], each token in its own format. *)
+let of_histories histories =
+  let module T = Cycle_system.Trace in
+  let t = T.create (List.map (fun (name, _) -> (name, None)) histories) in
+  List.iteri
+    (fun p (_, h) -> List.iter (fun (cycle, v) -> T.record_token t p ~cycle v) h)
+    histories;
+  t
+
+let first_history_mismatch a b = first_mismatch (of_histories a) (of_histories b)
 
 let engine_disagreements ?progress sys ~cycles =
   match Ocapi_engine.all () with
   | [] -> []
   | baseline :: others ->
-    let run e = simulate ~engine:(Ocapi_engine.name_of e) ?progress sys ~cycles in
+    let run e = simulate_trace ~engine:(Ocapi_engine.name_of e) ?progress sys ~cycles in
     let reference = run baseline in
     List.filter_map
       (fun e ->
-        match first_history_mismatch reference (run e) with
+        match first_mismatch reference (run e) with
         | None -> None
         | Some (probe, cycle, detail) ->
           Some

@@ -39,14 +39,15 @@ val check_clean : check_report -> bool
 
 (** [simulate ?engine sys ~cycles] simulates on the named engine
     (resolved from the {!Ocapi_engine} registry; default ["interp"])
-    and returns the probe histories by probe name.  Resets the system
-    first and leaves it reset.  [seed] only keys the result {!Cache}
-    (plain simulation is deterministic).
+    and returns the probe histories by probe name: the run's frozen
+    [Cycle_system.Trace], converted to lists once, on return.  Resets
+    the system first and leaves it reset.  [seed] only keys the result
+    {!Cache} (plain simulation is deterministic).
 
-    When the {!Cache} is enabled, the run is served from it on a key
-    hit — bit-identical to a cold run — and stored into it otherwise;
-    identical runs in flight on other domains are coalesced to one
-    execution (see {!Cache.coalesced}).
+    When the {!Cache} is enabled, the run's trace is served from it on
+    a key hit — bit-identical to a cold run — and stored into it
+    otherwise; identical runs in flight on other domains are coalesced
+    to one execution.
 
     [progress] is called with the cycle index before every simulated
     cycle; it may raise to abandon the run cooperatively (the batch
@@ -82,7 +83,7 @@ val simulate_result_json :
 
 (** {1 Keyed result cache}
 
-    Memoizes {!simulate} results by
+    Memoizes {!simulate} results, as frozen [Cycle_system.Trace]s, by
     [(Cycle_system.digest, stimulus fingerprint, engine, seed, cycles)].
     The structural digest does not cover primary-input stimuli, so the
     key additionally fingerprints every stimulus column
@@ -93,22 +94,22 @@ val simulate_result_json :
     Disabled by default.  With [enable ~dir] each stored entry is also
     marshalled to [dir] (e.g. [_generated/cache/]) and warm processes
     read it back; entries carry their full key, so a filename collision
-    degrades to a miss, never a wrong result.  Delete the directory for
+    degrades to a miss, never a wrong result.  Trace entries are named
+    [v1-trace-<md5 of the key>.cache]; the [v1-hist-] list entries of
+    older builds are never read.  Delete the directory for
     clean benchmark numbers.  Hits and misses count into the
     [flow.cache.hit] / [flow.cache.miss] telemetry counters when
     telemetry is enabled.
 
-    The cache is also the {b coalescing and dedup substrate} of the
-    job runner: {!Cache.key_of} is the digest-based fingerprint
-    batch jobs dedup through, {!Cache.coalesced} merges identical
-    in-flight computations across domains, and {!Cache.Store} lets
-    other layers (the SEU campaign report cache of [Ocapi_fault])
-    memoize their own result types under the same lifecycle. *)
+    {!Cache.key_of} is also the digest-based fingerprint the job runner
+    dedups jobs by at admission, and {!Cache.Store} lets other layers
+    (the SEU campaign report cache of [Ocapi_fault]) memoize their own
+    result types under the same lifecycle. *)
 module Cache : sig
   type stats = {
     hits : int;  (** lookups served (memory or disk) *)
     misses : int;
-    entries : int;  (** in-memory entries right now *)
+    entries : int;  (** in-memory {!simulate} entries right now *)
     disk_hits : int;  (** subset of [hits] read from disk *)
     disk_writes : int;
   }
@@ -123,8 +124,8 @@ module Cache : sig
   val disable : unit -> unit
   val enabled : unit -> bool
 
-  (** Drop the in-memory entries of the history table and of every
-      auxiliary {!Store} (the disk store, if any, persists). *)
+  (** Drop the in-memory entries of the trace table and of every
+      {!Store} (the disk store, if any, persists). *)
   val clear : unit -> unit
 
   val stats : unit -> stats
@@ -139,36 +140,18 @@ module Cache : sig
   val key_of :
     engine:string -> seed:int -> Cycle_system.t -> cycles:int -> string
 
-  val find_histories : string -> (string * (int * Fixed.t) list) list option
-  val store_histories : string -> (string * (int * Fixed.t) list) list -> unit
-
-  (** [coalesced ~key ~lookup ~probe ~compute ~store] returns the
-      cached value of [key], or computes it exactly once across all
-      concurrent callers: the first caller runs [compute] while
-      identical callers block, then are served from the cache.
-      [probe] must be a statistics-free [lookup] (the internal
-      re-check).  With the cache disabled every lookup misses and each
-      caller computes in turn — correct, just uncoalesced across
-      time. *)
-  val coalesced :
-    key:string ->
-    lookup:(string -> 'a option) ->
-    probe:(string -> 'a option) ->
-    compute:(unit -> 'a) ->
-    store:(string -> 'a -> unit) ->
-    'a
-
-  (** {!coalesced} specialized to the history table. *)
-  val coalesced_histories :
-    key:string ->
-    compute:(unit -> (string * (int * Fixed.t) list) list) ->
-    (string * (int * Fixed.t) list) list
-
-  (** A typed auxiliary store sharing the cache's lifecycle
-      (enable/disable/clear/stats) and disk directory.  Apply once per
+  (** A typed store sharing the cache's lifecycle
+      (enable/disable/clear/stats) and disk directory; {!simulate}'s
+      traces live in one under namespace ["trace"].  Apply once per
       value type with a unique [namespace] — disk entries are keyed by
       it, and a namespace shared between two types would unmarshal at
-      the wrong type.  Values must be marshallable (no closures). *)
+      the wrong type.  Values must be marshallable (no closures).
+
+      [coalesced ~key ~compute] returns the cached value of [key], or
+      computes it exactly once across all concurrent callers: the first
+      caller runs [compute] while identical callers block, then are
+      served from the cache.  With the cache disabled every lookup
+      misses and each caller computes in turn. *)
   module Store (V : sig
     type t
 
@@ -193,8 +176,12 @@ type mismatch = {
 
 (** [first_history_mismatch a b] compares two probe-history sets (the
     result shape of {!simulate}) and returns the first divergence as
-    [(probe, cycle, detail)] — [None] when they are identical.  Exposed
-    for testing and for diffing externally produced histories. *)
+    [(probe, cycle, detail)] — [None] when they are identical.  It
+    records both into [Cycle_system.Trace]s, each token in its own
+    format, and finds the difference as {!engine_disagreements} does on
+    the engines' traces.
+    Exposed for testing and for diffing externally produced
+    histories. *)
 val first_history_mismatch :
   (string * (int * Fixed.t) list) list ->
   (string * (int * Fixed.t) list) list ->
@@ -205,7 +192,8 @@ val first_history_mismatch :
     engine vs each other) that disagrees, with its first mismatch
     (empty = all equivalent): ["interpreted-vs-compiled"],
     ["interpreted-vs-rtl"] and so on.  The engines run one after the
-    other on [sys], in registry order.
+    other on [sys], in registry order, and their traces are compared
+    with [Cycle_system.Trace.mismatch].
 
     [progress] is forwarded to each engine's {!simulate} (so it is
     called per simulated cycle); it may raise to abandon the sweep

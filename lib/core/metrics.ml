@@ -96,21 +96,6 @@ let measure ?(ocaml_source_lines = 0) ?macro_of_kernel build engine ~cycles =
     m_source_lines = source_lines;
   }
 
-let source_lines_of_files paths =
-  List.fold_left
-    (fun acc path ->
-      let ic = open_in path in
-      let n = ref 0 in
-      (try
-         while true do
-           ignore (input_line ic);
-           incr n
-         done
-       with End_of_file -> ());
-      close_in ic;
-      acc + !n)
-    0 paths
-
 let human_speed v =
   if v >= 1e6 then Printf.sprintf "%.1fM" (v /. 1e6)
   else if v >= 1e3 then Printf.sprintf "%.1fK" (v /. 1e3)

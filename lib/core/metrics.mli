@@ -50,9 +50,6 @@ val measure :
   cycles:int ->
   measurement
 
-(** [source_lines_of_files paths] — physical line count of on-disk OCaml
-    sources, for the [ocaml_source_lines] argument. *)
-val source_lines_of_files : string list -> int
 
 (** Render measurements in the paper's Table 1 layout. *)
 val pp_table :

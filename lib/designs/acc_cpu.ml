@@ -189,14 +189,4 @@ let io_stimulus ?(seed = 3) () =
    loop body, 3 epilogue, then HALT.  64 cycles is comfortably past it. *)
 let check_cycles = 64
 
-let source_lines () =
-  let candidates =
-    [
-      "lib/designs/acc_cpu.ml";
-      "../lib/designs/acc_cpu.ml";
-      "../../lib/designs/acc_cpu.ml";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Metrics.source_lines_of_files [ path ]
-  | None -> 210 (* the size of this capture when the source is unavailable *)
+let source_lines () = Src_lines.cpu

@@ -89,6 +89,6 @@ val io_stimulus : ?seed:int -> unit -> int -> Fixed.t option
     with ["ok"] = 1 and ["out"] = 15. *)
 val check_cycles : int
 
-(** Approximate OCaml line count of this capture (for Table 1's source
-    size column). *)
+(** Line count of this capture's source file, counted when the library
+    is built (Table 1's source size column). *)
 val source_lines : unit -> int

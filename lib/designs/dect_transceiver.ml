@@ -1135,11 +1135,4 @@ let golden_reference samples ~symbols =
   done;
   { g_soft; g_bits; g_crc }
 
-let source_lines () =
-  let candidates =
-    [ "lib/designs/dect_transceiver.ml"; "../lib/designs/dect_transceiver.ml";
-      "../../lib/designs/dect_transceiver.ml" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Metrics.source_lines_of_files [ path ]
-  | None -> 780
+let source_lines () = Src_lines.dect

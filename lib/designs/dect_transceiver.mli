@@ -84,5 +84,6 @@ type golden = {
     cycles). *)
 val golden_reference : Fixed.t array -> symbols:int -> golden
 
-(** Approximate OCaml line count of this capture. *)
+(** Line count of this capture's source file, counted when the library
+    is built (Table 1's source size column). *)
 val source_lines : unit -> int

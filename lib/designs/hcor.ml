@@ -118,12 +118,4 @@ let sample_stimulus samples cycle =
   if cycle < Array.length samples then Some samples.(cycle)
   else Some (Fixed.zero sample_format)
 
-let source_lines () =
-  let candidates =
-    [ "lib/designs/hcor.ml"; "../lib/designs/hcor.ml"; "../../lib/designs/hcor.ml" ]
-  in
-  match
-    List.find_opt Sys.file_exists candidates
-  with
-  | Some path -> Metrics.source_lines_of_files [ path ]
-  | None -> 140 (* the size of this capture when the source is unavailable *)
+let source_lines () = Src_lines.hcor

@@ -51,6 +51,6 @@ val create :
     samples so it is total, which every engine requires). *)
 val sample_stimulus : Fixed.t array -> int -> Fixed.t option
 
-(** Approximate OCaml line count of this capture (for Table 1's source
-    size column). *)
+(** Line count of this capture's source file, counted when the library
+    is built (Table 1's source size column). *)
 val source_lines : unit -> int

@@ -207,14 +207,4 @@ let err_stimulus ?(period = 45) ?(offset = 7) () =
     let v = if period > 0 && cycle mod period = offset then 9 else 0 in
     Some (Fixed.of_int sym_fmt v)
 
-let source_lines () =
-  let candidates =
-    [
-      "lib/designs/rs_codec.ml";
-      "../lib/designs/rs_codec.ml";
-      "../../lib/designs/rs_codec.ml";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Metrics.source_lines_of_files [ path ]
-  | None -> 220 (* the size of this capture when the source is unavailable *)
+let source_lines () = Src_lines.rs

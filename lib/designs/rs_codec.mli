@@ -80,6 +80,6 @@ val data_stimulus : ?seed:int -> unit -> int -> Fixed.t option
     RS(15,11) blocks), zero elsewhere.  [period = 0] never injects. *)
 val err_stimulus : ?period:int -> ?offset:int -> unit -> int -> Fixed.t option
 
-(** Approximate OCaml line count of this capture (for Table 1's source
-    size column). *)
+(** Line count of this capture's source file, counted when the library
+    is built (Table 1's source size column). *)
 val source_lines : unit -> int

@@ -70,7 +70,8 @@ module Interp_engine = struct
       ses_step = (fun () -> Cycle_system.cycle sys);
       ses_cycle = (fun () -> Cycle_system.current_cycle sys);
       ses_reset = (fun () -> Cycle_system.reset sys);
-      ses_histories = (fun () -> Cycle_system.probe_histories sys);
+      ses_histories =
+        (fun () -> Cycle_system.Trace.to_histories (Cycle_system.trace sys));
       ses_trace = (fun () -> Cycle_system.trace sys);
       ses_register_count = Array.length regs;
       ses_register_info =
@@ -252,7 +253,7 @@ let () =
 
 (* --- uniform execution ----------------------------------------------------- *)
 
-let run_with read ?inject ?progress ses ~cycles =
+let run ?inject ?progress ses ~cycles =
   ses.ses_reset ();
   (try
      for c = 0 to cycles - 1 do
@@ -265,9 +266,6 @@ let run_with read ?inject ?progress ses ~cycles =
    with e ->
      ses.ses_reset ();
      raise e);
-  let result = read ses in
+  let trace = Cycle_system.Trace.copy (ses.ses_trace ()) in
   ses.ses_reset ();
-  result
-
-let run = run_with (fun ses -> ses.ses_histories ())
-let run_trace = run_with (fun ses -> Cycle_system.Trace.copy (ses.ses_trace ()))
+  trace

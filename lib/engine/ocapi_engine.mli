@@ -30,7 +30,9 @@
 
 (** Probe histories, as [(probe name, (cycle, token) list)] pairs —
     the shape of [Cycle_system.output_history] across all engines,
-    derived from a session's trace by [Cycle_system.Trace.to_histories]. *)
+    derived from a session's trace by [Cycle_system.Trace.to_histories].
+    Only [ses_histories] returns them; everything else in the library
+    passes the trace. *)
 type histories = (string * (int * Fixed.t) list) list
 
 (** {1:sessions Sessions}
@@ -50,12 +52,13 @@ type histories = (string * (int * Fixed.t) list) list
     - interp: the system's own trace ([Cycle_system.trace]), in each
       token's format;
     - compiled: copied from the value store, in the probe net's format;
-    - native: from the plugin's value array, as an [int] or an [int64];
+    - native: from the plugin's [int] value array;
     - rtl: the sampled net signal's value;
     - gate: the output bus, read when its valid wire is high.
     A static engine's column holds one format, its net's; an
-    unconnected probe's column stays empty.  [ses_histories] is the
-    list view of the same tokens.
+    unconnected probe's column stays empty.  {!run} returns a frozen
+    copy of it; [ses_histories] is the list view of the same tokens,
+    for callers outside the library.
 
     A {!checkpoint} copies exactly the state [ses_reset]
     re-initializes, less histories, traces and statistics counters —
@@ -205,27 +208,19 @@ val names : unit -> string list
 (** {1:execution Uniform execution} *)
 
 (** [run ?inject ?progress ses ~cycles] is the one stepping discipline
-    shared by plain simulation, campaign controls and faulty runs:
-    reset, step [cycles] times — calling [inject]'s thunk just before
-    the step of its cycle — read histories, reset again so the session
-    (and any aliased system state) is left pristine.  On an engine
-    exception the session is reset before the exception propagates,
-    keeping the session reusable for the next run (the campaign
-    discipline).
+    shared by plain simulation, campaign golden runs and faulty runs
+    from reset: reset, step [cycles] times — calling [inject]'s thunk
+    just before the step of its cycle — take a frozen
+    [Cycle_system.Trace.copy] of the session's trace, reset again so
+    the session (and any aliased system state) is left pristine, and
+    return the copy.  On an engine exception the session is reset
+    before the exception propagates, keeping the session reusable for
+    the next run (the campaign discipline).
 
     [progress] is called with the cycle index before every step; it may
     raise (e.g. an [Ocapi_error] with code [Timeout]) to abandon the
     run cooperatively — the deadline hook of batch jobs. *)
 val run :
-  ?inject:int * (unit -> unit) ->
-  ?progress:(int -> unit) ->
-  session ->
-  cycles:int ->
-  histories
-
-(** [run_trace] is {!run} returning a frozen copy of the session's
-    trace instead of its histories. *)
-val run_trace :
   ?inject:int * (unit -> unit) ->
   ?progress:(int -> unit) ->
   session ->

@@ -292,59 +292,6 @@ let poke_target ses = function
     in
     ses.Ocapi_engine.ses_force_component_state t_comp s'
 
-let control_run ~engine sys ~cycles =
-  let ses = make_session ~engine sys in
-  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
-      Ocapi_engine.run ses ~cycles)
-
-(* The oracle: compare faulty probe histories against the fault-free
-   run.  A differing token value at the same cycle is silent data
-   corruption; a structural divergence — tokens shifted in time,
-   missing, or an output stream that stops — is what a system-level
-   watchdog monitor catches, so it is classified as detected. *)
-let classify_histories ~engine golden faulty =
-  let structural probe cycle detail =
-    Detected
-      (Ocapi_error.make Ocapi_error.Watchdog ~engine ~construct:probe ?cycle
-         (Printf.sprintf "output stream diverged structurally: %s" detail))
-  in
-  let rec scan_hist probe h1 h2 =
-    match h1, h2 with
-    | [], [] -> None
-    | (c1, v1) :: t1, (c2, v2) :: t2 ->
-      if c1 <> c2 then
-        Some
-          (structural probe
-             (Some (min c1 c2))
-             (Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2))
-      else if not (Fixed.equal v1 v2) then
-        Some
-          (Sdc
-             {
-               probe;
-               cycle = Some c1;
-               detail =
-                 Printf.sprintf "%s vs %s" (Fixed.to_string v1)
-                   (Fixed.to_string v2);
-             })
-      else scan_hist probe t1 t2
-    | (c, _) :: _, [] ->
-      Some (structural probe (Some c) "faulty output stream ends early")
-    | [], (c, _) :: _ ->
-      Some (structural probe (Some c) "faulty run produces extra tokens")
-  in
-  let rec scan a b =
-    match a, b with
-    | [], [] -> Masked
-    | (p1, h1) :: t1, (p2, h2) :: t2 when p1 = p2 -> (
-      match scan_hist p1 h1 h2 with
-      | Some outcome -> outcome
-      | None -> scan t1 t2)
-    | (p, _) :: _, _ | _, (p, _) :: _ ->
-      structural p None "probe sets differ"
-  in
-  scan golden faulty
-
 (* The target universe of a system: every bit of every register, every
    bit of every multi-state FSM's encoded state index. *)
 let seu_targets sys =
@@ -401,7 +348,6 @@ let max_checkpoints = 64
    the index of the first token at or after its cycle. *)
 type golden = {
   g_trace : Cycle_system.Trace.t;
-  g_histories : Ocapi_engine.histories Lazy.t;  (* for runs from reset *)
   g_stride : int;
   g_checkpoints : Ocapi_engine.checkpoint array;
   g_starts : int array array;
@@ -411,7 +357,7 @@ let golden_run ~checkpointed ses ~cycles =
   let stride = (cycles + max_checkpoints - 1) / max_checkpoints in
   let checkpoints = ref [] in
   let trace =
-    Ocapi_engine.run_trace ses ~cycles ~progress:(fun c ->
+    Ocapi_engine.run ses ~cycles ~progress:(fun c ->
         if checkpointed && c mod stride = 0 then
           Option.iter
             (fun ck -> checkpoints := ck :: !checkpoints)
@@ -420,7 +366,6 @@ let golden_run ~checkpointed ses ~cycles =
   let checkpoints = Array.of_list (List.rev !checkpoints) in
   {
     g_trace = trace;
-    g_histories = lazy (Cycle_system.Trace.to_histories trace);
     g_stride = stride;
     g_checkpoints = checkpoints;
     g_starts =
@@ -431,23 +376,21 @@ let golden_run ~checkpointed ses ~cycles =
         checkpoints;
   }
 
-(* A run from reset, with the whole histories compared: the reference
-   [checkpointed_run] must reproduce, and the run of a session that
-   cannot copy its state. *)
-let run_from_reset ses golden ~cycles ~target ~at =
-  classify_histories ~engine:ses.Ocapi_engine.ses_engine
-    (Lazy.force golden.g_histories)
-    (Ocapi_engine.run ses ~cycles ~inject:(at, fun () -> poke_target ses target))
+(* The oracle: compare a faulty run's probe tokens with the fault-free
+   run's, probe by probe.  A differing token value at the same cycle is
+   silent data corruption; a structural divergence — tokens shifted in
+   time, missing, or an output stream that stops — is what a
+   system-level watchdog monitor catches, so it is classified as
+   detected.
 
-(* [classify_histories] on columns.  The faulty run restored checkpoint
-   [j] and stepped to the end, or to checkpoint [k] where its state
-   rejoined the fault-free run's: its tokens are the session trace's
-   [own], then, when it converged, the golden trace's from [k] on, read
-   in place.  They are compared with the golden tokens from [j] on, probe
-   by probe; the first difference is classified as the lists would
-   classify it.  Both traces come from one session, so the probes are
-   the same. *)
-let classify_columns ~engine golden ~own ~j ~converged =
+   The faulty run started from reset, or restored checkpoint [j] and
+   stepped to the end, or to checkpoint [k] where its state rejoined
+   the fault-free run's.  Its tokens are the trace [own], then, when it
+   converged, the golden trace's from [k] on, read in place.  They are
+   compared with the golden tokens from the run's start on: [start p]
+   is probe [p]'s first golden token at or after it.  Both traces come
+   from one session, so the probes are the same. *)
+let classify ~engine golden ~own ~start ~converged =
   let module T = Cycle_system.Trace in
   let g = golden.g_trace in
   let structural p cycle detail =
@@ -456,51 +399,59 @@ let classify_columns ~engine golden ~own ~j ~converged =
          ~cycle
          (Printf.sprintf "output stream diverged structurally: %s" detail))
   in
-  (* Golden token [gi] against faulty token [fi] of [f], which differ. *)
-  let differ p gi f fi =
-    let c1 = T.cycle g p gi and c2 = T.cycle f p fi in
-    if c1 <> c2 then
-      structural p (min c1 c2) (Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2)
-    else
-      Sdc
-        {
-          probe = T.probe_name g p;
-          cycle = Some c1;
-          detail =
-            Printf.sprintf "%s vs %s"
-              (Fixed.to_string (T.token g p gi))
-              (Fixed.to_string (T.token f p fi));
-        }
+  (* Golden tokens from [gi] on against faulty tokens from [fi] of [f]:
+     the outcome at their first difference; when the faulty tokens end
+     first or with the golden ones, [tail] of the golden index they end
+     at. *)
+  let compare p gi f fi ~tail =
+    match T.mismatch ~formats:true (g, p, gi) (f, p, fi) with
+    | Some (T.Cycle d) ->
+      let c1 = T.cycle g p (gi + d) and c2 = T.cycle f p (fi + d) in
+      Some
+        (structural p (min c1 c2)
+           (Printf.sprintf "token cycles diverge (%d vs %d)" c1 c2))
+    | Some (T.Value d) ->
+      Some
+        (Sdc
+           {
+             probe = T.probe_name g p;
+             cycle = Some (T.cycle g p (gi + d));
+             detail =
+               Printf.sprintf "%s vs %s"
+                 (Fixed.to_string (T.token g p (gi + d)))
+                 (Fixed.to_string (T.token f p (fi + d)));
+           })
+    | Some (T.Length d) when fi + d < T.length f p ->
+      Some (structural p (T.cycle f p (fi + d)) "faulty run produces extra tokens")
+    | Some (T.Length _) | None -> tail (gi + T.length f p - fi)
   in
-  let ends_early p gi = structural p (T.cycle g p gi) "faulty output stream ends early" in
-  let extra p f fi = structural p (T.cycle f p fi) "faulty run produces extra tokens" in
+  let ends p gi =
+    if gi < T.length g p then
+      Some (structural p (T.cycle g p gi) "faulty output stream ends early")
+    else None
+  in
   let scan p =
-    let g_len = T.length g p and own_len = T.length own p in
-    let g0 = golden.g_starts.(j).(p) in
-    let n = min (g_len - g0) own_len in
-    let d = T.mismatch g g0 own 0 ~probe:p ~len:n in
-    if d < n then Some (differ p (g0 + d) own d)
-    else if n < own_len then Some (extra p own n)
-    else
-      let gi = g0 + n in
-      match converged with
-      | None -> if gi < g_len then Some (ends_early p gi) else None
-      | Some k ->
-        (* The rest of the faulty stream is the golden one from [gk]. *)
-        let gk = golden.g_starts.(k).(p) in
-        if gi = gk then None
-        else
-          let m = g_len - max gi gk in
-          let d = T.mismatch g gi g gk ~probe:p ~len:m in
-          if d < m then Some (differ p (gi + d) g (gk + d))
-          else if gi < gk then Some (ends_early p (gi + m))
-          else Some (extra p g (gk + m))
+    compare p (start p) own 0 ~tail:(fun gi ->
+        match converged with
+        | None -> ends p gi
+        | Some k ->
+          (* The rest of the faulty stream is the golden one from [gk]. *)
+          let gk = golden.g_starts.(k).(p) in
+          if gi = gk then None else compare p gi g gk ~tail:(ends p))
   in
   let rec probes p =
     if p = T.probe_count g then Masked
     else match scan p with Some outcome -> outcome | None -> probes (p + 1)
   in
   probes 0
+
+(* A run from reset, with the whole traces compared: the reference
+   [checkpointed_run] must reproduce, and the run of a session that
+   cannot copy its state. *)
+let run_from_reset ses golden ~cycles ~target ~at =
+  classify ~engine:ses.Ocapi_engine.ses_engine golden
+    ~own:(Ocapi_engine.run ses ~cycles ~inject:(at, fun () -> poke_target ses target))
+    ~start:(fun _ -> 0) ~converged:None
 
 (* Restore the last checkpoint at or before [at], step to [at], poke,
    and step on until the window ends or, at a later checkpoint cycle
@@ -509,7 +460,7 @@ let classify_columns ~engine golden ~own ~j ~converged =
    as that run did not), so those tokens are read from the golden trace
    instead of stepped.  The cycles before the restored checkpoint carry
    the fault-free tokens on both sides, so comparing from there gives
-   the outcome of the whole histories.  The session is left mid-run;
+   the outcome of the whole traces.  The session is left mid-run;
    the next run's restore works from any state. *)
 let checkpointed_run ses golden ~cycles ~target ~at =
   let j = at / golden.g_stride in
@@ -528,8 +479,10 @@ let checkpointed_run ses golden ~cycles ~target ~at =
     end
   in
   let converged = go golden.g_checkpoints.(j).Ocapi_engine.ck_cycle in
-  classify_columns ~engine:ses.Ocapi_engine.ses_engine golden
-    ~own:(ses.Ocapi_engine.ses_trace ()) ~j ~converged
+  classify ~engine:ses.Ocapi_engine.ses_engine golden
+    ~own:(ses.Ocapi_engine.ses_trace ())
+    ~start:(fun p -> golden.g_starts.(j).(p))
+    ~converged
 
 (* --- campaigns ----------------------------------------------------------------- *)
 

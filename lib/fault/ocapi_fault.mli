@@ -263,7 +263,7 @@ val seu_campaign :
   seu_report
 
 (** {!seu_campaign}'s schedule and report on [engine], with every run
-    replayed from reset and its whole histories compared against the
+    stepped from reset and its whole probe trace compared against the
     fault-free run's: the reference the checkpointed runs must
     reproduce.  Serial and never cached; for the differential fuzzer and the tests only.
     @raise Ocapi_error.Error as {!seu_campaign}. *)
@@ -274,16 +274,6 @@ val seu_campaign_from_reset :
   Cycle_system.t ->
   cycles:int ->
   seu_report
-
-(** The campaign session run with {e no} injection — must be bit-
-    identical to the plain engine run (the zero-fault control of the
-    test suite).  [engine] is a registry name, as for
-    {!seu_campaign}. *)
-val control_run :
-  engine:string ->
-  Cycle_system.t ->
-  cycles:int ->
-  (string * (int * Fixed.t) list) list
 
 (** {1 Reports} *)
 

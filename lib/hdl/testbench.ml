@@ -8,11 +8,14 @@ let record sys ~cycles =
   Cycle_system.reset sys;
   Cycle_system.run sys cycles;
   let tb_inputs = Cycle_system.stimuli sys ~cycles in
+  let trace = Cycle_system.trace sys in
   let tb_outputs =
-    List.concat_map
-      (fun (p, hist) -> List.map (fun (cy, v) -> (cy, p, v)) hist)
-      (Cycle_system.probe_histories sys)
-    |> List.sort compare
+    List.init (Cycle_system.Trace.probe_count trace) (fun p ->
+        List.init (Cycle_system.Trace.length trace p) (fun k ->
+            ( Cycle_system.Trace.cycle trace p k,
+              Cycle_system.Trace.probe_name trace p,
+              Cycle_system.Trace.token trace p k )))
+    |> List.concat |> List.sort compare
   in
   Cycle_system.reset sys;
   { tb_cycles = cycles; tb_inputs; tb_outputs }

@@ -7,8 +7,9 @@
     holding two's-complement mantissa bits.
 
     The waveform is the interpreted engine's: every interconnect token
-    of the three-phase scheduler, net by net.  Rendering walks each
-    net's history once, so its cost grows linearly with the cycle
+    of the three-phase scheduler, recorded into a trace with one
+    column per net ([Cycle_system.trace_all]).  Rendering walks each
+    net's column once, so its cost grows linearly with the cycle
     count. *)
 
 (** [record sys ~cycles] resets the system, traces every net, runs the

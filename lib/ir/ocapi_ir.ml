@@ -108,60 +108,67 @@ let optimize_gates =
         | Behavioral _ -> wrong_level "optimize-gates" d ~expected:"gate");
   }
 
-let histories_of ~cycles d =
+(* The probe trace of [d] over [cycles]: a gate design's is sampled at
+   the behavioral token cycles (the generated-test-bench
+   discipline). *)
+let trace_of ~cycles d =
   match d.ir_design with
   | Behavioral sys ->
     Cycle_system.reset sys;
     Cycle_system.run sys cycles;
-    let h = Cycle_system.probe_histories sys in
+    let trace = Cycle_system.Trace.copy (Cycle_system.trace sys) in
     Cycle_system.reset sys;
-    h
-  | Gate nl ->
-    (* The generated-test-bench discipline: histories shaped exactly
-       like the behavioral ones. *)
-    List.map
-      (fun (p, samples) -> (p, List.map (fun (c, _, got) -> (c, got)) samples))
-      (Synthesize.replay d.ir_source nl ~cycles)
+    trace
+  | Gate nl -> snd (Synthesize.replay d.ir_source nl ~cycles)
 
+(* Probe by probe of [a], against [b]'s probe of that name, by mantissa:
+   a gate level reads its buses in the probe's format, which the
+   behavioral level's tokens need not carry. *)
 let check_equivalence ?(cycles = 200) a b =
+  let module T = Cycle_system.Trace in
   let la = level_name a and lb = level_name b in
-  let ha = histories_of ~cycles a and hb = histories_of ~cycles b in
-  let mismatch ?cycle ~construct fmt =
+  let ta = trace_of ~cycles a and tb = trace_of ~cycles b in
+  let mismatch ~cycle ~construct fmt =
     Format.kasprintf
       (fun msg ->
         Error
-          (Ocapi_error.make Ocapi_error.Mismatch ~engine:"ir" ~construct
-             ?cycle
-             ~nets:[ construct ]
-             msg))
+          (Ocapi_error.make Ocapi_error.Mismatch ~engine:"ir" ~construct ~cycle
+             ~nets:[ construct ] msg))
       fmt
   in
-  let rec compare_tokens p ta tb =
-    match (ta, tb) with
-    | [], [] -> Ok ()
-    | (c, va) :: ra, (c', vb) :: rb when c = c' ->
-      if Fixed.mantissa va = Fixed.mantissa vb then compare_tokens p ra rb
-      else
-        mismatch ~cycle:c ~construct:p
-          "%s and %s disagree on probe %s: %s vs %s" la lb p
-          (Fixed.to_string va) (Fixed.to_string vb)
-    | (c, _) :: _, (c', _) :: _ ->
-      mismatch ~cycle:(min c c') ~construct:p
-        "%s and %s record probe %s tokens at different cycles (%d vs %d)" la
-        lb p c c'
-    | ts, [] | [], ts ->
-      let c = match ts with (c, _) :: _ -> c | [] -> 0 in
-      mismatch ~cycle:c ~construct:p
-        "%s and %s record different token counts on probe %s (%d vs %d)" la
-        lb p (List.length ta) (List.length tb)
+  let compare_probe p =
+    let name = T.probe_name ta p in
+    let tb, q =
+      match
+        List.find_opt (fun q -> T.probe_name tb q = name) (List.init (T.probe_count tb) Fun.id)
+      with
+      | Some q -> (tb, q)
+      | None -> (T.create [ (name, None) ], 0) (* no tokens *)
+    in
+    match T.mismatch ~formats:false (ta, p, 0) (tb, q, 0) with
+    | None -> Ok ()
+    | Some (T.Value k) ->
+      mismatch ~cycle:(T.cycle ta p k) ~construct:name
+        "%s and %s disagree on probe %s: %s vs %s" la lb name
+        (Fixed.to_string (T.token ta p k))
+        (Fixed.to_string (T.token tb q k))
+    | Some (T.Cycle k) ->
+      let c = T.cycle ta p k and c' = T.cycle tb q k in
+      mismatch ~cycle:(min c c') ~construct:name
+        "%s and %s record probe %s tokens at different cycles (%d vs %d)" la lb name c c'
+    | Some (T.Length k) ->
+      let rest_a = T.length ta p - k and rest_b = T.length tb q - k in
+      mismatch
+        ~cycle:(if rest_a > 0 then T.cycle ta p k else T.cycle tb q k)
+        ~construct:name
+        "%s and %s record different token counts on probe %s (%d vs %d)" la lb name
+        rest_a rest_b
   in
-  let rec scan = function
-    | [] -> Ok ()
-    | (p, ta) :: rest -> (
-      let tb = match List.assoc_opt p hb with Some l -> l | None -> [] in
-      match compare_tokens p ta tb with Ok () -> scan rest | Error e -> Error e)
+  let rec scan p =
+    if p = T.probe_count ta then Ok ()
+    else match compare_probe p with Ok () -> scan (p + 1) | Error e -> Error e
   in
-  scan ha
+  scan 0
 
 (* --- the gate cycle engine -------------------------------------------------- *)
 

@@ -1,14 +1,14 @@
 (* The native (dynlinked) engine: the paper's "regenerated" simulator,
    actually compiled.  [Emit.emit_plugin] renders the design as an OCaml
-   module over unboxed int words (or int64 cells when the width analysis
-   rejects packing); this host compiles it out-of-process with
+   module over unboxed int words; this host compiles it out-of-process with
    [ocamlfind ocamlopt -shared], loads the .cmxs with
    [Dynlink.loadfile_private] once per process, and wires an instance
    of the plugin's factory into a full [Ocapi_engine.session] per
    session.  Artifacts are cached on disk keyed by elaboration key +
-   emitter version, so compilation is one-time per structure; every
-   failure path degrades to an interpreted [Compiled_sim] program behind
-   the same session surface. *)
+   emitter version, so compilation is one-time per structure.  A design
+   whose mantissas the width analysis cannot prove to fit an [int], and
+   every failure path, degrade to the compiled instance of the same
+   lowered program behind the same session surface. *)
 
 let engine_name = "native"
 
@@ -230,8 +230,7 @@ let compile_cmxs ~cmi ~src ~out =
 let load path (pg : Compiled_sim.program) =
   Ocapi_native_abi.clear ();
   let fits (p : Ocapi_native_abi.plugin) =
-    (match p.p_values with Words a -> Array.length a | Boxed a -> Array.length a)
-    = pg.pg_slots
+    Array.length p.p_values = pg.pg_slots
     && Array.length p.p_states = Array.length pg.pg_comps
     && Array.length p.p_rams = Array.length pg.pg_rams
     && Array.length p.p_kernels = Array.length pg.pg_kernels
@@ -255,6 +254,8 @@ let compiles_begun = ref 0
    cached artifact is never written in place, no two compiles share a
    file, and the loader keeps the file it mapped under any name. *)
 let compile ~cmi ~path sys pg =
+  if not (Emit.word_mode_ok pg) then
+    raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
   incr compiles_begun;
   let stem =
     Printf.sprintf "%s_%d_%d" (Filename.remove_extension path) (Unix.getpid ())
@@ -325,43 +326,15 @@ let factory ~cmi sys pg ~elaboration =
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
-let get_slot (p : Ocapi_native_abi.plugin) i =
-  match p.Ocapi_native_abi.p_values with
-  | Ocapi_native_abi.Words a -> Int64.of_int a.(i)
-  | Ocapi_native_abi.Boxed a -> a.(i)
-
-let set_slot (p : Ocapi_native_abi.plugin) i v =
-  match p.Ocapi_native_abi.p_values with
-  | Ocapi_native_abi.Words a -> a.(i) <- Int64.to_int v
-  | Ocapi_native_abi.Boxed a -> a.(i) <- v
-
-let copy_values = function
-  | Ocapi_native_abi.Words a -> Ocapi_native_abi.Words (Array.copy a)
-  | Ocapi_native_abi.Boxed a -> Ocapi_native_abi.Boxed (Array.copy a)
-
-let blit_values ~src ~dst =
-  match (src, dst) with
-  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b ->
-    Array.blit a 0 b 0 (Array.length a)
-  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b ->
-    Array.blit a 0 b 0 (Array.length a)
-  | _ -> invalid_arg "Ocapi_native.blit_values: store modes differ"
-
-let values_equal a b =
-  match (a, b) with
-  | Ocapi_native_abi.Words a, Ocapi_native_abi.Words b -> Array_equal.ints a b
-  | Ocapi_native_abi.Boxed a, Ocapi_native_abi.Boxed b -> Array_equal.int64s a b
-  | _ -> false
-
 (* The plugin's state as [p_reset] re-initializes it, copied: the
    value store, stamps, cycle, FSM states, RAM images and staged RAM
    writes, plus the host kernels' state. *)
 type snapshot = {
-  sn_values : Ocapi_native_abi.values;
+  sn_values : int array;
   sn_stamps : int array;
   sn_cycle : int;
   sn_states : int array;
-  sn_rams : Ocapi_native_abi.values array;
+  sn_rams : int array array;
   sn_staged : int array;
   sn_kernels : Dataflow.Kernel.snapshot;
 }
@@ -369,22 +342,24 @@ type snapshot = {
 let snapshot (p : Ocapi_native_abi.plugin) save =
   let open Ocapi_native_abi in
   {
-    sn_values = copy_values p.p_values;
+    sn_values = Array.copy p.p_values;
     sn_stamps = Array.copy p.p_stamps;
     sn_cycle = !(p.p_cycle);
     sn_states = Array.copy p.p_states;
-    sn_rams = Array.map copy_values p.p_rams;
+    sn_rams = Array.map Array.copy p.p_rams;
     sn_staged = Array.map ( ! ) p.p_ram_staged;
     sn_kernels = save ();
   }
 
 let restore (p : Ocapi_native_abi.plugin) sn =
   let open Ocapi_native_abi in
-  blit_values ~src:sn.sn_values ~dst:p.p_values;
+  Array.blit sn.sn_values 0 p.p_values 0 (Array.length p.p_values);
   Array.blit sn.sn_stamps 0 p.p_stamps 0 (Array.length p.p_stamps);
   p.p_cycle := sn.sn_cycle;
   Array.blit sn.sn_states 0 p.p_states 0 (Array.length p.p_states);
-  Array.iteri (fun i ram -> blit_values ~src:sn.sn_rams.(i) ~dst:ram) p.p_rams;
+  Array.iteri
+    (fun i ram -> Array.blit sn.sn_rams.(i) 0 ram 0 (Array.length ram))
+    p.p_rams;
   Array.iteri (fun i staged -> staged := sn.sn_staged.(i)) p.p_ram_staged;
   sn.sn_kernels.Dataflow.Kernel.sn_restore ()
 
@@ -392,15 +367,16 @@ let matches (p : Ocapi_native_abi.plugin) sn =
   let open Ocapi_native_abi in
   !(p.p_cycle) = sn.sn_cycle
   && Array_equal.ints p.p_states sn.sn_states
-  && values_equal p.p_values sn.sn_values
+  && Array_equal.ints p.p_values sn.sn_values
   && Array_equal.ints p.p_stamps sn.sn_stamps
-  && Array.for_all2 values_equal p.p_rams sn.sn_rams
+  && Array.for_all2 Array_equal.ints p.p_rams sn.sn_rams
   && Array.for_all2 (fun staged a -> !staged = a) p.p_ram_staged sn.sn_staged
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 (* Hook [pg]'s host kernels into [p]; they are returned in order. *)
 let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
     untimed =
+  let values = p.Ocapi_native_abi.p_values in
   Array.mapi
     (fun j { Compiled_sim.hk_name; hk_inputs; hk_outputs } ->
       let k =
@@ -416,7 +392,7 @@ let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
           let consumed =
             List.map
               (fun (port, slot, fmt) ->
-                (port, [ Fixed.create fmt (get_slot p slot) ]))
+                (port, [ Fixed.create fmt (Int64.of_int values.(slot)) ]))
               hk_inputs
           in
           let produced = k.Dataflow.Kernel.k_behavior consumed in
@@ -424,7 +400,7 @@ let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
             (fun (port, slot, stamp) ->
               match List.assoc_opt port produced with
               | Some [ v ] ->
-                set_slot p slot (Fixed.mantissa v);
+                values.(slot) <- Int64.to_int (Fixed.mantissa v);
                 p.Ocapi_native_abi.p_stamps.(stamp) <-
                   !(p.Ocapi_native_abi.p_cycle)
               | Some _ | None -> ())
@@ -443,6 +419,7 @@ let native_session ~cmi sys =
   let elaboration = Cycle_system.elaboration_key sys in
   let pg = Ocapi_engine.lowered ~key:elaboration sys in
   let p = factory ~cmi sys pg ~elaboration () in
+  let values = p.Ocapi_native_abi.p_values and stamps = p.Ocapi_native_abi.p_stamps in
   let untimed = Cycle_system.untimed_components sys in
   let host_kernels = Array.to_list (install_kernels p pg untimed) in
   let stims =
@@ -451,41 +428,22 @@ let native_session ~cmi sys =
         (Cycle_system.input_column sys name, slot, stampi))
       pg.pg_stims
   in
-  (* Stimuli come from the columns by cycle index; on the [Words] path
-     the mantissa stays unboxed, so a warm step allocates nothing. *)
-  let drive_stimuli =
-    let stamps = p.Ocapi_native_abi.p_stamps in
-    match p.Ocapi_native_abi.p_values with
-    | Ocapi_native_abi.Words a ->
-      fun c ->
-        for i = 0 to Array.length stims - 1 do
-          let col, slot, stampi = stims.(i) in
-          if Cycle_system.column_present col c then begin
-            a.(slot) <-
-              Int64.to_int (get64 (Cycle_system.column_mantissas col) (c lsl 3));
-            stamps.(stampi) <- c
-          end
-        done
-    | Ocapi_native_abi.Boxed a ->
-      fun c ->
-        for i = 0 to Array.length stims - 1 do
-          let col, slot, stampi = stims.(i) in
-          if Cycle_system.column_present col c then begin
-            a.(slot) <- Cycle_system.column_mantissa col c;
-            stamps.(stampi) <- c
-          end
-        done
+  (* Stimuli come from the columns by cycle index, and the mantissas
+     stay unboxed on their way in and out: a warm step allocates
+     nothing. *)
+  let drive_stimuli c =
+    for i = 0 to Array.length stims - 1 do
+      let col, slot, stampi = stims.(i) in
+      if Cycle_system.column_present col c then begin
+        values.(slot) <-
+          Int64.to_int (get64 (Cycle_system.column_mantissas col) (c lsl 3));
+        stamps.(stampi) <- c
+      end
+    done
   in
   let trace, probes = Compiled_sim.probe_trace sys pg.pg_probes ~slot:Fun.id in
-  (* Mode-specialized recorder: the [Words] path never touches a boxed
-     value. *)
-  let record_probes =
-    let stamps = p.Ocapi_native_abi.p_stamps in
-    match p.Ocapi_native_abi.p_values with
-    | Ocapi_native_abi.Words a ->
-      fun cycle -> Cycle_system.Trace.record_words probes ~cycle ~stamps a
-    | Ocapi_native_abi.Boxed a ->
-      fun cycle -> Cycle_system.Trace.record_int64s probes ~cycle ~stamps a
+  let record_probes cycle =
+    Cycle_system.Trace.record_words probes ~cycle ~stamps values
   in
   let regs = pg.pg_regs
   and comps =
@@ -523,8 +481,10 @@ let native_session ~cmi sys =
     ses_poke_register_bit =
       (fun i ~bit ->
         let { Compiled_sim.reg_name; reg_fmt; reg_cur; _ } = regs.(i) in
-        set_slot p reg_cur
-          (Compiled_sim.flip_bit ~name:reg_name reg_fmt ~bit (get_slot p reg_cur)));
+        values.(reg_cur) <-
+          Int64.to_int
+            (Compiled_sim.flip_bit ~name:reg_name reg_fmt ~bit
+               (Int64.of_int values.(reg_cur))));
     ses_component_count = Array.length comps;
     ses_component_info = (fun i -> comps.(i));
     ses_component_state = (fun i -> p.Ocapi_native_abi.p_states.(i));

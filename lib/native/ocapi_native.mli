@@ -14,20 +14,19 @@
 
     {2 Lifecycle}
 
-    Session creation follows a three-rung ladder:
+    Session creation takes one of two rungs:
 
-    + {b Word-packed native}: the emitter's width-bound analysis proves
-      every net and register mantissa fits an unboxed 63-bit OCaml
-      [int]; the plugin simulates over [int array] words.
-    + {b Boxed native}: the analysis rejects packing (values provably
-      or possibly wider than 62 magnitude bits); the plugin simulates
-      over [int64 array] cells — still compiled machine code.
-    + {b Interpreted fallback}: no toolchain on [PATH], bytecode host,
-      missing ABI [.cmi], compile or load failure, or
-      [OCAPI_NATIVE_DISABLE] set — the session silently degrades to an
-      interpreted [Compiled_sim] program that reports
-      [ses_engine = "native"], so sweep artifacts stay byte-identical
-      whether or not a toolchain is present.
+    + {b Native}: the emitter's width-bound analysis proves every net
+      and register mantissa fits an unboxed 63-bit OCaml [int]; the
+      plugin simulates over [int array] words.
+    + {b Compiled fallback}: the analysis rejects packing (values
+      provably or possibly wider than 62 magnitude bits), no toolchain
+      on [PATH], bytecode host, missing ABI [.cmi], compile or load
+      failure, or [OCAPI_NATIVE_DISABLE] set — the session silently
+      degrades to the compiled engine's instance of the same lowered
+      program, reporting [ses_engine = "native"], so sweep artifacts
+      stay byte-identical whether or not a toolchain is present.  Each
+      such session counts in {!stats}'s [fallbacks].
 
     Compiled artifacts are [.cmxs] files in one disk cache, keyed by
     [md5(Cycle_system.elaboration_key | Emit.emitter_version |
@@ -82,7 +81,7 @@ type stats = {
   corrupt_misses : int;
       (** cached artifacts that failed to load, register a factory, or
           fit the lowered program — counted, deleted, then recompiled *)
-  fallbacks : int;  (** sessions that degraded to the interpreted rung *)
+  fallbacks : int;  (** sessions that degraded to the compiled fallback *)
   loads : int;  (** successful [Dynlink] loads (fresh or cached) *)
   reuses : int;  (** sessions served by a factory already loaded *)
 }

@@ -1,11 +1,9 @@
-type values = Words of int array | Boxed of int64 array
-
 type plugin = {
-  p_values : values;
+  p_values : int array;
   p_stamps : int array;
   p_cycle : int ref;
   p_states : int array;
-  p_rams : values array;
+  p_rams : int array array;
   p_ram_staged : int ref array;
   p_kernels : (unit -> unit) array;
   p_kernel_commits : (unit -> unit) array;

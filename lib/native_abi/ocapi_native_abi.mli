@@ -28,25 +28,20 @@
     sweeps create sessions from several domains at once), so the
     handoff slot needs no locking of its own. *)
 
-(** The plugin's value store.  [Words] is the bit-packed fast path:
-    every slot's mantissa proven (by the emitter's width-bound analysis)
-    to fit an unboxed 63-bit OCaml [int].  [Boxed] is the
-    fallback emission mode using [int64] cells, semantically identical
-    to the interpreted compiled engine on any width. *)
-type values = Words of int array | Boxed of int64 array
-
 (** Everything the host needs to drive one simulator instance.
     Arrays are the plugin's own working state, mutated in place by
     [p_step] — the host writes stimuli into [p_values]/[p_stamps]
     before each step and reads probes after it. *)
 type plugin = {
-  p_values : values;  (** one cell per net slot and register word *)
+  p_values : int array;
+      (** one unboxed word per net slot and register word: the emitter
+          renders only programs whose width-bound analysis proves every
+          mantissa fits an OCaml [int] *)
   p_stamps : int array;  (** last cycle each net was driven, [-1] never *)
   p_cycle : int ref;  (** current cycle, incremented by [p_step] *)
   p_states : int array;  (** FSM state per timed component, in order *)
-  p_rams : values array;
-      (** the inlined RAMs' images, in [Compiled_sim.pg_rams] order; in
-          the store's mode *)
+  p_rams : int array array;
+      (** the inlined RAMs' images, in [Compiled_sim.pg_rams] order *)
   p_ram_staged : int ref array;
       (** per inlined RAM, the word address of the write staged by the
           current step, [-1] none *)

@@ -68,22 +68,23 @@ let make_process sensitivity exec =
   { pr_id = Atomic.fetch_and_add proc_counter 1 + 1; pr_sensitivity = sensitivity;
     pr_exec = exec }
 
+(* An action SFG of a transition: its own plan ([Sfg.plan], which the
+   interpreter evaluates too) and the signals its roots drive. *)
+type rtl_action = {
+  ra_plan : Signal.Plan.t;
+  ra_outputs : (int * rtl_signal) list;  (* root, net signal *)
+  ra_assigns : (int * rtl_signal) list;  (* root, next signal *)
+}
+
 (* A transition of a timed component with every signal its evaluation
-   reads or writes resolved at elaboration. *)
+   reads or writes, and every plan, resolved at elaboration. *)
 type rtl_transition = {
   rt_goto : Fixed.t;  (* the next-state value *)
   rt_inputs : (Signal.Input.t * rtl_signal) list;
-  rt_outputs : (rtl_signal * Signal.t) list;  (* net signal, expression *)
-  rt_assigns : (rtl_signal * Signal.t) list;  (* next signal, expression *)
+  rt_actions : rtl_action list;
   rt_holds : (rtl_signal * rtl_signal) list;
       (* next and shadow signals of the registers it leaves unassigned *)
-  rt_plan : Signal.Plan.t option Atomic.t;
-      (* outputs then assigns; built on the first activation taking it *)
 }
-
-(* The roots of a transition body's plan: its outputs, then its
-   assignments. *)
-let rt_roots rt = List.map snd rt.rt_outputs @ List.map snd rt.rt_assigns
 
 let of_system sys =
   let signals = ref [] in
@@ -160,12 +161,28 @@ let of_system sys =
       let next_of r = List.assoc (Signal.Reg.id r) next_sig in
       let mirrors = List.map (fun r -> (r, shadow_of r)) regs in
       let next_shadow = List.map (fun r -> (next_of r, shadow_of r)) regs in
+      let action sfg =
+        let outputs = Sfg.outputs sfg in
+        {
+          ra_plan = Sfg.plan sfg;
+          ra_outputs =
+            List.concat
+              (List.mapi
+                 (fun k (port, _) ->
+                   match Cycle_system.output_net sys cname port with
+                   | Some n -> [ (k, net_signal n) ]
+                   | None -> [])
+                 outputs);
+          ra_assigns =
+            List.mapi
+              (fun k (r, _) -> (List.length outputs + k, next_of r))
+              (Sfg.assigns sfg);
+        }
+      in
       let elaborate tr =
-        let actions = tr.Fsm.t_actions in
-        let assigns =
-          List.concat_map
-            (fun sfg -> List.map (fun (r, e) -> (next_of r, e)) (Sfg.assigns sfg))
-            actions
+        let actions = List.map action tr.Fsm.t_actions in
+        let assigned nx =
+          List.exists (fun a -> List.exists (fun (_, s) -> s == nx) a.ra_assigns) actions
         in
         {
           rt_goto = Fixed.of_int state_fmt (Fsm.state_index tr.Fsm.t_goto);
@@ -175,23 +192,9 @@ let of_system sys =
                 List.filter_map
                   (fun i -> Option.map (fun n -> (i, net_signal n)) (input_net i))
                   (Sfg.inputs sfg))
-              actions;
-          rt_outputs =
-            List.concat_map
-              (fun sfg ->
-                List.filter_map
-                  (fun (port, e) ->
-                    Option.map
-                      (fun n -> (net_signal n, e))
-                      (Cycle_system.output_net sys cname port))
-                  (Sfg.outputs sfg))
-              actions;
-          rt_assigns = assigns;
-          rt_holds =
-            List.filter
-              (fun (nx, _) -> not (List.exists (fun (s, _) -> s == nx) assigns))
-              next_shadow;
-          rt_plan = Atomic.make None;
+              tr.Fsm.t_actions;
+          rt_actions = actions;
+          rt_holds = List.filter (fun (nx, _) -> not (assigned nx)) next_shadow;
         }
       in
       let transitions = Array.of_list (List.map elaborate (Fsm.transitions fsm)) in
@@ -209,10 +212,18 @@ let of_system sys =
           let rt = transitions.(k) in
           let env = Signal.Env.create () in
           List.iter (fun (i, s) -> Signal.Env.bind env i s.sg_value) rt.rt_inputs;
-          let m = Signal.Plan.memo (Signal.Plan.cached rt.rt_plan rt_roots rt) env in
-          let eval first k (s, _) = (s, Signal.Plan.eval m (first + k)) in
-          let outs = List.mapi (eval 0) rt.rt_outputs in
-          let assigned = List.mapi (eval (List.length outs)) rt.rt_assigns in
+          (* Every action's outputs, then every action's assignments:
+             the order of the transition body. *)
+          let memos =
+            List.map (fun a -> (a, Signal.Plan.memo a.ra_plan env)) rt.rt_actions
+          in
+          let eval roots =
+            List.concat_map
+              (fun (a, m) -> List.map (fun (k, s) -> (s, Signal.Plan.eval m k)) (roots a))
+              memos
+          in
+          let outs = eval (fun a -> a.ra_outputs) in
+          let assigned = eval (fun a -> a.ra_assigns) in
           (* Unassigned registers hold their value. *)
           let holds = List.map (fun (nx, sh) -> (nx, sh.sg_value)) rt.rt_holds in
           ((next_state_sig, rt.rt_goto) :: outs) @ assigned @ holds

@@ -63,6 +63,8 @@ module Trace = struct
     let col = recorded t p k in
     Fixed.create col.pc_formats.(format_ix col k) (get64 col.pc_mantissas (8 * k))
 
+  let mantissa t p k = get64 (recorded t p k).pc_mantissas (8 * k)
+
   let grow col =
     let cap = max 64 (2 * col.pc_len) in
     let cycles = Array.make cap 0 in
@@ -111,12 +113,6 @@ module Trace = struct
       let fd = feed.(i) in
       if stamps.(fd.fd_stamp) = cycle then
         append fd.fd_column cycle 0 (Int64.of_int words.(fd.fd_slot))
-    done
-
-  let record_int64s feed ~cycle ~stamps (cells : int64 array) =
-    for i = 0 to Array.length feed - 1 do
-      let fd = feed.(i) in
-      if stamps.(fd.fd_stamp) = cycle then append fd.fd_column cycle 0 cells.(fd.fd_slot)
     done
 
   let record_store feed ~cycle ~stamps store =
@@ -173,23 +169,29 @@ module Trace = struct
     in
     search 0 col.pc_len
 
-  let same_token a i b j =
-    a.pc_cycles.(i) = b.pc_cycles.(j)
-    && (get64 a.pc_mantissas (8 * i) : int64) = get64 b.pc_mantissas (8 * j)
-    &&
-    let f = a.pc_formats.(format_ix a i) and g = b.pc_formats.(format_ix b j) in
-    f == g || Fixed.equal_format f g
+  type difference = Cycle of int | Value of int | Length of int
 
-  let mismatch a i b j ~probe ~len =
-    let ca = a.(probe) and cb = b.(probe) in
-    if i < 0 || j < 0 || len < 0 || i + len > ca.pc_len || j + len > cb.pc_len then
-      error "Trace.mismatch: tokens [%d, %d) and [%d, %d) outside probe %s" i (i + len) j
-        (j + len) ca.pc_name;
-    let k = ref 0 in
-    while !k < len && same_token ca (i + !k) cb (j + !k) do
-      incr k
-    done;
-    !k
+  let mismatch ~formats (a, p, i) (b, q, j) =
+    let ca = a.(p) and cb = b.(q) in
+    if i < 0 || j < 0 || i > ca.pc_len || j > cb.pc_len then
+      error "Trace.mismatch: token %d of probe %s or token %d of probe %s is past its end"
+        i ca.pc_name j cb.pc_name;
+    let m = ca.pc_len - i and n = cb.pc_len - j in
+    let rec from k =
+      if k = m || k = n then if m = n then None else Some (Length k)
+      else if ca.pc_cycles.(i + k) <> cb.pc_cycles.(j + k) then Some (Cycle k)
+      else if
+        (get64 ca.pc_mantissas (8 * (i + k)) : int64)
+        <> get64 cb.pc_mantissas (8 * (j + k))
+        || formats
+           &&
+           let f = ca.pc_formats.(format_ix ca (i + k))
+           and g = cb.pc_formats.(format_ix cb (j + k)) in
+           f != g && not (Fixed.equal_format f g)
+      then Some (Value k)
+      else from (k + 1)
+    in
+    from 0
 
   (* Built from the newest token back; a token equal to the one after
      it shares its value, which spares the allocation on probes that
@@ -253,8 +255,6 @@ and net = {
   n_sinks : (component * string) list;
   mutable n_format : Fixed.format option;  (* [net_format], once derived *)
   mutable n_token : Fixed.t option;
-  mutable n_traced : bool;
-  mutable n_history : (int * Fixed.t) list;  (* reversed *)
 }
 
 type t = {
@@ -264,6 +264,7 @@ type t = {
   mutable s_nets : net list;  (* reversed *)
   mutable cycle_count : int;
   mutable s_trace : Trace.t;  (* one column per probe, in creation order *)
+  mutable s_net_trace : Trace.t option;  (* from [trace_all]: one column per net *)
   mutable tokens_transferred : int;
   mutable eval_iterations : int;
   mutable untimed_fires : int;
@@ -278,6 +279,7 @@ let create s_name =
     s_nets = [];
     cycle_count = 0;
     s_trace = Trace.create [];
+    s_net_trace = None;
     tokens_transferred = 0;
     eval_iterations = 0;
     untimed_fires = 0;
@@ -444,8 +446,6 @@ let connect t (src, src_port) sinks =
       n_sinks = sinks;
       n_format = None;
       n_token = None;
-      n_traced = false;
-      n_history = [];
     }
   in
   Hashtbl.replace src.c_drives src_port n;
@@ -602,7 +602,10 @@ let push_token t marked n v =
   | None -> ());
   n.n_token <- Some v;
   t.tokens_transferred <- t.tokens_transferred + 1;
-  if n.n_traced then n.n_history <- (t.cycle_count, v) :: n.n_history;
+  (match t.s_net_trace with
+  | Some tr when n.n_id < Trace.probe_count tr ->
+    Trace.record_token tr n.n_id ~cycle:t.cycle_count v
+  | Some _ | None -> ());
   List.iter
     (fun (sink, port) ->
       match sink.c_kind with
@@ -925,7 +928,7 @@ let all_regs t =
 
 let clear_histories t =
   Trace.clear t.s_trace;
-  List.iter (fun n -> n.n_history <- []) t.s_nets
+  Option.iter Trace.clear t.s_net_trace
 
 let reset t =
   t.cycle_count <- 0;
@@ -960,12 +963,14 @@ let probe_components t =
     (List.rev t.comps)
 
 let trace t = t.s_trace
-let probe_histories t = Trace.to_histories t.s_trace
 
-let trace_net _t net = net.n_traced <- true
-let net_history _t net = List.rev net.n_history
-
-let trace_all t = List.iter (fun n -> n.n_traced <- true) t.s_nets
+let trace_all t =
+  match t.s_net_trace with
+  | Some tr -> tr
+  | None ->
+    let tr = Trace.create (List.map (fun n -> (n.n_name, None)) (nets t)) in
+    t.s_net_trace <- Some tr;
+    tr
 
 let timed_components t =
   List.filter_map

@@ -149,15 +149,14 @@ type snapshot
 val snapshot : t -> snapshot option
 
 (** Back to the snapshot's state and cycle, from any state (a cycle an
-    exception abandoned included); histories and traced nets are
+    exception abandoned included); the probe and net traces are
     cleared, so they record from the snapshot's cycle on. *)
 val restore : t -> snapshot -> unit
 
 (** Does the current state equal the snapshot's? *)
 val matches : t -> snapshot -> bool
 
-(** Clear the probe and traced-net histories, leaving the state as it
-    is. *)
+(** Clear the probe and net traces, leaving the state as it is. *)
 val clear_histories : t -> unit
 
 (** {1 Observation} *)
@@ -165,15 +164,6 @@ val clear_histories : t -> unit
 (** [output_history t probe] — tokens received by an [add_output] probe:
     [(cycle, value)] pairs, oldest first. *)
 val output_history : t -> component -> (int * Fixed.t) list
-
-(** [trace_net t net] starts recording tokens on [net];
-    [net_history t net] reads the recording. *)
-val trace_net : t -> net -> unit
-
-val net_history : t -> net -> (int * Fixed.t) list
-
-(** Start recording tokens on every net (for waveform dumping). *)
-val trace_all : t -> unit
 
 (** {1 Introspection for code generators and statistics} *)
 
@@ -222,16 +212,15 @@ val stimuli : t -> cycles:int -> (int * string * Fixed.t) list
 (** Primary output probe names. *)
 val probes : t -> string list
 
-(** Every probe with its recorded tokens ({!output_history}), in
-    {!probes} order. *)
-val probe_histories : t -> (string * (int * Fixed.t) list) list
-
 (** {1 Probe traces}
 
     What a probe received, as columns: every engine appends its probe
     tokens to a trace in place while it steps, and readers take cycles,
-    mantissas and formats by index.  [(int * Fixed.t) list] histories
-    are derived from a trace ({!Trace.to_histories}) at the API edge. *)
+    mantissas and formats by index.  The result cache stores traces,
+    and the engine cross-checks, the SEU classifiers and the IR
+    equivalence check compare them with {!Trace.mismatch}.  Lists of
+    [(cycle, value)] pairs are derived from a trace
+    ({!Trace.to_histories}) only at the API edge. *)
 
 module Trace : sig
   (** Per probe, in order of arrival:
@@ -269,17 +258,31 @@ module Trace : sig
       as {!cycle}. *)
   val token : t -> int -> int -> Fixed.t
 
+  (** [mantissa t p k] — the mantissa of probe [p]'s token [k]; raises
+      as {!cycle}. *)
+  val mantissa : t -> int -> int -> int64
+
   (** [index_from t p ~cycle] — the first token of probe [p] at or after
       [cycle] ([length t p] when there is none). *)
   val index_from : t -> int -> cycle:int -> int
 
-  (** [mismatch a i b j ~probe ~len] — the first offset [k < len] at
-      which token [i + k] of [a] and token [j + k] of [b], both on
-      probe [probe], differ in cycle, format or mantissa; [len] when
-      none does.
-      @raise Ocapi_error.Error with code [Internal] when a range runs
-      outside the recorded tokens. *)
-  val mismatch : t -> int -> t -> int -> probe:int -> len:int -> int
+  (** Where two token sequences first differ, as an offset [k] into
+      both. *)
+  type difference =
+    | Cycle of int  (** the [k]th tokens arrived at different cycles *)
+    | Value of int  (** the [k]th tokens arrived at one cycle with
+                        different values *)
+    | Length of int  (** one sequence ends after [k] tokens, the other
+                         goes on *)
+
+  (** [mismatch ~formats (a, p, i) (b, q, j)] compares probe [p]'s
+      tokens of [a] from token [i] to its last with probe [q]'s of [b]
+      from token [j] to its last, in order, and returns their first
+      difference; [None] when they are equal.  Values compare by
+      mantissa, and also by format when [formats].
+      @raise Ocapi_error.Error with code [Internal] when [i] or [j]
+      lies outside [0, length]. *)
+  val mismatch : formats:bool -> t * int * int -> t * int * int -> difference option
 
   (** {2 Recording}
 
@@ -306,9 +309,6 @@ module Trace : sig
       [stamps.(stamp)] holds [cycle]. *)
   val record_words : feed -> cycle:int -> stamps:int array -> int array -> unit
 
-  (** [record_words] from an [int64] array. *)
-  val record_int64s : feed -> cycle:int -> stamps:int array -> int64 array -> unit
-
   (** [record_words] from the int64 at byte offset [slot] of a
       [Bytes.t] (the compiled value store). *)
   val record_store : feed -> cycle:int -> stamps:int array -> Bytes.t -> unit
@@ -334,9 +334,16 @@ end
 
 (** The interpreter's trace: one probe per {!add_output}, in creation
     order, recorded by {!cycle} and {!cycle_two_phase} and cleared by
-    {!reset}, {!restore} and {!clear_histories}.  {!output_history} and
-    {!probe_histories} read it. *)
+    {!reset}, {!restore} and {!clear_histories}.  {!output_history}
+    reads it. *)
 val trace : t -> Trace.t
+
+(** [trace_all t] starts recording every net's tokens, as the
+    interpreter moves them, and returns the recording (for waveform
+    dumping): a live trace with one column per net connected so far, in
+    {!nets} order, each token in its own format.  Cleared with the
+    probe trace; a second call returns the same trace. *)
+val trace_all : t -> Trace.t
 
 (** [resident_words t ~trace root] is the heap words, headers
     included, reachable from [root] (a session's state) but neither

@@ -108,6 +108,11 @@ val assign_deps : t -> Signal.Input.t list
     order evaluating the expressions one after another would compute
     it. *)
 
+(** The plan of {!fire}: its roots are the outputs, then the register
+    assignments, in declaration order.  Built on the first call and
+    kept by the SFG. *)
+val plan : t -> Signal.Plan.t
+
 (** The result of firing: output token values by name. *)
 type firing = (string * Fixed.t) list
 

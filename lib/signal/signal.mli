@@ -218,10 +218,11 @@ val eval : Env.t -> t -> Fixed.t
     value depends on ({!input_deps}).  Nothing of it changes from cycle
     to cycle, so the simulators build a plan once and then only evaluate:
     an {!Sfg} keeps one over its outputs then its register assignments,
-    an {!Fsm} one per guard, the RTL back end one per transition body.
-    Their owners build them on first evaluation (never when a design is
-    constructed or a session made) and keep them in an [Atomic.t]: two
-    domains racing to build one build the same immutable value.
+    which the interpreter and the RTL back end both evaluate, and an
+    {!Fsm} one per guard.  Their owners build them on first use (never
+    when a design is constructed; an RTL elaboration uses every SFG's
+    plan at once) and keep them in an [Atomic.t]: two domains racing to
+    build one build the same immutable value.
 
     Evaluation order: {!eval} on a {!memo} computes a root's cone in the
     order of the recursive expression walk it replaces.  Each operator

@@ -822,9 +822,10 @@ type verify_result = {
    the cycles the reference simulation recorded a token: the generated
    test bench discipline, in process. *)
 let replay sys nl ~cycles =
+  let module T = Cycle_system.Trace in
   Cycle_system.reset sys;
   Cycle_system.run sys cycles;
-  let expected = Cycle_system.probe_histories sys in
+  let expected = T.copy (Cycle_system.trace sys) in
   Cycle_system.reset sys;
   let outputs = List.map fst (Netlist.outputs_list nl) in
   let sim = Netlist.Sim.create nl in
@@ -832,56 +833,57 @@ let replay sys nl ~cycles =
   List.iter
     (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
     (Cycle_system.stimuli sys ~cycles);
-  (* Per probe the tokens still to sample, and the samples taken. *)
-  let rows =
-    List.map
-      (fun (p, hist) ->
-        let pending =
-          match Cycle_system.probe_format sys p with
-          | Some fmt when List.mem p outputs ->
-            List.map (fun (c, v) -> (c, v, fmt)) hist
-          | Some _ | None -> []
-        in
-        (p, ref pending, ref []))
-      expected
+  (* Per probe, the format its bus is read in, when [nl] drives one. *)
+  let probes =
+    Array.of_list
+      (List.map
+         (fun p ->
+           match Cycle_system.probe_format sys p with
+           | Some fmt when List.mem p outputs -> (p, Some fmt)
+           | Some _ | None -> (p, None))
+         (Cycle_system.probes sys))
   in
+  let sampled = T.create (Array.to_list probes) in
   for c = 0 to cycles - 1 do
     List.iter
       (fun (name, v) -> Netlist.Sim.set_input sim name (Fixed.mantissa v))
       per_cycle.(c);
     Netlist.Sim.settle sim;
-    List.iter
-      (fun (p, pending, samples) ->
-        match !pending with
-        | (c', want, fmt) :: rest when c' = c ->
-          pending := rest;
-          let signed = fmt.Fixed.signedness = Fixed.Signed in
-          let got = Fixed.create fmt (Netlist.Sim.get_output sim ~signed p) in
-          samples := (c, want, got) :: !samples
-        | _ -> ())
-      rows;
+    Array.iteri
+      (fun i (p, fmt) ->
+        match fmt with
+        | Some fmt ->
+          let k = T.length sampled i in
+          if k < T.length expected i && T.cycle expected i k = c then
+            let signed = fmt.Fixed.signedness = Fixed.Signed in
+            T.record_token sampled i ~cycle:c
+              (Fixed.create fmt (Netlist.Sim.get_output sim ~signed p))
+        | None -> ())
+      probes;
     Netlist.Sim.clock sim
   done;
-  List.map (fun (p, _, samples) -> (p, List.rev !samples)) rows
+  (expected, sampled)
 
 let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
     sys ~cycles =
   Cycle_system.reset sys;
   let nl, _report = synthesize ~options ?macro_of_kernel sys in
   let nl = if optimize then fst (Netopt.run nl) else nl in
-  let samples = replay sys nl ~cycles in
+  let module T = Cycle_system.Trace in
+  let expected, sampled = replay sys nl ~cycles in
   let mismatches =
-    List.concat_map
-      (fun (p, s) ->
-        List.filter_map
-          (fun (c, want, got) ->
-            if Fixed.mantissa got = Fixed.mantissa want then None
-            else Some (c, p, Fixed.mantissa want, Fixed.mantissa got))
-          s)
-      samples
+    List.concat
+      (List.init (T.probe_count sampled) (fun p ->
+           List.filter_map
+             (fun k ->
+               let want = T.mantissa expected p k and got = T.mantissa sampled p k in
+               if got = want then None
+               else Some (T.cycle sampled p k, T.probe_name sampled p, want, got))
+             (List.init (T.length sampled p) Fun.id)))
   in
   {
-    vectors_checked = List.fold_left (fun n (_, s) -> n + List.length s) 0 samples;
+    vectors_checked =
+      List.fold_left ( + ) 0 (List.init (T.probe_count sampled) (T.length sampled));
     (* By cycle, then in probe order. *)
     mismatches =
       List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) mismatches;

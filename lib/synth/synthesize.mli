@@ -119,16 +119,17 @@ val pp_report : Format.formatter -> report -> unit
 
 (** [replay sys nl ~cycles] runs the reference (interpreted) simulation
     for [cycles], replays its stimuli on [nl] and samples every probe's
-    output bus at the cycles the reference recorded a token: per probe,
-    in [Cycle_system.probes] order, [(cycle, reference token, netlist
-    token)], the netlist's read in the probe's format.  A probe [nl] has
-    no output for gets no samples.  The system is reset before and
-    after. *)
+    output bus at the cycles the reference recorded a token.  It returns
+    the reference's trace, frozen, and the samples' trace: one column
+    per probe in [Cycle_system.probes] order, token [k] of each sampled
+    column read in the probe's format at the cycle of the reference's
+    token [k].  A probe [nl] has no output for gets no samples.  The
+    system is reset before and after. *)
 val replay :
   Cycle_system.t ->
   Netlist.t ->
   cycles:int ->
-  (string * (int * Fixed.t * Fixed.t) list) list
+  Cycle_system.Trace.t * Cycle_system.Trace.t
 
 type verify_result = {
   vectors_checked : int;

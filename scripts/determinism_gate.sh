@@ -6,7 +6,9 @@
 # the parallel runner and the job runner — extra workers, or another
 # kind of worker, change wall time, never results.  Section 4 holds
 # the engines to the same standard: a seeded SEU campaign classifies
-# every run identically on each of them.
+# every run identically on each of them.  Section 5 holds the result
+# cache to it: a run served from the disk by another process prints
+# the uncached run's bytes.
 #
 # Usage: scripts/determinism_gate.sh   (after `dune build`)
 set -euo pipefail
@@ -202,6 +204,32 @@ seu_across_engines() { # design
 }
 for design in rs cpu dect; do
   seu_across_engines "$design"
+done
+
+# 5. The result cache across processes: in a fresh working directory, a
+#    cold `simulate --cache` fills _generated/cache/ and a second
+#    process is served from that disk entry.  Both must print the bytes
+#    of the uncached run, on every design and engine.
+ocapi_abs=$(cd "$(dirname "$OCAPI")" && pwd)/$(basename "$OCAPI")
+for design in hcor dect rs cpu; do
+  for engine in interp compiled native rtl gate; do
+    run="$work/cache-$design-$engine"
+    mkdir -p "$run/wd"
+    sim() { "$ocapi_abs" simulate "$design" --engine "$engine" --json --cycles 300 "$@"; }
+    sim >"$run/plain.json"
+    (cd "$run/wd" && sim --cache) >"$run/cold.json"
+    (cd "$run/wd" && sim --cache) >"$run/warm.json"
+    hit=$(cd "$run/wd" && "$ocapi_abs" simulate "$design" --engine "$engine" \
+      --cycles 300 --cache | tail -n 1)
+    if cmp -s "$run/plain.json" "$run/cold.json" &&
+      cmp -s "$run/plain.json" "$run/warm.json" &&
+      [ "$hit" = "cache: 1 hits (1 from disk), 0 misses, 1 entries" ]; then
+      echo "ok   simulate --cache ($design, $engine): cold = warm from disk = uncached"
+    else
+      echo "FAIL simulate --cache ($design, $engine): cold, warm and uncached differ ($hit)" >&2
+      fail=1
+    fi
+  done
 done
 
 if [ "$fail" -eq 0 ]; then

@@ -121,12 +121,13 @@ let test_session_attach_detach () =
 
 (* --- the keyed result cache -------------------------------------------------- *)
 
+let cache_dir =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "ocapi_cache_test_%d" (Unix.getpid ()))
+
 let with_cache f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ocapi_cache_test_%d" (Unix.getpid ()))
-  in
+  let dir = cache_dir in
   Flow.Cache.enable ~dir ();
   Flow.Cache.clear ();
   Flow.Cache.reset_stats ();
@@ -192,6 +193,25 @@ let test_cache_disk_roundtrip () =
         (st.Flow.Cache.disk_hits >= 1);
       Alcotest.(check bool) "entry written to disk" true
         (st.Flow.Cache.disk_writes >= 1))
+
+(* Builds that cached history lists wrote [v1-hist-<md5 of the key>]
+   entries.  A run whose key has such an entry, one no engine would
+   compute, misses it and returns the histories the engine computes. *)
+let test_cache_ignores_list_entries () =
+  let expected = Flow.simulate ~engine:"compiled" (tiny ()) ~cycles:20 in
+  with_cache (fun () ->
+      let sys = tiny () in
+      let key = Flow.Cache.key_of ~engine:"compiled" ~seed:0 sys ~cycles:20 in
+      let stale = [ ("y_out", [ (0, Fixed.of_int s8 99) ]) ] in
+      Out_channel.with_open_bin
+        (Filename.concat cache_dir
+           ("v1-hist-" ^ Digest.to_hex (Digest.string key) ^ ".cache"))
+        (fun oc -> Marshal.to_channel oc (key, stale) []);
+      Alcotest.(check bool) "the engine's histories" true
+        (Flow.simulate ~engine:"compiled" sys ~cycles:20 = expected);
+      let st = Flow.Cache.stats () in
+      Alcotest.(check (pair int int)) "one miss, no hit" (1, 0)
+        (st.Flow.Cache.misses, st.Flow.Cache.hits))
 
 (* --- the replicate footgun --------------------------------------------------- *)
 
@@ -420,6 +440,8 @@ let suite =
       test_cache_warm_identical_all_engines;
     Alcotest.test_case "cache: key discriminates" `Quick
       test_cache_key_discriminates;
+    Alcotest.test_case "cache: older list entries are missed" `Quick
+      test_cache_ignores_list_entries;
     Alcotest.test_case "cache: disk round-trip" `Quick
       test_cache_disk_roundtrip;
     Alcotest.test_case "replicate: campaign system rejected" `Quick

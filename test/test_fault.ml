@@ -5,13 +5,18 @@
 
 (* --- zero-fault controls --------------------------------------------------- *)
 
-(* The SEU harness run with no injection must be bit-identical to the
-   plain engine run: the campaign machinery itself must not perturb
-   the simulation. *)
+(* A campaign's session stepped by [Ocapi_engine.run] with no injection
+   must be bit-identical to the plain engine run: the stepping
+   discipline itself must not perturb the simulation. *)
 let check_control engine =
   let cycles = 48 in
   let golden = Flow.simulate ~engine (Gallery.dect ()) ~cycles in
-  let control = Ocapi_fault.control_run ~engine (Gallery.dect ()) ~cycles in
+  let control =
+    let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+    let ses = E.make (Gallery.dect ()) in
+    Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+        Cycle_system.Trace.to_histories (Ocapi_engine.run ses ~cycles))
+  in
   match Flow.first_history_mismatch golden control with
   | None -> ()
   | Some (probe, cycle, detail) ->

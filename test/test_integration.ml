@@ -58,8 +58,9 @@ let test_metrics_all_engines () =
 
 (* Table 1's process column counts an engine's own state, neither the
    stimulus columns nor the probe trace, which grow with the run: a
-   long row reads as a short one.  (The RT row's short run is the one
-   by which every transition has fired and built its plan.) *)
+   long row reads as a short one.  (The RT elaboration takes every
+   SFG's plan when it is made, so its row is flat from the first
+   cycles too.) *)
 let test_process_bytes_exclude_columns () =
   let bytes engine ~cycles = (Metrics.measure hcor engine ~cycles).Metrics.m_process_bytes in
   List.iter
@@ -69,7 +70,7 @@ let test_process_bytes_exclude_columns () =
     [
       (Metrics.Interpreted_objects, 50, 5_000);
       (Metrics.Compiled_code, 50, 20_000);
-      (Metrics.Rt_event_driven, 1_000, 2_000);
+      (Metrics.Rt_event_driven, 50, 5_000);
     ]
 
 (* Each row is measured on its own build of the design, so a row does
@@ -96,13 +97,36 @@ let test_metrics_table_rendering () =
   Alcotest.(check bool) "has engine label" true (contains "interpreted obj");
   Alcotest.(check bool) "has size" true (contains "7K")
 
-let test_source_line_counter () =
-  let tmp = Filename.temp_file "ocapi_lines" ".txt" in
-  let oc = open_out tmp in
-  output_string oc "a\nb\nc\n";
-  close_out oc;
-  Alcotest.(check int) "three lines" 3 (Metrics.source_lines_of_files [ tmp ]);
-  Sys.remove tmp
+(* Table 1's "Src lines" of each gallery design is its source's line
+   count, whatever the working directory.  The sources are this suite's
+   dune dependencies, beside the test executable's directory. *)
+let test_gallery_source_lines () =
+  let designs =
+    Filename.concat (Filename.dirname Sys.executable_name) "../lib/designs"
+  in
+  let lines file =
+    In_channel.with_open_bin (Filename.concat designs file) (fun ic ->
+        List.length (In_channel.input_lines ic))
+  in
+  let expected =
+    List.map
+      (fun (file, count) -> (file, lines file, count))
+      [
+        ("hcor.ml", Hcor.source_lines);
+        ("dect_transceiver.ml", Dect_transceiver.source_lines);
+        ("rs_codec.ml", Rs_codec.source_lines);
+        ("acc_cpu.ml", Acc_cpu.source_lines);
+      ]
+  in
+  let cwd = Sys.getcwd () in
+  Temp_dir.with_dir "ocapi_src_lines" (fun dir ->
+      Sys.chdir dir;
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          List.iter
+            (fun (file, n, count) -> Alcotest.(check int) file n (count ()))
+            expected))
 
 let suite =
   [
@@ -114,5 +138,6 @@ let suite =
     Alcotest.test_case "process bytes independent of row order" `Quick
       test_process_bytes_independent_of_order;
     Alcotest.test_case "metrics table rendering" `Quick test_metrics_table_rendering;
-    Alcotest.test_case "source line counter" `Quick test_source_line_counter;
+    Alcotest.test_case "gallery source lines in any directory" `Quick
+      test_gallery_source_lines;
   ]

@@ -109,7 +109,10 @@ let with_gate sys f =
 let test_fresh_build_shares_elaboration () =
   with_gate (Gallery.cpu ()) ignore;
   Ocapi_ir.reset_gate_stats ();
-  let h = with_gate (Gallery.cpu ()) (fun ses -> Ocapi_engine.run ses ~cycles:48) in
+  let h =
+    with_gate (Gallery.cpu ()) (fun ses ->
+        Cycle_system.Trace.to_histories (Ocapi_engine.run ses ~cycles:48))
+  in
   let s = Ocapi_ir.gate_stats () in
   Alcotest.(check int) "no synthesis" 0 s.Ocapi_ir.elaborations;
   Alcotest.(check int) "served from the table" 1 s.Ocapi_ir.hits;

@@ -67,16 +67,22 @@ let test_equivalence_hcor () =
   check_native_matches_interp h.Hcor.system ~cycles:120
 
 (* A 62-bit output cannot be wrapped or saturated over unboxed words
-   (the helpers compute [1 lsl width]), so this plugin runs over int64
-   cells. *)
-let test_equivalence_int64_cells () =
+   (the helpers compute [1 lsl width]), so no plugin is emitted for it:
+   its native session is the compiled instance of the same lowered
+   program, a counted fallback, with the interpreter's histories. *)
+let test_wide_design_falls_back () =
   let sys = accum ~width:60 ~out_width:62 () in
-  let src = Emit.emit_plugin sys (Compiled_sim.lower sys) in
-  Alcotest.(check string) "value store"
-    (Printf.sprintf "(* Emitter v%d, int64 value store; loaded via Dynlink, \
-                     driven through" Emit.emitter_version)
-    (List.nth (String.split_on_char '\n' src) 1);
-  check_native_matches_interp sys ~cycles:40
+  let pg = Compiled_sim.lower sys in
+  Alcotest.(check bool) "words rejected" false (Emit.word_mode_ok pg);
+  (match Emit.emit_plugin sys pg with
+  | exception e when Raises.code Unsupported e -> ()
+  | _ -> Alcotest.fail "a plugin emitted over int64 cells");
+  let before = Ocapi_native.stats () in
+  check_native_matches_interp sys ~cycles:40;
+  let after = Ocapi_native.stats () in
+  Alcotest.(check (pair int int)) "one counted fallback, no compile" (1, 0)
+    ( after.Ocapi_native.fallbacks - before.Ocapi_native.fallbacks,
+      after.Ocapi_native.compiles - before.Ocapi_native.compiles )
 
 let test_equivalence_dect () =
   let stimulus c =
@@ -393,7 +399,7 @@ let test_plugin_text_pinned () =
   Alcotest.(check string) "text independent of earlier builds" first (text ());
   Alcotest.(check (pair int string))
     "emitter version and plugin text digest"
-    (6, "098264cc648c1b4453e1ed6d0e6d204b")
+    (7, "271f5182eb76efc91c17934293fd5c18")
     (Emit.emitter_version, Digest.to_hex (Digest.string first))
 
 (* --- unavailability -------------------------------------------------------- *)
@@ -419,8 +425,8 @@ let suite =
   [
     Alcotest.test_case "native = interp on HCOR" `Quick test_equivalence_hcor;
     Alcotest.test_case "native = interp on DECT" `Slow test_equivalence_dect;
-    Alcotest.test_case "native = interp over int64 cells" `Quick
-      test_equivalence_int64_cells;
+    Alcotest.test_case "wide design: counted fallback = interp" `Quick
+      test_wide_design_falls_back;
     Alcotest.test_case "warm cache skips the compiler" `Quick
       test_warm_cache_skips_compiler;
     Alcotest.test_case "corrupt/stale artifact: counted miss + recompile"

@@ -315,7 +315,7 @@ let mixed_kernel_system () =
 (* The interpreter records every probe token in its own format.  The
    [`Two_producers] design and [mixed_kernel_system] put s8 and s10
    tokens on one probe; their histories, formats included, are pinned,
-   and the trace they come from holds the same tokens. *)
+   and each probe's [output_history] reads the same tokens. *)
 let test_mixed_format_histories () =
   let line (p, toks) =
     List.map
@@ -327,15 +327,20 @@ let test_mixed_format_histories () =
   List.iter
     (fun (name, sys, md5) ->
       Cycle_system.run sys 12;
-      let h = Cycle_system.probe_histories sys in
+      let h = Cycle_system.Trace.to_histories (Cycle_system.trace sys) in
       let formats =
         List.sort_uniq compare
           (List.concat_map (fun (_, toks) -> List.map (fun (_, v) -> Fixed.fmt v) toks) h)
       in
       Alcotest.(check int) (name ^ ": formats on the probe") 2 (List.length formats);
-      Alcotest.(check bool)
-        (name ^ ": histories = the trace's") true
-        (h = Cycle_system.Trace.to_histories (Cycle_system.trace sys));
+      List.iter
+        (fun (p, toks) ->
+          Alcotest.(check bool)
+            (name ^ ": output_history " ^ p) true
+            (Cycle_system.output_history sys
+               (Option.get (Cycle_system.find_component sys p))
+            = toks))
+        h;
       Alcotest.(check string)
         (name ^ ": histories pinned") md5
         (Digest.to_hex (Digest.string (String.concat "\n" (List.concat_map line h)))))
@@ -387,10 +392,13 @@ let test_net_tracing () =
     Cycle_system.add_input sys "x_in" s8 (fun c -> Some (Fixed.of_int s8 c))
   in
   let net = Cycle_system.connect sys (stim, "out") [ (comp, "x") ] in
-  Cycle_system.trace_net sys net;
+  let nets = Cycle_system.trace_all sys in
   Cycle_system.run sys 3;
-  Alcotest.(check (list int)) "trace" [ 0; 1; 2 ]
-    (List.map (fun (_, v) -> Fixed.to_int v) (Cycle_system.net_history sys net));
+  let i = Cycle_system.net_index net in
+  Alcotest.(check (list (pair int int))) "trace" [ (0, 0); (1, 1); (2, 2) ]
+    (List.init (Cycle_system.Trace.length nets i) (fun k ->
+         ( Cycle_system.Trace.cycle nets i k,
+           Fixed.to_int (Cycle_system.Trace.token nets i k) )));
   Alcotest.(check int) "input history" 3
     (List.length (Cycle_system.stimuli sys ~cycles:3))
 

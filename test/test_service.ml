@@ -521,15 +521,15 @@ let test_orphaned_worker_publishes_nothing () =
 
 (* --- disk-cache robustness ------------------------------------------------ *)
 
-let s8 = Fixed.signed ~width:8 ~frac:0
-
 let cache_teardown dir () =
   Flow.Cache.disable ();
   Flow.Cache.clear ();
   Flow.Cache.reset_stats ();
   rm_rf dir
 
-let histories = [ ("probe", List.init 16 (fun i -> (i, Fixed.of_int s8 (i mod 7)))) ]
+(* The run whose disk entry the tests below damage: 16 cycles of
+   [Test_engine.tiny] on the compiled engine, one entry per cold run. *)
+let simulate () = Flow.simulate ~engine:"compiled" (Test_engine.tiny ()) ~cycles:16
 
 let test_cache_corrupted_entry () =
   let dir = tmp_dir "cache-corrupt" in
@@ -538,11 +538,12 @@ let test_cache_corrupted_entry () =
       Flow.Cache.disable ();
       Flow.Cache.clear ();
       Flow.Cache.reset_stats ();
+      let histories = simulate () in
       Flow.Cache.enable ~dir ();
-      Flow.Cache.store_histories "entry" histories;
+      ignore (simulate ());
       (* Overwrite the stored file with garbage, then with a truncated
          prefix: both must read back as a plain (counted) miss, not an
-         exception. *)
+         exception, and the run recomputes the same histories. *)
       let file =
         match Sys.readdir dir with
         | [| f |] -> Filename.concat dir f
@@ -554,15 +555,17 @@ let test_cache_corrupted_entry () =
         output_string oc bytes;
         close_out oc
       in
+      let rerun what =
+        Flow.Cache.clear ();
+        Flow.Cache.reset_stats ();
+        Alcotest.(check bool) (what ^ " is a miss") true (simulate () = histories);
+        Alcotest.(check int) "the miss is counted" 1
+          (Flow.Cache.stats ()).Flow.Cache.misses
+      in
       rewrite "not a marshalled cache entry at all";
-      Flow.Cache.clear ();
-      Flow.Cache.reset_stats ();
-      Alcotest.(check bool) "garbage entry is a miss" true
-        (Flow.Cache.find_histories "entry" = None);
-      Alcotest.(check int) "the miss is counted" 1
-        (Flow.Cache.stats ()).Flow.Cache.misses;
-      (* Truncated to half: a torn write from a killed process. *)
-      Flow.Cache.store_histories "entry" histories;
+      rerun "garbage entry";
+      (* The rerun stored the entry again; truncate it to half: a torn
+         write from a killed process. *)
       let full =
         let ic = open_in_bin file in
         let s = really_input_string ic (in_channel_length ic) in
@@ -571,17 +574,14 @@ let test_cache_corrupted_entry () =
       in
       Alcotest.(check int) "entry restored" size (String.length full);
       rewrite (String.sub full 0 (size / 2));
+      rerun "truncated entry";
+      (* And the slot recovers: the entry the rerun stored serves hits
+         again. *)
       Flow.Cache.clear ();
       Flow.Cache.reset_stats ();
-      Alcotest.(check bool) "truncated entry is a miss" true
-        (Flow.Cache.find_histories "entry" = None);
-      Alcotest.(check int) "counted too" 1
-        (Flow.Cache.stats ()).Flow.Cache.misses;
-      (* And the slot recovers: a fresh store serves hits again. *)
-      Flow.Cache.store_histories "entry" histories;
-      Flow.Cache.clear ();
-      Alcotest.(check bool) "recovered after restore" true
-        (Flow.Cache.find_histories "entry" = Some histories))
+      Alcotest.(check bool) "recovered after restore" true (simulate () = histories);
+      Alcotest.(check int) "served from disk" 1
+        (Flow.Cache.stats ()).Flow.Cache.disk_hits)
 
 let test_cache_unwritable_dir () =
   (* Point the cache at a path occupied by a regular file: every disk
@@ -604,11 +604,11 @@ let test_cache_unwritable_dir () =
       Flow.Cache.clear ();
       Flow.Cache.reset_stats ();
       Flow.Cache.enable ~dir:path ();
-      Flow.Cache.store_histories "entry" histories;
+      let histories = simulate () in
       let s = Flow.Cache.stats () in
       Alcotest.(check int) "no disk write recorded" 0 s.Flow.Cache.disk_writes;
       Alcotest.(check bool) "in-memory hit still served" true
-        (Flow.Cache.find_histories "entry" = Some histories))
+        (simulate () = histories && (Flow.Cache.stats ()).Flow.Cache.hits = 1))
 
 let suite =
   [
