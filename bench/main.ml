@@ -46,9 +46,12 @@ let gates ?macro_of_kernel sys =
 let ledger_entries = ref 0
 
 let ledger ?digest ?domains ~bench ~engine ~unit_ value =
-  Ocapi_obs.Ledger.append
-    (Ocapi_obs.Ledger.entry ?digest ?domains ~unit_ ~bench ~engine value);
-  incr ledger_entries
+  match
+    Ocapi_obs.Ledger.append
+      (Ocapi_obs.Ledger.entry ?digest ?domains ~unit_ ~bench ~engine value)
+  with
+  | Ok () -> incr ledger_entries
+  | Error e -> prerr_endline ("ledger: " ^ e)
 
 let ledger_note () =
   if !ledger_entries > 0 then
@@ -436,12 +439,10 @@ let f5 () =
 
 let figs () =
   print_endline "== figs: the paper's diagrams regenerated from the capture ==";
-  if not (Sys.file_exists "_generated") then Unix.mkdir "_generated" 0o755;
   let write path text =
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+    match Ocapi_obs.File.publish path text with
+    | Ok () -> Printf.printf "wrote %s\n" path
+    | Error e -> failwith e
   in
   (* Fig 2: the VLIW controller's execute/hold machine. *)
   let d =
@@ -465,9 +466,8 @@ let figs () =
   Fsm.(s1 |-- cnd Signal.(~:(reg_q eof)) |+ Sfg.nop "sfg3" |-> s0);
   write "_generated/fig4_example_fsm.dot" (Fsm.to_dot f);
   (* A waveform of the transceiver for good measure. *)
-  Vcd.write d.Dect_transceiver.system ~cycles:120
-    ~path:"_generated/dect_waves.vcd";
-  print_endline "wrote _generated/dect_waves.vcd";
+  write "_generated/dect_waves.vcd"
+    (Vcd.record d.Dect_transceiver.system ~cycles:120);
   print_newline ()
 
 (* ---- Bechamel micro-benchmarks ------------------------------------------------ *)
@@ -832,9 +832,6 @@ let batch_requests ~seeds ~seu_runs =
 let batch_bench ?(domains = 2) ?(seeds = 6) ?(seu_runs = 150) () =
   Printf.printf
     "== batch: job-queue throughput and dedup (%d worker domains) ==\n" domains;
-  Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
-  Ocapi_batch.register_design
-    ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" Gallery.dect;
   let requests = batch_requests ~seeds ~seu_runs in
   let jobs = List.length requests in
   let t0 = Unix.gettimeofday () in
@@ -925,9 +922,6 @@ let service_bench ?(jobs = 8) ?(workers = 2) ?(seu_runs = 60) () =
   if not (Sys.file_exists cli) then
     Printf.printf "service bench skipped: %s not built\n\n" cli
   else begin
-    Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
-    Ocapi_batch.register_design
-      ~macro_of_kernel:Dect_transceiver.macro_of_kernel ~name:"dect" Gallery.dect;
     let requests =
       List.init jobs (fun i ->
           let line =

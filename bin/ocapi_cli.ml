@@ -44,6 +44,25 @@ let reporting_errors f =
     prerr_endline (Ocapi_error.to_string err);
     1
 
+(* Publish a file the command writes; a path it cannot write fails the
+   command as a library error does. *)
+let publish path data =
+  match Ocapi_obs.File.publish path data with
+  | Ok () -> ()
+  | Error msg -> Ocapi_error.fail Internal ~engine:"cli" "cannot write %s" msg
+
+(* Run [k] on a loaded input file.  A path that cannot be read exits 1,
+   as a library error does; a malformed line exits 2. *)
+let with_input what loaded k =
+  match loaded with
+  | Error e ->
+    Printf.eprintf "%s: %s\n" what e;
+    1
+  | Ok (Error e) ->
+    Printf.eprintf "%s: %s\n" what e;
+    2
+  | Ok (Ok v) -> k v
+
 let with_design name f =
   match build_design name with
   | Error e ->
@@ -200,7 +219,6 @@ let dir_arg =
 let emit_cmd =
   let run name dir cycles =
     with_design name (fun d ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
         List.iter (Printf.printf "wrote %s\n") (Flow.emit_vhdl d.d_sys ~dir);
         Printf.printf "wrote %s\n" (Flow.emit_testbench d.d_sys ~dir ~cycles);
         let _, rep, path =
@@ -211,12 +229,10 @@ let emit_cmd =
         Printf.printf "wrote %s\n"
           (Flow.emit_ocaml_simulator d.d_sys ~dir ~cycles);
         let dot = Filename.concat dir (name ^ "_architecture.dot") in
-        let oc = open_out dot in
-        output_string oc (Cycle_system.to_dot d.d_sys);
-        close_out oc;
+        publish dot (Cycle_system.to_dot d.d_sys);
         Printf.printf "wrote %s\n" dot;
         let vcd = Filename.concat dir (name ^ ".vcd") in
-        Vcd.write d.d_sys ~cycles ~path:vcd;
+        publish vcd (Vcd.record d.d_sys ~cycles);
         Printf.printf "wrote %s\n" vcd;
         0)
   in
@@ -281,7 +297,6 @@ let profile_cmd =
           let (), report =
             Ocapi_obs.run_with_telemetry ~label:(name ^ "." ^ engine) f
           in
-          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
           let metrics_path =
             match metrics_out with
             | Some path -> path
@@ -289,15 +304,12 @@ let profile_cmd =
               Filename.concat dir
                 (Printf.sprintf "%s_%s_metrics.json" name engine)
           in
-          let oc = open_out metrics_path in
-          output_string oc
-            (Ocapi_obs.Json.to_string (Ocapi_obs.report_json report));
-          output_char oc '\n';
-          close_out oc;
+          publish metrics_path
+            (Ocapi_obs.Json.to_string (Ocapi_obs.report_json report) ^ "\n");
           let trace_path =
             Filename.concat dir (Printf.sprintf "%s_%s.trace.json" name engine)
           in
-          Ocapi_obs.write_trace ~path:trace_path;
+          publish trace_path (Ocapi_obs.trace_json ());
           Format.printf "%a@." Ocapi_obs.pp_report report;
           Printf.printf "wrote %s\nwrote %s\n" metrics_path trace_path;
           Printf.printf
@@ -450,17 +462,6 @@ let fault_cmd =
    jobs re-run, and the artifact tree converges to the undisturbed
    run's bytes. *)
 
-(* The reference designs, registered once into the job registry so
-   manifest jobs can name them.  The gallery builders are
-   deterministic, so every execution (and its dedup fingerprint)
-   hashes alike. *)
-let register_batch_designs () =
-  List.iter
-    (fun (name, build) ->
-      Ocapi_batch.register_design ~macro_of_kernel:(Gallery.macro_of_kernel name)
-        ~name build)
-    Gallery.designs
-
 let artifacts_arg default =
   let doc = "Directory for the per-job JSON artifacts." in
   Arg.(value & opt string default & info [ "artifacts" ] ~docv:"DIR" ~doc)
@@ -483,12 +484,12 @@ let events_out_arg =
    signal drained the runner with jobs left; 130 a second signal
    aborted it. *)
 let run_manifest ~cmd ~json ~quiet ~events_out manifest cfg =
-  register_batch_designs ();
   match Option.fold ~none:(Ok []) ~some:Ocapi_batch.read_manifest manifest with
   | Error e ->
     Printf.eprintf "manifest %s: %s\n" (Option.value manifest ~default:"") e;
     1
   | Ok requests ->
+    reporting_errors @@ fun () ->
     if events_out <> None then begin
       Ocapi_obs.Events.clear ();
       Ocapi_obs.Events.set_enabled true
@@ -507,8 +508,8 @@ let run_manifest ~cmd ~json ~quiet ~events_out manifest cfg =
     in
     Option.iter
       (fun path ->
-        Ocapi_obs.Events.write ~canonical:true ~path ();
-        Ocapi_obs.Events.set_enabled false)
+        Ocapi_obs.Events.set_enabled false;
+        publish path (Ocapi_obs.Events.canonical_jsonl ()))
       events_out;
     if json then
       print_endline
@@ -601,7 +602,6 @@ let worker_cmd =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
   let run request artifact timeout heartbeat_every cache_dir =
-    register_batch_designs ();
     Ocapi_service.worker_main ?timeout ~heartbeat_every ?cache_dir ~request
       ~artifact ()
   in
@@ -790,93 +790,81 @@ let report_cmd =
     let ledger =
       match ledger with Some p -> p | None -> L.default_path ()
     in
-    match L.load ~path:ledger () with
-    | Error e ->
-      Printf.eprintf "ledger %s: %s\n" ledger e;
-      2
-    | Ok entries -> (
-      let loaded_events =
-        match events with
-        | None -> Ok []
-        | Some path -> Ocapi_obs.Events.load path
+    with_input ("ledger " ^ ledger) (L.load ~path:ledger ()) @@ fun entries ->
+    with_input "events"
+      (Option.fold ~none:(Ok (Ok [])) ~some:Ocapi_obs.Events.load events)
+    @@ fun evs ->
+    reporting_errors @@ fun () ->
+    let vs =
+      L.verdicts ~window ~tolerance ~hard_tolerance entries
+    in
+    if json then
+      print_endline (Ocapi_obs.Json.to_string (L.verdicts_json vs))
+    else if entries = [] then
+      Printf.printf
+        "perf ledger %s: no entries yet (run `make bench-smoke` to \
+         record some)\n"
+        ledger
+    else begin
+      Printf.printf "perf ledger %s: %d entries, %d series\n" ledger
+        (List.length entries) (List.length vs);
+      Format.printf "%a@."
+        (fun ppf ->
+          L.pp_trends ~window ~tolerance ~hard_tolerance ppf)
+        entries;
+      if evs <> [] then begin
+        let counts = Hashtbl.create 8 in
+        List.iter
+          (fun j ->
+            match Ocapi_obs.Json.member "event" j with
+            | Some (Ocapi_obs.Json.String k) ->
+              Hashtbl.replace counts k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+            | _ -> ())
+          evs;
+        Printf.printf "event log: %d events (%s)\n" (List.length evs)
+          (String.concat ", "
+             (Hashtbl.fold
+                (fun k n acc -> Printf.sprintf "%s %d" k n :: acc)
+                counts []
+             |> List.sort String.compare))
+      end
+    end;
+    (match html with
+    | Some path ->
+      let page =
+        L.html_page ~events:evs ~window ~tolerance ~hard_tolerance entries
       in
-      match loaded_events with
-      | Error e ->
-        Printf.eprintf "events: %s\n" e;
-        2
-      | Ok evs ->
-        let vs =
-          L.verdicts ~window ~tolerance ~hard_tolerance entries
-        in
-        if json then
-          print_endline (Ocapi_obs.Json.to_string (L.verdicts_json vs))
-        else if entries = [] then
-          Printf.printf
-            "perf ledger %s: no entries yet (run `make bench-smoke` to \
-             record some)\n"
-            ledger
-        else begin
-          Printf.printf "perf ledger %s: %d entries, %d series\n" ledger
-            (List.length entries) (List.length vs);
-          Format.printf "%a@."
-            (fun ppf ->
-              L.pp_trends ~window ~tolerance ~hard_tolerance ppf)
-            entries;
-          if evs <> [] then begin
-            let counts = Hashtbl.create 8 in
-            List.iter
-              (fun j ->
-                match Ocapi_obs.Json.member "event" j with
-                | Some (Ocapi_obs.Json.String k) ->
-                  Hashtbl.replace counts k
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-                | _ -> ())
-              evs;
-            Printf.printf "event log: %d events (%s)\n" (List.length evs)
-              (String.concat ", "
-                 (Hashtbl.fold
-                    (fun k n acc -> Printf.sprintf "%s %d" k n :: acc)
-                    counts []
-                 |> List.sort String.compare))
-          end
-        end;
-        (match html with
-        | Some path ->
-          let page =
-            L.html_page ~events:evs ~window ~tolerance ~hard_tolerance entries
-          in
-          let oc = open_out_bin path in
-          output_string oc page;
-          close_out oc;
-          Printf.printf "wrote %s\n" path
-        | None -> ());
-        if gate then begin
-          let worst = L.worst_status vs in
-          let failed =
-            match (worst, fail_on) with
-            | L.Collapsed, _ -> true
-            | L.Regressed, `Regressed -> true
-            | _ -> false
-          in
-          List.iter
-            (fun v ->
-              match v.L.v_status with
-              | L.Regressed | L.Collapsed ->
-                Printf.printf
-                  "perf gate: %s [%s] %s: %.4g %s vs baseline %.4g (%+.1f%%)\n"
-                  (L.status_label v.L.v_status)
-                  v.L.v_engine v.L.v_bench v.L.v_latest.L.en_value
-                  v.L.v_latest.L.en_unit v.L.v_baseline (v.L.v_delta *. 100.)
-              | _ -> ())
-            vs;
-          Printf.printf "perf gate: worst status = %s (failing on %s)\n"
-            (L.status_label worst)
-            (match fail_on with
-            | `Collapsed -> "collapsed"
-            | `Regressed -> "regressed");
-          if failed then 1 else 0
-        end
-        else 0)
+      publish path page;
+      Printf.printf "wrote %s\n" path
+    | None -> ());
+    if gate then begin
+      let worst = L.worst_status vs in
+      let failed =
+        match (worst, fail_on) with
+        | L.Collapsed, _ -> true
+        | L.Regressed, `Regressed -> true
+        | _ -> false
+      in
+      List.iter
+        (fun v ->
+          match v.L.v_status with
+          | L.Regressed | L.Collapsed ->
+            Printf.printf
+              "perf gate: %s [%s] %s: %.4g %s vs baseline %.4g (%+.1f%%)\n"
+              (L.status_label v.L.v_status)
+              v.L.v_engine v.L.v_bench v.L.v_latest.L.en_value
+              v.L.v_latest.L.en_unit v.L.v_baseline (v.L.v_delta *. 100.)
+          | _ -> ())
+        vs;
+      Printf.printf "perf gate: worst status = %s (failing on %s)\n"
+        (L.status_label worst)
+        (match fail_on with
+        | `Collapsed -> "collapsed"
+        | `Regressed -> "regressed");
+      if failed then 1 else 0
+    end
+    else 0
   in
   Cmd.v
     (Cmd.info "report"
@@ -972,70 +960,65 @@ let fuzz_cmd =
     match engines with
     | Error n -> unknown_engine n
     | Ok engines -> (
-      let loaded =
-        match corpus with
-        | None -> Ok []
-        | Some path -> Ocapi_diff.Corpus.load path
+      with_input "corpus"
+        (Option.fold ~none:(Ok (Ok [])) ~some:Ocapi_diff.Corpus.load corpus)
+      @@ fun entries ->
+      reporting_errors @@ fun () ->
+      let report =
+        Ocapi_diff.fuzz ?engines ~deep ~shrink_failures:shrink ~size ~domains
+          ~corpus:entries ~seed ~count ()
       in
-      match loaded with
-      | Error e ->
-        Printf.eprintf "corpus: %s\n" e;
-        2
-      | Ok entries ->
-        reporting_errors @@ fun () ->
-        let report =
-          Ocapi_diff.fuzz ?engines ~deep ~shrink_failures:shrink ~size ~domains
-            ~corpus:entries ~seed ~count ()
-        in
-        if json then
-          print_endline
-            (Ocapi_obs.Json.to_string (Ocapi_diff.report_json report))
-        else Format.printf "%a@." Ocapi_diff.pp_report report;
-        let reproducers = Ocapi_diff.report_reproducers report in
-        (match (corpus, reproducers) with
-        | Some path, _ :: _ ->
-          Ocapi_diff.Corpus.append path reproducers;
+      if json then
+        print_endline
+          (Ocapi_obs.Json.to_string (Ocapi_diff.report_json report))
+      else Format.printf "%a@." Ocapi_diff.pp_report report;
+      let reproducers = Ocapi_diff.report_reproducers report in
+      (match (corpus, reproducers) with
+      | Some path, _ :: _ ->
+        (match Ocapi_diff.Corpus.append path reproducers with
+        | Ok () -> ()
+        | Error msg ->
+          Ocapi_error.fail Internal ~engine:"cli" "cannot append to %s" msg);
+        if not json then
+          Printf.printf "appended %d reproducer(s) to %s\n"
+            (List.length reproducers) path
+      | _ -> ());
+      (match repro_out with
+      | Some path ->
+        publish path
+          (String.concat ""
+             (List.map
+                (fun e ->
+                  Ocapi_obs.Json.to_string (Ocapi_diff.Corpus.entry_json e)
+                  ^ "\n")
+                reproducers));
+        if not json then
+          Printf.printf "wrote %s (%d reproducer(s))\n" path
+            (List.length reproducers)
+      | None -> ());
+      if self_test then
+        if
+          report.Ocapi_diff.fz_divergent > 0
+          && List.exists
+               (fun r -> r.Ocapi_diff.dr_shrunk <> None)
+               report.Ocapi_diff.fz_results
+        then begin
           if not json then
-            Printf.printf "appended %d reproducer(s) to %s\n"
-              (List.length reproducers) path
-        | _ -> ());
-        (match repro_out with
-        | Some path ->
-          let oc = open_out path in
-          List.iter
-            (fun e ->
-              output_string oc
-                (Ocapi_obs.Json.to_string (Ocapi_diff.Corpus.entry_json e));
-              output_char oc '\n')
-            reproducers;
-          close_out oc;
-          if not json then
-            Printf.printf "wrote %s (%d reproducer(s))\n" path
-              (List.length reproducers)
-        | None -> ());
-        if self_test then
-          if
-            report.Ocapi_diff.fz_divergent > 0
-            && List.exists
-                 (fun r -> r.Ocapi_diff.dr_shrunk <> None)
-                 report.Ocapi_diff.fz_results
-          then begin
-            if not json then
-              print_endline
-                "self-test: the harness caught the injected engine bug and \
-                 shrank a reproducer";
-            0
-          end
-          else begin
-            Printf.eprintf
-              "self-test FAILED: the injected engine bug went undetected\n";
-            1
-          end
-        else if
-          report.Ocapi_diff.fz_divergent = 0
-          && report.Ocapi_diff.fz_replay_failures = 0
-        then 0
-        else 1)
+            print_endline
+              "self-test: the harness caught the injected engine bug and \
+               shrank a reproducer";
+          0
+        end
+        else begin
+          Printf.eprintf
+            "self-test FAILED: the injected engine bug went undetected\n";
+          1
+        end
+      else if
+        report.Ocapi_diff.fz_divergent = 0
+        && report.Ocapi_diff.fz_replay_failures = 0
+      then 0
+      else 1)
   in
   Cmd.v
     (Cmd.info "fuzz"

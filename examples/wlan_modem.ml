@@ -152,7 +152,11 @@ let () =
   Printf.printf "gates: %d raw, %d optimized\n"
     rep.Synthesize.total.Netlist.gate_equivalents opt.Netopt.equivalents_after;
   (* A waveform for the curious. *)
-  if not (Sys.file_exists "_generated") then Unix.mkdir "_generated" 0o755;
-  Vcd.write sys ~cycles:120 ~path:"_generated/wlan_modem.vcd";
-  print_endline "wrote _generated/wlan_modem.vcd";
+  (match
+     Ocapi_obs.File.publish "_generated/wlan_modem.vcd" (Vcd.record sys ~cycles:120)
+   with
+  | Ok () -> print_endline "wrote _generated/wlan_modem.vcd"
+  | Error e ->
+    prerr_endline e;
+    exit 1);
   if disagreements <> [] || r.Synthesize.mismatches <> [] then exit 1

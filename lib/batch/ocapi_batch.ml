@@ -1,4 +1,4 @@
-(* The job vocabulary: design registry, jobs and requests, the manifest
+(* The job vocabulary: designs, jobs and requests, the manifest
    reader and parser, and job preparation.  The runner that executes
    prepared jobs is [Ocapi_service]. *)
 
@@ -6,34 +6,17 @@ module Json = Ocapi_obs.Json
 
 let ( let* ) = Result.bind
 
-(* --- design registry ------------------------------------------------------ *)
+(* --- designs ---------------------------------------------------------------- *)
 
-type design_spec = {
-  ds_build : unit -> Cycle_system.t;
-  ds_macro : Dataflow.Kernel.t -> Synthesize.macro_spec option;
-}
-
-let designs : (string, design_spec) Hashtbl.t = Hashtbl.create 8
-let designs_mutex = Mutex.create ()
-
-let register_design ?(macro_of_kernel = fun _ -> None) ~name build =
-  Mutex.protect designs_mutex (fun () ->
-      Hashtbl.replace designs name { ds_build = build; ds_macro = macro_of_kernel })
-
-let registered_designs () =
-  Mutex.protect designs_mutex (fun () ->
-      List.sort String.compare
-        (Hashtbl.fold (fun k _ acc -> k :: acc) designs []))
-
+(* Jobs name gallery designs, the only designs an [ocapi worker]
+   process can build. *)
 let find_design name =
-  match Mutex.protect designs_mutex (fun () -> Hashtbl.find_opt designs name) with
-  | Some d -> d
+  match Gallery.build name with
+  | Some sys -> sys
   | None ->
     Ocapi_error.fail Ocapi_error.Unsupported ~engine:"batch"
       "unknown design %S (registered: %s)" name
-      (match registered_designs () with
-      | [] -> "none"
-      | ds -> String.concat ", " ds)
+      (String.concat ", " (List.sort String.compare Gallery.names))
 
 (* --- jobs ----------------------------------------------------------------- *)
 
@@ -121,25 +104,12 @@ end
 (* --- manifests ------------------------------------------------------------ *)
 
 let read_manifest path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line -> (
-            let trimmed = String.trim line in
-            if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc
-            else
-              match Json.of_string trimmed with
-              | Ok j -> go (lineno + 1) (j :: acc)
-              | Error e ->
-                Error (Printf.sprintf "line %d: invalid JSON: %s" lineno e))
-        in
-        go 1 [])
+  let rec values acc = function
+    | [] -> Ok (List.rev acc)
+    | (_, Ok j) :: rest -> values (j :: acc) rest
+    | (n, Error e) :: _ -> Error (Printf.sprintf "line %d: invalid JSON: %s" n e)
+  in
+  Result.bind (Ocapi_obs.File.read_jsonl path) (values [])
 
 let request_of_json json =
   let open Field in
@@ -277,9 +247,8 @@ let prepare_request r =
   let key, default_label, run =
     match r.rq_job with
     | Simulate { sim_design; sim_engine; sim_cycles; sim_seed } ->
-      let d = find_design sim_design in
+      let sys = find_design sim_design in
       let engine = Ocapi_engine.name_of (Ocapi_engine.get sim_engine) in
-      let sys = d.ds_build () in
       let key =
         Flow.Cache.key_of
           ~engine:("batch-sim+" ^ engine)
@@ -293,9 +262,8 @@ let prepare_request r =
             sys ~cycles:sim_cycles
           |> Flow.simulate_result_json ~engine ~cycles:sim_cycles )
     | Seu { seu_design; seu_engine; seu_runs; seu_cycles; seu_seed } ->
-      let d = find_design seu_design in
+      let sys = find_design seu_design in
       let engine = Ocapi_engine.name_of (Ocapi_engine.get seu_engine) in
-      let sys = d.ds_build () in
       ( Flow.Cache.key_of
           ~engine:
             (Printf.sprintf "batch-seu+%s+runs%d" engine seu_runs)
@@ -307,8 +275,7 @@ let prepare_request r =
             sys ~cycles:seu_cycles
           |> Ocapi_fault.seu_report_json )
     | Stuck_at { sa_design; sa_cycles; sa_seed; sa_max_faults } ->
-      let d = find_design sa_design in
-      let sys = d.ds_build () in
+      let sys = find_design sa_design in
       ( Flow.Cache.key_of
           ~engine:
             (Printf.sprintf "batch-sa+mf%s"
@@ -319,13 +286,12 @@ let prepare_request r =
         Printf.sprintf "stuck-at:%s:c%d" sa_design sa_cycles,
         fun ~progress ->
           Ocapi_fault.stuck_at_system ?max_faults:sa_max_faults ~seed:sa_seed
-            ~macro_of_kernel:d.ds_macro
+            ~macro_of_kernel:(Gallery.macro_of_kernel sa_design)
             ~progress:(fun _ -> progress ())
             sys ~cycles:sa_cycles
           |> Ocapi_fault.stuck_report_json )
     | Engine_sweep { sw_design; sw_cycles } ->
-      let d = find_design sw_design in
-      let sys = d.ds_build () in
+      let sys = find_design sw_design in
       ( Flow.Cache.key_of
           ~engine:
             ("batch-sweep+" ^ String.concat "," (Ocapi_engine.names ()))

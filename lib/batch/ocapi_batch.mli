@@ -6,8 +6,9 @@
     manifest.  This module is everything about a job that does not
     depend on {e how} it runs:
 
-    - the {b design registry} ({!register_design}): jobs name designs,
-      the registry maps names to deterministic builders;
+    - the {b designs}: jobs name [Gallery] designs, whose builders are
+      deterministic, so a design built at admission and again in a
+      worker process hashes alike;
     - the {b jobs} ({!job}) and {b requests} ({!request}): a job plus
       its priority class, timeout and label;
     - the {b manifest reader} ({!read_manifest}) and the {b parser}
@@ -24,20 +25,6 @@
     canonical report — the same bytes the CLI's [--json] renderings
     print — so it is identical whichever kind of worker, and however
     many of them, ran the job. *)
-
-(** {1 Design registry}
-
-    A builder must be deterministic — the job key fingerprints the
-    system it returns, and dedup across submissions relies on two
-    builds hashing alike. *)
-
-val register_design :
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
-  name:string ->
-  (unit -> Cycle_system.t) ->
-  unit
-
-val registered_designs : unit -> string list
 
 (** {1 Jobs} *)
 
@@ -73,7 +60,7 @@ type job =
       fu_shrink : bool;  (** shrink failing designs to reproducers *)
     }
       (** A differential fuzz campaign ({!Ocapi_diff.fuzz}).  Unlike the
-          other kinds it references no registered design — the campaign
+          other kinds it references no gallery design — the campaign
           generates its own — so its dedup key is its parameter tuple
           and its artifact is the canonical fuzz report. *)
 
@@ -104,11 +91,12 @@ type request = {
     Unknown fields are ignored here and kept in the raw object: the
     runner reads ["chaos"] from it. *)
 
-(** [read_manifest path] reads a JSONL manifest into its raw values,
-    skipping blank lines and [#] comments.  The values are kept raw so
-    that the journal can store them verbatim; {!request_of_json}
-    validates each one at admission.  [Error] carries the 1-based line
-    number of a line that is not JSON. *)
+(** [read_manifest path] reads a JSONL manifest
+    ({!Ocapi_obs.File.read_jsonl}) into its raw values, skipping blank
+    lines and [#] comments.  The values are kept raw so that the journal
+    can store them verbatim; {!request_of_json} validates each one at
+    admission.  [Error] carries the 1-based line number of the first
+    line that is not JSON, or names a path that cannot be read. *)
 val read_manifest : string -> (Ocapi_obs.Json.t list, string) result
 
 (** One manifest object to a request.  Validates every field: its JSON

@@ -89,15 +89,10 @@ module Cache = struct
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-  let rec mkdir_p dir =
-    if not (Sys.file_exists dir) then begin
-      let parent = Filename.dirname dir in
-      if parent <> dir then mkdir_p parent;
-      try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-    end
-
+  (* A directory that cannot be made is no error: its writes fail, and
+     every failed write is a later miss. *)
   let enable ?dir () =
-    (match dir with Some d -> mkdir_p d | None -> ());
+    Option.iter (fun d -> ignore (Ocapi_obs.File.mkdir_p d)) dir;
     locked (fun () -> state := Some dir)
 
   let disable () = locked (fun () -> state := None)
@@ -140,7 +135,9 @@ module Cache = struct
       ("v1-" ^ namespace ^ "-" ^ Digest.to_hex (Digest.string k) ^ ".cache")
 
   (* Disk entries carry their full key so an MD5 filename collision
-     degrades to a miss, never a wrong result. *)
+     degrades to a miss, never a wrong result.  The read stays outside
+     [Ocapi_obs.File]: [Marshal] reads from a channel, and replacing
+     that encoding is the cache format's own change. *)
   let disk_read ~namespace (type v) dir k : v option =
     let path = disk_path ~namespace dir k in
     if not (Sys.file_exists path) then None
@@ -154,27 +151,16 @@ module Cache = struct
             if stored_key = k then Some value else None)
       with _ -> None
 
-  (* Writes are atomic (tmp + rename, the same idiom as the batch
-     artifact writer): a crash mid-write leaves at worst a stray tmp
-     file, never a truncated [.cache] entry for [disk_read] to choke
-     on.  The handler is deliberately wide — out of space, permission,
-     a directory swapped for a file, anything — because a failed write
-     must degrade to a future miss, not abort the simulation that just
-     produced the value. *)
+  (* Writes are published atomically ([Ocapi_obs.File.publish]): a
+     crash mid-write leaves at worst a stray temp file, never a
+     truncated [.cache] entry for [disk_read] to choke on.  Any failure
+     — out of space, permission, a directory swapped for a file, a value
+     [Marshal] cannot encode — degrades to a future miss, not an abort
+     of the simulation that just produced the value. *)
   let disk_write ~namespace dir k v =
-    let path = disk_path ~namespace dir k in
-    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-    match
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (k, v) []);
-      Sys.rename tmp path
-    with
-    | () -> true
-    | exception _ ->
-      (try Sys.remove tmp with _ -> ());
-      false
+    match Marshal.to_string (k, v) [] with
+    | data -> Result.is_ok (Ocapi_obs.File.publish (disk_path ~namespace dir k) data)
+    | exception _ -> false
 
   (* The shared lookup/store shape of every [Store]: memory first, then
      the namespaced disk entry, counting into the shared hit/miss
@@ -322,8 +308,6 @@ let () =
   Ocapi_native.register_engine ();
   Ocapi_ir.register_gate_engine ()
 
-(* [simulate] short of its list conversion: the run's frozen trace,
-   from the cache or the engine. *)
 let simulate_trace ?(engine = "interp") ?(seed = 0) ?progress ?corr sys ~cycles =
   Ocapi_error.check_count ~engine:"flow" "simulate: cycles" cycles;
   let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
@@ -368,8 +352,6 @@ type mismatch = {
   mm_detail : string;
 }
 
-(* The first difference of two traces, probe by probe, as [(probe,
-   cycle, detail)]. *)
 let first_mismatch a b =
   let module T = Cycle_system.Trace in
   let na = T.probe_count a and nb = T.probe_count b in
@@ -495,10 +477,9 @@ let engines_agree sys ~cycles =
 
 let write_file dir name contents =
   let path = Filename.concat dir name in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  path
+  match Ocapi_obs.File.publish path contents with
+  | Ok () -> path
+  | Error msg -> Ocapi_error.fail Internal ~engine:"flow" "cannot write %s" msg
 
 let emit_vhdl sys ~dir =
   List.map (fun (name, contents) -> write_file dir name contents)

@@ -71,6 +71,17 @@ val simulate :
   cycles:int ->
   (string * (int * Fixed.t) list) list
 
+(** [simulate_trace] is {!simulate} short of its list conversion: the
+    run's frozen trace, from the {!Cache} or the engine. *)
+val simulate_trace :
+  ?engine:string ->
+  ?seed:int ->
+  ?progress:(int -> unit) ->
+  ?corr:string ->
+  Cycle_system.t ->
+  cycles:int ->
+  Cycle_system.Trace.t
+
 (** [simulate_result_json ~engine ~cycles histories] is the canonical
     machine-readable rendering of a {!simulate} result: probe name to
     [[cycle, value]] token lists.  [ocapi simulate --json] and the
@@ -116,9 +127,10 @@ module Cache : sig
 
   (** [enable ?dir ()] turns the cache on; [dir] adds the on-disk
       store (created if missing, never swept: delete the directory to
-      reclaim it).  Disk entries are written atomically (tmp + rename)
-      and any write or read failure — including a corrupted or
-      truncated entry — degrades to a miss, never an exception. *)
+      reclaim it).  Disk entries are published atomically
+      ({!Ocapi_obs.File.publish}) and any write or read failure —
+      including a corrupted or truncated entry — degrades to a miss,
+      never an exception. *)
   val enable : ?dir:string -> unit -> unit
 
   val disable : unit -> unit
@@ -174,12 +186,18 @@ type mismatch = {
   mm_detail : string;  (** the two values, or the structural difference *)
 }
 
-(** [first_history_mismatch a b] compares two probe-history sets (the
-    result shape of {!simulate}) and returns the first divergence as
-    [(probe, cycle, detail)] — [None] when they are identical.  It
-    records both into [Cycle_system.Trace]s, each token in its own
-    format, and finds the difference as {!engine_disagreements} does on
-    the engines' traces.
+(** [first_mismatch a b] compares two traces probe by probe and returns
+    the first divergence as [(probe, cycle, detail)] — [None] when they
+    are identical.  {!engine_disagreements} and the differential fuzzer
+    compare the engines' traces with it. *)
+val first_mismatch :
+  Cycle_system.Trace.t ->
+  Cycle_system.Trace.t ->
+  (string * int option * string) option
+
+(** [first_history_mismatch a b] is {!first_mismatch} on two
+    probe-history sets (the result shape of {!simulate}), each recorded
+    into a [Cycle_system.Trace] with every token in its own format.
     Exposed for testing and for diffing externally produced
     histories. *)
 val first_history_mismatch :
@@ -224,7 +242,11 @@ val engines_agree :
   cycles:int ->
   string list
 
-(** {1 Code generation} *)
+(** {1 Code generation}
+
+    Every file is published into [dir] ({!Ocapi_obs.File.publish}),
+    which is created if missing.  A file that cannot be written raises
+    [Ocapi_error.Error] with code [Internal], naming its path. *)
 
 (** Write the generated VHDL files into [dir]; returns the paths. *)
 val emit_vhdl : Cycle_system.t -> dir:string -> string list

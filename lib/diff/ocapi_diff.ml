@@ -527,12 +527,10 @@ let buggy_name = "buggy-lsb"
 let default_engines () =
   List.filter (fun n -> n <> buggy_name) (Ocapi_engine.names ())
 
-type run_result =
-  | R_ok of (string * (int * Fixed.t) list) list
-  | R_err of Ocapi_error.t
+type run_result = R_ok of Cycle_system.Trace.t | R_err of Ocapi_error.t
 
 let run_engine sys ~cycles name =
-  try R_ok (Flow.simulate ~engine:name sys ~cycles)
+  try R_ok (Flow.simulate_trace ~engine:name sys ~cycles)
   with Ocapi_error.Error e -> R_err e
 
 let engines_findings sys ~cycles engines =
@@ -555,7 +553,7 @@ let engines_findings sys ~cycles engines =
         in
         match (base_r, run_engine sys ~cycles name) with
         | R_ok ha, R_ok hb -> (
-          match Flow.first_history_mismatch ha hb with
+          match Flow.first_mismatch ha hb with
           | None -> []
           | Some (probe, cycle, detail) ->
             mk ~construct:probe ?cycle
@@ -945,42 +943,18 @@ module Corpus = struct
     | _ -> Error "corpus entry: missing seed or spec"
 
   let load path =
-    if not (Sys.file_exists path) then Ok []
+    if not (Sys.file_exists path) then Ok (Ok [])
     else
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go lineno acc =
-            match input_line ic with
-            | exception End_of_file -> Ok (List.rev acc)
-            | line ->
-              let t = String.trim line in
-              if t = "" || t.[0] = '#' then go (lineno + 1) acc
-              else (
-                match Json.of_string t with
-                | Error e ->
-                  Error (Printf.sprintf "%s:%d: %s" path lineno e)
-                | Ok j -> (
-                  match entry_of_json j with
-                  | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-                  | Ok entry -> go (lineno + 1) (entry :: acc)))
-          in
-          go 1 [])
+      Result.map
+        (fun lines -> Ocapi_obs.File.decode path lines entry_of_json)
+        (Ocapi_obs.File.read_jsonl path)
 
   let append path entries =
-    let dir = Filename.dirname path in
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then (
-      try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun e ->
-            output_string oc (Json.to_string (entry_json e));
-            output_char oc '\n')
-          entries)
+    List.fold_left
+      (fun acc e ->
+        Result.bind acc (fun () ->
+            Ocapi_obs.File.append_line path (Json.to_string (entry_json e))))
+      (Ok ()) entries
 end
 
 (* ------------------------------------------------------------------ *)

@@ -178,12 +178,15 @@ module Corpus : sig
   val entry_of_json : Ocapi_obs.Json.t -> (entry, string) result
 
   (** [load path] reads a JSONL corpus ([#] comments and blank lines
-      skipped).  A missing file is an empty corpus. *)
-  val load : string -> (entry list, string) result
+      skipped).  [Error] is a path that cannot be read; [Ok (Error _)]
+      names the first malformed line.  A missing file is an empty
+      corpus. *)
+  val load : string -> ((entry list, string) result, string) result
 
-  (** [append path entries] appends entries as JSONL lines (creating
-      the file and its directory as needed). *)
-  val append : string -> entry list -> unit
+  (** [append path entries] appends entries as JSONL lines, one
+      {!Ocapi_obs.File.append_line} each (creating the file and its
+      directories as needed). *)
+  val append : string -> entry list -> (unit, string) result
 end
 
 (** {1 Campaigns} *)

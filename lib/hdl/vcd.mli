@@ -16,6 +16,3 @@
     interpreter for [cycles] and returns the VCD text; the system is
     reset again afterwards. *)
 val record : Cycle_system.t -> cycles:int -> string
-
-(** [write sys ~cycles ~path] — same, written to a file. *)
-val write : Cycle_system.t -> cycles:int -> path:string -> unit

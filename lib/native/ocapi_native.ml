@@ -143,13 +143,6 @@ let cache_dir () =
   | Some d when d <> "" -> d
   | _ -> Filename.concat (Filename.get_temp_dir_name ()) "ocapi-native-cache"
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-  end
-
 (* Plugin loads hand off through one global slot in [Ocapi_native_abi],
    and engine sweeps create sessions from several domains at once, so
    the whole locate-compile-load path, and [factories], are serialized
@@ -216,7 +209,7 @@ let compile_cmxs ~cmi ~src ~out =
   in
   let rc = Sys.command cmd in
   if rc <> 0 then begin
-    let detail = try In_channel.with_open_bin log In_channel.input_all with _ -> "" in
+    let detail = Result.value (Ocapi_obs.File.read log) ~default:"" in
     let detail =
       if String.length detail > 400 then String.sub detail 0 400 else detail
     in
@@ -252,7 +245,9 @@ let compiles_begun = ref 0
 (* Emit and compile [sys]'s plugin under a name of its own (pid and
    counter), load it from there, and only then rename it to [path]: a
    cached artifact is never written in place, no two compiles share a
-   file, and the loader keeps the file it mapped under any name. *)
+   file, and the loader keeps the file it mapped under any name.  The
+   rename stays outside [Ocapi_obs.File]: the compiler, not this
+   process, wrote the file. *)
 let compile ~cmi ~path sys pg =
   if not (Emit.word_mode_ok pg) then
     raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
@@ -269,8 +264,9 @@ let compile ~cmi ~path sys pg =
         [ ".ml"; ".cmi"; ".cmx"; ".o"; ".cmxs"; ".cmxs.log" ])
     (fun () ->
       let t_compile = Ocapi_obs.span_begin () in
-      Out_channel.with_open_bin src (fun oc ->
-          output_string oc (Emit.emit_plugin sys pg));
+      (match Ocapi_obs.File.publish src (Emit.emit_plugin sys pg) with
+      | Ok () -> ()
+      | Error msg -> raise (Fall (diag ("cannot write the plugin source: " ^ msg))));
       compile_cmxs ~cmi ~src ~out;
       bump n_compiles "compiles";
       Ocapi_obs.span_end ~cat:"native"
@@ -305,16 +301,15 @@ let obtain ~cmi ~path sys pg =
 (* The factory for [sys]'s artifact, dynlinked by the first session of
    its path in this process and reused by the others. *)
 let factory ~cmi sys pg ~elaboration =
-  let dir = cache_dir () in
   let path =
-    Filename.concat dir ("ocapi_plugin_" ^ cache_key ~elaboration ~cmi ^ ".cmxs")
+    Filename.concat (cache_dir ())
+      ("ocapi_plugin_" ^ cache_key ~elaboration ~cmi ^ ".cmxs")
   in
   let reused, create =
     Mutex.protect load_mutex (fun () ->
         match Hashtbl.find_opt factories path with
         | Some create -> (true, create)
         | None ->
-          mkdir_p dir;
           let create = obtain ~cmi ~path sys pg in
           Hashtbl.replace factories path create;
           (false, create))

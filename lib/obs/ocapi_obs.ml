@@ -273,6 +273,121 @@ module Json = struct
     | _ -> None
 end
 
+(* --- files ----------------------------------------------------------------- *)
+
+(* Every file the environment reads or writes goes through these
+   functions.  They work on [Unix] descriptors so that each failure,
+   whichever call it comes from, is one [Unix_error] code, reported as
+   "<path>: <reason>". *)
+module File = struct
+  let failed path e = Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+
+  let rec make_dirs dir =
+    if not (Sys.file_exists dir) then begin
+      make_dirs (Filename.dirname dir);
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+
+  let mkdir_p dir =
+    match make_dirs dir with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> failed dir e
+
+  let with_fd path flags f =
+    let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o666 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> f fd)
+
+  let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+  let read_fd fd =
+    let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+    let rec go () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    in
+    go ()
+
+  let read path =
+    match with_fd path [ Unix.O_RDONLY ] read_fd with
+    | text -> Ok text
+    | exception Unix.Unix_error (e, _, _) -> failed path e
+
+  let decode path lines f =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (n, line) :: rest -> (
+        match Result.bind line f with
+        | Ok v -> go (v :: acc) rest
+        | Error e -> Error (Printf.sprintf "%s:%d: %s" path n e))
+    in
+    go [] lines
+
+  let read_jsonl path =
+    Result.map
+      (fun text ->
+        String.split_on_char '\n' text
+        |> List.mapi (fun i line -> (i + 1, String.trim line))
+        |> List.filter_map (fun (n, line) ->
+               if line = "" || line.[0] = '#' then None
+               else Some (n, Json.of_string line)))
+      (read path)
+
+  (* A writer killed mid-line leaves bytes after the last newline.  The
+     next append cuts them, so a torn line is only ever the final one. *)
+  let cut_torn_tail fd =
+    let size = (Unix.fstat fd).Unix.st_size and last = Bytes.create 1 in
+    if size > 0 then begin
+      ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+      if Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n' then begin
+        ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+        let text = read_fd fd in
+        Unix.ftruncate fd
+          (match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0)
+      end
+    end
+
+  (* Appenders in this process queue on [appending], those in other
+     processes on a [lockf] of the file, so lines of any length go out
+     whole and a tail is cut only while no one else writes. *)
+  let appending = Mutex.create ()
+
+  let append_line path line =
+    match
+      make_dirs (Filename.dirname path);
+      Mutex.protect appending (fun () ->
+          with_fd path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] (fun fd ->
+              Unix.lockf fd Unix.F_LOCK 0;
+              cut_torn_tail fd;
+              write_all fd (line ^ "\n")))
+    with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> failed path e
+
+  (* Written whole under a name unique per process and domain, then
+     renamed into place: a reader sees the old file or the new one,
+     never a torn one.  The job runner's cleanup of killed workers
+     matches this temp name. *)
+  let publish path data =
+    let tmp =
+      Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Domain.self () :> int)
+    in
+    match
+      make_dirs (Filename.dirname path);
+      with_fd tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
+          write_all fd data);
+      Unix.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+      failed path e
+end
+
 (* --- master switch ------------------------------------------------------- *)
 
 (* Atomic so every domain reads one coherent flag; workers spawned while
@@ -594,11 +709,6 @@ let trace_json () =
          ("traceEvents", Json.List (List.rev_map event_json (trace_buf ()).tb_events));
        ])
 
-let write_trace ~path =
-  let oc = open_out path in
-  output_string oc (trace_json ());
-  close_out oc
-
 (* --- cross-domain merge ---------------------------------------------------- *)
 
 type domain_export = {
@@ -713,29 +823,6 @@ let pp_report ppf r =
     r.rp_metrics;
   Format.fprintf ppf "@]"
 
-(* --- shared file helpers (events + ledger) -------------------------------- *)
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic publication, same idiom as the batch artifact writer: write a
-   process-unique temp file next to the target and [Sys.rename] it into
-   place, so a concurrent reader sees either the old bytes or the new
-   bytes, never a torn file. *)
-let write_file_atomic ~path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (match output_string oc content with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
-
 (* --- structured event log -------------------------------------------------- *)
 
 module Events = struct
@@ -817,33 +904,21 @@ module Events = struct
       evs
     |> List.mapi (fun i e -> { e with e_seq = i + 1; e_ts = 0. })
 
-  let write ?(canonical = true) ~path () =
-    let evs = events () in
-    let evs = if canonical then canonicalize evs else evs in
+  let canonical_jsonl () =
     let buf = Buffer.create 4096 in
     List.iter
       (fun e ->
-        Json.to_buffer buf (to_json ~ts:(not canonical) e);
+        Json.to_buffer buf (to_json ~ts:false e);
         Buffer.add_char buf '\n')
-      evs;
-    write_file_atomic ~path (Buffer.contents buf)
+      (canonicalize (events ()));
+    Buffer.contents buf
 
   let load path =
-    if not (Sys.file_exists path) then Ok []
-    else begin
-      let lines = String.split_on_char '\n' (read_whole_file path) in
-      let rec go lineno acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-          let line = String.trim line in
-          if line = "" then go (lineno + 1) acc rest
-          else (
-            match Json.of_string line with
-            | Ok j -> go (lineno + 1) (j :: acc) rest
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
-      in
-      go 1 [] lines
-    end
+    if not (Sys.file_exists path) then Ok (Ok [])
+    else
+      Result.map
+        (fun lines -> File.decode path lines Result.ok)
+        (File.read_jsonl path)
 end
 
 (* --- perf ledger ------------------------------------------------------------ *)
@@ -875,38 +950,34 @@ module Ledger = struct
     | Some c when c <> "" -> c
     | _ -> (
       let first_line path =
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> String.trim (input_line ic))
+        Result.to_option (File.read path)
+        |> Option.map (fun text ->
+               String.trim (List.hd (String.split_on_char '\n' text)))
       in
       let resolve_ref r =
-        let direct = Filename.concat ".git" r in
-        if Sys.file_exists direct then first_line direct
-        else begin
-          let text = read_whole_file ".git/packed-refs" in
-          let hit =
-            List.find_map
-              (fun line ->
-                match String.index_opt line ' ' with
-                | Some i when String.sub line (i + 1) (String.length line - i - 1) = r
-                  ->
-                  Some (String.sub line 0 i)
-                | _ -> None)
-              (String.split_on_char '\n' text)
-          in
-          match hit with Some sha -> sha | None -> "unknown"
-        end
+        match first_line (Filename.concat ".git" r) with
+        | Some sha -> sha
+        | None ->
+          List.find_map
+            (fun line ->
+              match String.index_opt line ' ' with
+              | Some i when String.sub line (i + 1) (String.length line - i - 1) = r
+                ->
+                Some (String.sub line 0 i)
+              | _ -> None)
+            (String.split_on_char '\n'
+               (Result.value (File.read ".git/packed-refs") ~default:""))
+          |> Option.value ~default:"unknown"
       in
-      try
-        let head = first_line ".git/HEAD" in
+      match first_line ".git/HEAD" with
+      | None -> "unknown"
+      | Some head ->
         let id =
           if String.length head > 5 && String.sub head 0 5 = "ref: " then
             resolve_ref (String.sub head 5 (String.length head - 5))
           else head
         in
-        if String.length id > 12 then String.sub id 0 12 else id
-      with _ -> "unknown")
+        if String.length id > 12 then String.sub id 0 12 else id)
 
   let entry ?(digest = "") ?(unit_ = "") ?domains ~bench ~engine value =
     {
@@ -967,40 +1038,28 @@ module Ledger = struct
         }
     | _ -> Error "ledger entry needs string bench/engine and numeric value"
 
-  (* Appends serialize on one mutex inside the process and publish via
-     tmp+rename, so concurrent domains can record results while a reader
-     (the report, the gate) never observes a torn line. *)
-  let lock = Mutex.create ()
-
+  (* One whole line per entry, appended: concurrent appenders, in this
+     process or another, never lose or tear each other's lines, and
+     nothing rewrites the file. *)
   let append ?path e =
     let path = match path with Some p -> p | None -> default_path () in
-    Mutex.protect lock (fun () ->
-        let existing =
-          if Sys.file_exists path then read_whole_file path else ""
-        in
-        let line = Json.to_string (entry_json e) ^ "\n" in
-        write_file_atomic ~path (existing ^ line))
+    File.append_line path (Json.to_string (entry_json e))
 
+  (* A writer killed mid-append leaves a torn final line; it is dropped,
+     as the job journal drops its own. *)
   let load ?path () =
     let path = match path with Some p -> p | None -> default_path () in
-    if not (Sys.file_exists path) then Ok []
-    else begin
-      let lines = String.split_on_char '\n' (read_whole_file path) in
-      let rec go lineno acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then go (lineno + 1) acc rest
-          else (
-            match Json.of_string line with
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-            | Ok j -> (
-              match entry_of_json j with
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-              | Ok entry -> go (lineno + 1) (entry :: acc) rest))
-      in
-      go 1 [] lines
-    end
+    if not (Sys.file_exists path) then Ok (Ok [])
+    else
+      Result.map
+        (fun lines ->
+          let lines =
+            match List.rev lines with
+            | (_, Error _) :: earlier -> List.rev earlier
+            | _ -> lines
+          in
+          File.decode path lines entry_of_json)
+        (File.read_jsonl path)
 
   let median = function
     | [] -> Float.nan

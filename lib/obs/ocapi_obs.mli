@@ -39,13 +39,62 @@ module Json : sig
       [Float]).  Returns [Error msg] with the failing offset on
       malformed input, on objects with duplicate keys, and on input
       nested deeper than 255 containers (a stack-overflow guard).  This
-      is the parser behind the batch job manifests, the perf ledger and
-      the event log. *)
+      is the parser behind every JSONL file ({!File.read_jsonl}). *)
   val of_string : string -> (t, string) result
 
   (** [member key j] is field [key] of object [j] ([None] when absent
       or [j] is not an object). *)
   val member : string -> t -> t option
+end
+
+(** {1 Files}
+
+    The one way the environment reads and writes its files: manifests,
+    the job journal, the fuzz corpus, the event log, the perf ledger,
+    job artifacts, cache entries and every emitted file.  No function
+    here raises on a path: each failure (a directory where a file
+    belongs, a missing parent that cannot be made, no permission) is an
+    [Error "<path>: <reason>"].
+
+    A JSONL file holds one JSON object per line; blank lines and lines
+    starting with [#] are skipped.  What a malformed line means is the
+    caller's policy: the job journal and the perf ledger, which are
+    appended to while the environment runs, drop a torn final line;
+    manifests, the corpus and the event log reject any bad line. *)
+module File : sig
+  (** [mkdir_p dir] creates [dir] and its missing parents. *)
+  val mkdir_p : string -> (unit, string) result
+
+  (** [read path] is the whole file. *)
+  val read : string -> (string, string) result
+
+  (** [read_jsonl path] is each JSONL line's 1-based number and its
+      {!Json.of_string} result, in file order. *)
+  val read_jsonl : string -> ((int * (Json.t, string) result) list, string) result
+
+  (** [decode path lines f] maps every line of {!read_jsonl} through
+      [f]; the first line that fails to parse or decode is [Error
+      "<path>:<line>: <reason>"]. *)
+  val decode :
+    string ->
+    (int * (Json.t, string) result) list ->
+    (Json.t -> ('a, string) result) ->
+    ('a list, string) result
+
+  (** [append_line path line] appends [line] and a newline, creating
+      the file and its parents; the line is in the file when it
+      returns.  Appenders hold a lock on the file (and, within a
+      process, a mutex), so concurrent lines of any length go out
+      whole.  Bytes after the last newline, a line torn by a writer
+      killed mid-append, are cut first, so a torn line is only ever
+      the final one. *)
+  val append_line : string -> string -> (unit, string) result
+
+  (** [publish path data] replaces the file at [path] with [data]
+      atomically: it writes [<path>.<pid>.<domain>.tmp], creating the
+      parent directories, then renames it over [path].  On failure the
+      temp file is removed. *)
+  val publish : string -> string -> (unit, string) result
 end
 
 (** {1 Master switch} *)
@@ -150,8 +199,6 @@ val clear_trace : unit -> unit
     [chrome://tracing]. *)
 val trace_json : unit -> string
 
-val write_trace : path:string -> unit
-
 (** {1 Cross-domain merge}
 
     Metrics and trace events live in domain-local storage, so a worker
@@ -191,7 +238,7 @@ type report = {
 (** [run_with_telemetry ~label f] resets the registry and the trace,
     enables telemetry, runs [f], snapshots, and restores the previous
     enabled state.  The trace buffer is left intact so the caller can
-    {!write_trace} afterwards. *)
+    render {!trace_json} afterwards. *)
 val run_with_telemetry : label:string -> (unit -> 'a) -> 'a * report
 
 val report_json : report -> Json.t
@@ -248,14 +295,14 @@ module Events : sig
       wall-clock field, as canonical output must). *)
   val to_json : ?ts:bool -> event -> Json.t
 
-  (** [write ?canonical ~path ()] writes the buffered events as JSONL
-      via atomic tmp+rename.  [canonical] (default [true]) applies
-      {!canonicalize} first. *)
-  val write : ?canonical:bool -> path:string -> unit -> unit
+  (** The buffered events, {!canonicalize}d, as JSONL: the file
+      [--events-out] publishes. *)
+  val canonical_jsonl : unit -> string
 
-  (** Parse an event-log JSONL file back into JSON lines.  A missing
-      file is [Ok []]. *)
-  val load : string -> (Json.t list, string) result
+  (** Parse an event-log JSONL file back into JSON lines.  [Error] is
+      a path that cannot be read; [Ok (Error _)] names the first
+      malformed line.  A missing file is [Ok (Ok [])]. *)
+  val load : string -> ((Json.t list, string) result, string) result
 end
 
 (** {1 Perf ledger}
@@ -298,13 +345,18 @@ module Ledger : sig
   val entry_json : entry -> Json.t
   val entry_of_json : Json.t -> (entry, string) result
 
-  (** Append one line, atomically (tmp+rename, serialized on a mutex so
-      concurrent domains interleave whole lines, never bytes). *)
-  val append : ?path:string -> entry -> unit
+  (** Append one line ({!File.append_line}): concurrent appenders, in
+      this process or another, interleave whole lines, and a torn final
+      line is cut before the entry is written. *)
+  val append : ?path:string -> entry -> (unit, string) result
 
-  (** All entries in file order (chronological).  A missing file is
-      [Ok []]; blank lines and [#] comments are skipped. *)
-  val load : ?path:string -> unit -> (entry list, string) result
+  (** All entries in file order (chronological).  [Error] is a path
+      that cannot be read; [Ok (Error _)] names the first malformed
+      line.  A missing file is [Ok (Ok [])]; blank lines and [#]
+      comments are skipped, and a torn final line (an append cut
+      short) is dropped. *)
+  val load :
+    ?path:string -> unit -> ((entry list, string) result, string) result
 
   val median : float list -> float
 

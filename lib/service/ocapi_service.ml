@@ -8,13 +8,6 @@ module Json = Ocapi_obs.Json
 
 let ( let* ) = Result.bind
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* --- retry backoff -------------------------------------------------------- *)
 
 let backoff_delay ~base ~cap ~seed ~corr ~attempt =
@@ -153,63 +146,33 @@ let entry_of_json j =
 
 (* --- the journal file ----------------------------------------------------- *)
 
-type journal = { j_oc : out_channel }
-
-let journal_open path =
-  mkdir_p (Filename.dirname path);
-  { j_oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path }
-
-(* One write + flush per entry: the write-ahead discipline is only as
-   good as the journal's durability ordering. *)
-let journal_append t e =
-  output_string t.j_oc (Json.to_string (entry_json e));
-  output_char t.j_oc '\n';
-  flush t.j_oc
-
-let journal_close t = close_out_noerr t.j_oc
+(* One appended, flushed line per entry: the write-ahead discipline is
+   only as good as the journal's durability ordering. *)
+let journal_append path e =
+  match Ocapi_obs.File.append_line path (Json.to_string (entry_json e)) with
+  | Ok () -> ()
+  | Error msg ->
+    Ocapi_error.fail Internal ~engine:"service" "cannot append to the journal: %s"
+      msg
 
 let unknown_event msg =
   String.length msg >= 13 && String.sub msg 0 13 = "unknown event"
 
 let journal_load path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in_bin path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    let n = List.length lines in
-    let rec go i acc = function
+  else
+    let rec entries acc = function
       | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        if String.trim line = "" then go (i + 1) acc rest
-        else begin
-          match Json.of_string line with
-          | Error msg ->
-            (* A torn final line is the crash we are designed for; a
-               torn interior line is corruption worth reporting. *)
-            if i = n then Ok (List.rev acc)
-            else Error (Printf.sprintf "journal line %d: %s" i msg)
-          | Ok j -> begin
-            match entry_of_json j with
-            | Ok e -> go (i + 1) (e :: acc) rest
-            | Error msg ->
-              if i = n then Ok (List.rev acc)
-              else if unknown_event msg then go (i + 1) acc rest
-              else Error (Printf.sprintf "journal line %d: %s" i msg)
-          end
-        end
+      | (n, line) :: rest -> (
+        match Result.bind line entry_of_json with
+        | Ok e -> entries (e :: acc) rest
+        (* A torn final line is the crash we are designed for; a torn
+           interior line is corruption worth reporting. *)
+        | Error _ when rest = [] -> Ok (List.rev acc)
+        | Error msg when unknown_event msg -> entries acc rest
+        | Error msg -> Error (Printf.sprintf "journal line %d: %s" n msg))
     in
-    go 1 [] lines
-  end
+    Result.bind (Ocapi_obs.File.read_jsonl path) (entries [])
 
 (* --- replay --------------------------------------------------------------- *)
 
@@ -366,15 +329,8 @@ let fail_line (err : Ocapi_error.t) =
            ("message", Json.String err.e_message);
          ])
 
-(* Atomic publication: the artifact appears all-or-nothing, so a kill
-   between write and rename leaves no torn file and the supervisor
-   treats an existing artifact as proof of completion.  The temp name is
-   unique per process and domain; a failed write removes it and fails
-   the job. *)
-let temp_artifact path ~pid ~domain = Printf.sprintf "%s.%d.%d.tmp" path pid domain
-
-(* Remove the [<path>.*.tmp] siblings of an artifact: the temp files of
-   workers killed before a rename that no supervisor reaped. *)
+(* Remove the [<path>.*.tmp] siblings of an artifact: the temp files
+   ({!Ocapi_obs.File.publish}) of workers killed before their rename. *)
 let remove_stale_temps path =
   let dir = Filename.dirname path and prefix = Filename.basename path ^ "." in
   match Sys.readdir dir with
@@ -386,23 +342,15 @@ let remove_stale_temps path =
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       files
 
+(* Atomic publication: the artifact appears all-or-nothing, so a kill
+   between write and rename leaves no torn file and the supervisor
+   treats an existing artifact as proof of completion.  A failed write
+   fails the job. *)
 let write_artifact path data =
-  let tmp =
-    temp_artifact path ~pid:(Unix.getpid ()) ~domain:(Domain.self () :> int)
-  in
-  let fail msg =
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Ocapi_error.fail Internal ~engine:"service" "cannot write artifact %s: %s"
-      path msg
-  in
-  match
-    mkdir_p (Filename.dirname path);
-    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception Sys_error msg -> fail msg
-  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  match Ocapi_obs.File.publish path data with
+  | Ok () -> ()
+  | Error msg ->
+    Ocapi_error.fail Internal ~engine:"service" "cannot write artifact %s" msg
 
 (* Run a prepared job under the cooperative stop hook (a deadline, and
    [stop] for an aborting supervisor), publish its report, then [emit]
@@ -618,7 +566,10 @@ let serve cf ~requests =
   if cf.cf_workers < 1 then invalid_arg "Ocapi_service.serve: workers < 1";
   if cf.cf_retries < 1 then invalid_arg "Ocapi_service.serve: retries < 1";
   if cf.cf_max_queue < 1 then invalid_arg "Ocapi_service.serve: max_queue < 1";
-  mkdir_p cf.cf_artifact_dir;
+  (match Ocapi_obs.File.mkdir_p cf.cf_artifact_dir with
+  | Ok () -> ()
+  | Error msg ->
+    Ocapi_error.fail Internal ~engine:"service" "cannot create artifacts: %s" msg);
   (match (cf.cf_worker_kind, cf.cf_cache_dir) with
   | Domains, Some dir -> Flow.Cache.enable ~dir ()
   | _ -> ());
@@ -632,10 +583,9 @@ let serve cf ~requests =
     match cf.cf_worker_kind with
     | Domains -> (replay [], None)
     | Processes { state_dir; _ } -> (
-      mkdir_p state_dir;
       let path = Filename.concat state_dir "journal.jsonl" in
       match journal_load path with
-      | Ok entries -> (replay entries, Some (journal_open path))
+      | Ok entries -> (replay entries, Some path)
       | Error msg ->
         Ocapi_error.fail Internal ~engine:"service" "unreadable journal: %s" msg)
   in
@@ -990,11 +940,9 @@ let serve cf ~requests =
           Ocapi_obs.count "service.chaos.kills"
         end;
         (* A worker process killed between writing and renaming its
-           artifact leaves the temp file (its job runs on domain 0). *)
+           artifact leaves the temp file. *)
         (match sl.s_worker with
-        | Pid pid -> (
-          try Sys.remove (temp_artifact (artifact_path job.q_artifact) ~pid ~domain:0)
-          with Sys_error _ -> ())
+        | Pid _ -> remove_stale_temps (artifact_path job.q_artifact)
         | Dom _ -> ());
         incr sm_crashes;
         Ocapi_obs.count "service.worker.crashed";
@@ -1049,8 +997,7 @@ let serve cf ~requests =
   Fun.protect
     ~finally:(fun () ->
       Sys.set_signal Sys.sigterm prev_term;
-      Sys.set_signal Sys.sigint prev_int;
-      Option.iter journal_close jr)
+      Sys.set_signal Sys.sigint prev_int)
     (fun () ->
       while not !finished do
         (* 1. Fill free slots with ready work (unless draining). *)

@@ -105,21 +105,17 @@ type entry =
 val entry_json : entry -> Ocapi_obs.Json.t
 val entry_of_json : Ocapi_obs.Json.t -> (entry, string) result
 
-(** An open journal (append channel, line-buffered with an explicit
-    flush per entry). *)
-type journal
+(** [journal_append path e] appends [e] to the journal at [path]
+    ({!Ocapi_obs.File.append_line}), creating it if missing; the line
+    is written when it returns.  A failed append raises
+    [Ocapi_error.Error] ([Internal]). *)
+val journal_append : string -> entry -> unit
 
-(** [journal_open path] opens (creating if missing) the journal for
-    appending. *)
-val journal_open : string -> journal
-
-val journal_append : journal -> entry -> unit
-val journal_close : journal -> unit
-
-(** [journal_load path] reads a journal back.  A missing file is
-    [Ok []]; blank lines are skipped; an unparsable {e final} line is
-    dropped (the crash-interrupted append); an unparsable interior
-    line is an error. *)
+(** [journal_load path] reads a journal back
+    ({!Ocapi_obs.File.read_jsonl}).  A missing file is [Ok []]; blank
+    lines and [#] lines are skipped; an unparsable {e final} line is
+    dropped (the crash-interrupted append); an unparsable interior line
+    is an error, and so is a path that cannot be read. *)
 val journal_load : string -> (entry list, string) result
 
 (** {1 Replay} *)

@@ -34,7 +34,7 @@ done
 stage "temp-dir gate (tests remove their temp files)"
 scripts/tmpdir_gate.sh
 
-stage "exception gate (one exception in lib/)"
+stage "exception gate (one exception in lib/, no file path crashes the CLI)"
 scripts/exception_gate.sh
 
 stage "determinism gate (serial vs --domains 2)"

@@ -7,17 +7,6 @@
 
 module Json = Ocapi_obs.Json
 
-(* "hcor" is the gallery's design, the one the CLI registers under that
-   name, so process workers (`ocapi worker`) fingerprint its jobs
-   alike. *)
-let ensure_designs =
-  lazy
-    (Ocapi_batch.register_design ~name:"tb-hcor" Gallery.hcor;
-     Ocapi_batch.register_design ~name:"hcor" Gallery.hcor;
-     Ocapi_batch.register_design
-       ~macro_of_kernel:(Gallery.macro_of_kernel "dect") ~name:"tb-dect"
-       Gallery.dect)
-
 let json_of fmt =
   Printf.ksprintf
     (fun s -> match Json.of_string s with Ok j -> j | Error e -> failwith e)
@@ -25,7 +14,7 @@ let json_of fmt =
 
 let sim ?(extra = "") ~label seed =
   json_of
-    {|{"kind": "simulate", "design": "tb-hcor", "engine": "compiled", "cycles": 4, "seed": %d, "label": %S%s}|}
+    {|{"kind": "simulate", "design": "hcor", "engine": "compiled", "cycles": 4, "seed": %d, "label": %S%s}|}
     seed label extra
 
 let dir_counter = ref 0
@@ -72,7 +61,6 @@ let cli =
    processes journaling into [state_dir]); returns the summary and the
    streamed lines.  [on_line] sees each line as it is printed. *)
 let run ?(workers = 1) ?state_dir ?(on_line = ignore) ~artifacts requests =
-  Lazy.force ensure_designs;
   let lines = ref [] in
   let s =
     Ocapi_service.serve
@@ -98,7 +86,6 @@ let run ?(workers = 1) ?state_dir ?(on_line = ignore) ~artifacts requests =
 
 (* The artifact file name the runner gives [request]. *)
 let artifact_file request =
-  Lazy.force ensure_designs;
   match Ocapi_batch.request_of_json request with
   | Ok r -> (Ocapi_batch.prepare_request r).pr_artifact_file
   | Error e -> Alcotest.fail e
@@ -162,7 +149,7 @@ let test_timeout_is_structured () =
          deadline checked between runs can stop it. *)
       let long =
         json_of
-          {|{"kind": "seu", "design": "tb-hcor", "engine": "compiled", "runs": 200000, "cycles": 48, "timeout": 0.2, "label": "spin"}|}
+          {|{"kind": "seu", "design": "hcor", "engine": "compiled", "runs": 200000, "cycles": 48, "timeout": 0.2, "label": "spin"}|}
       in
       let t0 = Unix.gettimeofday () in
       let (s, _), events =
@@ -194,7 +181,7 @@ let test_cancel_queued_job () =
       (* A first job long enough that the signal lands while it runs. *)
       let first =
         json_of
-          {|{"kind": "seu", "design": "tb-hcor", "engine": "compiled", "runs": 300, "cycles": 24, "label": "first"}|}
+          {|{"kind": "seu", "design": "hcor", "engine": "compiled", "runs": 300, "cycles": 24, "label": "first"}|}
       in
       let s, lines =
         run ~artifacts ~on_line:(on_first_start [ Sys.sigterm ])
@@ -207,7 +194,7 @@ let test_cancel_queued_job () =
   with_dir (fun artifacts ->
       let long =
         json_of
-          {|{"kind": "seu", "design": "tb-hcor", "engine": "compiled", "runs": 200000, "cycles": 48, "label": "long"}|}
+          {|{"kind": "seu", "design": "hcor", "engine": "compiled", "runs": 200000, "cycles": 48, "label": "long"}|}
       in
       let t0 = Unix.gettimeofday () in
       let s, _ =
@@ -255,7 +242,7 @@ let test_artifact_equals_library () =
   with_dir (fun artifacts ->
       let request =
         json_of
-          {|{"kind": "simulate", "design": "tb-hcor", "engine": "interp", "cycles": 40, "seed": 1}|}
+          {|{"kind": "simulate", "design": "hcor", "engine": "interp", "cycles": 40, "seed": 1}|}
       in
       let s, _ = run ~workers:2 ~artifacts [ request ] in
       Alcotest.(check int) "completed" 1 s.Ocapi_service.sm_completed;
@@ -294,13 +281,13 @@ let test_invalid_lines_fail_alone () =
       let bad =
         [
           {|{"kind": "simulate", "design": "no-such-design"}|};
-          {|{"kind": "simulate", "design": "tb-hcor", "engine": "no-such-engine"}|};
-          {|{"kind": "simulate", "design": "tb-hcor", "cycles": 0}|};
-          {|{"kind": "seu", "design": "tb-hcor", "runs": -1}|};
+          {|{"kind": "simulate", "design": "hcor", "engine": "no-such-engine"}|};
+          {|{"kind": "simulate", "design": "hcor", "cycles": 0}|};
+          {|{"kind": "seu", "design": "hcor", "runs": -1}|};
           {|{"kind": "fuzz", "count": 0}|};
-          {|{"kind": "simulate", "design": "tb-hcor", "timeout": 0}|};
-          {|{"kind": "simulate", "design": "tb-hcor", "timeout": -2.5}|};
-          {|{"kind": "simulate", "design": "tb-hcor", "chaos": "crash"}|};
+          {|{"kind": "simulate", "design": "hcor", "timeout": 0}|};
+          {|{"kind": "simulate", "design": "hcor", "timeout": -2.5}|};
+          {|{"kind": "simulate", "design": "hcor", "chaos": "crash"}|};
         ]
       in
       let (s, _), events =
@@ -351,7 +338,7 @@ let test_event_log_lifecycle () =
   with_dir (fun artifacts ->
       let job label =
         json_of
-          {|{"kind": "simulate", "design": "tb-hcor", "engine": "interp", "cycles": 16, "seed": 42, "label": %S}|}
+          {|{"kind": "simulate", "design": "hcor", "engine": "interp", "cycles": 16, "seed": 42, "label": %S}|}
           label
       in
       let _, events =

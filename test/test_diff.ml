@@ -102,18 +102,18 @@ let test_corpus_file_roundtrip () =
   Sys.remove dir;
   let path = Filename.concat dir "corpus.jsonl" in
   (* A missing file is an empty corpus, not an error. *)
-  (match Corpus.load path with
+  (match Result.join (Corpus.load path) with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "missing corpus not empty"
   | Error e -> Alcotest.failf "missing corpus errored: %s" e);
   let entries = [ mk_entry 5; mk_entry 23 ] in
-  Corpus.append path entries;
+  Result.get_ok (Corpus.append path entries);
   (* Comment and blank lines are skipped on load. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "# trailing comment\n\n";
   close_out oc;
-  Corpus.append path [ mk_entry 31 ];
-  (match Corpus.load path with
+  Result.get_ok (Corpus.append path [ mk_entry 31 ]);
+  (match Result.join (Corpus.load path) with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok loaded ->
     Alcotest.(check int) "3 entries survive comments" 3 (List.length loaded);

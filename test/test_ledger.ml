@@ -44,13 +44,13 @@ let test_entry_roundtrip () =
 let test_append_load () =
   with_ledger "basic" (fun path ->
       Alcotest.(check bool) "missing file loads empty" true
-        (L.load ~path () = Ok []);
+        (L.load ~path () = Ok (Ok []));
       let mk i =
         L.entry ~digest:"d" ~unit_:"cycles/s" ~bench:"t:a" ~engine:"e"
           (float_of_int i)
       in
-      List.iter (fun i -> L.append ~path (mk i)) [ 1; 2; 3 ];
-      match L.load ~path () with
+      List.iter (fun i -> Result.get_ok (L.append ~path (mk i))) [ 1; 2; 3 ];
+      match Result.join (L.load ~path ()) with
       | Error msg -> Alcotest.fail msg
       | Ok entries ->
         Alcotest.(check (list (float 0.0)))
@@ -61,19 +61,20 @@ let test_append_load () =
 
 let test_concurrent_appends () =
   with_ledger "par" (fun path ->
-      let domains = 4 and per_domain = 25 in
+      let domains = 2 and per_domain = 200 in
       let worker d () =
         for i = 1 to per_domain do
-          L.append ~path
-            (L.entry ~digest:"d" ~unit_:"runs/s"
-               ~bench:(Printf.sprintf "par:%d" d)
-               ~engine:"e"
-               (float_of_int i))
+          Result.get_ok
+            (L.append ~path
+               (L.entry ~digest:"d" ~unit_:"runs/s"
+                  ~bench:(Printf.sprintf "par:%d" d)
+                  ~engine:"e"
+                  (float_of_int i)))
         done
       in
       let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
       List.iter Domain.join ds;
-      match L.load ~path () with
+      match Result.join (L.load ~path ()) with
       | Error msg -> Alcotest.fail ("concurrent ledger corrupt: " ^ msg)
       | Ok entries ->
         Alcotest.(check int) "no line lost or torn" (domains * per_domain)
@@ -226,10 +227,10 @@ let test_events_write_load () =
       E.set_enabled true;
       E.emit ~corr:"c1" ~fields:[ ("label", J.String "x") ] "job_submitted";
       E.emit ~corr:"c1" "job_completed";
-      E.write ~canonical:true ~path ();
+      Result.get_ok (Ocapi_obs.File.publish path (E.canonical_jsonl ()));
       E.set_enabled false;
       E.clear ();
-      match E.load path with
+      match Result.join (E.load path) with
       | Error msg -> Alcotest.fail msg
       | Ok lines ->
         Alcotest.(check int) "two events" 2 (List.length lines);

@@ -70,20 +70,6 @@ let test_equivalence_hcor () =
    (the helpers compute [1 lsl width]), so no plugin is emitted for it:
    its native session is the compiled instance of the same lowered
    program, a counted fallback, with the interpreter's histories. *)
-let test_wide_design_falls_back () =
-  let sys = accum ~width:60 ~out_width:62 () in
-  let pg = Compiled_sim.lower sys in
-  Alcotest.(check bool) "words rejected" false (Emit.word_mode_ok pg);
-  (match Emit.emit_plugin sys pg with
-  | exception e when Raises.code Unsupported e -> ()
-  | _ -> Alcotest.fail "a plugin emitted over int64 cells");
-  let before = Ocapi_native.stats () in
-  check_native_matches_interp sys ~cycles:40;
-  let after = Ocapi_native.stats () in
-  Alcotest.(check (pair int int)) "one counted fallback, no compile" (1, 0)
-    ( after.Ocapi_native.fallbacks - before.Ocapi_native.fallbacks,
-      after.Ocapi_native.compiles - before.Ocapi_native.compiles )
-
 let test_equivalence_dect () =
   let stimulus c =
     Some
@@ -159,6 +145,28 @@ let run_session sys ~cycles =
         ses.Ocapi_engine.ses_step ()
       done;
       ses.Ocapi_engine.ses_histories ())
+
+(* A design the width analysis rejects: each session is a counted
+   fallback to the compiled program.  The analysis runs before anything
+   is written, so no session compiles, and none creates the artifact
+   directory. *)
+let test_wide_design_falls_back () =
+  let sys = accum ~width:60 ~out_width:62 () in
+  let pg = Compiled_sim.lower sys in
+  Alcotest.(check bool) "words rejected" false (Emit.word_mode_ok pg);
+  (match Emit.emit_plugin sys pg with
+  | exception e when Raises.code Unsupported e -> ()
+  | _ -> Alcotest.fail "a plugin emitted over int64 cells");
+  let interp = Flow.simulate ~engine:"interp" sys ~cycles:40 in
+  with_fresh_native_cache (fun dir ->
+      let first = run_session sys ~cycles:40 in
+      let second = run_session sys ~cycles:40 in
+      Alcotest.(check bool) "fallbacks = interp" true
+        (first = interp && second = interp);
+      let s = Ocapi_native.stats () in
+      Alcotest.(check (pair int int)) "two counted fallbacks, no compile" (2, 0)
+        (s.Ocapi_native.fallbacks, s.Ocapi_native.compiles);
+      Alcotest.(check bool) "no artifact directory" false (Sys.file_exists dir))
 
 let check_fallback_serves sys =
   Ocapi_native.reset_stats ();

@@ -478,6 +478,233 @@ let test_hist_quantile () =
     (Float.is_nan (Ocapi_obs.hist_quantile empty 0.5));
   Ocapi_obs.reset ()
 
+(* --- files ------------------------------------------------------------------ *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The five JSONL readers, each as a function of its path that keeps
+   only the number of values it read. *)
+let readers =
+  let count r = Result.map List.length r in
+  [
+    ("manifest", fun path -> count (Ocapi_batch.read_manifest path));
+    ("journal", fun path -> count (Ocapi_service.journal_load path));
+    ("corpus", fun path -> count (Result.join (Ocapi_diff.Corpus.load path)));
+    ("events", fun path -> count (Result.join (Ocapi_obs.Events.load path)));
+    ("ledger", fun path -> count (Result.join (Ocapi_obs.Ledger.load ~path ())));
+  ]
+
+let test_readers_reject_directories () =
+  Temp_dir.with_dir "ocapi_readers" (fun dir ->
+      List.iter
+        (fun (name, load) ->
+          match load dir with
+          | Error msg ->
+            Alcotest.(check bool) (name ^ ": the error names the path") true
+              (contains ~sub:dir msg)
+          | Ok _ -> Alcotest.failf "%s: a directory read as a file" name)
+        readers)
+
+(* A line each reader accepts, the reference of its property below. *)
+let valid_line = function
+  | "manifest" -> {|{"kind": "simulate", "design": "hcor"}|}
+  | "journal" -> {|{"ev":"started","corr":"c1","attempt":1}|}
+  | "corpus" ->
+    let spec = Ocapi_diff.Spec.generate ~seed:3 () in
+    Ocapi_obs.Json.to_string
+      (Ocapi_diff.Corpus.entry_json
+         {
+           Ocapi_diff.Corpus.ce_seed = 3;
+           ce_digest = Ocapi_diff.Spec.digest spec;
+           ce_engines = [ "interp" ];
+           ce_check = "engines";
+           ce_detail = "";
+           ce_spec = spec;
+         })
+  | "events" -> {|{"seq":1,"event":"job_submitted"}|}
+  | _ ->
+    Ocapi_obs.Json.to_string
+      (Ocapi_obs.Ledger.entry_json
+         (Ocapi_obs.Ledger.entry ~bench:"b" ~engine:"e" 1.0))
+
+(* How a reader names line [n] in its errors. *)
+let line_ref reader path n =
+  match reader with
+  | "manifest" -> Printf.sprintf "line %d: " n
+  | "journal" -> Printf.sprintf "journal line %d: " n
+  | _ -> Printf.sprintf "%s:%d: " path n
+
+type line = Valid | Blank of string | Comment of string | Garbage of string
+
+let line_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 12) in
+  let no_newline = map (String.map (fun c -> if c = '\n' then ' ' else c)) bytes in
+  frequency
+    [
+      (4, return Valid);
+      (1, map (fun s -> Blank s) (string_size ~gen:(oneofl [ ' '; '\t'; '\r' ]) (int_range 0 3)));
+      (1, map (fun s -> Comment ("#" ^ s)) no_newline);
+      (1, map (fun s -> Garbage ("!" ^ s)) no_newline);
+    ]
+
+(* Random mixes of accepted lines, blank and [#] lines and garbage,
+   sometimes ending in a line torn short: each reader returns [Ok] with
+   one value per accepted line, or [Error] naming the first bad line,
+   and never raises.  The journal and the ledger drop a bad final line
+   (a torn append); the manifest, corpus and event log reject it. *)
+let test_readers_property =
+  QCheck.Test.make ~count:60 ~name:"JSONL readers: Ok or the first bad line"
+    QCheck.(
+      make
+        Gen.(
+          triple (oneofl (List.map fst readers)) (list_size (int_range 0 12) line_gen)
+            (opt (int_range 1 30))))
+    (fun (reader, lines, torn) ->
+      let valid = valid_line reader in
+      let text = function
+        | Valid -> valid
+        | Blank s | Comment s | Garbage s -> s
+      in
+      let torn_line = Option.map (fun k -> String.sub valid 0 (min k (String.length valid - 1))) torn in
+      Temp_dir.with_dir "ocapi_jsonl" (fun dir ->
+          let path = Filename.concat dir "file.jsonl" in
+          let body = String.concat "" (List.map (fun l -> text l ^ "\n") lines) in
+          Result.get_ok
+            (Ocapi_obs.File.publish path (body ^ Option.value torn_line ~default:""));
+          (* The lines a reader parses, numbered: [true] when accepted. *)
+          let parsed =
+            List.filter_map Fun.id
+              (List.mapi
+                 (fun i l ->
+                   match l with
+                   | Valid -> Some (i + 1, true)
+                   | Garbage _ -> Some (i + 1, false)
+                   | Blank _ | Comment _ -> None)
+                 lines)
+            @ Option.fold ~none:[] ~some:(fun _ -> [ (List.length lines + 1, false) ]) torn_line
+          in
+          let parsed =
+            match (reader, List.rev parsed) with
+            | ("journal" | "ledger"), (_, false) :: earlier -> List.rev earlier
+            | _ -> parsed
+          in
+          let load = List.assoc reader readers in
+          match (List.find_opt (fun (_, ok) -> not ok) parsed, load path) with
+          | None, Ok n -> n = List.length parsed
+          | Some (n, _), Error msg -> contains ~sub:(line_ref reader path n) msg
+          | _ -> false))
+
+(* A writer killed mid-append leaves a torn final line.  The next
+   append cuts it, so each appended file still loads after two more
+   appends, with the whole entries it held before and the two new ones. *)
+let test_appends_after_torn_line () =
+  let appenders =
+    [
+      ( "journal",
+        fun path ->
+          Ocapi_service.journal_append path
+            (Ocapi_service.J_started { jt_corr = "c2"; jt_attempt = 1 }) );
+      ( "corpus",
+        fun path ->
+          let spec = Ocapi_diff.Spec.generate ~seed:5 () in
+          Result.get_ok
+            (Ocapi_diff.Corpus.append path
+               [
+                 {
+                   Ocapi_diff.Corpus.ce_seed = 5;
+                   ce_digest = Ocapi_diff.Spec.digest spec;
+                   ce_engines = [ "interp" ];
+                   ce_check = "engines";
+                   ce_detail = "";
+                   ce_spec = spec;
+                 };
+               ]) );
+      ( "ledger",
+        fun path ->
+          Result.get_ok
+            (Ocapi_obs.Ledger.append ~path
+               (Ocapi_obs.Ledger.entry ~bench:"b" ~engine:"e" 2.0)) );
+    ]
+  in
+  Temp_dir.with_dir "ocapi_torn" (fun dir ->
+      List.iter
+        (fun (reader, append) ->
+          let path = Filename.concat dir (reader ^ ".jsonl") in
+          let valid = valid_line reader in
+          Result.get_ok
+            (Ocapi_obs.File.publish path (valid ^ "\n" ^ String.sub valid 0 9));
+          append path;
+          append path;
+          Alcotest.(check (result int string))
+            (reader ^ ": the torn line is gone, three entries load") (Ok 3)
+            (List.assoc reader readers path))
+        appenders)
+
+let test_publish_failures () =
+  Temp_dir.with_dir "ocapi_publish" (fun dir ->
+      let file = Filename.concat dir "file" in
+      Result.get_ok (Ocapi_obs.File.publish file "x");
+      let blocked = Filename.concat dir "blocked" in
+      Unix.mkdir blocked 0o755;
+      List.iter
+        (fun (what, path) ->
+          (match Ocapi_obs.File.publish path "data" with
+          | Error msg ->
+            Alcotest.(check bool) (what ^ ": names the path") true (contains ~sub:path msg)
+          | Ok () -> Alcotest.failf "%s: published" what);
+          Alcotest.(check (list string)) (what ^ ": no temp file left") [ "blocked"; "file" ]
+            (List.sort compare (Array.to_list (Sys.readdir dir)));
+          Alcotest.(check (list string)) (what ^ ": nothing in the directory") []
+            (Array.to_list (Sys.readdir blocked)))
+        [
+          ("into a directory that cannot be made", Filename.concat file "sub/x.json");
+          ("onto a directory", blocked);
+        ])
+
+(* No file path crashes the CLI: each of these exits 1, not the 125 of
+   an uncaught exception, with a message naming the path. *)
+let test_cli_file_paths () =
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  Temp_dir.with_dir "ocapi_cli_paths" (fun dir ->
+      let sub name = Filename.concat dir name in
+      let d = sub "d" and state = sub "state" and file = sub "file" in
+      let ledger = sub "ledger.jsonl" and manifest = sub "jobs.jsonl" in
+      Unix.mkdir d 0o755;
+      Result.get_ok (Ocapi_obs.File.mkdir_p (Filename.concat state "journal.jsonl"));
+      Result.get_ok (Ocapi_obs.File.publish file "");
+      Result.get_ok (Ocapi_obs.File.publish manifest (valid_line "manifest" ^ "\n"));
+      Result.get_ok (Ocapi_obs.File.publish ledger (valid_line "ledger" ^ "\n"));
+      let html = Filename.concat file "x.html" in
+      List.iter
+        (fun (args, named) ->
+          let err = sub "stderr" in
+          let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+          let pid = Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin out errfd in
+          Unix.close out;
+          Unix.close errfd;
+          let _, status = Unix.waitpid [] pid in
+          let line = String.concat " " args in
+          Alcotest.(check bool) (line ^ ": exit 1") true (status = Unix.WEXITED 1);
+          Alcotest.(check bool) (line ^ ": names " ^ named) true
+            (contains ~sub:named (Result.get_ok (Ocapi_obs.File.read err))))
+        [
+          ([ "batch"; "--manifest"; d; "--artifacts"; sub "art" ], d);
+          ( [ "serve"; "--manifest"; manifest; "--state-dir"; state; "--artifacts"; sub "art" ],
+            Filename.concat state "journal.jsonl" );
+          ([ "fuzz"; "--corpus"; d; "--count"; "1" ], d);
+          ([ "report"; "--ledger"; d ], d);
+          ([ "report"; "--ledger"; ledger; "--events"; d ], d);
+          ([ "report"; "--ledger"; ledger; "--html"; html ], html);
+          ([ "emit"; "hcor"; "--dir"; file ], file);
+        ])
+
 let suite =
   [
     Alcotest.test_case "counter and gauge semantics" `Quick test_counters;
@@ -503,4 +730,12 @@ let suite =
       test_vcd_leaves_simulation;
     Alcotest.test_case "run_with_telemetry report" `Quick
       test_run_with_telemetry_report;
+    Alcotest.test_case "JSONL readers: a directory is an error" `Quick
+      test_readers_reject_directories;
+    QCheck_alcotest.to_alcotest test_readers_property;
+    Alcotest.test_case "appends after a torn line load" `Quick
+      test_appends_after_torn_line;
+    Alcotest.test_case "publish failures leave no temp file" `Quick
+      test_publish_failures;
+    Alcotest.test_case "no file path crashes the CLI" `Quick test_cli_file_paths;
   ]

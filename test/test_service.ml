@@ -9,9 +9,6 @@
 
 module Json = Ocapi_obs.Json
 
-let ensure_design =
-  lazy (Ocapi_batch.register_design ~name:"ts-svc" Gallery.hcor)
-
 let json_of s =
   match Json.of_string s with Ok j -> j | Error e -> failwith e
 
@@ -20,7 +17,7 @@ let json_of s =
 let sim_request seed =
   json_of
     (Printf.sprintf
-       "{\"kind\": \"simulate\", \"design\": \"ts-svc\", \"engine\": \
+       "{\"kind\": \"simulate\", \"design\": \"hcor\", \"engine\": \
         \"compiled\", \"cycles\": 4, \"seed\": %d}"
        seed)
 
@@ -133,9 +130,7 @@ let test_journal_roundtrip () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let path = Filename.concat dir "journal.jsonl" in
-      let jr = Ocapi_service.journal_open path in
-      List.iter (Ocapi_service.journal_append jr) sample_entries;
-      Ocapi_service.journal_close jr;
+      List.iter (Ocapi_service.journal_append path) sample_entries;
       match Ocapi_service.journal_load path with
       | Error m -> Alcotest.failf "load: %s" m
       | Ok es ->
@@ -231,7 +226,6 @@ let test_replay () =
 let serve_quiet cfg ~requests = Ocapi_service.serve cfg ~requests
 
 let test_serve_success () =
-  Lazy.force ensure_design;
   let state, artifacts, cfg =
     config ~name:"ok" ~script:("echo hb; " ^ write_artifact)
   in
@@ -252,7 +246,6 @@ let test_serve_success () =
       Alcotest.(check int) "nothing re-ran" 0 s2.sm_completed)
 
 let test_serve_crash_retry () =
-  Lazy.force ensure_design;
   let marker =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ocapi-service-crashonce-%d" (Unix.getpid ()))
@@ -289,7 +282,6 @@ let test_serve_crash_retry () =
         (List.mem "job_retried" kinds))
 
 let test_serve_poison () =
-  Lazy.force ensure_design;
   let state, artifacts, cfg = config ~name:"poison" ~script:"kill -9 $$" in
   let cfg = { cfg with Ocapi_service.cf_retries = 2 } in
   Fun.protect
@@ -317,7 +309,6 @@ let test_serve_poison () =
              entries))
 
 let test_serve_heartbeat_backstop () =
-  Lazy.force ensure_design;
   (* A silently wedged worker: no heartbeats, no exit.  The supervisor
      must kill(9) it past the heartbeat timeout. *)
   let state, artifacts, cfg = config ~name:"hb" ~script:"sleep 30" in
@@ -347,7 +338,6 @@ let test_serve_heartbeat_backstop () =
              entries))
 
 let test_serve_overload () =
-  Lazy.force ensure_design;
   let state, artifacts, cfg =
     config ~name:"overload" ~script:write_artifact
   in
@@ -383,13 +373,10 @@ let test_serve_recovery_exactly_once () =
       rm_rf artifacts;
       try Sys.remove log with Sys_error _ -> ())
     (fun () ->
-      let jr =
-        Ocapi_service.journal_open (Filename.concat state "journal.jsonl")
-      in
+      let jr = Filename.concat state "journal.jsonl" in
       Ocapi_service.journal_append jr (submitted "c1" "k1");
       Ocapi_service.journal_append jr
         (Ocapi_service.J_started { jt_corr = "c1"; jt_attempt = 1 });
-      Ocapi_service.journal_close jr;
       let s = serve_quiet cfg ~requests:[] in
       Alcotest.(check int) "one job recovered" 1 s.Ocapi_service.sm_recovered;
       Alcotest.(check int) "it completed" 1 s.sm_completed;
@@ -421,11 +408,10 @@ let test_serve_recovery_exactly_once () =
 let test_serve_recovery_sweeps_stale_temps () =
   let recover name ~plant =
     let state, artifacts, cfg = config ~name ~script:write_artifact in
-    let jr = Ocapi_service.journal_open (Filename.concat state "journal.jsonl") in
+    let jr = Filename.concat state "journal.jsonl" in
     Ocapi_service.journal_append jr (submitted "c1" "k1");
     Ocapi_service.journal_append jr
       (Ocapi_service.J_started { jt_corr = "c1"; jt_attempt = 1 });
-    Ocapi_service.journal_close jr;
     let stale = Filename.concat artifacts "c1.json.4242.0.tmp" in
     if plant then Out_channel.with_open_bin stale (fun oc -> output_string oc "torn");
     let s = serve_quiet cfg ~requests:[] in
@@ -444,14 +430,13 @@ let test_serve_recovery_sweeps_stale_temps () =
   Alcotest.(check (list (pair string string))) "tree = reference run's" reference tree
 
 let test_serve_invalid_line () =
-  Lazy.force ensure_design;
   let state, artifacts, cfg = config ~name:"invalid" ~script:write_artifact in
   Fun.protect
     ~finally:(fun () ->
       rm_rf state;
       rm_rf artifacts)
     (fun () ->
-      let bad = json_of {|{"kind": "simulate", "design": "ts-svc", "cycles": 0}|} in
+      let bad = json_of {|{"kind": "simulate", "design": "hcor", "cycles": 0}|} in
       let s = serve_quiet cfg ~requests:[ bad; sim_request 1 ] in
       Alcotest.(check int) "the bad line failed" 1 s.Ocapi_service.sm_failed;
       Alcotest.(check int) "the good line ran" 1 s.sm_completed;
@@ -470,7 +455,6 @@ let test_serve_invalid_line () =
 (* The worker body returns as soon as its [done] line is written, not
    after the heartbeat thread's next wake-up. *)
 let test_worker_prompt_exit () =
-  Lazy.force ensure_design;
   let dir = tmp_dir "worker-exit" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
