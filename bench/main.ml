@@ -34,8 +34,8 @@
    smoke  the CI smoke stage: every BENCH_*.json writer at a size that
        finishes in seconds (`make bench-smoke`) *)
 
-let gates ?macro_of_kernel sys =
-  let _, rep = Synthesize.synthesize ?macro_of_kernel sys in
+let gates sys =
+  let _, rep = Synthesize.synthesize sys in
   rep.Synthesize.total.Netlist.gate_equivalents
 
 (* Every measured rate also lands one line in the perf ledger
@@ -61,20 +61,19 @@ let ledger_note () =
 (* ---- T1: Table 1 ---------------------------------------------------------- *)
 
 let table1_rows () =
-  let measure_design ~design ~build ~src_lines ~macro_of_kernel ~cycles_of =
+  let measure_design ~design ~build ~src_lines ~cycles_of =
     let ms =
       List.map
         (fun engine ->
-          Metrics.measure ~ocaml_source_lines:src_lines ?macro_of_kernel build
-            engine ~cycles:(cycles_of engine))
+          Metrics.measure ~ocaml_source_lines:src_lines build engine
+            ~cycles:(cycles_of engine))
         Metrics.all_engines
     in
     let sys = build () in
-    (design, Cycle_system.digest sys, gates ?macro_of_kernel sys, ms)
+    (design, Cycle_system.digest sys, gates sys, ms)
   in
   let hcor_row =
     measure_design ~design:"HCOR" ~build:Gallery.hcor ~src_lines:(Hcor.source_lines ())
-      ~macro_of_kernel:None
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000
         | Metrics.Compiled_code -> 40000
@@ -85,7 +84,6 @@ let table1_rows () =
   let dect_row =
     measure_design ~design:"DECT" ~build:Gallery.dect
       ~src_lines:(Dect_transceiver.source_lines ())
-      ~macro_of_kernel:(Some Dect_transceiver.macro_of_kernel)
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 1000
         | Metrics.Compiled_code -> 20000
@@ -95,7 +93,6 @@ let table1_rows () =
   in
   let rs_row =
     measure_design ~design:"RS" ~build:Gallery.rs ~src_lines:(Rs_codec.source_lines ())
-      ~macro_of_kernel:None
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000
         | Metrics.Compiled_code -> 40000
@@ -106,7 +103,6 @@ let table1_rows () =
   let cpu_row =
     measure_design ~design:"CPU" ~build:Gallery.cpu
       ~src_lines:(Acc_cpu.source_lines ())
-      ~macro_of_kernel:(Some Ram_cell.macro_of_kernel)
       ~cycles_of:(function
         | Metrics.Interpreted_objects -> 4000
         | Metrics.Compiled_code -> 40000
@@ -319,14 +315,12 @@ let c5 () =
     "== C5: datapath synthesis with word-level operator sharing (section 6) ==";
   let sys = Gallery.dect () in
   let t0 = Unix.gettimeofday () in
-  let _, shared =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
-  in
+  let _, shared = Synthesize.synthesize sys in
   let t_shared = Unix.gettimeofday () -. t0 in
   let _, unshared =
     Synthesize.synthesize
       ~options:{ Synthesize.default_options with Synthesize.share_operators = false }
-      ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
+      sys
   in
   Printf.printf
     "DECT with sharing:    %6d gate-equivalents (%.2fs total synthesis)\n"
@@ -334,9 +328,7 @@ let c5 () =
   Printf.printf "DECT without sharing: %6d gate-equivalents\n"
     unshared.Synthesize.total.Netlist.gate_equivalents;
   (* The post-synthesis cleanup the paper delegates to logic synthesis. *)
-  let nl, _ =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
-  in
+  let nl, _ = Synthesize.synthesize sys in
   let _, opt_stats = Netopt.run nl in
   Format.printf "post-optimization (\"Synopsys DC\" role): %a@." Netopt.pp_stats
     opt_stats;
@@ -383,10 +375,7 @@ let c6 () =
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);
   let dect = Gallery.dect () in
-  let r =
-    Synthesize.verify ~macro_of_kernel:Dect_transceiver.macro_of_kernel dect
-      ~cycles:120
-  in
+  let r = Synthesize.verify dect ~cycles:120 in
   Printf.printf "DECT netlist:  %5d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);
@@ -416,14 +405,10 @@ let f5 () =
   Printf.printf "instructions per datapath: %d .. %d (paper: 2 .. 57)\n"
     (List.fold_left min 99 counts)
     (List.fold_left max 0 counts);
-  let _, rep =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
-  in
+  let _, rep = Synthesize.synthesize sys in
   Printf.printf "total: %d gate-equivalents (paper: 75 Kgates)\n"
     rep.Synthesize.total.Netlist.gate_equivalents;
-  let nl, _ =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
-  in
+  let nl, _ = Synthesize.synthesize sys in
   let depth, cyclic = Netlist.combinational_depth nl in
   Printf.printf
     "longest combinational chain: %d elements (%d on gated selection cycles)\n"

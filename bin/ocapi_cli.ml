@@ -20,14 +20,6 @@
 
 open Cmdliner
 
-type design = { d_sys : Cycle_system.t; d_macro : Dataflow.Kernel.t -> Synthesize.macro_spec option }
-
-let build_design name =
-  match Gallery.build name with
-  | Some sys -> Ok { d_sys = sys; d_macro = Gallery.macro_of_kernel name }
-  | None ->
-    Error (Printf.sprintf "unknown design %S (try hcor, dect, rs or cpu)" name)
-
 let design_arg =
   let doc = "Reference design to operate on: hcor, dect, rs or cpu." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DESIGN" ~doc)
@@ -64,17 +56,17 @@ let with_input what loaded k =
   | Ok (Ok v) -> k v
 
 let with_design name f =
-  match build_design name with
-  | Error e ->
-    prerr_endline e;
+  match Gallery.build name with
+  | None ->
+    Printf.eprintf "unknown design %S (try hcor, dect, rs or cpu)\n" name;
     1
-  | Ok d -> reporting_errors (fun () -> f d)
+  | Some sys -> reporting_errors (fun () -> f sys)
 
 (* check *)
 let check_cmd =
   let run name =
-    with_design name (fun d ->
-        let report = Flow.check d.d_sys in
+    with_design name (fun sys ->
+        let report = Flow.check sys in
         Format.printf "%a@." Flow.pp_check_report report;
         if Flow.check_clean report then 0 else 1)
   in
@@ -124,7 +116,7 @@ let unknown_engine other =
 
 let simulate_cmd =
   let run name cycles engine telemetry cache json =
-    with_design name (fun d ->
+    with_design name (fun sys ->
         if cache then Flow.Cache.enable ~dir:"_generated/cache" ();
         (* [--json] prints the same canonical rendering the batch
            service writes as its simulate artifacts — byte-identical,
@@ -149,8 +141,7 @@ let simulate_cmd =
           | "gates" ->
             let r =
               maybe_telemetry telemetry ~label:(name ^ ".gates") (fun () ->
-                  Flow.verify_netlist ~macro_of_kernel:d.d_macro d.d_sys
-                    ~cycles)
+                  Synthesize.verify sys ~cycles)
             in
             Printf.printf "gate-level run: %d vectors, %d mismatches\n"
               r.Synthesize.vectors_checked
@@ -163,7 +154,7 @@ let simulate_cmd =
               let engine = Ocapi_engine.name_of e in
               show ~engine
                 (maybe_telemetry telemetry ~label:("simulate." ^ engine)
-                   (fun () -> Flow.simulate ~engine d.d_sys ~cycles));
+                   (fun () -> Flow.simulate ~engine sys ~cycles));
               0)
         in
         if cache && not json then begin
@@ -191,15 +182,13 @@ let optimize_arg =
 
 let synth_cmd =
   let run name no_share optimize telemetry =
-    with_design name (fun d ->
+    with_design name (fun sys ->
         let options =
           { Synthesize.default_options with
             Synthesize.share_operators = not no_share }
         in
         maybe_telemetry telemetry ~label:(name ^ ".synth") (fun () ->
-            let nl, rep =
-              Synthesize.synthesize ~options ~macro_of_kernel:d.d_macro d.d_sys
-            in
+            let nl, rep = Synthesize.synthesize ~options sys in
             Format.printf "%a@." Synthesize.pp_report rep;
             if optimize then begin
               let _, st = Netopt.run nl in
@@ -218,21 +207,19 @@ let dir_arg =
 
 let emit_cmd =
   let run name dir cycles =
-    with_design name (fun d ->
-        List.iter (Printf.printf "wrote %s\n") (Flow.emit_vhdl d.d_sys ~dir);
-        Printf.printf "wrote %s\n" (Flow.emit_testbench d.d_sys ~dir ~cycles);
-        let _, rep, path =
-          Flow.synthesize_to_verilog ~macro_of_kernel:d.d_macro d.d_sys ~dir
-        in
+    with_design name (fun sys ->
+        List.iter (Printf.printf "wrote %s\n") (Flow.emit_vhdl sys ~dir);
+        Printf.printf "wrote %s\n" (Flow.emit_testbench sys ~dir ~cycles);
+        let _, rep, path = Flow.synthesize_to_verilog sys ~dir in
         Printf.printf "wrote %s (%d gate-equivalents)\n" path
           rep.Synthesize.total.Netlist.gate_equivalents;
         Printf.printf "wrote %s\n"
-          (Flow.emit_ocaml_simulator d.d_sys ~dir ~cycles);
+          (Flow.emit_ocaml_simulator sys ~dir ~cycles);
         let dot = Filename.concat dir (name ^ "_architecture.dot") in
-        publish dot (Cycle_system.to_dot d.d_sys);
+        publish dot (Cycle_system.to_dot sys);
         Printf.printf "wrote %s\n" dot;
         let vcd = Filename.concat dir (name ^ ".vcd") in
-        publish vcd (Vcd.record d.d_sys ~cycles);
+        publish vcd (Vcd.record sys ~cycles);
         Printf.printf "wrote %s\n" vcd;
         0)
   in
@@ -264,27 +251,21 @@ let metrics_out_arg =
 
 let profile_cmd =
   let run name engine cycles dir metrics_out =
-    with_design name (fun d ->
+    with_design name (fun sys ->
         let workload =
           match engine with
           | "gates" ->
-            Some
-              (fun () ->
-                ignore
-                  (Flow.verify_netlist ~macro_of_kernel:d.d_macro d.d_sys
-                     ~cycles))
+            Some (fun () -> ignore (Synthesize.verify sys ~cycles))
           | "synth" ->
             Some
               (fun () ->
-                let nl, _ =
-                  Synthesize.synthesize ~macro_of_kernel:d.d_macro d.d_sys
-                in
+                let nl, _ = Synthesize.synthesize sys in
                 ignore (Netopt.run nl))
           | other ->
             Option.map
               (fun e () ->
                 ignore
-                  (Flow.simulate ~engine:(Ocapi_engine.name_of e) d.d_sys
+                  (Flow.simulate ~engine:(Ocapi_engine.name_of e) sys
                      ~cycles))
               (Ocapi_engine.find other)
         in
@@ -372,7 +353,7 @@ let domains_arg =
 let fault_cmd =
   let run name campaign cycles runs seed max_faults engine domains optimized
       json =
-    with_design name (fun d ->
+    with_design name (fun sys ->
         (* Each extra worker domain owns a fresh, isolated copy of the
            design; the gallery builders are deterministic, so replicas
            match. *)
@@ -382,8 +363,8 @@ let fault_cmd =
           let compare, telemetry =
             Ocapi_obs.run_with_telemetry ~label:(name ^ ".stuck-at-opt")
               (fun () ->
-                Ocapi_fault.stuck_at_optimized ?max_faults ~seed ~domains
-                  ~macro_of_kernel:d.d_macro d.d_sys ~cycles)
+                Ocapi_fault.stuck_at_optimized ?max_faults ~seed ~domains sys
+                  ~cycles)
           in
           if json then
             print_endline
@@ -399,8 +380,8 @@ let fault_cmd =
           let report, telemetry =
             Ocapi_obs.run_with_telemetry ~label:(name ^ ".stuck-at")
               (fun () ->
-                Ocapi_fault.stuck_at_system ?max_faults ~seed ~domains
-                  ~macro_of_kernel:d.d_macro d.d_sys ~cycles)
+                Ocapi_fault.stuck_at_system ?max_faults ~seed ~domains sys
+                  ~cycles)
           in
           if json then
             print_endline
@@ -422,7 +403,7 @@ let fault_cmd =
             let report, telemetry =
               Ocapi_obs.run_with_telemetry ~label:(name ^ ".seu") (fun () ->
                   Ocapi_fault.seu_campaign ~engine ~runs ~seed ~domains
-                    ~replicate d.d_sys ~cycles)
+                    ~replicate sys ~cycles)
             in
             if json then
               print_endline

@@ -112,7 +112,7 @@ let () =
   Printf.printf "synthesized: %d gate-equivalents across %d components\n"
     rep.Synthesize.total.Netlist.gate_equivalents
     (List.length rep.Synthesize.components);
-  let r = Flow.verify_netlist sys ~cycles:80 in
+  let r = Synthesize.verify sys ~cycles:80 in
   Printf.printf "netlist verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -95,9 +95,7 @@ let () =
   Printf.printf "hold exception: 8-cycle hold => stream delayed exactly 8 cycles: %b\n"
     delayed_exactly;
   (* Synthesis of the full chip. *)
-  let _, rep =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel sys
-  in
+  let _, rep = Synthesize.synthesize sys in
   Printf.printf
     "synthesized: %d gate-equivalents (comb %d, %d flip-flops, %d ROM bits, %d RAM bits)\n"
     rep.Synthesize.total.Netlist.gate_equivalents
@@ -119,10 +117,7 @@ let () =
   (* Gate-level verification with recorded vectors. *)
   let d3, _, _ = (fun () -> let s, c, b = build_samples ~symbols:6 ~seed:98 in
                    (Dect_transceiver.create ~stimulus:(Dect_transceiver.sample_stimulus s) (), c, b)) () in
-  let r =
-    Flow.verify_netlist ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      d3.Dect_transceiver.system ~cycles:100
-  in
+  let r = Synthesize.verify d3.Dect_transceiver.system ~cycles:100 in
   Printf.printf "netlist vs reference: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -52,7 +52,7 @@ let () =
   let _, rep = Synthesize.synthesize sys in
   Printf.printf "synthesized: %d gate-equivalents (paper: ~6 Kgates)\n"
     rep.Synthesize.total.Netlist.gate_equivalents;
-  let r = Flow.verify_netlist sys ~cycles:150 in
+  let r = Synthesize.verify sys ~cycles:150 in
   Printf.printf "netlist vs reference: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -148,7 +148,7 @@ let () =
   (match disagreements with
   | [] -> print_endline "all engines agree"
   | l -> List.iter print_endline l);
-  let r = Flow.verify_netlist sys ~cycles:200 in
+  let r = Synthesize.verify sys ~cycles:200 in
   Printf.printf "netlist verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -74,7 +74,7 @@ let () =
   (* 6. Synthesize to gates and verify against the reference. *)
   let _, rep = Synthesize.synthesize sys in
   Format.printf "%a@." Synthesize.pp_report rep;
-  let r = Flow.verify_netlist sys ~cycles:30 in
+  let r = Synthesize.verify sys ~cycles:30 in
   Printf.printf "gate-level verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -143,7 +143,7 @@ let () =
   (match disagreements with
   | [] -> print_endline "all engines agree"
   | l -> List.iter print_endline l);
-  let r = Flow.verify_netlist sys ~cycles:150 in
+  let r = Synthesize.verify sys ~cycles:150 in
   Printf.printf "netlist verification: %d vectors, %d mismatches\n"
     r.Synthesize.vectors_checked
     (List.length r.Synthesize.mismatches);

@@ -286,7 +286,6 @@ let prepare_request r =
         Printf.sprintf "stuck-at:%s:c%d" sa_design sa_cycles,
         fun ~progress ->
           Ocapi_fault.stuck_at_system ?max_faults:sa_max_faults ~seed:sa_seed
-            ~macro_of_kernel:(Gallery.macro_of_kernel sa_design)
             ~progress:(fun _ -> progress ())
             sys ~cycles:sa_cycles
           |> Ocapi_fault.stuck_report_json )

@@ -367,7 +367,7 @@ let first_mismatch a b =
         Some (probe, None, Printf.sprintf "probe order differs (vs %s)" other)
       else
         let at t k detail = Some (probe, Some (T.cycle t p k), detail) in
-        match T.mismatch ~formats:true (a, p, 0) (b, p, 0) with
+        match T.mismatch (a, p, 0) (b, p, 0) with
         | None -> scan (p + 1)
         | Some (T.Cycle k) ->
           let c1 = T.cycle a p k and c2 = T.cycle b p k in
@@ -500,15 +500,11 @@ let emit_ocaml_simulator sys ~dir ~cycles =
     (Verilog.sanitize (Cycle_system.name sys) ^ "_sim.ml")
     src
 
-let synthesize_to_verilog ?options ?macro_of_kernel sys ~dir =
-  let nl, report = Synthesize.synthesize ?options ?macro_of_kernel sys in
+let synthesize_to_verilog sys ~dir =
+  let nl, report = Synthesize.synthesize sys in
   let path =
     write_file dir
       (Verilog.sanitize (Cycle_system.name sys) ^ "_netlist.v")
       (Verilog.of_netlist nl)
   in
   (nl, report, path)
-
-let verify_netlist ?options ?macro_of_kernel sys ~cycles =
-  Ocapi_error.check_count ~engine:"flow" "gate-level check: cycles" cycles;
-  Synthesize.verify ?options ?macro_of_kernel sys ~cycles

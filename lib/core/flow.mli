@@ -9,9 +9,8 @@
     - {b generate} VHDL, a standalone OCaml simulator, a self-checking
       test bench,
     - {b synthesize} it to a gate-level netlist and print that netlist
-      as structural Verilog,
-    - {b verify} the synthesized netlist against the reference
-      simulation with the recorded test-bench vectors. *)
+      as structural Verilog; the netlist is checked against the
+      reference simulation by [Synthesize.verify]. *)
 
 (** {1 Static checks} *)
 
@@ -263,22 +262,8 @@ val emit_ocaml_simulator : Cycle_system.t -> dir:string -> cycles:int -> string
 
 (** {1 Synthesis} *)
 
-(** Synthesize and write the structural Verilog netlist; returns the
+(** Synthesize (each untimed kernel as the macro cell its model
+    declares) and write the structural Verilog netlist; returns the
     netlist, the synthesis report and the file path. *)
 val synthesize_to_verilog :
-  ?options:Synthesize.options ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
-  Cycle_system.t ->
-  dir:string ->
-  Netlist.t * Synthesize.report * string
-
-(** Gate-level verification against the reference simulation
-    (see {!Synthesize.verify}).
-    @raise Ocapi_error.Error with code [Unsupported] on negative
-    [cycles]. *)
-val verify_netlist :
-  ?options:Synthesize.options ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
-  Cycle_system.t ->
-  cycles:int ->
-  Synthesize.verify_result
+  Cycle_system.t -> dir:string -> Netlist.t * Synthesize.report * string

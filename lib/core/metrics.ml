@@ -40,7 +40,7 @@ let session_engine = function
   | Rt_event_driven -> "rtl"
   | Gate_netlist -> "gate"
 
-let measure ?(ocaml_source_lines = 0) ?macro_of_kernel build engine ~cycles =
+let measure ?(ocaml_source_lines = 0) build engine ~cycles =
   (* Each row measures its own build: a design memoizes state for every
      engine (the interpreter's evaluation plans in its SFGs, its nets'
      formats), so on a shared system a row would also count what the
@@ -52,7 +52,7 @@ let measure ?(ocaml_source_lines = 0) ?macro_of_kernel build engine ~cycles =
     match engine with
     | Rt_event_driven -> Vhdl.line_count (Vhdl.of_system sys)
     | Gate_netlist ->
-      let nl, _report = Synthesize.synthesize ?macro_of_kernel sys in
+      let nl, _report = Synthesize.synthesize sys in
       Verilog.line_count (Verilog.of_netlist nl)
     | Interpreted_objects | Compiled_code | Native_code -> 0
   in

@@ -35,7 +35,7 @@ type measurement = {
   m_source_lines : int;  (** description size for this representation *)
 }
 
-(** [measure ?ocaml_source_lines ?macro_of_kernel build engine ~cycles]
+(** [measure ?ocaml_source_lines build engine ~cycles]
     builds the design with [build] and the engine over it, runs
     [cycles] cycles (after a short warm-up) and reports.  Every call
     measures a fresh build, so a row does not depend on the rows
@@ -44,7 +44,6 @@ type measurement = {
     generated-VHDL lines and the netlist row generated-Verilog lines. *)
 val measure :
   ?ocaml_source_lines:int ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   (unit -> Cycle_system.t) ->
   engine ->
   cycles:int ->

@@ -266,7 +266,7 @@ let sample_stimulus samples cycle =
   if cycle < Array.length samples then Some samples.(cycle)
   else Some (Fixed.zero sample_format)
 
-let macro_of_kernel = Ram_cell.macro_of_kernel
+let macro_of_kernel = Synthesize.macro_of_model
 
 (* Bit accessor used by the serial datapaths: bit [i] of an unsigned
    register value, as a 1-bit signal. *)

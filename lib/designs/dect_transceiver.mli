@@ -65,7 +65,8 @@ val create :
 (** Pad a quantized sample array into a total per-cycle stimulus. *)
 val sample_stimulus : Fixed.t array -> int -> Fixed.t option
 
-(** The macro mapping for the 7 RAM cells (pass to synthesis). *)
+(** {!Synthesize.macro_of_model}, which maps the 7 RAM cells, under the
+    name the [bench/perf] harness reads. *)
 val macro_of_kernel : Dataflow.Kernel.t -> Synthesize.macro_spec option
 
 (** {1 Golden model}

@@ -27,8 +27,3 @@ let cpu () =
 let designs = [ ("hcor", hcor); ("dect", dect); ("rs", rs); ("cpu", cpu) ]
 let names = List.map fst designs
 let build name = Option.map (fun f -> f ()) (List.assoc_opt name designs)
-
-let macro_of_kernel = function
-  | "dect" -> Dect_transceiver.macro_of_kernel
-  | "cpu" -> Ram_cell.macro_of_kernel
-  | _ -> fun _ -> None

@@ -24,8 +24,3 @@ val names : string list
 (** [build name] — a fresh build of the named design, [None] for an
     unknown name. *)
 val build : string -> Cycle_system.t option
-
-(** [macro_of_kernel name] — the synthesis mapping of the named
-    design's untimed kernels (RAM macros for [dect] and [cpu]; the
-    others have no kernels). *)
-val macro_of_kernel : string -> Dataflow.Kernel.t -> Synthesize.macro_spec option

@@ -1,33 +1,8 @@
-(* Registry: kernel name -> (spec, backing store).  Each [kernel] call
-   allocates a fresh backing store captured by its own closures, so two
-   systems built from the same factory never share RAM state (domain
-   isolation for parallel campaigns); the registry — mutex-guarded, as
-   factories may run while another domain synthesizes — only serves the
-   by-name [peek]/[clear]/[macro_of_kernel] conveniences and maps a name
-   to its most recent instance. *)
-type instance = {
-  words : int;
-  data_fmt : Fixed.format;
-  store : Fixed.t array;
-}
-
-let registry : (string, instance) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Mutex.create ()
-
-let registry_replace name inst =
-  Mutex.lock registry_mutex;
-  Hashtbl.replace registry name inst;
-  Mutex.unlock registry_mutex
-
-let registry_find name =
-  Mutex.lock registry_mutex;
-  let r = Hashtbl.find_opt registry name in
-  Mutex.unlock registry_mutex;
-  r
-
+(* Each [kernel] call allocates a fresh backing store captured by its
+   own closures, so two systems built from the same factory never share
+   RAM state (domain isolation for parallel campaigns). *)
 let kernel ~name ~words ~data_fmt ~addr_fmt =
   let store = Array.make words (Fixed.zero data_fmt) in
-  registry_replace name { words; data_fmt; store };
   (* Writes are staged by the behaviour and applied by the commit hook:
      the event-driven RT engine may run the behaviour several times per
      cycle while signals settle, and only the settled staging counts. *)
@@ -94,28 +69,4 @@ let kernel ~name ~words ~data_fmt ~addr_fmt =
       else pending := None;
       [ ("rdata", [ out ]) ])
 
-let macro_of_kernel (k : Dataflow.Kernel.t) =
-  match registry_find k.Dataflow.Kernel.k_name with
-  | Some inst ->
-    Some
-      (Synthesize.Ram_macro
-         {
-           words = inst.words;
-           width = inst.data_fmt.Fixed.width;
-           addr_port = "addr";
-           wdata_port = "wdata";
-           we_port = "we";
-           rdata_port = "rdata";
-         })
-  | None -> None
-
-let peek ~name i =
-  match registry_find name with
-  | Some inst when i >= 0 && i < inst.words -> Some inst.store.(i)
-  | Some _ | None -> None
-
-let clear ~name =
-  match registry_find name with
-  | Some inst ->
-    Array.fill inst.store 0 inst.words (Fixed.zero inst.data_fmt)
-  | None -> ()
+let macro_of_kernel = Synthesize.macro_of_model

@@ -9,7 +9,9 @@
     A RAM cell is an untimed kernel with ports [addr], [wdata], [we] and
     [rdata]; per cycle it returns the {e pre-write} word at [addr] and,
     when [we] is set, commits [wdata] — the exact behaviour of the
-    [Netlist.ram] macro cell, so synthesis is a drop-in replacement. *)
+    [Netlist.ram] macro cell.  The kernel declares that macro as its
+    [Dataflow.Kernel.Ram_model], which synthesis reads, so the macro is
+    a drop-in replacement. *)
 
 (** [kernel ~name ~words ~data_fmt ~addr_fmt] — the untimed process.
     Port formats are declared, so all static back ends work. *)
@@ -20,12 +22,6 @@ val kernel :
   addr_fmt:Fixed.format ->
   Dataflow.Kernel.t
 
-(** Macro mapping for {!Synthesize.synthesize}: recognizes kernels
-    created by {!kernel} (by name) and maps them to RAM macro cells. *)
+(** {!Synthesize.macro_of_model}, the RAM macro a {!kernel} declares,
+    under the name the [bench/perf] harness reads. *)
 val macro_of_kernel : Dataflow.Kernel.t -> Synthesize.macro_spec option
-
-(** Direct read access to the backing store (test/debug only). *)
-val peek : name:string -> int -> Fixed.t option
-
-(** Reset the contents of a RAM created by {!kernel} to zeros. *)
-val clear : name:string -> unit

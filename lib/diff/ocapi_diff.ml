@@ -592,11 +592,24 @@ let classified_check ~check body =
 
 let opt_equivalence_findings spec =
   classified_check ~check:"opt-equivalence" (fun () ->
-      let b = Ocapi_ir.behavioral (Spec.build spec) in
-      let g = Ocapi_ir.pipeline [ Ocapi_ir.lower_to_gate; Ocapi_ir.optimize_gates ] b in
-      match Ocapi_ir.check_equivalence ~cycles:spec.Spec.sp_cycles b g with
-      | Ok () -> []
-      | Error e -> [ { f_check = "opt-equivalence"; f_error = e } ])
+      let r =
+        Synthesize.verify ~optimize:true (Spec.build spec) ~cycles:spec.Spec.sp_cycles
+      in
+      match r.Synthesize.mismatches with
+      | [] -> []
+      | (cycle, probe, want, got) :: _ ->
+        [
+          {
+            f_check = "opt-equivalence";
+            f_error =
+              Ocapi_error.make Ocapi_error.Mismatch ~engine:"gates" ~construct:probe ~cycle
+                ~nets:[ probe ]
+                (Printf.sprintf
+                   "the optimized netlist disagrees with the behavioral design on probe \
+                    %s: mantissa %Ld vs %Ld"
+                   probe want got);
+          };
+        ])
 
 let norm_seu_outcome = function
   | Ocapi_fault.Masked -> "m"
@@ -657,8 +670,7 @@ let stuck_determinism_findings spec =
       let run () =
         let sys = Spec.build spec in
         let r =
-          Ocapi_fault.stuck_at_system ~max_faults:8 ~seed:7
-            ~macro_of_kernel:Ocapi_ir.macro_of_model sys
+          Ocapi_fault.stuck_at_system ~max_faults:8 ~seed:7 sys
             ~cycles:spec.Spec.sp_cycles
         in
         Json.to_string (Ocapi_fault.stuck_report_json r)
@@ -942,11 +954,14 @@ module Corpus = struct
         | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e))
     | _ -> Error "corpus entry: missing seed or spec"
 
+  (* Runs append reproducers, so a run killed mid-append leaves a torn
+     final line; it is dropped, as the ledger drops its own. *)
   let load path =
     if not (Sys.file_exists path) then Ok (Ok [])
     else
       Result.map
-        (fun lines -> Ocapi_obs.File.decode path lines entry_of_json)
+        (fun lines ->
+          Ocapi_obs.File.decode path (Ocapi_obs.File.drop_torn_tail lines) entry_of_json)
         (Ocapi_obs.File.read_jsonl path)
 
   let append path entries =

@@ -19,7 +19,7 @@
     - {!check_spec} runs one genome through every requested engine of
       the {!Ocapi_engine} registry, diffs probe histories against the
       first engine, cross-checks the [Netopt]-optimized netlist
-      through {!Ocapi_ir.check_equivalence}, and (on deep checks)
+      through {!Synthesize.verify}, and (on deep checks)
       cross-checks seeded SEU classifications between two engines and
       the determinism of a sampled stuck-at campaign.  Every
       divergence is reported as a structured {!Ocapi_error.t}.
@@ -135,7 +135,8 @@ val default_engines : unit -> string list
       must stop with the same error code.
     - {b opt-equivalence} (when the gate engine is in [engines]): the
       behavioral root against the [lower-to-gate] + [optimize-gates]
-      netlist through {!Ocapi_ir.check_equivalence}.
+      netlist through [Synthesize.verify ~optimize:true]; the first
+      mismatching token, by cycle, names the probe and the cycle.
     - {b seu-cross} / {b stuck-determinism} (when [deep], default
       [false]): a small seeded SEU campaign, checkpointed, on the
       interpreted and compiled engines must agree run for run with the
@@ -178,9 +179,10 @@ module Corpus : sig
   val entry_of_json : Ocapi_obs.Json.t -> (entry, string) result
 
   (** [load path] reads a JSONL corpus ([#] comments and blank lines
-      skipped).  [Error] is a path that cannot be read; [Ok (Error _)]
-      names the first malformed line.  A missing file is an empty
-      corpus. *)
+      skipped).  A final line that is not valid JSON, torn by a run
+      killed mid-append, is dropped.  [Error] is a path that cannot be
+      read; [Ok (Error _)] names the first malformed line.  A missing
+      file is an empty corpus. *)
   val load : string -> ((entry list, string) result, string) result
 
   (** [append path entries] appends entries as JSONL lines, one

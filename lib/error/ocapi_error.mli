@@ -61,8 +61,10 @@ type code =
           another worker domain) was handed to a second consumer — e.g.
           a [~replicate] factory returning the campaign system itself *)
   | Mismatch
-      (** cross-level equivalence checking found two representations of
-          one design disagreeing on a probe token ([Ocapi_ir.check_equivalence]) *)
+      (** a differential check found two runs of one design
+          disagreeing: two engines, or the design and its optimized
+          netlist, on a probe token; two fault campaigns on their
+          classifications *)
   | Internal  (** violated internal invariant *)
 
 type t = {

@@ -195,10 +195,10 @@ let record_vectors ?max_faults sys ~cycles =
     (Cycle_system.stimuli sys ~cycles);
   vectors
 
-let stuck_at_system ?max_faults ?seed ?options ?macro_of_kernel ?domains
-    ?progress sys ~cycles =
+let stuck_at_system ?max_faults ?seed ?macro_of_kernel ?domains ?progress sys
+    ~cycles =
   let vectors = record_vectors ?max_faults sys ~cycles in
-  let nl, _report = Synthesize.synthesize ?options ?macro_of_kernel sys in
+  let nl, _report = Synthesize.synthesize ?macro_of_kernel sys in
   stuck_at_netlist ?max_faults ?seed ?domains ?progress nl ~vectors
 
 type stuck_compare = {
@@ -208,16 +208,11 @@ type stuck_compare = {
   sc_provenance : Ocapi_ir.pass_record list;
 }
 
-let stuck_at_optimized ?max_faults ?seed ?options ?macro_of_kernel ?domains
-    ?progress sys ~cycles =
+let stuck_at_optimized ?max_faults ?seed ?domains ?progress sys ~cycles =
   let vectors = record_vectors ?max_faults sys ~cycles in
-  (* Lower through the IR pass pipeline so the optimized netlist
-     carries a provenance chain back to the behavioral root. *)
-  let gate =
-    Ocapi_ir.apply
-      (Ocapi_ir.lower_to_gate_with ?options ?macro_of_kernel ())
-      (Ocapi_ir.behavioral sys)
-  in
+  (* Lower through the IR passes so the optimized netlist carries a
+     provenance chain back to the behavioral root. *)
+  let gate = Ocapi_ir.apply Ocapi_ir.lower_to_gate (Ocapi_ir.behavioral sys) in
   let opt = Ocapi_ir.apply Ocapi_ir.optimize_gates gate in
   let netlist_of d =
     match Ocapi_ir.to_netlist d with
@@ -404,7 +399,7 @@ let classify ~engine golden ~own ~start ~converged =
      first or with the golden ones, [tail] of the golden index they end
      at. *)
   let compare p gi f fi ~tail =
-    match T.mismatch ~formats:true (g, p, gi) (f, p, fi) with
+    match T.mismatch (g, p, gi) (f, p, fi) with
     | Some (T.Cycle d) ->
       let c1 = T.cycle g p (gi + d) and c2 = T.cycle f p (fi + d) in
       Some

@@ -97,15 +97,15 @@ val stuck_at_netlist :
 
 (** [stuck_at_system sys ~cycles] reads [cycles] of the system's own
     stimuli from its columns (as the test-bench generator does),
-    synthesizes the system to gates, and runs {!stuck_at_netlist} with
-    them as vectors.  [domains] and [progress] are forwarded to
+    synthesizes the system to gates (untimed kernels through
+    [macro_of_kernel], default {!Synthesize.macro_of_model}), and runs
+    {!stuck_at_netlist} with them as vectors.  [domains] and [progress] are forwarded to
     {!stuck_at_netlist}.  [cycles = 0] is a valid, empty window.
     @raise Ocapi_error.Error with code [Unsupported] on negative
     [cycles] or [max_faults], before any work. *)
 val stuck_at_system :
   ?max_faults:int ->
   ?seed:int ->
-  ?options:Synthesize.options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   ?domains:int ->
   ?progress:(int -> unit) ->
@@ -129,7 +129,7 @@ type stuck_compare = {
 }
 
 (** [stuck_at_optimized sys ~cycles] records the system's stimuli once,
-    lowers the system through the {!Ocapi_ir} pipeline
+    lowers the system through the {!Ocapi_ir} passes
     ([lower-to-gate] then [optimize-gates]) and runs
     {!stuck_at_netlist} on both gate-level designs with the shared
     vectors.  All options are forwarded to both campaigns; [progress]
@@ -139,8 +139,6 @@ type stuck_compare = {
 val stuck_at_optimized :
   ?max_faults:int ->
   ?seed:int ->
-  ?options:Synthesize.options ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
   ?domains:int ->
   ?progress:(int -> unit) ->
   Cycle_system.t ->

@@ -8,7 +8,6 @@ type pass_record = {
 
 type t = {
   ir_design : payload;
-  ir_source : Cycle_system.t;
   ir_digest : string;
   ir_provenance : pass_record list;
 }
@@ -25,7 +24,6 @@ let level_name d =
 let behavioral sys =
   {
     ir_design = Behavioral sys;
-    ir_source = sys;
     ir_digest = Cycle_system.digest sys;
     ir_provenance = [];
   }
@@ -37,7 +35,10 @@ let wrong_level pass d ~expected =
   raise
     (Ocapi_error.Error
        (Ocapi_error.make Ocapi_error.Unsupported ~engine:"ir"
-          ~construct:(Cycle_system.name d.ir_source)
+          ~construct:
+            (match d.ir_design with
+            | Behavioral sys -> Cycle_system.name sys
+            | Gate nl -> Netlist.name nl)
           (Printf.sprintf "pass %s expects a %s design, got %s" pass expected
              (level_name d))))
 
@@ -49,7 +50,6 @@ let apply pass d =
   let out_digest = digest_of out in
   {
     ir_design = out;
-    ir_source = d.ir_source;
     ir_digest = out_digest;
     ir_provenance =
       d.ir_provenance
@@ -62,28 +62,9 @@ let apply pass d =
         ];
   }
 
-let pipeline passes d = List.fold_left (fun d p -> apply p d) d passes
-
-(* --- kernel macro mapping -------------------------------------------------- *)
-
-let macro_of_model (k : Dataflow.Kernel.t) =
-  match k.Dataflow.Kernel.k_model with
-  | Some (Dataflow.Kernel.Ram_model m) ->
-    Some
-      (Synthesize.Ram_macro
-         {
-           words = m.words;
-           width = m.data_fmt.Fixed.width;
-           addr_port = m.addr_port;
-           wdata_port = m.wdata_port;
-           we_port = m.we_port;
-           rdata_port = m.rdata_port;
-         })
-  | None -> None
-
 (* --- built-in passes ------------------------------------------------------- *)
 
-let lower_to_gate_with ?options ?(macro_of_kernel = macro_of_model) () =
+let lower_to_gate =
   {
     pass_name = "lower-to-gate";
     pass_body =
@@ -91,12 +72,9 @@ let lower_to_gate_with ?options ?(macro_of_kernel = macro_of_model) () =
         match d.ir_design with
         | Behavioral sys ->
           Cycle_system.reset sys;
-          let nl, _report = Synthesize.synthesize ?options ~macro_of_kernel sys in
-          Gate nl
+          Gate (fst (Synthesize.synthesize sys))
         | Gate _ -> wrong_level "lower-to-gate" d ~expected:"behavioral");
   }
-
-let lower_to_gate = lower_to_gate_with ()
 
 let optimize_gates =
   {
@@ -107,68 +85,6 @@ let optimize_gates =
         | Gate nl -> Gate (fst (Netopt.run nl))
         | Behavioral _ -> wrong_level "optimize-gates" d ~expected:"gate");
   }
-
-(* The probe trace of [d] over [cycles]: a gate design's is sampled at
-   the behavioral token cycles (the generated-test-bench
-   discipline). *)
-let trace_of ~cycles d =
-  match d.ir_design with
-  | Behavioral sys ->
-    Cycle_system.reset sys;
-    Cycle_system.run sys cycles;
-    let trace = Cycle_system.Trace.copy (Cycle_system.trace sys) in
-    Cycle_system.reset sys;
-    trace
-  | Gate nl -> snd (Synthesize.replay d.ir_source nl ~cycles)
-
-(* Probe by probe of [a], against [b]'s probe of that name, by mantissa:
-   a gate level reads its buses in the probe's format, which the
-   behavioral level's tokens need not carry. *)
-let check_equivalence ?(cycles = 200) a b =
-  let module T = Cycle_system.Trace in
-  let la = level_name a and lb = level_name b in
-  let ta = trace_of ~cycles a and tb = trace_of ~cycles b in
-  let mismatch ~cycle ~construct fmt =
-    Format.kasprintf
-      (fun msg ->
-        Error
-          (Ocapi_error.make Ocapi_error.Mismatch ~engine:"ir" ~construct ~cycle
-             ~nets:[ construct ] msg))
-      fmt
-  in
-  let compare_probe p =
-    let name = T.probe_name ta p in
-    let tb, q =
-      match
-        List.find_opt (fun q -> T.probe_name tb q = name) (List.init (T.probe_count tb) Fun.id)
-      with
-      | Some q -> (tb, q)
-      | None -> (T.create [ (name, None) ], 0) (* no tokens *)
-    in
-    match T.mismatch ~formats:false (ta, p, 0) (tb, q, 0) with
-    | None -> Ok ()
-    | Some (T.Value k) ->
-      mismatch ~cycle:(T.cycle ta p k) ~construct:name
-        "%s and %s disagree on probe %s: %s vs %s" la lb name
-        (Fixed.to_string (T.token ta p k))
-        (Fixed.to_string (T.token tb q k))
-    | Some (T.Cycle k) ->
-      let c = T.cycle ta p k and c' = T.cycle tb q k in
-      mismatch ~cycle:(min c c') ~construct:name
-        "%s and %s record probe %s tokens at different cycles (%d vs %d)" la lb name c c'
-    | Some (T.Length k) ->
-      let rest_a = T.length ta p - k and rest_b = T.length tb q - k in
-      mismatch
-        ~cycle:(if rest_a > 0 then T.cycle ta p k else T.cycle tb q k)
-        ~construct:name
-        "%s and %s record different token counts on probe %s (%d vs %d)" la lb name
-        rest_a rest_b
-  in
-  let rec scan p =
-    if p = T.probe_count ta then Ok ()
-    else match compare_probe p with Ok () -> scan (p + 1) | Error e -> Error e
-  in
-  scan 0
 
 (* --- the gate cycle engine -------------------------------------------------- *)
 
@@ -196,8 +112,7 @@ let gate_elaborate sys =
     { Synthesize.default_options with Synthesize.emit_probe_valids = true }
   in
   let nl, _report, smap =
-    Synthesize.synthesize_mapped ~options:synth_options
-      ~macro_of_kernel:macro_of_model sys
+    Synthesize.synthesize_mapped ~options:synth_options sys
   in
   let topology = Netlist.Sim.topology nl in
   let out_names = List.map fst (Netlist.outputs_list nl) in

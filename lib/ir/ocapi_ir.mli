@@ -38,10 +38,6 @@ type pass_record = {
 
 type t = {
   ir_design : payload;
-  ir_source : Cycle_system.t;
-      (** the behavioral root the design was lowered from; retained
-          because the shared stimuli and probe declarations that drive
-          cross-level equivalence checking live there *)
   ir_digest : string;  (** canonical digest of [ir_design] *)
   ir_provenance : pass_record list;  (** oldest first *)
 }
@@ -73,48 +69,17 @@ val to_netlist : t -> Netlist.t option
     record (pass name, input digest, output digest). *)
 val apply : pass -> t -> t
 
-(** [pipeline passes design] folds {!apply} left to right. *)
-val pipeline : pass list -> t -> t
-
 (** {1 The built-in passes} *)
 
-(** Behavioral -> Gate (["lower-to-gate"], [Synthesize.synthesize]).
-    Untimed kernels are mapped through {!macro_of_model}, i.e. their
-    declared [Dataflow.Kernel.k_model]. *)
+(** Behavioral -> Gate (["lower-to-gate"], [Synthesize.synthesize]):
+    each untimed kernel becomes the macro cell its declared
+    [Dataflow.Kernel.k_model] names. *)
 val lower_to_gate : pass
-
-(** [lower_to_gate_with ?options ?macro_of_kernel ()] — the
-    parameterized form (custom state encoding, extra macro mappings);
-    {!lower_to_gate} is the default instance. *)
-val lower_to_gate_with :
-  ?options:Synthesize.options ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> Synthesize.macro_spec option) ->
-  unit ->
-  pass
 
 (** Gate -> Gate (["optimize-gates"], [Netopt.run]): constant
     propagation, structural hashing, dead-logic elimination to
     fixpoint. *)
 val optimize_gates : pass
-
-(** Map an untimed kernel to a synthesis macro through its declarative
-    [k_model] — the registry-free counterpart of
-    [Ram_cell.macro_of_kernel], usable for any kernel that declares a
-    model. *)
-val macro_of_model : Dataflow.Kernel.t -> Synthesize.macro_spec option
-
-(** {1 Cross-level equivalence}
-
-    [check_equivalence ?cycles a b] drives both designs with the
-    shared stimuli of their behavioral roots for [cycles] clock cycles
-    (default 200) and compares probe token histories.  Gate-level
-    histories are sampled at the behavioral token cycles (the
-    generated-test-bench discipline of section 6).  On the first
-    disagreement the result is an [Ocapi_error.t] with code
-    [Mismatch] naming the probe, cycle and both levels — a structured
-    diagnostic instead of a probe-history diff. *)
-val check_equivalence :
-  ?cycles:int -> t -> t -> (unit, Ocapi_error.t) result
 
 (** {1 The gate cycle engine}
 

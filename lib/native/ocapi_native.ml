@@ -110,27 +110,49 @@ let cmi_dir () =
       (fun acc r -> match acc with Some _ -> acc | None -> walk r 0)
       None roots
 
-(* The ABI interface's directory, when a session would take a native
-   rung. *)
-let native_cmi () =
-  if disabled () then
-    Error (diag "native engine disabled by OCAPI_NATIVE_DISABLE")
-  else if not Dynlink.is_native then
+(* What a plugin compile needs of the host: [ocamlfind], the ABI
+   interface's directory and that interface's digest, which names the
+   cached artifacts. *)
+type toolchain = { ocamlfind : string; cmi : string; cmi_digest : string }
+
+let probe_toolchain () =
+  if not Dynlink.is_native then
     Error (diag "host runs bytecode; native Dynlink is unavailable")
   else
     match find_on_path "ocamlfind" with
     | None -> Error (diag "no ocamlfind on PATH; cannot compile plugins")
-    | Some _ -> begin
+    | Some ocamlfind -> begin
       match cmi_dir () with
       | None ->
         Error
           (diag
              "plugin ABI interface (ocapi_native_abi.cmi) not found; set \
               OCAPI_NATIVE_CMI_DIR")
-      | Some d -> Ok d
+      | Some cmi ->
+        let cmi_digest =
+          try Digest.to_hex (Digest.file (Filename.concat cmi abi_cmi))
+          with Sys_error _ -> "no-cmi"
+        in
+        Ok { ocamlfind; cmi; cmi_digest }
     end
 
-let availability () = Result.map ignore (native_cmi ())
+(* The toolchain is probed once per process (two domains racing on the
+   first session both find the same one); the kill switch is read on
+   every session, as tests flip it while the process runs. *)
+let probed = Atomic.make None
+
+let toolchain () =
+  if disabled () then
+    Error (diag "native engine disabled by OCAPI_NATIVE_DISABLE")
+  else
+    match Atomic.get probed with
+    | Some t -> t
+    | None ->
+      let t = probe_toolchain () in
+      Atomic.set probed (Some t);
+      t
+
+let availability () = Result.map ignore (toolchain ())
 
 (* --- artifact cache ------------------------------------------------------- *)
 
@@ -169,11 +191,7 @@ let clear_disk_cache () =
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
 
-let cache_key ~elaboration ~cmi =
-  let cmi_digest =
-    try Digest.to_hex (Digest.file (Filename.concat cmi abi_cmi))
-    with Sys_error _ -> "no-cmi"
-  in
+let cache_key ~elaboration tc =
   Digest.to_hex
     (Digest.string
        (String.concat "|"
@@ -181,22 +199,17 @@ let cache_key ~elaboration ~cmi =
             elaboration;
             string_of_int Emit.emitter_version;
             Sys.ocaml_version;
-            cmi_digest;
+            tc.cmi_digest;
           ]))
 
 (* --- out-of-process compilation and loading ------------------------------- *)
 
 exception Fall of Ocapi_error.t
 
-let compile_cmxs ~cmi ~src ~out =
-  let ocamlfind =
-    match find_on_path "ocamlfind" with
-    | Some p -> p
-    | None -> raise (Fall (diag "ocamlfind disappeared from PATH"))
-  in
-  let native_objs = Filename.concat (Filename.dirname cmi) "native" in
+let compile_cmxs tc ~src ~out =
+  let native_objs = Filename.concat (Filename.dirname tc.cmi) "native" in
   let incs =
-    Printf.sprintf "-I %s%s" (Filename.quote cmi)
+    Printf.sprintf "-I %s%s" (Filename.quote tc.cmi)
       (if Sys.file_exists native_objs then
          " -I " ^ Filename.quote native_objs
        else "")
@@ -204,7 +217,7 @@ let compile_cmxs ~cmi ~src ~out =
   let log = out ^ ".log" in
   let cmd =
     Printf.sprintf "%s ocamlopt -shared -w -a %s %s -o %s > %s 2>&1"
-      (Filename.quote ocamlfind) incs (Filename.quote src)
+      (Filename.quote tc.ocamlfind) incs (Filename.quote src)
       (Filename.quote out) (Filename.quote log)
   in
   let rc = Sys.command cmd in
@@ -248,7 +261,7 @@ let compiles_begun = ref 0
    file, and the loader keeps the file it mapped under any name.  The
    rename stays outside [Ocapi_obs.File]: the compiler, not this
    process, wrote the file. *)
-let compile ~cmi ~path sys pg =
+let compile tc ~path sys pg =
   if not (Emit.word_mode_ok pg) then
     raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
   incr compiles_begun;
@@ -267,7 +280,7 @@ let compile ~cmi ~path sys pg =
       (match Ocapi_obs.File.publish src (Emit.emit_plugin sys pg) with
       | Ok () -> ()
       | Error msg -> raise (Fall (diag ("cannot write the plugin source: " ^ msg))));
-      compile_cmxs ~cmi ~src ~out;
+      compile_cmxs tc ~src ~out;
       bump n_compiles "compiles";
       Ocapi_obs.span_end ~cat:"native"
         ~args:[ ("path", Ocapi_obs.Json.String path) ]
@@ -283,7 +296,7 @@ let compile ~cmi ~path sys pg =
    not load, registers nothing or does not fit is a counted miss,
    deleted and recompiled.  Raises [Fall] on environmental failures
    (the caller degrades to the interpreted program). *)
-let obtain ~cmi ~path sys pg =
+let obtain tc ~path sys pg =
   let cached =
     if not (Sys.file_exists path) then None
     else
@@ -296,21 +309,21 @@ let obtain ~cmi ~path sys pg =
         (try Sys.remove path with Sys_error _ -> ());
         None
   in
-  match cached with Some create -> create | None -> compile ~cmi ~path sys pg
+  match cached with Some create -> create | None -> compile tc ~path sys pg
 
 (* The factory for [sys]'s artifact, dynlinked by the first session of
    its path in this process and reused by the others. *)
-let factory ~cmi sys pg ~elaboration =
+let factory tc sys pg ~elaboration =
   let path =
     Filename.concat (cache_dir ())
-      ("ocapi_plugin_" ^ cache_key ~elaboration ~cmi ^ ".cmxs")
+      ("ocapi_plugin_" ^ cache_key ~elaboration tc ^ ".cmxs")
   in
   let reused, create =
     Mutex.protect load_mutex (fun () ->
         match Hashtbl.find_opt factories path with
         | Some create -> (true, create)
         | None ->
-          let create = obtain ~cmi ~path sys pg in
+          let create = obtain tc ~path sys pg in
           Hashtbl.replace factories path create;
           (false, create))
   in
@@ -410,10 +423,10 @@ let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
       k)
     pg.pg_kernels
 
-let native_session ~cmi sys =
+let native_session tc sys =
   let elaboration = Cycle_system.elaboration_key sys in
   let pg = Ocapi_engine.lowered ~key:elaboration sys in
-  let p = factory ~cmi sys pg ~elaboration () in
+  let p = factory tc sys pg ~elaboration () in
   let values = p.Ocapi_native_abi.p_values and stamps = p.Ocapi_native_abi.p_stamps in
   let untimed = Cycle_system.untimed_components sys in
   let host_kernels = Array.to_list (install_kernels p pg untimed) in
@@ -523,10 +536,10 @@ module Native_engine : Ocapi_engine.ENGINE = struct
 
   let make sys =
     Cycle_system.reset sys;
-    match native_cmi () with
+    match toolchain () with
     | Error _ -> fallback_session sys
-    | Ok cmi -> (
-      try native_session ~cmi sys
+    | Ok tc -> (
+      try native_session tc sys
       with Fall _ -> fallback_session sys)
 end
 

@@ -66,7 +66,8 @@ val register_engine : unit -> unit
     diagnostic explaining which prerequisite is missing (toolchain,
     native Dynlink, ABI interface, or an explicit disable).  Sessions
     never fail for these reasons — they degrade — so this is the
-    introspection point for tests and doctors. *)
+    introspection point for tests and doctors.  The toolchain is probed
+    once per process; [OCAPI_NATIVE_DISABLE] is read on every call. *)
 val availability : unit -> (unit, Ocapi_error.t) result
 
 (** {1 Statistics} *)

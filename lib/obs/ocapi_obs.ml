@@ -337,6 +337,11 @@ module File = struct
                else Some (n, Json.of_string line)))
       (read path)
 
+  let drop_torn_tail lines =
+    match List.rev lines with
+    | (_, Error _) :: earlier -> List.rev earlier
+    | _ -> lines
+
   (* A writer killed mid-line leaves bytes after the last newline.  The
      next append cuts them, so a torn line is only ever the final one. *)
   let cut_torn_tail fd =
@@ -1052,13 +1057,7 @@ module Ledger = struct
     if not (Sys.file_exists path) then Ok (Ok [])
     else
       Result.map
-        (fun lines ->
-          let lines =
-            match List.rev lines with
-            | (_, Error _) :: earlier -> List.rev earlier
-            | _ -> lines
-          in
-          File.decode path lines entry_of_json)
+        (fun lines -> File.decode path (File.drop_torn_tail lines) entry_of_json)
         (File.read_jsonl path)
 
   let median = function

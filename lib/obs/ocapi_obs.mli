@@ -58,9 +58,10 @@ end
 
     A JSONL file holds one JSON object per line; blank lines and lines
     starting with [#] are skipped.  What a malformed line means is the
-    caller's policy: the job journal and the perf ledger, which are
-    appended to while the environment runs, drop a torn final line;
-    manifests, the corpus and the event log reject any bad line. *)
+    caller's policy: the job journal, the perf ledger and the fuzz
+    corpus, which are appended to while the environment runs, drop a
+    torn final line; manifests and the event log reject any bad
+    line. *)
 module File : sig
   (** [mkdir_p dir] creates [dir] and its missing parents. *)
   val mkdir_p : string -> (unit, string) result
@@ -71,6 +72,12 @@ module File : sig
   (** [read_jsonl path] is each JSONL line's 1-based number and its
       {!Json.of_string} result, in file order. *)
   val read_jsonl : string -> ((int * (Json.t, string) result) list, string) result
+
+  (** [drop_torn_tail lines] is [lines] of {!read_jsonl} less a final
+      line that is not valid JSON: the line a writer killed mid-append
+      leaves.  A bad line before it is still there to reject. *)
+  val drop_torn_tail :
+    (int * (Json.t, string) result) list -> (int * (Json.t, string) result) list
 
   (** [decode path lines f] maps every line of {!read_jsonl} through
       [f]; the first line that fails to parse or decode is [Error

@@ -171,7 +171,7 @@ module Trace = struct
 
   type difference = Cycle of int | Value of int | Length of int
 
-  let mismatch ~formats (a, p, i) (b, q, j) =
+  let mismatch (a, p, i) (b, q, j) =
     let ca = a.(p) and cb = b.(q) in
     if i < 0 || j < 0 || i > ca.pc_len || j > cb.pc_len then
       error "Trace.mismatch: token %d of probe %s or token %d of probe %s is past its end"
@@ -183,11 +183,10 @@ module Trace = struct
       else if
         (get64 ca.pc_mantissas (8 * (i + k)) : int64)
         <> get64 cb.pc_mantissas (8 * (j + k))
-        || formats
-           &&
-           let f = ca.pc_formats.(format_ix ca (i + k))
-           and g = cb.pc_formats.(format_ix cb (j + k)) in
-           f != g && not (Fixed.equal_format f g)
+        ||
+        let f = ca.pc_formats.(format_ix ca (i + k))
+        and g = cb.pc_formats.(format_ix cb (j + k)) in
+        f != g && not (Fixed.equal_format f g)
       then Some (Value k)
       else from (k + 1)
     in

@@ -217,8 +217,8 @@ val probes : t -> string list
     What a probe received, as columns: every engine appends its probe
     tokens to a trace in place while it steps, and readers take cycles,
     mantissas and formats by index.  The result cache stores traces,
-    and the engine cross-checks, the SEU classifiers and the IR
-    equivalence check compare them with {!Trace.mismatch}.  Lists of
+    and the engine cross-checks and the SEU classifiers compare them
+    with {!Trace.mismatch}.  Lists of
     [(cycle, value)] pairs are derived from a trace
     ({!Trace.to_histories}) only at the API edge. *)
 
@@ -275,14 +275,13 @@ module Trace : sig
     | Length of int  (** one sequence ends after [k] tokens, the other
                          goes on *)
 
-  (** [mismatch ~formats (a, p, i) (b, q, j)] compares probe [p]'s
-      tokens of [a] from token [i] to its last with probe [q]'s of [b]
-      from token [j] to its last, in order, and returns their first
-      difference; [None] when they are equal.  Values compare by
-      mantissa, and also by format when [formats].
+  (** [mismatch (a, p, i) (b, q, j)] compares probe [p]'s tokens of [a]
+      from token [i] to its last with probe [q]'s of [b] from token [j]
+      to its last, in order, and returns their first difference; [None]
+      when they are equal.  Values compare by mantissa and format.
       @raise Ocapi_error.Error with code [Internal] when [i] or [j]
       lies outside [0, length]. *)
-  val mismatch : formats:bool -> t * int * int -> t * int * int -> difference option
+  val mismatch : t * int * int -> t * int * int -> difference option
 
   (** {2 Recording}
 

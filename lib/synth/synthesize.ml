@@ -22,6 +22,21 @@ type macro_spec =
       rdata_port : string;
     }
 
+let macro_of_model (k : Dataflow.Kernel.t) =
+  match k.Dataflow.Kernel.k_model with
+  | Some (Dataflow.Kernel.Ram_model m) ->
+    Some
+      (Ram_macro
+         {
+           words = m.words;
+           width = m.data_fmt.Fixed.width;
+           addr_port = m.addr_port;
+           wdata_port = m.wdata_port;
+           we_port = m.we_port;
+           rdata_port = m.rdata_port;
+         })
+  | None -> None
+
 type component_report = {
   cr_name : string;
   cr_instructions : int;
@@ -604,8 +619,9 @@ let synthesize_component nl ~options ~cname fsm ~in_bus ~drive =
 
 (* --- system linkage --------------------------------------------------------- *)
 
-let synthesize_mapped ?(options = default_options)
-    ?(macro_of_kernel = fun _ -> None) sys =
+(* The linked netlist of [sys], each untimed kernel mapped through
+   [macro]. *)
+let link ~options ~macro sys =
   let t0 = Unix.gettimeofday () in
   let t_span = Ocapi_obs.span_begin () in
   let nl = Netlist.create (Cycle_system.name sys) in
@@ -646,7 +662,7 @@ let synthesize_mapped ?(options = default_options)
   (* Untimed kernels as macro cells. *)
   List.iter
     (fun (cname, k) ->
-      match macro_of_kernel k with
+      match macro k with
       | Some (Ram_macro m) ->
         let get_in port =
           match in_bus_of cname port with
@@ -666,8 +682,7 @@ let synthesize_mapped ?(options = default_options)
           Array.iteri (fun i dst -> Netlist.buf_into nl ~dst rdata.(i)) bus
         | None -> ())
       | None ->
-        error ~construct:cname
-          "untimed kernel %s has no macro mapping; pass ~macro_of_kernel" cname)
+        error ~construct:cname "untimed kernel %s has no macro mapping" cname)
     (Cycle_system.untimed_components sys);
   (* Probes become primary outputs. *)
   List.iter
@@ -790,8 +805,11 @@ let synthesize_mapped ?(options = default_options)
   end;
   (nl, report, state_map)
 
-let synthesize ?options ?macro_of_kernel sys =
-  let nl, report, _ = synthesize_mapped ?options ?macro_of_kernel sys in
+let synthesize_mapped ?(options = default_options) sys =
+  link ~options ~macro:macro_of_model sys
+
+let synthesize ?(options = default_options) ?(macro_of_kernel = macro_of_model) sys =
+  let nl, report, _ = link ~options ~macro:macro_of_kernel sys in
   (nl, report)
 
 let pp_report ppf r =
@@ -820,7 +838,10 @@ type verify_result = {
 
 (* Replay [sys]'s stimuli on [nl] and sample each probe's output bus at
    the cycles the reference simulation recorded a token: the generated
-   test bench discipline, in process. *)
+   test bench discipline, in process.  Returns the reference's trace,
+   frozen, and the samples' trace: one column per probe, token [k] of a
+   sampled column read in the probe's format at the cycle of the
+   reference's token [k]; a probe [nl] has no output for gets none. *)
 let replay sys nl ~cycles =
   let module T = Cycle_system.Trace in
   Cycle_system.reset sys;
@@ -864,10 +885,10 @@ let replay sys nl ~cycles =
   done;
   (expected, sampled)
 
-let verify ?(options = default_options) ?(optimize = false) ?macro_of_kernel
-    sys ~cycles =
+let verify ?(options = default_options) ?(optimize = false) sys ~cycles =
+  Ocapi_error.check_count ~engine:"synth" "gate-level check: cycles" cycles;
   Cycle_system.reset sys;
-  let nl, _report = synthesize ~options ?macro_of_kernel sys in
+  let nl, _report = synthesize ~options sys in
   let nl = if optimize then fst (Netopt.run nl) else nl in
   let module T = Cycle_system.Trace in
   let expected, sampled = replay sys nl ~cycles in

@@ -18,8 +18,9 @@
       are synthesized from the register outputs by the datapath and fed
       to the controller, mirroring the paper's "conditions are stored in
       registers".
-    - {b Linkage}: components, RAM macro cells (for untimed kernels),
-      primary inputs and probes are wired into one system netlist. *)
+    - {b Linkage}: components, macro cells (the model each untimed
+      kernel declares, such as a RAM), primary inputs and probes are
+      wired into one system netlist. *)
 
 type state_encoding = Binary | One_hot
 
@@ -52,6 +53,12 @@ type macro_spec =
       we_port : string;
       rdata_port : string;
     }
+
+(** [macro_of_model k] — the macro cell [k]'s declared
+    [Dataflow.Kernel.k_model] names: a [Ram_model] is a RAM macro of its
+    words, data width and ports; [None] when [k] declares no model.
+    Synthesis maps every untimed kernel through it. *)
+val macro_of_model : Dataflow.Kernel.t -> macro_spec option
 
 type component_report = {
   cr_name : string;
@@ -95,10 +102,11 @@ type state_map = {
   sm_fsms : fsm_map array;  (** timed-component (system) order *)
 }
 
-(** [synthesize ?options ?macro_of_kernel sys] produces the linked
-    system netlist and a synthesis report.  Untimed kernels require a
-    [macro_of_kernel] mapping.
-    @raise Ocapi_error.Error with code [Internal] on an unknown kernel. *)
+(** [synthesize ?options sys] produces the linked system netlist and a
+    synthesis report.  Each untimed kernel becomes the macro cell
+    [macro_of_kernel] maps it to (default {!macro_of_model}).
+    @raise Ocapi_error.Error with code [Internal] on a kernel with no
+    macro. *)
 val synthesize :
   ?options:options ->
   ?macro_of_kernel:(Dataflow.Kernel.t -> macro_spec option) ->
@@ -108,28 +116,11 @@ val synthesize :
 (** [synthesize_mapped] is {!synthesize} plus the {!state_map} relating
     the system's registers and FSMs to netlist flip-flops. *)
 val synthesize_mapped :
-  ?options:options ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> macro_spec option) ->
-  Cycle_system.t ->
-  Netlist.t * report * state_map
+  ?options:options -> Cycle_system.t -> Netlist.t * report * state_map
 
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Netlist-level verification (the generated-test-bench flow)} *)
-
-(** [replay sys nl ~cycles] runs the reference (interpreted) simulation
-    for [cycles], replays its stimuli on [nl] and samples every probe's
-    output bus at the cycles the reference recorded a token.  It returns
-    the reference's trace, frozen, and the samples' trace: one column
-    per probe in [Cycle_system.probes] order, token [k] of each sampled
-    column read in the probe's format at the cycle of the reference's
-    token [k].  A probe [nl] has no output for gets no samples.  The
-    system is reset before and after. *)
-val replay :
-  Cycle_system.t ->
-  Netlist.t ->
-  cycles:int ->
-  Cycle_system.Trace.t * Cycle_system.Trace.t
 
 type verify_result = {
   vectors_checked : int;
@@ -137,17 +128,17 @@ type verify_result = {
       (** cycle, probe, expected mantissa, netlist mantissa *)
 }
 
-(** [verify ?options ?optimize ?macro_of_kernel sys ~cycles] {!replay}s
-    the reference simulation on the synthesized netlist and compares
-    every probe token — the "verification of the synthesis result" of
-    fig 8.
+(** [verify ?options ?optimize sys ~cycles] runs the reference
+    (interpreted) simulation for [cycles], replays its stimuli on the
+    synthesized netlist, samples every probe's output bus at the cycles
+    the reference recorded a token and compares the mantissas — the
+    "verification of the synthesis result" of fig 8, and the one check
+    of a netlist against its design.  Mismatches are listed by cycle,
+    then in [Cycle_system.probes] order.
     With [optimize] (default false) the netlist is first run through
     {!Netopt.run}, so the post-optimization netlist is what is
-    verified.  The system is reset before and after. *)
+    verified.  The system is reset before and after.
+    @raise Ocapi_error.Error with code [Unsupported] on negative
+    [cycles], before any work. *)
 val verify :
-  ?options:options ->
-  ?optimize:bool ->
-  ?macro_of_kernel:(Dataflow.Kernel.t -> macro_spec option) ->
-  Cycle_system.t ->
-  cycles:int ->
-  verify_result
+  ?options:options -> ?optimize:bool -> Cycle_system.t -> cycles:int -> verify_result

@@ -25,6 +25,24 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "native fallback (engine disabled, then no ocamlfind on PATH)"
+OCAPI_NATIVE_DISABLE=1 dune runtest --force
+# Every PATH directory holding an ocamlfind goes, not the workflow's
+# PATH=/usr/bin:/bin: a local ocamlfind may live in /usr/bin.
+nofind_path=$PATH
+while found=$(PATH=$nofind_path; command -v ocamlfind); do
+  stripped=$(printf '%s' "$nofind_path" | tr ':' '\n' \
+    | { grep -vxF "$(dirname "$found")" || true; } | paste -sd: -)
+  if [ "$stripped" = "$nofind_path" ]; then
+    echo "error: cannot take $found off PATH" >&2
+    exit 1
+  fi
+  nofind_path=$stripped
+done
+# From the test directory, as `dune runtest` runs it: the runner tests
+# find the CLI at ../bin/ocapi_cli.exe.
+(cd _build/default/test && PATH="$nofind_path" ./main.exe --compact)
+
 stage "examples (exit 1 on an engine or netlist mismatch)"
 for exe in _build/default/examples/*.exe; do
   echo "== $exe"

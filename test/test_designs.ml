@@ -158,8 +158,6 @@ let test_ram_cell_semantics () =
   Alcotest.(check int) "initial zero" 0 (fire 1 42 true);
   Alcotest.(check int) "write visible next" 42 (fire 1 0 false);
   Alcotest.(check int) "other word untouched" 0 (fire 2 0 false);
-  Alcotest.(check (option int)) "peek" (Some 42)
-    (Option.map Fixed.to_int (Ram_cell.peek ~name:"test_ram_sem" 1));
   k.Dataflow.Kernel.k_reset ();
   Alcotest.(check int) "reset" 0 (fire 1 0 false)
 
@@ -279,19 +277,13 @@ let test_dect_engines_agree () =
 
 let test_dect_netlist_verify () =
   let d, _, _, _ = dect_setup ~symbols:6 () in
-  let r =
-    Flow.verify_netlist ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      d.Dect_transceiver.system ~cycles:100
-  in
+  let r = Synthesize.verify d.Dect_transceiver.system ~cycles:100 in
   Alcotest.(check bool) "vectors checked" true (r.Synthesize.vectors_checked > 1000);
   Alcotest.(check int) "no mismatches" 0 (List.length r.Synthesize.mismatches)
 
 let test_dect_gate_count_scale () =
   let d, _, _, _ = dect_setup ~symbols:2 () in
-  let _, rep =
-    Synthesize.synthesize ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      d.Dect_transceiver.system
-  in
+  let _, rep = Synthesize.synthesize d.Dect_transceiver.system in
   let g = rep.Synthesize.total.Netlist.gate_equivalents in
   (* The paper reports 75 Kgates; the reproduction must be the same
      order of magnitude. *)
@@ -337,9 +329,7 @@ let test_dect_hold_under_compiled () =
 let test_dect_optimized_netlist () =
   let d, _, _, _ = dect_setup ~symbols:5 () in
   let r =
-    Synthesize.verify ~optimize:true
-      ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      d.Dect_transceiver.system ~cycles:90
+    Synthesize.verify ~optimize:true d.Dect_transceiver.system ~cycles:90
   in
   Alcotest.(check int) "optimized netlist verifies" 0
     (List.length r.Synthesize.mismatches)
@@ -351,9 +341,7 @@ let test_dect_one_hot () =
       Synthesize.state_encoding = Synthesize.One_hot }
   in
   let r =
-    Synthesize.verify ~options
-      ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-      d.Dect_transceiver.system ~cycles:70
+    Synthesize.verify ~options d.Dect_transceiver.system ~cycles:70
   in
   Alcotest.(check int) "one-hot DECT verifies" 0
     (List.length r.Synthesize.mismatches)

@@ -127,6 +127,31 @@ let test_corpus_file_roundtrip () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* A run killed mid-append leaves a torn final line: `ocapi fuzz
+   --corpus` drops it and replays the entry before it. *)
+let test_corpus_torn_line_cli () =
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
+  in
+  Temp_dir.with_dir "ocapi_corpus_torn" (fun dir ->
+      let path = Filename.concat dir "corpus.jsonl" and out = Filename.concat dir "out" in
+      let line = json_str (Corpus.entry_json (mk_entry 9)) in
+      Result.get_ok (Ocapi_obs.File.publish path (line ^ "\n" ^ String.sub line 0 40));
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+      let pid =
+        Unix.create_process cli
+          [| cli; "fuzz"; "--corpus"; path; "--count"; "1"; "--json" |]
+          Unix.stdin fd fd
+      in
+      Unix.close fd;
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0);
+      let report = Ocapi_obs.Json.of_string (String.trim (Result.get_ok (Ocapi_obs.File.read out))) in
+      Alcotest.(check int) "the entry replays" 1
+        (match Result.map (Ocapi_obs.Json.member "replays") report with
+        | Ok (Some (Ocapi_obs.Json.List replays)) -> List.length replays
+        | _ -> -1))
+
 (* A clean corpus entry replays green; an entry whose recorded digest
    was tampered with is counted as a replay failure. *)
 let test_corpus_replay () =
@@ -263,6 +288,8 @@ let suite =
     Alcotest.test_case "corpus file roundtrip" `Quick test_corpus_file_roundtrip;
     Alcotest.test_case "corpus replay verifies digests" `Quick
       test_corpus_replay;
+    Alcotest.test_case "corpus torn final line: fuzz --corpus replays" `Quick
+      test_corpus_torn_line_cli;
     Alcotest.test_case "self-test catches the injected bug" `Quick
       test_self_test_catches_bug;
     Alcotest.test_case "buggy engine corrupts its trace" `Quick

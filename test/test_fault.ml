@@ -155,13 +155,11 @@ let test_digests_rs_cpu () =
   check_digest "rs" ~faults:2210 ~detected:1699 "7ca44fc8e534059080aed9a61dd04f25"
     (Ocapi_fault.stuck_at_system ~seed:1 (Gallery.rs ()) ~cycles:45);
   check_digest "cpu" ~faults:2801 ~detected:1425 "433d13904a1f0dbc2b31a32eafda5493"
-    (Ocapi_fault.stuck_at_system ~macro_of_kernel:Ram_cell.macro_of_kernel ~seed:1
-       (Gallery.cpu ()) ~cycles:64)
+    (Ocapi_fault.stuck_at_system ~seed:1 (Gallery.cpu ()) ~cycles:64)
 
 let test_digests_dect_hcor () =
   check_digest "dect" ~faults:80 ~detected:17 "59bcd908a382245a99274de27f4f59ae"
-    (Ocapi_fault.stuck_at_system ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-       ~max_faults:80 ~seed:1 (Gallery.dect ()) ~cycles:64);
+    (Ocapi_fault.stuck_at_system ~max_faults:80 ~seed:1 (Gallery.dect ()) ~cycles:64);
   let c = Ocapi_fault.stuck_at_optimized ~max_faults:200 ~seed:1 (Gallery.hcor ()) ~cycles:24 in
   check_digest "hcor pre" ~faults:200 ~detected:109 "8bac454a63138b00971ff20c0fb3a54e"
     c.sc_pre;
@@ -237,18 +235,15 @@ let test_seu_long_window () =
 let test_gallery_acyclic () =
   List.iter
     (fun (name, build) ->
-      let macro_of_kernel = Gallery.macro_of_kernel name in
       List.iter
-        (fun (what, options, macro_of_kernel) ->
-          let nl, _ = Synthesize.synthesize ~options ~macro_of_kernel (build ()) in
+        (fun (what, options) ->
+          let nl, _ = Synthesize.synthesize ~options (build ()) in
           let _, cyclic = Netlist.combinational_depth nl in
           Alcotest.(check int) (Printf.sprintf "%s, %s: cyclic elements" name what) 0 cyclic)
         [
-          ("stuck-at", Synthesize.default_options, macro_of_kernel);
-          ("stuck-at optimized", Synthesize.default_options, Ocapi_ir.macro_of_model);
+          ("stuck-at", Synthesize.default_options);
           ( "gate engine",
-            { Synthesize.default_options with Synthesize.emit_probe_valids = true },
-            Ocapi_ir.macro_of_model );
+            { Synthesize.default_options with Synthesize.emit_probe_valids = true } );
         ])
     Gallery.designs
 

@@ -81,10 +81,7 @@ let test_single_iteration_deadlock_none () =
 let test_synthesize_to_verilog_roundtrip () =
   let sys = dect () in
   Temp_dir.with_dir "ocapi_flow" (fun dir ->
-      let nl, rep, path =
-        Flow.synthesize_to_verilog ~macro_of_kernel:Dect_transceiver.macro_of_kernel
-          sys ~dir
-      in
+      let nl, rep, path = Flow.synthesize_to_verilog sys ~dir in
       Alcotest.(check bool) "file exists" true (Sys.file_exists path);
       Alcotest.(check bool) "tens of kgates" true
         (rep.Synthesize.total.Netlist.gate_equivalents > 20_000);
@@ -109,6 +106,7 @@ let test_negative_counts () =
   unsupported "simulate" (fun () -> Flow.simulate (rs ()) ~cycles:(-5));
   unsupported "standalone simulator" (fun () ->
       Flow.emit_ocaml_simulator (rs ()) ~dir:"." ~cycles:(-3));
+  unsupported "gate-level check" (fun () -> Synthesize.verify (rs ()) ~cycles:(-2));
   unsupported "stuck-at cycles" (fun () ->
       Ocapi_fault.stuck_at_system (rs ()) ~cycles:(-1));
   unsupported "stuck-at max_faults" (fun () ->

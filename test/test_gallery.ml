@@ -171,17 +171,7 @@ let test_rs_engines_agree () =
   check_engines_agree "rs" rs_system ~cycles:90
     ~engines:[ "interp"; "compiled"; "rtl"; "gate" ]
 
-let check_equiv name a b ~cycles =
-  match Ocapi_ir.check_equivalence ~cycles a b with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: %s" name (Ocapi_error.to_string e)
-
-let test_rs_gate_equivalence () =
-  let b = Ocapi_ir.behavioral (rs_system ()) in
-  let g =
-    Ocapi_ir.pipeline [ Ocapi_ir.lower_to_gate; Ocapi_ir.optimize_gates ] b
-  in
-  check_equiv "rs behavioral = optimized gate" b g ~cycles:90
+let test_rs_gate_equivalence () = Test_ir.check_all_levels rs_system ~cycles:90
 
 (* --- ACC: the self-checking program ---------------------------------------- *)
 
@@ -234,12 +224,7 @@ let test_cpu_engines_agree () =
     ~engines:[ "interp"; "compiled"; "rtl"; "gate" ]
 
 let test_cpu_gate_equivalence () =
-  let b = Ocapi_ir.behavioral (cpu_system ()) in
-  let g =
-    Ocapi_ir.pipeline [ Ocapi_ir.lower_to_gate; Ocapi_ir.optimize_gates ] b
-  in
-  check_equiv "cpu behavioral = optimized gate" b g
-    ~cycles:Acc_cpu.check_cycles
+  Test_ir.check_all_levels cpu_system ~cycles:Acc_cpu.check_cycles
 
 let suite =
   [

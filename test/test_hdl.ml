@@ -258,6 +258,17 @@ let emit_pins =
       ] );
   ]
 
+(* A design's RAMs need no mapping: synthesis reads the model each
+   kernel declares, and the netlists are the ones `ocapi emit` writes. *)
+let test_ram_designs_synthesize_unmapped () =
+  List.iter
+    (fun (design, build) ->
+      let nl, _ = Synthesize.synthesize (build ()) in
+      Alcotest.(check string) (design ^ "_netlist.v")
+        (List.assoc (design ^ "_netlist.v") (List.assoc design emit_pins))
+        (Digest.to_hex (Digest.string (Verilog.of_netlist nl))))
+    [ ("dect", Gallery.dect); ("cpu", Gallery.cpu) ]
+
 let test_emit_pinned () =
   let cli =
     Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ocapi_cli.exe"
@@ -298,4 +309,8 @@ let test_emit_pinned () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "emit pinned: hcor, dect, rs, cpu" `Quick test_emit_pinned ]
+  @ [
+      Alcotest.test_case "emit pinned: hcor, dect, rs, cpu" `Quick test_emit_pinned;
+      Alcotest.test_case "RAM designs synthesize with no mapping" `Quick
+        test_ram_designs_synthesize_unmapped;
+    ]

@@ -554,8 +554,8 @@ let line_gen =
 (* Random mixes of accepted lines, blank and [#] lines and garbage,
    sometimes ending in a line torn short: each reader returns [Ok] with
    one value per accepted line, or [Error] naming the first bad line,
-   and never raises.  The journal and the ledger drop a bad final line
-   (a torn append); the manifest, corpus and event log reject it. *)
+   and never raises.  The journal, the ledger and the corpus drop a bad
+   final line (a torn append); the manifest and event log reject it. *)
 let test_readers_property =
   QCheck.Test.make ~count:60 ~name:"JSONL readers: Ok or the first bad line"
     QCheck.(
@@ -589,7 +589,7 @@ let test_readers_property =
           in
           let parsed =
             match (reader, List.rev parsed) with
-            | ("journal" | "ledger"), (_, false) :: earlier -> List.rev earlier
+            | ("journal" | "ledger" | "corpus"), (_, false) :: earlier -> List.rev earlier
             | _ -> parsed
           in
           let load = List.assoc reader readers in

@@ -144,11 +144,35 @@ let test_ram_macro_system () =
   ignore (Cycle_system.connect sys (c, "we") [ (ram, "we") ]);
   ignore (Cycle_system.connect sys (ram, "rdata") [ (c, "rdata") ]);
   ignore (Cycle_system.connect sys (c, "sum") [ (probe, "in") ]);
-  let r =
-    Synthesize.verify ~macro_of_kernel:Ram_cell.macro_of_kernel sys ~cycles:40
-  in
+  let r = Synthesize.verify sys ~cycles:40 in
   Alcotest.(check int) "no mismatches" 0 (List.length r.Synthesize.mismatches);
   Alcotest.(check int) "vectors" 40 r.Synthesize.vectors_checked
+
+(* The RAM macro is the one the synthesized system's kernel declares,
+   whatever RAMs of the same name were built since: two fuzz genomes
+   whose [fzram] words are 2 and 5 bits wide, built in turn. *)
+let test_ram_macro_from_system () =
+  let module Spec = Ocapi_diff.Spec in
+  let rec with_ram seed =
+    let spec = Spec.generate ~seed () in
+    if Option.is_some spec.Spec.sp_ram then spec else with_ram (seed + 1)
+  in
+  let spec = with_ram 1 in
+  let build width =
+    Spec.build
+      {
+        spec with
+        Spec.sp_ram =
+          Option.map
+            (fun r ->
+              { r with Spec.rs_data = { Spec.f_signed = false; f_width = width; f_frac = 0 } })
+            spec.Spec.sp_ram;
+      }
+  in
+  let narrow = build 2 in
+  ignore (build 5);
+  let _, rep = Synthesize.synthesize ~macro_of_kernel:Ram_cell.macro_of_kernel narrow in
+  Alcotest.(check int) "8 words of 2 bits" 16 rep.Synthesize.total.Netlist.ram_bits
 
 let test_unknown_kernel_rejected () =
   let sys = Cycle_system.create "unk" in
@@ -185,6 +209,8 @@ let suite =
     Alcotest.test_case "report contents" `Quick test_report_contents;
     Alcotest.test_case "verilog printable" `Quick test_controller_state_sequencing;
     Alcotest.test_case "RAM macro system" `Quick test_ram_macro_system;
+    Alcotest.test_case "RAM macro from the synthesized system" `Quick
+      test_ram_macro_from_system;
     Alcotest.test_case "unknown kernel rejected" `Quick test_unknown_kernel_rejected;
     Alcotest.test_case "one-hot encoding" `Quick test_one_hot_encoding;
   ]
