@@ -256,6 +256,68 @@ and net = {
   mutable n_token : Fixed.t option;
 }
 
+(* --- run tables ----------------------------------------------------------- *)
+
+(* What [cycle] and [cycle_two_phase] step over, resolved from the
+   components, their FSMs' transitions and the nets on the first cycle
+   after a structural change ([add] and [connect] drop it).  Per cycle,
+   only the selections, the slots' firing state and the kernels' fired
+   flags change. *)
+
+(* One action SFG of one transition.  Its plan, nets, registers and
+   seeds are resolved when the table is built; the memo, the input
+   count and the output flags are one cycle's firing state, restarted
+   when the transition is selected. *)
+type slot = {
+  sl_plan : Signal.Plan.t;  (* [Sfg.plan]: the outputs, then the assignments *)
+  sl_sfg_name : string;
+  sl_nets : run_net option array;  (* output [k]'s net, [None] when unconnected *)
+  sl_regs : Signal.Reg.t array;  (* assignment [k]'s register *)
+  sl_seeds : int array array;
+      (* per input port of the component: the plan nodes a token on it
+         seeds, the reads of every input of that name that an action of
+         the transition declares *)
+  sl_declares : bool array;  (* per input port: does the SFG declare it? *)
+  sl_inputs : int;  (* inputs the SFG declares *)
+  mutable sl_memo : Signal.Plan.memo;
+  mutable sl_unbound : int;  (* declared inputs without a token yet *)
+  sl_produced : Bytes.t;  (* per output: 0 pending, 1 evaluated, 2 delivered *)
+  mutable sl_evaluated : int;  (* outputs evaluated this cycle *)
+  mutable sl_complete : bool;
+}
+
+(* A timed component: its FSM's transitions, by index, with one slot
+   per action. *)
+and timed = {
+  tc_comp : component;
+  tc_fsm : Fsm.t;
+  tc_ports : string array;  (* connected input ports; the index of [sl_seeds] *)
+  mutable tc_transitions : Fsm.transition array;
+  mutable tc_slots : slot array array;  (* per transition *)
+  mutable tc_selected : int;  (* this cycle's transition, -1 for none *)
+}
+
+and run_net = {
+  rn_net : net;
+  rn_sinks : (timed * int) array;  (* timed sinks, with the port's index *)
+  rn_probes : int array;  (* the probe columns it feeds *)
+}
+
+type untimed = {
+  uk_comp : component;
+  uk_kernel : Dataflow.Kernel.t;
+  uk_inputs : net option array;  (* [k_inputs] order, [None] when unconnected *)
+  uk_outputs : (string * run_net) array;  (* connected output ports *)
+  mutable uk_fired : bool;
+}
+
+type run = {
+  r_timed : timed array;  (* creation order *)
+  r_untimed : untimed array;  (* creation order *)
+  r_inputs : (column * run_net) array;  (* connected primary inputs, creation order *)
+  r_nets : run_net array;  (* creation order *)
+}
+
 type t = {
   s_name : string;
   mutable comps : component list;  (* reversed *)
@@ -268,6 +330,7 @@ type t = {
   mutable eval_iterations : int;
   mutable untimed_fires : int;
   mutable s_attached : string list;  (* engine names of open sessions *)
+  mutable s_run : run option;  (* built by the first cycle after [add] or [connect] *)
 }
 
 let create s_name =
@@ -283,6 +346,7 @@ let create s_name =
     eval_iterations = 0;
     untimed_fires = 0;
     s_attached = [];
+    s_run = None;
   }
 
 let attach_engine t engine = t.s_attached <- engine :: t.s_attached
@@ -315,6 +379,7 @@ let add t c_name c_kind =
   in
   t.comps <- c :: t.comps;
   Hashtbl.replace t.by_name c_name c;
+  t.s_run <- None;
   c
 
 let add_timed t name fsm = add t name (Timed fsm)
@@ -450,6 +515,7 @@ let connect t (src, src_port) sinks =
   Hashtbl.replace src.c_drives src_port n;
   List.iter (fun (dst, dst_port) -> Hashtbl.replace dst.c_reads dst_port n) sinks;
   t.s_nets <- n :: t.s_nets;
+  t.s_run <- None;
   n
 
 (* --- wiring and net formats ------------------------------------------------ *)
@@ -581,20 +647,183 @@ let check t =
     (nets t);
   List.rev !issues
 
+(* --- building the run table ---------------------------------------------- *)
+
+(* A slot's memo outside a cycle: no plan and nothing computed, so a
+   reset leaves no value of the last run reachable. *)
+let no_memo = Signal.Plan.start (Signal.Plan.create [])
+
+(* [port]'s index in [ports]; -1 when it is not there. *)
+let port_index ports port =
+  let rec go i =
+    if i = Array.length ports then -1
+    else if String.equal ports.(i) port then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The net output [port] of [c] drives, if any. *)
+let driven nets c port =
+  Option.map (fun n -> nets.(n.n_id)) (Hashtbl.find_opt c.c_drives port)
+
+(* The slot of action [sfg] of a transition.  A token on a port binds
+   every input of its name that an action of the transition declares
+   ([bound.(port)] lists their ids), and reaches every read of those
+   inputs. *)
+let slot nets tc bound sfg =
+  let plan = Sfg.plan sfg and inputs = Sfg.inputs sfg and outputs = Sfg.outputs sfg in
+  let seeds ids =
+    if ids = [] then [||]
+    else Signal.Plan.read_nodes plan (fun i -> List.mem (Signal.Input.id i) ids)
+  in
+  let declares port =
+    List.exists (fun i -> String.equal (Signal.Input.name i) port) inputs
+  in
+  {
+    sl_plan = plan;
+    sl_sfg_name = Sfg.name sfg;
+    sl_nets =
+      Array.of_list (List.map (fun (port, _) -> driven nets tc.tc_comp port) outputs);
+    sl_regs = Array.of_list (Sfg.regs_written sfg);
+    sl_seeds = Array.map seeds bound;
+    sl_declares = Array.map declares tc.tc_ports;
+    sl_inputs = List.length inputs;
+    sl_memo = no_memo;
+    sl_unbound = 0;
+    sl_produced = Bytes.make (List.length outputs) '\000';
+    sl_evaluated = 0;
+    sl_complete = false;
+  }
+
+(* [tc]'s entry for every transition its FSM has now. *)
+let resolve_transitions nets tc =
+  let trs = Array.of_list (Fsm.transitions tc.tc_fsm) in
+  tc.tc_transitions <- trs;
+  tc.tc_slots <-
+    Array.map
+      (fun tr ->
+        let actions = tr.Fsm.t_actions in
+        let bound = Array.make (Array.length tc.tc_ports) [] in
+        List.iter
+          (fun sfg ->
+            List.iter
+              (fun i ->
+                match port_index tc.tc_ports (Signal.Input.name i) with
+                | p when p >= 0 -> bound.(p) <- Signal.Input.id i :: bound.(p)
+                | _ -> ())
+              (Sfg.inputs sfg))
+          actions;
+        Array.of_list (List.map (slot nets tc bound) actions))
+      trs
+
+let build_run t =
+  let comps = List.rev t.comps in
+  let timed_of = Array.make (List.length comps) None in
+  let r_timed =
+    List.filter_map
+      (fun c ->
+        match c.c_kind with
+        | Timed fsm ->
+          let ports = Hashtbl.fold (fun p _ acc -> p :: acc) c.c_reads [] in
+          let tc =
+            {
+              tc_comp = c;
+              tc_fsm = fsm;
+              tc_ports = Array.of_list (List.sort String.compare ports);
+              tc_transitions = [||];
+              tc_slots = [||];
+              tc_selected = -1;
+            }
+          in
+          timed_of.(c.c_id) <- Some tc;
+          Some tc
+        | Untimed _ | Primary_input _ | Primary_output _ -> None)
+      comps
+  in
+  let run_net n =
+    {
+      rn_net = n;
+      rn_sinks =
+        Array.of_list
+          (List.filter_map
+             (fun (sink, port) ->
+               Option.map
+                 (fun tc -> (tc, port_index tc.tc_ports port))
+                 timed_of.(sink.c_id))
+             n.n_sinks);
+      rn_probes =
+        Array.of_list
+          (List.filter_map
+             (fun (sink, _) ->
+               match sink.c_kind with
+               | Primary_output p -> Some p
+               | Timed _ | Untimed _ | Primary_input _ -> None)
+             n.n_sinks);
+    }
+  in
+  let nets = Array.of_list (List.map run_net (nets t)) in
+  List.iter (resolve_transitions nets) r_timed;
+  let untimed c k =
+    {
+      uk_comp = c;
+      uk_kernel = k;
+      uk_inputs =
+        Array.of_list
+          (List.map
+             (fun (port, _) -> Hashtbl.find_opt c.c_reads port)
+             k.Dataflow.Kernel.k_inputs);
+      uk_outputs =
+        Array.of_list
+          (List.filter_map
+             (fun (port, _) -> Option.map (fun n -> (port, n)) (driven nets c port))
+             k.Dataflow.Kernel.k_outputs);
+      uk_fired = false;
+    }
+  in
+  {
+    r_timed = Array.of_list r_timed;
+    r_untimed =
+      Array.of_list
+        (List.filter_map
+           (fun c ->
+             match c.c_kind with
+             | Untimed k -> Some (untimed c k)
+             | Timed _ | Primary_input _ | Primary_output _ -> None)
+           comps);
+    r_inputs =
+      Array.of_list
+        (List.filter_map
+           (fun c ->
+             match c.c_kind with
+             | Primary_input col -> Option.map (fun n -> (col, n)) (driven nets c "out")
+             | Timed _ | Untimed _ | Primary_output _ -> None)
+           comps);
+    r_nets = nets;
+  }
+
+let run_table t =
+  match t.s_run with
+  | Some run -> run
+  | None ->
+    let run = build_run t in
+    t.s_run <- Some run;
+    run
+
+(* Drops every slot's memo, and with it the values of the last run. *)
+let clear_memos run =
+  Array.iter
+    (fun tc -> Array.iter (Array.iter (fun sl -> sl.sl_memo <- no_memo)) tc.tc_slots)
+    run.r_timed
+
 (* --- per-cycle machinery ------------------------------------------------ *)
 
-(* State of one marked SFG during a cycle. *)
-type marked_sfg = {
-  m_comp : component;
-  m_sfg : Sfg.t;
-  m_env : Signal.Env.t;  (* shared per component *)
-  m_produced : (string, unit) Hashtbl.t;
-  mutable m_complete : bool;
-}
+(* The slots of [tc]'s transition this cycle; none when its FSM holds. *)
+let selected tc = if tc.tc_selected >= 0 then tc.tc_slots.(tc.tc_selected) else [||]
 
-(* Deliver a token to a net: store it, trace it, and bind it into the
-   environments of all timed sinks (matching marked-SFG inputs by name). *)
-let push_token t marked n v =
+(* Deliver a token to a net: store it, trace it, and seed it into the
+   memos of the slots its timed sinks selected. *)
+let push_token t rn v =
+  let n = rn.rn_net in
   (match n.n_token with
   | Some _ ->
     error ~cycle:t.cycle_count "net %s: two tokens in one cycle" n.n_name
@@ -605,169 +834,212 @@ let push_token t marked n v =
   | Some tr when n.n_id < Trace.probe_count tr ->
     Trace.record_token tr n.n_id ~cycle:t.cycle_count v
   | Some _ | None -> ());
-  List.iter
-    (fun (sink, port) ->
-      match sink.c_kind with
-      | Timed _ ->
-        List.iter
-          (fun m ->
-            if m.m_comp.c_id = sink.c_id then
-              List.iter
-                (fun i ->
-                  if Signal.Input.name i = port then
-                    Signal.Env.bind m.m_env i v)
-                (Sfg.inputs m.m_sfg))
-          marked
-      | Untimed _ | Primary_input _ | Primary_output _ -> ())
-    n.n_sinks
+  let sinks = rn.rn_sinks in
+  for j = 0 to Array.length sinks - 1 do
+    let tc, port = sinks.(j) in
+    let slots = selected tc in
+    for s = 0 to Array.length slots - 1 do
+      let sl = slots.(s) in
+      Signal.Plan.seed sl.sl_memo sl.sl_seeds.(port) v;
+      if sl.sl_declares.(port) then sl.sl_unbound <- sl.sl_unbound - 1
+    done
+  done
 
-let deliver_outputs t marked m outputs =
-  List.iter
-    (fun (port, v) ->
-      Hashtbl.replace m.m_produced port ();
-      match Hashtbl.find_opt m.m_comp.c_drives port with
-      | Some n -> push_token t marked n v
-      | None -> () (* unconnected output: token falls on the floor *))
-    outputs
+(* Fire a marked slot: evaluate the outputs not produced yet ([partial]:
+   only those whose input reads are all seeded), stage the register
+   assignments once every declared input has its token, then deliver
+   the outputs evaluated, in order. *)
+let fire_slot t sl ~partial =
+  let m = sl.sl_memo and flags = sl.sl_produced in
+  let outputs = Bytes.length flags in
+  for k = 0 to outputs - 1 do
+    if Bytes.get flags k = '\000' && ((not partial) || Signal.Plan.ready m k) then begin
+      ignore (Signal.Plan.eval m k);
+      Bytes.set flags k '\001';
+      sl.sl_evaluated <- sl.sl_evaluated + 1
+    end
+  done;
+  if sl.sl_unbound = 0 then begin
+    for j = 0 to Array.length sl.sl_regs - 1 do
+      Signal.Reg.set_next sl.sl_regs.(j) (Signal.Plan.eval m (outputs + j))
+    done;
+    sl.sl_complete <- true
+  end;
+  for k = 0 to outputs - 1 do
+    if Bytes.get flags k = '\001' then begin
+      Bytes.set flags k '\002';
+      match sl.sl_nets.(k) with
+      | Some rn -> push_token t rn (Signal.Plan.eval m k)
+      | None -> () (* unconnected output: token falls on the floor *)
+    end
+  done
+
+(* One sweep over the marked slots, in marked order (components in
+   creation order, then actions): each one not complete fires, in part
+   when [partial], else only once every declared input has its token.
+   [true] when one produced an output or completed. *)
+let sweep_marked t run ~partial =
+  let progress = ref false in
+  for c = 0 to Array.length run.r_timed - 1 do
+    let slots = selected run.r_timed.(c) in
+    for s = 0 to Array.length slots - 1 do
+      let sl = slots.(s) in
+      if (not sl.sl_complete) && (partial || sl.sl_unbound = 0) then begin
+        let evaluated = sl.sl_evaluated in
+        fire_slot t sl ~partial;
+        if sl.sl_evaluated > evaluated || sl.sl_complete then progress := true
+      end
+    done
+  done;
+  !progress
+
+let rec incomplete slots s =
+  s < Array.length slots && ((not slots.(s).sl_complete) || incomplete slots (s + 1))
+
+let rec exists_incomplete timed c =
+  c < Array.length timed
+  && (incomplete (selected timed.(c)) 0 || exists_incomplete timed (c + 1))
 
 (* Untimed kernel firing inside a cycle: all input nets carry a token. *)
-let untimed_ready c k fired =
-  (not (Hashtbl.mem fired c.c_id))
-  && k.Dataflow.Kernel.k_ready ()
-  && List.for_all
-       (fun (port, _) ->
-         match Hashtbl.find_opt c.c_reads port with
-         | Some n -> n.n_token <> None
-         | None -> false)
-       k.Dataflow.Kernel.k_inputs
+let rec arrived nets j =
+  j = Array.length nets
+  || (match nets.(j) with Some n -> Option.is_some n.n_token | None -> false)
+     && arrived nets (j + 1)
+
+let untimed_ready uk =
+  (not uk.uk_fired) && uk.uk_kernel.Dataflow.Kernel.k_ready () && arrived uk.uk_inputs 0
+
+let rec exists_ready untimed j =
+  j < Array.length untimed
+  && (untimed_ready untimed.(j) || exists_ready untimed (j + 1))
 
 (* Per-component firing counters; only consulted when telemetry is on. *)
 let obs_fire cname = Ocapi_obs.count ("sched.fire." ^ cname)
 
-let fire_untimed t marked c k fired =
+let rec kernel_output outputs port j =
+  if j = Array.length outputs then None
+  else
+    let p, rn = outputs.(j) in
+    if String.equal p port then Some rn else kernel_output outputs port (j + 1)
+
+let fire_untimed t uk =
+  let c = uk.uk_comp and k = uk.uk_kernel in
   if Ocapi_obs.enabled () then obs_fire c.c_name;
   let consumed =
-    List.map
-      (fun (port, _) ->
-        match (Hashtbl.find c.c_reads port).n_token with
-        | Some v -> (port, [ v ])
-        | None ->
+    List.mapi
+      (fun j (port, _) ->
+        match uk.uk_inputs.(j) with
+        | Some { n_token = Some v; _ } -> (port, [ v ])
+        | Some { n_token = None; _ } | None ->
           error ~construct:c.c_name ~cycle:t.cycle_count
             "untimed %s: token vanished" c.c_name)
       k.Dataflow.Kernel.k_inputs
   in
   let produced = k.Dataflow.Kernel.k_behavior consumed in
   Dataflow.Kernel.validate_production k produced;
-  Hashtbl.replace fired c.c_id ();
+  uk.uk_fired <- true;
   t.untimed_fires <- t.untimed_fires + 1;
   List.iter
     (fun (port, values) ->
-      match values, Hashtbl.find_opt c.c_drives port with
-      | [ v ], Some n -> push_token t marked n v
+      match values, kernel_output uk.uk_outputs port 0 with
+      | [ v ], Some rn -> push_token t rn v
       | [ _ ], None -> ()
       | _, _ ->
         error ~construct:c.c_name ~cycle:t.cycle_count
           "untimed %s: port %s must produce one token" c.c_name port)
     produced
 
-(* A probe reads one net, so each column takes at most one token per
-   cycle, in whatever format it arrives. *)
-let primary_outputs_collect t =
-  List.iter
-    (fun n ->
-      match n.n_token with
-      | None -> ()
-      | Some v ->
-        List.iter
-          (fun (sink, _) ->
-            match sink.c_kind with
-            | Primary_output p -> Trace.record_token t.s_trace p ~cycle:t.cycle_count v
-            | Timed _ | Untimed _ | Primary_input _ -> ())
-          n.n_sinks)
-    t.s_nets
+(* The kernels ready now fire, in creation order; [true] if one did. *)
+let fire_ready_kernels t run =
+  let fired = ref false in
+  for j = 0 to Array.length run.r_untimed - 1 do
+    let uk = run.r_untimed.(j) in
+    if untimed_ready uk then begin
+      fire_untimed t uk;
+      fired := true
+    end
+  done;
+  !fired
 
 let clear_nets t = List.iter (fun n -> n.n_token <- None) t.s_nets
 
-(* Mark the SFGs selected by each FSM and remember the transitions. *)
-let select_transitions t =
-  let marked = ref [] and chosen = ref [] in
-  List.iter
-    (fun c ->
-      match c.c_kind with
-      | Timed fsm -> begin
-        match Fsm.select fsm with
-        | None -> ()
-        | Some tr ->
-          chosen := (fsm, tr) :: !chosen;
-          let env = Signal.Env.create () in
-          List.iter
-            (fun sfg ->
-              marked :=
-                {
-                  m_comp = c;
-                  m_sfg = sfg;
-                  m_env = env;
-                  m_produced = Hashtbl.create 8;
-                  m_complete = false;
-                }
-                :: !marked)
-            tr.Fsm.t_actions
-      end
-      | Untimed _ | Primary_input _ | Primary_output _ -> ())
-    (List.rev t.comps);
-  (List.rev !marked, List.rev !chosen)
+(* Each FSM selects a transition, whose slots restart on a fresh memo;
+   the kernels have not fired.  A transition the table has not resolved
+   (an FSM extended since) resolves its component's entry again. *)
+let select_transitions run =
+  Array.iter (fun uk -> uk.uk_fired <- false) run.r_untimed;
+  for c = 0 to Array.length run.r_timed - 1 do
+    let tc = run.r_timed.(c) in
+    tc.tc_selected <- -1;
+    match Fsm.select_from tc.tc_fsm (Fsm.state_index (Fsm.current tc.tc_fsm)) with
+    | None -> ()
+    | Some k ->
+      if k >= Array.length tc.tc_transitions then resolve_transitions run.r_nets tc;
+      let slots = tc.tc_slots.(k) in
+      for s = 0 to Array.length slots - 1 do
+        let sl = slots.(s) in
+        sl.sl_memo <- Signal.Plan.start sl.sl_plan;
+        sl.sl_unbound <- sl.sl_inputs;
+        Bytes.fill sl.sl_produced 0 (Bytes.length sl.sl_produced) '\000';
+        sl.sl_evaluated <- 0;
+        sl.sl_complete <- false
+      done;
+      tc.tc_selected <- k
+  done
 
-let drive_primary_inputs t marked =
-  List.iter
-    (fun c ->
-      match c.c_kind with
-      | Primary_input col -> begin
-        match Hashtbl.find_opt c.c_drives "out" with
-        | None -> ()
-        | Some n -> (
-          match column_token col t.cycle_count with
-          | Some v -> push_token t marked n v
-          | None -> ())
-      end
-      | Timed _ | Untimed _ | Primary_output _ -> ())
-    (List.rev t.comps)
+let drive_primary_inputs t run =
+  for j = 0 to Array.length run.r_inputs - 1 do
+    let col, rn = run.r_inputs.(j) in
+    if column_present col t.cycle_count then
+      push_token t rn (Fixed.create col.col_fmt (column_mantissa col t.cycle_count))
+  done
 
-let commit_fired_kernels t fired =
-  List.iter
-    (fun c ->
-      match c.c_kind with
-      | Untimed k ->
-        if Hashtbl.mem fired c.c_id then k.Dataflow.Kernel.k_commit ()
-      | Timed _ | Primary_input _ | Primary_output _ -> ())
-    t.comps
-
-let commit_and_advance t marked chosen =
-  List.iter
-    (fun m -> List.iter Signal.Reg.commit (Sfg.regs_written m.m_sfg))
-    marked;
-  List.iter (fun (fsm, tr) -> Fsm.advance fsm tr) chosen;
-  primary_outputs_collect t;
+(* Phase 3: the kernels that fired commit, newest first; the marked
+   slots' registers commit, in marked order; the FSMs advance; each
+   probe records its net's token, nets newest first. *)
+let commit_and_advance t run =
+  for j = Array.length run.r_untimed - 1 downto 0 do
+    let uk = run.r_untimed.(j) in
+    if uk.uk_fired then uk.uk_kernel.Dataflow.Kernel.k_commit ()
+  done;
+  Array.iter
+    (fun tc ->
+      Array.iter (fun sl -> Array.iter Signal.Reg.commit sl.sl_regs) (selected tc))
+    run.r_timed;
+  Array.iter
+    (fun tc ->
+      if tc.tc_selected >= 0 then
+        Fsm.advance tc.tc_fsm tc.tc_transitions.(tc.tc_selected))
+    run.r_timed;
+  (* A probe reads one net, so each column takes at most one token per
+     cycle, in whatever format it arrives. *)
+  for j = Array.length run.r_nets - 1 downto 0 do
+    let rn = run.r_nets.(j) in
+    match rn.rn_net.n_token with
+    | None -> ()
+    | Some v ->
+      Array.iter
+        (fun p -> Trace.record_token t.s_trace p ~cycle:t.cycle_count v)
+        rn.rn_probes
+  done;
   clear_nets t;
   t.cycle_count <- t.cycle_count + 1
 
-let untimed_list t =
-  List.filter_map
-    (fun c ->
-      match c.c_kind with
-      | Untimed k -> Some (c, k)
-      | Timed _ | Primary_input _ | Primary_output _ -> None)
-    (List.rev t.comps)
-
-(* The evaluation phase stalled if a marked SFG is still incomplete:
-   clear the nets and raise [Deadlock], naming the waiting SFGs. *)
-let check_deadlock t marked =
-  match
-    List.filter_map
-      (fun m ->
-        if m.m_complete then None
-        else Some (Printf.sprintf "%s/%s" m.m_comp.c_name (Sfg.name m.m_sfg)))
-      marked
-  with
+(* The evaluation phase stalled if a marked slot is still incomplete:
+   clear the nets and raise [Deadlock], naming the waiting SFGs in
+   marked order. *)
+let check_deadlock t run =
+  let waiting = ref [] in
+  for c = Array.length run.r_timed - 1 downto 0 do
+    let tc = run.r_timed.(c) in
+    let slots = selected tc in
+    for s = Array.length slots - 1 downto 0 do
+      if not slots.(s).sl_complete then
+        waiting :=
+          Printf.sprintf "%s/%s" tc.tc_comp.c_name slots.(s).sl_sfg_name :: !waiting
+    done
+  done;
+  match !waiting with
   | [] -> ()
   | waiting ->
     clear_nets t;
@@ -777,11 +1049,18 @@ let check_deadlock t marked =
 
 (* Telemetry for one scheduler cycle, shared by both disciplines.
    Deltas of the existing activity counters are pushed when enabled. *)
-let obs_cycle_done t ~tokens0 ~evals0 ~fires0 marked =
+let obs_cycle_done t run ~tokens0 ~evals0 ~fires0 =
   if Ocapi_obs.enabled () then begin
     Ocapi_obs.count "sched.cycles";
-    Ocapi_obs.count ~n:(List.length marked) "sched.sfg_firings";
-    List.iter (fun m -> if m.m_complete then obs_fire m.m_comp.c_name) marked;
+    Ocapi_obs.count
+      ~n:(Array.fold_left (fun n tc -> n + Array.length (selected tc)) 0 run.r_timed)
+      "sched.sfg_firings";
+    Array.iter
+      (fun tc ->
+        Array.iter
+          (fun sl -> if sl.sl_complete then obs_fire tc.tc_comp.c_name)
+          (selected tc))
+      run.r_timed;
     Ocapi_obs.count ~n:(t.tokens_transferred - tokens0) "sched.tokens";
     Ocapi_obs.count ~n:(t.untimed_fires - fires0) "sched.untimed_firings";
     Ocapi_obs.observe "sched.eval_iterations_per_cycle"
@@ -795,68 +1074,34 @@ let cycle t =
   and evals0 = t.eval_iterations
   and fires0 = t.untimed_fires in
   let t_sel = Ocapi_obs.span_begin () in
-  let marked, chosen = select_transitions t in
-  let fired_untimed = Hashtbl.create 8 in
-  drive_primary_inputs t marked;
+  let run = run_table t in
+  select_transitions run;
+  drive_primary_inputs t run;
   Ocapi_obs.span_end ~cat:"sched" "sched.select+inputs" t_sel;
   (* Phase 1: token production — partial firing with nothing bound except
      primary inputs produces exactly the outputs that depend only on
      registers and constants (and already-arrived primary inputs). *)
-  let fire_marked m =
-    if not m.m_complete then begin
-      let before = Hashtbl.length m.m_produced in
-      let outputs, status =
-        Sfg.fire_partial m.m_sfg m.m_env ~produced:(Hashtbl.mem m.m_produced)
-      in
-      deliver_outputs t marked m outputs;
-      (match status with `Complete -> m.m_complete <- true | `Partial -> ());
-      Hashtbl.length m.m_produced > before
-      || (m.m_complete && status = `Complete)
-    end
-    else false
-  in
   let t_p1 = Ocapi_obs.span_begin () in
-  List.iter (fun m -> ignore (fire_marked m)) marked;
+  ignore (sweep_marked t run ~partial:true);
   Ocapi_obs.span_end ~cat:"sched" "sched.phase1.token-production" t_p1;
   (* Phases 2a/2b: iterative evaluation. *)
   let t_p2 = Ocapi_obs.span_begin () in
-  let untimed = untimed_list t in
   let progress = ref true in
   while
-    !progress
-    && (List.exists (fun m -> not m.m_complete) marked
-       || List.exists
-            (fun (c, k) -> untimed_ready c k fired_untimed)
-            untimed)
+    !progress && (exists_incomplete run.r_timed 0 || exists_ready run.r_untimed 0)
   do
     t.eval_iterations <- t.eval_iterations + 1;
-    progress := false;
-    List.iter
-      (fun m ->
-        if not m.m_complete then begin
-          let got = Hashtbl.length m.m_produced in
-          let was_complete = m.m_complete in
-          ignore (fire_marked m);
-          if Hashtbl.length m.m_produced > got || m.m_complete <> was_complete
-          then progress := true
-        end)
-      marked;
-    List.iter
-      (fun (c, k) ->
-        if untimed_ready c k fired_untimed then begin
-          fire_untimed t marked c k fired_untimed;
-          progress := true
-        end)
-      untimed
+    let fired = sweep_marked t run ~partial:true in
+    let fired_kernels = fire_ready_kernels t run in
+    progress := fired || fired_kernels
   done;
   Ocapi_obs.span_end ~cat:"sched" "sched.phase2.evaluate" t_p2;
-  check_deadlock t marked;
+  check_deadlock t run;
   (* Phase 3: register update. *)
   let t_p3 = Ocapi_obs.span_begin () in
-  commit_fired_kernels t fired_untimed;
-  commit_and_advance t marked chosen;
+  commit_and_advance t run;
   Ocapi_obs.span_end ~cat:"sched" "sched.phase3.commit" t_p3;
-  obs_cycle_done t ~tokens0 ~evals0 ~fires0 marked;
+  obs_cycle_done t run ~tokens0 ~evals0 ~fires0;
   Ocapi_obs.span_end ~cat:"sched" "sched.cycle" t_cycle
 
 (* The classic two-phase discipline: no token-production phase; an SFG
@@ -866,42 +1111,20 @@ let cycle_two_phase t =
   let tokens0 = t.tokens_transferred
   and evals0 = t.eval_iterations
   and fires0 = t.untimed_fires in
-  let marked, chosen = select_transitions t in
-  let fired_untimed = Hashtbl.create 8 in
-  drive_primary_inputs t marked;
-  let try_fire m =
-    if
-      (not m.m_complete)
-      && List.for_all
-           (fun i -> Signal.Env.is_bound m.m_env i)
-           (Sfg.inputs m.m_sfg)
-    then begin
-      let outputs = Sfg.fire m.m_sfg m.m_env in
-      m.m_complete <- true;
-      deliver_outputs t marked m outputs;
-      true
-    end
-    else false
-  in
+  let run = run_table t in
+  select_transitions run;
+  drive_primary_inputs t run;
   (* Zero-input SFGs can fire immediately. *)
-  let untimed = untimed_list t in
   let progress = ref true in
   while !progress do
     t.eval_iterations <- t.eval_iterations + 1;
-    progress := false;
-    List.iter (fun m -> if try_fire m then progress := true) marked;
-    List.iter
-      (fun (c, k) ->
-        if untimed_ready c k fired_untimed then begin
-          fire_untimed t marked c k fired_untimed;
-          progress := true
-        end)
-      untimed
+    let fired = sweep_marked t run ~partial:false in
+    let fired_kernels = fire_ready_kernels t run in
+    progress := fired || fired_kernels
   done;
-  check_deadlock t marked;
-  commit_fired_kernels t fired_untimed;
-  commit_and_advance t marked chosen;
-  obs_cycle_done t ~tokens0 ~evals0 ~fires0 marked;
+  check_deadlock t run;
+  commit_and_advance t run;
+  obs_cycle_done t run ~tokens0 ~evals0 ~fires0;
   Ocapi_obs.span_end ~cat:"sched" "sched.cycle" t_cycle
 
 let run ?(two_phase = false) t n =
@@ -943,7 +1166,8 @@ let reset t =
       | Timed fsm -> Fsm.reset fsm
       | Untimed k -> k.Dataflow.Kernel.k_reset ()
       | Primary_input _ | Primary_output _ -> ())
-    t.comps
+    t.comps;
+  Option.iter clear_memos t.s_run
 
 let current_cycle t = t.cycle_count
 

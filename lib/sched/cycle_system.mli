@@ -28,7 +28,36 @@
 
     The traditional two-phase register-transfer discipline (no token
     production, whole-SFG firing only) is also provided, as
-    {!cycle_two_phase}, for the scheduler ablation of bench C4. *)
+    {!cycle_two_phase}, for the scheduler ablation of bench C4.
+
+    {b Run tables.}  Both disciplines step over a table that the first
+    cycle after a structural change resolves, for every component at
+    once: per timed component, its FSM's transitions, and per
+    transition one slot per action SFG, holding the SFG's plan, its
+    output nets, the registers it assigns, and per input port the plan
+    nodes a token on that port seeds (the reads of every input of that
+    name that an action of the transition declares); per net, its timed
+    sinks with their port and the probes it feeds; per untimed kernel,
+    its input nets; per primary input, the net it drives.  Adding a
+    component or a net ({!connect}) drops the table; an FSM that has
+    gained a transition since resolves its component's entry again when
+    that transition is selected.  A cycle then only selects, seeds,
+    evaluates and commits: it builds no hash table and no environment,
+    and looks up no port by name.
+
+    A selected transition's slots each start a fresh memo
+    ({!Signal.Plan.start}), which takes the tokens as they arrive and
+    lives for the whole cycle: a node phase 1 computed is not computed
+    again in phase 2.  This rests on registers changing only in phase 3, where
+    the staged assignments commit and the kernels apply their state
+    ([Dataflow.Kernel.k_commit]).  {!Sfg_kernel.kernel_of_sfg} is the
+    exception: its firing commits its own SFG's registers, so a timed
+    SFG must not read a register that such a kernel in the same system
+    assigns (none in the gallery, the examples or the tests does).  A
+    memo allocated per selection stays in the minor heap; one array per
+    slot refilled each cycle would sit in the major heap, where every
+    value stored into it passes the write barrier.  {!reset} drops
+    every slot's memo, so no value of the last run stays reachable. *)
 
 type t
 type component
@@ -82,7 +111,8 @@ val add_output : t -> string -> component
 (** [connect t (src, port) sinks] creates a net driven by an output
     port, fanning out to input ports.  The net is filed under its driver
     port and under each sink port, where {!output_net} and
-    {!input_net} find it.
+    {!input_net} find it.  Like adding a component, it drops the run
+    table, so the next cycle resolves it again.
     @raise Ocapi_error.Error with code [Internal] if the driver port
     does not exist or already drives a net (a port fans out through
     one net's sinks), or a sink port does not exist or is already
@@ -130,8 +160,9 @@ val cycle_two_phase : t -> unit
 val run : ?two_phase:bool -> t -> int -> unit
 
 (** Reset: cycle counter to zero, FSMs to initial states, registers to
-    init values, recorded histories cleared.  Stimulus columns are
-    kept (see {!add_input}). *)
+    init values, recorded histories cleared, and every run-table slot's
+    memo dropped.  Stimulus columns and the run table are kept (see
+    {!add_input}). *)
 val reset : t -> unit
 
 val current_cycle : t -> int

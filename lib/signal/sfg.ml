@@ -181,28 +181,6 @@ let fire t env =
   stage_assigns m ~first:(List.length t.outputs) t.assigns;
   out
 
-let fire_partial t env ~produced =
-  let p = plan t in
-  let m = Signal.Plan.memo p env in
-  let rec evaluate k = function
-    | [] -> []
-    | (nm, _) :: rest ->
-      if produced nm || not (Signal.Plan.deps_bound p env k) then
-        evaluate (k + 1) rest
-      else
-        let v = Signal.Plan.eval m k in
-        (nm, v) :: evaluate (k + 1) rest
-  in
-  let out = evaluate 0 t.outputs in
-  let all_inputs_bound =
-    List.for_all (fun i -> Signal.Env.is_bound env i) t.inputs
-  in
-  if all_inputs_bound then begin
-    stage_assigns m ~first:(List.length t.outputs) t.assigns;
-    (out, `Complete)
-  end
-  else (out, `Partial)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v 2>sfg %s:" t.name;
   List.iter

@@ -87,7 +87,7 @@ val pp_issue : Format.formatter -> check_issue -> unit
     instruction words, tied-off write enables), occasionally a bug. *)
 val check : ?flag_constant_outputs:bool -> t -> check_issue list
 
-(** {1 Dependency analysis — used by the three-phase cycle scheduler} *)
+(** {1 Dependency analysis} *)
 
 (** [output_deps t] maps each output name to the set of input ports its
     value combinationally depends on (register reads cut the
@@ -102,11 +102,12 @@ val assign_deps : t -> Signal.Input.t list
 
     An SFG fires through one {!Signal.Plan} over its outputs, then its
     register assignments, in declaration order.  The plan is built on
-    the first firing and kept by the SFG ({!Builder.finish} builds
-    nothing); each firing evaluates on a fresh memo, so a node shared by
-    several outputs or assignments is computed once per firing, in the
-    order evaluating the expressions one after another would compute
-    it. *)
+    first use and kept by the SFG ({!Builder.finish} builds nothing).
+    {!fire} evaluates on a fresh memo, so a node shared by several
+    outputs or assignments is computed once per firing, in the order
+    evaluating the expressions one after another would compute it.  The
+    cycle scheduler fires an SFG in parts instead, on one memo per
+    cycle that takes tokens as they arrive (see [Cycle_system]). *)
 
 (** The plan of {!fire}: its roots are the outputs, then the register
     assignments, in declaration order.  Built on the first call and
@@ -120,16 +121,5 @@ type firing = (string * Fixed.t) list
     assignments.  [env] must bind every input.
     @raise Ocapi_error.Error with code [Internal] on a missing token. *)
 val fire : t -> Signal.Env.t -> firing
-
-(** [fire_partial t env ~produced] evaluates only the outputs not yet in
-    [produced] whose dependencies are bound in [env]; returns them.  When
-    every input is bound, it also stages the register assignments and
-    returns [`Complete]; otherwise [`Partial].  An output's dependencies
-    are the inputs its plan root lists, found when the plan is built. *)
-val fire_partial :
-  t ->
-  Signal.Env.t ->
-  produced:(string -> bool) ->
-  firing * [ `Complete | `Partial ]
 
 val pp : Format.formatter -> t -> unit

@@ -269,53 +269,108 @@ module Plan = struct
     nodes : signal array;  (* dense numbering, children before parents *)
     kids : int array;  (* node i's children at 3i .. 3i+2, in [children] order *)
     roots : int array;  (* root k's node *)
-    deps : Input.t array array;  (* the inputs under root k *)
+    reads : int array;  (* the nodes that read an input, in node order *)
+    deps : int array array;  (* the input reads under root k *)
   }
 
   let create roots =
-    let index = Hashtbl.create 64 and rev_numbered = ref [] and count = ref 0 in
-    let rec number e =
-      match Hashtbl.find_opt index e.id with
-      | Some i -> i
-      | None ->
-        let ks = List.map number (children e) in
-        let i = !count in
+    (* Nodes are numbered children first, in [children] order; [order]
+       lists them newest first.  Then each node's children are looked up
+       by number. *)
+    let index = Hashtbl.create 16 and order = ref [] and count = ref 0 in
+    let rec visit e =
+      if not (Hashtbl.mem index e.id) then begin
+        (match e.op with
+        | Const _ | Input_read _ | Reg_read _ -> ()
+        | Neg a | Abs a | Not a | Resize (_, _, a) | Rom_read (_, a)
+        | Shift_left (a, _) | Shift_right (a, _) ->
+          visit a
+        | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b)
+        | Xor (a, b) | Eq (a, b) | Lt (a, b) | Le (a, b) ->
+          visit a;
+          visit b
+        | Mux (s, a, b) ->
+          visit s;
+          visit a;
+          visit b);
+        Hashtbl.add index e.id !count;
         incr count;
-        Hashtbl.add index e.id i;
-        rev_numbered := (e, ks) :: !rev_numbered;
-        i
+        order := e :: !order
+      end
     in
-    let roots = Array.of_list (List.map number roots) in
-    let numbered = Array.of_list (List.rev !rev_numbered) in
-    let kids = Array.make (3 * Array.length numbered) (-1) in
+    List.iter visit roots;
+    let n = !count in
+    let nodes =
+      match !order with
+      | [] -> [||]
+      | last :: _ ->
+        let nodes = Array.make n last in
+        List.iteri (fun k e -> nodes.(n - 1 - k) <- e) !order;
+        nodes
+    in
+    let number e = Hashtbl.find index e.id in
+    let kids = Array.make (3 * n) (-1) in
     Array.iteri
-      (fun i (_, ks) -> List.iteri (fun j k -> kids.((3 * i) + j) <- k) ks)
-      numbered;
-    let nodes = Array.map fst numbered in
-    (* Each root's inputs, one walk of its cone over the numbering
+      (fun i e ->
+        match e.op with
+        | Const _ | Input_read _ | Reg_read _ -> ()
+        | Neg a | Abs a | Not a | Resize (_, _, a) | Rom_read (_, a)
+        | Shift_left (a, _) | Shift_right (a, _) ->
+          kids.(3 * i) <- number a
+        | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b)
+        | Xor (a, b) | Eq (a, b) | Lt (a, b) | Le (a, b) ->
+          kids.(3 * i) <- number a;
+          kids.((3 * i) + 1) <- number b
+        | Mux (s, a, b) ->
+          kids.(3 * i) <- number s;
+          kids.((3 * i) + 1) <- number a;
+          kids.((3 * i) + 2) <- number b)
+      nodes;
+    let roots = Array.of_list (List.map number roots) in
+    let is_read i = match nodes.(i).op with Input_read _ -> true | _ -> false in
+    (* Each root's input reads, one walk of its cone over the numbering
        ([seen] holds the last root that reached a node): a hash table
        per root, as [input_deps] builds, doubles DECT's plan build. *)
-    let seen = Array.make (Array.length nodes) (-1) in
-    let cone_inputs r =
+    let seen = Array.make n (-1) in
+    let cone_reads r =
       let rec walk acc i =
         if i < 0 || seen.(i) = r then acc
         else begin
           seen.(i) <- r;
-          let acc = match nodes.(i).op with Input_read inp -> inp :: acc | _ -> acc in
+          let acc = if is_read i then i :: acc else acc in
           walk (walk (walk acc kids.(3 * i)) kids.((3 * i) + 1)) kids.((3 * i) + 2)
         end
       in
       Array.of_list (walk [] roots.(r))
     in
-    { nodes; kids; roots; deps = Array.init (Array.length roots) cone_inputs }
+    let reads = ref [] in
+    for i = n - 1 downto 0 do
+      if is_read i then reads := i :: !reads
+    done;
+    {
+      nodes;
+      kids;
+      roots;
+      reads = Array.of_list !reads;
+      deps = Array.init (Array.length roots) cone_reads;
+    }
 
   let size t = Array.length t.nodes
 
-  let rec all_bound env deps j =
-    j = Array.length deps
-    || (Hashtbl.mem env (Input.id deps.(j)) && all_bound env deps (j + 1))
-
-  let deps_bound t env r = all_bound env t.deps.(r) 0
+  let read_nodes t p =
+    let reads i = match t.nodes.(i).op with Input_read inp -> p inp | _ -> false in
+    match Array.fold_left (fun n i -> if reads i then n + 1 else n) 0 t.reads with
+    | 0 -> [||]
+    | n ->
+      let nodes = Array.make n 0 and j = ref 0 in
+      Array.iter
+        (fun i ->
+          if reads i then begin
+            nodes.(!j) <- i;
+            incr j
+          end)
+        t.reads;
+      nodes
 
   let cached cell roots x =
     match Atomic.get cell with
@@ -325,14 +380,37 @@ module Plan = struct
       Atomic.set cell (Some t);
       t
 
-  type memo = { plan : t; env : Env.t; values : Fixed.t array }
+  type memo = { plan : t; values : Fixed.t array }
 
-  (* Marks a node not yet computed in this firing: a record no
-     evaluation returns, compared physically. *)
+  (* Marks a node not yet computed in this firing, or an input read not
+     yet seeded: a record no evaluation returns, compared physically. *)
   let unset = Fixed.zero (Sys.opaque_identity Fixed.bit_format)
 
+  let start plan = { plan; values = Array.make (Array.length plan.nodes) unset }
+
+  let seed m nodes v =
+    for j = 0 to Array.length nodes - 1 do
+      m.values.(nodes.(j)) <- v
+    done
+
   let memo plan env =
-    { plan; env; values = Array.make (Array.length plan.nodes) unset }
+    let m = start plan in
+    for j = 0 to Array.length plan.reads - 1 do
+      let i = plan.reads.(j) in
+      match plan.nodes.(i).op with
+      | Input_read inp -> begin
+        match Hashtbl.find env (Input.id inp) with
+        | v -> m.values.(i) <- v
+        | exception Not_found -> ()
+      end
+      | _ -> ()
+    done;
+    m
+
+  let rec seeded values reads j =
+    j = Array.length reads || (values.(reads.(j)) != unset && seeded values reads (j + 1))
+
+  let ready m r = seeded m.values m.plan.deps.(r) 0
 
   (* [value] follows the expression recursion node for node: operands
      are requested in the same expression shapes, hence in the same
@@ -353,11 +431,7 @@ module Plan = struct
     let n = m.plan.nodes.(i) in
     match n.op with
     | Const v -> v
-    | Input_read inp -> begin
-      match Hashtbl.find m.env (Input.id inp) with
-      | v -> v
-      | exception Not_found -> error "eval: input %s has no token" (Input.name inp)
-    end
+    | Input_read inp -> error "eval: input %s has no token" (Input.name inp)
     | Reg_read r -> Reg.value r
     | Add _ -> Fixed.add (kid m i 0) (kid m i 1)
     | Sub _ -> Fixed.sub (kid m i 0) (kid m i 1)

@@ -214,15 +214,23 @@ val eval : Env.t -> t -> Fixed.t
 (** {1 Evaluation plans}
 
     A plan is the DAG under a list of roots, numbered densely once: each
-    node holds its children's numbers, and each root lists the inputs its
-    value depends on ({!input_deps}).  Nothing of it changes from cycle
-    to cycle, so the simulators build a plan once and then only evaluate:
+    node holds its children's numbers, and each root lists the nodes
+    under it that read an input.  Nothing of it changes from cycle to
+    cycle, so the simulators build a plan once and then only evaluate:
     an {!Sfg} keeps one over its outputs then its register assignments,
     which the interpreter and the RTL back end both evaluate, and an
     {!Fsm} one per guard.  Their owners build them on first use (never
     when a design is constructed; an RTL elaboration uses every SFG's
-    plan at once) and keep them in an [Atomic.t]: two domains racing to
-    build one build the same immutable value.
+    plan at once, the interpreter every SFG's on its first cycle) and
+    keep them in an [Atomic.t]: two domains racing to build one build
+    the same immutable value.
+
+    A plan reads an input one way only: from a value seeded into the
+    node that reads it, before or during a firing ({!memo} seeds from
+    an environment, {!seed} one input's nodes as its token arrives).
+    So a firing's memo can take tokens as they arrive, and the
+    interpreter keeps one memo for a whole cycle, evaluating the roots
+    whose inputs have arrived ({!ready}) as it goes.
 
     Evaluation order: {!eval} on a {!memo} computes a root's cone in the
     order of the recursive expression walk it replaces.  Each operator
@@ -244,26 +252,40 @@ module Plan : sig
   (** Number of distinct nodes. *)
   val size : t -> int
 
-  (** [deps_bound t env k]: does [env] bind every input root [k]'s value
-      depends on? *)
-  val deps_bound : t -> Env.t -> int -> bool
+  (** [read_nodes t p] — the nodes of [t] that read an input satisfying
+      [p], in node order: what {!seed} writes when that input's token
+      arrives. *)
+  val read_nodes : t -> (Input.t -> bool) -> int array
 
   (** [cached cell roots x] is the plan in [cell]; on first use it is
       built over [roots x] and stored there. *)
   val cached : t option Atomic.t -> ('a -> signal list) -> 'a -> t
 
-  (** One firing's evaluation state: the plan, the environment inputs
-      are read from, and the values computed so far. *)
+  (** One firing's evaluation state: the plan, and the input values
+      seeded and node values computed so far. *)
   type memo
 
-  (** [memo t env] starts a firing: nothing is computed yet.  Register
-      reads see the registers' values when a node is first computed. *)
+  (** [start t] starts a firing: nothing is seeded or computed yet.
+      Register reads see the registers' values when a node is first
+      computed. *)
+  val start : t -> memo
+
+  (** [memo t env] is {!start}, with the read node of every input [env]
+      binds seeded with its value. *)
   val memo : t -> Env.t -> memo
+
+  (** [seed m nodes v] seeds read nodes [nodes] (from {!read_nodes})
+      with [v], a token that has arrived. *)
+  val seed : memo -> int array -> Fixed.t -> unit
+
+  (** [ready m k]: is every input read under root [k] seeded, so that
+      {!eval} of [k] reads no missing token? *)
+  val ready : memo -> int -> bool
 
   (** [eval m k] is the value of root [k], computing what of its cone
       this firing has not computed yet.
-      @raise Ocapi_error.Error with code [Internal] on an unbound input,
-      and whatever the operators raise ([Overflow] for a resize that
-      shifts a nonzero mantissa by more than 62 bits). *)
+      @raise Ocapi_error.Error with code [Internal] on an input read not
+      seeded, and whatever the operators raise ([Overflow] for a resize
+      that shifts a nonzero mantissa by more than 62 bits). *)
   val eval : memo -> int -> Fixed.t
 end

@@ -439,6 +439,171 @@ let test_stats () =
   Alcotest.(check bool) "tokens flowed" true (st.Cycle_system.tokens_transferred >= 20)
 
 
+(* The scheduler's activity over 1,000 cycles of each gallery design,
+   from a fresh build: the run table resolves the same firings, token
+   deliveries, evaluation sweeps and kernel firings that the per-cycle
+   lookups it replaced made. *)
+let test_gallery_stats_pinned () =
+  List.iter
+    (fun (name, build, tokens, evals, untimed) ->
+      let sys = build () in
+      Cycle_system.run sys 1000;
+      let st = Cycle_system.stats sys in
+      Alcotest.(check (list int)) name [ 1000; tokens; evals; untimed ]
+        [ st.Cycle_system.cycles; st.tokens_transferred; st.eval_iterations;
+          st.untimed_firings ])
+    [
+      ("hcor", Gallery.hcor, 6_000, 0, 0);
+      ("dect", Gallery.dect, 53_000, 1_799, 7_000);
+      ("rs", Gallery.rs, 6_000, 0, 0);
+      ("cpu", Gallery.cpu, 9_000, 2_000, 1_000);
+    ]
+
+let ints sys probe =
+  List.map (fun (c, v) -> (c, Fixed.to_int v)) (Cycle_system.output_history sys probe)
+
+(* Components added and connected after the system has stepped: the
+   new probe, on an output that dropped its tokens until then, and the
+   new component take part from the next cycle. *)
+let test_added_after_stepping () =
+  let sfg =
+    Sfg.build "late_pass" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 x);
+        Sfg.Builder.output b "z" (Signal.resize s8 (Signal.neg x)))
+  in
+  let timed name sfg =
+    let fsm = Fsm.create name in
+    let s0 = Fsm.initial fsm "s0" in
+    Fsm.(s0 |-- always |+ sfg |-> s0);
+    fsm
+  in
+  let sys = Cycle_system.create "late" in
+  let a = Cycle_system.add_timed sys "a" (timed "late_a" sfg) in
+  let stim = Cycle_system.add_input sys "x_in" s8 (fun c -> Some (Fixed.of_int s8 c)) in
+  let py = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (a, "x") ]);
+  ignore (Cycle_system.connect sys (a, "y") [ (py, "in") ]);
+  Cycle_system.run sys 2;
+  let pz = Cycle_system.add_output sys "z_out" in
+  ignore (Cycle_system.connect sys (a, "z") [ (pz, "in") ]);
+  let double =
+    Sfg.build "late_double" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: x)))
+  in
+  let b = Cycle_system.add_timed sys "b" (timed "late_b" double) in
+  let stim_b =
+    Cycle_system.add_input sys "xb_in" s8 (fun c -> Some (Fixed.of_int s8 (10 + c)))
+  in
+  let pb = Cycle_system.add_output sys "b_out" in
+  ignore (Cycle_system.connect sys (stim_b, "out") [ (b, "x") ]);
+  ignore (Cycle_system.connect sys (b, "y") [ (pb, "in") ]);
+  Cycle_system.run sys 2;
+  Alcotest.(check (list (pair int int)))
+    "y all along" [ (0, 0); (1, 1); (2, 2); (3, 3) ] (ints sys py);
+  Alcotest.(check (list (pair int int))) "z from the next cycle" [ (2, -2); (3, -3) ]
+    (ints sys pz);
+  Alcotest.(check (list (pair int int))) "b from the next cycle" [ (2, 24); (3, 26) ]
+    (ints sys pb);
+  Alcotest.(check int) "tokens" 14
+    (Cycle_system.stats sys).Cycle_system.tokens_transferred
+
+(* A transition added to an FSM after the system has stepped, past the
+   transitions the scheduler has resolved, is taken when it is
+   selected; its action reads the component's input port. *)
+let test_transition_added_after_stepping () =
+  let count = Signal.Reg.create clk "late_count" s8 in
+  let step =
+    Sfg.build "late_step" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: reg_q count));
+        Sfg.Builder.assign_resized b count Signal.(reg_q count +: consti s8 1))
+  in
+  let fsm = Fsm.create "late_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  let s1 = Fsm.state fsm "s1" in
+  Fsm.(s0 |-- cnd Signal.(reg_q count ==: consti s8 2) |-> s1);
+  Fsm.(s0 |-- always |+ step |-> s0);
+  let sys = Cycle_system.create "late_fsm" in
+  let c = Cycle_system.add_timed sys "c" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun cyc -> Some (Fixed.of_int s8 (10 * cyc)))
+  in
+  let probe = Cycle_system.add_output sys "y_out" in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  ignore (Cycle_system.connect sys (c, "y") [ (probe, "in") ]);
+  Signal.Reg.reset count;
+  (* Counts at cycles 0 and 1, leaves for s1 at 2, holds there at 3. *)
+  Cycle_system.run sys 4;
+  let negate =
+    Sfg.build "late_negate" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 (Signal.neg x)))
+  in
+  Fsm.(s1 |-- always |+ negate |-> s1);
+  Cycle_system.run sys 2;
+  Alcotest.(check (list (pair int int))) "negated from cycle 4"
+    [ (0, 0); (1, 11); (4, -40); (5, -50) ]
+    (ints sys probe);
+  Alcotest.(check string) "in s1" "s1" (Fsm.state_name (Fsm.current fsm))
+
+(* One token on a port completes every action SFG of the selected
+   transition that declares an input of that name: each its own input
+   object, or one shared through [input_port]. *)
+let test_token_completes_every_action () =
+  let r1 = Signal.Reg.create clk "fan_r1" s8
+  and r2 = Signal.Reg.create clk "fan_r2" s8 in
+  let shared = Signal.Input.create "x" s8 in
+  let first =
+    Sfg.build "fan_first" (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y1" (Signal.resize s8 Signal.(x +: consti s8 1));
+        Sfg.Builder.assign_resized b r1 x)
+  in
+  let second =
+    Sfg.build "fan_second" (fun b ->
+        let x = Sfg.Builder.input_port b shared in
+        Sfg.Builder.output b "y2" (Signal.resize s8 (Signal.neg x));
+        Sfg.Builder.assign_resized b r2 Signal.(x +: reg_q r2))
+  in
+  let third =
+    Sfg.build "fan_third" (fun b ->
+        let x = Sfg.Builder.input_port b shared in
+        Sfg.Builder.output b "y3" (Signal.resize s8 Signal.(x +: reg_q r1)))
+  in
+  let fsm = Fsm.create "fan_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ first |+ second |+ third |-> s0);
+  let sys = Cycle_system.create "fan" in
+  let c = Cycle_system.add_timed sys "c" fsm in
+  let stim =
+    Cycle_system.add_input sys "x_in" s8 (fun cyc -> Some (Fixed.of_int s8 (cyc + 1)))
+  in
+  let probes =
+    List.map
+      (fun port ->
+        let p = Cycle_system.add_output sys (port ^ "_out") in
+        ignore (Cycle_system.connect sys (c, port) [ (p, "in") ]);
+        p)
+      [ "y1"; "y2"; "y3" ]
+  in
+  ignore (Cycle_system.connect sys (stim, "out") [ (c, "x") ]);
+  Signal.Reg.reset r1;
+  Signal.Reg.reset r2;
+  Cycle_system.run sys 3;
+  Alcotest.(check (list (list (pair int int)))) "every output every cycle"
+    [
+      [ (0, 2); (1, 3); (2, 4) ];
+      [ (0, -1); (1, -2); (2, -3) ];
+      [ (0, 1); (1, 3); (2, 5) ];
+    ]
+    (List.map (ints sys) probes);
+  Alcotest.(check (pair int int)) "both registers" (3, 6)
+    (Fixed.to_int (Signal.Reg.value r1), Fixed.to_int (Signal.Reg.value r2));
+  Alcotest.(check int) "no sweep waited" 0
+    (Cycle_system.stats sys).Cycle_system.eval_iterations
+
 (* Section 4's comparison: the same circular structure works as a pure
    data-flow graph when an initial token is introduced, and the token
    streams of the two paradigms coincide. *)
@@ -514,4 +679,12 @@ let suite =
     Alcotest.test_case "net tracing" `Quick test_net_tracing;
     Alcotest.test_case "sfg-kernel bridge" `Quick test_sfg_kernel_bridge;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "gallery stats pinned at 1000 cycles" `Quick
+      test_gallery_stats_pinned;
+    Alcotest.test_case "components added after stepping" `Quick
+      test_added_after_stepping;
+    Alcotest.test_case "transition added after stepping" `Quick
+      test_transition_added_after_stepping;
+    Alcotest.test_case "a token completes every action" `Quick
+      test_token_completes_every_action;
   ]

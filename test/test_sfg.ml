@@ -109,36 +109,6 @@ let test_fire () =
   Signal.Reg.commit acc;
   Alcotest.(check int) "committed" 7 (Fixed.to_int (Signal.Reg.value acc))
 
-let test_fire_partial () =
-  let r = Signal.Reg.create clk "t_fp" s8 ~init:(Fixed.of_int s8 3) in
-  let sfg =
-    Sfg.build "partial" (fun b ->
-        let x = Sfg.Builder.input b "x" s8 in
-        Sfg.Builder.output b "early" Signal.(reg_q r +: consti s8 1);
-        Sfg.Builder.output b "late" Signal.(x +: reg_q r);
-        Sfg.Builder.assign_resized b r Signal.(x +: consti s8 0))
-  in
-  Signal.Reg.reset r;
-  let env = Signal.Env.create () in
-  (* No inputs bound: only the register-only output fires. *)
-  let out, status = Sfg.fire_partial sfg env ~produced:(fun _ -> false) in
-  Alcotest.(check bool) "partial" true (status = `Partial);
-  Alcotest.(check int) "one early output" 1 (List.length out);
-  Alcotest.(check int) "early value" 4 (Fixed.to_int (List.assoc "early" out));
-  (* Bind the input; the rest completes without re-producing "early". *)
-  (match Sfg.inputs sfg with
-  | [ i ] -> Signal.Env.bind env i (Fixed.of_int s8 10)
-  | _ -> assert false);
-  let out2, status2 =
-    Sfg.fire_partial sfg env ~produced:(fun p -> p = "early")
-  in
-  Alcotest.(check bool) "complete" true (status2 = `Complete);
-  Alcotest.(check int) "one late output" 1 (List.length out2);
-  Alcotest.(check int) "late value" 13 (Fixed.to_int (List.assoc "late" out2));
-  Signal.Reg.commit r;
-  Alcotest.(check int) "assign staged at completion" 10
-    (Fixed.to_int (Signal.Reg.value r))
-
 let test_nop () =
   let sfg = Sfg.nop "idle" in
   Alcotest.(check int) "no ports" 0
@@ -172,7 +142,6 @@ let suite =
     Alcotest.test_case "semantic checks" `Quick test_checks;
     Alcotest.test_case "output dependency analysis" `Quick test_output_deps;
     Alcotest.test_case "fire" `Quick test_fire;
-    Alcotest.test_case "fire_partial" `Quick test_fire_partial;
     Alcotest.test_case "nop" `Quick test_nop;
     Alcotest.test_case "shared input port" `Quick test_shared_port;
   ]

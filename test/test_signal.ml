@@ -311,75 +311,72 @@ let plan_property =
       let got = outcome (fun () -> List.map (Signal.Plan.eval m) order) in
       same_outcome same_values expected got)
 
-(* [Sfg.fire_partial] as it was before plans, on the recursive evaluator. *)
-let recursive_fire_partial sfg env ~produced =
-  let memo = Hashtbl.create 64 in
-  let deps_ok e =
-    List.for_all (fun i -> Signal.Env.is_bound env i) (Signal.input_deps e)
-  in
-  let out =
-    List.filter_map
-      (fun (nm, e) ->
-        if produced nm then None
-        else if deps_ok e then Some (nm, recursive_eval memo env e)
-        else None)
-      (Sfg.outputs sfg)
-  in
-  if List.for_all (fun i -> Signal.Env.is_bound env i) (Sfg.inputs sfg) then begin
-    List.iter
-      (fun (reg, e) -> Signal.Reg.set_next reg (recursive_eval memo env e))
-      (Sfg.assigns sfg);
-    (out, `Complete)
-  end
-  else (out, `Partial)
-
-(* [fire_partial] on random partial environments and produced sets:
-   the same outputs, status and staged registers, or the same first
-   error. *)
-let fire_partial_property =
-  QCheck.Test.make ~name:"fire_partial = recursive evaluation (random partial envs)"
+(* The scheduler's partial firing: one memo per cycle takes each token
+   as it arrives, and evaluates the roots whose inputs have all
+   arrived.  Here a random subset of the bound inputs arrives first,
+   the ready roots are evaluated, then the rest arrives and every root
+   is evaluated.  Readiness is the recursion's "every input under the
+   root is bound", and the values, or the first error, are the
+   recursion's with one table shared by both passes. *)
+let partial_firing_property =
+  QCheck.Test.make ~name:"partial firing = recursive evaluation"
     ~count:400 seed_arb (fun seed ->
       let d = random_dag seed in
-      let pick () = d.d_pool.(Random.State.int d.d_rand (Array.length d.d_pool)) in
-      let sfg =
-        Sfg.build (Printf.sprintf "dag%d" seed) (fun b ->
-            Array.iter (fun i -> ignore (Sfg.Builder.input_port b i)) d.d_inputs;
-            List.iteri
-              (fun k e -> Sfg.Builder.output b (Printf.sprintf "o%d" k) e)
-              d.d_roots;
-            Array.iter
-              (fun r ->
-                if Random.State.bool d.d_rand then
-                  Sfg.Builder.assign_resized b r (pick ()))
-              d.d_regs)
+      let env = random_env d in
+      let early =
+        Array.map (fun _ -> Random.State.float d.d_rand 1.0 < 0.6) d.d_inputs
       in
-      let env = random_env ~p:0.6 d in
-      let produced =
-        List.filter_map
-          (fun (nm, _) -> if Random.State.bool d.d_rand then Some nm else None)
-          (Sfg.outputs sfg)
+      let arrived_early i =
+        let rec go j =
+          j < Array.length d.d_inputs
+          && ((Signal.Input.id d.d_inputs.(j) = Signal.Input.id i && early.(j))
+             || go (j + 1))
+        in
+        go 0
       in
-      let values = Array.map Signal.Reg.value d.d_regs in
-      let run fire =
+      let expected =
+        outcome (fun () ->
+            let memo = Hashtbl.create 64 in
+            let ready =
+              List.map
+                (fun e -> List.for_all arrived_early (Signal.input_deps e))
+                d.d_roots
+            in
+            let first =
+              List.concat
+                (List.map2
+                   (fun e r -> if r then [ recursive_eval memo env e ] else [])
+                   d.d_roots ready)
+            in
+            (ready, first, List.map (recursive_eval memo env) d.d_roots))
+      in
+      let plan = Signal.Plan.create d.d_roots in
+      let ks = List.init (List.length d.d_roots) Fun.id in
+      let m = Signal.Plan.start plan in
+      let arrive pass =
         Array.iteri
-          (fun i r ->
-            Signal.Reg.reset r;
-            Signal.Reg.set_value r values.(i))
-          d.d_regs;
-        let produced nm = List.mem nm produced in
-        let result = outcome (fun () -> fire sfg env ~produced) in
-        (result, Array.map Signal.Reg.next d.d_regs)
+          (fun j i ->
+            if early.(j) = pass then
+              let reads =
+                Signal.Plan.read_nodes plan (fun x ->
+                    Signal.Input.id x = Signal.Input.id i)
+              in
+              Option.iter (Signal.Plan.seed m reads) (Signal.Env.find env i))
+          d.d_inputs
       in
-      let expected, staged_expected = run recursive_fire_partial in
-      let got, staged = run Sfg.fire_partial in
-      let same_firing (out, status) (out', status') =
-        status = status'
-        && List.equal
-             (fun (n, v) (n', v') -> n = n' && Fixed.equal v v')
-             out out'
+      let got =
+        outcome (fun () ->
+            arrive true;
+            let ready = List.map (Signal.Plan.ready m) ks in
+            let first =
+              List.map (Signal.Plan.eval m) (List.filter (Signal.Plan.ready m) ks)
+            in
+            arrive false;
+            (ready, first, List.map (Signal.Plan.eval m) ks))
       in
-      same_outcome same_firing expected got
-      && Array.for_all2 (Option.equal Fixed.equal) staged_expected staged)
+      same_outcome
+        (fun (r, f, a) (r', f', a') -> r = r' && same_values f f' && same_values a a')
+        expected got)
 
 let suite =
   [
@@ -396,5 +393,5 @@ let suite =
     Alcotest.test_case "dag analysis" `Quick test_dag_analysis;
     Alcotest.test_case "memo consistency" `Quick test_memo_consistency;
     QCheck_alcotest.to_alcotest plan_property;
-    QCheck_alcotest.to_alcotest fire_partial_property;
+    QCheck_alcotest.to_alcotest partial_firing_property;
   ]
