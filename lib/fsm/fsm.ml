@@ -26,6 +26,8 @@ type t = {
   f_arms : arm array array option Atomic.t;
       (* per state index, its transitions in priority order; built on the
          first selection, dropped when a state or transition is added *)
+  f_regs : Signal.Reg.t list option Atomic.t;
+      (* [all_regs]: built on first use, dropped with the arms *)
 }
 
 (* Atomic so machine construction is safe from any domain
@@ -41,6 +43,7 @@ let create name =
     f_transitions = [];
     f_current = None;
     f_arms = Atomic.make None;
+    f_regs = Atomic.make None;
   }
 
 let always = Always
@@ -73,13 +76,16 @@ let gor a b =
   | Always, _ | _, Always -> Always
   | When x, When y -> When (Signal.or_ x y)
 
-(* Drops the per-state transition arrays, which the next selection
-   rebuilds.  While a machine is being built there are none, and the
-   check spares construction an atomic write per state and
-   transition. *)
-let drop_arms t =
-  match Atomic.get t.f_arms with
+(* Drops what is derived from the transitions — the per-state transition
+   arrays and the register list — which the next use rebuilds.  While a
+   machine is being built there is none, and the checks spare
+   construction two atomic writes per state and transition. *)
+let drop_derived t =
+  (match Atomic.get t.f_arms with
   | Some _ -> Atomic.set t.f_arms None
+  | None -> ());
+  match Atomic.get t.f_regs with
+  | Some _ -> Atomic.set t.f_regs None
   | None -> ()
 
 let add_state t name =
@@ -87,7 +93,7 @@ let add_state t name =
     error ~construct:t.name "fsm %s: duplicate state %s" t.name name;
   let s = { s_fsm_id = t.id; s_index = List.length t.f_states; s_name = name } in
   t.f_states <- s :: t.f_states;
-  drop_arms t;
+  drop_derived t;
   s
 
 let initial t name =
@@ -124,7 +130,7 @@ let add_transition t ~from ~guard ~actions ~goto =
   t.f_transitions <-
     { t_from = from; t_guard = guard; t_actions = actions; t_goto = goto }
     :: t.f_transitions;
-  drop_arms t
+  drop_derived t
 
 type partial_transition = {
   p_from : state;
@@ -169,7 +175,7 @@ let all_sfgs t =
            true
          end)
 
-let all_regs t =
+let derive_regs t =
   let seen = Hashtbl.create 16 in
   let add acc r =
     let id = Signal.Reg.id r in
@@ -187,14 +193,21 @@ let all_regs t =
       [] (all_sfgs t)
   in
   let from_guards =
-    List.fold_left
-      (fun acc tr ->
-        match tr.t_guard with
-        | Always -> acc
-        | When e -> List.fold_left add acc (Signal.regs_read e))
-      from_sfgs (transitions t)
+    List.fold_left add from_sfgs
+      (Signal.regs_read_all
+         (List.filter_map
+            (fun tr -> match tr.t_guard with Always -> None | When e -> Some e)
+            (transitions t)))
   in
   List.rev from_guards
+
+let all_regs t =
+  match Atomic.get t.f_regs with
+  | Some regs -> regs
+  | None ->
+    let regs = derive_regs t in
+    Atomic.set t.f_regs (Some regs);
+    regs
 
 let current t =
   match t.f_current with
@@ -222,28 +235,73 @@ let arms t =
     Atomic.set t.f_arms (Some arms);
     arms
 
-(* Guards read registers and constants only, so every guard is
-   evaluated against this environment, which nothing binds. *)
-let no_inputs = Signal.Env.create ()
+(* A selector's memos, one per arm of the arm table they were made
+   for; an [always] arm's is never evaluated.  Each memo is cleared
+   after its try, so between tries it holds no value: a guard reads only
+   registers and constants, and every try reads them afresh. *)
+type selector = {
+  sel_fsm : t;
+  mutable sel_arms : arm array array;
+  mutable sel_memos : Signal.Plan.memo array array;
+}
 
-let guard_enabled arm =
+let selector t = { sel_fsm = t; sel_arms = [||]; sel_memos = [||] }
+
+let no_guard = Signal.Plan.start (Signal.Plan.create [])
+
+(* The machine's arm table, with the selector's memos made for it: on
+   the first selection, and again after a state or transition was
+   added. *)
+let selector_arms sel =
+  let arms = arms sel.sel_fsm in
+  if arms != sel.sel_arms then begin
+    sel.sel_memos <-
+      Array.map
+        (Array.map (fun arm ->
+             match arm.a_guard with
+             | Some p -> Signal.Plan.start p
+             | None -> no_guard))
+        arms;
+    sel.sel_arms <- arms
+  end;
+  arms
+
+let enabled arm m =
   match arm.a_guard with
   | None -> true
-  | Some p -> Fixed.is_true (Signal.Plan.eval (Signal.Plan.memo p no_inputs) 0)
+  | Some _ -> (
+    match Signal.Plan.eval m 0 with
+    | v ->
+      Signal.Plan.clear m;
+      Fixed.is_true v
+    | exception e ->
+      Signal.Plan.clear m;
+      raise e)
 
-let rec first_enabled arms k =
-  if k = Array.length arms then None
-  else if guard_enabled arms.(k) then Some arms.(k)
-  else first_enabled arms (k + 1)
+(* The position in [from] of the first arm whose guard holds, -1 when
+   none does. *)
+let rec first_enabled from memos k =
+  if k = Array.length from then -1
+  else if enabled from.(k) memos.(k) then k
+  else first_enabled from memos (k + 1)
 
-let select_arm t i =
-  let arms = arms t in
-  if i < 0 || i >= Array.length arms then None else first_enabled arms.(i) 0
+let select_from sel i =
+  let arms = selector_arms sel in
+  if i < 0 || i >= Array.length arms then -1
+  else
+    match first_enabled arms.(i) sel.sel_memos.(i) 0 with
+    | -1 -> -1
+    | k -> arms.(i).(k).a_index
 
 let select t =
-  Option.map (fun arm -> arm.a_tr) (select_arm t (current t).s_index)
-
-let select_from t i = Option.map (fun arm -> arm.a_index) (select_arm t i)
+  let i = (current t).s_index in
+  let sel = selector t in
+  let arms = selector_arms sel in
+  if i >= Array.length arms then None
+  else
+    match first_enabled arms.(i) sel.sel_memos.(i) 0 with
+    | -1 -> None
+    | k -> Some arms.(i).(k).a_tr
 
 let advance t tr = t.f_current <- Some tr.t_goto
 
@@ -295,7 +353,8 @@ let check_samples = 100
 
 let check ?(flag_overlaps = false) t =
   let issues = ref [] in
-  let arms = arms t in
+  let sel = selector t in
+  let arms = selector_arms sel in
   (match t.f_initial with
   | None -> issues := No_initial :: !issues
   | Some init ->
@@ -334,13 +393,13 @@ let check ?(flag_overlaps = false) t =
           regs;
         List.iter
           (fun s ->
-            let from = arms.(s.s_index) in
-            match List.filter guard_enabled (Array.to_list from) with
-            | [] ->
-              if Array.length from > 0 then Hashtbl.replace incomplete s.s_name ()
-            | [ _ ] -> ()
-            | _ :: _ :: _ ->
-              if flag_overlaps then Hashtbl.replace nondet s.s_name ())
+            let from = arms.(s.s_index) and memos = sel.sel_memos.(s.s_index) in
+            let n = ref 0 in
+            Array.iteri (fun k arm -> if enabled arm memos.(k) then incr n) from;
+            match !n with
+            | 0 -> if Array.length from > 0 then Hashtbl.replace incomplete s.s_name ()
+            | 1 -> ()
+            | _ -> if flag_overlaps then Hashtbl.replace nondet s.s_name ())
           (states t)
       done);
   Hashtbl.iter (fun s () -> issues := Nondeterministic s :: !issues) nondet;

@@ -103,7 +103,9 @@ val transitions_from : t -> state -> transition list
 (** All SFGs referenced by any transition (deduplicated, in order). *)
 val all_sfgs : t -> Sfg.t list
 
-(** All registers written or read by any action SFG, plus guard reads. *)
+(** All registers written or read by any action SFG, plus guard reads.
+    The list is built on the first call and kept until a state or
+    transition is added. *)
 val all_regs : t -> Signal.Reg.t list
 
 (** {1 Execution} *)
@@ -117,18 +119,29 @@ val current : t -> state
 
     The machine keeps, per state, an array of its transitions in
     priority order, each with its guard's {!Signal.Plan}.  The arrays
-    and plans are built on the first [select], [select_from] or
-    {!check}, never by {!add_transition}, and are dropped when a state or
-    transition is added.  Each guard is evaluated on its own memo, as
-    [Signal.eval] would evaluate it. *)
+    and plans are built on the first selection or {!check}, never by
+    {!add_transition}, and are dropped when a state or transition is
+    added.  [select] evaluates the guards on a {!selector} of its own. *)
 val select : t -> transition option
 
-(** [select_from t i] is [select] for the state whose {!state_index} is
-    [i] rather than the current one, given as the chosen transition's
-    position in {!transitions}; [None] if no guard is enabled or no
-    state has index [i].  The RTL back end selects with it from its
-    state signal. *)
-val select_from : t -> int -> int option
+(** {2 Selectors}
+
+    The run state of whoever selects transitions over and over — the
+    interpreter's run table and the RT elaboration keep one per machine;
+    the machine itself keeps none.  A selector holds one
+    {!Signal.Plan.memo} per guarded transition, made on its first
+    selection (and again after a state or transition was added) and
+    cleared after each try, so it holds no value between tries. *)
+
+type selector
+
+val selector : t -> selector
+
+(** [select_from sel i] is the transition [select] would choose in the
+    state whose {!state_index} is [i], given as its position in
+    {!transitions}; [-1] if no guard is enabled or no state has index
+    [i].  The guards read the registers' current values. *)
+val select_from : selector -> int -> int
 
 (** [advance t tr] moves to [tr.t_goto] (called in the register-update
     phase). *)

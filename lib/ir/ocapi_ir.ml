@@ -170,6 +170,9 @@ module Gate_engine = struct
   let aliases = [ "netlist" ]
 
   let make sys =
+    (* Synthesis gives each component flip-flops of its own for every
+       register it reads. *)
+    Cycle_system.refuse_shared_registers ~engine:name sys;
     Cycle_system.reset sys;
     let a = gate_artifact sys in
     let smap = a.ga_map in

@@ -1,44 +1,91 @@
-let error ?construct fmt =
-  Ocapi_error.fail ?construct Ocapi_error.Internal ~engine:"rtl" fmt
+(* [of_system] resolves, once, every signal, process, plan, seed and
+   sensitivity list of the elaboration; [settle] steps over the result.
+   A delta applies one transaction queue, stamps each reader of a signal
+   that changed with the delta it is woken in, and runs the woken
+   processes, which drive the next delta's queue. *)
 
-type rtl_signal = {
-  sg_id : int;
+type signal = {
+  sg_index : int;  (* position in [t.signals] *)
   sg_name : string;
   mutable sg_value : Fixed.t;
   sg_initial : Fixed.t;
-  mutable sg_driven_this_cycle : bool;  (* sticky: ever driven *)
+  mutable sg_driven : bool;  (* sticky: ever driven *)
+  mutable sg_readers : int array;  (* the processes sensitive to it *)
+  mutable sg_selects : int;  (* the component whose selection reads it; -1 *)
 }
 
-type assignment = rtl_signal * Fixed.t
-
-type process_ = {
-  pr_id : int;
-  pr_sensitivity : rtl_signal list;
-  pr_exec : unit -> assignment list;
+(* An action SFG of a transition: its plan ([Sfg.plan], which the
+   interpreter evaluates too), the input signals and the read nodes each
+   seeds, the net signals its outputs drive and the registers it
+   assigns. *)
+type action = {
+  ac_plan : Signal.Plan.t;
+  ac_seeds : (signal * int array) array;
+  ac_outputs : (int * signal) array;  (* root, net signal: connected outputs *)
+  ac_assigns : int array;  (* register of the assignment at root [ac_first + k] *)
+  ac_first : int;
 }
 
-(* A connected probe: its column in the trace, the net signal it
-   samples. *)
-type probe_rec = { pb_column : int; pb_signal : rtl_signal }
+type transition = {
+  tr_goto : Fixed.t;  (* the next-state value *)
+  tr_actions : action array;
+  tr_holds : int array;  (* the registers it leaves unassigned *)
+}
+
+(* A timed component's combinational process, sensitive to its input
+   nets, its state and its registers' shadows.  Its selection is kept
+   until the state or a shadow changes: the guards read registers and
+   constants only, and each firing mirrors the component's shadows into
+   the registers they read ([of_system] refuses a register another
+   component assigns). *)
+type comb = {
+  cb_selector : Fsm.selector;
+  cb_state : signal;
+  cb_next_state : signal;
+  cb_regs : Signal.Reg.t array;  (* [Fsm.all_regs] order *)
+  cb_shadows : signal array;  (* per register *)
+  cb_nexts : signal array;  (* per register *)
+  cb_transitions : transition array;  (* [Fsm.transitions] order *)
+  mutable cb_stale : bool;  (* its selection must be made again *)
+  mutable cb_selected : int;  (* the transition selected, -1 to hold *)
+}
+
+(* The component's sequential process, sensitive to the clock. *)
+type seq = { sq_comb : comb; mutable sq_clk : bool (* the clock it last saw *) }
+
+type kernel = {
+  kn_kernel : Dataflow.Kernel.t;
+  kn_inputs : (string * signal) list;  (* connected input ports *)
+  kn_outputs : (string * signal) array;  (* connected output ports *)
+}
+
+type process = Comb of comb | Seq of seq | Kernel of kernel
 
 type t = {
-  mutable signals : rtl_signal list;  (* reversed *)
-  mutable processes : process_ list;  (* reversed *)
-  (* signal id -> processes sensitive to it *)
-  mutable wakeups : (int, process_ list) Hashtbl.t;
-  clk : rtl_signal;
-  stims : (rtl_signal * (int -> Fixed.t option)) list;
-  probes : probe_rec list;
+  signals : signal array;  (* creation order *)
+  procs : process array;  (* creation order *)
+  combs : comb array;  (* per timed component, in system order *)
+  seqs : seq array;  (* likewise *)
+  components : (string * int) array;  (* name, number of encoded states *)
+  fsms : Fsm.t array;
+  kernels : Dataflow.Kernel.t array;  (* untimed, in system order *)
+  kernel_procs : int array;  (* their processes *)
+  clk : signal;
+  stims : (Cycle_system.column * Fixed.format * signal) array;
+  probes : (int * signal) array;  (* trace column, the net signal it samples *)
   trace : Cycle_system.Trace.t;  (* one column per probe of the system *)
-  resets : (unit -> unit) list;  (* restore component-local state *)
-  latches : bool ref array;  (* per sequential process, the clock it last saw *)
-  kernels : Dataflow.Kernel.t list;
-  kernel_commits : (unit -> unit) list;
-  kernel_procs : process_ list;
   regs : Signal.Reg.t array;  (* Cycle_system.all_regs order *)
-  reg_shadows : (int * rtl_signal) list;  (* Reg.id -> shadow signal *)
-  (* Per timed component: name, state signal, number of encoded states. *)
-  state_sigs : (string * rtl_signal * int) array;
+  reg_shadows : signal array;  (* per register *)
+  (* The transaction queue a delta fills, and the one it applies; each
+     holds as many transactions as all processes drive in one delta. *)
+  mutable q_sigs : int array;
+  mutable q_vals : Fixed.t array;
+  mutable q_len : int;
+  mutable applied_sigs : int array;
+  mutable applied_vals : Fixed.t array;
+  stamps : int array;  (* per process, the delta it was last woken in *)
+  woken : int array;
+  mutable epoch : int;  (* deltas since elaboration *)
   mutable cycle_count : int;
   mutable initialized : bool;
   mutable n_events : int;
@@ -47,243 +94,217 @@ type t = {
   mutable n_activations : int;
 }
 
-(* --- construction -------------------------------------------------------- *)
+(* A queue slot's value outside a delta: no value is kept there. *)
+let no_value = Fixed.zero Fixed.bit_format
 
-(* Atomic so elaborations may run concurrently in different domains
-   (domain-isolation audit: construction-time gensyms must not race). *)
-let sig_counter = Atomic.make 0
+let state_format = Fixed.unsigned ~width:16 ~frac:0
 
-let make_signal name init =
-  {
-    sg_id = Atomic.fetch_and_add sig_counter 1 + 1;
-    sg_name = name;
-    sg_value = init;
-    sg_initial = init;
-    sg_driven_this_cycle = false;
-  }
-
-let proc_counter = Atomic.make 0
-
-let make_process sensitivity exec =
-  { pr_id = Atomic.fetch_and_add proc_counter 1 + 1; pr_sensitivity = sensitivity;
-    pr_exec = exec }
-
-(* An action SFG of a transition: its own plan ([Sfg.plan], which the
-   interpreter evaluates too) and the signals its roots drive. *)
-type rtl_action = {
-  ra_plan : Signal.Plan.t;
-  ra_outputs : (int * rtl_signal) list;  (* root, net signal *)
-  ra_assigns : (int * rtl_signal) list;  (* root, next signal *)
-}
-
-(* A transition of a timed component with every signal its evaluation
-   reads or writes, and every plan, resolved at elaboration. *)
-type rtl_transition = {
-  rt_goto : Fixed.t;  (* the next-state value *)
-  rt_inputs : (Signal.Input.t * rtl_signal) list;
-  rt_actions : rtl_action list;
-  rt_holds : (rtl_signal * rtl_signal) list;
-      (* next and shadow signals of the registers it leaves unassigned *)
-}
+(* --- elaboration ------------------------------------------------------------- *)
 
 let of_system sys =
-  let signals = ref [] in
-  let add_signal name init =
-    let s = make_signal name init in
+  Cycle_system.refuse_shared_registers ~engine:"rtl" sys;
+  let signals = ref [] and n_signals = ref 0 in
+  let signal name init =
+    let s =
+      {
+        sg_index = !n_signals;
+        sg_name = name;
+        sg_value = init;
+        sg_initial = init;
+        sg_driven = false;
+        sg_readers = [||];
+        sg_selects = -1;
+      }
+    in
+    incr n_signals;
     signals := s :: !signals;
     s
   in
-  (* One RTL signal per net. *)
+  (* One signal per net. *)
   let net_signals =
     Array.of_list
       (List.map
          (fun n ->
-           add_signal (Cycle_system.net_name n)
-             (Fixed.zero (Cycle_system.net_format n)))
+           signal (Cycle_system.net_name n) (Fixed.zero (Cycle_system.net_format n)))
          (Cycle_system.nets sys))
   in
   let net_signal n = net_signals.(Cycle_system.net_index n) in
-  let clk = add_signal "clk" (Fixed.of_bool false) in
-  let processes = ref [] in
-  let resets = ref [] in
-  let latches = ref [] in
-  let kernel_commits = ref [] in
-  let kernel_procs = ref [] in
-  let add_process p = processes := p :: !processes in
-  (* Fault-injection bookkeeping: register shadows and state signals. *)
-  let all_shadows = ref [] in
-  let state_sig_rows = ref [] in
-  (* Timed components: comb + seq process pairs. *)
-  List.iter
-    (fun (cname, fsm) ->
-      let regs = Fsm.all_regs fsm in
-      (* Shadow and next signals per register. *)
-      let shadow =
-        List.map
-          (fun r ->
-            (Signal.Reg.id r, add_signal (cname ^ "." ^ Signal.Reg.name r)
-                                (Signal.Reg.init r)))
-          regs
-      in
-      let next_sig =
-        List.map
-          (fun r ->
-            ( Signal.Reg.id r,
-              add_signal (cname ^ "." ^ Signal.Reg.name r ^ "_next")
-                (Signal.Reg.init r) ))
-          regs
-      in
-      let state_fmt = Fixed.unsigned ~width:16 ~frac:0 in
-      let state_sig =
-        add_signal (cname ^ ".state")
-          (Fixed.of_int state_fmt (Fsm.state_index (Fsm.initial_state fsm)))
-      in
-      let next_state_sig =
-        add_signal (cname ^ ".state_next") state_sig.sg_initial
-      in
-      all_shadows := shadow @ !all_shadows;
-      state_sig_rows :=
-        (cname, state_sig, List.length (Fsm.states fsm)) :: !state_sig_rows;
-      (* Input nets feeding this component, by SFG input name. *)
-      let input_net i = Cycle_system.input_net sys cname (Signal.Input.name i) in
-      let input_nets =
-        List.concat_map
-          (fun sfg -> List.filter_map input_net (Sfg.inputs sfg))
-          (Fsm.all_sfgs fsm)
-        |> List.sort_uniq (fun a b ->
-               String.compare (Cycle_system.net_name a) (Cycle_system.net_name b))
-      in
-      let comb_sensitivity =
-        List.map net_signal input_nets @ List.map snd shadow @ [ state_sig ]
-      in
-      (* (register, shadow) and (next, shadow) pairs, in register order. *)
-      let shadow_of r = List.assoc (Signal.Reg.id r) shadow in
-      let next_of r = List.assoc (Signal.Reg.id r) next_sig in
-      let mirrors = List.map (fun r -> (r, shadow_of r)) regs in
-      let next_shadow = List.map (fun r -> (next_of r, shadow_of r)) regs in
-      let action sfg =
-        let outputs = Sfg.outputs sfg in
-        {
-          ra_plan = Sfg.plan sfg;
-          ra_outputs =
-            List.concat
-              (List.mapi
-                 (fun k (port, _) ->
-                   match Cycle_system.output_net sys cname port with
-                   | Some n -> [ (k, net_signal n) ]
-                   | None -> [])
-                 outputs);
-          ra_assigns =
-            List.mapi
-              (fun k (r, _) -> (List.length outputs + k, next_of r))
-              (Sfg.assigns sfg);
-        }
-      in
-      let elaborate tr =
-        let actions = List.map action tr.Fsm.t_actions in
-        let assigned nx =
-          List.exists (fun a -> List.exists (fun (_, s) -> s == nx) a.ra_assigns) actions
+  let clk = signal "clk" (Fixed.of_bool false) in
+  (* Processes, with their sensitivity and the most transactions one
+     firing drives. *)
+  let procs = ref [] and n_procs = ref 0 and sensitive = ref [] and drives = ref 0 in
+  let process p ~sensitivity ~most =
+    List.iter (fun s -> sensitive := (s, !n_procs) :: !sensitive) sensitivity;
+    drives := !drives + most;
+    procs := p :: !procs;
+    incr n_procs;
+    !n_procs - 1
+  in
+  let shadow_of_reg = Hashtbl.create 64 in
+  let timed =
+    List.mapi
+      (fun i (cname, fsm) ->
+        let regs = Array.of_list (Fsm.all_regs fsm) in
+        let index = Hashtbl.create 16 in
+        Array.iteri (fun j r -> Hashtbl.replace index (Signal.Reg.id r) j) regs;
+        let shadows =
+          Array.map (fun r -> signal (cname ^ "." ^ Signal.Reg.name r) (Signal.Reg.init r)) regs
         in
-        {
-          rt_goto = Fixed.of_int state_fmt (Fsm.state_index tr.Fsm.t_goto);
-          rt_inputs =
-            List.concat_map
-              (fun sfg ->
-                List.filter_map
-                  (fun i -> Option.map (fun n -> (i, net_signal n)) (input_net i))
-                  (Sfg.inputs sfg))
-              tr.Fsm.t_actions;
-          rt_actions = actions;
-          rt_holds = List.filter (fun (nx, _) -> not (assigned nx)) next_shadow;
-        }
-      in
-      let transitions = Array.of_list (List.map elaborate (Fsm.transitions fsm)) in
-      let comb_exec () =
-        (* Mirror register shadows into the shared Reg objects so that
-           the guard and transition plans see the event-driven state. *)
-        List.iter (fun (r, s) -> Signal.Reg.set_value r s.sg_value) mirrors;
-        (* Select the transition as the FSM would, from the state signal. *)
-        match Fsm.select_from fsm (Fixed.to_int state_sig.sg_value) with
-        | None ->
-          (* Hold: next state and next regs keep current values. *)
-          (next_state_sig, state_sig.sg_value)
-          :: List.map (fun (nx, sh) -> (nx, sh.sg_value)) next_shadow
-        | Some k ->
-          let rt = transitions.(k) in
-          let env = Signal.Env.create () in
-          List.iter (fun (i, s) -> Signal.Env.bind env i s.sg_value) rt.rt_inputs;
-          (* Every action's outputs, then every action's assignments:
-             the order of the transition body. *)
-          let memos =
-            List.map (fun a -> (a, Signal.Plan.memo a.ra_plan env)) rt.rt_actions
+        let nexts =
+          Array.map
+            (fun r -> signal (cname ^ "." ^ Signal.Reg.name r ^ "_next") (Signal.Reg.init r))
+            regs
+        in
+        Array.iteri (fun j r -> Hashtbl.replace shadow_of_reg (Signal.Reg.id r) shadows.(j)) regs;
+        let state =
+          signal (cname ^ ".state")
+            (Fixed.of_int state_format (Fsm.state_index (Fsm.initial_state fsm)))
+        in
+        let next_state = signal (cname ^ ".state_next") state.sg_initial in
+        (* Per SFG, once: its declared inputs' signals, its action, and
+           whether its plan reads only inputs it declares — then its
+           seeds are the same in every transition. *)
+        let resolved = Hashtbl.create 16 in
+        let resolve sfg =
+          match List.assq_opt sfg (Hashtbl.find_all resolved (Sfg.name sfg)) with
+          | Some info -> info
+          | None ->
+            let plan = Sfg.plan sfg and outputs = Sfg.outputs sfg in
+            let declared =
+              List.filter_map
+                (fun i ->
+                  Option.map
+                    (fun n -> (Signal.Input.id i, net_signal n))
+                    (Cycle_system.input_net sys cname (Signal.Input.name i)))
+                (Sfg.inputs sfg)
+            in
+            let seeds bound =
+              Array.of_list
+                (List.filter_map
+                   (fun (id, s) ->
+                     match Signal.Plan.read_nodes plan (fun i -> Signal.Input.id i = id) with
+                     | [||] -> None
+                     | nodes -> Some (s, nodes))
+                   bound)
+            in
+            let own i = List.exists (fun d -> Signal.Input.id d = Signal.Input.id i) (Sfg.inputs sfg) in
+            let closed = Signal.Plan.read_nodes plan (fun i -> not (own i)) = [||] in
+            let action =
+              {
+                ac_plan = plan;
+                ac_seeds = seeds declared;
+                ac_outputs =
+                  Array.of_list
+                    (List.concat
+                       (List.mapi
+                          (fun k (port, _) ->
+                            match Cycle_system.output_net sys cname port with
+                            | Some n -> [ (k, net_signal n) ]
+                            | None -> [])
+                          outputs));
+                ac_assigns =
+                  Array.of_list
+                    (List.map (fun (r, _) -> Hashtbl.find index (Signal.Reg.id r)) (Sfg.assigns sfg));
+                ac_first = List.length outputs;
+              }
+            in
+            let info = (declared, action, if closed then None else Some seeds) in
+            Hashtbl.add resolved (Sfg.name sfg) (sfg, info);
+            info
+        in
+        let transition tr =
+          let infos = List.map resolve tr.Fsm.t_actions in
+          (* An action reading an input another action declares is
+             seeded from every input the transition's actions declare. *)
+          let bound = lazy (List.concat_map (fun (declared, _, _) -> declared) infos) in
+          let actions =
+            Array.of_list
+              (List.map
+                 (fun (_, a, reseed) ->
+                   match reseed with
+                   | None -> a
+                   | Some seeds -> { a with ac_seeds = seeds (Lazy.force bound) })
+                 infos)
           in
-          let eval roots =
-            List.concat_map
-              (fun (a, m) -> List.map (fun (k, s) -> (s, Signal.Plan.eval m k)) (roots a))
-              memos
-          in
-          let outs = eval (fun a -> a.ra_outputs) in
-          let assigned = eval (fun a -> a.ra_assigns) in
-          (* Unassigned registers hold their value. *)
-          let holds = List.map (fun (nx, sh) -> (nx, sh.sg_value)) rt.rt_holds in
-          ((next_state_sig, rt.rt_goto) :: outs) @ assigned @ holds
-      in
-      add_process (make_process comb_sensitivity comb_exec);
-      (* Sequential process: latch on the rising clock edge. *)
-      let prev_clk = ref false in
-      latches := prev_clk :: !latches;
-      let seq_exec () =
-        let now = Fixed.is_true clk.sg_value in
-        let rising = now && not !prev_clk in
-        prev_clk := now;
-        if rising then
-          (state_sig, next_state_sig.sg_value)
-          :: List.map (fun (nx, sh) -> (sh, nx.sg_value)) next_shadow
-        else []
-      in
-      add_process (make_process [ clk ] seq_exec);
-      resets :=
-        (fun () ->
-          prev_clk := false;
-          Fsm.reset fsm)
-        :: !resets)
-    (Cycle_system.timed_components sys);
+          let assigned = Array.make (Array.length regs) false in
+          Array.iter (fun a -> Array.iter (fun j -> assigned.(j) <- true) a.ac_assigns) actions;
+          let holds = ref [] in
+          for j = Array.length regs - 1 downto 0 do
+            if not assigned.(j) then holds := j :: !holds
+          done;
+          {
+            tr_goto = Fixed.of_int state_format (Fsm.state_index tr.Fsm.t_goto);
+            tr_actions = actions;
+            tr_holds = Array.of_list !holds;
+          }
+        in
+        let transitions = Array.of_list (List.map transition (Fsm.transitions fsm)) in
+        let comb =
+          {
+            cb_selector = Fsm.selector fsm;
+            cb_state = state;
+            cb_next_state = next_state;
+            cb_regs = regs;
+            cb_shadows = shadows;
+            cb_nexts = nexts;
+            cb_transitions = transitions;
+            cb_stale = true;
+            cb_selected = -1;
+          }
+        in
+        let inputs =
+          List.concat_map
+            (fun sfg ->
+              let declared, _, _ = resolve sfg in
+              List.map snd declared)
+            (Fsm.all_sfgs fsm)
+          |> List.sort_uniq (fun a b -> compare a.sg_index b.sg_index)
+        in
+        let most =
+          Array.fold_left
+            (fun m tr ->
+              Array.fold_left
+                (fun m a -> m + Array.length a.ac_outputs + Array.length a.ac_assigns)
+                (Array.length tr.tr_holds) tr.tr_actions
+              |> max m)
+            (Array.length regs) transitions
+        in
+        ignore
+          (process (Comb comb)
+             ~sensitivity:(inputs @ Array.to_list shadows @ [ state ])
+             ~most:(1 + most));
+        Array.iter (fun s -> s.sg_selects <- i) shadows;
+        state.sg_selects <- i;
+        let q = { sq_comb = comb; sq_clk = false } in
+        ignore
+          (process (Seq q) ~sensitivity:[ clk ] ~most:(1 + Array.length regs));
+        ((cname, List.length (Fsm.states fsm)), fsm, comb, q))
+      (Cycle_system.timed_components sys)
+  in
   (* Untimed kernels: combinational processes. *)
-  List.iter
-    (fun (cname, k) ->
-      let ports port_net ports =
-        List.filter_map
-          (fun (port, _) ->
-            Option.map (fun n -> (port, net_signal n)) (port_net sys cname port))
-          ports
-      in
-      let ins = ports Cycle_system.input_net k.Dataflow.Kernel.k_inputs in
-      let outs = ports Cycle_system.output_net k.Dataflow.Kernel.k_outputs in
-      kernel_commits := k.Dataflow.Kernel.k_commit :: !kernel_commits;
-      resets := k.Dataflow.Kernel.k_reset :: !resets;
-      let exec () =
-        if k.Dataflow.Kernel.k_ready () then begin
-          let consumed = List.map (fun (port, s) -> (port, [ s.sg_value ])) ins in
-          let produced = k.Dataflow.Kernel.k_behavior consumed in
+  let untimed = Cycle_system.untimed_components sys in
+  let kernel_procs =
+    List.map
+      (fun (cname, k) ->
+        let ports port_net ports =
           List.filter_map
-            (fun (port, s) ->
-              match List.assoc_opt port produced with
-              | Some [ v ] -> Some (s, v)
-              | Some _ | None -> None)
-            outs
-        end
-        else []
-      in
-      let p = make_process (List.map snd ins) exec in
-      kernel_procs := p :: !kernel_procs;
-      add_process p)
-    (Cycle_system.untimed_components sys);
+            (fun (port, _) ->
+              Option.map (fun n -> (port, net_signal n)) (port_net sys cname port))
+            ports
+        in
+        let ins = ports Cycle_system.input_net k.Dataflow.Kernel.k_inputs in
+        let outs = Array.of_list (ports Cycle_system.output_net k.Dataflow.Kernel.k_outputs) in
+        process
+          (Kernel { kn_kernel = k; kn_inputs = ins; kn_outputs = outs })
+          ~sensitivity:(List.map snd ins) ~most:(Array.length outs))
+      untimed
+  in
   (* Primary inputs and probes. *)
   let stims =
     List.filter_map
-      (fun (name, _fmt, stim) ->
+      (fun (name, fmt, _) ->
         Option.map
-          (fun n -> (net_signal n, stim))
+          (fun n -> (Cycle_system.input_column sys name, fmt, net_signal n))
           (Cycle_system.output_net sys name "out"))
       (Cycle_system.primary_inputs sys)
   in
@@ -301,40 +322,39 @@ let of_system sys =
     List.concat
       (List.mapi
          (fun i (_, n) ->
-           match n with
-           | Some n -> [ { pb_column = i; pb_signal = net_signal n } ]
-           | None -> [])
+           match n with Some n -> [ (i, net_signal n) ] | None -> [])
          probe_nets)
   in
-  let wakeups = Hashtbl.create 256 in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun s ->
-          let existing =
-            match Hashtbl.find_opt wakeups s.sg_id with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace wakeups s.sg_id (p :: existing))
-        p.pr_sensitivity)
-    !processes;
+  let signals = Array.of_list (List.rev !signals) in
+  (* Each signal's readers, from the (signal, process) pairs. *)
+  let readers = Array.make (Array.length signals) [] in
+  List.iter (fun (s, p) -> readers.(s.sg_index) <- p :: readers.(s.sg_index)) !sensitive;
+  Array.iter (fun s -> s.sg_readers <- Array.of_list readers.(s.sg_index)) signals;
+  let capacity = max 1 (max !drives (List.length stims)) in
+  let regs = Array.of_list (Cycle_system.all_regs sys) in
   {
-    signals = !signals;
-    processes = !processes;
-    wakeups;
+    signals;
+    procs = Array.of_list (List.rev !procs);
+    combs = Array.of_list (List.map (fun (_, _, c, _) -> c) timed);
+    seqs = Array.of_list (List.map (fun (_, _, _, q) -> q) timed);
+    components = Array.of_list (List.map (fun (row, _, _, _) -> row) timed);
+    fsms = Array.of_list (List.map (fun (_, fsm, _, _) -> fsm) timed);
+    kernels = Array.of_list (List.map snd untimed);
+    kernel_procs = Array.of_list kernel_procs;
     clk;
-    stims;
-    probes;
+    stims = Array.of_list stims;
+    probes = Array.of_list probes;
     trace;
-    resets = !resets;
-    latches = Array.of_list !latches;
-    kernels = List.map snd (Cycle_system.untimed_components sys);
-    kernel_commits = !kernel_commits;
-    kernel_procs = !kernel_procs;
-    regs = Array.of_list (Cycle_system.all_regs sys);
-    reg_shadows = !all_shadows;
-    state_sigs = Array.of_list (List.rev !state_sig_rows);
+    regs;
+    reg_shadows = Array.map (fun r -> Hashtbl.find shadow_of_reg (Signal.Reg.id r)) regs;
+    q_sigs = Array.make capacity 0;
+    q_vals = Array.make capacity no_value;
+    q_len = 0;
+    applied_sigs = Array.make capacity 0;
+    applied_vals = Array.make capacity no_value;
+    stamps = Array.make !n_procs (-1);
+    woken = Array.make !n_procs 0;
+    epoch = 0;
     cycle_count = 0;
     initialized = false;
     n_events = 0;
@@ -348,102 +368,197 @@ let of_system sys =
 (* Delta cycles one settle may take before a loop is declared. *)
 let max_deltas = 1000
 
-(* Apply assignments, wake sensitive processes of changed signals, loop. *)
-let settle t initial_assignments =
+(* A transaction for the next delta. *)
+let drive t s v =
+  let n = t.q_len in
+  t.q_sigs.(n) <- s.sg_index;
+  t.q_vals.(n) <- v;
+  t.q_len <- n + 1
+
+(* What an exception left queued goes: the next settle starts empty. *)
+let drop_queue t =
+  Array.fill t.q_vals 0 t.q_len no_value;
+  t.q_len <- 0
+
+(* A fresh memo for an action, seeded straight from its input signals. *)
+let seeded ac =
+  let m = Signal.Plan.start ac.ac_plan in
+  for j = 0 to Array.length ac.ac_seeds - 1 do
+    let s, nodes = ac.ac_seeds.(j) in
+    Signal.Plan.seed m nodes s.sg_value
+  done;
+  m
+
+let fire_comb t c =
+  (* Mirror the shadows into the shared registers, which the guards and
+     the transitions' plans read. *)
+  for j = 0 to Array.length c.cb_regs - 1 do
+    let r = c.cb_regs.(j) and v = c.cb_shadows.(j).sg_value in
+    if Signal.Reg.value r != v then Signal.Reg.set_value r v
+  done;
+  if c.cb_stale then begin
+    c.cb_selected <- Fsm.select_from c.cb_selector (Fixed.to_int c.cb_state.sg_value);
+    c.cb_stale <- false
+  end;
+  if c.cb_selected < 0 then begin
+    (* Hold: next state and next registers keep the current values. *)
+    drive t c.cb_next_state c.cb_state.sg_value;
+    for j = 0 to Array.length c.cb_nexts - 1 do
+      drive t c.cb_nexts.(j) c.cb_shadows.(j).sg_value
+    done
+  end
+  else begin
+    let tr = c.cb_transitions.(c.cb_selected) in
+    drive t c.cb_next_state tr.tr_goto;
+    let actions = tr.tr_actions in
+    let memos = Array.map seeded actions in
+    (* Every action's outputs, then every action's assignments: the
+       order of the transition body. *)
+    for a = 0 to Array.length actions - 1 do
+      let outputs = actions.(a).ac_outputs in
+      for j = 0 to Array.length outputs - 1 do
+        let k, s = outputs.(j) in
+        drive t s (Signal.Plan.eval memos.(a) k)
+      done
+    done;
+    for a = 0 to Array.length actions - 1 do
+      let ac = actions.(a) in
+      for j = 0 to Array.length ac.ac_assigns - 1 do
+        drive t c.cb_nexts.(ac.ac_assigns.(j)) (Signal.Plan.eval memos.(a) (ac.ac_first + j))
+      done
+    done;
+    (* Unassigned registers hold their value. *)
+    let holds = tr.tr_holds in
+    for j = 0 to Array.length holds - 1 do
+      drive t c.cb_nexts.(holds.(j)) c.cb_shadows.(holds.(j)).sg_value
+    done
+  end
+
+(* Latch next state and next registers on the rising clock edge. *)
+let fire_seq t q =
+  let now = Fixed.is_true t.clk.sg_value in
+  let rising = now && not q.sq_clk in
+  q.sq_clk <- now;
+  if rising then begin
+    let c = q.sq_comb in
+    drive t c.cb_state c.cb_next_state.sg_value;
+    for j = 0 to Array.length c.cb_nexts - 1 do
+      drive t c.cb_shadows.(j) c.cb_nexts.(j).sg_value
+    done
+  end
+
+let fire_kernel t kn =
+  let k = kn.kn_kernel in
+  if k.Dataflow.Kernel.k_ready () then begin
+    let consumed = List.map (fun (port, s) -> (port, [ s.sg_value ])) kn.kn_inputs in
+    let produced = k.Dataflow.Kernel.k_behavior consumed in
+    for j = 0 to Array.length kn.kn_outputs - 1 do
+      let port, s = kn.kn_outputs.(j) in
+      match List.assoc_opt port produced with
+      | Some [ v ] -> drive t s v
+      | Some _ | None -> ()
+    done
+  end
+
+let fire t p =
+  t.n_activations <- t.n_activations + 1;
+  match t.procs.(p) with
+  | Comb c -> fire_comb t c
+  | Seq q -> fire_seq t q
+  | Kernel kn -> fire_kernel t kn
+
+(* Name the signals still being scheduled — the combinational loop (or
+   ping-ponging process pair) runs through them. *)
+let overflow t =
+  let culprits =
+    List.init t.q_len (fun j -> t.signals.(t.q_sigs.(j)).sg_name)
+    |> List.sort_uniq String.compare
+  in
+  let shown =
+    if List.length culprits <= 12 then culprits
+    else
+      List.filteri (fun i _ -> i < 12) culprits
+      @ [ Printf.sprintf "... %d more" (List.length culprits - 12) ]
+  in
+  Ocapi_error.fail Ocapi_error.Delta_overflow ~engine:"rtl" ~cycle:t.cycle_count
+    ~nets:shown
+    "no convergence after %d delta cycles: %d signals still scheduling transactions"
+    max_deltas (List.length culprits)
+
+(* Apply the queued transactions, wake the readers of the signals that
+   changed, run them; until a delta drives nothing. *)
+let settle t =
   let obs = Ocapi_obs.enabled () in
-  let pending = ref initial_assignments in
   let deltas = ref 0 in
-  while !pending <> [] do
+  while t.q_len > 0 do
     incr deltas;
     t.n_deltas <- t.n_deltas + 1;
     if obs then
       (* pending transactions = the event queue of this delta *)
-      Ocapi_obs.max_gauge "rtl.queue_high_water"
-        (float_of_int (List.length !pending));
-    if !deltas > max_deltas then begin
-      (* Name the signals still being scheduled — the combinational loop
-         (or ping-ponging process pair) runs through them. *)
-      let culprits =
-        List.map (fun (s, _) -> s.sg_name) !pending
-        |> List.sort_uniq String.compare
-      in
-      let shown =
-        if List.length culprits <= 12 then culprits
-        else
-          (List.filteri (fun i _ -> i < 12) culprits)
-          @ [ Printf.sprintf "... %d more" (List.length culprits - 12) ]
-      in
-      Ocapi_error.fail Ocapi_error.Delta_overflow ~engine:"rtl"
-        ~cycle:t.cycle_count ~nets:shown
-        "no convergence after %d delta cycles: %d signals still scheduling \
-         transactions" max_deltas (List.length culprits)
-    end;
-    (* Apply transactions; collect processes woken by events. *)
-    let woken = Hashtbl.create 16 in
-    List.iter
-      (fun (s, v) ->
-        t.n_transactions <- t.n_transactions + 1;
-        s.sg_driven_this_cycle <- true;
-        if not (Fixed.equal s.sg_value v) then begin
-          s.sg_value <- v;
-          t.n_events <- t.n_events + 1;
-          match Hashtbl.find_opt t.wakeups s.sg_id with
-          | Some procs ->
-            List.iter (fun p -> Hashtbl.replace woken p.pr_id p) procs
-          | None -> ()
-        end)
-      !pending;
-    (* Execute woken processes, gathering next-delta assignments. *)
-    let next = ref [] in
-    Hashtbl.iter
-      (fun _ p ->
-        t.n_activations <- t.n_activations + 1;
-        next := p.pr_exec () @ !next)
-      woken;
-    pending := !next
+      Ocapi_obs.max_gauge "rtl.queue_high_water" (float_of_int t.q_len);
+    if !deltas > max_deltas then overflow t;
+    let sigs = t.q_sigs and vals = t.q_vals and n = t.q_len in
+    t.q_sigs <- t.applied_sigs;
+    t.q_vals <- t.applied_vals;
+    t.q_len <- 0;
+    t.applied_sigs <- sigs;
+    t.applied_vals <- vals;
+    t.epoch <- t.epoch + 1;
+    let epoch = t.epoch and woken = ref 0 in
+    t.n_transactions <- t.n_transactions + n;
+    for j = 0 to n - 1 do
+      let s = t.signals.(sigs.(j)) and v = vals.(j) in
+      vals.(j) <- no_value;
+      s.sg_driven <- true;
+      if v != s.sg_value && not (Fixed.equal s.sg_value v) then begin
+        s.sg_value <- v;
+        t.n_events <- t.n_events + 1;
+        if s.sg_selects >= 0 then t.combs.(s.sg_selects).cb_stale <- true;
+        let readers = s.sg_readers in
+        for r = 0 to Array.length readers - 1 do
+          let p = readers.(r) in
+          if t.stamps.(p) <> epoch then begin
+            t.stamps.(p) <- epoch;
+            t.woken.(!woken) <- p;
+            incr woken
+          end
+        done
+      end
+    done;
+    for w = 0 to !woken - 1 do
+      fire t t.woken.(w)
+    done
   done
 
 let initialize t =
   (* VHDL semantics: every process executes once at time zero. *)
   if not t.initialized then begin
     t.initialized <- true;
-    let assignments =
-      List.concat_map
-        (fun p ->
-          t.n_activations <- t.n_activations + 1;
-          p.pr_exec ())
-        t.processes
-    in
-    settle t assignments
+    for p = 0 to Array.length t.procs - 1 do
+      fire t p
+    done;
+    settle t
   end
 
-let cycle t =
-  let t_cycle = Ocapi_obs.span_begin () in
-  let events0 = t.n_events
-  and transactions0 = t.n_transactions
-  and deltas0 = t.n_deltas
-  and activations0 = t.n_activations in
+let step t =
   initialize t;
   (* Drive primary inputs, settle. *)
-  let input_assignments =
-    List.filter_map
-      (fun (s, stim) ->
-        match stim t.cycle_count with
-        | Some v -> Some (s, v)
-        | None -> None)
-      t.stims
-  in
-  settle t input_assignments;
+  let c = t.cycle_count in
+  for j = 0 to Array.length t.stims - 1 do
+    let col, fmt, s = t.stims.(j) in
+    if Cycle_system.column_present col c then
+      drive t s (Fixed.create fmt (Cycle_system.column_mantissa col c))
+  done;
+  settle t;
   (* Sample probes that saw a transaction, before the clock edge — the
      combinational outputs of this cycle are stable now, computed from
      this cycle's inputs and the pre-edge register values, exactly as a
      test bench would sample them. *)
-  List.iter
-    (fun pb ->
-      if pb.pb_signal.sg_driven_this_cycle then
-        Cycle_system.Trace.record_token t.trace pb.pb_column ~cycle:t.cycle_count
-          pb.pb_signal.sg_value)
-    t.probes;
+  for j = 0 to Array.length t.probes - 1 do
+    let column, s = t.probes.(j) in
+    if s.sg_driven then
+      Cycle_system.Trace.record_token t.trace column ~cycle:c s.sg_value
+  done;
   (* Kernel state commits are synchronous: like a register latch they
      apply the staging settled from this cycle's pre-edge signal values.
      Committing before the clock event re-runs any process keeps the
@@ -451,25 +566,37 @@ let cycle t =
      phase scheduler's register-update-phase semantics.  (Committing
      after the edge settle would overwrite the staging with post-edge
      register values first: a one-cycle skew on register-driven write
-     data that the differential fuzzer caught.) *)
-  if t.kernel_commits <> [] then List.iter (fun f -> f ()) t.kernel_commits;
+     data that the differential fuzzer caught.)  Newest first. *)
+  for j = Array.length t.kernels - 1 downto 0 do
+    t.kernels.(j).Dataflow.Kernel.k_commit ()
+  done;
   (* Rising edge, settle. *)
-  settle t [ (t.clk, Fixed.of_bool true) ];
+  drive t t.clk (Fixed.of_bool true);
+  settle t;
   (* Committed state may change combinational reads (a RAM's read port
      now sees the written word), so kernel processes re-execute and
      settle even when none of their input nets saw an edge event. *)
-  if t.kernel_commits <> [] then begin
-    let assignments =
-      List.concat_map
-        (fun p ->
-          t.n_activations <- t.n_activations + 1;
-          p.pr_exec ())
-        t.kernel_procs
-    in
-    settle t assignments
+  if Array.length t.kernel_procs > 0 then begin
+    for j = 0 to Array.length t.kernel_procs - 1 do
+      fire t t.kernel_procs.(j)
+    done;
+    settle t
   end;
   (* Falling edge, settle. *)
-  settle t [ (t.clk, Fixed.of_bool false) ];
+  drive t t.clk (Fixed.of_bool false);
+  settle t
+
+let cycle t =
+  let t_cycle = Ocapi_obs.span_begin () in
+  let events0 = t.n_events
+  and transactions0 = t.n_transactions
+  and deltas0 = t.n_deltas
+  and activations0 = t.n_activations in
+  (match step t with
+  | () -> ()
+  | exception e ->
+    drop_queue t;
+    raise e);
   if Ocapi_obs.enabled () then begin
     Ocapi_obs.count "rtl.cycles";
     Ocapi_obs.count ~n:(t.n_events - events0) "rtl.events_fired";
@@ -488,6 +615,10 @@ let trace t = t.trace
 
 let clear_histories t = Cycle_system.Trace.clear t.trace
 
+(* Every selection is made again: [reset] and [restore] set states and
+   shadows without an event. *)
+let stale t = Array.iter (fun c -> c.cb_stale <- true) t.combs
+
 let reset t =
   t.cycle_count <- 0;
   t.initialized <- false;
@@ -495,13 +626,17 @@ let reset t =
   t.n_transactions <- 0;
   t.n_deltas <- 0;
   t.n_activations <- 0;
-  List.iter
+  drop_queue t;
+  Array.iter
     (fun s ->
       s.sg_value <- s.sg_initial;
-      s.sg_driven_this_cycle <- false)
+      s.sg_driven <- false)
     t.signals;
   Array.iter Signal.Reg.reset t.regs;
-  List.iter (fun f -> f ()) t.resets;
+  Array.iter (fun q -> q.sq_clk <- false) t.seqs;
+  Array.iter Fsm.reset t.fsms;
+  Array.iter (fun k -> k.Dataflow.Kernel.k_reset ()) t.kernels;
+  stale t;
   clear_histories t
 
 (* --- checkpoints ------------------------------------------------------------ *)
@@ -522,27 +657,27 @@ type snapshot = {
 let snapshot t =
   Option.map
     (fun save ->
-      let signals = Array.of_list t.signals in
       {
         sn_cycle = t.cycle_count;
         sn_initialized = t.initialized;
-        sn_values = Array.map (fun s -> s.sg_value) signals;
-        sn_driven = Array.map (fun s -> s.sg_driven_this_cycle) signals;
-        sn_latches = Array.map ( ! ) t.latches;
+        sn_values = Array.map (fun s -> s.sg_value) t.signals;
+        sn_driven = Array.map (fun s -> s.sg_driven) t.signals;
+        sn_latches = Array.map (fun q -> q.sq_clk) t.seqs;
         sn_regs = Array.map (fun r -> (Signal.Reg.value r, Signal.Reg.next r)) t.regs;
         sn_kernels = save ();
       })
-    (Dataflow.Kernel.snapshot_all t.kernels)
+    (Dataflow.Kernel.snapshot_all (Array.to_list t.kernels))
 
 let restore t sn =
   t.cycle_count <- sn.sn_cycle;
   t.initialized <- sn.sn_initialized;
-  List.iteri
+  drop_queue t;
+  Array.iteri
     (fun i s ->
       s.sg_value <- sn.sn_values.(i);
-      s.sg_driven_this_cycle <- sn.sn_driven.(i))
+      s.sg_driven <- sn.sn_driven.(i))
     t.signals;
-  Array.iteri (fun i l -> l := sn.sn_latches.(i)) t.latches;
+  Array.iteri (fun i q -> q.sq_clk <- sn.sn_latches.(i)) t.seqs;
   Array.iteri
     (fun i r ->
       let v, next = sn.sn_regs.(i) in
@@ -551,15 +686,16 @@ let restore t sn =
       Option.iter (Signal.Reg.set_next r) next)
     t.regs;
   sn.sn_kernels.Dataflow.Kernel.sn_restore ();
+  stale t;
   clear_histories t
 
 let matches t sn =
-  let rec same_signals i = function
-    | [] -> true
-    | s :: rest ->
-      Fixed.equal s.sg_value sn.sn_values.(i)
-      && s.sg_driven_this_cycle = sn.sn_driven.(i)
-      && same_signals (i + 1) rest
+  let rec same_signals i =
+    i = Array.length t.signals
+    || (let s = t.signals.(i) in
+        Fixed.equal s.sg_value sn.sn_values.(i)
+        && s.sg_driven = sn.sn_driven.(i)
+        && same_signals (i + 1))
   in
   t.cycle_count = sn.sn_cycle
   && t.initialized = sn.sn_initialized
@@ -568,11 +704,24 @@ let matches t sn =
          Fixed.equal (Signal.Reg.value r) v
          && Option.equal Fixed.equal (Signal.Reg.next r) next)
        t.regs sn.sn_regs
-  && Array.for_all2 (fun l v -> !l = v) t.latches sn.sn_latches
-  && same_signals 0 t.signals
+  && Array.for_all2 (fun q v -> q.sq_clk = v) t.seqs sn.sn_latches
+  && same_signals 0
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 (* --- fault-injection access ----------------------------------------------- *)
+
+(* Drive [s] with [value s], read once the elaboration is initialized,
+   and settle: a poke between two cycles. *)
+let poke t s value =
+  match
+    initialize t;
+    drive t s (value s);
+    settle t
+  with
+  | () -> ()
+  | exception e ->
+    drop_queue t;
+    raise e
 
 let register_count t = Array.length t.regs
 
@@ -589,33 +738,22 @@ let flip_register_bit t i ~bit =
          bit
          (Fixed.format_to_string f)
          (Signal.Reg.name r));
-  match List.assoc_opt (Signal.Reg.id r) t.reg_shadows with
-  | None ->
-    error ~construct:(Signal.Reg.name r)
-      "flip_register_bit: register %s has no shadow signal" (Signal.Reg.name r)
-  | Some sh ->
-    initialize t;
-    let v = sh.sg_value in
-    (* The shadow may hold a value in a wider expression format than the
-       declared one; flip within the stored width. *)
-    let b = min bit ((Fixed.fmt v).Fixed.width - 1) in
-    settle t [ (sh, Fixed.flip_bit v b) ]
+  (* The shadow may hold a value in a wider expression format than the
+     declared one; flip within the stored width. *)
+  poke t t.reg_shadows.(i) (fun sh ->
+      let v = sh.sg_value in
+      Fixed.flip_bit v (min bit ((Fixed.fmt v).Fixed.width - 1)))
 
-let component_count t = Array.length t.state_sigs
+let component_count t = Array.length t.combs
 
-let component_info t i =
-  let cname, _, n = t.state_sigs.(i) in
-  (cname, n)
+let component_info t i = t.components.(i)
 
-let component_state t i =
-  let _, s, _ = t.state_sigs.(i) in
-  Fixed.to_int s.sg_value
+let component_state t i = Fixed.to_int t.combs.(i).cb_state.sg_value
 
 let set_component_state t i state =
-  let cname, s, n = t.state_sigs.(i) in
+  let cname, n = t.components.(i) in
   let state =
     Ocapi_error.check_state ~engine:"rtl" ~construct:cname ~cycle:t.cycle_count
       ~states:n state
   in
-  initialize t;
-  settle t [ (s, Fixed.of_int (Fixed.fmt s.sg_value) state) ]
+  poke t t.combs.(i).cb_state (fun s -> Fixed.of_int (Fixed.fmt s.sg_value) state)

@@ -24,14 +24,29 @@
     unbounded delta chain (a combinational loop) raises
     [Ocapi_error.Error] with code [Delta_overflow], naming (a sample of)
     the signals still scheduling transactions, the budget and the clock
-    cycle. *)
+    cycle.
+
+    The elaboration resolves the kernel once: signals and processes are
+    numbered, each signal holds its reader processes, and each comb
+    process holds, per transition, its actions' plans, the signals they
+    read and drive, and the plan nodes each input signal seeds.  A
+    delta applies one transaction queue, wakes each reader of a changed
+    signal once (a per-process stamp of the delta it was last woken
+    in), and runs the woken processes, which drive the next delta's
+    queue.  A comb process selects its transition again only after an
+    event on its state or on one of its register shadows. *)
 
 type t
 
 (** Elaborate a system for event-driven simulation.  The RTL engine
     shares the register objects of the source system: run only one
     engine at a time and call {!reset} before a run.  One settle takes
-    at most 1000 delta cycles. *)
+    at most 1000 delta cycles.
+    @raise Ocapi_error.Error with code [Unsupported] when a register one
+    timed component assigns is read by another
+    ([Cycle_system.shared_registers]): each component's processes would
+    read a shadow of their own, which the other's assignments never
+    reach. *)
 val of_system : Cycle_system.t -> t
 
 (** Simulate one clock cycle (input drive + both clock edges).  With

@@ -291,6 +291,7 @@ type slot = {
 and timed = {
   tc_comp : component;
   tc_fsm : Fsm.t;
+  tc_selector : Fsm.selector;  (* one memo per guarded transition *)
   tc_ports : string array;  (* connected input ports; the index of [sl_seeds] *)
   mutable tc_transitions : Fsm.transition array;
   mutable tc_slots : slot array array;  (* per transition *)
@@ -606,6 +607,7 @@ type check_issue =
   | Unconnected_output of string * string
   | Unknown_port of string * string
   | Format_conflict of string * string
+  | Shared_register of string * string * string
 
 let pp_issue ppf = function
   | Unconnected_input (c, p) ->
@@ -614,6 +616,8 @@ let pp_issue ppf = function
     Format.fprintf ppf "unconnected output: %s.%s drives nothing" c p
   | Unknown_port (c, p) -> Format.fprintf ppf "unknown port %s.%s" c p
   | Format_conflict (_, msg) -> Format.fprintf ppf "format conflict: %s" msg
+  | Shared_register (r, a, b) ->
+    Format.fprintf ppf "shared register: %s is assigned in %s and read in %s" r a b
 
 (* A kernel port may leave its format undeclared: the interpreter moves
    its tokens as they come, so only the static back ends need it. *)
@@ -622,6 +626,58 @@ let format_declared n =
   | { c_kind = Untimed k; _ }, port ->
     List.mem_assoc port k.Dataflow.Kernel.k_formats
   | { c_kind = Timed _ | Primary_input _ | Primary_output _; _ }, _ -> true
+
+let all_regs t =
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun c ->
+      match c.c_kind with
+      | Timed fsm -> Fsm.all_regs fsm
+      | Untimed _ | Primary_input _ | Primary_output _ -> [])
+    (List.rev t.comps)
+  |> List.filter (fun r ->
+         let id = Signal.Reg.id r in
+         if Hashtbl.mem seen id then false
+         else begin
+           Hashtbl.add seen id ();
+           true
+         end)
+
+let shared_registers t =
+  let timed =
+    List.filter_map
+      (fun c ->
+        match c.c_kind with
+        | Timed fsm ->
+          Some
+            ( c.c_name,
+              Fsm.all_regs fsm,
+              List.concat_map Sfg.regs_written (Fsm.all_sfgs fsm) )
+        | Untimed _ | Primary_input _ | Primary_output _ -> None)
+      (List.rev t.comps)
+  in
+  List.filter_map
+    (fun r ->
+      match List.find_opt (fun (_, _, written) -> List.memq r written) timed with
+      | None -> None
+      | Some (a, _, _) ->
+        List.find_map
+          (fun (b, regs, _) ->
+            if (not (String.equal a b)) && List.memq r regs then
+              Some (Signal.Reg.name r, a, b)
+            else None)
+          timed)
+    (all_regs t)
+
+let refuse_shared_registers ~engine t =
+  match shared_registers t with
+  | [] -> ()
+  | (r, a, b) :: _ ->
+    Ocapi_error.fail Ocapi_error.Unsupported ~engine ~construct:r ~nets:[ a; b ]
+      "%s: register %s is assigned in %s and read in %s; each component \
+       would read a copy of its own, so use the interp, compiled or native \
+       engine"
+      engine r a b
 
 let check t =
   let issues = ref [] in
@@ -645,6 +701,9 @@ let check t =
         | Ok _ -> ()
         | Error msg -> issues := Format_conflict (n.n_name, msg) :: !issues)
     (nets t);
+  List.iter
+    (fun (r, a, b) -> issues := Shared_register (r, a, b) :: !issues)
+    (shared_registers t);
   List.rev !issues
 
 (* --- building the run table ---------------------------------------------- *)
@@ -729,6 +788,7 @@ let build_run t =
             {
               tc_comp = c;
               tc_fsm = fsm;
+              tc_selector = Fsm.selector fsm;
               tc_ports = Array.of_list (List.sort String.compare ports);
               tc_transitions = [||];
               tc_slots = [||];
@@ -971,9 +1031,9 @@ let select_transitions run =
   for c = 0 to Array.length run.r_timed - 1 do
     let tc = run.r_timed.(c) in
     tc.tc_selected <- -1;
-    match Fsm.select_from tc.tc_fsm (Fsm.state_index (Fsm.current tc.tc_fsm)) with
-    | None -> ()
-    | Some k ->
+    match Fsm.select_from tc.tc_selector (Fsm.state_index (Fsm.current tc.tc_fsm)) with
+    | -1 -> ()
+    | k ->
       if k >= Array.length tc.tc_transitions then resolve_transitions run.r_nets tc;
       let slots = tc.tc_slots.(k) in
       for s = 0 to Array.length slots - 1 do
@@ -1131,22 +1191,6 @@ let run ?(two_phase = false) t n =
   for _ = 1 to n do
     if two_phase then cycle_two_phase t else cycle t
   done
-
-let all_regs t =
-  let seen = Hashtbl.create 64 in
-  List.concat_map
-    (fun c ->
-      match c.c_kind with
-      | Timed fsm -> Fsm.all_regs fsm
-      | Untimed _ | Primary_input _ | Primary_output _ -> [])
-    (List.rev t.comps)
-  |> List.filter (fun r ->
-         let id = Signal.Reg.id r in
-         if Hashtbl.mem seen id then false
-         else begin
-           Hashtbl.add seen id ();
-           true
-         end)
 
 let clear_histories t =
   Trace.clear t.s_trace;

@@ -130,6 +130,9 @@ type check_issue =
   | Unknown_port of string * string
   | Format_conflict of string * string
       (** net, the diagnostic {!net_format} raises for it *)
+  | Shared_register of string * string * string
+      (** register, the component assigning it, another component
+          reading it (see {!shared_registers}) *)
 
 val pp_issue : Format.formatter -> check_issue -> unit
 
@@ -137,10 +140,25 @@ val pp_issue : Format.formatter -> check_issue -> unit
     component (and every kernel input) should be the sink of some net —
     the system-level "dangling input" check — and every output port
     should drive one; every net whose driver declares or produces a
-    format must satisfy {!net_format}'s two rules.  A net from a kernel
-    port without a declared format is legal: the interpreter moves its
-    tokens as they come. *)
+    format must satisfy {!net_format}'s two rules; no register is
+    shared between timed components ({!shared_registers}).  A net from a
+    kernel port without a declared format is legal: the interpreter
+    moves its tokens as they come. *)
 val check : t -> check_issue list
+
+(** The registers one timed component assigns and another one's SFGs or
+    guards read or assign, as (register, the first component assigning
+    it, the first other component using it), in {!all_regs} order.  The
+    interpreter and the compiled and native engines simulate such a
+    register once; the RT and gate engines give each component a copy
+    of its own, which the other component's assignments never reach. *)
+val shared_registers : t -> (string * string * string) list
+
+(** [refuse_shared_registers ~engine t] raises when {!shared_registers}
+    finds one: how the RT and gate engines refuse such a system.
+    @raise Ocapi_error.Error with code [Unsupported], the register as
+    construct and both components as nets. *)
+val refuse_shared_registers : engine:string -> t -> unit
 
 (** {1 Simulation} *)
 

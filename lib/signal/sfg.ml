@@ -75,7 +75,7 @@ let all_roots t = List.map snd t.outputs @ List.map snd t.assigns
 
 let regs_read t =
   let seen = Hashtbl.create 16 in
-  List.concat_map Signal.regs_read (all_roots t)
+  Signal.regs_read_all (all_roots t)
   |> List.filter (fun r ->
          let id = Signal.Reg.id r in
          if Hashtbl.mem seen id then false
@@ -150,20 +150,6 @@ let build name f =
   Builder.finish b
 
 let nop name = build name (fun _ -> ())
-
-let output_deps t =
-  List.map (fun (nm, e) -> (nm, Signal.input_deps e)) t.outputs
-
-let assign_deps t =
-  let seen = Hashtbl.create 16 in
-  List.concat_map (fun (_, e) -> Signal.input_deps e) t.assigns
-  |> List.filter (fun i ->
-         let id = Signal.Input.id i in
-         if Hashtbl.mem seen id then false
-         else begin
-           Hashtbl.add seen id ();
-           true
-         end)
 
 type firing = (string * Fixed.t) list
 

@@ -87,17 +87,6 @@ val pp_issue : Format.formatter -> check_issue -> unit
     instruction words, tied-off write enables), occasionally a bug. *)
 val check : ?flag_constant_outputs:bool -> t -> check_issue list
 
-(** {1 Dependency analysis} *)
-
-(** [output_deps t] maps each output name to the set of input ports its
-    value combinationally depends on (register reads cut the
-    dependency).  Outputs with an empty list can be produced in the
-    token-production phase. *)
-val output_deps : t -> (string * Signal.Input.t list) list
-
-(** Inputs needed before the register assignments can be computed. *)
-val assign_deps : t -> Signal.Input.t list
-
 (** {1 Firing}
 
     An SFG fires through one {!Signal.Plan} over its outputs, then its

@@ -179,36 +179,44 @@ let ( <=: ) = le
 let ( >: ) = gt
 let ( >=: ) = ge
 
-let children t =
-  match t.op with
-  | Const _ | Input_read _ | Reg_read _ -> []
-  | Neg a | Abs a | Not a | Resize (_, _, a)
-  | Rom_read (_, a) | Shift_left (a, _) | Shift_right (a, _) -> [ a ]
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b)
-  | Xor (a, b) | Eq (a, b) | Lt (a, b) | Le (a, b) -> [ a; b ]
-  | Mux (s, a, b) -> [ s; a; b ]
-
-let fold_dag e ~init ~f =
+(* One walk over the DAGs under [roots]: a node several roots share is
+   visited once, under the first.  Operands are visited in order, a
+   mux's select first. *)
+let fold_dags roots ~init ~f =
   let seen = Hashtbl.create 64 in
   let rec go acc n =
     if Hashtbl.mem seen n.id then acc
     else begin
       Hashtbl.add seen n.id ();
-      let acc = List.fold_left go acc (children n) in
+      let acc =
+        match n.op with
+        | Const _ | Input_read _ | Reg_read _ -> acc
+        | Neg a | Abs a | Not a | Resize (_, _, a) | Rom_read (_, a)
+        | Shift_left (a, _) | Shift_right (a, _) ->
+          go acc a
+        | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b)
+        | Xor (a, b) | Eq (a, b) | Lt (a, b) | Le (a, b) ->
+          go (go acc a) b
+        | Mux (s, a, b) -> go (go (go acc s) a) b
+      in
       f acc n
     end
   in
-  go init e
+  List.fold_left go init roots
+
+let fold_dag e ~init ~f = fold_dags [ e ] ~init ~f
 
 let input_deps e =
   fold_dag e ~init:[] ~f:(fun acc n ->
       match n.op with Input_read i -> i :: acc | _ -> acc)
   |> List.rev
 
-let regs_read e =
-  fold_dag e ~init:[] ~f:(fun acc n ->
+let regs_read_all roots =
+  fold_dags roots ~init:[] ~f:(fun acc n ->
       match n.op with Reg_read r -> r :: acc | _ -> acc)
   |> List.rev
+
+let regs_read e = regs_read_all [ e ]
 
 let node_count e = fold_dag e ~init:0 ~f:(fun acc _ -> acc + 1)
 
@@ -392,6 +400,8 @@ module Plan = struct
     for j = 0 to Array.length nodes - 1 do
       m.values.(nodes.(j)) <- v
     done
+
+  let clear m = Array.fill m.values 0 (Array.length m.values) unset
 
   let memo plan env =
     let m = start plan in

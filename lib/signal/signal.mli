@@ -188,6 +188,13 @@ val input_deps : t -> Input.t list
 (** Registers read anywhere under [e]. *)
 val regs_read : t -> Reg.t list
 
+(** Registers read anywhere under [roots], from one walk that visits a
+    node several roots share once: {!regs_read} of each root in turn,
+    less the reads an earlier root's walk already passed.  Once
+    duplicates are dropped, the first occurrences come in the same
+    order. *)
+val regs_read_all : t list -> Reg.t list
+
 (** Number of nodes in the DAG rooted at [e]. *)
 val node_count : t -> int
 
@@ -277,6 +284,10 @@ module Plan : sig
   (** [seed m nodes v] seeds read nodes [nodes] (from {!read_nodes})
       with [v], a token that has arrived. *)
   val seed : memo -> int array -> Fixed.t -> unit
+
+  (** [clear m] forgets every seeded input and computed node: [m]
+      holds no value and starts another firing, as {!start} would. *)
+  val clear : memo -> unit
 
   (** [ready m k]: is every input read under root [k] seeded, so that
       {!eval} of [k] reads no missing token? *)

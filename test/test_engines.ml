@@ -382,13 +382,18 @@ let test_compiled_step_allocates_nothing () =
 
 (* Interp and rtl steps evaluate kept plans: no expression walk and no
    hash table per firing.  Measured over 300 steps after 300 from
-   reset.  The hcor and rs bounds sit below what those steps allocated
-   when every firing re-walked its DAG (interp 5,655 on hcor and 2,498
-   on rs, rtl 3,778 and 4,362 minor words per cycle).  The interp dect
-   and cpu bounds sit below what they allocated while the scheduler
-   rebuilt its bookkeeping every cycle, an environment and a produced
-   set per marked SFG and a fired set (9,579 and 1,784); on the run
-   table they allocate about 3,700 and 1,090. *)
+   reset.  The interp hcor and rs bounds sit below what those steps
+   allocated when every firing re-walked its DAG (5,655 and 2,498 minor
+   words per cycle).  The interp dect and cpu bounds sit below what
+   they allocated while the scheduler rebuilt its bookkeeping every
+   cycle, an environment and a produced set per marked SFG and a fired
+   set (9,579 and 1,784); on the run table they allocate about 3,300
+   and 1,090.  The rtl bounds sit below what its steps allocated while
+   every delta built a hash table of the processes it woke, every comb
+   firing an environment, and every process a list of transactions
+   joined with [@] (hcor 2,774, dect 9,250, rs 2,944, cpu 1,616); on
+   the resolved kernel they allocate about 1,940, 2,670, 1,530 and
+   980. *)
 let test_interpreted_step_allocation () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
   List.iter
@@ -406,8 +411,38 @@ let test_interpreted_step_allocation () =
       ("interp", "rs", Gallery.rs, 2000.);
       ("interp", "dect", Gallery.dect, 5000.);
       ("interp", "cpu", Gallery.cpu, 1400.);
-      ("rtl", "hcor", Gallery.hcor, 3300.);
-      ("rtl", "rs", Gallery.rs, 3600.);
+      ("rtl", "hcor", Gallery.hcor, 2400.);
+      ("rtl", "dect", Gallery.dect, 4000.);
+      ("rtl", "rs", Gallery.rs, 2000.);
+      ("rtl", "cpu", Gallery.cpu, 1300.);
+    ]
+
+(* A fresh rtl session's activity over 1000 cycles of each gallery
+   design: transactions, events, process activations and delta cycles.
+   Which woken process of a delta runs first is free, and none of these
+   counts depends on it. *)
+let test_rtl_activity_pinned () =
+  List.iter
+    (fun (design, build, fired, scheduled, activations, deltas) ->
+      let (), report =
+        Ocapi_obs.run_with_telemetry ~label:"rtl" (fun () ->
+            with_session "rtl" (build ()) (fun ses -> steps ses 1000))
+      in
+      let metric name =
+        match List.assoc_opt name report.Ocapi_obs.rp_metrics with
+        | Some (Ocapi_obs.Counter_v n) -> n
+        | Some (Ocapi_obs.Histogram_v h) -> int_of_float h.Ocapi_obs.hs_sum
+        | Some (Ocapi_obs.Gauge_v _) | None -> Alcotest.failf "%s: no %s" design name
+      in
+      Alcotest.(check (list int)) design [ fired; scheduled; activations; deltas ]
+        (List.map metric
+           [ "rtl.events_fired"; "rtl.events_scheduled"; "rtl.activations";
+             "rtl.deltas_per_cycle" ]))
+    [
+      ("hcor", Gallery.hcor, 18_030, 43_675, 2_828, 4_827);
+      ("dect", Gallery.dect, 26_017, 294_628, 80_706, 8_823);
+      ("rs", Gallery.rs, 31_954, 56_968, 7_993, 6_947);
+      ("cpu", Gallery.cpu, 3_300, 23_952, 4_113, 6_111);
     ]
 
 (* Every engine's histories are its trace's, on the four gallery
@@ -716,6 +751,8 @@ let suite =
       test_compiled_step_allocates_nothing;
     Alcotest.test_case "interp and rtl steps stay under allocation bounds" `Quick
       test_interpreted_step_allocation;
+    Alcotest.test_case "rtl activity pinned at 1000 cycles" `Quick
+      test_rtl_activity_pinned;
     Alcotest.test_case "histories = trace; restore clears it" `Quick
       test_histories_are_the_trace;
     Alcotest.test_case "compiled RAM and closure kernels" `Quick

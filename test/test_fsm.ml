@@ -159,18 +159,29 @@ let test_check_restores_registers () =
   Alcotest.(check int) "register restored" 0 (Fixed.to_int (Signal.Reg.value r))
 
 (* Selection keeps per-state transition arrays; adding a state or a
-   transition after a selection must show in the next one. *)
+   transition after a selection must show in the next one, also on a
+   selector kept across the additions, whose guard memos read the
+   registers afresh at every try. *)
 let test_selection_sees_additions () =
   let c = Signal.Reg.create clk "sel_c" bit in
   let f = Fsm.create "grow" in
   let s0 = Fsm.initial f "s0" in
+  let sel = Fsm.selector f in
   Fsm.(s0 |-- cnd (Signal.reg_q c) |+ Sfg.nop "a" |-> s0);
   Alcotest.(check bool) "nothing enabled" true (Fsm.select f = None);
+  Alcotest.(check int) "kept selector: nothing enabled" (-1)
+    (Fsm.select_from sel (Fsm.state_index s0));
   Fsm.(s0 |-- always |+ Sfg.nop "b" |-> s0);
   (match Fsm.select f with
   | Some tr ->
     Alcotest.(check (list string)) "later transition" [ "b" ] (action_names tr)
   | None -> Alcotest.fail "added transition not selected");
+  Alcotest.(check int) "kept selector: added transition" 1
+    (Fsm.select_from sel (Fsm.state_index s0));
+  Signal.Reg.set_value c (Fixed.of_int bit 1);
+  Alcotest.(check int) "kept selector: the guard reads the register again" 0
+    (Fsm.select_from sel (Fsm.state_index s0));
+  Signal.Reg.set_value c (Fixed.of_int bit 0);
   let s1 = Fsm.state f "s1" in
   Fsm.(s1 |-- always |+ Sfg.nop "c" |-> s0);
   Fsm.force_state f (Fsm.state_index s1);
@@ -178,9 +189,8 @@ let test_selection_sees_additions () =
   | Some tr ->
     Alcotest.(check (list string)) "added state" [ "c" ] (action_names tr)
   | None -> Alcotest.fail "added state has no transition");
-  Alcotest.(check (option int)) "select_from by index" (Some 2)
-    (Fsm.select_from f (Fsm.state_index s1));
-  Alcotest.(check (option int)) "select_from out of range" None (Fsm.select_from f 5)
+  Alcotest.(check int) "select_from by index" 2 (Fsm.select_from sel (Fsm.state_index s1));
+  Alcotest.(check int) "select_from out of range" (-1) (Fsm.select_from sel 5)
 
 let test_duplicate_state_rejected () =
   let f = Fsm.create "dup" in

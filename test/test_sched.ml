@@ -107,11 +107,10 @@ let test_fig6_two_phase_deadlocks () =
       (List.exists (fun s -> s = "stepper/fig6_step") waiting)
   | () -> Alcotest.fail "two-phase scheduler resolved a circular dependency"
 
-let test_true_combinational_loop_detected () =
-  (* Two timed components whose outputs combinationally depend on each
-     other's, a.y = b.y + 1 and b.y = a.y + 1, with a probe on a.y: a
-     real loop, which every engine refuses with its own structured
-     error at its own fixed budget. *)
+(* Two timed components whose outputs combinationally depend on each
+   other's, a.y = b.y + 1 and b.y = a.y + 1, with a probe on a.y: a real
+   loop. *)
+let comb_loop () =
   let mk name =
     let sfg =
       Sfg.build (name ^ "_sfg") (fun b ->
@@ -123,19 +122,21 @@ let test_true_combinational_loop_detected () =
     Fsm.(s0 |-- always |+ sfg |-> s0);
     fsm
   in
-  let loop () =
-    let sys = Cycle_system.create "comb_loop" in
-    let a = Cycle_system.add_timed sys "a" (mk "a") in
-    let b = Cycle_system.add_timed sys "b" (mk "b") in
-    let probe = Cycle_system.add_output sys "a_y" in
-    ignore (Cycle_system.connect sys (a, "y") [ (b, "x"); (probe, "in") ]);
-    ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
-    sys
-  in
+  let sys = Cycle_system.create "comb_loop" in
+  let a = Cycle_system.add_timed sys "a" (mk "a") in
+  let b = Cycle_system.add_timed sys "b" (mk "b") in
+  let probe = Cycle_system.add_output sys "a_y" in
+  ignore (Cycle_system.connect sys (a, "y") [ (b, "x"); (probe, "in") ]);
+  ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
+  sys
+
+(* Every engine refuses the loop with its own structured error at its
+   own fixed budget. *)
+let test_true_combinational_loop_detected () =
   let outcome engine =
     let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
     match
-      let ses = E.make (loop ()) in
+      let ses = E.make (comb_loop ()) in
       Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
           Ocapi_engine.run ses ~cycles:1)
     with
@@ -170,6 +171,99 @@ let test_true_combinational_loop_detected () =
     "netlist comb_loop oscillates: 103 nets still toggling after 178000 \
      evaluations"
     (message "gate")
+
+(* The RT kernel's transaction queue outlives a settle that an
+   exception abandons.  Once reset, a session that raised
+   [Delta_overflow] steps as a fresh one does: the same diagnostic, and
+   the same telemetry — nothing it queued before is applied again. *)
+let test_rtl_reset_after_delta_overflow () =
+  let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get "rtl" in
+  let overflow ses =
+    let d, report =
+      Ocapi_obs.run_with_telemetry ~label:"rtl" (fun () ->
+          match ses.Ocapi_engine.ses_step () with
+          | () -> Alcotest.fail "rtl: combinational loop not detected"
+          | exception (Ocapi_error.Error d as e) when Raises.code Delta_overflow e -> d)
+    in
+    let rtl =
+      List.filter_map
+        (fun (name, v) ->
+          if String.starts_with ~prefix:"rtl." name then
+            Some (name ^ " " ^ Ocapi_obs.Json.to_string (Ocapi_obs.value_json v))
+          else None)
+        report.Ocapi_obs.rp_metrics
+    in
+    (d.Ocapi_error.e_nets, d.Ocapi_error.e_message, d.Ocapi_error.e_cycle, rtl)
+  in
+  let session () = E.make (comb_loop ()) in
+  let fresh = session () in
+  let nets, message, cycle, metrics =
+    Fun.protect ~finally:fresh.Ocapi_engine.ses_close (fun () -> overflow fresh)
+  in
+  let ses = session () in
+  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+      ignore (overflow ses);
+      ses.Ocapi_engine.ses_reset ();
+      let nets', message', cycle', metrics' = overflow ses in
+      Alcotest.(check (list string)) "culprits" nets nets';
+      Alcotest.(check string) "message" message message';
+      Alcotest.(check (option int)) "cycle" cycle cycle';
+      Alcotest.(check (list string)) "rtl telemetry" metrics metrics')
+
+(* A register one component assigns and another reads: interp, compiled
+   and native simulate one register; rtl and gate would give the
+   reading component a copy that never updates, so they refuse the
+   system at make, and [check] reports it. *)
+let test_shared_register () =
+  let count = Signal.Reg.create clk "shared_count" s8 in
+  let timed name sfg =
+    let fsm = Fsm.create name in
+    let s0 = Fsm.initial fsm "s0" in
+    Fsm.(s0 |-- always |+ sfg |-> s0);
+    fsm
+  in
+  let counter () =
+    let inc =
+      Sfg.build "shared_inc" (fun b ->
+          Sfg.Builder.assign_resized b count Signal.(reg_q count +: consti s8 1))
+    in
+    let out =
+      Sfg.build "shared_out" (fun b ->
+          Sfg.Builder.output b "y" (Signal.resize s8 (Signal.reg_q count)))
+    in
+    let sys = Cycle_system.create "shared" in
+    ignore (Cycle_system.add_timed sys "a" (timed "shared_a" inc));
+    let b = Cycle_system.add_timed sys "b" (timed "shared_b" out) in
+    let probe = Cycle_system.add_output sys "y" in
+    ignore (Cycle_system.connect sys (b, "y") [ (probe, "in") ]);
+    sys
+  in
+  Alcotest.(check (list string)) "check"
+    [ "shared register: shared_count is assigned in a and read in b" ]
+    (List.map (Format.asprintf "%a" Cycle_system.pp_issue) (Cycle_system.check (counter ())));
+  List.iter
+    (fun engine ->
+      let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+      let ses = E.make (counter ()) in
+      Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+          let h = Cycle_system.Trace.to_histories (Ocapi_engine.run ses ~cycles:6) in
+          Alcotest.(check (list int)) (engine ^ ": one register") [ 0; 1; 2; 3; 4; 5 ]
+            (List.map (fun (_, v) -> Fixed.to_int v) (List.assoc "y" h))))
+    [ "interp"; "compiled"; "native" ];
+  List.iter
+    (fun engine ->
+      let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+      match E.make (counter ()) with
+      | ses ->
+        ses.Ocapi_engine.ses_close ();
+        Alcotest.failf "%s: shared register accepted" engine
+      | exception (Ocapi_error.Error d as e) when Raises.code Unsupported e ->
+        Alcotest.(check (option string)) (engine ^ ": register") (Some "shared_count")
+          d.Ocapi_error.e_construct;
+        Alcotest.(check (list string)) (engine ^ ": components") [ "a"; "b" ]
+          d.Ocapi_error.e_nets;
+        Alcotest.(check string) (engine ^ ": engine") engine d.Ocapi_error.e_engine)
+    [ "rtl"; "gate" ]
 
 let test_checks () =
   let sys, _ = accumulator_system () in
@@ -261,7 +355,7 @@ let test_format_conflicts () =
           (function
             | Cycle_system.Format_conflict (_, m) -> Some m
             | Cycle_system.Unconnected_input _ | Unconnected_output _
-            | Unknown_port _ ->
+            | Unknown_port _ | Shared_register _ ->
               None)
           (Cycle_system.check (conflict_system which))
       in
@@ -687,4 +781,8 @@ let suite =
       test_transition_added_after_stepping;
     Alcotest.test_case "a token completes every action" `Quick
       test_token_completes_every_action;
+    Alcotest.test_case "rtl reset after delta overflow = fresh session" `Quick
+      test_rtl_reset_after_delta_overflow;
+    Alcotest.test_case "registers shared between components" `Quick
+      test_shared_register;
   ]

@@ -80,21 +80,6 @@ let test_checks () =
   let clean, _ = simple_sfg () in
   Alcotest.(check int) "clean sfg" 0 (List.length (Sfg.check clean))
 
-let test_output_deps () =
-  let r = Signal.Reg.create clk "t_dep" s8 in
-  let sfg =
-    Sfg.build "deps" (fun b ->
-        let x = Sfg.Builder.input b "x" s8 in
-        Sfg.Builder.output b "from_reg" Signal.(reg_q r +: consti s8 1);
-        Sfg.Builder.output b "from_input" Signal.(x +: reg_q r))
-  in
-  let deps = Sfg.output_deps sfg in
-  Alcotest.(check int) "reg-only output has no deps" 0
-    (List.length (List.assoc "from_reg" deps));
-  Alcotest.(check int) "input output has one dep" 1
-    (List.length (List.assoc "from_input" deps));
-  Alcotest.(check int) "assign deps empty" 0 (List.length (Sfg.assign_deps sfg))
-
 let test_fire () =
   let sfg, acc = simple_sfg () in
   Signal.Reg.reset acc;
@@ -140,7 +125,6 @@ let suite =
     Alcotest.test_case "duplicate names rejected" `Quick test_duplicate_names_rejected;
     Alcotest.test_case "assign format check" `Quick test_assign_format_check;
     Alcotest.test_case "semantic checks" `Quick test_checks;
-    Alcotest.test_case "output dependency analysis" `Quick test_output_deps;
     Alcotest.test_case "fire" `Quick test_fire;
     Alcotest.test_case "nop" `Quick test_nop;
     Alcotest.test_case "shared input port" `Quick test_shared_port;
