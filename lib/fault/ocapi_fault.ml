@@ -54,13 +54,23 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?(domains = 1) ?progress nl
   check_max_faults max_faults;
   let out_names = Array.of_list (List.map fst (Netlist.outputs_list nl)) in
   let n_cycles = Array.length vectors in
-  let replay_cycle sim c =
-    List.iter (fun (name, v) -> Netlist.Sim.set_input sim name v) vectors.(c);
-    Netlist.Sim.settle sim
-  in
-  (* One levelization: every worker's simulator is an instance of it. *)
+  (* One levelization: every worker's simulator is an instance of it,
+     and every port is resolved on it once. *)
   let topology = Netlist.Sim.topology nl in
   let ports = Array.map (Netlist.Sim.output_port topology) out_names in
+  let drives =
+    Array.map
+      (fun vec ->
+        Array.of_list
+          (List.map
+             (fun (name, v) -> (Netlist.Sim.input_port topology name, Int64.to_int v))
+             vec))
+      vectors
+  in
+  let replay_cycle sim c =
+    Array.iter (fun (port, v) -> Netlist.Sim.drive sim port v) drives.(c);
+    Netlist.Sim.settle sim
+  in
   (* Fault-free reference: every output word of every cycle.  Computed
      once on the coordinating domain's own simulator and shared
      read-only with the workers. *)
@@ -104,17 +114,16 @@ let stuck_at_netlist ?max_faults ?(seed = 1) ?(domains = 1) ?progress nl
        let c = ref 0 in
        while !live <> 0 && !c < n_cycles do
          replay_cycle sim !c;
-         Array.iteri
-           (fun j port ->
-             let d = Netlist.Sim.output_diff sim port golden.(!c).(j) land !live in
-             if d <> 0 then begin
-               for l = 0 to k - 1 do
-                 if d land (1 lsl l) <> 0 then
-                   outcomes.(l) <- Sa_detected { at_cycle = !c; at_output = out_names.(j) }
-               done;
-               live := !live land lnot d
-             end)
-           ports;
+         for j = 0 to Array.length ports - 1 do
+           let d = Netlist.Sim.output_diff sim ports.(j) golden.(!c).(j) land !live in
+           if d <> 0 then begin
+             for l = 0 to k - 1 do
+               if d land (1 lsl l) <> 0 then
+                 outcomes.(l) <- Sa_detected { at_cycle = !c; at_output = out_names.(j) }
+             done;
+             live := !live land lnot d
+           end
+         done;
          if !live <> 0 then Netlist.Sim.clock sim;
          incr c
        done

@@ -164,6 +164,8 @@ let gate_artifact sys =
   Artifact_table.find_or_add gate_table (Cycle_system.elaboration_key sys) (fun () ->
       gate_elaborate sys)
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
 module Gate_engine = struct
   let name = "gate"
   let display = "gate"
@@ -185,44 +187,52 @@ module Gate_engine = struct
         (List.map (fun (p, bus) -> (p, Option.map (fun (fmt, _, _, _) -> fmt) bus)) a.ga_probes)
     in
     let probe_rows =
-      List.concat
-        (List.mapi
-           (fun i (_, bus) ->
-             match bus with
-             | Some (_, signed, port, valid) -> [ (i, signed, port, valid) ]
-             | None -> [])
-           a.ga_probes)
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun i (_, bus) ->
+                match bus with
+                | Some (_, signed, port, valid) -> [ (i, signed, port, valid) ]
+                | None -> [])
+              a.ga_probes))
     in
     let input_rows =
-      List.map
-        (fun (iname, port, valid) -> (Cycle_system.input_column sys iname, port, valid))
-        a.ga_inputs
+      Array.of_list
+        (List.map
+           (fun (iname, port, valid) -> (Cycle_system.input_column sys iname, port, valid))
+           a.ga_inputs)
     in
     let cycle = ref 0 in
+    (* Mantissas go from the stimulus columns onto the buses, and from
+       the buses into the trace, as ints: a warm step allocates
+       nothing.  The edge [clock] leaves is settled with the next
+       cycle's inputs. *)
     let step () =
-      List.iter
-        (fun (col, port, valid) ->
-          let present = Cycle_system.column_present col !cycle in
-          if present then
-            Netlist.Sim.drive sim port (Cycle_system.column_mantissa col !cycle);
-          match valid with
-          | Some vp -> Netlist.Sim.drive sim vp (if present then 1L else 0L)
-          | None -> ())
-        input_rows;
+      let c = !cycle in
+      for i = 0 to Array.length input_rows - 1 do
+        let col, port, valid = input_rows.(i) in
+        let present = Cycle_system.column_present col c in
+        if present then
+          Netlist.Sim.drive sim port
+            (Int64.to_int (get64 (Cycle_system.column_mantissas col) (8 * c)));
+        match valid with
+        | Some vp -> Netlist.Sim.drive sim vp (Bool.to_int present)
+        | None -> ()
+      done;
       Netlist.Sim.settle sim;
-      List.iter
-        (fun (column, signed, port, valid) ->
-          let live =
-            match valid with
-            | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1L
-            | None -> true
-          in
-          if live then
-            Cycle_system.Trace.record trace column ~cycle:!cycle
-              (Netlist.Sim.read sim ~signed port))
-        probe_rows;
+      for i = 0 to Array.length probe_rows - 1 do
+        let column, signed, port, valid = probe_rows.(i) in
+        let live =
+          match valid with
+          | Some vp -> Netlist.Sim.read sim ~signed:false vp = 1
+          | None -> true
+        in
+        if live then
+          Cycle_system.Trace.record trace column ~cycle:c
+            (Netlist.Sim.read sim ~signed port)
+      done;
       Netlist.Sim.clock sim;
-      incr cycle
+      cycle := c + 1
     in
     let clear_histories () = Cycle_system.Trace.clear trace in
     let reset () =

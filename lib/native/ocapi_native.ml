@@ -25,6 +25,7 @@ type stats = {
   fallbacks : int;
   loads : int;
   reuses : int;
+  verdicts : int;
 }
 
 let n_compiles = ref 0
@@ -33,6 +34,7 @@ let n_corrupt = ref 0
 let n_fallbacks = ref 0
 let n_loads = ref 0
 let n_reuses = ref 0
+let n_verdicts = ref 0
 
 let stats () =
   {
@@ -42,11 +44,12 @@ let stats () =
     fallbacks = !n_fallbacks;
     loads = !n_loads;
     reuses = !n_reuses;
+    verdicts = !n_verdicts;
   }
 
 let reset_stats () =
   List.iter (fun n -> n := 0)
-    [ n_compiles; n_cache_hits; n_corrupt; n_fallbacks; n_loads; n_reuses ]
+    [ n_compiles; n_cache_hits; n_corrupt; n_fallbacks; n_loads; n_reuses; n_verdicts ]
 
 let bump counter obs_name =
   incr counter;
@@ -262,8 +265,6 @@ let compiles_begun = ref 0
    rename stays outside [Ocapi_obs.File]: the compiler, not this
    process, wrote the file. *)
 let compile tc ~path sys pg =
-  if not (Emit.word_mode_ok pg) then
-    raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
   incr compiles_begun;
   let stem =
     Printf.sprintf "%s_%d_%d" (Filename.remove_extension path) (Unix.getpid ())
@@ -329,6 +330,18 @@ let factory tc sys pg ~elaboration =
   in
   if reused then bump n_reuses "reuses";
   create
+
+(* The width analysis's verdicts, by elaboration key: a lowered program
+   is a function of its key, and so is whether its mantissas fit
+   unboxed ints.  A design the analysis rejects is a fallback before
+   the factory table, the load mutex and the disk are consulted, and
+   the analysis runs once per key, not once per session. *)
+let verdicts : bool Artifact_table.t = Artifact_table.create ()
+
+let words_fit ~elaboration pg =
+  Artifact_table.find_or_add verdicts elaboration (fun () ->
+      bump n_verdicts "verdicts";
+      Emit.word_mode_ok pg)
 
 (* --- session construction ------------------------------------------------- *)
 
@@ -426,6 +439,8 @@ let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
 let native_session tc sys =
   let elaboration = Cycle_system.elaboration_key sys in
   let pg = Ocapi_engine.lowered ~key:elaboration sys in
+  if not (words_fit ~elaboration pg) then
+    raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
   let p = factory tc sys pg ~elaboration () in
   let values = p.Ocapi_native_abi.p_values and stamps = p.Ocapi_native_abi.p_stamps in
   let untimed = Cycle_system.untimed_components sys in

@@ -85,6 +85,9 @@ type stats = {
   fallbacks : int;  (** sessions that degraded to the compiled fallback *)
   loads : int;  (** successful [Dynlink] loads (fresh or cached) *)
   reuses : int;  (** sessions served by a factory already loaded *)
+  verdicts : int;
+      (** width analyses run: one per elaboration key, whichever way
+          it decides, however many sessions ask *)
 }
 
 val stats : unit -> stats

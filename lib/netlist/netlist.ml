@@ -615,16 +615,17 @@ module Sim = struct
     v : int array;  (* net -> lane word *)
     keep : int array;  (* net -> lanes not stuck (stem faults) *)
     force : int array;  (* net -> lanes stuck at 1 *)
+    mutable stuck_nets : bool;  (* a stem fault is active: [write] masks *)
     pokeable : Bytes.t;  (* net -> DFF q-net or primary-input bit *)
-    (* Elements, numbered in level order.  A gate reads [in0]..[in2]
-       (net 0 when unused); a memory read keeps its index in
-       [memories] in [in0]. *)
+    (* Elements, numbered in level order, so that every element reads
+       only lower-numbered ones unless levelization cut a cycle.  A gate
+       reads [in0]..[in2] (net 0 when unused); a memory read keeps its
+       index in [memories] in [in0]. *)
     kind : int array;
     in0 : int array;
     in1 : int array;
     in2 : int array;
     out : int array;
-    level : int array;
     gate_elem : int array;  (* {!fold_gates} index -> element *)
     fan_start : int array;  (* net -> readers, compressed rows *)
     fan : int array;
@@ -634,15 +635,15 @@ module Sim = struct
     dff_q : int array;
     dff_init : int array;
     dff_next : int array;
-    (* The dirty set: one stack per level, kept in the level's own
-       slice [lstart.(l), lstart.(l + 1)) of [stack]; the levels
-       [lo]..[hi] may hold entries. *)
-    queued : Bytes.t;
-    stack : int array;
-    lstart : int array;
-    lcount : int array;
+    (* Levelization cut a combinational cycle: the state a settle
+       reaches may depend on when it runs, so [clock] settles the edge
+       at once and reads never settle early. *)
+    cyclic : bool;
+    (* The dirty set: bit [e land 31] of word [e lsr 5] marks element
+       [e]; the words below [lo] hold no bits, so [lo] at the end of
+       [dirty] means nothing is dirty. *)
+    dirty : int array;
     mutable lo : int;
-    mutable hi : int;
     (* Per branch-faulted gate, a slot with its real kind and a
        keep/force mask per pin. *)
     slot_elem : int array;
@@ -651,7 +652,6 @@ module Sim = struct
     slot_force : int array;
     mutable n_slots : int;
     settle_budget : int;
-    mutable n_evaluations : int;
     mutable n_events : int;
     mutable n_clocks : int;
   }
@@ -666,29 +666,12 @@ module Sim = struct
   let bit_word m i =
     if Int64.logand (Int64.shift_right_logical m i) 1L = 0L then 0 else all_lanes
 
-  let bus_value v ~signed bus =
-    let w = Array.length bus in
-    let m = ref 0L in
-    for i = 0 to w - 1 do
-      if v.(bus.(i)) land 1 <> 0 then m := Int64.logor !m (Int64.shift_left 1L i)
-    done;
-    if signed && w > 0 && v.(bus.(w - 1)) land 1 <> 0 then
-      Int64.sub !m (Int64.shift_left 1L w)
-    else !m
-
   (* Mark every element dirty, as after power-up. *)
   let mark_all t =
-    let n = Array.length t.kind in
-    for e = 0 to n - 1 do
-      t.stack.(e) <- e
-    done;
-    Bytes.fill t.queued 0 n '\001';
-    let n_levels = Array.length t.lcount in
-    for l = 0 to n_levels - 1 do
-      t.lcount.(l) <- t.lstart.(l + 1) - t.lstart.(l)
-    done;
-    t.lo <- 0;
-    t.hi <- n_levels - 1
+    let n = Array.length t.kind and words = Array.length t.dirty in
+    Array.fill t.dirty 0 words 0xFFFF_FFFF;
+    if n land 31 <> 0 then t.dirty.(words - 1) <- (1 lsl (n land 31)) - 1;
+    t.lo <- 0
 
   let topology (nl : netlist) =
     let gr = levelize nl in
@@ -700,15 +683,14 @@ module Sim = struct
        levelization order. *)
     let n_levels = Array.fold_left (fun m l -> max m (l + 1)) 0 gr.gr_level in
     let n_levels = if n = 0 then 0 else n_levels in
-    let lstart = Array.make (n_levels + 1) 0 in
+    let fill = Array.make (n_levels + 1) 0 in
     for e = 0 to n - 1 do
       let l = gr.gr_level.(e) in
-      lstart.(l + 1) <- lstart.(l + 1) + 1
+      fill.(l + 1) <- fill.(l + 1) + 1
     done;
     for l = 1 to n_levels do
-      lstart.(l) <- lstart.(l) + lstart.(l - 1)
+      fill.(l) <- fill.(l) + fill.(l - 1)
     done;
-    let fill = Array.sub lstart 0 n_levels in
     let renum = Array.make (max 1 n) 0 in
     for i = 0 to n - 1 do
       let e = gr.gr_order.(i) in
@@ -718,7 +700,7 @@ module Sim = struct
     done;
     let m = max 1 n in
     let kind = Array.make m 0 and in0 = Array.make m 0 and in1 = Array.make m 0 in
-    let in2 = Array.make m 0 and out = Array.make m 0 and level = Array.make m 0 in
+    let in2 = Array.make m 0 and out = Array.make m 0 in
     Array.iteri
       (fun gi g ->
         let e = renum.(gi) in
@@ -728,8 +710,7 @@ module Sim = struct
         if k > 0 then in0.(e) <- ins.(0);
         if k > 1 then in1.(e) <- ins.(1);
         if k > 2 then in2.(e) <- ins.(2);
-        out.(e) <- g.g_out;
-        level.(e) <- gr.gr_level.(gi))
+        out.(e) <- g.g_out)
       gates;
     (* Memory [i] (ROMs, then RAMs) reads as element [renum.(ng + i)]. *)
     let memory i ~words ~width ~bits ~addr ~rdata ~wdata ~we =
@@ -762,8 +743,7 @@ module Sim = struct
     Array.iteri
       (fun i mem ->
         kind.(mem.read) <- k_memory;
-        in0.(mem.read) <- i;
-        level.(mem.read) <- gr.gr_level.(ng + i))
+        in0.(mem.read) <- i)
       memories;
     let fan = gr.gr_fan in
     for j = 0 to gr.gr_fan_start.(n_nets) - 1 do
@@ -782,13 +762,13 @@ module Sim = struct
       v = [||];
       keep = [||];
       force = [||];
+      stuck_nets = false;
       pokeable;
       kind;
       in0;
       in1;
       in2;
       out;
-      level;
       gate_elem = Array.sub renum 0 ng;
       fan_start = gr.gr_fan_start;
       fan;
@@ -798,25 +778,21 @@ module Sim = struct
       dff_q = Array.map (fun d -> d.d_q) dffs;
       dff_init = Array.map (fun d -> if d.d_init then all_lanes else 0) dffs;
       dff_next = [||];
-      queued = Bytes.empty;
-      stack = [||];
-      lstart;
-      lcount = [||];
+      cyclic = gr.gr_acyclic < n;
+      dirty = [||];
       lo = 0;
-      hi = -1;
       slot_elem = [||];
       slot_kind = [||];
       slot_keep = [||];
       slot_force = [||];
       n_slots = 0;
       settle_budget = 1000 * max 64 n;
-      n_evaluations = 0;
       n_events = 0;
       n_clocks = 0;
     }
 
   let instantiate tp =
-    let n_nets = Bytes.length tp.pokeable and m = Array.length tp.kind in
+    let n_nets = Bytes.length tp.pokeable in
     (* A ROM ([we] = -1) keeps its image; a RAM gets its own contents. *)
     let memories =
       Array.map
@@ -838,9 +814,7 @@ module Sim = struct
         memories;
         rams = Array.of_list (List.filter (fun mem -> mem.we >= 0) (Array.to_list memories));
         dff_next = Array.make (Array.length tp.dff_d) 0;
-        queued = Bytes.make m '\000';
-        stack = Array.make m 0;
-        lcount = Array.make (Array.length tp.lstart - 1) 0;
+        dirty = Array.make ((Array.length tp.kind + 31) lsr 5) 0;
         slot_elem = Array.make lanes 0;
         slot_kind = Array.make lanes 0;
         slot_keep = Array.make (3 * lanes) all_lanes;
@@ -853,23 +827,24 @@ module Sim = struct
 
   let create nl = instantiate (topology nl)
 
+  (* One OR.  A mark below the word being scanned lowers [lo], which
+     rewinds the sweep. *)
   let[@inline] mark t e =
-    if Bytes.unsafe_get t.queued e = '\000' then begin
-      Bytes.unsafe_set t.queued e '\001';
-      let l = Array.unsafe_get t.level e in
-      let c = Array.unsafe_get t.lcount l in
-      Array.unsafe_set t.stack (Array.unsafe_get t.lstart l + c) e;
-      Array.unsafe_set t.lcount l (c + 1);
-      if l < t.lo then t.lo <- l;
-      if l > t.hi then t.hi <- l
-    end
+    let i = e lsr 5 in
+    Array.unsafe_set t.dirty i
+      (Array.unsafe_get t.dirty i lor (1 lsl (e land 31)));
+    if i < t.lo then t.lo <- i
 
-  (* Write a lane word to a net through its stem-fault masks; a change
-     marks the net's readers.  Net and element indices were checked
-     when [create] built the arrays. *)
+  (* Write a lane word to a net through its stem-fault masks, when a
+     stem fault is active (the masks are the identity otherwise, and
+     loading them would double the random loads); a change marks the
+     net's readers.  Net and element indices were checked when [create]
+     built the arrays. *)
   let[@inline] write t o w =
     let w =
-      w land Array.unsafe_get t.keep o lor Array.unsafe_get t.force o
+      if t.stuck_nets then
+        w land Array.unsafe_get t.keep o lor Array.unsafe_get t.force o
+      else w
     in
     if w <> Array.unsafe_get t.v o then begin
       Array.unsafe_set t.v o w;
@@ -928,8 +903,9 @@ module Sim = struct
   let masked_pin t s p ins e =
     pin t.v ins e land t.slot_keep.((3 * s) + p) lor t.slot_force.((3 * s) + p)
 
-  (* [apply] again, loading each pin only when the kind reads it. *)
-  let eval t e =
+  (* [apply] again, loading each pin only when the kind reads it.
+     Inlined into [settle], its one caller. *)
+  let[@inline] eval t e =
     let v = t.v in
     let k = Array.unsafe_get t.kind e in
     if k < k_memory then
@@ -953,18 +929,30 @@ module Sim = struct
         (apply t.slot_kind.(s) (masked_pin t s 0 t.in0 e)
            (masked_pin t s 1 t.in1 e) (masked_pin t s 2 t.in2 e))
 
+  (* [ctz.((b * 0x077CB531) lsr 27 land 31)] is the index of the one
+     bit set in [b < 2^32]: 0x077CB531 is a de Bruijn sequence, so the
+     top five bits of the 32-bit product differ for every such [b]. *)
+  let ctz =
+    let table = Array.make 32 0 in
+    for i = 0 to 31 do
+      table.(((1 lsl i) * 0x077CB531) lsr 27 land 31) <- i
+    done;
+    table
+
   (* The budget ran out: report the nets still in motion, the outputs
      of every element left in the dirty set. *)
   let did_not_settle t =
     let toggling = ref [] in
-    for l = t.lo to t.hi do
-      for j = t.lstart.(l) to t.lstart.(l) + t.lcount.(l) - 1 do
-        let e = t.stack.(j) in
-        if t.kind.(e) = k_memory then
-          Array.iter
-            (fun n -> toggling := n :: !toggling)
-            t.memories.(t.in0.(e)).rdata
-        else toggling := t.out.(e) :: !toggling
+    for i = t.lo to Array.length t.dirty - 1 do
+      for b = 0 to 31 do
+        if (t.dirty.(i) lsr b) land 1 <> 0 then begin
+          let e = (i lsl 5) lor b in
+          if t.kind.(e) = k_memory then
+            Array.iter
+              (fun n -> toggling := n :: !toggling)
+              t.memories.(t.in0.(e)).rdata
+          else toggling := t.out.(e) :: !toggling
+        end
       done
     done;
     let toggling = List.sort_uniq compare !toggling in
@@ -978,33 +966,28 @@ module Sim = struct
       "netlist %s oscillates: %d nets still toggling after %d evaluations"
       t.name (List.length toggling) t.settle_budget
 
-  (* Evaluate the dirty elements level by level, lowest first.  In an
-     acyclic netlist an evaluation only marks higher levels, so each
-     element runs at most once; on a combinational cycle a mark at or
-     below the current level rewinds the cursor ([mark] lowers [lo]),
-     and the budget bounds the evaluations. *)
+  (* Evaluate the dirty elements, the lowest-numbered first.  In an
+     acyclic netlist an evaluation only marks higher-numbered elements,
+     so each element runs at most once and the sweep never turns back;
+     on a combinational cycle a mark below the cursor rewinds it
+     ([mark] lowers [lo]), and the budget bounds the evaluations. *)
   let settle t =
     let evals = ref 0 and events0 = t.n_events in
     let t_settle = Ocapi_obs.span_begin () in
-    while t.lo <= t.hi do
-      let l = t.lo in
-      let c = Array.unsafe_get t.lcount l in
-      if c = 0 then t.lo <- l + 1
+    let dirty = t.dirty in
+    let words = Array.length dirty in
+    while t.lo < words do
+      let i = t.lo in
+      let w = Array.unsafe_get dirty i in
+      if w = 0 then t.lo <- i + 1
       else begin
-        if !evals >= t.settle_budget then begin
-          t.n_evaluations <- t.n_evaluations + !evals;
-          did_not_settle t
-        end;
+        if !evals >= t.settle_budget then did_not_settle t;
         incr evals;
-        let e = Array.unsafe_get t.stack (Array.unsafe_get t.lstart l + c - 1) in
-        Array.unsafe_set t.lcount l (c - 1);
-        Bytes.unsafe_set t.queued e '\000';
-        eval t e
+        let b = w land -w in
+        Array.unsafe_set dirty i (w lxor b);
+        eval t ((i lsl 5) lor Array.unsafe_get ctz ((b * 0x077CB531) lsr 27 land 31))
       end
     done;
-    t.lo <- max_int;
-    t.hi <- -1;
-    t.n_evaluations <- t.n_evaluations + !evals;
     if Ocapi_obs.enabled () then begin
       Ocapi_obs.count "gates.settles";
       Ocapi_obs.count ~n:!evals "gates.evaluations";
@@ -1012,6 +995,13 @@ module Sim = struct
       Ocapi_obs.observe "gates.evals_per_settle" (float_of_int !evals);
       Ocapi_obs.span_end ~cat:"gates" "gates.settle" t_settle
     end
+
+  (* Before a read: an edge [clock] left unsettled, or inputs driven
+     since the last settle, are settled first.  On an acyclic netlist
+     the state a settle reaches depends only on the flip-flops, the RAM
+     contents and the inputs, so settling early changes nothing a later
+     read sees; a netlist with a cut cycle is read as it is. *)
+  let[@inline] settled t = if t.lo < Array.length t.dirty && not t.cyclic then settle t
 
   type input_port = int
   type output_port = int
@@ -1027,24 +1017,45 @@ module Sim = struct
   let input_port tp name = find_port "input" tp.inputs name
   let output_port tp name = find_port "output" tp.outputs name
 
+  (* Bit [i] of [m] as a lane word; bits past the int's own repeat its
+     sign, as an int64 mantissa's do. *)
+  let[@inline] int_bit m i = -((m asr (if i < 62 then i else 62)) land 1)
+
   let drive t p m =
     let bus = snd t.inputs.(p) in
     for i = 0 to Array.length bus - 1 do
-      write t bus.(i) (bit_word m i)
+      write t (Array.unsafe_get bus i) (int_bit m i)
     done
 
-  let read t ~signed p = bus_value t.v ~signed (snd t.outputs.(p))
+  let read t ~signed p =
+    settled t;
+    let bus = snd t.outputs.(p) in
+    let w = Array.length bus in
+    let m = ref 0 in
+    for i = 0 to w - 1 do
+      m := !m lor ((Array.unsafe_get t.v (Array.unsafe_get bus i) land 1) lsl i)
+    done;
+    if signed && w > 0 && (!m lsr (w - 1)) land 1 <> 0 then !m - (1 lsl w) else !m
 
   let output_diff t p m =
+    settled t;
     let bus = snd t.outputs.(p) in
     let d = ref 0 in
     for i = 0 to Array.length bus - 1 do
-      d := !d lor (t.v.(bus.(i)) lxor bit_word m i)
+      d := !d lor (Array.unsafe_get t.v (Array.unsafe_get bus i) lxor int_bit m i)
     done;
     !d
 
-  let set_input t name m = drive t (input_port t name) m
-  let get_output t ~signed name = read t ~signed (output_port t name)
+  let set_input t name m = drive t (input_port t name) (Int64.to_int m)
+  let get_output t ~signed name = Int64.of_int (read t ~signed (output_port t name))
+
+  (* Write the data bus into the row at [base], in the lanes [sel]. *)
+  let store_row v mem base sel =
+    let n_data = Array.length mem.wdata in
+    for b = 0 to mem.width - 1 do
+      let data = if b < n_data then v.(mem.wdata.(b)) else 0 in
+      mem.bits.(base + b) <- mem.bits.(base + b) land lnot sel lor (data land sel)
+    done
 
   (* A RAM write at the edge, from the pre-edge address and data: one
      word access when the writing lanes share the address, else lane by
@@ -1053,19 +1064,12 @@ module Sim = struct
     let v = t.v in
     let we = v.(mem.we) in
     if we <> 0 then begin
-      let data b = if b < Array.length mem.wdata then v.(mem.wdata.(b)) else 0 in
-      let store base lanes =
-        for b = 0 to mem.width - 1 do
-          let old = mem.bits.(base + b) in
-          mem.bits.(base + b) <- old land lnot lanes lor (data b land lanes)
-        done
-      in
       let a = common_address v mem.addr in
-      if a >= 0 then store (row mem a) we
+      if a >= 0 then store_row v mem (row mem a) we
       else
         for l = 0 to lanes - 1 do
           if we land (1 lsl l) <> 0 then
-            store (row mem (lane_address v mem.addr l)) (1 lsl l)
+            store_row v mem (row mem (lane_address v mem.addr l)) (1 lsl l)
         done;
       mark t mem.read
     end
@@ -1084,7 +1088,7 @@ module Sim = struct
     for i = 0 to Array.length t.dff_q - 1 do
       write t t.dff_q.(i) t.dff_next.(i)
     done;
-    settle t
+    if t.cyclic then settle t
 
   let reset t =
     (* Every net low, but in its stuck-at-1 lanes. *)
@@ -1094,81 +1098,47 @@ module Sim = struct
       (fun i q -> t.v.(q) <- t.dff_init.(i) land t.keep.(q) lor t.force.(q))
       t.dff_q;
     mark_all t;
-    t.n_evaluations <- 0;
     t.n_events <- 0;
     t.n_clocks <- 0
 
-  (* A copy of what [reset] re-initializes, less the evaluation and
-     event counters: net words, RAM contents, the dirty set (empty
-     between two clocks, every element after [reset]) and the clock
-     count the diagnostics report.  Active faults are not state. *)
+  (* A copy of what [reset] re-initializes, less the event counter: net
+     words, RAM contents, the dirty set (empty once settled, every
+     element after [reset]) and the clock count the diagnostics report.
+     Active faults are not state. *)
   type snapshot = {
     sn_v : int array;
     sn_rams : int array array;
+    sn_dirty : int array;
     sn_lo : int;
-    sn_hi : int;
-    sn_counts : int array;  (* [lcount] of levels [sn_lo .. sn_hi] *)
-    sn_dirty : int array;  (* their [stack] entries, level by level *)
     sn_clocks : int;
   }
 
-  let dirty_levels t =
-    if t.lo > t.hi then [] else List.init (t.hi - t.lo + 1) (( + ) t.lo)
-
-  (* The dirty set: per level of [dirty_levels], its count, and all its
-     entries in stack order. *)
-  let dirty t =
-    let levels = dirty_levels t in
-    ( Array.of_list (List.map (fun l -> t.lcount.(l)) levels),
-      Array.concat
-        (List.map (fun l -> Array.sub t.stack t.lstart.(l) t.lcount.(l)) levels) )
-
   let snapshot t =
-    let counts, entries = dirty t in
+    settled t;
     {
       sn_v = Array.copy t.v;
       sn_rams = Array.map (fun mem -> Array.copy mem.bits) t.rams;
+      sn_dirty = Array.copy t.dirty;
       sn_lo = t.lo;
-      sn_hi = t.hi;
-      sn_counts = counts;
-      sn_dirty = entries;
       sn_clocks = t.n_clocks;
     }
 
   let restore t sn =
-    List.iter
-      (fun l ->
-        for j = t.lstart.(l) to t.lstart.(l) + t.lcount.(l) - 1 do
-          Bytes.set t.queued t.stack.(j) '\000'
-        done;
-        t.lcount.(l) <- 0)
-      (dirty_levels t);
+    Array.blit sn.sn_dirty 0 t.dirty 0 (Array.length t.dirty);
     t.lo <- sn.sn_lo;
-    t.hi <- sn.sn_hi;
-    let k = ref 0 in
-    List.iteri
-      (fun i l ->
-        let c = sn.sn_counts.(i) in
-        Array.blit sn.sn_dirty !k t.stack t.lstart.(l) c;
-        for j = !k to !k + c - 1 do
-          Bytes.set t.queued sn.sn_dirty.(j) '\001'
-        done;
-        t.lcount.(l) <- c;
-        k := !k + c)
-      (dirty_levels t);
     Array.blit sn.sn_v 0 t.v 0 (Array.length t.v);
     Array.iteri
       (fun i mem -> Array.blit sn.sn_rams.(i) 0 mem.bits 0 (Array.length mem.bits))
       t.rams;
     t.n_clocks <- sn.sn_clocks
 
+  (* [lo] only bounds the dirty words, so it is not compared. *)
   let matches t sn =
+    settled t;
     t.n_clocks = sn.sn_clocks
-    && t.lo = sn.sn_lo
-    && t.hi = sn.sn_hi
+    && t.dirty = sn.sn_dirty
     && t.v = sn.sn_v
     && Array.for_all2 (fun mem bits -> mem.bits = bits) t.rams sn.sn_rams
-    && dirty t = (sn.sn_counts, sn.sn_dirty)
 
   (* Activate a stuck-at fault on one lane.  A stem fault pins the net
      in that lane: its value is forced now and every later write is
@@ -1187,6 +1157,7 @@ module Sim = struct
       if n < 0 || n >= Array.length t.v then
         error ~construct:t.name "inject: no net %d" n;
       stick t.keep t.force n;
+      t.stuck_nets <- true;
       write t n t.v.(n)
     | Branch { br_gate; br_pin } ->
       if br_gate < 0 || br_gate >= Array.length t.gate_elem || br_pin < 0 || br_pin > 2
@@ -1208,6 +1179,7 @@ module Sim = struct
   let clear_fault t =
     Array.fill t.keep 0 (Array.length t.keep) all_lanes;
     Array.fill t.force 0 (Array.length t.force) 0;
+    t.stuck_nets <- false;
     for s = 0 to t.n_slots - 1 do
       t.kind.(t.slot_elem.(s)) <- t.slot_kind.(s)
     done;
@@ -1215,7 +1187,9 @@ module Sim = struct
     Array.fill t.slot_force 0 (3 * t.n_slots) 0;
     t.n_slots <- 0
 
-  let net_value t n = t.v.(n) land 1 <> 0
+  let net_value t n =
+    settled t;
+    t.v.(n) land 1 <> 0
 
   let poke_net t n b =
     if n < 0 || n >= Array.length t.v || Bytes.get t.pokeable n = '\000' then

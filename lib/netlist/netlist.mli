@@ -190,21 +190,36 @@ module Sim : sig
 
   (** A simulator over one netlist, in two parts.  The {e topology}
       ({!topology}) is what levelization derives from the netlist: the
-      gates and the ROM/RAM read ports sorted topologically into flat
-      arrays, a compressed net-to-reader fanout, the flip-flop and RAM
-      wiring and the ROM images.  It is immutable, so any number of
+      gates and the ROM/RAM read ports numbered in level order into
+      flat arrays, a compressed net-to-reader fanout, the flip-flop and
+      RAM wiring and the ROM images.  It is immutable, so any number of
       instances, on any domain, share one.  An {e instance} ({!t},
       made by {!instantiate}) owns the lane state, which is everything
       a simulation writes: net words, stem-fault masks, the element
       kinds that {!inject} recodes, RAM contents, the dirty set and the
       counters.  {!settle} evaluates only the dirty elements, those
-      whose inputs changed, in level order, so in an acyclic netlist
-      each runs at most once per settle; nothing is allocated per
-      evaluation.
+      whose inputs changed, lowest-numbered first: an element reads
+      only lower-numbered ones unless levelization cut a cycle, so in
+      an acyclic netlist each runs at most once per settle; nothing is
+      allocated per evaluation.
+
+      One settle per cycle: {!clock} leaves the readers of the
+      flip-flops and RAMs it wrote dirty, and the settle after the next
+      cycle's inputs evaluates them together with the inputs' readers.
+      Every read ({!read}, {!get_output}, {!output_diff},
+      {!net_value}, and {!snapshot} and {!matches}) settles first while
+      anything is dirty, so a read after {!clock} sees the settled
+      edge.  A netlist whose levelization had to cut a combinational
+      cycle ([snd (combinational_depth nl) > 0]) is the exception: the
+      state its settle reaches may depend on when the settle runs, so
+      {!clock} settles at once, as it always did, and reads never settle
+      early.
 
       Every net holds a 63-lane word.  The plain interface keeps the
       lanes equal and reads lane 0; {!inject} makes lanes differ, one
-      faulty circuit per lane, for parallel-pattern fault simulation. *)
+      faulty circuit per lane, for parallel-pattern fault simulation.
+      Buses move as native [int]s: a bus of at most 62 bits, which
+      holds every [Fixed] mantissa, reads exactly. *)
   type t
 
   (** The shared, immutable part of a simulator. *)
@@ -216,12 +231,12 @@ module Sim : sig
   val topology : netlist -> topology
 
   (** [instantiate tp] — a fresh instance at power-up over [tp]'s
-      arrays.  One {!settle} call evaluates at most
-      [1000 * max 64 n_elements] elements.  An acyclic netlist never
-      needs more than one evaluation per element; on a combinational
-      cycle, a mark at or below the level being evaluated rewinds the
-      sweep to it, and the budget turns an oscillation into an
-      [Ocapi_error.Error] with code [Did_not_settle]. *)
+      arrays, every element dirty.  One {!settle} call evaluates at
+      most [1000 * max 64 n_elements] elements.  An acyclic netlist
+      never needs more than one evaluation per element; on a
+      combinational cycle, a mark below the element being evaluated
+      rewinds the sweep to it, and the budget turns an oscillation into
+      an [Ocapi_error.Error] with code [Did_not_settle]. *)
   val instantiate : topology -> t
 
   (** [create nl] = [instantiate (topology nl)].
@@ -234,7 +249,8 @@ module Sim : sig
       @raise Ocapi_error.Error with code [Internal] on an unknown bus. *)
   val set_input : t -> string -> int64 -> unit
 
-  (** Evaluate the dirty elements until stable.  Bounded.
+  (** Evaluate the dirty elements until stable — those an edge left and
+      those the inputs driven since marked.  Bounded.
       @raise Ocapi_error.Error with code [Did_not_settle] on
       oscillation, naming (a sample of) the nets still toggling, the
       budget and the clock cycle. *)
@@ -248,8 +264,9 @@ module Sim : sig
   (** {2 Resolved ports}
 
       {!set_input} and {!get_output} look their bus up by name; a
-      per-cycle loop resolves its buses once instead.  A port is
-      resolved on a topology and works on every instance of it. *)
+      per-cycle loop resolves its buses once instead, and moves their
+      values as [int]s.  A port is resolved on a topology and works on
+      every instance of it. *)
 
   type input_port
   type output_port
@@ -261,13 +278,16 @@ module Sim : sig
   val output_port : topology -> string -> output_port
 
   (** [drive sim p m] = [set_input] on a resolved port. *)
-  val drive : t -> input_port -> int64 -> unit
+  val drive : t -> input_port -> int -> unit
 
   (** [read sim ~signed p] = [get_output] on a resolved port. *)
-  val read : t -> signed:bool -> output_port -> int64
+  val read : t -> signed:bool -> output_port -> int
 
   (** Clock edge: latch all DFFs and apply RAM writes (from the pre-edge
-      values), then {!settle}. *)
+      values), marking the readers of what changed.  The next settle,
+      or the next read, evaluates them; on a netlist with a cut cycle,
+      [clock] runs that {!settle} itself, and can raise what it
+      raises. *)
   val clock : t -> unit
 
   (** Back to power-up: nets low, RAMs cleared, DFFs at their initial
@@ -276,11 +296,14 @@ module Sim : sig
 
   (** {2 Checkpoints}
 
-      A snapshot copies what {!reset} re-initializes, less the
-      evaluation and event counters: every net word, the RAM contents,
-      the set of elements left to evaluate (empty between two clocks)
-      and the clock count that diagnostics report.  Active faults are
-      not part of it.  {!settle} and {!clock} do not depend on it. *)
+      A snapshot copies what {!reset} re-initializes, less the event
+      counter: every net word, the RAM contents, the set of elements
+      left to evaluate and the clock count that diagnostics report.
+      Active faults are not part of it.  Like a read, {!snapshot} and
+      {!matches} settle first, so on an acyclic netlist a snapshot's
+      dirty set is empty; on one with a cut cycle it is whatever was
+      left to evaluate (every element at power-up).  {!settle} and
+      {!clock} do not depend on it. *)
 
   type snapshot
 
@@ -323,7 +346,7 @@ module Sim : sig
   (** [output_diff sim p m] — the lanes (bit [l] for lane [l]) in which
       output bus [p] differs from the mantissa [m]: the per-cycle
       comparison of a fault batch against the fault-free run. *)
-  val output_diff : t -> output_port -> int64 -> int
+  val output_diff : t -> output_port -> int -> int
 
   (** {2 Net access}
 

@@ -94,8 +94,9 @@ module Trace = struct
     if ix <> 0 || Bytes.length col.pc_format_ix > 0 then set_format col k ix;
     col.pc_len <- k + 1
 
-  (* The static engines' probes carry their declared format. *)
-  let record t p ~cycle m = append t.(p) cycle 0 m
+  (* The gate engine's probes carry their declared format; their
+     mantissas come off the netlist as native ints. *)
+  let record t p ~cycle m = append t.(p) cycle 0 (Int64.of_int m)
 
   (* Probes of a value store, recorded by one call per step whose loop
      reads the mantissas where the store keeps them, so that none is
@@ -608,6 +609,7 @@ type check_issue =
   | Unknown_port of string * string
   | Format_conflict of string * string
   | Shared_register of string * string * string
+  | Unassigned_shared_register of string * string * string
 
 let pp_issue ppf = function
   | Unconnected_input (c, p) ->
@@ -618,6 +620,9 @@ let pp_issue ppf = function
   | Format_conflict (_, msg) -> Format.fprintf ppf "format conflict: %s" msg
   | Shared_register (r, a, b) ->
     Format.fprintf ppf "shared register: %s is assigned in %s and read in %s" r a b
+  | Unassigned_shared_register (r, a, b) ->
+    Format.fprintf ppf "shared register: %s is read in %s and %s and assigned in none"
+      r a b
 
 (* A kernel port may leave its format undeclared: the interpreter moves
    its tokens as they come, so only the static back ends need it. *)
@@ -658,26 +663,34 @@ let shared_registers t =
   in
   List.filter_map
     (fun r ->
+      let name = Signal.Reg.name r in
       match List.find_opt (fun (_, _, written) -> List.memq r written) timed with
-      | None -> None
       | Some (a, _, _) ->
         List.find_map
           (fun (b, regs, _) ->
             if (not (String.equal a b)) && List.memq r regs then
-              Some (Signal.Reg.name r, a, b)
+              Some (Shared_register (name, a, b))
             else None)
-          timed)
+          timed
+      | None -> (
+        match List.filter (fun (_, regs, _) -> List.memq r regs) timed with
+        | (a, _, _) :: (b, _, _) :: _ -> Some (Unassigned_shared_register (name, a, b))
+        | _ -> None))
     (all_regs t)
 
 let refuse_shared_registers ~engine t =
-  match shared_registers t with
-  | [] -> ()
-  | (r, a, b) :: _ ->
+  let refuse r a b how =
     Ocapi_error.fail Ocapi_error.Unsupported ~engine ~construct:r ~nets:[ a; b ]
-      "%s: register %s is assigned in %s and read in %s; each component \
-       would read a copy of its own, so use the interp, compiled or native \
-       engine"
-      engine r a b
+      "%s: register %s is %s; each component would read a copy of its own, so \
+       use the interp, compiled or native engine"
+      engine r how
+  in
+  match shared_registers t with
+  | Shared_register (r, a, b) :: _ ->
+    refuse r a b (Printf.sprintf "assigned in %s and read in %s" a b)
+  | Unassigned_shared_register (r, a, b) :: _ ->
+    refuse r a b (Printf.sprintf "read in %s and %s and assigned in none" a b)
+  | _ -> ()
 
 let check t =
   let issues = ref [] in
@@ -701,10 +714,7 @@ let check t =
         | Ok _ -> ()
         | Error msg -> issues := Format_conflict (n.n_name, msg) :: !issues)
     (nets t);
-  List.iter
-    (fun (r, a, b) -> issues := Shared_register (r, a, b) :: !issues)
-    (shared_registers t);
-  List.rev !issues
+  List.rev_append !issues (shared_registers t)
 
 (* --- building the run table ---------------------------------------------- *)
 

@@ -133,6 +133,9 @@ type check_issue =
   | Shared_register of string * string * string
       (** register, the component assigning it, another component
           reading it (see {!shared_registers}) *)
+  | Unassigned_shared_register of string * string * string
+      (** register no component assigns, and two components reading
+          it (see {!shared_registers}) *)
 
 val pp_issue : Format.formatter -> check_issue -> unit
 
@@ -146,13 +149,17 @@ val pp_issue : Format.formatter -> check_issue -> unit
     moves its tokens as they come. *)
 val check : t -> check_issue list
 
-(** The registers one timed component assigns and another one's SFGs or
-    guards read or assign, as (register, the first component assigning
-    it, the first other component using it), in {!all_regs} order.  The
-    interpreter and the compiled and native engines simulate such a
-    register once; the RT and gate engines give each component a copy
-    of its own, which the other component's assignments never reach. *)
-val shared_registers : t -> (string * string * string) list
+(** The registers two timed components use, in {!all_regs} order: a
+    {!Shared_register} when one component assigns it and another one's
+    SFGs or guards read or assign it (the first component assigning it,
+    the first other component using it), an
+    {!Unassigned_shared_register} when two components read it and none
+    assigns it (the first two readers).  The interpreter and the
+    compiled and native engines simulate such a register once; the RT
+    and gate engines give each component a copy of its own, which the
+    other component's assignments, and a poke of the other copy, never
+    reach. *)
+val shared_registers : t -> check_issue list
 
 (** [refuse_shared_registers ~engine t] raises when {!shared_registers}
     finds one: how the RT and gate engines refuse such a system.
@@ -338,9 +345,9 @@ module Trace : sig
       recorder allocates once the probe's storage has grown, which
       [clear] keeps. *)
 
-  (** [record t p ~cycle m] appends mantissa [m] at [cycle] to probe
-      [p]. *)
-  val record : t -> int -> cycle:int -> int64 -> unit
+  (** [record t p ~cycle m] appends mantissa [m], a native [int], at
+      [cycle] to probe [p] in its declared format. *)
+  val record : t -> int -> cycle:int -> int -> unit
 
   (** Probes read from a value store: per probe, its column, the slot
       of the net it reads, and that net's stamp — the index of the cell

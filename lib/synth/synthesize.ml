@@ -849,36 +849,42 @@ let replay sys nl ~cycles =
   let expected = T.copy (Cycle_system.trace sys) in
   Cycle_system.reset sys;
   let outputs = List.map fst (Netlist.outputs_list nl) in
-  let sim = Netlist.Sim.create nl in
+  let topology = Netlist.Sim.topology nl in
+  let sim = Netlist.Sim.instantiate topology in
   let per_cycle = Array.make cycles [] in
   List.iter
-    (fun (c, name, v) -> per_cycle.(c) <- (name, v) :: per_cycle.(c))
+    (fun (c, name, v) ->
+      per_cycle.(c) <-
+        (Netlist.Sim.input_port topology name, Int64.to_int (Fixed.mantissa v))
+        :: per_cycle.(c))
     (Cycle_system.stimuli sys ~cycles);
-  (* Per probe, the format its bus is read in, when [nl] drives one. *)
+  (* Per probe, the format its bus is read in and the bus, when [nl]
+     drives one. *)
   let probes =
     Array.of_list
       (List.map
          (fun p ->
            match Cycle_system.probe_format sys p with
-           | Some fmt when List.mem p outputs -> (p, Some fmt)
+           | Some fmt when List.mem p outputs ->
+             (p, Some (fmt, Netlist.Sim.output_port topology p))
            | Some _ | None -> (p, None))
          (Cycle_system.probes sys))
   in
-  let sampled = T.create (Array.to_list probes) in
+  let sampled =
+    T.create (Array.to_list (Array.map (fun (p, bus) -> (p, Option.map fst bus)) probes))
+  in
   for c = 0 to cycles - 1 do
-    List.iter
-      (fun (name, v) -> Netlist.Sim.set_input sim name (Fixed.mantissa v))
-      per_cycle.(c);
+    List.iter (fun (port, m) -> Netlist.Sim.drive sim port m) per_cycle.(c);
     Netlist.Sim.settle sim;
     Array.iteri
-      (fun i (p, fmt) ->
-        match fmt with
-        | Some fmt ->
+      (fun i (_, bus) ->
+        match bus with
+        | Some (fmt, port) ->
           let k = T.length sampled i in
           if k < T.length expected i && T.cycle expected i k = c then
             let signed = fmt.Fixed.signedness = Fixed.Signed in
             T.record_token sampled i ~cycle:c
-              (Fixed.create fmt (Netlist.Sim.get_output sim ~signed p))
+              (Fixed.create fmt (Int64.of_int (Netlist.Sim.read sim ~signed port)))
         | None -> ())
       probes;
     Netlist.Sim.clock sim

@@ -417,6 +417,21 @@ let test_interpreted_step_allocation () =
       ("rtl", "cpu", Gallery.cpu, 1300.);
     ]
 
+(* The counters [names] of a fresh [engine] session stepped 1000
+   cycles; a histogram reads as its sum. *)
+let activity_at_1000 engine design build names =
+  let (), report =
+    Ocapi_obs.run_with_telemetry ~label:engine (fun () ->
+        with_session engine (build ()) (fun ses -> steps ses 1000))
+  in
+  List.map
+    (fun name ->
+      match List.assoc_opt name report.Ocapi_obs.rp_metrics with
+      | Some (Ocapi_obs.Counter_v n) -> n
+      | Some (Ocapi_obs.Histogram_v h) -> int_of_float h.Ocapi_obs.hs_sum
+      | Some (Ocapi_obs.Gauge_v _) | None -> Alcotest.failf "%s: no %s" design name)
+    names
+
 (* A fresh rtl session's activity over 1000 cycles of each gallery
    design: transactions, events, process activations and delta cycles.
    Which woken process of a delta runs first is free, and none of these
@@ -424,18 +439,8 @@ let test_interpreted_step_allocation () =
 let test_rtl_activity_pinned () =
   List.iter
     (fun (design, build, fired, scheduled, activations, deltas) ->
-      let (), report =
-        Ocapi_obs.run_with_telemetry ~label:"rtl" (fun () ->
-            with_session "rtl" (build ()) (fun ses -> steps ses 1000))
-      in
-      let metric name =
-        match List.assoc_opt name report.Ocapi_obs.rp_metrics with
-        | Some (Ocapi_obs.Counter_v n) -> n
-        | Some (Ocapi_obs.Histogram_v h) -> int_of_float h.Ocapi_obs.hs_sum
-        | Some (Ocapi_obs.Gauge_v _) | None -> Alcotest.failf "%s: no %s" design name
-      in
       Alcotest.(check (list int)) design [ fired; scheduled; activations; deltas ]
-        (List.map metric
+        (activity_at_1000 "rtl" design build
            [ "rtl.events_fired"; "rtl.events_scheduled"; "rtl.activations";
              "rtl.deltas_per_cycle" ]))
     [
@@ -468,6 +473,8 @@ let test_histories_are_the_trace () =
               Alcotest.(check bool)
                 (label ^ ": restore clears the trace") true
                 (List.for_all (fun (_, h) -> h = []) (trace ()));
+              Alcotest.(check bool) (label ^ ": restored state matches") true
+                (ck.Ocapi_engine.ck_matches ());
               steps ses 30;
               let from_ck =
                 List.map (fun (p, h) -> (p, List.filter (fun (c, _) -> c >= 10) h)) whole
@@ -999,6 +1006,43 @@ let random_chain_property =
       let compiled = Flow.simulate ~engine:"compiled" sys ~cycles:16 in
       histories_equal interp compiled)
 
+(* A fresh gate session's activity over 1000 cycles of each gallery
+   design: one settle per step, which evaluates the readers of the
+   last edge together with those of the inputs. *)
+let test_gate_activity_pinned () =
+  List.iter
+    (fun (design, build, clocks, settles, evaluations, events) ->
+      Alcotest.(check (list int)) design [ clocks; settles; evaluations; events ]
+        (activity_at_1000 "gate" design build
+           [ "gates.clocks"; "gates.settles"; "gates.evaluations"; "gates.events" ]))
+    [
+      ("hcor", Gallery.hcor, 1000, 1000, 900_286, 569_762);
+      ("dect", Gallery.dect, 1000, 1000, 3_198_027, 1_911_643);
+      ("rs", Gallery.rs, 1000, 1000, 270_028, 200_689);
+      ("cpu", Gallery.cpu, 1000, 1000, 16_053, 8_957);
+    ]
+
+(* Nor does a gate step: stimuli go onto the input buses, and probe
+   buses into the trace, as ints.  Measured after one reset, so the
+   trace already has its capacity. *)
+let test_gate_step_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let gauge_words =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, sys) ->
+      with_session "gate" sys (fun ses ->
+          steps ses 1000;
+          ses.Ocapi_engine.ses_reset ();
+          let before = Gc.minor_words () in
+          steps ses 1000;
+          let words = Gc.minor_words () -. before -. gauge_words in
+          Alcotest.(check (float 0.0)) (name ^ ": minor words in 1000 steps")
+            0.0 words))
+    [ ("rs", Gallery.rs ()); ("cpu", Gallery.cpu ()) ]
+
 let suite =
   suite
   @ [
@@ -1006,4 +1050,8 @@ let suite =
       QCheck_alcotest.to_alcotest random_system_rtl_property;
       QCheck_alcotest.to_alcotest random_system_gate_property;
       QCheck_alcotest.to_alcotest random_chain_property;
+      Alcotest.test_case "gate activity pinned at 1000 cycles" `Quick
+        test_gate_activity_pinned;
+      Alcotest.test_case "a warm gate step allocates nothing" `Quick
+        test_gate_step_allocates_nothing;
     ]

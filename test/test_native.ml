@@ -149,7 +149,8 @@ let run_session sys ~cycles =
 (* A design the width analysis rejects: each session is a counted
    fallback to the compiled program.  The analysis runs before anything
    is written, so no session compiles, and none creates the artifact
-   directory. *)
+   directory; it runs once per design, so the second session finds the
+   verdict and runs none. *)
 let test_wide_design_falls_back () =
   let sys = accum ~width:60 ~out_width:62 () in
   let pg = Compiled_sim.lower sys in
@@ -159,13 +160,19 @@ let test_wide_design_falls_back () =
   | _ -> Alcotest.fail "a plugin emitted over int64 cells");
   let interp = Flow.simulate ~engine:"interp" sys ~cycles:40 in
   with_fresh_native_cache (fun dir ->
+      let verdicts () = (Ocapi_native.stats ()).Ocapi_native.verdicts in
       let first = run_session sys ~cycles:40 in
+      let after_first = verdicts () in
       let second = run_session sys ~cycles:40 in
       Alcotest.(check bool) "fallbacks = interp" true
         (first = interp && second = interp);
       let s = Ocapi_native.stats () in
       Alcotest.(check (pair int int)) "two counted fallbacks, no compile" (2, 0)
         (s.Ocapi_native.fallbacks, s.Ocapi_native.compiles);
+      (* A host without the toolchain falls back before any analysis. *)
+      let once = if native_ok () then 1 else 0 in
+      Alcotest.(check (pair int int)) "verdicts after each session" (once, once)
+        (after_first, s.Ocapi_native.verdicts);
       Alcotest.(check bool) "no artifact directory" false (Sys.file_exists dir))
 
 let check_fallback_serves sys =

@@ -421,13 +421,61 @@ let prop_lanes_independent =
                     (fun lane run ->
                       List.for_all2
                         (fun port word ->
-                          Netlist.Sim.output_diff batch port word land (1 lsl lane) = 0)
+                          Netlist.Sim.output_diff batch port (Int64.to_int word) land (1 lsl lane) = 0)
                         ports run.(c))
                     lone)
              in
              Netlist.Sim.clock batch;
              ok)
            vectors))
+
+(* --- one settle per cycle ------------------------------------------------------ *)
+
+(* [clock] leaves an acyclic netlist's edge unsettled; a read right
+   after it settles first, so it sees the edge. *)
+let test_read_after_clock_settles () =
+  let nl = Netlist.create "edge" in
+  let d = Netlist.input_bus nl "d" 1 in
+  let q = Netlist.dff nl d.(0) in
+  let g = Netlist.gate nl Netlist.Not [ q ] in
+  Netlist.output_bus nl "g" [| g |];
+  let topology = Netlist.Sim.topology nl in
+  let port = Netlist.Sim.output_port topology "g" in
+  let sim = Netlist.Sim.instantiate topology in
+  Netlist.Sim.set_input sim "d" 1L;
+  Netlist.Sim.settle sim;
+  Alcotest.(check bool) "before the edge" true (Netlist.Sim.net_value sim g);
+  Netlist.Sim.clock sim;
+  Alcotest.(check bool) "net_value after the edge" false (Netlist.Sim.net_value sim g);
+  Netlist.Sim.set_input sim "d" 0L;
+  Netlist.Sim.settle sim;
+  Netlist.Sim.clock sim;
+  Alcotest.(check int) "output_diff after the edge: no lane differs from 1" 0
+    (Netlist.Sim.output_diff sim port 1)
+
+(* A netlist whose levelization cut a cycle settles at the edge: a ring
+   a flip-flop enables oscillates from the [clock] that sets the
+   flip-flop, and that call raises, naming the cycle and the net. *)
+let test_cyclic_edge_raises_at_clock () =
+  let nl = Netlist.create "gated_ring" in
+  let en = Netlist.input_bus nl "en" 1 in
+  let q = Netlist.dff nl en.(0) in
+  let loop = Netlist.new_net nl in
+  let g = Netlist.gate nl Netlist.Nand [ q; loop ] in
+  Netlist.buf_into nl ~dst:loop (Netlist.gate nl Netlist.Buf [ g ]);
+  Netlist.output_bus nl "o" [| g |];
+  Alcotest.(check bool) "a cycle was cut" true (snd (Netlist.combinational_depth nl) > 0);
+  let sim = Netlist.Sim.create nl in
+  Netlist.Sim.set_input sim "en" 1L;
+  Netlist.Sim.settle sim;
+  match Netlist.Sim.clock sim with
+  | () -> Alcotest.fail "clock returned on an oscillating ring"
+  | exception (Ocapi_error.Error d as e) when Raises.code Did_not_settle e ->
+    Alcotest.(check string) "message"
+      "netlist gated_ring oscillates: 1 nets still toggling after 64000 evaluations"
+      d.Ocapi_error.e_message;
+    Alcotest.(check (option int)) "cycle" (Some 1) d.Ocapi_error.e_cycle;
+    Alcotest.(check (list string)) "nets" [ "n4" ] d.Ocapi_error.e_nets
 
 let suite =
   suite
@@ -436,3 +484,9 @@ let suite =
         test_poke_net_restricted;
     ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_naive; prop_lanes_independent ]
+  @ [
+      Alcotest.test_case "reads after clock see the settled edge" `Quick
+        test_read_after_clock_settles;
+      Alcotest.test_case "cyclic netlist: clock raises Did_not_settle" `Quick
+        test_cyclic_edge_raises_at_clock;
+    ]

@@ -265,6 +265,72 @@ let test_shared_register () =
         Alcotest.(check string) (engine ^ ": engine") engine d.Ocapi_error.e_engine)
     [ "rtl"; "gate" ]
 
+(* A register two components read and none assigns: interp, compiled
+   and native simulate one register, so a poke reaches both readers;
+   rtl and gate would give each reader a copy and flip only one, so
+   they refuse the system at make, and [check] reports it. *)
+let test_unassigned_shared_register () =
+  let r = Signal.Reg.create clk "twin_r" s8 in
+  let reader name =
+    let sfg =
+      Sfg.build (name ^ "_out") (fun b ->
+          Sfg.Builder.output b "y" (Signal.resize s8 (Signal.reg_q r)))
+    in
+    let fsm = Fsm.create name in
+    let s0 = Fsm.initial fsm "s0" in
+    Fsm.(s0 |-- always |+ sfg |-> s0);
+    fsm
+  in
+  let two_readers () =
+    let sys = Cycle_system.create "twin" in
+    List.iter
+      (fun (c, probe) ->
+        let comp = Cycle_system.add_timed sys c (reader ("twin_" ^ c)) in
+        let p = Cycle_system.add_output sys probe in
+        ignore (Cycle_system.connect sys (comp, "y") [ (p, "in") ]))
+      [ ("a", "ya"); ("b", "yb") ];
+    sys
+  in
+  Alcotest.(check (list string)) "check"
+    [ "shared register: twin_r is read in a and b and assigned in none" ]
+    (List.map (Format.asprintf "%a" Cycle_system.pp_issue)
+       (Cycle_system.check (two_readers ())));
+  List.iter
+    (fun engine ->
+      let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+      let ses = E.make (two_readers ()) in
+      Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+          let h =
+            Cycle_system.Trace.to_histories
+              (Ocapi_engine.run ses ~cycles:4
+                 ~inject:(2, fun () -> ses.Ocapi_engine.ses_poke_register_bit 0 ~bit:0))
+          in
+          List.iter
+            (fun probe ->
+              Alcotest.(check (list int)) (engine ^ ": " ^ probe) [ 0; 0; 1; 1 ]
+                (List.map (fun (_, v) -> Fixed.to_int v) (List.assoc probe h)))
+            [ "ya"; "yb" ]))
+    [ "interp"; "compiled"; "native" ];
+  List.iter
+    (fun engine ->
+      let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get engine in
+      match E.make (two_readers ()) with
+      | ses ->
+        ses.Ocapi_engine.ses_close ();
+        Alcotest.failf "%s: register with two readers accepted" engine
+      | exception (Ocapi_error.Error d as e) when Raises.code Unsupported e ->
+        Alcotest.(check (option string)) (engine ^ ": register") (Some "twin_r")
+          d.Ocapi_error.e_construct;
+        Alcotest.(check (list string)) (engine ^ ": readers") [ "a"; "b" ]
+          d.Ocapi_error.e_nets;
+        Alcotest.(check string) (engine ^ ": message")
+          (engine
+         ^ ": register twin_r is read in a and b and assigned in none; each \
+            component would read a copy of its own, so use the interp, \
+            compiled or native engine")
+          d.Ocapi_error.e_message)
+    [ "rtl"; "gate" ]
+
 let test_checks () =
   let sys, _ = accumulator_system () in
   Alcotest.(check int) "clean system" 0 (List.length (Cycle_system.check sys));
@@ -355,7 +421,7 @@ let test_format_conflicts () =
           (function
             | Cycle_system.Format_conflict (_, m) -> Some m
             | Cycle_system.Unconnected_input _ | Unconnected_output _
-            | Unknown_port _ | Shared_register _ ->
+            | Unknown_port _ | Shared_register _ | Unassigned_shared_register _ ->
               None)
           (Cycle_system.check (conflict_system which))
       in
@@ -785,4 +851,6 @@ let suite =
       test_rtl_reset_after_delta_overflow;
     Alcotest.test_case "registers shared between components" `Quick
       test_shared_register;
+    Alcotest.test_case "a register two components read and none assigns" `Quick
+      test_unassigned_shared_register;
   ]
