@@ -1,5 +1,4 @@
-.PHONY: all build doc test bench bench-json bench-native bench-par \
-	bench-batch bench-service bench-smoke cache-stats fault fuzz batch serve \
+.PHONY: all build doc test bench bench-records fault fuzz batch serve \
 	profile report perf-gate ci-determinism ci-crash-recovery ci-fuzz \
 	ci-local clean
 
@@ -22,60 +21,38 @@ doc:
 test:
 	dune runtest
 
-# The full evaluation harness (every table and claim).
+# The paper-claim reproductions EXPERIMENTS.md cites: Table 1, C3-C6,
+# F5, the figures and the Bechamel micro-benchmarks.  Exits 1 when a
+# claim's own check fails.
 bench: build
 	dune exec bench/main.exe
 
-# Machine-readable Table 1 plus the result-cache cold/warm comparison:
-# writes ./BENCH_table1.json (engine -> cycles/sec, process bytes,
-# source lines) and ./BENCH_cache.json (hit/miss counters, per-engine
-# cold vs warm seconds with a bit-identity check).
-bench-json: build
-	dune exec bench/main.exe -- t1-json cache
+# The committed speed records: seeds 1-5 of bench/perf's table1
+# (untraced and traced) and campaign at the nominal 30 s, one JSON line
+# each, stamped with commit, host and core count into ./BENCH_perf.jsonl.
+# ENGINES.md's relative-speed table and EXPERIMENTS.md's T1 speed column
+# are read from its traced records with the jq command printed next to
+# each.  Takes a few minutes.
+bench-records:
+	@command -v jq >/dev/null 2>&1 || { echo "error: bench-records needs jq" >&2; exit 1; }
+	mkdir -p _generated/bench
+	rm -f _generated/bench/records.jsonl
+	for seed in 1 2 3 4 5; do \
+	  for run in "table1" "table1 --trace 1" "campaign"; do \
+	    bash bench/perf/run.sh --workload $$run --seed $$seed \
+	      --out _generated/bench/records.jsonl || exit 1; \
+	  done; \
+	done
+	jq -c --arg commit "$$(git describe --always --dirty)" \
+	  --arg host "$$(uname -n)" --argjson cores "$$(nproc)" \
+	  '. + {commit: $$commit, host: $$host, cores: $$cores}' \
+	  _generated/bench/records.jsonl >BENCH_perf.jsonl
 
-# Print the Flow.Cache hit/miss counters recorded in ./BENCH_cache.json
-# by the last `make bench-json` (or `bench/main.exe -- cache`) run.
-cache-stats:
-	dune exec bench/main.exe -- cache-stats
-
-# Native-engine benchmark: cold emit+compile+dynlink vs warm cache-hit
-# session build (the warm run must invoke zero compilers), then a timed
-# DECT run; appends the native:compile and native:run series to the
-# perf ledger.  Skips (successfully) on toolchain-less hosts.
-bench-native: build
-	dune exec bench/main.exe -- native
-
-# Parallel campaign scaling: the DECT SEU campaign at 1, 2 and 4 worker
-# domains, with a bit-identity check of every parallel report against
-# the serial one; writes ./BENCH_parallel.json (runs/sec + speedups).
-bench-par: build
-	dune exec bench/main.exe -- par
-
-# Batch service throughput: a mixed duplicated manifest through the job
-# queue on 2 worker domains; writes ./BENCH_batch.json (jobs/sec, queue
-# wait p50/p95, dedup hit rate).
-bench-batch: build
-	dune exec bench/main.exe -- batch
-
-# Resilient service benchmark: a clean campaign vs the same campaign
-# under seeded chaos (worker kills) plus a pure journal-replay restart;
-# writes ./BENCH_service.json (throughputs, retry counts, a
-# byte-identity convergence check).
-bench-service: build
-	dune exec bench/main.exe -- service
-
-# The CI smoke stage: every BENCH_*.json writer at a size that finishes
-# in seconds (BENCH_table1 / fault / batch / cache / service).
-bench-smoke: build
-	dune exec bench/main.exe -- smoke
-
-# Fault campaigns: a small deterministic DECT SEU campaign (seeded, so
-# repeated runs print the same classification table) plus the bench
-# target that writes ./BENCH_fault.json (coverage %, runs/sec).
-# Add --domains N to the CLI line to run the campaign on N domains.
+# A small deterministic DECT SEU campaign: seeded, so repeated runs
+# print the same classification table.  Add --domains N to run it on N
+# domains.
 fault: build
 	dune exec bin/ocapi_cli.exe -- fault --design dect --campaign seu --runs 200 --seed 1
-	dune exec bench/main.exe -- fault
 
 # Batch mode demo: the example manifest through the job queue on two
 # domains, artifacts under _generated/batch/.
@@ -98,15 +75,17 @@ profile: build
 	dune exec bin/ocapi_cli.exe -- profile --design dect --engine compiled
 
 # Performance report: trend table over every series in the perf ledger
-# (PERF_LEDGER.jsonl, appended to by each bench/smoke run) plus a
+# (PERF_LEDGER.jsonl, appended to by each `make perf-gate`) plus a
 # self-contained HTML page with sparkline history per series.
 report: build
 	dune exec bin/ocapi_cli.exe -- report --html PERF_REPORT.html
 
-# The CI perf gate: newest ledger entry per series vs its rolling
-# baseline; ordinary regressions warn, a >50% collapse fails.
-# scripts/perf_gate.sh --self-test checks the gate catches an injected
-# collapse.
+# The CI perf gate: a 5-second bench/perf pass per workload appends its
+# ten cycle rates to the ledger, then the newest entry per series is
+# judged against its rolling baseline; ordinary regressions warn, a
+# >50% collapse or a failed bench/perf check fails.  Needs jq.
+# scripts/perf_gate.sh --self-test checks the ingest and that the gate
+# catches an injected collapse.
 perf-gate: build
 	scripts/perf_gate.sh
 
@@ -136,7 +115,8 @@ ci-fuzz: build
 	scripts/fuzz_gate.sh
 
 # The whole CI pipeline, run locally (build, docs when odoc exists,
-# tests, determinism gate, bench smoke) — an `act`-equivalent dry run.
+# tests, the gates, the paper claims, the perf gate) — an
+# `act`-equivalent dry run.
 ci-local:
 	scripts/ci_local.sh
 

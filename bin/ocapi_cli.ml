@@ -783,7 +783,7 @@ let report_cmd =
       print_endline (Ocapi_obs.Json.to_string (L.verdicts_json vs))
     else if entries = [] then
       Printf.printf
-        "perf ledger %s: no entries yet (run `make bench-smoke` to \
+        "perf ledger %s: no entries yet (run `make perf-gate` to \
          record some)\n"
         ledger
     else begin

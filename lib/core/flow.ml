@@ -54,15 +54,17 @@ let pp_check_report ppf r =
 
 (* --- keyed result cache ----------------------------------------------------
 
-   Memoizes frozen probe traces by (design digest, stimulus fingerprint,
-   engine key, seed, cycles).  The structural digest
-   ([Cycle_system.digest]) does not cover primary-input stimuli, so
-   the key reads every stimulus column over the simulated cycle range,
-   which the run after a miss then reads again without calling the
-   stimuli — stimuli must be pure functions of the cycle index for
-   caching to be sound, which every generated test bench already
-   requires.  Disabled by default; [enable ~dir] adds a Marshal-based
-   on-disk store so warm runs survive the process. *)
+   Memoizes frozen probe traces by (elaboration key, stimulus
+   fingerprint, engine key, seed, cycles).  The elaboration key
+   ([Cycle_system.elaboration_key]: the structural digest plus each
+   kernel's declared model, such as a RAM's word count) does not cover
+   primary-input stimuli, so the key reads every stimulus column over
+   the simulated cycle range, which the run after a miss then reads
+   again without calling the stimuli — stimuli must be pure functions
+   of the cycle index for caching to be sound, which every generated
+   test bench already requires.  Disabled by default; [enable ~dir]
+   adds a Marshal-based on-disk store so warm runs survive the
+   process. *)
 module Cache = struct
   type stats = {
     hits : int;
@@ -108,7 +110,7 @@ module Cache = struct
         disk_writes := 0)
 
   let key_of ~engine ~seed sys ~cycles =
-    let digest = Cycle_system.digest sys in
+    let design = Cycle_system.elaboration_key sys in
     let stim_buf = Buffer.create 256 in
     List.iter
       (fun (name, _, _) ->
@@ -128,7 +130,7 @@ module Cache = struct
          (Cycle_system.primary_inputs sys));
     let stim_fp = Digest.to_hex (Digest.string (Buffer.contents stim_buf)) in
     String.concat "|"
-      [ digest; stim_fp; engine; string_of_int seed; string_of_int cycles ]
+      [ design; stim_fp; engine; string_of_int seed; string_of_int cycles ]
 
   let disk_path ~namespace dir k =
     Filename.concat dir

@@ -94,9 +94,11 @@ val simulate_result_json :
 (** {1 Keyed result cache}
 
     Memoizes {!simulate} results, as frozen [Cycle_system.Trace]s, by
-    [(Cycle_system.digest, stimulus fingerprint, engine, seed, cycles)].
-    The structural digest does not cover primary-input stimuli, so the
-    key additionally fingerprints every stimulus column
+    [(Cycle_system.elaboration_key, stimulus fingerprint, engine, seed,
+    cycles)].  The elaboration key covers the structural digest and each
+    kernel's declared model (a RAM's word count runs differently under
+    one digest), not primary-input stimuli, so the key additionally
+    fingerprints every stimulus column
     ({!Cycle_system.column_present}) over the simulated cycle range —
     stimuli must be pure functions of the cycle index for caching to
     be sound.
@@ -111,7 +113,7 @@ val simulate_result_json :
     [flow.cache.hit] / [flow.cache.miss] telemetry counters when
     telemetry is enabled.
 
-    {!Cache.key_of} is also the digest-based fingerprint the job runner
+    {!Cache.key_of} is also the fingerprint the job runner
     dedups jobs by at admission, and {!Cache.Store} lets other layers
     (the SEU campaign report cache of [Ocapi_fault]) memoize their own
     result types under the same lifecycle. *)
@@ -143,7 +145,7 @@ module Cache : sig
   val reset_stats : unit -> unit
 
   (** [key_of ~engine ~seed sys ~cycles] is the cache key of a run:
-      structural digest, stimulus fingerprint over [cycles], the
+      elaboration key, stimulus fingerprint over [cycles], the
       engine string, seed and cycle count.  Exposed so other
       layers key their own memoization and dedup on the same identity —
       the job runner fingerprints whole jobs with it by folding the

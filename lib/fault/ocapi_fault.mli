@@ -279,7 +279,7 @@ val pp_stuck_report : Format.formatter -> stuck_report -> unit
 val pp_stuck_compare : Format.formatter -> stuck_compare -> unit
 val pp_seu_report : Format.formatter -> seu_report -> unit
 
-(** JSON renderings (for [BENCH_fault.json] and the CLI). *)
+(** JSON renderings (for the CLI and job artifacts). *)
 val stuck_report_json : stuck_report -> Ocapi_obs.Json.t
 
 val stuck_compare_json : stuck_compare -> Ocapi_obs.Json.t

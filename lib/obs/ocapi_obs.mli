@@ -314,12 +314,12 @@ end
 
 (** {1 Perf ledger}
 
-    An append-only JSONL time series of benchmark results: every bench
-    run appends one line per measured rate, keyed by bench name, engine,
-    design digest, git commit, hostname, domain count and timestamp.
-    The regression gate ([scripts/perf_gate.sh] via [ocapi report
-    --gate]) compares each series' newest entry against the median of
-    its recent history. *)
+    An append-only JSONL time series of benchmark results: the perf
+    gate ([scripts/perf_gate.sh]) appends one line per cycle rate of a
+    short [bench/perf] pass, keyed by bench name, engine, design
+    digest, git commit, hostname, domain count and timestamp, and
+    compares each series' newest entry against the median of its
+    recent history ([ocapi report --gate]). *)
 module Ledger : sig
   type entry = {
     en_bench : string;

@@ -64,14 +64,13 @@ scripts/crash_recovery_gate.sh
 stage "fuzz gate (self-test + corpus replay + fresh sweep, serial vs --domains 2)"
 scripts/fuzz_gate.sh
 
-stage "bench smoke (BENCH_*.json + perf ledger)"
-dune exec bench/main.exe -- smoke
-ls -l BENCH_*.json
+stage "paper claims (exit 1 when a claim's own check fails)"
+dune exec bench/main.exe -- t1 c3 c4 c5 c6 f5 figs
 
-stage "perf gate self-test (injected collapse must be caught)"
+stage "perf gate self-test (ingest gives ten series, injected collapse caught)"
 scripts/perf_gate.sh --self-test
 
-stage "perf gate (ledger vs rolling baseline)"
+stage "perf gate (a short bench/perf pass into the ledger, vs rolling baseline)"
 scripts/perf_gate.sh
 
 echo

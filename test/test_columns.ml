@@ -168,9 +168,10 @@ let test_format_mismatch () =
     Alcotest.(check (option string)) "construct" (Some "i") e.Ocapi_error.e_construct;
     Alcotest.(check (option int)) "cycle" (Some 3) e.Ocapi_error.e_cycle
 
-(* The cache key's stimulus fingerprint, pinned to the values computed
-   from the stimulus closures: every result-cache entry and job-runner
-   dedup key stays as it was. *)
+(* The cache key, pinned: its stimulus fingerprint reads the stimulus
+   columns, and its design part is the elaboration key, so a RAM's word
+   count (which the digest leaves out) keys apart.  A change here moves
+   every result-cache entry and job-runner dedup key. *)
 let test_cache_key_pins () =
   List.iter
     (fun (name, sys, md5) ->
@@ -178,10 +179,10 @@ let test_cache_key_pins () =
         (Digest.to_hex
            (Digest.string (Flow.Cache.key_of ~engine:"pin" ~seed:1 sys ~cycles:64))))
     [
-      ("hcor", Gallery.hcor (), "169aafaed9dda4849196183041078ecd");
-      ("dect", Gallery.dect (), "54b56fe2a40739f6b328979806509954");
-      ("rs", Gallery.rs (), "9d929a7cd93cd17c2cf4327185f00437");
-      ("cpu", Gallery.cpu (), "1a685cfac63cd9ca90a127ec5e59b57f");
+      ("hcor", Gallery.hcor (), "efb9ab2c3f92d20e0b6c3464cb29e938");
+      ("dect", Gallery.dect (), "cc944475408a375dfa23176f1c899052");
+      ("rs", Gallery.rs (), "0fb28d5681cf2e86750858d9d6e1c7cf");
+      ("cpu", Gallery.cpu (), "df209eda6b7089c9aeda33bd7ecc7ff8");
     ]
 
 let suite =

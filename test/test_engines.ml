@@ -1043,6 +1043,33 @@ let test_gate_step_allocates_nothing () =
             0.0 words))
     [ ("rs", Gallery.rs ()); ("cpu", Gallery.cpu ()) ]
 
+(* The result cache keys on the elaboration key: a run of the 5-word
+   RAM after one of the 8-word RAM, which shares its digest, misses and
+   returns its own uncached histories.  Memory only, so nothing is left
+   on disk. *)
+let test_cache_keys_ram_words () =
+  let run words =
+    Flow.simulate ~engine:"compiled" (ram_words_system ~words ()) ~cycles:64
+  in
+  let uncached = List.map (fun words -> (words, run words)) [ 8; 5 ] in
+  Flow.Cache.enable ();
+  Flow.Cache.clear ();
+  Flow.Cache.reset_stats ();
+  Fun.protect
+    ~finally:(fun () ->
+      Flow.Cache.disable ();
+      Flow.Cache.clear ())
+    (fun () ->
+      List.iter
+        (fun (words, expected) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d words, cache on = cache off" words)
+            true
+            (histories_equal expected (run words)))
+        uncached;
+      Alcotest.(check int) "no hit across word counts" 0
+        (Flow.Cache.stats ()).Flow.Cache.hits)
+
 let suite =
   suite
   @ [
@@ -1054,4 +1081,6 @@ let suite =
         test_gate_activity_pinned;
       Alcotest.test_case "a warm gate step allocates nothing" `Quick
         test_gate_step_allocates_nothing;
+      Alcotest.test_case "cache keys a RAM's word count" `Quick
+        test_cache_keys_ram_words;
     ]
