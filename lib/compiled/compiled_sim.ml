@@ -4,11 +4,15 @@ let unsupported ?construct fmt =
 (* --- the value store ------------------------------------------------------ *)
 
 (* Every slot is an unboxed int64 at byte offset [8 * slot] of one
-   [Bytes] image.  Applied directly, these bounds-checked primitives keep
-   the values unboxed in native code; [Bytes.get_int64_ne] is a function
-   behind the standard library's interface and boxes what it returns. *)
+   [Bytes] image.  Applied directly, these primitives keep the values
+   unboxed in native code; [Bytes.get_int64_ne] is a function behind the
+   standard library's interface and boxes what it returns.  Statements,
+   guards and commits use the unchecked pair: {!instantiate} checks
+   every slot the program names against the store once. *)
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external unsafe_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let off slot = slot lsl 3
 
@@ -696,82 +700,86 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
     invalid_arg "Compiled_sim: an elided node has no statement"
   | Signal.Input_read _ ->
     let src = s 0 in
-    fun () -> set v dst (get v src)
+    fun () -> unsafe_set v dst (unsafe_get v src)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
-        (Int64.add (Int64.shift_left (get v sx) ka)
-           (Int64.shift_left (get v sy) kb))
+      unsafe_set v dst
+        (Int64.add (Int64.shift_left (unsafe_get v sx) ka)
+           (Int64.shift_left (unsafe_get v sy) kb))
   | Signal.Sub (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
-        (Int64.sub (Int64.shift_left (get v sx) ka)
-           (Int64.shift_left (get v sy) kb))
+      unsafe_set v dst
+        (Int64.sub (Int64.shift_left (unsafe_get v sx) ka)
+           (Int64.shift_left (unsafe_get v sy) kb))
   | Signal.Mul _ ->
     let sx = s 0 and sy = s 1 in
-    fun () -> set v dst (Int64.mul (get v sx) (get v sy))
+    fun () -> unsafe_set v dst (Int64.mul (unsafe_get v sx) (unsafe_get v sy))
   | Signal.Neg _ ->
     let sx = s 0 in
-    fun () -> set v dst (Int64.neg (get v sx))
+    fun () -> unsafe_set v dst (Int64.neg (unsafe_get v sx))
   | Signal.Abs _ ->
     let sx = s 0 in
-    fun () -> set v dst (Int64.abs (get v sx))
+    fun () -> unsafe_set v dst (Int64.abs (unsafe_get v sx))
   | Signal.And (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let w = wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
+      unsafe_set v dst
         (wrap w
-           (Int64.logand (Int64.shift_left (get v sx) ka)
-              (Int64.shift_left (get v sy) kb)))
+           (Int64.logand (Int64.shift_left (unsafe_get v sx) ka)
+              (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Or (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let w = wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
+      unsafe_set v dst
         (wrap w
-           (Int64.logor (Int64.shift_left (get v sx) ka)
-              (Int64.shift_left (get v sy) kb)))
+           (Int64.logor (Int64.shift_left (unsafe_get v sx) ka)
+              (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Xor (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let w = wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
+      unsafe_set v dst
         (wrap w
-           (Int64.logxor (Int64.shift_left (get v sx) ka)
-              (Int64.shift_left (get v sy) kb)))
+           (Int64.logxor (Int64.shift_left (unsafe_get v sx) ka)
+              (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Not _ ->
     let w = wrap_of nf and sx = s 0 in
-    fun () -> set v dst (wrap w (Int64.lognot (get v sx)))
+    fun () -> unsafe_set v dst (wrap w (Int64.lognot (unsafe_get v sx)))
   | Signal.Eq (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
+      unsafe_set v dst
         (if
            Int64.equal
-             (Int64.shift_left (get v sx) ka)
-             (Int64.shift_left (get v sy) kb)
+             (Int64.shift_left (unsafe_get v sx) ka)
+             (Int64.shift_left (unsafe_get v sy) kb)
          then 1L
          else 0L)
   | Signal.Lt (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
-        (if Int64.shift_left (get v sx) ka < Int64.shift_left (get v sy) kb
+      unsafe_set v dst
+        (if
+           Int64.shift_left (unsafe_get v sx) ka
+           < Int64.shift_left (unsafe_get v sy) kb
          then 1L
          else 0L)
   | Signal.Le (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let sx = s 0 and sy = s 1 in
     fun () ->
-      set v dst
-        (if Int64.shift_left (get v sx) ka <= Int64.shift_left (get v sy) kb
+      unsafe_set v dst
+        (if
+           Int64.shift_left (unsafe_get v sx) ka
+           <= Int64.shift_left (unsafe_get v sy) kb
          then 1L
          else 0L)
   | Signal.Mux (_, x, y) ->
@@ -779,16 +787,18 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
     let ry = resize_to ~round:Fixed.Truncate ~overflow:Fixed.Wrap y in
     let ss = s 0 and sx = s 1 and sy = s 2 in
     fun () ->
-      set v dst
-        (if get v ss <> 0L then resize rx (get v sx) else resize ry (get v sy))
+      unsafe_set v dst
+        (if unsafe_get v ss <> 0L then resize rx (unsafe_get v sx)
+         else resize ry (unsafe_get v sy))
   | Signal.Resize (round, overflow, x) ->
     let rz = resize_to ~round ~overflow x and sx = s 0 in
-    fun () -> set v dst (resize rz (get v sx))
+    fun () -> unsafe_set v dst (resize rz (unsafe_get v sx))
   | Signal.Rom_read (r, idx) ->
     let len = Signal.Rom.size r in
     let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
     let frac = (Signal.fmt idx).Fixed.frac and si = s 0 in
-    fun () -> set v dst contents.(to_int ~frac (get v si) mod len)
+    (* The index is data: the table read stays checked. *)
+    fun () -> unsafe_set v dst contents.(to_int ~frac (unsafe_get v si) mod len)
 
 type transition_code = {
   tc_block_a : (unit -> unit) array;
@@ -889,8 +899,57 @@ let ram_code ~cycle_ref ~base r =
     rm_staged = -1;
   }
 
+let check_indices p =
+  let within what len i =
+    if i < 0 || i >= len then
+      Ocapi_error.fail Ocapi_error.Internal ~engine:"compiled"
+        "lowered program: %s %d outside an array of %d" what i len
+  in
+  let slot = within "slot" p.pg_slots in
+  let stamped (s, st) =
+    slot s;
+    within "stamp" (max 1 (Array.length p.pg_nets)) st
+  in
+  let stmt = function
+    | Compute { dst; args; _ } -> Array.iter slot (Array.append [| dst |] args)
+    | Output { dst; src; stamp } ->
+      stamped (dst, stamp);
+      slot src
+    | Assign { dst; src } -> List.iter slot [ dst; src ]
+  in
+  List.iter (fun (s, _) -> slot s) p.pg_consts;
+  Array.iter (fun r -> slot r.reg_cur) p.pg_regs;
+  Array.iter
+    (fun c ->
+      Array.iter
+        (fun tr ->
+          List.iter (Array.iter stmt) [ tr.tr_guard; tr.tr_block_a; tr.tr_block_b ];
+          slot tr.tr_guard_slot;
+          Array.iter (fun (cur, nxt) -> List.iter slot [ cur; nxt ]) tr.tr_commit)
+        c.co_transitions)
+    p.pg_comps;
+  Array.iter
+    (fun r ->
+      List.iter slot [ r.ram_addr; r.ram_wdata; r.ram_we ];
+      Option.iter stamped r.ram_rdata)
+    p.pg_rams;
+  Array.iter
+    (fun k ->
+      List.iter (fun (_, s, _) -> slot s) k.hk_inputs;
+      List.iter (fun (_, s, st) -> stamped (s, st)) k.hk_outputs)
+    p.pg_kernels;
+  Array.iter (fun (_, s, st) -> stamped (s, st)) p.pg_stims;
+  Array.iter (fun (_, s, st, _) -> stamped (s, st)) p.pg_probes;
+  Array.iter
+    (function
+      | Component ci -> within "component" (Array.length p.pg_comps) ci
+      | Inline_ram i -> within "RAM" (Array.length p.pg_rams) i
+      | Host_kernel j -> within "host kernel" (Array.length p.pg_kernels) j)
+    p.pg_schedule
+
 let instantiate p sys =
   let t_compile = Ocapi_obs.span_begin () in
+  check_indices p;
   let power_on = Bytes.make (off p.pg_slots) '\000' in
   Array.iter (fun r -> set power_on (off r.reg_cur) r.reg_init) p.pg_regs;
   List.iter (fun (slot, m) -> set power_on (off slot) m) p.pg_consts;
@@ -903,11 +962,11 @@ let instantiate p sys =
     | Output { dst; src; stamp } ->
       let dst = off dst and src = off src in
       fun () ->
-        set values dst (get values src);
+        unsafe_set values dst (unsafe_get values src);
         stamps.(stamp) <- !cycle_ref
     | Assign { dst; src } ->
       let dst = off dst and src = off src in
-      fun () -> set values dst (get values src)
+      fun () -> unsafe_set values dst (unsafe_get values src)
   in
   let comps =
     Array.map
@@ -1026,7 +1085,7 @@ let select v c =
   while c.cc_selected < 0 && !i < Array.length candidates do
     let ti = candidates.(!i) in
     run_block c.cc_guard_code.(ti);
-    if get v c.cc_guard.(ti) <> 0L then c.cc_selected <- ti;
+    if unsafe_get v c.cc_guard.(ti) <> 0L then c.cc_selected <- ti;
     incr i
   done
 
@@ -1116,7 +1175,7 @@ let step t =
       let tc = c.cc_transitions.(c.cc_selected) in
       let pairs = tc.tc_commit in
       for j = 0 to (Array.length pairs / 2) - 1 do
-        set v pairs.(2 * j) (get v pairs.((2 * j) + 1))
+        unsafe_set v pairs.(2 * j) (unsafe_get v pairs.((2 * j) + 1))
       done;
       c.cc_state <- tc.tc_goto
     end

@@ -156,6 +156,15 @@ val probe_trace :
   slot:(int -> int) ->
   Cycle_system.Trace.t * Cycle_system.Trace.feed
 
+(** [check_indices program] checks every index [program] names against
+    the array it indexes: each slot against [pg_slots], each stamp
+    against the stamp table ([pg_nets]'s length, at least 1), and each
+    B-phase unit against [pg_comps], [pg_rams] or [pg_kernels].  Both
+    back ends run it before they access a value store unchecked.
+    @raise Ocapi_error.Error with code [Internal] on the first index
+    outside. *)
+val check_indices : program -> unit
+
 (** {1 The closure back end} *)
 
 type t
@@ -165,7 +174,7 @@ type t
     columns and kernels: one lowering serves every system with its
     [Cycle_system.elaboration_key].  Every primary input's stimulus
     should produce a token each cycle (a [None] holds the previous
-    value). *)
+    value).  It runs {!check_indices} first. *)
 val instantiate : program -> Cycle_system.t -> t
 
 (** One clock cycle. *)

@@ -4,11 +4,16 @@
    renders the program [Compiled_sim.lower] produces; see emit.mli for
    the two shapes that share the rendered body. *)
 
-(* Bumped whenever the emitted plugin text, the slot-layout contract or
-   the [Ocapi_native_abi] record shape changes incompatibly; folded into
-   the .cmxs cache key so stale artifacts are never paired with a newer
-   host. *)
-let emitter_version = 7
+(* Bumped whenever the emitted plugin text, its compiler flags, the
+   slot-layout contract or the [Ocapi_native_abi] record shape changes
+   incompatibly; folded into the .cmxs cache key so stale artifacts are
+   never paired with a newer host. *)
+let emitter_version = 8
+
+(* The text indexes its arrays with constants {!emit_plugin} checked
+   ([Compiled_sim.check_indices]), and its data-dependent reads say
+   [Array.get] or use an address it reduced into range. *)
+let plugin_flags = [ "-unsafe" ]
 
 let sanitize name =
   String.map
@@ -48,16 +53,27 @@ let bin_txt mode op64 opw x y =
   | I64 -> Printf.sprintf "(%s %s %s)" op64 x y
   | Word -> Printf.sprintf "(%s %s %s)" x opw y
 
-let wrap_txt (f : Fixed.format) x =
-  match f.Fixed.signedness with
-  | Fixed.Unsigned -> Printf.sprintf "(wrap_u %d %s)" f.Fixed.width x
-  | Fixed.Signed -> Printf.sprintf "(wrap_s %d %s)" f.Fixed.width x
+(* Word mode renders wraps, saturation and rounding inline, with their
+   constants computed here.  A signed wrap to [w] bits shifts bit [w-1]
+   up to the sign of the 63-bit word and back: [K = 63 - w], exact for
+   every width up to [Fixed.max_width]. *)
+let wrap_txt mode (f : Fixed.format) x =
+  let w = f.Fixed.width in
+  match (mode, f.Fixed.signedness) with
+  | I64, Fixed.Unsigned -> Printf.sprintf "(wrap_u %d %s)" w x
+  | I64, Fixed.Signed -> Printf.sprintf "(wrap_s %d %s)" w x
+  | Word, Fixed.Unsigned -> Printf.sprintf "(%s land %d)" x ((1 lsl w) - 1)
+  | Word, Fixed.Signed -> Printf.sprintf "((%s lsl %d) asr %d)" x (63 - w) (63 - w)
 
 let sat_txt mode (f : Fixed.format) x =
-  Printf.sprintf "(sat %s %s %s)"
-    (lit mode (Fixed.min_mantissa f))
-    (lit mode (Fixed.max_mantissa f))
-    x
+  let lo = lit mode (Fixed.min_mantissa f)
+  and hi = lit mode (Fixed.max_mantissa f) in
+  match mode with
+  | I64 -> Printf.sprintf "(sat %s %s %s)" lo hi x
+  | Word ->
+    Printf.sprintf
+      "(let s_ = %s in if s_ < %s then %s else if s_ > %s then %s else s_)" x
+      lo lo hi hi
 
 let round_txt mode rnd k x =
   if k = 0 then x
@@ -71,15 +87,28 @@ let round_txt mode rnd k x =
       | I64 -> Printf.sprintf "(Int64.shift_right %s %d)" x k
       | Word -> Printf.sprintf "(%s asr %d)" x k
     end
-    | Fixed.Round_nearest -> Printf.sprintf "(rnd_near %d %s)" k x
-    | Fixed.Round_even -> Printf.sprintf "(rnd_even %d %s)" k x
+    | Fixed.Round_nearest -> begin
+      match mode with
+      | I64 -> Printf.sprintf "(rnd_near %d %s)" k x
+      | Word -> Printf.sprintf "((%s + %d) asr %d)" x (1 lsl (k - 1)) k
+    end
+    | Fixed.Round_even -> begin
+      match mode with
+      | I64 -> Printf.sprintf "(rnd_even %d %s)" k x
+      | Word ->
+        Printf.sprintf
+          "(let x_ = %s in let f_ = x_ asr %d in let r_ = x_ - (f_ lsl %d) in \
+           if r_ > %d then f_ + 1 else if r_ < %d then f_ \
+           else if f_ land 1 = 1 then f_ + 1 else f_)"
+          x k k (1 lsl (k - 1)) (1 lsl (k - 1))
+    end
 
 let resize_txt mode ~ctx ~round ~overflow (src : Fixed.format)
     (dst : Fixed.format) x =
   let k = src.Fixed.frac - dst.Fixed.frac in
   let ovf v =
     match overflow with
-    | Fixed.Wrap -> wrap_txt dst v
+    | Fixed.Wrap -> wrap_txt mode dst v
     | Fixed.Saturate -> sat_txt mode dst v
   in
   if k > 0 then ovf (round_txt mode round k x)
@@ -156,17 +185,17 @@ let compute_txt cx ~where node arg =
   end
   | Signal.And (x, y) ->
     let a, b = shifted x y in
-    wrap_txt nf (bin_txt mode "Int64.logand" "land" a b)
+    wrap_txt mode nf (bin_txt mode "Int64.logand" "land" a b)
   | Signal.Or (x, y) ->
     let a, b = shifted x y in
-    wrap_txt nf (bin_txt mode "Int64.logor" "lor" a b)
+    wrap_txt mode nf (bin_txt mode "Int64.logor" "lor" a b)
   | Signal.Xor (x, y) ->
     let a, b = shifted x y in
-    wrap_txt nf (bin_txt mode "Int64.logxor" "lxor" a b)
+    wrap_txt mode nf (bin_txt mode "Int64.logxor" "lxor" a b)
   | Signal.Not _ -> begin
     match mode with
-    | I64 -> wrap_txt nf (Printf.sprintf "(Int64.lognot %s)" (arg 0))
-    | Word -> wrap_txt nf (Printf.sprintf "(lnot %s)" (arg 0))
+    | I64 -> wrap_txt mode nf (Printf.sprintf "(Int64.lognot %s)" (arg 0))
+    | Word -> wrap_txt mode nf (Printf.sprintf "(lnot %s)" (arg 0))
   end
   | Signal.Eq (x, y) ->
     let a, b = shifted x y in
@@ -200,7 +229,9 @@ let compute_txt cx ~where node arg =
           (shl_txt mode (arg 0) (-frac))
           len
       | Word ->
-        Printf.sprintf "%s.(%s mod %d)" var (shl_txt mode (arg 0) (-frac)) len
+        Printf.sprintf "(Array.get %s (%s mod %d))" var
+          (shl_txt mode (arg 0) (-frac))
+          len
     else begin
       match mode with
       | I64 ->
@@ -209,7 +240,7 @@ let compute_txt cx ~where node arg =
           (Int64.shift_left 1L (min frac 62))
           len
       | Word ->
-        Printf.sprintf "%s.((%s / (1 lsl %d)) mod %d)" var (arg 0)
+        Printf.sprintf "(Array.get %s ((%s / (1 lsl %d)) mod %d))" var (arg 0)
           (min frac 62) len
     end
 
@@ -250,9 +281,10 @@ let guard_txt cx (tr : Compiled_sim.transition) =
    means every value the slot can carry satisfies |v| < 2^b.  OCaml's
    native [int] is 63 bits (62 magnitude bits + sign), so Word mode is
    safe iff every slot — including shifted operands and rounding
-   intermediates — stays within 62 magnitude bits, and every format
-   width fed to a wrap/saturate helper (which computes [1 lsl width]) is
-   at most 61.  Registers hold raw (unwrapped) committed expression
+   intermediates — stays within 62 magnitude bits.  Every format width
+   a wrap or saturation targets must also be at most 61, one bit below
+   what the inline renderings handle exactly; this limit decides which
+   designs get a plugin.  Registers hold raw (unwrapped) committed expression
    values, so their bounds come from the same fixpoint, seeded with the
    initial value. *)
 
@@ -395,6 +427,8 @@ let word_mode_ok (p : Compiled_sim.program) =
 
 (* --- the body both shapes share ------------------------------------------- *)
 
+(* Word mode needs no helpers: its wraps, saturation and rounding
+   render inline. *)
 let emit_helpers buf mode =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   match mode with
@@ -415,21 +449,7 @@ let emit_helpers buf mode =
     pf "  else if Int64.logand f 1L = 1L then Int64.add f 1L else f\n";
     pf "let _ = shl 0L 0, wrap_u 1 0L, wrap_s 1 0L, sat 0L 0L 0L, rnd_near 1 0L, rnd_even 1 0L\n";
     pf "let _ = overflow_error\n\n"
-  | Word ->
-    pf "let wrap_u w x = x land ((1 lsl w) - 1)\n";
-    pf "let wrap_s w x =\n";
-    pf "  let m = x land ((1 lsl w) - 1) in\n";
-    pf "  if m land (1 lsl (w - 1)) <> 0 then m - (1 lsl w) else m\n";
-    pf "let sat lo hi x = if x < lo then lo else if x > hi then hi else x\n";
-    pf "let rnd_near k x = (x + (1 lsl (k - 1))) asr k\n";
-    pf "let rnd_even k x =\n";
-    pf "  let f = x asr k in\n";
-    pf "  let r = x - (f lsl k) in\n";
-    pf "  let h = 1 lsl (k - 1) in\n";
-    pf "  if r > h then f + 1 else if r < h then f\n";
-    pf "  else if f land 1 = 1 then f + 1 else f\n";
-    pf "let _ = wrap_u 1 0, wrap_s 1 0, sat 0 0 0, rnd_near 1 0, rnd_even 1 0\n";
-    pf "let _ = overflow_error\n\n"
+  | Word -> ()
 
 (* [Fixed.to_int] of the address value, rendered over the mode's cells.
    Word mode is exact because {!word_mode_ok} checked the left-shift
@@ -454,7 +474,9 @@ let ram_to_int_txt mode (r : Compiled_sim.ram) =
 
 (* The firing of Ram_model, as in Ram_cell.kernel: produce the
    pre-write word at the wrapped address, stage the resized write when
-   the enable is true (the commit section applies it). *)
+   the enable is true (the commit section applies it).  The address
+   [a_] is reduced into [0, words) before it indexes the image, and the
+   staged address is [a_] or -1, which the commit tests. *)
 let ram_fire_txt mode i (r : Compiled_sim.ram) =
   let open Compiled_sim in
   String.concat "\n  "
@@ -480,52 +502,77 @@ let ram_fire_txt mode i (r : Compiled_sim.ram) =
         Printf.sprintf " else ram_%d_pa := (-1));" i;
       ])
 
-(* Per component [ci]: its selected transition [sel_ci], and the
-   functions selecting a transition, running its blocks and committing
-   it.  FSM states live in one [states] array indexed by component, so
-   the native host can read and force them through the ABI. *)
-let emit_component buf cx ci (c : Compiled_sim.component) =
+(* [step], straight-line: each component's selection binds its
+   transition [sel_ci] for the cycle; then every block A, the B-phase
+   schedule (B blocks, inlined RAM firings, host kernel hooks), the RAM
+   and kernel commits, and each component's register commit and next
+   state.  FSM states live in one [states] array indexed by component,
+   so the native host can read and force them through the ABI. *)
+let step_txt cx (p : Compiled_sim.program) =
   let open Compiled_sim in
+  let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let where = c.co_name in
-  let arms name body =
-    pf "let %s_%d () =\n  (match !sel_%d with\n" name ci ci;
+  let arms ci body =
+    pf "  (match sel_%d with\n" ci;
     Array.iteri
       (fun ti tr -> pf "    | %d ->\n      %s\n" ti (body tr))
-      c.co_transitions;
-    pf "    | _ -> ())\n"
+      p.pg_comps.(ci).co_transitions;
+    pf "    | _ -> ());\n"
   in
-  let block stmts =
+  let block ci stmts =
     match Array.to_list stmts with
     | [] -> "()"
-    | l -> String.concat ";\n      " (List.map (stmt_txt cx ~where) l)
-  in
-  pf "(* component %d: %S *)\n" ci c.co_name;
-  pf "let sel_%d = ref (-1)\n" ci;
-  pf "let select_%d () =\n  sel_%d := (match states.(%d) with\n" ci ci ci;
-  Array.iteri
-    (fun s trs ->
-      let chain =
-        Array.fold_right
-          (fun ti rest ->
-            Printf.sprintf "if %s then %d else %s"
-              (guard_txt cx c.co_transitions.(ti))
-              ti rest)
-          trs "(-1)"
-      in
-      pf "    | %d ->\n      %s\n" s chain)
-    c.co_by_state;
-  pf "    | _ -> (-1))\n";
-  arms "block_a" (fun tr -> block tr.tr_block_a);
-  arms "block_b" (fun tr -> block tr.tr_block_b);
-  arms "commit" (fun tr ->
+    | l ->
       String.concat ";\n      "
-        (Array.to_list
-           (Array.map
-              (fun (cur, nxt) -> Printf.sprintf "v.(%d) <- v.(%d)" cur nxt)
-              tr.tr_commit)
-        @ [ Printf.sprintf "states.(%d) <- %d" ci tr.tr_goto ]));
-  pf "\n"
+        (List.map (stmt_txt cx ~where:p.pg_comps.(ci).co_name) l)
+  in
+  Array.iteri
+    (fun ci c ->
+      pf "  (* component %d: %S *)\n" ci c.co_name;
+      pf "  let sel_%d = (match states.(%d) with\n" ci ci;
+      Array.iteri
+        (fun s trs ->
+          let chain =
+            Array.fold_right
+              (fun ti rest ->
+                Printf.sprintf "if %s then %d else %s"
+                  (guard_txt cx c.co_transitions.(ti))
+                  ti rest)
+              trs "(-1)"
+          in
+          pf "    | %d ->\n      %s\n" s chain)
+        c.co_by_state;
+      pf "    | _ -> (-1)) in\n")
+    p.pg_comps;
+  Array.iteri (fun ci _ -> arms ci (fun tr -> block ci tr.tr_block_a)) p.pg_comps;
+  Array.iter
+    (function
+      | Component ci -> arms ci (fun tr -> block ci tr.tr_block_b)
+      | Inline_ram i -> pf "  %s\n" (ram_fire_txt cx.mode i p.pg_rams.(i))
+      | Host_kernel j -> pf "  kernels.(%d) ();\n" j)
+    p.pg_schedule;
+  Array.iter
+    (function
+      | Component _ -> ()
+      | Inline_ram i ->
+        pf "  if !ram_%d_pa >= 0 then begin\n" i;
+        pf "    ram_%d.(!ram_%d_pa) <- !ram_%d_pv;\n" i i i;
+        pf "    ram_%d_pa := (-1)\n" i;
+        pf "  end;\n"
+      | Host_kernel j -> pf "  kernel_commits.(%d) ();\n" j)
+    p.pg_schedule;
+  Array.iteri
+    (fun ci _ ->
+      arms ci (fun tr ->
+          String.concat ";\n      "
+            (Array.to_list
+               (Array.map
+                  (fun (cur, nxt) -> Printf.sprintf "v.(%d) <- v.(%d)" cur nxt)
+                  tr.tr_commit)
+            @ [ Printf.sprintf "states.(%d) <- %d" ci tr.tr_goto ])))
+    p.pg_comps;
+  pf "  incr cycle\n";
+  buf
 
 type shape = Plugin | Standalone
 
@@ -544,8 +591,7 @@ let emit_body buf mode (p : Compiled_sim.program) shape =
       roms = [];
     }
   in
-  let components = Buffer.create 65536 in
-  Array.iteri (emit_component components cx) p.pg_comps;
+  let step = step_txt cx p in
   let n_stamps = max 1 (Array.length p.pg_nets) in
   let roms () =
     List.iter
@@ -573,12 +619,7 @@ let emit_body buf mode (p : Compiled_sim.program) shape =
     (fun i r ->
       pf "let ram_%d = Array.make %d %s\n" i r.ram_words (zero mode);
       pf "let ram_%d_pa = ref (-1)\n" i;
-      pf "let ram_%d_pv = ref %s\n" i (zero mode);
-      pf "let commit_ram_%d () =\n" i;
-      pf "  if !ram_%d_pa >= 0 then begin\n" i;
-      pf "    ram_%d.(!ram_%d_pa) <- !ram_%d_pv;\n" i i i;
-      pf "    ram_%d_pa := (-1)\n" i;
-      pf "  end\n")
+      pf "let ram_%d_pv = ref %s\n" i (zero mode))
     p.pg_rams;
   let n_kernels = Array.length p.pg_kernels in
   pf "let kernels : (unit -> unit) array = Array.make %d (fun () -> ())\n"
@@ -592,33 +633,14 @@ let emit_body buf mode (p : Compiled_sim.program) shape =
   pf "let states : int array = [|";
   Array.iter (fun c -> pf " %d;" c.co_initial) p.pg_comps;
   pf " |]\n\n";
-  Buffer.add_buffer buf components;
   pf "let step () =\n";
-  Array.iteri (fun ci _ -> pf "  select_%d ();\n" ci) p.pg_comps;
-  Array.iteri (fun ci _ -> pf "  block_a_%d ();\n" ci) p.pg_comps;
-  Array.iter
-    (function
-      | Component ci -> pf "  block_b_%d ();\n" ci
-      | Inline_ram i -> pf "  %s\n" (ram_fire_txt mode i p.pg_rams.(i))
-      | Host_kernel j -> pf "  kernels.(%d) ();\n" j)
-    p.pg_schedule;
-  Array.iter
-    (function
-      | Component _ -> ()
-      | Inline_ram i -> pf "  commit_ram_%d ();\n" i
-      | Host_kernel j -> pf "  kernel_commits.(%d) ();\n" j)
-    p.pg_schedule;
-  Array.iteri (fun ci _ -> pf "  commit_%d ();\n" ci) p.pg_comps;
-  pf "  incr cycle\n\n";
+  Buffer.add_buffer buf step;
+  pf "\n";
   pf "let reset () =\n";
   pf "  cycle := 0;\n";
   pf "  Array.fill stamp 0 %d (-1);\n" n_stamps;
   pf "  power_on ();\n";
-  Array.iteri
-    (fun ci c ->
-      pf "  states.(%d) <- %d;\n" ci c.co_initial;
-      pf "  sel_%d := (-1);\n" ci)
-    p.pg_comps;
+  Array.iteri (fun ci c -> pf "  states.(%d) <- %d;\n" ci c.co_initial) p.pg_comps;
   Array.iteri
     (fun i r ->
       pf "  Array.fill ram_%d 0 %d %s;\n" i r.ram_words (zero mode);
@@ -631,7 +653,10 @@ let mode_of p = if word_mode_ok p then Word else I64
 
 (* --- the plugin -------------------------------------------------------------- *)
 
+(* The text indexes its arrays unchecked ({!plugin_flags}), so the
+   program's indices are checked first. *)
 let emit_plugin sys p =
+  Compiled_sim.check_indices p;
   if not (word_mode_ok p) then
     Ocapi_error.fail Ocapi_error.Unsupported ~engine:"native"
       ~construct:(Cycle_system.name sys)

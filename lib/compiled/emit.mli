@@ -30,10 +30,18 @@
     kernels (untimed kernels carrying no model). *)
 
 val emitter_version : int
-(** Bumped whenever the emitted plugin text, the slot-layout contract
-    or the [Ocapi_native_abi] record shape changes incompatibly; the
-    native engine folds it into the [.cmxs] cache key so stale
-    artifacts are never paired with a newer host. *)
+(** Bumped whenever the emitted plugin text, {!plugin_flags}, the
+    slot-layout contract or the [Ocapi_native_abi] record shape changes
+    incompatibly; the native engine folds it into the [.cmxs] cache key
+    so stale artifacts are never paired with a newer host. *)
+
+val plugin_flags : string list
+(** The [ocamlopt] flags a plugin's text is written for: only
+    [-unsafe].  Every constant index the text renders was checked by
+    {!emit_plugin} against the array it indexes, and every
+    data-dependent read is an explicit [Array.get] or an address the
+    text reduced into range.  [step] is straight-line because the text
+    renders it so, not through a compiler flag. *)
 
 val word_mode_ok : Compiled_sim.program -> bool
 (** [word_mode_ok p] — does the width-bound analysis prove that every
@@ -51,7 +59,12 @@ val emit_plugin : Cycle_system.t -> Compiled_sim.program -> string
     allocates a fresh simulator instance (value store, stamps, FSM
     states, RAM images, kernel hook slots) and returns its
     [Ocapi_native_abi.plugin] record.  Its slot layout is [p]'s, so the
-    host takes the session's tables from that program. *)
+    host takes the session's tables from that program.  Wraps,
+    saturation and rounding render inline, and [step] runs every
+    component's selection, blocks and commit straight-line.  It first
+    runs [Compiled_sim.check_indices p], so a program naming an index
+    outside the array it indexes raises [Ocapi_error.Error] with code
+    [Internal] before the width analysis reads its slots. *)
 
 val emit_standalone : Cycle_system.t -> cycles:int -> string
 (** [emit_standalone sys ~cycles] renders [sys] as a self-contained

@@ -181,6 +181,14 @@ let load_mutex = Mutex.create ()
 let factories : (string, unit -> Ocapi_native_abi.plugin) Hashtbl.t =
   Hashtbl.create 8
 
+(* The elaboration keys whose programs the emitter refused: a lowered
+   program is a function of its key, and so is whether its mantissas
+   fit unboxed ints.  Such a design is a fallback before the factory
+   table and the disk are consulted. *)
+let rejected : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+let rejection = "a mantissa may not fit an unboxed int; no plugin emitted"
+
 let clear_disk_cache () =
   let dir = cache_dir () in
   Mutex.protect load_mutex (fun () ->
@@ -219,9 +227,10 @@ let compile_cmxs tc ~src ~out =
   in
   let log = out ^ ".log" in
   let cmd =
-    Printf.sprintf "%s ocamlopt -shared -w -a %s %s -o %s > %s 2>&1"
-      (Filename.quote tc.ocamlfind) incs (Filename.quote src)
-      (Filename.quote out) (Filename.quote log)
+    Printf.sprintf "%s ocamlopt -shared -w -a %s %s %s -o %s > %s 2>&1"
+      (Filename.quote tc.ocamlfind)
+      (String.concat " " Emit.plugin_flags)
+      incs (Filename.quote src) (Filename.quote out) (Filename.quote log)
   in
   let rc = Sys.command cmd in
   if rc <> 0 then begin
@@ -263,8 +272,19 @@ let compiles_begun = ref 0
    cached artifact is never written in place, no two compiles share a
    file, and the loader keeps the file it mapped under any name.  The
    rename stays outside [Ocapi_obs.File]: the compiler, not this
-   process, wrote the file. *)
-let compile tc ~path sys pg =
+   process, wrote the file.  The emitter runs the width analysis, the
+   only one a plugin of [path] needs: its refusal is remembered under
+   [elaboration] and written nowhere. *)
+let compile tc ~path ~elaboration sys pg =
+  let t_compile = Ocapi_obs.span_begin () in
+  bump n_verdicts "verdicts";
+  let text =
+    match Emit.emit_plugin sys pg with
+    | text -> text
+    | exception Ocapi_error.Error { e_code = Ocapi_error.Unsupported; _ } ->
+      Hashtbl.replace rejected elaboration ();
+      raise (Fall (diag rejection))
+  in
   incr compiles_begun;
   let stem =
     Printf.sprintf "%s_%d_%d" (Filename.remove_extension path) (Unix.getpid ())
@@ -277,8 +297,7 @@ let compile tc ~path sys pg =
         (fun ext -> try Sys.remove (stem ^ ext) with Sys_error _ -> ())
         [ ".ml"; ".cmi"; ".cmx"; ".o"; ".cmxs"; ".cmxs.log" ])
     (fun () ->
-      let t_compile = Ocapi_obs.span_begin () in
-      (match Ocapi_obs.File.publish src (Emit.emit_plugin sys pg) with
+      (match Ocapi_obs.File.publish src text with
       | Ok () -> ()
       | Error msg -> raise (Fall (diag ("cannot write the plugin source: " ^ msg))));
       compile_cmxs tc ~src ~out;
@@ -297,7 +316,7 @@ let compile tc ~path sys pg =
    not load, registers nothing or does not fit is a counted miss,
    deleted and recompiled.  Raises [Fall] on environmental failures
    (the caller degrades to the interpreted program). *)
-let obtain tc ~path sys pg =
+let obtain tc ~path ~elaboration sys pg =
   let cached =
     if not (Sys.file_exists path) then None
     else
@@ -310,10 +329,15 @@ let obtain tc ~path sys pg =
         (try Sys.remove path with Sys_error _ -> ());
         None
   in
-  match cached with Some create -> create | None -> compile tc ~path sys pg
+  match cached with
+  | Some create -> create
+  | None -> compile tc ~path ~elaboration sys pg
 
 (* The factory for [sys]'s artifact, dynlinked by the first session of
-   its path in this process and reused by the others. *)
+   its path in this process and reused by the others.  A refused key
+   falls back at once; a loaded or cached artifact runs no width
+   analysis: its key holds the elaboration key and the emitter version,
+   and the emitter writes only programs the analysis accepted. *)
 let factory tc sys pg ~elaboration =
   let path =
     Filename.concat (cache_dir ())
@@ -321,27 +345,16 @@ let factory tc sys pg ~elaboration =
   in
   let reused, create =
     Mutex.protect load_mutex (fun () ->
+        if Hashtbl.mem rejected elaboration then raise (Fall (diag rejection));
         match Hashtbl.find_opt factories path with
         | Some create -> (true, create)
         | None ->
-          let create = obtain tc ~path sys pg in
+          let create = obtain tc ~path ~elaboration sys pg in
           Hashtbl.replace factories path create;
           (false, create))
   in
   if reused then bump n_reuses "reuses";
   create
-
-(* The width analysis's verdicts, by elaboration key: a lowered program
-   is a function of its key, and so is whether its mantissas fit
-   unboxed ints.  A design the analysis rejects is a fallback before
-   the factory table, the load mutex and the disk are consulted, and
-   the analysis runs once per key, not once per session. *)
-let verdicts : bool Artifact_table.t = Artifact_table.create ()
-
-let words_fit ~elaboration pg =
-  Artifact_table.find_or_add verdicts elaboration (fun () ->
-      bump n_verdicts "verdicts";
-      Emit.word_mode_ok pg)
 
 (* --- session construction ------------------------------------------------- *)
 
@@ -372,15 +385,20 @@ let snapshot (p : Ocapi_native_abi.plugin) save =
     sn_kernels = save ();
   }
 
+(* [Array.blit] runs the write barrier per element of a major-heap
+   array; a loop typed [int array] needs none. *)
+let copy_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- src.(i)
+  done
+
 let restore (p : Ocapi_native_abi.plugin) sn =
   let open Ocapi_native_abi in
-  Array.blit sn.sn_values 0 p.p_values 0 (Array.length p.p_values);
-  Array.blit sn.sn_stamps 0 p.p_stamps 0 (Array.length p.p_stamps);
+  copy_ints sn.sn_values p.p_values;
+  copy_ints sn.sn_stamps p.p_stamps;
   p.p_cycle := sn.sn_cycle;
-  Array.blit sn.sn_states 0 p.p_states 0 (Array.length p.p_states);
-  Array.iteri
-    (fun i ram -> Array.blit sn.sn_rams.(i) 0 ram 0 (Array.length ram))
-    p.p_rams;
+  copy_ints sn.sn_states p.p_states;
+  Array.iteri (fun i ram -> copy_ints sn.sn_rams.(i) ram) p.p_rams;
   Array.iteri (fun i staged -> staged := sn.sn_staged.(i)) p.p_ram_staged;
   sn.sn_kernels.Dataflow.Kernel.sn_restore ()
 
@@ -439,8 +457,6 @@ let install_kernels (p : Ocapi_native_abi.plugin) (pg : Compiled_sim.program)
 let native_session tc sys =
   let elaboration = Cycle_system.elaboration_key sys in
   let pg = Ocapi_engine.lowered ~key:elaboration sys in
-  if not (words_fit ~elaboration pg) then
-    raise (Fall (diag "a mantissa may not fit an unboxed int; no plugin emitted"));
   let p = factory tc sys pg ~elaboration () in
   let values = p.Ocapi_native_abi.p_values and stamps = p.Ocapi_native_abi.p_stamps in
   let untimed = Cycle_system.untimed_components sys in

@@ -86,8 +86,10 @@ type stats = {
   loads : int;  (** successful [Dynlink] loads (fresh or cached) *)
   reuses : int;  (** sessions served by a factory already loaded *)
   verdicts : int;
-      (** width analyses run: one per elaboration key, whichever way
-          it decides, however many sessions ask *)
+      (** width analyses run: one per plugin emitted or refused.  A
+          session served by a loaded or cached artifact runs none, and
+          a refused elaboration key is remembered, so its later
+          sessions run none either *)
 }
 
 val stats : unit -> stats

@@ -25,6 +25,9 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "speed tables (ENGINES and EXPERIMENTS match BENCH_perf.jsonl)"
+scripts/speed_tables.sh --check
+
 stage "native fallback (engine disabled, then no ocamlfind on PATH)"
 OCAPI_NATIVE_DISABLE=1 dune runtest --force
 # Every PATH directory holding an ocamlfind goes, not the workflow's

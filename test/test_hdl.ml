@@ -196,7 +196,7 @@ let emit_pins =
         ("hcor.vhd", "c14142b6edb155b0f0ea09aa685359a7");
         ("hcor_architecture.dot", "ed7fd00462c6c5953963a26598deaabb");
         ("hcor_netlist.v", "3612153be758bb3a5fe7786af98846fd");
-        ("hcor_sim.ml", "7bc03563f45b0318de32643c360dfab9");
+        ("hcor_sim.ml", "18a8d8ecb95f48addb16326b795bd334");
         ("hcor_top.vhd", "ee599aa60f9f14bf397597abf12d4966");
         ("tb_hcor.vhd", "b3615d4dfaaaef51982d09013406f62b");
       ] );
@@ -205,7 +205,7 @@ let emit_pins =
         ("dect.vcd", "02ddcfad3908e192f56388802f171dee");
         ("dect_architecture.dot", "2c0ffb7f2a972474c45a71e37384d787");
         ("dect_netlist.v", "20bfb153d51edcf145c2494c96baf9ab");
-        ("dect_sim.ml", "1d8b567a2c4a77b75a2316150860edfa");
+        ("dect_sim.ml", "8f7365c3123533fd2cd5b25d33680883");
         ("dect_top.vhd", "444dc1cf7ef39a9530953cf47e248dbb");
         ("dp_adc.vhd", "2db728c3a830859a1743dc221e87c062");
         ("dp_agc.vhd", "ea03e2604976523aed278430badcbbd7");
@@ -241,7 +241,7 @@ let emit_pins =
         ("rs.vcd", "7d9f55d827708ad40d7c03208ba4343a");
         ("rs_architecture.dot", "8e5387c4cfa989d1aeae2916fc9de920");
         ("rs_netlist.v", "bdd52ad83514cd184809f56d56a5e710");
-        ("rs_sim.ml", "c7933786fbace03c0a28873d07f28c44");
+        ("rs_sim.ml", "0c5905f65c890ed1da518bb20378261b");
         ("rs_top.vhd", "1455e523a8878d909ff1f9fbcf67e026");
         ("tb_rs.vhd", "51b1a3a213e0547021e708fc8a84940a");
       ] );
@@ -251,7 +251,7 @@ let emit_pins =
         ("cpu.vcd", "b0e4e71732647b6fb4595f374a592b4e");
         ("cpu_architecture.dot", "34be6f1254236de55b7588cee1b0f23e");
         ("cpu_netlist.v", "7e379df77de5c729b19949c6d84f4620");
-        ("cpu_sim.ml", "551af9aa02a742e95712c3c245c59619");
+        ("cpu_sim.ml", "b43da85e696fc85e656f8d0490ad7bfa");
         ("cpu_top.vhd", "851845613ee723c2768268a8768f05dc");
         ("ocapi_ram.vhd", "3c24a6d2161f96041c362c0dc60b1370");
         ("tb_cpu.vhd", "6c85884a90044fe6d183c2717f033391");

@@ -66,10 +66,7 @@ let test_equivalence_hcor () =
   let h = Hcor.create ~stimulus:(Hcor.sample_stimulus samples) () in
   check_native_matches_interp h.Hcor.system ~cycles:120
 
-(* A 62-bit output cannot be wrapped or saturated over unboxed words
-   (the helpers compute [1 lsl width]), so no plugin is emitted for it:
-   its native session is the compiled instance of the same lowered
-   program, a counted fallback, with the interpreter's histories. *)
+(* The largest gallery design, through its plugin. *)
 let test_equivalence_dect () =
   let stimulus c =
     Some
@@ -146,7 +143,8 @@ let run_session sys ~cycles =
       done;
       ses.Ocapi_engine.ses_histories ())
 
-(* A design the width analysis rejects: each session is a counted
+(* A design the width analysis rejects (its 62-bit output is past the
+   analysis's limit for a saturation): each session is a counted
    fallback to the compiled program.  The analysis runs before anything
    is written, so no session compiles, and none creates the artifact
    directory; it runs once per design, so the second session finds the
@@ -206,6 +204,10 @@ let test_warm_cache_skips_compiler () =
           "warm run invokes no compiler" 1 s3.Ocapi_native.compiles;
         Alcotest.(check int)
           "warm run is a counted cache hit" 1 s3.Ocapi_native.cache_hits;
+        (* Only the cold compile ran the width analysis: neither the
+           reused factory nor the artifact loaded from disk needs it. *)
+        Alcotest.(check (list int)) "verdicts: cold, reused, warm" [ 1; 1; 1 ]
+          (List.map (fun s -> s.Ocapi_native.verdicts) [ s1; s2; s3 ]);
         Alcotest.(check bool) "warm histories identical" true
           (cold = again && cold = warm))
 
@@ -414,8 +416,44 @@ let test_plugin_text_pinned () =
   Alcotest.(check string) "text independent of earlier builds" first (text ());
   Alcotest.(check (pair int string))
     "emitter version and plugin text digest"
-    (7, "271f5182eb76efc91c17934293fd5c18")
+    (8, "2d0449b7f1ba9d11755701ebdf6935eb")
     (Emit.emitter_version, Digest.to_hex (Digest.string first))
+
+(* Both back ends index the store unchecked, on the strength of one
+   check where they take the program: a statement naming a slot at or
+   past the store's end, or a B-phase unit naming a host kernel past
+   the hook arrays, is refused as an internal error, by the closure back
+   end and by the plugin emitter alike. *)
+let test_forged_slot_refused () =
+  let sys = accum ~width:8 () in
+  let pg = Compiled_sim.lower sys in
+  let forge stmt =
+    let c = pg.Compiled_sim.pg_comps.(0) in
+    let trs =
+      Array.map
+        (fun tr ->
+          let block = Array.append tr.Compiled_sim.tr_block_a [| stmt |] in
+          { tr with Compiled_sim.tr_block_a = block })
+        c.Compiled_sim.co_transitions
+    in
+    { pg with pg_comps = [| { c with co_transitions = trs } |] }
+  in
+  let past = pg.Compiled_sim.pg_slots in
+  let hook = Compiled_sim.Host_kernel (Array.length pg.Compiled_sim.pg_kernels) in
+  List.iter
+    (fun (what, forged) ->
+      (match Compiled_sim.instantiate forged sys with
+      | exception e when Raises.code Internal e -> ()
+      | _ -> Alcotest.failf "instantiate took a program %s" what);
+      match Emit.emit_plugin sys forged with
+      | exception e when Raises.code Internal e -> ()
+      | _ -> Alcotest.failf "emit_plugin took a program %s" what)
+    [
+      ("writing the slot at the store's end", forge (Assign { dst = past; src = 0 }));
+      ("reading a slot past the store's end", forge (Assign { dst = 0; src = past + 1 }));
+      ( "running a host kernel past the hook arrays",
+        { pg with pg_schedule = Array.append pg.pg_schedule [| hook |] } );
+    ]
 
 (* --- unavailability -------------------------------------------------------- *)
 
@@ -462,4 +500,6 @@ let suite =
       test_disabled_is_structured_and_serves_fallback;
     Alcotest.test_case "plugin text pinned to the emitter version" `Quick
       test_plugin_text_pinned;
+    Alcotest.test_case "a slot past the store is refused by both back ends" `Quick
+      test_forged_slot_refused;
   ]

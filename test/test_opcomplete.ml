@@ -164,20 +164,84 @@ let test_vhdl_markers () =
       "rom_oc_rom"; "shift_left"; "to_signed"; "case state is";
     ]
 
-let test_emitted_simulator () =
-  (* Skipped on toolchain-less hosts, same rationale as the engines
-     suite's end-to-end emitted-simulator test. *)
-  if
-    Sys.command
-      "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
-    <> 0
-  then Alcotest.skip ();
-  let sys = build () in
-  let cycles = 40 in
-  let interp = Flow.simulate sys ~cycles in
+(* Resizes at the edges of the emitter's word mode: wraps of both
+   signednesses to each of [widths] bits, saturation, and nearest and
+   even rounding dropping 1 and 62 fraction bits, over inputs whose
+   mantissas fill their [in_width]-bit formats. *)
+let resizes ~name ~in_width ~widths =
+  let x_fmt = Fixed.signed ~width:in_width ~frac:0 in
+  let f_fmt = Fixed.signed ~width:in_width ~frac:62 in
+  let h_fmt = Fixed.signed ~width:20 ~frac:1 in
+  let ports = ref [] in
+  let sfg =
+    Sfg.build (name ^ "_all") (fun b ->
+        let x = Sfg.Builder.input b "x" x_fmt in
+        let f = Sfg.Builder.input b "f" f_fmt in
+        let h = Sfg.Builder.input b "h" h_fmt in
+        let out port e =
+          ports := port :: !ports;
+          Sfg.Builder.output b port e
+        in
+        let open Signal in
+        List.iter
+          (fun w ->
+            (* Shifted left one bit first, so even [in_width] wraps. *)
+            let to_ name fmt = out (Printf.sprintf "%s%d" name w) (resize fmt x) in
+            to_ "ws" (Fixed.signed ~width:w ~frac:1);
+            to_ "wu" (Fixed.unsigned ~width:w ~frac:1);
+            to_ "ts" (Fixed.signed ~width:w ~frac:0);
+            to_ "tu" (Fixed.unsigned ~width:w ~frac:0))
+          widths;
+        let sat fmt = resize ~overflow:Fixed.Saturate fmt x in
+        out "ss8" (sat (Fixed.signed ~width:8 ~frac:0));
+        out "su8" (sat (Fixed.unsigned ~width:8 ~frac:0));
+        out "ssw" (sat (Fixed.signed ~width:(in_width - 1) ~frac:0));
+        out "suw" (sat (Fixed.unsigned ~width:(in_width - 1) ~frac:0));
+        let round ?overflow round fmt e = resize ~round ?overflow fmt e in
+        out "rn1" (round Fixed.Round_nearest (Fixed.signed ~width:19 ~frac:0) h);
+        out "rn1s"
+          (round ~overflow:Fixed.Saturate Fixed.Round_nearest
+             (Fixed.signed ~width:8 ~frac:0) h);
+        out "re1" (round Fixed.Round_even (Fixed.signed ~width:19 ~frac:0) h);
+        out "rn62" (round Fixed.Round_nearest (Fixed.signed ~width:4 ~frac:0) f);
+        out "re62" (round Fixed.Round_even (Fixed.signed ~width:4 ~frac:0) f))
+  in
+  let fsm = Fsm.create (name ^ "_ctl") in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let sys = Cycle_system.create name in
+  let c = Cycle_system.add_timed sys "edges" fsm in
+  (* Mantissas spread over the whole format, both signs. *)
+  let spread fmt ~seed cyc =
+    let m = Int64.mul (Int64.of_int ((cyc * 7919) + seed)) 0x9E3779B97F4A7C15L in
+    Some (Fixed.create fmt (Int64.shift_right m (64 - fmt.Fixed.width)))
+  in
+  List.iter
+    (fun (stim, port, fmt, seed) ->
+      let i = Cycle_system.add_input sys stim fmt (spread fmt ~seed) in
+      ignore (Cycle_system.connect sys (i, "out") [ (c, port) ]))
+    [ ("x_in", "x", x_fmt, 1); ("f_in", "f", f_fmt, 2); ("h_in", "h", h_fmt, 3) ];
+  List.iter
+    (fun port ->
+      let pc = Cycle_system.add_output sys port in
+      ignore (Cycle_system.connect sys (c, port) [ (pc, "in") ]))
+    (List.rev !ports);
+  sys
+
+(* The standalone simulator [Emit.emit_standalone] writes for [sys],
+   compiled and run: its "<cycle> <probe> <mantissa>" lines, sorted,
+   against the interpreter's probe tokens. *)
+let check_emitted_simulator sys ~cycles =
+  let interp =
+    Flow.simulate sys ~cycles
+    |> List.concat_map (fun (probe, h) ->
+           List.map
+             (fun (c, v) -> Printf.sprintf "%d %s %Ld" c probe (Fixed.mantissa v))
+             h)
+  in
   Cycle_system.reset sys;
   let src = Emit.emit_standalone sys ~cycles in
-  let count = ref 0 in
+  let lines = ref [] in
   Temp_dir.with_dir "ocapi_oc" (fun dir ->
       let ml = Filename.concat dir "sim.ml" in
       let oc = open_out ml in
@@ -188,19 +252,56 @@ let test_emitted_simulator () =
         Sys.command
           (Printf.sprintf "ocamlopt %s -o %s >/dev/null 2>&1 || ocamlfind ocamlopt %s -o %s >/dev/null 2>&1" ml exe ml exe)
       in
-      if rc <> 0 then Alcotest.fail "emitted op-complete simulator failed to compile";
+      if rc <> 0 then Alcotest.fail "emitted simulator failed to compile";
       let ic = Unix.open_process_in exe in
       (try
          while true do
-           ignore (input_line ic);
-           incr count
+           lines := input_line ic :: !lines
          done
        with End_of_file -> ());
       ignore (Unix.close_process_in ic));
-  let expected =
-    List.fold_left (fun acc (_, h) -> acc + List.length h) 0 interp
-  in
-  Alcotest.(check int) "token count" expected !count
+  Alcotest.(check bool) "tokens recorded" true (interp <> []);
+  Alcotest.(check (list string)) "emitted simulator = interp"
+    (List.sort String.compare interp)
+    (List.sort String.compare !lines)
+
+(* Skipped on toolchain-less hosts, same rationale as the engines
+   suite's end-to-end emitted-simulator test. *)
+let toolchain () =
+  Sys.command
+    "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
+  = 0
+
+let test_emitted_simulator () =
+  if not (toolchain ()) then Alcotest.skip ();
+  check_emitted_simulator (build ()) ~cycles:40
+
+(* Widths up to 61 bits keep the design in word mode, whose wraps,
+   saturation and rounding render inline; a 62-bit input takes the
+   int64 rendering.  The compiled engine and the native plugin, which
+   renders the word-mode text, agree with the interpreter too. *)
+let test_emitted_resizes () =
+  if not (toolchain ()) then Alcotest.skip ();
+  List.iter
+    (fun (name, in_width, widths, words) ->
+      let sys = resizes ~name ~in_width ~widths in
+      Alcotest.(check bool) (name ^ ": word mode") words
+        (Emit.word_mode_ok (Compiled_sim.lower sys));
+      let interp = Flow.simulate sys ~cycles:64 in
+      let fallbacks () = (Ocapi_native.stats ()).Ocapi_native.fallbacks in
+      let before = fallbacks () in
+      List.iter
+        (fun engine ->
+          Alcotest.(check bool) (name ^ ": " ^ engine ^ " = interp") true
+            (Flow.simulate ~engine sys ~cycles:64 = interp))
+        [ "compiled"; "native" ];
+      if words && Ocapi_native.availability () = Ok () then
+        Alcotest.(check int) (name ^ ": the plugin ran") before (fallbacks ());
+      check_emitted_simulator sys ~cycles:64)
+    [
+      ("oc_words", 61, [ 1; 2; 31; 32; 61 ], true);
+      ("oc_int64", 62, [ 1; 61; 62 ], false);
+    ]
 
 let suite =
   [
@@ -209,4 +310,6 @@ let suite =
       test_netlist_all_option_combinations;
     Alcotest.test_case "vhdl covers the operator set" `Quick test_vhdl_markers;
     Alcotest.test_case "emitted simulator (all ops)" `Slow test_emitted_simulator;
+    Alcotest.test_case "emitted simulator (wraps, saturation, rounding)" `Slow
+      test_emitted_resizes;
   ]
