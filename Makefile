@@ -27,8 +27,8 @@ test:
 bench: build
 	dune exec bench/main.exe
 
-# The committed speed records: seeds 1-5 of bench/perf's table1
-# (untraced and traced) and campaign at the nominal 30 s, one JSON line
+# The committed speed records: seeds 1-5 of bench/perf's table1 and
+# campaign, each untraced and traced, at the nominal 30 s, one JSON line
 # each, stamped with commit, host and core count into ./BENCH_perf.jsonl.
 # ENGINES.md's relative-speed table and EXPERIMENTS.md's T1 speed column
 # are read from its traced records with the jq command printed next to
@@ -38,7 +38,7 @@ bench-records:
 	mkdir -p _generated/bench
 	rm -f _generated/bench/records.jsonl
 	for seed in 1 2 3 4 5; do \
-	  for run in "table1" "table1 --trace 1" "campaign"; do \
+	  for run in "table1" "table1 --trace 1" "campaign" "campaign --trace 1"; do \
 	    bash bench/perf/run.sh --workload $$run --seed $$seed \
 	      --out _generated/bench/records.jsonl || exit 1; \
 	  done; \

@@ -2,7 +2,10 @@
    sensitivity list of the elaboration; [settle] steps over the result.
    A delta applies one transaction queue, stamps each reader of a signal
    that changed with the delta it is woken in, and runs the woken
-   processes, which drive the next delta's queue. *)
+   processes, which drive the next delta's queue.  The rising edge is a
+   loop over the components, queueing state and shadows; unless the
+   elaboration is cyclic, the next settle applies that queue with the
+   next cycle's inputs. *)
 
 type signal = {
   sg_index : int;  (* position in [t.signals] *)
@@ -50,27 +53,25 @@ type comb = {
   mutable cb_selected : int;  (* the transition selected, -1 to hold *)
 }
 
-(* The component's sequential process, sensitive to the clock. *)
-type seq = { sq_comb : comb; mutable sq_clk : bool (* the clock it last saw *) }
-
 type kernel = {
   kn_kernel : Dataflow.Kernel.t;
   kn_inputs : (string * signal) list;  (* connected input ports *)
   kn_outputs : (string * signal) array;  (* connected output ports *)
 }
 
-type process = Comb of comb | Seq of seq | Kernel of kernel
+type process = Comb of comb | Kernel of kernel
 
 type t = {
   signals : signal array;  (* creation order *)
   procs : process array;  (* creation order *)
   combs : comb array;  (* per timed component, in system order *)
-  seqs : seq array;  (* likewise *)
   components : (string * int) array;  (* name, number of encoded states *)
   fsms : Fsm.t array;
   kernels : Dataflow.Kernel.t array;  (* untimed, in system order *)
   kernel_procs : int array;  (* their processes *)
-  clk : signal;
+  (* A combinational path through the signals closes on itself: each
+     edge settles within its step and every transaction is queued. *)
+  cyclic : bool;
   stims : (Cycle_system.column * Fixed.format * signal) array;
   probes : (int * signal) array;  (* trace column, the net signal it samples *)
   trace : Cycle_system.Trace.t;  (* one column per probe of the system *)
@@ -81,6 +82,10 @@ type t = {
   mutable q_sigs : int array;
   mutable q_vals : Fixed.t array;
   mutable q_len : int;
+  mutable q_high : int;  (* the longest queue applied since it was reported *)
+  (* The last rising edge is queued, not settled: the kernels fire again
+     before the queue is applied. *)
+  mutable pending : bool;
   mutable applied_sigs : int array;
   mutable applied_vals : Fixed.t array;
   stamps : int array;  (* per process, the delta it was last woken in *)
@@ -100,6 +105,54 @@ let no_value = Fixed.zero Fixed.bit_format
 let state_format = Fixed.unsigned ~width:16 ~frac:0
 
 (* --- elaboration ------------------------------------------------------------- *)
+
+(* Does a combinational path through the signals close on itself?  An
+   edge runs from each input signal a comb process's action seeds to
+   each output net whose root reads it, from a RAM's address to its read
+   word, and from every input of any other kernel to each of its
+   outputs.  Next states and next registers reach only the edge. *)
+let has_cycle n_signals procs =
+  let succ = Array.make n_signals [] in
+  let edge s o = succ.(s.sg_index) <- o.sg_index :: succ.(s.sg_index) in
+  let action ac =
+    (* [seen.(node)] is the last output root whose reads include it. *)
+    let seen = Array.make (Signal.Plan.size ac.ac_plan) (-1) in
+    Array.iter
+      (fun (k, o) ->
+        Array.iter (fun n -> seen.(n) <- k) (Signal.Plan.root_deps ac.ac_plan k);
+        Array.iter
+          (fun (s, nodes) -> if Array.exists (fun n -> seen.(n) = k) nodes then edge s o)
+          ac.ac_seeds)
+      ac.ac_outputs
+  in
+  Array.iter
+    (function
+      | Comb c -> Array.iter (fun tr -> Array.iter action tr.tr_actions) c.cb_transitions
+      | Kernel kn ->
+        let through =
+          match kn.kn_kernel.Dataflow.Kernel.k_model with
+          | Some (Dataflow.Kernel.Ram_model { addr_port; rdata_port; _ }) ->
+            fun i o -> String.equal i addr_port && String.equal o rdata_port
+          | None -> fun _ _ -> true
+        in
+        List.iter
+          (fun (i, s) -> Array.iter (fun (o, so) -> if through i o then edge s so) kn.kn_outputs)
+          kn.kn_inputs)
+    procs;
+  (* Depth first: 1 on the current path, 2 done. *)
+  let mark = Array.make n_signals 0 in
+  let rec closes i =
+    match mark.(i) with
+    | 1 -> true
+    | 2 -> false
+    | _ ->
+      mark.(i) <- 1;
+      let found = List.exists closes succ.(i) in
+      mark.(i) <- 2;
+      found
+  in
+  let rec any i = i < n_signals && (closes i || any (i + 1)) in
+  any 0
 
 let of_system sys =
   Cycle_system.refuse_shared_registers ~engine:"rtl" sys;
@@ -129,10 +182,10 @@ let of_system sys =
          (Cycle_system.nets sys))
   in
   let net_signal n = net_signals.(Cycle_system.net_index n) in
-  let clk = signal "clk" (Fixed.of_bool false) in
   (* Processes, with their sensitivity and the most transactions one
      firing drives. *)
-  let procs = ref [] and n_procs = ref 0 and sensitive = ref [] and drives = ref 0 in
+  let procs = ref [] and n_procs = ref 0 and sensitive = ref [] and drives = ref 0
+  and latched = ref 0 in
   let process p ~sensitivity ~most =
     List.iter (fun s -> sensitive := (s, !n_procs) :: !sensitive) sensitivity;
     drives := !drives + most;
@@ -275,14 +328,13 @@ let of_system sys =
              ~most:(1 + most));
         Array.iter (fun s -> s.sg_selects <- i) shadows;
         state.sg_selects <- i;
-        let q = { sq_comb = comb; sq_clk = false } in
-        ignore
-          (process (Seq q) ~sensitivity:[ clk ] ~most:(1 + Array.length regs));
-        ((cname, List.length (Fsm.states fsm)), fsm, comb, q))
+        latched := !latched + 1 + Array.length regs;
+        ((cname, List.length (Fsm.states fsm)), fsm, comb))
       (Cycle_system.timed_components sys)
   in
   (* Untimed kernels: combinational processes. *)
   let untimed = Cycle_system.untimed_components sys in
+  let kernel_outs = ref 0 in
   let kernel_procs =
     List.map
       (fun (cname, k) ->
@@ -294,6 +346,7 @@ let of_system sys =
         in
         let ins = ports Cycle_system.input_net k.Dataflow.Kernel.k_inputs in
         let outs = Array.of_list (ports Cycle_system.output_net k.Dataflow.Kernel.k_outputs) in
+        kernel_outs := !kernel_outs + Array.length outs;
         process
           (Kernel { kn_kernel = k; kn_inputs = ins; kn_outputs = outs })
           ~sensitivity:(List.map snd ins) ~most:(Array.length outs))
@@ -330,18 +383,22 @@ let of_system sys =
   let readers = Array.make (Array.length signals) [] in
   List.iter (fun (s, p) -> readers.(s.sg_index) <- p :: readers.(s.sg_index)) !sensitive;
   Array.iter (fun s -> s.sg_readers <- Array.of_list readers.(s.sg_index)) signals;
-  let capacity = max 1 (max !drives (List.length stims)) in
+  (* A delta's queue holds what its processes drive; a step's first
+     queue, the edge's transactions, the inputs and the kernels'. *)
+  let capacity =
+    max 1 (max !drives (!latched + List.length stims + !kernel_outs))
+  in
   let regs = Array.of_list (Cycle_system.all_regs sys) in
+  let procs = Array.of_list (List.rev !procs) in
   {
     signals;
-    procs = Array.of_list (List.rev !procs);
-    combs = Array.of_list (List.map (fun (_, _, c, _) -> c) timed);
-    seqs = Array.of_list (List.map (fun (_, _, _, q) -> q) timed);
-    components = Array.of_list (List.map (fun (row, _, _, _) -> row) timed);
-    fsms = Array.of_list (List.map (fun (_, fsm, _, _) -> fsm) timed);
+    procs;
+    combs = Array.of_list (List.map (fun (_, _, c) -> c) timed);
+    components = Array.of_list (List.map (fun (row, _, _) -> row) timed);
+    fsms = Array.of_list (List.map (fun (_, fsm, _) -> fsm) timed);
     kernels = Array.of_list (List.map snd untimed);
     kernel_procs = Array.of_list kernel_procs;
-    clk;
+    cyclic = has_cycle (Array.length signals) procs;
     stims = Array.of_list stims;
     probes = Array.of_list probes;
     trace;
@@ -350,6 +407,8 @@ let of_system sys =
     q_sigs = Array.make capacity 0;
     q_vals = Array.make capacity no_value;
     q_len = 0;
+    q_high = 0;
+    pending = false;
     applied_sigs = Array.make capacity 0;
     applied_vals = Array.make capacity no_value;
     stamps = Array.make !n_procs (-1);
@@ -368,17 +427,25 @@ let of_system sys =
 (* Delta cycles one settle may take before a loop is declared. *)
 let max_deltas = 1000
 
-(* A transaction for the next delta. *)
+(* A transaction for the next delta.  Unless the elaboration is cyclic,
+   one that would not change the signal is not queued: a signal has one
+   driver, which runs at most once per delta, so nothing else can change
+   the signal before the transaction would apply. *)
 let drive t s v =
-  let n = t.q_len in
-  t.q_sigs.(n) <- s.sg_index;
-  t.q_vals.(n) <- v;
-  t.q_len <- n + 1
+  if t.cyclic || (v != s.sg_value && not (Fixed.equal s.sg_value v)) then begin
+    let n = t.q_len in
+    t.q_sigs.(n) <- s.sg_index;
+    t.q_vals.(n) <- v;
+    t.q_len <- n + 1
+  end
+  else s.sg_driven <- true
 
-(* What an exception left queued goes: the next settle starts empty. *)
+(* What an exception left queued goes, and a pending edge with it: the
+   next settle starts empty. *)
 let drop_queue t =
   Array.fill t.q_vals 0 t.q_len no_value;
-  t.q_len <- 0
+  t.q_len <- 0;
+  t.pending <- false
 
 (* A fresh memo for an action, seeded straight from its input signals. *)
 let seeded ac =
@@ -434,19 +501,6 @@ let fire_comb t c =
     done
   end
 
-(* Latch next state and next registers on the rising clock edge. *)
-let fire_seq t q =
-  let now = Fixed.is_true t.clk.sg_value in
-  let rising = now && not q.sq_clk in
-  q.sq_clk <- now;
-  if rising then begin
-    let c = q.sq_comb in
-    drive t c.cb_state c.cb_next_state.sg_value;
-    for j = 0 to Array.length c.cb_nexts - 1 do
-      drive t c.cb_shadows.(j) c.cb_nexts.(j).sg_value
-    done
-  end
-
 let fire_kernel t kn =
   let k = kn.kn_kernel in
   if k.Dataflow.Kernel.k_ready () then begin
@@ -464,7 +518,6 @@ let fire t p =
   t.n_activations <- t.n_activations + 1;
   match t.procs.(p) with
   | Comb c -> fire_comb t c
-  | Seq q -> fire_seq t q
   | Kernel kn -> fire_kernel t kn
 
 (* Name the signals still being scheduled — the combinational loop (or
@@ -486,16 +539,14 @@ let overflow t =
     max_deltas (List.length culprits)
 
 (* Apply the queued transactions, wake the readers of the signals that
-   changed, run them; until a delta drives nothing. *)
-let settle t =
-  let obs = Ocapi_obs.enabled () in
-  let deltas = ref 0 in
+   changed, run them; until a delta drives nothing.  [spent] deltas of
+   the budget are already used. *)
+let settle t ~spent =
+  let deltas = ref spent in
   while t.q_len > 0 do
     incr deltas;
     t.n_deltas <- t.n_deltas + 1;
-    if obs then
-      (* pending transactions = the event queue of this delta *)
-      Ocapi_obs.max_gauge "rtl.queue_high_water" (float_of_int t.q_len);
+    if t.q_len > t.q_high then t.q_high <- t.q_len;
     if !deltas > max_deltas then overflow t;
     let sigs = t.q_sigs and vals = t.q_vals and n = t.q_len in
     t.q_sigs <- t.applied_sigs;
@@ -510,7 +561,9 @@ let settle t =
       let s = t.signals.(sigs.(j)) and v = vals.(j) in
       vals.(j) <- no_value;
       s.sg_driven <- true;
-      if v != s.sg_value && not (Fixed.equal s.sg_value v) then begin
+      (* Only a cyclic elaboration queues a transaction that changes
+         nothing. *)
+      if not (t.cyclic && (v == s.sg_value || Fixed.equal s.sg_value v)) then begin
         s.sg_value <- v;
         t.n_events <- t.n_events + 1;
         if s.sg_selects >= 0 then t.combs.(s.sg_selects).cb_stale <- true;
@@ -537,20 +590,63 @@ let initialize t =
     for p = 0 to Array.length t.procs - 1 do
       fire t p
     done;
-    settle t
+    settle t ~spent:0
   end
+
+(* Committed state may change combinational reads (a RAM's read port
+   then sees the written word), so kernel processes execute again after
+   the rising edge even when none of their input nets saw an event. *)
+let refire_kernels t =
+  for j = 0 to Array.length t.kernel_procs - 1 do
+    fire t t.kernel_procs.(j)
+  done
+
+(* The rising edge: every component's sequential part latches its next
+   state and next registers, one activation each, into the queue. *)
+let latch t =
+  for i = 0 to Array.length t.combs - 1 do
+    let c = t.combs.(i) in
+    t.n_activations <- t.n_activations + 1;
+    drive t c.cb_state c.cb_next_state.sg_value;
+    for j = 0 to Array.length c.cb_nexts - 1 do
+      drive t c.cb_shadows.(j) c.cb_nexts.(j).sg_value
+    done
+  done
+
+(* A pending edge's queue is applied by the next settle, after the
+   kernels run again. *)
+let take_edge t =
+  if t.pending then begin
+    t.pending <- false;
+    refire_kernels t
+  end
+
+(* Settle what the last step's rising edge left queued, so that a reader
+   or a writer of the state sees what a settled edge leaves. *)
+let settle_edge t =
+  if t.pending then
+    match
+      take_edge t;
+      settle t ~spent:0
+    with
+    | () -> ()
+    | exception e ->
+      drop_queue t;
+      raise e
 
 let step t =
   initialize t;
-  (* Drive primary inputs, settle. *)
+  (* Drive primary inputs and settle them, with the last rising edge if
+     it is still queued. *)
   let c = t.cycle_count in
   for j = 0 to Array.length t.stims - 1 do
     let col, fmt, s = t.stims.(j) in
     if Cycle_system.column_present col c then
       drive t s (Fixed.create fmt (Cycle_system.column_mantissa col c))
   done;
-  settle t;
-  (* Sample probes that saw a transaction, before the clock edge — the
+  take_edge t;
+  settle t ~spent:0;
+  (* Sample probes whose nets were driven, before the clock edge — the
      combinational outputs of this cycle are stable now, computed from
      this cycle's inputs and the pre-edge register values, exactly as a
      test bench would sample them. *)
@@ -561,7 +657,7 @@ let step t =
   done;
   (* Kernel state commits are synchronous: like a register latch they
      apply the staging settled from this cycle's pre-edge signal values.
-     Committing before the clock event re-runs any process keeps the
+     Committing before the edge re-runs any process keeps the
      staged write exactly what the cycle's tokens computed — the three-
      phase scheduler's register-update-phase semantics.  (Committing
      after the edge settle would overwrite the staging with post-edge
@@ -570,21 +666,29 @@ let step t =
   for j = Array.length t.kernels - 1 downto 0 do
     t.kernels.(j).Dataflow.Kernel.k_commit ()
   done;
-  (* Rising edge, settle. *)
-  drive t t.clk (Fixed.of_bool true);
-  settle t;
-  (* Committed state may change combinational reads (a RAM's read port
-     now sees the written word), so kernel processes re-execute and
-     settle even when none of their input nets saw an edge event. *)
-  if Array.length t.kernel_procs > 0 then begin
-    for j = 0 to Array.length t.kernel_procs - 1 do
-      fire t t.kernel_procs.(j)
-    done;
-    settle t
-  end;
-  (* Falling edge, settle. *)
-  drive t t.clk (Fixed.of_bool false);
-  settle t
+  (* Rising edge.  Without a combinational cycle the settled values do
+     not depend on the order the edge and the next inputs apply in, so
+     the next settle takes both at once.  With one, the edge settles
+     here, and the latch uses the first delta of its budget: the delta in
+     which a clock event runs the sequential processes. *)
+  latch t;
+  if t.cyclic then begin
+    settle t ~spent:1;
+    if Array.length t.kernel_procs > 0 then begin
+      refire_kernels t;
+      settle t ~spent:0
+    end
+  end
+  else t.pending <- true
+
+(* [settle] keeps the queue's high-water mark as an [int]; telemetry
+   gets it once per cycle or poke, off the delta loop. *)
+let report_queue t =
+  if t.q_high > 0 then begin
+    if Ocapi_obs.enabled () then
+      Ocapi_obs.max_gauge "rtl.queue_high_water" (float_of_int t.q_high);
+    t.q_high <- 0
+  end
 
 let cycle t =
   let t_cycle = Ocapi_obs.span_begin () in
@@ -596,7 +700,9 @@ let cycle t =
   | () -> ()
   | exception e ->
     drop_queue t;
+    report_queue t;
     raise e);
+  report_queue t;
   if Ocapi_obs.enabled () then begin
     Ocapi_obs.count "rtl.cycles";
     Ocapi_obs.count ~n:(t.n_events - events0) "rtl.events_fired";
@@ -626,6 +732,7 @@ let reset t =
   t.n_transactions <- 0;
   t.n_deltas <- 0;
   t.n_activations <- 0;
+  t.q_high <- 0;
   drop_queue t;
   Array.iter
     (fun s ->
@@ -633,7 +740,6 @@ let reset t =
       s.sg_driven <- false)
     t.signals;
   Array.iter Signal.Reg.reset t.regs;
-  Array.iter (fun q -> q.sq_clk <- false) t.seqs;
   Array.iter Fsm.reset t.fsms;
   Array.iter (fun k -> k.Dataflow.Kernel.k_reset ()) t.kernels;
   stale t;
@@ -642,19 +748,19 @@ let reset t =
 (* --- checkpoints ------------------------------------------------------------ *)
 
 (* A copy of what [reset] re-initializes, less the probe trace and the
-   activity counters.  Signal values are immutable [Fixed.t]s, so the
-   copy shares them. *)
+   activity counters, taken with the last edge settled.  Signal values
+   are immutable [Fixed.t]s, so the copy shares them. *)
 type snapshot = {
   sn_cycle : int;
   sn_initialized : bool;
   sn_values : Fixed.t array;  (* [t.signals] order *)
   sn_driven : bool array;
-  sn_latches : bool array;
   sn_regs : (Fixed.t * Fixed.t option) array;
   sn_kernels : Dataflow.Kernel.snapshot;
 }
 
 let snapshot t =
+  settle_edge t;
   Option.map
     (fun save ->
       {
@@ -662,7 +768,6 @@ let snapshot t =
         sn_initialized = t.initialized;
         sn_values = Array.map (fun s -> s.sg_value) t.signals;
         sn_driven = Array.map (fun s -> s.sg_driven) t.signals;
-        sn_latches = Array.map (fun q -> q.sq_clk) t.seqs;
         sn_regs = Array.map (fun r -> (Signal.Reg.value r, Signal.Reg.next r)) t.regs;
         sn_kernels = save ();
       })
@@ -677,7 +782,6 @@ let restore t sn =
       s.sg_value <- sn.sn_values.(i);
       s.sg_driven <- sn.sn_driven.(i))
     t.signals;
-  Array.iteri (fun i q -> q.sq_clk <- sn.sn_latches.(i)) t.seqs;
   Array.iteri
     (fun i r ->
       let v, next = sn.sn_regs.(i) in
@@ -697,6 +801,7 @@ let matches t sn =
         && s.sg_driven = sn.sn_driven.(i)
         && same_signals (i + 1))
   in
+  settle_edge t;
   t.cycle_count = sn.sn_cycle
   && t.initialized = sn.sn_initialized
   && Array.for_all2
@@ -704,24 +809,26 @@ let matches t sn =
          Fixed.equal (Signal.Reg.value r) v
          && Option.equal Fixed.equal (Signal.Reg.next r) next)
        t.regs sn.sn_regs
-  && Array.for_all2 (fun q v -> q.sq_clk = v) t.seqs sn.sn_latches
   && same_signals 0
   && sn.sn_kernels.Dataflow.Kernel.sn_matches ()
 
 (* --- fault-injection access ----------------------------------------------- *)
 
-(* Drive [s] with [value s], read once the elaboration is initialized,
-   and settle: a poke between two cycles. *)
+(* Drive [s] with [value s], read once the elaboration is initialized
+   and the last edge settled, and settle: a poke between two cycles. *)
 let poke t s value =
-  match
-    initialize t;
-    drive t s (value s);
-    settle t
-  with
+  (match
+     settle_edge t;
+     initialize t;
+     drive t s (value s);
+     settle t ~spent:0
+   with
   | () -> ()
   | exception e ->
     drop_queue t;
-    raise e
+    report_queue t;
+    raise e);
+  report_queue t
 
 let register_count t = Array.length t.regs
 
@@ -748,7 +855,9 @@ let component_count t = Array.length t.combs
 
 let component_info t i = t.components.(i)
 
-let component_state t i = Fixed.to_int t.combs.(i).cb_state.sg_value
+let component_state t i =
+  settle_edge t;
+  Fixed.to_int t.combs.(i).cb_state.sg_value
 
 let set_component_state t i state =
   let cname, n = t.components.(i) in

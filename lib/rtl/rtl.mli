@@ -13,18 +13,38 @@
       its input nets, its state and its registers' shadow signals; it
       selects the FSM transition and drives output nets, next-state and
       next-register signals;
-    - per timed component, one {e sequential process} sensitive to the
-      clock; on the rising edge it latches next-state/next-register;
+    - per timed component, the {e sequential process}: at the rising
+      edge it latches next-state/next-register into the state and the
+      shadows.  The clock is no signal: the edge is one loop over the
+      components, and nothing runs at the falling edge;
     - untimed kernels become combinational processes (they must be
       idempotent within a cycle, as a RAM model is);
-    - a test-bench process drives the clock and the primary inputs.
+    - the test bench drives the primary inputs.
 
-    One simulated clock cycle = drive inputs, settle; rising edge,
-    settle; falling edge, settle.  "Settle" is the delta-cycle loop; an
-    unbounded delta chain (a combinational loop) raises
-    [Ocapi_error.Error] with code [Delta_overflow], naming (a sample of)
-    the signals still scheduling transactions, the budget and the clock
-    cycle.
+    One simulated clock cycle = drive inputs, settle, sample the
+    probes, commit the kernels, rising edge.  "Settle" is the
+    delta-cycle loop; an unbounded delta chain (a combinational loop)
+    raises [Ocapi_error.Error] with code [Delta_overflow], naming (a
+    sample of) the signals still scheduling transactions, the budget and
+    the clock cycle.
+
+    The settle happens once per cycle.  The rising edge queues its
+    transactions, and the next cycle's settle applies them together
+    with that cycle's inputs, after the kernels execute again (a
+    committed write changes what a RAM reads).  The result is the same
+    as settling the edge first, because the elaboration has no
+    combinational cycle: {!of_system} checks that once, over the
+    signals, from each input of a comb process to each output net
+    whose expression reads it, from a RAM's address to its read word,
+    and from every input to every output of any other kernel.  An
+    elaboration with such a cycle (a loop, or one some FSM state could
+    close) settles each edge within its step instead, the latch taking
+    the first delta of that settle's budget, so a loop the edge closes
+    overflows at the edge's cycle.  Whatever reads or writes the state
+    between two cycles ({!component_state}, {!snapshot}, {!matches},
+    the pokes) settles a queued edge first.  The registers the engine
+    shares with the system take a queued edge's values only when it
+    settles.
 
     The elaboration resolves the kernel once: signals and processes are
     numbered, each signal holds its reader processes, and each comb
@@ -33,8 +53,10 @@
     delta applies one transaction queue, wakes each reader of a changed
     signal once (a per-process stamp of the delta it was last woken
     in), and runs the woken processes, which drive the next delta's
-    queue.  A comb process selects its transition again only after an
-    event on its state or on one of its register shadows. *)
+    queue.  Without a combinational cycle, a process queues only the
+    transactions that change their signal.  A comb process selects its
+    transition again only after an event on its state or on one of its
+    register shadows. *)
 
 type t
 
@@ -49,12 +71,16 @@ type t
     reach. *)
 val of_system : Cycle_system.t -> t
 
-(** Simulate one clock cycle (input drive + both clock edges).  With
+(** Simulate one clock cycle (input drive + the rising edge).  With
     [Ocapi_obs] telemetry on, each cycle adds its activity to the
     counters [rtl.events_fired] (signal value changes),
-    [rtl.events_scheduled] (signal assignments, changed or not) and
-    [rtl.activations] (process executions), and observes its delta
-    cycles in the histogram [rtl.deltas_per_cycle]. *)
+    [rtl.events_scheduled] (transactions queued: without a
+    combinational cycle only changes, so it equals
+    [rtl.events_fired]) and [rtl.activations] (process executions, a
+    component's latch at the rising edge included), observes its delta
+    cycles in the histogram [rtl.deltas_per_cycle] and raises the gauge
+    [rtl.queue_high_water] to the longest queue it applied.  A queued
+    edge counts in the cycle that settles it. *)
 val cycle : t -> unit
 
 val current_cycle : t -> int
@@ -71,11 +97,11 @@ val reset : t -> unit
 (** {1 Checkpoints}
 
     A snapshot copies the state {!reset} re-initializes, less the probe
-    trace and the activity counters: the cycle, every signal's value and
-    driven flag (FSM state signals and register shadows included), the
-    clock each sequential process last saw, the registers shared with
-    the system and the untimed kernels' state (through their
-    [k_snapshot] hooks). *)
+    trace and the activity counters, with the last edge settled: the
+    cycle, every signal's value and driven flag (FSM state signals and
+    register shadows included), the registers shared with the system
+    and the untimed kernels' state (through their [k_snapshot]
+    hooks). *)
 
 type snapshot
 

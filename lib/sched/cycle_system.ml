@@ -649,32 +649,37 @@ let all_regs t =
          end)
 
 let shared_registers t =
-  let timed =
-    List.filter_map
-      (fun c ->
-        match c.c_kind with
-        | Timed fsm ->
-          Some
-            ( c.c_name,
-              Fsm.all_regs fsm,
-              List.concat_map Sfg.regs_written (Fsm.all_sfgs fsm) )
-        | Untimed _ | Primary_input _ | Primary_output _ -> None)
-      (List.rev t.comps)
-  in
+  (* Per register id, in one pass over the timed components in system
+     order: the first component that assigns it, and every component
+     that holds it, newest first. *)
+  let writer = Hashtbl.create 64 and holders = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      match c.c_kind with
+      | Timed fsm ->
+        List.iter
+          (fun sfg ->
+            List.iter
+              (fun r ->
+                let id = Signal.Reg.id r in
+                if not (Hashtbl.mem writer id) then Hashtbl.add writer id c.c_name)
+              (Sfg.regs_written sfg))
+          (Fsm.all_sfgs fsm);
+        List.iter (fun r -> Hashtbl.add holders (Signal.Reg.id r) c.c_name) (Fsm.all_regs fsm)
+      | Untimed _ | Primary_input _ | Primary_output _ -> ())
+    (List.rev t.comps);
   List.filter_map
     (fun r ->
-      let name = Signal.Reg.name r in
-      match List.find_opt (fun (_, _, written) -> List.memq r written) timed with
-      | Some (a, _, _) ->
-        List.find_map
-          (fun (b, regs, _) ->
-            if (not (String.equal a b)) && List.memq r regs then
-              Some (Shared_register (name, a, b))
-            else None)
-          timed
+      let name = Signal.Reg.name r and id = Signal.Reg.id r in
+      let holders = List.rev (Hashtbl.find_all holders id) in
+      match Hashtbl.find_opt writer id with
+      | Some a ->
+        Option.map
+          (fun b -> Shared_register (name, a, b))
+          (List.find_opt (fun b -> not (String.equal a b)) holders)
       | None -> (
-        match List.filter (fun (_, regs, _) -> List.memq r regs) timed with
-        | (a, _, _) :: (b, _, _) :: _ -> Some (Unassigned_shared_register (name, a, b))
+        match holders with
+        | a :: b :: _ -> Some (Unassigned_shared_register (name, a, b))
         | _ -> None))
     (all_regs t)
 

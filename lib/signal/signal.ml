@@ -380,6 +380,8 @@ module Plan = struct
         t.reads;
       nodes
 
+  let root_deps t k = t.deps.(k)
+
   let cached cell roots x =
     match Atomic.get cell with
     | Some t -> t

@@ -264,6 +264,9 @@ module Plan : sig
       arrives. *)
   val read_nodes : t -> (Input.t -> bool) -> int array
 
+  (** [root_deps t k] — the nodes under root [k] that read an input. *)
+  val root_deps : t -> int -> int array
+
   (** [cached cell roots x] is the plan in [cell]; on first use it is
       built over [roots x] and stored there. *)
   val cached : t option Atomic.t -> ('a -> signal list) -> 'a -> t

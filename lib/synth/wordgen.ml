@@ -183,60 +183,53 @@ let mux2 nl ~fa ~fb ~fr sel a b =
 let resize nl ~round ~overflow ~src ~dst bus =
   let k = src.Fixed.frac - dst.Fixed.frac in
   (* Step 1: the rounded value, value-faithful, with dst.frac fraction
-     bits.  Work at width W = src.width + 2 so rounding carries fit. *)
-  let rounded, rounded_fmt =
-    if k <= 0 then
-      (align nl ~fmt:src bus ~frac:dst.Fixed.frac,
-       Fixed.format src.Fixed.signedness
-         ~width:(src.Fixed.width - k)
-         ~frac:dst.Fixed.frac)
+     bits.  Work at width W = src.width + 2 so rounding carries fit.  It
+     keeps the source's signedness; its width is the bus's, which may
+     exceed [Fixed.max_width], so it is no [Fixed.format]. *)
+  let signed = is_signed src in
+  let rounded =
+    if k <= 0 then align nl ~fmt:src bus ~frac:dst.Fixed.frac
     else begin
       let w0 = max (src.Fixed.width + 2) (k + 2) in
       let ext = extend nl ~fmt:src bus w0 in
       let floor_bits = Array.init w0 (fun i -> ext.(min (i + k) (w0 - 1))) in
-      let value =
-        match round with
-        | Fixed.Truncate -> floor_bits
-        | Fixed.Round_nearest ->
-          (* (m + half) asr k: add 2^(k-1) before shifting. *)
-          let half = Array.init w0 (fun i -> i = k - 1) in
-          let half_bus =
-            Array.map
-              (fun b ->
-                if b then Netlist.gate nl Netlist.Const1 [] else zero_net nl)
-              half
-          in
-          let summed = ripple_add nl ext half_bus in
-          Array.init w0 (fun i -> summed.(min (i + k) (w0 - 1)))
-        | Fixed.Round_even ->
-          let h = if k - 1 < w0 then ext.(k - 1) else zero_net nl in
-          let rest_bits =
-            List.init (max 0 (k - 1)) (fun i -> ext.(min i (w0 - 1)))
-          in
-          let rest = or_tree nl rest_bits in
-          let up =
-            Netlist.gate nl Netlist.And
-              [ h; Netlist.gate nl Netlist.Or [ rest; floor_bits.(0) ] ]
-          in
-          let zero = Array.init w0 (fun _ -> zero_net nl) in
-          ripple_add nl ~carry_in:up floor_bits zero
-      in
-      (value,
-       Fixed.format src.Fixed.signedness ~width:w0 ~frac:dst.Fixed.frac)
+      match round with
+      | Fixed.Truncate -> floor_bits
+      | Fixed.Round_nearest ->
+        (* (m + half) asr k: add 2^(k-1) before shifting. *)
+        let half = Array.init w0 (fun i -> i = k - 1) in
+        let half_bus =
+          Array.map
+            (fun b ->
+              if b then Netlist.gate nl Netlist.Const1 [] else zero_net nl)
+            half
+        in
+        let summed = ripple_add nl ext half_bus in
+        Array.init w0 (fun i -> summed.(min (i + k) (w0 - 1)))
+      | Fixed.Round_even ->
+        let h = if k - 1 < w0 then ext.(k - 1) else zero_net nl in
+        let rest_bits =
+          List.init (max 0 (k - 1)) (fun i -> ext.(min i (w0 - 1)))
+        in
+        let rest = or_tree nl rest_bits in
+        let up =
+          Netlist.gate nl Netlist.And
+            [ h; Netlist.gate nl Netlist.Or [ rest; floor_bits.(0) ] ]
+        in
+        let zero = Array.init w0 (fun _ -> zero_net nl) in
+        ripple_add nl ~carry_in:up floor_bits zero
     end
   in
   (* Step 2: overflow handling into dst.width bits. *)
   let wv = Array.length rounded in
   match overflow with
   | Fixed.Wrap ->
-    let padded = extend nl ~fmt:rounded_fmt rounded (max wv dst.Fixed.width) in
+    let padded = Netlist.extend_bus nl ~signed rounded (max wv dst.Fixed.width) in
     Array.sub padded 0 dst.Fixed.width
   | Fixed.Saturate ->
     let wext = max (wv + 1) (dst.Fixed.width + 1) in
-    let v = extend nl ~fmt:rounded_fmt rounded wext in
-    let sign =
-      if is_signed rounded_fmt then v.(wext - 1) else zero_net nl
-    in
+    let v = Netlist.extend_bus nl ~signed rounded wext in
+    let sign = if signed then v.(wext - 1) else zero_net nl in
     let low = Array.sub v 0 dst.Fixed.width in
     (match dst.Fixed.signedness with
     | Fixed.Unsigned ->

@@ -433,21 +433,26 @@ let activity_at_1000 engine design build names =
     names
 
 (* A fresh rtl session's activity over 1000 cycles of each gallery
-   design: transactions, events, process activations and delta cycles.
-   Which woken process of a delta runs first is free, and none of these
-   counts depends on it. *)
+   design: transactions, events, process activations (a component's
+   latch at the rising edge included) and delta cycles.  Which woken
+   process of a delta runs first is free, and none of these counts
+   depends on it.  No gallery design has a combinational cycle, so the
+   kernel queues only transactions that change their signal: every
+   scheduled transaction is an event. *)
 let test_rtl_activity_pinned () =
   List.iter
-    (fun (design, build, fired, scheduled, activations, deltas) ->
-      Alcotest.(check (list int)) design [ fired; scheduled; activations; deltas ]
-        (activity_at_1000 "rtl" design build
-           [ "rtl.events_fired"; "rtl.events_scheduled"; "rtl.activations";
-             "rtl.deltas_per_cycle" ]))
+    (fun (design, build, fired, activations, deltas) ->
+      let counts =
+        activity_at_1000 "rtl" design build
+          [ "rtl.events_fired"; "rtl.events_scheduled"; "rtl.activations";
+            "rtl.deltas_per_cycle" ]
+      in
+      Alcotest.(check (list int)) design [ fired; fired; activations; deltas ] counts)
     [
-      ("hcor", Gallery.hcor, 18_030, 43_675, 2_828, 4_827);
-      ("dect", Gallery.dect, 26_017, 294_628, 80_706, 8_823);
-      ("rs", Gallery.rs, 31_954, 56_968, 7_993, 6_947);
-      ("cpu", Gallery.cpu, 3_300, 23_952, 4_113, 6_111);
+      ("hcor", Gallery.hcor, 15_070, 1_438, 874);
+      ("dect", Gallery.dect, 24_029, 56_751, 3_998);
+      ("rs", Gallery.rs, 26_573, 4_934, 2_934);
+      ("cpu", Gallery.cpu, 1_300, 3_066, 1_081);
     ]
 
 (* Every engine's histories are its trace's, on the four gallery
@@ -1070,6 +1075,71 @@ let test_cache_keys_ram_words () =
       Alcotest.(check int) "no hit across word counts" 0
         (Flow.Cache.stats ()).Flow.Cache.hits)
 
+(* The RT kernel leaves a step's rising edge queued for the next
+   settle, and whatever reads or writes its state settles the edge
+   first.  On each gallery design over 200 cycles: the component states
+   after every step are the interpreter's; a checkpoint taken after a
+   step matches at once and again when a run from reset reaches its
+   cycle, and its restore steps on as the run from reset did; and a
+   register bit flipped after step k changes the rest of the trace as
+   the same flip changes the interpreter's. *)
+let test_rtl_observers_settle_the_edge () =
+  let cycles = 200 and at = 50 in
+  List.iter
+    (fun (design, build) ->
+      with_session "interp" (build ()) (fun ip ->
+          with_session "rtl" (build ()) (fun rt ->
+              let states ses =
+                List.init ses.Ocapi_engine.ses_component_count
+                  ses.Ocapi_engine.ses_component_state
+              in
+              for c = 1 to cycles do
+                ip.Ocapi_engine.ses_step ();
+                rt.Ocapi_engine.ses_step ();
+                if states ip <> states rt then
+                  Alcotest.failf "%s: component states differ after step %d" design c
+              done;
+              let whole = rt.Ocapi_engine.ses_histories () in
+              rt.Ocapi_engine.ses_reset ();
+              steps rt at;
+              let ck = Option.get (rt.Ocapi_engine.ses_checkpoint ()) in
+              Alcotest.(check bool) (design ^ ": checkpoint matches at once") true
+                (ck.Ocapi_engine.ck_matches ());
+              rt.Ocapi_engine.ses_reset ();
+              steps rt at;
+              Alcotest.(check bool) (design ^ ": the run matches it at its cycle") true
+                (ck.Ocapi_engine.ck_matches ());
+              steps rt 20;
+              ck.Ocapi_engine.ck_restore ();
+              steps rt (cycles - at);
+              let from_ck =
+                List.map (fun (p, h) -> (p, List.filter (fun (c, _) -> c >= at) h)) whole
+              in
+              Alcotest.(check bool) (design ^ ": restore replays the run") true
+                (histories_equal from_ck (rt.Ocapi_engine.ses_histories ()));
+              let n = rt.Ocapi_engine.ses_register_count in
+              let flipped =
+                List.map
+                  (fun (k, r) ->
+                    let poked ses =
+                      ses.Ocapi_engine.ses_reset ();
+                      steps ses k;
+                      ses.Ocapi_engine.ses_poke_register_bit r ~bit:0;
+                      steps ses (cycles - k);
+                      ses.Ocapi_engine.ses_histories ()
+                    in
+                    let expected = poked ip in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: register %d flipped after step %d" design r k)
+                      true
+                      (histories_equal expected (poked rt));
+                    not (histories_equal expected whole))
+                  [ (41, 0); (97, n / 2); (150, n - 1) ]
+              in
+              Alcotest.(check bool) (design ^ ": a flip changes the trace") true
+                (List.mem true flipped))))
+    Gallery.designs
+
 let suite =
   suite
   @ [
@@ -1083,4 +1153,6 @@ let suite =
         test_gate_step_allocates_nothing;
       Alcotest.test_case "cache keys a RAM's word count" `Quick
         test_cache_keys_ram_words;
+      Alcotest.test_case "rtl observers see the settled edge" `Quick
+        test_rtl_observers_settle_the_edge;
     ]

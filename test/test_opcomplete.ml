@@ -279,7 +279,10 @@ let test_emitted_simulator () =
 (* Widths up to 61 bits keep the design in word mode, whose wraps,
    saturation and rounding render inline; a 62-bit input takes the
    int64 rendering.  The compiled engine and the native plugin, which
-   renders the word-mode text, agree with the interpreter too. *)
+   renders the word-mode text, agree with the interpreter too, and so
+   do the RT kernel and the synthesized gates, whose resizes from a 61-
+   or 62-bit source round through an intermediate wider than any
+   [Fixed.format]. *)
 let test_emitted_resizes () =
   if not (toolchain ()) then Alcotest.skip ();
   List.iter
@@ -294,7 +297,7 @@ let test_emitted_resizes () =
         (fun engine ->
           Alcotest.(check bool) (name ^ ": " ^ engine ^ " = interp") true
             (Flow.simulate ~engine sys ~cycles:64 = interp))
-        [ "compiled"; "native" ];
+        [ "compiled"; "native"; "rtl"; "gate" ];
       if words && Ocapi_native.availability () = Ok () then
         Alcotest.(check int) (name ^ ": the plugin ran") before (fallbacks ());
       check_emitted_simulator sys ~cycles:64)

@@ -210,6 +210,70 @@ let test_rtl_reset_after_delta_overflow () =
       Alcotest.(check (option int)) "cycle" cycle cycle';
       Alcotest.(check (list string)) "rtl telemetry" metrics metrics')
 
+(* A loop that closes only in a later state: [a] outputs 0 while it
+   counts in state s0, and b.y + 1 once its fourth cycle's transition
+   has entered s1; b.y = a.y + 1 throughout, with a probe on a.y. *)
+let late_loop () =
+  let u3 = Fixed.unsigned ~width:3 ~frac:0 in
+  let cnt = Signal.Reg.create clk "late_cnt" u3 in
+  let plus_one name =
+    Sfg.build name (fun b ->
+        let x = Sfg.Builder.input b "x" s8 in
+        Sfg.Builder.output b "y" (Signal.resize s8 Signal.(x +: consti s8 1)))
+  in
+  let count =
+    Sfg.build "late_count" (fun b ->
+        Sfg.Builder.output b "y" (Signal.consti s8 0);
+        Sfg.Builder.assign_resized b cnt Signal.(reg_q cnt +: consti u3 1))
+  in
+  let fa = Fsm.create "late_a" in
+  let s0 = Fsm.initial fa "s0" and s1 = Fsm.state fa "s1" in
+  Fsm.(s0 |-- cnd Signal.(reg_q cnt ==: consti u3 3) |+ count |-> s1);
+  Fsm.(s0 |-- always |+ count |-> s0);
+  Fsm.(s1 |-- always |+ plus_one "late_loop" |-> s1);
+  let fb = Fsm.create "late_b" in
+  let t0 = Fsm.initial fb "t0" in
+  Fsm.(t0 |-- always |+ plus_one "late_follow" |-> t0);
+  let sys = Cycle_system.create "late_loop" in
+  let a = Cycle_system.add_timed sys "a" fa in
+  let b = Cycle_system.add_timed sys "b" fb in
+  let probe = Cycle_system.add_output sys "a_y" in
+  ignore (Cycle_system.connect sys (a, "y") [ (b, "x"); (probe, "in") ]);
+  ignore (Cycle_system.connect sys (b, "y") [ (a, "x") ]);
+  sys
+
+(* A path through the signals that closes in some state makes the RT
+   elaboration cyclic, and a cyclic elaboration settles each rising edge
+   within its step and queues every transaction: the loop overflows the
+   delta budget in the edge settle of the cycle that enters s1 (cycle
+   3).  The latch takes the first delta of that budget, so the loop,
+   whose two halves run in alternate deltas, names the signals [a]
+   drives. *)
+let test_rtl_loop_closing_later () =
+  let (module E : Ocapi_engine.ENGINE) = Ocapi_engine.get "rtl" in
+  let ses = E.make (late_loop ()) in
+  Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+      let rec run n =
+        if n = 0 then Alcotest.fail "rtl: the loop closed in s1 was not detected";
+        match ses.Ocapi_engine.ses_step () with
+        | () -> run (n - 1)
+        | exception (Ocapi_error.Error d as e) when Raises.code Delta_overflow e -> d
+      in
+      let d = run 10 in
+      Alcotest.(check (option int)) "cycle" (Some 3) d.Ocapi_error.e_cycle;
+      Alcotest.(check (list string)) "culprits"
+        [ "a.late_cnt_next"; "a.state_next"; "a.y" ]
+        d.Ocapi_error.e_nets;
+      Alcotest.(check string) "message"
+        "no convergence after 1000 delta cycles: 3 signals still scheduling \
+         transactions"
+        d.Ocapi_error.e_message;
+      Alcotest.(check (list (pair int int))) "a.y before the edge"
+        [ (0, 0); (1, 0); (2, 0); (3, 0) ]
+        (List.map
+           (fun (c, v) -> (c, Fixed.to_int v))
+           (List.assoc "a_y" (ses.Ocapi_engine.ses_histories ()))))
+
 (* A register one component assigns and another reads: interp, compiled
    and native simulate one register; rtl and gate would give the
    reading component a copy that never updates, so they refuse the
@@ -853,4 +917,6 @@ let suite =
       test_shared_register;
     Alcotest.test_case "a register two components read and none assigns" `Quick
       test_unassigned_shared_register;
+    Alcotest.test_case "rtl loop closing in a later state" `Quick
+      test_rtl_loop_closing_later;
   ]
