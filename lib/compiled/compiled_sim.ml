@@ -18,28 +18,14 @@ let off slot = slot lsl 3
 
 (* --- mantissa-level operators --------------------------------------------- *)
 
-(* Each operator's constants are resolved at compile time into plain
-   data that the statements capture; the helpers below are inlined into
-   the statements, so a statement calls no int64 -> int64 closure. *)
+(* Each operator's constants are [Fixed]'s plans, which the statements
+   capture; the appliers below are inlined into the statements, so a
+   statement calls no int64 -> int64 closure. *)
 
-(* Two's-complement wrap into a format: the low [width] bits, less
-   [w_modulus] when the sign bit [w_sign] is set (0L when unsigned). *)
-type wrap = { w_mask : int64; w_sign : int64; w_modulus : int64 }
-
-let wrap_of (f : Fixed.format) =
-  let w = f.Fixed.width in
-  {
-    w_mask = Int64.sub (Int64.shift_left 1L w) 1L;
-    w_sign =
-      (match f.Fixed.signedness with
-      | Fixed.Unsigned -> 0L
-      | Fixed.Signed -> Int64.shift_left 1L (w - 1));
-    w_modulus = Int64.shift_left 1L w;
-  }
-
-let[@inline] wrap w m =
-  let low = Int64.logand m w.w_mask in
-  if Int64.logand low w.w_sign <> 0L then Int64.sub low w.w_modulus else low
+let[@inline] wrap (w : Fixed.wrap) m =
+  let low = Int64.logand m w.Fixed.w_mask in
+  if Int64.logand low w.Fixed.w_sign <> 0L then Int64.sub low w.Fixed.w_modulus
+  else low
 
 let[@inline] saturate ~lo ~hi (m : int64) =
   if m < lo then lo else if m > hi then hi else m
@@ -58,66 +44,29 @@ let[@inline] round mode ~k ~half m =
     else if Int64.logand floor 1L = 1L then Int64.add floor 1L
     else floor
 
-(* A resize between two formats, as [Fixed.resize]: [rz_shift > 0]
-   drops that many fraction bits with rounding, otherwise the mantissa
-   shifts left by [- rz_shift]; the result then wraps or saturates into
-   the destination.  A left shift beyond 62 bits ([rz_huge]) is exact
-   only for zero; any other value raises [rz_overflow ()]. *)
-type resize = {
-  rz_shift : int;
-  rz_round : Fixed.rounding;
-  rz_half : int64;
-  rz_huge : bool;
-  rz_saturate : bool;
-  rz_lo : int64;
-  rz_hi : int64;
-  rz_wrap : wrap;
-  rz_overflow : unit -> exn;
-}
-
-let resize_of ~overflow_exn ~round ~overflow (src : Fixed.format)
-    (dst : Fixed.format) =
-  let k = src.Fixed.frac - dst.Fixed.frac in
-  (* Dropping more than 62 bits leaves the sign under every rounding. *)
-  let k, round = if k > 62 then (63, Fixed.Truncate) else (k, round) in
-  {
-    rz_shift = k;
-    rz_round = round;
-    rz_half = (if k > 0 then Int64.shift_left 1L (k - 1) else 0L);
-    rz_huge = -k > 62;
-    rz_saturate =
-      (match overflow with Fixed.Saturate -> true | Fixed.Wrap -> false);
-    rz_lo = Fixed.min_mantissa dst;
-    rz_hi = Fixed.max_mantissa dst;
-    rz_wrap = wrap_of dst;
-    rz_overflow = overflow_exn;
-  }
-
-let[@inline] resize r m =
+(* [Fixed.resize] of a mantissa, as planned by [r]; a nonzero mantissa
+   the plan cannot shift left raises [overflow ()]. *)
+let[@inline] resize (r : Fixed.resize_plan) overflow m =
   let m =
-    if r.rz_shift > 0 then round r.rz_round ~k:r.rz_shift ~half:r.rz_half m
-    else if r.rz_huge then if m = 0L then 0L else raise (r.rz_overflow ())
-    else Int64.shift_left m (-r.rz_shift)
+    if r.Fixed.rz_shift > 0 then
+      round r.Fixed.rz_round ~k:r.Fixed.rz_shift ~half:r.Fixed.rz_half m
+    else if r.Fixed.rz_huge then if m = 0L then 0L else raise (overflow ())
+    else Int64.shift_left m (-r.Fixed.rz_shift)
   in
-  if r.rz_saturate then saturate ~lo:r.rz_lo ~hi:r.rz_hi m else wrap r.rz_wrap m
+  if r.Fixed.rz_saturate then saturate ~lo:r.Fixed.rz_lo ~hi:r.Fixed.rz_hi m
+  else wrap r.Fixed.rz_wrap m
 
 (* [Fixed.to_int] of a mantissa carried in a format of fraction [frac]. *)
 let[@inline] to_int ~frac m =
   if frac <= 0 then Int64.to_int (Int64.shift_left m (-frac))
   else Int64.to_int (Int64.div m (Int64.shift_left 1L (min frac 62)))
 
-(* Alignment shifts for a binary operation whose common fraction is the
-   max of the operand fractions. *)
-let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  (frac - fa.Fixed.frac, frac - fb.Fixed.frac)
-
 let flip_bit ~name (f : Fixed.format) ~bit m =
   if bit < 0 || bit >= f.Fixed.width then
     invalid_arg
       (Printf.sprintf "flip_register_bit: bit %d outside %s for register %s"
          bit (Fixed.format_to_string f) name);
-  wrap (wrap_of f) (Int64.logxor m (Int64.shift_left 1L bit))
+  wrap (Fixed.wrap_of f) (Int64.logxor m (Int64.shift_left 1L bit))
 
 let probe_trace sys probes ~slot =
   let names = Cycle_system.probes sys in
@@ -692,7 +641,11 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
             (Fixed.format_to_string nf)))
   in
   let resize_to ~round ~overflow x =
-    resize_of ~overflow_exn ~round ~overflow (Signal.fmt x) nf
+    Fixed.resize_plan ~round ~overflow (Signal.fmt x) nf
+  in
+  let aligned x y =
+    let al = Fixed.align (Signal.fmt x) (Signal.fmt y) in
+    (al.Fixed.al_shift_a, al.Fixed.al_shift_b)
   in
   match Signal.op node with
   | Signal.Const _ | Signal.Reg_read _
@@ -702,14 +655,14 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
     let src = s 0 in
     fun () -> unsafe_set v dst (unsafe_get v src)
   | Signal.Add (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    let ka, kb = aligned x y in
     let sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
         (Int64.add (Int64.shift_left (unsafe_get v sx) ka)
            (Int64.shift_left (unsafe_get v sy) kb))
   | Signal.Sub (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    let ka, kb = aligned x y in
     let sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
@@ -725,34 +678,34 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
     let sx = s 0 in
     fun () -> unsafe_set v dst (Int64.abs (unsafe_get v sx))
   | Signal.And (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    let ka, kb = aligned x y in
+    let w = Fixed.wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
         (wrap w
            (Int64.logand (Int64.shift_left (unsafe_get v sx) ka)
               (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Or (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    let ka, kb = aligned x y in
+    let w = Fixed.wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
         (wrap w
            (Int64.logor (Int64.shift_left (unsafe_get v sx) ka)
               (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Xor (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let w = wrap_of nf and sx = s 0 and sy = s 1 in
+    let ka, kb = aligned x y in
+    let w = Fixed.wrap_of nf and sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
         (wrap w
            (Int64.logxor (Int64.shift_left (unsafe_get v sx) ka)
               (Int64.shift_left (unsafe_get v sy) kb)))
   | Signal.Not _ ->
-    let w = wrap_of nf and sx = s 0 in
+    let w = Fixed.wrap_of nf and sx = s 0 in
     fun () -> unsafe_set v dst (wrap w (Int64.lognot (unsafe_get v sx)))
   | Signal.Eq (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    let ka, kb = aligned x y in
     let sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
@@ -763,7 +716,7 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
          then 1L
          else 0L)
   | Signal.Lt (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    let ka, kb = aligned x y in
     let sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
@@ -773,7 +726,7 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
          then 1L
          else 0L)
   | Signal.Le (x, y) ->
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
+    let ka, kb = aligned x y in
     let sx = s 0 and sy = s 1 in
     fun () ->
       unsafe_set v dst
@@ -788,11 +741,11 @@ let compute_statement v (cycle_ref : int ref) comp_name node ~dst ~args =
     let ss = s 0 and sx = s 1 and sy = s 2 in
     fun () ->
       unsafe_set v dst
-        (if unsafe_get v ss <> 0L then resize rx (unsafe_get v sx)
-         else resize ry (unsafe_get v sy))
+        (if unsafe_get v ss <> 0L then resize rx overflow_exn (unsafe_get v sx)
+         else resize ry overflow_exn (unsafe_get v sy))
   | Signal.Resize (round, overflow, x) ->
     let rz = resize_to ~round ~overflow x and sx = s 0 in
-    fun () -> unsafe_set v dst (resize rz (unsafe_get v sx))
+    fun () -> unsafe_set v dst (resize rz overflow_exn (unsafe_get v sx))
   | Signal.Rom_read (r, idx) ->
     let len = Signal.Rom.size r in
     let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
@@ -836,7 +789,8 @@ type ram_code = {
   rm_addr_frac : int;
   rm_we : int;
   rm_wdata : int;
-  rm_write : resize;  (* wdata into the data format: truncate, wrap *)
+  rm_write : Fixed.resize_plan;  (* wdata into the data format: truncate, wrap *)
+  rm_overflow : unit -> exn;  (* raised by a write [rm_write] cannot shift *)
   rm_rdata : int;  (* output offset, -1 when unconnected *)
   rm_rdata_stamp : int;
   mutable rm_staged : int;  (* word address of the staged write, -1 = none *)
@@ -892,8 +846,9 @@ let ram_code ~cycle_ref ~base r =
     rm_we = off r.ram_we;
     rm_wdata = off r.ram_wdata;
     rm_write =
-      resize_of ~overflow_exn ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+      Fixed.resize_plan ~round:Fixed.Truncate ~overflow:Fixed.Wrap
         r.ram_wdata_fmt r.ram_data_fmt;
+    rm_overflow = overflow_exn;
     rm_rdata = rdata;
     rm_rdata_stamp = rdata_stamp;
     rm_staged = -1;
@@ -1099,7 +1054,7 @@ let fire_ram t r =
   let addr = if addr < 0 then addr + r.rm_words else addr in
   let word = get t.rams (r.rm_base + off addr) in
   if get v r.rm_we <> 0L then begin
-    set t.rams (r.rm_base + off r.rm_words) (resize r.rm_write (get v r.rm_wdata));
+    set t.rams (r.rm_base + off r.rm_words) (resize r.rm_write r.rm_overflow (get v r.rm_wdata));
     r.rm_staged <- addr
   end
   else r.rm_staged <- -1;

@@ -8,7 +8,7 @@
    slot-layout contract or the [Ocapi_native_abi] record shape changes
    incompatibly; folded into the .cmxs cache key so stale artifacts are
    never paired with a newer host. *)
-let emitter_version = 8
+let emitter_version = 9
 
 (* The text indexes its arrays with constants {!emit_plugin} checked
    ([Compiled_sim.check_indices]), and its data-dependent reads say
@@ -28,10 +28,6 @@ let sanitize name =
 (* [I64] renders over [int64] cells; [Word] renders over unboxed [int]
    words and is only valid when {!word_mode_ok} proved the bounds. *)
 type mode = I64 | Word
-
-let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  (frac - fa.Fixed.frac, frac - fb.Fixed.frac)
 
 let lit mode m =
   match mode with
@@ -53,21 +49,23 @@ let bin_txt mode op64 opw x y =
   | I64 -> Printf.sprintf "(%s %s %s)" op64 x y
   | Word -> Printf.sprintf "(%s %s %s)" x opw y
 
-(* Word mode renders wraps, saturation and rounding inline, with their
-   constants computed here.  A signed wrap to [w] bits shifts bit [w-1]
-   up to the sign of the 63-bit word and back: [K = 63 - w], exact for
-   every width up to [Fixed.max_width]. *)
-let wrap_txt mode (f : Fixed.format) x =
-  let w = f.Fixed.width in
-  match (mode, f.Fixed.signedness) with
-  | I64, Fixed.Unsigned -> Printf.sprintf "(wrap_u %d %s)" w x
-  | I64, Fixed.Signed -> Printf.sprintf "(wrap_s %d %s)" w x
-  | Word, Fixed.Unsigned -> Printf.sprintf "(%s land %d)" x ((1 lsl w) - 1)
-  | Word, Fixed.Signed -> Printf.sprintf "((%s lsl %d) asr %d)" x (63 - w) (63 - w)
+let un_txt mode op64 opw x =
+  Printf.sprintf "(%s %s)" (match mode with I64 -> op64 | Word -> opw) x
 
-let sat_txt mode (f : Fixed.format) x =
-  let lo = lit mode (Fixed.min_mantissa f)
-  and hi = lit mode (Fixed.max_mantissa f) in
+(* Word mode renders wraps, saturation and rounding inline, with the
+   constants of [Fixed]'s plans.  A signed wrap to [w] bits shifts bit
+   [w-1] up to the sign of the 63-bit word and back: [K = 63 - w], exact
+   for every width up to [Fixed.max_width]. *)
+let wrap_txt mode (w : Fixed.wrap) x =
+  let width = w.Fixed.w_width and signed = w.Fixed.w_sign <> 0L in
+  match (mode, signed) with
+  | I64, false -> Printf.sprintf "(wrap_u %d %s)" width x
+  | I64, true -> Printf.sprintf "(wrap_s %d %s)" width x
+  | Word, false -> Printf.sprintf "(%s land %Ld)" x w.Fixed.w_mask
+  | Word, true -> Printf.sprintf "((%s lsl %d) asr %d)" x (63 - width) (63 - width)
+
+let sat_txt mode ~lo ~hi x =
+  let lo = lit mode lo and hi = lit mode hi in
   match mode with
   | I64 -> Printf.sprintf "(sat %s %s %s)" lo hi x
   | Word ->
@@ -75,53 +73,45 @@ let sat_txt mode (f : Fixed.format) x =
       "(let s_ = %s in if s_ < %s then %s else if s_ > %s then %s else s_)" x
       lo lo hi hi
 
-let round_txt mode rnd k x =
-  if k = 0 then x
-  else if k > 62 then
-    Printf.sprintf "(if %s >= %s then %s else %s)" x (zero mode) (zero mode)
-      (match mode with I64 -> "-1L" | Word -> "(-1)")
+(* The plan's rounding right shift, [k > 0].  A word shifts by at most
+   62, so the drop of 63 that stands for any drop beyond 62 renders as
+   its result: the sign under [Truncate], 0 when rounding. *)
+let round_txt mode (p : Fixed.resize_plan) x =
+  let k = p.Fixed.rz_shift and half = p.Fixed.rz_half in
+  if k > 62 then
+    match p.Fixed.rz_round with
+    | Fixed.Truncate ->
+      Printf.sprintf "(if %s >= %s then %s else %s)" x (zero mode) (zero mode)
+        (match mode with I64 -> "-1L" | Word -> "(-1)")
+    | Fixed.Round_nearest | Fixed.Round_even -> zero mode
   else
-    match rnd with
-    | Fixed.Truncate -> begin
-      match mode with
-      | I64 -> Printf.sprintf "(Int64.shift_right %s %d)" x k
-      | Word -> Printf.sprintf "(%s asr %d)" x k
-    end
-    | Fixed.Round_nearest -> begin
-      match mode with
-      | I64 -> Printf.sprintf "(rnd_near %d %s)" k x
-      | Word -> Printf.sprintf "((%s + %d) asr %d)" x (1 lsl (k - 1)) k
-    end
-    | Fixed.Round_even -> begin
-      match mode with
-      | I64 -> Printf.sprintf "(rnd_even %d %s)" k x
-      | Word ->
-        Printf.sprintf
-          "(let x_ = %s in let f_ = x_ asr %d in let r_ = x_ - (f_ lsl %d) in \
-           if r_ > %d then f_ + 1 else if r_ < %d then f_ \
-           else if f_ land 1 = 1 then f_ + 1 else f_)"
-          x k k (1 lsl (k - 1)) (1 lsl (k - 1))
-    end
+    match (p.Fixed.rz_round, mode) with
+    | Fixed.Truncate, I64 -> Printf.sprintf "(Int64.shift_right %s %d)" x k
+    | Fixed.Truncate, Word -> Printf.sprintf "(%s asr %d)" x k
+    | Fixed.Round_nearest, I64 -> Printf.sprintf "(rnd_near %d %s)" k x
+    | Fixed.Round_nearest, Word -> Printf.sprintf "((%s + %Ld) asr %d)" x half k
+    | Fixed.Round_even, I64 -> Printf.sprintf "(rnd_even %d %s)" k x
+    | Fixed.Round_even, Word ->
+      Printf.sprintf
+        "(let x_ = %s in let f_ = x_ asr %d in let r_ = x_ - (f_ lsl %d) in \
+         if r_ > %Ld then f_ + 1 else if r_ < %Ld then f_ \
+         else if f_ land 1 = 1 then f_ + 1 else f_)"
+        x k k half half
 
-let resize_txt mode ~ctx ~round ~overflow (src : Fixed.format)
-    (dst : Fixed.format) x =
-  let k = src.Fixed.frac - dst.Fixed.frac in
+let resize_txt mode ~ctx (p : Fixed.resize_plan) x =
   let ovf v =
-    match overflow with
-    | Fixed.Wrap -> wrap_txt mode dst v
-    | Fixed.Saturate -> sat_txt mode dst v
+    if p.Fixed.rz_saturate then sat_txt mode ~lo:p.Fixed.rz_lo ~hi:p.Fixed.rz_hi v
+    else wrap_txt mode p.Fixed.rz_wrap v
   in
-  if k > 0 then ovf (round_txt mode round k x)
-  else if -k > 62 then
-    (* Same semantics as Fixed.resize / the closure back end: zero
-       passes, a nonzero mantissa raises a structured overflow carrying
-       the construct, target format and failing cycle. *)
+  if p.Fixed.rz_shift > 0 then ovf (round_txt mode p x)
+  else if p.Fixed.rz_huge then
+    (* The overflow carries the construct, target format and cycle. *)
     Printf.sprintf "(if %s = %s then %s else overflow_error %S)" x (zero mode)
       (zero mode)
       (Printf.sprintf "%s: resize to %s: shift too large for nonzero value"
          ctx
-         (Fixed.format_to_string dst))
-  else ovf (shl_txt mode x (-k))
+         (Fixed.format_to_string p.Fixed.rz_dst))
+  else ovf (shl_txt mode x (-p.Fixed.rz_shift))
 
 (* What rendering a program's statements needs beyond the statements:
    the mode, the constant slots (rendered as literals at their uses, so
@@ -158,8 +148,20 @@ let compute_txt cx ~where node arg =
   let mode = cx.mode in
   let nf = Signal.fmt node in
   let shifted x y =
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    (shl_txt mode (arg 0) ka, shl_txt mode (arg 1) kb)
+    let al = Fixed.align (Signal.fmt x) (Signal.fmt y) in
+    (shl_txt mode (arg 0) al.Fixed.al_shift_a, shl_txt mode (arg 1) al.Fixed.al_shift_b)
+  in
+  let logic op64 opw x y =
+    let a, b = shifted x y in
+    wrap_txt mode (Fixed.wrap_of nf) (bin_txt mode op64 opw a b)
+  in
+  let comparison op x y =
+    let a, b = shifted x y in
+    Printf.sprintf "(if %s %s %s then %s else %s)" a op b (one mode) (zero mode)
+  in
+  let resize ~round ~overflow x i =
+    resize_txt mode ~ctx:where (Fixed.resize_plan ~round ~overflow (Signal.fmt x) nf)
+      (arg i)
   in
   match Signal.op node with
   | Signal.Const _ | Signal.Reg_read _
@@ -173,51 +175,21 @@ let compute_txt cx ~where node arg =
     let a, b = shifted x y in
     bin_txt mode "Int64.sub" "-" a b
   | Signal.Mul _ -> bin_txt mode "Int64.mul" "*" (arg 0) (arg 1)
-  | Signal.Neg _ -> begin
-    match mode with
-    | I64 -> Printf.sprintf "(Int64.neg %s)" (arg 0)
-    | Word -> Printf.sprintf "(- %s)" (arg 0)
-  end
-  | Signal.Abs _ -> begin
-    match mode with
-    | I64 -> Printf.sprintf "(Int64.abs %s)" (arg 0)
-    | Word -> Printf.sprintf "(abs %s)" (arg 0)
-  end
-  | Signal.And (x, y) ->
-    let a, b = shifted x y in
-    wrap_txt mode nf (bin_txt mode "Int64.logand" "land" a b)
-  | Signal.Or (x, y) ->
-    let a, b = shifted x y in
-    wrap_txt mode nf (bin_txt mode "Int64.logor" "lor" a b)
-  | Signal.Xor (x, y) ->
-    let a, b = shifted x y in
-    wrap_txt mode nf (bin_txt mode "Int64.logxor" "lxor" a b)
-  | Signal.Not _ -> begin
-    match mode with
-    | I64 -> wrap_txt mode nf (Printf.sprintf "(Int64.lognot %s)" (arg 0))
-    | Word -> wrap_txt mode nf (Printf.sprintf "(lnot %s)" (arg 0))
-  end
-  | Signal.Eq (x, y) ->
-    let a, b = shifted x y in
-    Printf.sprintf "(if %s = %s then %s else %s)" a b (one mode) (zero mode)
-  | Signal.Lt (x, y) ->
-    let a, b = shifted x y in
-    Printf.sprintf "(if %s < %s then %s else %s)" a b (one mode) (zero mode)
-  | Signal.Le (x, y) ->
-    let a, b = shifted x y in
-    Printf.sprintf "(if %s <= %s then %s else %s)" a b (one mode) (zero mode)
+  | Signal.Neg _ -> un_txt mode "Int64.neg" "-" (arg 0)
+  | Signal.Abs _ -> un_txt mode "Int64.abs" "abs" (arg 0)
+  | Signal.And (x, y) -> logic "Int64.logand" "land" x y
+  | Signal.Or (x, y) -> logic "Int64.logor" "lor" x y
+  | Signal.Xor (x, y) -> logic "Int64.logxor" "lxor" x y
+  | Signal.Not _ ->
+    wrap_txt mode (Fixed.wrap_of nf) (un_txt mode "Int64.lognot" "lnot" (arg 0))
+  | Signal.Eq (x, y) -> comparison "=" x y
+  | Signal.Lt (x, y) -> comparison "<" x y
+  | Signal.Le (x, y) -> comparison "<=" x y
   | Signal.Mux (_, x, y) ->
-    let rx =
-      resize_txt mode ~ctx:where ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt x) nf (arg 1)
-    in
-    let ry =
-      resize_txt mode ~ctx:where ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-        (Signal.fmt y) nf (arg 2)
-    in
+    let rx = resize ~round:Fixed.Truncate ~overflow:Fixed.Wrap x 1 in
+    let ry = resize ~round:Fixed.Truncate ~overflow:Fixed.Wrap y 2 in
     Printf.sprintf "(if %s <> %s then %s else %s)" (arg 0) (zero mode) rx ry
-  | Signal.Resize (round, overflow, x) ->
-    resize_txt mode ~ctx:where ~round ~overflow (Signal.fmt x) nf (arg 0)
+  | Signal.Resize (round, overflow, x) -> resize ~round ~overflow x 0
   | Signal.Rom_read (r, idx) ->
     let var = rom_var cx r in
     let len = Signal.Rom.size r in
@@ -310,28 +282,22 @@ let checked b = if b > value_limit then raise Too_wide else b
 let checked_width (f : Fixed.format) =
   if f.Fixed.width > width_limit then raise Too_wide else f.Fixed.width
 
+(* [Fixed.resize_bounds] under the word's limits: the intermediate must
+   fit, and a wrapped or saturated result needs a destination within
+   [width_limit]. *)
+let resize_bound ~round (src : Fixed.format) (dst : Fixed.format) b =
+  let inter, result =
+    Fixed.resize_bounds (Fixed.resize_plan ~round ~overflow:Fixed.Wrap src dst) b
+  in
+  ignore (checked inter);
+  if result > width_limit then raise Too_wide else result
+
 (* The bound of [node]'s value given its operands' bounds [arg i]. *)
 let bound node arg =
   let nf = Signal.fmt node in
-  let resize_bound ~round (src : Fixed.format) (dst : Fixed.format) b =
-    let k = src.Fixed.frac - dst.Fixed.frac in
-    if k > 62 then 1
-    else if k > 0 then begin
-      (match round with
-      | Fixed.Truncate -> ()
-      | Fixed.Round_nearest | Fixed.Round_even ->
-        ignore (checked (max b (k - 1) + 1)));
-      checked_width dst
-    end
-    else if -k > 62 then 1
-    else begin
-      ignore (checked (b + -k));
-      checked_width dst
-    end
-  in
   let check_aligned x y =
-    let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    (checked (arg 0 + ka), checked (arg 1 + kb))
+    let al = Fixed.align (Signal.fmt x) (Signal.fmt y) in
+    (checked (arg 0 + al.Fixed.al_shift_a), checked (arg 1 + al.Fixed.al_shift_b))
   in
   match Signal.op node with
   | Signal.Const _ | Signal.Reg_read _
@@ -419,8 +385,9 @@ let word_mode_ok (p : Compiled_sim.program) =
         ignore (checked_width r.ram_data_fmt);
         let f = r.ram_addr_fmt.Fixed.frac in
         if f < 0 then ignore (checked (bits.(r.ram_addr) + -f));
-        let shift = r.ram_data_fmt.Fixed.frac - r.ram_wdata_fmt.Fixed.frac in
-        if shift > 0 then ignore (checked (bits.(r.ram_wdata) + shift)))
+        ignore
+          (resize_bound ~round:Fixed.Truncate r.ram_wdata_fmt r.ram_data_fmt
+             bits.(r.ram_wdata)))
       p.pg_rams;
     true
   with Too_wide -> false
@@ -495,8 +462,9 @@ let ram_fire_txt mode i (r : Compiled_sim.ram) =
         Printf.sprintf " if v.(%d) <> %s then begin" r.ram_we (zero mode);
         Printf.sprintf "   ram_%d_pa := a_;" i;
         Printf.sprintf "   ram_%d_pv := %s" i
-          (resize_txt mode ~ctx:"ram" ~round:Fixed.Truncate ~overflow:Fixed.Wrap
-             r.ram_wdata_fmt r.ram_data_fmt
+          (resize_txt mode ~ctx:"ram"
+             (Fixed.resize_plan ~round:Fixed.Truncate ~overflow:Fixed.Wrap
+                r.ram_wdata_fmt r.ram_data_fmt)
              (Printf.sprintf "v.(%d)" r.ram_wdata));
         " end";
         Printf.sprintf " else ram_%d_pa := (-1));" i;

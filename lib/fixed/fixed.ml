@@ -21,7 +21,6 @@ let format signedness ~width ~frac =
 let signed ~width ~frac = format Signed ~width ~frac
 let unsigned ~width ~frac = format Unsigned ~width ~frac
 let bit_format = unsigned ~width:1 ~frac:0
-let int_format width = signed ~width ~frac:0
 
 let equal_format a b =
   a.signedness = b.signedness && a.width = b.width && a.frac = b.frac
@@ -62,17 +61,39 @@ let create fmt mantissa =
       (format_to_string fmt);
   { fmt; mantissa }
 
+(* --- the operator rules (fixed.mli), applied by the value operators
+   below and handed to the other engines as plans ---------------------- *)
+
+(* The left shift aligning an operand of format [f] with one of [g], and
+   its aligned width; as a signed value, one more bit when unsigned. *)
+let[@inline] align_shift f g = max f.frac g.frac - f.frac
+let aligned_width f g = f.width + align_shift f g
+
+let aligned_signed_width f g =
+  match f.signedness with
+  | Signed -> aligned_width f g
+  | Unsigned -> aligned_width f g + 1
+
+let common_signed_width a b =
+  max (aligned_signed_width a b) (aligned_signed_width b a)
+
+let[@inline] wrap_mask f = Int64.sub (Int64.shift_left 1L f.width) 1L
+let[@inline] wrap_modulus f = Int64.shift_left 1L f.width
+
+let[@inline] wrap_sign f =
+  match f.signedness with
+  | Unsigned -> 0L
+  | Signed -> Int64.shift_left 1L (f.width - 1)
+
+let[@inline] drop_shift k = if k > 62 then 63 else k
+let[@inline] half_of k = Int64.shift_left 1L (k - 1)
+let[@inline] huge_shift k = -k > 62
+
 (* Wrap an arbitrary mantissa into the range of [f] (two's complement). *)
 let wrap_mantissa f m =
-  let mask = Int64.sub (Int64.shift_left 1L f.width) 1L in
-  let low = Int64.logand m mask in
-  match f.signedness with
-  | Unsigned -> low
-  | Signed ->
-    let sign_bit = Int64.shift_left 1L (f.width - 1) in
-    if Int64.logand low sign_bit <> 0L then
-      Int64.sub low (Int64.shift_left 1L f.width)
-    else low
+  let low = Int64.logand m (wrap_mask f) in
+  if Int64.logand low (wrap_sign f) <> 0L then Int64.sub low (wrap_modulus f)
+  else low
 
 let clamp_mantissa f m =
   if m < min_mantissa f then min_mantissa f
@@ -84,25 +105,20 @@ let apply_overflow mode f m =
   | Wrap -> wrap_mantissa f m
   | Saturate -> clamp_mantissa f m
 
-(* Round away [k] low bits of [m] (k >= 0), per the rounding mode.
+(* Round away [k] low bits of [m] (0 < k <= 63), per the rounding mode.
    Truncation is an arithmetic shift, i.e. rounding toward -infinity. *)
 let round_shift mode m k =
-  if k = 0 then m
-  else if k > 62 then (match mode with _ when m >= 0L -> 0L | _ -> -1L)
-  else
-    let floor = Int64.shift_right m k in
-    match mode with
-    | Truncate -> floor
-    | Round_nearest ->
-      let half = Int64.shift_left 1L (k - 1) in
-      Int64.shift_right (Int64.add m half) k
-    | Round_even ->
-      let rem = Int64.sub m (Int64.shift_left floor k) in
-      let half = Int64.shift_left 1L (k - 1) in
-      if rem > half then Int64.add floor 1L
-      else if rem < half then floor
-      else if Int64.logand floor 1L = 1L then Int64.add floor 1L
-      else floor
+  let floor = Int64.shift_right m k in
+  match mode with
+  | Truncate -> floor
+  | Round_nearest -> Int64.shift_right (Int64.add m (half_of k)) k
+  | Round_even ->
+    let rem = Int64.sub m (Int64.shift_left floor k) in
+    let half = half_of k in
+    if rem > half then Int64.add floor 1L
+    else if rem < half then floor
+    else if Int64.logand floor 1L = 1L then Int64.add floor 1L
+    else floor
 
 let mantissa v = v.mantissa
 let fmt v = v.fmt
@@ -150,36 +166,21 @@ let to_int v =
 
 let equal a b = equal_format a.fmt b.fmt && Int64.equal a.mantissa b.mantissa
 
-(* Align two values to a common fraction; exact because widths are bounded. *)
-let align a b =
-  let frac = max a.fmt.frac b.fmt.frac in
-  let lift v =
-    let k = frac - v.fmt.frac in
-    Int64.shift_left v.mantissa k
-  in
-  (frac, lift a, lift b)
+(* [v]'s mantissa aligned with an operand [other]; exact because widths
+   are bounded. *)
+let[@inline] lift v other = Int64.shift_left v.mantissa (align_shift v.fmt other.fmt)
 
-let compare_value a b =
-  let _, ma, mb = align a b in
-  Int64.compare ma mb
+let compare_value a b = Int64.compare (lift a b) (lift b a)
 
 let to_string v = Printf.sprintf "%g%s" (to_float v) (format_to_string v.fmt)
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
-(* Signed width needed to also hold unsigned values of format [f] once it is
-   aligned to fraction [frac]. *)
-let aligned_signed_width f frac =
-  let w = f.width + (frac - f.frac) in
-  match f.signedness with Signed -> w | Unsigned -> w + 1
-
 let add_format a b =
   let frac = max a.frac b.frac in
   if a.signedness = Unsigned && b.signedness = Unsigned then
-    let w = max (a.width + frac - a.frac) (b.width + frac - b.frac) + 1 in
+    let w = max (aligned_width a b) (aligned_width b a) + 1 in
     format Unsigned ~width:w ~frac
-  else
-    let w = max (aligned_signed_width a frac) (aligned_signed_width b frac) in
-    format Signed ~width:(w + 1) ~frac
+  else format Signed ~width:(common_signed_width a b + 1) ~frac
 
 let mul_format a b =
   let frac = a.frac + b.frac in
@@ -195,21 +196,17 @@ let neg_format a =
 let logic_format a b =
   let frac = max a.frac b.frac in
   if a.signedness = Unsigned && b.signedness = Unsigned then
-    let w = max (a.width + frac - a.frac) (b.width + frac - b.frac) in
+    let w = max (aligned_width a b) (aligned_width b a) in
     format Unsigned ~width:w ~frac
-  else
-    let w = max (aligned_signed_width a frac) (aligned_signed_width b frac) in
-    format Signed ~width:w ~frac
+  else format Signed ~width:(common_signed_width a b) ~frac
 
 let add a b =
   let fmt = add_format a.fmt b.fmt in
-  let _, ma, mb = align a b in
-  { fmt; mantissa = Int64.add ma mb }
+  { fmt; mantissa = Int64.add (lift a b) (lift b a) }
 
 let sub a b =
   let fmt = add_format a.fmt (neg_format b.fmt) in
-  let _, ma, mb = align a b in
-  { fmt; mantissa = Int64.sub ma mb }
+  { fmt; mantissa = Int64.sub (lift a b) (lift b a) }
 
 let mul a b =
   let fmt = mul_format a.fmt b.fmt in
@@ -235,14 +232,19 @@ let le a b = cmp_bit ( <= ) a b
 let gt a b = cmp_bit ( > ) a b
 let ge a b = cmp_bit ( >= ) a b
 
-let bitwise op a b =
+(* Spelled out per operator: through an [op] argument, the aligned
+   operands and the result would be boxed. *)
+let logand a b =
   let fmt = logic_format a.fmt b.fmt in
-  let _, ma, mb = align a b in
-  { fmt; mantissa = wrap_mantissa fmt (op ma mb) }
+  { fmt; mantissa = wrap_mantissa fmt (Int64.logand (lift a b) (lift b a)) }
 
-let logand a b = bitwise Int64.logand a b
-let logor a b = bitwise Int64.logor a b
-let logxor a b = bitwise Int64.logxor a b
+let logor a b =
+  let fmt = logic_format a.fmt b.fmt in
+  { fmt; mantissa = wrap_mantissa fmt (Int64.logor (lift a b) (lift b a)) }
+
+let logxor a b =
+  let fmt = logic_format a.fmt b.fmt in
+  { fmt; mantissa = wrap_mantissa fmt (Int64.logxor (lift a b) (lift b a)) }
 
 let lognot a =
   { fmt = a.fmt; mantissa = wrap_mantissa a.fmt (Int64.lognot a.mantissa) }
@@ -250,13 +252,64 @@ let lognot a =
 let resize ?(round = Truncate) ?(overflow = Wrap) fmt v =
   let k = v.fmt.frac - fmt.frac in
   let m =
-    if k > 0 then round_shift round v.mantissa k
-    else if -k > 62 then
+    if k > 0 then round_shift round v.mantissa (drop_shift k)
+    else if huge_shift k then
       (if v.mantissa = 0L then 0L
        else overflow_error "resize: shift %d too large" (-k))
     else Int64.shift_left v.mantissa (-k)
   in
   { fmt; mantissa = apply_overflow overflow fmt m }
+
+(* --- the operator rules as plans ---------------------------------------- *)
+
+type align = { al_shift_a : int; al_shift_b : int; al_width : int }
+
+let align fa fb =
+  {
+    al_shift_a = align_shift fa fb;
+    al_shift_b = align_shift fb fa;
+    al_width = common_signed_width fa fb;
+  }
+
+type wrap = { w_width : int; w_mask : int64; w_sign : int64; w_modulus : int64 }
+
+let wrap_of f =
+  { w_width = f.width; w_mask = wrap_mask f; w_sign = wrap_sign f; w_modulus = wrap_modulus f }
+
+type resize_plan = {
+  rz_shift : int;
+  rz_round : rounding;
+  rz_half : int64;
+  rz_huge : bool;
+  rz_saturate : bool;
+  rz_lo : int64;
+  rz_hi : int64;
+  rz_wrap : wrap;
+  rz_width : int;
+  rz_dst : format;
+}
+
+let resize_plan ~round ~overflow src dst =
+  let k = drop_shift (src.frac - dst.frac) in
+  {
+    rz_shift = k;
+    rz_round = round;
+    rz_half = (if k > 0 then half_of k else 0L);
+    rz_huge = huge_shift k;
+    rz_saturate = (match overflow with Saturate -> true | Wrap -> false);
+    rz_lo = min_mantissa dst;
+    rz_hi = max_mantissa dst;
+    rz_wrap = wrap_of dst;
+    rz_width = max (src.width + max 0 (-k) + 2) (k + 2);
+    rz_dst = dst;
+  }
+
+let resize_bounds p b =
+  let k = p.rz_shift in
+  if k > 62 || p.rz_huge then (b, 1)
+  else if k <= 0 then (b - k, p.rz_dst.width)
+  else if p.rz_round = Truncate then (b, p.rz_dst.width)
+  else (max b (k - 1) + 1, p.rz_dst.width)
 
 let to_bits v =
   let b = Bytes.create v.fmt.width in

@@ -44,9 +44,6 @@ val unsigned : width:int -> frac:int -> format
 (** Format of a single bit: unsigned, width 1, no fraction bits. *)
 val bit_format : format
 
-(** [int_format w] is a signed integer format of width [w] (no fraction). *)
-val int_format : int -> format
-
 val equal_format : format -> format -> bool
 val pp_format : Format.formatter -> format -> unit
 val format_to_string : format -> string
@@ -155,8 +152,80 @@ val lognot : t -> t
 (** [resize ?round ?overflow fmt v] converts [v] to format [fmt], rounding
     away fraction bits per [round] (default [Truncate], matching hardware
     bit dropping) and handling integer overflow per [overflow] (default
-    [Wrap], matching hardware bit slicing). *)
+    [Wrap], matching hardware bit slicing); {!resize_plan} spells out
+    each step.
+    @raise Ocapi_error.Error with code [Overflow] when a nonzero value
+    would shift left by more than 62 bits. *)
 val resize : ?round:rounding -> ?overflow:overflow -> format -> t -> t
+
+(** {1 Operator rules}
+
+    The static decisions an operator takes from its formats, derived
+    once, here: the value operators above apply them, and the compiled
+    closures, the emitted text and its word-mode bounds, the VHDL and
+    the gates read them as these plans. *)
+
+(** A binary operation's operands both shift left to the larger of the
+    two fractions, which drops no bit. *)
+type align = private {
+  al_shift_a : int;  (** the first operand's left shift *)
+  al_shift_b : int;  (** the second operand's left shift *)
+  al_width : int;
+      (** the smallest signed width holding both aligned operands, an
+          unsigned one with a sign bit added: a comparison's width *)
+}
+
+val align : format -> format -> align
+
+(** Two's-complement wrap into a format: the low [w_width] bits of a
+    mantissa ([w_mask]), less [w_modulus] when its sign bit [w_sign]
+    ([0L] when unsigned) is set. *)
+type wrap = private {
+  w_width : int;
+  w_mask : int64;
+  w_sign : int64;
+  w_modulus : int64;
+}
+
+val wrap_of : format -> wrap
+
+(** A resize (and a mux's resize of its chosen branch): shift the
+    mantissa, then wrap or saturate it into [rz_dst]. *)
+type resize_plan = private {
+  rz_shift : int;
+      (** When positive, the fraction bits dropped by an arithmetic right
+          shift rounded as [rz_round]; else a left shift by [-rz_shift].
+          A drop of more than 62 bits is planned as a drop of 63, which
+          gives what any larger drop gives: a mantissa is below [2^62] in
+          magnitude, so [Truncate] leaves its sign (0 or −1), and the
+          rounding modes leave 0 (less than half a unit, and no tie). *)
+  rz_round : rounding;
+  rz_half : int64;  (** [2^(rz_shift-1)], the rounding half unit *)
+  rz_huge : bool;
+      (** a left shift of more than 62 bits: exact for zero, and any
+          other mantissa raises an [Overflow] *)
+  rz_saturate : bool;
+  rz_lo : int64;  (** the saturation bounds *)
+  rz_hi : int64;
+  rz_wrap : wrap;
+  rz_width : int;
+      (** a signed intermediate's width: the shifted source with two
+          bits to spare, and at least [rz_shift + 2], so a rounding half,
+          its carry and the even bit fit *)
+  rz_dst : format;
+}
+
+(** [resize_plan ~round ~overflow src dst] plans a resize from [src]
+    to [dst]. *)
+val resize_plan :
+  round:rounding -> overflow:overflow -> format -> format -> resize_plan
+
+(** [resize_bounds p b] is [p]'s word-mode magnitude-bound transfer:
+    from a source mantissa below [2^b] in magnitude, the bounds of the
+    widest intermediate (the rounding sum or left shift) and of the
+    result (the destination width, or 1 when the result can only be 0,
+    −1 or an overflow). *)
+val resize_bounds : resize_plan -> int -> int * int
 
 (** {1 Result-format rules} (exposed for the signal layer) *)
 

@@ -26,10 +26,8 @@ let vhdl_type (f : Fixed.format) =
    fraction bits. *)
 let cast ~src ~dst_signed ~w ~k expr =
   let resized =
-    if is_signed src && dst_signed then Printf.sprintf "resize(%s, %d)" expr w
-    else if (not (is_signed src)) && not dst_signed then
-      Printf.sprintf "resize(%s, %d)" expr w
-    else if is_signed src && not dst_signed then
+    if is_signed src = dst_signed then Printf.sprintf "resize(%s, %d)" expr w
+    else if is_signed src then
       (* Only occurs when the value is known non-negative by the format
          rules; reinterpret after resizing. *)
       Printf.sprintf "unsigned(resize(%s, %d))" expr w
@@ -48,32 +46,27 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
     let nf = Signal.fmt node in
     let w = nf.Fixed.width in
     let self_signed = is_signed nf in
+    let kind = if self_signed then "signed" else "unsigned" in
+    (* Operand [x] cast to the node's representation, shifted [k] bits. *)
+    let operand x k = cast ~src:(Signal.fmt x) ~dst_signed:self_signed ~w ~k (var x) in
     let bin op x y =
       go x;
       go y;
-      let fx = Signal.fmt x and fy = Signal.fmt y in
-      let frac = max fx.Fixed.frac fy.Fixed.frac in
-      let cx =
-        cast ~src:fx ~dst_signed:self_signed ~w ~k:(frac - fx.Fixed.frac) (var x)
-      in
-      let cy =
-        cast ~src:fy ~dst_signed:self_signed ~w ~k:(frac - fy.Fixed.frac) (var y)
-      in
+      let al = Fixed.align (Signal.fmt x) (Signal.fmt y) in
+      let cx = operand x al.Fixed.al_shift_a and cy = operand y al.Fixed.al_shift_b in
       line (Printf.sprintf "%s := %s %s %s;" (var node) cx op cy)
     in
     let cmp op x y =
       go x;
       go y;
       let fx = Signal.fmt x and fy = Signal.fmt y in
-      let frac = max fx.Fixed.frac fy.Fixed.frac in
+      let al = Fixed.align fx fy in
+      let ka = al.Fixed.al_shift_a and kb = al.Fixed.al_shift_b in
       (* Compare value-faithfully in signed arithmetic two bits wide of
          slack. *)
-      let cw =
-        2 + max (fx.Fixed.width + frac - fx.Fixed.frac)
-              (fy.Fixed.width + frac - fy.Fixed.frac)
-      in
-      let cx = cast ~src:fx ~dst_signed:true ~w:cw ~k:(frac - fx.Fixed.frac) (var x) in
-      let cy = cast ~src:fy ~dst_signed:true ~w:cw ~k:(frac - fy.Fixed.frac) (var y) in
+      let cw = 2 + max (fx.Fixed.width + ka) (fy.Fixed.width + kb) in
+      let cx = cast ~src:fx ~dst_signed:true ~w:cw ~k:ka (var x) in
+      let cy = cast ~src:fy ~dst_signed:true ~w:cw ~k:kb (var y) in
       line
         (Printf.sprintf "if %s %s %s then %s := \"1\"; else %s := \"0\"; end if;"
            cx op cy (var node) (var node))
@@ -81,9 +74,7 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
     match Signal.op node with
     | Signal.Const v ->
       line
-        (Printf.sprintf "%s := to_%s(%Ld, %d);" (var node)
-           (if self_signed then "signed" else "unsigned")
-           (Fixed.mantissa v) w)
+        (Printf.sprintf "%s := to_%s(%Ld, %d);" (var node) kind (Fixed.mantissa v) w)
     | Signal.Input_read i ->
       line (Printf.sprintf "%s := %s;" (var node) (port_name i))
     | Signal.Reg_read r ->
@@ -127,15 +118,12 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
       go s;
       go x;
       go y;
-      let fx = Signal.fmt x and fy = Signal.fmt y in
-      let ex =
-        cast ~src:fx ~dst_signed:self_signed ~w ~k:(nf.Fixed.frac - fx.Fixed.frac)
-          (var x)
+      let branch b =
+        let p = Fixed.resize_plan ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt b) nf in
+        operand b (-p.Fixed.rz_shift)
       in
-      let ey =
-        cast ~src:fy ~dst_signed:self_signed ~w ~k:(nf.Fixed.frac - fy.Fixed.frac)
-          (var y)
-      in
+      let ex = branch x in
+      let ey = branch y in
       line
         (Printf.sprintf
            "if %s = \"1\" then %s := %s; else %s := %s; end if;" (var s)
@@ -143,9 +131,10 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
     | Signal.Resize (round, overflow, x) ->
       go x;
       let fx = Signal.fmt x in
-      let k = fx.Fixed.frac - nf.Fixed.frac in
+      let p = Fixed.resize_plan ~round ~overflow fx nf in
+      let k = p.Fixed.rz_shift and half = p.Fixed.rz_half in
       (* Work in a wide signed temporary. *)
-      let wide = fx.Fixed.width + (max 0 (-k)) + 2 in
+      let wide = p.Fixed.rz_width in
       let t = Printf.sprintf "%s_w" (var node) in
       line
         (Printf.sprintf "%s := %s;" t
@@ -154,10 +143,7 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
         (match round with
         | Fixed.Truncate -> ()
         | Fixed.Round_nearest ->
-          line
-            (Printf.sprintf "%s := %s + to_signed(%Ld, %d);" t t
-               (Int64.shift_left 1L (k - 1))
-               wide)
+          line (Printf.sprintf "%s := %s + to_signed(%Ld, %d);" t t half wide)
         | Fixed.Round_even ->
           line
             (Printf.sprintf
@@ -165,31 +151,21 @@ let rec emit_node ~line ~emitted ~port_name ~reg_name ~rom_name node =
                 then %s := %s + to_signed(%Ld, %d); end if;"
                t (k - 1) t
                (max 0 (k - 2))
-               t k t t
-               (Int64.shift_left 1L (k - 1))
-               wide));
+               t k t t half wide));
         line (Printf.sprintf "%s := shift_right(%s, %d);" t t k)
       end;
       (match overflow with
       | Fixed.Wrap ->
-        line
-          (Printf.sprintf "%s := %s(%s(%d downto 0));" (var node)
-             (if self_signed then "signed" else "unsigned")
-             t (w - 1))
+        line (Printf.sprintf "%s := %s(%s(%d downto 0));" (var node) kind t (w - 1))
       | Fixed.Saturate ->
-        let lo = Fixed.min_mantissa nf and hi = Fixed.max_mantissa nf in
+        let lo = p.Fixed.rz_lo and hi = p.Fixed.rz_hi in
         line
           (Printf.sprintf
              "if %s < to_signed(%Ld, %d) then %s := to_%s(%Ld, %d); elsif %s \
               > to_signed(%Ld, %d) then %s := to_%s(%Ld, %d); else %s := \
               %s(%s(%d downto 0)); end if;"
-             t lo wide (var node)
-             (if self_signed then "signed" else "unsigned")
-             lo w t hi wide (var node)
-             (if self_signed then "signed" else "unsigned")
-             hi w (var node)
-             (if self_signed then "signed" else "unsigned")
-             t (w - 1)))
+             t lo wide (var node) kind lo w t hi wide (var node) kind hi w
+             (var node) kind t (w - 1)))
     | Signal.Rom_read (r, idx) ->
       go idx;
       let fi = Signal.fmt idx in
@@ -309,11 +285,9 @@ let component_entity cname fsm ~out_fmts =
   List.iter
     (fun n ->
       match Signal.op n with
-      | Signal.Resize (_, _, x) ->
-        let fx = Signal.fmt x in
-        let k = fx.Fixed.frac - (Signal.fmt n).Fixed.frac in
-        let wide = fx.Fixed.width + max 0 (-k) + 2 in
-        pf "    variable %s_w : signed(%d downto 0);\n" (var n) (wide - 1)
+      | Signal.Resize (round, overflow, x) ->
+        let p = Fixed.resize_plan ~round ~overflow (Signal.fmt x) (Signal.fmt n) in
+        pf "    variable %s_w : signed(%d downto 0);\n" (var n) (p.Fixed.rz_width - 1)
       | _ -> ())
     (all_nodes fsm);
   pf "  begin\n";

@@ -1,7 +1,5 @@
 type bus = Netlist.net array
 
-let width_of_format (f : Fixed.format) = f.Fixed.width
-
 let is_signed (f : Fixed.format) =
   match f.Fixed.signedness with Fixed.Signed -> true | Fixed.Unsigned -> false
 
@@ -10,15 +8,13 @@ let extend nl ~fmt bus w =
 
 let zero_net nl = Netlist.gate nl Netlist.Const0 []
 
-let align nl ~fmt bus ~frac =
-  let k = frac - fmt.Fixed.frac in
+(* [bus] shifted left by [k] bits, or right by [-k] (only where the
+   dropped bits are known zero by construction). *)
+let shift nl bus k =
   if k = 0 then bus
   else if k > 0 then
     Array.append (Array.init k (fun _ -> zero_net nl)) bus
-  else
-    (* Dropping fraction bits exactly (used only by exact alignment,
-       where the dropped bits are known zero by construction). *)
-    Array.sub bus (-k) (Array.length bus + k)
+  else Array.sub bus (-k) (Array.length bus + k)
 
 (* Full adder from gates. *)
 let full_add nl a b c =
@@ -66,9 +62,9 @@ let select nl choices ~width =
 (* Align both operands to a common fraction and extend to width [w]
    per each operand's own signedness. *)
 let align2 nl ~fa ~fb a b w =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  let a' = align nl ~fmt:fa a ~frac in
-  let b' = align nl ~fmt:fb b ~frac in
+  let al = Fixed.align fa fb in
+  let a' = shift nl a al.Fixed.al_shift_a in
+  let b' = shift nl b al.Fixed.al_shift_b in
   (extend nl ~fmt:fa a' w, extend nl ~fmt:fb b' w)
 
 let add nl ~fa ~fb a b =
@@ -130,20 +126,13 @@ let logic_op nl kind ~fa ~fb a b =
 
 let not_ nl a = Array.map (fun n -> Netlist.gate nl Netlist.Not [ n ]) a
 
-(* Common value-faithful width for comparisons. *)
-let compare_width ~fa ~fb =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  let sw (f : Fixed.format) =
-    let w = f.Fixed.width + (frac - f.Fixed.frac) in
-    if is_signed f then w else w + 1
-  in
-  max (sw fa) (sw fb)
-
+(* Both operands aligned and extended to the common value-faithful
+   signed width they compare in. *)
 let cmp_operands nl ~fa ~fb a b =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  let w = compare_width ~fa ~fb in
-  let a' = extend nl ~fmt:fa (align nl ~fmt:fa a ~frac) w in
-  let b' = extend nl ~fmt:fb (align nl ~fmt:fb b ~frac) w in
+  let al = Fixed.align fa fb in
+  let w = al.Fixed.al_width in
+  let a' = extend nl ~fmt:fa (shift nl a al.Fixed.al_shift_a) w in
+  let b' = extend nl ~fmt:fb (shift nl b al.Fixed.al_shift_b) w in
   (a', b', w)
 
 let eq nl ~fa ~fb a b =
@@ -171,8 +160,8 @@ let le nl ~fa ~fb a b =
 (* Exact resize (shift + extend) used by mux branch normalization; the
    target format always covers the source range there. *)
 let resize_exact nl ~src ~dst bus =
-  let aligned = align nl ~fmt:src bus ~frac:dst.Fixed.frac in
-  extend nl ~fmt:src aligned dst.Fixed.width
+  let plan = Fixed.resize_plan ~round:Fixed.Truncate ~overflow:Fixed.Wrap src dst in
+  extend nl ~fmt:src (shift nl bus (-plan.Fixed.rz_shift)) dst.Fixed.width
 
 let mux2 nl ~fa ~fb ~fr sel a b =
   let a' = resize_exact nl ~src:fa ~dst:fr a in
@@ -181,16 +170,17 @@ let mux2 nl ~fa ~fb ~fr sel a b =
       Netlist.gate nl Netlist.Mux2 [ sel; a'.(i); b'.(i) ])
 
 let resize nl ~round ~overflow ~src ~dst bus =
-  let k = src.Fixed.frac - dst.Fixed.frac in
+  let plan = Fixed.resize_plan ~round ~overflow src dst in
+  let k = plan.Fixed.rz_shift in
   (* Step 1: the rounded value, value-faithful, with dst.frac fraction
-     bits.  Work at width W = src.width + 2 so rounding carries fit.  It
-     keeps the source's signedness; its width is the bus's, which may
-     exceed [Fixed.max_width], so it is no [Fixed.format]. *)
+     bits.  Work at the plan's intermediate width so rounding carries
+     fit.  It keeps the source's signedness; its width is the bus's,
+     which may exceed [Fixed.max_width], so it is no [Fixed.format]. *)
   let signed = is_signed src in
   let rounded =
-    if k <= 0 then align nl ~fmt:src bus ~frac:dst.Fixed.frac
+    if k <= 0 then shift nl bus (-k)
     else begin
-      let w0 = max (src.Fixed.width + 2) (k + 2) in
+      let w0 = plan.Fixed.rz_width in
       let ext = extend nl ~fmt:src bus w0 in
       let floor_bits = Array.init w0 (fun i -> ext.(min (i + k) (w0 - 1))) in
       match round with
@@ -207,11 +197,8 @@ let resize nl ~round ~overflow ~src ~dst bus =
         let summed = ripple_add nl ext half_bus in
         Array.init w0 (fun i -> summed.(min (i + k) (w0 - 1)))
       | Fixed.Round_even ->
-        let h = if k - 1 < w0 then ext.(k - 1) else zero_net nl in
-        let rest_bits =
-          List.init (max 0 (k - 1)) (fun i -> ext.(min i (w0 - 1)))
-        in
-        let rest = or_tree nl rest_bits in
+        let rest = or_tree nl (List.init (k - 1) (fun i -> ext.(i))) in
+        let h = ext.(k - 1) in
         let up =
           Netlist.gate nl Netlist.And
             [ h; Netlist.gate nl Netlist.Or [ rest; floor_bits.(0) ] ]

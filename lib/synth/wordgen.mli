@@ -11,20 +11,6 @@
 
 type bus = Netlist.net array
 
-(** [of_format f] is the bus width for values of format [f]. *)
-val width_of_format : Fixed.format -> int
-
-(** [extend nl ~fmt bus w] sign- or zero-extends (per the format's
-    signedness) to [w] bits; truncates if [w] is smaller. *)
-val extend : Netlist.t -> fmt:Fixed.format -> bus -> int -> bus
-
-(** [align nl ~fmt bus ~frac] appends LSB zeros so the bus represents
-    the same value with [frac] fraction bits ([frac >= fmt.frac]). *)
-val align : Netlist.t -> fmt:Fixed.format -> bus -> frac:int -> bus
-
-(** Ripple-carry addition of equal-width buses (no carry out). *)
-val ripple_add : Netlist.t -> ?carry_in:Netlist.net -> bus -> bus -> bus
-
 (** OR / AND trees over nets. *)
 val or_tree : Netlist.t -> Netlist.net list -> Netlist.net
 
@@ -39,7 +25,7 @@ val select : Netlist.t -> (Netlist.net * bus) list -> width:int -> bus
 
     Each takes operand formats and buses (of matching widths) and
     returns the full-precision result bus, of width
-    [width_of_format (Fixed.<op>_format fa fb)]. *)
+    [(Fixed.<op>_format fa fb).width]. *)
 
 val add : Netlist.t -> fa:Fixed.format -> fb:Fixed.format -> bus -> bus -> bus
 val sub : Netlist.t -> fa:Fixed.format -> fb:Fixed.format -> bus -> bus -> bus
@@ -76,8 +62,9 @@ val mux2 :
   bus ->
   bus
 
-(** [resize nl ~round ~overflow ~src ~dst bus] mirrors [Fixed.resize]:
-    rounding away fraction bits, then wrap or saturate. *)
+(** [resize nl ~round ~overflow ~src ~dst bus] builds
+    [Fixed.resize_plan]: rounding away fraction bits in the plan's
+    intermediate width, then wrap or saturate. *)
 val resize :
   Netlist.t ->
   round:Fixed.rounding ->

@@ -314,3 +314,113 @@ let suite =
       Alcotest.test_case "RAM designs synthesize with no mapping" `Quick
         test_ram_designs_synthesize_unmapped;
     ]
+
+(* --- resize temporaries -------------------------------------------------- *)
+
+(* A component resizing sources that drop fewer, as many and more
+   fraction bits than they are wide (more than 62 too), or gain some,
+   under every rounding and overflow mode. *)
+let resize_system () =
+  let sources =
+    [
+      (Fixed.signed ~width:4 ~frac:2, Fixed.signed ~width:4 ~frac:0);
+      (Fixed.signed ~width:4 ~frac:8, Fixed.signed ~width:4 ~frac:0);
+      (Fixed.unsigned ~width:3 ~frac:8, Fixed.unsigned ~width:2 ~frac:0);
+      (Fixed.signed ~width:4 ~frac:63, Fixed.signed ~width:4 ~frac:0);
+      (Fixed.signed ~width:3 ~frac:(-1), Fixed.signed ~width:5 ~frac:2);
+    ]
+  in
+  let sfg =
+    Sfg.build "hdl_rz" (fun b ->
+        List.iteri
+          (fun i (src, dst) ->
+            let x = Sfg.Builder.input b (Printf.sprintf "x%d" i) src in
+            List.iter
+              (fun (r, round) ->
+                List.iter
+                  (fun (o, overflow) ->
+                    Sfg.Builder.output b (Printf.sprintf "y%d_%s_%s" i r o)
+                      (Signal.resize ~round ~overflow dst x))
+                  [ ("w", Fixed.Wrap); ("s", Fixed.Saturate) ])
+              [ ("t", Fixed.Truncate); ("n", Fixed.Round_nearest); ("e", Fixed.Round_even) ])
+          sources)
+  in
+  let fsm = Fsm.create "hdl_rz_ctl" in
+  let s0 = Fsm.initial fsm "s0" in
+  Fsm.(s0 |-- always |+ sfg |-> s0);
+  let sys = Cycle_system.create "hdl_rz" in
+  ignore (Cycle_system.add_timed sys "rz" fsm);
+  sys
+
+(* Positions just past each occurrence of [needle] in [text]. *)
+let after text needle =
+  let n = String.length needle in
+  let rec go from acc =
+    match
+      Seq.find
+        (fun i -> String.sub text i n = needle)
+        (Seq.init (max 0 (String.length text - n - from + 1)) (fun k -> from + k))
+    with
+    | Some i -> go (i + 1) ((i + n) :: acc)
+    | None -> List.rev acc
+  in
+  go 0 []
+
+let rest text i = String.sub text i (String.length text - i)
+
+(* No VHDL simulator runs here, so the generated text is checked
+   structurally: every index into a resize's wide temporary ([v_N_w])
+   lies within its declaration, and every [to_signed]/[to_unsigned]
+   constant fits its width. *)
+let test_resize_temporaries_fit () =
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun (file, text) ->
+          let what = name ^ "/" ^ file in
+          let high = Hashtbl.create 16 in
+          List.iter
+            (fun i ->
+              try
+                Scanf.sscanf (rest text i) "%s : signed(%d downto 0)" (fun v h ->
+                    if Filename.check_suffix v "_w" then Hashtbl.replace high v h)
+              with Scanf.Scan_failure _ | End_of_file -> ())
+            (after text "variable ");
+          List.iter
+            (fun i ->
+              let start = ref (i - 3) in
+              while !start > 0 && text.[!start - 1] <> ' ' && text.[!start - 1] <> '(' do
+                decr start
+              done;
+              let v = String.sub text !start (i - 1 - !start) in
+              let idx = Scanf.sscanf (rest text i) "%d" Fun.id in
+              match Hashtbl.find_opt high v with
+              | Some h when idx <= h -> ()
+              | Some h -> Alcotest.failf "%s: %s(%d) outside %d downto 0" what v idx h
+              | None -> Alcotest.failf "%s: %s indexed but not declared" what v)
+            (after text "_w(");
+          let fits ~signed c w =
+            if signed then
+              w >= 64
+              || (let h = Int64.shift_left 1L (w - 1) in
+                  Int64.neg h <= c && c < h)
+            else c >= 0L && (w >= 63 || c < Int64.shift_left 1L w)
+          in
+          List.iter
+            (fun (needle, signed) ->
+              List.iter
+                (fun i ->
+                  Scanf.sscanf (rest text i) "%Ld, %d)" (fun c w ->
+                      if not (fits ~signed c w) then
+                        Alcotest.failf "%s: %s%Ld, %d) does not fit" what needle c w))
+                (after text needle))
+            [ ("to_signed(", true); ("to_unsigned(", false) ])
+        (Vhdl.of_system (build ())))
+    [ ("hdl_rz", resize_system) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "vhdl resize temporaries hold their indices" `Quick
+        test_resize_temporaries_fit;
+    ]

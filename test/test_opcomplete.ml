@@ -165,18 +165,23 @@ let test_vhdl_markers () =
     ]
 
 (* Resizes at the edges of the emitter's word mode: wraps of both
-   signednesses to each of [widths] bits, saturation, and nearest and
-   even rounding dropping 1 and 62 fraction bits, over inputs whose
-   mantissas fill their [in_width]-bit formats. *)
+   signednesses to each of [widths] bits, saturation, nearest and even
+   rounding dropping 1 and 62 fraction bits, and every rounding dropping
+   63 and 70, over inputs whose mantissas fill their [in_width]-bit
+   formats. *)
 let resizes ~name ~in_width ~widths =
   let x_fmt = Fixed.signed ~width:in_width ~frac:0 in
   let f_fmt = Fixed.signed ~width:in_width ~frac:62 in
+  let g_fmt = Fixed.signed ~width:in_width ~frac:63 in
+  let d_fmt = Fixed.signed ~width:in_width ~frac:70 in
   let h_fmt = Fixed.signed ~width:20 ~frac:1 in
   let ports = ref [] in
   let sfg =
     Sfg.build (name ^ "_all") (fun b ->
         let x = Sfg.Builder.input b "x" x_fmt in
         let f = Sfg.Builder.input b "f" f_fmt in
+        let g = Sfg.Builder.input b "g" g_fmt in
+        let d = Sfg.Builder.input b "d" d_fmt in
         let h = Sfg.Builder.input b "h" h_fmt in
         let out port e =
           ports := port :: !ports;
@@ -204,7 +209,14 @@ let resizes ~name ~in_width ~widths =
              (Fixed.signed ~width:8 ~frac:0) h);
         out "re1" (round Fixed.Round_even (Fixed.signed ~width:19 ~frac:0) h);
         out "rn62" (round Fixed.Round_nearest (Fixed.signed ~width:4 ~frac:0) f);
-        out "re62" (round Fixed.Round_even (Fixed.signed ~width:4 ~frac:0) f))
+        out "re62" (round Fixed.Round_even (Fixed.signed ~width:4 ~frac:0) f);
+        List.iter
+          (fun (src, e) ->
+            let s4 = Fixed.signed ~width:4 ~frac:0 in
+            out ("tr" ^ src) (round Fixed.Truncate s4 e);
+            out ("rn" ^ src) (round Fixed.Round_nearest s4 e);
+            out ("re" ^ src) (round ~overflow:Fixed.Saturate Fixed.Round_even s4 e))
+          [ ("63", g); ("70", d) ])
   in
   let fsm = Fsm.create (name ^ "_ctl") in
   let s0 = Fsm.initial fsm "s0" in
@@ -220,7 +232,10 @@ let resizes ~name ~in_width ~widths =
     (fun (stim, port, fmt, seed) ->
       let i = Cycle_system.add_input sys stim fmt (spread fmt ~seed) in
       ignore (Cycle_system.connect sys (i, "out") [ (c, port) ]))
-    [ ("x_in", "x", x_fmt, 1); ("f_in", "f", f_fmt, 2); ("h_in", "h", h_fmt, 3) ];
+    [
+      ("x_in", "x", x_fmt, 1); ("f_in", "f", f_fmt, 2); ("g_in", "g", g_fmt, 4);
+      ("d_in", "d", d_fmt, 5); ("h_in", "h", h_fmt, 3);
+    ];
   List.iter
     (fun port ->
       let pc = Cycle_system.add_output sys port in
@@ -228,18 +243,9 @@ let resizes ~name ~in_width ~widths =
     (List.rev !ports);
   sys
 
-(* The standalone simulator [Emit.emit_standalone] writes for [sys],
-   compiled and run: its "<cycle> <probe> <mantissa>" lines, sorted,
-   against the interpreter's probe tokens. *)
-let check_emitted_simulator sys ~cycles =
-  let interp =
-    Flow.simulate sys ~cycles
-    |> List.concat_map (fun (probe, h) ->
-           List.map
-             (fun (c, v) -> Printf.sprintf "%d %s %Ld" c probe (Fixed.mantissa v))
-             h)
-  in
-  Cycle_system.reset sys;
+(* The "<cycle> <probe> <mantissa>" lines of the standalone simulator
+   [Emit.emit_standalone] writes for [sys], compiled and run. *)
+let emitted_lines sys ~cycles =
   let src = Emit.emit_standalone sys ~cycles in
   let lines = ref [] in
   Temp_dir.with_dir "ocapi_oc" (fun dir ->
@@ -260,10 +266,23 @@ let check_emitted_simulator sys ~cycles =
          done
        with End_of_file -> ());
       ignore (Unix.close_process_in ic));
+  !lines
+
+(* [sys]'s standalone simulator's lines, sorted, against the
+   interpreter's probe tokens. *)
+let check_emitted_simulator sys ~cycles =
+  let interp =
+    Flow.simulate sys ~cycles
+    |> List.concat_map (fun (probe, h) ->
+           List.map
+             (fun (c, v) -> Printf.sprintf "%d %s %Ld" c probe (Fixed.mantissa v))
+             h)
+  in
+  Cycle_system.reset sys;
   Alcotest.(check bool) "tokens recorded" true (interp <> []);
   Alcotest.(check (list string)) "emitted simulator = interp"
     (List.sort String.compare interp)
-    (List.sort String.compare !lines)
+    (List.sort String.compare (emitted_lines sys ~cycles))
 
 (* Skipped on toolchain-less hosts, same rationale as the engines
    suite's end-to-end emitted-simulator test. *)
